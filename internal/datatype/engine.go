@@ -62,16 +62,10 @@ type Options struct {
 	// CH3-era implementations packed everything but very dense layouts,
 	// since scatter/gather sends only pay off for long segments.
 	DenseThreshold int
-	// FuseMinSegBytes is the minimum mean segment length for a compiled
-	// plan to take the zero-copy fused wire path (gather-list vectored
-	// write) instead of packing into a pooled buffer.  Default
-	// DefaultFusionThreshold.
-	FuseMinSegBytes int
 }
 
 // DefaultOptions are the engine defaults used throughout the repository.
-var DefaultOptions = Options{Pipeline: 32 * 1024, LookAhead: 15, DenseThreshold: 8192,
-	FuseMinSegBytes: DefaultFusionThreshold}
+var DefaultOptions = Options{Pipeline: 32 * 1024, LookAhead: 15, DenseThreshold: 8192}
 
 // WithDefaults returns o with zero fields replaced by DefaultOptions values.
 func (o Options) WithDefaults() Options { return o.withDefaults() }
@@ -85,9 +79,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DenseThreshold <= 0 {
 		o.DenseThreshold = DefaultOptions.DenseThreshold
-	}
-	if o.FuseMinSegBytes <= 0 {
-		o.FuseMinSegBytes = DefaultOptions.FuseMinSegBytes
 	}
 	return o
 }

@@ -196,8 +196,7 @@ func (c *Comm) agvRing(tag int, counts, displs []int, recv []byte) {
 		sendBlock := (me - s + n) % n
 		recvBlock := (me - s - 1 + n) % n
 		c.send(right, tag, recv[displs[sendBlock]:displs[sendBlock]+counts[sendBlock]])
-		env := c.match(left, tag)
-		c.completeRecv(env)
+		env := c.await(left, tag)
 		if len(env.data) != counts[recvBlock] {
 			panic("mpi: ring allgatherv block size mismatch")
 		}
@@ -221,8 +220,7 @@ func (c *Comm) agvRecDbl(tag int, counts, displs []int, recv []byte) {
 		theirLo := displs[theirGroup]
 		theirHi := displs[theirGroup+mask-1] + counts[theirGroup+mask-1]
 		c.send(partner, tag, recv[myLo:myHi])
-		env := c.match(partner, tag)
-		c.completeRecv(env)
+		env := c.await(partner, tag)
 		if len(env.data) != theirHi-theirLo {
 			panic("mpi: recursive-doubling allgatherv size mismatch")
 		}
@@ -284,8 +282,7 @@ func (c *Comm) agvDissem(tag int, counts, displs []int, recv []byte) {
 		dst := (me - p + n) % n
 		src := (me + p) % n
 		c.send(dst, tag, gather(me, cnt))
-		env := c.match(src, tag)
-		c.completeRecv(env)
+		env := c.await(src, tag)
 		scatter(me+p, cnt, env.data)
 	}
 }

@@ -26,8 +26,7 @@ func (c *Comm) Barrier() {
 		dst := (me + dist) % n
 		src := (me - dist + n) % n
 		c.send(dst, tag, nil)
-		env := c.match(src, tag)
-		c.completeRecv(env)
+		c.await(src, tag)
 	}
 }
 
@@ -49,8 +48,7 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 	for mask < n {
 		if rel&mask != 0 {
 			src := (me - mask + n) % n
-			env := c.match(src, tag)
-			c.completeRecv(env)
+			env := c.await(src, tag)
 			data = env.data
 			break
 		}
@@ -130,8 +128,7 @@ func (c *Comm) Reduce(root int, vec []float64, op Op) {
 		partner := rel | mask
 		if partner < n {
 			src := (partner + root) % n
-			env := c.match(src, tag)
-			c.completeRecv(env)
+			env := c.await(src, tag)
 			op.apply(vec, floatbytes.Floats(env.data))
 			c.reduceFlops(len(vec))
 		}
@@ -178,8 +175,7 @@ func (c *Comm) Gatherv(root int, data []byte, counts []int) []byte {
 		if r == me {
 			continue
 		}
-		env := c.match(r, tag)
-		c.completeRecv(env)
+		env := c.await(r, tag)
 		if len(env.data) != counts[r] {
 			panic(fmt.Sprintf("mpi: gatherv rank %d sent %d bytes, expected %d", r, len(env.data), counts[r]))
 		}

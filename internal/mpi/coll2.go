@@ -36,8 +36,7 @@ func (c *Comm) Gather(root int, data []byte) []byte {
 		childRel := rel | mask
 		if childRel < n {
 			src := (childRel + root) % n
-			env := c.match(src, tag)
-			c.completeRecv(env)
+			env := c.await(src, tag)
 			buf = append(buf, env.data...)
 		}
 		mask <<= 1
@@ -79,8 +78,7 @@ func (c *Comm) Scatterv(root int, data []byte, counts []int) []byte {
 		copy(out, data[displs[root]:])
 		return out
 	}
-	env := c.match(root, tag)
-	c.completeRecv(env)
+	env := c.await(root, tag)
 	if len(env.data) != counts[me] {
 		panic("mpi: scatterv size mismatch")
 	}
@@ -134,8 +132,7 @@ func (c *Comm) AllreduceRD(vec []float64, op Op) {
 	for mask := 1; mask < n; mask <<= 1 {
 		partner := me ^ mask
 		c.send(partner, tag, floatbytes.Bytes(vec))
-		env := c.match(partner, tag)
-		c.completeRecv(env)
+		env := c.await(partner, tag)
 		op.apply(vec, floatbytes.Floats(env.data))
 		c.reduceFlops(len(vec))
 	}

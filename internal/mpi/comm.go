@@ -7,7 +7,6 @@ import (
 	"nccd/internal/datatype"
 	"nccd/internal/obs"
 	"nccd/internal/simnet"
-	"nccd/internal/transport"
 )
 
 // Comm is a rank's handle on a communicator: all communication goes through
@@ -48,18 +47,6 @@ func (c *Comm) worldRank(r int) int {
 		return r
 	}
 	return c.group[r]
-}
-
-// match blocks until a message for this communicator matching src/tag
-// (wildcards allowed; src is a comm rank) arrives, and removes it.  A
-// failure of the awaited peer — or a watchdog-detected deadlock — aborts
-// the wait with a typed communication error (see matchE and Guard).
-func (c *Comm) match(src, tag int) *envelope {
-	env, err := c.matchE(src, tag, 0)
-	if err != nil {
-		throwErr(err)
-	}
-	return env
 }
 
 // World returns the world this Comm belongs to.
@@ -167,34 +154,14 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 }
 
 // send implements Send for both user and internal tags.  dst is a comm
-// rank.
+// rank.  A contiguous message does not go through resolve, so that data —
+// which is only ever copied — does not escape: resolve's buffer can reach
+// the transport as a gather list, and callers reduce and broadcast out of
+// stack buffers.
 func (c *Comm) send(dst, tag int, data []byte) {
-	p := c.me
-	lnk := c.linkTo(dst)
-	c.maybeCrash()
-	opStart := p.clock
-	p.clock += lnk.SendOverhead / p.speed
-	// The wire copy comes from the shared buffer pool; the receive side
-	// returns it once the payload has been consumed (see unpackInto).
-	wire := datatype.GetBuffer(len(data))
-	copy(wire, data)
-	wireSec := lnk.WireTime(len(wire))
-	wireDone := p.clock + wireSec
-	arrival := wireDone + lnk.Latency
-	rdvz := 0.0
-	if dst == c.rank {
-		arrival = p.clock
-	} else if lnk.RendezvousBytes > 0 && len(wire) > lnk.RendezvousBytes {
-		// Rendezvous protocol: the sender blocks until the data is out.
-		rdvz = wireDone - p.clock
-		p.clock = wireDone
-	}
-	p.stats.MsgsSent++
-	p.stats.BytesSent += int64(len(wire))
-	nbytes := len(wire)
-	mseq := c.dispatch(dst, tag, wire, arrival, wireSec)
-	p.recordSend(Event{Kind: "send", Peer: dst, Tag: tag, Bytes: nbytes, Start: opStart, End: p.clock},
-		c.ctx, c.worldRank(dst), mseq, rdvz)
+	m := c.begin(dst)
+	m.contiguous(data)
+	c.post(dst, tag, m)
 }
 
 // SendType packs count instances of t from buf and transmits them to dst
@@ -206,267 +173,205 @@ func (c *Comm) SendType(dst, tag int, t *datatype.Type, count int, buf []byte) {
 	c.sendType(dst, tag, t, count, buf)
 }
 
+// sendType implements SendType for user and internal tags.
 func (c *Comm) sendType(dst, tag int, t *datatype.Type, count int, buf []byte) {
+	m := c.begin(dst)
+	c.resolve(&m, t, count, buf)
+	c.post(dst, tag, m)
+}
+
+// outMsg is an outgoing message: begin opens it, contiguous or resolve
+// gives it a representation and the cost of producing that, post charges
+// the cost and sends it.  The body is either wire — a pooled image the
+// runtime owns until the receiver recycles it — or user+segs, a gather list
+// borrowed from the caller's buffer that the transport has finished reading
+// by the time SendVectored returns.
+type outMsg struct {
+	self    bool    // addressed to the sending rank
+	opStart float64 // clock when the operation began
+
+	wire []byte
+	user []byte
+	segs []datatype.Segment
+
+	bytes     int
+	granules  []granule        // the pipeline steps that produce and ship the body
+	pipelined bool             // the sender stalls on each granule's wire time
+	metrics   datatype.Metrics // pack-engine work, for Stats.Datatype
+	engine    string           // pack span label; "" for the streaming engines
+}
+
+// granule is one step of the send pipeline: the CPU time spent producing a
+// piece of the message, then that piece's bytes on the wire.
+type granule struct {
+	packSec, searchSec float64
+	bytes              int
+}
+
+// begin opens an outgoing message to comm rank dst: the injected-crash
+// check, then the state every representation starts from.
+func (c *Comm) begin(dst int) outMsg {
+	c.maybeCrash()
+	return outMsg{self: dst == c.rank, opStart: c.me.clock, granules: c.me.granules[:0]}
+}
+
+// contiguous makes m a pooled copy of data: one granule, no CPU.
+func (m *outMsg) contiguous(data []byte) {
+	m.bytes = len(data)
+	m.wire = datatype.GetBuffer(m.bytes)
+	copy(m.wire, data)
+	m.granules = append(m.granules, granule{bytes: m.bytes})
+}
+
+// resolve picks the representation of count instances of t in buf: a
+// contiguous type is sent as the bytes it is; any other layout is packed
+// into a pooled image by the streaming engine or the compiled plan, a
+// granule per pipeline chunk; and on a wall-clock world a plan with long
+// enough segments is not packed at all — its segment list goes to the
+// transport as is, one granule of per-segment gather overhead.
+func (c *Comm) resolve(m *outMsg, t *datatype.Type, count int, buf []byte) {
 	p := c.me
 	prm := &c.w.cluster.Params
-	lnk := c.linkTo(dst)
-	opt := c.w.cfg.Datatype.WithDefaults()
-
-	// Fully contiguous sends skip the pack engine entirely.
 	if t.Contig() && t.Size() == t.Extent() {
-		n := t.Size() * count
-		c.send(dst, tag, buf[:n])
+		m.contiguous(buf[:t.Size()*count])
 		return
 	}
-
-	// The compiled-plan engine bypasses the streaming interpreters: the
-	// layout is a cached flat segment list, so the wire image is built by
-	// one tight (possibly parallel) gather with no per-chunk traversal.
+	opt := c.w.cfg.Datatype.WithDefaults()
 	if c.w.cfg.Engine == datatype.CompiledPlans {
-		c.sendPlanned(dst, tag, t, count, buf)
+		plan := datatype.PlanFor(t, count)
+		nsegs := plan.NumSegments()
+		m.bytes = plan.Bytes()
+		// Below the fusion threshold the per-segment wire cost outweighs the
+		// saved memcpy; the virtual-time world always packs, because its
+		// receivers are deposited a finished image.
+		if c.w.wall && !m.self && plan.Fusable(datatype.DefaultFusionThreshold) {
+			m.user, m.segs, m.engine = buf, plan.Segments(), "fused"
+			m.granules = append(m.granules, granule{bytes: m.bytes,
+				packSec: prm.GatherSegOverhead * float64(nsegs) / p.speed})
+			m.metrics = datatype.Metrics{Chunks: 1,
+				DirectBytes: int64(m.bytes), DirectSegments: int64(nsegs)}
+			return
+		}
+		m.wire, m.engine = datatype.GetBuffer(m.bytes), "compiled-plan"
+		plan.Pack(buf, m.wire)
+		m.pipelined = m.bytes > opt.Pipeline
+		chunks := max(1, (m.bytes+opt.Pipeline-1)/opt.Pipeline)
+		packPerChunk := (prm.PackPerByte*float64(m.bytes) +
+			prm.SegOverhead*float64(nsegs)) / p.speed / float64(chunks)
+		for remaining := m.bytes; ; {
+			sz := min(remaining, opt.Pipeline)
+			m.granules = append(m.granules, granule{packSec: packPerChunk, bytes: sz})
+			if remaining -= sz; remaining == 0 {
+				break
+			}
+		}
+		m.metrics = datatype.Metrics{Chunks: int64(chunks),
+			PackedBytes: int64(m.bytes), PackedSegments: int64(nsegs)}
 		return
 	}
 
-	c.maybeCrash()
-	opStart := p.clock
-	packStart := p.clock + lnk.SendOverhead/p.speed
-	totalPackSec := 0.0
+	// Streaming engines: multi-chunk messages run the pipelined rendezvous
+	// protocol.  The pipeline is memory-bounded (one intermediate buffer)
+	// but modeled as time-serialized — pack a granule, put it on the wire,
+	// pack the next — which is how much overlap the CH3-era protocol
+	// achieved in practice and what makes PETSc's hand-tuned
+	// pack-everything-then-send path slightly faster than the datatype
+	// path, as the paper measures.
 	packer := datatype.NewPacker(c.w.cfg.Engine, t, count, buf, opt)
-	wire := make([]byte, 0, packer.TotalBytes())
+	m.bytes = int(packer.TotalBytes())
+	m.wire = datatype.GetBuffer(m.bytes)[:0]
+	m.pipelined = m.bytes > opt.Pipeline
 	scratch := p.scratchBuf(opt.Pipeline)
-
-	// Multi-chunk messages run the pipelined rendezvous protocol.  The
-	// pipeline is memory-bounded (one intermediate buffer) but modeled as
-	// time-serialized — pack a granule, put it on the wire, pack the next —
-	// which is how much overlap the CH3-era protocol achieved in practice
-	// and what makes PETSc's hand-tuned pack-everything-then-send path
-	// slightly faster than the datatype path, as the paper measures.
-	pipelined := packer.TotalBytes() > int64(opt.Pipeline)
-
-	p.clock += lnk.SendOverhead / p.speed
-	wireDone := p.clock
-	var prev datatype.Metrics
 	for {
 		chunk, ok := packer.NextChunk(scratch)
 		if !ok {
 			break
 		}
-		m := packer.Metrics()
-
 		// Charge CPU for the work this chunk performed.
-		packSec := (prm.PackPerByte*float64(m.PackedBytes-prev.PackedBytes) +
-			prm.SegOverhead*float64(m.PackedSegments-prev.PackedSegments) +
-			prm.GatherSegOverhead*float64(m.DirectSegments-prev.DirectSegments) +
-			prm.ScanPerSeg*float64(m.ScannedSegments-prev.ScannedSegments)) / p.speed
-		searchSec := prm.SearchPerSeg * float64(m.SearchSegments-prev.SearchSegments) / p.speed
-		p.clock += packSec + searchSec
-		p.stats.PackSec += packSec
-		p.stats.SearchSec += searchSec
-		totalPackSec += packSec + searchSec
-		prev = m
-
-		start := p.clock
-		if wireDone > start {
-			start = wireDone
-		}
-		wireDone = start + lnk.WireTime(chunk.Bytes)
-		if pipelined && dst != c.rank {
-			p.clock = wireDone
-		}
-
+		now, prev := packer.Metrics(), m.metrics
+		m.granules = append(m.granules, granule{bytes: chunk.Bytes,
+			packSec: (prm.PackPerByte*float64(now.PackedBytes-prev.PackedBytes) +
+				prm.SegOverhead*float64(now.PackedSegments-prev.PackedSegments) +
+				prm.GatherSegOverhead*float64(now.DirectSegments-prev.DirectSegments) +
+				prm.ScanPerSeg*float64(now.ScannedSegments-prev.ScannedSegments)) / p.speed,
+			searchSec: prm.SearchPerSeg * float64(now.SearchSegments-prev.SearchSegments) / p.speed})
+		m.metrics = now
 		if chunk.Direct {
 			for _, s := range chunk.Segs {
-				wire = append(wire, buf[s.Off:s.Off+s.Len]...)
+				m.wire = append(m.wire, buf[s.Off:s.Off+s.Len]...)
 			}
 		} else {
-			wire = append(wire, chunk.Data...)
+			m.wire = append(m.wire, chunk.Data...)
 		}
 	}
+}
+
+// post is the one send pipeline: every outgoing message, whatever its
+// representation, is charged, accounted, dispatched and traced here.
+func (c *Comm) post(dst, tag int, m outMsg) {
+	p := c.me
+	lnk := c.linkTo(dst)
+
+	// The cost model: send overhead, then granule by granule the CPU that
+	// produces it and the wire that carries it, the wire never starting
+	// before the previous granule has drained.  A pipelined sender stalls
+	// on every granule; otherwise the wire runs ahead of the clock.
+	p.clock += lnk.SendOverhead / p.speed
+	packStart, wireDone, packSec := p.clock, p.clock, 0.0
+	for _, g := range m.granules {
+		p.clock += g.packSec + g.searchSec
+		p.stats.PackSec += g.packSec
+		p.stats.SearchSec += g.searchSec
+		packSec += g.packSec + g.searchSec
+		wireDone = max(wireDone, p.clock) + lnk.WireTime(g.bytes)
+		if m.pipelined && !m.self {
+			p.clock = wireDone
+		}
+	}
+	p.granules = m.granules[:0]
+
 	arrival := wireDone + lnk.Latency
 	rdvz := 0.0
-	if dst == c.rank {
+	if m.self {
 		arrival = p.clock
-	} else if lnk.RendezvousBytes > 0 && len(wire) > lnk.RendezvousBytes {
+	} else if lnk.RendezvousBytes > 0 && m.bytes > lnk.RendezvousBytes {
 		// Rendezvous: the sender returns once the last byte has drained.
 		rdvz = wireDone - p.clock
 		p.clock = wireDone
 	}
 	p.stats.MsgsSent++
-	p.stats.BytesSent += int64(len(wire))
-	p.stats.Datatype.Add(prev)
-	nbytes := len(wire)
-	mseq := c.dispatch(dst, tag, wire, arrival, lnk.WireTime(nbytes))
-	if p.tracer.Enabled() && totalPackSec > 0 {
+	p.stats.BytesSent += int64(m.bytes)
+	p.stats.Datatype.Add(m.metrics)
+	if m.segs != nil {
+		p.stats.FusedSends++
+		p.stats.FusedBytes += int64(m.bytes)
+	}
+	mseq := c.dispatch(dst, tag, m, arrival, lnk.WireTime(m.bytes))
+	if p.tracer.Enabled() && packSec > 0 {
 		// The modeled pack time, nested inside the send span.  Pack work is
 		// really interleaved with wire granules; the span shows its total.
+		attrs := make([]obs.Attr, 0, 2)
+		if m.engine != "" {
+			attrs = append(attrs, obs.Attr{Key: "engine", Val: m.engine})
+		}
+		segments := m.metrics.PackedSegments
+		if m.segs != nil {
+			segments = m.metrics.DirectSegments
+		}
+		attrs = append(attrs, obs.Attr{Key: "segments", Val: strconv.FormatInt(segments, 10)})
 		p.tracer.Emit(obs.Span{Rank: p.rank, Kind: "pack", Peer: dst, Tag: tag,
-			Bytes: int64(nbytes), Start: packStart, End: packStart + totalPackSec,
-			Clock: obs.ClockVirtual,
-			Attrs: []obs.Attr{{Key: "segments", Val: strconv.FormatInt(prev.PackedSegments, 10)}}})
+			Bytes: int64(m.bytes), Start: packStart, End: packStart + packSec,
+			Clock: obs.ClockVirtual, Attrs: attrs})
 	}
-	p.recordSend(Event{Kind: "send", Peer: dst, Tag: tag, Bytes: nbytes, Start: opStart, End: p.clock},
+	p.recordSend(Event{Kind: "send", Peer: dst, Tag: tag, Bytes: m.bytes, Start: m.opStart, End: p.clock},
 		c.ctx, c.worldRank(dst), mseq, rdvz)
-}
-
-// sendPlanned is the compiled-plan send path: pack the whole message through
-// the cached plan's copy loops into a pooled wire buffer, then charge the
-// virtual clock with the same pipelined-granule model as the streaming
-// engines — minus every look-ahead scan and search, which the plan
-// eliminated at compile time.
-func (c *Comm) sendPlanned(dst, tag int, t *datatype.Type, count int, buf []byte) {
-	p := c.me
-	prm := &c.w.cluster.Params
-	lnk := c.linkTo(dst)
-	opt := c.w.cfg.Datatype.WithDefaults()
-
-	c.maybeCrash()
-	opStart := p.clock
-	plan := datatype.PlanFor(t, count)
-
-	// Datatype→wire fusion: on a wall-clock transport with a vectored
-	// sender, a plan whose segments are long enough skips the pack copy
-	// entirely — the gather list goes straight to the transport's writev.
-	// Below the threshold the per-segment wire cost outweighs the saved
-	// memcpy and the compiled pack below remains the better path.
-	if c.w.vecSender != nil && dst != c.rank && plan.Fusable(opt.FuseMinSegBytes) {
-		c.sendFused(dst, tag, plan, buf, opStart)
-		return
-	}
-
-	nbytes := plan.Bytes()
-	nsegs := plan.NumSegments()
-	wire := datatype.GetBuffer(nbytes)
-	plan.Pack(buf, wire)
-
-	pipelined := nbytes > opt.Pipeline
-	p.clock += lnk.SendOverhead / p.speed
-	wireDone := p.clock
-	packStart := p.clock
-	chunks := (nbytes + opt.Pipeline - 1) / opt.Pipeline
-	if chunks < 1 {
-		chunks = 1
-	}
-	packPerChunk := (prm.PackPerByte*float64(nbytes) +
-		prm.SegOverhead*float64(nsegs)) / p.speed / float64(chunks)
-	for remaining := nbytes; ; {
-		p.clock += packPerChunk
-		p.stats.PackSec += packPerChunk
-		sz := opt.Pipeline
-		if remaining < sz {
-			sz = remaining
-		}
-		remaining -= sz
-		start := p.clock
-		if wireDone > start {
-			start = wireDone
-		}
-		wireDone = start + lnk.WireTime(sz)
-		if pipelined && dst != c.rank {
-			p.clock = wireDone
-		}
-		if remaining == 0 {
-			break
-		}
-	}
-	arrival := wireDone + lnk.Latency
-	rdvz := 0.0
-	if dst == c.rank {
-		arrival = p.clock
-	} else if lnk.RendezvousBytes > 0 && nbytes > lnk.RendezvousBytes {
-		rdvz = wireDone - p.clock
-		p.clock = wireDone
-	}
-	p.stats.MsgsSent++
-	p.stats.BytesSent += int64(nbytes)
-	p.stats.Datatype.Add(datatype.Metrics{
-		Chunks:         int64(chunks),
-		PackedBytes:    int64(nbytes),
-		PackedSegments: int64(nsegs),
-	})
-	mseq := c.dispatch(dst, tag, wire, arrival, lnk.WireTime(nbytes))
-	if p.tracer.Enabled() {
-		packSec := packPerChunk * float64(chunks)
-		p.tracer.Emit(obs.Span{Rank: p.rank, Kind: "pack", Peer: dst, Tag: tag,
-			Bytes: int64(nbytes), Start: packStart, End: packStart + packSec,
-			Clock: obs.ClockVirtual,
-			Attrs: []obs.Attr{
-				{Key: "engine", Val: "compiled-plan"},
-				{Key: "segments", Val: strconv.Itoa(nsegs)},
-			}})
-	}
-	p.recordSend(Event{Kind: "send", Peer: dst, Tag: tag, Bytes: nbytes, Start: opStart, End: p.clock},
-		c.ctx, c.worldRank(dst), mseq, rdvz)
-}
-
-// sendFused is the zero-copy send path: the plan's gather list is handed
-// straight to the transport's vectored writer, which puts the segments on
-// the wire from the caller's buffer under a single frame — no intermediate
-// pack, no pooled wire copy.  Only reachable in wall-clock mode (the
-// virtual-time cost model needs the packed representation), for non-self
-// destinations, above the fusion threshold.  The receiver sees bytes
-// identical to the packed path: the gather order is the plan's segment
-// order, which is exactly the order Pack copies.
-func (c *Comm) sendFused(dst, tag int, plan *datatype.Plan, buf []byte, opStart float64) {
-	p := c.me
-	w := c.w
-	prm := &c.w.cluster.Params
-	lnk := c.linkTo(dst)
-	nbytes := plan.Bytes()
-	nsegs := plan.NumSegments()
-
-	// Charge the local clock with the vectored write's cost model: per-
-	// segment gather overhead instead of per-byte pack cost.  Wall-clock
-	// receivers ignore arrival stamps, so this only shapes local stats.
-	p.clock += lnk.SendOverhead / p.speed
-	gatherSec := prm.GatherSegOverhead * float64(nsegs) / p.speed
-	p.clock += gatherSec
-	p.stats.PackSec += gatherSec
-	arrival := p.clock + lnk.WireTime(nbytes) + lnk.Latency
-
-	worldDst := c.worldRank(dst)
-	mMsgBytes.Observe(int64(nbytes))
-	if w.isRevoked(c.ctx) {
-		throwErr(&RevokedError{Call: c.callOr("Send")})
-	}
-	if w.anyDown.Load() && w.deadRank(worldDst) {
-		throwErr(&RankFailedError{Rank: worldDst, Call: c.callOr("Send")})
-	}
-	p.msgSeq[worldDst]++
-	mseq := p.msgSeq[worldDst]
-	w.matrix.addSend(p.rank, worldDst, int64(nbytes))
-	hdr := transport.Header{Ctx: c.ctx, Src: int32(c.rank), Tag: int32(tag), Arrival: arrival,
-		WSrc: int32(p.rank), MSeq: mseq}
-	if err := w.vecSender.SendVectored(worldDst, hdr, buf, plan.Segments()); err != nil {
-		throwErr(mapTransportErr(err, worldDst, c.callOr("Send")))
-	}
-	p.stats.MsgsSent++
-	p.stats.BytesSent += int64(nbytes)
-	p.stats.FusedSends++
-	p.stats.FusedBytes += int64(nbytes)
-	p.stats.Datatype.Add(datatype.Metrics{
-		Chunks:         1,
-		DirectBytes:    int64(nbytes),
-		DirectSegments: int64(nsegs),
-	})
-	if p.tracer.Enabled() {
-		p.tracer.Emit(obs.Span{Rank: p.rank, Kind: "pack", Peer: dst, Tag: tag,
-			Bytes: int64(nbytes), Start: opStart, End: opStart + gatherSec,
-			Clock: obs.ClockVirtual,
-			Attrs: []obs.Attr{
-				{Key: "engine", Val: "fused"},
-				{Key: "segments", Val: strconv.Itoa(nsegs)},
-			}})
-	}
-	p.recordSend(Event{Kind: "send", Peer: dst, Tag: tag, Bytes: nbytes, Start: opStart, End: p.clock},
-		c.ctx, worldDst, mseq, 0)
 }
 
 // Recv blocks until a message matching src/tag (wildcards allowed) arrives
 // and returns its payload and source rank.
 func (c *Comm) Recv(src, tag int) ([]byte, int) {
 	c.me.call = "Recv"
-	env := c.match(src, tag)
-	c.completeRecv(env)
+	env := c.await(src, tag)
 	return env.data, env.src
 }
 
@@ -474,25 +379,40 @@ func (c *Comm) Recv(src, tag int) ([]byte, int) {
 // count and source.  It panics if the message exceeds len(buf).
 func (c *Comm) RecvInto(src, tag int, buf []byte) (int, int) {
 	c.me.call = "RecvInto"
-	env := c.match(src, tag)
-	if len(env.data) > len(buf) {
-		panic(fmt.Sprintf("mpi: message of %d bytes overflows %d-byte buffer", len(env.data), len(buf)))
-	}
-	c.completeRecv(env)
-	copy(buf, env.data)
-	n := len(env.data)
-	datatype.PutBuffer(env.data)
-	return n, env.src
+	return c.recvInto(src, tag, nil, 0, buf)
 }
 
 // RecvType receives a message and scatters it into count instances of t in
 // buf.  The payload size must match the type map exactly.
 func (c *Comm) RecvType(src, tag int, t *datatype.Type, count int, buf []byte) int {
 	c.me.call = "RecvType"
-	env := c.match(src, tag)
+	_, from := c.recvInto(src, tag, t, count, buf)
+	return from
+}
+
+// await blocks until a message for this communicator matching src/tag
+// (wildcards allowed; src is a comm rank) arrives, removes it from the
+// mailbox and completes its receipt.  A failure of the awaited peer — or a
+// watchdog-detected deadlock — aborts the wait with a typed communication
+// error (see matchE and Guard).  The caller owns env.data: it either keeps
+// the payload or recycles it.
+func (c *Comm) await(src, tag int) *envelope {
+	env, err := c.matchE(src, tag, 0)
+	if err != nil {
+		throwErr(err)
+	}
 	c.completeRecv(env)
+	return env
+}
+
+// recvInto is the one receive completion behind RecvInto, RecvType,
+// recvSpec and Request.Wait: await the message, land its payload in buf
+// (see unpackInto) and return the payload size and the source.
+func (c *Comm) recvInto(src, tag int, t *datatype.Type, count int, buf []byte) (n, from int) {
+	env := c.await(src, tag)
+	n = len(env.data)
 	c.unpackInto(env.data, t, count, buf)
-	return env.src
+	return n, env.src
 }
 
 // completeRecv advances the clock to the arrival time and charges the
@@ -528,16 +448,21 @@ func (c *Comm) completeRecv(env *envelope) {
 	c.maybeCrash()
 }
 
-// unpackInto scatters payload into the receive type map, charging unpack
-// cost for noncontiguous layouts.  Contiguous receives land directly
-// (rendezvous-style) at no CPU cost.  The payload is fully consumed here, so
-// its backing array goes back to the shared buffer pool.
+// unpackInto lands a received payload in buf — scattered through count
+// instances of t, charging unpack cost for noncontiguous layouts, or, with
+// a nil t, copied as the contiguous bytes it is — and returns its backing
+// array to the shared buffer pool.  Contiguous receives land directly
+// (rendezvous-style) at no CPU cost.  A typed payload must match the type
+// map exactly; an untyped one must fit buf.
 func (c *Comm) unpackInto(payload []byte, t *datatype.Type, count int, buf []byte) {
-	want := t.Size() * count
-	if len(payload) != want {
+	if t == nil {
+		if len(payload) > len(buf) {
+			panic(fmt.Sprintf("mpi: message of %d bytes overflows %d-byte buffer", len(payload), len(buf)))
+		}
+	} else if want := t.Size() * count; len(payload) != want {
 		panic(fmt.Sprintf("mpi: type map of %d bytes but payload is %d bytes", want, len(payload)))
 	}
-	if t.Contig() && t.Size() == t.Extent() {
+	if t == nil || (t.Contig() && t.Size() == t.Extent()) {
 		copy(buf, payload)
 		datatype.PutBuffer(payload)
 		return
@@ -548,7 +473,7 @@ func (c *Comm) unpackInto(payload []byte, t *datatype.Type, count int, buf []byt
 	if c.w.cfg.Engine == datatype.CompiledPlans {
 		plan := datatype.PlanFor(t, count)
 		plan.Unpack(buf, payload)
-		m = datatype.Metrics{PackedBytes: int64(want), PackedSegments: int64(plan.NumSegments())}
+		m = datatype.Metrics{PackedBytes: int64(len(payload)), PackedSegments: int64(plan.NumSegments())}
 	} else {
 		u := datatype.NewUnpacker(t, count, buf)
 		u.Consume(payload)
@@ -562,7 +487,7 @@ func (c *Comm) unpackInto(payload []byte, t *datatype.Type, count int, buf []byt
 	p.stats.Datatype.Add(m)
 	if p.tracer.Enabled() {
 		p.tracer.Emit(obs.Span{Rank: p.rank, Kind: "unpack", Peer: -1,
-			Bytes: int64(want), Start: unpackStart, End: p.clock, Clock: obs.ClockVirtual,
+			Bytes: int64(len(payload)), Start: unpackStart, End: p.clock, Clock: obs.ClockVirtual,
 			Attrs: []obs.Attr{{Key: "segments", Val: strconv.FormatInt(m.PackedSegments, 10)}}})
 	}
 	datatype.PutBuffer(payload)
@@ -610,17 +535,13 @@ type Request struct {
 // Isend starts a nonblocking contiguous send.  The payload is captured
 // immediately; the returned request completes instantly.
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {
-	c.checkPeer(dst)
-	c.checkUserTag(tag)
-	c.send(dst, tag, data)
+	c.Send(dst, tag, data)
 	return &Request{c: c, done: true}
 }
 
 // IsendType starts a nonblocking typed send; packing happens now (eager).
 func (c *Comm) IsendType(dst, tag int, t *datatype.Type, count int, buf []byte) *Request {
-	c.checkPeer(dst)
-	c.checkUserTag(tag)
-	c.sendType(dst, tag, t, count, buf)
+	c.SendType(dst, tag, t, count, buf)
 	return &Request{c: c, done: true}
 }
 
@@ -641,22 +562,8 @@ func (r *Request) Wait() (int, int) {
 		return r.n, r.recvSrc
 	}
 	r.done = true
-	c := r.c
-	c.me.call = "Wait"
-	env := c.match(r.src, r.tag)
-	c.completeRecv(env)
-	if r.t != nil {
-		r.n = len(env.data)
-		c.unpackInto(env.data, r.t, r.count, r.buf)
-	} else {
-		if len(env.data) > len(r.buf) {
-			panic("mpi: message overflows receive buffer")
-		}
-		copy(r.buf, env.data)
-		r.n = len(env.data)
-		datatype.PutBuffer(env.data)
-	}
-	r.recvSrc = env.src
+	r.c.me.call = "Wait"
+	r.n, r.recvSrc = r.c.recvInto(r.src, r.tag, r.t, r.count, r.buf)
 	return r.n, r.recvSrc
 }
 

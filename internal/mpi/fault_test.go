@@ -255,6 +255,50 @@ func TestChecksumAndDedupCounters(t *testing.T) {
 	}
 }
 
+// TestDedupStateStaysBounded: duplicate suppression is a per-source
+// watermark, so 10^5 reliable messages under 5% duplication leave the
+// receiver holding one counter per rank — not one entry per message — and
+// still reject exactly the copies the plan injected.
+func TestDedupStateStaysBounded(t *testing.T) {
+	fp := &simnet.FaultPlan{Seed: 11, Duplicate: 0.05}
+	w := faultWorld(3, Baseline(), fp)
+	const msgs, window = 50000, 500 // per sender; acked per window to keep the mailbox short
+	err := w.Run(func(c *Comm) error {
+		if c.Rank() != 1 {
+			for i := 0; i < msgs; i++ {
+				c.Send(1, 3, []byte{byte(i), byte(i >> 8)})
+				if (i+1)%window == 0 {
+					c.Recv(1, 4)
+				}
+			}
+			return nil
+		}
+		for i := 0; i < msgs; i++ {
+			for _, src := range []int{0, 2} {
+				if d, _ := c.Recv(src, 3); len(d) != 2 || d[0] != byte(i) || d[1] != byte(i>>8) {
+					return fmt.Errorf("message %d from %d corrupted or reordered: %v", i, src, d)
+				}
+			}
+			if (i+1)%window == 0 {
+				c.Send(0, 4, nil)
+				c.Send(2, 4, nil)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := w.TotalStats()
+	if st.DupsSent == 0 || w.DuplicateRejects() != st.DupsSent {
+		t.Fatalf("%d duplicates injected, %d rejected", st.DupsSent, w.DuplicateRejects())
+	}
+	got := w.procs[1].recvSeq
+	if len(got) != w.Size() || got[0] != msgs || got[2] != msgs {
+		t.Fatalf("receiver watermarks %v, want %d from ranks 0 and 2", got, msgs)
+	}
+}
+
 // TestSendTimeoutExhaustsRetries: a fully dead link raises ErrTimeout at
 // the sender after MaxRetries attempts.
 func TestSendTimeoutExhaustsRetries(t *testing.T) {

@@ -114,8 +114,7 @@ func (c *Comm) hierAllgatherv(tag int, counts, displs []int, recv []byte, topo *
 		if r == me {
 			continue
 		}
-		env := c.match(r, tagHierGather)
-		c.completeRecv(env)
+		env := c.await(r, tagHierGather)
 		if len(env.data) != counts[r] {
 			panic("mpi: hierarchical allgatherv funnel size mismatch")
 		}
@@ -182,8 +181,7 @@ func (c *Comm) hierBcast(locals []int, rel int, buf []byte) {
 		mask <<= 1
 	}
 	if rel != 0 {
-		env := c.match(locals[rel-mask], tagHierScatter)
-		c.completeRecv(env)
+		env := c.await(locals[rel-mask], tagHierScatter)
 		if len(env.data) != len(buf) {
 			panic("mpi: hierarchical broadcast size mismatch")
 		}
@@ -337,8 +335,7 @@ func (c *Comm) a2awHier(tag int, sendbuf []byte, sends []TypeSpec, recvbuf []byt
 		c.spanB("hier_funnel", funnelStart, int64(len(agg)),
 			obs.Attr{Key: "node", Val: strconv.Itoa(node)})
 
-		env := c.match(leader, tagHierScatter)
-		c.completeRecv(env)
+		env := c.await(leader, tagHierScatter)
 		data := env.data
 		for len(data) > 0 {
 			if len(data) < 8 {
@@ -377,8 +374,7 @@ func (c *Comm) a2awHier(tag int, sendbuf []byte, sends []TypeSpec, recvbuf []byt
 		if r == me {
 			continue
 		}
-		env := c.match(r, tagHierGather)
-		c.completeRecv(env)
+		env := c.await(r, tagHierGather)
 		data := env.data
 		for len(data) > 0 {
 			if len(data) < 8 {
@@ -421,8 +417,7 @@ func (c *Comm) a2awHier(tag int, sendbuf []byte, sends []TypeSpec, recvbuf []byt
 	// Receive every leader's aggregate and redistribute.
 	perLocal := make(map[int][]byte, len(locals)-1)
 	for _, j := range order {
-		env := lc.match(j, ltag)
-		lc.completeRecv(env)
+		env := lc.await(j, ltag)
 		exchBytes += int64(len(env.data))
 		data := env.data
 		for len(data) > 0 {

@@ -44,20 +44,23 @@ func (c *Comm) callOr(def string) string {
 	return def
 }
 
-// dispatch delivers wire to comm rank dst with the given base arrival
-// time, applying the fault plan and the reliability protocol.  wireSec is
-// the payload's wire serialization time, used to re-derive arrival times
-// for retransmissions.  It raises ErrRankFailed if dst is down and
-// ErrTimeout if the retry budget is exhausted.  The returned value is the
-// message's observability sequence number (see proc.msgSeq), which the
-// caller attaches to its send span for cross-rank matching.
-func (c *Comm) dispatch(dst, tag int, wire []byte, arrival, wireSec float64) uint64 {
+// dispatch hands m to the transport for comm rank dst with the given base
+// arrival time, applying the fault plan and the reliability protocol.
+// wireSec is the payload's wire serialization time, used to re-derive
+// arrival times for retransmissions.  It raises ErrRevoked on a revoked
+// communicator, ErrRankFailed if dst is down and ErrTimeout if the retry
+// budget is exhausted.  The returned value is the message's observability
+// sequence number (see proc.msgSeq), which the caller attaches to its send
+// span for cross-rank matching.
+func (c *Comm) dispatch(dst, tag int, m outMsg, arrival, wireSec float64) uint64 {
 	w := c.w
+	wire := m.wire
 	worldDst := c.worldRank(dst)
-	mMsgBytes.Observe(int64(len(wire)))
+	mMsgBytes.Observe(int64(m.bytes))
 	// dispatch owns wire; the throw paths below abandon the send, so they
 	// must recycle it or every revoked/failed-peer send leaks a pooled
-	// buffer.
+	// buffer.  (A borrowed gather list has no wire: PutBuffer(nil) is a
+	// no-op.)
 	if w.isRevoked(c.ctx) {
 		datatype.PutBuffer(wire)
 		throwErr(&RevokedError{Call: c.callOr("Send")})
@@ -72,56 +75,56 @@ func (c *Comm) dispatch(dst, tag int, wire []byte, arrival, wireSec float64) uin
 	p := c.me
 	p.msgSeq[worldDst]++
 	mseq := p.msgSeq[worldDst]
-	w.matrix.addSend(p.rank, worldDst, int64(len(wire)))
-	if w.wall {
-		// Real sockets: the transport runs the reliability protocol itself
-		// (ack/retransmission below the framing layer when its fault plan is
-		// lossy), so the virtual-time simulation of it is skipped — the same
+	w.matrix.addSend(p.rank, worldDst, int64(m.bytes))
+	hdr := transport.Header{Ctx: c.ctx, Src: int32(c.rank), Tag: int32(tag), Arrival: arrival,
+		WSrc: int32(p.rank), MSeq: mseq}
+	fp := w.cluster.Faults
+	if w.wall || dst == c.rank || !fp.Lossy() {
+		// Nothing to model: a self-send or a clean link loses nothing, and a
+		// wall-clock transport runs the real ack/retransmission protocol
+		// below its framing layer when its fault plan is lossy — the same
 		// plan must not be injected twice.
-		hdr := transport.Header{Ctx: c.ctx, Src: int32(c.rank), Tag: int32(tag), Arrival: arrival,
-			WSrc: int32(p.rank), MSeq: mseq}
-		if err := w.tr.Send(worldDst, hdr, wire); err != nil {
+		var err error
+		if m.segs != nil {
+			err = w.tr.SendVectored(worldDst, hdr, m.user, m.segs)
+		} else {
+			err = w.tr.Send(worldDst, hdr, wire)
+		}
+		if err != nil {
 			throwErr(mapTransportErr(err, worldDst, c.callOr("Send")))
 		}
 		return mseq
 	}
-	fp := w.cluster.Faults
-	if dst == c.rank || !fp.Lossy() {
-		w.transmit(worldDst, &envelope{ctx: c.ctx, src: c.rank, tag: tag, data: wire, arrival: arrival,
-			wsrc: p.rank, mseq: mseq})
-		return mseq
-	}
 
 	rel := w.cfg.Reliability
-	seq := p.sendSeq[worldDst]
+	hdr.Reliable, hdr.Seq, hdr.Sum = true, p.sendSeq[worldDst], crc32.ChecksumIEEE(wire)
 	p.sendSeq[worldDst]++
-	sum := crc32.ChecksumIEEE(wire)
 	timeout := rel.AckTimeout
 	lat := w.cluster.Latency
 	for attempt := 0; ; attempt++ {
-		drop, dup, corrupt, delay := fp.Attempt(p.rank, worldDst, seq, attempt)
+		drop, dup, corrupt, delay := fp.Attempt(p.rank, worldDst, hdr.Seq, attempt)
 		if corrupt && len(wire) == 0 {
 			// An empty payload has no bytes to damage; treat as loss.
 			drop, corrupt = true, false
 		}
+		hdr.Arrival = arrival + delay
 		if corrupt && !drop {
 			bad := append([]byte(nil), wire...)
-			bad[fp.CorruptByte(p.rank, worldDst, seq, attempt, len(bad))] ^= 0xFF
-			w.transmit(worldDst, &envelope{ctx: c.ctx, src: c.rank, tag: tag, data: bad,
-				arrival: arrival + delay, reliable: true, wsrc: p.rank, seq: seq, sum: sum, mseq: mseq})
+			bad[fp.CorruptByte(p.rank, worldDst, hdr.Seq, attempt, len(bad))] ^= 0xFF
+			w.transmit(worldDst, hdr, bad)
 			p.stats.CorruptSent++
 		}
 		if !drop && !corrupt {
-			w.transmit(worldDst, &envelope{ctx: c.ctx, src: c.rank, tag: tag, data: wire,
-				arrival: arrival + delay, reliable: true, wsrc: p.rank, seq: seq, sum: sum, mseq: mseq})
+			w.transmit(worldDst, hdr, wire)
 			if dup {
-				w.transmit(worldDst, &envelope{ctx: c.ctx, src: c.rank, tag: tag, data: wire,
-					arrival: arrival + delay + lat, reliable: true, wsrc: p.rank, seq: seq, sum: sum, mseq: mseq})
+				hdr.Arrival += lat
+				w.transmit(worldDst, hdr, wire)
 				p.stats.DupsSent++
 			}
 			return mseq
 		}
 		if attempt+1 >= rel.MaxRetries {
+			datatype.PutBuffer(wire) // never delivered: only damaged copies went out
 			throwErr(&TimeoutError{Rank: worldDst, Call: c.callOr("Send"), Attempts: attempt + 1})
 		}
 		// No ack: wait out the timeout, back off, retransmit from now.

@@ -1,0 +1,409 @@
+package mpi
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"nccd/internal/datatype"
+	"nccd/internal/simnet"
+	"nccd/internal/transport"
+	"nccd/internal/transport/shm"
+)
+
+// repMesh is one way of connecting the four ranks of the representation
+// test.  build returns one transport per rank (a single one for inproc,
+// which hosts every rank) plus a probe of how many gather-list frames rank
+// 0's endpoint put out; kill takes rank r's endpoint down abruptly.
+type repMesh struct {
+	name  string
+	wall  bool
+	build func(t *testing.T) (trs []transport.Transport, vectored func() int64, kill func(r int))
+}
+
+const repRanks = 4
+
+var repHeartbeat = transport.HeartbeatConfig{Interval: 5 * time.Millisecond, Miss: 2, FailAfter: 4}
+
+func repTCP(t *testing.T) []*transport.TCP {
+	t.Helper()
+	addrs := make([]string, repRanks)
+	lns := make([]net.Listener, repRanks)
+	for r := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[r], addrs[r] = ln, ln.Addr().String()
+	}
+	eps := make([]*transport.TCP, repRanks)
+	for r := range eps {
+		ep, err := transport.NewTCP(transport.TCPConfig{Rank: r, Size: repRanks, WorldID: 0x7e9,
+			Addrs: addrs, Listener: lns[r], DialTimeout: 10 * time.Second, Heartbeat: repHeartbeat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps[r] = ep
+		t.Cleanup(func() { ep.Close() })
+	}
+	return eps
+}
+
+// repShm attaches the given world ranks to one fresh in-memory segment.
+func repShm(t *testing.T, ranks []int) []*shm.Transport {
+	t.Helper()
+	seg, err := shm.NewMemSegment(len(ranks), 1<<18, 0x7e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trs := make([]*shm.Transport, len(ranks))
+	for i, r := range ranks {
+		tr, err := shm.New(shm.Config{Rank: r, Size: repRanks, Ranks: ranks, WorldID: 0x7e9,
+			Seg: seg, RingBytes: 1 << 18, Heartbeat: repHeartbeat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trs[i] = tr
+		t.Cleanup(func() { tr.Close() })
+	}
+	return trs
+}
+
+var repMeshes = []repMesh{
+	{"inproc", false, func(t *testing.T) ([]transport.Transport, func() int64, func(int)) {
+		return []transport.Transport{transport.NewInproc(repRanks)}, nil, nil
+	}},
+	{"tcp", true, func(t *testing.T) ([]transport.Transport, func() int64, func(int)) {
+		eps := repTCP(t)
+		trs := make([]transport.Transport, repRanks)
+		for r, ep := range eps {
+			trs[r] = ep
+		}
+		return trs, func() int64 {
+			st := eps[0].Stats()
+			if st.SealSpills != 0 {
+				t.Errorf("clean link sealed %d frames for retransmission", st.SealSpills)
+			}
+			return st.VectoredSends
+		}, func(r int) { eps[r].Close() }
+	}},
+	{"shm", true, func(t *testing.T) ([]transport.Transport, func() int64, func(int)) {
+		eps := repShm(t, []int{0, 1, 2, 3})
+		trs := make([]transport.Transport, repRanks)
+		for r, ep := range eps {
+			trs[r] = ep
+		}
+		return trs, func() int64 { return eps[0].Stats().VectoredSends }, func(r int) { eps[r].Close() }
+	}},
+	{"mux", true, func(t *testing.T) ([]transport.Transport, func() int64, func(int)) {
+		eps := repTCP(t)
+		muxes := make([]*transport.Mux, repRanks)
+		var wg sync.WaitGroup
+		for r, ep := range eps {
+			muxes[r] = transport.NewMux(ep)
+			wg.Add(1)
+			go func() { // the mesh forms only once every rank is starting
+				defer wg.Done()
+				if err := muxes[r].Start(); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		trs := make([]transport.Transport, repRanks)
+		for r, m := range muxes {
+			sub, err := m.Sub(7, []int{0, 1, 2, 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			trs[r] = sub
+		}
+		return trs, func() int64 { return eps[0].Stats().VectoredSends }, func(r int) { eps[r].Close() }
+	}},
+	{"hier", true, func(t *testing.T) ([]transport.Transport, func() int64, func(int)) {
+		inter := repTCP(t)
+		intra := append(repShm(t, []int{0, 1}), repShm(t, []int{2, 3})...)
+		trs := make([]transport.Transport, repRanks)
+		for r := range trs {
+			h, err := transport.NewHierarchical(r, []int{0, 0, 1, 1}, intra[r], inter[r])
+			if err != nil {
+				t.Fatal(err)
+			}
+			trs[r] = h
+		}
+		return trs, func() int64 { return inter[0].Stats().VectoredSends + intra[0].Stats().VectoredSends },
+			func(r int) { trs[r].Close() }
+	}},
+}
+
+// repWorlds puts a world on every transport of the mesh.  Wall-clock
+// transports block in Start until their peers are starting too, so the
+// worlds are built concurrently.
+func repWorlds(t *testing.T, trs []transport.Transport, cfg Config) []*World {
+	t.Helper()
+	ws := make([]*World, len(trs))
+	errs := make([]error, len(trs))
+	var wg sync.WaitGroup
+	for i, tr := range trs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws[i], errs[i] = NewWorldTransport(tr, simnet.Uniform(repRanks, simnet.IBDDR()), cfg)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ws
+}
+
+// repShape is one typed message of the differential test.
+type repShape struct {
+	name    string
+	t       *datatype.Type
+	count   int
+	fusable bool // long enough segments for the gather list on a wall-clock world
+}
+
+func repShapes() []repShape {
+	return []repShape{
+		// The degenerate gather shape a DMDA corner rank produces in PETSc's
+		// ex49: zero-length entries and single bytes between multi-KiB runs.
+		{"ex49", datatype.Hindexed(
+			[]int{0, 1, 4096, 0, 1, 8192, 2, 0, 1, 2048},
+			[]int{0, 0, 64, 4500, 4503, 4600, 13000, 13500, 13507, 14000}, datatype.Byte), 1, true},
+		{"dense-vector", datatype.Vector(512, 1, 2, datatype.Double), 1, false},
+		{"contiguous-run", datatype.Contiguous(4096, datatype.Byte), 2, false},
+		{"empty", datatype.Hindexed([]int{0, 0}, []int{0, 8}, datatype.Byte), 3, false},
+	}
+}
+
+func repUser() []byte {
+	b := make([]byte, 16384)
+	for i := range b {
+		b[i] = byte(i*131 + 17)
+	}
+	return b
+}
+
+// TestRepresentationDifferential sends the same typed messages as
+// hand-packed contiguous bytes, as an engine-packed image and as a compiled
+// plan (a gather list where the world is wall-clock and the segments are
+// long enough) over every transport, to two peers and to the sender itself,
+// and requires that nothing but the representation differs: the receivers
+// see identical bytes, the sender counts identical messages and bytes, the
+// fused counters move exactly where the gather list went out, and every
+// pooled buffer comes back — also after each way a send can fail.
+func TestRepresentationDifferential(t *testing.T) {
+	poolBase := datatype.PoolOutstandingBytes()
+	t.Cleanup(func() { // registered first, so it runs after every endpoint closed
+		deadline := time.Now().Add(5 * time.Second)
+		for datatype.PoolOutstandingBytes() != poolBase && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := datatype.PoolOutstandingBytes(); got != poolBase {
+			t.Errorf("pool outstanding %d bytes, started at %d", got, poolBase)
+		}
+	})
+
+	user := repUser()
+	shapes := repShapes()
+	refs := make([][]byte, len(shapes))
+	var refBytes int64
+	for i, sh := range shapes {
+		for _, s := range datatype.Flatten(sh.t, sh.count) {
+			refs[i] = append(refs[i], user[s.Off:s.Off+s.Len]...)
+		}
+		refBytes += int64(len(refs[i]))
+	}
+	dsts := []int{1, 2, 0} // two peers (intra- and inter-node on hier), then self
+
+	for _, mesh := range repMeshes {
+		for _, cfg := range []struct {
+			name string
+			cfg  Config
+		}{{"streaming", Optimized()}, {"compiled", Compiled()}} {
+			t.Run(mesh.name+"/"+cfg.name, func(t *testing.T) {
+				trs, vectored, _ := mesh.build(t)
+				ws := repWorlds(t, trs, cfg.cfg)
+				var contig, typed Stats // rank 0's counters per phase
+				errs := runAll(ws, func(c *Comm) error {
+					me := c.Rank()
+					// recv checks one message from rank 0 against its reference.
+					recv := func(tag, shape int) error {
+						got, _ := c.Recv(0, tag)
+						defer datatype.PutBuffer(got)
+						if !bytes.Equal(got, refs[shape]) {
+							return fmt.Errorf("rank %d tag %d: %s arrived as %d bytes differing from the %d-byte reference",
+								me, tag, shapes[shape].name, len(got), len(refs[shape]))
+						}
+						return nil
+					}
+					for phase := 0; phase < 2; phase++ {
+						s0 := c.Stats()
+						for i, sh := range shapes {
+							for _, dst := range dsts {
+								tag := phase*100 + i
+								if me == 0 {
+									if phase == 0 {
+										c.Send(dst, tag, refs[i])
+									} else {
+										c.SendType(dst, tag, sh.t, sh.count, user)
+									}
+								}
+								if me == dst {
+									if err := recv(tag, i); err != nil {
+										return err
+									}
+								}
+							}
+						}
+						s1 := c.Stats()
+						d := Stats{MsgsSent: s1.MsgsSent - s0.MsgsSent, BytesSent: s1.BytesSent - s0.BytesSent,
+							FusedSends: s1.FusedSends - s0.FusedSends, FusedBytes: s1.FusedBytes - s0.FusedBytes}
+						if me == 0 && phase == 0 {
+							contig = d
+						} else if me == 0 {
+							typed = d
+						}
+					}
+					if me == 0 {
+						// The transport's own self-send of a borrowed gather list,
+						// which the runtime never issues (it packs self-sends).
+						hdr := transport.Header{Ctx: c.ctx, Src: 0, Tag: 300}
+						if err := c.w.tr.SendVectored(0, hdr, user, datatype.Flatten(shapes[0].t, 1)); err != nil {
+							return err
+						}
+						return recv(300, 0)
+					}
+					return nil
+				})
+				for r, err := range errs {
+					if err != nil {
+						t.Fatalf("rank %d: %v", r, err)
+					}
+				}
+				want := Stats{MsgsSent: int64(len(shapes) * len(dsts)), BytesSent: refBytes * int64(len(dsts))}
+				if contig != want {
+					t.Errorf("contiguous phase counted %+v, want %+v", contig, want)
+				}
+				if mesh.wall && cfg.name == "compiled" {
+					for i, sh := range shapes {
+						if sh.fusable {
+							want.FusedSends += int64(len(dsts) - 1) // every peer, never self
+							want.FusedBytes += int64(len(refs[i]) * (len(dsts) - 1))
+						}
+					}
+				}
+				if typed != want {
+					t.Errorf("typed phase counted %+v, want %+v", typed, want)
+				}
+				if vectored != nil {
+					if got := vectored(); got != want.FusedSends+1 { // +1: the direct self-send
+						t.Errorf("endpoint put out %d gather-list frames, runtime counted %d fused sends",
+							got-1, want.FusedSends)
+					}
+				}
+				for _, w := range ws {
+					w.Close()
+				}
+			})
+		}
+
+		// Every way a send can fail hands the payload back: an owned buffer
+		// is recycled by whoever refused it, a borrowed gather list was
+		// never pooled.  The pool check above is the assertion.
+		t.Run(mesh.name+"/errors", func(t *testing.T) {
+			t.Run("transport", func(t *testing.T) {
+				trs, _, kill := mesh.build(t)
+				var wg sync.WaitGroup
+				for _, tr := range trs {
+					wg.Add(1)
+					go func() { // as in repWorlds: the mesh forms only when all are starting
+						defer wg.Done()
+						if err := tr.Start(func(_ int, _ transport.Header, p []byte) { datatype.PutBuffer(p) }, nil); err != nil {
+							t.Error(err)
+						}
+					}()
+				}
+				wg.Wait()
+				segs := datatype.Flatten(shapes[0].t, 1)
+				both := func(what string, to int) {
+					t.Helper()
+					if err := trs[0].Send(to, transport.Header{Ctx: 1}, datatype.GetBuffer(4096)); err == nil {
+						t.Errorf("Send %s succeeded", what)
+					}
+					if err := trs[0].SendVectored(to, transport.Header{Ctx: 1}, user, segs); err == nil {
+						t.Errorf("SendVectored %s succeeded", what)
+					}
+				}
+				both("to an out-of-range rank", 99)
+				if !mesh.wall {
+					return // inproc has no peers to lose and nothing to close
+				}
+				for _, peer := range []int{1, 2} { // both routes of hier
+					kill(peer)
+					deadline := time.Now().Add(5 * time.Second)
+					for trs[0].Send(peer, transport.Header{Ctx: 1}, datatype.GetBuffer(4096)) == nil {
+						if time.Now().After(deadline) {
+							t.Fatalf("rank %d never reported down", peer)
+						}
+						time.Sleep(time.Millisecond)
+					}
+					both(fmt.Sprintf("to downed rank %d", peer), peer)
+				}
+				trs[0].Close()
+				both("on a closed transport", 3)
+			})
+			t.Run("runtime", func(t *testing.T) {
+				trs, _, _ := mesh.build(t)
+				ws := repWorlds(t, trs, Compiled())
+				boom := errors.New("rank 1 fails on purpose")
+				both := func(c *Comm, dst int, want error) {
+					for _, send := range []func(){
+						func() { c.Send(dst, 1, refs[0]) },
+						func() { c.SendType(dst, 1, shapes[0].t, 1, user) },
+					} {
+						if err := Guard(func() error { send(); return nil }); !errors.Is(err, want) {
+							t.Errorf("send to %d: got %v, want %v", dst, err, want)
+						}
+					}
+				}
+				errs := runAll(ws, func(c *Comm) error {
+					switch c.Rank() {
+					case 1:
+						return boom
+					case 0:
+						deadline := time.Now().Add(5 * time.Second)
+						for !c.w.deadRank(1) {
+							if time.Now().After(deadline) {
+								t.Error("rank 1's failure never observed")
+								return nil
+							}
+							time.Sleep(time.Millisecond)
+						}
+						both(c, 1, ErrRankFailed)
+						c.Revoke()
+						both(c, 2, ErrRevoked)
+					}
+					return nil
+				})
+				for _, err := range errs { // rank 1's own failure is the only one expected
+					if err != nil && !errors.Is(err, boom) {
+						t.Error(err)
+					}
+				}
+				for _, w := range ws {
+					w.Close()
+				}
+			})
+		})
+	}
+}

@@ -139,7 +139,7 @@ func (w *World) Respawn(rank int, f func(c *Comm) error) error {
 	p := w.procs[rank]
 	p.mu.Lock()
 	p.queue = nil
-	p.seen = nil
+	clear(p.recvSeq)
 	p.wait = blockedWait{}
 	p.mu.Unlock()
 	p.call = ""

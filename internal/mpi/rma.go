@@ -135,8 +135,7 @@ func (w *Win) Fence() {
 	saveCtx := c.ctx
 	c.ctx = w.ctx
 	for i := int64(0); i < expect; i++ {
-		env := c.match(AnySource, rmaOpTag)
-		c.completeRecv(env)
+		env := c.await(AnySource, rmaOpTag)
 		payload := floatbytes.Floats(env.data)
 		kind := int(payload[0])
 		cnt := int(payload[1])
@@ -167,8 +166,7 @@ func (w *Win) Fence() {
 
 	// Collect get replies (one per issued get, FIFO per target).
 	for _, g := range w.pendingGets {
-		env := c.match(g.target, rmaRepTag)
-		c.completeRecv(env)
+		env := c.await(g.target, rmaRepTag)
 		copy(g.out, floatbytes.Floats(env.data))
 	}
 	w.pendingGets = nil

@@ -22,8 +22,7 @@ func (c *Comm) Scan(vec []float64, op Op) {
 			c.send(me+dist, tag, floatbytes.Bytes(vec))
 		}
 		if me-dist >= 0 {
-			env := c.match(me-dist, tag)
-			c.completeRecv(env)
+			env := c.await(me-dist, tag)
 			op.apply(vec, floatbytes.Floats(env.data))
 			c.reduceFlops(len(vec))
 		}
@@ -51,8 +50,7 @@ func (c *Comm) Exscan(vec []float64, op Op) {
 			c.send(me+dist, tag, floatbytes.Bytes(partial))
 		}
 		if me-dist >= 0 {
-			env := c.match(me-dist, tag)
-			c.completeRecv(env)
+			env := c.await(me-dist, tag)
 			in := floatbytes.Floats(env.data)
 			if !have {
 				acc = append([]float64(nil), in...)

@@ -118,15 +118,11 @@ func mapTransportErr(err error, dst int, call string) error {
 	return &RankFailedError{Rank: dst, Call: call}
 }
 
-// trySend is a best-effort internal send: a peer that died mid-recovery
-// must not abort the caller.  Injected crashes still propagate.
-func (c *Comm) trySend(dst, tag int, data []byte) {
-	c.trySendOK(dst, tag, data)
-}
-
-// trySendOK is trySend reporting whether the send went out: false means the
-// peer was down (or its connection broke under the write) and the message
-// died, so a recovery protocol knows to resend to the replacement.
+// trySendOK is a best-effort internal send: a peer that died mid-recovery
+// must not abort the caller.  It reports whether the send went out: false
+// means the peer was down (or its connection broke under the write) and the
+// message died, so a recovery protocol knows to resend to the replacement.
+// Injected crashes still propagate.
 func (c *Comm) trySendOK(dst, tag int, data []byte) (ok bool) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -176,7 +172,7 @@ func (c *Comm) agreeWall(words []uint64) ([]uint64, error) {
 	n := c.Size()
 	for r := 0; r < n; r++ {
 		if r != c.rank {
-			ac.trySend(r, tagCollBase, buf)
+			ac.trySendOK(r, tagCollBase, buf)
 		}
 	}
 	c.me.call = "Agree"
@@ -298,4 +294,3 @@ func (c *Comm) agreeFullWall(words []uint64, deadline time.Time) ([]uint64, erro
 	c.w.wakeAll()
 	return val, nil
 }
-

@@ -40,11 +40,6 @@ type World struct {
 	// in this process (see wall.go) and support a single Run.
 	tr   transport.Transport
 	wall bool
-	// vecSender is tr's zero-copy gather-list extension, non-nil only in
-	// wall-clock mode: fused sends bypass the virtual-time cost model, so
-	// the deterministic in-process path never uses it even though the
-	// Inproc transport implements the interface.
-	vecSender transport.VectoredSender
 
 	// states holds each rank's lifecycle (running/exited/dead) during a
 	// Run; anyDown short-circuits liveness checks on the happy path.
@@ -133,9 +128,12 @@ type proc struct {
 	// wait describes the in-progress blocking receive (valid under mu
 	// while blocked); the watchdog reads it to build deadlock reports.
 	wait blockedWait
-	// seen records delivered reliable (src, seq) pairs for duplicate
-	// suppression.  Guarded by mu; written on the sender's goroutine.
-	seen map[dedupKey]struct{}
+	// recvSeq[src] is the next reliable sequence number expected from world
+	// rank src; anything below it is a duplicate.  A watermark suffices
+	// because the sender is stop-and-wait and deposits synchronously: every
+	// copy of sequence s arrives before any copy of s+1.  Guarded by mu;
+	// written on the sender's goroutine.
+	recvSeq []uint64
 
 	// call names the blocking operation in progress, for diagnostics.
 	// Written only by the owning goroutine; cross-goroutine readers see it
@@ -160,7 +158,8 @@ type proc struct {
 	// crashAt is the scheduled FaultPlan crash time (+Inf = never).
 	crashAt float64
 
-	scratch []byte // pipeline buffer reused across SendType calls
+	scratch  []byte    // pipeline buffer reused across SendType calls
+	granules []granule // send cost steps, reused across sends (see Comm.resolve)
 
 	// tracer is the world's span recorder (never nil).  Emission is safe
 	// from any goroutine, which is what lets delivery-side events trace.
@@ -177,12 +176,6 @@ type blockedWait struct {
 	srcWorld int // world rank awaited, -1 for wildcard
 	tag      int
 	err      error // set by the watchdog to abort the wait
-}
-
-// dedupKey identifies one reliable message end-to-end.
-type dedupKey struct {
-	src int // sender world rank
-	seq uint64
 }
 
 // envelope is one in-flight message.
@@ -250,11 +243,6 @@ func NewWorldTransport(tr transport.Transport, cluster *simnet.Cluster, cfg Conf
 	}
 	w := &World{cluster: cluster, cfg: cfg, tr: tr, wall: wall, tracer: obs.NewTracer(0)}
 	w.tracer.SetJob(cfg.Job)
-	if wall {
-		if vs, ok := tr.(transport.VectoredSender); ok {
-			w.vecSender = vs
-		}
-	}
 	w.agreeCond = sync.NewCond(&w.agreeMu)
 	w.agreeSlots = make(map[agreeID]*agreeSlot)
 	w.procs = make([]*proc, n)
@@ -266,6 +254,7 @@ func NewWorldTransport(tr transport.Transport, cluster *simnet.Cluster, cfg Conf
 		p := &proc{rank: i, speed: cluster.SpeedOf(i), crashAt: math.Inf(1), tracer: w.tracer}
 		p.cond = sync.NewCond(&p.mu)
 		p.sendSeq = make([]uint64, n)
+		p.recvSeq = make([]uint64, n)
 		p.msgSeq = make([]uint64, n)
 		w.procs[i] = p
 	}
@@ -619,16 +608,11 @@ func (w *World) ResetClocks() {
 	}
 }
 
-// transmit hands env to the transport for delivery to world rank dst.  On
-// the in-process transport this is a synchronous deposit into dst's
-// mailbox, payload by reference — the delivery path the runtime always
-// had, now routed through the seam.  Ownership of env.data passes to the
-// transport.
-func (w *World) transmit(dst int, env *envelope) {
-	hdr := transport.Header{Ctx: env.ctx, Src: int32(env.src), Tag: int32(env.tag),
-		Arrival: env.arrival, Reliable: env.reliable, WSrc: int32(env.wsrc), Seq: env.seq, Sum: env.sum,
-		MSeq: env.mseq}
-	if err := w.tr.Send(dst, hdr, env.data); err != nil {
+// transmit deposits one copy of a reliable virtual-time message into world
+// rank dst's mailbox through the in-process transport, payload by
+// reference: ownership of data passes to the receiver.
+func (w *World) transmit(dst int, hdr transport.Header, data []byte) {
+	if err := w.tr.Send(dst, hdr, data); err != nil {
 		throwErr(mapTransportErr(err, dst, "Send"))
 	}
 }
@@ -648,18 +632,14 @@ func (w *World) deliver(dst int, env *envelope) {
 			w.rejectSpan(dst, env, "crc_reject")
 			return
 		}
-		key := dedupKey{src: env.wsrc, seq: env.seq}
-		if p.seen == nil {
-			p.seen = make(map[dedupKey]struct{})
-		}
-		if _, dup := p.seen[key]; dup {
+		if env.seq < p.recvSeq[env.wsrc] {
 			p.mu.Unlock()
 			w.duplicateRejects.Add(1)
 			mDupRejects.Inc()
 			w.rejectSpan(dst, env, "dup_reject")
 			return
 		}
-		p.seen[key] = struct{}{}
+		p.recvSeq[env.wsrc] = env.seq + 1
 	}
 	p.queue = append(p.queue, env)
 	p.cond.Broadcast()

@@ -25,9 +25,6 @@ type Hierarchical struct {
 	intra  Transport // nil when this rank's node has no co-located peers
 	inter  Transport
 
-	vecIntra VectoredSender // nil when intra lacks the vectored path
-	vecInter VectoredSender
-
 	health atomic.Pointer[HealthFuncs]
 	closed atomic.Bool
 }
@@ -48,12 +45,7 @@ func NewHierarchical(self int, nodeOf []int, intra, inter Transport) (*Hierarchi
 	if intra != nil && intra.Size() != inter.Size() {
 		return nil, fmt.Errorf("transport: intra transport sized %d, inter %d", intra.Size(), inter.Size())
 	}
-	h := &Hierarchical{self: self, nodeOf: append([]int(nil), nodeOf...), intra: intra, inter: inter}
-	if intra != nil {
-		h.vecIntra, _ = intra.(VectoredSender)
-	}
-	h.vecInter, _ = inter.(VectoredSender)
-	return h, nil
+	return &Hierarchical{self: self, nodeOf: append([]int(nil), nodeOf...), intra: intra, inter: inter}, nil
 }
 
 // Size returns the world size.
@@ -133,31 +125,13 @@ func (h *Hierarchical) Send(to int, hdr Header, payload []byte) error {
 	return h.route(to).Send(to, hdr, payload)
 }
 
-// SendVectored routes a gather-list send by the node map, preserving the
-// zero-copy path on whichever side carries it.  A route without a
-// vectored fast path gets the gather packed into a pooled buffer, the
-// same contract inproc honors.
+// SendVectored routes a gather-list send by the node map; the zero-copy
+// path is whatever the carrying side makes of it.
 func (h *Hierarchical) SendVectored(to int, hdr Header, user []byte, segs []datatype.Segment) error {
 	if to < 0 || to >= len(h.nodeOf) {
 		return fmt.Errorf("transport: rank %d out of range [0,%d)", to, len(h.nodeOf))
 	}
-	vec := h.vecInter
-	if h.intra != nil && h.sameNode(to) {
-		vec = h.vecIntra
-	}
-	if vec != nil {
-		return vec.SendVectored(to, hdr, user, segs)
-	}
-	n := 0
-	for _, s := range segs {
-		n += s.Len
-	}
-	buf := datatype.GetBuffer(n)
-	off := 0
-	for _, s := range segs {
-		off += copy(buf[off:off+s.Len], user[s.Off:s.Off+s.Len])
-	}
-	return h.route(to).Send(to, hdr, buf)
+	return h.route(to).SendVectored(to, hdr, user, segs)
 }
 
 // SetTracer forwards the span recorder to both endpoints.

@@ -58,24 +58,14 @@ func (t *Inproc) Send(to int, hdr Header, payload []byte) error {
 	return nil
 }
 
-// SendVectored gathers segs over user into one pooled buffer and deposits
-// it synchronously — there is no wire to scatter onto in-process, so the
-// gather is the delivery copy the receiver would otherwise have made.  The
-// caller keeps ownership of user.
+// SendVectored deposits the gathered segments as one pooled buffer: there
+// is no wire to scatter onto in-process.  The caller keeps ownership of
+// user.
 func (t *Inproc) SendVectored(to int, hdr Header, user []byte, segs []datatype.Segment) error {
 	if to < 0 || to >= t.n {
 		return fmt.Errorf("transport: rank %d out of range [0,%d)", to, t.n)
 	}
-	nbytes := 0
-	for _, s := range segs {
-		nbytes += s.Len
-	}
-	buf := datatype.GetBuffer(nbytes)
-	off := 0
-	for _, s := range segs {
-		off += copy(buf[off:off+s.Len], user[s.Off:s.Off+s.Len])
-	}
-	t.deliver(to, hdr, buf)
+	t.deliver(to, hdr, datatype.Gather(user, segs))
 	return nil
 }
 

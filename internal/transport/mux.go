@@ -31,7 +31,6 @@ import (
 // flushed when the Sub starts.  Frames for a released job are dropped.
 type Mux struct {
 	real Transport
-	vec  VectoredSender // real's zero-copy extension, nil if unsupported
 
 	mu      sync.Mutex
 	subs    map[uint64]*Sub
@@ -66,17 +65,13 @@ type heldFrame struct {
 // NewMux wraps real, which must not have been started: the mux owns the
 // one Start the Transport contract allows.
 func NewMux(real Transport) *Mux {
-	m := &Mux{
+	return &Mux{
 		real:   real,
 		subs:   make(map[uint64]*Sub),
 		closed: make(map[uint64]struct{}),
 		held:   make(map[uint64][]heldFrame),
 		downed: make([]bool, real.Size()),
 	}
-	if vs, ok := real.(VectoredSender); ok {
-		m.vec = vs
-	}
-	return m
 }
 
 // Start connects the underlying transport and begins routing.  Call once,
@@ -285,11 +280,11 @@ func (m *Mux) onSuspect(r int, suspect bool, silent time.Duration) {
 // Close closes the underlying transport.  Subs become unusable.
 func (m *Mux) Close() error { return m.real.Close() }
 
-// Sub is one job's virtual transport: the Transport (and VectoredSender)
-// interface over a subset of the mesh, in job-relative rank numbering.
-// It is handed to mpi.NewWorldTransport exactly like a physical
-// transport; Start registers the world's handler with the mux and Close
-// releases the job id.
+// Sub is one job's virtual transport: the Transport interface over a
+// subset of the mesh, in job-relative rank numbering.  It is handed to
+// mpi.NewWorldTransport exactly like a physical transport; Start
+// registers the world's handler with the mux and Close releases the job
+// id.
 type Sub struct {
 	m      *Mux
 	job    uint64
@@ -400,8 +395,7 @@ func (s *Sub) Send(to int, hdr Header, payload []byte) error {
 	return s.m.real.Send(s.ranks[to], hdr, payload)
 }
 
-// SendVectored forwards the gather list zero-copy when the mesh supports
-// it, and falls back to a packed Send otherwise.
+// SendVectored is Send for a gather list the caller keeps.
 func (s *Sub) SendVectored(to int, hdr Header, user []byte, segs []datatype.Segment) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -410,19 +404,7 @@ func (s *Sub) SendVectored(to int, hdr Header, user []byte, segs []datatype.Segm
 		return fmt.Errorf("transport: job %d rank %d out of range [0,%d)", s.job, to, len(s.ranks))
 	}
 	hdr.Job = s.job
-	if s.m.vec != nil {
-		return s.m.vec.SendVectored(s.ranks[to], hdr, user, segs)
-	}
-	n := 0
-	for _, sg := range segs {
-		n += sg.Len
-	}
-	buf := datatype.GetBuffer(n)
-	off := 0
-	for _, sg := range segs {
-		off += copy(buf[off:off+sg.Len], user[sg.Off:sg.Off+sg.Len])
-	}
-	return s.m.real.Send(s.ranks[to], hdr, buf)
+	return s.m.real.SendVectored(s.ranks[to], hdr, user, segs)
 }
 
 // SetHealth wires the job world's liveness callbacks; the mux translates

@@ -25,18 +25,18 @@ import (
 // report it Up only if that epoch is current, and the replacement drains
 // its inbound rings on attach for fresh-connection semantics.
 type Transport struct {
-	cfg   Config
-	seg   *Segment
+	cfg    Config
+	seg    *Segment
 	ownSeg bool
-	idx   int   // my index within cfg.Ranks
-	gi    []int // world rank → group index, -1 if not co-located
+	idx    int   // my index within cfg.Ranks
+	gi     []int // world rank → group index, -1 if not co-located
 
 	deliver transport.Handler
 	down    transport.DownFunc
 	health  atomic.Pointer[transport.HealthFuncs]
 	tracer  atomic.Pointer[obs.Tracer]
 
-	peers  []*shmPeer // one per group index; nil at idx
+	peers  []*shmPeer     // one per group index; nil at idx
 	door   *atomic.Uint32 // my presence slot's doorbell gate (consumer side)
 	bell   bell           // what the consumer parks on when the gate is up
 	epoch  atomic.Uint64
@@ -112,13 +112,13 @@ type Stats struct {
 }
 
 type shmCounters struct {
-	framesSent, framesRecv   atomic.Int64
-	bytesSent, bytesRecv     atomic.Int64
-	vectoredSends            atomic.Int64
-	ringFullStalls           atomic.Int64
-	stallNanos               atomic.Int64
-	beatsSent, beatsRecv     atomic.Int64
-	drainedBytes             atomic.Int64
+	framesSent, framesRecv atomic.Int64
+	bytesSent, bytesRecv   atomic.Int64
+	vectoredSends          atomic.Int64
+	ringFullStalls         atomic.Int64
+	stallNanos             atomic.Int64
+	beatsSent, beatsRecv   atomic.Int64
+	drainedBytes           atomic.Int64
 }
 
 // shmPeer is the per-peer state: the two directed rings and the failure
@@ -128,8 +128,8 @@ type shmPeer struct {
 	out  *ring
 	in   *ring
 
-	wmu     sync.Mutex // serializes producers on out (preserves SPSC)
-	outSegs [][]byte   // gather scratch, guarded by wmu
+	wmu     sync.Mutex     // serializes producers on out (preserves SPSC)
+	outSegs [][]byte       // gather scratch, guarded by wmu
 	door    *atomic.Uint32 // the peer's doorbell gate (producer side)
 	knock   knocker        // rings the peer's bell after a push
 
@@ -415,48 +415,18 @@ func (t *Transport) Start(deliver transport.Handler, down transport.DownFunc) er
 	return nil
 }
 
-// Send delivers hdr+payload to rank to through the directed ring,
-// spinning out backpressure when the ring is full.  Ownership of payload
-// transfers here, exactly as for the other transports: every return path
-// recycles it.
+// Send delivers hdr+payload to rank to through the directed ring.
+// Ownership of payload transfers here, exactly as for the other
+// transports: a self-send hands it to the handler by reference, every
+// other path recycles it.
 func (t *Transport) Send(to int, hdr transport.Header, payload []byte) error {
-	if to < 0 || to >= t.cfg.Size {
-		datatype.PutBuffer(payload)
-		return fmt.Errorf("shm: rank %d out of range [0,%d)", to, t.cfg.Size)
-	}
-	if t.closed.Load() {
-		datatype.PutBuffer(payload)
-		return transport.ErrClosed
-	}
-	if to == t.cfg.Rank {
+	if to == t.cfg.Rank && !t.closed.Load() {
 		t.deliver(to, hdr, payload)
 		return nil
 	}
-	if t.gi[to] < 0 {
-		datatype.PutBuffer(payload)
-		return fmt.Errorf("shm: rank %d does not share the segment", to)
-	}
-	p := t.peers[t.gi[to]]
-	start, traced := t.traceNow()
-	nbytes := len(payload)
-	p.wmu.Lock()
-	segs := append(p.outSegs[:0], payload)
-	err := t.push(p, &hdr, segs, nbytes)
-	segs[0] = nil
-	p.outSegs = segs[:0]
-	p.wmu.Unlock()
+	err := t.send(to, hdr, payload, []datatype.Segment{{Len: len(payload)}}, false)
 	datatype.PutBuffer(payload)
-	if err != nil {
-		return err
-	}
-	t.stats.framesSent.Add(1)
-	t.stats.bytesSent.Add(int64(recordBytes(nbytes)))
-	if traced {
-		if end, ok := t.traceNow(); ok {
-			t.trace("shm_send", to, int64(nbytes), start, end, transport.IdentAttrs(hdr)...)
-		}
-	}
-	return nil
+	return err
 }
 
 // SendVectored gathers segs over user straight into the ring — the
@@ -465,44 +435,44 @@ func (t *Transport) Send(to int, hdr transport.Header, payload []byte) error {
 // of user and the memory must stay stable until return (it does: the
 // caller blocks).
 func (t *Transport) SendVectored(to int, hdr transport.Header, user []byte, segs []datatype.Segment) error {
+	return t.send(to, hdr, user, segs, true)
+}
+
+// send is the one body behind Send and SendVectored (an owned payload is
+// its one-segment case): the segments are copied into the ring record in
+// order, spinning out backpressure when the ring is full.  vectored only
+// labels the traffic (stats and span attribute).
+func (t *Transport) send(to int, hdr transport.Header, user []byte, segs []datatype.Segment, vectored bool) error {
 	if to < 0 || to >= t.cfg.Size {
 		return fmt.Errorf("shm: rank %d out of range [0,%d)", to, t.cfg.Size)
 	}
 	if t.closed.Load() {
 		return transport.ErrClosed
 	}
-	nbytes := 0
-	for _, s := range segs {
-		nbytes += s.Len
-	}
-	if to == t.cfg.Rank {
-		buf := datatype.GetBuffer(nbytes)
-		off := 0
-		for _, s := range segs {
-			off += copy(buf[off:off+s.Len], user[s.Off:s.Off+s.Len])
-		}
-		t.stats.vectoredSends.Add(1)
-		t.deliver(to, hdr, buf)
-		return nil
-	}
-	if t.gi[to] < 0 {
+	if to != t.cfg.Rank && t.gi[to] < 0 {
 		return fmt.Errorf("shm: rank %d does not share the segment", to)
 	}
+	if vectored {
+		t.stats.vectoredSends.Add(1)
+	}
+	if to == t.cfg.Rank {
+		t.deliver(to, hdr, datatype.Gather(user, segs))
+		return nil
+	}
 	p := t.peers[t.gi[to]]
-	t.stats.vectoredSends.Add(1)
 	start, traced := t.traceNow()
+	nbytes := 0
 	p.wmu.Lock()
 	gather := p.outSegs[:0]
 	for _, s := range segs {
 		if s.Len == 0 {
 			continue
 		}
+		nbytes += s.Len
 		gather = append(gather, user[s.Off:s.Off+s.Len])
 	}
 	err := t.push(p, &hdr, gather, nbytes)
-	for i := range gather {
-		gather[i] = nil
-	}
+	clear(gather) // keep the array, not the references into user memory
 	p.outSegs = gather[:0]
 	p.wmu.Unlock()
 	if err != nil {
@@ -512,8 +482,11 @@ func (t *Transport) SendVectored(to int, hdr transport.Header, user []byte, segs
 	t.stats.bytesSent.Add(int64(recordBytes(nbytes)))
 	if traced {
 		if end, ok := t.traceNow(); ok {
-			t.trace("shm_send", to, int64(nbytes), start, end,
-				transport.IdentAttrs(hdr, obs.Attr{Key: "vectored", Val: "true"})...)
+			var attrs []obs.Attr
+			if vectored {
+				attrs = append(attrs, obs.Attr{Key: "vectored", Val: "true"})
+			}
+			t.trace("shm_send", to, int64(nbytes), start, end, transport.IdentAttrs(hdr, attrs...)...)
 		}
 	}
 	return nil

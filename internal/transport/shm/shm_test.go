@@ -103,37 +103,6 @@ func TestSendRecvPair(t *testing.T) {
 	}
 }
 
-// TestVectoredMatchesPacked sends the same strided gather both ways and
-// requires identical delivery.
-func TestVectoredMatchesPacked(t *testing.T) {
-	trs, sinks := startGroup(t, 2, transport.HeartbeatConfig{})
-	user := make([]byte, 4096)
-	for i := range user {
-		user[i] = byte(i * 31)
-	}
-	segs := []datatype.Segment{{Off: 100, Len: 900}, {Off: 1500, Len: 0}, {Off: 2000, Len: 1000}, {Off: 3500, Len: 96}}
-	packed := datatype.GetBuffer(1996)
-	off := 0
-	for _, s := range segs {
-		off += copy(packed[off:off+s.Len], user[s.Off:s.Off+s.Len])
-	}
-	if err := trs[0].Send(1, transport.Header{Ctx: 1, Tag: 1}, packed); err != nil {
-		t.Fatal(err)
-	}
-	if err := trs[0].SendVectored(1, transport.Header{Ctx: 1, Tag: 2}, user, segs); err != nil {
-		t.Fatal(err)
-	}
-	sinks[1].wait(t, 2)
-	sinks[1].mu.Lock()
-	defer sinks[1].mu.Unlock()
-	if !bytes.Equal(sinks[1].got[0], sinks[1].got[1]) {
-		t.Fatal("vectored gather differs from packed send")
-	}
-	if st := trs[0].Stats(); st.VectoredSends != 1 {
-		t.Fatalf("vectored sends counted %d", st.VectoredSends)
-	}
-}
-
 // TestBackpressureCounted overruns a ring much smaller than the traffic
 // and checks every frame still arrives, with stalls counted.
 func TestBackpressureCounted(t *testing.T) {

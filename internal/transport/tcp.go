@@ -179,22 +179,24 @@ type TCPStats struct {
 	AcksSent, AcksRecv                          int64
 	// Failure-detector traffic.
 	BeatsSent, BeatsRecv int64
-	// Zero-copy path accounting: frames gathered straight from user memory
-	// by SendVectored, and how many of those had to be sealed (spilled to a
-	// pooled copy) because a retransmission, duplication or corruption
-	// attempt needed a stable frame image.
+	// VectoredSends counts SendVectored calls (gather lists borrowed from
+	// user memory).  SealSpills counts reliable frames, from Send or
+	// SendVectored, that had to be sealed — spilled to a private pooled
+	// image — because a retransmission, duplication or corruption attempt
+	// needed a stable one; a frame acknowledged on its first clean attempt
+	// is never copied.
 	VectoredSends, SealSpills int64
 }
 
 type tcpCounters struct {
-	framesSent, framesRecv     atomic.Int64
-	bytesSent, bytesRecv       atomic.Int64
-	crcRejects, dupRejects     atomic.Int64
-	retransmits, dropped       atomic.Int64
-	corrupted, duplicated      atomic.Int64
-	acksSent, acksRecv         atomic.Int64
-	beatsSent, beatsRecv       atomic.Int64
-	vectoredSends, sealSpills  atomic.Int64
+	framesSent, framesRecv    atomic.Int64
+	bytesSent, bytesRecv      atomic.Int64
+	crcRejects, dupRejects    atomic.Int64
+	retransmits, dropped      atomic.Int64
+	corrupted, duplicated     atomic.Int64
+	acksSent, acksRecv        atomic.Int64
+	beatsSent, beatsRecv      atomic.Int64
+	vectoredSends, sealSpills atomic.Int64
 }
 
 // tcpPeer is one pooled peer connection and its reliability state.  The
@@ -756,166 +758,118 @@ func (t *TCP) sendAck(p *tcpPeer, seq uint64) {
 	p.wmu.Unlock()
 }
 
-// Send delivers hdr+payload to rank to.  Self-sends bypass the socket and
-// pass the payload by reference; remote sends put it on the wire —
-// zero-copy via vectored write on the clean path — and return the buffer
-// to the shared pool.  With a lossy fault plan, the frame runs the
-// ack/retransmission protocol described on the type.
+// Send delivers hdr+payload to rank to.  Ownership of payload passes to the
+// transport at the call: a self-send hands it to the receiving handler by
+// reference, every other path — error returns included — recycles it once
+// the shared send body is done with it.
 func (t *TCP) Send(to int, hdr Header, payload []byte) error {
-	// Ownership of payload passed to the transport at the call, so every
-	// error return must recycle it — the early exits used to leak pooled
-	// buffers under injected send failures.
-	if to < 0 || to >= t.cfg.Size {
-		datatype.PutBuffer(payload)
-		return fmt.Errorf("transport: rank %d out of range [0,%d)", to, t.cfg.Size)
-	}
-	if t.closed.Load() {
-		datatype.PutBuffer(payload)
-		return ErrClosed
-	}
-	if to == t.cfg.Rank {
+	if to == t.cfg.Rank && !t.closed.Load() {
 		t.deliver(to, hdr, payload)
 		return nil
 	}
-	p := t.peers[to]
-	if !p.alive.Load() {
-		datatype.PutBuffer(payload)
-		return &PeerDownError{Rank: to}
-	}
-	start, traced := t.traceNow()
-	nbytes := int64(len(payload))
-	t.inflight.Add(nbytes)
-	defer t.inflight.Add(-nbytes)
-	fp := t.cfg.Faults
-	if fp.Lossy() {
-		err := t.sendReliable(p, hdr, payload)
-		if traced && err == nil {
-			if end, ok := t.traceNow(); ok {
-				t.trace("tcp_send", to, nbytes, start, end,
-					IdentAttrs(hdr, obs.Attr{Key: "reliable", Val: "true"})...)
-			}
-		}
-		return err
-	}
-	gen, err := t.writeData(p, &Frame{Kind: KindData, Hdr: hdr, Payload: payload})
+	err := t.send(to, hdr, payload, []datatype.Segment{{Len: len(payload)}}, false)
 	datatype.PutBuffer(payload)
-	if err != nil {
-		t.peerGone(p, gen, fmt.Sprintf("write: %v", err))
-		return &PeerDownError{Rank: to}
-	}
-	t.stats.framesSent.Add(1)
-	if traced {
-		if end, ok := t.traceNow(); ok {
-			t.trace("tcp_send", to, nbytes, start, end, IdentAttrs(hdr)...)
-		}
-	}
-	return nil
+	return err
 }
 
 // SendVectored delivers hdr plus the in-order gather of segs over user to
-// rank to without ever packing them into an intermediate buffer: the clean
-// path hands the gather list straight to an N-segment writev whose CRC-32
-// trailer is folded incrementally across the segments.  Unlike Send, the
-// caller keeps ownership of user — nothing is recycled here — and the
-// memory must stay stable until SendVectored returns (the caller blocks,
-// so it does).  Under a lossy fault plan the frame runs the same
-// ack/retransmission protocol as Send, with copy-on-retransmit sealing:
-// the frame is spilled to a private pooled image only if an attempt
-// actually needs one.
+// rank to.  The caller keeps ownership of user — nothing is recycled here —
+// and the memory must stay stable until SendVectored returns (the caller
+// blocks, so it does).
 func (t *TCP) SendVectored(to int, hdr Header, user []byte, segs []datatype.Segment) error {
+	return t.send(to, hdr, user, segs, true)
+}
+
+// send is the one body behind Send and SendVectored; an owned payload is
+// its one-segment case.  The clean path hands the gather list straight to
+// an N-segment writev whose CRC-32 trailer is folded incrementally across
+// the segments, so the payload is never copied; with a lossy fault plan the
+// frame runs the ack/retransmission protocol described on the type.
+// vectored only labels the traffic (stats and span attribute).
+func (t *TCP) send(to int, hdr Header, user []byte, segs []datatype.Segment, vectored bool) error {
 	if to < 0 || to >= t.cfg.Size {
 		return fmt.Errorf("transport: rank %d out of range [0,%d)", to, t.cfg.Size)
 	}
 	if t.closed.Load() {
 		return ErrClosed
+	}
+	var p *tcpPeer // nil for a self-send
+	if to != t.cfg.Rank {
+		if p = t.peers[to]; !p.alive.Load() {
+			return &PeerDownError{Rank: to}
+		}
+	}
+	if vectored {
+		t.stats.vectoredSends.Add(1)
+	}
+	if p == nil {
+		// A borrowed gather list reaches the local handler as a pooled copy
+		// it owns, exactly as if the bytes had crossed a socket.
+		t.deliver(to, hdr, datatype.Gather(user, segs))
+		return nil
 	}
 	nbytes := 0
 	for _, s := range segs {
 		nbytes += s.Len
 	}
-	if to == t.cfg.Rank {
-		// Self-send: gather into a pooled buffer the receiving handler owns,
-		// exactly as if the bytes had crossed a socket.
-		buf := datatype.GetBuffer(nbytes)
-		off := 0
-		for _, s := range segs {
-			off += copy(buf[off:off+s.Len], user[s.Off:s.Off+s.Len])
-		}
-		t.stats.vectoredSends.Add(1)
-		t.deliver(to, hdr, buf)
-		return nil
-	}
-	p := t.peers[to]
-	if !p.alive.Load() {
-		return &PeerDownError{Rank: to}
-	}
-	t.stats.vectoredSends.Add(1)
 	t.inflight.Add(int64(nbytes))
 	defer t.inflight.Add(-int64(nbytes))
 	start, traced := t.traceNow()
-	if t.cfg.Faults.Lossy() {
-		err := t.sendVectoredReliable(p, hdr, user, segs, nbytes)
-		if traced && err == nil {
-			if end, ok := t.traceNow(); ok {
-				t.trace("tcp_send", to, int64(nbytes), start, end,
-					IdentAttrs(hdr, obs.Attr{Key: "reliable", Val: "true"},
-						obs.Attr{Key: "vectored", Val: "true"})...)
-			}
+	lossy := t.cfg.Faults.Lossy()
+	if lossy {
+		if err := t.sendReliable(p, hdr, user, segs, nbytes); err != nil {
+			return err
 		}
-		return err
+	} else {
+		gen, err := t.writeDataSegs(p, &Frame{Kind: KindData, Hdr: hdr}, user, segs, nbytes)
+		if err != nil {
+			t.peerGone(p, gen, fmt.Sprintf("write: %v", err))
+			return &PeerDownError{Rank: to}
+		}
+		t.stats.framesSent.Add(1)
 	}
-	gen, err := t.writeDataSegs(p, &Frame{Kind: KindData, Hdr: hdr}, user, segs, nbytes)
-	if err != nil {
-		t.peerGone(p, gen, fmt.Sprintf("vectored write: %v", err))
-		return &PeerDownError{Rank: to}
-	}
-	t.stats.framesSent.Add(1)
 	if traced {
 		if end, ok := t.traceNow(); ok {
-			t.trace("tcp_send", to, int64(nbytes), start, end,
-				IdentAttrs(hdr, obs.Attr{Key: "vectored", Val: "true"})...)
+			var attrs []obs.Attr
+			if lossy {
+				attrs = append(attrs, obs.Attr{Key: "reliable", Val: "true"})
+			}
+			if vectored {
+				attrs = append(attrs, obs.Attr{Key: "vectored", Val: "true"})
+			}
+			t.trace("tcp_send", to, int64(nbytes), start, end, IdentAttrs(hdr, attrs...)...)
 		}
 	}
 	return nil
 }
 
-// sendVectoredReliable runs the ack/retransmission protocol for a gather-
-// list frame.  The first clean attempt goes out zero-copy straight from
-// the caller's memory; the frame is sealed — gathered and encoded into a
-// private pooled buffer — lazily, the first time an attempt needs a stable
-// image (injected corruption, duplication, or a retransmit).  A send that
-// succeeds on the first try therefore never copies the payload at all.
-func (t *TCP) sendVectoredReliable(p *tcpPeer, hdr Header, user []byte, segs []datatype.Segment, nbytes int) error {
+// sendReliable runs the ack/retransmission protocol for one frame, with
+// the fault plan injected below framing on every attempt.  The first clean
+// attempt goes out zero-copy straight from the caller's memory; the frame
+// is sealed — gathered and encoded into a private pooled buffer — lazily,
+// the first time an attempt needs a stable image (injected corruption,
+// duplication, or a retransmit).  A send that succeeds on the first try
+// therefore never copies the payload at all.
+func (t *TCP) sendReliable(p *tcpPeer, hdr Header, user []byte, segs []datatype.Segment, nbytes int) error {
 	fp := t.cfg.Faults
 	seq := p.seq.Add(1) - 1
 	f := Frame{Kind: KindData, TSeq: seq, Flags: FlagReliable, Hdr: hdr}
 
 	var wire []byte
 	seal := func() []byte {
-		if wire != nil {
-			return wire
+		if wire == nil {
+			// Encode into a pooled buffer sized so EncodeFrame cannot
+			// reallocate, and release the gather scratch immediately.
+			f.Payload = datatype.Gather(user, segs)
+			wbuf := datatype.GetBuffer(framePrefixLen + dataHeadLen + nbytes + frameTrailerLen)
+			wire = EncodeFrame(wbuf[:0], &f)
+			datatype.PutBuffer(f.Payload)
+			f.Payload = nil
+			t.stats.sealSpills.Add(1)
 		}
-		// Gather the payload, encode the full frame into a pooled buffer
-		// sized so EncodeFrame cannot reallocate (pow2 class round-up), and
-		// release the gather scratch immediately.
-		buf := datatype.GetBuffer(nbytes)
-		off := 0
-		for _, s := range segs {
-			off += copy(buf[off:off+s.Len], user[s.Off:s.Off+s.Len])
-		}
-		f.Payload = buf
-		wbuf := datatype.GetBuffer(framePrefixLen + dataHeadLen + nbytes + frameTrailerLen)
-		wire = EncodeFrame(wbuf[:0], &f)
-		f.Payload = nil
-		datatype.PutBuffer(buf)
-		t.stats.sealSpills.Add(1)
 		return wire
 	}
-	defer func() {
-		if wire != nil {
-			datatype.PutBuffer(wire)
-		}
-	}()
+	defer func() { datatype.PutBuffer(wire) }()
 
 	timeout := t.cfg.AckTimeout
 	for attempt := 0; ; attempt++ {
@@ -938,12 +892,14 @@ func (t *TCP) sendVectoredReliable(p *tcpPeer, hdr Header, user []byte, segs []d
 			t.stats.dropped.Add(1)
 		case corrupt:
 			bad := append([]byte(nil), seal()...)
+			// Flip a body or trailer byte — never the length prefix, which
+			// framing does not protect and which would desynchronize the
+			// stream rather than exercise the CRC path.
 			off := framePrefixLen + fp.CorruptByte(t.cfg.Rank, p.rank, seq, attempt, len(bad)-framePrefixLen)
 			bad[off] ^= 0xFF
 			t.stats.corrupted.Add(1)
 			wgen, werr = t.writeWire(p, bad)
-		case attempt == 0 && !dup && wire == nil:
-			// The zero-copy fast path: gather straight from user memory.
+		case attempt == 0 && !dup:
 			wgen, werr = t.writeDataSegs(p, &f, user, segs, nbytes)
 		default:
 			wgen, werr = t.writeWire(p, seal())
@@ -952,20 +908,17 @@ func (t *TCP) sendVectoredReliable(p *tcpPeer, hdr Header, user []byte, segs []d
 				wgen, werr = t.writeWire(p, wire)
 			}
 		}
-		if werr == nil && !drop {
-			t.stats.framesSent.Add(1)
-		}
 		if werr != nil {
-			t.peerGone(p, wgen, fmt.Sprintf("reliable vectored write: %v", werr))
+			t.peerGone(p, wgen, fmt.Sprintf("reliable write: %v", werr))
 			return &PeerDownError{Rank: p.rank}
+		}
+		if !drop {
+			t.stats.framesSent.Add(1)
 		}
 
 		select {
 		case <-ack:
-			if !p.alive.Load() {
-				return &PeerDownError{Rank: p.rank}
-			}
-			return nil
+			// Closed by the reader on ack — or by peerGone on failure.
 		case <-time.After(timeout):
 		}
 		p.ackMu.Lock()
@@ -973,6 +926,7 @@ func (t *TCP) sendVectoredReliable(p *tcpPeer, hdr Header, user []byte, segs []d
 		delete(p.acks, seq)
 		p.ackMu.Unlock()
 		if !pending {
+			// Acked (possibly racing the timeout), or failed by peerGone.
 			if !p.alive.Load() {
 				return &PeerDownError{Rank: p.rank}
 			}
@@ -990,21 +944,14 @@ func (t *TCP) sendVectoredReliable(p *tcpPeer, hdr Header, user []byte, segs []d
 	}
 }
 
-// writeData writes a data frame without copying the payload: the frame
-// head and CRC trailer are assembled in the peer's scratch buffer and the
-// pieces go out in one vectored write.  It returns the connection
-// generation written to, for a failure-path peerGone.
-func (t *TCP) writeData(p *tcpPeer, f *Frame) (uint64, error) {
-	return t.writeDataSegs(p, f, f.Payload, []datatype.Segment{{Off: 0, Len: len(f.Payload)}}, len(f.Payload))
-}
-
-// writeDataSegs is the N-segment generalization of the vectored data
-// write: the frame head and CRC trailer are assembled in the peer's
-// scratch buffer, the CRC-32 trailer is folded incrementally across the
-// gather segments, and head + segments + trailer go to the socket in a
-// single writev with no intermediate copy of the payload.  nbytes is the
+// writeDataSegs writes a data frame without copying the payload: the frame
+// head and CRC trailer are assembled in the peer's scratch buffer, the
+// CRC-32 is folded incrementally across the gather segments, and head +
+// segments + trailer go to the socket in a single writev.  nbytes is the
 // segments' total length (precomputed by the caller); zero-length segments
-// are skipped.  f.Payload is ignored — user/segs describe the payload.
+// are skipped.  f.Payload is ignored — user/segs describe the payload.  It
+// returns the connection generation written to, for a failure-path
+// peerGone.
 func (t *TCP) writeDataSegs(p *tcpPeer, f *Frame, user []byte, segs []datatype.Segment, nbytes int) (uint64, error) {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
@@ -1046,91 +993,6 @@ func (t *TCP) writeDataSegs(p *tcpPeer, f *Frame, user []byte, segs []datatype.S
 	p.vecbuf = bufs[:0]
 	t.stats.bytesSent.Add(n)
 	return p.gen, err
-}
-
-// sendReliable runs the ack/retransmission protocol for one frame, with
-// the fault plan injected below framing on every attempt.
-func (t *TCP) sendReliable(p *tcpPeer, hdr Header, payload []byte) error {
-	defer datatype.PutBuffer(payload)
-	fp := t.cfg.Faults
-	seq := p.seq.Add(1) - 1
-	f := Frame{Kind: KindData, TSeq: seq, Flags: FlagReliable, Hdr: hdr, Payload: payload}
-
-	// The encoded frame is built once; corruption flips a byte of a copy.
-	wire := EncodeFrame(nil, &f)
-	timeout := t.cfg.AckTimeout
-	for attempt := 0; ; attempt++ {
-		if t.closed.Load() {
-			return ErrClosed
-		}
-		ack := make(chan struct{})
-		p.ackMu.Lock()
-		p.acks[seq] = ack
-		p.ackMu.Unlock()
-
-		drop, dup, corrupt, delay := fp.Attempt(t.cfg.Rank, p.rank, seq, attempt)
-		if delay > 0 {
-			time.Sleep(time.Duration(delay * float64(time.Second)))
-		}
-		var werr error
-		var wgen uint64
-		switch {
-		case drop:
-			t.stats.dropped.Add(1)
-		case corrupt:
-			bad := append([]byte(nil), wire...)
-			// Flip a body or trailer byte — never the length prefix, which
-			// framing does not protect and which would desynchronize the
-			// stream rather than exercise the CRC path.
-			off := framePrefixLen + fp.CorruptByte(t.cfg.Rank, p.rank, seq, attempt, len(bad)-framePrefixLen)
-			bad[off] ^= 0xFF
-			t.stats.corrupted.Add(1)
-			wgen, werr = t.writeWire(p, bad)
-		default:
-			wgen, werr = t.writeWire(p, wire)
-			if werr == nil && dup {
-				t.stats.duplicated.Add(1)
-				wgen, werr = t.writeWire(p, wire)
-			}
-		}
-		if werr == nil && !drop {
-			t.stats.framesSent.Add(1)
-		}
-		if werr != nil {
-			t.peerGone(p, wgen, fmt.Sprintf("reliable write: %v", werr))
-			return &PeerDownError{Rank: p.rank}
-		}
-
-		select {
-		case <-ack:
-			// Closed by the reader on ack — or by peerGone on failure.
-			if !p.alive.Load() {
-				return &PeerDownError{Rank: p.rank}
-			}
-			return nil
-		case <-time.After(timeout):
-		}
-		p.ackMu.Lock()
-		_, pending := p.acks[seq]
-		delete(p.acks, seq)
-		p.ackMu.Unlock()
-		if !pending {
-			// The ack raced the timeout; it was accepted.
-			if !p.alive.Load() {
-				return &PeerDownError{Rank: p.rank}
-			}
-			return nil
-		}
-		if attempt+1 >= t.cfg.MaxRetries {
-			return &RetriesError{Rank: p.rank, Attempts: attempt + 1}
-		}
-		t.stats.retransmits.Add(1)
-		if now, ok := t.traceNow(); ok {
-			t.trace("tcp_retransmit", p.rank, int64(len(payload)), now, now,
-				obs.Attr{Key: "attempt", Val: strconv.Itoa(attempt + 1)})
-		}
-		timeout = time.Duration(float64(timeout) * t.cfg.Backoff)
-	}
 }
 
 func (t *TCP) writeWire(p *tcpPeer, wire []byte) (uint64, error) {
