@@ -8,7 +8,8 @@
 //  2. solver-level recovery: the Figure 17 multigrid solve (100^3 grid by
 //     default) with a rank crash injected mid-solve, recovered via
 //     Comm.Revoke + Comm.Shrink, re-decomposition over the survivors, and
-//     restart from the last replicated checkpoint.
+//     restart from the newest checkpoint, sieve-read through the shrunk
+//     decomposition's file view.
 //
 // With -iomatrix it instead sweeps injected checkpoint-I/O faults (short
 // writes, EIO, fsync failure, ENOSPC, filesystem crash) over the collective
@@ -44,16 +45,8 @@ func ioMatrix(n int, p bench.MultigridParams) int {
 			fmt.Fprintf(os.Stderr, "faultsim: %s: %v\n", sp.name, err)
 			return 1
 		}
-		dir, err := os.MkdirTemp("", "nccd-iomatrix-*")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "faultsim: %v\n", err)
-			return 1
-		}
-		run, err := bench.RunMultigridSelfHealIO(n, p, n/2, 0.5, nil, bench.SelfHealIO{
-			CkptDir: dir,
-			Ckpt:    ckptio.Options{StripeBytes: 4096, Aggregators: 2, Faults: plan},
-		})
-		os.RemoveAll(dir)
+		run, err := bench.RunMultigridSelfHeal(n, p, n/2, 0.5, nil,
+			ckptio.Options{StripeBytes: 4096, Aggregators: 2, Faults: plan})
 		switch {
 		case err != nil:
 			fmt.Printf("  %-13s FAIL: %v\n", sp.name, err)

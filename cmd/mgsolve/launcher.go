@@ -88,8 +88,7 @@ type launchConfig struct {
 	hbMiss       int
 	recoveryJSON string // BENCH_recovery.json output path for chaos runs
 
-	// Collective checkpoint I/O.
-	ckptIO  bool
+	// Checkpoint file layout and injected I/O faults.
 	aggr    int
 	stripe  int64
 	ioFault string // ckptio fault spec forwarded to every daemon
@@ -464,12 +463,10 @@ func runDaemon(daemon string, rank int, addrs []string, worldID uint64, lc launc
 		args = append(args, "-pernode", fmt.Sprint(lc.perNode), "-shmdir", lc.shmDir)
 	}
 	if lc.selfheal {
-		args = append(args, "-selfheal", "-ckpt", lc.ckptDir, "-ckptevery", fmt.Sprint(lc.ckptEvery))
+		args = append(args, "-selfheal", "-ckpt", lc.ckptDir, "-ckptevery", fmt.Sprint(lc.ckptEvery),
+			"-aggr", fmt.Sprint(lc.aggr), "-stripe", fmt.Sprint(lc.stripe))
 		if lc.hb > 0 {
 			args = append(args, "-hb", lc.hb.String(), "-hbmiss", fmt.Sprint(lc.hbMiss))
-		}
-		if lc.ckptIO {
-			args = append(args, "-ckptio", "-aggr", fmt.Sprint(lc.aggr), "-stripe", fmt.Sprint(lc.stripe))
 		}
 		if lc.ioFault != "" {
 			args = append(args, "-iofault", lc.ioFault)

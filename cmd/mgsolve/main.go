@@ -58,9 +58,8 @@ func main() {
 	hb := flag.Duration("hb", 25*time.Millisecond, "heartbeat interval for -selfheal failure detection (0 = rely on connection loss only)")
 	hbMiss := flag.Int("hbmiss", 3, "missed heartbeat intervals before a peer is suspected")
 	recoveryJSON := flag.String("recoveryjson", "BENCH_recovery.json", "where a -chaos run writes the recovery benchmark report (\"\" = skip)")
-	ckptIO := flag.Bool("ckptio", false, "checkpoint -selfheal runs through collective I/O: one shared file per checkpoint, two-phase aggregated writes, data-sieving restore")
-	aggr := flag.Int("aggr", 2, "collective-I/O aggregator rank count")
-	stripe := flag.Int64("stripe", 256<<10, "collective-I/O stripe size in bytes")
+	aggr := flag.Int("aggr", 2, "checkpoint aggregator rank count for -selfheal runs")
+	stripe := flag.Int64("stripe", 256<<10, "checkpoint file stripe size in bytes for -selfheal runs")
 	ioFault := flag.String("iofault", "", "checkpoint I/O fault spec forwarded to every daemon, e.g. short=0.2,eio=0.1,fsync=0.1,enospc=65536,seed=7")
 	serveStress := flag.Int("servestress", 0, "spawn an N-rank nccdd -serve fleet and stress the multi-tenant service: 1 huge + -servejobs small concurrent jobs, SIGKILL one rank mid-run, bitwise verification of every completed job, healed-resume / overload / cancel / drain checks; exit 3 = unexpected overload, 4 = job failed, 5 = unexpected cancel")
 	serveJobs := flag.Int("servejobs", 8, "small concurrent jobs in the -servestress run")
@@ -87,7 +86,7 @@ func main() {
 			selfheal: *selfheal, chaos: *chaos, killRank: *killRank,
 			ckptDir: *ckptDir, ckptEvery: *ckptEvery, hb: *hb, hbMiss: *hbMiss,
 			recoveryJSON: *recoveryJSON,
-			ckptIO:       *ckptIO, aggr: *aggr, stripe: *stripe, ioFault: *ioFault,
+			aggr:         *aggr, stripe: *stripe, ioFault: *ioFault,
 		})
 	case *trace != "" || *analyzeFlag:
 		code = runTracedSolve(*np, *arm, p, *trace, *analyzeFlag)

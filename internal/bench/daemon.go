@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"nccd/internal/ckptio"
-	"nccd/internal/ksp"
 	"nccd/internal/mpi"
 	"nccd/internal/obs"
 	"nccd/internal/petsc"
@@ -286,10 +285,10 @@ func RunMultigridDaemon(tcfg transport.TCPConfig, pl Placement, cfg mpi.Config, 
 
 // SelfHealDaemon configures a rank daemon's self-healing additions.
 type SelfHealDaemon struct {
-	// CkptDir, when non-empty, spills checkpoints durably through a
-	// ksp.FileStore there (per-rank file names, so ranks share the
-	// directory); empty keeps them in process memory, which a respawn
-	// cannot recover.
+	// CkptDir is the checkpoint directory every rank of the world shares
+	// (required): each checkpoint is one file there, written collectively
+	// by the aggregator ranks and restored by a data-sieving read of just
+	// the owned range, so it survives the death of any process.
 	CkptDir string
 	// CheckpointEvery is the V-cycle checkpoint period.  Default 1.
 	CheckpointEvery int
@@ -302,46 +301,14 @@ type SelfHealDaemon struct {
 	// chaos controller keys its kill and MTTR clock off these).
 	OnCheckpoint func(iteration int)
 	OnRecovered  func(epoch uint64, restoredAt int)
-	// CollectiveIO switches checkpointing from the per-rank replicated
-	// FileStore to the collective I/O layer: two-phase aggregated writes
-	// into one shared file per checkpoint under CkptDir, data-sieving
-	// restore of just the owned range.  Requires CkptDir.
-	CollectiveIO bool
-	// Aggregators and StripeBytes configure the collective layout
+	// Aggregators and StripeBytes configure the checkpoint file layout
 	// (defaults: 2 aggregators, 256 KiB stripes).
 	Aggregators int
 	StripeBytes int64
 	// IOFaults, when non-empty, wraps this rank's filesystem in the
 	// fault-injecting ckptio.FaultFS — syntax as ckptio.ParseFaultPlan
 	// ("short=0.2,eio=0.1,fsync=0.1,enospc=65536,crash=12,seed=7").
-	// Applies to both the collective and the per-rank store paths.
 	IOFaults string
-}
-
-// announceStore decorates a checkpoint store with a Put notification.
-type announceStore struct {
-	ksp.Store
-	onPut func(iteration int)
-}
-
-func (a announceStore) Put(cp ksp.Checkpoint) {
-	a.Store.Put(cp)
-	a.onPut(cp.Iteration)
-}
-
-// SetEpoch and Protect forward the retention capabilities of the wrapped
-// store (ksp.FileStore implements both) through the decorator, so the
-// recovery loop's type assertions still reach them.
-func (a announceStore) SetEpoch(e uint64) {
-	if es, ok := a.Store.(interface{ SetEpoch(uint64) }); ok {
-		es.SetEpoch(e)
-	}
-}
-
-func (a announceStore) Protect(iteration int) {
-	if pr, ok := a.Store.(interface{ Protect(int) }); ok {
-		pr.Protect(iteration)
-	}
 }
 
 // RunMultigridSelfHealDaemon hosts one rank of the self-healing multigrid
@@ -350,6 +317,9 @@ func (a announceStore) Protect(iteration int) {
 // launched with RejoinEpoch — comes up as a replacement that restores the
 // agreed checkpoint into the regrown world instead of starting over.
 func RunMultigridSelfHealDaemon(tcfg transport.TCPConfig, pl Placement, cfg mpi.Config, p MultigridParams, mode petsc.ScatterMode, ob DaemonObs, hd SelfHealDaemon) (RankReport, error) {
+	if hd.CkptDir == "" {
+		return RankReport{}, fmt.Errorf("self-healing needs a checkpoint directory")
+	}
 	rw, err := buildWire(tcfg, pl)
 	if err != nil {
 		return RankReport{}, err
@@ -374,38 +344,14 @@ func RunMultigridSelfHealDaemon(tcfg transport.TCPConfig, pl Placement, cfg mpi.
 		}
 	}
 
-	var store ksp.Store
-	var collective ksp.OwnedStore
-	switch {
-	case hd.CollectiveIO:
-		if hd.CkptDir == "" {
-			return RankReport{}, fmt.Errorf("collective checkpoint I/O needs a checkpoint directory")
-		}
-		cst, err := ckptio.NewStore(hd.CkptDir, nil, ckptio.Options{
-			StripeBytes: hd.StripeBytes,
-			Aggregators: hd.Aggregators,
-			Faults:      plan,
-			OnCommit:    hd.OnCheckpoint,
-		})
-		if err != nil {
-			return RankReport{}, err
-		}
-		collective = cst
-	case hd.CkptDir != "":
-		var fsys ckptio.FS = ckptio.OSFS{}
-		if plan.Active() {
-			fsys = ckptio.NewFaultFS(fsys, plan)
-		}
-		fs, err := ksp.NewFileStoreFS(hd.CkptDir, tcfg.Rank, fsys)
-		if err != nil {
-			return RankReport{}, err
-		}
-		store = fs
-	default:
-		store = &ksp.CheckpointStore{}
-	}
-	if store != nil && hd.OnCheckpoint != nil {
-		store = announceStore{Store: store, onPut: hd.OnCheckpoint}
+	store, err := ckptio.NewStore(hd.CkptDir, nil, ckptio.Options{
+		StripeBytes: hd.StripeBytes,
+		Aggregators: hd.Aggregators,
+		Faults:      plan,
+		OnCommit:    hd.OnCheckpoint,
+	})
+	if err != nil {
+		return RankReport{}, err
 	}
 
 	var res SelfHealResult
@@ -416,7 +362,6 @@ func RunMultigridSelfHealDaemon(tcfg transport.TCPConfig, pl Placement, cfg mpi.
 			RejoinEpoch:     hd.RejoinEpoch,
 			AwaitTimeout:    hd.AwaitTimeout,
 			OnRecovered:     hd.OnRecovered,
-			Collective:      collective,
 		})
 		if herr != nil {
 			return herr

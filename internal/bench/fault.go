@@ -3,9 +3,9 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"os"
 
-	"nccd/internal/ksp"
-	"nccd/internal/mg"
+	"nccd/internal/ckptio"
 	"nccd/internal/mpi"
 	"nccd/internal/petsc"
 	"nccd/internal/simnet"
@@ -92,31 +92,6 @@ type FaultedMultigridResult struct {
 	Recovered    bool
 }
 
-// mgSetup builds the solver and the paper's separable forcing on comm cc.
-func mgSetup(cc *mpi.Comm, p MultigridParams, mode petsc.ScatterMode) (*mg.Solver, *petsc.Vec, *petsc.Vec) {
-	s := mg.NewAgglomerated(cc, []int{p.Extent, p.Extent, p.Extent}, p.Levels, mode, p.AgglomerateCells)
-	if p.Chebyshev {
-		s.Smoother = mg.SmootherChebyshev
-	}
-	b := s.CreateVec()
-	da := s.DA(0)
-	own := da.OwnedBox()
-	ba := b.Array()
-	idx := 0
-	for k := own.Lo[2]; k < own.Hi[2]; k++ {
-		for j := own.Lo[1]; j < own.Hi[1]; j++ {
-			for i := own.Lo[0]; i < own.Hi[0]; i++ {
-				x := (float64(i) + 0.5) / float64(p.Extent)
-				y := (float64(j) + 0.5) / float64(p.Extent)
-				z := (float64(k) + 0.5) / float64(p.Extent)
-				ba[idx] = x * y * z
-				idx++
-			}
-		}
-	}
-	return s, b, s.CreateVec()
-}
-
 // recoverable reports whether an error is one the ULFM-style recovery loop
 // handles: a peer failure, a revoked communicator, or a watchdog abort of
 // ranks left waiting on a peer that died.
@@ -129,8 +104,9 @@ func recoverable(err error) bool {
 // virtual duration, and drives the full recovery loop: survivors catch the
 // typed failure, revoke the communicator so no rank stays blocked, agree on
 // the survivor set via Shrink, rebuild the solver hierarchy on the shrunk
-// communicator's re-decomposition, restore the last replicated checkpoint
-// as the initial guess, and iterate to the original tolerance.
+// communicator's re-decomposition, rebind the checkpoint store to that
+// decomposition's file view, restore the newest checkpoint every survivor
+// can read, and iterate to the original tolerance.
 func RunMultigridFaulted(n int, p MultigridParams, crashRank int, crashFrac float64) FaultedMultigridResult {
 	var res FaultedMultigridResult
 
@@ -150,18 +126,25 @@ func RunMultigridFaulted(n int, p MultigridParams, crashRank int, crashFrac floa
 	res.CleanSeconds = w.MaxClock()
 	res.CrashAt = crashFrac * res.CleanSeconds
 
+	dir, err := os.MkdirTemp("", "nccd-faulted-ckpt-*")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
 	fw := NewFaultyWorld(n, mpi.Optimized(), &simnet.FaultPlan{
 		CrashAt: map[int]float64{crashRank: res.CrashAt},
 	})
-	var store ksp.CheckpointStore
 	err = fw.Run(func(c *mpi.Comm) error {
+		store, err := ckptio.NewStore(dir, nil, ckptio.Options{})
+		if err != nil {
+			return err
+		}
 		// First attempt, checkpointing every cycle.  The crashed rank never
 		// returns from this (its goroutine dies); survivors get a typed
 		// error out of Guard.
 		werr := mpi.Guard(func() error {
 			s, b, x := mgSetup(c, p, petsc.ScatterDatatype)
-			s.Checkpoints = &store
-			s.CheckpointEvery = 1
+			bindStore(s, store, 1)
 			cycles, relres := s.Solve(b, x, p.Rtol, p.MaxCycles)
 			if c.Rank() == 0 {
 				res.CyclesAfter, res.RelRes = cycles, relres
@@ -183,24 +166,28 @@ func RunMultigridFaulted(n int, p MultigridParams, crashRank int, crashFrac floa
 		if serr != nil {
 			return serr
 		}
-		cp, ok := store.Latest()
-		if !ok || cp.Residual <= 0 {
-			return fmt.Errorf("no usable checkpoint at crash time (iteration %d)", cp.Iteration)
-		}
 		return mpi.Guard(func() error {
 			s, b, x := mgSetup(nc, p, petsc.ScatterDatatype)
-			s.Restore(&store, x)
-			// The restored guess already sits at relative residual
-			// cp.Residual; tightening the restarted solve's relative
-			// tolerance by that factor lands the final residual at the
-			// original target rtol * r0.
-			cycles, relres := s.Solve(b, x, p.Rtol/cp.Residual, p.MaxCycles)
+			bindStore(s, store, 0)
+			// A survivor may have entered recovery before rank 0 published
+			// the last commit record, so the survivors agree on the cycle.
+			base := agreeRestoreBase(nc, store, p.MaxCycles)
+			if base == 0 {
+				return fmt.Errorf("no usable checkpoint at crash time")
+			}
+			_, r0, rerr := s.RestoreAt(base, x)
+			if rerr != nil {
+				return rerr
+			}
+			// Resuming against the original r0 keeps rtol meaning what it
+			// meant before the crash.
+			cycles, relres := s.SolveFrom(b, x, p.Rtol, p.MaxCycles, base, r0)
 			if nc.Rank() == 0 {
-				res.CheckpointAt = cp.Iteration
+				res.CheckpointAt = base
 				res.Survivors = nc.Size()
 				res.CyclesAfter = cycles
-				res.RelRes = relres * cp.Residual
-				res.Recovered = relres <= p.Rtol/cp.Residual
+				res.RelRes = relres
+				res.Recovered = relres <= p.Rtol
 			}
 			return nil
 		})

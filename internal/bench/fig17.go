@@ -1,13 +1,11 @@
 package bench
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"time"
 
+	"nccd/internal/ckptio"
 	"nccd/internal/core"
-	"nccd/internal/ksp"
 	"nccd/internal/mg"
 	"nccd/internal/mpi"
 	"nccd/internal/petsc"
@@ -85,56 +83,35 @@ func RunMultigridWorld(w *mpi.World, p MultigridParams, mode petsc.ScatterMode) 
 
 // MultigridRankOptions extends the per-rank application body for service
 // use: scheduler pacing and cooperative cancellation (OnCycle), periodic
-// checkpoint spill (Store/CheckpointEvery), and crash recovery (Resume).
+// checkpoints (Store/CheckpointEvery), and crash recovery (Resume).
 // The zero value runs the plain Fig17 body.
 type MultigridRankOptions struct {
 	// OnCycle, when non-nil, is mg.Solver.OnCycle: called before every
 	// V-cycle; a non-nil error stops the solve (and is returned).
 	OnCycle func(cycle int) error
-	// Store, with CheckpointEvery > 0, spills a checkpoint every
-	// CheckpointEvery cycles.
-	Store           ksp.Store
+	// Store, with CheckpointEvery > 0, takes a collective checkpoint every
+	// CheckpointEvery cycles.  MultigridRank binds it to the solver's
+	// finest DA.
+	Store           *ckptio.Store
 	CheckpointEvery int
-	// Resume negotiates the newest checkpoint iteration present in every
-	// rank's Store (stores may have diverged — a replacement rank restarts
-	// from whatever its spill directory holds) and resumes the solve from
-	// it.  With no common checkpoint the solve starts fresh.
+	// Resume agrees on the newest checkpoint every rank can restore from
+	// Store (a damaged stripe drops a checkpoint out on just the ranks
+	// whose view touches it) and resumes the solve from it.  With no
+	// common checkpoint the solve starts fresh.
 	Resume bool
 }
 
-// tagRestoreBase is the user-level tag of the restore-point negotiation
-// (user tags live below the collective tag space).
-const tagRestoreBase = 0x7e57
-
-// MultigridRank is the per-rank body of the Fig17 application: the 3-D
-// Laplacian on an Extent^3 grid with separable forcing, solved by
-// multigrid.  The forcing fill, solver construction, and timing are shared
-// verbatim with RunMultigridWorld, so a service job's residual history is
-// bitwise comparable to a standalone in-process reference run of the same
-// problem at the same size.  Collective over c; comm failures surface as
-// the mpi layer's panics (wrap the caller in mpi.Guard).
-func MultigridRank(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, opts MultigridRankOptions) (MultigridResult, error) {
-	s := mg.NewAgglomerated(c, []int{p.Extent, p.Extent, p.Extent}, p.Levels, mode, p.AgglomerateCells)
+// mgSetup builds the solver and the paper's separable forcing on comm cc:
+// the paper's data grid varies the coordinates uniformly across the grid
+// in each dimension.  Every multigrid run in this package starts here, so
+// a service job's residual history is bitwise comparable to a standalone
+// in-process reference run of the same problem at the same size.
+func mgSetup(cc *mpi.Comm, p MultigridParams, mode petsc.ScatterMode) (*mg.Solver, *petsc.Vec, *petsc.Vec) {
+	s := mg.NewAgglomerated(cc, []int{p.Extent, p.Extent, p.Extent}, p.Levels, mode, p.AgglomerateCells)
 	if p.Chebyshev {
 		s.Smoother = mg.SmootherChebyshev
 	}
-	var hookErr error
-	if opts.OnCycle != nil {
-		s.OnCycle = func(cycle int) error {
-			if err := opts.OnCycle(cycle); err != nil {
-				hookErr = err
-				return err
-			}
-			return nil
-		}
-	}
-	if opts.Store != nil && opts.CheckpointEvery > 0 {
-		s.Checkpoints = opts.Store
-		s.CheckpointEvery = opts.CheckpointEvery
-	}
 	b := s.CreateVec()
-	// The paper's data grid varies the coordinates uniformly across
-	// the grid in each dimension; use the matching separable forcing.
 	da := s.DA(0)
 	own := da.OwnedBox()
 	ba := b.Array()
@@ -150,17 +127,45 @@ func MultigridRank(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, opts 
 			}
 		}
 	}
-	x := s.CreateVec()
+	return s, b, s.CreateVec()
+}
+
+// bindStore attaches st to the solver's communicator and finest-level file
+// view and arms a checkpoint every `every` cycles.  Called once per solver:
+// after a recovery the membership and the decomposition have both changed.
+func bindStore(s *mg.Solver, st *ckptio.Store, every int) {
+	da := s.DA(0)
+	st.Bind(da.Comm(), da.NaturalBytes(), da.NaturalSegments())
+	s.Checkpoints, s.CheckpointEvery = st, every
+}
+
+// MultigridRank is the per-rank body of the Fig17 application: the 3-D
+// Laplacian on an Extent^3 grid with separable forcing, solved by
+// multigrid.  Collective over c; comm failures surface as the mpi layer's
+// panics (wrap the caller in mpi.Guard).
+func MultigridRank(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, opts MultigridRankOptions) (MultigridResult, error) {
+	s, b, x := mgSetup(c, p, mode)
+	var hookErr error
+	if opts.OnCycle != nil {
+		s.OnCycle = func(cycle int) error {
+			if err := opts.OnCycle(cycle); err != nil {
+				hookErr = err
+				return err
+			}
+			return nil
+		}
+	}
 
 	base, r0 := 0, 0.0
-	if opts.Resume && opts.Store != nil {
-		base = negotiateRestoreBase(c, opts.Store)
-		if base > 0 {
-			cp, ok := s.RestoreAt(opts.Store, base, x)
-			if !ok {
-				return MultigridResult{}, fmt.Errorf("bench: agreed restore iteration %d missing locally", base)
+	if opts.Store != nil {
+		bindStore(s, opts.Store, opts.CheckpointEvery)
+		if opts.Resume {
+			if base = agreeRestoreBase(c, opts.Store, p.MaxCycles); base > 0 {
+				var err error
+				if _, r0, err = s.RestoreAt(base, x); err != nil {
+					return MultigridResult{}, fmt.Errorf("bench: agreed restore iteration %d: %w", base, err)
+				}
 			}
-			r0 = cp.R0
 		}
 	}
 
@@ -191,43 +196,29 @@ func MultigridRank(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, opts 
 	return res, nil
 }
 
-// negotiateRestoreBase agrees on the newest checkpoint iteration present in
-// every rank's store: rank 0 gathers each rank's retained-iteration list
-// over explicit point-to-point messages, intersects, and broadcasts the
-// result (0 when no common iteration exists).  Gather-and-broadcast rather
-// than a bitmap allreduce because iteration numbers are unbounded.
-func negotiateRestoreBase(c *mpi.Comm, st ksp.Store) int {
-	common := 0
-	if c.Rank() == 0 {
-		have := make(map[int]int)
-		for _, it := range st.Iterations() {
-			have[it]++
-		}
-		for r := 1; r < c.Size(); r++ {
-			buf, _ := c.Recv(r, tagRestoreBase)
-			var its []int
-			if err := json.Unmarshal(buf, &its); err == nil {
-				for _, it := range its {
-					have[it]++
-				}
-			}
-		}
-		for it, n := range have {
-			if n == c.Size() && it > common {
-				common = it
-			}
-		}
-	} else {
-		buf, err := json.Marshal(st.Iterations())
-		if err != nil {
-			buf = []byte("[]")
-		}
-		c.Send(0, tagRestoreBase, buf)
+// agreeRestoreBase agrees on the newest checkpoint cycle every rank of c
+// can restore from st, or 0 (start fresh) when there is none: one
+// Allreduce(max) over a "lack" vector — entry i is 1 when this rank cannot
+// produce cycle i — whose highest all-zero entry wins.  The same
+// complement-and-intersect rule lackBitmap carries on Comm.Restore's
+// agreement; cycles never exceed maxCycles, so the vector covers them all.
+func agreeRestoreBase(c *mpi.Comm, st *ckptio.Store, maxCycles int) int {
+	lack := make([]float64, maxCycles+1)
+	for i := 1; i < len(lack); i++ {
+		lack[i] = 1
 	}
-	var word [8]byte
-	binary.LittleEndian.PutUint64(word[:], uint64(common))
-	out := c.Bcast(0, word[:])
-	return int(binary.LittleEndian.Uint64(out))
+	for _, it := range st.Iterations() {
+		if it > 0 && it < len(lack) {
+			lack[it] = 0
+		}
+	}
+	c.Allreduce(lack, mpi.OpMax)
+	for i := len(lack) - 1; i > 0; i-- {
+		if lack[i] == 0 {
+			return i
+		}
+	}
+	return 0
 }
 
 // Fig17 regenerates Figure 17: 3-D Laplacian multigrid execution time (and

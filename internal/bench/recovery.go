@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"nccd/internal/ckptio"
-	"nccd/internal/ksp"
 	"nccd/internal/mpi"
 	"nccd/internal/petsc"
 	"nccd/internal/transport"
@@ -53,22 +52,19 @@ type RecoveryReport struct {
 	TCPRestoredAt  int     `json:"tcp_restored_at_cycle,omitempty"`
 	TCPTotalCycles int     `json:"tcp_total_cycles,omitempty"`
 
-	// Collective checkpoint I/O versus the replicated per-rank spill, on
-	// the same decomposition.  The write-volume numbers are the point of
-	// two-phase aggregation: per-rank replicated writes are O(global)
-	// bytes on every rank, the collective path is O(owned + aggregation
-	// share) on the worst rank.
+	// Checkpoint I/O cost on the chaos run's decomposition.  The write-
+	// volume numbers are the point of two-phase aggregation: the worst rank
+	// ships its owned bytes and writes its aggregation share, well under
+	// the global vector a replicated spill would write on every rank.
 	CkptGlobalBytes            int64   `json:"ckpt_global_bytes,omitempty"`
-	CkptPerRankWriteBytes      int64   `json:"ckpt_per_rank_write_bytes,omitempty"`
 	CkptCollectiveMaxRankBytes int64   `json:"ckpt_collective_max_rank_bytes,omitempty"`
 	CkptStripeBytes            int64   `json:"ckpt_stripe_bytes,omitempty"`
 	CkptAggregators            int     `json:"ckpt_aggregators,omitempty"`
-	CkptPerRankWriteMS         float64 `json:"ckpt_per_rank_write_ms,omitempty"`
 	CkptCollectiveWriteMS      float64 `json:"ckpt_collective_write_ms,omitempty"`
-	CkptPerRankRestoreMS       float64 `json:"ckpt_per_rank_restore_ms,omitempty"`
 	CkptCollectiveSieveMS      float64 `json:"ckpt_collective_sieve_ms,omitempty"`
-	// The in-process chaos run repeated on the collective path: the
-	// healed history must stay bitwise-identical there too.
+	// The in-process chaos run repeated on a multi-stripe, two-aggregator
+	// layout (the first run's vector fits one default stripe): the healed
+	// history must stay bitwise-identical there too.
 	CkptCollectiveHistoryMatches bool `json:"ckpt_collective_history_matches,omitempty"`
 	CkptCollectiveRestoredAt     int  `json:"ckpt_collective_restored_at_cycle,omitempty"`
 }
@@ -171,23 +167,16 @@ func measureDetection(hb transport.HeartbeatConfig) (rep RecoveryReport, err err
 	return rep, nil
 }
 
-// measureCkptIO times the two checkpoint paths head to head on one
-// in-process world: the replicated spill (every rank gathers the global
-// vector and writes its own copy) against the collective two-phase write
-// and its data-sieving restore, reps checkpoints each, with barriers
-// bracketing the timed loops so stragglers are charged honestly.
+// measureCkptIO times the collective two-phase checkpoint write and its
+// data-sieving restore on one in-process world, reps checkpoints each, with
+// barriers bracketing the timed loops so stragglers are charged honestly.
 func measureCkptIO(n int, p MultigridParams, rep *RecoveryReport) error {
 	const reps = 4
-	dirA, err := os.MkdirTemp("", "nccd-ckpt-perrank-*")
+	dir, err := os.MkdirTemp("", "nccd-ckpt-coll-*")
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(dirA)
-	dirB, err := os.MkdirTemp("", "nccd-ckpt-coll-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dirB)
+	defer os.RemoveAll(dir)
 
 	w := NewFaultyWorld(n, mpi.Optimized(), nil)
 	return w.Run(func(c *mpi.Comm) error {
@@ -196,31 +185,6 @@ func measureCkptIO(n int, p MultigridParams, rep *RecoveryReport) error {
 		da := s.DA(0)
 		total := da.NaturalBytes()
 
-		// Replicated per-rank path: gather O(global), write O(global).
-		fsA, err := ksp.NewFileStore(dirA, c.Rank())
-		if err != nil {
-			return err
-		}
-		c.Barrier()
-		t0 := time.Now()
-		for k := 1; k <= reps; k++ {
-			nat := da.GatherNatural(x)
-			fsA.Put(ksp.Checkpoint{Iteration: k, Residual: 0.5, R0: 1, X: nat})
-		}
-		c.Barrier()
-		perWrite := time.Since(t0).Seconds() * 1e3 / reps
-		t0 = time.Now()
-		for k := 0; k < reps; k++ {
-			cp, ok := fsA.At(reps)
-			if !ok {
-				return fmt.Errorf("bench: per-rank checkpoint %d missing", reps)
-			}
-			da.ScatterNatural(cp.X, x)
-		}
-		c.Barrier()
-		perRestore := time.Since(t0).Seconds() * 1e3 / reps
-
-		// Collective path: ship O(owned), aggregate, sieve-read O(owned).
 		// The stripe size is scaled down to the benchmark problem so the
 		// round-robin deal spreads stripes over both aggregators — the same
 		// shape a production-sized vector gets from the 256 KiB default.
@@ -229,13 +193,13 @@ func measureCkptIO(n int, p MultigridParams, rep *RecoveryReport) error {
 			stripe = 4096
 		}
 		const naggr = 2
-		cst, err := ckptio.NewStore(dirB, nil, ckptio.Options{StripeBytes: stripe, Aggregators: naggr})
+		cst, err := ckptio.NewStore(dir, nil, ckptio.Options{StripeBytes: stripe, Aggregators: naggr})
 		if err != nil {
 			return err
 		}
 		cst.Bind(da.Comm(), total, da.NaturalSegments())
 		c.Barrier()
-		t0 = time.Now()
+		t0 := time.Now()
 		for k := 1; k <= reps; k++ {
 			if err := cst.PutOwned(k, 0.5, 1, x.Array()); err != nil {
 				return err
@@ -253,9 +217,8 @@ func measureCkptIO(n int, p MultigridParams, rep *RecoveryReport) error {
 		c.Barrier()
 		collSieve := time.Since(t0).Seconds() * 1e3 / reps
 
-		// Write volume per checkpoint: the replicated path writes the whole
-		// global vector on every rank; the collective path ships this
-		// rank's owned bytes and writes the stripes it aggregates.
+		// Write volume per checkpoint: this rank's owned bytes shipped plus
+		// the stripes it aggregates.
 		l := ckptio.NewLayout(total, stripe, naggr, c.Size())
 		share := int64(0)
 		for st := 0; st < l.NStripes(); st++ {
@@ -269,13 +232,10 @@ func measureCkptIO(n int, p MultigridParams, rep *RecoveryReport) error {
 
 		if c.Rank() == 0 {
 			rep.CkptGlobalBytes = total
-			rep.CkptPerRankWriteBytes = total
 			rep.CkptCollectiveMaxRankBytes = int64(maxRank)
 			rep.CkptStripeBytes = l.StripeBytes
 			rep.CkptAggregators = len(l.Aggr)
-			rep.CkptPerRankWriteMS = perWrite
 			rep.CkptCollectiveWriteMS = collWrite
-			rep.CkptPerRankRestoreMS = perRestore
 			rep.CkptCollectiveSieveMS = collSieve
 		}
 		return nil
@@ -301,7 +261,7 @@ func RunRecovery(n int, p MultigridParams, hb transport.HeartbeatConfig) (Recove
 	if err != nil {
 		return rep, err
 	}
-	run, err := RunMultigridSelfHeal(n, p, n/2, 0.5, nil)
+	run, err := RunMultigridSelfHeal(n, p, n/2, 0.5, nil, ckptio.Options{})
 	if err != nil {
 		return rep, err
 	}
@@ -314,26 +274,20 @@ func RunRecovery(n int, p MultigridParams, hb transport.HeartbeatConfig) (Recove
 		return rep, fmt.Errorf("bench: healed run's history diverged from the fault-free reference")
 	}
 
-	// The same chaos run through the collective checkpoint layer: recovery
-	// must be bitwise-identical when the restore is a data-sieving read of
-	// the owned range instead of a replicated in-memory snapshot.
-	collDir, err := os.MkdirTemp("", "nccd-recovery-coll-*")
-	if err != nil {
-		return rep, err
-	}
-	defer os.RemoveAll(collDir)
-	crun, err := RunMultigridSelfHealIO(n, p, n/2, 0.5, nil, SelfHealIO{CkptDir: collDir})
+	// The same chaos run with the checkpoint file cut into many stripes
+	// dealt over two aggregators: a restore then sieves several stripes
+	// per rank, and must stay bitwise-identical.
+	crun, err := RunMultigridSelfHeal(n, p, n/2, 0.5, nil,
+		ckptio.Options{StripeBytes: 4096, Aggregators: 2})
 	if err != nil {
 		return rep, err
 	}
 	rep.CkptCollectiveHistoryMatches = crun.HistoryMatches
 	rep.CkptCollectiveRestoredAt = crun.Result.RestoredAt
 	if !crun.HistoryMatches {
-		return rep, fmt.Errorf("bench: collective-I/O healed run's history diverged from the fault-free reference")
+		return rep, fmt.Errorf("bench: multi-stripe healed run's history diverged from the fault-free reference")
 	}
 
-	// Head-to-head checkpoint cost: replicated per-rank spill versus the
-	// collective two-phase write and data-sieving restore.
 	if err := measureCkptIO(n, p, &rep); err != nil {
 		return rep, err
 	}

@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"nccd/internal/ckptio"
-	"nccd/internal/datatype"
-	"nccd/internal/ksp"
 	"nccd/internal/mg"
 	"nccd/internal/mpi"
 	"nccd/internal/petsc"
@@ -29,24 +27,17 @@ import (
 // agreement compute the intersection of what everyone holds.
 const availWords = 8
 
-// availLister is the one method the availability consensus needs from any
-// checkpoint store — per-rank replicated (ksp.Store) or collective
-// (ksp.OwnedStore) alike.
-type availLister interface{ Iterations() []int }
-
-// lackBitmap encodes which checkpoint iterations this rank CANNOT produce.
-// Bit 0 (iteration 0 = restart from the zero guess) is always clear: every
-// rank can start over, so the recovery never fails to agree.
-func lackBitmap(st availLister) []uint64 {
+// lackBitmap encodes which checkpoint iterations this rank CANNOT produce,
+// given the iterations it can.  Bit 0 (iteration 0 = restart from the zero
+// guess) is always clear: every rank can start over, so the recovery never
+// fails to agree.
+func lackBitmap(have []int) []uint64 {
 	words := make([]uint64, availWords)
 	for i := range words {
 		words[i] = ^uint64(0)
 	}
 	words[0] &^= 1
-	if st == nil {
-		return words
-	}
-	for _, it := range st.Iterations() {
+	for _, it := range have {
 		if it > 0 && it < availWords*64 {
 			words[it/64] &^= 1 << uint(it%64)
 		}
@@ -84,46 +75,6 @@ type HealParams struct {
 	// OnRecovered, when non-nil, is called after each committed recovery
 	// with the new epoch and the agreed restore iteration (MTTR probes).
 	OnRecovered func(epoch uint64, restoredAt int)
-	// Collective, when non-nil, checkpoints through the collective I/O
-	// path (two-phase aggregated writes, data-sieving restore) instead of
-	// the replicated per-rank store.  The loop binds it to each solve
-	// attempt's communicator and finest-level file view, stamps the
-	// membership epoch into it after every recovery, and protects the
-	// agreed restore point from retention.
-	Collective ksp.OwnedStore
-}
-
-// collectiveBinder is the optional store capability the loop uses to attach
-// a collective store to the current attempt's communicator and view
-// (ckptio.Store implements it; the interface keeps bench decoupled from the
-// concrete type).
-type collectiveBinder interface {
-	Bind(c *mpi.Comm, total int64, segs []datatype.Segment)
-}
-
-// epochStamper and protector are optional store capabilities: stamping the
-// committed membership epoch into subsequent checkpoint keys (the retention
-// fix) and pinning the agreed restore point against pruning.  Both the
-// collective store and ksp.FileStore implement them.
-type epochStamper interface{ SetEpoch(e uint64) }
-type protector interface{ Protect(iteration int) }
-
-// stampStores pushes the committed epoch and the agreed restore point into
-// every store that understands them.
-func stampStores(epoch uint64, base int, stores ...any) {
-	for _, st := range stores {
-		if st == nil {
-			continue
-		}
-		if es, ok := st.(epochStamper); ok {
-			es.SetEpoch(epoch)
-		}
-		if base > 0 {
-			if pr, ok := st.(protector); ok {
-				pr.Protect(base)
-			}
-		}
-	}
 }
 
 // SelfHealResult is one rank's outcome of a self-healing solve.
@@ -149,7 +100,11 @@ type SelfHealResult struct {
 // and the same restore iteration; the solve then resumes from that
 // checkpoint with the original r0, making the resumed residual history
 // bitwise-comparable to a fault-free run.
-func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, store ksp.Store, hp HealParams) (SelfHealResult, error) {
+//
+// Each attempt binds store to its own communicator and finest-level file
+// view; each recovery stamps the committed epoch into it and protects the
+// agreed restore point from retention.
+func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, store *ckptio.Store, hp HealParams) (SelfHealResult, error) {
 	res := SelfHealResult{RestoredAt: -1}
 	maxRec := hp.MaxRecoveries
 	if maxRec <= 0 {
@@ -174,34 +129,15 @@ func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, s
 			werr := mpi.Guard(func() error {
 				var b, x *petsc.Vec
 				s, b, x = mgSetup(cc, p, mode)
-				if hp.Collective != nil {
-					// Attach the collective store to this attempt's
-					// communicator and file view; after a recovery both
-					// the membership and the decomposition have changed.
-					if cb, ok := hp.Collective.(collectiveBinder); ok {
-						da := s.DA(0)
-						cb.Bind(da.Comm(), da.NaturalBytes(), da.NaturalSegments())
-					}
-					s.OwnedCheckpoints, s.CheckpointEvery = hp.Collective, every
-				} else {
-					s.Checkpoints, s.CheckpointEvery = store, every
-				}
+				bindStore(s, store, every)
 				var cycles int
 				var relres float64
 				if base > 0 {
-					if hp.Collective != nil {
-						_, r0, ok := s.RestoreOwnedAt(hp.Collective, base, x)
-						if !ok {
-							return fmt.Errorf("bench: checkpoint %d agreed available but missing locally", base)
-						}
-						cycles, relres = s.SolveFrom(b, x, p.Rtol, p.MaxCycles-base, base, r0)
-					} else {
-						cp, ok := s.RestoreAt(store, base, x)
-						if !ok {
-							return fmt.Errorf("bench: checkpoint %d agreed available but missing locally", base)
-						}
-						cycles, relres = s.SolveFrom(b, x, p.Rtol, p.MaxCycles-base, base, cp.R0)
+					_, r0, err := s.RestoreAt(base, x)
+					if err != nil {
+						return fmt.Errorf("bench: checkpoint %d agreed available: %w", base, err)
 					}
+					cycles, relres = s.SolveFrom(b, x, p.Rtol, p.MaxCycles-base, base, r0)
 				} else {
 					cycles, relres = s.Solve(b, x, p.Rtol, p.MaxCycles)
 				}
@@ -232,22 +168,19 @@ func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, s
 		if res.Recoveries >= maxRec {
 			return res, fmt.Errorf("bench: giving up after %d recoveries", res.Recoveries)
 		}
-		avail := availLister(nil)
-		if hp.Collective != nil {
-			avail = hp.Collective
-		} else if store != nil {
-			avail = store
-		}
-		nc, lacked, rerr := cc.Restore(epoch, lackBitmap(avail), timeout)
+		nc, lacked, rerr := cc.Restore(epoch, lackBitmap(store.Iterations()), timeout)
 		if rerr != nil {
 			return res, rerr
 		}
 		cc = nc
 		base = bestCommon(lacked)
-		// Stamp the committed epoch into the stores (so a resumed run's
+		// Stamp the committed epoch into the store (so a resumed run's
 		// lower iteration numbers sort after the stale incarnation's) and
 		// pin the agreed restore point against retention.
-		stampStores(epoch, base, store, hp.Collective)
+		store.SetEpoch(epoch)
+		if base > 0 {
+			store.Protect(base)
+		}
 		res.RestoredAt = base
 		res.Recoveries++
 		if hp.OnRecovered != nil {
@@ -273,39 +206,23 @@ type SelfHealRun struct {
 	Seconds        float64 // virtual time of the healed run
 }
 
-// SelfHealIO selects the checkpoint path of an in-process chaos run.
-type SelfHealIO struct {
-	// CkptDir, when non-empty, checkpoints through the collective I/O
-	// layer (two-phase aggregated writes, data-sieving restore) into this
-	// directory; empty uses the in-memory replicated store.
-	CkptDir string
-	// Ckpt configures the collective store (stripe size, aggregators,
-	// per-rank fault plans).
-	Ckpt ckptio.Options
-	// FS, when non-nil, is the shared filesystem every rank's store runs
-	// on — the hook for injecting one host-wide fault/crash model across
-	// the whole in-process world.  Nil means the OS filesystem.
-	FS ckptio.FS
-}
-
 // RunMultigridSelfHeal is the in-process chaos harness: it solves the
 // reference problem cleanly, replays it with crashRank dying at crashFrac of
 // the clean duration (plus any link faults from fp), supervises the run from
 // an outside goroutine that Respawns dead ranks, and verifies the healed
-// run's convergence history bitwise against the reference.
-func RunMultigridSelfHeal(n int, p MultigridParams, crashRank int, crashFrac float64, fp *simnet.FaultPlan) (SelfHealRun, error) {
-	return RunMultigridSelfHealIO(n, p, crashRank, crashFrac, fp, SelfHealIO{})
-}
-
-// RunMultigridSelfHealIO is RunMultigridSelfHeal with a selectable
-// checkpoint path: io.CkptDir switches the run onto the collective
-// checkpoint layer, with every rank holding its own store handle over a
-// shared directory (and, optionally, a shared fault-injecting filesystem).
-func RunMultigridSelfHealIO(n int, p MultigridParams, crashRank int, crashFrac float64, fp *simnet.FaultPlan, io SelfHealIO) (SelfHealRun, error) {
+// run's convergence history bitwise against the reference.  Every rank
+// holds its own store handle, configured by ckpt (stripe size, aggregators,
+// per-rank I/O fault plans), over one temporary directory.
+func RunMultigridSelfHeal(n int, p MultigridParams, crashRank int, crashFrac float64, fp *simnet.FaultPlan, ckpt ckptio.Options) (SelfHealRun, error) {
 	var out SelfHealRun
+	dir, err := os.MkdirTemp("", "nccd-selfheal-ckpt-*")
+	if err != nil {
+		return out, err
+	}
+	defer os.RemoveAll(dir)
 
 	w := NewFaultyWorld(n, mpi.Optimized(), nil)
-	err := w.Run(func(c *mpi.Comm) error {
+	err = w.Run(func(c *mpi.Comm) error {
 		s, b, x := mgSetup(c, p, petsc.ScatterDatatype)
 		cycles, _ := s.Solve(b, x, p.Rtol, p.MaxCycles)
 		if c.Rank() == 0 {
@@ -325,7 +242,6 @@ func RunMultigridSelfHealIO(n int, p MultigridParams, crashRank int, crashFrac f
 	}
 	fw := NewFaultyWorld(n, mpi.Optimized(), plan)
 
-	var store ksp.CheckpointStore
 	var mu sync.Mutex
 	var detectedAt, recoveredAt time.Time
 	body := func(rejoinEpoch uint64) func(c *mpi.Comm) error {
@@ -338,14 +254,11 @@ func RunMultigridSelfHealIO(n int, p MultigridParams, crashRank int, crashFrac f
 					}
 					mu.Unlock()
 				}}
-			if io.CkptDir != "" {
-				cst, cerr := ckptio.NewStore(io.CkptDir, io.FS, io.Ckpt)
-				if cerr != nil {
-					return cerr
-				}
-				hp.Collective = cst
+			store, err := ckptio.NewStore(dir, nil, ckpt)
+			if err != nil {
+				return err
 			}
-			r, err := SelfHealMultigrid(c, p, petsc.ScatterDatatype, &store, hp)
+			r, err := SelfHealMultigrid(c, p, petsc.ScatterDatatype, store, hp)
 			if err != nil {
 				return err
 			}

@@ -1,10 +1,14 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
-	"nccd/internal/ksp"
+	"nccd/internal/ckptio"
+	"nccd/internal/mpi"
+	"nccd/internal/petsc"
 	"nccd/internal/simnet"
 	"nccd/internal/transport"
 )
@@ -16,7 +20,7 @@ import (
 // from the restored cycle on.
 func TestSelfHealMultigrid(t *testing.T) {
 	p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 20}
-	run, err := RunMultigridSelfHeal(4, p, 2, 0.5, nil)
+	run, err := RunMultigridSelfHeal(4, p, 2, 0.5, nil, ckptio.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +52,7 @@ func TestSelfHealMultigrid(t *testing.T) {
 func TestSelfHealMultigridLossy(t *testing.T) {
 	p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 20}
 	fp := &simnet.FaultPlan{Seed: 7, Drop: 0.01, Duplicate: 0.01}
-	run, err := RunMultigridSelfHeal(4, p, 2, 0.5, fp)
+	run, err := RunMultigridSelfHeal(4, p, 2, 0.5, fp, ckptio.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +69,7 @@ func TestSelfHealMultigridLossy(t *testing.T) {
 // check that a replacement incarnation picks the reporting duty back up.
 func TestSelfHealRankZero(t *testing.T) {
 	p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 20}
-	run, err := RunMultigridSelfHeal(4, p, 0, 0.5, nil)
+	run, err := RunMultigridSelfHeal(4, p, 0, 0.5, nil, ckptio.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +84,7 @@ func TestSelfHealRankZero(t *testing.T) {
 // TestLackBitmap covers the availability-consensus encoding: the OR of lack
 // bitmaps picks the newest commonly held checkpoint, falling back to 0.
 func TestLackBitmap(t *testing.T) {
-	mk := func(its ...int) []uint64 {
-		var st fakeStore
-		st.its = its
-		return lackBitmap(&st)
-	}
+	mk := func(its ...int) []uint64 { return lackBitmap(its) }
 	or := func(a, b []uint64) []uint64 {
 		out := make([]uint64, len(a))
 		for i := range a {
@@ -101,18 +101,97 @@ func TestLackBitmap(t *testing.T) {
 	if got := bestCommon(or(mk(), mk(100))); got != 0 {
 		t.Fatalf("empty store must force 0, got %d", got)
 	}
-	if got := bestCommon(lackBitmap(nil)); got != 0 {
-		t.Fatalf("nil store must force 0, got %d", got)
-	}
 }
 
-// fakeStore only serves Iterations; lackBitmap reads nothing else.
-type fakeStore struct{ its []int }
+// TestMultigridRankResume covers the service's restore-point agreement:
+// after a checkpointed run, damage to the newest checkpoint that only ONE
+// rank's file view touches makes just that rank lack it, and every rank of
+// the resumed run must still agree on the previous checkpoint and
+// reproduce the uninterrupted history bitwise from there.
+func TestMultigridRankResume(t *testing.T) {
+	const n = 4
+	p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-30, MaxCycles: 10}
+	dir := t.TempDir()
+	// 16^3 on 4 ranks splits y and z in two; a 1 KiB stripe is eight
+	// 16-value rows, exactly one rank's share of one z-plane, so the
+	// file's last stripe belongs to rank 3 alone.
+	opt := ckptio.Options{StripeBytes: 1024, Aggregators: 2}
+	run := func(p MultigridParams, opts func() (MultigridRankOptions, error)) []MultigridResult {
+		t.Helper()
+		out := make([]MultigridResult, n)
+		err := NewFaultyWorld(n, mpi.Optimized(), nil).Run(func(c *mpi.Comm) error {
+			o, err := opts()
+			if err != nil {
+				return err
+			}
+			out[c.Rank()], err = MultigridRank(c, p, petsc.ScatterDatatype, o)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	withStore := func(resume bool) func() (MultigridRankOptions, error) {
+		return func() (MultigridRankOptions, error) {
+			st, err := ckptio.NewStore(dir, nil, opt)
+			return MultigridRankOptions{Store: st, CheckpointEvery: 2, Resume: resume}, err
+		}
+	}
+	ref := run(p, func() (MultigridRankOptions, error) { return MultigridRankOptions{}, nil })[0]
 
-func (f *fakeStore) Put(ksp.Checkpoint)             {}
-func (f *fakeStore) Latest() (ksp.Checkpoint, bool) { return ksp.Checkpoint{}, false }
-func (f *fakeStore) At(int) (ksp.Checkpoint, bool)  { return ksp.Checkpoint{}, false }
-func (f *fakeStore) Iterations() []int              { return f.its }
+	// The interrupted run stops after cycle 6, leaving checkpoints 2, 4, 6.
+	short := p
+	short.MaxCycles = 6
+	run(short, withStore(false))
+
+	// Flip the last byte of the cycle-6 payload.
+	data, err := filepath.Glob(filepath.Join(dir, "*c000000006.data"))
+	if err != nil || len(data) != 1 {
+		t.Fatalf("cycle-6 data file: %v %v", data, err)
+	}
+	buf, err := os.ReadFile(data[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[len(buf)-1] ^= 0x40
+	if err := os.WriteFile(data[0], buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	has6 := make([]bool, n)
+	err = NewFaultyWorld(n, mpi.Optimized(), nil).Run(func(c *mpi.Comm) error {
+		st, err := ckptio.NewStore(dir, nil, opt)
+		if err != nil {
+			return err
+		}
+		s, _, _ := mgSetup(c, p, petsc.ScatterDatatype)
+		bindStore(s, st, 0)
+		for _, it := range st.Iterations() {
+			has6[c.Rank()] = has6[c.Rank()] || it == 6
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !has6[0] || !has6[1] || !has6[2] || has6[3] {
+		t.Fatalf("ranks holding cycle 6 after the damage: %v, want all but rank 3", has6)
+	}
+
+	for r, res := range run(p, withStore(true)) {
+		if res.Restored != 4 {
+			t.Fatalf("rank %d resumed from cycle %d, want 4", r, res.Restored)
+		}
+		if len(res.History) != len(ref.History)-4 {
+			t.Fatalf("rank %d resumed %d cycles, want %d", r, len(res.History), len(ref.History)-4)
+		}
+		for i, v := range res.History {
+			if v != ref.History[4+i] {
+				t.Fatalf("rank %d cycle %d residual %v, uninterrupted %v", r, 5+i, v, ref.History[4+i])
+			}
+		}
+	}
+}
 
 // TestRunRecoveryReport smoke-tests the benchmark entry point: detection
 // fires within the configured window, steady-state beat traffic is nonzero,
@@ -141,13 +220,13 @@ func TestRunRecoveryReport(t *testing.T) {
 	if !rep.CkptCollectiveHistoryMatches {
 		t.Fatalf("collective-I/O chaos run did not heal cleanly: %+v", rep)
 	}
-	// The point of two-phase aggregation: worst-rank write volume must drop
-	// below the replicated path's O(global) bytes.
-	if rep.CkptCollectiveMaxRankBytes <= 0 || rep.CkptCollectiveMaxRankBytes >= rep.CkptPerRankWriteBytes {
-		t.Fatalf("collective worst-rank bytes %d not below per-rank replicated bytes %d",
-			rep.CkptCollectiveMaxRankBytes, rep.CkptPerRankWriteBytes)
+	// The point of two-phase aggregation: worst-rank write volume stays
+	// below the O(global) bytes a replicated spill writes on every rank.
+	if rep.CkptCollectiveMaxRankBytes <= 0 || rep.CkptCollectiveMaxRankBytes >= rep.CkptGlobalBytes {
+		t.Fatalf("collective worst-rank bytes %d not below the global vector's %d",
+			rep.CkptCollectiveMaxRankBytes, rep.CkptGlobalBytes)
 	}
-	if rep.CkptPerRankWriteMS <= 0 || rep.CkptCollectiveWriteMS <= 0 || rep.CkptCollectiveSieveMS <= 0 {
+	if rep.CkptCollectiveWriteMS <= 0 || rep.CkptCollectiveSieveMS <= 0 {
 		t.Fatalf("checkpoint timings missing: %+v", rep)
 	}
 	path := t.TempDir() + "/BENCH_recovery.json"

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"nccd/internal/core"
@@ -199,6 +200,7 @@ func TestCollectiveRoundTrip(t *testing.T) {
 				return err
 			}
 		}
+		c.Barrier() // rank 0 prunes after the commit broadcast releases its peers
 		its := st.Iterations()
 		if len(its) != 3 || its[0] != 3 || its[2] != 5 {
 			t.Errorf("rank %d retained %v, want [3 4 5]", c.Rank(), its)
@@ -224,6 +226,76 @@ func TestCollectiveRoundTrip(t *testing.T) {
 			return err
 		}
 		bitwiseEqual(t, dst, testData(5, c.Rank(), n), "reopened restore")
+		return nil
+	})
+}
+
+// TestPruneRetention pins the retention order rank 0 applies after every
+// commit.  A respawned world at a later epoch writes lower cycle numbers
+// than its pre-crash incarnation: (epoch, cycle) ordering must evict the
+// stale epoch's tail, not the new incarnation's files; a Protected cycle —
+// the agreed restore point — survives any pressure; the newest commit is
+// never evicted; and otherwise exactly Keep commits remain.
+func TestPruneRetention(t *testing.T) {
+	const n = 2
+	put := func(st *Store, c *mpi.Comm, cycles ...int) error {
+		for _, cy := range cycles {
+			if err := st.PutOwned(cy, 0.5, 1, testData(cy, c.Rank(), n)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	want := func(st *Store, c *mpi.Comm, what string, cycles ...int) {
+		c.Barrier() // rank 0 prunes after the commit broadcast
+		if its := st.Iterations(); !reflect.DeepEqual(its, cycles) {
+			t.Errorf("rank %d %s: retained %v, want %v", c.Rank(), what, its, cycles)
+		}
+	}
+
+	dir := t.TempDir()
+	runWorld(t, n, func(c *mpi.Comm) error {
+		st, err := NewStore(dir, nil, Options{StripeBytes: testStripe, Keep: 3})
+		if err != nil {
+			return err
+		}
+		st.Bind(c, testTotal, testSegs(c.Rank(), n))
+		if err := put(st, c, 2, 4, 6, 8, 10); err != nil { // epoch 0, pre-crash
+			return err
+		}
+		want(st, c, "Keep=3", 6, 8, 10)
+
+		st.SetEpoch(1)
+		st.Protect(4)
+		if err := put(st, c, 2, 4); err != nil { // epoch 1, resumed from before 6
+			return err
+		}
+		// (epoch, cycle) order is e0c6 e0c8 e0c10 e1c2 e1c4: the two
+		// oldest epoch-0 commits go; ordering by cycle alone would have
+		// evicted the new incarnation's 2 and 4 instead.
+		want(st, c, "stale epoch first", 2, 4, 10)
+
+		if err := put(st, c, 6, 8, 10, 12); err != nil {
+			return err
+		}
+		want(st, c, "protected cycle under pressure", 4, 10, 12)
+		return nil
+	})
+
+	// With Keep=1 and the only older commit protected, the excess cannot
+	// be met — and must not be met by evicting the newest commit.
+	dir = t.TempDir()
+	runWorld(t, n, func(c *mpi.Comm) error {
+		st, err := NewStore(dir, nil, Options{StripeBytes: testStripe, Keep: 1})
+		if err != nil {
+			return err
+		}
+		st.Bind(c, testTotal, testSegs(c.Rank(), n))
+		st.Protect(2)
+		if err := put(st, c, 2, 4); err != nil {
+			return err
+		}
+		want(st, c, "newest untouchable", 2, 4)
 		return nil
 	})
 }

@@ -86,12 +86,12 @@ type stripeBufs map[int][]byte
 func unpackPieces(msg []byte, l Layout, me int, bufs stripeBufs) {
 	le := binary.LittleEndian
 	if len(msg) < 4 {
-		panic("ckptio: truncated piece message")
+		panic("checkpoint: truncated piece message")
 	}
 	n := int(le.Uint32(msg))
 	hdr, pay := 4, 4+pieceHdrLen*n
 	if len(msg) < pay {
-		panic("ckptio: truncated piece headers")
+		panic("checkpoint: truncated piece headers")
 	}
 	for i := 0; i < n; i++ {
 		off := int64(le.Uint64(msg[hdr:]))
@@ -99,7 +99,7 @@ func unpackPieces(msg []byte, l Layout, me int, bufs stripeBufs) {
 		hdr += pieceHdrLen
 		s := int(off / l.StripeBytes)
 		if l.StripeOwner(s) != me {
-			panic("ckptio: piece routed to wrong aggregator")
+			panic("checkpoint: piece routed to wrong aggregator")
 		}
 		soff, sn := l.StripeRange(s)
 		b := bufs[s]
@@ -108,7 +108,7 @@ func unpackPieces(msg []byte, l Layout, me int, bufs stripeBufs) {
 			bufs[s] = b
 		}
 		if pay+int(ln) > len(msg) || off-soff+ln > int64(len(b)) {
-			panic("ckptio: piece out of stripe bounds")
+			panic("checkpoint: piece out of stripe bounds")
 		}
 		copy(b[off-soff:], msg[pay:pay+int(ln)])
 		pay += int(ln)
@@ -201,9 +201,9 @@ func collectiveWrite(c *mpi.Comm, fs FS, dir string, l Layout, v FileView, local
 			_ = fs.Remove(filepath.Join(dir, dataName(cm.Epoch, cm.Cycle)))
 		}
 		if localErr != nil {
-			return fmt.Errorf("ckptio: epoch (%d,%d) aborted: %w", cm.Epoch, cm.Cycle, localErr)
+			return fmt.Errorf("checkpoint: epoch (%d,%d) aborted: %w", cm.Epoch, cm.Cycle, localErr)
 		}
-		return fmt.Errorf("ckptio: epoch (%d,%d) aborted by peer I/O fault", cm.Epoch, cm.Cycle)
+		return fmt.Errorf("checkpoint: epoch (%d,%d) aborted by peer I/O fault", cm.Epoch, cm.Cycle)
 	}
 
 	// Commit: rank 0 assembles the stripe CRC list in stripe order and
@@ -229,9 +229,9 @@ func collectiveWrite(c *mpi.Comm, fs FS, dir string, l Layout, v FileView, local
 	out := c.Bcast(0, []byte{ok})
 	if out[0] == 0 {
 		if localErr != nil {
-			return fmt.Errorf("ckptio: epoch (%d,%d) commit failed: %w", cm.Epoch, cm.Cycle, localErr)
+			return fmt.Errorf("checkpoint: epoch (%d,%d) commit failed: %w", cm.Epoch, cm.Cycle, localErr)
 		}
-		return fmt.Errorf("ckptio: epoch (%d,%d) commit failed on rank 0", cm.Epoch, cm.Cycle)
+		return fmt.Errorf("checkpoint: epoch (%d,%d) commit failed on rank 0", cm.Epoch, cm.Cycle)
 	}
 	c.Span("ckpt_write", start,
 		obs.Attr{Key: "cycle", Val: fmt.Sprint(cm.Cycle)},

@@ -25,7 +25,7 @@ const commitVersion = 1
 // ErrDamaged reports a commit record or checkpoint payload that fails
 // validation — truncated, bit-flipped, wrong magic, stale version.  Damaged
 // checkpoints drop out of restore consensus; they never abort a solve.
-var ErrDamaged = errors.New("ckptio: damaged checkpoint")
+var ErrDamaged = errors.New("checkpoint: damaged checkpoint")
 
 // Commit describes one durable collective checkpoint.
 type Commit struct {

@@ -23,12 +23,12 @@ import (
 var (
 	// ErrInjected marks a seeded I/O fault (short write, EIO, fsync
 	// failure).  Real-world analog: a flaky disk or filesystem.
-	ErrInjected = errors.New("ckptio: injected I/O fault")
+	ErrInjected = errors.New("checkpoint: injected I/O fault")
 	// ErrNoSpace marks an injected out-of-space condition.
-	ErrNoSpace = errors.New("ckptio: injected ENOSPC")
+	ErrNoSpace = errors.New("checkpoint: injected ENOSPC")
 	// ErrCrashed reports that the simulated host has crashed: every
 	// operation after the crash point fails.
-	ErrCrashed = errors.New("ckptio: simulated crash")
+	ErrCrashed = errors.New("checkpoint: simulated crash")
 )
 
 // FaultPlan configures seeded I/O fault injection.  The zero value injects
@@ -74,7 +74,7 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 	for _, kv := range strings.Split(spec, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
-			return nil, fmt.Errorf("ckptio: fault spec %q: want key=value", kv)
+			return nil, fmt.Errorf("checkpoint: fault spec %q: want key=value", kv)
 		}
 		var err error
 		switch k {
@@ -93,10 +93,10 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 		case "seed":
 			p.Seed, err = strconv.ParseUint(v, 10, 64)
 		default:
-			return nil, fmt.Errorf("ckptio: fault spec: unknown key %q", k)
+			return nil, fmt.Errorf("checkpoint: fault spec: unknown key %q", k)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("ckptio: fault spec %q: %w", kv, err)
+			return nil, fmt.Errorf("checkpoint: fault spec %q: %w", kv, err)
 		}
 	}
 	return p, nil

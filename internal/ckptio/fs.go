@@ -1,6 +1,6 @@
 // Package ckptio is the collective checkpoint I/O layer: an MPI-IO-style
-// path that turns the per-rank whole-file checkpoint writes of ksp.FileStore
-// into a collective, fault-tolerant operation.  Each rank describes its
+// path that makes writing a checkpoint one collective, fault-tolerant
+// operation instead of a whole-file write per rank.  Each rank describes its
 // ghost-free owned subdomain as a noncontiguous *file view* (the same
 // flattened-plan machinery that drives the scatter hot path, applied on the
 // file axis, per Thakur/Gropp/Lusk's two-phase + data-sieving design); a
@@ -116,7 +116,7 @@ func WriteFileAt(f File, data []byte, off int64) error {
 		return err
 	}
 	if n != len(data) {
-		return fmt.Errorf("ckptio: short write: %d of %d bytes", n, len(data))
+		return fmt.Errorf("checkpoint: short write: %d of %d bytes", n, len(data))
 	}
 	return nil
 }

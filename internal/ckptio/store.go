@@ -143,11 +143,11 @@ func (s *Store) aggregators(size int) int {
 // collectives' typed errors for the caller's recovery path.
 func (s *Store) PutOwned(cycle int, residual, r0 float64, data []float64) error {
 	if s.c == nil {
-		return fmt.Errorf("ckptio: store not bound")
+		return fmt.Errorf("checkpoint: store not bound")
 	}
 	local := floatbytes.Bytes(data)
 	if len(local) != s.view.LocalBytes() {
-		return fmt.Errorf("ckptio: local data %d bytes, view holds %d", len(local), s.view.LocalBytes())
+		return fmt.Errorf("checkpoint: local data %d bytes, view holds %d", len(local), s.view.LocalBytes())
 	}
 	l := NewLayout(s.view.Total, s.opt.StripeBytes, s.aggregators(s.c.Size()), s.c.Size())
 	cm := Commit{
@@ -289,11 +289,11 @@ func (s *Store) bestFor(cycle int) (commitRef, Commit, bool) {
 // hold exactly the view's element count.
 func (s *Store) ReadOwned(cycle int, dst []float64) (residual, r0 float64, err error) {
 	if s.c == nil {
-		return 0, 0, fmt.Errorf("ckptio: store not bound")
+		return 0, 0, fmt.Errorf("checkpoint: store not bound")
 	}
 	buf := floatbytes.Bytes(dst)
 	if len(buf) != s.view.LocalBytes() {
-		return 0, 0, fmt.Errorf("ckptio: dst %d bytes, view holds %d", len(buf), s.view.LocalBytes())
+		return 0, 0, fmt.Errorf("checkpoint: dst %d bytes, view holds %d", len(buf), s.view.LocalBytes())
 	}
 	start := s.c.Clock()
 	r, cm, ok := s.bestFor(cycle)

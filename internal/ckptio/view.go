@@ -44,7 +44,7 @@ func (v FileView) validate() {
 	prev := 0
 	for _, s := range v.Segs {
 		if s.Len <= 0 || s.Off < prev || int64(s.Off+s.Len) > v.Total {
-			panic("ckptio: file view segments must be ascending, positive and in range")
+			panic("checkpoint: file view segments must be ascending, positive and in range")
 		}
 		prev = s.Off + s.Len
 	}

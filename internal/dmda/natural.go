@@ -1,8 +1,6 @@
 package dmda
 
 import (
-	"fmt"
-
 	"nccd/internal/datatype"
 	"nccd/internal/floatbytes"
 	"nccd/internal/petsc"
@@ -53,182 +51,36 @@ func (da *DA) NaturalSegments() []datatype.Segment {
 // NaturalBytes returns the natural-order file-domain size in bytes.
 func (da *DA) NaturalBytes() int64 { return int64(da.NaturalCount()) * 8 }
 
-// naturalRows calls f(nat, local, n) for every contiguous row of box b:
-// n values starting at natural index nat, stored at offset local in the
-// box's canonical packed order.
-func (da *DA) naturalRows(b Box, f func(nat, local, n int)) {
-	rowN := (b.Hi[0] - b.Lo[0]) * da.dof
-	if rowN <= 0 {
-		return
-	}
-	local := 0
-	for k := b.Lo[2]; k < b.Hi[2]; k++ {
-		for j := b.Lo[1]; j < b.Hi[1]; j++ {
-			f(da.naturalIndex(b.Lo[0], j, k), local, rowN)
-			local += rowN
-		}
-	}
-}
-
-// rangeCount returns how many of box b's values fall in natural-index
-// range [lo, hi).
-func (da *DA) rangeCount(b Box, lo, hi int) int {
-	total := 0
-	da.naturalRows(b, func(nat, _, n int) {
-		total += overlap(nat, n, lo, hi)
-	})
-	return total
-}
-
-// overlap returns the size of the intersection of [nat, nat+n) and [lo, hi).
-func overlap(nat, n, lo, hi int) int {
-	a, b := nat, nat+n
-	if a < lo {
-		a = lo
-	}
-	if b > hi {
-		b = hi
-	}
-	if b <= a {
-		return 0
-	}
-	return b - a
-}
-
 // GatherNatural gathers the distributed vector g into a replicated
 // natural-order array on every rank.  Built on Allgatherv — with
 // agglomerated levels some ranks contribute zero values, so the call rides
-// the nonuniform-volume path the paper studies — which also means it
-// degrades gracefully after rank failures: a dead rank's (empty)
-// contribution is skipped and the survivors still obtain the array.  The
-// replication is what makes the result usable as a checkpoint: any
-// surviving subset of ranks holds the complete state.  Collective.
+// the nonuniform-volume path the paper studies.  O(global) memory on every
+// rank: it is the decomposition-independent oracle tests compare
+// distributed state against (checkpoints go through NaturalSegments and
+// never replicate).  Collective.
 func (da *DA) GatherNatural(g *petsc.Vec) []float64 {
-	return da.GatherNaturalRange(g, 0, da.NaturalCount())
-}
-
-// GatherNaturalRange gathers only the natural-index window [lo, hi) of the
-// distributed vector, replicated on every rank.  Each rank contributes just
-// its owned values that fall inside the window, so memory and traffic scale
-// with the window, not the global array — the accessor that lets callers
-// (and the collective I/O fallbacks) stop allocating O(global) per rank.
-// Collective; every rank must pass the same window.
-func (da *DA) GatherNaturalRange(g *petsc.Vec, lo, hi int) []float64 {
-	if lo < 0 || hi < lo || hi > da.NaturalCount() {
-		panic(fmt.Sprintf("dmda: natural range [%d,%d) out of bounds", lo, hi))
-	}
 	if g.LocalSize() != da.OwnedCount() {
 		panic("dmda: global vector does not match DA layout")
 	}
 	size := da.c.Size()
-	counts := make([]int, size)
 	byteCounts := make([]int, size)
-	total := 0
-	for r := 0; r < size; r++ {
-		counts[r] = da.rangeCount(da.ownedBoxOfRank(r), lo, hi)
-		byteCounts[r] = counts[r] * 8
-		total += counts[r]
+	for r := range byteCounts {
+		byteCounts[r] = da.ownedBoxOfRank(r).Cells() * da.dof * 8
 	}
+	packed := make([]float64, da.NaturalCount())
+	da.c.Allgatherv(floatbytes.Bytes(g.Array()), byteCounts, floatbytes.Bytes(packed))
 
-	// Pack this rank's in-window values in row order.
-	ga := g.Array()
-	send := make([]float64, 0, counts[da.c.Rank()])
-	da.naturalRows(da.own, func(nat, local, n int) {
-		a, b := nat, nat+n
-		if a < lo {
-			a = lo
-		}
-		if b > hi {
-			b = hi
-		}
-		if b > a {
-			send = append(send, ga[local+a-nat:local+b-nat]...)
-		}
-	})
-
-	packed := make([]float64, total)
-	da.c.Allgatherv(floatbytes.Bytes(send), byteCounts, floatbytes.Bytes(packed))
-
-	// Place every rank's in-window rows into the window array.
-	out := make([]float64, hi-lo)
+	// Place every rank's rows (canonical box order) into natural order.
+	out := make([]float64, da.NaturalCount())
 	off := 0
 	for r := 0; r < size; r++ {
-		da.naturalRows(da.ownedBoxOfRank(r), func(nat, _, n int) {
-			a, b := nat, nat+n
-			if a < lo {
-				a = lo
+		b := da.ownedBoxOfRank(r)
+		rowN := (b.Hi[0] - b.Lo[0]) * da.dof
+		for k := b.Lo[2]; k < b.Hi[2]; k++ {
+			for j := b.Lo[1]; j < b.Hi[1]; j++ {
+				off += copy(out[da.naturalIndex(b.Lo[0], j, k):], packed[off:off+rowN])
 			}
-			if b > hi {
-				b = hi
-			}
-			if b > a {
-				copy(out[a-lo:b-lo], packed[off:off+b-a])
-				off += b - a
-			}
-		})
+		}
 	}
 	return out
-}
-
-// placeBox copies a box's values (canonical box order) into their
-// natural-order positions.
-func (da *DA) placeBox(b Box, vals, nat []float64) {
-	rowN := (b.Hi[0] - b.Lo[0]) * da.dof
-	src := 0
-	for k := b.Lo[2]; k < b.Hi[2]; k++ {
-		for j := b.Lo[1]; j < b.Hi[1]; j++ {
-			copy(nat[da.naturalIndex(b.Lo[0], j, k):], vals[src:src+rowN])
-			src += rowN
-		}
-	}
-}
-
-// ScatterNatural fills this rank's part of the distributed vector g from a
-// replicated natural-order array, the inverse of GatherNatural.  Purely
-// local — which is the point: after a failure, a new DA over the shrunk
-// communicator restores its decomposition from the replicated checkpoint
-// without any communication.
-func (da *DA) ScatterNatural(nat []float64, g *petsc.Vec) {
-	if len(nat) != da.NaturalCount() {
-		panic(fmt.Sprintf("dmda: natural array %d does not match grid %d", len(nat), da.NaturalCount()))
-	}
-	if g.LocalSize() != da.OwnedCount() {
-		panic("dmda: global vector does not match DA layout")
-	}
-	ga := g.Array()
-	b := da.own
-	rowN := (b.Hi[0] - b.Lo[0]) * da.dof
-	dst := 0
-	for k := b.Lo[2]; k < b.Hi[2]; k++ {
-		for j := b.Lo[1]; j < b.Hi[1]; j++ {
-			copy(ga[dst:dst+rowN], nat[da.naturalIndex(b.Lo[0], j, k):])
-			dst += rowN
-		}
-	}
-}
-
-// ScatterNaturalRange fills the parts of this rank's portion of g that fall
-// in the natural-index window [lo, hi) from a window-sized array (the
-// counterpart of GatherNaturalRange).  Values outside the window are left
-// untouched.  Purely local.
-func (da *DA) ScatterNaturalRange(window []float64, lo, hi int, g *petsc.Vec) {
-	if len(window) != hi-lo {
-		panic(fmt.Sprintf("dmda: window array %d does not match range [%d,%d)", len(window), lo, hi))
-	}
-	if g.LocalSize() != da.OwnedCount() {
-		panic("dmda: global vector does not match DA layout")
-	}
-	ga := g.Array()
-	da.naturalRows(da.own, func(nat, local, n int) {
-		a, b := nat, nat+n
-		if a < lo {
-			a = lo
-		}
-		if b > hi {
-			b = hi
-		}
-		if b > a {
-			copy(ga[local+a-nat:local+b-nat], window[a-lo:b-lo])
-		}
-	})
 }

@@ -79,18 +79,6 @@ type CG struct {
 
 	// Monitor, when non-nil, is called with (iteration, residual norm).
 	Monitor func(it int, rnorm float64)
-
-	// Checkpoint, when non-nil, is called every CheckpointEvery iterations
-	// with the current iterate, so recovery code can snapshot solver state
-	// (see CheckpointStore).  Collective with the solve.
-	Checkpoint      func(it int, rnorm float64, x *petsc.Vec)
-	CheckpointEvery int // default 0 = never
-}
-
-func (s *CG) checkpoint(it int, rnorm float64, x *petsc.Vec) {
-	if s.Checkpoint != nil && s.CheckpointEvery > 0 && it%s.CheckpointEvery == 0 {
-		s.Checkpoint(it, rnorm, x)
-	}
 }
 
 func (s *CG) defaults() (float64, float64, int) {
@@ -189,7 +177,6 @@ func (s *CG) solve(b, x *petsc.Vec) Result {
 		if rnorm <= rtol*bnorm || rnorm <= atol {
 			return Result{Iterations: it, Residual: rnorm, Converged: true}
 		}
-		s.checkpoint(it, rnorm, x)
 		M.Precondition(r, z)
 		rzNew := r.Dot(z)
 		beta := rzNew / rz
@@ -212,10 +199,6 @@ type Richardson struct {
 	MaxIts int // default 1000
 
 	Monitor func(it int, rnorm float64)
-
-	// Checkpoint and CheckpointEvery behave as in CG.
-	Checkpoint      func(it int, rnorm float64, x *petsc.Vec)
-	CheckpointEvery int
 }
 
 // Solve solves A x = b from initial guess x, overwriting x.  Collective.
@@ -268,9 +251,6 @@ func (s *Richardson) solve(b, x *petsc.Vec) Result {
 		}
 		if it >= maxIts {
 			return Result{Iterations: it, Residual: rnorm, Converged: false}
-		}
-		if s.Checkpoint != nil && s.CheckpointEvery > 0 && it%s.CheckpointEvery == 0 {
-			s.Checkpoint(it, rnorm, x)
 		}
 		M.Precondition(r, z)
 		x.AXPY(omega, z)

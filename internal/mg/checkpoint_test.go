@@ -4,45 +4,63 @@ import (
 	"fmt"
 	"testing"
 
-	"nccd/internal/ksp"
+	"nccd/internal/ckptio"
 	"nccd/internal/mpi"
 	"nccd/internal/petsc"
 	"nccd/internal/simnet"
 )
 
+// bindStore attaches st to s's finest-level file view and arms a
+// checkpoint every `every` cycles (0 = restore only).
+func bindStore(s *Solver, st *ckptio.Store, every int) {
+	da := s.DA(0)
+	st.Bind(da.Comm(), da.NaturalBytes(), da.NaturalSegments())
+	s.Checkpoints, s.CheckpointEvery = st, every
+}
+
 // TestCheckpointNaturalRoundTrip is the recovery-path data property: a
-// checkpoint taken at full world size round-trips BITWISE through
-// dmda.GatherNatural/ScatterNatural across decompositions — restored onto
-// a shrunken sub-communicator (as after a failure), re-gathered, spilled
-// through the durable FileStore (as across a process death), and finally
-// restored onto the regrown full-size world.  Any representation loss
-// along that chain would silently fork the resumed solve's history.
+// checkpoint written collectively at full world size restores BITWISE
+// under other decompositions — onto a shrunken sub-communicator (as after
+// a failure) whose ranks rebind the store to their new file view, and,
+// through a fresh store handle (as a respawned process opens one), onto
+// the regrown full-size world.  dmda.GatherNatural is the decomposition-
+// independent oracle.  Any representation loss along that chain would
+// silently fork the resumed solve's history.
 func TestCheckpointNaturalRoundTrip(t *testing.T) {
 	const n, m = 4, 2 // full world size, shrunken size
 	ext := []int{16, 12, 8}
 	dir := t.TempDir()
+	// 1 KiB stripes cut the 12 KiB file domain into many stripes over two
+	// aggregators, so every restore sieves across stripe boundaries.
+	opt := ckptio.Options{StripeBytes: 1024, Aggregators: 2}
 
 	w := mpi.NewWorld(simnet.Uniform(n, simnet.IBDDR()), mpi.Optimized())
 	err := w.Run(func(c *mpi.Comm) error {
-		// A partial solve at full size produces a genuine checkpoint.
-		var store ksp.CheckpointStore
+		st, err := ckptio.NewStore(dir, nil, opt)
+		if err != nil {
+			return err
+		}
+		// A partial solve at full size produces genuine checkpoints; the
+		// last one is taken after the final cycle, so x is its content.
 		s := New(c, ext, 2, petsc.ScatterDatatype)
-		s.Checkpoints, s.CheckpointEvery = &store, 2
+		bindStore(s, st, 2)
 		b, x := s.CreateVec(), s.CreateVec()
 		ba := b.Array()
 		for i := range ba {
 			ba[i] = float64(c.Rank()*1000+i) / 97.0
 		}
-		s.Solve(b, x, 1e-30, 5) // tolerance unreachable: all 5 cycles run
-		cp, ok := store.Latest()
-		if !ok {
-			return fmt.Errorf("no checkpoint after 5 cycles with every=2")
-		}
-		if cp.Iteration != 4 || cp.R0 <= 0 {
-			return fmt.Errorf("checkpoint iteration %d r0 %v", cp.Iteration, cp.R0)
-		}
-		if its := store.Iterations(); len(its) != 2 || its[0] != 2 || its[1] != 4 {
+		s.Solve(b, x, 1e-30, 4) // tolerance unreachable: all 4 cycles run
+		if its := st.Iterations(); len(its) != 2 || its[0] != 2 || its[1] != 4 {
 			return fmt.Errorf("retained iterations %v, want [2 4]", its)
+		}
+		want := s.DA(0).GatherNatural(x)
+		same := func(what string, got []float64) error {
+			for i := range want {
+				if got[i] != want[i] {
+					return fmt.Errorf("%s round-trip differs at %d: %v vs %v", what, i, got[i], want[i])
+				}
+			}
+			return nil
 		}
 
 		// Restore onto a shrunken sub-world, the post-failure decomposition.
@@ -50,55 +68,39 @@ func TestCheckpointNaturalRoundTrip(t *testing.T) {
 		if c.Rank() >= m {
 			color = -1
 		}
-		sub := c.Split(color, 0)
-		var nat2 []float64
-		if sub != nil {
+		if sub := c.Split(color, 0); sub != nil {
 			ss := New(sub, ext, 2, petsc.ScatterDatatype)
+			bindStore(ss, st, 0)
 			x2 := ss.CreateVec()
-			if got, ok := ss.RestoreAt(&store, cp.Iteration, x2); !ok || got.Iteration != cp.Iteration {
-				return fmt.Errorf("RestoreAt on shrunken world failed")
+			if _, _, err := ss.RestoreAt(4, x2); err != nil {
+				return fmt.Errorf("RestoreAt on shrunken world: %w", err)
 			}
-			nat2 = ss.DA(0).GatherNatural(x2)
-			for i := range cp.X {
-				if nat2[i] != cp.X[i] {
-					return fmt.Errorf("shrink round-trip differs at %d: %v vs %v", i, nat2[i], cp.X[i])
-				}
-			}
-		}
-
-		// Spill through the durable store and read it back with a fresh
-		// handle, as a respawned process would.
-		if c.Rank() == 0 {
-			fs, err := ksp.NewFileStore(dir, c.Rank())
-			if err != nil {
+			if err := same("shrink", ss.DA(0).GatherNatural(x2)); err != nil {
 				return err
 			}
-			fs.Put(ksp.Checkpoint{Iteration: cp.Iteration, Residual: cp.Residual, R0: cp.R0, X: nat2})
 		}
 		c.Barrier()
-		fs2, err := ksp.NewFileStore(dir, 0)
+
+		// Reopen the directory with a fresh handle, as a respawned process
+		// would, and restore onto the regrown full-size world.
+		st2, err := ckptio.NewStore(dir, nil, opt)
 		if err != nil {
 			return err
 		}
-		disk, ok := fs2.At(cp.Iteration)
-		if !ok {
-			return fmt.Errorf("durable checkpoint missing after respawn-style reopen")
-		}
-		if disk.R0 != cp.R0 || disk.Residual != cp.Residual {
-			return fmt.Errorf("durable checkpoint metadata drifted: %+v vs %+v", disk, cp)
-		}
-
-		// Restore onto the regrown full-size world and compare bitwise.
 		rs := New(c, ext, 2, petsc.ScatterDatatype)
+		bindStore(rs, st2, 0)
 		x3 := rs.CreateVec()
-		rs.DA(0).ScatterNatural(disk.X, x3)
-		nat3 := rs.DA(0).GatherNatural(x3)
-		for i := range cp.X {
-			if nat3[i] != cp.X[i] {
-				return fmt.Errorf("regrow round-trip differs at %d: %v vs %v", i, nat3[i], cp.X[i])
-			}
+		residual, r0, err := rs.RestoreAt(4, x3)
+		if err != nil {
+			return fmt.Errorf("RestoreAt after respawn-style reopen: %w", err)
 		}
-		return nil
+		if residual != s.History[3] || r0 <= 0 {
+			return fmt.Errorf("checkpoint metadata drifted: residual %v (history %v), r0 %v", residual, s.History[3], r0)
+		}
+		if _, _, err := rs.RestoreAt(3, x3); err == nil {
+			return fmt.Errorf("RestoreAt(3) invented a checkpoint")
+		}
+		return same("regrow", rs.DA(0).GatherNatural(x3))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,6 +114,7 @@ func TestCheckpointNaturalRoundTrip(t *testing.T) {
 // bitwise.
 func TestSolveFromMatchesUninterrupted(t *testing.T) {
 	ext := []int{16, 16}
+	dir := t.TempDir()
 	w := mpi.NewWorld(simnet.Uniform(4, simnet.IBDDR()), mpi.Optimized())
 	err := w.Run(func(c *mpi.Comm) error {
 		mkb := func(s *Solver) (*petsc.Vec, *petsc.Vec) {
@@ -130,26 +133,31 @@ func TestSolveFromMatchesUninterrupted(t *testing.T) {
 		refHist := append([]float64(nil), ref.History...)
 
 		// Interrupted: run with checkpoints, restore the iteration-4
-		// snapshot, resume with SolveFrom.
-		var store ksp.CheckpointStore
+		// snapshot into a new solver, resume with SolveFrom.
+		st, err := ckptio.NewStore(dir, nil, ckptio.Options{})
+		if err != nil {
+			return err
+		}
 		s := New(c, ext, 2, petsc.ScatterDatatype)
-		s.Checkpoints, s.CheckpointEvery = &store, 2
+		bindStore(s, st, 2)
 		b, x := mkb(s)
 		s.Solve(b, x, 1e-30, 5)
 
+		const base = 4
 		rs := New(c, ext, 2, petsc.ScatterDatatype)
+		bindStore(rs, st, 0)
 		b2, x2 := mkb(rs)
-		cp, ok := rs.RestoreAt(&store, 4, x2)
-		if !ok {
-			return fmt.Errorf("no iteration-4 checkpoint")
+		_, r0, err := rs.RestoreAt(base, x2)
+		if err != nil {
+			return fmt.Errorf("no iteration-%d checkpoint: %w", base, err)
 		}
-		cycles, _ := rs.SolveFrom(b2, x2, 1e-30, 4, cp.Iteration, cp.R0)
+		cycles, _ := rs.SolveFrom(b2, x2, 1e-30, 4, base, r0)
 		if cycles != 4 {
 			return fmt.Errorf("resumed %d cycles, want 4", cycles)
 		}
 		for i, v := range rs.History {
-			if refv := refHist[cp.Iteration+i]; v != refv {
-				return fmt.Errorf("resumed cycle %d residual %v, fault-free %v", cp.Iteration+i+1, v, refv)
+			if refv := refHist[base+i]; v != refv {
+				return fmt.Errorf("resumed cycle %d residual %v, fault-free %v", base+i+1, v, refv)
 			}
 		}
 		return nil

@@ -13,7 +13,6 @@ import (
 	"strconv"
 
 	"nccd/internal/dmda"
-	"nccd/internal/ksp"
 	"nccd/internal/mpi"
 	"nccd/internal/obs"
 	"nccd/internal/petsc"
@@ -37,6 +36,24 @@ type level struct {
 	interpSc    *petsc.Scatter // coarse global -> coarse patch (interp stencil sources)
 	interpBox   dmda.Box
 	coarsePatch []float64
+}
+
+// Checkpointer is the checkpoint store a Solver writes to and restores
+// from (ckptio.Store; builtin-typed so the I/O layer need not import the
+// solver stack).  Each rank contributes only its owned values, in its
+// decomposition's canonical order, and reads back exactly those — no rank
+// ever holds the replicated O(global) array.
+//
+// PutOwned is collective and returns an error when the checkpoint aborted
+// (an I/O fault on any rank, a failed commit); rank death inside it
+// surfaces as the mpi layer's typed errors for the caller's recovery path.
+// ReadOwned is purely local.  Iterations lists only checkpoints that fully
+// validate from this rank's perspective, so a damaged file drops out of
+// the restore-point agreement.
+type Checkpointer interface {
+	PutOwned(iteration int, residual, r0 float64, data []float64) error
+	ReadOwned(iteration int, dst []float64) (residual, r0 float64, err error)
+	Iterations() []int
 }
 
 // Solver is a geometric multigrid V-cycle solver/preconditioner for the
@@ -67,12 +84,13 @@ type Solver struct {
 	// witness between in-process and multi-process runs.
 	History []float64
 
-	// Checkpoints, when non-nil, receives a decomposition-independent
-	// snapshot of the finest-level iterate every CheckpointEvery V-cycles
-	// of Solve, enabling restart on a different (e.g. shrunk or regrown)
-	// communicator.  An in-memory ksp.CheckpointStore survives rank
-	// crashes in-process; a ksp.FileStore survives process death.
-	Checkpoints     ksp.Store
+	// Checkpoints, when non-nil, receives this rank's finest-level owned
+	// values every CheckpointEvery V-cycles of Solve and serves them back
+	// to RestoreAt, enabling restart on a different (e.g. shrunk or
+	// regrown) communicator.  The store must already be bound to this
+	// solver's finest DA (communicator + file view); the bench layer does
+	// that.
+	Checkpoints     Checkpointer
 	CheckpointEvery int
 
 	// OnCycle, when non-nil, runs before each V-cycle with the cycle number
@@ -83,15 +101,6 @@ type Solver struct {
 	// bitwise identical under any pacing — and where cooperative
 	// cancellation lands between cycles.
 	OnCycle func(cycle int) error
-
-	// OwnedCheckpoints, when non-nil, takes precedence over Checkpoints:
-	// checkpoints are written collectively — each rank contributes only
-	// its finest-level owned values and the store's two-phase aggregated
-	// write makes the union durable — and restored by per-rank data
-	// sieving, so no rank ever materializes the replicated O(global)
-	// natural array.  The store must be bound (communicator + file view)
-	// before the solve; the bench layer binds it from the finest DA.
-	OwnedCheckpoints ksp.OwnedStore
 
 	// coarseComm, when non-nil on active ranks, confines the coarsest
 	// solve's inner products to the ranks that actually hold coarse cells
@@ -680,8 +689,8 @@ func (s *Solver) Solve(b, x *petsc.Vec, rtol float64, maxCycles int) (cycles int
 // meant before the interruption.  On the same problem at the same world
 // size, the resumed History is therefore the fault-free run's history from
 // cycle base+1 on.  maxCycles is the remaining cycle budget; the returned
-// cycle count excludes base.  R0 and base travel inside each Checkpoint,
-// so a restore hands both straight back here.  Collective.
+// cycle count excludes base.  r0 travels inside each checkpoint, so
+// RestoreAt hands it straight back here.  Collective.
 func (s *Solver) SolveFrom(b, x *petsc.Vec, rtol float64, maxCycles, base int, r0 float64) (cycles int, relres float64) {
 	s.History = s.History[:0]
 	if r0 <= 0 {
@@ -723,26 +732,15 @@ func (s *Solver) solve(b, x *petsc.Vec, rtol float64, maxCycles int, r0 float64,
 			cycles++
 			break
 		}
-		if (s.OwnedCheckpoints != nil || s.Checkpoints != nil) && s.CheckpointEvery > 0 && (base+cycles+1)%s.CheckpointEvery == 0 {
+		if s.Checkpoints != nil && s.CheckpointEvery > 0 && (base+cycles+1)%s.CheckpointEvery == 0 {
 			cpStart := s.c.Clock()
-			if s.OwnedCheckpoints != nil {
-				// Collective two-phase write of the owned values; the
-				// local array of the global vector is already the file
-				// view's contribution buffer (canonical box order).  A
-				// returned error means the checkpoint epoch aborted
-				// (injected I/O fault somewhere) — checkpointing stays
-				// best-effort, and a rank failure mid-write resurfaces
-				// in the next V-cycle's collectives for the caller's
-				// recovery path.
-				_ = s.OwnedCheckpoints.PutOwned(base+cycles+1, relres, r0, x.Array())
-			} else {
-				s.Checkpoints.Put(ksp.Checkpoint{
-					Iteration: base + cycles + 1,
-					Residual:  relres,
-					R0:        r0,
-					X:         lv.da.GatherNatural(x),
-				})
-			}
+			// The global vector's local array is already the file view's
+			// contribution buffer (canonical box order).  A returned error
+			// means the checkpoint aborted (an I/O fault somewhere) —
+			// checkpointing stays best-effort, and a rank failure mid-write
+			// resurfaces in the next V-cycle's collectives for the
+			// caller's recovery path.
+			_ = s.Checkpoints.PutOwned(base+cycles+1, relres, r0, x.Array())
 			s.c.Span("checkpoint", cpStart,
 				obs.Attr{Key: "iteration", Val: strconv.Itoa(base + cycles + 1)})
 		}
@@ -750,50 +748,19 @@ func (s *Solver) solve(b, x *petsc.Vec, rtol float64, maxCycles int, r0 float64,
 	return cycles, relres
 }
 
-// Restore loads the latest checkpoint into x (the finest-level layout of
-// this solver's — possibly re-decomposed — DA) and returns the iteration it
-// was taken at.  Purely local: the checkpoint is replicated.  Returns -1
-// when the store holds nothing.
-func (s *Solver) Restore(st ksp.Store, x *petsc.Vec) int {
-	cp, ok := st.Latest()
-	if !ok {
-		return -1
-	}
-	s.levels[0].da.ScatterNatural(cp.X, x)
-	s.c.Span("restore", s.c.Clock(),
-		obs.Attr{Key: "iteration", Val: strconv.Itoa(cp.Iteration)})
-	return cp.Iteration
-}
-
-// RestoreAt loads the checkpoint taken at exactly the given iteration into
-// x and returns it (for its R0 and Residual).  The recovery path uses it
-// after the ranks agree on an iteration everyone can produce.  Purely
-// local: the checkpoint is replicated.
-func (s *Solver) RestoreAt(st ksp.Store, iteration int, x *petsc.Vec) (ksp.Checkpoint, bool) {
-	cp, ok := st.At(iteration)
-	if !ok {
-		return ksp.Checkpoint{}, false
-	}
-	s.levels[0].da.ScatterNatural(cp.X, x)
-	s.c.Span("restore", s.c.Clock(),
-		obs.Attr{Key: "iteration", Val: strconv.Itoa(cp.Iteration)})
-	return cp, true
-}
-
-// RestoreOwnedAt loads this rank's owned values of the checkpoint taken at
-// exactly the given iteration into x via the store's data-sieving read —
-// per-rank, no collective, no replicated gather — and returns its residual
-// and r0 for SolveFrom.  The recovery path uses it after the ranks agree on
-// an iteration everyone can produce.
-func (s *Solver) RestoreOwnedAt(st ksp.OwnedStore, iteration int, x *petsc.Vec) (residual, r0 float64, ok bool) {
-	residual, r0, err := st.ReadOwned(iteration, x.Array())
+// RestoreAt loads this rank's owned values of the checkpoint taken at
+// exactly the given iteration into x (the finest-level layout of this
+// solver's — possibly re-decomposed — DA) and returns its residual and r0
+// for SolveFrom.  Purely local.  The recovery path calls it after the ranks
+// agree on an iteration everyone can produce.
+func (s *Solver) RestoreAt(iteration int, x *petsc.Vec) (residual, r0 float64, err error) {
+	residual, r0, err = s.Checkpoints.ReadOwned(iteration, x.Array())
 	if err != nil {
-		return 0, 0, false
+		return 0, 0, err
 	}
 	s.c.Span("restore", s.c.Clock(),
-		obs.Attr{Key: "iteration", Val: strconv.Itoa(iteration)},
-		obs.Attr{Key: "sieve", Val: "1"})
-	return residual, r0, true
+		obs.Attr{Key: "iteration", Val: strconv.Itoa(iteration)})
+	return residual, r0, nil
 }
 
 // RevokeComms revokes the solver's communicators — the one it was built on

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"sort"
 
 	"nccd/internal/mpi"
@@ -39,7 +40,9 @@ func (s *Service) controller(c *mpi.Comm) error {
 		s.resolveAttempts()
 		s.propagateCancels(c)
 
-		if s.drainStep(c) {
+		drained := s.drainStep(c)
+		s.reapCheckpoints()
+		if drained {
 			break
 		}
 	}
@@ -264,6 +267,30 @@ func (s *Service) resolveAttempts() {
 				j.restoredFrom = okRep.Base
 			}
 			s.eventLocked(fmt.Sprintf("JOB %d completed cycles=%d relres=%g", j.id, j.cycles, j.relres))
+		}
+	}
+}
+
+// reapCheckpoints removes the checkpoint directory of every job that has
+// reached a terminal state, so a long-lived service's disk use is bounded
+// by its live jobs.  Every involved rank has reported or died by then, so
+// nothing is still writing there.
+func (s *Service) reapCheckpoints() {
+	if s.cfg.CkptDir == "" {
+		return
+	}
+	s.mu.Lock()
+	var dirs []string
+	for _, j := range s.jobs {
+		if !j.ckptReaped && j.attempts > 0 && isTerminalState(j.state) {
+			j.ckptReaped = true
+			dirs = append(dirs, s.jobCkptDir(j.id))
+		}
+	}
+	s.mu.Unlock()
+	for _, dir := range dirs {
+		if err := os.RemoveAll(dir); err != nil {
+			s.event(fmt.Sprintf("checkpoint cleanup: %v", err))
 		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 
 	"nccd/internal/bench"
-	"nccd/internal/ksp"
+	"nccd/internal/ckptio"
 	"nccd/internal/mpi"
 	"nccd/internal/obs"
 	"nccd/internal/simnet"
@@ -66,15 +66,17 @@ func (s *Service) runJob(m ctlMsg) {
 	s.sch.Register(m.Int, m.Spec.Weight)
 	defer s.sch.Unregister(m.Int)
 
-	var store ksp.Store
+	var store *ckptio.Store
 	if s.cfg.CkptDir != "" {
-		fs, serr := ksp.NewFileStore(filepath.Join(s.cfg.CkptDir, fmt.Sprintf("job%d", m.Ext)), me)
-		if serr != nil {
+		store, err = ckptio.NewStore(s.jobCkptDir(m.Ext), nil, ckptio.Options{})
+		if err != nil {
 			rep.Status = "failed"
-			rep.Error = fmt.Sprintf("checkpoint store: %v", serr)
+			rep.Error = fmt.Sprintf("checkpoint store: %v", err)
 			return
 		}
-		store = fs
+		// Attempt ids only grow, so a resumed attempt's checkpoints sort
+		// after — and never overwrite — the dead attempt's.
+		store.SetEpoch(m.Int)
 	}
 
 	p := bench.MultigridParams{
@@ -117,6 +119,11 @@ func (s *Service) runJob(m ctlMsg) {
 		rep.Status = "failed"
 		rep.Error = err.Error()
 	}
+}
+
+// jobCkptDir is the checkpoint directory all attempts of job ext share.
+func (s *Service) jobCkptDir(ext uint64) string {
+	return filepath.Join(s.cfg.CkptDir, fmt.Sprintf("job%d", ext))
 }
 
 // report hands a locally generated attempt outcome to the control plane:

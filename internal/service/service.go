@@ -41,6 +41,11 @@ const (
 	stateHealing   = "healing"
 )
 
+// isTerminalState reports whether a job in state s will never run again.
+func isTerminalState(s string) bool {
+	return s == stateCompleted || s == stateFailed || s == stateCanceled
+}
+
 // controlJob is the reserved mux job id of the control world; tenant jobs
 // get ids from 2 up, never reused (released mux ids are tombstoned).
 const controlJob = 1
@@ -90,9 +95,16 @@ func (sp JobSpec) withDefaults(meshSize int) JobSpec {
 	return sp
 }
 
+// maxJobCycles caps JobSpec.MaxCycles: a healing attempt's restore-point
+// agreement reduces one value per possible cycle.
+const maxJobCycles = 1 << 20
+
 func (sp JobSpec) validate(meshSize int) error {
 	if sp.Extent < 4 {
 		return fmt.Errorf("extent %d too small (need >= 4)", sp.Extent)
+	}
+	if sp.MaxCycles > maxJobCycles {
+		return fmt.Errorf("max_cycles %d too large (limit %d)", sp.MaxCycles, maxJobCycles)
 	}
 	if sp.Ranks > meshSize {
 		return fmt.Errorf("job wants %d ranks, mesh has %d", sp.Ranks, meshSize)
@@ -143,9 +155,9 @@ type ctlMsg struct {
 // job is the controller's record of one tenant job.  Guarded by
 // Service.mu.
 type job struct {
-	id        uint64
-	spec      JobSpec
-	state     string
+	id         uint64
+	spec       JobSpec
+	state      string
 	ranks      []int // mesh ranks, job-rank order
 	intID      uint64
 	attempts   int
@@ -162,6 +174,7 @@ type job struct {
 	history      []float64
 	errText      string
 	restoredFrom int
+	ckptReaped   bool // checkpoint directory removed (terminal jobs only)
 }
 
 // Config parameterizes a Service.
@@ -174,9 +187,10 @@ type Config struct {
 	// Mode selects the ghost-exchange backend of tenant solves.
 	Mode petsc.ScatterMode
 	// CkptDir, when non-empty, enables periodic per-job checkpointing
-	// (and with it crash healing): job ext's job-rank r spills to
-	// CkptDir/job<ext> under rank name r.  The directory must be shared
-	// by all daemons for a replacement process to heal.
+	// (and with it crash healing): job ext's ranks write collective
+	// checkpoints into CkptDir/job<ext>, which the controller removes
+	// once the job is terminal.  The directory must be shared by all
+	// daemons.
 	CkptDir string
 	// CheckpointEvery is the V-cycle checkpoint period (default 2).
 	CheckpointEvery int

@@ -7,6 +7,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -92,10 +94,6 @@ func waitState(t *testing.T, s *Service, id uint64, want string, timeout time.Du
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-}
-
-func isTerminalState(s string) bool {
-	return s == stateCompleted || s == stateFailed || s == stateCanceled
 }
 
 // drainAll drains the fleet through rank 0 and requires every service's
@@ -197,6 +195,11 @@ func TestServiceEndToEnd(t *testing.T) {
 	var over *OverloadedError
 	if !errors.Is(err, ErrOverloaded) || !errors.As(err, &over) || over.RetryAfter <= 0 {
 		t.Fatalf("oversized submit returned %v, want *OverloadedError wrapping ErrOverloaded", err)
+	}
+
+	// A malformed spec is refused outright, not as overload.
+	if _, err := s0.Submit(JobSpec{Extent: 16, MaxCycles: maxJobCycles + 1}); err == nil || errors.Is(err, ErrOverloaded) {
+		t.Fatalf("submit with max_cycles over the limit returned %v, want a validation error", err)
 	}
 
 	// The same paths over HTTP.
@@ -305,4 +308,55 @@ func TestServiceQueueWatermark(t *testing.T) {
 	if st, _ := s0.Status(second); st.State != stateCanceled {
 		t.Fatalf("queued job drained to %q, want canceled", st.State)
 	}
+}
+
+// TestServiceReapsCheckpoints: a long-lived service must not keep a
+// terminal job's checkpoint files forever.  The controller removes a job's
+// checkpoint directory once the job completes or is canceled, and leaves a
+// still-running job's directory alone.
+func TestServiceReapsCheckpoints(t *testing.T) {
+	root := t.TempDir()
+	svcs := startServices(t, 2, func(rank int, c *Config) {
+		c.CkptDir = root
+		c.CheckpointEvery = 1
+	})
+	s0 := svcs[0]
+	waitDir := func(id uint64, wantExists bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			commits, _ := filepath.Glob(filepath.Join(s0.jobCkptDir(id), "*.commit"))
+			_, err := os.Stat(s0.jobCkptDir(id))
+			if wantExists && len(commits) > 0 || !wantExists && os.IsNotExist(err) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d checkpoint dir: exists=%v commits=%d, want exists=%v", id, err == nil, len(commits), wantExists)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+
+	long, err := s0.Submit(JobSpec{Extent: 16, Levels: 3, Rtol: 1e-30, MaxCycles: 100000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := s0.Submit(JobSpec{Extent: 16, Levels: 3, Rtol: 1e-30, MaxCycles: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDir(long, true)
+	waitState(t, s0, short, stateCompleted, 60*time.Second)
+	waitDir(short, false)
+	if st, _ := s0.Status(long); st.State != stateRunning {
+		t.Fatalf("long job is %q, want still running", st.State)
+	}
+	waitDir(long, true)
+
+	if err := s0.RequestCancel(long); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s0, long, stateCanceled, 60*time.Second)
+	waitDir(long, false)
+	drainAll(t, svcs, 60*time.Second)
 }
