@@ -18,7 +18,6 @@ import (
 	"nccd/internal/core"
 	"nccd/internal/obs"
 	"nccd/internal/obs/analyze"
-	"nccd/internal/transport"
 )
 
 // rankTracePath names rank r's intermediate trace file; the per-rank files
@@ -79,14 +78,13 @@ type launchConfig struct {
 	spansDir   string // per-rank raw-span directory (set internally for -analyze)
 
 	// Self-healing / chaos.
-	selfheal     bool
-	chaos        bool // SIGKILL killRank after its first checkpoint, expect full recovery
-	killRank     int
-	ckptDir      string
-	ckptEvery    int
-	hb           time.Duration
-	hbMiss       int
-	recoveryJSON string // BENCH_recovery.json output path for chaos runs
+	selfheal  bool
+	chaos     bool // SIGKILL killRank after its first checkpoint, expect full recovery
+	killRank  int
+	ckptDir   string
+	ckptEvery int
+	hb        time.Duration
+	hbMiss    int
 
 	// Checkpoint file layout and injected I/O faults.
 	aggr    int
@@ -378,9 +376,8 @@ func verifyAgainstReference(lc launchConfig, history []float64, from int) int {
 	return 0
 }
 
-// verifyChaos checks the healed run end to end — full size, committed
-// epoch, agreed restore point, reference-identical resumed history — and
-// writes the recovery benchmark JSON.
+// verifyChaos checks the healed run end to end: full size, committed
+// epoch, agreed restore point, reference-identical resumed history.
 func verifyChaos(lc launchConfig, reports []*bench.RankReport, killTime, resumeTime time.Time) int {
 	base := reports[0].RestoredAt
 	for r, rep := range reports {
@@ -410,34 +407,7 @@ func verifyChaos(lc launchConfig, reports []*bench.RankReport, killTime, resumeT
 	if base < 0 {
 		base = 0
 	}
-	if code := verifyAgainstReference(lc, reports[0].History, base); code != 0 {
-		return code
-	}
-	if lc.recoveryJSON != "" {
-		hb := transport.HeartbeatConfig{Interval: lc.hb, Miss: lc.hbMiss}
-		if hb.Interval <= 0 {
-			hb.Interval = 10 * time.Millisecond
-		}
-		// Detection latency and in-process MTTR run on a small fixed
-		// problem; the TCP numbers come from the chaos run just measured.
-		rep, err := bench.RunRecovery(4, bench.MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 20}, hb)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mgsolve: recovery benchmark: %v\n", err)
-			return 1
-		}
-		rep.TCPMTTRMS = mttr * 1e3
-		rep.TCPRespawns = 1
-		rep.TCPWorldSize = lc.n
-		rep.TCPKilledRank = lc.killRank
-		rep.TCPRestoredAt = base
-		rep.TCPTotalCycles = reports[0].Cycles
-		if err := bench.WriteRecoveryJSON(lc.recoveryJSON, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "mgsolve: writing %s: %v\n", lc.recoveryJSON, err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", lc.recoveryJSON)
-	}
-	return 0
+	return verifyAgainstReference(lc, reports[0].History, base)
 }
 
 // runDaemon spawns one rank daemon, registers it for cleanup, streams its

@@ -1,17 +1,21 @@
-// Command mgsolve regenerates Figure 17 of the paper: execution time of the
-// 3-D Laplacian multigrid solver application (100^3 grid, three levels)
-// over the three experimental arms.
+// Command mgsolve drives the paper's Section 5.5 application, the 3-D
+// Laplacian multigrid solve, outside the virtual-time figure sweep (that is
+// repro -fig 17).  It needs a mode flag; without one it prints usage and
+// exits 2.
 //
-// With -tcp N it instead acts as a launcher: it spawns N nccdd rank
-// daemons as separate OS processes connected over TCP localhost, runs the
-// same solve across them, and verifies the distributed residual history
-// bitwise against an in-process reference run.
+// With -tcp N it acts as a launcher: it spawns N nccdd rank daemons as
+// separate OS processes connected over TCP localhost, runs the solve across
+// them, and verifies the distributed residual history bitwise against an
+// in-process reference run.
 //
 // With -tcp N -selfheal it also supervises the daemons — durable
 // checkpoints, heartbeat failure detection, respawn of dead ranks into a
 // regrown full-size world — and -chaos smoke-tests that path by killing
 // -killrank after its first checkpoint and demanding a bitwise-identical
-// resumed history plus a BENCH_recovery.json report.
+// resumed history.
+//
+// With -trace or -analyze (and no -tcp) it runs one traced in-process solve
+// on -np ranks; -servestress and -submit drive the multi-tenant service.
 package main
 
 import (
@@ -31,7 +35,7 @@ func main() {
 	levels := flag.Int("levels", bench.DefaultMultigridParams.Levels, "multigrid levels")
 	rtol := flag.Float64("rtol", bench.DefaultMultigridParams.Rtol, "relative tolerance")
 	maxCycles := flag.Int("maxcycles", bench.DefaultMultigridParams.MaxCycles, "V-cycle cap")
-	tcp := flag.Int("tcp", 0, "spawn N rank daemons as OS processes over TCP localhost (0 = in-process Fig 17 sweep); with -pernode K this is the NODE count and N*K daemons are spawned")
+	tcp := flag.Int("tcp", 0, "spawn N rank daemons as OS processes over TCP localhost; with -pernode K this is the NODE count and N*K daemons are spawned")
 	perNode := flag.Int("pernode", 1, "co-located ranks per node for -tcp runs: >1 gives each node K ranks sharing a memory segment, TCP only between nodes")
 	daemon := flag.String("daemon", "", "path to the nccdd binary (default: next to mgsolve, then PATH)")
 	arm := flag.String("arm", "compiled", "experimental arm for -tcp runs: baseline, optimized, compiled or hand")
@@ -41,11 +45,10 @@ func main() {
 	delayMean := flag.Float64("delaymean", 0, "mean injected frame delay in seconds")
 	seed := flag.Uint64("seed", 1, "fault plan seed")
 	noVerify := flag.Bool("noverify", false, "skip the in-process reference comparison after a -tcp run")
-	trace := flag.String("trace", "", "write a merged Chrome trace JSON here (with -tcp: per-rank files <path>.rank<N> are merged; without: one traced in-process solve instead of the Fig 17 sweep)")
+	trace := flag.String("trace", "", "write a merged Chrome trace JSON here (with -tcp: per-rank files <path>.rank<N> are merged; without: one traced in-process solve)")
 	np := flag.Int("np", 4, "rank count for a traced in-process solve (-trace without -tcp)")
 	metrics := flag.String("metrics", "", "write a JSON snapshot of the process metrics registry here after the run")
 	analyzeFlag := flag.Bool("analyze", false, "run the cross-rank analyzer after the solve: message matching, wait states, critical path, communication matrix; with -tcp it collects per-rank span files and exits nonzero on any unmatched message edge")
-	commprof := flag.String("commprof", "", "run the in-process communication-profile benchmark (-np ranks) and write its JSON here (e.g. BENCH_commprof.json)")
 	selfheal := flag.Bool("selfheal", false, "run the -tcp daemons with durable checkpoints and the epoch/rejoin recovery protocol")
 	chaos := flag.Bool("chaos", false, "self-healing smoke test: SIGKILL -killrank after its first checkpoint, respawn it, and require full-size recovery (implies -selfheal)")
 	killRank := flag.Int("killrank", 2, "the rank -chaos kills")
@@ -57,7 +60,6 @@ func main() {
 	// mass failure, yet still a small fraction of any solve's runtime.
 	hb := flag.Duration("hb", 25*time.Millisecond, "heartbeat interval for -selfheal failure detection (0 = rely on connection loss only)")
 	hbMiss := flag.Int("hbmiss", 3, "missed heartbeat intervals before a peer is suspected")
-	recoveryJSON := flag.String("recoveryjson", "BENCH_recovery.json", "where a -chaos run writes the recovery benchmark report (\"\" = skip)")
 	aggr := flag.Int("aggr", 2, "checkpoint aggregator rank count for -selfheal runs")
 	stripe := flag.Int64("stripe", 256<<10, "checkpoint file stripe size in bytes for -selfheal runs")
 	ioFault := flag.String("iofault", "", "checkpoint I/O fault spec forwarded to every daemon, e.g. short=0.2,eio=0.1,fsync=0.1,enospc=65536,seed=7")
@@ -76,22 +78,24 @@ func main() {
 			n: *serveStress, smallJobs: *serveJobs, killRank: *serveKill,
 			daemon: *daemon, arm: *arm,
 		})
-	case *commprof != "":
-		code = runCommProf(*np, *arm, p, *commprof)
 	case *tcp > 0:
+		n := *tcp * max(*perNode, 1)
+		checkShape(p, n)
 		code = runLauncher(launchConfig{
-			n: *tcp * max(*perNode, 1), perNode: *perNode, daemon: *daemon, arm: *arm, p: p,
+			n: n, perNode: *perNode, daemon: *daemon, arm: *arm, p: p,
 			drop: *drop, corrupt: *corrupt, dup: *dup, delayMean: *delayMean,
 			seed: *seed, skipVerify: *noVerify, trace: *trace, analyze: *analyzeFlag,
 			selfheal: *selfheal, chaos: *chaos, killRank: *killRank,
 			ckptDir: *ckptDir, ckptEvery: *ckptEvery, hb: *hb, hbMiss: *hbMiss,
-			recoveryJSON: *recoveryJSON,
-			aggr:         *aggr, stripe: *stripe, ioFault: *ioFault,
+			aggr: *aggr, stripe: *stripe, ioFault: *ioFault,
 		})
 	case *trace != "" || *analyzeFlag:
+		checkShape(p, *np)
 		code = runTracedSolve(*np, *arm, p, *trace, *analyzeFlag)
 	default:
-		bench.Fig17([]int{4, 8, 16, 32, 64, 128}, p).Print(os.Stdout)
+		fmt.Fprintln(os.Stderr, "mgsolve: no mode selected: pass -tcp N, -trace FILE, -analyze, -servestress N or -submit URL (the Fig. 17 sweep is repro -fig 17)")
+		flag.Usage()
+		os.Exit(2)
 	}
 	if *metrics != "" {
 		if err := obs.Metrics.WriteSnapshotFile(*metrics); err != nil {
@@ -102,6 +106,15 @@ func main() {
 		}
 	}
 	os.Exit(code)
+}
+
+// checkShape refuses a problem that cannot be solved on n ranks with one
+// line and exit 2, before any daemon is spawned or world built.
+func checkShape(p bench.MultigridParams, n int) {
+	if err := p.Validate(n); err != nil {
+		fmt.Fprintf(os.Stderr, "mgsolve: %v\n", err)
+		os.Exit(2)
+	}
 }
 
 // runTracedSolve runs one in-process multigrid solve with tracing enabled,
@@ -138,27 +151,5 @@ func runTracedSolve(n int, arm string, p bench.MultigridParams, path string, doA
 			return 1
 		}
 	}
-	return 0
-}
-
-// runCommProf runs the in-process communication-profile benchmark and
-// writes BENCH_commprof.json (or wherever -commprof points).
-func runCommProf(n int, arm string, p bench.MultigridParams, path string) int {
-	cfg, mode, err := bench.ArmByName(arm)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mgsolve: %v\n", err)
-		return 1
-	}
-	cp, err := bench.RunCommProf(n, p, core.Arm{Name: arm, Config: cfg, Mode: mode})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mgsolve: commprof: %v\n", err)
-		return 1
-	}
-	cp.Print(os.Stdout)
-	if err := cp.WriteJSONFile(path); err != nil {
-		fmt.Fprintf(os.Stderr, "mgsolve: writing %s: %v\n", path, err)
-		return 1
-	}
-	fmt.Println("wrote", path)
 	return 0
 }

@@ -143,6 +143,10 @@ func main() {
 		return
 	}
 
+	if err := p.Validate(*n); err != nil {
+		fmt.Fprintf(os.Stderr, "nccdd: %v\n", err)
+		os.Exit(2)
+	}
 	var rep bench.RankReport
 	if *selfheal || *ckptDir != "" || *rejoin {
 		rep, err = bench.RunMultigridSelfHealDaemon(tcfg, pl, cfg, p, mode, ob, bench.SelfHealDaemon{

@@ -71,7 +71,7 @@ func AblateAgglomeration(procs []int, p MultigridParams, minCells int) *Experime
 // sweeping: the look-ahead window (15 segments), the pipelining granularity,
 // the Alltoallw bin threshold, and the choice between recursive doubling
 // and dissemination.  DESIGN.md Section 5 lists these as the knobs worth
-// understanding; cmd/ablate regenerates them.
+// understanding; repro -fig ablate regenerates them.
 
 // AblateLookAhead sweeps the dual-context engine's look-ahead window on the
 // transpose workload.  Larger windows cost more signature scanning per

@@ -6,6 +6,7 @@ import (
 
 	"nccd/internal/core"
 	"nccd/internal/mpi"
+	"nccd/internal/petsc"
 )
 
 func TestExperimentPrintAndAccessors(t *testing.T) {
@@ -183,5 +184,48 @@ func TestRunMultigridConvergesIdentically(t *testing.T) {
 	}
 	if cycles[0] != cycles[1] || cycles[1] != cycles[2] {
 		t.Fatalf("arms took different cycle counts: %v", cycles)
+	}
+}
+
+// TestMultigridParamsValidate is the table for the one problem-shape check
+// every front-end runs.  Accepted shapes are also built and cycled once, so
+// Validate can never say yes to something mg.New or dmda.FactorGrid panics
+// on.
+func TestMultigridParamsValidate(t *testing.T) {
+	ok := MultigridParams{Extent: 8, Levels: 3, Rtol: 1e-6, MaxCycles: 1}
+	with := func(f func(*MultigridParams)) MultigridParams {
+		p := ok
+		f(&p)
+		return p
+	}
+	for _, tc := range []struct {
+		name  string
+		p     MultigridParams
+		ranks int
+		want  string // substring of the error; "" = valid
+	}{
+		{"paper shape", DefaultMultigridParams, 128, ""},
+		{"smallest", with(func(p *MultigridParams) { p.Extent, p.Levels = 4, 1 }), 1, ""},
+		{"coarsest grid splits 2x2x1", ok, 4, ""},
+		{"agglomerated coarse levels", with(func(p *MultigridParams) { p.AgglomerateCells = 64 }), 3, ""},
+		{"extent too small", with(func(p *MultigridParams) { p.Extent = 2 }), 1, "extent 2 too small (need >= 4)"},
+		{"no levels", with(func(p *MultigridParams) { p.Levels = 0 }), 1, "levels 0 too small"},
+		{"indivisible", with(func(p *MultigridParams) { p.Extent, p.Levels = 100, 4 }), 4,
+			"extent 100 not divisible by 2^(levels-1) = 8"},
+		{"absurd depth", with(func(p *MultigridParams) { p.Levels = 200 }), 1, "not divisible"},
+		{"cycle cap", with(func(p *MultigridParams) { p.MaxCycles = MaxCycles + 1 }), 1, "max_cycles 1048577 too large (limit 1048576)"},
+		{"no ranks", ok, 0, "ranks 0 too small"},
+		{"3 ranks cannot split a 2^3 grid", ok, 3, "no feasible process grid for 3 ranks on the 2^3 grid of level 2"},
+		{"more ranks than coarse cells", ok, 16, "no feasible process grid for 16 ranks"},
+	} {
+		err := tc.p.Validate(tc.ranks)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: Validate(%d) = %v, want nil", tc.name, tc.ranks, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: Validate(%d) = %v, want an error containing %q", tc.name, tc.ranks, err, tc.want)
+		case tc.want == "" && tc.p.Extent <= 8:
+			RunMultigridWorld(core.NewUniformWorld(tc.ranks, mpi.Compiled()), tc.p, petsc.ScatterDatatype)
+		}
 	}
 }

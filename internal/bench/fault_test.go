@@ -130,9 +130,7 @@ func eWorkloadSet(n int) []eWorkload {
 // TestEWorkloadsBytewiseUnderFaults checks the acceptance property on the
 // paper's own workloads: the E3/E4 outlier Allgatherv, the E5 ring
 // Alltoallw, the E6 vector scatter and the E7 multigrid solve all produce
-// bytewise-identical data under ~1% message loss + duplication.  (The RMA
-// scatter backend is excluded: its AnySource matching makes arrival order,
-// not data, part of the observable trace.)
+// bytewise-identical data under ~1% message loss + duplication.
 func TestEWorkloadsBytewiseUnderFaults(t *testing.T) {
 	const n = 8
 	fp := &simnet.FaultPlan{Seed: 42, Drop: 0.01, Duplicate: 0.01}

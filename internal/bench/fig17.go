@@ -2,12 +2,15 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"nccd/internal/ckptio"
 	"nccd/internal/core"
+	"nccd/internal/dmda"
 	"nccd/internal/mg"
 	"nccd/internal/mpi"
+	"nccd/internal/obs"
 	"nccd/internal/petsc"
 )
 
@@ -34,6 +37,46 @@ type MultigridParams struct {
 // DefaultMultigridParams is the paper's configuration: 100^3, one degree of
 // freedom, three levels.
 var DefaultMultigridParams = MultigridParams{Extent: 100, Levels: 3, Rtol: 1e-6, MaxCycles: 30}
+
+// MaxCycles caps MultigridParams.MaxCycles: a resumed solve's restore-point
+// agreement (agreeRestoreBase) reduces one value per possible cycle.
+const MaxCycles = 1 << 20
+
+// Validate reports why p cannot be solved on ranks ranks, or nil.  It is
+// the one problem-shape check every front-end (mgsolve, nccdd, repro, the
+// service) runs before it builds a world; mg.New and dmda.FactorGrid keep
+// their panics as the library-level guard.
+func (p MultigridParams) Validate(ranks int) error {
+	if p.Extent < 4 {
+		return fmt.Errorf("extent %d too small (need >= 4)", p.Extent)
+	}
+	if p.Levels < 1 {
+		return fmt.Errorf("levels %d too small (need >= 1)", p.Levels)
+	}
+	if p.MaxCycles > MaxCycles {
+		return fmt.Errorf("max_cycles %d too large (limit %d)", p.MaxCycles, MaxCycles)
+	}
+	if ranks < 1 {
+		return fmt.Errorf("ranks %d too small (need >= 1)", ranks)
+	}
+	for l, ext := 1, p.Extent; l < p.Levels; l, ext = l+1, ext/2 {
+		if ext%2 != 0 {
+			return fmt.Errorf("extent %d not divisible by 2^(levels-1) = %.0f", p.Extent, math.Ldexp(1, p.Levels-1))
+		}
+	}
+	// Every level needs a process grid, built the way mg.NewAgglomerated
+	// builds it: min(ranks, cells/AgglomerateCells) ranks on the halved grid.
+	for l, ext := 0, p.Extent; l < p.Levels; l, ext = l+1, ext/2 {
+		active := ranks
+		if p.AgglomerateCells > 0 {
+			active = min(ranks, max(1, ext*ext*ext/p.AgglomerateCells))
+		}
+		if !dmda.GridFeasible(active, 3, [3]int{ext, ext, ext}) {
+			return fmt.Errorf("no feasible process grid for %d ranks on the %d^3 grid of level %d", active, ext, l)
+		}
+	}
+	return nil
+}
 
 // MultigridResult holds one application run's outcome.
 type MultigridResult struct {
@@ -79,6 +122,23 @@ func RunMultigridWorld(w *mpi.World, p MultigridParams, mode petsc.ScatterMode) 
 		panic(err)
 	}
 	return out
+}
+
+// TraceMultigrid runs the in-process multigrid solve with tracing enabled
+// and writes the resulting Chrome trace (all ranks share the process-local
+// world tracer) to outPath.  Pass outPath "" to skip the file and only
+// return the spans.
+func TraceMultigrid(n int, p MultigridParams, arm core.Arm, outPath string) (MultigridResult, []obs.Span, error) {
+	w := core.NewPaperWorld(n, arm.Config)
+	w.Tracer().Enable()
+	res := RunMultigridWorld(w, p, arm.Mode)
+	spans := w.Tracer().Spans()
+	if outPath != "" {
+		if err := obs.WriteChromeTraceFile(outPath, spans, 0); err != nil {
+			return res, spans, err
+		}
+	}
+	return res, spans, nil
 }
 
 // MultigridRankOptions extends the per-rank application body for service

@@ -4,13 +4,11 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"nccd/internal/ckptio"
 	"nccd/internal/mpi"
 	"nccd/internal/petsc"
 	"nccd/internal/simnet"
-	"nccd/internal/transport"
 )
 
 // TestSelfHealMultigrid is the in-process end-to-end acceptance path: rank 2
@@ -190,47 +188,5 @@ func TestMultigridRankResume(t *testing.T) {
 				t.Fatalf("rank %d cycle %d residual %v, uninterrupted %v", r, 5+i, v, ref.History[4+i])
 			}
 		}
-	}
-}
-
-// TestRunRecoveryReport smoke-tests the benchmark entry point: detection
-// fires within the configured window, steady-state beat traffic is nonzero,
-// and the in-process MTTR run heals with a matching history.
-func TestRunRecoveryReport(t *testing.T) {
-	p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 20}
-	hb := transport.HeartbeatConfig{Interval: 10 * time.Millisecond, Miss: 3, FailAfter: 9}
-	rep, err := RunRecovery(4, p, hb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.DetectionMS <= 0 || rep.HardFailureMS < rep.DetectionMS {
-		t.Fatalf("detection %.1fms hard %.1fms", rep.DetectionMS, rep.HardFailureMS)
-	}
-	// Suspicion requires Miss missed intervals; it must not take more than
-	// an order of magnitude longer than that on an idle loopback.
-	if min := float64(hb.Miss) * rep.HeartbeatIntervalMS; rep.DetectionMS < min*0.5 || rep.DetectionMS > min*20 {
-		t.Fatalf("detection %.1fms outside the configured miss window (~%.0fms)", rep.DetectionMS, min)
-	}
-	if rep.BeatsPerSecPerPeer <= 0 {
-		t.Fatalf("no steady-state beat traffic measured: %+v", rep)
-	}
-	if !rep.InprocHistoryMatches || rep.InprocRespawns != 1 {
-		t.Fatalf("inproc chaos run did not heal cleanly: %+v", rep)
-	}
-	if !rep.CkptCollectiveHistoryMatches {
-		t.Fatalf("collective-I/O chaos run did not heal cleanly: %+v", rep)
-	}
-	// The point of two-phase aggregation: worst-rank write volume stays
-	// below the O(global) bytes a replicated spill writes on every rank.
-	if rep.CkptCollectiveMaxRankBytes <= 0 || rep.CkptCollectiveMaxRankBytes >= rep.CkptGlobalBytes {
-		t.Fatalf("collective worst-rank bytes %d not below the global vector's %d",
-			rep.CkptCollectiveMaxRankBytes, rep.CkptGlobalBytes)
-	}
-	if rep.CkptCollectiveWriteMS <= 0 || rep.CkptCollectiveSieveMS <= 0 {
-		t.Fatalf("checkpoint timings missing: %+v", rep)
-	}
-	path := t.TempDir() + "/BENCH_recovery.json"
-	if err := WriteRecoveryJSON(path, rep); err != nil {
-		t.Fatal(err)
 	}
 }

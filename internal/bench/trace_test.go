@@ -170,19 +170,3 @@ func TestTracedMultigridTCPRetransmits(t *testing.T) {
 		t.Errorf("clean run shows retransmissions: stats=%+v spans=%d", cleanStats, counts["tcp_retransmit"])
 	}
 }
-
-// TestObsOverheadRuns exercises the tracer-overhead benchmark at a reduced
-// scale: the disabled site must stay cheap and the enabled run must record
-// spans.
-func TestObsOverheadRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock benchmark")
-	}
-	o := RunObsOverhead(2, VecScatterParams{PerRankDoubles: 1 << 12, Iters: 16})
-	if o.DisabledSiteNs <= 0 || o.DisabledSiteNs > 1000 {
-		t.Errorf("disabled site cost %v ns, expected (0, 1000]", o.DisabledSiteNs)
-	}
-	if o.SpansPerScatter == 0 {
-		t.Errorf("enabled scatter recorded no spans: %+v", o)
-	}
-}

@@ -82,6 +82,26 @@ func TestLayout(t *testing.T) {
 	if l := NewLayout(1<<30, 1<<20, 99, 4); len(l.Aggr) != 4 {
 		t.Fatalf("4-rank comm got %d aggregators", len(l.Aggr))
 	}
+	// The point of two-phase aggregation: the worst rank's write volume per
+	// checkpoint (its owned bytes shipped plus the stripes it aggregates)
+	// stays below the O(global) bytes a replicated spill writes on every
+	// rank.  Geometry: a 16^3 float64 vector on 4 ranks, 4 KiB stripes.
+	const total, ranks = 16 * 16 * 16 * 8, 4
+	l = NewLayout(total, 4096, 2, ranks)
+	worst := int64(0)
+	for r := 0; r < ranks; r++ {
+		vol := int64(total / ranks)
+		for st := 0; st < l.NStripes(); st++ {
+			if l.StripeOwner(st) == r {
+				_, n := l.StripeRange(st)
+				vol += n
+			}
+		}
+		worst = max(worst, vol)
+	}
+	if worst >= total {
+		t.Fatalf("worst-rank write volume %d not below the global vector's %d", worst, total)
+	}
 }
 
 // TestSplitPieces checks the stripe-boundary cut: pieces never cross a

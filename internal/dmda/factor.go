@@ -11,6 +11,24 @@ func FactorGrid(size, dim int, n [3]int) [3]int {
 	if size < 1 {
 		panic("dmda: world size must be positive")
 	}
+	best, ok := factorGrid(size, dim, n)
+	if !ok {
+		panic(fmt.Sprintf("dmda: no feasible process grid for %d ranks on %v", size, n))
+	}
+	return best
+}
+
+// GridFeasible reports whether FactorGrid would find a factorization, so
+// front-ends can refuse a bad shape before any rank is built.
+func GridFeasible(size, dim int, n [3]int) bool {
+	if size < 1 || dim < 1 || dim > 3 {
+		return false
+	}
+	_, ok := factorGrid(size, dim, n)
+	return ok
+}
+
+func factorGrid(size, dim int, n [3]int) ([3]int, bool) {
 	best := [3]int{0, 0, 0}
 	bestCost := -1.0
 
@@ -56,8 +74,5 @@ func FactorGrid(size, dim int, n [3]int) [3]int {
 	default:
 		panic(fmt.Sprintf("dmda: dimension %d out of range", dim))
 	}
-	if bestCost < 0 {
-		panic(fmt.Sprintf("dmda: no feasible process grid for %d ranks on %v", size, n))
-	}
-	return best
+	return best, bestCost >= 0
 }

@@ -61,7 +61,7 @@ func runWorldShm(t *testing.T, np int, cfg mpi.Config, f func(c *mpi.Comm) error
 // regions through every scatter backend when the bytes travel through a
 // segment instead of sockets.
 func TestGlobalToLocalOverlapShm(t *testing.T) {
-	for _, mode := range []petsc.ScatterMode{petsc.ScatterHandTuned, petsc.ScatterDatatype, petsc.ScatterOneSided} {
+	for _, mode := range []petsc.ScatterMode{petsc.ScatterHandTuned, petsc.ScatterDatatype} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			runWorldShm(t, 4, mpi.Compiled(), func(c *mpi.Comm) error {

@@ -210,11 +210,7 @@ func NewAgglomerated(c *mpi.Comm, n []int, nlevels int, mode petsc.ScatterMode, 
 	// synchronizes with every rank and therefore needs everyone present.
 	coarsest := s.levels[nlevels-1]
 	if act := coarsest.da.Active(); act < c.Size() {
-		// One-sided scatters fence collectively, and round-robin Alltoallw
-		// synchronizes with every rank; both need all ranks present on the
-		// coarse level.
-		needsAll := mode == petsc.ScatterOneSided ||
-			(mode == petsc.ScatterDatatype && c.World().Config().Alltoallw == mpi.ATRoundRobin)
+		needsAll := mode == petsc.ScatterDatatype && c.World().Config().Alltoallw == mpi.ATRoundRobin
 		if !needsAll {
 			color := 0
 			if c.Rank() >= act {

@@ -111,6 +111,36 @@ func TestAutoPolicyUsesRingForUniformLarge(t *testing.T) {
 	}
 }
 
+// TestAllgathervNotSlowerThanPaddedAllgather is the classic self-consistent
+// guideline MPI_Allgatherv <= MPI_Allgather: gathering nonuniform
+// contributions (rank r sends (r+1)*4096 bytes) must not cost more virtual
+// time than padding every contribution to the maximum and calling Allgather.
+func TestAllgathervNotSlowerThanPaddedAllgather(t *testing.T) {
+	const n, base = 8, 4096
+	counts := make([]int, n)
+	for r := range counts {
+		counts[r] = (r + 1) * base
+	}
+	_, total := prefix(counts)
+	maxc := counts[n-1]
+	clock := func(f func(c *Comm)) float64 {
+		w := NewWorld(simnet.Paper(n), Compiled())
+		if err := w.Run(func(c *Comm) error { f(c); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return w.MaxClock()
+	}
+	vec := clock(func(c *Comm) {
+		c.Allgatherv(make([]byte, counts[c.Rank()]), counts, make([]byte, total))
+	})
+	pad := clock(func(c *Comm) {
+		c.Allgather(make([]byte, maxc), make([]byte, n*maxc))
+	})
+	if vec > pad {
+		t.Fatalf("Allgatherv(counts) %.1fus slower than max-padded Allgather %.1fus", vec*1e6, pad*1e6)
+	}
+}
+
 // neighborAlltoallw measures one ring-neighbor Alltoallw (the paper's
 // Figure 15 pattern) on a heterogeneous paper cluster.
 func neighborAlltoallw(t *testing.T, n int, algo AlltoallwAlgo, iters int) float64 {

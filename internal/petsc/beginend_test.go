@@ -23,7 +23,6 @@ func beginEndModes() []struct {
 		{"hand-tuned", mpi.Baseline(), ScatterHandTuned},
 		{"datatype-optimized", mpi.Optimized(), ScatterDatatype},
 		{"datatype-compiled", mpi.Compiled(), ScatterDatatype},
-		{"one-sided", mpi.Optimized(), ScatterOneSided},
 	}
 }
 

@@ -23,11 +23,6 @@ const (
 	// optimized (MVAPICH2-New) MPI depends entirely on the mpi.World
 	// configuration the vectors live on.
 	ScatterDatatype
-	// ScatterOneSided drives the transfer from the origin with RMA Puts
-	// into the destination's window (no receive matching; one fence per
-	// scatter) — the RDMA-style model of the paper's related work.  Do is
-	// collective in this mode.
-	ScatterOneSided
 )
 
 func (m ScatterMode) String() string {
@@ -36,8 +31,6 @@ func (m ScatterMode) String() string {
 		return "hand-tuned"
 	case ScatterDatatype:
 		return "datatype"
-	case ScatterOneSided:
-		return "one-sided"
 	}
 	return "unknown"
 }
@@ -80,9 +73,6 @@ type Scatter struct {
 	// datatype path: per-rank type specs for Alltoallw
 	sendSpecs []mpi.TypeSpec
 	recvSpecs []mpi.TypeSpec
-
-	// one-sided path state
-	os *onesided
 
 	// Begin/End state: receives posted by Begin and completed by End, plus
 	// the destination array the deferred unpack writes into.  The slices are
@@ -180,16 +170,6 @@ func NewScatterFromPlan(c *mpi.Comm, xLocal, yLocal int, plan Plan, mode Scatter
 				datatype.PlanFor(spec.Type, spec.Count)
 			}
 		}
-	case ScatterOneSided:
-		sc.sendRuns = make([]int, len(plan.Sends))
-		for i, s := range plan.Sends {
-			sc.sendRuns[i] = countRuns(s.Local)
-		}
-		sc.recvRuns = make([]int, len(plan.Recvs))
-		for i, r := range plan.Recvs {
-			sc.recvRuns[i] = countRuns(r.Local)
-		}
-		sc.setupOneSided()
 	default:
 		panic("petsc: unknown scatter mode")
 	}
@@ -299,9 +279,6 @@ func (s *Scatter) BeginArrays(x, y []float64) {
 		// becomes a no-op.  The derived-type sends inside reuse the plans
 		// compiled at scatter creation via the package plan cache.
 		s.c.Alltoallw(floatbytes.Bytes(x), s.sendSpecs, floatbytes.Bytes(y), s.recvSpecs)
-	case ScatterOneSided:
-		// The fence inside doOneSided completes the epoch; End is a no-op.
-		s.doOneSided(x, y, Insert)
 	}
 }
 

@@ -55,10 +55,6 @@ func (s *Scatter) DoArraysMode(x, y []float64, mode InsertMode) {
 	if len(x) != s.xLocal || len(y) != s.yLocal {
 		panic("petsc: scatter applied to arrays with mismatched length")
 	}
-	if s.mode == ScatterOneSided {
-		s.doOneSided(x, y, Add)
-		return
-	}
 	s.doAdd(x, y)
 }
 

@@ -22,7 +22,6 @@ func allModes() []struct {
 		{"hand-tuned", mpi.Baseline(), ScatterHandTuned},
 		{"datatype-baseline", mpi.Baseline(), ScatterDatatype},
 		{"datatype-optimized", mpi.Optimized(), ScatterDatatype},
-		{"one-sided", mpi.Optimized(), ScatterOneSided},
 	}
 }
 
@@ -231,8 +230,7 @@ func TestIndexedTypeCoalesces(t *testing.T) {
 }
 
 func TestScatterModeString(t *testing.T) {
-	if ScatterHandTuned.String() != "hand-tuned" || ScatterDatatype.String() != "datatype" ||
-		ScatterOneSided.String() != "one-sided" {
+	if ScatterHandTuned.String() != "hand-tuned" || ScatterDatatype.String() != "datatype" {
 		t.Fatal("bad mode strings")
 	}
 }

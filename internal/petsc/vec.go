@@ -1,7 +1,7 @@
 // Package petsc reimplements the slice of PETSc the paper exercises:
 // parallel vectors, index sets, and the general vector scatter that carries
 // all of PETSc's implicit communication (ghost updates, redistribution,
-// multigrid transfer).  The scatter can run over three backends matching the
+// multigrid transfer).  The scatter runs over two backends covering the
 // paper's three experimental arms: PETSc's default hand-tuned pack/isend
 // path, and an MPI derived-datatype + collective path whose behaviour
 // (baseline vs. optimized) is inherited from the mpi.World configuration.

@@ -79,13 +79,7 @@ func (s *Service) runJob(m ctlMsg) {
 		store.SetEpoch(m.Int)
 	}
 
-	p := bench.MultigridParams{
-		Extent:    m.Spec.Extent,
-		Levels:    m.Spec.Levels,
-		Rtol:      m.Spec.Rtol,
-		MaxCycles: m.Spec.MaxCycles,
-		Chebyshev: m.Spec.Chebyshev,
-	}
+	p := m.Spec.params()
 	var res bench.MultigridResult
 	err = w.Run(func(c *mpi.Comm) error {
 		r, rerr := bench.MultigridRank(c, p, s.cfg.Mode, bench.MultigridRankOptions{

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"nccd/internal/bench"
 	"nccd/internal/mpi"
 	"nccd/internal/petsc"
 	"nccd/internal/simnet"
@@ -95,25 +96,22 @@ func (sp JobSpec) withDefaults(meshSize int) JobSpec {
 	return sp
 }
 
-// maxJobCycles caps JobSpec.MaxCycles: a healing attempt's restore-point
-// agreement reduces one value per possible cycle.
-const maxJobCycles = 1 << 20
+// params is the solve the spec describes.
+func (sp JobSpec) params() bench.MultigridParams {
+	return bench.MultigridParams{
+		Extent:    sp.Extent,
+		Levels:    sp.Levels,
+		Rtol:      sp.Rtol,
+		MaxCycles: sp.MaxCycles,
+		Chebyshev: sp.Chebyshev,
+	}
+}
 
 func (sp JobSpec) validate(meshSize int) error {
-	if sp.Extent < 4 {
-		return fmt.Errorf("extent %d too small (need >= 4)", sp.Extent)
-	}
-	if sp.MaxCycles > maxJobCycles {
-		return fmt.Errorf("max_cycles %d too large (limit %d)", sp.MaxCycles, maxJobCycles)
-	}
 	if sp.Ranks > meshSize {
 		return fmt.Errorf("job wants %d ranks, mesh has %d", sp.Ranks, meshSize)
 	}
-	factor := 1 << uint(sp.Levels-1)
-	if sp.Extent%factor != 0 {
-		return fmt.Errorf("extent %d not divisible by 2^(levels-1) = %d", sp.Extent, factor)
-	}
-	return nil
+	return sp.params().Validate(sp.Ranks)
 }
 
 // JobStatus is the API view of one job.

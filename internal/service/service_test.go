@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -124,8 +125,7 @@ func refHistoryFor(t *testing.T, ranks int, spec JobSpec) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := bench.MultigridParams{Extent: spec.Extent, Levels: spec.Levels,
-		Rtol: spec.Rtol, MaxCycles: spec.MaxCycles}
+	p := spec.params()
 	return bench.RunMultigridWorld(core.NewUniformWorld(ranks, armCfg), p, mode).History
 }
 
@@ -198,7 +198,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 
 	// A malformed spec is refused outright, not as overload.
-	if _, err := s0.Submit(JobSpec{Extent: 16, MaxCycles: maxJobCycles + 1}); err == nil || errors.Is(err, ErrOverloaded) {
+	if _, err := s0.Submit(JobSpec{Extent: 16, MaxCycles: bench.MaxCycles + 1}); err == nil || errors.Is(err, ErrOverloaded) {
 		t.Fatalf("submit with max_cycles over the limit returned %v, want a validation error", err)
 	}
 
@@ -214,6 +214,17 @@ func TestServiceEndToEnd(t *testing.T) {
 		t.Fatalf("oversized POST: status %d Retry-After %q, want 429 with a header", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 	resp.Body.Close()
+	// A bad problem shape is a 400 carrying the shared validator's message.
+	resp, err = http.Post(srv.URL+"/jobs", "application/json",
+		strings.NewReader(`{"extent":100,"levels":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := "extent 100 not divisible by 2^(levels-1) = 8"; resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), want) {
+		t.Fatalf("bad-shape POST: status %d body %q, want 400 containing %q", resp.StatusCode, body, want)
+	}
 	resp, err = http.Post(srv.URL+"/jobs", "application/json",
 		strings.NewReader(`{"extent":16,"max_cycles":400,"rtol":1e-30,"ranks":2}`))
 	if err != nil {
