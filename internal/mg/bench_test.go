@@ -1,0 +1,64 @@
+package mg
+
+import (
+	"testing"
+
+	"nccd/internal/mpi"
+	"nccd/internal/petsc"
+)
+
+// benchKernel times fn on the finest level of a one-rank 96³, two-level
+// hierarchy (the benchmark spine's grid) and reports ns per cell written;
+// bytes is what one call reads and writes.
+func benchKernel(b *testing.B, cells func(s *Solver) int, bytes func(s *Solver) int, fn func(s *Solver, x, rhs, out, coarse *petsc.Vec)) {
+	runWorld(b, 1, mpi.Optimized(), func(c *mpi.Comm) error {
+		s := New(c, []int{96, 96, 96}, 2, petsc.ScatterDatatype)
+		x, rhs, out := s.CreateVec(), s.CreateVec(), s.CreateVec()
+		coarse := s.DA(1).CreateGlobalVec()
+		fillSeeded(x, 1)
+		fillSeeded(rhs, 2)
+		fillSeeded(coarse, 3)
+		s.levels[0].da.GlobalToLocal(x, s.levels[0].lwork)
+		b.SetBytes(int64(bytes(s)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fn(s, x, rhs, out, coarse)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells(s)), "ns/cell")
+		return nil
+	})
+}
+
+func fineCells(s *Solver) int   { return s.DA(0).OwnedCount() }
+func coarseCells(s *Solver) int { return s.DA(1).OwnedCount() }
+
+// BenchmarkStencil times the stencil pass alone, on ghosted values already
+// in place: apply is the form behind Solver.Apply, jacobi one smoother sweep.
+func BenchmarkStencil(b *testing.B) {
+	b.Run("apply", func(b *testing.B) {
+		benchKernel(b, fineCells,
+			func(s *Solver) int { return 8 * (len(s.levels[0].lwork) + fineCells(s)) },
+			func(s *Solver, _, _, out, _ *petsc.Vec) { s.stencil(s.levels[0], formApply, out.Array(), nil, 0) })
+	})
+	b.Run("jacobi", func(b *testing.B) {
+		benchKernel(b, fineCells,
+			func(s *Solver) int { return 8 * (len(s.levels[0].lwork) + 2*fineCells(s)) },
+			func(s *Solver, _, rhs, out, _ *petsc.Vec) {
+				s.stencil(s.levels[0], formJacobi, out.Array(), rhs.Array(), s.Omega)
+			})
+	})
+}
+
+// BenchmarkRestrict and BenchmarkInterpolate time a whole level transfer
+// as a V-cycle pays for it, patch scatter included.
+func BenchmarkRestrict(b *testing.B) {
+	benchKernel(b, coarseCells,
+		func(s *Solver) int { return 8 * (len(s.levels[0].finePatch) + coarseCells(s)) },
+		func(s *Solver, x, _, _, coarse *petsc.Vec) { s.restrictTo(0, x, coarse) })
+}
+
+func BenchmarkInterpolate(b *testing.B) {
+	benchKernel(b, fineCells,
+		func(s *Solver) int { return 8 * (len(s.levels[0].coarsePatch) + 2*fineCells(s)) },
+		func(s *Solver, _, _, out, coarse *petsc.Vec) { s.interpolateAdd(0, coarse, out) })
+}

@@ -1,0 +1,452 @@
+package mg
+
+import "nccd/internal/petsc"
+
+// The three solver kernels.  Each runs exactly the floating-point
+// operations, in exactly the order, of the per-cell loops kept as the
+// oracle in reference_test.go, so residual histories are bitwise theirs,
+// but takes no decision per cell.  Subexpressions are hoisted only when
+// their operands are unchanged, sums are never re-associated, and every
+// product that feeds an add carries an explicit float64 conversion so that
+// an architecture that fuses multiply-add rounds as one that does not.
+
+// stencilForm selects what stencil writes for every owned cell.
+type stencilForm uint8
+
+const (
+	formApply    stencilForm = iota // y = A x
+	formResidual                    // y = b - A x
+	formJacobi                      // y = x + omega/diag (b - A x)
+)
+
+// stencilGeom is what the general per-cell form needs to know of a level.
+type stencilGeom struct {
+	dim     int
+	n       [3]int     // global extents
+	inv     [3]float64 // 1/h² per dimension
+	strides [3]int     // ghosted-array strides
+}
+
+// stencil evaluates one of the three forms for every owned cell from the
+// ghosted values of x already in lv.lwork (b is unused by formApply, omega
+// by all but formJacobi).  Every x-row is classified once: a 3-D row that
+// touches no domain face in y or z has all six neighbours present for all
+// but its first and last cell, and those cells run as one unrolled loop
+// over five row slices; the two end cells, rows on a face, and every row
+// of a 1-D or 2-D grid take the general per-cell form.
+func (s *Solver) stencil(lv *level, form stencilForm, y, b []float64, omega float64) {
+	da := lv.da
+	own, ghost := da.OwnedBox(), da.GhostBox()
+	g := stencilGeom{dim: s.dim}
+	for d := 0; d < 3; d++ {
+		g.n[d] = da.GlobalSize(d)
+	}
+	gnx := ghost.Hi[0] - ghost.Lo[0]
+	gny := ghost.Hi[1] - ghost.Lo[1]
+	g.strides = [3]int{1, gnx, gnx * gny}
+
+	// Interior cells: the coefficient of u is 2/h² per dimension, so the
+	// diagonal, and with it the Jacobi weight, is one number per level.
+	var two [3]float64
+	diag := 0.0
+	for d := 0; d < s.dim; d++ {
+		g.inv[d] = 1 / (lv.h[d] * lv.h[d])
+		two[d] = float64(2.0 * g.inv[d])
+		diag += two[d]
+	}
+	w := omega / diag
+
+	lw := lv.lwork
+	nx := own.Hi[0] - own.Lo[0]
+	sy, sz := g.strides[1], g.strides[2]
+	for k := own.Lo[2]; k < own.Hi[2]; k++ {
+		for j := own.Lo[1]; j < own.Hi[1]; j++ {
+			row := da.LocalIndex(own.Lo[0], j, k, 0)
+			out := da.OwnedIndex(own.Lo[0], j, k, 0)
+			if s.dim < 3 || nx < 3 || j == 0 || j == g.n[1]-1 || k == 0 || k == g.n[2]-1 {
+				g.cells(form, lw, y, b, omega, row, out, own.Lo[0], j, k, nx)
+				continue
+			}
+			g.cells(form, lw, y, b, omega, row, out, own.Lo[0], j, k, 1)
+			interiorCells(form, y, b, out+1, nx-2, lw[row:], lw[row+1-sy:], lw[row+1+sy:],
+				lw[row+1-sz:], lw[row+1+sz:], &g.inv, &two, w)
+			g.cells(form, lw, y, b, omega, row+nx-1, out+nx-1, own.Hi[0]-1, j, k, 1)
+		}
+	}
+	s.c.Compute(float64(own.Cells()) * float64(4*s.dim+3) * flopSec)
+}
+
+// cells evaluates count consecutive cells of row (j, k), from global x
+// index i at lw[li] and y[oi], the general way: any dimension count, and
+// homogeneous Dirichlet at whichever physical domain faces a cell touches.
+// There the ghost cell mirrors with opposite sign (u_ghost = -u), which
+// adds 1 to the diagonal coefficient of boundary cells.  Discretizing the
+// boundary at the same physical location on every level is what lets the
+// coarse-grid correction work near the walls.
+func (g *stencilGeom) cells(form stencilForm, lw, y, b []float64, omega float64, li, oi, i, j, k, count int) {
+	for ; count > 0; count, li, oi, i = count-1, li+1, oi+1, i+1 {
+		u := lw[li]
+		coords := [3]int{i, j, k}
+		acc := 0.0
+		diag := 0.0
+		for d := 0; d < g.dim; d++ {
+			cd := 2.0
+			if coords[d] > 0 {
+				acc -= float64(g.inv[d] * lw[li-g.strides[d]])
+			} else {
+				cd++
+			}
+			if coords[d] < g.n[d]-1 {
+				acc -= float64(g.inv[d] * lw[li+g.strides[d]])
+			} else {
+				cd++
+			}
+			acc += float64(cd * g.inv[d] * u)
+			diag += float64(cd * g.inv[d])
+		}
+		switch form {
+		case formApply:
+			y[oi] = acc
+		case formResidual:
+			y[oi] = b[oi] - acc
+		case formJacobi:
+			y[oi] = u + float64(omega/diag*(b[oi]-acc))
+		}
+	}
+}
+
+// interiorCells evaluates the m cells y[o:o+m] of a 3-D row, all of which
+// have six neighbours inside the domain.  cr is the cells' own ghosted row
+// from the first cell's west neighbour on; ym, yp, zm and zp are the four
+// neighbouring rows from the first cell on.  two[d] is 2·inv[d] and w the
+// interior omega/diag.
+func interiorCells(form stencilForm, y, b []float64, o, m int, cr, ym, yp, zm, zp []float64, inv, two *[3]float64, w float64) {
+	xm, u, xp := cr[:m], cr[1:m+1], cr[2:m+2]
+	ym, yp, zm, zp = ym[:m], yp[:m], zm[:m], zp[:m]
+	y = y[o:][:m]
+	i0, i1, i2 := inv[0], inv[1], inv[2]
+	t0, t1, t2 := two[0], two[1], two[2]
+	switch form {
+	case formApply:
+		for i := range y {
+			y[i] = lap7(i0, i1, i2, t0, t1, t2, u[i], xm[i], xp[i], ym[i], yp[i], zm[i], zp[i])
+		}
+	case formResidual:
+		b = b[o:][:m]
+		for i := range y {
+			y[i] = b[i] - lap7(i0, i1, i2, t0, t1, t2, u[i], xm[i], xp[i], ym[i], yp[i], zm[i], zp[i])
+		}
+	case formJacobi:
+		b = b[o:][:m]
+		for i := range y {
+			acc := lap7(i0, i1, i2, t0, t1, t2, u[i], xm[i], xp[i], ym[i], yp[i], zm[i], zp[i])
+			y[i] = u[i] + float64(w*(b[i]-acc))
+		}
+	}
+}
+
+// lap7 is (A x) of one interior cell, in the general form's order: per
+// dimension the lower neighbour, the upper neighbour, then the centre.
+func lap7(i0, i1, i2, t0, t1, t2, u, xm, xp, ym, yp, zm, zp float64) float64 {
+	acc := 0.0
+	acc -= float64(i0 * xm)
+	acc -= float64(i0 * xp)
+	acc += float64(t0 * u)
+	acc -= float64(i1 * ym)
+	acc -= float64(i1 * yp)
+	acc += float64(t1 * u)
+	acc -= float64(i2 * zm)
+	acc -= float64(i2 * zp)
+	acc += float64(t2 * u)
+	return acc
+}
+
+// interpWeights returns, for fine cell index i along a split dimension, the
+// lower coarse neighbor and the weights of the (lo, lo+1) pair under
+// cell-centered linear interpolation.  At domain boundaries the missing
+// neighbor is the homogeneous-Dirichlet face (value 0, half a coarse cell
+// away), so the surviving weight becomes 0.5 — keeping interpolation
+// consistent with the operator's boundary discretization.  For unsplit
+// dimensions the cell maps to itself with full weight.
+func interpWeights(i int, split bool, coarseN int) (lo int, wLo, wHi float64) {
+	if !split {
+		return i, 1, 0
+	}
+	c := i / 2
+	if i%2 == 0 {
+		lo, wLo, wHi = c-1, 0.25, 0.75
+	} else {
+		lo, wLo, wHi = c, 0.75, 0.25
+	}
+	if lo < 0 {
+		return lo, 0, 0.5 // interpolate between the face (0) and coarse cell 0
+	}
+	if lo+1 >= coarseN {
+		return lo, 0.5, 0 // interpolate between the last cell and the face
+	}
+	return lo, wLo, wHi
+}
+
+// interpTerm is, for one owned fine index along one dimension, the pair of
+// coarse cells it interpolates between, lower first: their patch offsets
+// (index times the dimension's patch stride) and weights.  A zero weight
+// marks a neighbour beyond a domain face, which contributes nothing and
+// may lie outside the patch.
+type interpTerm struct {
+	off [2]int
+	w   [2]float64
+}
+
+// restrictTerm is the adjoint for one owned coarse index along one
+// dimension: the patch offsets of the up to four fine cells that
+// interpolate from it, in ascending order, and their weights.
+type restrictTerm struct {
+	n   int
+	off [4]int
+	w   [4]float64
+}
+
+// transferTables hold everything restrictTo and interpolateAdd would
+// otherwise derive per cell: one table per dimension (x first), indexed by
+// owned coarse and by owned fine index respectively.  The x runs are the
+// ranges of the x tables that the unrolled loops serve: entries with every
+// weight present and adjacent patch cells.
+type transferTables struct {
+	restrict     [3][]restrictTerm
+	restrictXRun [2]int
+	interp       [3][]interpTerm
+	interpXRun   [2]int
+}
+
+// newTransferTables builds the tables of the transfers between fine and
+// coarse from interpWeights, the single source of the weights.
+func (s *Solver) newTransferTables(fine, coarse *level) *transferTables {
+	t := &transferTables{}
+	cOwn, fOwn := coarse.da.OwnedBox(), fine.da.OwnedBox()
+	rBox, iBox := fine.restrictBox, fine.interpBox
+	rStride, iStride := 1, 1
+	for d := 0; d < 3; d++ {
+		split := d < s.dim
+		nf, nc := fine.da.GlobalSize(d), coarse.da.GlobalSize(d)
+
+		// Coarse cell ci gathers the fine cells of [2ci-1, 2ci+3) inside
+		// the domain that interpolate from it, each with the weight it
+		// gives ci (an unsplit dimension's one cell maps to itself).
+		for ci := cOwn.Lo[d]; ci < cOwn.Hi[d]; ci++ {
+			var e restrictTerm
+			for fi := 2*ci - 1; fi < 2*ci+3; fi++ {
+				if fi < 0 || fi >= nf {
+					continue
+				}
+				lo, wLo, wHi := interpWeights(fi, split, nc)
+				var w float64
+				switch {
+				case lo == ci:
+					w = wLo
+				case lo+1 == ci:
+					w = wHi
+				}
+				if w != 0 {
+					e.off[e.n], e.w[e.n] = (fi-rBox.Lo[d])*rStride, w
+					e.n++
+				}
+			}
+			t.restrict[d] = append(t.restrict[d], e)
+		}
+		rStride *= rBox.Hi[d] - rBox.Lo[d]
+
+		for fi := fOwn.Lo[d]; fi < fOwn.Hi[d]; fi++ {
+			lo, wLo, wHi := interpWeights(fi, split, nc)
+			off := (lo - iBox.Lo[d]) * iStride
+			t.interp[d] = append(t.interp[d], interpTerm{[2]int{off, off + iStride}, [2]float64{wLo, wHi}})
+		}
+		iStride *= iBox.Hi[d] - iBox.Lo[d]
+	}
+	t.restrictXRun = firstRun(len(t.restrict[0]), func(i int) bool {
+		e := &t.restrict[0][i]
+		return e.n == 4 && e.off[1] == e.off[0]+1 && e.off[2] == e.off[0]+2 && e.off[3] == e.off[0]+3
+	})
+	t.interpXRun = firstRun(len(t.interp[0]), func(i int) bool {
+		e := &t.interp[0][i]
+		return e.w[0] != 0 && e.w[1] != 0 && e.off[1] == e.off[0]+1
+	})
+	return t
+}
+
+// firstRun returns the first maximal range [lo, hi) of indices below n
+// that all satisfy ok (empty, at n, when none does).
+func firstRun(n int, ok func(int) bool) [2]int {
+	lo := 0
+	for lo < n && !ok(lo) {
+		lo++
+	}
+	hi := lo
+	for hi < n && ok(hi) {
+		hi++
+	}
+	return [2]int{lo, hi}
+}
+
+// restrictTo restricts fine-level values r_f (level l) into the next
+// coarser level's vector out using the scaled adjoint of the linear
+// interpolation, R = Pᵀ/2^dim — full weighting with Dirichlet-consistent
+// boundary treatment.
+func (s *Solver) restrictTo(l int, rf, out *petsc.Vec) {
+	start := s.c.Clock()
+	defer func() { s.c.Span("restrict", start, lvl(l)) }()
+	fine := s.levels[l]
+	fine.restrictSc.DoArrays(rf.Array(), fine.finePatch)
+
+	scale := 1.0
+	for d := 0; d < s.dim; d++ {
+		scale /= 2
+	}
+	t := fine.transfer
+	tx, patch, oa := t.restrict[0], fine.finePatch, out.Array()
+	runLo, runHi := t.restrictXRun[0], t.restrictXRun[1]
+
+	// Per coarse row: the fine rows it gathers from, z-major as the sum
+	// runs, and the product of their z and y weights.
+	var rowBuf [16]int
+	var wzyBuf [16]float64
+	idx := 0
+	for kz := range t.restrict[2] {
+		ez := &t.restrict[2][kz]
+		for jy := range t.restrict[1] {
+			ey := &t.restrict[1][jy]
+			nr := 0
+			for a := 0; a < ez.n; a++ {
+				for b := 0; b < ey.n; b++ {
+					rowBuf[nr], wzyBuf[nr] = ez.off[a]+ey.off[b], float64(ez.w[a]*ey.w[b])
+					nr++
+				}
+			}
+			rows, wzy := rowBuf[:nr], wzyBuf[:nr]
+			for i := 0; i < runLo; i++ {
+				oa[idx+i] = restrictCell(patch, rows, wzy, &tx[i]) * scale
+			}
+			for i := runLo; i < runHi; i++ {
+				oa[idx+i] = restrictCell4(patch, rows, wzy, &tx[i]) * scale
+			}
+			for i := runHi; i < len(tx); i++ {
+				oa[idx+i] = restrictCell(patch, rows, wzy, &tx[i]) * scale
+			}
+			idx += len(tx)
+		}
+	}
+	cOwn := s.levels[l+1].da.OwnedBox()
+	s.c.Compute(float64(cOwn.Cells()) * float64(int(4)<<uint(s.dim)) * flopSec)
+}
+
+// restrictCell gathers one coarse cell with any number of x candidates.
+func restrictCell(patch []float64, rows []int, wzy []float64, ex *restrictTerm) float64 {
+	sum := 0.0
+	for r, base := range rows {
+		for c := 0; c < ex.n; c++ {
+			sum += float64(wzy[r] * ex.w[c] * patch[base+ex.off[c]])
+		}
+	}
+	return sum
+}
+
+// restrictCell4 is restrictCell for four adjacent x candidates.
+func restrictCell4(patch []float64, rows []int, wzy []float64, ex *restrictTerm) float64 {
+	w0, w1, w2, w3 := ex.w[0], ex.w[1], ex.w[2], ex.w[3]
+	wzy = wzy[:len(rows)]
+	sum := 0.0
+	for r, base := range rows {
+		p := patch[base+ex.off[0]:][:4]
+		w := wzy[r]
+		sum += float64(w * w0 * p[0])
+		sum += float64(w * w1 * p[1])
+		sum += float64(w * w2 * p[2])
+		sum += float64(w * w3 * p[3])
+	}
+	return sum
+}
+
+// interpolateAdd interpolates the coarse correction xc (level l+1) linearly
+// and adds it into the fine-level vector x (level l).
+func (s *Solver) interpolateAdd(l int, xc, x *petsc.Vec) {
+	start := s.c.Clock()
+	defer func() { s.c.Span("prolong", start, lvl(l)) }()
+	fine := s.levels[l]
+	fine.interpSc.DoArrays(xc.Array(), fine.coarsePatch)
+
+	t := fine.transfer
+	tx, patch, xa := t.interp[0], fine.coarsePatch, x.Array()
+
+	// Per fine row: the coarse rows with a weight, z-major as the sum
+	// runs, and the product of their z and y weights.
+	var rowBuf [4]int
+	var wzyBuf [4]float64
+	idx := 0
+	for kz := range t.interp[2] {
+		ez := &t.interp[2][kz]
+		for jy := range t.interp[1] {
+			ey := &t.interp[1][jy]
+			nr := 0
+			for a := 0; a < 2; a++ {
+				for b := 0; b < 2; b++ {
+					if ez.w[a] != 0 && ey.w[b] != 0 {
+						rowBuf[nr], wzyBuf[nr] = ez.off[a]+ey.off[b], float64(ez.w[a]*ey.w[b])
+						nr++
+					}
+				}
+			}
+			// All four rows present means a 3-D row off the y and z domain
+			// faces, whose x run has all eight weights; any other row takes
+			// the general form throughout.
+			runLo, runHi := len(tx), len(tx)
+			if nr == 4 {
+				runLo, runHi = t.interpXRun[0], t.interpXRun[1]
+			}
+			rows, wzy := rowBuf[:nr], wzyBuf[:nr]
+			for i := 0; i < runLo; i++ {
+				xa[idx+i] += interpCell(patch, rows, wzy, &tx[i])
+			}
+			interpCells8(xa[idx+runLo:idx+runHi], tx[runLo:runHi], patch, &rowBuf, &wzyBuf)
+			for i := runHi; i < len(tx); i++ {
+				xa[idx+i] += interpCell(patch, rows, wzy, &tx[i])
+			}
+			idx += len(tx)
+		}
+	}
+	fOwn := fine.da.OwnedBox()
+	s.c.Compute(float64(fOwn.Cells()) * float64(int(3)<<uint(s.dim)) * flopSec)
+}
+
+// interpCell interpolates one fine cell from whichever weights it has.
+func interpCell(patch []float64, rows []int, wzy []float64, ex *interpTerm) float64 {
+	v := 0.0
+	for r, base := range rows {
+		for c := 0; c < 2; c++ {
+			if ex.w[c] != 0 {
+				v += float64(wzy[r] * ex.w[c] * patch[base+ex.off[c]])
+			}
+		}
+	}
+	return v
+}
+
+// interpCells8 adds to xa the interpolant of consecutive fine cells that
+// have all eight weights: four coarse rows, two adjacent cells in each.
+func interpCells8(xa []float64, tx []interpTerm, patch []float64, rows *[4]int, wzy *[4]float64) {
+	p0, p1, p2, p3 := patch[rows[0]:], patch[rows[1]:], patch[rows[2]:], patch[rows[3]:]
+	w0, w1, w2, w3 := wzy[0], wzy[1], wzy[2], wzy[3]
+	tx = tx[:len(xa)]
+	for i := range xa {
+		e := &tx[i]
+		c, lo, hi := e.off[0], e.w[0], e.w[1]
+		v := 0.0
+		v += float64(w0 * lo * p0[c])
+		v += float64(w0 * hi * p0[c+1])
+		v += float64(w1 * lo * p1[c])
+		v += float64(w1 * hi * p1[c+1])
+		v += float64(w2 * lo * p2[c])
+		v += float64(w2 * hi * p2[c+1])
+		v += float64(w3 * lo * p3[c])
+		v += float64(w3 * hi * p3[c+1])
+		xa[i] += v
+	}
+}

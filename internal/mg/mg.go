@@ -27,6 +27,7 @@ type level struct {
 
 	b, x, r *petsc.Vec
 	d       *petsc.Vec // Chebyshev direction (lazily allocated)
+	p, ap   *petsc.Vec // coarsest level's conjugate-gradient scratch (lazily allocated)
 	lwork   []float64  // ghosted local array
 
 	// Transfers to/from the next coarser level (nil on the coarsest).
@@ -36,6 +37,7 @@ type level struct {
 	interpSc    *petsc.Scatter // coarse global -> coarse patch (interp stencil sources)
 	interpBox   dmda.Box
 	coarsePatch []float64
+	transfer    *transferTables // what both kernels read of the two boxes and interpWeights
 }
 
 // Checkpointer is the checkpoint store a Solver writes to and restores
@@ -201,6 +203,7 @@ func NewAgglomerated(c *mpi.Comm, n []int, nlevels int, mode petsc.ScatterMode, 
 		}
 		fine.interpSc, fine.interpBox = coarse.da.NewPatchScatter(want)
 		fine.coarsePatch = make([]float64, fine.interpBox.Cells())
+		fine.transfer = s.newTransferTables(fine, coarse)
 	}
 
 	// When the coarsest level is agglomerated, idle ranks can sit out the
@@ -239,82 +242,11 @@ func (s *Solver) CreateVec() *petsc.Vec { return s.levels[0].da.CreateGlobalVec(
 func (s *Solver) applyLevel(l int, x, y *petsc.Vec) {
 	lv := s.levels[l]
 	lv.da.GlobalToLocal(x, lv.lwork)
-	s.stencil(lv, y.Array(), nil, 0)
+	s.stencil(lv, formApply, y.Array(), nil, 0)
 }
 
 // Apply computes y = A x on the finest grid (ksp.Operator).
 func (s *Solver) Apply(x, y *petsc.Vec) { s.applyLevel(0, x, y) }
-
-// stencil evaluates, for every owned cell, either the operator value
-//
-//	y = A x          (mode jac == nil)
-//
-// or a damped-Jacobi update
-//
-//	x += omega/diag * (b - A x)     (jac = b's array, writing into upd)
-//
-// using the ghosted values already in lv.lwork.
-func (s *Solver) stencil(lv *level, y []float64, jac []float64, omega float64) {
-	da := lv.da
-	own := da.OwnedBox()
-	ghost := da.GhostBox()
-	inv := [3]float64{}
-	for d := 0; d < s.dim; d++ {
-		inv[d] = 1 / (lv.h[d] * lv.h[d])
-	}
-	gnx := ghost.Hi[0] - ghost.Lo[0]
-	gny := ghost.Hi[1] - ghost.Lo[1]
-	strides := [3]int{1, gnx, gnx * gny}
-
-	for k := own.Lo[2]; k < own.Hi[2]; k++ {
-		for j := own.Lo[1]; j < own.Hi[1]; j++ {
-			row := da.LocalIndex(own.Lo[0], j, k, 0)
-			out := boxRowIndex(own, j, k)
-			for i := own.Lo[0]; i < own.Hi[0]; i++ {
-				li := row + (i - own.Lo[0])
-				u := lv.lwork[li]
-				coords := [3]int{i, j, k}
-				// Homogeneous Dirichlet at the physical domain faces:
-				// the ghost cell mirrors with opposite sign (u_ghost =
-				// -u), which adds 1 to the diagonal coefficient of
-				// boundary cells.  Discretizing the boundary at the same
-				// physical location on every level is what lets the
-				// coarse-grid correction work near the walls.
-				acc := 0.0
-				diag := 0.0
-				for d := 0; d < s.dim; d++ {
-					cd := 2.0
-					if coords[d] > 0 {
-						acc -= inv[d] * lv.lwork[li-strides[d]]
-					} else {
-						cd++
-					}
-					if coords[d] < lv.da.GlobalSize(d)-1 {
-						acc -= inv[d] * lv.lwork[li+strides[d]]
-					} else {
-						cd++
-					}
-					acc += cd * inv[d] * u
-					diag += cd * inv[d]
-				}
-				oi := out + (i - own.Lo[0])
-				if jac == nil {
-					y[oi] = acc
-				} else {
-					y[oi] = u + omega/diag*(jac[oi]-acc)
-				}
-			}
-		}
-	}
-	s.c.Compute(float64(own.Cells()) * float64(4*s.dim+3) * flopSec)
-}
-
-// boxRowIndex returns the flat index of cell (Lo[0], j, k) within box b.
-func boxRowIndex(b dmda.Box, j, k int) int {
-	nx := b.Hi[0] - b.Lo[0]
-	ny := b.Hi[1] - b.Lo[1]
-	return ((k-b.Lo[2])*ny + (j - b.Lo[1])) * nx
-}
 
 // Smoother selects the multigrid relaxation scheme.
 type Smoother uint8
@@ -350,12 +282,21 @@ func (s *Solver) smooth(l, sweeps int, b, x *petsc.Vec) {
 		s.smoothChebyshev(l, sweeps, b, x)
 		return
 	}
+	// Sweeps ping-pong between x and the residual storage, so only an odd
+	// count ends with a copy back into x.  The virtual clock's cost model
+	// has one vector copy per sweep, and is charged one whether or not a
+	// copy happens.
 	lv := s.levels[l]
-	xnew := lv.r // reuse residual storage as the sweep target
+	src, dst := x, lv.r
 	for it := 0; it < sweeps; it++ {
-		lv.da.GlobalToLocal(x, lv.lwork)
-		s.stencil(lv, xnew.Array(), b.Array(), s.Omega)
-		x.Copy(xnew)
+		lv.da.GlobalToLocal(src, lv.lwork)
+		s.stencil(lv, formJacobi, dst.Array(), b.Array(), s.Omega)
+		src, dst = dst, src
+		if it == sweeps-1 && src != x {
+			x.Copy(src)
+		} else {
+			s.c.Compute(float64(x.LocalSize()) * flopSec)
+		}
 	}
 }
 
@@ -386,7 +327,7 @@ func (s *Solver) smoothChebyshev(l, degree int, b, x *petsc.Vec) {
 	// z = D⁻¹(b - A x) is the omega=1 Jacobi update minus x.
 	jacz := func() {
 		lv.da.GlobalToLocal(x, lv.lwork)
-		s.stencil(lv, z.Array(), b.Array(), 1)
+		s.stencil(lv, formJacobi, z.Array(), b.Array(), 1)
 		z.AXPY(-1, x)
 	}
 
@@ -406,171 +347,14 @@ func (s *Solver) smoothChebyshev(l, degree int, b, x *petsc.Vec) {
 	}
 }
 
-// residual computes r = b - A x on level l.
+// residual computes r = b - A x on level l in one stencil pass.  The
+// virtual clock's cost model prices the subtraction as an AYPX pass of its
+// own, which is charged after the stencil's.
 func (s *Solver) residual(l int, b, x, r *petsc.Vec) {
 	lv := s.levels[l]
 	lv.da.GlobalToLocal(x, lv.lwork)
-	s.stencil(lv, r.Array(), nil, 0)
-	r.AYPX(-1, b)
-}
-
-// restrictTo restricts fine-level values r_f (level l) into the next
-// coarser level's vector out using the scaled adjoint of the linear
-// interpolation, R = Pᵀ/2^dim — full weighting with Dirichlet-consistent
-// boundary treatment.
-func (s *Solver) restrictTo(l int, rf, out *petsc.Vec) {
-	start := s.c.Clock()
-	defer func() { s.c.Span("restrict", start, lvl(l)) }()
-	fine := s.levels[l]
-	coarse := s.levels[l+1]
-	fine.restrictSc.DoArrays(rf.Array(), fine.finePatch)
-
-	cOwn := coarse.da.OwnedBox()
-	box := fine.restrictBox
-	scale := 1.0
-	for d := 0; d < s.dim; d++ {
-		scale /= 2
-	}
-	oa := out.Array()
-
-	// candWeights fills, for coarse index I along dimension d, the fine
-	// candidate indices and their adjoint weights.
-	candWeights := func(d, ci int, fis *[4]int, ws *[4]float64) int {
-		if d >= s.dim {
-			fis[0], ws[0] = ci, 1
-			return 1
-		}
-		nf := fine.da.GlobalSize(d)
-		nc := coarse.da.GlobalSize(d)
-		n := 0
-		for fi := 2*ci - 1; fi < 2*ci+3; fi++ {
-			if fi < 0 || fi >= nf {
-				continue
-			}
-			lo, wLo, wHi := interpWeights(fi, true, nc)
-			var w float64
-			switch {
-			case lo == ci:
-				w = wLo
-			case lo+1 == ci:
-				w = wHi
-			}
-			if w != 0 {
-				fis[n], ws[n] = fi, w
-				n++
-			}
-		}
-		return n
-	}
-
-	var fiX, fiY, fiZ [4]int
-	var wX, wY, wZ [4]float64
-	idx := 0
-	for k := cOwn.Lo[2]; k < cOwn.Hi[2]; k++ {
-		nz := candWeights(2, k, &fiZ, &wZ)
-		for j := cOwn.Lo[1]; j < cOwn.Hi[1]; j++ {
-			ny := candWeights(1, j, &fiY, &wY)
-			for i := cOwn.Lo[0]; i < cOwn.Hi[0]; i++ {
-				nx := candWeights(0, i, &fiX, &wX)
-				sum := 0.0
-				for a := 0; a < nz; a++ {
-					for b := 0; b < ny; b++ {
-						for c := 0; c < nx; c++ {
-							sum += wZ[a] * wY[b] * wX[c] *
-								fine.finePatch[patchIndex(box, fiX[c], fiY[b], fiZ[a])]
-						}
-					}
-				}
-				oa[idx] = sum * scale
-				idx++
-			}
-		}
-	}
-	s.c.Compute(float64(cOwn.Cells()) * float64(int(4)<<uint(s.dim)) * flopSec)
-}
-
-// interpolateAdd interpolates the coarse correction xc (level l+1) linearly
-// and adds it into the fine-level vector x (level l).
-func (s *Solver) interpolateAdd(l int, xc, x *petsc.Vec) {
-	start := s.c.Clock()
-	defer func() { s.c.Span("prolong", start, lvl(l)) }()
-	fine := s.levels[l]
-	coarse := s.levels[l+1]
-	fine.interpSc.DoArrays(xc.Array(), fine.coarsePatch)
-
-	fOwn := fine.da.OwnedBox()
-	box := fine.interpBox
-	xa := x.Array()
-	cn := coarse.da
-	idx := 0
-	for k := fOwn.Lo[2]; k < fOwn.Hi[2]; k++ {
-		ck, wkLo, wkHi := interpWeights(k, s.dim > 2, cn.GlobalSize(2))
-		for j := fOwn.Lo[1]; j < fOwn.Hi[1]; j++ {
-			cj, wjLo, wjHi := interpWeights(j, s.dim > 1, cn.GlobalSize(1))
-			for i := fOwn.Lo[0]; i < fOwn.Hi[0]; i++ {
-				ci, wiLo, wiHi := interpWeights(i, s.dim > 0, cn.GlobalSize(0))
-				v := 0.0
-				for _, zk := range [2]cw{{ck, wkLo}, {ck + 1, wkHi}} {
-					if zk.w == 0 {
-						continue
-					}
-					for _, zj := range [2]cw{{cj, wjLo}, {cj + 1, wjHi}} {
-						if zj.w == 0 {
-							continue
-						}
-						for _, zi := range [2]cw{{ci, wiLo}, {ci + 1, wiHi}} {
-							if zi.w == 0 {
-								continue
-							}
-							v += zk.w * zj.w * zi.w * fine.coarsePatch[patchIndex(box, zi.c, zj.c, zk.c)]
-						}
-					}
-				}
-				xa[idx] += v
-				idx++
-			}
-		}
-	}
-	s.c.Compute(float64(fOwn.Cells()) * float64(int(3)<<uint(s.dim)) * flopSec)
-}
-
-// cw pairs a coarse index with its interpolation weight.
-type cw struct {
-	c int
-	w float64
-}
-
-// interpWeights returns, for fine cell index i along a split dimension, the
-// lower coarse neighbor and the weights of the (lo, lo+1) pair under
-// cell-centered linear interpolation.  At domain boundaries the missing
-// neighbor is the homogeneous-Dirichlet face (value 0, half a coarse cell
-// away), so the surviving weight becomes 0.5 — keeping interpolation
-// consistent with the operator's boundary discretization.  For unsplit
-// dimensions the cell maps to itself with full weight.
-func interpWeights(i int, split bool, coarseN int) (lo int, wLo, wHi float64) {
-	if !split {
-		return i, 1, 0
-	}
-	c := i / 2
-	if i%2 == 0 {
-		lo, wLo, wHi = c-1, 0.25, 0.75
-	} else {
-		lo, wLo, wHi = c, 0.75, 0.25
-	}
-	if lo < 0 {
-		return lo, 0, 0.5 // interpolate between the face (0) and coarse cell 0
-	}
-	if lo+1 >= coarseN {
-		return lo, 0.5, 0 // interpolate between the last cell and the face
-	}
-	return lo, wLo, wHi
-}
-
-// patchIndex returns the flat index of cell (i,j,k) in a dof-1 patch box.
-func patchIndex(b dmda.Box, i, j, k int) int {
-	nx := b.Hi[0] - b.Lo[0]
-	ny := b.Hi[1] - b.Lo[1]
-	return ((k-b.Lo[2])*ny+(j-b.Lo[1]))*nx + (i - b.Lo[0])
+	s.stencil(lv, formResidual, r.Array(), b.Array(), 0)
+	s.c.Compute(float64(2*r.LocalSize()) * flopSec)
 }
 
 // vcycle runs one V-cycle on level l for A_l x = b (x holds the initial
@@ -622,8 +406,7 @@ func (s *Solver) coarseSolve(l int, b, x *petsc.Vec) {
 	}
 
 	r := lv.r
-	s.applyLevel(l, x, r)
-	r.AYPX(-1, b) // r = b - A x
+	s.residual(l, b, x, r)
 	rr := dot(r, r)
 	bnorm := dot(b, b)
 	if bnorm == 0 {
@@ -633,8 +416,10 @@ func (s *Solver) coarseSolve(l int, b, x *petsc.Vec) {
 	if rr <= tol2 {
 		return
 	}
-	p := b.Duplicate()
-	ap := b.Duplicate()
+	if lv.p == nil {
+		lv.p, lv.ap = b.Duplicate(), b.Duplicate()
+	}
+	p, ap := lv.p, lv.ap
 	p.Copy(r)
 	for it := 0; it < s.CoarseIts; it++ {
 		s.applyLevel(l, p, ap)

@@ -11,7 +11,7 @@ import (
 	"nccd/internal/simnet"
 )
 
-func runWorld(t *testing.T, n int, cfg mpi.Config, f func(c *mpi.Comm) error) *mpi.World {
+func runWorld(t testing.TB, n int, cfg mpi.Config, f func(c *mpi.Comm) error) *mpi.World {
 	t.Helper()
 	w := mpi.NewWorld(simnet.Uniform(n, simnet.IBDDR()), cfg)
 	if err := w.Run(f); err != nil {

@@ -1,0 +1,627 @@
+package mg
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"nccd/internal/dmda"
+	"nccd/internal/mpi"
+	"nccd/internal/petsc"
+)
+
+// This file is the solver kernels' oracle: the stencil, restriction and
+// interpolation loops as they stood before the row-classified and
+// table-driven kernels replaced them, and the V-cycle as it drove them (a
+// vector copy after every Jacobi sweep, the residual as a stencil pass
+// plus an AYPX pass, fresh conjugate-gradient scratch on every coarse
+// solve).  They make every decision per cell and are kept only to be
+// compared against, bit for bit.
+//
+// Every product that feeds an add carries an explicit float64 conversion,
+// here and in the kernels alike, so that a compiler that fuses multiply-add
+// (arm64) rounds both sides the same way.
+
+// refStencil is the per-cell general form: a loop over dimensions with two
+// domain-face tests in every cell.
+func refStencil(s *Solver, lv *level, y []float64, jac []float64, omega float64) {
+	da := lv.da
+	own := da.OwnedBox()
+	ghost := da.GhostBox()
+	inv := [3]float64{}
+	for d := 0; d < s.dim; d++ {
+		inv[d] = 1 / (lv.h[d] * lv.h[d])
+	}
+	gnx := ghost.Hi[0] - ghost.Lo[0]
+	gny := ghost.Hi[1] - ghost.Lo[1]
+	strides := [3]int{1, gnx, gnx * gny}
+
+	for k := own.Lo[2]; k < own.Hi[2]; k++ {
+		for j := own.Lo[1]; j < own.Hi[1]; j++ {
+			row := da.LocalIndex(own.Lo[0], j, k, 0)
+			out := refBoxRowIndex(own, j, k)
+			for i := own.Lo[0]; i < own.Hi[0]; i++ {
+				li := row + (i - own.Lo[0])
+				u := lv.lwork[li]
+				coords := [3]int{i, j, k}
+				acc := 0.0
+				diag := 0.0
+				for d := 0; d < s.dim; d++ {
+					cd := 2.0
+					if coords[d] > 0 {
+						acc -= float64(inv[d] * lv.lwork[li-strides[d]])
+					} else {
+						cd++
+					}
+					if coords[d] < lv.da.GlobalSize(d)-1 {
+						acc -= float64(inv[d] * lv.lwork[li+strides[d]])
+					} else {
+						cd++
+					}
+					acc += float64(cd * inv[d] * u)
+					diag += float64(cd * inv[d])
+				}
+				oi := out + (i - own.Lo[0])
+				if jac == nil {
+					y[oi] = acc
+				} else {
+					y[oi] = u + float64(omega/diag*(jac[oi]-acc))
+				}
+			}
+		}
+	}
+	s.c.Compute(float64(own.Cells()) * float64(4*s.dim+3) * flopSec)
+}
+
+func refBoxRowIndex(b dmda.Box, j, k int) int {
+	nx := b.Hi[0] - b.Lo[0]
+	ny := b.Hi[1] - b.Lo[1]
+	return ((k-b.Lo[2])*ny + (j - b.Lo[1])) * nx
+}
+
+func refPatchIndex(b dmda.Box, i, j, k int) int {
+	nx := b.Hi[0] - b.Lo[0]
+	ny := b.Hi[1] - b.Lo[1]
+	return ((k-b.Lo[2])*ny+(j-b.Lo[1]))*nx + (i - b.Lo[0])
+}
+
+// refRestrict derives the adjoint weights of every coarse cell from
+// interpWeights through a closure and indexes the patch per term.
+func refRestrict(s *Solver, l int, rf, out *petsc.Vec) {
+	fine := s.levels[l]
+	coarse := s.levels[l+1]
+	fine.restrictSc.DoArrays(rf.Array(), fine.finePatch)
+
+	cOwn := coarse.da.OwnedBox()
+	box := fine.restrictBox
+	scale := 1.0
+	for d := 0; d < s.dim; d++ {
+		scale /= 2
+	}
+	oa := out.Array()
+
+	candWeights := func(d, ci int, fis *[4]int, ws *[4]float64) int {
+		if d >= s.dim {
+			fis[0], ws[0] = ci, 1
+			return 1
+		}
+		nf := fine.da.GlobalSize(d)
+		nc := coarse.da.GlobalSize(d)
+		n := 0
+		for fi := 2*ci - 1; fi < 2*ci+3; fi++ {
+			if fi < 0 || fi >= nf {
+				continue
+			}
+			lo, wLo, wHi := interpWeights(fi, true, nc)
+			var w float64
+			switch {
+			case lo == ci:
+				w = wLo
+			case lo+1 == ci:
+				w = wHi
+			}
+			if w != 0 {
+				fis[n], ws[n] = fi, w
+				n++
+			}
+		}
+		return n
+	}
+
+	var fiX, fiY, fiZ [4]int
+	var wX, wY, wZ [4]float64
+	idx := 0
+	for k := cOwn.Lo[2]; k < cOwn.Hi[2]; k++ {
+		nz := candWeights(2, k, &fiZ, &wZ)
+		for j := cOwn.Lo[1]; j < cOwn.Hi[1]; j++ {
+			ny := candWeights(1, j, &fiY, &wY)
+			for i := cOwn.Lo[0]; i < cOwn.Hi[0]; i++ {
+				nx := candWeights(0, i, &fiX, &wX)
+				sum := 0.0
+				for a := 0; a < nz; a++ {
+					for b := 0; b < ny; b++ {
+						for c := 0; c < nx; c++ {
+							sum += float64(wZ[a] * wY[b] * wX[c] *
+								fine.finePatch[refPatchIndex(box, fiX[c], fiY[b], fiZ[a])])
+						}
+					}
+				}
+				oa[idx] = sum * scale
+				idx++
+			}
+		}
+	}
+	s.c.Compute(float64(cOwn.Cells()) * float64(int(4)<<uint(s.dim)) * flopSec)
+}
+
+type refCW struct {
+	c int
+	w float64
+}
+
+// refInterpolate recomputes interpWeights for every cell of every
+// dimension and skips absent weights term by term.
+func refInterpolate(s *Solver, l int, xc, x *petsc.Vec) {
+	fine := s.levels[l]
+	coarse := s.levels[l+1]
+	fine.interpSc.DoArrays(xc.Array(), fine.coarsePatch)
+
+	fOwn := fine.da.OwnedBox()
+	box := fine.interpBox
+	xa := x.Array()
+	cn := coarse.da
+	idx := 0
+	for k := fOwn.Lo[2]; k < fOwn.Hi[2]; k++ {
+		ck, wkLo, wkHi := interpWeights(k, s.dim > 2, cn.GlobalSize(2))
+		for j := fOwn.Lo[1]; j < fOwn.Hi[1]; j++ {
+			cj, wjLo, wjHi := interpWeights(j, s.dim > 1, cn.GlobalSize(1))
+			for i := fOwn.Lo[0]; i < fOwn.Hi[0]; i++ {
+				ci, wiLo, wiHi := interpWeights(i, s.dim > 0, cn.GlobalSize(0))
+				v := 0.0
+				for _, zk := range [2]refCW{{ck, wkLo}, {ck + 1, wkHi}} {
+					if zk.w == 0 {
+						continue
+					}
+					for _, zj := range [2]refCW{{cj, wjLo}, {cj + 1, wjHi}} {
+						if zj.w == 0 {
+							continue
+						}
+						for _, zi := range [2]refCW{{ci, wiLo}, {ci + 1, wiHi}} {
+							if zi.w == 0 {
+								continue
+							}
+							v += float64(zk.w * zj.w * zi.w * fine.coarsePatch[refPatchIndex(box, zi.c, zj.c, zk.c)])
+						}
+					}
+				}
+				xa[idx] += v
+				idx++
+			}
+		}
+	}
+	s.c.Compute(float64(fOwn.Cells()) * float64(int(3)<<uint(s.dim)) * flopSec)
+}
+
+func refApplyLevel(s *Solver, l int, x, y *petsc.Vec) {
+	lv := s.levels[l]
+	lv.da.GlobalToLocal(x, lv.lwork)
+	refStencil(s, lv, y.Array(), nil, 0)
+}
+
+func refResidual(s *Solver, l int, b, x, r *petsc.Vec) {
+	refApplyLevel(s, l, x, r)
+	r.AYPX(-1, b)
+}
+
+func refSmooth(s *Solver, l, sweeps int, b, x *petsc.Vec) {
+	if s.Smoother == SmootherChebyshev {
+		refSmoothChebyshev(s, l, sweeps, b, x)
+		return
+	}
+	lv := s.levels[l]
+	xnew := lv.r
+	for it := 0; it < sweeps; it++ {
+		lv.da.GlobalToLocal(x, lv.lwork)
+		refStencil(s, lv, xnew.Array(), b.Array(), s.Omega)
+		x.Copy(xnew)
+	}
+}
+
+func refSmoothChebyshev(s *Solver, l, degree int, b, x *petsc.Vec) {
+	if degree < 1 {
+		return
+	}
+	lv := s.levels[l]
+	if lv.d == nil {
+		lv.d = b.Duplicate()
+	}
+	d := lv.d
+	z := lv.r
+
+	const lmax, lmin = 2.1, 0.5
+	theta := (lmax + lmin) / 2
+	delta := (lmax - lmin) / 2
+	sigma := theta / delta
+
+	jacz := func() {
+		lv.da.GlobalToLocal(x, lv.lwork)
+		refStencil(s, lv, z.Array(), b.Array(), 1)
+		z.AXPY(-1, x)
+	}
+
+	jacz()
+	d.Copy(z)
+	d.Scale(1 / theta)
+	x.AXPY(1, d)
+	rhoOld := 1 / sigma
+	for k := 2; k <= degree; k++ {
+		rho := 1 / (2*sigma - rhoOld)
+		jacz()
+		d.Scale(rho * rhoOld)
+		d.AXPY(2*rho/delta, z)
+		x.AXPY(1, d)
+		rhoOld = rho
+	}
+}
+
+func refCoarseSolve(s *Solver, l int, b, x *petsc.Vec) {
+	if s.skipInactive && s.coarseComm == nil {
+		return
+	}
+	dotComm := s.coarseComm
+	lv := s.levels[l]
+	dot := func(a, b *petsc.Vec) float64 {
+		if dotComm == nil {
+			return a.Dot(b)
+		}
+		sum := 0.0
+		ba := b.Array()
+		for i, v := range a.Array() {
+			sum += v * ba[i]
+		}
+		s.c.Compute(float64(2*len(ba)) * flopSec)
+		return dotComm.AllreduceScalar(sum, mpi.OpSum)
+	}
+
+	r := lv.r
+	refApplyLevel(s, l, x, r)
+	r.AYPX(-1, b)
+	rr := dot(r, r)
+	bnorm := dot(b, b)
+	if bnorm == 0 {
+		bnorm = 1
+	}
+	tol2 := s.CoarseRtol * s.CoarseRtol * bnorm
+	if rr <= tol2 {
+		return
+	}
+	p := b.Duplicate()
+	ap := b.Duplicate()
+	p.Copy(r)
+	for it := 0; it < s.CoarseIts; it++ {
+		refApplyLevel(s, l, p, ap)
+		pap := dot(p, ap)
+		if pap <= 0 {
+			return
+		}
+		alpha := rr / pap
+		x.AXPY(alpha, p)
+		r.AXPY(-alpha, ap)
+		rrNew := dot(r, r)
+		if rrNew <= tol2 {
+			return
+		}
+		p.AYPX(rrNew/rr, r)
+		rr = rrNew
+	}
+}
+
+func refVCycle(s *Solver, l int, b, x *petsc.Vec) {
+	if l == len(s.levels)-1 {
+		refCoarseSolve(s, l, b, x)
+		return
+	}
+	refSmooth(s, l, s.Nu1, b, x)
+	lv := s.levels[l]
+	refResidual(s, l, b, x, lv.r)
+	next := s.levels[l+1]
+	refRestrict(s, l, lv.r, next.b)
+	next.x.Set(0)
+	refVCycle(s, l+1, next.b, next.x)
+	refInterpolate(s, l, next.x, x)
+	refSmooth(s, l, s.Nu2, b, x)
+}
+
+// refSolve is Solve over the reference kernels; it returns the residual
+// history.
+func refSolve(s *Solver, b, x *petsc.Vec, rtol float64, maxCycles int) []float64 {
+	lv := s.levels[0]
+	refResidual(s, 0, b, x, lv.r)
+	r0 := lv.r.Norm2()
+	if r0 == 0 {
+		return nil
+	}
+	var hist []float64
+	for cycles := 0; cycles < maxCycles; cycles++ {
+		refVCycle(s, 0, b, x)
+		refResidual(s, 0, b, x, lv.r)
+		relres := lv.r.Norm2() / r0
+		hist = append(hist, relres)
+		if relres <= rtol {
+			break
+		}
+	}
+	return hist
+}
+
+// splitmix64 gives the fills below a value per (seed, index) that does not
+// depend on the decomposition.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// fillSeeded sets every owned value of v to a number in [-1, 1) drawn from
+// the seed and the value's global index.
+func fillSeeded(v *petsc.Vec, seed uint64) {
+	lo, _ := v.Range()
+	for i := range v.Array() {
+		v.Array()[i] = float64(splitmix64(seed<<32^uint64(lo+i))>>11)/(1<<52) - 1
+	}
+}
+
+func bitsDiffer(what string, got, want []float64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%s: %d values, reference has %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Errorf("%s: value %d is %v (%#x), reference %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+	return nil
+}
+
+// kernelShape is one problem the kernels are compared on.
+type kernelShape struct {
+	n        []int
+	np       int
+	levels   int
+	minCells int // agglomeration threshold, 0 for none
+	mode     petsc.ScatterMode
+	smoother Smoother
+	cfg      mpi.Config
+}
+
+func (k kernelShape) String() string {
+	return fmt.Sprintf("%v/np%d/lv%d/agg%d/%v/%v", k.n, k.np, k.levels, k.minCells, k.mode, k.smoother)
+}
+
+// feasible reports whether every level of the hierarchy has a process
+// grid, by the rule NewAgglomerated builds them with.
+func (k kernelShape) feasible() bool {
+	var ext [3]int
+	for d := range ext {
+		ext[d] = 1
+	}
+	copy(ext[:], k.n)
+	for l := 0; l < k.levels; l++ {
+		cells := ext[0] * ext[1] * ext[2]
+		active := k.np
+		if k.minCells > 0 {
+			active = min(k.np, max(1, cells/k.minCells))
+		}
+		if !dmda.GridFeasible(active, len(k.n), ext) {
+			return false
+		}
+		if l+1 < k.levels {
+			for d := range k.n {
+				if ext[d]%2 != 0 {
+					return false
+				}
+				ext[d] /= 2
+			}
+		}
+	}
+	return true
+}
+
+func (k kernelShape) solver(c *mpi.Comm) *Solver {
+	s := NewAgglomerated(c, k.n, k.levels, k.mode, k.minCells)
+	s.Smoother = k.smoother
+	return s
+}
+
+// checkKernels compares, on every level of s and every owned cell, the
+// three stencil forms, the restriction and the interpolation against the
+// reference loops.  Collective.
+func checkKernels(s *Solver, seed uint64) error {
+	for l, lv := range s.levels {
+		x, b := lv.da.CreateGlobalVec(), lv.da.CreateGlobalVec()
+		fillSeeded(x, seed+uint64(3*l))
+		fillSeeded(b, seed+uint64(3*l+1))
+		got, want := lv.da.CreateGlobalVec(), lv.da.CreateGlobalVec()
+
+		s.applyLevel(l, x, got)
+		refApplyLevel(s, l, x, want)
+		if err := bitsDiffer(fmt.Sprintf("level %d operator", l), got.Array(), want.Array()); err != nil {
+			return err
+		}
+		s.residual(l, b, x, got)
+		refResidual(s, l, b, x, want)
+		if err := bitsDiffer(fmt.Sprintf("level %d residual", l), got.Array(), want.Array()); err != nil {
+			return err
+		}
+		for _, omega := range []float64{s.Omega, 1} {
+			lv.da.GlobalToLocal(x, lv.lwork)
+			s.stencil(lv, formJacobi, got.Array(), b.Array(), omega)
+			refStencil(s, lv, want.Array(), b.Array(), omega)
+			if err := bitsDiffer(fmt.Sprintf("level %d jacobi omega %v", l, omega), got.Array(), want.Array()); err != nil {
+				return err
+			}
+		}
+		if l+1 == len(s.levels) {
+			break
+		}
+		coarse := s.levels[l+1].da
+		gotC, wantC := coarse.CreateGlobalVec(), coarse.CreateGlobalVec()
+		s.restrictTo(l, x, gotC)
+		refRestrict(s, l, x, wantC)
+		if err := bitsDiffer(fmt.Sprintf("level %d restriction", l), gotC.Array(), wantC.Array()); err != nil {
+			return err
+		}
+		xc := coarse.CreateGlobalVec()
+		fillSeeded(xc, seed+uint64(3*l+2))
+		got.Copy(b)
+		want.Copy(b)
+		s.interpolateAdd(l, xc, got)
+		refInterpolate(s, l, xc, want)
+		if err := bitsDiffer(fmt.Sprintf("level %d interpolation", l), got.Array(), want.Array()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// solveOutcome is what one whole solve leaves behind on every rank.
+type solveOutcome struct {
+	hist  [][]float64
+	clock []float64
+}
+
+// runSolve solves the seeded problem of shape k on a fresh world, through
+// Solve or through the reference V-cycle, and then (kernels only) runs
+// checkKernels on the same hierarchy.
+func runSolve(t testing.TB, k kernelShape, seed uint64, cycles int, reference bool) solveOutcome {
+	out := solveOutcome{hist: make([][]float64, k.np), clock: make([]float64, k.np)}
+	runWorld(t, k.np, k.cfg, func(c *mpi.Comm) error {
+		s := k.solver(c)
+		b, x := s.CreateVec(), s.CreateVec()
+		fillSeeded(b, seed)
+		if reference {
+			out.hist[c.Rank()] = refSolve(s, b, x, 1e-9, cycles)
+		} else {
+			s.Solve(b, x, 1e-9, cycles)
+			out.hist[c.Rank()] = append([]float64(nil), s.History...)
+		}
+		out.clock[c.Rank()] = c.Clock()
+		if reference {
+			return nil
+		}
+		return checkKernels(s, seed)
+	})
+	return out
+}
+
+// checkShape is the whole comparison for one shape: per-cell kernels, the
+// per-cycle residual history on every rank, and every rank's virtual clock
+// at the end of the solve (the kernels must charge what the reference
+// charges, in the same order, around the same messages).
+func checkShape(t testing.TB, k kernelShape, seed uint64, cycles int) {
+	t.Helper()
+	got := runSolve(t, k, seed, cycles, false)
+	want := runSolve(t, k, seed, cycles, true)
+	for r := 0; r < k.np; r++ {
+		if len(want.hist[r]) == 0 {
+			t.Fatalf("%v: rank %d: reference ran no cycle", k, r)
+		}
+		if err := bitsDiffer(fmt.Sprintf("rank %d history", r), got.hist[r], want.hist[r]); err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		if math.Float64bits(got.clock[r]) != math.Float64bits(want.clock[r]) {
+			t.Fatalf("%v: rank %d virtual clock %v, reference %v", k, r, got.clock[r], want.clock[r])
+		}
+	}
+}
+
+// kernelShapes is the table of TestKernelsBitwiseEqualReference and the
+// seed corpus of FuzzKernelsMatchReference: 1-D to 3-D, cubic and not,
+// rank counts that put an owned box on every combination of domain faces
+// (np 3 and 6 leave ranks wholly interior along an axis), 2 to 4 levels,
+// agglomerated coarse levels, both scatter backends and both smoothers.
+var kernelShapes = []kernelShape{
+	{n: []int{64}, np: 1, levels: 3, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
+	{n: []int{64}, np: 3, levels: 4, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
+	{n: []int{32, 24}, np: 1, levels: 3, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
+	{n: []int{32, 24}, np: 6, levels: 3, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
+	{n: []int{32, 32}, np: 4, levels: 3, mode: petsc.ScatterHandTuned, smoother: SmootherChebyshev, cfg: mpi.Optimized()},
+	{n: []int{16, 16, 16}, np: 1, levels: 2, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
+	{n: []int{16, 16, 16}, np: 2, levels: 3, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
+	{n: []int{24, 16, 40}, np: 1, levels: 4, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
+	{n: []int{24, 16, 40}, np: 3, levels: 3, mode: petsc.ScatterDatatype, cfg: mpi.Baseline()},
+	{n: []int{24, 16, 40}, np: 4, levels: 4, mode: petsc.ScatterDatatype, cfg: mpi.Compiled()},
+	{n: []int{24, 16, 40}, np: 6, levels: 3, mode: petsc.ScatterHandTuned, smoother: SmootherChebyshev, cfg: mpi.Optimized()},
+	{n: []int{24, 16, 40}, np: 8, levels: 4, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
+	{n: []int{40, 24, 16}, np: 8, levels: 2, mode: petsc.ScatterHandTuned, cfg: mpi.Baseline()},
+	{n: []int{16, 16, 16}, np: 8, levels: 3, minCells: 512, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
+	{n: []int{24, 24, 24}, np: 6, levels: 3, minCells: 256, mode: petsc.ScatterHandTuned, smoother: SmootherChebyshev, cfg: mpi.Optimized()},
+	{n: []int{100, 4, 4}, np: 3, levels: 2, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
+}
+
+func TestKernelsBitwiseEqualReference(t *testing.T) {
+	for i, k := range kernelShapes {
+		k, seed := k, uint64(i+1)
+		if !k.feasible() {
+			t.Fatalf("%v: table entry has no process grid", k)
+		}
+		t.Run(k.String(), func(t *testing.T) { checkShape(t, k, seed, 4) })
+	}
+}
+
+// FuzzKernelsMatchReference draws a problem shape from its arguments: one
+// extent byte per dimension (each becomes a multiple of 2^(levels-1)), a
+// rank count, a level count and a fill seed whose low four bits also pick
+// the backend, the smoother and the agglomeration threshold.  Shapes
+// with no process grid on some level are skipped.
+func FuzzKernelsMatchReference(f *testing.F) {
+	for i, k := range kernelShapes {
+		ext := make([]byte, len(k.n))
+		for d, e := range k.n {
+			ext[d] = byte(e>>uint(k.levels-1) - 1)
+		}
+		seed := uint64(i+1) << 4
+		if k.mode == petsc.ScatterDatatype {
+			seed |= 1
+		}
+		if k.smoother == SmootherChebyshev {
+			seed |= 2
+		}
+		for a := uint64(1); a <= 3; a++ {
+			if k.minCells == 64<<a {
+				seed |= a << 2
+			}
+		}
+		f.Add(ext, uint8(k.np), uint8(k.levels), seed)
+	}
+	f.Fuzz(func(t *testing.T, ext []byte, np, levels uint8, seed uint64) {
+		if len(ext) < 1 || len(ext) > 3 || np < 1 || np > 8 || levels < 1 || levels > 4 {
+			t.Skip()
+		}
+		k := kernelShape{np: int(np), levels: int(levels), mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()}
+		cells := 1
+		for _, e := range ext {
+			n := (int(e)%64 + 1) << uint(levels-1)
+			k.n = append(k.n, n)
+			cells *= n
+		}
+		if cells > 1<<15 {
+			t.Skip()
+		}
+		if seed&1 != 0 {
+			k.mode = petsc.ScatterDatatype
+		}
+		if seed&2 != 0 {
+			k.smoother = SmootherChebyshev
+		}
+		if a := seed >> 2 & 3; a != 0 {
+			k.minCells = 64 << a
+		}
+		if !k.feasible() {
+			t.Skip()
+		}
+		checkShape(t, k, seed, 2)
+	})
+}

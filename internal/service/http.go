@@ -13,7 +13,7 @@ import (
 // Handler returns the job API, mounted by the controller daemon on its
 // HTTP listener next to /debug/metrics and /dash:
 //
-//	POST /jobs            submit (JSON JobSpec) -> 202 {"id": N} | 429 + Retry-After
+//	POST /jobs            submit (JSON JobSpec) -> 202 {"id": N} | 429 + Retry-After | 413 over maxSpecBytes
 //	GET  /jobs            list every job's status
 //	GET  /jobs/<id>       one job's status and residual history
 //	POST /jobs/<id>/cancel  request cancellation -> 202
@@ -36,11 +36,21 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxSpecBytes bounds the body of POST /jobs; a JobSpec is a few dozen
+// bytes of JSON.
+const maxSpecBytes = 1 << 20
+
 func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec)
+		var tooBig *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooBig):
+			writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("job spec larger than %d bytes", tooBig.Limit))
+			return
+		case err != nil:
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
 			return
 		}

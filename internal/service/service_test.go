@@ -225,6 +225,18 @@ func TestServiceEndToEnd(t *testing.T) {
 	if want := "extent 100 not divisible by 2^(levels-1) = 8"; resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), want) {
 		t.Fatalf("bad-shape POST: status %d body %q, want 400 containing %q", resp.StatusCode, body, want)
 	}
+	// A body over the 1 MiB limit is a 413 with a one-line error, however
+	// much more the client meant to send.
+	resp, err = http.Post(srv.URL+"/jobs", "application/json",
+		strings.NewReader(`{"extent":16,"pad":"`+strings.Repeat("x", maxSpecBytes)+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := "job spec larger than 1048576 bytes"; resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), want) {
+		t.Fatalf("oversized-body POST: status %d body %q, want 413 containing %q", resp.StatusCode, body, want)
+	}
 	resp, err = http.Post(srv.URL+"/jobs", "application/json",
 		strings.NewReader(`{"extent":16,"max_cycles":400,"rtol":1e-30,"ranks":2}`))
 	if err != nil {
