@@ -32,8 +32,11 @@ func TestCompiledEngineBytewiseOnEWorkloads(t *testing.T) {
 	}
 }
 
-// TestCompiledVecScatterHitsPlanCache: repeated scatters with an unchanged
-// layout must reuse the compiled plan — the steady state is all cache hits.
+// TestCompiledVecScatterHitsPlanCache: scatters with an unchanged layout
+// must reuse the compiled plan.  The first run of the workload compiles the
+// two layouts (evens sent, odds received); a second run, whose eight ranks
+// build fresh scatters, finds both cached — and looks them up once per
+// layout when the scatter is built, never again in its ten scatters.
 func TestCompiledVecScatterHitsPlanCache(t *testing.T) {
 	const n = 8
 	datatype.ResetPlanCache()
@@ -47,11 +50,13 @@ func TestCompiledVecScatterHitsPlanCache(t *testing.T) {
 		t.Fatal("E6 workload not found")
 	}
 	runWorkload(t, n, mpi.Compiled(), nil, wl.f)
-	s := datatype.PlanCacheStats()
-	if s.Misses == 0 {
+	first := datatype.PlanCacheStats()
+	if first.Misses == 0 {
 		t.Fatal("no plans were compiled")
 	}
-	if s.Hits < 4*s.Misses {
-		t.Fatalf("plan cache stats %+v: repeated scatters should be dominated by hits", s)
+	runWorkload(t, n, mpi.Compiled(), nil, wl.f)
+	s := datatype.PlanCacheStats()
+	if s.Misses != first.Misses || s.Hits-first.Hits != 2*n {
+		t.Fatalf("plan cache went from %+v to %+v over a rerun: want no new miss and one hit per rank and layout", first, s)
 	}
 }

@@ -1,6 +1,11 @@
 package datatype
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"nccd/internal/floatbytes"
+)
 
 // Benchmarks racing the compiled-plan layer against the interpreted
 // streaming engines on the scatter hot-path shape: 16-byte blocks on a
@@ -89,4 +94,61 @@ func BenchmarkPlanForCacheHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		PlanFor(ty, 1)
 	}
+}
+
+// wordLoop packs count blocks of nw words each with an inner loop over
+// uint64 views: the generic n-word kernel the sweep below prices against
+// copy, and the reason only the 8- and 16-byte specialisations exist.
+func wordLoop(sw, uw []uint64, step, nw, count int) {
+	s, d := 0, 0
+	for i := 0; i < count; i++ {
+		blk, out := uw[s:s+nw], sw[d:d+nw]
+		for j := range out {
+			out[j] = blk[j]
+		}
+		s += step
+		d += nw
+	}
+}
+
+// BenchmarkPlanKernels is the sweep the kernel classes of kernel.go were
+// cut from: 256 KiB in blocks of 8 B to 4 KiB on a stride of twice the
+// block, packed and unpacked by the plan's program ("kernel"), by the
+// per-segment walk it replaced ("walk") and by a generic inner word loop
+// ("wordloop"), plus an irregular 8-byte list ("table").
+func BenchmarkPlanKernels(b *testing.B) {
+	const total = 256 << 10
+	bench := func(name string, f func()) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(total)
+			for i := 0; i < b.N; i++ {
+				f()
+			}
+		})
+	}
+	for _, l := range []int{8, 16, 24, 32, 48, 64, 128, 256, 1024, 4096} {
+		ty := Hvector(total/l, l, 2*l, Byte)
+		p := CompilePlan(ty, 1)
+		buf, stream := mkbuf(ty, 1), make([]byte, total)
+		uw, _ := floatbytes.Words(buf)
+		sw, _ := floatbytes.Words(stream)
+		name := fmt.Sprintf("%dB/", l)
+		bench(name+"kernel/pack", func() { p.Pack(buf, stream) })
+		bench(name+"kernel/unpack", func() { p.Unpack(buf, stream) })
+		bench(name+"walk/pack", func() { copySegments(p.segs, buf, stream, false) })
+		bench(name+"walk/unpack", func() { copySegments(p.segs, buf, stream, true) })
+		bench(name+"wordloop/pack", func() { wordLoop(sw, uw, 2*l/8, l/8, total/l) })
+	}
+	lens, displs := make([]int, total/8), make([]int, total/8)
+	off := 0
+	for i := range lens {
+		off += 16 + 8*(i*7%5)
+		lens[i], displs[i] = 8, off
+	}
+	ty := Hindexed(lens, displs, Byte)
+	p := CompilePlan(ty, 1)
+	buf, stream := mkbuf(ty, 1), make([]byte, total)
+	bench("8B/table/pack", func() { p.Pack(buf, stream) })
+	bench("8B/table/unpack", func() { p.Unpack(buf, stream) })
+	bench("8B/table-walk/pack", func() { copySegments(p.segs, buf, stream, false) })
 }

@@ -228,7 +228,10 @@ func (p *Packer) nextPlan(scratch []byte) Chunk {
 			end = len(segs)
 		}
 		out := segs[p.planIdx:end]
-		bytes := p.plan.dstOff[end-1] + segs[end-1].Len - p.plan.dstOff[p.planIdx]
+		bytes := 0
+		for _, s := range out {
+			bytes += s.Len
+		}
 		p.planIdx = end
 		p.planDone += int64(bytes)
 		p.m.DirectBytes += int64(bytes)

@@ -5,13 +5,12 @@ import (
 	"sync"
 )
 
-// Parallel pack/unpack.  Large plans shard their segment list into
-// byte-balanced contiguous ranges and hand each range to a persistent,
-// GOMAXPROCS-bounded worker pool.  Every segment's packed-stream offset is
-// precomputed at compile time, so shards are fully independent and need no
-// coordination beyond a completion WaitGroup.  Tasks are plain value structs
-// on a channel and the WaitGroups are pooled, keeping the steady state free
-// of allocations.
+// Parallel pack/unpack.  Large plans shard their kernel program into
+// byte-balanced ranges of blocks and hand each range to a persistent,
+// GOMAXPROCS-bounded worker pool.  Every run carries its packed-stream
+// offset, so shards are fully independent and need no coordination beyond a
+// completion WaitGroup.  Tasks are plain value structs on a channel and the
+// WaitGroups are pooled, keeping the steady state free of allocations.
 const (
 	// parallelMinBytes is the size cutoff below which packing stays serial:
 	// handing work to the pool costs a few microseconds, which only pays
@@ -26,12 +25,12 @@ const (
 )
 
 type copyTask struct {
-	segs   []Segment
-	dstOff []int
-	user   []byte
-	stream []byte
-	unpack bool
-	wg     *sync.WaitGroup
+	p        *Plan
+	user     []byte
+	stream   []byte
+	unpack   bool
+	from, to pos
+	wg       *sync.WaitGroup
 }
 
 var packPool struct {
@@ -57,7 +56,7 @@ func packWorkers() int {
 		for i := 0; i < n; i++ {
 			go func() {
 				for t := range packPool.tasks {
-					copySegments(t.segs, t.dstOff, t.user, t.stream, t.unpack)
+					t.p.exec(t.user, t.stream, t.unpack, t.from, t.to)
 					t.wg.Done()
 				}
 			}()
@@ -66,50 +65,29 @@ func packWorkers() int {
 	return packPool.workers
 }
 
-// parallelCopy shards [segs, dstOff] into byte-balanced ranges and runs them
-// on the pool.  The caller's goroutine takes the final shard itself, so the
-// pool only ever carries workers-1 handoffs and a 1-worker pool degenerates
-// to the serial loop.
-func parallelCopy(segs []Segment, dstOff []int, total int, user, stream []byte, unpack bool) {
+// parallelCopy shards the program at block boundaries near even byte splits
+// and runs the shards on the pool.  The caller's goroutine takes the final
+// shard itself, so the pool only ever carries workers-1 handoffs and a
+// 1-worker pool degenerates to the serial loop.
+func (p *Plan) parallelCopy(user, stream []byte, unpack bool) {
 	w := packWorkers()
+	end := pos{run: len(p.runs)}
 	if w == 1 {
-		copySegments(segs, dstOff, user, stream, unpack)
+		p.exec(user, stream, unpack, pos{}, end)
 		return
 	}
 	wg := wgPool.Get().(*sync.WaitGroup)
-	prev := 0
+	prev := pos{}
 	for i := 1; i < w; i++ {
-		// Boundary: first segment at or past an even byte split.
-		end := searchOff(dstOff, prev, total/w*i)
-		if end <= prev {
+		cut := p.seek(p.bytes / w * i)
+		if cut == prev {
 			continue
 		}
 		wg.Add(1)
-		packPool.tasks <- copyTask{
-			segs: segs[prev:end], dstOff: dstOff[prev:end],
-			user: user, stream: stream, unpack: unpack, wg: wg,
-		}
-		prev = end
+		packPool.tasks <- copyTask{p: p, user: user, stream: stream, unpack: unpack, from: prev, to: cut, wg: wg}
+		prev = cut
 	}
-	if prev < len(segs) {
-		copySegments(segs[prev:], dstOff[prev:], user, stream, unpack)
-	}
+	p.exec(user, stream, unpack, prev, end)
 	wg.Wait()
 	wgPool.Put(wg)
-}
-
-// searchOff returns the index of the first element of dstOff[from:] at or
-// past target, as an absolute index.  Hand-rolled binary search so the hot
-// path carries no closure allocation (sort.Search would).
-func searchOff(dstOff []int, from, target int) int {
-	lo, hi := from, len(dstOff)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if dstOff[mid] < target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

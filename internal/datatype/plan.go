@@ -4,30 +4,32 @@ import "fmt"
 
 // This file implements the compiled-plan layer: a one-time flattener that
 // lowers any derived datatype — vector, indexed, struct, darray, arbitrarily
-// nested — into a canonical run list of (offset, length) segments with
-// adjacent runs merged, the representation TEMPI calls the canonical form of
-// a datatype.  Once compiled, steady-state Pack/Unpack are tight copy loops
-// over the precomputed segments: zero tree traversal, zero allocations.  The
-// interpreting engines in engine.go remain as the streaming fallback and as
-// the correctness oracle the plan layer is property-tested against.
+// nested — into a canonical list of (offset, length) segments with adjacent
+// ones merged, the representation TEMPI calls the canonical form of a
+// datatype, and from that into a kernel program (kernel.go).  Once compiled,
+// steady-state Pack/Unpack run the program: zero tree traversal, zero
+// allocations.  The interpreting engines in engine.go remain as the
+// streaming fallback and as the correctness oracle the plan layer is
+// property-tested against.
 
-// Plan is the compiled form of (type, count): the coalesced in-order segment
-// list of the full type map, plus the packed-stream offset of every segment
-// so pack and unpack can start from any shard independently.  A Plan is
-// immutable after compilation and safe for concurrent use.
+// Plan is the compiled form of (type, count): the kernel program Pack and
+// Unpack execute, and the coalesced in-order segment list of the full type
+// map it was lowered from, which the gather-list send and the chunking
+// Packer hand out as is.  A Plan is immutable after compilation and safe for
+// concurrent use.
 type Plan struct {
-	segs   []Segment
-	dstOff []int // packed-stream byte offset of segs[i]
-	bytes  int   // total data bytes (== type size * count)
-	span   int   // minimum source/destination buffer length
-	count  int
-	sig    uint64 // cache key component, for diagnostics
+	segs  []Segment
+	runs  []run
+	bytes int // total data bytes (== type size * count)
+	span  int // minimum source/destination buffer length
+	count int
+	sig   uint64 // cache key component, for diagnostics
 }
 
 // CompilePlan flattens count instances of t into a Plan.  Compilation walks
 // the tree once (O(blocks)); every subsequent Pack/Unpack touches only the
-// flat segment list.  Most callers should use PlanFor, which memoizes plans
-// in the package LRU cache.
+// kernel program.  Most callers should use PlanFor, which memoizes plans in
+// the package LRU cache.
 func CompilePlan(t *Type, count int) *Plan {
 	if t == nil {
 		panic("datatype: nil type")
@@ -35,22 +37,15 @@ func CompilePlan(t *Type, count int) *Plan {
 	if count < 0 {
 		panic("datatype: negative count")
 	}
-	segs := Flatten(t, count)
 	p := &Plan{
-		segs:   segs,
-		dstOff: make([]int, len(segs)),
-		count:  count,
-		span:   RequiredBytes(t, count),
-		sig:    t.sig,
+		segs:  Flatten(t, count),
+		count: count,
+		span:  RequiredBytes(t, count),
+		sig:   t.sig,
 	}
-	off := 0
-	for i, s := range segs {
-		p.dstOff[i] = off
-		off += s.Len
-	}
-	p.bytes = off
-	if want := t.Size() * count; off != want {
-		panic(fmt.Sprintf("datatype: plan flattened to %d bytes, type map holds %d", off, want))
+	p.runs, p.bytes = compileRuns(p.segs)
+	if want := t.Size() * count; p.bytes != want {
+		panic(fmt.Sprintf("datatype: plan flattened to %d bytes, type map holds %d", p.bytes, want))
 	}
 	return p
 }
@@ -68,11 +63,16 @@ func (p *Plan) Count() int { return p.count }
 // it; plans are shared through the cache.
 func (p *Plan) Segments() []Segment { return p.segs }
 
-// MemBytes estimates the plan's resident memory: the segment and offset
-// slices plus the fixed header.  The cache tracks live bytes with it.
+// MemBytes estimates the plan's resident memory: the segment list, the
+// program's runs and offset tables, and the fixed header.  The cache tracks
+// live bytes with it.
 func (p *Plan) MemBytes() int64 {
-	const segSize = 16 // Segment{Off, Len int} on 64-bit
-	return int64(len(p.segs))*segSize + int64(len(p.dstOff))*8 + 64
+	const segSize, runSize = 16, 72 // Segment{Off, Len int} and run on 64-bit
+	n := int64(len(p.segs))*segSize + int64(len(p.runs))*runSize + 64
+	for i := range p.runs {
+		n += int64(len(p.runs[i].tab)) * 8
+	}
+	return n
 }
 
 // SpanBytes returns the minimum length of the noncontiguous user buffer
@@ -131,29 +131,13 @@ func (p *Plan) check(user, stream []byte) {
 	}
 }
 
-// run executes the copy loop, sharding across the worker pool when the plan
-// is large enough to amortize handoff.  user is the noncontiguous buffer,
-// stream the contiguous one.
+// run executes the kernel program, sharding it across the worker pool when
+// the plan is large enough to amortize handoff.  user is the noncontiguous
+// buffer, stream the contiguous one.
 func (p *Plan) run(user, stream []byte, unpack bool) {
 	if p.bytes < parallelMinBytes || len(p.segs) < parallelMinSegs {
-		copySegments(p.segs, p.dstOff, user, stream, unpack)
+		p.exec(user, stream, unpack, pos{}, pos{run: len(p.runs)})
 		return
 	}
-	parallelCopy(p.segs, p.dstOff, p.bytes, user, stream, unpack)
-}
-
-// copySegments is the tight serial loop both the direct path and each
-// worker shard execute.
-func copySegments(segs []Segment, dstOff []int, user, stream []byte, unpack bool) {
-	if unpack {
-		for i, s := range segs {
-			o := dstOff[i]
-			copy(user[s.Off:s.Off+s.Len], stream[o:o+s.Len])
-		}
-		return
-	}
-	for i, s := range segs {
-		o := dstOff[i]
-		copy(stream[o:o+s.Len], user[s.Off:s.Off+s.Len])
-	}
+	p.parallelCopy(user, stream, unpack)
 }

@@ -38,8 +38,9 @@ func TestPlanMatchesOracleRandomized(t *testing.T) {
 	}
 }
 
-// TestPlanInvariants checks the compiled representation itself: prefix sums,
-// total bytes, and agreement with the flattener.
+// TestPlanInvariants checks the compiled representation itself: total bytes,
+// agreement with the flattener, and a kernel program that covers the packed
+// stream exactly once, in order, block for block the segment list.
 func TestPlanInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 100; trial++ {
@@ -56,12 +57,25 @@ func TestPlanInvariants(t *testing.T) {
 		if p.Count() != count {
 			t.Fatalf("trial %d: plan count %d, want %d", trial, p.Count(), count)
 		}
-		off := 0
-		for i, s := range p.Segments() {
-			if p.dstOff[i] != off {
-				t.Fatalf("trial %d: dstOff[%d] = %d, want %d", trial, i, p.dstOff[i], off)
+		off, i := 0, 0
+		for _, r := range p.runs {
+			if r.dst != off {
+				t.Fatalf("trial %d: run starts at stream offset %d, want %d", trial, r.dst, off)
 			}
-			off += s.Len
+			for k := 0; k < r.count; k++ {
+				o := r.off + k*r.stride
+				if r.tab != nil {
+					o = r.tab[k]
+				}
+				if want := (Segment{o, r.blockLen}); segs[i] != want {
+					t.Fatalf("trial %d: program block %d is %v, segment list has %v", trial, i, want, segs[i])
+				}
+				i++
+			}
+			off += r.count * r.blockLen
+		}
+		if i != len(segs) || off != p.Bytes() {
+			t.Fatalf("trial %d: program covers %d blocks and %d bytes of %d and %d", trial, i, off, len(segs), p.Bytes())
 		}
 	}
 }
@@ -97,7 +111,7 @@ func TestPlanParallelMatchesSerial(t *testing.T) {
 	par := make([]byte, p.Bytes())
 	p.Pack(src, par) // crosses cutoffs -> parallel
 	ser := make([]byte, p.Bytes())
-	copySegments(p.segs, p.dstOff, src, ser, false)
+	copySegments(p.segs, src, ser, false)
 	if !bytes.Equal(par, ser) {
 		t.Fatal("parallel pack differs from serial pack")
 	}
@@ -105,7 +119,7 @@ func TestPlanParallelMatchesSerial(t *testing.T) {
 	dstPar := make([]byte, len(src))
 	p.Unpack(dstPar, ser)
 	dstSer := make([]byte, len(src))
-	copySegments(p.segs, p.dstOff, dstSer, ser, true)
+	copySegments(p.segs, dstSer, ser, true)
 	if !bytes.Equal(dstPar, dstSer) {
 		t.Fatal("parallel unpack differs from serial unpack")
 	}
@@ -412,5 +426,98 @@ func TestBufferPoolSizes(t *testing.T) {
 	b := GetBuffer(100)
 	if len(b) != 100 || cap(b) != 128 {
 		t.Fatalf("GetBuffer(100) len %d cap %d, want 100/128", len(b), cap(b))
+	}
+	// A steady-state Get/Put pair allocates nothing: neither the buffer nor
+	// the box it is pooled in.  (Not under the race detector, which makes
+	// sync.Pool drop a quarter of what it is given.)
+	PutBuffer(b)
+	if n := testing.AllocsPerRun(100, func() { PutBuffer(GetBuffer(100)) }); n != 0 && !raceEnabled {
+		t.Errorf("GetBuffer/PutBuffer pair allocates %.1f per run, want 0", n)
+	}
+}
+
+// TestPlanMisalignedBase packs and unpacks word-kernel plans (8- and 16-byte
+// blocks, strided and irregular) through user and stream buffers whose base
+// sits 1 to 7 bytes off the 8-byte grid.  There is no uint64 view of such a
+// buffer, so the program must fall back to byte-wise copies and still agree
+// with the segment walk; under -race this is also the checkptr witness that
+// no view of a misaligned base is ever formed.
+func TestPlanMisalignedBase(t *testing.T) {
+	irregular := Hindexed([]int{8, 8, 8, 8, 8, 8}, []int{0, 24, 40, 96, 104, 200}, Byte)
+	for _, ty := range []*Type{Vector(512, 1, 2, Double), Vector(256, 2, 5, Double), irregular} {
+		p := CompilePlan(ty, 1)
+		if k := p.runs[0].kern; k != kernWord1 && k != kernWord2 {
+			t.Fatalf("%v: compiled to kernel %d, want a word kernel", ty, k)
+		}
+		for shift := 1; shift < 8; shift++ {
+			src := make([]byte, p.SpanBytes()+16)[shift:][:p.SpanBytes()]
+			fillPattern(src)
+			want := make([]byte, p.Bytes())
+			copySegments(p.segs, src, want, false)
+			for _, streamShift := range []int{0, shift} {
+				got := make([]byte, p.Bytes()+16)[streamShift:][:p.Bytes()]
+				p.Pack(src, got)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%v: pack through bases shifted %d/%d differs from the segment walk", ty, shift, streamShift)
+				}
+				back := make([]byte, len(src)+16)[shift:][:len(src)]
+				wantBack := make([]byte, len(src))
+				p.Unpack(back, got)
+				copySegments(p.segs, wantBack, want, true)
+				if !bytes.Equal(back, wantBack) {
+					t.Fatalf("%v: unpack through bases shifted %d/%d differs from the segment walk", ty, shift, streamShift)
+				}
+			}
+		}
+	}
+}
+
+// TestCompileRunsShapes pins the program each kind of segment list compiles
+// to: one strided run for a vector however long, one offset table for an
+// irregular list of equal blocks with its long progressions cut out as
+// strided runs, single-block runs for the rest.
+func TestCompileRunsShapes(t *testing.T) {
+	type shape struct {
+		count, blockLen int
+		table           bool
+		kern            kernel
+	}
+	irregular := []int{0, 24, 40, 96, 112, 200}   // no progression of four
+	progression := []int{304, 320, 336, 352, 368} // five blocks, stride 16
+	tail := []int{504, 520, 544}                  // three more irregular ones
+	displs := append(append(irregular, progression...), tail...)
+	lens := make([]int, len(displs))
+	for i := range lens {
+		lens[i] = 8
+	}
+	for _, tc := range []struct {
+		name string
+		ty   *Type
+		want []shape
+	}{
+		{"fig16-evens", Vector(32768, 1, 2, Double), []shape{{32768, 8, false, kernWord1}}},
+		{"16-byte-vector", Vector(100, 2, 5, Double), []shape{{100, 16, false, kernWord2}}},
+		{"odd-stride", Hvector(100, 8, 13, Byte), []shape{{100, 8, false, kernCopy}}},
+		{"y-split-face", Hvector(48, 768, 73728, Byte), []shape{{48, 768, false, kernCopy}}},
+		{"contiguous", Contiguous(4096, Double), []shape{{1, 32768, false, kernCopy}}},
+		{"irregular-with-progression", Hindexed(lens, displs, Byte),
+			[]shape{{6, 8, true, kernWord1}, {5, 8, false, kernWord1}, {3, 8, true, kernWord1}}},
+		{"unequal-fields", Struct([]int{0, 16, 48}, []*Type{Double, Contiguous(3, Double), Int32}),
+			[]shape{{1, 8, false, kernWord1}, {1, 24, false, kernCopy}, {1, 4, false, kernCopy}}},
+	} {
+		p := CompilePlan(tc.ty, 1)
+		var got []shape
+		for _, r := range p.runs {
+			got = append(got, shape{r.count, r.blockLen, r.tab != nil, r.kern})
+		}
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: compiled to runs %+v, want %+v", tc.name, got, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: run %d is %+v, want %+v", tc.name, i, got[i], tc.want[i])
+			}
+		}
 	}
 }

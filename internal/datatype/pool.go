@@ -21,7 +21,15 @@ const (
 	maxPoolClass = 26 // 64 MiB — larger buffers go to the GC directly
 )
 
-var bufPools [maxPoolClass + 1]sync.Pool
+// bufPools holds the free buffers of each class, boxPool the empty boxes
+// they travel in: a sync.Pool stores pointers, and boxing the slice header
+// afresh on every Put would allocate once per message.  A box leaves
+// boxPool when a buffer is put and returns when that buffer is next got, so
+// a steady-state Get/Put pair allocates nothing.
+var (
+	bufPools [maxPoolClass + 1]sync.Pool
+	boxPool  = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // Pool traffic counters: one atomic add per operation, negligible next to
 // the map/pool work itself.
@@ -68,7 +76,11 @@ func GetBuffer(n int) []byte {
 	}
 	poolOutstanding.Add(1 << c)
 	if v := bufPools[c].Get(); v != nil {
-		return (*v.(*[]byte))[:n]
+		box := v.(*[]byte)
+		b := (*box)[:n]
+		*box = nil
+		boxPool.Put(box)
+		return b
 	}
 	b := make([]byte, 1<<c)
 	return b[:n]
@@ -85,8 +97,9 @@ func PutBuffer(b []byte) {
 	}
 	mPoolPuts.Inc()
 	poolOutstanding.Add(-int64(c))
-	b = b[:c]
-	bufPools[poolClass(c)].Put(&b)
+	box := boxPool.Get().(*[]byte)
+	*box = b[:c]
+	bufPools[poolClass(c)].Put(box)
 }
 
 // Gather concatenates user[s.Off:s.Off+s.Len] for each segment, in order,

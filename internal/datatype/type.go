@@ -78,7 +78,8 @@ type Type struct {
 
 	// blockTypes caches per-block contiguous child types so cursors can
 	// treat every composite node as a list of (childType, byteOffset)
-	// pairs without allocating during traversal.
+	// pairs without allocating during traversal.  Blocks of equal length
+	// share one child.
 	blockTypes []*Type
 
 	// flat memoizes the coalesced single-instance segment list (Flatten
@@ -299,12 +300,17 @@ func Hindexed(blockLens, displsBytes []int, elem *Type) *Type {
 	size, blocks, span := 0, 0, 0
 	lo, hi := displsBytes[0], displsBytes[0]
 	blockTypes := make([]*Type, n)
+	byLen := map[int]*Type{} // one shared child per distinct block length
 	h := sigMix(sigInit(KindIndexed), elem.sig)
 	for i, bl := range blockLens {
 		if bl < 0 {
 			panic("datatype: negative block length")
 		}
-		b := Contiguous(bl, elem)
+		b := byLen[bl]
+		if b == nil {
+			b = Contiguous(bl, elem)
+			byLen[bl] = b
+		}
 		blockTypes[i] = b
 		size += b.size
 		blocks += b.blocks

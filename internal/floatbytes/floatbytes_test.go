@@ -38,3 +38,27 @@ func TestBadLengthPanics(t *testing.T) {
 	}()
 	Floats(make([]byte, 7))
 }
+
+func TestWords(t *testing.T) {
+	v := []float64{1, 2, 3}
+	b := Bytes(v)
+	w, ok := Words(b)
+	if !ok || len(w) != 3 || w[1] != math.Float64bits(2) {
+		t.Fatalf("Words of an aligned buffer = %v, %v", w, ok)
+	}
+	w[0] = math.Float64bits(42)
+	if v[0] != 42 {
+		t.Fatal("word view does not alias")
+	}
+	if w, ok := Words(b[:23]); !ok || len(w) != 2 {
+		t.Fatalf("Words of 23 aligned bytes = %d words, %v; want 2, true", len(w), ok)
+	}
+	for shift := 1; shift < 8; shift++ {
+		if w, ok := Words(b[shift:]); ok || w != nil {
+			t.Fatalf("Words of a base shifted %d bytes = %v, %v; want no view", shift, w, ok)
+		}
+	}
+	if w, ok := Words(nil); !ok || w != nil {
+		t.Fatal("Words(nil) should be an empty view")
+	}
+}

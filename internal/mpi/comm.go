@@ -176,7 +176,7 @@ func (c *Comm) SendType(dst, tag int, t *datatype.Type, count int, buf []byte) {
 // sendType implements SendType for user and internal tags.
 func (c *Comm) sendType(dst, tag int, t *datatype.Type, count int, buf []byte) {
 	m := c.begin(dst)
-	c.resolve(&m, t, count, buf)
+	c.resolve(&m, t, count, buf, nil)
 	c.post(dst, tag, m)
 }
 
@@ -228,8 +228,10 @@ func (m *outMsg) contiguous(data []byte) {
 // into a pooled image by the streaming engine or the compiled plan, a
 // granule per pipeline chunk; and on a wall-clock world a plan with long
 // enough segments is not packed at all — its segment list goes to the
-// transport as is, one granule of per-segment gather overhead.
-func (c *Comm) resolve(m *outMsg, t *datatype.Type, count int, buf []byte) {
+// transport as is, one granule of per-segment gather overhead.  plan is the
+// compiled plan of (t, count) when the caller already holds it; nil has the
+// compiled-plan engine look it up in the cache.
+func (c *Comm) resolve(m *outMsg, t *datatype.Type, count int, buf []byte, plan *datatype.Plan) {
 	p := c.me
 	prm := &c.w.cluster.Params
 	if t.Contig() && t.Size() == t.Extent() {
@@ -238,7 +240,9 @@ func (c *Comm) resolve(m *outMsg, t *datatype.Type, count int, buf []byte) {
 	}
 	opt := c.w.cfg.Datatype.WithDefaults()
 	if c.w.cfg.Engine == datatype.CompiledPlans {
-		plan := datatype.PlanFor(t, count)
+		if plan == nil {
+			plan = datatype.PlanFor(t, count)
+		}
 		nsegs := plan.NumSegments()
 		m.bytes = plan.Bytes()
 		// Below the fusion threshold the per-segment wire cost outweighs the
@@ -379,14 +383,14 @@ func (c *Comm) Recv(src, tag int) ([]byte, int) {
 // count and source.  It panics if the message exceeds len(buf).
 func (c *Comm) RecvInto(src, tag int, buf []byte) (int, int) {
 	c.me.call = "RecvInto"
-	return c.recvInto(src, tag, nil, 0, buf)
+	return c.recvInto(src, tag, nil, 0, buf, nil)
 }
 
 // RecvType receives a message and scatters it into count instances of t in
 // buf.  The payload size must match the type map exactly.
 func (c *Comm) RecvType(src, tag int, t *datatype.Type, count int, buf []byte) int {
 	c.me.call = "RecvType"
-	_, from := c.recvInto(src, tag, t, count, buf)
+	_, from := c.recvInto(src, tag, t, count, buf, nil)
 	return from
 }
 
@@ -408,10 +412,10 @@ func (c *Comm) await(src, tag int) *envelope {
 // recvInto is the one receive completion behind RecvInto, RecvType,
 // recvSpec and Request.Wait: await the message, land its payload in buf
 // (see unpackInto) and return the payload size and the source.
-func (c *Comm) recvInto(src, tag int, t *datatype.Type, count int, buf []byte) (n, from int) {
+func (c *Comm) recvInto(src, tag int, t *datatype.Type, count int, buf []byte, plan *datatype.Plan) (n, from int) {
 	env := c.await(src, tag)
 	n = len(env.data)
-	c.unpackInto(env.data, t, count, buf)
+	c.unpackInto(env.data, t, count, buf, plan)
 	return n, env.src
 }
 
@@ -453,8 +457,8 @@ func (c *Comm) completeRecv(env *envelope) {
 // a nil t, copied as the contiguous bytes it is — and returns its backing
 // array to the shared buffer pool.  Contiguous receives land directly
 // (rendezvous-style) at no CPU cost.  A typed payload must match the type
-// map exactly; an untyped one must fit buf.
-func (c *Comm) unpackInto(payload []byte, t *datatype.Type, count int, buf []byte) {
+// map exactly; an untyped one must fit buf.  plan is as in resolve.
+func (c *Comm) unpackInto(payload []byte, t *datatype.Type, count int, buf []byte, plan *datatype.Plan) {
 	if t == nil {
 		if len(payload) > len(buf) {
 			panic(fmt.Sprintf("mpi: message of %d bytes overflows %d-byte buffer", len(payload), len(buf)))
@@ -471,7 +475,9 @@ func (c *Comm) unpackInto(payload []byte, t *datatype.Type, count int, buf []byt
 	prm := &c.w.cluster.Params
 	var m datatype.Metrics
 	if c.w.cfg.Engine == datatype.CompiledPlans {
-		plan := datatype.PlanFor(t, count)
+		if plan == nil {
+			plan = datatype.PlanFor(t, count)
+		}
 		plan.Unpack(buf, payload)
 		m = datatype.Metrics{PackedBytes: int64(len(payload)), PackedSegments: int64(plan.NumSegments())}
 	} else {
@@ -519,13 +525,15 @@ type Request struct {
 	c    *Comm
 	done bool
 
-	// receive parameters (nil t means contiguous into buf)
+	// receive parameters (nil t means contiguous into buf; plan as in
+	// unpackInto)
 	isRecv bool
 	src    int
 	tag    int
 	t      *datatype.Type
 	count  int
 	buf    []byte
+	plan   *datatype.Plan
 
 	// result for contiguous receives
 	n       int
@@ -539,20 +547,9 @@ func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 	return &Request{c: c, done: true}
 }
 
-// IsendType starts a nonblocking typed send; packing happens now (eager).
-func (c *Comm) IsendType(dst, tag int, t *datatype.Type, count int, buf []byte) *Request {
-	c.SendType(dst, tag, t, count, buf)
-	return &Request{c: c, done: true}
-}
-
 // Irecv posts a nonblocking contiguous receive into buf.
 func (c *Comm) Irecv(src, tag int, buf []byte) *Request {
 	return &Request{c: c, isRecv: true, src: src, tag: tag, buf: buf}
-}
-
-// IrecvType posts a nonblocking typed receive.
-func (c *Comm) IrecvType(src, tag int, t *datatype.Type, count int, buf []byte) *Request {
-	return &Request{c: c, isRecv: true, src: src, tag: tag, t: t, count: count, buf: buf}
 }
 
 // Wait blocks until the request completes.  For receives it returns the
@@ -563,7 +560,7 @@ func (r *Request) Wait() (int, int) {
 	}
 	r.done = true
 	r.c.me.call = "Wait"
-	r.n, r.recvSrc = r.c.recvInto(r.src, r.tag, r.t, r.count, r.buf)
+	r.n, r.recvSrc = r.c.recvInto(r.src, r.tag, r.t, r.count, r.buf, r.plan)
 	return r.n, r.recvSrc
 }
 

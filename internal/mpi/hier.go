@@ -204,7 +204,7 @@ func (c *Comm) packSpec(buf []byte, s TypeSpec) []byte {
 	if nb == 0 {
 		return out
 	}
-	if s.Type.Contig() && s.Type.Size() == s.Type.Extent() {
+	if s.contig() {
 		copy(out, buf[s.Displ:s.Displ+nb])
 		return out
 	}
@@ -234,20 +234,19 @@ func (c *Comm) unpackEntry(src int, payload []byte, recvbuf []byte, recvs []Type
 	}
 	own := datatype.GetBuffer(len(payload))
 	copy(own, payload)
-	c.unpackInto(own, s.Type, s.Count, recvbuf[s.Displ:])
+	c.unpackInto(own, s.Type, s.Count, recvbuf[s.Displ:], nil)
 }
 
-// a2awHier is the hierarchical binned alltoallw.  Same-node pairs run the
-// flat binned exchange directly; cross-node traffic is aggregated at the
+// a2awHierRemote is the cross-node half of the hierarchical binned
+// alltoallw; same-node pairs have already run the flat binned exchange
+// directly (Exchange.startBinned).  Cross-node traffic is aggregated at the
 // node leaders: every rank packs its remote payloads and funnels them to
 // its leader tagged with the destination, leaders exchange per-node-pair
 // aggregates (always — pairwise volumes are not globally known, so an
 // empty aggregate is the only way to say "nothing"), and the receiving
 // leader redistributes with one message per local non-leader.  Entries
-// travel as [rank u32][len u32][payload] frames.  The returned bin sizes
-// count this rank's send peers the way the flat path would, for the
-// collective's trace span.
-func (c *Comm) a2awHier(tag int, sendbuf []byte, sends []TypeSpec, recvbuf []byte, recvs []TypeSpec, topo *Topology) (zeroBin, smallBin, largeBin int) {
+// travel as [rank u32][len u32][payload] frames.
+func (c *Comm) a2awHierRemote(tag int, sendbuf []byte, sends []TypeSpec, recvbuf []byte, recvs []TypeSpec, topo *Topology) {
 	n := c.Size()
 	me := c.rank
 	thresh := c.w.cfg.BinThresholdBytes
@@ -255,70 +254,17 @@ func (c *Comm) a2awHier(tag int, sendbuf []byte, sends []TypeSpec, recvbuf []byt
 	leader := topo.Leader(node)
 	locals := topo.NodeRanks(node)
 
-	// Local exchange needs no wire.
-	if sends[me].Bytes() > 0 || recvs[me].Bytes() > 0 {
-		c.sendSpec(me, tag, sendbuf, sends[me])
-		c.recvSpec(me, tag, recvbuf, recvs[me])
-	}
-
-	// Same-node receives, posted up front exactly like the flat path.
-	reqs := make([]*Request, 0, len(locals))
-	for _, src := range locals {
-		if src == me || recvs[src].Bytes() == 0 {
-			continue
-		}
-		s := recvs[src]
-		if s.Type.Contig() && s.Type.Size() == s.Type.Extent() {
-			reqs = append(reqs, c.Irecv(src, tag, recvbuf[s.Displ:s.Displ+s.Bytes()]))
-		} else {
-			reqs = append(reqs, c.IrecvType(src, tag, s.Type, s.Count, recvbuf[s.Displ:]))
-		}
-	}
-
-	// Same-node sends, small bin first.
-	var small, large []int
-	for _, dst := range locals {
-		if dst == me {
-			continue
-		}
-		switch b := sends[dst].Bytes(); {
-		case b == 0:
-			zeroBin++
-		case b <= thresh:
-			small = append(small, dst)
-		default:
-			large = append(large, dst)
-		}
-	}
-	for _, dst := range small {
-		c.sendSpec(dst, tag, sendbuf, sends[dst])
-	}
-	for _, dst := range large {
-		c.sendSpec(dst, tag, sendbuf, sends[dst])
-	}
-	smallBin, largeBin = len(small), len(large)
-
 	// Cross-node payloads, packed once here; they ride aggregates from
-	// now on.  Bin accounting mirrors the flat path's view of the peers.
+	// now on.
 	type entry struct {
 		src, dst int
 		payload  []byte // pooled
 	}
 	var mine []entry
 	for dst := 0; dst < n; dst++ {
-		if topo.NodeOf(dst) == node {
-			continue
+		if topo.NodeOf(dst) != node && sends[dst].Bytes() > 0 {
+			mine = append(mine, entry{src: me, dst: dst, payload: c.packSpec(sendbuf, sends[dst])})
 		}
-		switch b := sends[dst].Bytes(); {
-		case b == 0:
-			zeroBin++
-			continue
-		case b <= thresh:
-			smallBin++
-		default:
-			largeBin++
-		}
-		mine = append(mine, entry{src: me, dst: dst, payload: c.packSpec(sendbuf, sends[dst])})
 	}
 
 	if me != leader {
@@ -350,8 +296,7 @@ func (c *Comm) a2awHier(tag int, sendbuf []byte, sends []TypeSpec, recvbuf []byt
 			data = data[8+plen:]
 		}
 		datatype.PutBuffer(env.data)
-		c.Waitall(reqs)
-		return zeroBin, smallBin, largeBin
+		return
 	}
 
 	// Leader: gather the node's outbound entries, keyed by target node.
@@ -457,6 +402,4 @@ func (c *Comm) a2awHier(tag int, sendbuf []byte, sends []TypeSpec, recvbuf []byt
 	}
 	c.spanB("hier_scatter", scatterStart, scattered,
 		obs.Attr{Key: "node", Val: strconv.Itoa(node)})
-	c.Waitall(reqs)
-	return zeroBin, smallBin, largeBin
 }

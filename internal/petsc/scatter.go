@@ -70,18 +70,25 @@ type Scatter struct {
 	sendRuns []int
 	recvRuns []int
 
-	// datatype path: per-rank type specs for Alltoallw
+	// datatype path: per-rank send specs, and the persistent Alltoallw built
+	// once over them and the receive specs; Begin is its Start, End its Wait.
 	sendSpecs []mpi.TypeSpec
-	recvSpecs []mpi.TypeSpec
+	exch      *mpi.Exchange
 
-	// Begin/End state: receives posted by Begin and completed by End, plus
-	// the destination array the deferred unpack writes into.  The slices are
-	// reused across iterations so a steady-state Begin/End pair allocates
-	// nothing.
+	// inFlight is set between a Begin and its End.
+	inFlight bool
+
+	// hand-tuned Begin/End state: receives posted by Begin and completed by
+	// End, plus the destination array the deferred unpack writes into.  The
+	// slices are reused across iterations so a steady-state Begin/End pair
+	// allocates nothing.
 	pending    []*mpi.Request
 	pendingIdx []int
 	pendingDst []float64
-	inFlight   bool
+
+	// accumulate path (scatter_mode.go): one staging buffer per remote peer
+	// with data, built on the first Add.
+	stages []stage
 }
 
 // NewScatter builds a scatter from global index sets: element x[ix[k]]
@@ -156,20 +163,10 @@ func NewScatterFromPlan(c *mpi.Comm, xLocal, yLocal int, plan Plan, mode Scatter
 		}
 	case ScatterDatatype:
 		sc.sendSpecs = specsFor(c.Size(), plan.Sends)
-		sc.recvSpecs = specsFor(c.Size(), plan.Recvs)
-		// Compile the pack/unpack plans now so that when the world runs the
-		// compiled-plan engine, every Begin/End iteration is a pure cache
-		// hit — the VecScatter analogue of dataloop commit-time optimization.
-		for _, spec := range sc.sendSpecs {
-			if spec.Type != nil {
-				datatype.PlanFor(spec.Type, spec.Count)
-			}
-		}
-		for _, spec := range sc.recvSpecs {
-			if spec.Type != nil {
-				datatype.PlanFor(spec.Type, spec.Count)
-			}
-		}
+		// Under the compiled-plan engine this compiles every peer's pack and
+		// unpack plan now — the VecScatter analogue of dataloop commit-time
+		// optimization — and no Begin/End looks one up again.
+		sc.exch = c.AlltoallwInit(sc.sendSpecs, specsFor(c.Size(), plan.Recvs))
 	default:
 		panic("petsc: unknown scatter mode")
 	}
@@ -262,7 +259,10 @@ func (s *Scatter) Begin(x, y *Vec) {
 	s.BeginArrays(x.a, y.a)
 }
 
-// BeginArrays is Begin on raw local arrays.
+// BeginArrays is Begin on raw local arrays.  A typed communication error
+// raised on the way (a peer failed, the communicator was revoked) leaves
+// nothing in flight, so an mpi.Guard-ed caller that begins again meets the
+// same typed error, not the double-Begin panic.
 func (s *Scatter) BeginArrays(x, y []float64) {
 	if len(x) != s.xLocal || len(y) != s.yLocal {
 		panic("petsc: scatter applied to arrays with mismatched length")
@@ -270,16 +270,13 @@ func (s *Scatter) BeginArrays(x, y []float64) {
 	if s.inFlight {
 		panic("petsc: scatter Begin with a scatter already in flight")
 	}
-	s.inFlight = true
 	switch s.mode {
 	case ScatterHandTuned:
 		s.beginHandTuned(x, y)
 	case ScatterDatatype:
-		// Alltoallw is a single collective; it completes in Begin and End
-		// becomes a no-op.  The derived-type sends inside reuse the plans
-		// compiled at scatter creation via the package plan cache.
-		s.c.Alltoallw(floatbytes.Bytes(x), s.sendSpecs, floatbytes.Bytes(y), s.recvSpecs)
+		s.exch.Start(floatbytes.Bytes(x), floatbytes.Bytes(y))
 	}
+	s.inFlight = true
 }
 
 // End completes the scatter started by the matching Begin: outstanding
@@ -289,8 +286,11 @@ func (s *Scatter) End() {
 		panic("petsc: scatter End without matching Begin")
 	}
 	s.inFlight = false
-	if s.mode == ScatterHandTuned {
+	switch s.mode {
+	case ScatterHandTuned:
 		s.endHandTuned()
+	case ScatterDatatype:
+		s.exch.Wait()
 	}
 }
 
