@@ -298,20 +298,17 @@ func runLauncher(lc launchConfig) int {
 	fmt.Printf("wire: %d frames sent, %d dropped, %d corrupted, %d retransmits, %d CRC rejects\n",
 		agg.frames, agg.dropped, agg.corrupted, agg.retrans, agg.crc)
 	if lc.perNode > 1 {
-		var shm struct {
-			frames, bytes, vectored, stalls, stallNs int64
-		}
+		var shm struct{ frames, bytes, stalls, stallNs int64 }
 		for _, rep := range reports {
 			if s := rep.ShmStats; s != nil {
 				shm.frames += s.FramesSent
 				shm.bytes += s.BytesSent
-				shm.vectored += s.VectoredSends
 				shm.stalls += s.RingFullStalls
 				shm.stallNs += s.StallNanos
 			}
 		}
-		fmt.Printf("shm: %d frames (%d vectored), %d ring bytes, %d full-ring stalls (%.3fs)\n",
-			shm.frames, shm.vectored, shm.bytes, shm.stalls, float64(shm.stallNs)/1e9)
+		fmt.Printf("shm: %d frames, %d ring bytes, %d full-ring stalls (%.3fs)\n",
+			shm.frames, shm.bytes, shm.stalls, float64(shm.stallNs)/1e9)
 	}
 
 	if lc.trace != "" {

@@ -15,6 +15,7 @@ import (
 	"nccd/internal/core"
 	"nccd/internal/datatype"
 	"nccd/internal/mpi"
+	"nccd/internal/obs"
 	"nccd/internal/obs/analyze"
 )
 
@@ -71,9 +72,14 @@ func render(n, width int, cfg mpi.Config) *mpi.World {
 			lanes[r][i] = '.'
 		}
 	}
+	// Only the kinds that make up a rank's sequential timeline are drawn;
+	// collective containers and pack phases overlap them.
 	symbol := map[string]byte{"compute": 'C', "send": 'S', "recv": 'R', "skew": 'K'}
-	for _, e := range w.Trace() {
-		sym := symbol[e.Kind]
+	for _, e := range w.Tracer().Spans() {
+		sym, ok := symbol[e.Kind]
+		if !ok || e.Clock != obs.ClockVirtual {
+			continue
+		}
 		lo := int(e.Start / horizon * float64(width))
 		hi := int(e.End / horizon * float64(width))
 		if hi == lo {

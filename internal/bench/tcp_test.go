@@ -69,8 +69,6 @@ func runMultigridTCP(t *testing.T, n int, p MultigridParams, cfg mpi.Config, fp 
 		agg.DupRejects += s.DupRejects
 		agg.Dropped += s.Dropped
 		agg.Corrupted += s.Corrupted
-		agg.VectoredSends += s.VectoredSends
-		agg.SealSpills += s.SealSpills
 		if cr := worlds[r].ChecksumRejects(); cr != 0 {
 			t.Fatalf("rank %d accepted work from the mpi-level checksum (%d rejects); the transport must absorb all corruption", r, cr)
 		}
@@ -123,15 +121,8 @@ func TestMultigridTCPMatchesInproc(t *testing.T) {
 	if ref.Cycles == 0 || len(ref.History) == 0 {
 		t.Fatalf("inproc reference did not converge: %+v", ref)
 	}
-	got, stats := runMultigridTCP(t, n, p, cfg, nil)
+	got, _ := runMultigridTCP(t, n, p, cfg, nil)
 	multigridHistoriesEqual(t, "tcp", got, ref)
-	// At full size the fine-grid ghost segments reach the fusion threshold,
-	// so the solve must have exercised the zero-copy vectored path — and the
-	// residual equality above is exactly the fused-path bitwise witness.
-	// The short variant's 16^3 grid stays below the threshold everywhere.
-	if !testing.Short() && stats.VectoredSends == 0 {
-		t.Fatalf("full-size solve fused no sends: %+v", stats)
-	}
 }
 
 // TestMultigridTCPLossy runs the same solve with a seeded 1% drop / 1%
@@ -149,8 +140,8 @@ func TestMultigridTCPLossy(t *testing.T) {
 	// of pooled buffers (payloads whose ownership passed to application
 	// code), so the reference solve establishes that baseline; the lossy
 	// TCP run — with all its retransmissions, duplicate rejects, CRC
-	// rejects and retransmit seals — must not leak a single buffer beyond
-	// it.
+	// rejects and corrupted encodings — must not leak a single buffer
+	// beyond it.
 	gets := obs.Metrics.Counter("datatype.pool_gets")
 	puts := obs.Metrics.Counter("datatype.pool_puts")
 	b0 := gets.Load() - puts.Load()

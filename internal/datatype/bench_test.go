@@ -128,15 +128,15 @@ func BenchmarkPlanKernels(b *testing.B) {
 	}
 	for _, l := range []int{8, 16, 24, 32, 48, 64, 128, 256, 1024, 4096} {
 		ty := Hvector(total/l, l, 2*l, Byte)
-		p := CompilePlan(ty, 1)
+		p, segs := CompilePlan(ty, 1), Flatten(ty, 1)
 		buf, stream := mkbuf(ty, 1), make([]byte, total)
 		uw, _ := floatbytes.Words(buf)
 		sw, _ := floatbytes.Words(stream)
 		name := fmt.Sprintf("%dB/", l)
 		bench(name+"kernel/pack", func() { p.Pack(buf, stream) })
 		bench(name+"kernel/unpack", func() { p.Unpack(buf, stream) })
-		bench(name+"walk/pack", func() { copySegments(p.segs, buf, stream, false) })
-		bench(name+"walk/unpack", func() { copySegments(p.segs, buf, stream, true) })
+		bench(name+"walk/pack", func() { copySegments(segs, buf, stream, false) })
+		bench(name+"walk/unpack", func() { copySegments(segs, buf, stream, true) })
 		bench(name+"wordloop/pack", func() { wordLoop(sw, uw, 2*l/8, l/8, total/l) })
 	}
 	lens, displs := make([]int, total/8), make([]int, total/8)
@@ -146,9 +146,9 @@ func BenchmarkPlanKernels(b *testing.B) {
 		lens[i], displs[i] = 8, off
 	}
 	ty := Hindexed(lens, displs, Byte)
-	p := CompilePlan(ty, 1)
+	p, segs := CompilePlan(ty, 1), Flatten(ty, 1)
 	buf, stream := mkbuf(ty, 1), make([]byte, total)
 	bench("8B/table/pack", func() { p.Pack(buf, stream) })
 	bench("8B/table/unpack", func() { p.Unpack(buf, stream) })
-	bench("8B/table-walk/pack", func() { copySegments(p.segs, buf, stream, false) })
+	bench("8B/table-walk/pack", func() { copySegments(segs, buf, stream, false) })
 }

@@ -8,7 +8,7 @@ package datatype
 // distinct *Type values with identical byte-level behavior.  Canonicalize
 // rewrites any such type to one canonical representative derived purely
 // from its coalesced segment list and extent, so equal type maps share one
-// signature, one cached plan, and one fusion-threshold decision.
+// signature and one cached plan.
 
 // Canonicalize returns the canonical form of t: a type with the identical
 // type map (same Flatten output for every count, same size, extent and

@@ -128,17 +128,3 @@ func TestFlattenMemoized(t *testing.T) {
 		t.Fatalf("count-2 flatten aliases the count-1 memo")
 	}
 }
-
-func TestFusable(t *testing.T) {
-	dense := Vector(8, 128, 256, Double) // 1 KiB segments
-	sparse := Vector(1024, 1, 2, Double) // 8 B segments
-	if !PlanFor(dense, 1).Fusable(DefaultFusionThreshold) {
-		t.Fatalf("1KiB-segment plan should fuse at the default threshold")
-	}
-	if PlanFor(sparse, 1).Fusable(DefaultFusionThreshold) {
-		t.Fatalf("8B-segment plan should not fuse at the default threshold")
-	}
-	if PlanFor(Contiguous(0, Double), 4).Fusable(DefaultFusionThreshold) {
-		t.Fatalf("empty plan must not be fusable")
-	}
-}

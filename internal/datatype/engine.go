@@ -30,10 +30,11 @@ const (
 	SingleContext EngineKind = iota
 	// DualContext is the paper's dual-context look-ahead engine.
 	DualContext
-	// CompiledPlans packs from a cached compiled Plan (see plan.go): the
-	// type tree is flattened once per (type, count), density is classified
-	// once per plan instead of per chunk, and steady-state chunks are tight
-	// copy loops with no traversal, no look-ahead scans and no searches.
+	// CompiledPlans names the compiled-plan layer (see plan.go) where a
+	// configuration selects an engine: the type tree is flattened once per
+	// (type, count) and Plan.Pack/Unpack run a kernel program with no
+	// traversal, no look-ahead scans and no searches.  It is not a chunk
+	// engine — NewPacker rejects it.
 	CompiledPlans
 )
 
@@ -130,42 +131,31 @@ type Packer struct {
 	kind  EngineKind
 	opt   Options
 	buf   []byte
-	cur   *Cursor // streaming engines; nil on the compiled-plan path
+	cur   *Cursor
 	total int64
 	m     Metrics
 
 	scratchSegs []Segment
-
-	// compiled-plan path state: a shared immutable plan plus this packer's
-	// position in it (segment index, offset within that segment).
-	plan      *Plan
-	planIdx   int
-	planOff   int
-	planDone  int64
-	planDense bool
 }
 
-// NewPacker returns a Packer over count instances of t stored in buf.
-// buf must cover the type map's span (extent-spaced instances plus the last
-// instance's true span; zero-size types excepted).
+// NewPacker returns a Packer over count instances of t stored in buf, for
+// one of the two streaming engines.  buf must cover the type map's span
+// (extent-spaced instances plus the last instance's true span; zero-size
+// types excepted).
 func NewPacker(kind EngineKind, t *Type, count int, buf []byte, opt Options) *Packer {
-	opt = opt.withDefaults()
+	if kind != SingleContext && kind != DualContext {
+		panic("datatype: " + kind.String() + " is not a streaming engine")
+	}
 	if need := RequiredBytes(t, count); len(buf) < need {
 		panic("datatype: buffer smaller than type map extent")
 	}
-	p := &Packer{
+	return &Packer{
 		kind:  kind,
-		opt:   opt,
+		opt:   opt.withDefaults(),
 		buf:   buf,
+		cur:   NewCursor(t, count),
 		total: int64(t.size) * int64(count),
 	}
-	if kind == CompiledPlans {
-		p.plan = PlanFor(t, count)
-		p.planDense = p.plan.AvgSegment() >= float64(opt.DenseThreshold)
-	} else {
-		p.cur = NewCursor(t, count)
-	}
-	return p
 }
 
 // RequiredBytes returns the minimum buffer length holding count instances of
@@ -180,12 +170,7 @@ func RequiredBytes(t *Type, count int) int {
 }
 
 // Remaining reports whether more chunks are available.
-func (p *Packer) Remaining() bool {
-	if p.plan != nil {
-		return p.planDone < p.total
-	}
-	return !p.cur.Done()
-}
+func (p *Packer) Remaining() bool { return !p.cur.Done() }
 
 // TotalBytes returns the total data size of the message.
 func (p *Packer) TotalBytes() int64 { return p.total }
@@ -205,59 +190,10 @@ func (p *Packer) NextChunk(scratch []byte) (c Chunk, ok bool) {
 	}
 	p.m.Chunks++
 
-	switch p.kind {
-	case SingleContext:
+	if p.kind == SingleContext {
 		return p.nextSingle(scratch), true
-	case DualContext:
-		return p.nextDual(scratch), true
-	case CompiledPlans:
-		return p.nextPlan(scratch), true
 	}
-	panic("datatype: unknown engine kind")
-}
-
-// nextPlan serves chunks from the compiled segment list.  The dense/sparse
-// classification was hoisted out of the loop at plan compile time: dense
-// plans emit whole-segment windows straight out of the shared segment slice
-// (zero copy, zero allocation), sparse plans run the tight gather loop.
-func (p *Packer) nextPlan(scratch []byte) Chunk {
-	segs := p.plan.segs
-	if p.planDense && p.planOff == 0 {
-		end := p.planIdx + p.opt.LookAhead
-		if end > len(segs) {
-			end = len(segs)
-		}
-		out := segs[p.planIdx:end]
-		bytes := 0
-		for _, s := range out {
-			bytes += s.Len
-		}
-		p.planIdx = end
-		p.planDone += int64(bytes)
-		p.m.DirectBytes += int64(bytes)
-		p.m.DirectSegments += int64(len(out))
-		return Chunk{Segs: out, Direct: true, Bytes: bytes}
-	}
-	budget := p.opt.Pipeline
-	n := 0
-	for n < budget && p.planIdx < len(segs) {
-		s := segs[p.planIdx]
-		l := s.Len - p.planOff
-		if l > budget-n {
-			l = budget - n
-		}
-		copy(scratch[n:n+l], p.buf[s.Off+p.planOff:s.Off+p.planOff+l])
-		n += l
-		p.planOff += l
-		if p.planOff == s.Len {
-			p.planIdx++
-			p.planOff = 0
-		}
-		p.m.PackedSegments++
-	}
-	p.planDone += int64(n)
-	p.m.PackedBytes += int64(n)
-	return Chunk{Data: scratch[:n], Bytes: n}
+	return p.nextDual(scratch), true
 }
 
 // nextSingle is the baseline: look-ahead consumes the only context; the
@@ -360,14 +296,6 @@ func (u *Unpacker) Consume(data []byte) {
 		data = data[l:]
 		u.m.PackedBytes += int64(l)
 		u.m.PackedSegments++
-	}
-}
-
-// ConsumeSegments scatters a direct chunk (segments of the sender's buffer)
-// into the receive type map.
-func (u *Unpacker) ConsumeSegments(src []byte, segs []Segment) {
-	for _, s := range segs {
-		u.Consume(src[s.Off : s.Off+s.Len])
 	}
 }
 

@@ -123,26 +123,34 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 }
 
 func TestUnpackerIncrementalArbitrarySlices(t *testing.T) {
-	ty := Vector(100, 2, 5, Double)
-	src := mkbuf(ty, 1)
-	packed := referencePack(ty, 1, src)
-	dst := make([]byte, len(src))
-	u := NewUnpacker(ty, 1, dst)
 	rng := rand.New(rand.NewSource(23))
-	for off := 0; off < len(packed); {
-		n := 1 + rng.Intn(37)
-		if off+n > len(packed) {
-			n = len(packed) - off
+	for _, tc := range []struct {
+		ty    *Type
+		count int
+	}{
+		{Vector(100, 2, 5, Double), 1},
+		{Vector(2, 1, 2, Double), 3}, // slices cross the instance boundaries
+	} {
+		src := mkbuf(tc.ty, tc.count)
+		packed := referencePack(tc.ty, tc.count, src)
+		dst := make([]byte, len(src))
+		u := NewUnpacker(tc.ty, tc.count, dst)
+		u.Consume(nil)
+		if u.BytesWritten() != 0 || u.Done() {
+			t.Fatalf("an empty slice advanced the unpacker: %d written", u.BytesWritten())
 		}
-		u.Consume(packed[off : off+n])
-		off += n
-	}
-	if !u.Done() {
-		t.Fatal("unpacker not done after full stream")
-	}
-	for _, s := range Flatten(ty, 1) {
-		if !bytes.Equal(dst[s.Off:s.Off+s.Len], src[s.Off:s.Off+s.Len]) {
-			t.Fatalf("segment %v differs", s)
+		for off := 0; off < len(packed); {
+			n := min(rng.Intn(38), len(packed)-off) // zero-length slices included
+			u.Consume(packed[off : off+n])
+			off += n
+		}
+		if !u.Done() {
+			t.Fatalf("unpacker not done after full stream: %d of %d written", u.BytesWritten(), len(packed))
+		}
+		for _, s := range Flatten(tc.ty, tc.count) {
+			if !bytes.Equal(dst[s.Off:s.Off+s.Len], src[s.Off:s.Off+s.Len]) {
+				t.Fatalf("segment %v differs", s)
+			}
 		}
 	}
 }

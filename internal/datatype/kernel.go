@@ -111,77 +111,30 @@ func (r *run) classify() kernel {
 	return kernCopy
 }
 
-// blocks returns the sub-run of blocks [lo, hi).
-func (r run) blocks(lo, hi int) run {
-	if r.tab != nil {
-		r.tab = r.tab[lo:hi]
-	}
-	r.off += lo * r.stride
-	r.dst += lo * r.blockLen
-	r.count = hi - lo
-	return r
-}
-
-// pos is a block boundary of the program: block number block of run number
-// run.  The end of the program is {len(runs), 0}.
-type pos struct{ run, block int }
-
-// seek returns the first block boundary at or past stream offset target.
-func (p *Plan) seek(target int) pos {
-	lo, hi := 0, len(p.runs)
-	for lo < hi { // first run starting past target
-		mid := int(uint(lo+hi) >> 1)
-		if p.runs[mid].dst <= target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return pos{}
-	}
-	r := &p.runs[lo-1]
-	if k := (target - r.dst + r.blockLen - 1) / r.blockLen; k < r.count {
-		return pos{lo - 1, k}
-	}
-	return pos{lo, 0}
-}
-
-// exec runs the program from one block boundary to another: the whole plan
-// on the serial path, a shard of it on a pack worker.  user is the
-// noncontiguous buffer, stream the contiguous one.  The word loops run over
-// uint64 views of both; when either buffer starts off the 8-byte grid there
-// is no view and every run copies byte-wise.
-func (p *Plan) exec(user, stream []byte, unpack bool, from, to pos) {
+// exec runs the program.  user is the noncontiguous buffer, stream the
+// contiguous one.  The word loops run over uint64 views of both; when either
+// buffer starts off the 8-byte grid there is no view and every run copies
+// byte-wise.
+func (p *Plan) exec(user, stream []byte, unpack bool) {
 	uw, uok := floatbytes.Words(user)
 	sw, sok := floatbytes.Words(stream)
-	for i := from.run; i < len(p.runs) && (i < to.run || i == to.run && to.block > 0); i++ {
-		r := p.runs[i]
-		lo, hi := 0, r.count
-		if i == from.run {
-			lo = from.block
-		}
-		if i == to.run {
-			hi = to.block
-		}
-		if lo > 0 || hi < r.count {
-			r = r.blocks(lo, hi)
-		}
+	for i := range p.runs {
+		r := &p.runs[i]
 		k := r.kern
 		if !uok || !sok {
 			k = kernCopy
 		}
 		switch {
 		case k == kernCopy:
-			copyBlocks(user, stream, &r, unpack)
+			copyBlocks(user, stream, r, unpack)
 		case k == kernWord1 && unpack:
-			unpackWord1(uw, sw, &r)
+			unpackWord1(uw, sw, r)
 		case k == kernWord1:
-			packWord1(sw, uw, &r)
+			packWord1(sw, uw, r)
 		case unpack:
-			unpackWord2(uw, sw, &r)
+			unpackWord2(uw, sw, r)
 		default:
-			packWord2(sw, uw, &r)
+			packWord2(sw, uw, r)
 		}
 	}
 }

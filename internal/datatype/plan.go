@@ -13,13 +13,12 @@ import "fmt"
 // property-tested against.
 
 // Plan is the compiled form of (type, count): the kernel program Pack and
-// Unpack execute, and the coalesced in-order segment list of the full type
-// map it was lowered from, which the gather-list send and the chunking
-// Packer hand out as is.  A Plan is immutable after compilation and safe for
-// concurrent use.
+// Unpack execute, and the length of the coalesced segment list it was lowered
+// from (the unit the cost model charges per-segment overhead in).  A Plan is
+// immutable after compilation and safe for concurrent use.
 type Plan struct {
-	segs  []Segment
 	runs  []run
+	nsegs int // coalesced segments of the full type map
 	bytes int // total data bytes (== type size * count)
 	span  int // minimum source/destination buffer length
 	count int
@@ -37,13 +36,14 @@ func CompilePlan(t *Type, count int) *Plan {
 	if count < 0 {
 		panic("datatype: negative count")
 	}
+	segs := Flatten(t, count)
 	p := &Plan{
-		segs:  Flatten(t, count),
+		nsegs: len(segs),
 		count: count,
 		span:  RequiredBytes(t, count),
 		sig:   t.sig,
 	}
-	p.runs, p.bytes = compileRuns(p.segs)
+	p.runs, p.bytes = compileRuns(segs)
 	if want := t.Size() * count; p.bytes != want {
 		panic(fmt.Sprintf("datatype: plan flattened to %d bytes, type map holds %d", p.bytes, want))
 	}
@@ -54,21 +54,16 @@ func CompilePlan(t *Type, count int) *Plan {
 func (p *Plan) Bytes() int { return p.bytes }
 
 // NumSegments returns the number of coalesced segments in the plan.
-func (p *Plan) NumSegments() int { return len(p.segs) }
+func (p *Plan) NumSegments() int { return p.nsegs }
 
 // Count returns the instance count the plan was compiled for.
 func (p *Plan) Count() int { return p.count }
 
-// Segments returns the coalesced segment list.  The caller must not modify
-// it; plans are shared through the cache.
-func (p *Plan) Segments() []Segment { return p.segs }
-
-// MemBytes estimates the plan's resident memory: the segment list, the
-// program's runs and offset tables, and the fixed header.  The cache tracks
-// live bytes with it.
+// MemBytes estimates the plan's resident memory: the program's runs and
+// offset tables, and the fixed header.  The cache tracks live bytes with it.
 func (p *Plan) MemBytes() int64 {
-	const segSize, runSize = 16, 72 // Segment{Off, Len int} and run on 64-bit
-	n := int64(len(p.segs))*segSize + int64(len(p.runs))*runSize + 64
+	const runSize = 72 // run on 64-bit
+	n := int64(len(p.runs))*runSize + 64
 	for i := range p.runs {
 		n += int64(len(p.runs[i].tab)) * 8
 	}
@@ -79,47 +74,18 @@ func (p *Plan) MemBytes() int64 {
 // the plan gathers from or scatters into.
 func (p *Plan) SpanBytes() int { return p.span }
 
-// DefaultFusionThreshold is the minimum mean segment length, in bytes, for
-// the zero-copy fused send path to beat the compiled pack: below it the
-// per-segment cost of a vectored write (iovec setup, per-segment CRC
-// update) exceeds the one memcpy it saves, per the Eijkhout-style
-// measurements the guidelines benchmark re-runs.
-const DefaultFusionThreshold = 512
-
-// Fusable reports whether the plan's segments are long enough — mean
-// segment length at least minAvgSegBytes — for the zero-copy gather-list
-// send path to pay off.  Empty plans are not fusable (a header-only frame
-// has nothing to fuse).
-func (p *Plan) Fusable(minAvgSegBytes int) bool {
-	if p.bytes == 0 || len(p.segs) == 0 {
-		return false
-	}
-	return p.bytes >= minAvgSegBytes*len(p.segs)
-}
-
-// AvgSegment returns the mean segment length in bytes, the figure the
-// density heuristic compares against the dense threshold.
-func (p *Plan) AvgSegment() float64 {
-	if len(p.segs) == 0 {
-		return 0
-	}
-	return float64(p.bytes) / float64(len(p.segs))
-}
-
 // Pack gathers the plan's segments of src into the contiguous stream dst.
 // dst must hold at least Bytes() bytes and src at least the type map span.
-// Large plans are sharded across the package worker pool; small ones run
-// serially on the caller's goroutine (see parallelMinBytes).
 func (p *Plan) Pack(src, dst []byte) {
 	p.check(src, dst)
-	p.run(src, dst, false)
+	p.exec(src, dst, false)
 }
 
 // Unpack scatters the contiguous stream src into the plan's segments of
 // dst — the exact inverse of Pack.
 func (p *Plan) Unpack(dst, src []byte) {
 	p.check(dst, src)
-	p.run(dst, src, true)
+	p.exec(dst, src, true)
 }
 
 func (p *Plan) check(user, stream []byte) {
@@ -129,15 +95,4 @@ func (p *Plan) check(user, stream []byte) {
 	if len(stream) < p.bytes {
 		panic(fmt.Sprintf("datatype: plan stream %d bytes, need %d", len(stream), p.bytes))
 	}
-}
-
-// run executes the kernel program, sharding it across the worker pool when
-// the plan is large enough to amortize handoff.  user is the noncontiguous
-// buffer, stream the contiguous one.
-func (p *Plan) run(user, stream []byte, unpack bool) {
-	if p.bytes < parallelMinBytes || len(p.segs) < parallelMinSegs {
-		p.exec(user, stream, unpack, pos{}, pos{run: len(p.runs)})
-		return
-	}
-	p.parallelCopy(user, stream, unpack)
 }

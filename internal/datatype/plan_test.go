@@ -92,43 +92,10 @@ func TestPlanCoalescesContiguous(t *testing.T) {
 	}
 }
 
-// bigSparseType builds a plan crossing both parallel cutoffs: 1 MiB of data
-// in 8-byte segments (131072 segments, 2 MiB span).
-func bigSparseType() *Type {
-	return Vector(131072, 1, 2, Double)
-}
-
-// TestPlanParallelMatchesSerial drives a plan large enough to take the
-// worker-pool path and checks pack and unpack against the serial loop.
-func TestPlanParallelMatchesSerial(t *testing.T) {
-	ty := bigSparseType()
-	p := CompilePlan(ty, 1)
-	if p.Bytes() < parallelMinBytes || p.NumSegments() < parallelMinSegs {
-		t.Fatalf("test type does not cross the parallel cutoffs: %d bytes, %d segs", p.Bytes(), p.NumSegments())
-	}
-	src := mkbuf(ty, 1)
-
-	par := make([]byte, p.Bytes())
-	p.Pack(src, par) // crosses cutoffs -> parallel
-	ser := make([]byte, p.Bytes())
-	copySegments(p.segs, src, ser, false)
-	if !bytes.Equal(par, ser) {
-		t.Fatal("parallel pack differs from serial pack")
-	}
-
-	dstPar := make([]byte, len(src))
-	p.Unpack(dstPar, ser)
-	dstSer := make([]byte, len(src))
-	copySegments(p.segs, dstSer, ser, true)
-	if !bytes.Equal(dstPar, dstSer) {
-		t.Fatal("parallel unpack differs from serial unpack")
-	}
-}
-
 // TestPlanPackZeroAllocsSteadyState is the acceptance criterion: once a plan
 // is compiled and cached, pack/unpack and cache lookup allocate nothing.
 func TestPlanPackZeroAllocsSteadyState(t *testing.T) {
-	ty := Vector(2048, 2, 4, Double) // 32 KiB data: serial path
+	ty := Vector(2048, 2, 4, Double) // 32 KiB data
 	p := PlanFor(ty, 1)
 	src := mkbuf(ty, 1)
 	dst := make([]byte, p.Bytes())
@@ -141,19 +108,6 @@ func TestPlanPackZeroAllocsSteadyState(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { PlanFor(ty, 1) }); n != 0 {
 		t.Errorf("cached PlanFor allocates %.1f per run, want 0", n)
-	}
-}
-
-// TestPlanParallelSteadyStateAllocs bounds the parallel path: after warmup
-// the pool hands off value-struct tasks and pooled WaitGroups only.
-func TestPlanParallelSteadyStateAllocs(t *testing.T) {
-	ty := bigSparseType()
-	p := CompilePlan(ty, 1)
-	src := mkbuf(ty, 1)
-	dst := make([]byte, p.Bytes())
-	p.Pack(src, dst) // warm the pool and the WaitGroup cache
-	if n := testing.AllocsPerRun(20, func() { p.Pack(src, dst) }); n > 1 {
-		t.Errorf("parallel Pack allocates %.1f per run, want <= 1", n)
 	}
 }
 
@@ -336,78 +290,6 @@ func TestPlanThroughputVsInterpretedEngine(t *testing.T) {
 	t.Errorf("plan pack %v not 2x faster than engine %v over %d iters", planT, engineT, iters)
 }
 
-// --- Unpacker.ConsumeSegments edge cases (satellite) ---
-
-// TestConsumeSegmentsZeroLength: zero-length segments in a direct chunk must
-// be no-ops, advancing nothing.
-func TestConsumeSegmentsZeroLength(t *testing.T) {
-	ty := Vector(4, 1, 2, Double) // 32 data bytes in 4 segments
-	dst := make([]byte, RequiredBytes(ty, 1))
-	u := NewUnpacker(ty, 1, dst)
-	src := mkbuf(ty, 1)
-	stream := referencePack(ty, 1, src)
-
-	u.ConsumeSegments(stream, []Segment{{0, 0}, {5, 0}})
-	if u.BytesWritten() != 0 || u.Done() {
-		t.Fatalf("zero-length segments advanced the unpacker: %d written", u.BytesWritten())
-	}
-	u.ConsumeSegments(stream, []Segment{{0, 16}, {16, 0}, {16, 16}})
-	if !u.Done() {
-		t.Fatalf("unpacker not done after full stream: %d written", u.BytesWritten())
-	}
-	for _, s := range Flatten(ty, 1) {
-		if !bytes.Equal(dst[s.Off:s.Off+s.Len], src[s.Off:s.Off+s.Len]) {
-			t.Fatalf("segment %v differs", s)
-		}
-	}
-}
-
-// TestConsumeSegmentsPartialTrailing: chunk boundaries that split receive-map
-// segments mid-run must still land every byte.
-func TestConsumeSegmentsPartialTrailing(t *testing.T) {
-	ty := Vector(4, 1, 2, Double)
-	dst := make([]byte, RequiredBytes(ty, 1))
-	u := NewUnpacker(ty, 1, dst)
-	src := mkbuf(ty, 1)
-	stream := referencePack(ty, 1, src)
-
-	// 5+9+3+15 = 32: every boundary lands mid-segment of the receive map.
-	cuts := []Segment{{0, 5}, {5, 9}, {14, 3}, {17, 15}}
-	for _, c := range cuts {
-		u.ConsumeSegments(stream, []Segment{c})
-	}
-	if !u.Done() {
-		t.Fatalf("unpacker not done: %d of 32 written", u.BytesWritten())
-	}
-	for _, s := range Flatten(ty, 1) {
-		if !bytes.Equal(dst[s.Off:s.Off+s.Len], src[s.Off:s.Off+s.Len]) {
-			t.Fatalf("segment %v differs", s)
-		}
-	}
-}
-
-// TestConsumeSegmentsCountGreaterThanOne: segments crossing instance
-// boundaries of a count>1 receive map.
-func TestConsumeSegmentsCountGreaterThanOne(t *testing.T) {
-	ty := Vector(2, 1, 2, Double) // 16 data bytes per instance
-	const count = 3
-	dst := make([]byte, RequiredBytes(ty, count))
-	u := NewUnpacker(ty, count, dst)
-	src := mkbuf(ty, count)
-	stream := referencePack(ty, count, src)
-
-	// One segment spans the 1st/2nd instance boundary, another the 2nd/3rd.
-	u.ConsumeSegments(stream, []Segment{{0, 20}, {20, 20}, {40, 8}})
-	if !u.Done() {
-		t.Fatalf("unpacker not done: %d of %d written", u.BytesWritten(), len(stream))
-	}
-	for _, s := range Flatten(ty, count) {
-		if !bytes.Equal(dst[s.Off:s.Off+s.Len], src[s.Off:s.Off+s.Len]) {
-			t.Fatalf("segment %v differs", s)
-		}
-	}
-}
-
 // --- buffer pool ---
 
 func TestBufferPoolSizes(t *testing.T) {
@@ -445,7 +327,7 @@ func TestBufferPoolSizes(t *testing.T) {
 func TestPlanMisalignedBase(t *testing.T) {
 	irregular := Hindexed([]int{8, 8, 8, 8, 8, 8}, []int{0, 24, 40, 96, 104, 200}, Byte)
 	for _, ty := range []*Type{Vector(512, 1, 2, Double), Vector(256, 2, 5, Double), irregular} {
-		p := CompilePlan(ty, 1)
+		p, segs := CompilePlan(ty, 1), Flatten(ty, 1)
 		if k := p.runs[0].kern; k != kernWord1 && k != kernWord2 {
 			t.Fatalf("%v: compiled to kernel %d, want a word kernel", ty, k)
 		}
@@ -453,7 +335,7 @@ func TestPlanMisalignedBase(t *testing.T) {
 			src := make([]byte, p.SpanBytes()+16)[shift:][:p.SpanBytes()]
 			fillPattern(src)
 			want := make([]byte, p.Bytes())
-			copySegments(p.segs, src, want, false)
+			copySegments(segs, src, want, false)
 			for _, streamShift := range []int{0, shift} {
 				got := make([]byte, p.Bytes()+16)[streamShift:][:p.Bytes()]
 				p.Pack(src, got)
@@ -463,7 +345,7 @@ func TestPlanMisalignedBase(t *testing.T) {
 				back := make([]byte, len(src)+16)[shift:][:len(src)]
 				wantBack := make([]byte, len(src))
 				p.Unpack(back, got)
-				copySegments(p.segs, wantBack, want, true)
+				copySegments(segs, wantBack, want, true)
 				if !bytes.Equal(back, wantBack) {
 					t.Fatalf("%v: unpack through bases shifted %d/%d differs from the segment walk", ty, shift, streamShift)
 				}

@@ -75,8 +75,8 @@ var defaultPlanCache = NewPlanCache(DefaultPlanCacheCap)
 
 // Get returns the cached plan for (t, count), compiling and inserting it on
 // a miss.  The type is normalized to its canonical form first, so
-// structurally equal types — however they were constructed — share one key,
-// one compiled plan, and one fusion decision.
+// structurally equal types — however they were constructed — share one key
+// and one compiled plan.
 func (c *PlanCache) Get(t *Type, count int) *Plan {
 	ct := Canonicalize(t)
 	key := planKey{sig: ct.sig, size: ct.size, extent: ct.extent, span: ct.span, blocks: ct.blocks, count: count}

@@ -101,20 +101,3 @@ func PutBuffer(b []byte) {
 	*box = b[:c]
 	bufPools[poolClass(c)].Put(box)
 }
-
-// Gather concatenates user[s.Off:s.Off+s.Len] for each segment, in order,
-// into one pooled buffer the caller owns — the delivery copy of a gather-list
-// message that is not written to a wire segment by segment.  Zero-length
-// segments contribute nothing.
-func Gather(user []byte, segs []Segment) []byte {
-	n := 0
-	for _, s := range segs {
-		n += s.Len
-	}
-	buf := GetBuffer(n)
-	off := 0
-	for _, s := range segs {
-		off += copy(buf[off:off+s.Len], user[s.Off:s.Off+s.Len])
-	}
-	return buf
-}

@@ -93,7 +93,7 @@ func (c *Comm) Compute(sec float64) {
 	start := c.me.clock
 	c.me.clock += d
 	c.me.stats.ComputeSec += d
-	c.me.record(Event{Kind: "compute", Peer: -1, Start: start, End: c.me.clock})
+	c.me.record("compute", start)
 }
 
 // skew injects the deterministic per-collective jitter of the cluster model.
@@ -107,7 +107,7 @@ func (c *Comm) skew() {
 	start := c.me.clock
 	c.me.clock += j
 	c.me.stats.SkewSec += j
-	c.me.record(Event{Kind: "skew", Peer: -1, Start: start, End: c.me.clock})
+	c.me.record("skew", start)
 }
 
 // collTag returns the reserved tag for collective traffic.  A single
@@ -155,9 +155,8 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 
 // send implements Send for both user and internal tags.  dst is a comm
 // rank.  A contiguous message does not go through resolve, so that data —
-// which is only ever copied — does not escape: resolve's buffer can reach
-// the transport as a gather list, and callers reduce and broadcast out of
-// stack buffers.
+// which is only ever copied — does not escape: resolve's buffer is kept by
+// a streaming Packer, and callers reduce and broadcast out of stack buffers.
 func (c *Comm) send(dst, tag int, data []byte) {
 	m := c.begin(dst)
 	m.contiguous(data)
@@ -181,19 +180,14 @@ func (c *Comm) sendType(dst, tag int, t *datatype.Type, count int, buf []byte) {
 }
 
 // outMsg is an outgoing message: begin opens it, contiguous or resolve
-// gives it a representation and the cost of producing that, post charges
-// the cost and sends it.  The body is either wire — a pooled image the
-// runtime owns until the receiver recycles it — or user+segs, a gather list
-// borrowed from the caller's buffer that the transport has finished reading
-// by the time SendVectored returns.
+// fills its image and the cost of producing that, post charges the cost and
+// sends it.  The image is always wire, a pooled buffer the runtime owns
+// until the receiver recycles it.
 type outMsg struct {
 	self    bool    // addressed to the sending rank
 	opStart float64 // clock when the operation began
 
-	wire []byte
-	user []byte
-	segs []datatype.Segment
-
+	wire      []byte
 	bytes     int
 	granules  []granule        // the pipeline steps that produce and ship the body
 	pipelined bool             // the sender stalls on each granule's wire time
@@ -223,14 +217,11 @@ func (m *outMsg) contiguous(data []byte) {
 	m.granules = append(m.granules, granule{bytes: m.bytes})
 }
 
-// resolve picks the representation of count instances of t in buf: a
-// contiguous type is sent as the bytes it is; any other layout is packed
-// into a pooled image by the streaming engine or the compiled plan, a
-// granule per pipeline chunk; and on a wall-clock world a plan with long
-// enough segments is not packed at all — its segment list goes to the
-// transport as is, one granule of per-segment gather overhead.  plan is the
-// compiled plan of (t, count) when the caller already holds it; nil has the
-// compiled-plan engine look it up in the cache.
+// resolve fills m with the image of count instances of t in buf: a
+// contiguous type is copied as the bytes it is; any other layout is packed
+// by the streaming engine or the compiled plan, a granule per pipeline
+// chunk.  plan is the compiled plan of (t, count) when the caller already
+// holds it; nil has the compiled-plan engine look it up in the cache.
 func (c *Comm) resolve(m *outMsg, t *datatype.Type, count int, buf []byte, plan *datatype.Plan) {
 	p := c.me
 	prm := &c.w.cluster.Params
@@ -245,17 +236,6 @@ func (c *Comm) resolve(m *outMsg, t *datatype.Type, count int, buf []byte, plan 
 		}
 		nsegs := plan.NumSegments()
 		m.bytes = plan.Bytes()
-		// Below the fusion threshold the per-segment wire cost outweighs the
-		// saved memcpy; the virtual-time world always packs, because its
-		// receivers are deposited a finished image.
-		if c.w.wall && !m.self && plan.Fusable(datatype.DefaultFusionThreshold) {
-			m.user, m.segs, m.engine = buf, plan.Segments(), "fused"
-			m.granules = append(m.granules, granule{bytes: m.bytes,
-				packSec: prm.GatherSegOverhead * float64(nsegs) / p.speed})
-			m.metrics = datatype.Metrics{Chunks: 1,
-				DirectBytes: int64(m.bytes), DirectSegments: int64(nsegs)}
-			return
-		}
 		m.wire, m.engine = datatype.GetBuffer(m.bytes), "compiled-plan"
 		plan.Pack(buf, m.wire)
 		m.pipelined = m.bytes > opt.Pipeline
@@ -310,8 +290,8 @@ func (c *Comm) resolve(m *outMsg, t *datatype.Type, count int, buf []byte, plan 
 	}
 }
 
-// post is the one send pipeline: every outgoing message, whatever its
-// representation, is charged, accounted, dispatched and traced here.
+// post is the one send pipeline: every outgoing message is charged,
+// accounted, dispatched and traced here.
 func (c *Comm) post(dst, tag int, m outMsg) {
 	p := c.me
 	lnk := c.linkTo(dst)
@@ -346,10 +326,6 @@ func (c *Comm) post(dst, tag int, m outMsg) {
 	p.stats.MsgsSent++
 	p.stats.BytesSent += int64(m.bytes)
 	p.stats.Datatype.Add(m.metrics)
-	if m.segs != nil {
-		p.stats.FusedSends++
-		p.stats.FusedBytes += int64(m.bytes)
-	}
 	mseq := c.dispatch(dst, tag, m, arrival, lnk.WireTime(m.bytes))
 	if p.tracer.Enabled() && packSec > 0 {
 		// The modeled pack time, nested inside the send span.  Pack work is
@@ -358,17 +334,12 @@ func (c *Comm) post(dst, tag int, m outMsg) {
 		if m.engine != "" {
 			attrs = append(attrs, obs.Attr{Key: "engine", Val: m.engine})
 		}
-		segments := m.metrics.PackedSegments
-		if m.segs != nil {
-			segments = m.metrics.DirectSegments
-		}
-		attrs = append(attrs, obs.Attr{Key: "segments", Val: strconv.FormatInt(segments, 10)})
+		attrs = append(attrs, obs.Attr{Key: "segments", Val: strconv.FormatInt(m.metrics.PackedSegments, 10)})
 		p.tracer.Emit(obs.Span{Rank: p.rank, Kind: "pack", Peer: dst, Tag: tag,
 			Bytes: int64(m.bytes), Start: packStart, End: packStart + packSec,
 			Clock: obs.ClockVirtual, Attrs: attrs})
 	}
-	p.recordSend(Event{Kind: "send", Peer: dst, Tag: tag, Bytes: m.bytes, Start: m.opStart, End: p.clock},
-		c.ctx, c.worldRank(dst), mseq, rdvz)
+	p.recordSend(dst, tag, m.bytes, m.opStart, c.ctx, c.worldRank(dst), mseq, rdvz)
 }
 
 // Recv blocks until a message matching src/tag (wildcards allowed) arrives
@@ -446,8 +417,7 @@ func (c *Comm) completeRecv(env *envelope) {
 	if wait > 0 {
 		c.w.matrix.addWait(srcWorld, p.rank, wait)
 	}
-	p.recordRecv(Event{Kind: "recv", Peer: env.src, Tag: env.tag, Bytes: len(env.data), Start: opStart, End: p.clock},
-		c.ctx, srcWorld, env.mseq, wait)
+	p.recordRecv(env.src, env.tag, len(env.data), opStart, c.ctx, srcWorld, env.mseq, wait)
 	// A scheduled crash inside the wait fires once the clock crosses it.
 	c.maybeCrash()
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // TestTraceConcurrentWithDelivery pins the concurrency contract documented
-// on Trace/ClearTrace: reading and clearing the trace while ranks are
+// on ClearTrace: reading and clearing the trace while ranks are
 // actively communicating (and therefore recording spans) must be safe.
 // Before the obs ring, each proc appended to a plain slice, which raced
 // with readers under wall-clock delivery; the mutex-guarded ring makes the
@@ -21,7 +21,6 @@ func TestTraceConcurrentWithDelivery(t *testing.T) {
 	go func() {
 		defer close(reader)
 		for !done.Load() {
-			_ = w.Trace()
 			_ = w.Tracer().Spans()
 			w.ClearTrace()
 		}
@@ -49,12 +48,10 @@ func TestTraceConcurrentWithDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The trace must still be coherent after the churn: events sorted,
-	// only timeline kinds.
-	evs := w.Trace()
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Start < evs[i-1].Start {
-			t.Fatalf("trace out of order at %d: %+v after %+v", i, evs[i], evs[i-1])
+	// The trace must still be coherent after the churn: no torn span.
+	for _, s := range w.Tracer().Spans() {
+		if s.Rank < 0 || s.Rank >= 4 || s.Kind == "" || s.End < s.Start {
+			t.Fatalf("torn span after concurrent clear: %+v", s)
 		}
 	}
 }

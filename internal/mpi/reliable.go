@@ -59,8 +59,7 @@ func (c *Comm) dispatch(dst, tag int, m outMsg, arrival, wireSec float64) uint64
 	mMsgBytes.Observe(int64(m.bytes))
 	// dispatch owns wire; the throw paths below abandon the send, so they
 	// must recycle it or every revoked/failed-peer send leaks a pooled
-	// buffer.  (A borrowed gather list has no wire: PutBuffer(nil) is a
-	// no-op.)
+	// buffer.
 	if w.isRevoked(c.ctx) {
 		datatype.PutBuffer(wire)
 		throwErr(&RevokedError{Call: c.callOr("Send")})
@@ -84,13 +83,7 @@ func (c *Comm) dispatch(dst, tag int, m outMsg, arrival, wireSec float64) uint64
 		// wall-clock transport runs the real ack/retransmission protocol
 		// below its framing layer when its fault plan is lossy — the same
 		// plan must not be injected twice.
-		var err error
-		if m.segs != nil {
-			err = w.tr.SendVectored(worldDst, hdr, m.user, m.segs)
-		} else {
-			err = w.tr.Send(worldDst, hdr, wire)
-		}
-		if err != nil {
+		if err := w.tr.Send(worldDst, hdr, wire); err != nil {
 			throwErr(mapTransportErr(err, worldDst, c.callOr("Send")))
 		}
 		return mseq

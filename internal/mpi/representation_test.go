@@ -17,12 +17,11 @@ import (
 
 // repMesh is one way of connecting the four ranks of the representation
 // test.  build returns one transport per rank (a single one for inproc,
-// which hosts every rank) plus a probe of how many gather-list frames rank
-// 0's endpoint put out; kill takes rank r's endpoint down abruptly.
+// which hosts every rank); kill takes rank r's endpoint down abruptly.
 type repMesh struct {
 	name  string
 	wall  bool
-	build func(t *testing.T) (trs []transport.Transport, vectored func() int64, kill func(r int))
+	build func(t *testing.T) (trs []transport.Transport, kill func(r int))
 }
 
 const repRanks = 4
@@ -74,32 +73,26 @@ func repShm(t *testing.T, ranks []int) []*shm.Transport {
 }
 
 var repMeshes = []repMesh{
-	{"inproc", false, func(t *testing.T) ([]transport.Transport, func() int64, func(int)) {
-		return []transport.Transport{transport.NewInproc(repRanks)}, nil, nil
+	{"inproc", false, func(t *testing.T) ([]transport.Transport, func(int)) {
+		return []transport.Transport{transport.NewInproc(repRanks)}, nil
 	}},
-	{"tcp", true, func(t *testing.T) ([]transport.Transport, func() int64, func(int)) {
+	{"tcp", true, func(t *testing.T) ([]transport.Transport, func(int)) {
 		eps := repTCP(t)
 		trs := make([]transport.Transport, repRanks)
 		for r, ep := range eps {
 			trs[r] = ep
 		}
-		return trs, func() int64 {
-			st := eps[0].Stats()
-			if st.SealSpills != 0 {
-				t.Errorf("clean link sealed %d frames for retransmission", st.SealSpills)
-			}
-			return st.VectoredSends
-		}, func(r int) { eps[r].Close() }
+		return trs, func(r int) { eps[r].Close() }
 	}},
-	{"shm", true, func(t *testing.T) ([]transport.Transport, func() int64, func(int)) {
+	{"shm", true, func(t *testing.T) ([]transport.Transport, func(int)) {
 		eps := repShm(t, []int{0, 1, 2, 3})
 		trs := make([]transport.Transport, repRanks)
 		for r, ep := range eps {
 			trs[r] = ep
 		}
-		return trs, func() int64 { return eps[0].Stats().VectoredSends }, func(r int) { eps[r].Close() }
+		return trs, func(r int) { eps[r].Close() }
 	}},
-	{"mux", true, func(t *testing.T) ([]transport.Transport, func() int64, func(int)) {
+	{"mux", true, func(t *testing.T) ([]transport.Transport, func(int)) {
 		eps := repTCP(t)
 		muxes := make([]*transport.Mux, repRanks)
 		var wg sync.WaitGroup
@@ -122,9 +115,9 @@ var repMeshes = []repMesh{
 			}
 			trs[r] = sub
 		}
-		return trs, func() int64 { return eps[0].Stats().VectoredSends }, func(r int) { eps[r].Close() }
+		return trs, func(r int) { eps[r].Close() }
 	}},
-	{"hier", true, func(t *testing.T) ([]transport.Transport, func() int64, func(int)) {
+	{"hier", true, func(t *testing.T) ([]transport.Transport, func(int)) {
 		inter := repTCP(t)
 		intra := append(repShm(t, []int{0, 1}), repShm(t, []int{2, 3})...)
 		trs := make([]transport.Transport, repRanks)
@@ -135,8 +128,7 @@ var repMeshes = []repMesh{
 			}
 			trs[r] = h
 		}
-		return trs, func() int64 { return inter[0].Stats().VectoredSends + intra[0].Stats().VectoredSends },
-			func(r int) { trs[r].Close() }
+		return trs, func(r int) { trs[r].Close() }
 	}},
 }
 
@@ -166,10 +158,9 @@ func repWorlds(t *testing.T, trs []transport.Transport, cfg Config) []*World {
 
 // repShape is one typed message of the differential test.
 type repShape struct {
-	name    string
-	t       *datatype.Type
-	count   int
-	fusable bool // long enough segments for the gather list on a wall-clock world
+	name  string
+	t     *datatype.Type
+	count int
 }
 
 func repShapes() []repShape {
@@ -178,10 +169,10 @@ func repShapes() []repShape {
 		// ex49: zero-length entries and single bytes between multi-KiB runs.
 		{"ex49", datatype.Hindexed(
 			[]int{0, 1, 4096, 0, 1, 8192, 2, 0, 1, 2048},
-			[]int{0, 0, 64, 4500, 4503, 4600, 13000, 13500, 13507, 14000}, datatype.Byte), 1, true},
-		{"dense-vector", datatype.Vector(512, 1, 2, datatype.Double), 1, false},
-		{"contiguous-run", datatype.Contiguous(4096, datatype.Byte), 2, false},
-		{"empty", datatype.Hindexed([]int{0, 0}, []int{0, 8}, datatype.Byte), 3, false},
+			[]int{0, 0, 64, 4500, 4503, 4600, 13000, 13500, 13507, 14000}, datatype.Byte), 1},
+		{"dense-vector", datatype.Vector(512, 1, 2, datatype.Double), 1},
+		{"contiguous-run", datatype.Contiguous(4096, datatype.Byte), 2},
+		{"empty", datatype.Hindexed([]int{0, 0}, []int{0, 8}, datatype.Byte), 3},
 	}
 }
 
@@ -194,13 +185,11 @@ func repUser() []byte {
 }
 
 // TestRepresentationDifferential sends the same typed messages as
-// hand-packed contiguous bytes, as an engine-packed image and as a compiled
-// plan (a gather list where the world is wall-clock and the segments are
-// long enough) over every transport, to two peers and to the sender itself,
-// and requires that nothing but the representation differs: the receivers
-// see identical bytes, the sender counts identical messages and bytes, the
-// fused counters move exactly where the gather list went out, and every
-// pooled buffer comes back — also after each way a send can fail.
+// hand-packed contiguous bytes, as an engine-packed image and as a
+// plan-packed image over every transport, to two peers and to the sender
+// itself, and requires that nothing but who packed differs: the receivers
+// see identical bytes, the sender counts identical messages and bytes, and
+// every pooled buffer comes back — also after each way a send can fail.
 func TestRepresentationDifferential(t *testing.T) {
 	poolBase := datatype.PoolOutstandingBytes()
 	t.Cleanup(func() { // registered first, so it runs after every endpoint closed
@@ -231,7 +220,7 @@ func TestRepresentationDifferential(t *testing.T) {
 			cfg  Config
 		}{{"streaming", Optimized()}, {"compiled", Compiled()}} {
 			t.Run(mesh.name+"/"+cfg.name, func(t *testing.T) {
-				trs, vectored, _ := mesh.build(t)
+				trs, _ := mesh.build(t)
 				ws := repWorlds(t, trs, cfg.cfg)
 				var contig, typed Stats // rank 0's counters per phase
 				errs := runAll(ws, func(c *Comm) error {
@@ -266,22 +255,12 @@ func TestRepresentationDifferential(t *testing.T) {
 							}
 						}
 						s1 := c.Stats()
-						d := Stats{MsgsSent: s1.MsgsSent - s0.MsgsSent, BytesSent: s1.BytesSent - s0.BytesSent,
-							FusedSends: s1.FusedSends - s0.FusedSends, FusedBytes: s1.FusedBytes - s0.FusedBytes}
+						d := Stats{MsgsSent: s1.MsgsSent - s0.MsgsSent, BytesSent: s1.BytesSent - s0.BytesSent}
 						if me == 0 && phase == 0 {
 							contig = d
 						} else if me == 0 {
 							typed = d
 						}
-					}
-					if me == 0 {
-						// The transport's own self-send of a borrowed gather list,
-						// which the runtime never issues (it packs self-sends).
-						hdr := transport.Header{Ctx: c.ctx, Src: 0, Tag: 300}
-						if err := c.w.tr.SendVectored(0, hdr, user, datatype.Flatten(shapes[0].t, 1)); err != nil {
-							return err
-						}
-						return recv(300, 0)
 					}
 					return nil
 				})
@@ -294,22 +273,8 @@ func TestRepresentationDifferential(t *testing.T) {
 				if contig != want {
 					t.Errorf("contiguous phase counted %+v, want %+v", contig, want)
 				}
-				if mesh.wall && cfg.name == "compiled" {
-					for i, sh := range shapes {
-						if sh.fusable {
-							want.FusedSends += int64(len(dsts) - 1) // every peer, never self
-							want.FusedBytes += int64(len(refs[i]) * (len(dsts) - 1))
-						}
-					}
-				}
 				if typed != want {
 					t.Errorf("typed phase counted %+v, want %+v", typed, want)
-				}
-				if vectored != nil {
-					if got := vectored(); got != want.FusedSends+1 { // +1: the direct self-send
-						t.Errorf("endpoint put out %d gather-list frames, runtime counted %d fused sends",
-							got-1, want.FusedSends)
-					}
 				}
 				for _, w := range ws {
 					w.Close()
@@ -317,12 +282,12 @@ func TestRepresentationDifferential(t *testing.T) {
 			})
 		}
 
-		// Every way a send can fail hands the payload back: an owned buffer
-		// is recycled by whoever refused it, a borrowed gather list was
-		// never pooled.  The pool check above is the assertion.
+		// Every way a send can fail hands the payload back: the owned buffer
+		// is recycled by whoever refused it.  The pool check above is the
+		// assertion.
 		t.Run(mesh.name+"/errors", func(t *testing.T) {
 			t.Run("transport", func(t *testing.T) {
-				trs, _, kill := mesh.build(t)
+				trs, kill := mesh.build(t)
 				var wg sync.WaitGroup
 				for _, tr := range trs {
 					wg.Add(1)
@@ -334,17 +299,13 @@ func TestRepresentationDifferential(t *testing.T) {
 					}()
 				}
 				wg.Wait()
-				segs := datatype.Flatten(shapes[0].t, 1)
-				both := func(what string, to int) {
+				refused := func(what string, to int) {
 					t.Helper()
 					if err := trs[0].Send(to, transport.Header{Ctx: 1}, datatype.GetBuffer(4096)); err == nil {
 						t.Errorf("Send %s succeeded", what)
 					}
-					if err := trs[0].SendVectored(to, transport.Header{Ctx: 1}, user, segs); err == nil {
-						t.Errorf("SendVectored %s succeeded", what)
-					}
 				}
-				both("to an out-of-range rank", 99)
+				refused("to an out-of-range rank", 99)
 				if !mesh.wall {
 					return // inproc has no peers to lose and nothing to close
 				}
@@ -357,13 +318,13 @@ func TestRepresentationDifferential(t *testing.T) {
 						}
 						time.Sleep(time.Millisecond)
 					}
-					both(fmt.Sprintf("to downed rank %d", peer), peer)
+					refused(fmt.Sprintf("to downed rank %d", peer), peer)
 				}
 				trs[0].Close()
-				both("on a closed transport", 3)
+				refused("on a closed transport", 3)
 			})
 			t.Run("runtime", func(t *testing.T) {
-				trs, _, _ := mesh.build(t)
+				trs, _ := mesh.build(t)
 				ws := repWorlds(t, trs, Compiled())
 				boom := errors.New("rank 1 fails on purpose")
 				both := func(c *Comm, dst int, want error) {

@@ -86,50 +86,33 @@ func TestTraceRecordsEvents(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	events := w.Trace()
-	var kinds []string
-	for _, e := range events {
-		kinds = append(kinds, fmt.Sprintf("%d:%s", e.Rank, e.Kind))
-		if e.End < e.Start {
-			t.Fatalf("event ends before it starts: %+v", e)
+	spans := w.Tracer().Spans()
+	seen := map[string]bool{}
+	for _, s := range spans {
+		if s.End < s.Start {
+			t.Fatalf("span ends before it starts: %+v", s)
+		}
+		seen[fmt.Sprintf("%d:%s", s.Rank, s.Kind)] = true
+		// The recv must carry the right metadata.
+		if s.Kind == "recv" && (s.Bytes != 100 || s.Peer != 0 || s.Tag != 3) {
+			t.Fatalf("recv metadata wrong: %+v", s)
 		}
 	}
-	want := map[string]bool{"0:compute": false, "0:send": false, "1:recv": false}
-	for _, k := range kinds {
-		if _, ok := want[k]; ok {
-			want[k] = true
-		}
-	}
-	for k, seen := range want {
-		if !seen {
-			t.Fatalf("missing event %s in %v", k, kinds)
-		}
-	}
-	// Events are sorted by start time.
-	for i := 1; i < len(events); i++ {
-		if events[i].Start < events[i-1].Start {
-			t.Fatal("trace not sorted")
-		}
-	}
-
-	// The recv must carry the right metadata.
-	for _, e := range events {
-		if e.Kind == "recv" {
-			if e.Bytes != 100 || e.Peer != 0 || e.Tag != 3 {
-				t.Fatalf("recv metadata wrong: %+v", e)
-			}
+	for _, k := range []string{"0:compute", "0:send", "1:recv"} {
+		if !seen[k] {
+			t.Fatalf("missing span %s in %+v", k, spans)
 		}
 	}
 
 	w.ClearTrace()
-	if len(w.Trace()) != 0 {
-		t.Fatal("ClearTrace left events")
+	if len(w.Tracer().Spans()) != 0 {
+		t.Fatal("ClearTrace left spans")
 	}
 	w.DisableTrace()
 	if err := w.Run(func(c *Comm) error { c.Barrier(); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if len(w.Trace()) != 0 {
+	if len(w.Tracer().Spans()) != 0 {
 		t.Fatal("DisableTrace still recording")
 	}
 }
@@ -139,7 +122,7 @@ func TestTraceOffByDefault(t *testing.T) {
 	if err := w.Run(func(c *Comm) error { c.Barrier(); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if len(w.Trace()) != 0 {
+	if len(w.Tracer().Spans()) != 0 {
 		t.Fatal("tracing on by default")
 	}
 }

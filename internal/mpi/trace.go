@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"sort"
 	"strconv"
 
 	"nccd/internal/obs"
@@ -22,27 +21,6 @@ const (
 
 func formatSec(s float64) string { return strconv.FormatFloat(s, 'g', -1, 64) }
 
-// Event is one traced operation on a rank's virtual timeline.  It is the
-// legacy narrow view (cmd/timeline's input): the full record — collective
-// decisions, pack/unpack phases, reliability rejections, solver phases —
-// lives in the obs spans behind World.Tracer().
-type Event struct {
-	Rank  int     // world rank
-	Kind  string  // "send", "recv", "compute", "skew"
-	Peer  int     // comm rank of the peer for send/recv, -1 otherwise
-	Tag   int     // message tag for send/recv
-	Bytes int     // payload size for send/recv
-	Start float64 // virtual seconds
-	End   float64
-}
-
-// timelineKinds are the virtual-clock span kinds Trace projects onto the
-// legacy Event view.  Everything else (collective spans, pack phases,
-// reliability instants) is visible only through Tracer().
-var timelineKinds = map[string]bool{
-	"send": true, "recv": true, "compute": true, "skew": true,
-}
-
 // EnableTrace starts recording spans.  Tracing costs bounded memory (each
 // rank's lane is a fixed-capacity ring; see obs).  Safe at any time, but
 // spans of operations already in flight are not recorded retroactively.
@@ -51,46 +29,26 @@ func (w *World) EnableTrace() { w.tracer.Enable() }
 // DisableTrace stops recording (existing spans are kept).
 func (w *World) DisableTrace() { w.tracer.Disable() }
 
-// ClearTrace drops all recorded spans.  Safe to call while a wall-clock
-// transport is still delivering: recording and draining share the obs
-// ring-buffer locks, so a concurrent Emit either lands before the clear
-// (and is dropped) or after (and is kept) — never torn.
+// ClearTrace drops all recorded spans.  Like reading them (Tracer().Spans()),
+// it is safe while a wall-clock transport is still delivering: recording and
+// draining share the obs ring-buffer locks, so a concurrent Emit either lands
+// before the clear (and is dropped) or after (and is kept) — never torn.
 func (w *World) ClearTrace() { w.tracer.Clear() }
 
-// Trace returns the recorded virtual-timeline events sorted by start time.
-// Like ClearTrace, safe concurrently with delivery; events recorded after
-// the call starts may or may not be included.
-func (w *World) Trace() []Event {
-	var out []Event
-	for _, s := range w.tracer.Spans() {
-		if s.Clock != obs.ClockVirtual || !timelineKinds[s.Kind] {
-			continue
-		}
-		out = append(out, Event{Rank: s.Rank, Kind: s.Kind, Peer: s.Peer,
-			Tag: s.Tag, Bytes: int(s.Bytes), Start: s.Start, End: s.End})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Rank < out[j].Rank
-	})
-	return out
-}
-
-// record traces a virtual-timeline event if tracing is on.
-func (p *proc) record(e Event) {
+// record traces a span of the rank's own timeline (compute, skew) from
+// start to the current clock, if tracing is on.
+func (p *proc) record(kind string, start float64) {
 	if !p.tracer.Enabled() {
 		return
 	}
-	p.tracer.Emit(obs.Span{Rank: p.rank, Kind: e.Kind, Peer: e.Peer, Tag: e.Tag,
-		Bytes: int64(e.Bytes), Start: e.Start, End: e.End, Clock: obs.ClockVirtual})
+	p.tracer.Emit(obs.Span{Rank: p.rank, Kind: kind, Peer: -1,
+		Start: start, End: p.clock, Clock: obs.ClockVirtual})
 }
 
-// recordSend traces a send with its matching identity attributes.  rdvzSec,
-// when positive, records how long the sender sat blocked in the rendezvous
-// protocol waiting for the wire to drain.
-func (p *proc) recordSend(e Event, ctx uint64, dstWorld int, mseq uint64, rdvzSec float64) {
+// recordSend traces a send, from start to the current clock, with its
+// matching identity attributes.  rdvzSec, when positive, records how long the
+// sender sat blocked in the rendezvous protocol waiting for the wire to drain.
+func (p *proc) recordSend(peer, tag, bytes int, start float64, ctx uint64, dstWorld int, mseq uint64, rdvzSec float64) {
 	if !p.tracer.Enabled() {
 		return
 	}
@@ -102,13 +60,14 @@ func (p *proc) recordSend(e Event, ctx uint64, dstWorld int, mseq uint64, rdvzSe
 	if rdvzSec > 0 {
 		attrs = append(attrs, obs.Attr{Key: AttrRdvz, Val: formatSec(rdvzSec)})
 	}
-	p.tracer.Emit(obs.Span{Rank: p.rank, Kind: e.Kind, Peer: e.Peer, Tag: e.Tag,
-		Bytes: int64(e.Bytes), Start: e.Start, End: e.End, Clock: obs.ClockVirtual, Attrs: attrs})
+	p.tracer.Emit(obs.Span{Rank: p.rank, Kind: "send", Peer: peer, Tag: tag,
+		Bytes: int64(bytes), Start: start, End: p.clock, Clock: obs.ClockVirtual, Attrs: attrs})
 }
 
-// recordRecv traces a receive with its matching identity and the seconds
-// the receiver spent blocked before the message was available.
-func (p *proc) recordRecv(e Event, ctx uint64, srcWorld int, mseq uint64, waitSec float64) {
+// recordRecv traces a receive, from start to the current clock, with its
+// matching identity and the seconds the receiver spent blocked before the
+// message was available.
+func (p *proc) recordRecv(peer, tag, bytes int, start float64, ctx uint64, srcWorld int, mseq uint64, waitSec float64) {
 	if !p.tracer.Enabled() {
 		return
 	}
@@ -120,12 +79,6 @@ func (p *proc) recordRecv(e Event, ctx uint64, srcWorld int, mseq uint64, waitSe
 	if waitSec > 0 {
 		attrs = append(attrs, obs.Attr{Key: AttrWait, Val: formatSec(waitSec)})
 	}
-	p.tracer.Emit(obs.Span{Rank: p.rank, Kind: e.Kind, Peer: e.Peer, Tag: e.Tag,
-		Bytes: int64(e.Bytes), Start: e.Start, End: e.End, Clock: obs.ClockVirtual, Attrs: attrs})
-}
-
-// span traces an arbitrary virtual-clock span for the rank.
-func (p *proc) span(kind string, start, end float64, attrs ...obs.Attr) {
-	p.tracer.Emit(obs.Span{Rank: p.rank, Kind: kind, Peer: -1,
-		Start: start, End: end, Clock: obs.ClockVirtual, Attrs: attrs})
+	p.tracer.Emit(obs.Span{Rank: p.rank, Kind: "recv", Peer: peer, Tag: tag,
+		Bytes: int64(bytes), Start: start, End: p.clock, Clock: obs.ClockVirtual, Attrs: attrs})
 }

@@ -147,8 +147,7 @@ func (c *Comm) noteControlRecv(env *envelope) {
 	if !p.tracer.Enabled() {
 		return
 	}
-	p.recordRecv(Event{Kind: "recv", Peer: env.src, Tag: env.tag, Bytes: len(env.data),
-		Start: p.clock, End: p.clock}, c.ctx, c.worldRank(env.src), env.mseq, 0)
+	p.recordRecv(env.src, env.tag, len(env.data), p.clock, c.ctx, c.worldRank(env.src), env.mseq, 0)
 }
 
 // agreeWall is the distributed form of agree: an all-to-all exchange of

@@ -691,10 +691,10 @@ type Stats struct {
 	DupsSent    int64 // duplicated deliveries injected by the fault plan
 	CorruptSent int64 // corrupted deliveries injected by the fault plan
 
-	// Fused-path traffic: sends that went to the wire as a gather list
-	// straight from user memory, skipping the pack copy entirely.
+	// FusedSends is always zero: every message is packed into an owned
+	// image.  The field stays declared only because the frozen benchmark
+	// harness reads it; it goes with the harness's mpi.fused_sends_per_op.
 	FusedSends int64
-	FusedBytes int64
 
 	Datatype datatype.Metrics
 }
@@ -714,8 +714,6 @@ func (s *Stats) Add(other Stats) {
 	s.Retransmits += other.Retransmits
 	s.DupsSent += other.DupsSent
 	s.CorruptSent += other.CorruptSent
-	s.FusedSends += other.FusedSends
-	s.FusedBytes += other.FusedBytes
 	s.Datatype.Add(other.Datatype)
 }
 

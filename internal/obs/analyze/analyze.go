@@ -56,11 +56,6 @@ type matchKey struct {
 	mseq     uint64
 }
 
-// timelineKinds are the span kinds that form a rank's sequential timeline.
-var timelineKinds = map[string]bool{
-	"send": true, "recv": true, "compute": true, "skew": true,
-}
-
 // collectiveContainer reports whether kind is a collective container span
 // (emitted around a whole collective or one of its hierarchy phases).
 func collectiveContainer(kind string) bool {
@@ -152,9 +147,7 @@ func build(spans []obs.Span, opts Options) *graph {
 				container{kind: s.Kind, start: s.Start, end: s.End})
 			continue
 		}
-		if !timelineKinds[s.Kind] {
-			continue
-		}
+		// Only the kinds that form a rank's sequential timeline become nodes.
 		n := node{span: *s, rank: s.Rank, id: len(g.nodes), match: -1, to: -1, from: -1}
 		switch s.Kind {
 		case "send":
@@ -167,6 +160,9 @@ func build(spans []obs.Span, opts Options) *graph {
 			n.ctx = attrUint(s, "ctx", 16)
 			n.mseq = attrUint(s, "mseq", 10)
 			n.wait = attrFloat(s, "wait")
+		case "compute", "skew":
+		default:
+			continue
 		}
 		n.lane = len(g.lanes[s.Rank])
 		g.lanes[s.Rank] = append(g.lanes[s.Rank], n.id)

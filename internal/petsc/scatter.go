@@ -185,8 +185,8 @@ func checkLocal(p PeerIndices, n int, what string) {
 // coalescing runs of consecutive indices into blocks the way a dataloop
 // optimizer would.  Each type is normalized to its canonical form up
 // front, so an indexed layout that is secretly a vector (or contiguous)
-// shares the cheaper representation's plan-cache entry and fusion
-// decision from the first send.
+// shares the cheaper representation's plan-cache entry from the first
+// send.
 func specsFor(size int, peers []PeerIndices) []mpi.TypeSpec {
 	specs := make([]mpi.TypeSpec, size)
 	for _, p := range peers {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"nccd/internal/mpi"
@@ -41,7 +42,7 @@ func (s *Service) controller(c *mpi.Comm) error {
 		s.propagateCancels(c)
 
 		drained := s.drainStep(c)
-		s.reapCheckpoints()
+		s.retireTerminal()
 		if drained {
 			break
 		}
@@ -271,21 +272,35 @@ func (s *Service) resolveAttempts() {
 	}
 }
 
-// reapCheckpoints removes the checkpoint directory of every job that has
-// reached a terminal state, so a long-lived service's disk use is bounded
-// by its live jobs.  Every involved rank has reported or died by then, so
-// nothing is still writing there.
-func (s *Service) reapCheckpoints() {
-	if s.cfg.CkptDir == "" {
-		return
-	}
+// maxTerminalJobs is how many finished jobs the table remembers: GET
+// /jobs/<id> answers for the newest this many and 404 for older ones.
+const maxTerminalJobs = 1024
+
+// retireTerminal bounds what a long-lived service keeps of finished jobs.
+// A job seen terminal for the first time has its checkpoint directory
+// removed — every involved rank has reported or died by then, so nothing is
+// still writing there — and joins the retired list; past maxTerminalJobs
+// the longest-retired records leave the table.  Only a retired job is ever
+// evicted: queued, running and healing jobs stay however old they are.
+func (s *Service) retireTerminal() {
 	s.mu.Lock()
+	var fresh []uint64
 	var dirs []string
 	for _, j := range s.jobs {
-		if !j.ckptReaped && j.attempts > 0 && isTerminalState(j.state) {
-			j.ckptReaped = true
+		if j.retired || !isTerminalState(j.state) {
+			continue
+		}
+		j.retired = true
+		fresh = append(fresh, j.id)
+		if s.cfg.CkptDir != "" && j.attempts > 0 {
 			dirs = append(dirs, s.jobCkptDir(j.id))
 		}
+	}
+	slices.Sort(fresh) // map order is random; ids are submission order
+	s.retired = append(s.retired, fresh...)
+	for len(s.retired) > maxTerminalJobs {
+		delete(s.jobs, s.retired[0])
+		s.retired = s.retired[1:]
 	}
 	s.mu.Unlock()
 	for _, dir := range dirs {

@@ -172,7 +172,7 @@ type job struct {
 	history      []float64
 	errText      string
 	restoredFrom int
-	ckptReaped   bool // checkpoint directory removed (terminal jobs only)
+	retired      bool // seen terminal: checkpoints removed, queued for eviction
 }
 
 // Config parameterizes a Service.
@@ -209,6 +209,7 @@ type Service struct {
 	mu        sync.Mutex
 	jobs      map[uint64]*job // controller only
 	queue     []uint64
+	retired   []uint64 // terminal jobs, longest-finished first (see retireTerminal)
 	nextExt   uint64
 	nextInt   uint64
 	draining  bool

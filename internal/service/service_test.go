@@ -383,3 +383,103 @@ func TestServiceReapsCheckpoints(t *testing.T) {
 	waitDir(long, false)
 	drainAll(t, svcs, 60*time.Second)
 }
+
+// TestServiceEvictsOldTerminalJobs: the job table of a long-lived service
+// is bounded.  With one job running throughout, more jobs than the table
+// remembers are submitted and finish (canceled before they start, so none
+// costs a solve); the table settles at the running job plus the newest
+// maxTerminalJobs finished ones, the longest-finished are the ones gone and
+// answer 404, and the running job — the oldest record of all — is there at
+// every look.
+func TestServiceEvictsOldTerminalJobs(t *testing.T) {
+	const extra = 50
+	svcs := startServices(t, 2, func(rank int, c *Config) {
+		c.Admission.MaxQueue = maxTerminalJobs + extra
+		c.Admission.MaxRunning = 2 // the long job, and a slot so the queue keeps moving
+		c.OnEvent = nil
+	})
+	s0 := svcs[0]
+	long, err := s0.Submit(JobSpec{Extent: 16, Levels: 3, Rtol: 1e-30, MaxCycles: 100000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s0, long, stateRunning, 30*time.Second)
+
+	ids := make([]uint64, maxTerminalJobs+extra)
+	for i := range ids {
+		for { // the queue drains a tick at a time
+			var over *OverloadedError
+			if ids[i], err = s0.Submit(JobSpec{Extent: 4, Levels: 1}); !errors.As(err, &over) {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s0.RequestCancel(ids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		list := s0.List()
+		live := 0
+		for _, st := range list {
+			if !isTerminalState(st.State) {
+				live++
+			}
+		}
+		if st, ok := s0.Status(long); !ok || st.State != stateRunning {
+			t.Fatalf("running job %d: present=%v state=%q while the table was being evicted", long, ok, st.State)
+		}
+		if live == 1 && len(list) == maxTerminalJobs+1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("table holds %d jobs (%d live), want %d terminal + the running one", len(list), live, maxTerminalJobs)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// Oldest first.  A job the controller happened to start between its
+	// Submit and its RequestCancel finished later than its neighbours, so
+	// only the never-started ones are compared by id.
+	srv := httptest.NewServer(s0.Handler())
+	defer srv.Close()
+	var newestGone uint64
+	gone := 0
+	for _, id := range ids {
+		if _, ok := s0.Status(id); ok {
+			continue
+		}
+		gone++
+		newestGone = id
+		resp, err := http.Get(fmt.Sprintf("%s/jobs/%d", srv.URL, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET evicted job %d: status %d, want 404", id, resp.StatusCode)
+		}
+	}
+	if gone != extra {
+		t.Fatalf("%d jobs evicted, want %d", gone, extra)
+	}
+	for _, st := range s0.List() {
+		if st.Error == "canceled before start" && st.ID < newestGone {
+			t.Fatalf("job %d was evicted while the older job %d, finished no later, was kept", newestGone, st.ID)
+		}
+	}
+	if _, ok := s0.Status(ids[len(ids)-1]); !ok {
+		t.Fatalf("the newest finished job %d was evicted", ids[len(ids)-1])
+	}
+
+	if err := s0.RequestCancel(long); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s0, long, stateCanceled, 60*time.Second)
+	drainAll(t, svcs, 60*time.Second)
+}

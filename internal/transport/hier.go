@@ -125,15 +125,6 @@ func (h *Hierarchical) Send(to int, hdr Header, payload []byte) error {
 	return h.route(to).Send(to, hdr, payload)
 }
 
-// SendVectored routes a gather-list send by the node map; the zero-copy
-// path is whatever the carrying side makes of it.
-func (h *Hierarchical) SendVectored(to int, hdr Header, user []byte, segs []datatype.Segment) error {
-	if to < 0 || to >= len(h.nodeOf) {
-		return fmt.Errorf("transport: rank %d out of range [0,%d)", to, len(h.nodeOf))
-	}
-	return h.route(to).SendVectored(to, hdr, user, segs)
-}
-
 // SetTracer forwards the span recorder to both endpoints.
 func (h *Hierarchical) SetTracer(tr *obs.Tracer) {
 	type tracered interface{ SetTracer(*obs.Tracer) }

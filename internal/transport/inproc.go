@@ -58,16 +58,5 @@ func (t *Inproc) Send(to int, hdr Header, payload []byte) error {
 	return nil
 }
 
-// SendVectored deposits the gathered segments as one pooled buffer: there
-// is no wire to scatter onto in-process.  The caller keeps ownership of
-// user.
-func (t *Inproc) SendVectored(to int, hdr Header, user []byte, segs []datatype.Segment) error {
-	if to < 0 || to >= t.n {
-		return fmt.Errorf("transport: rank %d out of range [0,%d)", to, t.n)
-	}
-	t.deliver(to, hdr, datatype.Gather(user, segs))
-	return nil
-}
-
 // Close is a no-op.
 func (t *Inproc) Close() error { return nil }

@@ -395,18 +395,6 @@ func (s *Sub) Send(to int, hdr Header, payload []byte) error {
 	return s.m.real.Send(s.ranks[to], hdr, payload)
 }
 
-// SendVectored is Send for a gather list the caller keeps.
-func (s *Sub) SendVectored(to int, hdr Header, user []byte, segs []datatype.Segment) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if to < 0 || to >= len(s.ranks) {
-		return fmt.Errorf("transport: job %d rank %d out of range [0,%d)", s.job, to, len(s.ranks))
-	}
-	hdr.Job = s.job
-	return s.m.real.SendVectored(s.ranks[to], hdr, user, segs)
-}
-
 // SetHealth wires the job world's liveness callbacks; the mux translates
 // mesh ranks to job ranks and filters events to the job's membership.
 func (s *Sub) SetHealth(h HealthFuncs) {

@@ -68,12 +68,11 @@ func (r *ring) copyOut(pos uint64, b []byte) uint64 {
 	return pos + uint64(len(b))
 }
 
-// tryPush publishes one record gathering hdr and the given payload
-// segments; total is the segments' combined length.  It returns false
+// tryPush publishes one record of hdr and payload.  It returns false
 // without side effects when the ring lacks space — backpressure is the
 // caller's loop.
-func (r *ring) tryPush(hdr *transport.Header, segs [][]byte, total int) bool {
-	need := uint64(recordBytes(total))
+func (r *ring) tryPush(hdr *transport.Header, payload []byte) bool {
+	need := uint64(recordBytes(len(payload)))
 	if need > r.cap() {
 		panic(fmt.Sprintf("shm: %d-byte record exceeds ring capacity %d", need, r.cap()))
 	}
@@ -82,12 +81,10 @@ func (r *ring) tryPush(hdr *transport.Header, segs [][]byte, total int) bool {
 	}
 	pos := r.tail.Load()
 	var head [recPrefixLen + transport.HeaderLen]byte
-	binary.LittleEndian.PutUint32(head[:], uint32(transport.HeaderLen+total))
+	binary.LittleEndian.PutUint32(head[:], uint32(transport.HeaderLen+len(payload)))
 	transport.AppendHeader(head[:recPrefixLen], hdr)
 	pos = r.copyIn(pos, head[:])
-	for _, s := range segs {
-		pos = r.copyIn(pos, s)
-	}
+	pos = r.copyIn(pos, payload)
 	r.tail.Store(pos) // release: the record becomes visible here
 	return true
 }

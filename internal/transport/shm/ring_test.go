@@ -21,7 +21,7 @@ func testRing(t *testing.T, capBytes int) *ring {
 func pushOne(t *testing.T, r *ring, tag int, payload []byte) bool {
 	t.Helper()
 	hdr := transport.Header{Ctx: 7, Src: 0, Tag: int32(tag)}
-	return r.tryPush(&hdr, [][]byte{payload}, len(payload))
+	return r.tryPush(&hdr, payload)
 }
 
 func popOne(t *testing.T, r *ring) (transport.Header, []byte, bool) {
@@ -150,36 +150,13 @@ func TestRingMixedSizes(t *testing.T) {
 			payload[i] = byte(seq + i)
 		}
 		hdr := transport.Header{Ctx: 1, Seq: uint64(seq)}
-		for !r.tryPush(&hdr, [][]byte{payload}, n) {
+		for !r.tryPush(&hdr, payload) {
 			runtime.Gosched()
 		}
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestRingVectoredGather pushes a multi-segment gather and checks the
-// consumer sees the segments contiguously in order.
-func TestRingVectoredGather(t *testing.T) {
-	r := testRing(t, 1024)
-	segs := [][]byte{[]byte("non"), {}, []byte("uniformly"), []byte("communicating")}
-	total := 0
-	for _, s := range segs {
-		total += len(s)
-	}
-	hdr := transport.Header{Ctx: 3, Tag: 5}
-	if !r.tryPush(&hdr, segs, total) {
-		t.Fatal("push refused")
-	}
-	_, got, ok := popOne(t, r)
-	if !ok {
-		t.Fatal("pop empty")
-	}
-	if string(got) != "nonuniformlycommunicating" {
-		t.Fatalf("gather produced %q", got)
-	}
-	datatype.PutBuffer(got)
 }
 
 // TestRingDrain verifies drain abandons the backlog atomically (the

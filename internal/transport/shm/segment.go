@@ -3,8 +3,8 @@
 // in-process worlds — carved into one lock-free SPSC ring per directed
 // peer pair, plus a presence table the failure detector reads instead of
 // heartbeat frames.  It implements the same framed send/recv contract as
-// the inproc and TCP transports, including the zero-copy vectored gather
-// path and the membership-epoch fencing the self-healing layer relies on.
+// the inproc and TCP transports, including the membership-epoch fencing the
+// self-healing layer relies on.
 package shm
 
 import (

@@ -103,7 +103,6 @@ type Stats struct {
 	FramesRecv     int64 `json:"frames_recv"`
 	BytesSent      int64 `json:"bytes_sent"`
 	BytesRecv      int64 `json:"bytes_recv"`
-	VectoredSends  int64 `json:"vectored_sends"`
 	RingFullStalls int64 `json:"ring_full_stalls"`
 	StallNanos     int64 `json:"stall_nanos"`
 	BeatsSent      int64 `json:"beats_sent"`
@@ -114,7 +113,6 @@ type Stats struct {
 type shmCounters struct {
 	framesSent, framesRecv atomic.Int64
 	bytesSent, bytesRecv   atomic.Int64
-	vectoredSends          atomic.Int64
 	ringFullStalls         atomic.Int64
 	stallNanos             atomic.Int64
 	beatsSent, beatsRecv   atomic.Int64
@@ -128,10 +126,9 @@ type shmPeer struct {
 	out  *ring
 	in   *ring
 
-	wmu     sync.Mutex     // serializes producers on out (preserves SPSC)
-	outSegs [][]byte       // gather scratch, guarded by wmu
-	door    *atomic.Uint32 // the peer's doorbell gate (producer side)
-	knock   knocker        // rings the peer's bell after a push
+	wmu   sync.Mutex     // serializes producers on out (preserves SPSC)
+	door  *atomic.Uint32 // the peer's doorbell gate (producer side)
+	knock knocker        // rings the peer's bell after a push
 
 	alive     atomic.Bool
 	suspect   atomic.Bool
@@ -355,7 +352,6 @@ func (t *Transport) Stats() Stats {
 	return Stats{
 		FramesSent: c.framesSent.Load(), FramesRecv: c.framesRecv.Load(),
 		BytesSent: c.bytesSent.Load(), BytesRecv: c.bytesRecv.Load(),
-		VectoredSends:  c.vectoredSends.Load(),
 		RingFullStalls: c.ringFullStalls.Load(), StallNanos: c.stallNanos.Load(),
 		BeatsSent: c.beatsSent.Load(), BeatsRecv: c.beatsRecv.Load(),
 		DrainedBytes: c.drainedBytes.Load(),
@@ -424,69 +420,36 @@ func (t *Transport) Send(to int, hdr transport.Header, payload []byte) error {
 		t.deliver(to, hdr, payload)
 		return nil
 	}
-	err := t.send(to, hdr, payload, []datatype.Segment{{Len: len(payload)}}, false)
+	err := t.send(to, hdr, payload)
 	datatype.PutBuffer(payload)
 	return err
 }
 
-// SendVectored gathers segs over user straight into the ring — the
-// intra-node continuation of the fused wire path: no intermediate pack
-// buffer exists on either side of the copy.  The caller keeps ownership
-// of user and the memory must stay stable until return (it does: the
-// caller blocks).
-func (t *Transport) SendVectored(to int, hdr transport.Header, user []byte, segs []datatype.Segment) error {
-	return t.send(to, hdr, user, segs, true)
-}
-
-// send is the one body behind Send and SendVectored (an owned payload is
-// its one-segment case): the segments are copied into the ring record in
-// order, spinning out backpressure when the ring is full.  vectored only
-// labels the traffic (stats and span attribute).
-func (t *Transport) send(to int, hdr transport.Header, user []byte, segs []datatype.Segment, vectored bool) error {
+// send copies one record into the ring to a co-located rank, spinning out
+// backpressure when the ring is full.
+func (t *Transport) send(to int, hdr transport.Header, payload []byte) error {
 	if to < 0 || to >= t.cfg.Size {
 		return fmt.Errorf("shm: rank %d out of range [0,%d)", to, t.cfg.Size)
 	}
 	if t.closed.Load() {
 		return transport.ErrClosed
 	}
-	if to != t.cfg.Rank && t.gi[to] < 0 {
+	if t.gi[to] < 0 {
 		return fmt.Errorf("shm: rank %d does not share the segment", to)
-	}
-	if vectored {
-		t.stats.vectoredSends.Add(1)
-	}
-	if to == t.cfg.Rank {
-		t.deliver(to, hdr, datatype.Gather(user, segs))
-		return nil
 	}
 	p := t.peers[t.gi[to]]
 	start, traced := t.traceNow()
-	nbytes := 0
 	p.wmu.Lock()
-	gather := p.outSegs[:0]
-	for _, s := range segs {
-		if s.Len == 0 {
-			continue
-		}
-		nbytes += s.Len
-		gather = append(gather, user[s.Off:s.Off+s.Len])
-	}
-	err := t.push(p, &hdr, gather, nbytes)
-	clear(gather) // keep the array, not the references into user memory
-	p.outSegs = gather[:0]
+	err := t.push(p, &hdr, payload)
 	p.wmu.Unlock()
 	if err != nil {
 		return err
 	}
 	t.stats.framesSent.Add(1)
-	t.stats.bytesSent.Add(int64(recordBytes(nbytes)))
+	t.stats.bytesSent.Add(int64(recordBytes(len(payload))))
 	if traced {
 		if end, ok := t.traceNow(); ok {
-			var attrs []obs.Attr
-			if vectored {
-				attrs = append(attrs, obs.Attr{Key: "vectored", Val: "true"})
-			}
-			t.trace("shm_send", to, int64(nbytes), start, end, transport.IdentAttrs(hdr, attrs...)...)
+			t.trace("shm_send", to, int64(len(payload)), start, end, transport.IdentAttrs(hdr)...)
 		}
 	}
 	return nil
@@ -509,9 +472,9 @@ func spinBudget(want int) int {
 
 // push publishes one record to p's outbound ring, waiting out
 // backpressure.  Caller holds p.wmu (the single-producer guarantee).
-func (t *Transport) push(p *shmPeer, hdr *transport.Header, segs [][]byte, total int) error {
-	if total > t.cfg.MaxFrame {
-		return fmt.Errorf("shm: %d-byte payload exceeds frame limit %d", total, t.cfg.MaxFrame)
+func (t *Transport) push(p *shmPeer, hdr *transport.Header, payload []byte) error {
+	if len(payload) > t.cfg.MaxFrame {
+		return fmt.Errorf("shm: %d-byte payload exceeds frame limit %d", len(payload), t.cfg.MaxFrame)
 	}
 	budget := spinBudget(128)
 	spins := 0
@@ -523,7 +486,7 @@ func (t *Transport) push(p *shmPeer, hdr *transport.Header, segs [][]byte, total
 		if !p.alive.Load() {
 			return &transport.PeerDownError{Rank: p.rank}
 		}
-		if p.out.tryPush(hdr, segs, total) {
+		if p.out.tryPush(hdr, payload) {
 			if spins > 0 {
 				t.stats.stallNanos.Add(time.Since(stallStart).Nanoseconds())
 			}

@@ -69,10 +69,10 @@ type TCP struct {
 
 	stats tcpCounters
 
-	// inflight gauges payload bytes inside Send/SendVectored calls that
-	// have not yet been released — written to the socket for plain sends,
-	// acknowledged for reliable ones.  It backs Occupancy, the admission
-	// watermark signal of the multi-tenant service.
+	// inflight gauges payload bytes inside Send calls that have not yet been
+	// released — written to the socket for plain sends, acknowledged for
+	// reliable ones.  It backs Occupancy, the admission watermark signal of
+	// the multi-tenant service.
 	inflight atomic.Int64
 
 	// tracer, when set, records wall-clock spans for wire operations.  An
@@ -179,24 +179,20 @@ type TCPStats struct {
 	AcksSent, AcksRecv                          int64
 	// Failure-detector traffic.
 	BeatsSent, BeatsRecv int64
-	// VectoredSends counts SendVectored calls (gather lists borrowed from
-	// user memory).  SealSpills counts reliable frames, from Send or
-	// SendVectored, that had to be sealed — spilled to a private pooled
-	// image — because a retransmission, duplication or corruption attempt
-	// needed a stable one; a frame acknowledged on its first clean attempt
-	// is never copied.
-	VectoredSends, SealSpills int64
+	// VectoredSends is always zero: there is no gather-list send.  The field
+	// stays declared only because the frozen benchmark harness reads it; it
+	// goes with the harness's transport.tcp_vectored_per_op.
+	VectoredSends int64
 }
 
 type tcpCounters struct {
-	framesSent, framesRecv    atomic.Int64
-	bytesSent, bytesRecv      atomic.Int64
-	crcRejects, dupRejects    atomic.Int64
-	retransmits, dropped      atomic.Int64
-	corrupted, duplicated     atomic.Int64
-	acksSent, acksRecv        atomic.Int64
-	beatsSent, beatsRecv      atomic.Int64
-	vectoredSends, sealSpills atomic.Int64
+	framesSent, framesRecv atomic.Int64
+	bytesSent, bytesRecv   atomic.Int64
+	crcRejects, dupRejects atomic.Int64
+	retransmits, dropped   atomic.Int64
+	corrupted, duplicated  atomic.Int64
+	acksSent, acksRecv     atomic.Int64
+	beatsSent, beatsRecv   atomic.Int64
 }
 
 // tcpPeer is one pooled peer connection and its reliability state.  The
@@ -370,7 +366,6 @@ func (t *TCP) Stats() TCPStats {
 		Corrupted: c.corrupted.Load(), Duplicated: c.duplicated.Load(),
 		AcksSent: c.acksSent.Load(), AcksRecv: c.acksRecv.Load(),
 		BeatsSent: c.beatsSent.Load(), BeatsRecv: c.beatsRecv.Load(),
-		VectoredSends: c.vectoredSends.Load(), SealSpills: c.sealSpills.Load(),
 	}
 }
 
@@ -761,67 +756,43 @@ func (t *TCP) sendAck(p *tcpPeer, seq uint64) {
 // Send delivers hdr+payload to rank to.  Ownership of payload passes to the
 // transport at the call: a self-send hands it to the receiving handler by
 // reference, every other path — error returns included — recycles it once
-// the shared send body is done with it.
+// the frame is written (or, on a lossy link, acknowledged).
 func (t *TCP) Send(to int, hdr Header, payload []byte) error {
 	if to == t.cfg.Rank && !t.closed.Load() {
 		t.deliver(to, hdr, payload)
 		return nil
 	}
-	err := t.send(to, hdr, payload, []datatype.Segment{{Len: len(payload)}}, false)
+	err := t.send(to, hdr, payload)
 	datatype.PutBuffer(payload)
 	return err
 }
 
-// SendVectored delivers hdr plus the in-order gather of segs over user to
-// rank to.  The caller keeps ownership of user — nothing is recycled here —
-// and the memory must stay stable until SendVectored returns (the caller
-// blocks, so it does).
-func (t *TCP) SendVectored(to int, hdr Header, user []byte, segs []datatype.Segment) error {
-	return t.send(to, hdr, user, segs, true)
-}
-
-// send is the one body behind Send and SendVectored; an owned payload is
-// its one-segment case.  The clean path hands the gather list straight to
-// an N-segment writev whose CRC-32 trailer is folded incrementally across
-// the segments, so the payload is never copied; with a lossy fault plan the
-// frame runs the ack/retransmission protocol described on the type.
-// vectored only labels the traffic (stats and span attribute).
-func (t *TCP) send(to int, hdr Header, user []byte, segs []datatype.Segment, vectored bool) error {
+// send writes one data frame to a remote rank.  The clean path is a single
+// writev of frame head, payload and CRC-32 trailer, so the payload is never
+// copied; with a lossy fault plan the frame runs the ack/retransmission
+// protocol described on the type.
+func (t *TCP) send(to int, hdr Header, payload []byte) error {
 	if to < 0 || to >= t.cfg.Size {
 		return fmt.Errorf("transport: rank %d out of range [0,%d)", to, t.cfg.Size)
 	}
 	if t.closed.Load() {
 		return ErrClosed
 	}
-	var p *tcpPeer // nil for a self-send
-	if to != t.cfg.Rank {
-		if p = t.peers[to]; !p.alive.Load() {
-			return &PeerDownError{Rank: to}
-		}
+	p := t.peers[to]
+	if !p.alive.Load() {
+		return &PeerDownError{Rank: to}
 	}
-	if vectored {
-		t.stats.vectoredSends.Add(1)
-	}
-	if p == nil {
-		// A borrowed gather list reaches the local handler as a pooled copy
-		// it owns, exactly as if the bytes had crossed a socket.
-		t.deliver(to, hdr, datatype.Gather(user, segs))
-		return nil
-	}
-	nbytes := 0
-	for _, s := range segs {
-		nbytes += s.Len
-	}
-	t.inflight.Add(int64(nbytes))
-	defer t.inflight.Add(-int64(nbytes))
+	nbytes := int64(len(payload))
+	t.inflight.Add(nbytes)
+	defer t.inflight.Add(-nbytes)
 	start, traced := t.traceNow()
 	lossy := t.cfg.Faults.Lossy()
 	if lossy {
-		if err := t.sendReliable(p, hdr, user, segs, nbytes); err != nil {
+		if err := t.sendReliable(p, hdr, payload); err != nil {
 			return err
 		}
 	} else {
-		gen, err := t.writeDataSegs(p, &Frame{Kind: KindData, Hdr: hdr}, user, segs, nbytes)
+		gen, err := t.writeData(p, &Frame{Kind: KindData, Hdr: hdr}, payload)
 		if err != nil {
 			t.peerGone(p, gen, fmt.Sprintf("write: %v", err))
 			return &PeerDownError{Rank: to}
@@ -834,42 +805,21 @@ func (t *TCP) send(to int, hdr Header, user []byte, segs []datatype.Segment, vec
 			if lossy {
 				attrs = append(attrs, obs.Attr{Key: "reliable", Val: "true"})
 			}
-			if vectored {
-				attrs = append(attrs, obs.Attr{Key: "vectored", Val: "true"})
-			}
-			t.trace("tcp_send", to, int64(nbytes), start, end, IdentAttrs(hdr, attrs...)...)
+			t.trace("tcp_send", to, nbytes, start, end, IdentAttrs(hdr, attrs...)...)
 		}
 	}
 	return nil
 }
 
 // sendReliable runs the ack/retransmission protocol for one frame, with
-// the fault plan injected below framing on every attempt.  The first clean
-// attempt goes out zero-copy straight from the caller's memory; the frame
-// is sealed — gathered and encoded into a private pooled buffer — lazily,
-// the first time an attempt needs a stable image (injected corruption,
-// duplication, or a retransmit).  A send that succeeds on the first try
-// therefore never copies the payload at all.
-func (t *TCP) sendReliable(p *tcpPeer, hdr Header, user []byte, segs []datatype.Segment, nbytes int) error {
+// the fault plan injected below framing on every attempt.  Send owns the
+// payload until it returns, so first attempts, retransmissions and
+// duplicates all go out of it zero-copy; only an injected corruption
+// encodes a private copy, to have a byte to damage.
+func (t *TCP) sendReliable(p *tcpPeer, hdr Header, payload []byte) error {
 	fp := t.cfg.Faults
 	seq := p.seq.Add(1) - 1
 	f := Frame{Kind: KindData, TSeq: seq, Flags: FlagReliable, Hdr: hdr}
-
-	var wire []byte
-	seal := func() []byte {
-		if wire == nil {
-			// Encode into a pooled buffer sized so EncodeFrame cannot
-			// reallocate, and release the gather scratch immediately.
-			f.Payload = datatype.Gather(user, segs)
-			wbuf := datatype.GetBuffer(framePrefixLen + dataHeadLen + nbytes + frameTrailerLen)
-			wire = EncodeFrame(wbuf[:0], &f)
-			datatype.PutBuffer(f.Payload)
-			f.Payload = nil
-			t.stats.sealSpills.Add(1)
-		}
-		return wire
-	}
-	defer func() { datatype.PutBuffer(wire) }()
 
 	timeout := t.cfg.AckTimeout
 	for attempt := 0; ; attempt++ {
@@ -891,7 +841,11 @@ func (t *TCP) sendReliable(p *tcpPeer, hdr Header, user []byte, segs []datatype.
 		case drop:
 			t.stats.dropped.Add(1)
 		case corrupt:
-			bad := append([]byte(nil), seal()...)
+			// A private encoding sized so EncodeFrame cannot reallocate.
+			bf := f
+			bf.Payload = payload
+			wbuf := datatype.GetBuffer(framePrefixLen + dataHeadLen + len(payload) + frameTrailerLen)
+			bad := EncodeFrame(wbuf[:0], &bf)
 			// Flip a body or trailer byte — never the length prefix, which
 			// framing does not protect and which would desynchronize the
 			// stream rather than exercise the CRC path.
@@ -899,13 +853,12 @@ func (t *TCP) sendReliable(p *tcpPeer, hdr Header, user []byte, segs []datatype.
 			bad[off] ^= 0xFF
 			t.stats.corrupted.Add(1)
 			wgen, werr = t.writeWire(p, bad)
-		case attempt == 0 && !dup:
-			wgen, werr = t.writeDataSegs(p, &f, user, segs, nbytes)
+			datatype.PutBuffer(bad)
 		default:
-			wgen, werr = t.writeWire(p, seal())
+			wgen, werr = t.writeData(p, &f, payload)
 			if werr == nil && dup {
 				t.stats.duplicated.Add(1)
-				wgen, werr = t.writeWire(p, wire)
+				wgen, werr = t.writeData(p, &f, payload)
 			}
 		}
 		if werr != nil {
@@ -937,22 +890,19 @@ func (t *TCP) sendReliable(p *tcpPeer, hdr Header, user []byte, segs []datatype.
 		}
 		t.stats.retransmits.Add(1)
 		if now, ok := t.traceNow(); ok {
-			t.trace("tcp_retransmit", p.rank, int64(nbytes), now, now,
+			t.trace("tcp_retransmit", p.rank, int64(len(payload)), now, now,
 				obs.Attr{Key: "attempt", Val: strconv.Itoa(attempt + 1)})
 		}
 		timeout = time.Duration(float64(timeout) * t.cfg.Backoff)
 	}
 }
 
-// writeDataSegs writes a data frame without copying the payload: the frame
-// head and CRC trailer are assembled in the peer's scratch buffer, the
-// CRC-32 is folded incrementally across the gather segments, and head +
-// segments + trailer go to the socket in a single writev.  nbytes is the
-// segments' total length (precomputed by the caller); zero-length segments
-// are skipped.  f.Payload is ignored — user/segs describe the payload.  It
+// writeData writes a data frame without copying the payload: the frame head
+// is assembled in the peer's scratch buffer and head, payload and CRC-32
+// trailer go to the socket in a single writev.  f.Payload is ignored.  It
 // returns the connection generation written to, for a failure-path
 // peerGone.
-func (t *TCP) writeDataSegs(p *tcpPeer, f *Frame, user []byte, segs []datatype.Segment, nbytes int) (uint64, error) {
+func (t *TCP) writeData(p *tcpPeer, f *Frame, payload []byte) (uint64, error) {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	if p.conn == nil {
@@ -966,30 +916,22 @@ func (t *TCP) writeDataSegs(p *tcpPeer, f *Frame, user []byte, segs []datatype.S
 	b[8] = f.Flags
 	head = append(head, b[:]...)
 	head = appendHeader(head, &f.Hdr)
-	binary.LittleEndian.PutUint32(head[0:], uint32(len(head)-framePrefixLen+nbytes+frameTrailerLen))
-	sum := crc32.ChecksumIEEE(head[framePrefixLen:])
+	binary.LittleEndian.PutUint32(head[0:], uint32(len(head)-framePrefixLen+len(payload)+frameTrailerLen))
+	sum := crc32.Update(crc32.ChecksumIEEE(head[framePrefixLen:]), crc32.IEEETable, payload)
 	p.scratch = head[:0]
-
-	bufs := append(p.vecbuf[:0], head)
-	for _, s := range segs {
-		if s.Len == 0 {
-			continue
-		}
-		seg := user[s.Off : s.Off+s.Len]
-		sum = crc32.Update(sum, crc32.IEEETable, seg)
-		bufs = append(bufs, seg)
-	}
 	var trailer [frameTrailerLen]byte
 	binary.LittleEndian.PutUint32(trailer[:], sum)
-	bufs = append(bufs, trailer[:])
 
+	bufs := append(p.vecbuf[:0], head)
+	if len(payload) > 0 {
+		bufs = append(bufs, payload)
+	}
+	bufs = append(bufs, trailer[:])
 	nb := net.Buffers(bufs)
 	n, err := nb.WriteTo(p.conn)
-	// Keep the backing array for the next write, but drop the buffer
-	// references so user memory is not retained between sends.
-	for i := range bufs {
-		bufs[i] = nil
-	}
+	// Keep the backing array for the next write, but drop the references so
+	// the payload is not retained between sends.
+	clear(bufs)
 	p.vecbuf = bufs[:0]
 	t.stats.bytesSent.Add(n)
 	return p.gen, err

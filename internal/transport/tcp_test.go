@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -208,6 +209,54 @@ func TestTCPLossyDelivery(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSendLossy: a 14 KiB owned image — the gathered size of the degenerate
+// ex49 corner-rank type map, several socket writes long — sent repeatedly
+// over one link under a seeded drop + duplicate + corrupt plan arrives
+// exactly once, in order and bitwise intact; every defence visibly fired;
+// and every pooled buffer (the payloads, retransmitted out of the buffer Send
+// owns, the corrupted encodings and the receiver's rejected copies) is back
+// in the pool afterwards.
+func TestSendLossy(t *testing.T) {
+	fp := &simnet.FaultPlan{Seed: 7, Drop: 0.1, Corrupt: 0.1, Duplicate: 0.05}
+	eps, rec := startMesh(t, 2, fp, nil)
+	poolBase := datatype.PoolOutstandingBytes()
+	want := make([]byte, 1+4096+1+8192+2+1+2048)
+	for i := range want {
+		want[i] = byte(i*131 + 17)
+	}
+
+	const rounds = 40
+	for i := 0; i < rounds; i++ {
+		payload := datatype.GetBuffer(len(want))
+		copy(payload, want)
+		if err := eps[0].Send(1, Header{Ctx: 1, Src: 0, Tag: int32(i)}, payload); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	waitFor(t, "lossy delivery", func() bool { return len(rec.get(1)) >= rounds })
+	got := rec.get(1)
+	if len(got) != rounds {
+		t.Fatalf("%d messages delivered, want %d", len(got), rounds)
+	}
+	for i, m := range got {
+		if m.Hdr.Tag != int32(i) {
+			t.Fatalf("message %d carries tag %d: lost, duplicated or reordered", i, m.Hdr.Tag)
+		}
+		if !bytes.Equal(m.Payload, want) {
+			t.Fatalf("tag %d: payload differs from what was sent", i)
+		}
+	}
+	send, recv := eps[0].Stats(), eps[1].Stats()
+	if send.Dropped == 0 || send.Corrupted == 0 || send.Duplicated == 0 {
+		t.Fatalf("fault plan injected too little; test is vacuous: %+v", send)
+	}
+	if send.Retransmits == 0 || recv.CRCRejects == 0 || recv.DupRejects == 0 {
+		t.Fatalf("a defence never fired: %d retransmits, %d CRC rejects, %d dup rejects",
+			send.Retransmits, recv.CRCRejects, recv.DupRejects)
+	}
+	waitFor(t, "pool balance", func() bool { return datatype.PoolOutstandingBytes() == poolBase })
 }
 
 // TestTCPPeerDown: abruptly closing one endpoint fires the down callback at

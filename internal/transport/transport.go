@@ -1,8 +1,7 @@
 // Package transport is the seam between the message-passing runtime in
 // internal/mpi and whatever actually carries its bytes.  The runtime above
 // speaks in framed messages — a fixed Header of routing and reliability
-// metadata plus a payload that is either an owned pooled buffer (Send) or
-// a gather list borrowed from the caller's memory (SendVectored) — and the
+// metadata plus a payload, always an owned pooled buffer — and the
 // transport below decides what a frame crosses: a function call inside one
 // process (Inproc, virtual-time semantics preserved exactly), a TCP socket
 // between OS processes (TCP: length-prefixed framing, a CRC-32 trailer, one
@@ -10,9 +9,7 @@
 // a simnet.FaultPlan is injected below the framing layer), or a
 // shared-memory ring between co-located processes (transport/shm).
 // Hierarchical routes per peer between two of those, and Mux runs many
-// independent rank worlds over one started mesh.  Every implementation
-// carries both payload representations through one send body, so which one
-// the runtime picks changes who recycles the buffer and nothing else.
+// independent rank worlds over one started mesh.
 package transport
 
 import (
@@ -20,7 +17,6 @@ import (
 	"strconv"
 	"time"
 
-	"nccd/internal/datatype"
 	"nccd/internal/obs"
 )
 
@@ -127,14 +123,6 @@ type Transport interface {
 	// pool.  Send blocks until the payload is no longer needed by the
 	// caller's buffer (for reliable wall-clock sends, until acknowledged).
 	Send(to int, hdr Header, payload []byte) error
-	// SendVectored delivers hdr plus the in-order concatenation of
-	// user[s.Off:s.Off+s.Len] for each segment s to rank to.  Unlike Send,
-	// ownership of the memory does NOT pass to the transport: user remains
-	// the caller's buffer, and the transport must be finished reading it
-	// (written to the wire, sealed into a private copy for retransmission,
-	// or delivered as a pooled copy) by the time SendVectored returns.
-	// Zero-length segments are permitted and contribute nothing.
-	SendVectored(to int, hdr Header, user []byte, segs []datatype.Segment) error
 	// Wallclock reports whether the transport runs in wall-clock mode
 	// (real sockets, no cross-rank virtual-time coupling) rather than the
 	// deterministic virtual-time mode of the in-process path.
