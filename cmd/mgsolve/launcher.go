@@ -150,13 +150,6 @@ func runLauncher(lc launchConfig) int {
 		fmt.Fprintf(os.Stderr, "mgsolve: %v\n", err)
 		return 1
 	}
-	if lc.chaos {
-		lc.selfheal = true
-		if lc.killRank < 0 || lc.killRank >= lc.n {
-			fmt.Fprintf(os.Stderr, "mgsolve: -killrank %d out of range for %d ranks\n", lc.killRank, lc.n)
-			return 1
-		}
-	}
 	if lc.selfheal && lc.ckptDir == "" {
 		dir, err := os.MkdirTemp("", "nccd-ckpt-*")
 		if err != nil {

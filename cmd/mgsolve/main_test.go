@@ -1,0 +1,44 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// TestBadInputExitsTwoWithOneLine: an invocation no run could use — a node
+// with no ranks, a chaos victim outside the world, an arm nobody knows, no
+// mode, a shape that does not fit — is one stderr line and exit 2.  The
+// daemon path does not exist, so reaching the launcher would be exit 1:
+// exit 2 proves nothing was spawned.
+func TestBadInputExitsTwoWithOneLine(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // what the line must name
+	}{
+		{[]string{"-tcp", "2", "-pernode", "0"}, "-pernode 0"},
+		{[]string{"-tcp", "2", "-pernode", "-1"}, "-pernode -1"},
+		{[]string{"-tcp", "2", "-chaos"}, "-killrank 2 out of range [0,2)"},
+		{[]string{"-tcp", "2", "-pernode", "2", "-chaos", "-killrank", "4"}, "-killrank 4 out of range [0,4)"},
+		{[]string{"-tcp", "2", "-chaos", "-killrank", "-1"}, "-killrank -1"},
+		{[]string{"-tcp", "2", "-arm", "nosuch"}, `unknown arm "nosuch"`},
+		{[]string{"-servestress", "2", "-arm", "nosuch"}, `unknown arm "nosuch"`},
+		{[]string{"-np", "2", "-analyze", "-arm", "nosuch"}, `unknown arm "nosuch"`},
+		{nil, "no mode selected"},
+		{[]string{"-tcp", "2", "-extent", "100", "-levels", "4"}, "extent 100 not divisible"},
+		{[]string{"-np", "0", "-analyze"}, "ranks 0 too small"},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-daemon", "/nonexistent"}, tc.args...)
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		msg := stderr.String()
+		if strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "mgsolve: ") || !strings.Contains(msg, tc.want) {
+			t.Errorf("%v: stderr %q, want one \"mgsolve: \" line naming %q", tc.args, msg, tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: ran anyway: stdout %q", tc.args, stdout.String())
+		}
+	}
+}

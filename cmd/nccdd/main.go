@@ -9,8 +9,8 @@
 //
 // With -pernode K (and a shared -shmdir) ranks are grouped K to a node:
 // co-located ranks exchange over a lock-free shared-memory segment and
-// only inter-node traffic crosses TCP, which also switches the mpi layer
-// to its hierarchy-aware collectives.
+// only inter-node traffic crosses TCP.  The collectives do not change:
+// the node layout is the transport's concern.
 //
 // A seeded fault plan (-drop/-corrupt/-dup/-delaymean/-seed) is injected
 // below the TCP framing layer, exercising the transport's CRC trailer and

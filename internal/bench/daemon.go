@@ -124,8 +124,8 @@ func ArmByName(name string) (mpi.Config, petsc.ScatterMode, error) {
 // nodes.  The zero value is the flat layout: every rank on its own node,
 // all traffic over TCP.  With PerNode > 1 ranks are grouped PerNode to a
 // node (node id = rank / PerNode), co-located ranks exchange over a
-// shared-memory segment under ShmDir, and only the node leaders' traffic
-// crosses TCP — the layout the hierarchy-aware collectives exploit.
+// shared-memory segment under ShmDir, and only traffic between nodes
+// crosses TCP.
 type Placement struct {
 	PerNode int    // co-located ranks per node (0 or 1 = flat TCP)
 	ShmDir  string // directory for the per-node segment files (PerNode > 1)
@@ -167,8 +167,7 @@ func (rw *rankWire) shmStats() *shm.Stats {
 // buildWire constructs one rank's transport per the placement: plain TCP
 // for the flat layout, or a Hierarchical router of a shared-memory
 // segment (intra-node) and TCP (inter-node).  The returned cluster
-// mirrors the layout so virtual-time tooling and the mpi topology agree
-// with the wires.
+// mirrors the layout so virtual-time tooling agrees with the wires.
 func buildWire(tcfg transport.TCPConfig, pl Placement) (*rankWire, error) {
 	tcp, err := transport.NewTCP(tcfg)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"strconv"
 
+	"nccd/internal/datatype"
 	"nccd/internal/kselect"
 	"nccd/internal/obs"
 )
@@ -92,29 +93,16 @@ func (c *Comm) Allgatherv(data []byte, counts []int, recv []byte) {
 	}
 
 	opStart := c.me.clock
-	var algo AllgathervAlgo
-	var nonuniform, hier bool
-	// Hierarchy-aware path: with a node topology, no degradation in
-	// flight, and a policy that lets the runtime choose (the forced
-	// algorithms pin the flat pattern by contract), the gather runs
-	// through the node leaders; see hier.go.  Placement is fixed by
-	// counts/displs, so the output is bitwise-identical either way.
-	if topo := c.hierTopo(); topo != nil && eff == c &&
-		(c.w.cfg.Allgatherv == AGAdaptive || c.w.cfg.Allgatherv == AGAuto) {
-		algo, nonuniform = c.hierAllgatherv(tag, counts, displs, recv, topo)
-		hier = true
-	} else {
-		algo, nonuniform = eff.allgathervAlgo(effCounts, total)
-		switch algo {
-		case AGRing:
-			eff.agvRing(tag, effCounts, effDispls, recv)
-		case AGRecursiveDoubling:
-			eff.agvRecDbl(tag, effCounts, effDispls, recv)
-		case AGDissemination:
-			eff.agvDissem(tag, effCounts, effDispls, recv)
-		default:
-			panic("mpi: unresolved allgatherv algorithm")
-		}
+	algo, nonuniform := eff.allgathervAlgo(effCounts, total)
+	switch algo {
+	case AGRing:
+		eff.agvRing(tag, effCounts, effDispls, recv)
+	case AGRecursiveDoubling:
+		eff.agvRecDbl(tag, effCounts, effDispls, recv)
+	case AGDissemination:
+		eff.agvDissem(tag, effCounts, effDispls, recv)
+	default:
+		panic("mpi: unresolved allgatherv algorithm")
 	}
 	if c.me.tracer.Enabled() {
 		c.me.tracer.Emit(obs.Span{Rank: c.me.rank, Kind: "allgatherv", Peer: -1,
@@ -124,7 +112,6 @@ func (c *Comm) Allgatherv(data []byte, counts []int, recv []byte) {
 				{Key: "policy", Val: c.w.cfg.Allgatherv.String()},
 				{Key: "nonuniform", Val: strconv.FormatBool(nonuniform)},
 				{Key: "members", Val: strconv.Itoa(eff.Size())},
-				{Key: "hier", Val: strconv.FormatBool(hier)},
 			}})
 	}
 }
@@ -134,16 +121,8 @@ func (c *Comm) Allgatherv(data []byte, counts []int, recv []byte) {
 // when the count set was classified nonuniform (always false for the other
 // policies, which never run the detector).
 func (c *Comm) allgathervAlgo(counts []int, total int) (AllgathervAlgo, bool) {
-	return c.w.agAlgoFor(c.Size(), counts, total)
-}
-
-// agAlgoFor resolves the world's allgatherv policy for an n-member
-// exchange with the given volumes.  Pure function of its inputs and the
-// config, so every rank — leader or not — can derive the choice the
-// leader group will make without communicating.
-func (w *World) agAlgoFor(n int, counts []int, total int) (AllgathervAlgo, bool) {
-	pof2 := bits.OnesCount(uint(n)) == 1
-	cfg := &w.cfg
+	pof2 := bits.OnesCount(uint(c.Size())) == 1
+	cfg := &c.w.cfg
 
 	short := func() AllgathervAlgo {
 		if pof2 {
@@ -201,6 +180,7 @@ func (c *Comm) agvRing(tag int, counts, displs []int, recv []byte) {
 			panic("mpi: ring allgatherv block size mismatch")
 		}
 		copy(recv[displs[recvBlock]:], env.data)
+		datatype.PutBuffer(env.data)
 	}
 }
 
@@ -225,6 +205,7 @@ func (c *Comm) agvRecDbl(tag int, counts, displs []int, recv []byte) {
 			panic("mpi: recursive-doubling allgatherv size mismatch")
 		}
 		copy(recv[theirLo:], env.data)
+		datatype.PutBuffer(env.data)
 	}
 }
 
@@ -284,5 +265,6 @@ func (c *Comm) agvDissem(tag int, counts, displs []int, recv []byte) {
 		c.send(dst, tag, gather(me, cnt))
 		env := c.await(src, tag)
 		scatter(me+p, cnt, env.data)
+		datatype.PutBuffer(env.data)
 	}
 }

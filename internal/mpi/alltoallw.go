@@ -72,7 +72,6 @@ type Exchange struct {
 	// The exchange in flight.
 	started            bool
 	opStart            float64
-	hier               bool
 	zero, small, large int // the bins as this exchange saw them, for the trace span
 }
 
@@ -187,17 +186,12 @@ func (e *Exchange) Start(sendbuf, recvbuf []byte) {
 // rest are processed small-bin first.  Dead peers degrade gracefully: they
 // are treated as zero-volume — nothing is sent to them, their receive
 // regions are left untouched, and they never enter a bin — so the exchange
-// completes among the survivors.  With a node topology and no degradation
-// in flight only same-node peers are exchanged with directly; the rest goes
-// through the node leaders (hier.go).  The receive specs fix data placement,
-// so the result is bitwise-identical either way.
+// completes among the survivors.
 func (e *Exchange) startBinned(tag int, sendbuf, recvbuf []byte) {
 	c := e.c
 	me := c.rank
 	anyDown := c.w.anyDown.Load()
 	dead := func(r int) bool { return anyDown && c.w.deadRank(c.worldRank(r)) }
-	topo := c.hierTopo()
-	viaLeaders := func(r int) bool { return topo != nil && topo.NodeOf(r) != topo.NodeOf(me) }
 
 	// Local exchange needs no wire.
 	if e.sends[me].Bytes() > 0 || e.recvs[me].Bytes() > 0 {
@@ -212,7 +206,7 @@ func (e *Exchange) startBinned(tag int, sendbuf, recvbuf []byte) {
 		r := &e.in[i]
 		s := e.recvs[r.peer]
 		r.req = Request{c: c, isRecv: true, src: r.peer, tag: tag, plan: r.plan,
-			done: viaLeaders(r.peer) || dead(r.peer) && !c.queued(r.peer, tag)}
+			done: dead(r.peer) && !c.queued(r.peer, tag)}
 		if s.contig() {
 			r.req.buf = recvbuf[s.Displ : s.Displ+s.Bytes()]
 		} else {
@@ -222,7 +216,7 @@ func (e *Exchange) startBinned(tag int, sendbuf, recvbuf []byte) {
 
 	// Send bins: small ascending-by-rank first, then large.
 	for _, o := range e.out {
-		if !viaLeaders(o.peer) && !dead(o.peer) {
+		if !dead(o.peer) {
 			c.sendSpec(o.peer, tag, sendbuf, e.sends[o.peer], o.plan)
 		}
 	}
@@ -239,9 +233,6 @@ func (e *Exchange) startBinned(tag int, sendbuf, recvbuf []byte) {
 		default:
 			e.large--
 		}
-	}
-	if e.hier = topo != nil; e.hier {
-		c.a2awHierRemote(tag, sendbuf, e.sends, recvbuf, e.recvs, topo)
 	}
 }
 
@@ -262,8 +253,7 @@ func (e *Exchange) Wait() {
 			attrs = append(attrs,
 				obs.Attr{Key: "zero_bin", Val: strconv.Itoa(e.zero)},
 				obs.Attr{Key: "small_bin", Val: strconv.Itoa(e.small)},
-				obs.Attr{Key: "large_bin", Val: strconv.Itoa(e.large)},
-				obs.Attr{Key: "hier", Val: strconv.FormatBool(e.hier)})
+				obs.Attr{Key: "large_bin", Val: strconv.Itoa(e.large)})
 		}
 		c.me.tracer.Emit(obs.Span{Rank: c.me.rank, Kind: "alltoallw", Peer: -1,
 			Bytes: e.vol, Start: e.opStart, End: c.me.clock, Clock: obs.ClockVirtual, Attrs: attrs})

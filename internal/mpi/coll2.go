@@ -1,14 +1,9 @@
 package mpi
 
-import (
-	"fmt"
-	"math/bits"
-
-	"nccd/internal/floatbytes"
-)
+import "fmt"
 
 // Additional collectives rounding out the MPI surface PETSc-style codes
-// rely on: Gather, Scatterv, Alltoallv, and a recursive-doubling Allreduce.
+// rely on: Gather, Scatterv and Alltoallv.
 
 // Gather collects equal-size contributions on root (binomial tree).  Every
 // rank contributes len(data) bytes (identical across ranks); root receives
@@ -112,28 +107,4 @@ func (c *Comm) Alltoallv(sendbuf []byte, sendCounts []int, recvbuf []byte, recvC
 		panic("mpi: alltoallv buffer too small")
 	}
 	c.Alltoallw(sendbuf, sends, recvbuf, recvs)
-}
-
-// AllreduceRD combines every rank's vec elementwise with op on all ranks
-// using recursive doubling when the world is a power of two (log N rounds,
-// each rank active every round), falling back to reduce+broadcast
-// otherwise.  Allreduce itself remains the simple reduce+broadcast; solvers
-// that are Allreduce-bound can opt into this variant.
-func (c *Comm) AllreduceRD(vec []float64, op Op) {
-	n := c.Size()
-	if bits.OnesCount(uint(n)) != 1 {
-		c.Allreduce(vec, op)
-		return
-	}
-	c.collStart("Allreduce")
-	c.requireLive()
-	tag := c.collTag()
-	me := c.rank
-	for mask := 1; mask < n; mask <<= 1 {
-		partner := me ^ mask
-		c.send(partner, tag, floatbytes.Bytes(vec))
-		env := c.await(partner, tag)
-		op.apply(vec, floatbytes.Floats(env.data))
-		c.reduceFlops(len(vec))
-	}
 }

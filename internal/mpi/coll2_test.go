@@ -121,60 +121,6 @@ func TestAlltoallvMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestAllreduceRDMatchesAllreduce(t *testing.T) {
-	for _, n := range []int{2, 4, 8, 16} {
-		run(t, n, Baseline(), func(c *Comm) error {
-			v := []float64{float64(c.Rank() + 1), -float64(c.Rank())}
-			c.AllreduceRD(v, OpSum)
-			want0 := float64(n*(n+1)) / 2
-			want1 := -float64(n*(n-1)) / 2
-			if v[0] != want0 || v[1] != want1 {
-				return fmt.Errorf("n=%d: got %v, want [%v %v]", n, v, want0, want1)
-			}
-			x := []float64{float64(c.Rank())}
-			c.AllreduceRD(x, OpMax)
-			if x[0] != float64(n-1) {
-				return fmt.Errorf("max = %v", x[0])
-			}
-			return nil
-		})
-	}
-	// Non-power-of-two falls back to reduce+bcast.
-	run(t, 5, Baseline(), func(c *Comm) error {
-		v := []float64{1}
-		c.AllreduceRD(v, OpSum)
-		if v[0] != 5 {
-			return fmt.Errorf("fallback sum = %v", v[0])
-		}
-		return nil
-	})
-}
-
-func TestAllreduceRDFasterThanReduceBcast(t *testing.T) {
-	// On a power-of-two world, recursive doubling should not be slower
-	// than reduce+broadcast for small vectors.
-	lat := func(rd bool) float64 {
-		w := testWorld(16, Baseline())
-		if err := w.Run(func(c *Comm) error {
-			v := make([]float64, 4)
-			for i := 0; i < 10; i++ {
-				if rd {
-					c.AllreduceRD(v, OpSum)
-				} else {
-					c.Allreduce(v, OpSum)
-				}
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return w.MaxClock()
-	}
-	if rd, rb := lat(true), lat(false); rd > rb*1.1 {
-		t.Fatalf("recursive doubling (%.1fus) slower than reduce+bcast (%.1fus)", rd*1e6, rb*1e6)
-	}
-}
-
 func TestBytesHelper(t *testing.T) {
 	ty := Bytes(17)
 	if ty.Size() != 17 || !ty.Contig() {

@@ -71,17 +71,6 @@ func (c *Comm) Span(kind string, start float64, attrs ...obs.Attr) {
 		Start: start, End: c.me.clock, Clock: obs.ClockVirtual, Attrs: attrs})
 }
 
-// spanB is Span with a byte volume, for phases that move data (the
-// hierarchy's funnel/leader-exchange/fan-out stages): matrix rows built
-// from collective container spans balance only if the volume is recorded.
-func (c *Comm) spanB(kind string, start float64, bytes int64, attrs ...obs.Attr) {
-	if !c.me.tracer.Enabled() {
-		return
-	}
-	c.me.tracer.Emit(obs.Span{Rank: c.me.rank, Kind: kind, Peer: -1, Bytes: bytes,
-		Start: start, End: c.me.clock, Clock: obs.ClockVirtual, Attrs: attrs})
-}
-
 // Stats returns a copy of the rank's statistics.
 func (c *Comm) Stats() Stats { return c.me.stats }
 

@@ -235,10 +235,11 @@ func Optimized() Config {
 
 // Compiled returns the configuration this repository moves beyond the paper
 // with: the Optimized collective algorithms plus the compiled-plan datatype
-// path — derived types are flattened once into cached canonical segment
-// lists and every send/recv packs through tight copy loops (parallel for
-// large plans) instead of interpreting the type tree.  The dual-context
-// engine remains available as the streaming fallback and correctness oracle.
+// path — derived types are compiled once into cached kernel programs
+// (strided runs, offset tables, 8- and 16-byte word loops) and every
+// send/recv packs through them instead of interpreting the type tree.  The
+// dual-context engine remains available as the streaming fallback and
+// correctness oracle.
 func Compiled() Config {
 	return Config{
 		Engine:     datatype.CompiledPlans,

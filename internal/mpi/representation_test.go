@@ -184,12 +184,108 @@ func repUser() []byte {
 	return b
 }
 
+// repGated is the rank the collectives phase holds back from its Alltoallw:
+// on hier it sits across the node boundary from ranks 0 and 1.
+const repGated = 2
+
+// repArms are the configurations the test runs under: the point-to-point
+// phases need an engine that packs (the last two), the collectives all three.
+var repArms = []struct {
+	name string
+	cfg  Config
+}{{"baseline", Baseline()}, {"streaming", Optimized()}, {"compiled", Compiled()}}
+
+// repCollOut is what one rank saw of the collectives phase: the two receive
+// buffers and what it sent and packed.
+type repCollOut struct {
+	a2a, agv []byte
+	sent     repSent
+}
+
+type repSent struct {
+	Msgs, Bytes int64 // Stats.MsgsSent, Stats.BytesSent
+	Engine      datatype.Metrics
+}
+
+// repA2AShape is the shape ranks a and b exchange in the collectives phase:
+// every shape occurs, the empty one on the pairs 0-3 and 1-2.
+func repA2AShape(a, b int) int { return (a + b) % repRanks }
+
+// repCollectives runs one Alltoallw of the shapes out of user and one
+// Allgatherv of their hand-packed images on fresh worlds over mesh.  Under
+// the binned algorithm on a wall-clock mesh rank repGated enters the
+// exchange only once every other rank's Start has returned.
+func repCollectives(t *testing.T, mesh repMesh, cfg Config, user []byte, shapes []repShape, refs [][]byte) [repRanks]repCollOut {
+	t.Helper()
+	trs, _ := mesh.build(t)
+	ws := repWorlds(t, trs, cfg)
+	gated := mesh.wall && cfg.Alltoallw == ATBinned
+	started := make(chan int, repRanks) // one send per rank that is not held back
+	counts := make([]int, repRanks)
+	for r := range counts {
+		counts[r] = len(refs[r])
+	}
+	_, total := prefix(counts)
+	var out [repRanks]repCollOut
+	errs := runAll(ws, func(c *Comm) error {
+		me := c.Rank()
+		specs := make([]TypeSpec, repRanks)
+		recvs := make([]TypeSpec, repRanks)
+		for j := range specs {
+			sh := shapes[repA2AShape(me, j)]
+			specs[j] = TypeSpec{Type: sh.t, Count: sh.count}
+			recvs[j] = TypeSpec{Type: sh.t, Count: sh.count, Displ: j * len(user)}
+			if j < me { // the two sides of a pair need not agree on a layout
+				recvs[j] = TypeSpec{Type: datatype.Byte, Count: len(refs[repA2AShape(me, j)]), Displ: j * len(user)}
+			}
+		}
+		o := &out[me]
+		o.a2a = make([]byte, repRanks*len(user))
+		e := c.AlltoallwInit(specs, recvs)
+		var blocked error
+		if gated && me == repGated {
+			timeout := time.After(5 * time.Second)
+			for i := 1; i < repRanks && blocked == nil; i++ {
+				select {
+				case <-started:
+				case <-timeout:
+					blocked = fmt.Errorf("Exchange.Start blocked on %d of %d ranks while rank %d had not entered the exchange",
+						repRanks-i, repRanks-1, repGated)
+				}
+			}
+		}
+		e.Start(user, o.a2a)
+		if gated && me != repGated {
+			started <- me
+		}
+		e.Wait()
+		o.agv = make([]byte, total)
+		c.Allgatherv(refs[me], counts, o.agv)
+		st := c.Stats()
+		o.sent = repSent{st.MsgsSent, st.BytesSent, st.Datatype}
+		return blocked
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Errorf("rank %d: %v", r, err)
+		}
+	}
+	for _, w := range ws {
+		w.Close()
+	}
+	return out
+}
+
 // TestRepresentationDifferential sends the same typed messages as
 // hand-packed contiguous bytes, as an engine-packed image and as a
 // plan-packed image over every transport, to two peers and to the sender
 // itself, and requires that nothing but who packed differs: the receivers
 // see identical bytes, the sender counts identical messages and bytes, and
-// every pooled buffer comes back — also after each way a send can fail.
+// every pooled buffer comes back — also after each way a send can fail.  The
+// same shapes then go through one Alltoallw and one Allgatherv under every
+// arm: every mesh must deliver the same bytes and count the same messages,
+// bytes and engine work as the in-process one, so no mesh reroutes or repacks
+// a collective.
 func TestRepresentationDifferential(t *testing.T) {
 	poolBase := datatype.PoolOutstandingBytes()
 	t.Cleanup(func() { // registered first, so it runs after every endpoint closed
@@ -214,11 +310,34 @@ func TestRepresentationDifferential(t *testing.T) {
 	}
 	dsts := []int{1, 2, 0} // two peers (intra- and inter-node on hier), then self
 
+	// What the collectives phase must deliver: rank r's Alltoallw region j
+	// holds the bytes of the shape r and j exchange — as the hand-packed image
+	// from a lower rank, where the shape maps them from the others — and zeros
+	// elsewhere; Allgatherv concatenates the hand-packed images.
+	var wantA2A [repRanks][]byte
+	var wantAgv []byte
+	for r := range wantA2A {
+		wantA2A[r] = make([]byte, repRanks*len(user))
+		for j := 0; j < repRanks; j++ {
+			k := repA2AShape(r, j)
+			if j < r {
+				copy(wantA2A[r][j*len(user):], refs[k])
+				continue
+			}
+			for _, s := range datatype.Flatten(shapes[k].t, shapes[k].count) {
+				copy(wantA2A[r][j*len(user)+s.Off:], user[s.Off:s.Off+s.Len])
+			}
+		}
+		wantAgv = append(wantAgv, refs[r]...)
+	}
+	// What every mesh must count: the in-process mesh's sends under each arm.
+	inproc := make([][repRanks]repCollOut, len(repArms))
+	for i, cfg := range repArms {
+		inproc[i] = repCollectives(t, repMeshes[0], cfg.cfg, user, shapes, refs)
+	}
+
 	for _, mesh := range repMeshes {
-		for _, cfg := range []struct {
-			name string
-			cfg  Config
-		}{{"streaming", Optimized()}, {"compiled", Compiled()}} {
+		for _, cfg := range repArms[1:] {
 			t.Run(mesh.name+"/"+cfg.name, func(t *testing.T) {
 				trs, _ := mesh.build(t)
 				ws := repWorlds(t, trs, cfg.cfg)
@@ -281,6 +400,29 @@ func TestRepresentationDifferential(t *testing.T) {
 				}
 			})
 		}
+
+		// The same shapes as collectives.  Which wire a message takes is the
+		// transport's business: a mesh with a node map must not change what
+		// the collective sends, who packs it, or when Start returns.
+		t.Run(mesh.name+"/collectives", func(t *testing.T) {
+			for i, cfg := range repArms {
+				t.Run(cfg.name, func(t *testing.T) {
+					want := inproc[i]
+					got := repCollectives(t, mesh, cfg.cfg, user, shapes, refs)
+					for r := range got {
+						if !bytes.Equal(got[r].a2a, wantA2A[r]) {
+							t.Errorf("rank %d: alltoallw delivered bytes differing from the flattened reference", r)
+						}
+						if !bytes.Equal(got[r].agv, wantAgv) {
+							t.Errorf("rank %d: allgatherv delivered bytes differing from the concatenated images", r)
+						}
+						if got[r].sent != want[r].sent {
+							t.Errorf("rank %d sent %+v, on the in-process mesh %+v", r, got[r].sent, want[r].sent)
+						}
+					}
+				})
+			}
+		})
 
 		// Every way a send can fail hands the payload back: the owned buffer
 		// is recycled by whoever refused it.  The pool check above is the

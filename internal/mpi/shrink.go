@@ -144,17 +144,9 @@ func (c *Comm) Revoke() {
 	}
 }
 
-// revokeCtx records ctx — and the leader context hierarchical collectives
-// derive from it — as revoked, and wakes every blocked wait.  Revoking
-// the derived context alongside matters on topology-aware worlds: a node
-// leader blocked in the leader exchange waits on a group that excludes
-// most of the world, so a non-leader's death never fails its match, and
-// the revocation of the parent context is the only signal that can reach
-// it (hierCtx is a pure function of the parent, so every process derives
-// the same id without coordination).
+// revokeCtx records ctx as revoked and wakes every blocked wait.
 func (w *World) revokeCtx(ctx uint64) {
 	w.revoked.Store(ctx, struct{}{})
-	w.revoked.Store(hierCtx(ctx), struct{}{})
 	w.anyRevoked.Store(true)
 	w.progress.Add(1)
 	w.wakeAll()

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
@@ -144,7 +145,10 @@ func TestSplitCollectivesUseSubset(t *testing.T) {
 		}
 		counts := []int{1024, 8}
 		recv := make([]byte, 1032)
-		sub.Allgatherv(make([]byte, counts[sub.Rank()]), counts, recv)
+		sub.Allgatherv(bytes.Repeat([]byte{byte('a' + c.Rank())}, counts[sub.Rank()]), counts, recv)
+		if want := append(bytes.Repeat([]byte{'a'}, 1024), bytes.Repeat([]byte{'b'}, 8)...); !bytes.Equal(recv, want) {
+			return fmt.Errorf("rank %d: sub-communicator allgatherv delivered the wrong bytes", c.Rank())
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func (w *World) onFrame(to int, hdr transport.Header, payload []byte) {
 		return
 	case ctxRevoke:
 		datatype.PutBuffer(payload)
-		w.revokeCtx(hdr.Seq) // also revokes the derived hier leader context
+		w.revokeCtx(hdr.Seq)
 		return
 	}
 	w.deliver(to, &envelope{ctx: hdr.Ctx, src: int(hdr.Src), tag: int(hdr.Tag), data: payload,

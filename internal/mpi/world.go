@@ -101,12 +101,6 @@ type World struct {
 	// stay zero on wall-clock worlds.
 	matrix *commMatrix
 
-	// topo maps ranks onto nodes for hierarchy-aware collectives.  Nil
-	// (the default) keeps every collective flat.  Adopted from a transport
-	// that exposes a node map (transport.Hierarchical) or from the
-	// cluster's NodeOf; see SetTopology.
-	topo *Topology
-
 	wd *watchdog // live while a Run is in flight
 }
 
@@ -259,24 +253,6 @@ func NewWorldTransport(tr transport.Transport, cluster *simnet.Cluster, cfg Conf
 		w.procs[i] = p
 	}
 	w.matrix = newCommMatrix(n)
-	// A transport that knows the physical layout (the hierarchical
-	// shm+TCP router) donates its node map as the world topology; a flat
-	// cluster model can declare one too.  Either way the hierarchy-aware
-	// collectives turn on only when the map shows real node structure.
-	nodeMap := cluster.NodeOf
-	if nm, ok := tr.(interface{ NodeMap() []int }); ok {
-		nodeMap = nm.NodeMap()
-	}
-	if nodeMap != nil {
-		if len(nodeMap) != n {
-			return nil, fmt.Errorf("mpi: node map covers %d ranks but world has %d", len(nodeMap), n)
-		}
-		topo, err := NewTopology(nodeMap)
-		if err != nil {
-			return nil, err
-		}
-		w.topo = topo
-	}
 	// A transport that can trace (the TCP endpoint) shares the world's
 	// tracer, wired before Start so reader goroutines never see it change.
 	if tt, ok := tr.(interface{ SetTracer(*obs.Tracer) }); ok {
@@ -302,29 +278,6 @@ func NewWorldTransport(tr transport.Transport, cluster *simnet.Cluster, cfg Conf
 // Tracer returns the world's span recorder.  Enable it (or EnableTrace) to
 // start recording; export with obs.WriteChromeTraceFile.
 func (w *World) Tracer() *obs.Tracer { return w.tracer }
-
-// Topology returns the world's node topology, or nil when the world is
-// flat.
-func (w *World) Topology() *Topology { return w.topo }
-
-// SetTopology declares the node topology after construction (nil returns
-// the world to flat collectives).  It must not race with a Run in
-// progress.
-func (w *World) SetTopology(nodeOf []int) error {
-	if nodeOf == nil {
-		w.topo = nil
-		return nil
-	}
-	if len(nodeOf) != len(w.procs) {
-		return fmt.Errorf("mpi: node map covers %d ranks but world has %d", len(nodeOf), len(w.procs))
-	}
-	topo, err := NewTopology(nodeOf)
-	if err != nil {
-		return err
-	}
-	w.topo = topo
-	return nil
-}
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.procs) }

@@ -14,7 +14,6 @@ package analyze
 import (
 	"sort"
 	"strconv"
-	"strings"
 
 	"nccd/internal/obs"
 )
@@ -57,9 +56,9 @@ type matchKey struct {
 }
 
 // collectiveContainer reports whether kind is a collective container span
-// (emitted around a whole collective or one of its hierarchy phases).
+// (emitted around a whole collective).
 func collectiveContainer(kind string) bool {
-	return kind == "allgatherv" || kind == "alltoallw" || strings.HasPrefix(kind, "hier_")
+	return kind == "allgatherv" || kind == "alltoallw"
 }
 
 func attrVal(s *obs.Span, key string) (string, bool) {

@@ -112,8 +112,8 @@ type CollProfile struct {
 }
 
 // TransportStats split a wall-clock run's traffic by transport, from the
-// ClockWall spans the transports emit: the shm/tcp byte split is the
-// hierarchy dividend (intra-node traffic that never touched a socket).
+// ClockWall spans the transports emit: the shm bytes are the intra-node
+// traffic that never touched a socket.
 type TransportStats struct {
 	TCPMsgs     int64 `json:"tcp_msgs"`
 	TCPBytes    int64 `json:"tcp_bytes"`

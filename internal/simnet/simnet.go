@@ -92,8 +92,7 @@ type Cluster struct {
 
 	// NodeOf assigns each rank to a physical node.  Nil leaves the cluster
 	// flat: every pair of ranks is separated by the shared Params wire.
-	// When set, the mpi runtime adopts it as the world topology for
-	// hierarchy-aware collectives.
+	// It only selects link costs (see Intra); collectives ignore it.
 	NodeOf []int
 	// Intra, when non-nil (and NodeOf is set), gives the wire parameters of
 	// same-node links — the shared-memory path, orders of magnitude below

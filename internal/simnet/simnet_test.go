@@ -110,3 +110,33 @@ func TestIBDDRSane(t *testing.T) {
 		t.Fatal("latency should exceed 64B wire time")
 	}
 }
+
+// TestTwoLevelLinkParams: on a two-level cluster same-node pairs ride the
+// intra-node wire and cross-node pairs the shared one; without Intra the node
+// map changes nothing, link for link.
+func TestTwoLevelLinkParams(t *testing.T) {
+	c := TwoLevel(3, 2, IBDDR(), ShmIntra())
+	flat := Uniform(6, IBDDR())
+	for src := 0; src < 6; src++ {
+		if c.SpeedOf(src) != 1 {
+			t.Fatalf("speed[%d] = %v", src, c.SpeedOf(src))
+		}
+		for dst := 0; dst < 6; dst++ {
+			want := IBDDR()
+			if src/2 == dst/2 {
+				want = ShmIntra()
+			}
+			if got := *c.LinkParams(src, dst); got != want {
+				t.Errorf("link %d->%d: %+v, want %+v", src, dst, got, want)
+			}
+		}
+	}
+	c.Intra = nil
+	for src := 0; src < 6; src++ {
+		for dst := 0; dst < 6; dst++ {
+			if got, want := *c.LinkParams(src, dst), *flat.LinkParams(src, dst); got != want {
+				t.Errorf("nil Intra, link %d->%d: %+v, want the uniform cluster's %+v", src, dst, got, want)
+			}
+		}
+	}
+}

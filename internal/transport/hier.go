@@ -73,10 +73,6 @@ func (h *Hierarchical) Occupancy() Occupancy {
 	return o
 }
 
-// NodeMap returns the node id of every world rank; the mpi layer adopts
-// it as the world topology for hierarchy-aware collectives.
-func (h *Hierarchical) NodeMap() []int { return append([]int(nil), h.nodeOf...) }
-
 // sameNode reports whether rank r is co-located with self.
 func (h *Hierarchical) sameNode(r int) bool { return h.nodeOf[r] == h.nodeOf[h.self] }
 

@@ -320,25 +320,6 @@ func (s *Sub) Local(r int) bool {
 // Wallclock mirrors the underlying transport.
 func (s *Sub) Wallclock() bool { return s.m.real.Wallclock() }
 
-// NodeMap projects the mesh's physical node layout onto the job's ranks,
-// so hierarchy-aware collectives keep working inside a job.  Nil when the
-// mesh has no layout.
-func (s *Sub) NodeMap() []int {
-	nm, ok := s.m.real.(interface{ NodeMap() []int })
-	if !ok {
-		return nil
-	}
-	mesh := nm.NodeMap()
-	if mesh == nil {
-		return nil
-	}
-	out := make([]int, len(s.ranks))
-	for i, r := range s.ranks {
-		out[i] = mesh[r]
-	}
-	return out
-}
-
 func (s *Sub) startedLoad() bool { return s.started.Load() }
 
 // Start registers the job world's delivery handler and failure callback
