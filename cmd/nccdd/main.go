@@ -47,6 +47,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -64,51 +65,63 @@ import (
 	"nccd/internal/transport"
 )
 
-func main() {
-	rank := flag.Int("rank", -1, "world rank of this process")
-	n := flag.Int("n", 0, "world size")
-	addrList := flag.String("addrs", "", "comma-separated listen addresses, one per rank")
-	worldID := flag.Uint64("world", 1, "world id (must match across ranks)")
-	arm := flag.String("arm", "compiled", "experimental arm: baseline, optimized, compiled or hand")
-	extent := flag.Int("extent", 64, "cubic grid extent")
-	levels := flag.Int("levels", 3, "multigrid levels")
-	rtol := flag.Float64("rtol", 1e-6, "relative tolerance")
-	maxCycles := flag.Int("maxcycles", 30, "V-cycle cap")
-	drop := flag.Float64("drop", 0, "frame drop probability (injected below TCP framing)")
-	corrupt := flag.Float64("corrupt", 0, "frame corruption probability")
-	dup := flag.Float64("dup", 0, "frame duplication probability")
-	delayMean := flag.Float64("delaymean", 0, "mean injected frame delay in seconds")
-	seed := flag.Uint64("seed", 1, "fault plan seed")
-	crashAt := flag.Float64("crashat", 0, "virtual time at which this rank crashes (0 = never)")
-	ackTimeout := flag.Duration("acktimeout", 20*time.Millisecond, "wall-clock wait before the first retransmission")
-	trace := flag.String("trace", "", "write this rank's Chrome trace JSON to the given path")
-	spans := flag.String("spans", "", "write this rank's raw spans (matching identities included) to the given path for cross-rank analysis")
-	metrics := flag.String("metrics", "", "serve the metrics registry over HTTP at this address (e.g. 127.0.0.1:0); the bound address is printed as a METRICS line")
-	dash := flag.Bool("dash", false, "serve the live communication-matrix dashboard at /dash on the -metrics listener (implies -metrics 127.0.0.1:0 when unset)")
-	selfheal := flag.Bool("selfheal", false, "ride out peer failures: checkpoint, and recover via epoch bump + rejoin instead of aborting (needs -ckpt)")
-	ckptDir := flag.String("ckpt", "", "durable checkpoint directory (shared across ranks; implies -selfheal)")
-	ckptEvery := flag.Int("ckptevery", 1, "checkpoint period in V-cycles for -selfheal runs")
-	rejoin := flag.Bool("rejoin", false, "this process replaces a failed rank: dial the whole surviving mesh and restore from checkpoint")
-	epoch := flag.Uint64("epoch", 0, "membership epoch a -rejoin replacement joins at (the launcher's respawn count)")
-	hb := flag.Duration("hb", 0, "heartbeat interval for the failure detector (0 = disabled; hung-peer detection then relies on connection loss)")
-	hbMiss := flag.Int("hbmiss", 3, "missed heartbeat intervals before a peer is suspected")
-	aggr := flag.Int("aggr", 2, "checkpoint aggregator rank count")
-	stripe := flag.Int64("stripe", 256<<10, "checkpoint file stripe size in bytes")
-	ioFault := flag.String("iofault", "", "inject checkpoint I/O faults, e.g. short=0.2,eio=0.1,fsync=0.1,enospc=65536,crash=12,seed=7")
-	perNode := flag.Int("pernode", 1, "co-located ranks per node: >1 groups ranks onto nodes (node = rank/pernode), intra-node traffic over a shared-memory segment, inter-node over TCP")
-	shmDir := flag.String("shmdir", "", "directory for the per-node shared-memory segment files (required with -pernode > 1; must be shared by co-located ranks)")
-	serve := flag.String("serve", "", "run as a multi-tenant solver service instead of one fixed solve: rank 0 serves the job API, /debug/metrics and /dash at this address (e.g. 127.0.0.1:0)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args, refuses a bad invocation with one stderr line and exit 2
+// before any listener is opened or world built, and hosts the rank.  stdout
+// receives the daemon's protocol lines (RESULT, CKPT, RESUMED); the service
+// mode prints its own to the process's descriptors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nccdd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	rank := fs.Int("rank", -1, "world rank of this process")
+	n := fs.Int("n", 0, "world size")
+	addrList := fs.String("addrs", "", "comma-separated listen addresses, one per rank")
+	worldID := fs.Uint64("world", 1, "world id (must match across ranks)")
+	arm := fs.String("arm", "compiled", "experimental arm: baseline, optimized, compiled or hand")
+	extent := fs.Int("extent", 64, "cubic grid extent")
+	levels := fs.Int("levels", 3, "multigrid levels")
+	rtol := fs.Float64("rtol", 1e-6, "relative tolerance")
+	maxCycles := fs.Int("maxcycles", 30, "V-cycle cap")
+	drop := fs.Float64("drop", 0, "frame drop probability (injected below TCP framing)")
+	corrupt := fs.Float64("corrupt", 0, "frame corruption probability")
+	dup := fs.Float64("dup", 0, "frame duplication probability")
+	delayMean := fs.Float64("delaymean", 0, "mean injected frame delay in seconds")
+	seed := fs.Uint64("seed", 1, "fault plan seed")
+	crashAt := fs.Float64("crashat", 0, "virtual time at which this rank crashes (0 = never)")
+	ackTimeout := fs.Duration("acktimeout", 20*time.Millisecond, "wall-clock wait before the first retransmission")
+	trace := fs.String("trace", "", "write this rank's Chrome trace JSON to the given path")
+	spans := fs.String("spans", "", "write this rank's raw spans (matching identities included) to the given path for cross-rank analysis")
+	metrics := fs.String("metrics", "", "serve the metrics registry over HTTP at this address (e.g. 127.0.0.1:0); the bound address is printed as a METRICS line")
+	dash := fs.Bool("dash", false, "serve the live communication-matrix dashboard at /dash on the -metrics listener (implies -metrics 127.0.0.1:0 when unset)")
+	selfheal := fs.Bool("selfheal", false, "ride out peer failures: checkpoint, and recover via epoch bump + rejoin instead of aborting (needs -ckpt)")
+	ckptDir := fs.String("ckpt", "", "durable checkpoint directory (shared across ranks; implies -selfheal)")
+	ckptEvery := fs.Int("ckptevery", 1, "checkpoint period in V-cycles for -selfheal runs")
+	rejoin := fs.Bool("rejoin", false, "this process replaces a failed rank: dial the whole surviving mesh and restore from checkpoint")
+	epoch := fs.Uint64("epoch", 0, "membership epoch a -rejoin replacement joins at (the launcher's respawn count)")
+	hb := fs.Duration("hb", 0, "heartbeat interval for the failure detector (0 = disabled; hung-peer detection then relies on connection loss)")
+	hbMiss := fs.Int("hbmiss", 3, "missed heartbeat intervals before a peer is suspected")
+	aggr := fs.Int("aggr", 2, "checkpoint aggregator rank count")
+	stripe := fs.Int64("stripe", 256<<10, "checkpoint file stripe size in bytes")
+	ioFault := fs.String("iofault", "", "inject checkpoint I/O faults, e.g. short=0.2,eio=0.1,fsync=0.1,enospc=65536,crash=12,seed=7")
+	perNode := fs.Int("pernode", 1, "co-located ranks per node: >1 groups ranks onto nodes (node = rank/pernode), intra-node traffic over a shared-memory segment, inter-node over TCP")
+	shmDir := fs.String("shmdir", "", "directory for the per-node shared-memory segment files (required with -pernode > 1; must be shared by co-located ranks)")
+	serve := fs.String("serve", "", "run as a multi-tenant solver service instead of one fixed solve: rank 0 serves the job API, /debug/metrics and /dash at this address (e.g. 127.0.0.1:0)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "nccdd: %v\n", err)
+		return code
+	}
 
 	addrs := strings.Split(*addrList, ",")
 	if *rank < 0 || *n < 1 || *rank >= *n || len(addrs) != *n {
-		fmt.Fprintf(os.Stderr, "nccdd: need -rank in [0,%d) and %d comma-separated -addrs\n", *n, *n)
-		os.Exit(2)
+		return fail(2, fmt.Errorf("need -rank in [0,%d) and %d comma-separated -addrs", *n, *n))
 	}
 	cfg, mode, err := bench.ArmByName(*arm)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "nccdd: %v\n", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 
 	var fp *simnet.FaultPlan
@@ -130,22 +143,20 @@ func main() {
 	}
 	ob := bench.DaemonObs{TracePath: *trace, SpansPath: *spans, MetricsAddr: *metrics}
 	if *dash {
-		fmt.Println("dashboard: open http://<METRICS addr>/dash")
+		fmt.Fprintln(stdout, "dashboard: open http://<METRICS addr>/dash")
 	}
 	pl := bench.Placement{PerNode: *perNode, ShmDir: *shmDir}
 
 	if *serve != "" {
 		if err := runService(tcfg, cfg, mode, *serve, *ckptDir, *ckptEvery); err != nil {
-			fmt.Fprintf(os.Stderr, "nccdd: rank %d: %v\n", *rank, err)
-			os.Exit(1)
+			return fail(1, fmt.Errorf("rank %d: %w", *rank, err))
 		}
-		fmt.Println("SERVED")
-		return
+		fmt.Fprintln(stdout, "SERVED")
+		return 0
 	}
 
 	if err := p.Validate(*n); err != nil {
-		fmt.Fprintf(os.Stderr, "nccdd: %v\n", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	var rep bench.RankReport
 	if *selfheal || *ckptDir != "" || *rejoin {
@@ -160,22 +171,21 @@ func main() {
 			// CKPT marks a durable checkpoint, RESUMED a committed
 			// recovery.  Stdout is line-buffered through the launcher's
 			// scanner, so these arrive promptly.
-			OnCheckpoint: func(it int) { fmt.Printf("CKPT %d\n", it) },
-			OnRecovered:  func(e uint64, at int) { fmt.Printf("RESUMED epoch=%d from=%d\n", e, at) },
+			OnCheckpoint: func(it int) { fmt.Fprintf(stdout, "CKPT %d\n", it) },
+			OnRecovered:  func(e uint64, at int) { fmt.Fprintf(stdout, "RESUMED epoch=%d from=%d\n", e, at) },
 		})
 	} else {
 		rep, err = bench.RunMultigridDaemon(tcfg, pl, cfg, p, mode, ob)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "nccdd: rank %d: %v\n", *rank, err)
-		os.Exit(1)
+		return fail(1, fmt.Errorf("rank %d: %w", *rank, err))
 	}
 	out, err := json.Marshal(rep)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "nccdd: rank %d: %v\n", *rank, err)
-		os.Exit(1)
+		return fail(1, fmt.Errorf("rank %d: %w", *rank, err))
 	}
-	fmt.Printf("RESULT %s\n", out)
+	fmt.Fprintf(stdout, "RESULT %s\n", out)
+	return 0
 }
 
 // runService hosts this daemon's rank of the multi-tenant solver service:

@@ -1,0 +1,39 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// TestBadInputExitsTwoWithOneLine: a rank outside its world, an address list
+// of the wrong length, an arm nobody knows or a shape that does not fit is one
+// stderr line and exit 2, before a listener is opened: nothing is printed on
+// stdout, where the launcher reads the daemon's protocol lines.
+func TestBadInputExitsTwoWithOneLine(t *testing.T) {
+	two := []string{"-n", "2", "-addrs", "127.0.0.1:1,127.0.0.1:2"}
+	for _, tc := range []struct {
+		args []string
+		want string // what the line must name
+	}{
+		{nil, "need -rank"},
+		{append([]string{"-rank", "2"}, two...), "-rank in [0,2)"},
+		{append([]string{"-rank", "-1"}, two...), "-rank in [0,2)"},
+		{[]string{"-rank", "0", "-n", "2", "-addrs", "127.0.0.1:1"}, "2 comma-separated -addrs"},
+		{append([]string{"-rank", "0", "-arm", "nosuch"}, two...), `unknown arm "nosuch"`},
+		{append([]string{"-rank", "1", "-extent", "100", "-levels", "4"}, two...), "extent 100 not divisible"},
+		{append([]string{"-rank", "1", "-levels", "0"}, two...), "levels 0 too small"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		msg := stderr.String()
+		if strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "nccdd: ") || !strings.Contains(msg, tc.want) {
+			t.Errorf("%v: stderr %q, want one \"nccdd: \" line naming %q", tc.args, msg, tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: ran anyway: stdout %q", tc.args, stdout.String())
+		}
+	}
+}

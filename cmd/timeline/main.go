@@ -4,12 +4,14 @@
 // with receive-wait time coupled to all other ranks; under the binned
 // algorithm the lanes stay short and independent.
 //
-// Legend: C compute, S send, R receive (including wait), K skew, . idle.
+// Legend: C compute, S send, R receive (including wait), L local copy,
+// K skew, . idle.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"nccd/internal/core"
@@ -19,27 +21,40 @@ import (
 	"nccd/internal/obs/analyze"
 )
 
-func main() {
-	ranks := flag.Int("ranks", 12, "number of ranks")
-	width := flag.Int("width", 100, "chart width in characters")
-	doAnalyze := flag.Bool("analyze", false, "follow each chart with the cross-rank analyzer report: message matching, wait states, critical path, communication matrix")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args, refuses a chart no world could draw with one stderr line
+// and exit 2, and renders both algorithms to stdout.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("timeline", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	ranks := fs.Int("ranks", 12, "number of ranks")
+	width := fs.Int("width", 100, "chart width in characters")
+	doAnalyze := fs.Bool("analyze", false, "follow each chart with the cross-rank analyzer report: message matching, wait states, critical path, communication matrix")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *ranks < 1 || *width < 1 {
+		fmt.Fprintf(stderr, "timeline: -ranks %d -width %d: both must be at least 1\n", *ranks, *width)
+		return 2
+	}
 
 	for _, algo := range []mpi.AlltoallwAlgo{mpi.ATRoundRobin, mpi.ATBinned} {
 		cfg := mpi.Optimized()
 		cfg.Alltoallw = algo
-		fmt.Printf("=== Alltoallw (%v), %d ranks, ring-neighbor pattern ===\n", algo, *ranks)
-		w := render(*ranks, *width, cfg)
+		fmt.Fprintf(stdout, "=== Alltoallw (%v), %d ranks, ring-neighbor pattern ===\n", algo, *ranks)
+		w := render(stdout, *ranks, *width, cfg)
 		if *doAnalyze {
 			rep := analyze.Analyze(w.Tracer().Spans(),
 				analyze.Options{Ranks: *ranks, Dropped: w.Tracer().Dropped()})
-			rep.Render(os.Stdout)
+			rep.Render(stdout)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return 0
 }
 
-func render(n, width int, cfg mpi.Config) *mpi.World {
+func render(stdout io.Writer, n, width int, cfg mpi.Config) *mpi.World {
 	w := core.NewPaperWorld(n, cfg)
 	w.EnableTrace()
 	mat := datatype.Contiguous(100, datatype.Double)
@@ -74,7 +89,7 @@ func render(n, width int, cfg mpi.Config) *mpi.World {
 	}
 	// Only the kinds that make up a rank's sequential timeline are drawn;
 	// collective containers and pack phases overlap them.
-	symbol := map[string]byte{"compute": 'C', "send": 'S', "recv": 'R', "skew": 'K'}
+	symbol := map[string]byte{"compute": 'C', "send": 'S', "recv": 'R', "localcopy": 'L', "skew": 'K'}
 	for _, e := range w.Tracer().Spans() {
 		sym, ok := symbol[e.Kind]
 		if !ok || e.Clock != obs.ClockVirtual {
@@ -89,9 +104,9 @@ func render(n, width int, cfg mpi.Config) *mpi.World {
 			lanes[e.Rank][i] = sym
 		}
 	}
-	fmt.Printf("horizon: %.1f us\n", horizon*1e6)
+	fmt.Fprintf(stdout, "horizon: %.1f us\n", horizon*1e6)
 	for r, lane := range lanes {
-		fmt.Printf("rank %3d |%s|\n", r, lane)
+		fmt.Fprintf(stdout, "rank %3d |%s|\n", r, lane)
 	}
 	return w
 }

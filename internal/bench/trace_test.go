@@ -44,7 +44,7 @@ func TestTracedMultigridChromeExport(t *testing.T) {
 	}
 	counts := obs.CountEvents(evs)
 	for _, kind := range []string{
-		"send", "recv", "compute", // transport/timeline layer
+		"send", "recv", "localcopy", "compute", // transport/timeline layer
 		"pack", "unpack", // datatype engine
 		"mg_solve", "mg_cycle", "mg_level", "smooth", "restrict", "prolong", "coarse_solve", // solver stack
 	} {

@@ -152,3 +152,43 @@ func BenchmarkPlanKernels(b *testing.B) {
 	bench("8B/table/unpack", func() { p.Unpack(buf, stream) })
 	bench("8B/table-walk/pack", func() { copySegments(segs, buf, stream, false) })
 }
+
+// BenchmarkCopyPlan prices the typed local copy ("copy") against what it
+// replaced, a Pack into a stream and an Unpack out of it ("pack+unpack"), on
+// 384 KiB in each form of the program: two single segments, a single segment
+// into rows, and strided into strided in blocks of 8, 16 and 384 bytes.
+func BenchmarkCopyPlan(b *testing.B) {
+	const total = 384 << 10
+	strided := func(l, origin int) *Type {
+		return Struct([]int{origin}, []*Type{Hvector(total/l, l, 2*l, Byte)})
+	}
+	rows := Hvector(total/384, 384, 392, Byte)
+	for _, sh := range []struct {
+		name       string
+		send, recv *Type
+	}{
+		{"contiguous", Contiguous(total, Byte), strided(total, 64)},
+		{"rows-384B", Contiguous(total, Byte), rows},
+		{"strided-8B", strided(8, 0), strided(8, 8)},
+		{"strided-16B", strided(16, 0), strided(16, 16)},
+		{"strided-384B", strided(384, 0), rows},
+	} {
+		cp := CompileCopy(sh.send, 1, sh.recv, 1)
+		pack, unpack := CompilePlan(sh.send, 1), CompilePlan(sh.recv, 1)
+		src, dst, stream := mkbuf(sh.send, 1), mkbuf(sh.recv, 1), make([]byte, total)
+		for _, arm := range []struct {
+			name string
+			f    func()
+		}{
+			{"copy", func() { cp.Copy(dst, src) }},
+			{"pack+unpack", func() { pack.Pack(src, stream); unpack.Unpack(dst, stream) }},
+		} {
+			b.Run(sh.name+"/"+arm.name, func(b *testing.B) {
+				b.SetBytes(total)
+				for i := 0; i < b.N; i++ {
+					arm.f()
+				}
+			})
+		}
+	}
+}

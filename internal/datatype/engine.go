@@ -285,7 +285,9 @@ func NewUnpacker(t *Type, count int, buf []byte) *Unpacker {
 }
 
 // Consume scatters data into the next positions of the type map.  It panics
-// if more bytes arrive than the type map holds.
+// if more bytes arrive than the type map holds.  A segment counts once in the
+// metrics however many pieces it arrives in, so a stream consumed chunk by
+// chunk is accounted like one consumed whole.
 func (u *Unpacker) Consume(data []byte) {
 	for len(data) > 0 {
 		off, l, ok := u.cur.NextRun(len(data))
@@ -295,8 +297,8 @@ func (u *Unpacker) Consume(data []byte) {
 		copy(u.buf[off:off+l], data[:l])
 		data = data[l:]
 		u.m.PackedBytes += int64(l)
-		u.m.PackedSegments++
 	}
+	u.m.PackedSegments = u.cur.SegmentsSeen()
 }
 
 // Done reports whether the whole type map has been filled.

@@ -147,6 +147,11 @@ func TestUnpackerIncrementalArbitrarySlices(t *testing.T) {
 		if !u.Done() {
 			t.Fatalf("unpacker not done after full stream: %d of %d written", u.BytesWritten(), len(packed))
 		}
+		whole := NewUnpacker(tc.ty, tc.count, make([]byte, len(src)))
+		whole.Consume(packed)
+		if u.Metrics() != whole.Metrics() {
+			t.Fatalf("piecewise unpack counted %+v, the stream consumed whole %+v", u.Metrics(), whole.Metrics())
+		}
 		for _, s := range Flatten(tc.ty, tc.count) {
 			if !bytes.Equal(dst[s.Off:s.Off+s.Len], src[s.Off:s.Off+s.Len]) {
 				t.Fatalf("segment %v differs", s)

@@ -33,23 +33,25 @@ func (in *fuzzIn) next() int {
 func (in *fuzzIn) next16() int { return in.next() | in.next()<<8 }
 
 // Block lengths and gaps of the long-run constructors: the 8- and 16-byte
-// word kernels, a multiple of 8 that is neither, a whole 96-double row, and
-// lengths no word loop can take; gaps that keep a run word-aligned, that
-// break its alignment, and the strides of the x- and y-split ghost faces of
-// a 96^3 grid.
+// word kernels, a multiple of 8 that is neither, a whole 96-double row,
+// lengths no word loop can take, and the owned row and the owned slab of a
+// 96^3 grid split in x and in y; gaps that keep a run word-aligned, that
+// break its alignment, the strides of the x- and y-split ghost faces of that
+// grid, the ghost row between its owned slabs, and none at all.
 var (
-	fuzzBlockLens = []int{8, 16, 24, 768, 1, 4}
-	fuzzGaps      = []int{8, 1, 16, 760, 3, 72960}
+	fuzzBlockLens = []int{8, 16, 24, 768, 1, 4, 384, 36864}
+	fuzzGaps      = []int{8, 1, 16, 760, 3, 72960, 768, 0}
 )
 
 // fuzzType decodes a type tree: the MPI constructors with counts and block
 // lengths 0-3 (so zero-length and 1-byte blocks are common) and odd byte
-// displacements, plus two leaves the small counts cannot reach: a long
-// arithmetic run and a long irregular list of uniform blocks.  Type maps
-// never overlap themselves (MPI forbids that of a receive type, and a
-// sharded unpack of one is order-dependent) but may run backwards.
+// displacements, plus three leaves the small counts cannot reach: a long
+// arithmetic run, a long irregular list of uniform blocks and a sub-box of a
+// box of doubles.  Type maps never overlap themselves (MPI forbids that of a
+// receive type, and a sharded unpack of one is order-dependent) but may run
+// backwards.
 func fuzzType(in *fuzzIn, depth int) *datatype.Type {
-	op := in.next() % 13
+	op := in.next() % 14
 	if depth == 0 {
 		op %= 3
 	}
@@ -134,6 +136,14 @@ func fuzzType(in *fuzzIn, depth int) *datatype.Type {
 			t = datatype.Struct([]int{origin}, []*datatype.Type{t})
 		}
 		return t
+	case 13:
+		sizes, subsizes, starts := make([]int, 3), make([]int, 3), make([]int, 3)
+		for d := range sizes {
+			sizes[d] = 1 + in.next()%64
+			subsizes[d] = in.next() % (sizes[d] + 1)
+			starts[d] = in.next() % (sizes[d] - subsizes[d] + 1)
+		}
+		return datatype.Subarray(sizes, subsizes, starts, datatype.Double)
 	default:
 		bl, n := []int{8, 16, 1}[in.next()%3], in.next16()%4096
 		lcg, unit := uint32(in.next16()), []int{8, 1}[in.next()%2]
@@ -310,6 +320,101 @@ func checkScatter(t *testing.T, segs []datatype.Segment, span int) {
 	}
 }
 
+// cutTo returns a layout of exactly size bytes: (ty, count) itself when that
+// is its size, else the first size bytes of its type map as a list of byte
+// blocks.
+func cutTo(ty *datatype.Type, count, size int) (*datatype.Type, int) {
+	if ty.Size()*count == size {
+		return ty, count
+	}
+	var lens, displs []int
+	for _, s := range datatype.Flatten(ty, count) {
+		n := min(s.Len, size)
+		if n == 0 {
+			break
+		}
+		lens, displs = append(lens, n), append(displs, s.Off)
+		size -= n
+	}
+	return datatype.Hindexed(lens, displs, datatype.Byte), 1
+}
+
+// checkCopy is the body of the copy fuzz target and of the named copy
+// shapes: the bytes of the send layout must land in the receive layout as the
+// oracle's Pack then Unpack leaves them, every other byte of the receive
+// buffer untouched, by the copy program alone and by a one-rank Alltoallw
+// under all three engines, which sends no message for it.  Layouts of
+// different sizes are cut to the smaller one first.
+func checkCopy(t *testing.T, st *datatype.Type, scount int, rt *datatype.Type, rcount int, sendShift, recvShift int) {
+	if st.Blocks()*scount > fuzzMaxBlocks || rt.Blocks()*rcount > fuzzMaxBlocks {
+		t.Skip("type map too large")
+	}
+	size := min(st.Size()*scount, rt.Size()*rcount)
+	st, scount = cutTo(st, scount, size)
+	rt, rcount = cutTo(rt, rcount, size)
+	sspan, rspan := datatype.RequiredBytes(st, scount), datatype.RequiredBytes(rt, rcount)
+	if sspan > fuzzMaxSpan || rspan > fuzzMaxSpan {
+		t.Skip("type map too large")
+	}
+	src := shifted(sspan, sendShift)
+	fillPattern(src, 17)
+	stream := make([]byte, size)
+	datatype.OraclePack(datatype.Flatten(st, scount), src, stream)
+	image := shifted(rspan, recvShift)
+	fillPattern(image, 99)
+	datatype.OracleUnpack(datatype.Flatten(rt, rcount), image, stream)
+
+	cp := datatype.CompileCopy(st, scount, rt, rcount)
+	dst := shifted(rspan, recvShift)
+	fillPattern(dst, 99)
+	cp.Copy(dst, src)
+	if !bytes.Equal(dst, image) {
+		t.Fatalf("%v x%d into %v x%d (shifts %d/%d): copy differs from oracle pack then unpack",
+			st, scount, rt, rcount, sendShift, recvShift)
+	}
+	if n := testing.AllocsPerRun(1, func() { cp.Copy(dst, src) }); n != 0 {
+		t.Fatalf("%v x%d into %v x%d: copy allocates %v times", st, scount, rt, rcount, n)
+	}
+
+	for _, cfg := range []mpi.Config{mpi.Baseline(), mpi.Optimized(), mpi.Compiled()} {
+		w := mpi.NewWorld(simnet.Uniform(1, simnet.IBDDR()), cfg)
+		err := w.Run(func(c *mpi.Comm) error {
+			fillPattern(dst, 99)
+			c.Alltoallw(src, []mpi.TypeSpec{{Type: st, Count: scount}}, dst, []mpi.TypeSpec{{Type: rt, Count: rcount}})
+			if !bytes.Equal(dst, image) {
+				return fmt.Errorf("%v x%d into %v x%d, %v engine, %v: Alltoallw to self differs from oracle pack then unpack",
+					st, scount, rt, rcount, cfg.Engine, cfg.Alltoallw)
+			}
+			if st := c.Stats(); st.MsgsSent != 0 || st.MsgsRecv != 0 {
+				return fmt.Errorf("%v engine, %v: the local part counted %d sends, %d receives", cfg.Engine, cfg.Alltoallw, st.MsgsSent, st.MsgsRecv)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// FuzzCopyMatchesOracle decodes (buffer shifts, count and type tree of the
+// send side, count and type tree of the receive side) from the input and runs
+// checkCopy.  The seed corpus holds the local parts of a 96^3 ghost update
+// split in x and in y (the owned box, contiguous, into the interior of the
+// ghosted box: 9216 rows of 384 B, 96 slabs of 36864 B), a restriction patch
+// (sub-box into sub-box, both strided), the Fig. 16 evens into the odds, an
+// irregular list into a strided run, misaligned bases and a zero-size pair.
+func FuzzCopyMatchesOracle(f *testing.F) {
+	f.Add([]byte{3, 5, 2, 4, 3, 2, 1, 1, 1, 7, 3, 0, 2, 1, 2, 3, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := &fuzzIn{data}
+		sendShift, recvShift := in.next()%8, in.next()%8
+		scount := in.next() % 4
+		st := fuzzType(in, 3)
+		rcount := in.next() % 4
+		checkCopy(t, st, scount, fuzzType(in, 3), rcount, sendShift, recvShift)
+	})
+}
+
 // FuzzPlanKernelsMatchOracle decodes (count, buffer shifts, type tree) from
 // the input and runs checkKernels.  The seed corpus under testdata/fuzz
 // holds the Fig. 16 evens and odds types, an ex49-style irregular list of
@@ -324,10 +429,13 @@ func FuzzPlanKernelsMatchOracle(f *testing.F) {
 	})
 }
 
-// TestPlanKernelsNamedShapes runs the fuzz body on shapes the decoder cannot
-// spell: the four typed messages of mpi's TestRepresentationDifferential
-// (ex49's zero-length and 1-byte entries between multi-KiB runs among them)
-// and a struct alternating 8- and 16-byte fields, at every buffer shift.
+// TestPlanKernelsNamedShapes runs the fuzz bodies on named shapes: the four
+// typed messages of mpi's TestRepresentationDifferential (ex49's zero-length
+// and 1-byte entries between multi-KiB runs among them) and a struct
+// alternating 8- and 16-byte fields, which the decoder cannot spell, through
+// checkKernels; the local parts of an x- and a y-split ghost update and of a
+// restriction patch, and pairs of the former, through checkCopy; all at every
+// buffer shift.
 func TestPlanKernelsNamedShapes(t *testing.T) {
 	pair := datatype.Struct([]int{0, 16}, []*datatype.Type{datatype.Double, datatype.Contiguous(2, datatype.Double)})
 	for _, sh := range []struct {
@@ -346,6 +454,33 @@ func TestPlanKernelsNamedShapes(t *testing.T) {
 		t.Run(sh.name, func(t *testing.T) {
 			for shift := 0; shift < 8; shift++ {
 				checkKernels(t, sh.t, sh.count, shift, (shift*3)%8)
+			}
+		})
+	}
+
+	const n = 96 // the grid the ghost boxes are cut from; the patch is a level below
+	owned := datatype.Contiguous(n*n*n/2, datatype.Double)
+	ex49 := datatype.Hindexed(
+		[]int{0, 1, 4096, 0, 1, 8192, 2, 0, 1, 2048},
+		[]int{0, 0, 64, 4500, 4503, 4600, 13000, 13500, 13507, 14000}, datatype.Byte)
+	for _, sh := range []struct {
+		name           string
+		send, recv     *datatype.Type
+		scount, rcount int
+	}{
+		{"xsplit-ghost-interior", owned, datatype.Subarray([]int{n, n, n/2 + 1}, []int{n, n, n / 2}, []int{0, 0, 0}, datatype.Double), 1, 1},
+		{"ysplit-ghost-interior", owned, datatype.Subarray([]int{n, n/2 + 1, n}, []int{n, n / 2, n}, []int{0, 1, 0}, datatype.Double), 1, 1},
+		{"restrict-patch", datatype.Subarray([]int{24, 48, 48}, []int{12, 24, 24}, []int{6, 12, 12}, datatype.Double),
+			datatype.Subarray([]int{14, 26, 26}, []int{12, 24, 24}, []int{1, 1, 1}, datatype.Double), 1, 1},
+		{"evens-to-odds", datatype.Vector(512, 1, 2, datatype.Double),
+			datatype.Struct([]int{8}, []*datatype.Type{datatype.Vector(512, 1, 2, datatype.Double)}), 1, 1},
+		{"ex49-to-alternating-8-16", ex49, datatype.Resized(pair, 40), 1, 598},
+		{"alternating-8-16-to-contiguous", datatype.Resized(pair, 40), datatype.Contiguous(4096, datatype.Byte), 300, 2},
+		{"empty", datatype.Hindexed([]int{0, 0}, []int{0, 8}, datatype.Byte), datatype.Contiguous(0, datatype.Double), 3, 1},
+	} {
+		t.Run("copy/"+sh.name, func(t *testing.T) {
+			for shift := 0; shift < 8; shift++ {
+				checkCopy(t, sh.send, sh.scount, sh.recv, sh.rcount, shift, (shift*3)%8)
 			}
 		})
 	}

@@ -25,16 +25,21 @@ const (
 	kernWord2               // 16-byte blocks, two uint64s each
 )
 
-// run is count blocks of blockLen bytes, block i at user offset tab[i], or
-// at off + i*stride when tab is nil, packed back to back from stream offset
-// dst.
-type run struct {
+// side locates the blocks of a run in one buffer: block i at tab[i], or at
+// off + i*stride when tab is nil.
+type side struct {
 	off, stride int
 	tab         []int
-	dst         int
-	blockLen    int
-	count       int
-	kern        kernel
+}
+
+// run is count blocks of blockLen bytes, located in the user buffer by side
+// and packed back to back from stream offset dst.
+type run struct {
+	side
+	dst      int
+	blockLen int
+	count    int
+	kern     kernel
 }
 
 // minStridedBlocks is the shortest arithmetic progression worth a run of its
@@ -43,69 +48,91 @@ type run struct {
 // header per two or three.
 const minStridedBlocks = 4
 
-// compileRuns lowers a coalesced segment list into the kernel program, in
-// one pass, and returns it with the total bytes it moves.
-func compileRuns(segs []Segment) (runs []run, bytes int) {
-	// emit appends segs[a:b], equal-length blocks, as one run: strided when
-	// the caller knows the offsets to be arithmetic, a table otherwise.
-	emit := func(a, b int, arithmetic bool) {
-		if a == b {
-			return
-		}
-		r := run{off: segs[a].Off, dst: bytes, blockLen: segs[a].Len, count: b - a}
-		switch {
-		case arithmetic && b-a > 1:
-			r.stride = segs[a+1].Off - segs[a].Off
-		case !arithmetic:
-			r.tab = make([]int, b-a)
-			for j := range r.tab {
-				r.tab[j] = segs[a+j].Off
-			}
-		}
-		r.kern = r.classify()
-		runs = append(runs, r)
-		bytes += r.count * r.blockLen
-	}
-	// segs[pending:k] are equal-length blocks not yet emitted, none of whose
-	// progressions reached minStridedBlocks; up to two of them are a
-	// progression anyway, more go into a table.
+// encodeRuns run-length-encodes a list of blocks that lie at a[i] in one
+// buffer and at b[i], a segment of the same length, in another; a nil b says
+// they are packed back to back there, as in a Plan's stream.  It calls
+// emit(i, j, arithmetic) for consecutive stretches [i, j) of equal-length
+// blocks: arithmetic where the offsets advance by constant steps on both
+// sides (a strided run), not otherwise (a run with offset tables).
+func encodeRuns(a, b []Segment, emit func(i, j int, arithmetic bool)) {
+	// Blocks [pending, k) are of equal length and not yet emitted, none of
+	// their progressions having reached minStridedBlocks; up to two of them
+	// are a progression anyway, more go into a table.
 	pending := 0
-	for k := 0; k < len(segs); {
-		// segs[k:e] is the longest arithmetic progression of equal-length
-		// blocks starting at k.
-		l, e := segs[k].Len, k+1
-		if e < len(segs) && segs[e].Len == l {
-			d := segs[e].Off - segs[k].Off
-			for e++; e < len(segs) && segs[e].Len == l && segs[e].Off-segs[e-1].Off == d; e++ {
+	for k := 0; k < len(a); {
+		// [k, e) is the longest arithmetic progression of equal-length blocks
+		// starting at k.
+		l, e := a[k].Len, k+1
+		if e < len(a) && a[e].Len == l {
+			da, db := a[e].Off-a[k].Off, 0
+			if b != nil {
+				db = b[e].Off - b[k].Off
+			}
+			for e++; e < len(a) && a[e].Len == l && a[e].Off-a[e-1].Off == da &&
+				(b == nil || b[e].Off-b[e-1].Off == db); e++ {
 			}
 		}
 		switch {
 		case e-k >= minStridedBlocks:
-			emit(pending, k, k-pending <= 2)
+			if pending < k {
+				emit(pending, k, k-pending <= 2)
+			}
 			emit(k, e, true)
 			pending, k = e, e
-		case e < len(segs) && segs[e].Len == l:
+		case e < len(a) && a[e].Len == l:
 			k = e - 1 // same length goes on: the last block may start the next progression
 		default:
 			emit(pending, e, e-pending <= 2)
 			pending, k = e, e
 		}
 	}
+}
+
+// compileRuns lowers a coalesced segment list into the kernel program, in
+// one pass, and returns it with the total bytes it moves.
+func compileRuns(segs []Segment) (runs []run, bytes int) {
+	encodeRuns(segs, nil, func(i, j int, arithmetic bool) {
+		r := run{side: sideOf(segs[i:j], arithmetic), dst: bytes, blockLen: segs[i].Len, count: j - i}
+		r.kern = classify(r.blockLen, r.dst%8 == 0 && r.aligned())
+		runs = append(runs, r)
+		bytes += r.count * r.blockLen
+	})
 	return runs, bytes
 }
 
-// classify picks the run's copy loop.  The word loops need every offset they
-// touch, user side and stream side, on the 8-byte grid; whether the buffers
-// themselves start on it is known only at run time (see exec).
-func (r *run) classify() kernel {
-	aligned := r.dst%8 == 0 && r.off%8 == 0 && r.stride%8 == 0
-	for _, o := range r.tab {
-		aligned = aligned && o%8 == 0
+// sideOf locates the blocks of one run, segs, in their buffer: by the step
+// from each to the next when the run is arithmetic, by a table of the offsets
+// when it is not.
+func sideOf(segs []Segment, arithmetic bool) side {
+	s := side{off: segs[0].Off}
+	if !arithmetic {
+		s.tab = make([]int, len(segs))
+		for i := range s.tab {
+			s.tab[i] = segs[i].Off
+		}
+	} else if len(segs) > 1 {
+		s.stride = segs[1].Off - s.off
 	}
+	return s
+}
+
+// aligned reports whether every offset of the side is on the 8-byte grid.
+func (s *side) aligned() bool {
+	ok := s.off%8 == 0 && s.stride%8 == 0
+	for _, o := range s.tab {
+		ok = ok && o%8 == 0
+	}
+	return ok
+}
+
+// classify picks a run's copy loop.  The word loops need every offset they
+// touch, in both buffers, on the 8-byte grid; whether the buffers themselves
+// start on it is known only at run time (see exec).
+func classify(blockLen int, aligned bool) kernel {
 	switch {
-	case aligned && r.blockLen == 8:
+	case aligned && blockLen == 8:
 		return kernWord1
-	case aligned && r.blockLen == 16:
+	case aligned && blockLen == 16:
 		return kernWord2
 	}
 	return kernCopy

@@ -52,22 +52,22 @@ func (c *Comm) Alltoallw(sendbuf []byte, sends []TypeSpec, recvbuf []byte, recvs
 }
 
 // Exchange is a persistent Alltoallw, after MPI-4's MPI_Alltoallw_init: what
-// the specs determine — the compiled plan of every peer's layout, the peers
-// a receive is posted for, the order of the sends with the small bin ahead
-// of the large one, the zero-bin count, a request slot per receive — is
-// worked out once by AlltoallwInit, and each Start/Wait pair runs one
-// exchange over it with no plan-cache lookup, no rescan of the ranks and no
-// allocation.  An Exchange belongs to its Comm's rank and carries at most
-// one exchange at a time.
+// the specs determine — the compiled plan of every peer's layout, the copy
+// program of the rank's own slot, the peers a receive is posted for, the
+// order of the sends with the small bin ahead of the large one, the zero-bin
+// count, a request slot per receive — is worked out once by AlltoallwInit,
+// and each Start/Wait pair runs one exchange over it with no plan-cache
+// lookup, no rescan of the ranks and no allocation.  An Exchange belongs to
+// its Comm's rank and carries at most one exchange at a time.
 type Exchange struct {
 	c            *Comm
 	sends, recvs []TypeSpec
 
-	selfSend, selfRecv *datatype.Plan
-	in                 []exchRecv // peers with a nonzero receive, ascending
-	out                []exchSend // peers with a nonzero send: out[:nSmall] the small bin, ascending, then the large
-	nSmall, zeroBin    int
-	vol                int64 // bytes the send specs describe, for the trace span
+	local           *datatype.CopyPlan // sends[me] into recvs[me]; see localCopy
+	in              []exchRecv         // peers with a nonzero receive, ascending
+	out             []exchSend         // peers with a nonzero send: out[:nSmall] the small bin, ascending, then the large
+	nSmall, zeroBin int
+	vol             int64 // bytes the send specs describe, for the trace span
 
 	// The exchange in flight.
 	started            bool
@@ -96,8 +96,11 @@ func (c *Comm) AlltoallwInit(sends, recvs []TypeSpec) *Exchange {
 	}
 	me := c.rank
 	thresh := c.w.cfg.BinThresholdBytes
-	e := &Exchange{c: c, sends: sends, recvs: recvs,
-		selfSend: c.planOf(sends[me]), selfRecv: c.planOf(recvs[me])}
+	e := &Exchange{c: c, sends: sends, recvs: recvs}
+	// A local part whose two sides differ in size is refused by localCopy.
+	if b := sends[me].Bytes(); b > 0 && b == recvs[me].Bytes() && c.w.cfg.Engine == datatype.CompiledPlans {
+		e.local = datatype.CompileCopy(sends[me].Type, sends[me].Count, recvs[me].Type, recvs[me].Count)
+	}
 	nIn, nOut := 0, 0
 	for r := 0; r < n; r++ {
 		e.vol += int64(sends[r].Bytes())
@@ -152,10 +155,11 @@ func (c *Comm) planOf(s TypeSpec) *datatype.Plan {
 // contig reports whether the spec's bytes lie back to back in the buffer.
 func (s TypeSpec) contig() bool { return s.Type.Contig() && s.Type.Size() == s.Type.Extent() }
 
-// Start begins one exchange: the local part is applied, the receives are
+// Start begins one exchange: the local part is copied, the receives are
 // posted and every send is packed and launched, small bin first.  sendbuf
 // must not change and recvbuf must not be read until Wait returns; the caller
-// may compute in between.  A typed communication error raised here leaves
+// may compute in between.  As MPI requires of MPI_Alltoallw, sendbuf and
+// recvbuf must not overlap.  A typed communication error raised here leaves
 // the Exchange idle, so a Guard-ed caller may Start again.
 func (e *Exchange) Start(sendbuf, recvbuf []byte) {
 	if e.started {
@@ -170,7 +174,7 @@ func (e *Exchange) Start(sendbuf, recvbuf []byte) {
 		// The baseline couples every pair; it cannot route around a dead
 		// peer, so it fails fast instead.  It has nothing left to wait for.
 		c.requireLive()
-		c.a2awRoundRobin(tag, sendbuf, e.sends, recvbuf, e.recvs)
+		c.a2awRoundRobin(tag, sendbuf, e.sends, recvbuf, e.recvs, e.local)
 		for i := range e.in {
 			e.in[i].req = Request{done: true}
 		}
@@ -193,10 +197,9 @@ func (e *Exchange) startBinned(tag int, sendbuf, recvbuf []byte) {
 	anyDown := c.w.anyDown.Load()
 	dead := func(r int) bool { return anyDown && c.w.deadRank(c.worldRank(r)) }
 
-	// Local exchange needs no wire.
+	// The local part needs no wire and no message.
 	if e.sends[me].Bytes() > 0 || e.recvs[me].Bytes() > 0 {
-		c.sendSpec(me, tag, sendbuf, e.sends[me], e.selfSend)
-		c.recvSpec(me, tag, recvbuf, e.recvs[me], e.selfRecv)
+		c.localCopy(sendbuf, e.sends[me], recvbuf, e.recvs[me], e.local)
 	}
 
 	// Post all nonzero receives up front.  A dead peer contributes nothing —
@@ -260,6 +263,110 @@ func (e *Exchange) Wait() {
 	}
 }
 
+// localCopy moves the calling rank's own slot of an exchange, the bytes of s
+// in sendbuf into the layout r of recvbuf, with no message: no packed image,
+// no envelope, nothing in Stats' message counts or on the CommMatrix
+// diagonal.  Under the compiled-plan engine it runs cp, the copy program of
+// the pair; the streaming engines pipe the Packer's chunks through the rank's
+// scratch buffer into the receive layout.
+//
+// The virtual clock models the paper's MPI, which does send to itself, so it
+// is charged what that message was charged, the same increments in the same
+// order: send overhead, each granule's pack and search time, receive
+// overhead, unpack.  The checks of that message stay too: an injected crash
+// fires before and after, a revoked communicator raises ErrRevoked before
+// recvbuf is touched, and the two sides must agree in size.
+func (c *Comm) localCopy(sendbuf []byte, s TypeSpec, recvbuf []byte, r TypeSpec, cp *datatype.CopyPlan) {
+	p := c.me
+	prm := &c.w.cluster.Params
+	c.maybeCrash()
+	if c.w.isRevoked(c.ctx) {
+		throwErr(&RevokedError{Call: c.callOr("Send")})
+	}
+	n := s.Bytes()
+	if want := r.Bytes(); n != want {
+		panic(fmt.Sprintf("mpi: type map of %d bytes but payload is %d bytes", want, n))
+	}
+	start := p.clock
+	packed, unpacked := n > 0 && !s.contig(), n > 0 && !r.contig() // else a contiguous message: no CPU
+	var src, dst []byte
+	if n > 0 {
+		src, dst = sendbuf[s.Displ:], recvbuf[r.Displ:]
+	}
+
+	p.clock += c.linkTo(c.rank).SendOverhead / p.speed
+	var sent, rcvd datatype.Metrics
+	opt := c.w.cfg.Datatype.WithDefaults()
+	if c.w.cfg.Engine == datatype.CompiledPlans {
+		if packed {
+			var packPerChunk float64
+			sent, packPerChunk = c.planPackCost(n, cp.SendSegments())
+			for i := int64(0); i < sent.Chunks; i++ {
+				p.clock += packPerChunk
+				p.stats.PackSec += packPerChunk
+			}
+		}
+		if unpacked {
+			rcvd = datatype.Metrics{PackedBytes: int64(n), PackedSegments: int64(cp.RecvSegments())}
+		}
+		if n > 0 {
+			cp.Copy(dst, src)
+		}
+	} else if n > 0 {
+		// land appends a piece of the packed stream to the receive layout.
+		var u *datatype.Unpacker
+		if unpacked {
+			u = datatype.NewUnpacker(r.Type, r.Count, dst)
+		}
+		at := 0
+		land := func(piece []byte) {
+			if u != nil {
+				u.Consume(piece)
+			} else {
+				at += copy(dst[at:n], piece)
+			}
+		}
+		if packed {
+			packer := datatype.NewPacker(c.w.cfg.Engine, s.Type, s.Count, src, opt)
+			scratch := p.scratchBuf(opt.Pipeline)
+			for {
+				chunk, ok := packer.NextChunk(scratch)
+				if !ok {
+					break
+				}
+				packSec, searchSec := c.chunkCost(packer.Metrics(), sent)
+				p.clock += packSec + searchSec
+				p.stats.PackSec += packSec
+				p.stats.SearchSec += searchSec
+				sent = packer.Metrics()
+				if chunk.Direct {
+					for _, seg := range chunk.Segs {
+						land(src[seg.Off : seg.Off+seg.Len])
+					}
+				} else {
+					land(chunk.Data)
+				}
+			}
+		} else {
+			land(src[:n])
+		}
+		if u != nil {
+			rcvd = u.Metrics()
+		}
+	}
+	p.stats.Datatype.Add(sent)
+
+	p.clock += prm.RecvOverhead / p.speed
+	c.maybeCrash()
+	if unpacked {
+		c.chargeUnpack(rcvd)
+	}
+	if p.tracer.Enabled() {
+		p.tracer.Emit(obs.Span{Rank: p.rank, Kind: "localcopy", Peer: -1,
+			Bytes: int64(n), Start: start, End: p.clock, Clock: obs.ClockVirtual})
+	}
+}
+
 // sendSpec transmits one spec to dst (possibly zero bytes, which still
 // costs a message).  plan is the spec's compiled plan when the caller holds
 // it, nil otherwise.
@@ -283,11 +390,13 @@ func (c *Comm) recvSpec(src, tag int, buf []byte, s TypeSpec, plan *datatype.Pla
 }
 
 // a2awRoundRobin is the baseline: N sequential pairwise exchanges, peer k
-// of rank r being (r+k) mod N, zero-byte pairs included.
-func (c *Comm) a2awRoundRobin(tag int, sendbuf []byte, sends []TypeSpec, recvbuf []byte, recvs []TypeSpec) {
+// of rank r being (r+k) mod N, zero-byte pairs included.  Step 0 is the
+// rank's own slot, which local copies.
+func (c *Comm) a2awRoundRobin(tag int, sendbuf []byte, sends []TypeSpec, recvbuf []byte, recvs []TypeSpec, local *datatype.CopyPlan) {
 	n := c.Size()
 	me := c.rank
-	for k := 0; k < n; k++ {
+	c.localCopy(sendbuf, sends[me], recvbuf, recvs[me], local)
+	for k := 1; k < n; k++ {
 		dst := (me + k) % n
 		src := (me - k + n) % n
 		c.sendSpec(dst, tag, sendbuf, sends[dst], nil)

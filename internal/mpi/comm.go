@@ -213,7 +213,6 @@ func (m *outMsg) contiguous(data []byte) {
 // holds it; nil has the compiled-plan engine look it up in the cache.
 func (c *Comm) resolve(m *outMsg, t *datatype.Type, count int, buf []byte, plan *datatype.Plan) {
 	p := c.me
-	prm := &c.w.cluster.Params
 	if t.Contig() && t.Size() == t.Extent() {
 		m.contiguous(buf[:t.Size()*count])
 		return
@@ -223,14 +222,12 @@ func (c *Comm) resolve(m *outMsg, t *datatype.Type, count int, buf []byte, plan 
 		if plan == nil {
 			plan = datatype.PlanFor(t, count)
 		}
-		nsegs := plan.NumSegments()
 		m.bytes = plan.Bytes()
 		m.wire, m.engine = datatype.GetBuffer(m.bytes), "compiled-plan"
 		plan.Pack(buf, m.wire)
 		m.pipelined = m.bytes > opt.Pipeline
-		chunks := max(1, (m.bytes+opt.Pipeline-1)/opt.Pipeline)
-		packPerChunk := (prm.PackPerByte*float64(m.bytes) +
-			prm.SegOverhead*float64(nsegs)) / p.speed / float64(chunks)
+		var packPerChunk float64
+		m.metrics, packPerChunk = c.planPackCost(m.bytes, plan.NumSegments())
 		for remaining := m.bytes; ; {
 			sz := min(remaining, opt.Pipeline)
 			m.granules = append(m.granules, granule{packSec: packPerChunk, bytes: sz})
@@ -238,8 +235,6 @@ func (c *Comm) resolve(m *outMsg, t *datatype.Type, count int, buf []byte, plan 
 				break
 			}
 		}
-		m.metrics = datatype.Metrics{Chunks: int64(chunks),
-			PackedBytes: int64(m.bytes), PackedSegments: int64(nsegs)}
 		return
 	}
 
@@ -260,15 +255,10 @@ func (c *Comm) resolve(m *outMsg, t *datatype.Type, count int, buf []byte, plan 
 		if !ok {
 			break
 		}
-		// Charge CPU for the work this chunk performed.
-		now, prev := packer.Metrics(), m.metrics
-		m.granules = append(m.granules, granule{bytes: chunk.Bytes,
-			packSec: (prm.PackPerByte*float64(now.PackedBytes-prev.PackedBytes) +
-				prm.SegOverhead*float64(now.PackedSegments-prev.PackedSegments) +
-				prm.GatherSegOverhead*float64(now.DirectSegments-prev.DirectSegments) +
-				prm.ScanPerSeg*float64(now.ScannedSegments-prev.ScannedSegments)) / p.speed,
-			searchSec: prm.SearchPerSeg * float64(now.SearchSegments-prev.SearchSegments) / p.speed})
-		m.metrics = now
+		g := granule{bytes: chunk.Bytes}
+		g.packSec, g.searchSec = c.chunkCost(packer.Metrics(), m.metrics)
+		m.granules = append(m.granules, g)
+		m.metrics = packer.Metrics()
 		if chunk.Direct {
 			for _, s := range chunk.Segs {
 				m.wire = append(m.wire, buf[s.Off:s.Off+s.Len]...)
@@ -277,6 +267,30 @@ func (c *Comm) resolve(m *outMsg, t *datatype.Type, count int, buf []byte, plan 
 			m.wire = append(m.wire, chunk.Data...)
 		}
 	}
+}
+
+// planPackCost prices packing bytes bytes of nsegs coalesced segments through
+// a compiled plan: the engine work it counts as, and the CPU time of each of
+// its pipeline chunks.
+func (c *Comm) planPackCost(bytes, nsegs int) (m datatype.Metrics, packPerChunk float64) {
+	prm := &c.w.cluster.Params
+	pipeline := c.w.cfg.Datatype.WithDefaults().Pipeline
+	chunks := max(1, (bytes+pipeline-1)/pipeline)
+	packPerChunk = (prm.PackPerByte*float64(bytes) +
+		prm.SegOverhead*float64(nsegs)) / c.me.speed / float64(chunks)
+	return datatype.Metrics{Chunks: int64(chunks),
+		PackedBytes: int64(bytes), PackedSegments: int64(nsegs)}, packPerChunk
+}
+
+// chunkCost prices the work a streaming Packer did for one chunk, the step
+// from prev to now of its counters.
+func (c *Comm) chunkCost(now, prev datatype.Metrics) (packSec, searchSec float64) {
+	prm := &c.w.cluster.Params
+	packSec = (prm.PackPerByte*float64(now.PackedBytes-prev.PackedBytes) +
+		prm.SegOverhead*float64(now.PackedSegments-prev.PackedSegments) +
+		prm.GatherSegOverhead*float64(now.DirectSegments-prev.DirectSegments) +
+		prm.ScanPerSeg*float64(now.ScannedSegments-prev.ScannedSegments)) / c.me.speed
+	return packSec, prm.SearchPerSeg * float64(now.SearchSegments-prev.SearchSegments) / c.me.speed
 }
 
 // post is the one send pipeline: every outgoing message is charged,
@@ -431,7 +445,6 @@ func (c *Comm) unpackInto(payload []byte, t *datatype.Type, count int, buf []byt
 		return
 	}
 	p := c.me
-	prm := &c.w.cluster.Params
 	var m datatype.Metrics
 	if c.w.cfg.Engine == datatype.CompiledPlans {
 		if plan == nil {
@@ -444,18 +457,26 @@ func (c *Comm) unpackInto(payload []byte, t *datatype.Type, count int, buf []byt
 		u.Consume(payload)
 		m = u.Metrics()
 	}
-	packSec := (prm.PackPerByte*float64(m.PackedBytes) +
-		prm.SegOverhead*float64(m.PackedSegments)) / p.speed
 	unpackStart := p.clock
-	p.clock += packSec
-	p.stats.PackSec += packSec
-	p.stats.Datatype.Add(m)
+	c.chargeUnpack(m)
 	if p.tracer.Enabled() {
 		p.tracer.Emit(obs.Span{Rank: p.rank, Kind: "unpack", Peer: -1,
 			Bytes: int64(len(payload)), Start: unpackStart, End: p.clock, Clock: obs.ClockVirtual,
 			Attrs: []obs.Attr{{Key: "segments", Val: strconv.FormatInt(m.PackedSegments, 10)}}})
 	}
 	datatype.PutBuffer(payload)
+}
+
+// chargeUnpack charges the CPU time of scattering a payload into a
+// noncontiguous layout, m being the work the engine counted for it.
+func (c *Comm) chargeUnpack(m datatype.Metrics) {
+	p := c.me
+	prm := &c.w.cluster.Params
+	packSec := (prm.PackPerByte*float64(m.PackedBytes) +
+		prm.SegOverhead*float64(m.PackedSegments)) / p.speed
+	p.clock += packSec
+	p.stats.PackSec += packSec
+	p.stats.Datatype.Add(m)
 }
 
 // ChargeHandPack charges virtual CPU time for an application-level

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nccd/internal/datatype"
+	"nccd/internal/obs"
 	"nccd/internal/simnet"
 )
 
@@ -30,7 +31,9 @@ func exchangeSpecs(n, me int) (sends, recvs []TypeSpec) {
 // TestExchangeMatchesAlltoallw: a persistent Exchange reused over several
 // rounds of fresh data, with unrelated work between Start and Wait, leaves
 // exactly the bytes, the message counts and the virtual clock of as many
-// one-shot Alltoallw calls — under every engine and both algorithms.
+// one-shot Alltoallw calls — under every engine and both algorithms.  The
+// counts are those of the peers alone: the slot a rank keeps for itself is no
+// message.
 func TestExchangeMatchesAlltoallw(t *testing.T) {
 	const n, rounds = 5, 3
 	cfgs := map[string]Config{"baseline": Baseline(), "optimized": Optimized(), "compiled": Compiled()}
@@ -75,7 +78,16 @@ func TestExchangeMatchesAlltoallw(t *testing.T) {
 				return out
 			}
 			oneShot, persistent := runRounds(false), runRounds(true)
+			msgs := int64(rounds * 2) // successor and predecessor
+			if cfg.Alltoallw == ATRoundRobin {
+				msgs = rounds * (n - 1) // zero-byte pairs included
+			}
 			for r := range oneShot {
+				st := oneShot[r].stats
+				if st.MsgsSent != msgs || st.MsgsRecv != msgs || st.BytesSent != rounds*(128+24) || st.BytesRecv != rounds*(128+24) {
+					t.Errorf("rank %d counted %d/%d messages and %d/%d bytes sent/received, want %d and %d: the local part is no message",
+						r, st.MsgsSent, st.MsgsRecv, st.BytesSent, st.BytesRecv, msgs, rounds*(128+24))
+				}
 				if !bytes.Equal(oneShot[r].recv, persistent[r].recv) {
 					t.Errorf("rank %d: persistent exchange received different bytes", r)
 				}
@@ -83,6 +95,73 @@ func TestExchangeMatchesAlltoallw(t *testing.T) {
 					t.Errorf("rank %d: persistent exchange counted %+v at clock %v, one-shot %+v at %v",
 						r, persistent[r].stats, persistent[r].clock, oneShot[r].stats, oneShot[r].clock)
 				}
+			}
+		})
+	}
+}
+
+// TestExchangeLocalPart: the slot of an exchange a rank keeps for itself is
+// copied, not mailed.  On one rank, under every preset, a strided slot lands
+// in a differently strided one byte for byte with no message counted, nothing
+// on the communication matrix and no pooled buffer taken, while the engine
+// work and the pack and search time are those of the same typed message
+// between two ranks: the virtual clock still prices the self-message of the
+// paper's MPI.  Under the compiled engine a steady-state Start/Wait allocates
+// nothing.  The slot spans several pipeline chunks that cut its blocks.
+func TestExchangeLocalPart(t *testing.T) {
+	st, rt := datatype.Vector(6000, 3, 5, datatype.Double), datatype.Vector(3600, 5, 7, datatype.Double)
+	src := make([]byte, datatype.RequiredBytes(st, 1))
+	for i := range src {
+		src[i] = byte(i*131 + i>>8 + 17)
+	}
+	want := make([]byte, datatype.RequiredBytes(rt, 1)+16)
+	datatype.Unpack(rt, 1, want[16:], datatype.Pack(st, 1, src))
+	poolGets := obs.Metrics.Counter("datatype.pool_gets")
+	for name, cfg := range map[string]Config{"baseline": Baseline(), "optimized": Optimized(), "compiled": Compiled()} {
+		t.Run(name, func(t *testing.T) {
+			var sender, receiver Stats
+			run(t, 2, cfg, func(c *Comm) error {
+				if c.Rank() == 0 {
+					c.SendType(1, 0, st, 1, src)
+					sender = c.Stats()
+				} else {
+					c.RecvType(0, 0, rt, 1, make([]byte, len(want)))
+					receiver = c.Stats()
+				}
+				return nil
+			})
+			engine := sender.Datatype
+			engine.Add(receiver.Datatype)
+
+			w := run(t, 1, cfg, func(c *Comm) error {
+				e := c.AlltoallwInit([]TypeSpec{{Type: st, Count: 1}}, []TypeSpec{{Type: rt, Count: 1, Displ: 16}})
+				dst := make([]byte, len(want))
+				gets := poolGets.Load()
+				e.Start(src, dst)
+				e.Wait()
+				if !bytes.Equal(dst, want) {
+					return fmt.Errorf("the local part landed differently from Pack then Unpack")
+				}
+				if got := poolGets.Load() - gets; got != 0 {
+					return fmt.Errorf("the local part took %d pooled buffers", got)
+				}
+				got := c.Stats()
+				if got.MsgsSent != 0 || got.BytesSent != 0 || got.MsgsRecv != 0 || got.BytesRecv != 0 {
+					return fmt.Errorf("the local part counted as messages: %+v", got)
+				}
+				if got.Datatype != engine || got.PackSec != sender.PackSec+receiver.PackSec || got.SearchSec != sender.SearchSec {
+					return fmt.Errorf("the local part was charged %+v, the message between two ranks %+v and %+v", got, sender, receiver)
+				}
+				if cfg.Engine == datatype.CompiledPlans {
+					if n := testing.AllocsPerRun(10, func() { e.Start(src, dst); e.Wait() }); n != 0 {
+						return fmt.Errorf("a steady-state Start/Wait allocates %v times", n)
+					}
+				}
+				return nil
+			})
+			cm := w.CommMatrix()
+			if cm.Msgs[0][0] != 0 || cm.Bytes[0][0] != 0 {
+				t.Errorf("the local part is on the communication matrix: %d messages, %d bytes", cm.Msgs[0][0], cm.Bytes[0][0])
 			}
 		})
 	}

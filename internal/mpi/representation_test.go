@@ -196,10 +196,11 @@ var repArms = []struct {
 }{{"baseline", Baseline()}, {"streaming", Optimized()}, {"compiled", Compiled()}}
 
 // repCollOut is what one rank saw of the collectives phase: the two receive
-// buffers and what it sent and packed.
+// buffers, what it sent and packed, and how much of that in the Alltoallw.
 type repCollOut struct {
-	a2a, agv []byte
-	sent     repSent
+	a2a, agv          []byte
+	sent              repSent
+	a2aMsgs, a2aBytes int64
 }
 
 type repSent struct {
@@ -259,9 +260,11 @@ func repCollectives(t *testing.T, mesh repMesh, cfg Config, user []byte, shapes 
 			started <- me
 		}
 		e.Wait()
+		st := c.Stats()
+		o.a2aMsgs, o.a2aBytes = st.MsgsSent, st.BytesSent
 		o.agv = make([]byte, total)
 		c.Allgatherv(refs[me], counts, o.agv)
-		st := c.Stats()
+		st = c.Stats()
 		o.sent = repSent{st.MsgsSent, st.BytesSent, st.Datatype}
 		return blocked
 	})
@@ -285,7 +288,8 @@ func repCollectives(t *testing.T, mesh repMesh, cfg Config, user []byte, shapes 
 // same shapes then go through one Alltoallw and one Allgatherv under every
 // arm: every mesh must deliver the same bytes and count the same messages,
 // bytes and engine work as the in-process one, so no mesh reroutes or repacks
-// a collective.
+// a collective, and the Alltoallw counts what goes to the three peers alone:
+// the slot a rank keeps for itself is copied, not sent.
 func TestRepresentationDifferential(t *testing.T) {
 	poolBase := datatype.PoolOutstandingBytes()
 	t.Cleanup(func() { // registered first, so it runs after every endpoint closed
@@ -418,6 +422,16 @@ func TestRepresentationDifferential(t *testing.T) {
 						}
 						if got[r].sent != want[r].sent {
 							t.Errorf("rank %d sent %+v, on the in-process mesh %+v", r, got[r].sent, want[r].sent)
+						}
+						var msgs, sent int64
+						for j := 0; j < repRanks; j++ {
+							if b := len(refs[repA2AShape(r, j)]); j != r && (b > 0 || cfg.cfg.Alltoallw == ATRoundRobin) {
+								msgs, sent = msgs+1, sent+int64(b)
+							}
+						}
+						if got[r].a2aMsgs != msgs || got[r].a2aBytes != sent {
+							t.Errorf("rank %d's Alltoallw counted %d messages, %d bytes; its peers got %d, %d",
+								r, got[r].a2aMsgs, got[r].a2aBytes, msgs, sent)
 						}
 					}
 				})

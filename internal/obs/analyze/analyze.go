@@ -159,7 +159,7 @@ func build(spans []obs.Span, opts Options) *graph {
 			n.ctx = attrUint(s, "ctx", 16)
 			n.mseq = attrUint(s, "mseq", 10)
 			n.wait = attrFloat(s, "wait")
-		case "compute", "skew":
+		case "compute", "skew", "localcopy": // a rank's own work; an exchange's local part is a copy, not a message
 		default:
 			continue
 		}

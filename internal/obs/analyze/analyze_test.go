@@ -93,6 +93,51 @@ func TestCollectiveImbalanceAttribution(t *testing.T) {
 	}
 }
 
+// TestLocalPartIsWorkNotTraffic traces an all-pairs Alltoallw in which every
+// rank also keeps a slot for itself, under both algorithms.  The matrix
+// derived from the trace must equal the world's own CommMatrix, diagonal
+// zero, with every message matched; and the local copy must sit on the rank's
+// timeline as work of its own, where the critical path finds it.
+func TestLocalPartIsWorkNotTraffic(t *testing.T) {
+	const n, slot = 3, 64
+	for _, cfg := range []mpi.Config{mpi.Baseline(), mpi.Compiled()} {
+		w := mpi.NewWorld(simnet.Uniform(n, simnet.IBDDR()), cfg)
+		w.EnableTrace()
+		err := w.Run(func(c *mpi.Comm) error {
+			specs := make([]mpi.TypeSpec, n)
+			for r := range specs {
+				specs[r] = mpi.TypeSpec{Type: mpi.Bytes(slot), Count: 1, Displ: r * slot}
+			}
+			c.Alltoallw(make([]byte, n*slot), specs, make([]byte, n*slot), specs)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := analyze.Analyze(w.Tracer().Spans(), analyze.Options{Ranks: n})
+		if rep.Sends != n*(n-1) || rep.UnmatchedSends != 0 || rep.UnmatchedRecvs != 0 {
+			t.Fatalf("%v: %d sends, %d and %d unmatched; want %d, all matched",
+				cfg.Alltoallw, rep.Sends, rep.UnmatchedSends, rep.UnmatchedRecvs, n*(n-1))
+		}
+		cm := w.CommMatrix()
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
+				want := int64(slot)
+				if s == d {
+					want = 0
+				}
+				if rep.Matrix.Bytes[s][d] != want || cm.Bytes[s][d] != want || rep.Matrix.Msgs[s][d] != cm.Msgs[s][d] {
+					t.Errorf("%v: cell [%d][%d]: trace %d B / %d msgs, world %d B / %d msgs, want %d B",
+						cfg.Alltoallw, s, d, rep.Matrix.Bytes[s][d], rep.Matrix.Msgs[s][d], cm.Bytes[s][d], cm.Msgs[s][d], want)
+				}
+			}
+		}
+		if rep.CritPath.PerKindSec["localcopy"] <= 0 {
+			t.Errorf("%v: critical path %v has no local copy on it", cfg.Alltoallw, rep.CritPath.PerKindSec)
+		}
+	}
+}
+
 // TestLateSenderRootCause runs a real four-rank virtual world where rank 2
 // is four times slower than the others, with ring exchanges after each
 // compute block.  At least 80% of the measured wait time must be blamed on

@@ -46,7 +46,8 @@ type PeerIndices struct {
 // elements of the source vector are sent and where incoming elements land
 // in the destination vector.  The order of Sends[i→j].Local on the sender
 // must correspond pairwise to Recvs[j←i].Local on the receiver.  Entries
-// with Peer equal to the local rank describe the local (self) part.
+// with Peer equal to the local rank describe the local part, which moves
+// without a message; its two lists must be equally long.
 type Plan struct {
 	Sends []PeerIndices
 	Recvs []PeerIndices
@@ -60,6 +61,14 @@ type Scatter struct {
 
 	xLocal, yLocal int
 	plan           Plan
+
+	// The local part: x[selfSrc[k]] lands in y[selfDst[k]].  The hand-tuned
+	// path applies it itself — selfRuns is what its unpack is charged for, and
+	// selfCopy says both lists are one run, so one copy does it; the datatype
+	// path leaves it to the Exchange's local copy.
+	selfSrc, selfDst []int
+	selfRuns         int
+	selfCopy         bool
 
 	// hand-tuned path: reusable staging buffers per peer, plus the number
 	// of contiguous index runs per list — PETSc's pack loops memcpy whole
@@ -142,9 +151,16 @@ func NewScatterFromPlan(c *mpi.Comm, xLocal, yLocal int, plan Plan, mode Scatter
 	for _, r := range plan.Recvs {
 		checkLocal(r, yLocal, "recv")
 	}
-	sc := &Scatter{c: c, mode: mode, xLocal: xLocal, yLocal: yLocal, plan: plan}
+	sc := &Scatter{c: c, mode: mode, xLocal: xLocal, yLocal: yLocal, plan: plan,
+		selfSrc: localOf(plan.Sends, c.Rank()), selfDst: localOf(plan.Recvs, c.Rank())}
+	if len(sc.selfSrc) != len(sc.selfDst) {
+		panic(fmt.Sprintf("petsc: scatter plan sends %d elements to its own rank but receives %d from it",
+			len(sc.selfSrc), len(sc.selfDst)))
+	}
 	switch mode {
 	case ScatterHandTuned:
+		sc.selfRuns = countRuns(sc.selfDst)
+		sc.selfCopy = sc.selfRuns == 1 && countRuns(sc.selfSrc) == 1
 		sc.sendBufs = make([][]float64, len(plan.Sends))
 		sc.sendRuns = make([]int, len(plan.Sends))
 		for i, s := range plan.Sends {
@@ -171,6 +187,16 @@ func NewScatterFromPlan(c *mpi.Comm, xLocal, yLocal int, plan Plan, mode Scatter
 		panic("petsc: unknown scatter mode")
 	}
 	return sc
+}
+
+// localOf returns the index list peers holds for rank me, nil if none.
+func localOf(peers []PeerIndices, me int) []int {
+	for _, p := range peers {
+		if p.Peer == me {
+			return p.Local
+		}
+	}
+	return nil
 }
 
 func checkLocal(p PeerIndices, n int, what string) {
@@ -251,7 +277,8 @@ func (s *Scatter) DoArrays(x, y []float64) {
 // posted, sends are packed and launched, and the local part is applied, but
 // remote data has not necessarily landed in y yet.  The caller may overlap
 // independent computation before calling End.  Exactly one scatter may be in
-// flight per Scatter object.
+// flight per Scatter object.  x and y must not overlap, in either mode: the
+// rule MPI sets for MPI_Alltoallw's buffers.
 func (s *Scatter) Begin(x, y *Vec) {
 	if x.LocalSize() != s.xLocal || y.LocalSize() != s.yLocal {
 		panic("petsc: scatter applied to vectors with mismatched layout")
@@ -328,24 +355,18 @@ func (s *Scatter) beginHandTuned(x, y []float64) {
 		c.Isend(snd.Peer, scatterTag, floatbytes.Bytes(buf))
 	}
 
-	// Local part.
-	var selfSrc []int
-	for _, snd := range s.plan.Sends {
-		if snd.Peer == me {
-			selfSrc = snd.Local
+	// Local part: PETSc memcpys one that is contiguous on both sides
+	// (VecScatterLocalOptimizeCopy_Private); the charge is the index loop's
+	// either way.
+	if n := len(s.selfDst); n > 0 {
+		if s.selfCopy {
+			copy(y[s.selfDst[0]:s.selfDst[0]+n], x[s.selfSrc[0]:s.selfSrc[0]+n])
+		} else {
+			for k, di := range s.selfDst {
+				y[di] = x[s.selfSrc[k]]
+			}
 		}
-	}
-	for i, r := range s.plan.Recvs {
-		if r.Peer != me {
-			continue
-		}
-		if len(selfSrc) != len(r.Local) {
-			panic("petsc: self scatter plan mismatch")
-		}
-		for k, di := range r.Local {
-			y[di] = x[selfSrc[k]]
-		}
-		c.ChargeHandPack(int64(8*len(r.Local)), int64(s.recvRuns[i]))
+		c.ChargeHandPack(int64(8*n), int64(s.selfRuns))
 	}
 }
 

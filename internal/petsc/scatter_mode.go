@@ -130,23 +130,11 @@ func (s *Scatter) doAdd(x, y []float64) {
 	}
 
 	// Local part accumulates directly.
-	var selfSrc []int
-	for _, snd := range s.plan.Sends {
-		if snd.Peer == me {
-			selfSrc = snd.Local
+	if n := len(s.selfDst); n > 0 {
+		for k, di := range s.selfDst {
+			y[di] += x[s.selfSrc[k]]
 		}
-	}
-	for _, r := range s.plan.Recvs {
-		if r.Peer != me {
-			continue
-		}
-		if len(selfSrc) != len(r.Local) {
-			panic("petsc: self scatter plan mismatch")
-		}
-		for k, di := range r.Local {
-			y[di] += x[selfSrc[k]]
-		}
-		c.ChargeHandPack(int64(8*len(r.Local)), int64(len(r.Local)))
+		c.ChargeHandPack(int64(8*n), int64(n))
 	}
 
 	for i := range s.stages {

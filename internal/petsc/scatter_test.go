@@ -3,9 +3,11 @@ package petsc
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nccd/internal/mpi"
+	"nccd/internal/obs"
 )
 
 // allModes covers the three experimental arms of the paper.
@@ -213,6 +215,78 @@ func TestScatterFromPlanDirect(t *testing.T) {
 					return fmt.Errorf("plan scatter got %v", y)
 				}
 			}
+			return nil
+		})
+	}
+}
+
+// TestScatterLocalPartIsNoMessage: on one rank a scatter is its local part,
+// and neither arm mails it.  A one-run part (one copy in the hand-tuned arm,
+// one copy program in the datatype arm) and a permuted one both land where the
+// index lists say, with no message counted and no pooled buffer taken, and a
+// steady-state Begin/End allocates nothing.
+func TestScatterLocalPartIsNoMessage(t *testing.T) {
+	const n = 64
+	oneRun := Plan{Sends: []PeerIndices{{Peer: 0}}, Recvs: []PeerIndices{{Peer: 0}}}
+	for i := 0; i < n/2; i++ {
+		oneRun.Sends[0].Local = append(oneRun.Sends[0].Local, i+3)
+		oneRun.Recvs[0].Local = append(oneRun.Recvs[0].Local, i+n/2)
+	}
+	permuted := Plan{
+		Sends: []PeerIndices{{Peer: 0, Local: []int{0, 1, 2, 9, 40, 41}}},
+		Recvs: []PeerIndices{{Peer: 0, Local: []int{63, 8, 7, 0, 1, 30}}},
+	}
+	poolGets := obs.Metrics.Counter("datatype.pool_gets")
+	for _, arm := range []struct {
+		cfg  mpi.Config
+		mode ScatterMode
+	}{{mpi.Baseline(), ScatterHandTuned}, {mpi.Compiled(), ScatterDatatype}} {
+		for name, plan := range map[string]Plan{"one run": oneRun, "permuted": permuted} {
+			runWorld(t, 1, arm.cfg, func(c *mpi.Comm) error {
+				sc := NewScatterFromPlan(c, n, n, plan, arm.mode)
+				x, y := make([]float64, n), make([]float64, n)
+				for i := range x {
+					x[i], y[i] = float64(i)+0.5, -1
+				}
+				want := append([]float64(nil), y...)
+				for k, di := range plan.Recvs[0].Local {
+					want[di] = x[plan.Sends[0].Local[k]]
+				}
+				gets := poolGets.Load()
+				sc.DoArrays(x, y)
+				for i := range want {
+					if y[i] != want[i] {
+						return fmt.Errorf("%v, %s: y[%d] = %v, want %v", arm.mode, name, i, y[i], want[i])
+					}
+				}
+				if st := c.Stats(); st.MsgsSent != 0 || st.MsgsRecv != 0 || poolGets.Load() != gets {
+					return fmt.Errorf("%v, %s: the local part cost %d sends, %d receives, %d pooled buffers",
+						arm.mode, name, st.MsgsSent, st.MsgsRecv, poolGets.Load()-gets)
+				}
+				if a := testing.AllocsPerRun(10, func() { sc.BeginArrays(x, y); sc.End() }); a != 0 {
+					return fmt.Errorf("%v, %s: a steady-state Begin/End allocates %v times", arm.mode, name, a)
+				}
+				return nil
+			})
+		}
+	}
+}
+
+// TestScatterMalformedLocalPartRefused: a plan whose lists for the local rank
+// differ in length is refused when the scatter is built, in both modes, by a
+// message that names both lengths.
+func TestScatterMalformedLocalPartRefused(t *testing.T) {
+	for _, mode := range []ScatterMode{ScatterHandTuned, ScatterDatatype} {
+		runWorld(t, 2, mpi.Compiled(), func(c *mpi.Comm) (err error) {
+			me := c.Rank()
+			plan := Plan{Sends: []PeerIndices{{Peer: me, Local: []int{0, 1, 2}}}, Recvs: []PeerIndices{{Peer: me, Local: []int{4, 5}}}}
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "sends 3 elements") || !strings.Contains(msg, "receives 2") {
+					err = fmt.Errorf("%v: building the scatter said %q, want a refusal naming 3 and 2", mode, msg)
+				}
+			}()
+			NewScatterFromPlan(c, 8, 8, plan, mode)
 			return nil
 		})
 	}
