@@ -96,6 +96,8 @@ func main() {
 	stats := w.TotalStats()
 	fmt.Printf("\nsimulated %d ranks, %s scatter backend\n", *ranks, *modeName)
 	fmt.Printf("virtual run time (slowest rank): %.3f ms\n", w.MaxClock()*1e3)
-	fmt.Printf("messages: %d, bytes moved: %.1f MiB, pack time: %.3f ms\n",
+	// A rank's own cells are copied into its ghosted array, not sent: the
+	// counts are of what crosses between ranks.
+	fmt.Printf("messages between ranks: %d, bytes moved between them: %.1f MiB, pack time: %.3f ms\n",
 		stats.MsgsSent, float64(stats.BytesSent)/(1<<20), stats.PackSec*1e3)
 }

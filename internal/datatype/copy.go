@@ -75,10 +75,8 @@ func CompileCopy(st *Type, scount int, rt *Type, rcount int) *CopyPlan {
 // length: the maximal blocks that are contiguous in both, as they lie on
 // either side.
 func refine(src, dst []Segment) (s, d []Segment) {
-	if len(src) <= 1 && len(dst) <= 1 {
-		return src, dst // one block, or none
-	}
-	s, d = make([]Segment, 0, max(len(src), len(dst))), make([]Segment, 0, max(len(src), len(dst)))
+	atLeast := max(len(src), len(dst)) // more where segment ends interleave
+	s, d = make([]Segment, 0, atLeast), make([]Segment, 0, atLeast)
 	i, j, si, dj := 0, 0, 0, 0 // segment and bytes of it consumed, either side
 	for i < len(src) && j < len(dst) {
 		n := min(src[i].Len-si, dst[j].Len-dj)
@@ -92,9 +90,6 @@ func refine(src, dst []Segment) (s, d []Segment) {
 	}
 	return s, d
 }
-
-// Bytes returns the data size the copy moves.
-func (cp *CopyPlan) Bytes() int { return cp.bytes }
 
 // SendSegments returns the number of coalesced segments of the send layout,
 // the NumSegments of its Plan.

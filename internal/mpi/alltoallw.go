@@ -296,7 +296,6 @@ func (c *Comm) localCopy(sendbuf []byte, s TypeSpec, recvbuf []byte, r TypeSpec,
 
 	p.clock += c.linkTo(c.rank).SendOverhead / p.speed
 	var sent, rcvd datatype.Metrics
-	opt := c.w.cfg.Datatype.WithDefaults()
 	if c.w.cfg.Engine == datatype.CompiledPlans {
 		if packed {
 			var packPerChunk float64
@@ -327,6 +326,7 @@ func (c *Comm) localCopy(sendbuf []byte, s TypeSpec, recvbuf []byte, r TypeSpec,
 			}
 		}
 		if packed {
+			opt := c.w.cfg.Datatype.WithDefaults()
 			packer := datatype.NewPacker(c.w.cfg.Engine, s.Type, s.Count, src, opt)
 			scratch := p.scratchBuf(opt.Pipeline)
 			for {
@@ -390,8 +390,8 @@ func (c *Comm) recvSpec(src, tag int, buf []byte, s TypeSpec, plan *datatype.Pla
 }
 
 // a2awRoundRobin is the baseline: N sequential pairwise exchanges, peer k
-// of rank r being (r+k) mod N, zero-byte pairs included.  Step 0 is the
-// rank's own slot, which local copies.
+// of rank r being (r+k) mod N, zero-byte pairs included.  Step 0, the rank's
+// own slot, is a local copy.
 func (c *Comm) a2awRoundRobin(tag int, sendbuf []byte, sends []TypeSpec, recvbuf []byte, recvs []TypeSpec, local *datatype.CopyPlan) {
 	n := c.Size()
 	me := c.rank
