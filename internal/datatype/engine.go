@@ -288,14 +288,26 @@ func NewUnpacker(t *Type, count int, buf []byte) *Unpacker {
 // if more bytes arrive than the type map holds.  A segment counts once in the
 // metrics however many pieces it arrives in, so a stream consumed chunk by
 // chunk is accounted like one consumed whole.
-func (u *Unpacker) Consume(data []byte) {
-	for len(data) > 0 {
-		off, l, ok := u.cur.NextRun(len(data))
+func (u *Unpacker) Consume(data []byte) { u.advance(len(data), data) }
+
+// Skip steps over the next n bytes of the stream as Consume would, counting
+// the same work, and writes none of them: for a caller that prices an unpack
+// whose bytes are already where they belong.
+func (u *Unpacker) Skip(n int) { u.advance(n, nil) }
+
+// advance moves the type map on by n bytes, landing them from data unless it
+// is nil.
+func (u *Unpacker) advance(n int, data []byte) {
+	for n > 0 {
+		off, l, ok := u.cur.NextRun(n)
 		if !ok {
 			panic("datatype: unpack overflow: more data than type map")
 		}
-		copy(u.buf[off:off+l], data[:l])
-		data = data[l:]
+		if data != nil {
+			copy(u.buf[off:off+l], data[:l])
+			data = data[l:]
+		}
+		n -= l
 		u.m.PackedBytes += int64(l)
 	}
 	u.m.PackedSegments = u.cur.SegmentsSeen()

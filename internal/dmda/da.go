@@ -477,16 +477,22 @@ func peersOf(m map[int][]int) []petsc.PeerIndices {
 	return peers
 }
 
-// GlobalToLocal fills the ghosted local array l (length GhostCount) from
-// the global vector g, communicating ghost points from neighbor ranks.
-// Collective.
-func (da *DA) GlobalToLocal(g *petsc.Vec, l []float64) {
+// checkLayout panics unless g is a global vector and l a ghosted local array
+// of this DA.
+func (da *DA) checkLayout(g *petsc.Vec, l []float64) {
 	if g.LocalSize() != da.OwnedCount() {
 		panic("dmda: global vector does not match DA layout")
 	}
 	if len(l) != da.GhostCount() {
 		panic("dmda: local array does not match DA ghost layout")
 	}
+}
+
+// GlobalToLocal fills the ghosted local array l (length GhostCount) from
+// the global vector g, communicating ghost points from neighbor ranks.
+// Collective.
+func (da *DA) GlobalToLocal(g *petsc.Vec, l []float64) {
+	da.checkLayout(g, l)
 	da.g2l.BeginArrays(g.Array(), l)
 	da.g2l.End()
 }
@@ -495,27 +501,42 @@ func (da *DA) GlobalToLocal(g *petsc.Vec, l []float64) {
 // ghost points to arrive; pair with GlobalToLocalEnd.  Interior stencil work
 // that needs no ghost data can overlap the communication.
 func (da *DA) GlobalToLocalBegin(g *petsc.Vec, l []float64) {
-	if g.LocalSize() != da.OwnedCount() {
-		panic("dmda: global vector does not match DA layout")
-	}
-	if len(l) != da.GhostCount() {
-		panic("dmda: local array does not match DA ghost layout")
-	}
+	da.checkLayout(g, l)
 	da.g2l.BeginArrays(g.Array(), l)
 }
 
 // GlobalToLocalEnd completes the exchange started by GlobalToLocalBegin.
 func (da *DA) GlobalToLocalEnd() { da.g2l.End() }
 
+// GhostUpdate fills the ghost cells of the ghosted local array l from the
+// neighbour ranks' owned cells of g and leaves l's owned region as it was:
+// PETSc's VecGhostUpdate, where the local form's owned part is the global
+// vector's own storage.  The caller reads owned cells from g and only ghost
+// cells from l (LocalIndex addresses them as in any ghosted array).  It is
+// GlobalToLocal over the same plan without the copy of the owned box, which
+// the virtual clock, pricing the paper's DMGlobalToLocal, still charges.  On a
+// rank whose ghost box is its owned box nothing is received and l may be nil.
+// It is defined only where the plan's own-rank part is exactly the owned
+// region, so a DA periodic along a dimension with one process, whose
+// wrap-around ghosts come from the rank's own cells, is refused.  Collective.
+func (da *DA) GhostUpdate(g *petsc.Vec, l []float64) {
+	for d := 0; d < da.dim; d++ {
+		if da.bnd[d] == BoundaryPeriodic && da.p[d] == 1 && da.width > 0 {
+			panic(fmt.Sprintf("dmda: GhostUpdate on a DA periodic in dimension %d with one process along it: its wrap-around ghosts are the rank's own cells; use GlobalToLocal", d))
+		}
+	}
+	if l == nil && da.ghost == da.own {
+		l = g.Array() // the layouts are one and nothing lands in it
+	}
+	da.checkLayout(g, l)
+	da.g2l.BeginRemoteArrays(g.Array(), l)
+	da.g2l.End()
+}
+
 // LocalToGlobal copies the owned region of the ghosted local array l into
 // the global vector g (INSERT semantics).  Purely local.
 func (da *DA) LocalToGlobal(l []float64, g *petsc.Vec) {
-	if g.LocalSize() != da.OwnedCount() {
-		panic("dmda: global vector does not match DA layout")
-	}
-	if len(l) != da.GhostCount() {
-		panic("dmda: local array does not match DA ghost layout")
-	}
+	da.checkLayout(g, l)
 	ga := g.Array()
 	for k := da.own.Lo[2]; k < da.own.Hi[2]; k++ {
 		for j := da.own.Lo[1]; j < da.own.Hi[1]; j++ {

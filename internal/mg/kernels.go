@@ -21,29 +21,39 @@ const (
 
 // stencilGeom is what the general per-cell form needs to know of a level.
 type stencilGeom struct {
-	dim     int
-	n       [3]int     // global extents
-	inv     [3]float64 // 1/h² per dimension
-	strides [3]int     // ghosted-array strides
+	dim int
+	n   [3]int     // global extents
+	inv [3]float64 // 1/h² per dimension
 }
 
-// stencil evaluates one of the three forms for every owned cell from the
-// ghosted values of x already in lv.lwork (b is unused by formApply, omega
-// by all but formJacobi).  Every x-row is classified once: a 3-D row that
-// touches no domain face in y or z has all six neighbours present for all
-// but its first and last cell, and those cells run as one unrolled loop
-// over five row slices; the two end cells, rows on a face, and every row
-// of a 1-D or 2-D grid take the general per-cell form.
-func (s *Solver) stencil(lv *level, form stencilForm, y, b []float64, omega float64) {
+// rowSrc is one owned x-row as a stencil pass reads it.  Each of the four
+// neighbour rows is the source vector's own row where this rank owns it and
+// lwork's where it was received as a ghost row; beyond a domain face there is
+// none, no cell reads it, and the row itself stands in.
+type rowSrc struct {
+	out                int       // the first cell's index in the owned layout of x, y and b
+	i, j, k            int       // the first cell's global coordinates
+	cr, ym, yp, zm, zp []float64 // the row and its neighbour rows, from the first cell on
+}
+
+// stencil evaluates one of the three forms for every owned cell of x, whose
+// ghost cells the level's ghost update has already left in lv.lwork (b is
+// unused by formApply, omega by all but formJacobi).  Owned cells are read
+// from x itself and only ghost cells from lwork, so x and y must not be one
+// array.  Every x-row is classified once, and so is where each of its sources
+// lies: the y- and z-neighbour rows a row at a time, the x-neighbours of the
+// two end cells, which alone can be ghosts, a cell at a time.  A 3-D row that
+// touches no domain face in y or z has all six neighbours present for all but
+// its first and last cell, and those cells run as one unrolled loop over five
+// row slices; the two end cells, rows on a face, and every row of a 1-D or
+// 2-D grid take the general per-cell form.
+func (s *Solver) stencil(lv *level, form stencilForm, x, y, b []float64, omega float64) {
 	da := lv.da
 	own, ghost := da.OwnedBox(), da.GhostBox()
 	g := stencilGeom{dim: s.dim}
 	for d := 0; d < 3; d++ {
 		g.n[d] = da.GlobalSize(d)
 	}
-	gnx := ghost.Hi[0] - ghost.Lo[0]
-	gny := ghost.Hi[1] - ghost.Lo[1]
-	g.strides = [3]int{1, gnx, gnx * gny}
 
 	// Interior cells: the coefficient of u is 2/h² per dimension, so the
 	// diagonal, and with it the Jacobi weight, is one number per level.
@@ -58,52 +68,76 @@ func (s *Solver) stencil(lv *level, form stencilForm, y, b []float64, omega floa
 
 	lw := lv.lwork
 	nx := own.Hi[0] - own.Lo[0]
-	sy, sz := g.strides[1], g.strides[2]
+	oy, oz := nx, nx*(own.Hi[1]-own.Lo[1]) // row strides of the owned layout
+	sy := ghost.Hi[0] - ghost.Lo[0]        // and of the ghosted one
+	sz := sy * (ghost.Hi[1] - ghost.Lo[1])
+	west, east := own.Lo[0] > 0, own.Hi[0] < g.n[0] // the end cells' outer x-neighbours are ghosts
+	r := rowSrc{i: own.Lo[0]}
+	out := 0
 	for k := own.Lo[2]; k < own.Hi[2]; k++ {
-		for j := own.Lo[1]; j < own.Hi[1]; j++ {
+		for j := own.Lo[1]; j < own.Hi[1]; j, out = j+1, out+nx {
 			row := da.LocalIndex(own.Lo[0], j, k, 0)
-			out := da.OwnedIndex(own.Lo[0], j, k, 0)
-			if s.dim < 3 || nx < 3 || j == 0 || j == g.n[1]-1 || k == 0 || k == g.n[2]-1 {
-				g.cells(form, lw, y, b, omega, row, out, own.Lo[0], j, k, nx)
+			cr := x[out:]
+			r.out, r.j, r.k = out, j, k
+			r.cr = cr
+			r.ym = neighbourRow(j > own.Lo[1], j > 0, x, out-oy, lw, row-sy, cr)
+			r.yp = neighbourRow(j+1 < own.Hi[1], j+1 < g.n[1], x, out+oy, lw, row+sy, cr)
+			r.zm = neighbourRow(k > own.Lo[2], k > 0, x, out-oz, lw, row-sz, cr)
+			r.zp = neighbourRow(k+1 < own.Hi[2], k+1 < g.n[2], x, out+oz, lw, row+sz, cr)
+
+			xw, xe := cr, cr // the end cells' outer x-neighbours
+			if west {
+				xw = lw[row-1:]
+			}
+			if east {
+				xe = lw[row+nx:]
+			}
+			if nx == 1 {
+				g.cells(form, y, b, omega, &r, xw, xe, 0, 1)
 				continue
 			}
-			g.cells(form, lw, y, b, omega, row, out, own.Lo[0], j, k, 1)
-			interiorCells(form, y, b, out+1, nx-2, lw[row:], lw[row+1-sy:], lw[row+1+sy:],
-				lw[row+1-sz:], lw[row+1+sz:], &g.inv, &two, w)
-			g.cells(form, lw, y, b, omega, row+nx-1, out+nx-1, own.Hi[0]-1, j, k, 1)
+			g.cells(form, y, b, omega, &r, xw, cr[1:], 0, 1)
+			if s.dim < 3 || j == 0 || j == g.n[1]-1 || k == 0 || k == g.n[2]-1 {
+				g.cells(form, y, b, omega, &r, cr, cr[2:], 1, nx-2)
+			} else if nx > 2 {
+				interiorCells(form, y, b, out+1, nx-2, cr, r.ym[1:], r.yp[1:], r.zm[1:], r.zp[1:], &g.inv, &two, w)
+			}
+			g.cells(form, y, b, omega, &r, cr[nx-2:], xe, nx-1, 1)
 		}
 	}
 	s.c.Compute(float64(own.Cells()) * float64(4*s.dim+3) * flopSec)
 }
 
-// cells evaluates count consecutive cells of row (j, k), from global x
-// index i at lw[li] and y[oi], the general way: any dimension count, and
-// homogeneous Dirichlet at whichever physical domain faces a cell touches.
-// There the ghost cell mirrors with opposite sign (u_ghost = -u), which
-// adds 1 to the diagonal coefficient of boundary cells.  Discretizing the
-// boundary at the same physical location on every level is what lets the
-// coarse-grid correction work near the walls.
-func (g *stencilGeom) cells(form stencilForm, lw, y, b []float64, omega float64, li, oi, i, j, k, count int) {
-	for ; count > 0; count, li, oi, i = count-1, li+1, oi+1, i+1 {
-		u := lw[li]
-		coords := [3]int{i, j, k}
-		acc := 0.0
-		diag := 0.0
-		for d := 0; d < g.dim; d++ {
-			cd := 2.0
-			if coords[d] > 0 {
-				acc -= float64(g.inv[d] * lw[li-g.strides[d]])
-			} else {
-				cd++
-			}
-			if coords[d] < g.n[d]-1 {
-				acc -= float64(g.inv[d] * lw[li+g.strides[d]])
-			} else {
-				cd++
-			}
-			acc += float64(cd * g.inv[d] * u)
-			diag += float64(cd * g.inv[d])
+// neighbourRow is a neighbour row of the row cr, from the cell beside cr's
+// first on: x[xo:] where this rank owns the row, lw[lo:] where it lies in the
+// domain and so was received, and beyond a domain face cr itself.
+func neighbourRow(owned, inDomain bool, x []float64, xo int, lw []float64, lo int, cr []float64) []float64 {
+	switch {
+	case owned:
+		return x[xo:]
+	case inDomain:
+		return lw[lo:]
+	}
+	return cr
+}
+
+// cells evaluates count consecutive cells of row r, from its cell c0 on, the
+// general way: any dimension count, and homogeneous Dirichlet at whichever
+// physical domain faces a cell touches (see side).  xm and xp are the cells'
+// x-neighbours, from cell c0's on: the row itself one cell to either side,
+// but for an end cell's received ghost.
+func (g *stencilGeom) cells(form stencilForm, y, b []float64, omega float64, r *rowSrc, xm, xp []float64, c0, count int) {
+	for c := 0; c < count; c++ {
+		at := c0 + c
+		u := r.cr[at]
+		acc, diag := g.side(0, r.i+at, 0, 0, u, xm[c], xp[c])
+		if g.dim > 1 {
+			acc, diag = g.side(1, r.j, acc, diag, u, r.ym[at], r.yp[at])
 		}
+		if g.dim > 2 {
+			acc, diag = g.side(2, r.k, acc, diag, u, r.zm[at], r.zp[at])
+		}
+		oi := r.out + at
 		switch form {
 		case formApply:
 			y[oi] = acc
@@ -115,11 +149,35 @@ func (g *stencilGeom) cells(form stencilForm, lw, y, b []float64, omega float64,
 	}
 }
 
+// side adds dimension d's share of (A x) and of the diagonal for a cell at
+// coordinate coord along d, with value u and neighbours lo and hi.  At a
+// physical domain face the neighbour is not read: there the ghost cell
+// mirrors with opposite sign (u_ghost = -u), which adds 1 to the diagonal
+// coefficient of boundary cells.  Discretizing the boundary at the same
+// physical location on every level is what lets the coarse-grid correction
+// work near the walls.
+func (g *stencilGeom) side(d, coord int, acc, diag, u, lo, hi float64) (float64, float64) {
+	cd := 2.0
+	if coord > 0 {
+		acc -= float64(g.inv[d] * lo)
+	} else {
+		cd++
+	}
+	if coord < g.n[d]-1 {
+		acc -= float64(g.inv[d] * hi)
+	} else {
+		cd++
+	}
+	acc += float64(cd * g.inv[d] * u)
+	diag += float64(cd * g.inv[d])
+	return acc, diag
+}
+
 // interiorCells evaluates the m cells y[o:o+m] of a 3-D row, all of which
-// have six neighbours inside the domain.  cr is the cells' own ghosted row
-// from the first cell's west neighbour on; ym, yp, zm and zp are the four
-// neighbouring rows from the first cell on.  two[d] is 2·inv[d] and w the
-// interior omega/diag.
+// have six neighbours inside the domain.  cr is the cells' own row from the
+// first cell's west neighbour on; ym, yp, zm and zp are the four neighbouring
+// rows from the first cell on, each wherever it lies (see rowSrc).  two[d] is
+// 2·inv[d] and w the interior omega/diag.
 func interiorCells(form stencilForm, y, b []float64, o, m int, cr, ym, yp, zm, zp []float64, inv, two *[3]float64, w float64) {
 	xm, u, xp := cr[:m], cr[1:m+1], cr[2:m+2]
 	ym, yp, zm, zp = ym[:m], yp[:m], zm[:m], zp[:m]

@@ -28,7 +28,7 @@ type level struct {
 	b, x, r *petsc.Vec
 	d       *petsc.Vec // Chebyshev direction (lazily allocated)
 	p, ap   *petsc.Vec // coarsest level's conjugate-gradient scratch (lazily allocated)
-	lwork   []float64  // ghosted local array
+	lwork   []float64  // ghosted local array the ghost cells are received into; nil where the ghost box is the owned box
 
 	// Transfers to/from the next coarser level (nil on the coarsest).
 	restrictSc  *petsc.Scatter // fine global -> fine patch (children of my coarse cells)
@@ -153,7 +153,10 @@ func NewAgglomerated(c *mpi.Comm, n []int, nlevels int, mode petsc.ScatterMode, 
 			}
 		}
 		da := dmda.NewLimited(c, ext, 1, dmda.StencilStar, 1, mode, nil, limit)
-		lv := &level{da: da, lwork: da.CreateLocalArray()}
+		lv := &level{da: da}
+		if da.GhostBox() != da.OwnedBox() {
+			lv.lwork = da.CreateLocalArray()
+		}
 		for d := 0; d < 3; d++ {
 			lv.h[d] = 1
 		}
@@ -238,15 +241,22 @@ func (s *Solver) DA(l int) *dmda.DA { return s.levels[l].da }
 // CreateVec returns a zeroed vector with the finest grid's layout.
 func (s *Solver) CreateVec() *petsc.Vec { return s.levels[0].da.CreateGlobalVec() }
 
-// applyLevel computes y = A_l x on level l (ghost exchange + stencil).
+// applyLevel computes y = A_l x on level l (ghost update + stencil).
 func (s *Solver) applyLevel(l int, x, y *petsc.Vec) {
 	lv := s.levels[l]
-	lv.da.GlobalToLocal(x, lv.lwork)
-	s.stencil(lv, formApply, y.Array(), nil, 0)
+	lv.da.GhostUpdate(x, lv.lwork)
+	s.stencil(lv, formApply, x.Array(), y.Array(), nil, 0)
 }
 
-// Apply computes y = A x on the finest grid (ksp.Operator).
-func (s *Solver) Apply(x, y *petsc.Vec) { s.applyLevel(0, x, y) }
+// Apply computes y = A x on the finest grid (ksp.Operator).  The stencil
+// reads x's owned cells in place while it writes y, so y must not be x:
+// Apply(x, x) panics.
+func (s *Solver) Apply(x, y *petsc.Vec) {
+	if x == y {
+		panic("mg: Apply(x, x): the stencil reads x in place, so the result needs a vector of its own")
+	}
+	s.applyLevel(0, x, y)
+}
 
 // Smoother selects the multigrid relaxation scheme.
 type Smoother uint8
@@ -274,9 +284,11 @@ func lvl(l int) obs.Attr { return obs.Attr{Key: "level", Val: strconv.Itoa(l)} }
 func (s *Solver) smooth(l, sweeps int, b, x *petsc.Vec) {
 	start := s.c.Clock()
 	defer func() {
-		s.c.Span("smooth", start, lvl(l),
-			obs.Attr{Key: "sweeps", Val: strconv.Itoa(sweeps)},
-			obs.Attr{Key: "smoother", Val: s.Smoother.String()})
+		if s.c.Tracer().Enabled() { // the attribute list is allocated by the call
+			s.c.Span("smooth", start, lvl(l),
+				obs.Attr{Key: "sweeps", Val: strconv.Itoa(sweeps)},
+				obs.Attr{Key: "smoother", Val: s.Smoother.String()})
+		}
 	}()
 	if s.Smoother == SmootherChebyshev {
 		s.smoothChebyshev(l, sweeps, b, x)
@@ -289,8 +301,8 @@ func (s *Solver) smooth(l, sweeps int, b, x *petsc.Vec) {
 	lv := s.levels[l]
 	src, dst := x, lv.r
 	for it := 0; it < sweeps; it++ {
-		lv.da.GlobalToLocal(src, lv.lwork)
-		s.stencil(lv, formJacobi, dst.Array(), b.Array(), s.Omega)
+		lv.da.GhostUpdate(src, lv.lwork)
+		s.stencil(lv, formJacobi, src.Array(), dst.Array(), b.Array(), s.Omega)
 		src, dst = dst, src
 		if it == sweeps-1 && src != x {
 			x.Copy(src)
@@ -326,8 +338,8 @@ func (s *Solver) smoothChebyshev(l, degree int, b, x *petsc.Vec) {
 
 	// z = D⁻¹(b - A x) is the omega=1 Jacobi update minus x.
 	jacz := func() {
-		lv.da.GlobalToLocal(x, lv.lwork)
-		s.stencil(lv, formJacobi, z.Array(), b.Array(), 1)
+		lv.da.GhostUpdate(x, lv.lwork)
+		s.stencil(lv, formJacobi, x.Array(), z.Array(), b.Array(), 1)
 		z.AXPY(-1, x)
 	}
 
@@ -352,8 +364,8 @@ func (s *Solver) smoothChebyshev(l, degree int, b, x *petsc.Vec) {
 // own, which is charged after the stencil's.
 func (s *Solver) residual(l int, b, x, r *petsc.Vec) {
 	lv := s.levels[l]
-	lv.da.GlobalToLocal(x, lv.lwork)
-	s.stencil(lv, formResidual, r.Array(), b.Array(), 0)
+	lv.da.GhostUpdate(x, lv.lwork)
+	s.stencil(lv, formResidual, x.Array(), r.Array(), b.Array(), 0)
 	s.c.Compute(float64(2*r.LocalSize()) * flopSec)
 }
 

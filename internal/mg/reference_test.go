@@ -3,6 +3,7 @@ package mg
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"nccd/internal/dmda"
@@ -16,15 +17,26 @@ import (
 // vector copy after every Jacobi sweep, the residual as a stencil pass
 // plus an AYPX pass, fresh conjugate-gradient scratch on every coarse
 // solve).  They make every decision per cell and are kept only to be
-// compared against, bit for bit.
+// compared against, bit for bit.  They read every cell, owned or ghost, from
+// a ghosted array that GlobalToLocal filled, which the reference allocates
+// itself: the solver's lwork holds ghost cells only, and is absent where
+// there are none.
 //
 // Every product that feeds an add carries an explicit float64 conversion,
 // here and in the kernels alike, so that a compiler that fuses multiply-add
 // (arm64) rounds both sides the same way.
 
-// refStencil is the per-cell general form: a loop over dimensions with two
-// domain-face tests in every cell.
-func refStencil(s *Solver, lv *level, y []float64, jac []float64, omega float64) {
+// refGhosted is x of level lv as GlobalToLocal lays it out, owned box and
+// ghosts, in an array of its own.
+func refGhosted(lv *level, x *petsc.Vec) []float64 {
+	lw := lv.da.CreateLocalArray()
+	lv.da.GlobalToLocal(x, lw)
+	return lw
+}
+
+// refStencil is the per-cell general form over the ghosted array lw: a loop
+// over dimensions with two domain-face tests in every cell.
+func refStencil(s *Solver, lv *level, lw, y []float64, jac []float64, omega float64) {
 	da := lv.da
 	own := da.OwnedBox()
 	ghost := da.GhostBox()
@@ -42,19 +54,19 @@ func refStencil(s *Solver, lv *level, y []float64, jac []float64, omega float64)
 			out := refBoxRowIndex(own, j, k)
 			for i := own.Lo[0]; i < own.Hi[0]; i++ {
 				li := row + (i - own.Lo[0])
-				u := lv.lwork[li]
+				u := lw[li]
 				coords := [3]int{i, j, k}
 				acc := 0.0
 				diag := 0.0
 				for d := 0; d < s.dim; d++ {
 					cd := 2.0
 					if coords[d] > 0 {
-						acc -= float64(inv[d] * lv.lwork[li-strides[d]])
+						acc -= float64(inv[d] * lw[li-strides[d]])
 					} else {
 						cd++
 					}
 					if coords[d] < lv.da.GlobalSize(d)-1 {
-						acc -= float64(inv[d] * lv.lwork[li+strides[d]])
+						acc -= float64(inv[d] * lw[li+strides[d]])
 					} else {
 						cd++
 					}
@@ -204,8 +216,7 @@ func refInterpolate(s *Solver, l int, xc, x *petsc.Vec) {
 
 func refApplyLevel(s *Solver, l int, x, y *petsc.Vec) {
 	lv := s.levels[l]
-	lv.da.GlobalToLocal(x, lv.lwork)
-	refStencil(s, lv, y.Array(), nil, 0)
+	refStencil(s, lv, refGhosted(lv, x), y.Array(), nil, 0)
 }
 
 func refResidual(s *Solver, l int, b, x, r *petsc.Vec) {
@@ -221,8 +232,7 @@ func refSmooth(s *Solver, l, sweeps int, b, x *petsc.Vec) {
 	lv := s.levels[l]
 	xnew := lv.r
 	for it := 0; it < sweeps; it++ {
-		lv.da.GlobalToLocal(x, lv.lwork)
-		refStencil(s, lv, xnew.Array(), b.Array(), s.Omega)
+		refStencil(s, lv, refGhosted(lv, x), xnew.Array(), b.Array(), s.Omega)
 		x.Copy(xnew)
 	}
 }
@@ -244,8 +254,7 @@ func refSmoothChebyshev(s *Solver, l, degree int, b, x *petsc.Vec) {
 	sigma := theta / delta
 
 	jacz := func() {
-		lv.da.GlobalToLocal(x, lv.lwork)
-		refStencil(s, lv, z.Array(), b.Array(), 1)
+		refStencil(s, lv, refGhosted(lv, x), z.Array(), b.Array(), 1)
 		z.AXPY(-1, x)
 	}
 
@@ -456,9 +465,9 @@ func checkKernels(s *Solver, seed uint64) error {
 			return err
 		}
 		for _, omega := range []float64{s.Omega, 1} {
-			lv.da.GlobalToLocal(x, lv.lwork)
-			s.stencil(lv, formJacobi, got.Array(), b.Array(), omega)
-			refStencil(s, lv, want.Array(), b.Array(), omega)
+			lv.da.GhostUpdate(x, lv.lwork)
+			s.stencil(lv, formJacobi, x.Array(), got.Array(), b.Array(), omega)
+			refStencil(s, lv, refGhosted(lv, x), want.Array(), b.Array(), omega)
 			if err := bitsDiffer(fmt.Sprintf("level %d jacobi omega %v", l, omega), got.Array(), want.Array()); err != nil {
 				return err
 			}
@@ -541,7 +550,8 @@ func checkShape(t testing.TB, k kernelShape, seed uint64, cycles int) {
 // seed corpus of FuzzKernelsMatchReference: 1-D to 3-D, cubic and not,
 // rank counts that put an owned box on every combination of domain faces
 // (np 3 and 6 leave ranks wholly interior along an axis), 2 to 4 levels,
-// agglomerated coarse levels, both scatter backends and both smoothers.
+// agglomerated coarse levels, both scatter backends and both smoothers, ghosts
+// along x, y and z down to an owned box one cell wide.
 var kernelShapes = []kernelShape{
 	{n: []int{64}, np: 1, levels: 3, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
 	{n: []int{64}, np: 3, levels: 4, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
@@ -559,6 +569,11 @@ var kernelShapes = []kernelShape{
 	{n: []int{16, 16, 16}, np: 8, levels: 3, minCells: 512, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
 	{n: []int{24, 24, 24}, np: 6, levels: 3, minCells: 256, mode: petsc.ScatterHandTuned, smoother: SmootherChebyshev, cfg: mpi.Optimized()},
 	{n: []int{100, 4, 4}, np: 3, levels: 2, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
+	// Where owned cells read in place meet ghosts read from lwork: an x cut
+	// makes the ghost each row's end cell; owned extents 4, 2, 1 end with a
+	// single row whose y- and z-neighbour rows are all received.
+	{n: []int{40, 8, 8}, np: 2, levels: 2, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
+	{n: []int{8, 8, 8}, np: 8, levels: 3, mode: petsc.ScatterDatatype, cfg: mpi.Compiled()},
 }
 
 func TestKernelsBitwiseEqualReference(t *testing.T) {
@@ -569,6 +584,102 @@ func TestKernelsBitwiseEqualReference(t *testing.T) {
 		}
 		t.Run(k.String(), func(t *testing.T) { checkShape(t, k, seed, 4) })
 	}
+}
+
+// TestOwnedCellsReadInPlace: every owned cell of every level's lwork is NaN
+// before the solve, and the ghost update writes ghost cells only, so it is
+// NaN after it too; the residual history is the reference's all the same, bit
+// for bit, so the stencil reads no owned cell from lwork.  A rank that owns
+// the whole grid has no lwork to read.
+func TestOwnedCellsReadInPlace(t *testing.T) {
+	for i, k := range []kernelShape{
+		{n: []int{16, 16, 16}, np: 1, levels: 3, mode: petsc.ScatterDatatype, cfg: mpi.Compiled()},
+		{n: []int{16, 16, 16}, np: 2, levels: 3, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
+		{n: []int{16, 16, 16}, np: 8, levels: 3, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
+	} {
+		seed := uint64(i + 1)
+		ownedOfLwork := func(lv *level, visit func(v *float64)) {
+			own := lv.da.OwnedBox()
+			for k := own.Lo[2]; k < own.Hi[2] && lv.lwork != nil; k++ {
+				for j := own.Lo[1]; j < own.Hi[1]; j++ {
+					for i := own.Lo[0]; i < own.Hi[0]; i++ {
+						visit(&lv.lwork[lv.da.LocalIndex(i, j, k, 0)])
+					}
+				}
+			}
+		}
+		got := make([][]float64, k.np)
+		runWorld(t, k.np, k.cfg, func(c *mpi.Comm) error {
+			s := k.solver(c)
+			for l, lv := range s.levels {
+				if k.np == 1 && lv.lwork != nil {
+					return fmt.Errorf("level %d of a one-rank solver allocated a ghosted array of %d cells", l, len(lv.lwork))
+				}
+				ownedOfLwork(lv, func(v *float64) { *v = math.NaN() })
+			}
+			b, x := s.CreateVec(), s.CreateVec()
+			fillSeeded(b, seed)
+			s.Solve(b, x, 1e-9, 4)
+			got[c.Rank()] = append([]float64(nil), s.History...)
+			for l, lv := range s.levels {
+				written := 0
+				ownedOfLwork(lv, func(v *float64) {
+					if !math.IsNaN(*v) {
+						written++
+					}
+				})
+				if written > 0 {
+					return fmt.Errorf("level %d: the ghost update wrote %d owned cells of lwork", l, written)
+				}
+			}
+			return nil
+		})
+		want := runSolve(t, k, seed, 4, true)
+		for r := range got {
+			if err := bitsDiffer(fmt.Sprintf("rank %d history", r), got[r], want.hist[r]); err != nil {
+				t.Errorf("%v: %v", k, err)
+			}
+		}
+	}
+}
+
+// TestStencilPassesAllocateNothing: on one rank the operator, one smoother
+// sweep and the residual allocate nothing in either arm.
+func TestStencilPassesAllocateNothing(t *testing.T) {
+	for _, mode := range []petsc.ScatterMode{petsc.ScatterHandTuned, petsc.ScatterDatatype} {
+		runWorld(t, 1, mpi.Compiled(), func(c *mpi.Comm) error {
+			s := New(c, []int{16, 16, 16}, 2, mode)
+			b, x, y := s.CreateVec(), s.CreateVec(), s.CreateVec()
+			fillSeeded(b, 1)
+			fillSeeded(x, 2)
+			for name, pass := range map[string]func(){
+				"applyLevel": func() { s.applyLevel(0, x, y) },
+				"smooth":     func() { s.smooth(0, 1, b, x) },
+				"residual":   func() { s.residual(0, b, x, y) },
+			} {
+				if n := testing.AllocsPerRun(10, pass); n != 0 {
+					return fmt.Errorf("%v: %s allocates %v times a call", mode, name, n)
+				}
+			}
+			return nil
+		})
+	}
+}
+
+// TestApplyRefusesItsSourceAsResult: Apply reads x in place while it writes
+// y, so Apply(x, x) is a one-line panic, not a half-updated product.
+func TestApplyRefusesItsSourceAsResult(t *testing.T) {
+	runWorld(t, 1, mpi.Optimized(), func(c *mpi.Comm) (err error) {
+		s := New(c, []int{8, 8, 8}, 1, petsc.ScatterHandTuned)
+		x := s.CreateVec()
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.HasPrefix(msg, "mg: Apply(x, x)") || strings.Contains(msg, "\n") {
+				err = fmt.Errorf("Apply(x, x) said %q", msg)
+			}
+		}()
+		s.Apply(x, x)
+		return nil
+	})
 }
 
 // FuzzKernelsMatchReference draws a problem shape from its arguments: one

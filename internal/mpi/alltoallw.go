@@ -63,7 +63,7 @@ type Exchange struct {
 	c            *Comm
 	sends, recvs []TypeSpec
 
-	local           *datatype.CopyPlan // sends[me] into recvs[me]; see localCopy
+	local           *datatype.CopyPlan // sends[me] into recvs[me]; see localPart
 	in              []exchRecv         // peers with a nonzero receive, ascending
 	out             []exchSend         // peers with a nonzero send: out[:nSmall] the small bin, ascending, then the large
 	nSmall, zeroBin int
@@ -97,7 +97,7 @@ func (c *Comm) AlltoallwInit(sends, recvs []TypeSpec) *Exchange {
 	me := c.rank
 	thresh := c.w.cfg.BinThresholdBytes
 	e := &Exchange{c: c, sends: sends, recvs: recvs}
-	// A local part whose two sides differ in size is refused by localCopy.
+	// A local part whose two sides differ in size is refused by localPart.
 	if b := sends[me].Bytes(); b > 0 && b == recvs[me].Bytes() && c.w.cfg.Engine == datatype.CompiledPlans {
 		e.local = datatype.CompileCopy(sends[me].Type, sends[me].Count, recvs[me].Type, recvs[me].Count)
 	}
@@ -161,7 +161,15 @@ func (s TypeSpec) contig() bool { return s.Type.Contig() && s.Type.Size() == s.T
 // may compute in between.  As MPI requires of MPI_Alltoallw, sendbuf and
 // recvbuf must not overlap.  A typed communication error raised here leaves
 // the Exchange idle, so a Guard-ed caller may Start again.
-func (e *Exchange) Start(sendbuf, recvbuf []byte) {
+func (e *Exchange) Start(sendbuf, recvbuf []byte) { e.start(sendbuf, recvbuf, true) }
+
+// StartRemote is Start for a caller that reads the local part where it lies
+// in sendbuf: the rank's own slot is checked and charged as Start's local
+// copy is, and none of it is moved, so that part of recvbuf keeps what it
+// held.  Only there may the two buffers overlap.
+func (e *Exchange) StartRemote(sendbuf, recvbuf []byte) { e.start(sendbuf, recvbuf, false) }
+
+func (e *Exchange) start(sendbuf, recvbuf []byte, moveLocal bool) {
 	if e.started {
 		panic("mpi: Exchange.Start with an exchange already in flight")
 	}
@@ -174,12 +182,12 @@ func (e *Exchange) Start(sendbuf, recvbuf []byte) {
 		// The baseline couples every pair; it cannot route around a dead
 		// peer, so it fails fast instead.  It has nothing left to wait for.
 		c.requireLive()
-		c.a2awRoundRobin(tag, sendbuf, e.sends, recvbuf, e.recvs, e.local)
+		c.a2awRoundRobin(tag, sendbuf, e.sends, recvbuf, e.recvs, e.local, moveLocal)
 		for i := range e.in {
 			e.in[i].req = Request{done: true}
 		}
 	case ATBinned:
-		e.startBinned(tag, sendbuf, recvbuf)
+		e.startBinned(tag, sendbuf, recvbuf, moveLocal)
 	default:
 		panic("mpi: unknown alltoallw algorithm")
 	}
@@ -191,7 +199,7 @@ func (e *Exchange) Start(sendbuf, recvbuf []byte) {
 // are treated as zero-volume — nothing is sent to them, their receive
 // regions are left untouched, and they never enter a bin — so the exchange
 // completes among the survivors.
-func (e *Exchange) startBinned(tag int, sendbuf, recvbuf []byte) {
+func (e *Exchange) startBinned(tag int, sendbuf, recvbuf []byte, moveLocal bool) {
 	c := e.c
 	me := c.rank
 	anyDown := c.w.anyDown.Load()
@@ -199,7 +207,7 @@ func (e *Exchange) startBinned(tag int, sendbuf, recvbuf []byte) {
 
 	// The local part needs no wire and no message.
 	if e.sends[me].Bytes() > 0 || e.recvs[me].Bytes() > 0 {
-		c.localCopy(sendbuf, e.sends[me], recvbuf, e.recvs[me], e.local)
+		c.localPart(sendbuf, e.sends[me], recvbuf, e.recvs[me], e.local, moveLocal)
 	}
 
 	// Post all nonzero receives up front.  A dead peer contributes nothing —
@@ -263,20 +271,26 @@ func (e *Exchange) Wait() {
 	}
 }
 
-// localCopy moves the calling rank's own slot of an exchange, the bytes of s
-// in sendbuf into the layout r of recvbuf, with no message: no packed image,
+// localPart serves the calling rank's own slot of an exchange, the bytes of s
+// in sendbuf and the layout r of recvbuf, with no message: no packed image,
 // no envelope, nothing in Stats' message counts or on the CommMatrix
-// diagonal.  Under the compiled-plan engine it runs cp, the copy program of
-// the pair; the streaming engines pipe the Packer's chunks through the rank's
-// scratch buffer into the receive layout.
+// diagonal.  It has two halves.  The charge is always paid; the move happens
+// only when move is set (Start), and not at all for a caller that reads those
+// bytes where they lie (StartRemote), which leaves recvbuf untouched.
 //
-// The virtual clock models the paper's MPI, which does send to itself, so it
-// is charged what that message was charged, the same increments in the same
-// order: send overhead, each granule's pack and search time, receive
-// overhead, unpack.  The checks of that message stay too: an injected crash
-// fires before and after, a revoked communicator raises ErrRevoked before
-// recvbuf is touched, and the two sides must agree in size.
-func (c *Comm) localCopy(sendbuf []byte, s TypeSpec, recvbuf []byte, r TypeSpec, cp *datatype.CopyPlan) {
+// The charge: the virtual clock models the paper's MPI, which does send to
+// itself, so it is charged what that message was charged, the same increments
+// in the same order: send overhead, each granule's pack and search time,
+// receive overhead, unpack.  The checks of that message stay too: an injected
+// crash fires before and after, a revoked communicator raises ErrRevoked
+// before recvbuf is touched, and the two sides must agree in size.
+//
+// The move: under the compiled-plan engine cp, the copy program of the pair,
+// priced from its segment counts alone.  A streaming engine is priced by what
+// its Packer and Unpacker count as they walk the two layouts, so they walk
+// them either way: the Packer's chunks go through the rank's scratch buffer
+// into the Unpacker, which lands them or, unmoved, only steps over them.
+func (c *Comm) localPart(sendbuf []byte, s TypeSpec, recvbuf []byte, r TypeSpec, cp *datatype.CopyPlan, move bool) {
 	p := c.me
 	prm := &c.w.cluster.Params
 	c.maybeCrash()
@@ -308,20 +322,26 @@ func (c *Comm) localCopy(sendbuf []byte, s TypeSpec, recvbuf []byte, r TypeSpec,
 		if unpacked {
 			rcvd = datatype.Metrics{PackedBytes: int64(n), PackedSegments: int64(cp.RecvSegments())}
 		}
-		if n > 0 {
+		if n > 0 && move {
 			cp.Copy(dst, src)
 		}
 	} else if n > 0 {
-		// land appends a piece of the packed stream to the receive layout.
+		// land takes the next piece of the packed stream into the receive
+		// layout.
 		var u *datatype.Unpacker
 		if unpacked {
 			u = datatype.NewUnpacker(r.Type, r.Count, dst)
 		}
 		at := 0
 		land := func(piece []byte) {
-			if u != nil {
+			switch {
+			case !move:
+				if u != nil {
+					u.Skip(len(piece))
+				}
+			case u != nil:
 				u.Consume(piece)
-			} else {
+			default:
 				at += copy(dst[at:n], piece)
 			}
 		}
@@ -392,10 +412,10 @@ func (c *Comm) recvSpec(src, tag int, buf []byte, s TypeSpec, plan *datatype.Pla
 // a2awRoundRobin is the baseline: N sequential pairwise exchanges, peer k
 // of rank r being (r+k) mod N, zero-byte pairs included.  Step 0, the rank's
 // own slot, is a local copy.
-func (c *Comm) a2awRoundRobin(tag int, sendbuf []byte, sends []TypeSpec, recvbuf []byte, recvs []TypeSpec, local *datatype.CopyPlan) {
+func (c *Comm) a2awRoundRobin(tag int, sendbuf []byte, sends []TypeSpec, recvbuf []byte, recvs []TypeSpec, local *datatype.CopyPlan, moveLocal bool) {
 	n := c.Size()
 	me := c.rank
-	c.localCopy(sendbuf, sends[me], recvbuf, recvs[me], local)
+	c.localPart(sendbuf, sends[me], recvbuf, recvs[me], local, moveLocal)
 	for k := 1; k < n; k++ {
 		dst := (me + k) % n
 		src := (me - k + n) % n

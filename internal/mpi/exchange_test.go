@@ -167,6 +167,68 @@ func TestExchangeLocalPart(t *testing.T) {
 	}
 }
 
+// TestExchangeStartRemote: StartRemote is Start with the rank's own slot left
+// where it is.  Under every preset, with a strided own slot landing in a
+// differently strided one beside the ring's messages, it leaves every rank the
+// Stats and the virtual clock of Start, the same bytes from the peers, and the
+// own slot of recvbuf holding what it held before.
+func TestExchangeStartRemote(t *testing.T) {
+	const n, size, sentinel = 4, 512, 0xEE
+	st, rt := datatype.Vector(6, 1, 2, datatype.Double), datatype.Vector(3, 2, 3, datatype.Double)
+	ownSlot := make([]byte, size) // nonzero where recvs[me] lands
+	ones := bytes.Repeat([]byte{1}, st.Size())
+	datatype.Unpack(rt, 1, ownSlot[400:], ones)
+	for name, cfg := range map[string]Config{"baseline": Baseline(), "optimized": Optimized(), "compiled": Compiled()} {
+		t.Run(name, func(t *testing.T) {
+			type result struct {
+				recv  []byte
+				stats Stats
+				clock float64
+			}
+			exchange := func(remote bool) []result {
+				out := make([]result, n)
+				run(t, n, cfg, func(c *Comm) error {
+					me := c.Rank()
+					sends, recvs := exchangeSpecs(n, me)
+					sends[me] = TypeSpec{Type: st, Count: 1, Displ: 296}
+					recvs[me] = TypeSpec{Type: rt, Count: 1, Displ: 400}
+					e := c.AlltoallwInit(sends, recvs)
+					sendbuf, recvbuf := make([]byte, size), bytes.Repeat([]byte{sentinel}, size)
+					for i := range sendbuf {
+						sendbuf[i] = byte(me*31 + i*7)
+					}
+					if remote {
+						e.StartRemote(sendbuf, recvbuf)
+					} else {
+						e.Start(sendbuf, recvbuf)
+					}
+					e.Wait()
+					out[me] = result{recvbuf, c.Stats(), c.Clock()}
+					return nil
+				})
+				return out
+			}
+			moved, left := exchange(false), exchange(true)
+			for r := range moved {
+				if moved[r].stats != left[r].stats || moved[r].clock != left[r].clock {
+					t.Errorf("rank %d: StartRemote counted %+v at clock %v, Start %+v at %v",
+						r, left[r].stats, left[r].clock, moved[r].stats, moved[r].clock)
+				}
+				for i, own := range ownSlot {
+					switch {
+					case own == 0 && left[r].recv[i] != moved[r].recv[i]:
+						t.Fatalf("rank %d: byte %d from the peers is %#x, Start left %#x", r, i, left[r].recv[i], moved[r].recv[i])
+					case own != 0 && left[r].recv[i] != sentinel:
+						t.Fatalf("rank %d: byte %d of the own slot was written (%#x)", r, i, left[r].recv[i])
+					case own != 0 && moved[r].recv[i] == sentinel:
+						t.Fatalf("rank %d: Start did not move byte %d of the own slot", r, i)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestExchangeMisuse: a second Start before Wait and a Wait without Start
 // are programming errors and panic.
 func TestExchangeMisuse(t *testing.T) {

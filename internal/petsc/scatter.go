@@ -290,7 +290,17 @@ func (s *Scatter) Begin(x, y *Vec) {
 // raised on the way (a peer failed, the communicator was revoked) leaves
 // nothing in flight, so an mpi.Guard-ed caller that begins again meets the
 // same typed error, not the double-Begin panic.
-func (s *Scatter) BeginArrays(x, y []float64) {
+func (s *Scatter) BeginArrays(x, y []float64) { s.begin(x, y, true) }
+
+// BeginRemoteArrays is BeginArrays for a caller that reads the local part
+// where it lies in x (a ghost update whose owned cells are the vector's own):
+// the local part is checked and charged on the virtual clock as BeginArrays'
+// is and none of it is moved, so y receives the other ranks' elements only
+// and keeps what it held everywhere else.  Only in the local part may x and y
+// overlap.  End completes it as it does any Begin.
+func (s *Scatter) BeginRemoteArrays(x, y []float64) { s.begin(x, y, false) }
+
+func (s *Scatter) begin(x, y []float64, moveLocal bool) {
 	if len(x) != s.xLocal || len(y) != s.yLocal {
 		panic("petsc: scatter applied to arrays with mismatched length")
 	}
@@ -299,9 +309,13 @@ func (s *Scatter) BeginArrays(x, y []float64) {
 	}
 	switch s.mode {
 	case ScatterHandTuned:
-		s.beginHandTuned(x, y)
+		s.beginHandTuned(x, y, moveLocal)
 	case ScatterDatatype:
-		s.exch.Start(floatbytes.Bytes(x), floatbytes.Bytes(y))
+		if moveLocal {
+			s.exch.Start(floatbytes.Bytes(x), floatbytes.Bytes(y))
+		} else {
+			s.exch.StartRemote(floatbytes.Bytes(x), floatbytes.Bytes(y))
+		}
 	}
 	s.inFlight = true
 }
@@ -322,11 +336,12 @@ func (s *Scatter) End() {
 }
 
 // beginHandTuned is the first half of PETSc's default path: pack with
-// explicit loops, launch nonblocking point-to-point, apply the local part.
+// explicit loops, launch nonblocking point-to-point, apply the local part
+// (charged always, moved unless the caller reads it in place).
 // Only peers with data are contacted — the hand-tuned path never had the
 // baseline Alltoallw's zero-volume synchronization problem, which is why it
 // scales.
-func (s *Scatter) beginHandTuned(x, y []float64) {
+func (s *Scatter) beginHandTuned(x, y []float64, moveLocal bool) {
 	c := s.c
 	me := c.Rank()
 
@@ -359,9 +374,11 @@ func (s *Scatter) beginHandTuned(x, y []float64) {
 	// (VecScatterLocalOptimizeCopy_Private); the charge is the index loop's
 	// either way.
 	if n := len(s.selfDst); n > 0 {
-		if s.selfCopy {
+		switch {
+		case !moveLocal:
+		case s.selfCopy:
 			copy(y[s.selfDst[0]:s.selfDst[0]+n], x[s.selfSrc[0]:s.selfSrc[0]+n])
-		} else {
+		default:
 			for k, di := range s.selfDst {
 				y[di] = x[s.selfSrc[k]]
 			}
