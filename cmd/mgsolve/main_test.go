@@ -27,6 +27,8 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{nil, "no mode selected"},
 		{[]string{"-tcp", "2", "-extent", "100", "-levels", "4"}, "extent 100 not divisible"},
 		{[]string{"-np", "0", "-analyze"}, "ranks 0 too small"},
+		{[]string{"-np", "1", "-extent", "8", "-levels", "2", "-maxcycles", "0", "-trace", "t.json"}, "max_cycles 0 too small"},
+		{[]string{"-tcp", "2", "-rtol", "-1"}, "rtol -1 not positive"},
 	} {
 		var stdout, stderr bytes.Buffer
 		args := append([]string{"-daemon", "/nonexistent"}, tc.args...)

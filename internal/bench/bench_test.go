@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -214,6 +215,10 @@ func TestMultigridParamsValidate(t *testing.T) {
 			"extent 100 not divisible by 2^(levels-1) = 8"},
 		{"absurd depth", with(func(p *MultigridParams) { p.Levels = 200 }), 1, "not divisible"},
 		{"cycle cap", with(func(p *MultigridParams) { p.MaxCycles = MaxCycles + 1 }), 1, "max_cycles 1048577 too large (limit 1048576)"},
+		{"no cycles", with(func(p *MultigridParams) { p.MaxCycles = 0 }), 1, "max_cycles 0 too small (need >= 1)"},
+		{"zero rtol", with(func(p *MultigridParams) { p.Rtol = 0 }), 1, "rtol 0 not positive"},
+		{"negative rtol", with(func(p *MultigridParams) { p.Rtol = -1 }), 1, "rtol -1 not positive"},
+		{"NaN rtol", with(func(p *MultigridParams) { p.Rtol = math.NaN() }), 1, "rtol NaN not positive"},
 		{"no ranks", ok, 0, "ranks 0 too small"},
 		{"3 ranks cannot split a 2^3 grid", ok, 3, "no feasible process grid for 3 ranks on the 2^3 grid of level 2"},
 		{"more ranks than coarse cells", ok, 16, "no feasible process grid for 16 ranks"},

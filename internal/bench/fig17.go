@@ -53,8 +53,14 @@ func (p MultigridParams) Validate(ranks int) error {
 	if p.Levels < 1 {
 		return fmt.Errorf("levels %d too small (need >= 1)", p.Levels)
 	}
+	if p.MaxCycles < 1 {
+		return fmt.Errorf("max_cycles %d too small (need >= 1)", p.MaxCycles)
+	}
 	if p.MaxCycles > MaxCycles {
 		return fmt.Errorf("max_cycles %d too large (limit %d)", p.MaxCycles, MaxCycles)
+	}
+	if !(p.Rtol > 0) { // NaN too: no residual is ever below it
+		return fmt.Errorf("rtol %v not positive", p.Rtol)
 	}
 	if ranks < 1 {
 		return fmt.Errorf("ranks %d too small (need >= 1)", ranks)

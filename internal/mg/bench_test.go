@@ -63,7 +63,7 @@ func BenchmarkApply(b *testing.B) {
 // as a V-cycle pays for it, patch scatter included.
 func BenchmarkRestrict(b *testing.B) {
 	benchKernel(b, coarseCells,
-		func(s *Solver) int { return 8 * (len(s.levels[0].finePatch) + coarseCells(s)) },
+		func(s *Solver) int { return 8 * (s.levels[0].restrictBox.Cells() + coarseCells(s)) },
 		func(s *Solver, x, _, _, coarse *petsc.Vec) { s.restrictTo(0, x, coarse) })
 }
 
@@ -71,4 +71,25 @@ func BenchmarkInterpolate(b *testing.B) {
 	benchKernel(b, fineCells,
 		func(s *Solver) int { return 8 * (len(s.levels[0].coarsePatch) + 2*fineCells(s)) },
 		func(s *Solver, _, _, out, coarse *petsc.Vec) { s.interpolateAdd(0, coarse, out) })
+}
+
+// BenchmarkSolve96 is one whole four-level 96³ solve on one rank from a zero
+// guess, the benchmark spine's mg96_np1 op without its harness, so that
+// go test -bench Solve96 -cpuprofile gives the kernels' shares of a solve and
+// -benchmem what a solve allocates.
+func BenchmarkSolve96(b *testing.B) {
+	runWorld(b, 1, mpi.Compiled(), func(c *mpi.Comm) error {
+		s := New(c, []int{96, 96, 96}, 4, petsc.ScatterDatatype)
+		rhs, x := s.CreateVec(), s.CreateVec()
+		fillSeeded(rhs, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		cycles := 0
+		for i := 0; i < b.N; i++ {
+			x.Set(0)
+			cycles, _ = s.Solve(rhs, x, 1e-6, 30)
+		}
+		b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N)/float64(cycles), "ms/cycle")
+		return nil
+	})
 }

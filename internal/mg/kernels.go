@@ -29,11 +29,39 @@ type stencilGeom struct {
 // rowSrc is one owned x-row as a stencil pass reads it.  Each of the four
 // neighbour rows is the source vector's own row where this rank owns it and
 // lwork's where it was received as a ghost row; beyond a domain face there is
-// none, no cell reads it, and the row itself stands in.
+// none and the level's row of zeros stands in, which the general form never
+// reads and the unrolled loop may subtract (see rowCoef).
 type rowSrc struct {
 	out                int       // the first cell's index in the owned layout of x, y and b
 	i, j, k            int       // the first cell's global coordinates
 	cr, ym, yp, zm, zp []float64 // the row and its neighbour rows, from the first cell on
+}
+
+// rowCoef is what the cells of a 3-D row between its two ends share: the
+// coefficient of u per dimension, cd·inv[d], and omega over their sum.  cd is
+// 2 plus one for every domain face the row lies on along d (see side), so a
+// level has one rowCoef per count of y faces and of z faces.  An absent
+// neighbour row is the row of zeros: inv[d]·(+0) is +0, and acc − (+0) is acc
+// for every acc, −0 and NaN included, so subtracting it leaves the bits that
+// skipping the subtraction leaves.  A 2-D row is not a 3-D row of zero inv[2]
+// in the same way: its centre term would add 0·u, and acc + (+0) turns an acc
+// of −0 into +0.
+type rowCoef struct {
+	cu [3]float64
+	w  float64
+}
+
+// faces counts the domain faces (0, 1, or on a grid one cell thick 2) that
+// coordinate c of an extent of n lies on.
+func faces(c, n int) int {
+	f := 0
+	if c == 0 {
+		f++
+	}
+	if c == n-1 {
+		f++
+	}
+	return f
 }
 
 // stencil evaluates one of the three forms for every owned cell of x, whose
@@ -42,11 +70,11 @@ type rowSrc struct {
 // from x itself and only ghost cells from lwork, so x and y must not be one
 // array.  Every x-row is classified once, and so is where each of its sources
 // lies: the y- and z-neighbour rows a row at a time, the x-neighbours of the
-// two end cells, which alone can be ghosts, a cell at a time.  A 3-D row that
-// touches no domain face in y or z has all six neighbours present for all but
-// its first and last cell, and those cells run as one unrolled loop over five
-// row slices; the two end cells, rows on a face, and every row of a 1-D or
-// 2-D grid take the general per-cell form.
+// two end cells, which alone can be ghosts, a cell at a time.  The cells of a
+// 3-D row between its ends run as one unrolled loop over five row slices with
+// the coefficients of the row's class, on a y or z domain face as anywhere
+// else; the two end cells and every row of a 1-D or 2-D grid take the general
+// per-cell form.
 func (s *Solver) stencil(lv *level, form stencilForm, x, y, b []float64, omega float64) {
 	da := lv.da
 	own, ghost := da.OwnedBox(), da.GhostBox()
@@ -54,19 +82,26 @@ func (s *Solver) stencil(lv *level, form stencilForm, x, y, b []float64, omega f
 	for d := 0; d < 3; d++ {
 		g.n[d] = da.GlobalSize(d)
 	}
-
-	// Interior cells: the coefficient of u is 2/h² per dimension, so the
-	// diagonal, and with it the Jacobi weight, is one number per level.
-	var two [3]float64
-	diag := 0.0
 	for d := 0; d < s.dim; d++ {
 		g.inv[d] = 1 / (lv.h[d] * lv.h[d])
-		two[d] = float64(2.0 * g.inv[d])
-		diag += two[d]
 	}
-	w := omega / diag
 
-	lw := lv.lwork
+	// The row classes, by y faces and z faces; the diagonal is summed in
+	// side's order.
+	var coef [3][3]rowCoef
+	for fy := range coef {
+		for fz := range coef[fy] {
+			c := &coef[fy][fz]
+			diag := 0.0
+			for d, cd := range [3]float64{2, float64(2 + fy), float64(2 + fz)} {
+				c.cu[d] = float64(cd * g.inv[d])
+				diag += c.cu[d]
+			}
+			c.w = omega / diag
+		}
+	}
+
+	lw, zero := lv.lwork, lv.zeroRow
 	nx := own.Hi[0] - own.Lo[0]
 	oy, oz := nx, nx*(own.Hi[1]-own.Lo[1]) // row strides of the owned layout
 	sy := ghost.Hi[0] - ghost.Lo[0]        // and of the ghosted one
@@ -80,10 +115,10 @@ func (s *Solver) stencil(lv *level, form stencilForm, x, y, b []float64, omega f
 			cr := x[out:]
 			r.out, r.j, r.k = out, j, k
 			r.cr = cr
-			r.ym = neighbourRow(j > own.Lo[1], j > 0, x, out-oy, lw, row-sy, cr)
-			r.yp = neighbourRow(j+1 < own.Hi[1], j+1 < g.n[1], x, out+oy, lw, row+sy, cr)
-			r.zm = neighbourRow(k > own.Lo[2], k > 0, x, out-oz, lw, row-sz, cr)
-			r.zp = neighbourRow(k+1 < own.Hi[2], k+1 < g.n[2], x, out+oz, lw, row+sz, cr)
+			r.ym = neighbourRow(j > own.Lo[1], j > 0, x, out-oy, lw, row-sy, zero)
+			r.yp = neighbourRow(j+1 < own.Hi[1], j+1 < g.n[1], x, out+oy, lw, row+sy, zero)
+			r.zm = neighbourRow(k > own.Lo[2], k > 0, x, out-oz, lw, row-sz, zero)
+			r.zp = neighbourRow(k+1 < own.Hi[2], k+1 < g.n[2], x, out+oz, lw, row+sz, zero)
 
 			xw, xe := cr, cr // the end cells' outer x-neighbours
 			if west {
@@ -97,10 +132,11 @@ func (s *Solver) stencil(lv *level, form stencilForm, x, y, b []float64, omega f
 				continue
 			}
 			g.cells(form, y, b, omega, &r, xw, cr[1:], 0, 1)
-			if s.dim < 3 || j == 0 || j == g.n[1]-1 || k == 0 || k == g.n[2]-1 {
+			if s.dim < 3 {
 				g.cells(form, y, b, omega, &r, cr, cr[2:], 1, nx-2)
 			} else if nx > 2 {
-				interiorCells(form, y, b, out+1, nx-2, cr, r.ym[1:], r.yp[1:], r.zm[1:], r.zp[1:], &g.inv, &two, w)
+				c := &coef[faces(j, g.n[1])][faces(k, g.n[2])]
+				interiorCells(form, y, b, out+1, nx-2, cr, r.ym[1:], r.yp[1:], r.zm[1:], r.zp[1:], &g.inv, &c.cu, c.w)
 			}
 			g.cells(form, y, b, omega, &r, cr[nx-2:], xe, nx-1, 1)
 		}
@@ -108,17 +144,17 @@ func (s *Solver) stencil(lv *level, form stencilForm, x, y, b []float64, omega f
 	s.c.Compute(float64(own.Cells()) * float64(4*s.dim+3) * flopSec)
 }
 
-// neighbourRow is a neighbour row of the row cr, from the cell beside cr's
-// first on: x[xo:] where this rank owns the row, lw[lo:] where it lies in the
-// domain and so was received, and beyond a domain face cr itself.
-func neighbourRow(owned, inDomain bool, x []float64, xo int, lw []float64, lo int, cr []float64) []float64 {
+// neighbourRow is a neighbour row of an owned row, from the cell beside that
+// row's first on: x[xo:] where this rank owns the row, lw[lo:] where it lies
+// in the domain and so was received, and beyond a domain face zero.
+func neighbourRow(owned, inDomain bool, x []float64, xo int, lw []float64, lo int, zero []float64) []float64 {
 	switch {
 	case owned:
 		return x[xo:]
 	case inDomain:
 		return lw[lo:]
 	}
-	return cr
+	return zero
 }
 
 // cells evaluates count consecutive cells of row r, from its cell c0 on, the
@@ -174,16 +210,16 @@ func (g *stencilGeom) side(d, coord int, acc, diag, u, lo, hi float64) (float64,
 }
 
 // interiorCells evaluates the m cells y[o:o+m] of a 3-D row, all of which
-// have six neighbours inside the domain.  cr is the cells' own row from the
+// have both x-neighbours inside the domain.  cr is the cells' own row from the
 // first cell's west neighbour on; ym, yp, zm and zp are the four neighbouring
-// rows from the first cell on, each wherever it lies (see rowSrc).  two[d] is
-// 2·inv[d] and w the interior omega/diag.
-func interiorCells(form stencilForm, y, b []float64, o, m int, cr, ym, yp, zm, zp []float64, inv, two *[3]float64, w float64) {
+// rows from the first cell on, each wherever it lies (see rowSrc).  cu and w
+// are the row's rowCoef.
+func interiorCells(form stencilForm, y, b []float64, o, m int, cr, ym, yp, zm, zp []float64, inv, cu *[3]float64, w float64) {
 	xm, u, xp := cr[:m], cr[1:m+1], cr[2:m+2]
 	ym, yp, zm, zp = ym[:m], yp[:m], zm[:m], zp[:m]
 	y = y[o:][:m]
 	i0, i1, i2 := inv[0], inv[1], inv[2]
-	t0, t1, t2 := two[0], two[1], two[2]
+	t0, t1, t2 := cu[0], cu[1], cu[2]
 	switch form {
 	case formApply:
 		for i := range y {
@@ -203,8 +239,9 @@ func interiorCells(form stencilForm, y, b []float64, o, m int, cr, ym, yp, zm, z
 	}
 }
 
-// lap7 is (A x) of one interior cell, in the general form's order: per
-// dimension the lower neighbour, the upper neighbour, then the centre.
+// lap7 is (A x) of one cell with all seven sources, in the general form's
+// order: per dimension the lower neighbour, the upper neighbour, then the
+// centre.
 func lap7(i0, i1, i2, t0, t1, t2, u, xm, xp, ym, yp, zm, zp float64) float64 {
 	acc := 0.0
 	acc -= float64(i0 * xm)
@@ -256,19 +293,25 @@ type interpTerm struct {
 }
 
 // restrictTerm is the adjoint for one owned coarse index along one
-// dimension: the patch offsets of the up to four fine cells that
-// interpolate from it, in ascending order, and their weights.
+// dimension: the up to four fine indices that interpolate from it, in
+// ascending order, as patch offsets and as offsets in the fine owned layout
+// (index times the dimension's stride in either; -1 in own where this rank
+// does not own the index, whose cells are then the patch's), and their
+// weights.
 type restrictTerm struct {
-	n   int
-	off [4]int
-	w   [4]float64
+	n        int
+	off, own [4]int
+	w        [4]float64
 }
 
 // transferTables hold everything restrictTo and interpolateAdd would
 // otherwise derive per cell: one table per dimension (x first), indexed by
 // owned coarse and by owned fine index respectively.  The x runs are the
 // ranges of the x tables that the unrolled loops serve: entries with every
-// weight present and adjacent patch cells.
+// weight present and adjacent patch cells.  The restriction's run is narrowed
+// further to what restrictRun takes for granted: all four columns owned by
+// this rank, one set of weights throughout, each entry's first column two
+// beyond the entry's before, and at least four entries (else it is empty).
 type transferTables struct {
 	restrict     [3][]restrictTerm
 	restrictXRun [2]int
@@ -282,7 +325,7 @@ func (s *Solver) newTransferTables(fine, coarse *level) *transferTables {
 	t := &transferTables{}
 	cOwn, fOwn := coarse.da.OwnedBox(), fine.da.OwnedBox()
 	rBox, iBox := fine.restrictBox, fine.interpBox
-	rStride, iStride := 1, 1
+	rStride, oStride, iStride := 1, 1, 1
 	for d := 0; d < 3; d++ {
 		split := d < s.dim
 		nf, nc := fine.da.GlobalSize(d), coarse.da.GlobalSize(d)
@@ -305,13 +348,17 @@ func (s *Solver) newTransferTables(fine, coarse *level) *transferTables {
 					w = wHi
 				}
 				if w != 0 {
-					e.off[e.n], e.w[e.n] = (fi-rBox.Lo[d])*rStride, w
+					e.off[e.n], e.own[e.n], e.w[e.n] = (fi-rBox.Lo[d])*rStride, -1, w
+					if fi >= fOwn.Lo[d] && fi < fOwn.Hi[d] {
+						e.own[e.n] = (fi - fOwn.Lo[d]) * oStride
+					}
 					e.n++
 				}
 			}
 			t.restrict[d] = append(t.restrict[d], e)
 		}
 		rStride *= rBox.Hi[d] - rBox.Lo[d]
+		oStride *= fOwn.Hi[d] - fOwn.Lo[d]
 
 		for fi := fOwn.Lo[d]; fi < fOwn.Hi[d]; fi++ {
 			lo, wLo, wHi := interpWeights(fi, split, nc)
@@ -320,10 +367,21 @@ func (s *Solver) newTransferTables(fine, coarse *level) *transferTables {
 		}
 		iStride *= iBox.Hi[d] - iBox.Lo[d]
 	}
-	t.restrictXRun = firstRun(len(t.restrict[0]), func(i int) bool {
-		e := &t.restrict[0][i]
-		return e.n == 4 && e.off[1] == e.off[0]+1 && e.off[2] == e.off[0]+2 && e.off[3] == e.off[0]+3
+	rx := t.restrict[0]
+	t.restrictXRun = firstRun(len(rx), func(i int) bool {
+		e := &rx[i]
+		return e.n == 4 && e.off[1] == e.off[0]+1 && e.off[2] == e.off[0]+2 && e.off[3] == e.off[0]+3 &&
+			e.own[0] >= 0 && e.own[3] >= 0
 	})
+	run := &t.restrictXRun
+	for i := run[0] + 1; i < run[1]; i++ {
+		if rx[i].w != rx[run[0]].w || rx[i].off[0] != rx[i-1].off[0]+2 {
+			run[1] = i
+		}
+	}
+	if run[1]-run[0] < 4 {
+		run[1] = run[0]
+	}
 	t.interpXRun = firstRun(len(t.interp[0]), func(i int) bool {
 		e := &t.interp[0][i]
 		return e.w[0] != 0 && e.w[1] != 0 && e.off[1] == e.off[0]+1
@@ -348,25 +406,34 @@ func firstRun(n int, ok func(int) bool) [2]int {
 // restrictTo restricts fine-level values r_f (level l) into the next
 // coarser level's vector out using the scaled adjoint of the linear
 // interpolation, R = Pᵀ/2^dim — full weighting with Dirichlet-consistent
-// boundary treatment.
+// boundary treatment.  The fine cells this rank owns are read from rf itself
+// and only the other ranks' from finePatch.
 func (s *Solver) restrictTo(l int, rf, out *petsc.Vec) {
-	start := s.c.Clock()
-	defer func() { s.c.Span("restrict", start, lvl(l)) }()
+	defer s.span("restrict", s.c.Clock(), intAttr("level", l))
 	fine := s.levels[l]
-	fine.restrictSc.DoArrays(rf.Array(), fine.finePatch)
+	fa, patch := rf.Array(), fine.finePatch
+	if patch == nil {
+		patch = fa // the patch box is the owned box: the layouts are one and nothing lands in it
+	}
+	fine.restrictSc.BeginRemoteArrays(fa, patch)
+	fine.restrictSc.End()
 
 	scale := 1.0
 	for d := 0; d < s.dim; d++ {
 		scale /= 2
 	}
 	t := fine.transfer
-	tx, patch, oa := t.restrict[0], fine.finePatch, out.Array()
+	tx, oa := t.restrict[0], out.Array()
 	runLo, runHi := t.restrictXRun[0], t.restrictXRun[1]
 
 	// Per coarse row: the fine rows it gathers from, z-major as the sum
-	// runs, and the product of their z and y weights.
-	var rowBuf [16]int
-	var wzyBuf [16]float64
+	// runs, and the product of their z and y weights.  pat is a fine row in
+	// the patch, own the same row in rf where this rank owns it, and src the
+	// one of the two that holds the row's owned columns, from the run's first
+	// column on; wx is the row's weight times the run's four x weights.
+	var pat, own, src [16][]float64
+	var wzy [16]float64
+	var wx [16][4]float64
 	idx := 0
 	for kz := range t.restrict[2] {
 		ez := &t.restrict[2][kz]
@@ -375,19 +442,32 @@ func (s *Solver) restrictTo(l int, rf, out *petsc.Vec) {
 			nr := 0
 			for a := 0; a < ez.n; a++ {
 				for b := 0; b < ey.n; b++ {
-					rowBuf[nr], wzyBuf[nr] = ez.off[a]+ey.off[b], float64(ez.w[a]*ey.w[b])
+					pat[nr], own[nr] = patch[ez.off[a]+ey.off[b]:], nil
+					if ez.own[a] >= 0 && ey.own[b] >= 0 {
+						own[nr] = fa[ez.own[a]+ey.own[b]:]
+					}
+					wzy[nr] = float64(ez.w[a] * ey.w[b])
 					nr++
 				}
 			}
-			rows, wzy := rowBuf[:nr], wzyBuf[:nr]
 			for i := 0; i < runLo; i++ {
-				oa[idx+i] = restrictCell(patch, rows, wzy, &tx[i]) * scale
+				oa[idx+i] = restrictCell(pat[:nr], own[:nr], wzy[:nr], &tx[i]) * scale
 			}
-			for i := runLo; i < runHi; i++ {
-				oa[idx+i] = restrictCell4(patch, rows, wzy, &tx[i]) * scale
+			if runLo < runHi {
+				e := &tx[runLo]
+				for r := 0; r < nr; r++ {
+					src[r] = pat[r][e.off[0]:]
+					if own[r] != nil {
+						src[r] = own[r][e.own[0]:]
+					}
+					for c, w := range e.w {
+						wx[r][c] = float64(wzy[r] * w)
+					}
+				}
+				restrictRun(oa[idx+runLo:idx+runHi], src[:nr], wx[:nr], scale)
 			}
 			for i := runHi; i < len(tx); i++ {
-				oa[idx+i] = restrictCell(patch, rows, wzy, &tx[i]) * scale
+				oa[idx+i] = restrictCell(pat[:nr], own[:nr], wzy[:nr], &tx[i]) * scale
 			}
 			idx += len(tx)
 		}
@@ -396,38 +476,70 @@ func (s *Solver) restrictTo(l int, rf, out *petsc.Vec) {
 	s.c.Compute(float64(cOwn.Cells()) * float64(int(4)<<uint(s.dim)) * flopSec)
 }
 
-// restrictCell gathers one coarse cell with any number of x candidates.
-func restrictCell(patch []float64, rows []int, wzy []float64, ex *restrictTerm) float64 {
+// restrictCell gathers one coarse cell with any number of x candidates, each
+// fine cell from own where this rank owns both its row and its column and
+// from pat where it was received.
+func restrictCell(pat, own [][]float64, wzy []float64, ex *restrictTerm) float64 {
 	sum := 0.0
-	for r, base := range rows {
+	for r, p := range pat {
+		o := own[r]
 		for c := 0; c < ex.n; c++ {
-			sum += float64(wzy[r] * ex.w[c] * patch[base+ex.off[c]])
+			v := p[ex.off[c]]
+			if o != nil && ex.own[c] >= 0 {
+				v = o[ex.own[c]]
+			}
+			sum += float64(wzy[r] * ex.w[c] * v)
 		}
 	}
 	return sum
 }
 
-// restrictCell4 is restrictCell for four adjacent x candidates.
-func restrictCell4(patch []float64, rows []int, wzy []float64, ex *restrictTerm) float64 {
-	w0, w1, w2, w3 := ex.w[0], ex.w[1], ex.w[2], ex.w[3]
-	wzy = wzy[:len(rows)]
-	sum := 0.0
-	for r, base := range rows {
-		p := patch[base+ex.off[0]:][:4]
-		w := wzy[r]
-		sum += float64(w * w0 * p[0])
-		sum += float64(w * w1 * p[1])
-		sum += float64(w * w2 * p[2])
-		sum += float64(w * w3 * p[3])
+// restrictRun gathers the coarse cells out of an x run, at least four, whose
+// fine rows are src from the first cell's first column on: cell i reads
+// columns 2i to 2i+3 of every row.  It takes four cells at a time and carries
+// their four sums through one loop over the rows, so that four chains of
+// dependent adds are in flight and not one; each sum receives its own cell's
+// terms in restrictCell's order, rows then columns, and none is re-associated.
+// The last group starts four cells before the end and may store again what the
+// group before it stored.
+func restrictRun(out []float64, src [][]float64, wx [][4]float64, scale float64) {
+	n := len(out)
+	wx = wx[:len(src)]
+	for g := 0; g < n; g += 4 {
+		if g > n-4 {
+			g = n - 4
+		}
+		var s0, s1, s2, s3 float64
+		for r, row := range src {
+			p := row[2*g:][:10]
+			w := &wx[r]
+			w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
+			s0 += float64(w0 * p[0])
+			s1 += float64(w0 * p[2])
+			s2 += float64(w0 * p[4])
+			s3 += float64(w0 * p[6])
+			s0 += float64(w1 * p[1])
+			s1 += float64(w1 * p[3])
+			s2 += float64(w1 * p[5])
+			s3 += float64(w1 * p[7])
+			s0 += float64(w2 * p[2])
+			s1 += float64(w2 * p[4])
+			s2 += float64(w2 * p[6])
+			s3 += float64(w2 * p[8])
+			s0 += float64(w3 * p[3])
+			s1 += float64(w3 * p[5])
+			s2 += float64(w3 * p[7])
+			s3 += float64(w3 * p[9])
+		}
+		o := out[g:][:4]
+		o[0], o[1], o[2], o[3] = s0*scale, s1*scale, s2*scale, s3*scale
 	}
-	return sum
 }
 
 // interpolateAdd interpolates the coarse correction xc (level l+1) linearly
 // and adds it into the fine-level vector x (level l).
 func (s *Solver) interpolateAdd(l int, xc, x *petsc.Vec) {
-	start := s.c.Clock()
-	defer func() { s.c.Span("prolong", start, lvl(l)) }()
+	defer s.span("prolong", s.c.Clock(), intAttr("level", l))
 	fine := s.levels[l]
 	fine.interpSc.DoArrays(xc.Array(), fine.coarsePatch)
 

@@ -29,11 +29,12 @@ type level struct {
 	d       *petsc.Vec // Chebyshev direction (lazily allocated)
 	p, ap   *petsc.Vec // coarsest level's conjugate-gradient scratch (lazily allocated)
 	lwork   []float64  // ghosted local array the ghost cells are received into; nil where the ghost box is the owned box
+	zeroRow []float64  // one owned x-row of zeros: the neighbour row beyond a domain face
 
 	// Transfers to/from the next coarser level (nil on the coarsest).
 	restrictSc  *petsc.Scatter // fine global -> fine patch (children of my coarse cells)
 	restrictBox dmda.Box
-	finePatch   []float64
+	finePatch   []float64      // the restrictBox cells other ranks own are received into it, in the box's frame; nil where the box is the owned box
 	interpSc    *petsc.Scatter // coarse global -> coarse patch (interp stencil sources)
 	interpBox   dmda.Box
 	coarsePatch []float64
@@ -157,6 +158,7 @@ func NewAgglomerated(c *mpi.Comm, n []int, nlevels int, mode petsc.ScatterMode, 
 		if da.GhostBox() != da.OwnedBox() {
 			lv.lwork = da.CreateLocalArray()
 		}
+		lv.zeroRow = make([]float64, da.OwnedBox().Hi[0]-da.OwnedBox().Lo[0])
 		for d := 0; d < 3; d++ {
 			lv.h[d] = 1
 		}
@@ -192,7 +194,9 @@ func NewAgglomerated(c *mpi.Comm, n []int, nlevels int, mode petsc.ScatterMode, 
 			want.Hi[d] = 2*cOwn.Hi[d] + 1
 		}
 		fine.restrictSc, fine.restrictBox = fine.da.NewPatchScatter(want)
-		fine.finePatch = make([]float64, fine.restrictBox.Cells())
+		if fine.restrictBox != fine.da.OwnedBox() {
+			fine.finePatch = make([]float64, fine.restrictBox.Cells())
+		}
 
 		// Interpolation: I need the coarse cells feeding my fine cells'
 		// linear-interpolation stencil: [fLo/2 - 1, (fHi-1)/2 + 2).
@@ -277,19 +281,33 @@ func (s Smoother) String() string {
 	return "chebyshev"
 }
 
-// lvl formats a level index for span annotation.
-func lvl(l int) obs.Attr { return obs.Attr{Key: "level", Val: strconv.Itoa(l)} }
+// span records a phase of the solve that began at start.  attrs builds the
+// span's annotations and is called only with tracing on: the list and its
+// formatted numbers are allocated, and with tracing off a V-cycle allocates
+// nothing.
+func (s *Solver) span(kind string, start float64, attrs func() []obs.Attr) {
+	if s.c.Tracer().Enabled() {
+		s.c.Span(kind, start, attrs()...)
+	}
+}
+
+// intAttr is the annotation list of a span that carries one number, its level
+// or its checkpoint iteration.
+func intAttr(key string, v int) func() []obs.Attr {
+	return func() []obs.Attr { return []obs.Attr{{Key: key, Val: strconv.Itoa(v)}} }
+}
+
+func relresAttr(relres float64) obs.Attr {
+	return obs.Attr{Key: "relres", Val: strconv.FormatFloat(relres, 'g', 4, 64)}
+}
 
 // smooth runs sweeps of the configured smoother on level l for A x = b.
 func (s *Solver) smooth(l, sweeps int, b, x *petsc.Vec) {
-	start := s.c.Clock()
-	defer func() {
-		if s.c.Tracer().Enabled() { // the attribute list is allocated by the call
-			s.c.Span("smooth", start, lvl(l),
-				obs.Attr{Key: "sweeps", Val: strconv.Itoa(sweeps)},
-				obs.Attr{Key: "smoother", Val: s.Smoother.String()})
-		}
-	}()
+	defer s.span("smooth", s.c.Clock(), func() []obs.Attr {
+		return []obs.Attr{{Key: "level", Val: strconv.Itoa(l)},
+			{Key: "sweeps", Val: strconv.Itoa(sweeps)},
+			{Key: "smoother", Val: s.Smoother.String()}}
+	})
 	if s.Smoother == SmootherChebyshev {
 		s.smoothChebyshev(l, sweeps, b, x)
 		return
@@ -372,8 +390,7 @@ func (s *Solver) residual(l int, b, x, r *petsc.Vec) {
 // vcycle runs one V-cycle on level l for A_l x = b (x holds the initial
 // guess and result).
 func (s *Solver) vcycle(l int, b, x *petsc.Vec) {
-	start := s.c.Clock()
-	defer func() { s.c.Span("mg_level", start, lvl(l)) }()
+	defer s.span("mg_level", s.c.Clock(), intAttr("level", l))
 	if l == len(s.levels)-1 {
 		s.coarseSolve(l, b, x)
 		return
@@ -399,8 +416,7 @@ func (s *Solver) coarseSolve(l int, b, x *petsc.Vec) {
 	if s.skipInactive && s.coarseComm == nil {
 		return // inactive rank: owns no coarse cells, rejoins at the transfer
 	}
-	start := s.c.Clock()
-	defer func() { s.c.Span("coarse_solve", start, lvl(l)) }()
+	defer s.span("coarse_solve", s.c.Clock(), intAttr("level", l))
 	dotComm := s.coarseComm // nil means reduce over the whole world
 
 	lv := s.levels[l]
@@ -500,12 +516,9 @@ func (s *Solver) SolveFrom(b, x *petsc.Vec, rtol float64, maxCycles, base int, r
 // are measured against r0, cycles are numbered from base+1, and History
 // holds one entry per executed cycle.
 func (s *Solver) solve(b, x *petsc.Vec, rtol float64, maxCycles int, r0 float64, base int) (cycles int, relres float64) {
-	solveStart := s.c.Clock()
-	defer func() {
-		s.c.Span("mg_solve", solveStart,
-			obs.Attr{Key: "cycles", Val: strconv.Itoa(cycles)},
-			obs.Attr{Key: "relres", Val: strconv.FormatFloat(relres, 'g', 4, 64)})
-	}()
+	defer s.span("mg_solve", s.c.Clock(), func() []obs.Attr {
+		return []obs.Attr{{Key: "cycles", Val: strconv.Itoa(cycles)}, relresAttr(relres)}
+	})
 	lv := s.levels[0]
 	for cycles = 0; cycles < maxCycles; cycles++ {
 		if s.OnCycle != nil {
@@ -518,9 +531,9 @@ func (s *Solver) solve(b, x *petsc.Vec, rtol float64, maxCycles int, r0 float64,
 		s.residual(0, b, x, lv.r)
 		relres = lv.r.Norm2() / r0
 		s.History = append(s.History, relres)
-		s.c.Span("mg_cycle", cycleStart,
-			obs.Attr{Key: "cycle", Val: strconv.Itoa(base + cycles + 1)},
-			obs.Attr{Key: "relres", Val: strconv.FormatFloat(relres, 'g', 4, 64)})
+		s.span("mg_cycle", cycleStart, func() []obs.Attr {
+			return []obs.Attr{{Key: "cycle", Val: strconv.Itoa(base + cycles + 1)}, relresAttr(relres)}
+		})
 		if relres <= rtol {
 			cycles++
 			break
@@ -534,8 +547,7 @@ func (s *Solver) solve(b, x *petsc.Vec, rtol float64, maxCycles int, r0 float64,
 			// resurfaces in the next V-cycle's collectives for the
 			// caller's recovery path.
 			_ = s.Checkpoints.PutOwned(base+cycles+1, relres, r0, x.Array())
-			s.c.Span("checkpoint", cpStart,
-				obs.Attr{Key: "iteration", Val: strconv.Itoa(base + cycles + 1)})
+			s.span("checkpoint", cpStart, intAttr("iteration", base+cycles+1))
 		}
 	}
 	return cycles, relres
@@ -551,8 +563,7 @@ func (s *Solver) RestoreAt(iteration int, x *petsc.Vec) (residual, r0 float64, e
 	if err != nil {
 		return 0, 0, err
 	}
-	s.c.Span("restore", s.c.Clock(),
-		obs.Attr{Key: "iteration", Val: strconv.Itoa(iteration)})
+	s.span("restore", s.c.Clock(), intAttr("iteration", iteration))
 	return residual, r0, nil
 }
 

@@ -20,7 +20,9 @@ import (
 // compared against, bit for bit.  They read every cell, owned or ghost, from
 // a ghosted array that GlobalToLocal filled, which the reference allocates
 // itself: the solver's lwork holds ghost cells only, and is absent where
-// there are none.
+// there are none.  Likewise refRestrict reads every fine cell from a finePatch
+// that a whole patch scatter filled, and the solver's holds received cells
+// only and is absent where there are none: refPatches lends the oracle one.
 //
 // Every product that feeds an add carries an explicit float64 conversion,
 // here and in the kernels alike, so that a compiler that fuses multiply-add
@@ -32,6 +34,24 @@ func refGhosted(lv *level, x *petsc.Vec) []float64 {
 	lw := lv.da.CreateLocalArray()
 	lv.da.GlobalToLocal(x, lw)
 	return lw
+}
+
+// refPatches allocates a finePatch on every level of s that does without one,
+// for refRestrict to scatter into and read; the function it returns takes
+// them away again.
+func refPatches(s *Solver) (restore func()) {
+	var lent []*level
+	for _, lv := range s.levels {
+		if lv.restrictSc != nil && lv.finePatch == nil {
+			lv.finePatch = make([]float64, lv.restrictBox.Cells())
+			lent = append(lent, lv)
+		}
+	}
+	return func() {
+		for _, lv := range lent {
+			lv.finePatch = nil
+		}
+	}
 }
 
 // refStencil is the per-cell general form over the ghosted array lw: a loop
@@ -478,7 +498,9 @@ func checkKernels(s *Solver, seed uint64) error {
 		coarse := s.levels[l+1].da
 		gotC, wantC := coarse.CreateGlobalVec(), coarse.CreateGlobalVec()
 		s.restrictTo(l, x, gotC)
+		restore := refPatches(s)
 		refRestrict(s, l, x, wantC)
+		restore()
 		if err := bitsDiffer(fmt.Sprintf("level %d restriction", l), gotC.Array(), wantC.Array()); err != nil {
 			return err
 		}
@@ -511,6 +533,7 @@ func runSolve(t testing.TB, k kernelShape, seed uint64, cycles int, reference bo
 		b, x := s.CreateVec(), s.CreateVec()
 		fillSeeded(b, seed)
 		if reference {
+			refPatches(s)
 			out.hist[c.Rank()] = refSolve(s, b, x, 1e-9, cycles)
 		} else {
 			s.Solve(b, x, 1e-9, cycles)
@@ -574,6 +597,22 @@ var kernelShapes = []kernelShape{
 	// single row whose y- and z-neighbour rows are all received.
 	{n: []int{40, 8, 8}, np: 2, levels: 2, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
 	{n: []int{8, 8, 8}, np: 8, levels: 3, mode: petsc.ScatterDatatype, cfg: mpi.Compiled()},
+	// The restriction's x run (coarse cells 1 to nx-2 of a row on one rank),
+	// which runs four cells at a time: of two cells, so that every cell takes
+	// the general form; of exactly four, under a y and a z cut whose rows
+	// are gathered from the vector and the patch side by side; of five, whose
+	// second group stores three cells again.
+	{n: []int{8, 16, 16}, np: 1, levels: 2, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
+	{n: []int{12, 16, 16}, np: 4, levels: 2, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
+	{n: []int{14, 8, 8}, np: 1, levels: 2, mode: petsc.ScatterDatatype, cfg: mpi.Compiled()},
+	// A y and a z cut that leave every rank one coarse cell either way, so that
+	// every coarse row gathers owned and received fine rows (FactorGrid never
+	// cuts the shortest extent, so x is too short for a run here).
+	{n: []int{4, 4, 4}, np: 4, levels: 2, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
+	// Eight ranks agglomerated onto two along x: each active rank receives
+	// three quarters of its patch and owns the columns of half its coarse row,
+	// so the run stops there and the cell astride the edge mixes columns.
+	{n: []int{32, 16, 16}, np: 8, levels: 2, minCells: 512, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
 }
 
 func TestKernelsBitwiseEqualReference(t *testing.T) {
@@ -586,24 +625,27 @@ func TestKernelsBitwiseEqualReference(t *testing.T) {
 	}
 }
 
-// TestOwnedCellsReadInPlace: every owned cell of every level's lwork is NaN
-// before the solve, and the ghost update writes ghost cells only, so it is
-// NaN after it too; the residual history is the reference's all the same, bit
-// for bit, so the stencil reads no owned cell from lwork.  A rank that owns
-// the whole grid has no lwork to read.
-func TestOwnedCellsReadInPlace(t *testing.T) {
+// checkReadInPlace solves on 1, 2 and 8 ranks with NaN in every cell this rank
+// owns of one receive array per level, which received returns with the box it
+// frames and its index function.  The exchange that fills the array writes
+// received cells only, so the owned ones are NaN after the solve too; the
+// residual history is the reference's all the same, bit for bit, so the kernels
+// read no owned cell from the array.  A rank that owns a whole level has no
+// array to read.
+func checkReadInPlace(t *testing.T, name string, received func(lv *level) (a []float64, frame dmda.Box, index func(i, j, k int) int)) {
 	for i, k := range []kernelShape{
 		{n: []int{16, 16, 16}, np: 1, levels: 3, mode: petsc.ScatterDatatype, cfg: mpi.Compiled()},
 		{n: []int{16, 16, 16}, np: 2, levels: 3, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
 		{n: []int{16, 16, 16}, np: 8, levels: 3, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
 	} {
 		seed := uint64(i + 1)
-		ownedOfLwork := func(lv *level, visit func(v *float64)) {
-			own := lv.da.OwnedBox()
-			for k := own.Lo[2]; k < own.Hi[2] && lv.lwork != nil; k++ {
+		ownedOf := func(lv *level, visit func(v *float64)) {
+			a, frame, index := received(lv)
+			own := frame.Intersect(lv.da.OwnedBox())
+			for k := own.Lo[2]; k < own.Hi[2] && a != nil; k++ {
 				for j := own.Lo[1]; j < own.Hi[1]; j++ {
 					for i := own.Lo[0]; i < own.Hi[0]; i++ {
-						visit(&lv.lwork[lv.da.LocalIndex(i, j, k, 0)])
+						visit(&a[index(i, j, k)])
 					}
 				}
 			}
@@ -612,10 +654,10 @@ func TestOwnedCellsReadInPlace(t *testing.T) {
 		runWorld(t, k.np, k.cfg, func(c *mpi.Comm) error {
 			s := k.solver(c)
 			for l, lv := range s.levels {
-				if k.np == 1 && lv.lwork != nil {
-					return fmt.Errorf("level %d of a one-rank solver allocated a ghosted array of %d cells", l, len(lv.lwork))
+				if a, _, _ := received(lv); k.np == 1 && a != nil {
+					return fmt.Errorf("level %d of a one-rank solver allocated a %s of %d cells", l, name, len(a))
 				}
-				ownedOfLwork(lv, func(v *float64) { *v = math.NaN() })
+				ownedOf(lv, func(v *float64) { *v = math.NaN() })
 			}
 			b, x := s.CreateVec(), s.CreateVec()
 			fillSeeded(b, seed)
@@ -623,13 +665,13 @@ func TestOwnedCellsReadInPlace(t *testing.T) {
 			got[c.Rank()] = append([]float64(nil), s.History...)
 			for l, lv := range s.levels {
 				written := 0
-				ownedOfLwork(lv, func(v *float64) {
+				ownedOf(lv, func(v *float64) {
 					if !math.IsNaN(*v) {
 						written++
 					}
 				})
 				if written > 0 {
-					return fmt.Errorf("level %d: the ghost update wrote %d owned cells of lwork", l, written)
+					return fmt.Errorf("level %d: the exchange wrote %d owned cells of %s", l, written, name)
 				}
 			}
 			return nil
@@ -643,19 +685,40 @@ func TestOwnedCellsReadInPlace(t *testing.T) {
 	}
 }
 
-// TestStencilPassesAllocateNothing: on one rank the operator, one smoother
-// sweep and the residual allocate nothing in either arm.
+// TestOwnedCellsReadInPlace: the stencil reads no owned cell from lwork.
+func TestOwnedCellsReadInPlace(t *testing.T) {
+	checkReadInPlace(t, "lwork", func(lv *level) ([]float64, dmda.Box, func(i, j, k int) int) {
+		return lv.lwork, lv.da.GhostBox(), func(i, j, k int) int { return lv.da.LocalIndex(i, j, k, 0) }
+	})
+}
+
+// TestTransfersReadOwnedInPlace: the restriction reads no owned cell from
+// finePatch.
+func TestTransfersReadOwnedInPlace(t *testing.T) {
+	checkReadInPlace(t, "finePatch", func(lv *level) ([]float64, dmda.Box, func(i, j, k int) int) {
+		return lv.finePatch, lv.restrictBox, func(i, j, k int) int { return refPatchIndex(lv.restrictBox, i, j, k) }
+	})
+}
+
+// TestStencilPassesAllocateNothing: on one rank with tracing off the operator,
+// one smoother sweep, the residual, both level transfers and one whole V-cycle
+// allocate nothing in either arm.
 func TestStencilPassesAllocateNothing(t *testing.T) {
 	for _, mode := range []petsc.ScatterMode{petsc.ScatterHandTuned, petsc.ScatterDatatype} {
 		runWorld(t, 1, mpi.Compiled(), func(c *mpi.Comm) error {
 			s := New(c, []int{16, 16, 16}, 2, mode)
 			b, x, y := s.CreateVec(), s.CreateVec(), s.CreateVec()
+			coarse := s.DA(1).CreateGlobalVec()
 			fillSeeded(b, 1)
 			fillSeeded(x, 2)
+			s.VCycle(b, y) // the coarse solve's scratch is allocated by the first
 			for name, pass := range map[string]func(){
-				"applyLevel": func() { s.applyLevel(0, x, y) },
-				"smooth":     func() { s.smooth(0, 1, b, x) },
-				"residual":   func() { s.residual(0, b, x, y) },
+				"applyLevel":     func() { s.applyLevel(0, x, y) },
+				"smooth":         func() { s.smooth(0, 1, b, x) },
+				"residual":       func() { s.residual(0, b, x, y) },
+				"restrictTo":     func() { s.restrictTo(0, x, coarse) },
+				"interpolateAdd": func() { s.interpolateAdd(0, coarse, y) },
+				"VCycle":         func() { s.VCycle(b, y) },
 			} {
 				if n := testing.AllocsPerRun(10, pass); n != 0 {
 					return fmt.Errorf("%v: %s allocates %v times a call", mode, name, n)
