@@ -27,9 +27,11 @@ import (
 	"time"
 
 	"nccd/internal/bench"
+	"nccd/internal/ckptio"
 	"nccd/internal/core"
 	"nccd/internal/obs"
 	"nccd/internal/obs/analyze"
+	"nccd/internal/simnet"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -107,6 +109,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return usage(fmt.Errorf("-killrank %d out of range [0,%d)", *killRank, n))
 		}
 		if err := p.Validate(n); err != nil {
+			return usage(err)
+		}
+		wire := simnet.FaultPlan{Drop: *drop, Corrupt: *corrupt, Duplicate: *dup, DelayMean: *delayMean}
+		if err := wire.Validate(); err != nil {
+			return usage(err)
+		}
+		if _, err := ckptio.ParseFaultPlan(*ioFault); err != nil {
 			return usage(err)
 		}
 		code = runLauncher(launchConfig{

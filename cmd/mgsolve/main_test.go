@@ -8,9 +8,11 @@ import (
 
 // TestBadInputExitsTwoWithOneLine: an invocation no run could use — a node
 // with no ranks, a chaos victim outside the world, an arm nobody knows, no
-// mode, a shape that does not fit — is one stderr line and exit 2.  The
-// daemon path does not exist, so reaching the launcher would be exit 1:
-// exit 2 proves nothing was spawned.
+// mode, a shape that does not fit, a fault probability outside [0, 1) (at 1
+// the daemons retransmit for ever), a checkpoint fault spec nobody can
+// parse — is one stderr line and exit 2.  The daemon path does not exist,
+// so reaching the launcher would be exit 1: exit 2 proves nothing was
+// spawned.
 func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -29,6 +31,15 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{[]string{"-np", "0", "-analyze"}, "ranks 0 too small"},
 		{[]string{"-np", "1", "-extent", "8", "-levels", "2", "-maxcycles", "0", "-trace", "t.json"}, "max_cycles 0 too small"},
 		{[]string{"-tcp", "2", "-rtol", "-1"}, "rtol -1 not positive"},
+		{[]string{"-tcp", "2", "-drop", "1"}, "drop probability 1 not in [0, 1)"},
+		{[]string{"-tcp", "2", "-drop", "-0.5"}, "drop probability -0.5"},
+		{[]string{"-tcp", "2", "-corrupt", "1.5"}, "corrupt probability 1.5"},
+		{[]string{"-tcp", "2", "-dup", "nan"}, "duplicate probability NaN"},
+		{[]string{"-tcp", "2", "-delaymean", "-1"}, "mean delay -1"},
+		{[]string{"-tcp", "2", "-selfheal", "-iofault", "bogus=1"}, `unknown key "bogus"`},
+		{[]string{"-tcp", "2", "-selfheal", "-iofault", "short=2"}, "probability 2 not in [0, 1)"},
+		{[]string{"-tcp", "2", "-selfheal", "-iofault", "short=-1"}, "probability -1 not in [0, 1)"},
+		{[]string{"-tcp", "2", "-selfheal", "-iofault", "enospc=-1"}, `"enospc=-1"`},
 	} {
 		var stdout, stderr bytes.Buffer
 		args := append([]string{"-daemon", "/nonexistent"}, tc.args...)

@@ -57,6 +57,7 @@ import (
 	"time"
 
 	"nccd/internal/bench"
+	"nccd/internal/ckptio"
 	"nccd/internal/mpi"
 	"nccd/internal/obs"
 	"nccd/internal/petsc"
@@ -124,10 +125,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, err)
 	}
 
+	plan := simnet.FaultPlan{Seed: *seed, Drop: *drop, Corrupt: *corrupt,
+		Duplicate: *dup, DelayMean: *delayMean}
+	if err := plan.Validate(); err != nil {
+		return fail(2, err)
+	}
+	if _, err := ckptio.ParseFaultPlan(*ioFault); err != nil {
+		return fail(2, err)
+	}
 	var fp *simnet.FaultPlan
-	if *drop > 0 || *corrupt > 0 || *dup > 0 || *delayMean > 0 || *crashAt > 0 {
-		fp = &simnet.FaultPlan{Seed: *seed, Drop: *drop, Corrupt: *corrupt,
-			Duplicate: *dup, DelayMean: *delayMean}
+	if plan.Lossy() || *crashAt > 0 {
+		fp = &plan
 		if *crashAt > 0 {
 			fp.CrashAt = map[int]float64{*rank: *crashAt}
 		}

@@ -7,9 +7,10 @@ import (
 )
 
 // TestBadInputExitsTwoWithOneLine: a rank outside its world, an address list
-// of the wrong length, an arm nobody knows or a shape that does not fit is one
-// stderr line and exit 2, before a listener is opened: nothing is printed on
-// stdout, where the launcher reads the daemon's protocol lines.
+// of the wrong length, an arm nobody knows, a shape that does not fit or a
+// fault flag out of range is one stderr line and exit 2, before a listener is
+// opened: nothing is printed on stdout, where the launcher reads the daemon's
+// protocol lines.
 func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 	two := []string{"-n", "2", "-addrs", "127.0.0.1:1,127.0.0.1:2"}
 	for _, tc := range []struct {
@@ -23,6 +24,13 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{append([]string{"-rank", "0", "-arm", "nosuch"}, two...), `unknown arm "nosuch"`},
 		{append([]string{"-rank", "1", "-extent", "100", "-levels", "4"}, two...), "extent 100 not divisible"},
 		{append([]string{"-rank", "1", "-levels", "0"}, two...), "levels 0 too small"},
+		{append([]string{"-rank", "0", "-drop", "1"}, two...), "drop probability 1 not in [0, 1)"},
+		{append([]string{"-rank", "0", "-corrupt", "-0.5"}, two...), "corrupt probability -0.5"},
+		{append([]string{"-rank", "0", "-dup", "nan"}, two...), "duplicate probability NaN"},
+		{append([]string{"-rank", "0", "-delaymean", "-1"}, two...), "mean delay -1"},
+		{append([]string{"-rank", "0", "-iofault", "bogus=1"}, two...), `unknown key "bogus"`},
+		{append([]string{"-rank", "0", "-iofault", "fsync=1"}, two...), "probability 1 not in [0, 1)"},
+		{append([]string{"-rank", "0", "-iofault", "crash=-3"}, two...), `"crash=-3"`},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {

@@ -11,7 +11,6 @@ import (
 
 	"nccd/internal/core"
 	"nccd/internal/datatype"
-	"nccd/internal/floatbytes"
 	"nccd/internal/mpi"
 )
 
@@ -143,7 +142,7 @@ func TestFaultPlanParse(t *testing.T) {
 	if p, err := ParseFaultPlan(""); p != nil || err != nil {
 		t.Fatalf("empty spec: %+v, %v", p, err)
 	}
-	for _, bad := range []string{"short", "bogus=1", "short=x"} {
+	for _, bad := range []string{"short", "bogus=1", "short=x", "short=1", "eio=-0.1", "fsync=nan", "enospc=-1", "crash=-3"} {
 		if _, err := ParseFaultPlan(bad); err == nil {
 			t.Fatalf("spec %q accepted", bad)
 		}
@@ -576,23 +575,5 @@ func TestWriteFileDurableCrash(t *testing.T) {
 			}
 			return
 		}
-	}
-}
-
-// TestViewFromType ties the file view to the datatype compiler: a
-// Flatten-ed subarray and ViewFromType agree, and the float bridge holds.
-func TestViewFromType(t *testing.T) {
-	sub := datatype.Subarray([]int{4, 8}, []int{2, 4}, []int{1, 2}, datatype.Double)
-	v := ViewFromType(4*8*8, sub)
-	if v.Total != 256 || len(v.Segs) == 0 {
-		t.Fatalf("view %+v", v)
-	}
-	if v.LocalBytes() != 2*4*8 {
-		t.Fatalf("LocalBytes = %d, want 64", v.LocalBytes())
-	}
-	v.validate()
-	x := make([]float64, v.LocalBytes()/8)
-	if len(floatbytes.Bytes(x)) != v.LocalBytes() {
-		t.Fatal("float bridge size mismatch")
 	}
 }

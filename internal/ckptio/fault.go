@@ -65,7 +65,8 @@ func (p *FaultPlan) Active() bool {
 
 // ParseFaultPlan parses a command-line fault spec of comma-separated
 // key=value pairs: "short=0.2,eio=0.1,fsync=0.1,enospc=65536,crash=12,seed=7".
-// An empty spec returns nil (no faults).
+// Probabilities lie in [0, 1), the byte budget and the crash point are not
+// negative.  An empty spec returns nil (no faults).
 func ParseFaultPlan(spec string) (*FaultPlan, error) {
 	if spec == "" {
 		return nil, nil
@@ -79,17 +80,19 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 		var err error
 		switch k {
 		case "short":
-			p.ShortWrite, err = strconv.ParseFloat(v, 64)
+			p.ShortWrite, err = parseProb(v)
 		case "eio":
-			p.WriteErr, err = strconv.ParseFloat(v, 64)
+			p.WriteErr, err = parseProb(v)
 		case "fsync":
-			p.FsyncErr, err = strconv.ParseFloat(v, 64)
+			p.FsyncErr, err = parseProb(v)
 		case "enospc":
-			p.ENOSPCAfter, err = strconv.ParseInt(v, 10, 64)
+			var n uint64
+			n, err = strconv.ParseUint(v, 10, 63)
+			p.ENOSPCAfter = int64(n)
 		case "crash":
-			var n int
-			n, err = strconv.Atoi(v)
-			p.CrashAfterOps = n
+			var n uint64
+			n, err = strconv.ParseUint(v, 10, 31)
+			p.CrashAfterOps = int(n)
 		case "seed":
 			p.Seed, err = strconv.ParseUint(v, 10, 64)
 		default:
@@ -100,6 +103,16 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 		}
 	}
 	return p, nil
+}
+
+// parseProb parses a fault probability, a number in [0, 1): at 1 every
+// checkpoint aborts, and a run that waits for its first one never ends.
+func parseProb(v string) (float64, error) {
+	p, err := strconv.ParseFloat(v, 64)
+	if err == nil && !(p >= 0 && p < 1) { // NaN compares false
+		err = fmt.Errorf("probability %v not in [0, 1)", p)
+	}
+	return p, err
 }
 
 // splitmix is the same finalizer simnet's fault plan uses; (seed, op) → u64.
@@ -147,13 +160,6 @@ func NewFaultFS(inner FS, plan *FaultPlan) *FaultFS {
 		f.plan = *plan
 	}
 	return f
-}
-
-// Ops returns how many mutating operations have run.
-func (f *FaultFS) Ops() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ops
 }
 
 // Crashed reports whether the simulated host has crashed.

@@ -81,10 +81,6 @@ func NewStore(dir string, fs FS, opt Options) (*Store, error) {
 	}, nil
 }
 
-// FS returns the store's filesystem (post fault-wrapping); tests use it to
-// drive SimulateCrash.
-func (s *Store) FS() FS { return s.fs }
-
 // Bind attaches the store to a communicator and this rank's file view:
 // total file-domain bytes and the rank's ascending byte segments of it.
 // Bind is called before each solve attempt — after a recovery the
@@ -109,9 +105,6 @@ func (s *Store) Bind(c *mpi.Comm, total int64, segs []datatype.Segment) {
 // The selfheal loop advances it on every recovery so a respawned rank's
 // files can never collide with — or evict — its previous incarnation's.
 func (s *Store) SetEpoch(e uint64) { s.epoch = e }
-
-// Epoch returns the current stamping epoch.
-func (s *Store) Epoch() uint64 { return s.epoch }
 
 // Protect pins a cycle: retention will never remove its files.  The
 // selfheal loop protects the consensus restore point so pruning by a

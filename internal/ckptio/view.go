@@ -19,17 +19,6 @@ type FileView struct {
 	Segs []datatype.Segment
 }
 
-// ViewFromType builds a FileView from a derived datatype describing the
-// rank's region of a file domain of total bytes — typically a
-// datatype.Subarray over the natural-order grid.  A nil type yields an
-// empty view.
-func ViewFromType(total int64, t *datatype.Type) FileView {
-	if t == nil {
-		return FileView{Total: total}
-	}
-	return FileView{Total: total, Segs: datatype.Flatten(t, 1)}
-}
-
 // LocalBytes returns the size of the rank's contribution buffer.
 func (v FileView) LocalBytes() int {
 	n := 0

@@ -13,8 +13,8 @@
 // and provides constructors for worlds on the paper's simulated testbed.
 // The pieces themselves live in internal/datatype (pack engines),
 // internal/kselect (outlier detection), internal/mpi (runtime and
-// collectives), and internal/petsc, internal/dmda, internal/mat,
-// internal/ksp, internal/mg (the PETSc stack).
+// collectives), and internal/petsc, internal/dmda, internal/mg (the PETSc
+// stack).
 package core
 
 import (

@@ -267,7 +267,7 @@ func TestSparsePathTaken(t *testing.T) {
 func TestDenseThresholdBoundary(t *testing.T) {
 	// avg block exactly at threshold is dense; below is sparse.
 	mk := func(blockBytes int) Metrics {
-		ty := Hvector(64, 1, 2*blockBytes, NewBase("blk", blockBytes))
+		ty := Hvector(64, 1, 2*blockBytes, newBase("blk", blockBytes))
 		buf := mkbuf(ty, 1)
 		p := NewPacker(DualContext, ty, 1, buf, Options{DenseThreshold: 128})
 		drainPacker(p, buf)

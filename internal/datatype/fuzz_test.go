@@ -120,14 +120,22 @@ func fuzzType(in *fuzzIn, depth int) *datatype.Type {
 		}
 		return datatype.Subarray(sizes, subsizes, starts, fuzzType(in, depth-1))
 	case 10:
+		// One process's block of a block-distributed array: the near-equal
+		// split along every dimension, the first sizes%procs parts one longer.
 		nd := 1 + in.next()%3
-		sizes, procs, coords := make([]int, nd), make([]int, nd), make([]int, nd)
+		sizes, subsizes, starts := make([]int, nd), make([]int, nd), make([]int, nd)
 		for d := range sizes {
 			sizes[d] = 1 + in.next()%5
-			procs[d] = 1 + in.next()%3
-			coords[d] = in.next() % procs[d]
+			procs := 1 + in.next()%3
+			coord := in.next() % procs
+			base, rem := sizes[d]/procs, sizes[d]%procs
+			starts[d] = coord*base + min(coord, rem)
+			subsizes[d] = base
+			if coord < rem {
+				subsizes[d]++
+			}
 		}
-		return datatype.Darray(sizes, procs, coords, fuzzType(in, depth-1))
+		return datatype.Subarray(sizes, subsizes, starts, fuzzType(in, depth-1))
 	case 11:
 		bl, count := fuzzBlockLens[in.next()%len(fuzzBlockLens)], in.next16()
 		gap, origin := fuzzGaps[in.next()%len(fuzzGaps)], in.next()%16

@@ -3,7 +3,7 @@ package datatype
 import "fmt"
 
 // This file implements the compiled-plan layer: a one-time flattener that
-// lowers any derived datatype — vector, indexed, struct, darray, arbitrarily
+// lowers any derived datatype — vector, indexed, struct, subarray, arbitrarily
 // nested — into a canonical list of (offset, length) segments with adjacent
 // ones merged, the representation TEMPI calls the canonical form of a
 // datatype, and from that into a kernel program (kernel.go).  Once compiled,

@@ -94,7 +94,7 @@ func (c *PlanCache) Get(t *Type, count int) *Plan {
 	c.stats.Misses++
 	c.mu.Unlock()
 
-	// Compile outside the lock: flattening a huge darray must not block
+	// Compile outside the lock: flattening a huge subarray must not block
 	// every other rank's cache hits.  A racing compile of the same key is
 	// harmless — both produce identical plans and the second insert wins.
 	var start float64

@@ -56,7 +56,6 @@ type Type struct {
 	extent int    // bytes spanned in memory by one instance
 	span   int    // bytes from offset 0 to the last byte the type map touches
 	blocks int    // number of contiguous segments in the type map ("signature size")
-	depth  int    // tree depth (base = 1)
 	sig    uint64 // structural hash of the full tree, memoized at construction
 
 	// contig reports that the type map is a single in-order contiguous
@@ -110,7 +109,6 @@ func newBase(name string, size int) *Type {
 		extent: size,
 		span:   size,
 		blocks: 1,
-		depth:  1,
 		contig: true,
 	}
 	h := sigInit(KindBase)
@@ -119,15 +117,6 @@ func newBase(name string, size int) *Type {
 	}
 	t.sig = sigMix(h, uint64(size))
 	return t
-}
-
-// NewBase returns a primitive type with the given name and size in bytes.
-// It panics if size is not positive.
-func NewBase(name string, size int) *Type {
-	if size <= 0 {
-		panic("datatype: base type size must be positive")
-	}
-	return newBase(name, size)
 }
 
 // Size returns the number of bytes of actual data in one instance of t.
@@ -154,24 +143,12 @@ func (t *Type) Signature() uint64 { return t.sig }
 // any coalescing — the "signature size" the look-ahead scans.
 func (t *Type) Blocks() int { return t.blocks }
 
-// Depth returns the datatype tree depth; base types have depth 1.
-func (t *Type) Depth() int { return t.depth }
-
 // Kind returns the node kind of the root of t.
 func (t *Type) Kind() Kind { return t.kind }
 
 // Contig reports whether t's type map is a single in-order contiguous run
 // starting at displacement zero.
 func (t *Type) Contig() bool { return t.contig }
-
-// AvgBlock returns the mean contiguous-segment length of t in bytes; the
-// density heuristic compares this with the engine's dense threshold.
-func (t *Type) AvgBlock() float64 {
-	if t.blocks == 0 {
-		return 0
-	}
-	return float64(t.size) / float64(t.blocks)
-}
 
 // Contiguous returns a type of count consecutive instances of elem, each
 // spaced by elem's extent, like MPI_Type_contiguous.  count may be zero.
@@ -187,7 +164,6 @@ func Contiguous(count int, elem *Type) *Type {
 		size:   count * elem.size,
 		extent: count * elem.extent,
 		blocks: count * elem.blocks,
-		depth:  elem.depth + 1,
 		elem:   elem,
 		count:  count,
 	}
@@ -242,7 +218,6 @@ func Hvector(count, blocklen, strideBytes int, elem *Type) *Type {
 		size:     count * block.size,
 		extent:   span,
 		blocks:   count * block.blocks,
-		depth:    block.depth + 1,
 		elem:     elem,
 		count:    count,
 		blocklen: blocklen,
@@ -273,16 +248,6 @@ func Indexed(blockLens, displs []int, elem *Type) *Type {
 		db[i] = d * elem.extent
 	}
 	return Hindexed(blockLens, db, elem)
-}
-
-// IndexedBlock returns an Indexed type where every block has the same
-// length, like MPI_Type_create_indexed_block.
-func IndexedBlock(blocklen int, displs []int, elem *Type) *Type {
-	bl := make([]int, len(displs))
-	for i := range bl {
-		bl[i] = blocklen
-	}
-	return Indexed(bl, displs, elem)
 }
 
 // Hindexed is Indexed with displacements in bytes, like MPI_Type_hindexed.
@@ -335,7 +300,6 @@ func Hindexed(blockLens, displsBytes []int, elem *Type) *Type {
 		extent:     hi - lo,
 		span:       span,
 		blocks:     blocks,
-		depth:      elem.depth + 2,
 		sig:        h,
 		elem:       elem,
 		blockLens:  append([]int(nil), blockLens...),
@@ -359,7 +323,7 @@ func Struct(displsBytes []int, types []*Type) *Type {
 	if len(types) == 0 {
 		return Contiguous(0, Byte)
 	}
-	size, blocks, depth, span := 0, 0, 0, 0
+	size, blocks, span := 0, 0, 0
 	lo, hi := displsBytes[0], displsBytes[0]
 	h := sigInit(KindStruct)
 	for i, ft := range types {
@@ -368,9 +332,6 @@ func Struct(displsBytes []int, types []*Type) *Type {
 		}
 		size += ft.size
 		blocks += ft.blocks
-		if ft.depth > depth {
-			depth = ft.depth
-		}
 		d := displsBytes[i]
 		if d < lo {
 			lo = d
@@ -392,7 +353,6 @@ func Struct(displsBytes []int, types []*Type) *Type {
 		extent:     hi - lo,
 		span:       span,
 		blocks:     blocks,
-		depth:      depth + 1,
 		sig:        h,
 		displs:     append([]int(nil), displsBytes...),
 		types:      append([]*Type(nil), types...),
@@ -457,7 +417,6 @@ func resized(t *Type, extentBytes int) *Type {
 		extent:     extentBytes,
 		span:       t.span,
 		blocks:     t.blocks,
-		depth:      t.depth,
 		contig:     t.contig && t.size == extentBytes,
 		elem:       t.elem,
 		count:      t.count,

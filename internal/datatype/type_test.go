@@ -17,7 +17,7 @@ func TestBaseTypes(t *testing.T) {
 		if c.ty.Size() != c.size || c.ty.Extent() != c.size {
 			t.Errorf("%v: size/extent = %d/%d, want %d", c.ty, c.ty.Size(), c.ty.Extent(), c.size)
 		}
-		if !c.ty.Contig() || c.ty.Blocks() != 1 || c.ty.Depth() != 1 {
+		if !c.ty.Contig() || c.ty.Blocks() != 1 {
 			t.Errorf("%v: not a unit leaf", c.ty)
 		}
 	}
@@ -99,15 +99,6 @@ func TestIndexedFoldsToContiguous(t *testing.T) {
 	ix := Indexed([]int{2, 3}, []int{0, 2}, Double)
 	if ix.Kind() != KindContiguous || !ix.Contig() {
 		t.Errorf("adjacent indexed not folded: kind=%v", ix.Kind())
-	}
-}
-
-func TestIndexedBlock(t *testing.T) {
-	ib := IndexedBlock(2, []int{0, 4, 8}, Int32)
-	segs := Flatten(ib, 1)
-	want := []Segment{{0, 8}, {16, 8}, {32, 8}}
-	if !reflect.DeepEqual(segs, want) {
-		t.Errorf("segments = %v, want %v", segs, want)
 	}
 }
 
@@ -212,7 +203,6 @@ func TestConstructorPanics(t *testing.T) {
 		"nil struct field":  func() { Struct([]int{0}, []*Type{nil}) },
 		"subarray range":    func() { Subarray([]int{4}, []int{3}, []int{2}, Double) },
 		"subarray mismatch": func() { Subarray([]int{4, 4}, []int{2}, []int{0}, Double) },
-		"bad base size":     func() { NewBase("x", 0) },
 		"neg resize":        func() { Resized(Double, -1) },
 	} {
 		func() {

@@ -35,25 +35,6 @@ func (s StencilType) String() string {
 	return "box"
 }
 
-// BoundaryType selects the domain boundary handling per dimension.
-type BoundaryType uint8
-
-const (
-	// BoundaryNone truncates ghost regions at the domain edge.
-	BoundaryNone BoundaryType = iota
-	// BoundaryPeriodic wraps ghost regions around the domain, like
-	// DM_BOUNDARY_PERIODIC.  Ghost boxes then extend past [0, N) and the
-	// extended coordinates map to cells modulo N.
-	BoundaryPeriodic
-)
-
-func (b BoundaryType) String() string {
-	if b == BoundaryNone {
-		return "none"
-	}
-	return "periodic"
-}
-
 // Box is a half-open cell region [Lo, Hi) per dimension.  Unused dimensions
 // are [0, 1).
 type Box struct {
@@ -104,43 +85,31 @@ type DA struct {
 	width   int
 	mode    petsc.ScatterMode
 
-	bnd [3]BoundaryType
-
 	active int    // ranks participating in the decomposition (others own nothing)
 	p      [3]int // process grid over the active ranks
-	coord  [3]int // my position in the process grid (valid if rank < active)
 
 	own   Box // owned cell region
 	ghost Box // owned region widened by the stencil (clamped to the domain)
 
 	g2l *petsc.Scatter // global vec -> ghosted local array
-
-	offsets []int // lazy per-rank global-vector offsets (see rankOffset)
 }
 
 // New creates a DA over the world of c.  n lists the global grid size per
 // dimension (len(n) = 1, 2 or 3), dof the interlaced degrees of freedom per
 // grid point, and width the stencil width.  mode selects the communication
-// backend for all of the DA's scatters.  All boundaries are truncating;
-// use NewWithBoundaries for periodic domains.  Collective.
+// backend for all of the DA's scatters.  Ghost regions are truncated at the
+// domain edge.  Collective.
 func New(c *mpi.Comm, n []int, dof int, stencil StencilType, width int, mode petsc.ScatterMode) *DA {
-	return NewWithBoundaries(c, n, dof, stencil, width, mode, nil)
+	return NewLimited(c, n, dof, stencil, width, mode, 0)
 }
 
-// NewWithBoundaries is New with per-dimension boundary types; a nil bnd
-// means all-truncating.  Periodic dimensions require width < n[d].
-func NewWithBoundaries(c *mpi.Comm, n []int, dof int, stencil StencilType, width int,
-	mode petsc.ScatterMode, bnd []BoundaryType) *DA {
-	return NewLimited(c, n, dof, stencil, width, mode, bnd, 0)
-}
-
-// NewLimited is NewWithBoundaries with the decomposition restricted to the
-// first maxRanks ranks (0 means all).  The remaining ranks own no cells but
-// still participate in every collective operation — this is how multigrid
+// NewLimited is New with the decomposition restricted to the first maxRanks
+// ranks (0 means all).  The remaining ranks own no cells but still
+// participate in every collective operation — this is how multigrid
 // agglomerates coarse levels onto fewer ranks when subdomains become too
 // small to be worth the communication.
 func NewLimited(c *mpi.Comm, n []int, dof int, stencil StencilType, width int,
-	mode petsc.ScatterMode, bnd []BoundaryType, maxRanks int) *DA {
+	mode petsc.ScatterMode, maxRanks int) *DA {
 	dim := len(n)
 	if dim < 1 || dim > 3 {
 		panic(fmt.Sprintf("dmda: dimension %d out of range", dim))
@@ -150,9 +119,6 @@ func NewLimited(c *mpi.Comm, n []int, dof int, stencil StencilType, width int,
 	}
 	if width < 0 {
 		panic("dmda: negative stencil width")
-	}
-	if bnd != nil && len(bnd) != dim {
-		panic("dmda: boundary list length must match dimension")
 	}
 	da := &DA{c: c, dim: dim, dof: dof, stencil: stencil, width: width, mode: mode}
 	for d := 0; d < 3; d++ {
@@ -164,24 +130,14 @@ func NewLimited(c *mpi.Comm, n []int, dof int, stencil StencilType, width int,
 			panic("dmda: grid dimension must be positive")
 		}
 		da.n[d] = n[d]
-		if bnd != nil {
-			da.bnd[d] = bnd[d]
-		}
-		if da.bnd[d] == BoundaryPeriodic && width >= n[d] {
-			panic("dmda: periodic boundary requires width < grid extent")
-		}
 	}
 	da.active = c.Size()
 	if maxRanks > 0 && maxRanks < da.active {
 		da.active = maxRanks
 	}
 	da.p = FactorGrid(da.active, dim, da.n)
-	me := c.Rank()
-	da.coord[0] = me % da.p[0]
-	da.coord[1] = (me / da.p[0]) % da.p[1]
-	da.coord[2] = me / (da.p[0] * da.p[1])
 
-	da.own = da.ownedBoxOfRank(me)
+	da.own = da.ownedBoxOfRank(c.Rank())
 	da.ghost = da.ghostBoxOf(da.own)
 	da.g2l = da.buildGhostScatter()
 	return da
@@ -210,47 +166,17 @@ func (da *DA) ownedBoxOf(coord [3]int) Box {
 	return b
 }
 
-// ghostBoxOf widens a box by the stencil width; truncating dimensions
-// clamp to the domain, periodic ones extend past it (extended coordinates
-// map to cells modulo n).
+// ghostBoxOf widens a box by the stencil width, clamped to the domain.
 func (da *DA) ghostBoxOf(own Box) Box {
 	if own.Empty() {
 		return own // inactive ranks have no ghost region either
 	}
 	g := own
 	for d := 0; d < da.dim; d++ {
-		g.Lo[d] = own.Lo[d] - da.width
-		g.Hi[d] = own.Hi[d] + da.width
-		if da.bnd[d] != BoundaryPeriodic {
-			g.Lo[d] = max(0, g.Lo[d])
-			g.Hi[d] = min(da.n[d], g.Hi[d])
-		}
+		g.Lo[d] = max(0, own.Lo[d]-da.width)
+		g.Hi[d] = min(da.n[d], own.Hi[d]+da.width)
 	}
 	return g
-}
-
-// shiftsOf returns the domain translations under which a ghost region in
-// extended coordinates can overlap owned boxes: {0} for truncating
-// dimensions, {-n, 0, +n} for periodic ones.
-func (da *DA) shiftsOf() [][]int {
-	out := make([][]int, 3)
-	for d := 0; d < 3; d++ {
-		if d < da.dim && da.bnd[d] == BoundaryPeriodic {
-			out[d] = []int{0, da.n[d], -da.n[d]}
-		} else {
-			out[d] = []int{0}
-		}
-	}
-	return out
-}
-
-// translate returns b moved by (sx, sy, sz).
-func translate(b Box, s [3]int) Box {
-	for d := 0; d < 3; d++ {
-		b.Lo[d] += s[d]
-		b.Hi[d] += s[d]
-	}
-	return b
 }
 
 // coordOf returns the process-grid coordinates of a rank.
@@ -265,9 +191,6 @@ func (da *DA) coordOf(rank int) [3]int {
 // Comm returns the communicator.
 func (da *DA) Comm() *mpi.Comm { return da.c }
 
-// Dim returns the grid dimensionality.
-func (da *DA) Dim() int { return da.dim }
-
 // GlobalSize returns the global grid size of dimension d.
 func (da *DA) GlobalSize(d int) int { return da.n[d] }
 
@@ -276,18 +199,6 @@ func (da *DA) Dof() int { return da.dof }
 
 // Stencil returns the stencil type.
 func (da *DA) Stencil() StencilType { return da.stencil }
-
-// Width returns the stencil width.
-func (da *DA) Width() int { return da.width }
-
-// Boundary returns the boundary type of dimension d.
-func (da *DA) Boundary(d int) BoundaryType { return da.bnd[d] }
-
-// ProcGrid returns the process-grid extents.
-func (da *DA) ProcGrid() [3]int { return da.p }
-
-// Coords returns this rank's process-grid coordinates.
-func (da *DA) Coords() [3]int { return da.coord }
 
 // OwnedBox returns this rank's owned cell region.
 func (da *DA) OwnedBox() Box { return da.own }
@@ -405,27 +316,20 @@ func (da *DA) ghostRegionsOf(own, ghost Box) []Box {
 }
 
 // buildGhostScatter constructs the GlobalToLocal communication plan.  Both
-// sides of every pairwise transfer enumerate regions, boundary shifts and
-// cells in the same canonical order, so the plan needs no setup
-// communication.  Periodic ghost regions live in extended coordinates; a
-// shifted copy of the region is intersected with owned boxes and the result
-// translated back into the ghost frame on the receive side.
+// sides of every pairwise transfer enumerate regions and cells in the same
+// canonical order, so the plan needs no setup communication.
 func (da *DA) buildGhostScatter() *petsc.Scatter {
 	size := da.c.Size()
-	shifts := da.shiftsOf()
 
 	recvFrom := map[int][]int{}
 	for _, region := range da.ghostRegionsOf(da.own, da.ghost) {
-		da.forEachShift(shifts, region, func(s [3]int, shifted Box) {
-			for q := 0; q < size; q++ {
-				ov := shifted.Intersect(da.ownedBoxOfRank(q))
-				if ov.Empty() {
-					continue
-				}
-				back := translate(ov, [3]int{-s[0], -s[1], -s[2]})
-				recvFrom[q] = appendBoxIndices(recvFrom[q], da.ghost, back, da.dof)
+		for q := 0; q < size; q++ {
+			ov := region.Intersect(da.ownedBoxOfRank(q))
+			if ov.Empty() {
+				continue
 			}
-		})
+			recvFrom[q] = appendBoxIndices(recvFrom[q], da.ghost, ov, da.dof)
+		}
 	}
 
 	sendTo := map[int][]int{}
@@ -433,34 +337,19 @@ func (da *DA) buildGhostScatter() *petsc.Scatter {
 		rOwn := da.ownedBoxOfRank(r)
 		rGhost := da.ghostBoxOf(rOwn)
 		for _, region := range da.ghostRegionsOf(rOwn, rGhost) {
-			da.forEachShift(shifts, region, func(s [3]int, shifted Box) {
-				// Within r's (region, shift) enumeration my contribution
-				// must appear exactly where r expects it; shifted
-				// intersection preserves the canonical cell order.
-				ov := shifted.Intersect(da.own)
-				if ov.Empty() {
-					return
-				}
-				sendTo[r] = appendBoxIndices(sendTo[r], da.own, ov, da.dof)
-			})
+			// Within r's region enumeration my contribution must appear
+			// exactly where r expects it; intersection preserves the
+			// canonical cell order.
+			ov := region.Intersect(da.own)
+			if ov.Empty() {
+				continue
+			}
+			sendTo[r] = appendBoxIndices(sendTo[r], da.own, ov, da.dof)
 		}
 	}
 
 	plan := petsc.Plan{Sends: peersOf(sendTo), Recvs: peersOf(recvFrom)}
 	return petsc.NewScatterFromPlan(da.c, da.OwnedCount(), da.GhostCount(), plan, da.mode)
-}
-
-// forEachShift invokes f for every boundary-shift combination of region, in
-// a fixed canonical order.
-func (da *DA) forEachShift(shifts [][]int, region Box, f func(s [3]int, shifted Box)) {
-	for _, sz := range shifts[2] {
-		for _, sy := range shifts[1] {
-			for _, sx := range shifts[0] {
-				s := [3]int{sx, sy, sz}
-				f(s, translate(region, s))
-			}
-		}
-	}
 }
 
 func peersOf(m map[int][]int) []petsc.PeerIndices {
@@ -516,36 +405,15 @@ func (da *DA) GlobalToLocalEnd() { da.g2l.End() }
 // GlobalToLocal over the same plan without the copy of the owned box, which
 // the virtual clock, pricing the paper's DMGlobalToLocal, still charges.  On a
 // rank whose ghost box is its owned box nothing is received and l may be nil.
-// It is defined only where the plan's own-rank part is exactly the owned
-// region, so a DA periodic along a dimension with one process, whose
-// wrap-around ghosts come from the rank's own cells, is refused.  Collective.
+// The plan's own-rank part is exactly the owned region: every ghost cell is
+// another rank's.  Collective.
 func (da *DA) GhostUpdate(g *petsc.Vec, l []float64) {
-	for d := 0; d < da.dim; d++ {
-		if da.bnd[d] == BoundaryPeriodic && da.p[d] == 1 && da.width > 0 {
-			panic(fmt.Sprintf("dmda: GhostUpdate on a DA periodic in dimension %d with one process along it: its wrap-around ghosts are the rank's own cells; use GlobalToLocal", d))
-		}
-	}
 	if l == nil && da.ghost == da.own {
 		l = g.Array() // the layouts are one and nothing lands in it
 	}
 	da.checkLayout(g, l)
 	da.g2l.BeginRemoteArrays(g.Array(), l)
 	da.g2l.End()
-}
-
-// LocalToGlobal copies the owned region of the ghosted local array l into
-// the global vector g (INSERT semantics).  Purely local.
-func (da *DA) LocalToGlobal(l []float64, g *petsc.Vec) {
-	da.checkLayout(g, l)
-	ga := g.Array()
-	for k := da.own.Lo[2]; k < da.own.Hi[2]; k++ {
-		for j := da.own.Lo[1]; j < da.own.Hi[1]; j++ {
-			src := da.LocalIndex(da.own.Lo[0], j, k, 0)
-			dst := da.OwnedIndex(da.own.Lo[0], j, k, 0)
-			n := (da.own.Hi[0] - da.own.Lo[0]) * da.dof
-			copy(ga[dst:dst+n], l[src:src+n])
-		}
-	}
 }
 
 // GhostScatter exposes the GlobalToLocal scatter (for instrumentation).

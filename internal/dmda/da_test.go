@@ -184,24 +184,6 @@ func TestGlobalToLocalAllStencilsModesDims(t *testing.T) {
 	}
 }
 
-func TestLocalToGlobalRoundTrip(t *testing.T) {
-	runWorld(t, 4, mpi.Optimized(), func(c *mpi.Comm) error {
-		da := New(c, []int{10, 10}, 2, StencilBox, 1, petsc.ScatterDatatype)
-		g := da.CreateGlobalVec()
-		fillGlobal(da, g)
-		l := da.CreateLocalArray()
-		da.GlobalToLocal(g, l)
-
-		g2 := da.CreateGlobalVec()
-		da.LocalToGlobal(l, g2)
-		g2.AXPY(-1, g)
-		if n := g2.Norm2(); n != 0 {
-			return fmt.Errorf("round trip norm %v", n)
-		}
-		return nil
-	})
-}
-
 func TestGhostUpdateRepeats(t *testing.T) {
 	// The ghost scatter must be reusable with changing data.
 	runWorld(t, 4, mpi.Optimized(), func(c *mpi.Comm) error {

@@ -2,7 +2,6 @@ package dmda
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"nccd/internal/mpi"
@@ -16,8 +15,8 @@ import (
 // holds the sentinel, and the rank's virtual clock and Stats are those of
 // GlobalToLocal: the paper's DMGlobalToLocal is what stays priced.  A rank
 // whose ghost box is its owned box passes no array at all.  Both arms, all
-// three engines, star and box stencils, dof 2, np 1 to 8, and a periodic ring
-// split over its ranks.
+// three engines, star and box stencils, dof 2, np 1 to 8, in one, two and
+// three dimensions.
 func TestGhostUpdate(t *testing.T) {
 	const sentinel = -7.5
 	type outcome struct {
@@ -28,12 +27,10 @@ func TestGhostUpdate(t *testing.T) {
 	grids := []struct {
 		n     []int
 		width int
-		bnd   []BoundaryType
-		minNP int
 	}{
-		{n: []int{9, 8, 7}, width: 1, minNP: 1},
-		{n: []int{17, 11}, width: 2, minNP: 1},
-		{n: []int{23}, width: 1, bnd: []BoundaryType{BoundaryPeriodic}, minNP: 2},
+		{n: []int{9, 8, 7}, width: 1},
+		{n: []int{17, 11}, width: 2},
+		{n: []int{23}, width: 1},
 	}
 	cfgs := map[string]mpi.Config{"baseline": mpi.Baseline(), "optimized": mpi.Optimized(), "compiled": mpi.Compiled()}
 	for _, mode := range []petsc.ScatterMode{petsc.ScatterHandTuned, petsc.ScatterDatatype} {
@@ -41,11 +38,11 @@ func TestGhostUpdate(t *testing.T) {
 			for name, cfg := range cfgs {
 				t.Run(fmt.Sprintf("%v/%v/%s", mode, st, name), func(t *testing.T) {
 					for _, grid := range grids {
-						for np := grid.minNP; np <= 8; np++ {
+						for np := 1; np <= 8; np++ {
 							// exchange fills a sentinel array through move on every rank.
 							exchange := func(move func(da *DA, g *petsc.Vec, l []float64), check func(da *DA, rank int, got outcome) error) {
 								runWorld(t, np, cfg, func(c *mpi.Comm) error {
-									da := NewWithBoundaries(c, grid.n, 2, st, grid.width, mode, grid.bnd)
+									da := New(c, grid.n, 2, st, grid.width, mode)
 									g := da.CreateGlobalVec()
 									fillGlobal(da, g)
 									l := da.CreateLocalArray()
@@ -96,35 +93,5 @@ func TestGhostUpdate(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestGhostUpdateRefusesOwnWrap: along a periodic dimension with one process
-// the wrap-around ghosts are the rank's own cells, which GhostUpdate does not
-// move; it refuses the DA in one line that names the dimension, and
-// GlobalToLocal keeps serving it.
-func TestGhostUpdateRefusesOwnWrap(t *testing.T) {
-	for _, tc := range []struct {
-		np   int
-		n    []int
-		bnd  []BoundaryType
-		want string
-	}{
-		{1, []int{5}, []BoundaryType{BoundaryPeriodic}, "dimension 0"},
-		{2, []int{16, 4}, []BoundaryType{BoundaryNone, BoundaryPeriodic}, "dimension 1"},
-	} {
-		runWorld(t, tc.np, mpi.Optimized(), func(c *mpi.Comm) (err error) {
-			da := NewWithBoundaries(c, tc.n, 1, StencilStar, 1, petsc.ScatterDatatype, tc.bnd)
-			g, l := da.CreateGlobalVec(), da.CreateLocalArray()
-			da.GlobalToLocal(g, l)
-			defer func() {
-				msg := fmt.Sprint(recover())
-				if !strings.HasPrefix(msg, "dmda: ") || !strings.Contains(msg, tc.want) || strings.Contains(msg, "\n") {
-					err = fmt.Errorf("%v on grid %v: GhostUpdate said %q, want one line naming %s", tc.n, da.ProcGrid(), msg, tc.want)
-				}
-			}()
-			da.GhostUpdate(g, l)
-			return nil
-		})
 	}
 }

@@ -13,7 +13,7 @@ func TestLimitedDecomposition(t *testing.T) {
 	// ghost exchange must still be correct for the active ranks.
 	for _, mode := range []petsc.ScatterMode{petsc.ScatterHandTuned, petsc.ScatterDatatype} {
 		runWorld(t, 6, mpi.Optimized(), func(c *mpi.Comm) error {
-			da := NewLimited(c, []int{16, 8}, 1, StencilStar, 1, mode, nil, 2)
+			da := NewLimited(c, []int{16, 8}, 1, StencilStar, 1, mode, 2)
 			if da.Active() != 2 {
 				return fmt.Errorf("active = %d", da.Active())
 			}
@@ -41,7 +41,7 @@ func TestLimitedPatchScatterAcrossLayouts(t *testing.T) {
 	// A patch scatter from a rank-limited DA must serve requests from all
 	// ranks, including inactive ones.
 	runWorld(t, 4, mpi.Optimized(), func(c *mpi.Comm) error {
-		da := NewLimited(c, []int{10}, 1, StencilStar, 1, petsc.ScatterHandTuned, nil, 1)
+		da := NewLimited(c, []int{10}, 1, StencilStar, 1, petsc.ScatterHandTuned, 1)
 		g := da.CreateGlobalVec()
 		fillGlobal(da, g)
 		// Every rank (active or not) requests cells [2, 5).
@@ -60,7 +60,7 @@ func TestLimitedPatchScatterAcrossLayouts(t *testing.T) {
 
 func TestLimitedNoLimitIsFull(t *testing.T) {
 	runWorld(t, 3, mpi.Baseline(), func(c *mpi.Comm) error {
-		da := NewLimited(c, []int{9}, 1, StencilStar, 1, petsc.ScatterHandTuned, nil, 0)
+		da := NewLimited(c, []int{9}, 1, StencilStar, 1, petsc.ScatterHandTuned, 0)
 		if da.Active() != 3 {
 			return fmt.Errorf("active = %d, want 3", da.Active())
 		}

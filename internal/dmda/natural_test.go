@@ -94,7 +94,7 @@ func TestGatherScatterNatural(t *testing.T) {
 func TestGatherNaturalAgglomerated(t *testing.T) {
 	w := mpi.NewWorld(simnet.Uniform(6, simnet.IBDDR()), mpi.Optimized())
 	err := w.Run(func(c *mpi.Comm) error {
-		da := NewLimited(c, []int{8, 8}, 1, StencilStar, 1, petsc.ScatterDatatype, nil, 2)
+		da := NewLimited(c, []int{8, 8}, 1, StencilStar, 1, petsc.ScatterDatatype, 2)
 		g := da.CreateGlobalVec()
 		ga := g.Array()
 		for i := range ga {

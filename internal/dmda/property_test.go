@@ -24,30 +24,19 @@ func TestGhostExchangePropertyRandom(t *testing.T) {
 		st := StencilType(rng.Intn(2))
 		mode := petsc.ScatterMode(rng.Intn(2))
 		np := 1 + rng.Intn(6)
-		bnd := make([]BoundaryType, dim)
-		periodicOK := true
-		for d := range bnd {
-			bnd[d] = BoundaryType(rng.Intn(2))
-			if bnd[d] == BoundaryPeriodic && width >= n[d] {
-				periodicOK = false
-			}
-		}
-		if !periodicOK {
-			continue
-		}
 		cfg := mpi.Baseline()
 		if rng.Intn(2) == 0 {
 			cfg = mpi.Optimized()
 		}
-		desc := fmt.Sprintf("trial %d: dim=%d n=%v dof=%d w=%d st=%v mode=%v np=%d bnd=%v",
-			trial, dim, n, dof, width, st, mode, np, bnd)
+		desc := fmt.Sprintf("trial %d: dim=%d n=%v dof=%d w=%d st=%v mode=%v np=%d",
+			trial, dim, n, dof, width, st, mode, np)
 		runWorld(t, np, cfg, func(c *mpi.Comm) error {
-			da := NewWithBoundaries(c, n, dof, st, width, mode, bnd)
+			da := New(c, n, dof, st, width, mode)
 			g := da.CreateGlobalVec()
 			fillGlobal(da, g)
 			l := da.CreateLocalArray()
 			da.GlobalToLocal(g, l)
-			if err := checkPeriodicGhosts(da, l); err != nil {
+			if err := checkGhosts(da, l); err != nil {
 				return fmt.Errorf("%s: %v", desc, err)
 			}
 			return nil

@@ -46,13 +46,14 @@ func BenchmarkStencil(b *testing.B) {
 		benchKernel(b, fineCells,
 			func(s *Solver) int { return 8 * 3 * fineCells(s) },
 			func(s *Solver, x, rhs, out, _ *petsc.Vec) {
-				s.stencil(s.levels[0], formJacobi, x.Array(), out.Array(), rhs.Array(), s.Omega)
+				s.stencil(s.levels[0], formJacobi, x.Array(), out.Array(), rhs.Array(), omega)
 			})
 	})
 }
 
-// BenchmarkApply times Solver.Apply as a Krylov method pays for it: the
-// ghost update, which on one rank has nothing to move, and the stencil.
+// BenchmarkApply times Solver.Apply as the coarse solve's conjugate gradients
+// pay for it: the ghost update, which on one rank has nothing to move, and
+// the stencil.
 func BenchmarkApply(b *testing.B) {
 	benchKernel(b, fineCells,
 		func(s *Solver) int { return 8 * 2 * fineCells(s) },

@@ -59,25 +59,29 @@ type Checkpointer interface {
 	Iterations() []int
 }
 
-// Solver is a geometric multigrid V-cycle solver/preconditioner for the
-// cell-centered Laplacian with homogeneous Dirichlet boundaries on the unit
-// domain.  It implements ksp.Operator (finest-level Laplacian) and
-// ksp.Preconditioner (one V-cycle from a zero guess).
+// The cycle's shape.  The constants are typed so that coarseRtol*coarseRtol
+// is the float64 product of the rounded tolerance: an untyped product would
+// be evaluated exactly and rounded once, which can move tol2 by an ulp, and
+// with it the coarse solve's stopping iteration and every residual history.
+const (
+	// nu1 and nu2 are the pre- and post-smoothing sweep counts.
+	nu1, nu2 int = 2, 2
+	// coarseIts caps the conjugate-gradient iterations of the coarsest-
+	// level solve (the stand-in for PETSc's direct coarse solver).
+	coarseIts int = 400
+	// coarseRtol is the coarsest-level relative tolerance.
+	coarseRtol float64 = 1e-10
+	// omega is the Jacobi damping factor.
+	omega float64 = 2.0 / 3.0
+)
+
+// Solver is a geometric multigrid V-cycle solver for the cell-centered
+// Laplacian with homogeneous Dirichlet boundaries on the unit domain.
 type Solver struct {
 	c      *mpi.Comm
 	dim    int
 	levels []*level
 
-	// Nu1 and Nu2 are the pre- and post-smoothing sweep counts (weighted
-	// Jacobi).
-	Nu1, Nu2 int
-	// CoarseIts caps the conjugate-gradient iterations of the coarsest-
-	// level solve (the stand-in for PETSc's direct coarse solver).
-	CoarseIts int
-	// CoarseRtol is the coarsest-level relative tolerance.
-	CoarseRtol float64
-	// Omega is the Jacobi damping factor.
-	Omega float64
 	// Smoother selects the relaxation scheme; default damped Jacobi.
 	Smoother Smoother
 
@@ -138,7 +142,7 @@ func NewAgglomerated(c *mpi.Comm, n []int, nlevels int, mode petsc.ScatterMode, 
 			panic(fmt.Sprintf("mg: grid extent %d not divisible by 2^(levels-1)=%d", e, factor))
 		}
 	}
-	s := &Solver{c: c, dim: dim, Nu1: 2, Nu2: 2, CoarseIts: 400, CoarseRtol: 1e-10, Omega: 2.0 / 3.0}
+	s := &Solver{c: c, dim: dim}
 
 	ext := append([]int(nil), n...)
 	for l := 0; l < nlevels; l++ {
@@ -153,7 +157,7 @@ func NewAgglomerated(c *mpi.Comm, n []int, nlevels int, mode petsc.ScatterMode, 
 				limit = 1
 			}
 		}
-		da := dmda.NewLimited(c, ext, 1, dmda.StencilStar, 1, mode, nil, limit)
+		da := dmda.NewLimited(c, ext, 1, dmda.StencilStar, 1, mode, limit)
 		lv := &level{da: da}
 		if da.GhostBox() != da.OwnedBox() {
 			lv.lwork = da.CreateLocalArray()
@@ -233,9 +237,6 @@ func NewAgglomerated(c *mpi.Comm, n []int, nlevels int, mode petsc.ScatterMode, 
 	return s
 }
 
-// Comm returns the communicator.
-func (s *Solver) Comm() *mpi.Comm { return s.c }
-
 // Levels returns the number of grid levels.
 func (s *Solver) Levels() int { return len(s.levels) }
 
@@ -252,9 +253,8 @@ func (s *Solver) applyLevel(l int, x, y *petsc.Vec) {
 	s.stencil(lv, formApply, x.Array(), y.Array(), nil, 0)
 }
 
-// Apply computes y = A x on the finest grid (ksp.Operator).  The stencil
-// reads x's owned cells in place while it writes y, so y must not be x:
-// Apply(x, x) panics.
+// Apply computes y = A x on the finest grid.  The stencil reads x's owned
+// cells in place while it writes y, so y must not be x: Apply(x, x) panics.
 func (s *Solver) Apply(x, y *petsc.Vec) {
 	if x == y {
 		panic("mg: Apply(x, x): the stencil reads x in place, so the result needs a vector of its own")
@@ -320,7 +320,7 @@ func (s *Solver) smooth(l, sweeps int, b, x *petsc.Vec) {
 	src, dst := x, lv.r
 	for it := 0; it < sweeps; it++ {
 		lv.da.GhostUpdate(src, lv.lwork)
-		s.stencil(lv, formJacobi, src.Array(), dst.Array(), b.Array(), s.Omega)
+		s.stencil(lv, formJacobi, src.Array(), dst.Array(), b.Array(), omega)
 		src, dst = dst, src
 		if it == sweeps-1 && src != x {
 			x.Copy(src)
@@ -395,7 +395,7 @@ func (s *Solver) vcycle(l int, b, x *petsc.Vec) {
 		s.coarseSolve(l, b, x)
 		return
 	}
-	s.smooth(l, s.Nu1, b, x)
+	s.smooth(l, nu1, b, x)
 	lv := s.levels[l]
 	s.residual(l, b, x, lv.r)
 	next := s.levels[l+1]
@@ -403,7 +403,7 @@ func (s *Solver) vcycle(l int, b, x *petsc.Vec) {
 	next.x.Set(0)
 	s.vcycle(l+1, next.b, next.x)
 	s.interpolateAdd(l, next.x, x)
-	s.smooth(l, s.Nu2, b, x)
+	s.smooth(l, nu2, b, x)
 }
 
 // coarseSolve solves A_l x = b on the coarsest level with unpreconditioned
@@ -440,7 +440,7 @@ func (s *Solver) coarseSolve(l int, b, x *petsc.Vec) {
 	if bnorm == 0 {
 		bnorm = 1
 	}
-	tol2 := s.CoarseRtol * s.CoarseRtol * bnorm
+	tol2 := coarseRtol * coarseRtol * bnorm
 	if rr <= tol2 {
 		return
 	}
@@ -449,7 +449,7 @@ func (s *Solver) coarseSolve(l int, b, x *petsc.Vec) {
 	}
 	p, ap := lv.p, lv.ap
 	p.Copy(r)
-	for it := 0; it < s.CoarseIts; it++ {
+	for it := 0; it < coarseIts; it++ {
 		s.applyLevel(l, p, ap)
 		pap := dot(p, ap)
 		if pap <= 0 {
@@ -469,13 +469,6 @@ func (s *Solver) coarseSolve(l int, b, x *petsc.Vec) {
 
 // VCycle runs one V-cycle on the finest level for A x = b.  Collective.
 func (s *Solver) VCycle(b, x *petsc.Vec) { s.vcycle(0, b, x) }
-
-// Precondition implements ksp.Preconditioner: z = one V-cycle for A z = r
-// starting from zero.
-func (s *Solver) Precondition(r, z *petsc.Vec) {
-	z.Set(0)
-	s.vcycle(0, r, z)
-}
 
 // Solve iterates V-cycles until the residual 2-norm falls below rtol times
 // the initial residual norm, or maxCycles is reached.  It returns the cycle

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"nccd/internal/ksp"
 	"nccd/internal/mpi"
 	"nccd/internal/petsc"
 	"nccd/internal/simnet"
@@ -170,50 +169,6 @@ func TestSolveMatchesAcrossBackendsAndConfigs(t *testing.T) {
 			t.Fatalf("arm %d cycle count differs: %d vs %d", i, cycleCounts[i], cycleCounts[0])
 		}
 	}
-}
-
-func TestMGAsPreconditionerForCG(t *testing.T) {
-	runWorld(t, 2, mpi.Optimized(), func(c *mpi.Comm) error {
-		s := New(c, []int{64}, 3, petsc.ScatterHandTuned)
-		b := s.CreateVec()
-		// A rough, non-eigenvector right-hand side (a pure sine would let
-		// plain CG converge in one step).
-		b.SetFromFunc(func(i int) float64 { return float64(1 + i%7) })
-
-		xmg := s.CreateVec()
-		pcg := (&ksp.CG{A: s, M: s, Rtol: 1e-8, MaxIts: 200}).Solve(b, xmg)
-
-		xplain := s.CreateVec()
-		plain := (&ksp.CG{A: s, Rtol: 1e-8, MaxIts: 2000}).Solve(b, xplain)
-
-		if !pcg.Converged {
-			return fmt.Errorf("MG-preconditioned CG did not converge: %v", pcg)
-		}
-		if plain.Converged && pcg.Iterations >= plain.Iterations {
-			return fmt.Errorf("MG-PCG (%d its) should beat plain CG (%d its)",
-				pcg.Iterations, plain.Iterations)
-		}
-		return nil
-	})
-}
-
-func TestRichardsonMGSolver(t *testing.T) {
-	// The paper's solver configuration: Richardson iteration applying one
-	// V-cycle per step.
-	runWorld(t, 4, mpi.Optimized(), func(c *mpi.Comm) error {
-		s := New(c, []int{32, 32}, 2, petsc.ScatterDatatype)
-		b := s.CreateVec()
-		setManufactured(s, b)
-		x := s.CreateVec()
-		res := (&ksp.Richardson{A: s, M: s, Rtol: 1e-8, MaxIts: 60}).Solve(b, x)
-		if !res.Converged {
-			return fmt.Errorf("richardson-MG did not converge: %v", res)
-		}
-		if res.Iterations > 25 {
-			return fmt.Errorf("richardson-MG too slow: %d cycles", res.Iterations)
-		}
-		return nil
-	})
 }
 
 func TestChebyshevSmootherConverges(t *testing.T) {

@@ -252,7 +252,7 @@ func refSmooth(s *Solver, l, sweeps int, b, x *petsc.Vec) {
 	lv := s.levels[l]
 	xnew := lv.r
 	for it := 0; it < sweeps; it++ {
-		refStencil(s, lv, refGhosted(lv, x), xnew.Array(), b.Array(), s.Omega)
+		refStencil(s, lv, refGhosted(lv, x), xnew.Array(), b.Array(), omega)
 		x.Copy(xnew)
 	}
 }
@@ -320,14 +320,14 @@ func refCoarseSolve(s *Solver, l int, b, x *petsc.Vec) {
 	if bnorm == 0 {
 		bnorm = 1
 	}
-	tol2 := s.CoarseRtol * s.CoarseRtol * bnorm
+	tol2 := coarseRtol * coarseRtol * bnorm
 	if rr <= tol2 {
 		return
 	}
 	p := b.Duplicate()
 	ap := b.Duplicate()
 	p.Copy(r)
-	for it := 0; it < s.CoarseIts; it++ {
+	for it := 0; it < coarseIts; it++ {
 		refApplyLevel(s, l, p, ap)
 		pap := dot(p, ap)
 		if pap <= 0 {
@@ -350,7 +350,7 @@ func refVCycle(s *Solver, l int, b, x *petsc.Vec) {
 		refCoarseSolve(s, l, b, x)
 		return
 	}
-	refSmooth(s, l, s.Nu1, b, x)
+	refSmooth(s, l, nu1, b, x)
 	lv := s.levels[l]
 	refResidual(s, l, b, x, lv.r)
 	next := s.levels[l+1]
@@ -358,7 +358,7 @@ func refVCycle(s *Solver, l int, b, x *petsc.Vec) {
 	next.x.Set(0)
 	refVCycle(s, l+1, next.b, next.x)
 	refInterpolate(s, l, next.x, x)
-	refSmooth(s, l, s.Nu2, b, x)
+	refSmooth(s, l, nu2, b, x)
 }
 
 // refSolve is Solve over the reference kernels; it returns the residual
@@ -484,11 +484,11 @@ func checkKernels(s *Solver, seed uint64) error {
 		if err := bitsDiffer(fmt.Sprintf("level %d residual", l), got.Array(), want.Array()); err != nil {
 			return err
 		}
-		for _, omega := range []float64{s.Omega, 1} {
+		for _, w := range []float64{omega, 1} {
 			lv.da.GhostUpdate(x, lv.lwork)
-			s.stencil(lv, formJacobi, x.Array(), got.Array(), b.Array(), omega)
-			refStencil(s, lv, refGhosted(lv, x), want.Array(), b.Array(), omega)
-			if err := bitsDiffer(fmt.Sprintf("level %d jacobi omega %v", l, omega), got.Array(), want.Array()); err != nil {
+			s.stencil(lv, formJacobi, x.Array(), got.Array(), b.Array(), w)
+			refStencil(s, lv, refGhosted(lv, x), want.Array(), b.Array(), w)
+			if err := bitsDiffer(fmt.Sprintf("level %d jacobi omega %v", l, w), got.Array(), want.Array()); err != nil {
 				return err
 			}
 		}

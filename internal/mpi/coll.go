@@ -71,7 +71,6 @@ type Op uint8
 const (
 	OpSum Op = iota
 	OpMax
-	OpMin
 )
 
 func (op Op) apply(dst, src []float64) {
@@ -83,12 +82,6 @@ func (op Op) apply(dst, src []float64) {
 	case OpMax:
 		for i, v := range src {
 			if v > dst[i] {
-				dst[i] = v
-			}
-		}
-	case OpMin:
-		for i, v := range src {
-			if v < dst[i] {
 				dst[i] = v
 			}
 		}

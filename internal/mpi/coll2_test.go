@@ -6,69 +6,6 @@ import (
 	"testing"
 )
 
-func TestGather(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8, 13} {
-		for root := 0; root < n; root += 2 {
-			run(t, n, Baseline(), func(c *Comm) error {
-				me := c.Rank()
-				out := c.Gather(root, []byte{byte(me), byte(me * 2)})
-				if me != root {
-					if out != nil {
-						return fmt.Errorf("non-root received data")
-					}
-					return nil
-				}
-				for r := 0; r < n; r++ {
-					if out[r*2] != byte(r) || out[r*2+1] != byte(r*2) {
-						return fmt.Errorf("n=%d root=%d: block %d = %v", n, root, r, out[r*2:r*2+2])
-					}
-				}
-				return nil
-			})
-		}
-	}
-}
-
-func TestScatterv(t *testing.T) {
-	counts := []int{3, 0, 2, 5}
-	run(t, 4, Optimized(), func(c *Comm) error {
-		var data []byte
-		root := 2
-		if c.Rank() == root {
-			for r, cnt := range counts {
-				for i := 0; i < cnt; i++ {
-					data = append(data, byte(r*10+i))
-				}
-			}
-		}
-		got := c.Scatterv(root, data, counts)
-		if len(got) != counts[c.Rank()] {
-			return fmt.Errorf("rank %d got %d bytes, want %d", c.Rank(), len(got), counts[c.Rank()])
-		}
-		for i, b := range got {
-			if b != byte(c.Rank()*10+i) {
-				return fmt.Errorf("rank %d byte %d = %d", c.Rank(), i, b)
-			}
-		}
-		return nil
-	})
-}
-
-func TestScattervRootShortBufferPanics(t *testing.T) {
-	w := testWorld(2, Baseline())
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() != 0 {
-			return nil // only the root participates in this failure probe
-		}
-		defer func() { recover() }()
-		c.Scatterv(0, []byte{1}, []int{3, 3})
-		return fmt.Errorf("expected panic")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAlltoallvMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 6; trial++ {

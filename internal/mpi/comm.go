@@ -490,16 +490,6 @@ func (c *Comm) ChargeHandPack(bytes, elems int64) {
 	c.me.stats.PackSec += sec
 }
 
-// Sendrecv sends a contiguous buffer to dst and receives one from src in a
-// deadlock-free exchange, returning the received payload.
-func (c *Comm) Sendrecv(dst, sendTag int, data []byte, src, recvTag int) []byte {
-	c.checkPeer(dst)
-	c.me.call = "Sendrecv"
-	c.send(dst, sendTag, data)
-	out, _ := c.Recv(src, recvTag)
-	return out
-}
-
 // Request represents a pending nonblocking operation.
 type Request struct {
 	c    *Comm

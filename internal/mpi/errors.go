@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 )
 
 // Typed communication errors.  Blocking operations raise them when their
@@ -24,12 +23,6 @@ var (
 	// ErrRevoked reports that the communicator was revoked by a member
 	// (Comm.Revoke) to interrupt peers for collective failure recovery.
 	ErrRevoked = errors.New("mpi: communicator revoked")
-	// ErrRankSuspect reports that the transport's failure detector suspects
-	// a peer of being hung: it has produced no frame (data or heartbeat) for
-	// longer than the configured miss window, but has not yet crossed the
-	// hard-failure threshold that raises ErrRankFailed.  Suspicion can
-	// clear; fault-tolerant code may use it to checkpoint preemptively.
-	ErrRankSuspect = errors.New("mpi: peer rank suspected hung")
 )
 
 // RankFailedError carries which rank failed and in what call the failure
@@ -44,22 +37,6 @@ func (e *RankFailedError) Error() string {
 }
 
 func (e *RankFailedError) Unwrap() error { return ErrRankFailed }
-
-// RankSuspectError carries the suspected rank and how long it has been
-// silent.  It wraps ErrRankSuspect.  Unlike the other typed errors it is
-// advisory: blocking operations do not raise it (a suspicion may clear),
-// but World.SuspectErr surfaces it for code that polls liveness between
-// phases of work.
-type RankSuspectError struct {
-	Rank      int           // world rank of the suspected peer
-	SilentFor time.Duration // how long the peer had been silent when suspected
-}
-
-func (e *RankSuspectError) Error() string {
-	return fmt.Sprintf("mpi: rank %d suspected hung (silent for %v)", e.Rank, e.SilentFor)
-}
-
-func (e *RankSuspectError) Unwrap() error { return ErrRankSuspect }
 
 // TimeoutError carries the peer and operation of an exhausted retransmission
 // or expired deadline.  It wraps ErrTimeout.

@@ -242,17 +242,6 @@ func TestIsendIrecvWaitall(t *testing.T) {
 	})
 }
 
-func TestSendrecvRing(t *testing.T) {
-	run(t, 5, Baseline(), func(c *Comm) error {
-		n, me := c.Size(), c.Rank()
-		got := c.Sendrecv((me+1)%n, 0, []byte{byte(me)}, (me-1+n)%n, 0)
-		if got[0] != byte((me-1+n)%n) {
-			return fmt.Errorf("ring exchange got %d", got[0])
-		}
-		return nil
-	})
-}
-
 func TestClockMonotoneAndCausal(t *testing.T) {
 	w := run(t, 2, Baseline(), func(c *Comm) error {
 		if c.Rank() == 0 {
@@ -322,10 +311,6 @@ func TestReduceAllreduce(t *testing.T) {
 			x := c.AllreduceScalar(float64(c.Rank()), OpMax)
 			if x != float64(n-1) {
 				return fmt.Errorf("allreduce max = %v, want %d", x, n-1)
-			}
-			y := c.AllreduceScalar(float64(c.Rank()+5), OpMin)
-			if y != 5 {
-				return fmt.Errorf("allreduce min = %v, want 5", y)
 			}
 			return nil
 		})

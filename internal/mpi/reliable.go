@@ -264,12 +264,6 @@ func (c *Comm) RecvDeadline(src, tag int, timeout float64) ([]byte, int, error) 
 	return env.data, env.src, nil
 }
 
-// Live reports whether comm rank r is still running.
-func (c *Comm) Live(r int) bool {
-	c.checkPeer(r)
-	return !c.w.down(c.worldRank(r))
-}
-
 // collStart begins a collective operation: it names the call for watchdog
 // and error diagnostics, fires any due injected crash, and injects the
 // cluster's skew model.

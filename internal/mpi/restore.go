@@ -51,11 +51,9 @@ var (
 // has produced no frame for silent (suspect=true), or resumed before the
 // hard-failure threshold (suspect=false).
 func (w *World) onSuspect(rank int, suspect bool, silent time.Duration) {
-	w.suspected[rank].Store(suspect)
 	if !suspect {
 		return
 	}
-	w.silentNanos[rank].Store(int64(silent))
 	mSuspects.Inc()
 	mDetectLatency.Observe(int64(silent))
 	if w.tracer.Enabled() {
@@ -88,23 +86,6 @@ func (w *World) firstLocal() int {
 		}
 	}
 	return 0
-}
-
-// Suspected reports whether the transport's failure detector currently
-// suspects world rank r of being hung.
-func (w *World) Suspected(r int) bool { return w.suspected[r].Load() }
-
-// SuspectErr returns a typed *RankSuspectError for the lowest currently
-// suspected rank, or nil if no rank is suspect.  Suspicion precedes the
-// hard ErrRankFailed: code that polls it between phases can checkpoint or
-// prepare recovery before the failure is declared.
-func (w *World) SuspectErr() error {
-	for r := range w.suspected {
-		if w.suspected[r].Load() {
-			return &RankSuspectError{Rank: r, SilentFor: time.Duration(w.silentNanos[r].Load())}
-		}
-	}
-	return nil
 }
 
 // Epoch returns the committed membership epoch: 0 until a Restore commits
@@ -258,7 +239,6 @@ func (w *World) awaitRejoin(me int, timeout time.Duration) error {
 						fmt.Fprintf(os.Stderr, "mpidbg: %d rank %d: readmit %d\n", time.Now().UnixMilli()%1000000, me, r)
 					}
 					w.rejoinReady[r].Store(false)
-					w.suspected[r].Store(false)
 					mRespawns.Inc()
 					w.progress.Add(1)
 					continue
@@ -314,7 +294,6 @@ func (w *World) tryReadmit(r int) bool {
 			fmt.Fprintf(os.Stderr, "mpidbg: %d rank %d: readmit %d (in commit)\n", time.Now().UnixMilli()%1000000, w.firstLocal(), r)
 		}
 		w.rejoinReady[r].Store(false)
-		w.suspected[r].Store(false)
 		mRespawns.Inc()
 		w.progress.Add(1)
 	}

@@ -93,9 +93,6 @@ func TestRespawnRestoreFullSize(t *testing.T) {
 	if w.Epoch() != 1 {
 		t.Fatalf("world epoch = %d, want 1", w.Epoch())
 	}
-	if err := w.SuspectErr(); err != nil {
-		t.Fatalf("spurious suspicion: %v", err)
-	}
 }
 
 // TestRespawnRejects: the guard rails — out-of-range rank, still-running

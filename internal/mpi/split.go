@@ -73,13 +73,6 @@ func (c *Comm) Split(color, key int) *Comm {
 	return &Comm{w: c.w, me: c.me, group: group, rank: newRank, ctx: ctx}
 }
 
-// Dup returns a communicator with the same membership but a fresh context,
-// like MPI_Comm_dup: traffic on the duplicate never interferes with the
-// original.  Collective.
-func (c *Comm) Dup() *Comm {
-	return c.Split(0, c.rank)
-}
-
 // Group returns the world ranks of this communicator's members in comm
 // rank order.
 func (c *Comm) Group() []int {
@@ -92,9 +85,6 @@ func (c *Comm) Group() []int {
 	}
 	return g
 }
-
-// WorldRank returns this process's rank in the world communicator.
-func (c *Comm) WorldRank() int { return c.me.rank }
 
 func splitmixCtx(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15

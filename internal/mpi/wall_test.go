@@ -223,7 +223,7 @@ func TestWallShrinkAfterCrash(t *testing.T) {
 		if sc.Size() != 2 {
 			return fmt.Errorf("shrunk size = %d, want 2", sc.Size())
 		}
-		if got := sc.AllreduceScalar(float64(c.WorldRank()), OpSum); got != 1 {
+		if got := sc.AllreduceScalar(float64(c.Rank()), OpSum); got != 1 {
 			return fmt.Errorf("post-shrink allreduce = %v, want 1", got)
 		}
 		return nil

@@ -45,12 +45,9 @@ type World struct {
 	// Run; anyDown short-circuits liveness checks on the happy path.
 	states  []atomic.Int32
 	anyDown atomic.Bool
-	// Self-healing state (see restore.go).  suspected mirrors the
-	// transport failure detector's suspicion per rank; rejoinReady marks a
-	// failed rank whose replacement is connected and waiting to be
-	// re-admitted by Comm.Restore; epoch is the committed membership epoch.
-	suspected   []atomic.Bool
-	silentNanos []atomic.Int64
+	// Self-healing state (see restore.go).  rejoinReady marks a failed rank
+	// whose replacement is connected and waiting to be re-admitted by
+	// Comm.Restore; epoch is the committed membership epoch.
 	rejoinReady []atomic.Bool
 	epoch       atomic.Uint64
 
@@ -241,8 +238,6 @@ func NewWorldTransport(tr transport.Transport, cluster *simnet.Cluster, cfg Conf
 	w.agreeSlots = make(map[agreeID]*agreeSlot)
 	w.procs = make([]*proc, n)
 	w.states = make([]atomic.Int32, n)
-	w.suspected = make([]atomic.Bool, n)
-	w.silentNanos = make([]atomic.Int64, n)
 	w.rejoinReady = make([]atomic.Bool, n)
 	for i := range w.procs {
 		p := &proc{rank: i, speed: cluster.SpeedOf(i), crashAt: math.Inf(1), tracer: w.tracer}
@@ -281,10 +276,6 @@ func (w *World) Tracer() *obs.Tracer { return w.tracer }
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.procs) }
-
-// Job returns the tenant label this world was configured with (zero for a
-// standalone world).
-func (w *World) Job() uint64 { return w.cfg.Job }
 
 // Config returns the configuration the world runs with.
 func (w *World) Config() Config { return w.cfg }

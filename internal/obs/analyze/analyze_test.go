@@ -156,7 +156,8 @@ func TestLateSenderRootCause(t *testing.T) {
 			c.Compute(0.01)
 			right := (me + 1) % n
 			left := (me + n - 1) % n
-			c.Sendrecv(right, 7, buf, left, 7)
+			c.Send(right, 7, buf)
+			c.Recv(left, 7)
 		}
 		return nil
 	})

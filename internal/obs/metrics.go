@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"regexp"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -156,24 +155,6 @@ func (r *Registry) Unregister(name string) {
 	r.mu.Lock()
 	delete(r.funcs, name)
 	r.mu.Unlock()
-}
-
-// Names returns every registered metric name, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters)+len(r.hists)+len(r.funcs))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	for n := range r.funcs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Snapshot returns every metric's current value keyed by name: counters as

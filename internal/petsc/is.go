@@ -3,8 +3,7 @@ package petsc
 import "fmt"
 
 // IS is an index set: an ordered list of global indices, as used to define
-// scatters.  PETSc's three main flavors are provided: general, strided, and
-// block.
+// scatters, built from an explicit list or a stride.
 type IS struct {
 	idx []int
 }
@@ -26,21 +25,6 @@ func ISStride(n, first, step int) *IS {
 	return &IS{idx: idx}
 }
 
-// ISBlock expands block indices into element indices: each entry b of
-// blocks contributes the bs consecutive indices [b*bs, (b+1)*bs).
-func ISBlock(bs int, blocks []int) *IS {
-	if bs <= 0 {
-		panic("petsc: block size must be positive")
-	}
-	idx := make([]int, 0, bs*len(blocks))
-	for _, b := range blocks {
-		for j := 0; j < bs; j++ {
-			idx = append(idx, b*bs+j)
-		}
-	}
-	return &IS{idx: idx}
-}
-
 // Len returns the number of indices.
 func (is *IS) Len() int { return len(is.idx) }
 
@@ -57,17 +41,4 @@ func (is *IS) Validate(n int) {
 			panic(fmt.Sprintf("petsc: index set entry %d = %d out of range [0,%d)", k, i, n))
 		}
 	}
-}
-
-// Concat returns the concatenation of index sets.
-func Concat(sets ...*IS) *IS {
-	total := 0
-	for _, s := range sets {
-		total += s.Len()
-	}
-	idx := make([]int, 0, total)
-	for _, s := range sets {
-		idx = append(idx, s.idx...)
-	}
-	return &IS{idx: idx}
 }

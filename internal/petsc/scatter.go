@@ -252,9 +252,6 @@ func indexedType(idx []int) *datatype.Type {
 	return datatype.Indexed(blockLens, displs, datatype.Double)
 }
 
-// Mode returns the scatter's backend.
-func (s *Scatter) Mode() ScatterMode { return s.mode }
-
 // tag used for hand-tuned scatter traffic.
 const scatterTag = 0x5ca7
 

@@ -142,14 +142,6 @@ func (v *Vec) Scale(alpha float64) {
 	v.charge(len(v.a))
 }
 
-// Shift adds alpha to every element.
-func (v *Vec) Shift(alpha float64) {
-	for i := range v.a {
-		v.a[i] += alpha
-	}
-	v.charge(len(v.a))
-}
-
 // AXPY computes v += alpha*x.
 func (v *Vec) AXPY(alpha float64, x *Vec) {
 	v.sameLayout(x)
@@ -166,26 +158,6 @@ func (v *Vec) AYPX(alpha float64, x *Vec) {
 		v.a[i] = alpha*v.a[i] + xv
 	}
 	v.charge(2 * len(v.a))
-}
-
-// WAXPY computes v = alpha*x + y.
-func (v *Vec) WAXPY(alpha float64, x, y *Vec) {
-	v.sameLayout(x)
-	v.sameLayout(y)
-	for i := range v.a {
-		v.a[i] = alpha*x.a[i] + y.a[i]
-	}
-	v.charge(2 * len(v.a))
-}
-
-// PointwiseMult computes v_i = x_i * y_i.
-func (v *Vec) PointwiseMult(x, y *Vec) {
-	v.sameLayout(x)
-	v.sameLayout(y)
-	for i := range v.a {
-		v.a[i] = x.a[i] * y.a[i]
-	}
-	v.charge(len(v.a))
 }
 
 // Dot returns the global inner product <v, x>.  Collective.
@@ -219,51 +191,6 @@ func (v *Vec) NormInf() float64 {
 	}
 	v.charge(len(v.a))
 	return v.c.AllreduceScalar(m, mpi.OpMax)
-}
-
-// Norm1 returns the global 1-norm.  Collective.
-func (v *Vec) Norm1() float64 {
-	s := 0.0
-	for _, x := range v.a {
-		s += math.Abs(x)
-	}
-	v.charge(len(v.a))
-	return v.c.AllreduceScalar(s, mpi.OpSum)
-}
-
-// Max returns the global maximum element.  Collective.
-func (v *Vec) Max() float64 {
-	m := math.Inf(-1)
-	for _, x := range v.a {
-		if x > m {
-			m = x
-		}
-	}
-	v.charge(len(v.a))
-	return v.c.AllreduceScalar(m, mpi.OpMax)
-}
-
-// Min returns the global minimum element.  Collective.
-func (v *Vec) Min() float64 {
-	m := math.Inf(1)
-	for _, x := range v.a {
-		if x < m {
-			m = x
-		}
-	}
-	v.charge(len(v.a))
-	return v.c.AllreduceScalar(m, mpi.OpMin)
-}
-
-// Reciprocal replaces every element with its reciprocal; zero elements are
-// left unchanged, matching VecReciprocal.
-func (v *Vec) Reciprocal() {
-	for i, x := range v.a {
-		if x != 0 {
-			v.a[i] = 1 / x
-		}
-	}
-	v.charge(len(v.a))
 }
 
 // Sum returns the global sum of all elements.  Collective.

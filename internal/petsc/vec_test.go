@@ -97,19 +97,6 @@ func TestVecOps(t *testing.T) {
 		x.Set(2)
 		y.SetFromFunc(func(i int) float64 { return float64(i) })
 
-		// w = 3*x + y = 6 + i
-		w.WAXPY(3, x, y)
-		ok := true
-		lo, _ := w.Range()
-		for i, v := range w.Array() {
-			if v != 6+float64(lo+i) {
-				ok = false
-			}
-		}
-		if !ok {
-			return fmt.Errorf("WAXPY wrong")
-		}
-
 		// y += -1 * y -> 0
 		y.AXPY(-1, y)
 		if n := y.Norm2(); n != 0 {
@@ -127,40 +114,9 @@ func TestVecOps(t *testing.T) {
 			return fmt.Errorf("scale: sum = %v", s)
 		}
 
-		y.Shift(1)
-		if s := y.Sum(); s != 22 {
-			return fmt.Errorf("shift: sum = %v", s)
-		}
-
 		w.Copy(x)
-		w.PointwiseMult(w, x)
-		if s := w.Sum(); s != 4*11 {
-			return fmt.Errorf("pointwise: sum = %v", s)
-		}
-		return nil
-	})
-}
-
-func TestVecNormsAndExtrema(t *testing.T) {
-	runWorld(t, 3, mpi.Optimized(), func(c *mpi.Comm) error {
-		v := NewVec(c, 9)
-		v.SetFromFunc(func(i int) float64 { return float64(i - 4) }) // -4..4
-		if n1 := v.Norm1(); n1 != 20 {
-			return fmt.Errorf("norm1 = %v, want 20", n1)
-		}
-		if mx := v.Max(); mx != 4 {
-			return fmt.Errorf("max = %v", mx)
-		}
-		if mn := v.Min(); mn != -4 {
-			return fmt.Errorf("min = %v", mn)
-		}
-		v.Reciprocal()
-		// Element 0 (value -4) became -0.25; element 4 (value 0) unchanged.
-		if s := v.Sum(); math.Abs(s-0) > 1e-12 {
-			return fmt.Errorf("reciprocal sum = %v (symmetric values should cancel)", s)
-		}
-		if mx := v.Max(); mx != 1 {
-			return fmt.Errorf("max after reciprocal = %v", mx)
+		if s := w.Sum(); s != 2*11 {
+			return fmt.Errorf("copy: sum = %v", s)
 		}
 		return nil
 	})
@@ -225,17 +181,6 @@ func TestISVariants(t *testing.T) {
 			t.Fatalf("stride IS[%d] = %d, want %d", i, s.At(i), x)
 		}
 	}
-	b := ISBlock(2, []int{0, 3})
-	wantB := []int{0, 1, 6, 7}
-	for i, x := range wantB {
-		if b.At(i) != x {
-			t.Fatalf("block IS[%d] = %d, want %d", i, b.At(i), x)
-		}
-	}
-	cat := Concat(g, s)
-	if cat.Len() != 7 || cat.At(3) != 10 {
-		t.Fatalf("concat wrong: %v", cat.Indices())
-	}
 }
 
 func TestISValidate(t *testing.T) {
@@ -248,17 +193,10 @@ func TestISValidate(t *testing.T) {
 }
 
 func TestISPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"neg stride len": func() { ISStride(-1, 0, 1) },
-		"bad block size": func() { ISBlock(0, []int{1}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("neg stride len: expected panic")
+		}
+	}()
+	ISStride(-1, 0, 1)
 }

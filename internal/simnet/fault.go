@@ -1,6 +1,9 @@
 package simnet
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // FaultPlan is a deterministic, seed-driven fault model layered over the
 // cluster's wire.  Every decision — whether a given transmission attempt of
@@ -40,6 +43,24 @@ type FaultPlan struct {
 	CrashAt map[int]float64
 
 	linkSet map[Link]struct{} // lazily built from Links
+}
+
+// Validate refuses a plan no run could finish under: a probability that is
+// not a number in [0, 1) (at 1 every attempt fails and a reliable send
+// retransmits for ever), or a mean delay that is negative or not finite.
+func (f *FaultPlan) Validate() error {
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{{"drop", f.Drop}, {"duplicate", f.Duplicate}, {"corrupt", f.Corrupt}} {
+		if !(p.v >= 0 && p.v < 1) { // NaN compares false
+			return fmt.Errorf("simnet: fault plan: %s probability %v not in [0, 1)", p.name, p.v)
+		}
+	}
+	if !(f.DelayMean >= 0) || math.IsInf(f.DelayMean, 1) {
+		return fmt.Errorf("simnet: fault plan: mean delay %v not a finite number of seconds >= 0", f.DelayMean)
+	}
+	return nil
 }
 
 // Link is a directed sender→receiver pair of world ranks.

@@ -51,9 +51,6 @@ func NewHierarchical(self int, nodeOf []int, intra, inter Transport) (*Hierarchi
 // Size returns the world size.
 func (h *Hierarchical) Size() int { return len(h.nodeOf) }
 
-// Self returns the hosted rank.
-func (h *Hierarchical) Self() int { return h.self }
-
 // Local reports whether r is the hosted rank.  Co-located ranks are
 // peers, not locals: each lives in its own process (or its own World).
 func (h *Hierarchical) Local(r int) bool { return r == h.self }
@@ -187,12 +184,6 @@ func (h *Hierarchical) PauseHeartbeats(pause bool) {
 		t.PauseHeartbeats(pause)
 	}
 }
-
-// Intra returns the intra-node endpoint (nil for a singleton node).
-func (h *Hierarchical) Intra() Transport { return h.intra }
-
-// Inter returns the inter-node endpoint.
-func (h *Hierarchical) Inter() Transport { return h.inter }
 
 // Close closes both endpoints and reports the first error.
 func (h *Hierarchical) Close() error {

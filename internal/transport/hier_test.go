@@ -14,8 +14,9 @@ import (
 
 // startHierWorld brings up a 2-node × 2-rank mixed-transport world in
 // this process: each node's pair shares an in-process shm segment, the
-// TCP mesh spans all four ranks.
-func startHierWorld(t *testing.T, recv []func(hdr transport.Header, payload []byte)) []*transport.Hierarchical {
+// TCP mesh spans all four ranks.  It returns the routers and, by rank, the
+// two endpoints each routes over.
+func startHierWorld(t *testing.T, recv []func(hdr transport.Header, payload []byte)) ([]*transport.Hierarchical, []*shm.Transport, []*transport.TCP) {
 	t.Helper()
 	const n = 4
 	nodeOf := []int{0, 0, 1, 1}
@@ -38,6 +39,7 @@ func startHierWorld(t *testing.T, recv []func(hdr transport.Header, payload []by
 		segs[g] = seg
 	}
 	hs := make([]*transport.Hierarchical, n)
+	intras, inters := make([]*shm.Transport, n), make([]*transport.TCP, n)
 	for r := 0; r < n; r++ {
 		node := nodeOf[r]
 		intra, err := shm.New(shm.Config{Rank: r, Size: n, Ranks: []int{node * 2, node*2 + 1},
@@ -55,7 +57,7 @@ func startHierWorld(t *testing.T, recv []func(hdr transport.Header, payload []by
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs[r] = h
+		hs[r], intras[r], inters[r] = h, intra, inter
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -79,7 +81,7 @@ func startHierWorld(t *testing.T, recv []func(hdr transport.Header, payload []by
 			h.Close()
 		}
 	})
-	return hs
+	return hs, intras, inters
 }
 
 // TestHierarchicalRouting verifies per-peer routing: co-located traffic
@@ -95,7 +97,7 @@ func TestHierarchicalRouting(t *testing.T) {
 			datatype.PutBuffer(payload)
 		}
 	}
-	hs := startHierWorld(t, recv)
+	hs, intras, inters := startHierWorld(t, recv)
 
 	send := func(src, dst, tag int) {
 		t.Helper()
@@ -115,11 +117,11 @@ func TestHierarchicalRouting(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	shm0 := hs[0].Intra().(*shm.Transport).Stats()
+	shm0 := intras[0].Stats()
 	if shm0.FramesSent != 1 {
 		t.Fatalf("rank 0 shm frames sent %d, want 1 (only the co-located send)", shm0.FramesSent)
 	}
-	tcp0 := hs[0].Inter().(*transport.TCP).Stats()
+	tcp0 := inters[0].Stats()
 	if tcp0.FramesSent != 1 {
 		t.Fatalf("rank 0 tcp frames sent %d, want 1 (only the remote send)", tcp0.FramesSent)
 	}
@@ -133,7 +135,7 @@ func TestHierarchicalHealthFilter(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		recv[r] = func(hdr transport.Header, payload []byte) { datatype.PutBuffer(payload) }
 	}
-	hs := startHierWorld(t, recv)
+	hs, intras, _ := startHierWorld(t, recv)
 
 	var suspects [4]atomic.Int64
 	hs[0].SetHealth(transport.HealthFuncs{
@@ -147,7 +149,7 @@ func TestHierarchicalHealthFilter(t *testing.T) {
 	// endpoint keeps beating nothing (no TCP heartbeats configured), so any
 	// suspicion of rank 1 must come from the shm detector — and suspicion
 	// of the remote ranks must not appear at all.
-	hs[1].Intra().(*shm.Transport).PauseHeartbeats(true)
+	intras[1].PauseHeartbeats(true)
 	deadline := time.Now().Add(5 * time.Second)
 	for suspects[1].Load() == 0 {
 		if time.Now().After(deadline) {

@@ -90,9 +90,6 @@ func (m *Mux) Start() error {
 	return m.real.Start(m.route, m.onPeerDown)
 }
 
-// Real returns the wrapped transport (for stats and occupancy probes).
-func (m *Mux) Real() Transport { return m.real }
-
 // Size is the mesh size in real ranks.
 func (m *Mux) Size() int { return m.real.Size() }
 
@@ -299,12 +296,6 @@ type Sub struct {
 	down    DownFunc
 	health  HealthFuncs
 }
-
-// Job returns the job id frames of this sub are stamped with.
-func (s *Sub) Job() uint64 { return s.job }
-
-// Ranks returns the job-rank → mesh-rank mapping.
-func (s *Sub) Ranks() []int { return append([]int(nil), s.ranks...) }
 
 // Size is the job's world size.
 func (s *Sub) Size() int { return len(s.ranks) }

@@ -258,12 +258,6 @@ func (t *Transport) attach() {
 // Size returns the world size.
 func (t *Transport) Size() int { return t.cfg.Size }
 
-// Self returns the hosted rank.
-func (t *Transport) Self() int { return t.cfg.Rank }
-
-// Ranks returns the co-located group (ascending world ranks).
-func (t *Transport) Ranks() []int { return append([]int(nil), t.cfg.Ranks...) }
-
 // Local reports whether r is the hosted rank.
 func (t *Transport) Local(r int) bool { return r == t.cfg.Rank }
 
@@ -281,9 +275,6 @@ func (t *Transport) SetTracer(tr *obs.Tracer) { t.tracer.Store(tr) }
 
 // SetHealth wires the liveness callbacks.
 func (t *Transport) SetHealth(h transport.HealthFuncs) { t.health.Store(&h) }
-
-// Epoch returns the current membership epoch.
-func (t *Transport) Epoch() uint64 { return t.epoch.Load() }
 
 // SetEpoch raises the membership epoch and republishes it in the
 // presence slot; a stale incarnation re-attaching with an older epoch is

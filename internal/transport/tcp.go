@@ -260,9 +260,6 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 // Size returns the world size.
 func (t *TCP) Size() int { return t.cfg.Size }
 
-// Self returns the rank this endpoint hosts.
-func (t *TCP) Self() int { return t.cfg.Rank }
-
 // Local reports whether r is the hosted rank.
 func (t *TCP) Local(r int) bool { return r == t.cfg.Rank }
 
@@ -282,9 +279,6 @@ func (t *TCP) SetTracer(tr *obs.Tracer) { t.tracer.Store(tr) }
 // SetHealth wires the liveness callbacks.  Safe to call at any time,
 // including after Start.
 func (t *TCP) SetHealth(h HealthFuncs) { t.health.Store(&h) }
-
-// Epoch returns the endpoint's current membership epoch.
-func (t *TCP) Epoch() uint64 { return t.epoch.Load() }
 
 // SetEpoch raises the membership epoch.  Future hellos and beats carry it,
 // and inbound hellos below it are rejected; survivors bump it when they
