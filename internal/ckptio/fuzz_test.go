@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -32,6 +33,41 @@ func FuzzDecodeCommit(f *testing.F) {
 		}
 		if re := encodeCommit(cm); !bytes.Equal(re, b) {
 			t.Fatalf("accepted %x\nbut it decodes to %+v, which encodes as\n%x", b, cm, re)
+		}
+	})
+}
+
+// FuzzParseFaultPlan: mgsolve -iofault and nccdd -iofault hand ParseFaultPlan
+// what the user typed.  It returns a one-line error and no plan, or a plan
+// whose probabilities lie in [0, 1) and whose byte budget and crash point are
+// not negative (no plan, and no error, only for the empty spec).
+func FuzzParseFaultPlan(f *testing.F) {
+	for _, spec := range []string{"", "short=0.2,eio=0.1,fsync=0.1,enospc=65536,crash=12,seed=7",
+		"short=1", "eio=-0.5", "fsync=NaN", "short=0x1p-2", "enospc=-1", "crash=99999999999",
+		"seed=18446744073709551615", "bogus=1", "short", ",", "short=0.5\neio=0.5"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseFaultPlan(spec)
+		if err != nil {
+			if p != nil || strings.Contains(err.Error(), "\n") {
+				t.Fatalf("spec %q: plan %+v with error %q; want no plan and one line", spec, p, err)
+			}
+			return
+		}
+		if p == nil {
+			if spec != "" {
+				t.Fatalf("spec %q: neither a plan nor an error", spec)
+			}
+			return
+		}
+		for _, pr := range []float64{p.ShortWrite, p.WriteErr, p.FsyncErr} {
+			if !(pr >= 0 && pr < 1) {
+				t.Fatalf("spec %q: plan %+v has a probability outside [0, 1)", spec, p)
+			}
+		}
+		if p.ENOSPCAfter < 0 || p.CrashAfterOps < 0 {
+			t.Fatalf("spec %q: plan %+v has a negative budget or crash point", spec, p)
 		}
 	})
 }

@@ -33,7 +33,8 @@ func coarseCells(s *Solver) int { return s.DA(1).OwnedCount() }
 
 // BenchmarkStencil times the stencil pass alone (one rank has no ghost cell
 // to receive, so every source row is x's own): apply is the form behind
-// Solver.Apply, jacobi one smoother sweep.
+// Solver.Apply, jacobi one smoother sweep, and update the first sweep of a
+// smoothing pass whose residual is known, which evaluates no stencil.
 func BenchmarkStencil(b *testing.B) {
 	b.Run("apply", func(b *testing.B) {
 		benchKernel(b, fineCells,
@@ -47,6 +48,13 @@ func BenchmarkStencil(b *testing.B) {
 			func(s *Solver) int { return 8 * 3 * fineCells(s) },
 			func(s *Solver, x, rhs, out, _ *petsc.Vec) {
 				s.stencil(s.levels[0], formJacobi, x.Array(), out.Array(), rhs.Array(), omega)
+			})
+	})
+	b.Run("update", func(b *testing.B) {
+		benchKernel(b, fineCells,
+			func(s *Solver) int { return 8 * 3 * fineCells(s) },
+			func(s *Solver, x, rhs, out, _ *petsc.Vec) {
+				s.update(s.levels[0], x.Array(), rhs.Array(), out.Array(), omega)
 			})
 	})
 }

@@ -30,25 +30,57 @@ type stencilGeom struct {
 // neighbour rows is the source vector's own row where this rank owns it and
 // lwork's where it was received as a ghost row; beyond a domain face there is
 // none and the level's row of zeros stands in, which the general form never
-// reads and the unrolled loop may subtract (see rowCoef).
+// reads and the unrolled loop may subtract (see faceCoef).
 type rowSrc struct {
 	out                int       // the first cell's index in the owned layout of x, y and b
 	i, j, k            int       // the first cell's global coordinates
 	cr, ym, yp, zm, zp []float64 // the row and its neighbour rows, from the first cell on
 }
 
-// rowCoef is what the cells of a 3-D row between its two ends share: the
-// coefficient of u per dimension, cd·inv[d], and omega over their sum.  cd is
-// 2 plus one for every domain face the row lies on along d (see side), so a
-// level has one rowCoef per count of y faces and of z faces.  An absent
-// neighbour row is the row of zeros: inv[d]·(+0) is +0, and acc − (+0) is acc
-// for every acc, −0 and NaN included, so subtracting it leaves the bits that
-// skipping the subtraction leaves.  A 2-D row is not a 3-D row of zero inv[2]
-// in the same way: its centre term would add 0·u, and acc + (+0) turns an acc
-// of −0 into +0.
-type rowCoef struct {
-	cu [3]float64
-	w  float64
+// faceCoef is what the cells with the same count of domain faces along x, y
+// and z share: the coefficient of u per dimension, cd·inv[d] with cd 2 plus
+// one for every domain face the cell lies on along d (see side), and the
+// diagonal, their sum in side's order over the grid's dimensions.  A level
+// holds one per count of faces along each axis (faceCoefs).  The stencil's
+// unrolled loop takes the coefficients and ω/diag of a 3-D row's inner cells
+// from it and update takes ω/diag of every cell, so outside the general form
+// the diagonal is summed in one place, and the oracle holds the two to each
+// other bit for bit.
+//
+// A 3-D row on a y or z domain face runs through the unrolled loop too, with
+// the row of zeros for its absent neighbour row: inv[d]·(+0) is +0, and
+// acc − (+0) is acc for every acc, −0 and NaN included, so subtracting it
+// leaves the bits that skipping the subtraction leaves.  A 2-D row is not a
+// 3-D row of zero inv[2] in the same way: its centre term would add 0·u, and
+// acc + (+0) turns an acc of −0 into +0.
+type faceCoef struct {
+	cu   [3]float64
+	diag float64
+}
+
+// faceCoefs is the table of a dim-dimensional level whose 1/h² per dimension
+// is inv: entry [fx][fy][fz] is for fx, fy and fz domain faces along x, y and
+// z (0, 1, or on a grid one cell thick 2).  Along a dimension the grid does
+// not have the coefficient is 0 and the count selects nothing.
+func faceCoefs(dim int, inv [3]float64) (t [3][3][3]faceCoef) {
+	for fx := range t {
+		for fy := range t[fx] {
+			for fz := range t[fx][fy] {
+				c, f := &t[fx][fy][fz], [3]int{fx, fy, fz}
+				for d := 0; d < dim; d++ {
+					c.cu[d] = float64(float64(2+f[d]) * inv[d])
+					c.diag += c.cu[d]
+				}
+			}
+		}
+	}
+	return t
+}
+
+// chargeStencil charges the virtual clock one stencil pass over the owned
+// cells of lv.
+func (s *Solver) chargeStencil(lv *level) {
+	s.c.Compute(float64(lv.da.OwnedBox().Cells()) * float64(4*s.dim+3) * flopSec)
 }
 
 // faces counts the domain faces (0, 1, or on a grid one cell thick 2) that
@@ -72,32 +104,22 @@ func faces(c, n int) int {
 // lies: the y- and z-neighbour rows a row at a time, the x-neighbours of the
 // two end cells, which alone can be ghosts, a cell at a time.  The cells of a
 // 3-D row between its ends run as one unrolled loop over five row slices with
-// the coefficients of the row's class, on a y or z domain face as anywhere
-// else; the two end cells and every row of a 1-D or 2-D grid take the general
-// per-cell form.
+// the coefficients of the row's class (faceCoef), on a y or z domain face as
+// anywhere else; the two end cells and every row of a 1-D or 2-D grid take the
+// general per-cell form.
 func (s *Solver) stencil(lv *level, form stencilForm, x, y, b []float64, omega float64) {
 	da := lv.da
 	own, ghost := da.OwnedBox(), da.GhostBox()
-	g := stencilGeom{dim: s.dim}
+	g := stencilGeom{dim: s.dim, inv: lv.inv}
 	for d := 0; d < 3; d++ {
 		g.n[d] = da.GlobalSize(d)
 	}
-	for d := 0; d < s.dim; d++ {
-		g.inv[d] = 1 / (lv.h[d] * lv.h[d])
-	}
 
-	// The row classes, by y faces and z faces; the diagonal is summed in
-	// side's order.
-	var coef [3][3]rowCoef
-	for fy := range coef {
-		for fz := range coef[fy] {
-			c := &coef[fy][fz]
-			diag := 0.0
-			for d, cd := range [3]float64{2, float64(2 + fy), float64(2 + fz)} {
-				c.cu[d] = float64(cd * g.inv[d])
-				diag += c.cu[d]
-			}
-			c.w = omega / diag
+	// ω/diag of a 3-D row's inner cells, by y faces and z faces.
+	var w [3][3]float64
+	for fy := range w {
+		for fz := range w[fy] {
+			w[fy][fz] = omega / lv.coef[0][fy][fz].diag
 		}
 	}
 
@@ -135,13 +157,62 @@ func (s *Solver) stencil(lv *level, form stencilForm, x, y, b []float64, omega f
 			if s.dim < 3 {
 				g.cells(form, y, b, omega, &r, cr, cr[2:], 1, nx-2)
 			} else if nx > 2 {
-				c := &coef[faces(j, g.n[1])][faces(k, g.n[2])]
-				interiorCells(form, y, b, out+1, nx-2, cr, r.ym[1:], r.yp[1:], r.zm[1:], r.zp[1:], &g.inv, &c.cu, c.w)
+				fy, fz := faces(j, g.n[1]), faces(k, g.n[2])
+				interiorCells(form, y, b, out+1, nx-2, cr, r.ym[1:], r.yp[1:], r.zm[1:], r.zp[1:], &g.inv, &lv.coef[0][fy][fz].cu, w[fy][fz])
 			}
 			g.cells(form, y, b, omega, &r, cr[nx-2:], xe, nx-1, 1)
 		}
 	}
-	s.c.Compute(float64(own.Cells()) * float64(4*s.dim+3) * flopSec)
+	s.chargeStencil(lv)
+}
+
+// update is a Jacobi sweep of x whose residual b − A x is already known: r is
+// the level's stored residual for this x, or b itself where x is zero (every
+// stencil term of a zero x is +0, and b − (+0) is b on every bit pattern).  It
+// writes y = x + ω/diag·r for every owned cell, which is what the stencil's
+// formJacobi writes bit for bit, since that form computes b − A x as the
+// residual does and then exactly this.  It evaluates no stencil and reads no
+// ghost cell, and y may be r.  The clock is charged the stencil pass it stands
+// in for.
+func (s *Solver) update(lv *level, x, r, y []float64, omega float64) {
+	own := lv.da.OwnedBox()
+	var n [3]int
+	for d := range n {
+		n[d] = lv.da.GlobalSize(d)
+	}
+	var w [3][3][3]float64
+	for fx := range w {
+		for fy := range w[fx] {
+			for fz := range w[fx][fy] {
+				w[fx][fy][fz] = omega / lv.coef[fx][fy][fz].diag
+			}
+		}
+	}
+	// Only a row's first and last cell can lie on an x domain face.
+	nx := own.Hi[0] - own.Lo[0]
+	fw, fe := faces(own.Lo[0], n[0]), faces(own.Hi[0]-1, n[0])
+	out := 0
+	for k := own.Lo[2]; k < own.Hi[2]; k++ {
+		fz := faces(k, n[2])
+		for j := own.Lo[1]; j < own.Hi[1]; j, out = j+1, out+nx {
+			fy := faces(j, n[1])
+			last := out + nx - 1
+			updateRun(y[out:out+1], x[out:], r[out:], w[fw][fy][fz])
+			if nx > 1 {
+				updateRun(y[out+1:last], x[out+1:], r[out+1:], w[0][fy][fz])
+				updateRun(y[last:last+1], x[last:], r[last:], w[fe][fy][fz])
+			}
+		}
+	}
+	s.chargeStencil(lv)
+}
+
+// updateRun writes y[i] = x[i] + w·r[i], the update of cells that share ω/diag.
+func updateRun(y, x, r []float64, w float64) {
+	x, r = x[:len(y)], r[:len(y)]
+	for i := range y {
+		y[i] = x[i] + float64(w*r[i])
+	}
 }
 
 // neighbourRow is a neighbour row of an owned row, from the cell beside that
@@ -213,7 +284,7 @@ func (g *stencilGeom) side(d, coord int, acc, diag, u, lo, hi float64) (float64,
 // have both x-neighbours inside the domain.  cr is the cells' own row from the
 // first cell's west neighbour on; ym, yp, zm and zp are the four neighbouring
 // rows from the first cell on, each wherever it lies (see rowSrc).  cu and w
-// are the row's rowCoef.
+// are the row's faceCoef coefficients and ω/diag.
 func interiorCells(form stencilForm, y, b []float64, o, m int, cr, ym, yp, zm, zp []float64, inv, cu *[3]float64, w float64) {
 	xm, u, xp := cr[:m], cr[1:m+1], cr[2:m+2]
 	ym, yp, zm, zp = ym[:m], yp[:m], zm[:m], zp[:m]

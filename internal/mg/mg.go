@@ -22,8 +22,10 @@ const flopSec = 0.6e-9
 
 // level holds one grid of the hierarchy; levels[0] is the finest.
 type level struct {
-	da *dmda.DA
-	h  [3]float64 // grid spacing per dimension
+	da   *dmda.DA
+	h    [3]float64        // grid spacing per dimension
+	inv  [3]float64        // 1/h² per dimension of the grid, 0 beyond it
+	coef [3][3][3]faceCoef // by domain faces along x, y and z (faceCoefs)
 
 	b, x, r *petsc.Vec
 	d       *petsc.Vec // Chebyshev direction (lazily allocated)
@@ -106,7 +108,8 @@ type Solver struct {
 	// far.  The hook is where a scheduler paces a tenant job — blocking here
 	// shifts timing only, never the arithmetic, so residual histories stay
 	// bitwise identical under any pacing — and where cooperative
-	// cancellation lands between cycles.
+	// cancellation lands between cycles.  It must not write x or b: the
+	// cycle's first sweep reads the residual computed before the hook ran.
 	OnCycle func(cycle int) error
 
 	// coarseComm, when non-nil on active ranks, confines the coarsest
@@ -168,7 +171,9 @@ func NewAgglomerated(c *mpi.Comm, n []int, nlevels int, mode petsc.ScatterMode, 
 		}
 		for d := 0; d < dim; d++ {
 			lv.h[d] = 1.0 / float64(ext[d])
+			lv.inv[d] = 1 / (lv.h[d] * lv.h[d])
 		}
+		lv.coef = faceCoefs(dim, lv.inv)
 		lv.b = da.CreateGlobalVec()
 		lv.x = da.CreateGlobalVec()
 		lv.r = da.CreateGlobalVec()
@@ -301,15 +306,41 @@ func relresAttr(relres float64) obs.Attr {
 	return obs.Attr{Key: "relres", Val: strconv.FormatFloat(relres, 'g', 4, 64)}
 }
 
-// smooth runs sweeps of the configured smoother on level l for A x = b.
-func (s *Solver) smooth(l, sweeps int, b, x *petsc.Vec) {
+// sweepStart is what the first sweep of a smoothing pass may take for granted.
+type sweepStart uint8
+
+const (
+	fromNothing  sweepStart = iota // the sweep evaluates b − A x through the stencil
+	fromResidual                   // the level's r holds b − A x for this x
+	fromZero                       // x is zero, so b − A x is b
+)
+
+// sweep writes the Jacobi update x + ω/diag·(b − A x) of level lv to y, the
+// ghost cells of x already received: from nothing through the stencil, from a
+// known residual through update (which runs in place when y is lv.r).
+func (s *Solver) sweep(lv *level, from sweepStart, b, x, y *petsc.Vec, omega float64) {
+	switch from {
+	case fromResidual:
+		s.update(lv, x.Array(), lv.r.Array(), y.Array(), omega)
+	case fromZero:
+		s.update(lv, x.Array(), b.Array(), y.Array(), omega)
+	default:
+		s.stencil(lv, formJacobi, x.Array(), y.Array(), b.Array(), omega)
+	}
+}
+
+// smooth runs sweeps of the configured smoother on level l for A x = b, the
+// first of them from what from says of x.  The ghost update before a sweep
+// from a known residual is made and charged all the same, as the paper's
+// smoother makes it.
+func (s *Solver) smooth(l, sweeps int, from sweepStart, b, x *petsc.Vec) {
 	defer s.span("smooth", s.c.Clock(), func() []obs.Attr {
 		return []obs.Attr{{Key: "level", Val: strconv.Itoa(l)},
 			{Key: "sweeps", Val: strconv.Itoa(sweeps)},
 			{Key: "smoother", Val: s.Smoother.String()}}
 	})
 	if s.Smoother == SmootherChebyshev {
-		s.smoothChebyshev(l, sweeps, b, x)
+		s.smoothChebyshev(l, sweeps, from, b, x)
 		return
 	}
 	// Sweeps ping-pong between x and the residual storage, so only an odd
@@ -320,7 +351,8 @@ func (s *Solver) smooth(l, sweeps int, b, x *petsc.Vec) {
 	src, dst := x, lv.r
 	for it := 0; it < sweeps; it++ {
 		lv.da.GhostUpdate(src, lv.lwork)
-		s.stencil(lv, formJacobi, src.Array(), dst.Array(), b.Array(), omega)
+		s.sweep(lv, from, b, src, dst, omega)
+		from = fromNothing
 		src, dst = dst, src
 		if it == sweeps-1 && src != x {
 			x.Copy(src)
@@ -335,7 +367,7 @@ func (s *Solver) smooth(l, sweeps int, b, x *petsc.Vec) {
 // has spectrum in (0, 2] by Gershgorin (rows are weakly diagonally
 // dominant), so the smoothing window is fixed to [2/10, 2] — the usual
 // [0.1, 1.1]·λmax style target without needing eigenvalue estimation.
-func (s *Solver) smoothChebyshev(l, degree int, b, x *petsc.Vec) {
+func (s *Solver) smoothChebyshev(l, degree int, from sweepStart, b, x *petsc.Vec) {
 	if degree < 1 {
 		return
 	}
@@ -355,20 +387,20 @@ func (s *Solver) smoothChebyshev(l, degree int, b, x *petsc.Vec) {
 	sigma := theta / delta
 
 	// z = D⁻¹(b - A x) is the omega=1 Jacobi update minus x.
-	jacz := func() {
+	jacz := func(from sweepStart) {
 		lv.da.GhostUpdate(x, lv.lwork)
-		s.stencil(lv, formJacobi, x.Array(), z.Array(), b.Array(), 1)
+		s.sweep(lv, from, b, x, z, 1)
 		z.AXPY(-1, x)
 	}
 
-	jacz()
+	jacz(from)
 	d.Copy(z)
 	d.Scale(1 / theta)
 	x.AXPY(1, d)
 	rhoOld := 1 / sigma
 	for k := 2; k <= degree; k++ {
 		rho := 1 / (2*sigma - rhoOld)
-		jacz()
+		jacz(fromNothing)
 		// d = rho*rhoOld*d + (2*rho/delta) z
 		d.Scale(rho * rhoOld)
 		d.AXPY(2*rho/delta, z)
@@ -388,22 +420,23 @@ func (s *Solver) residual(l int, b, x, r *petsc.Vec) {
 }
 
 // vcycle runs one V-cycle on level l for A_l x = b (x holds the initial
-// guess and result).
-func (s *Solver) vcycle(l int, b, x *petsc.Vec) {
+// guess and result); from is what the pre-smoothing may take for granted of
+// it.  Every coarser level starts from zero.
+func (s *Solver) vcycle(l int, from sweepStart, b, x *petsc.Vec) {
 	defer s.span("mg_level", s.c.Clock(), intAttr("level", l))
 	if l == len(s.levels)-1 {
 		s.coarseSolve(l, b, x)
 		return
 	}
-	s.smooth(l, nu1, b, x)
+	s.smooth(l, nu1, from, b, x)
 	lv := s.levels[l]
 	s.residual(l, b, x, lv.r)
 	next := s.levels[l+1]
 	s.restrictTo(l, lv.r, next.b)
 	next.x.Set(0)
-	s.vcycle(l+1, next.b, next.x)
+	s.vcycle(l+1, fromZero, next.b, next.x)
 	s.interpolateAdd(l, next.x, x)
-	s.smooth(l, nu2, b, x)
+	s.smooth(l, nu2, fromNothing, b, x)
 }
 
 // coarseSolve solves A_l x = b on the coarsest level with unpreconditioned
@@ -468,7 +501,7 @@ func (s *Solver) coarseSolve(l int, b, x *petsc.Vec) {
 }
 
 // VCycle runs one V-cycle on the finest level for A x = b.  Collective.
-func (s *Solver) VCycle(b, x *petsc.Vec) { s.vcycle(0, b, x) }
+func (s *Solver) VCycle(b, x *petsc.Vec) { s.vcycle(0, fromNothing, b, x) }
 
 // Solve iterates V-cycles until the residual 2-norm falls below rtol times
 // the initial residual norm, or maxCycles is reached.  It returns the cycle
@@ -481,7 +514,7 @@ func (s *Solver) Solve(b, x *petsc.Vec, rtol float64, maxCycles int) (cycles int
 	if r0 == 0 {
 		return 0, 0
 	}
-	return s.solve(b, x, rtol, maxCycles, r0, 0)
+	return s.solve(b, x, rtol, maxCycles, r0, 0, fromResidual)
 }
 
 // SolveFrom resumes an interrupted solve from a restored checkpoint: base
@@ -495,20 +528,25 @@ func (s *Solver) Solve(b, x *petsc.Vec, rtol float64, maxCycles int) (cycles int
 // RestoreAt hands it straight back here.  Collective.
 func (s *Solver) SolveFrom(b, x *petsc.Vec, rtol float64, maxCycles, base int, r0 float64) (cycles int, relres float64) {
 	s.History = s.History[:0]
+	from := fromNothing
 	if r0 <= 0 {
 		s.residual(0, b, x, s.levels[0].r)
 		r0 = s.levels[0].r.Norm2()
 		if r0 == 0 {
 			return 0, 0
 		}
+		from = fromResidual
 	}
-	return s.solve(b, x, rtol, maxCycles, r0, base)
+	return s.solve(b, x, rtol, maxCycles, r0, base, from)
 }
 
 // solve is the shared V-cycle iteration of Solve and SolveFrom: residuals
 // are measured against r0, cycles are numbered from base+1, and History
-// holds one entry per executed cycle.
-func (s *Solver) solve(b, x *petsc.Vec, rtol float64, maxCycles int, r0 float64, base int) (cycles int, relres float64) {
+// holds one entry per executed cycle.  from is what the first cycle's
+// pre-smoothing may take for granted; every later one starts from the
+// residual the cycle before it ends with, which nothing between the two
+// changes (OnCycle and the checkpoint only read x).
+func (s *Solver) solve(b, x *petsc.Vec, rtol float64, maxCycles int, r0 float64, base int, from sweepStart) (cycles int, relres float64) {
 	defer s.span("mg_solve", s.c.Clock(), func() []obs.Attr {
 		return []obs.Attr{{Key: "cycles", Val: strconv.Itoa(cycles)}, relresAttr(relres)}
 	})
@@ -520,8 +558,9 @@ func (s *Solver) solve(b, x *petsc.Vec, rtol float64, maxCycles int, r0 float64,
 			}
 		}
 		cycleStart := s.c.Clock()
-		s.VCycle(b, x)
+		s.vcycle(0, from, b, x)
 		s.residual(0, b, x, lv.r)
+		from = fromResidual
 		relres = lv.r.Norm2() / r0
 		s.History = append(s.History, relres)
 		s.span("mg_cycle", cycleStart, func() []obs.Attr {

@@ -700,9 +700,78 @@ func TestTransfersReadOwnedInPlace(t *testing.T) {
 	})
 }
 
+// TestFirstSweepFromKnownState: on every kernelShapes entry, every level and
+// both smoothers, one sweep from the stored residual (after residual) and one
+// from zero (after x.Set(0)) leave x, the level's r and the rank's virtual
+// clock as the same sweep from nothing leaves them, bit for bit.  Both worlds
+// run the same steps and differ only in what the sweeps are told, so a clock
+// that drifts shows at the first step it drifts in.  b has a −0 cell and a NaN
+// cell on every rank that owns two, for which b − (+0) must be b.
+func TestFirstSweepFromKnownState(t *testing.T) {
+	type step struct {
+		what  string
+		x, r  []float64
+		clock float64
+	}
+	run := func(k kernelShape, seed uint64, known bool) [][]step {
+		out := make([][]step, k.np)
+		runWorld(t, k.np, k.cfg, func(c *mpi.Comm) error {
+			s := k.solver(c)
+			for l, lv := range s.levels {
+				b, x0, x := lv.da.CreateGlobalVec(), lv.da.CreateGlobalVec(), lv.da.CreateGlobalVec()
+				fillSeeded(b, seed+uint64(2*l))
+				fillSeeded(x0, seed+uint64(2*l+1))
+				if ba := b.Array(); len(ba) >= 2 {
+					ba[0], ba[len(ba)-1] = math.Copysign(0, -1), math.NaN()
+				}
+				for _, sm := range []Smoother{SmootherJacobi, SmootherChebyshev} {
+					s.Smoother = sm
+					for _, from := range []sweepStart{fromResidual, fromZero} {
+						x.Copy(x0)
+						what := fmt.Sprintf("level %d %v from zero", l, sm)
+						if from == fromResidual {
+							s.residual(l, b, x, lv.r)
+							what = fmt.Sprintf("level %d %v from the residual", l, sm)
+						} else {
+							x.Set(0)
+						}
+						if !known {
+							from = fromNothing
+						}
+						s.smooth(l, 1, from, b, x)
+						out[c.Rank()] = append(out[c.Rank()], step{what,
+							append([]float64(nil), x.Array()...), append([]float64(nil), lv.r.Array()...), c.Clock()})
+					}
+				}
+			}
+			return nil
+		})
+		return out
+	}
+	for i, k := range kernelShapes {
+		k, seed := k, uint64(i+1)
+		t.Run(k.String(), func(t *testing.T) {
+			got, want := run(k, seed, true), run(k, seed, false)
+			for r := range want {
+				for n, w := range want[r] {
+					g := got[r][n]
+					for _, err := range []error{bitsDiffer(w.what+": x", g.x, w.x), bitsDiffer(w.what+": r", g.r, w.r)} {
+						if err != nil {
+							t.Fatalf("rank %d: %v", r, err)
+						}
+					}
+					if math.Float64bits(g.clock) != math.Float64bits(w.clock) {
+						t.Fatalf("rank %d: %s: virtual clock %v, from nothing %v", r, w.what, g.clock, w.clock)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestStencilPassesAllocateNothing: on one rank with tracing off the operator,
-// one smoother sweep, the residual, both level transfers and one whole V-cycle
-// allocate nothing in either arm.
+// one smoother sweep from each start, the residual, both level transfers and
+// one whole V-cycle allocate nothing in either arm.
 func TestStencilPassesAllocateNothing(t *testing.T) {
 	for _, mode := range []petsc.ScatterMode{petsc.ScatterHandTuned, petsc.ScatterDatatype} {
 		runWorld(t, 1, mpi.Compiled(), func(c *mpi.Comm) error {
@@ -713,12 +782,14 @@ func TestStencilPassesAllocateNothing(t *testing.T) {
 			fillSeeded(x, 2)
 			s.VCycle(b, y) // the coarse solve's scratch is allocated by the first
 			for name, pass := range map[string]func(){
-				"applyLevel":     func() { s.applyLevel(0, x, y) },
-				"smooth":         func() { s.smooth(0, 1, b, x) },
-				"residual":       func() { s.residual(0, b, x, y) },
-				"restrictTo":     func() { s.restrictTo(0, x, coarse) },
-				"interpolateAdd": func() { s.interpolateAdd(0, coarse, y) },
-				"VCycle":         func() { s.VCycle(b, y) },
+				"applyLevel":           func() { s.applyLevel(0, x, y) },
+				"smooth":               func() { s.smooth(0, 1, fromNothing, b, x) },
+				"smooth from residual": func() { s.smooth(0, 1, fromResidual, b, x) },
+				"smooth from zero":     func() { s.smooth(0, 1, fromZero, b, x) },
+				"residual":             func() { s.residual(0, b, x, y) },
+				"restrictTo":           func() { s.restrictTo(0, x, coarse) },
+				"interpolateAdd":       func() { s.interpolateAdd(0, coarse, y) },
+				"VCycle":               func() { s.VCycle(b, y) },
 			} {
 				if n := testing.AllocsPerRun(10, pass); n != 0 {
 					return fmt.Errorf("%v: %s allocates %v times a call", mode, name, n)

@@ -24,7 +24,10 @@ type Options struct {
 	// measured in wall seconds and are added to span durations, because a
 	// wall-clock world's virtual clock cannot see a real blocked receive.
 	Wall bool
-	// Ranks is the world size; 0 infers it from the spans.
+	// Ranks is the world size; 0 infers it from the spans.  When it is set,
+	// a span of any other rank (the process-global lane -1 aside) is skipped
+	// and counted in Report.OutOfRange: a trace read from disk can name any
+	// rank, and the lanes and matrices are sized by the world.
 	Ranks int
 	// Dropped is the total ring-buffer drop count across all ranks.  A
 	// nonzero value is surfaced in the report: unmatched messages may be
@@ -116,6 +119,29 @@ func (g *graph) durEff(n *node) float64 {
 		d += n.wait
 	}
 	return d
+}
+
+// inRanks is spans without those whose rank lies outside [0, ranks) and is
+// not the process-global lane, and how many it left out; with ranks 0 it is
+// spans.  It copies only when it leaves something out.
+func inRanks(spans []obs.Span, ranks int) ([]obs.Span, int) {
+	outside := func(r int) bool { return ranks > 0 && (r < -1 || r >= ranks) }
+	n := 0
+	for i := range spans {
+		if outside(spans[i].Rank) {
+			n++
+		}
+	}
+	if n == 0 {
+		return spans, 0
+	}
+	kept := make([]obs.Span, 0, len(spans)-n)
+	for _, s := range spans {
+		if !outside(s.Rank) {
+			kept = append(kept, s)
+		}
+	}
+	return kept, n
 }
 
 // build filters spans into timeline nodes, assigns lanes, pairs sends with

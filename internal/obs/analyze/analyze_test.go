@@ -3,7 +3,9 @@ package analyze_test
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"nccd/internal/mpi"
@@ -209,4 +211,64 @@ func TestNonuniformStats(t *testing.T) {
 	if st.Gini <= 0 || st.Gini >= 1 {
 		t.Fatalf("gini %g out of range", st.Gini)
 	}
+}
+
+// TestRankOutsideWorldSkipped: a span file read from disk can name any rank,
+// and the lanes and matrices are sized by the world.  One span of rank 1<<40
+// in a two-rank analysis ran the process out of memory; it is skipped and
+// counted, and the process-global lane (-1) is not out of range.
+func TestRankOutsideWorldSkipped(t *testing.T) {
+	spans := []obs.Span{
+		span(0, "compute", -1, 0, 0, 0, 1),
+		span(1<<40, "send", 1, 7, 64, 0, 0.1,
+			obs.Attr{Key: "to", Val: "1"}, obs.Attr{Key: "ctx", Val: "ab"}, obs.Attr{Key: "mseq", Val: "1"}),
+		span(-2, "compute", -1, 0, 0, 0, 1),
+		{Rank: -1, Kind: "plan_compile", Peer: -1, Start: 0, End: 0.1, Clock: obs.ClockWall},
+	}
+	rep := analyze.Analyze(spans, analyze.Options{Ranks: 2})
+	if rep.Ranks != 2 || rep.OutOfRange != 2 || rep.Sends != 0 || rep.Matrix.N != 2 {
+		t.Fatalf("ranks %d, out of range %d, sends %d, matrix %d×%d; want 2, 2, 0, 2×2",
+			rep.Ranks, rep.OutOfRange, rep.Sends, rep.Matrix.N, rep.Matrix.N)
+	}
+	var buf bytes.Buffer
+	rep.Render(&buf)
+	if !strings.Contains(buf.String(), "2 spans name a rank outside the 2-rank world") {
+		t.Fatalf("report does not say what it skipped:\n%s", buf.String())
+	}
+}
+
+// FuzzAnalyzeSpanFile: mgsolve -analyze reads per-rank span files from disk,
+// so whatever decodes as an obs.SpanFile must analyze and render without a
+// panic, in a world of one to eight ranks on either clock.
+func FuzzAnalyzeSpanFile(f *testing.F) {
+	file := func(spans []obs.Span) []byte {
+		b, err := json.Marshal(obs.SpanFile{Dropped: 1, Spans: spans})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	w := mpi.NewWorld(simnet.Uniform(3, simnet.IBDDR()), mpi.Compiled())
+	w.EnableTrace()
+	if err := w.Run(func(c *mpi.Comm) error {
+		c.Compute(0.001 * float64(c.Rank()))
+		c.Send((c.Rank()+1)%3, 7, make([]byte, 64))
+		c.Recv((c.Rank()+2)%3, 7)
+		c.Barrier()
+		return nil
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(file(w.Tracer().Spans()), uint8(2))
+	f.Add(file([]obs.Span{span(1<<40, "send", 1, 7, 64, 0, 0.1, obs.Attr{Key: "to", Val: "1"})}), uint8(1))
+	f.Add([]byte(`{"spans":[{"Rank":1,"Kind":"recv","Start":1e308,"End":-1e308,"Attrs":[{"Key":"from","Val":"-5"},{"Key":"mseq","Val":"1"},{"Key":"wait","Val":"1e308"}]},{"Rank":0,"Kind":"alltoallw","End":1}]}`), uint8(9))
+	f.Add([]byte(`{}`), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, world uint8) {
+		var sf obs.SpanFile
+		if json.Unmarshal(data, &sf) != nil {
+			return
+		}
+		rep := analyze.Analyze(sf.Spans, analyze.Options{Ranks: 1 + int(world%8), Wall: world&8 != 0, Dropped: sf.Dropped})
+		rep.Render(io.Discard)
+	})
 }

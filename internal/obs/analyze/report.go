@@ -35,6 +35,8 @@ type Report struct {
 	Ranks   int   `json:"ranks"`
 	Wall    bool  `json:"wall"`
 	Dropped int64 `json:"dropped"`
+	// OutOfRange counts the spans skipped for a rank outside Options.Ranks.
+	OutOfRange int `json:"out_of_range"`
 
 	Sends          int     `json:"sends"`
 	Recvs          int     `json:"recvs"`
@@ -53,8 +55,9 @@ type Report struct {
 
 // Analyze runs the full pass over a merged span set.
 func Analyze(spans []obs.Span, opts Options) *Report {
+	spans, outside := inRanks(spans, opts.Ranks)
 	g := build(spans, opts)
-	rep := &Report{Ranks: len(g.lanes), Wall: opts.Wall, Dropped: opts.Dropped}
+	rep := &Report{Ranks: len(g.lanes), Wall: opts.Wall, Dropped: opts.Dropped, OutOfRange: outside}
 
 	for i := range g.nodes {
 		n := &g.nodes[i]
@@ -133,6 +136,9 @@ func (r *Report) Render(w io.Writer) {
 		r.Sends, r.Recvs, r.Matched, 100*r.MatchRate, r.UnmatchedSends, r.UnmatchedRecvs)
 	if r.Dropped > 0 {
 		fmt.Fprintf(w, "  WARNING: %d spans dropped by ring buffers; unmatched counts are not trustworthy\n", r.Dropped)
+	}
+	if r.OutOfRange > 0 {
+		fmt.Fprintf(w, "  WARNING: %d spans name a rank outside the %d-rank world and were skipped\n", r.OutOfRange, r.Ranks)
 	}
 
 	st := r.MatrixStats
