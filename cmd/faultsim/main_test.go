@@ -26,8 +26,9 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{[]string{"-extent", "100", "-levels", "4"}, "extent 100 not divisible"},
 		{[]string{"-extent", "2"}, "extent 2 too small"},
 		{[]string{"-levels", "0"}, "levels 0 too small"},
-		// 8 ranks fit a 4^3 grid as 2x2x2; the 7 survivors do not.
-		{[]string{"-procs", "8", "-extent", "4", "-levels", "1"}, "7 ranks"},
+		// 8 ranks fit a 4^3 grid as 2x2x2; the 7 survivors do not.  (One
+		// level of 4^3 is the coarsest level, which rank 0 holds alone.)
+		{[]string{"-procs", "8", "-extent", "4", "-levels", "2"}, "7 ranks on the 4^3 grid of level 0"},
 		{[]string{"-iomatrix", "-procs", "0"}, "-procs 0"},
 	} {
 		var stdout, stderr bytes.Buffer

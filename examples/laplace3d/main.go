@@ -23,7 +23,8 @@ func main() {
 	ranks := flag.Int("ranks", 32, "simulated ranks")
 	rtol := flag.Float64("rtol", 1e-8, "relative residual tolerance")
 	agglomerate := flag.Int("agglomerate", 0,
-		"min cells per rank before a level agglomerates (0 = off; try 2048)")
+		"min cells per rank before a level agglomerates: 0 = default (a coarsest level of <= 4096 cells on one rank), "+
+			"1 = every level on every rank, k = at least k cells per rank (try 2048)")
 	chebyshev := flag.Bool("chebyshev", false, "use the Chebyshev smoother instead of damped Jacobi")
 	flag.Parse()
 

@@ -40,10 +40,12 @@ func AblateSmoother(procs []int, p MultigridParams) *Experiment {
 }
 
 // AblateAgglomeration measures the multigrid application (optimized arm)
-// with and without coarse-level agglomeration — the extension motivated by
-// the measured flattening of the optimized Figure 17 curve at high rank
-// counts, where the 25³ coarsest grid leaves ~10² cells per rank.
+// on the fully distributed hierarchy and with coarse-level agglomeration —
+// the extension motivated by the measured flattening of the optimized
+// Figure 17 curve at high rank counts, where the 25³ coarsest grid leaves
+// ~10² cells per rank.
 func AblateAgglomeration(procs []int, p MultigridParams, minCells int) *Experiment {
+	p.AgglomerateCells = 1
 	e := &Experiment{
 		ID:     "ablate-agglomeration",
 		Title:  fmt.Sprintf("MG coarse-level agglomeration (%d^3 grid, >=%d cells/rank)", p.Extent, minCells),

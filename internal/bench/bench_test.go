@@ -199,6 +199,7 @@ func TestMultigridParamsValidate(t *testing.T) {
 		f(&p)
 		return p
 	}
+	distributed := with(func(p *MultigridParams) { p.AgglomerateCells = 1 })
 	for _, tc := range []struct {
 		name  string
 		p     MultigridParams
@@ -207,7 +208,7 @@ func TestMultigridParamsValidate(t *testing.T) {
 	}{
 		{"paper shape", DefaultMultigridParams, 128, ""},
 		{"smallest", with(func(p *MultigridParams) { p.Extent, p.Levels = 4, 1 }), 1, ""},
-		{"coarsest grid splits 2x2x1", ok, 4, ""},
+		{"coarsest grid splits 2x2x1", distributed, 4, ""},
 		{"agglomerated coarse levels", with(func(p *MultigridParams) { p.AgglomerateCells = 64 }), 3, ""},
 		{"extent too small", with(func(p *MultigridParams) { p.Extent = 2 }), 1, "extent 2 too small (need >= 4)"},
 		{"no levels", with(func(p *MultigridParams) { p.Levels = 0 }), 1, "levels 0 too small"},
@@ -220,8 +221,12 @@ func TestMultigridParamsValidate(t *testing.T) {
 		{"negative rtol", with(func(p *MultigridParams) { p.Rtol = -1 }), 1, "rtol -1 not positive"},
 		{"NaN rtol", with(func(p *MultigridParams) { p.Rtol = math.NaN() }), 1, "rtol NaN not positive"},
 		{"no ranks", ok, 0, "ranks 0 too small"},
-		{"3 ranks cannot split a 2^3 grid", ok, 3, "no feasible process grid for 3 ranks on the 2^3 grid of level 2"},
-		{"more ranks than coarse cells", ok, 16, "no feasible process grid for 16 ranks"},
+		{"3 ranks cannot split a 2^3 grid", distributed, 3, "no feasible process grid for 3 ranks on the 2^3 grid of level 2"},
+		{"more ranks than coarse cells: the 2^3 grid on 8", distributed, 16, ""},
+		{"5 ranks cannot split a 4^3 grid", with(func(p *MultigridParams) { p.Extent, p.Levels, p.AgglomerateCells = 4, 1, 1 }), 5,
+			"no feasible process grid for 5 ranks on the 4^3 grid of level 0"},
+		{"3 ranks, the 2^3 grid on one", ok, 3, ""},
+		{"16 ranks, the 2^3 grid on one", ok, 16, ""},
 	} {
 		err := tc.p.Validate(tc.ranks)
 		switch {

@@ -24,9 +24,11 @@ type MultigridParams struct {
 	Rtol float64
 	// MaxCycles bounds the V-cycle count.
 	MaxCycles int
-	// AgglomerateCells, when positive, concentrates levels with fewer
-	// than this many cells per rank onto fewer ranks (an extension; the
-	// paper's configuration keeps every level fully distributed).
+	// AgglomerateCells is mg.NewAgglomerated's minCellsPerRank.  Zero is
+	// mg.New's hierarchy, whose coarsest level of at most 16³ cells lives on
+	// rank 0 alone; 1 keeps every level on every rank, the paper's
+	// configuration; k > 1 concentrates levels with fewer than k cells per
+	// rank onto fewer ranks (an extension).
 	AgglomerateCells int
 	// Chebyshev selects the Chebyshev smoother instead of damped Jacobi
 	// (an extension; the paper's solver configuration is unspecified, and
@@ -70,13 +72,10 @@ func (p MultigridParams) Validate(ranks int) error {
 			return fmt.Errorf("extent %d not divisible by 2^(levels-1) = %.0f", p.Extent, math.Ldexp(1, p.Levels-1))
 		}
 	}
-	// Every level needs a process grid, built the way mg.NewAgglomerated
-	// builds it: min(ranks, cells/AgglomerateCells) ranks on the halved grid.
+	// Every level needs a process grid over the ranks mg.NewAgglomerated
+	// gives it.
 	for l, ext := 0, p.Extent; l < p.Levels; l, ext = l+1, ext/2 {
-		active := ranks
-		if p.AgglomerateCells > 0 {
-			active = min(ranks, max(1, ext*ext*ext/p.AgglomerateCells))
-		}
+		active := mg.LevelRanks(ranks, ext*ext*ext, l == p.Levels-1, p.AgglomerateCells)
 		if !dmda.GridFeasible(active, 3, [3]int{ext, ext, ext}) {
 			return fmt.Errorf("no feasible process grid for %d ranks on the %d^3 grid of level %d", active, ext, l)
 		}
@@ -288,8 +287,11 @@ func agreeRestoreBase(c *mpi.Comm, st *ckptio.Store, maxCycles int) int {
 }
 
 // Fig17 regenerates Figure 17: 3-D Laplacian multigrid execution time (and
-// percentage improvement over the baseline) vs. process count.
+// percentage improvement over the baseline) vs. process count, on the
+// paper's hierarchy: every level on every rank, whatever p.AgglomerateCells
+// says.
 func Fig17(procs []int, p MultigridParams) *Experiment {
+	p.AgglomerateCells = 1
 	e := &Experiment{
 		ID:     "fig17",
 		Title:  fmt.Sprintf("3-D Laplacian multigrid solver (%d^3 grid, %d levels)", p.Extent, p.Levels),

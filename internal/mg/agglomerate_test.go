@@ -3,6 +3,7 @@ package mg
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"nccd/internal/mpi"
@@ -14,12 +15,15 @@ func TestAgglomeratedSolveMatchesFull(t *testing.T) {
 	// solutions and cycle counts must match the unagglomerated hierarchy.
 	var sums []float64
 	var cycles []int
-	for _, minCells := range []int{0, 512} {
+	for _, minCells := range []int{1, 512} {
 		var sum float64
 		var cyc int
 		runWorld(t, 8, mpi.Optimized(), func(c *mpi.Comm) error {
 			s := NewAgglomerated(c, []int{16, 16, 16}, 3, petsc.ScatterDatatype, minCells)
-			if minCells > 0 {
+			if got := s.DA(2).Active(); minCells == 1 && got != 8 {
+				return fmt.Errorf("distributed coarsest active ranks = %d, want 8", got)
+			}
+			if minCells > 1 {
 				// 4^3 = 64 coarsest cells with 512 min cells per rank ->
 				// a single active rank on the coarsest level.
 				if got := s.DA(2).Active(); got != 1 {
@@ -64,9 +68,114 @@ func TestAgglomerationReducesCoarseMessages(t *testing.T) {
 		})
 		return w.TotalStats().MsgsSent
 	}
-	full := msgs(0)
+	full := msgs(1)
 	agg := msgs(64)
 	if agg >= full {
 		t.Fatalf("agglomeration did not reduce messages: %d vs %d", agg, full)
+	}
+}
+
+// benchArms are the two arms the benchmark spine times: the compiled datatype
+// path and PETSc's hand-tuned default.
+var benchArms = []struct {
+	cfg  mpi.Config
+	mode petsc.ScatterMode
+}{
+	{mpi.Compiled(), petsc.ScatterDatatype},
+	{mpi.Baseline(), petsc.ScatterHandTuned},
+}
+
+// TestSolutionIndependentOfRankCount: with the coarsest level on one rank, no
+// sum in a V-cycle spans ranks, so x in natural order after each of four
+// V-cycles is the one-rank solve's bit for bit, at every feasible rank count,
+// in both arms and under both smoothers.  b = A x* is itself the same bits
+// under every decomposition.  History is not compared: Solve's residual norm
+// is an allreduce of per-rank partial sums.
+func TestSolutionIndependentOfRankCount(t *testing.T) {
+	const cycles = 4
+	for _, sh := range []struct {
+		n      []int
+		levels int
+	}{
+		{[]int{16, 16, 16}, 2},
+		{[]int{16, 16, 16}, 3},
+		{[]int{24, 24, 24}, 3},
+		{[]int{32, 32}, 3},
+		{[]int{64}, 3},
+	} {
+		for _, sm := range []Smoother{SmootherJacobi, SmootherChebyshev} {
+			var want [][]float64 // x after each cycle on one rank
+			for _, np := range []int{1, 2, 3, 4, 6, 8} {
+				for _, a := range benchArms {
+					k := kernelShape{n: sh.n, np: np, levels: sh.levels, mode: a.mode, smoother: sm, cfg: a.cfg}
+					if !k.feasible() {
+						continue
+					}
+					var got [][]float64
+					runWorld(t, np, a.cfg, func(c *mpi.Comm) error {
+						s := k.solver(c)
+						b, x := s.CreateVec(), s.CreateVec()
+						setManufactured(s, b)
+						for range cycles {
+							s.VCycle(b, x)
+							if nat := s.DA(0).GatherNatural(x); c.Rank() == 0 {
+								got = append(got, nat)
+							}
+						}
+						return nil
+					})
+					if want == nil {
+						want = got
+						continue
+					}
+					for cyc := range want {
+						if err := bitsDiffer(fmt.Sprintf("x after cycle %d", cyc+1), got[cyc], want[cyc]); err != nil {
+							t.Fatalf("%v: %v", k, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGatheredCoarseSolveSendsNothing: on the default hierarchy the coarsest
+// level's conjugate gradients run on rank 0 with no message from any rank, and
+// every other rank returns at once, its clock unmoved.  The same call on the
+// fully distributed hierarchy (minCellsPerRank 1) sends.
+func TestGatheredCoarseSolveSendsNothing(t *testing.T) {
+	for _, np := range []int{2, 4} {
+		for _, a := range benchArms {
+			for _, minCells := range []int{0, 1} {
+				sent := make([]int64, np)
+				moved := make([]bool, np)
+				runWorld(t, np, a.cfg, func(c *mpi.Comm) error {
+					s := NewAgglomerated(c, []int{16, 16, 16}, 2, a.mode, minCells)
+					l := s.Levels() - 1
+					b, x := s.DA(l).CreateGlobalVec(), s.DA(l).CreateGlobalVec()
+					fillSeeded(b, 3)
+					msgs, clock := c.Stats().MsgsSent, c.Clock()
+					s.coarseSolve(l, b, x)
+					sent[c.Rank()] = c.Stats().MsgsSent - msgs
+					moved[c.Rank()] = c.Clock() != clock
+					return nil
+				})
+				total := int64(0)
+				for r := range np {
+					total += sent[r]
+				}
+				name := fmt.Sprintf("np %d, %v, minCellsPerRank %d", np, a.mode, minCells)
+				switch {
+				case minCells == 1 && total == 0:
+					t.Errorf("%s: the distributed coarse solve sent nothing", name)
+				case minCells == 0 && total != 0:
+					t.Errorf("%s: the gathered coarse solve sent %v messages by rank", name, sent)
+				case minCells == 0 && !moved[0]:
+					t.Errorf("%s: rank 0 did not solve", name)
+				case minCells == 0 && slices.Contains(moved[1:], true):
+					t.Errorf("%s: a rank without coarse cells advanced its clock: %v", name, moved)
+				}
+			}
+		}
 	}
 }

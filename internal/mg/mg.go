@@ -75,6 +75,11 @@ const (
 	coarseRtol float64 = 1e-10
 	// omega is the Jacobi damping factor.
 	omega float64 = 2.0 / 3.0
+	// coarseOneRankCells is the largest coarsest level the default hierarchy
+	// solves on rank 0 alone (16³): its conjugate gradients then send no
+	// message, and the level costs one gather and one scatter a cycle
+	// instead of a halo exchange and two allreduces per CG step.
+	coarseOneRankCells int = 4096
 )
 
 // Solver is a geometric multigrid V-cycle solver for the cell-centered
@@ -88,9 +93,11 @@ type Solver struct {
 	Smoother Smoother
 
 	// History records the relative residual after each V-cycle of the most
-	// recent Solve.  The sequence is decomposition- and transport-
-	// independent for a given problem, which makes it the equivalence
-	// witness between in-process and multi-process runs.
+	// recent Solve.  For a given problem and rank count the sequence is
+	// transport- and arm-independent, which makes it the equivalence witness
+	// between in-process and multi-process runs.  It is not rank-count
+	// independent: the residual norm sums per-rank partial sums.  (x is,
+	// where the coarsest level lives on one rank.)
 	History []float64
 
 	// Checkpoints, when non-nil, receives this rank's finest-level owned
@@ -124,16 +131,35 @@ type Solver struct {
 // New builds a multigrid hierarchy over the grid of extents n (1-3 dims)
 // with nlevels levels, coarsening by 2 per dimension.  Every extent must be
 // divisible by 2^(nlevels-1).  mode selects the communication backend for
-// all ghost exchanges and level transfers.  Collective.
+// all ghost exchanges and level transfers.  Every level is distributed over
+// all ranks except a coarsest level of at most 16³ cells, which rank 0
+// solves alone (LevelRanks).  Collective.
 func New(c *mpi.Comm, n []int, nlevels int, mode petsc.ScatterMode) *Solver {
 	return NewAgglomerated(c, n, nlevels, mode, 0)
 }
 
+// LevelRanks returns how many of ranks ranks a level of cells cells is
+// decomposed over; coarsest says whether it is the hierarchy's last level.
+// A positive minCellsPerRank gives every level at most cells/minCellsPerRank
+// ranks (at least one), so 1 keeps every level on every rank wherever its
+// grid has room.  minCellsPerRank 0 is the default: every rank on every
+// level, except a coarsest level of at most coarseOneRankCells cells, which
+// gets one.
+func LevelRanks(ranks, cells int, coarsest bool, minCellsPerRank int) int {
+	switch {
+	case minCellsPerRank > 0:
+		return min(ranks, max(1, cells/minCellsPerRank))
+	case coarsest && cells <= coarseOneRankCells:
+		return 1
+	}
+	return ranks
+}
+
 // NewAgglomerated is New with coarse-level agglomeration: every level is
-// decomposed over at most cells/minCellsPerRank ranks (at least one), so
-// coarse grids whose subdomains would shrink below minCellsPerRank
-// concentrate on fewer ranks and stop paying neighbor-exchange latency for
-// a handful of cells.  minCellsPerRank 0 disables agglomeration.
+// decomposed over LevelRanks ranks, so coarse grids whose subdomains would
+// shrink below minCellsPerRank concentrate on fewer ranks and stop paying
+// neighbor-exchange latency for a handful of cells.  minCellsPerRank 0 is
+// New's hierarchy, 1 the fully distributed one.
 func NewAgglomerated(c *mpi.Comm, n []int, nlevels int, mode petsc.ScatterMode, minCellsPerRank int) *Solver {
 	if nlevels < 1 {
 		panic("mg: need at least one level")
@@ -149,17 +175,11 @@ func NewAgglomerated(c *mpi.Comm, n []int, nlevels int, mode petsc.ScatterMode, 
 
 	ext := append([]int(nil), n...)
 	for l := 0; l < nlevels; l++ {
-		limit := 0
-		if minCellsPerRank > 0 {
-			cells := 1
-			for _, e := range ext {
-				cells *= e
-			}
-			limit = cells / minCellsPerRank
-			if limit < 1 {
-				limit = 1
-			}
+		cells := 1
+		for _, e := range ext {
+			cells *= e
 		}
+		limit := LevelRanks(c.Size(), cells, l == nlevels-1, minCellsPerRank)
 		da := dmda.NewLimited(c, ext, 1, dmda.StencilStar, 1, mode, limit)
 		lv := &level{da: da}
 		if da.GhostBox() != da.OwnedBox() {

@@ -3,6 +3,7 @@ package mg
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -419,7 +420,7 @@ type kernelShape struct {
 	n        []int
 	np       int
 	levels   int
-	minCells int // agglomeration threshold, 0 for none
+	minCells int // NewAgglomerated's minCellsPerRank: 0 for New's hierarchy, 1 for every level on every rank
 	mode     petsc.ScatterMode
 	smoother Smoother
 	cfg      mpi.Config
@@ -430,7 +431,7 @@ func (k kernelShape) String() string {
 }
 
 // feasible reports whether every level of the hierarchy has a process
-// grid, by the rule NewAgglomerated builds them with.
+// grid over the ranks NewAgglomerated gives it.
 func (k kernelShape) feasible() bool {
 	var ext [3]int
 	for d := range ext {
@@ -438,11 +439,7 @@ func (k kernelShape) feasible() bool {
 	}
 	copy(ext[:], k.n)
 	for l := 0; l < k.levels; l++ {
-		cells := ext[0] * ext[1] * ext[2]
-		active := k.np
-		if k.minCells > 0 {
-			active = min(k.np, max(1, cells/k.minCells))
-		}
+		active := LevelRanks(k.np, ext[0]*ext[1]*ext[2], l == k.levels-1, k.minCells)
 		if !dmda.GridFeasible(active, len(k.n), ext) {
 			return false
 		}
@@ -574,7 +571,9 @@ func checkShape(t testing.TB, k kernelShape, seed uint64, cycles int) {
 // rank counts that put an owned box on every combination of domain faces
 // (np 3 and 6 leave ranks wholly interior along an axis), 2 to 4 levels,
 // agglomerated coarse levels, both scatter backends and both smoothers, ghosts
-// along x, y and z down to an owned box one cell wide.
+// along x, y and z down to an owned box one cell wide.  Every coarsest level
+// here is small enough that New puts it on one rank (minCells 0), so the
+// entries with minCells 1 keep a coarsest level spread over every rank.
 var kernelShapes = []kernelShape{
 	{n: []int{64}, np: 1, levels: 3, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
 	{n: []int{64}, np: 3, levels: 4, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
@@ -613,6 +612,17 @@ var kernelShapes = []kernelShape{
 	// three quarters of its patch and owns the columns of half its coarse row,
 	// so the run stops there and the cell astride the edge mixes columns.
 	{n: []int{32, 16, 16}, np: 8, levels: 2, minCells: 512, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
+	// The coarsest level on one rank by New's rule, under the Chebyshev
+	// smoother at np 2 and 3 (the Jacobi entries at np 2, 3 and 4 are above).
+	{n: []int{16, 16, 16}, np: 2, levels: 2, mode: petsc.ScatterDatatype, smoother: SmootherChebyshev, cfg: mpi.Compiled()},
+	{n: []int{24, 24, 24}, np: 3, levels: 3, mode: petsc.ScatterHandTuned, smoother: SmootherChebyshev, cfg: mpi.Baseline()},
+	// Every level on every rank: the paper's hierarchy, down to one coarse
+	// cell per rank.
+	{n: []int{16, 16, 16}, np: 2, levels: 3, minCells: 1, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
+	{n: []int{64}, np: 3, levels: 4, minCells: 1, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
+	{n: []int{32, 32}, np: 4, levels: 3, minCells: 1, mode: petsc.ScatterHandTuned, smoother: SmootherChebyshev, cfg: mpi.Optimized()},
+	{n: []int{24, 16, 40}, np: 6, levels: 3, minCells: 1, mode: petsc.ScatterHandTuned, smoother: SmootherChebyshev, cfg: mpi.Optimized()},
+	{n: []int{8, 8, 8}, np: 8, levels: 3, minCells: 1, mode: petsc.ScatterDatatype, cfg: mpi.Compiled()},
 }
 
 func TestKernelsBitwiseEqualReference(t *testing.T) {
@@ -816,6 +826,11 @@ func TestApplyRefusesItsSourceAsResult(t *testing.T) {
 	})
 }
 
+// fuzzMinCells are the agglomeration thresholds FuzzKernelsMatchReference
+// picks from: New's hierarchy, every level on every rank, and two that move
+// finer levels onto fewer ranks.  Every kernelShapes entry's is among them.
+var fuzzMinCells = [4]int{0, 1, 256, 512}
+
 // FuzzKernelsMatchReference draws a problem shape from its arguments: one
 // extent byte per dimension (each becomes a multiple of 2^(levels-1)), a
 // rank count, a level count and a fill seed whose low four bits also pick
@@ -834,11 +849,11 @@ func FuzzKernelsMatchReference(f *testing.F) {
 		if k.smoother == SmootherChebyshev {
 			seed |= 2
 		}
-		for a := uint64(1); a <= 3; a++ {
-			if k.minCells == 64<<a {
-				seed |= a << 2
-			}
+		a := slices.Index(fuzzMinCells[:], k.minCells)
+		if a < 0 {
+			f.Fatalf("%v: minCells %d is not one the fuzzer draws", k, k.minCells)
 		}
+		seed |= uint64(a) << 2
 		f.Add(ext, uint8(k.np), uint8(k.levels), seed)
 	}
 	f.Fuzz(func(t *testing.T, ext []byte, np, levels uint8, seed uint64) {
@@ -861,9 +876,7 @@ func FuzzKernelsMatchReference(f *testing.F) {
 		if seed&2 != 0 {
 			k.smoother = SmootherChebyshev
 		}
-		if a := seed >> 2 & 3; a != 0 {
-			k.minCells = 64 << a
-		}
+		k.minCells = fuzzMinCells[seed>>2&3]
 		if !k.feasible() {
 			t.Skip()
 		}

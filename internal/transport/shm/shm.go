@@ -690,7 +690,7 @@ func (t *Transport) peerAttached(p *shmPeer, agen uint64, beat int64, off int, n
 		return // stale incarnation; keep scoring the old observation
 	}
 	first := p.seenAgen == 0
-	if !first && p.alive.Load() {
+	if !first && p.alive.Load() && epoch > t.epoch.Load() {
 		// A generation bump on a peer still scored alive means the old
 		// incarnation died without the detector ever observing it — the
 		// replacement won the race against our next tick.  A socket
@@ -698,7 +698,10 @@ func (t *Transport) peerAttached(p *shmPeer, agen uint64, beat int64, off int, n
 		// connection), and the layers above depend on the death report:
 		// a rank blocked on the dead incarnation's traffic fails over
 		// only when its peer is declared down.  Report the death first,
-		// then adopt the replacement.
+		// then adopt the replacement.  Not once this member has raised
+		// its own epoch to the replacement's: that happens only in the
+		// recovery that admits the replacement, so the report would come
+		// after it and declare the live replacement dead.
 		t.peerDown(p, fmt.Sprintf("replaced by attach generation %d", agen))
 	}
 	p.seenAgen = agen

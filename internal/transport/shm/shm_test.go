@@ -291,6 +291,76 @@ func TestRejoinDrainAndEpochFence(t *testing.T) {
 	}
 }
 
+// TestReplacementSeenLateIsNotDeclaredDead replaces a member before the
+// survivor's detector ever observes the death.  A survivor still at the old
+// epoch must be told of the death before the replacement is adopted: it may
+// be blocked on the dead incarnation.  A survivor that has already raised
+// its epoch to the replacement's has been through the recovery that admits
+// it, so a death report then would declare the live replacement dead; it
+// must only see the replacement Up.  The silence window is far longer than
+// the test, so only the attach generation can tell the survivor anything.
+func TestReplacementSeenLateIsNotDeclaredDead(t *testing.T) {
+	hb := transport.HeartbeatConfig{Interval: 10 * time.Millisecond, Miss: 1000, FailAfter: 2000}
+	for _, tc := range []struct {
+		name          string
+		survivorEpoch uint64
+		wantDown      int64
+	}{
+		{"survivor not yet recovered", 0, 1},
+		{"survivor already at the replacement's epoch", 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seg, err := NewMemSegment(2, 1<<16, 0x1a7e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mk := func(rank int, epoch uint64, rejoin bool) *Transport {
+				tr, err := New(Config{Rank: rank, Size: 2, Ranks: []int{0, 1}, WorldID: 0x1a7e,
+					Seg: seg, RingBytes: 1 << 16, Heartbeat: hb, Epoch: epoch, Rejoin: rejoin})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tr
+			}
+			drop := func(to int, hdr transport.Header, p []byte) { datatype.PutBuffer(p) }
+			t0, t1 := mk(0, 0, false), mk(1, 0, false)
+			defer t0.Close()
+			var down, up atomic.Int64
+			t0.SetHealth(transport.HealthFuncs{Up: func(int) { up.Add(1) }})
+			if err := t0.Start(drop, func(int) { down.Add(1) }); err != nil {
+				t.Fatal(err)
+			}
+			if err := t1.Start(drop, nil); err != nil {
+				t.Fatal(err)
+			}
+
+			t1.Close()
+			t0.SetEpoch(tc.survivorEpoch)
+			r1 := mk(1, 1, true)
+			defer r1.Close()
+			if err := r1.Start(drop, nil); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for up.Load() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("replacement never reported Up")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if got := down.Load(); got != tc.wantDown {
+				t.Fatalf("%d death reports, want %d", got, tc.wantDown)
+			}
+			if !t0.Health(1).Alive {
+				t.Fatal("replacement not alive at the survivor")
+			}
+			if err := t0.Send(1, transport.Header{}, datatype.GetBuffer(8)); err != nil {
+				t.Fatalf("send to the replacement: %v", err)
+			}
+		})
+	}
+}
+
 // TestFileSegmentRoundTrip exercises the memory-mapped backing within one
 // process: two endpoints attach to the same file and exchange frames.
 func TestFileSegmentRoundTrip(t *testing.T) {
