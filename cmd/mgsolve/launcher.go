@@ -280,16 +280,14 @@ func runLauncher(lc launchConfig) int {
 
 	r0 := reports[0]
 	fmt.Printf("tcp result: %d cycles, relres %.3e, %.3fs wall\n", r0.Cycles, r0.RelRes, r0.Seconds)
-	var agg struct{ frames, retrans, crc, dropped, corrupted int64 }
+	var frames int64
+	var rel bench.Reliability
 	for _, rep := range reports {
-		agg.frames += rep.Stats.FramesSent
-		agg.retrans += rep.Stats.Retransmits
-		agg.crc += rep.Stats.CRCRejects
-		agg.dropped += rep.Stats.Dropped
-		agg.corrupted += rep.Stats.Corrupted
+		frames += rep.Stats.FramesSent
+		rel.Add(rep.Reliability)
 	}
-	fmt.Printf("wire: %d frames sent, %d dropped, %d corrupted, %d retransmits, %d CRC rejects\n",
-		agg.frames, agg.dropped, agg.corrupted, agg.retrans, agg.crc)
+	fmt.Printf("wire: %d frames sent, %d corrupted, %d duplicated, %d retransmits, %d CRC rejects\n",
+		frames, rel.CorruptSent, rel.DupsSent, rel.Retransmits, rel.CRCRejects)
 	if lc.perNode > 1 {
 		var shm struct{ frames, bytes, stalls, stallNs int64 }
 		for _, rep := range reports {

@@ -51,10 +51,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	perNode := fs.Int("pernode", 1, "co-located ranks per node for -tcp runs: >1 gives each node K ranks sharing a memory segment, TCP only between nodes")
 	daemon := fs.String("daemon", "", "path to the nccdd binary (default: next to mgsolve, then PATH)")
 	arm := fs.String("arm", "compiled", "experimental arm for -tcp runs: baseline, optimized, compiled or hand")
-	drop := fs.Float64("drop", 0, "frame drop probability injected below the TCP framing layer")
-	corrupt := fs.Float64("corrupt", 0, "frame corruption probability")
-	dup := fs.Float64("dup", 0, "frame duplication probability")
-	delayMean := fs.Float64("delaymean", 0, "mean injected frame delay in seconds")
+	drop := fs.Float64("drop", 0, "message drop probability per transmission attempt, on every link (the runtime retransmits)")
+	corrupt := fs.Float64("corrupt", 0, "message corruption probability per attempt")
+	dup := fs.Float64("dup", 0, "message duplication probability per attempt")
+	delayMean := fs.Float64("delaymean", 0, "mean injected message delay in seconds")
 	seed := fs.Uint64("seed", 1, "fault plan seed")
 	noVerify := fs.Bool("noverify", false, "skip the in-process reference comparison after a -tcp run")
 	trace := fs.String("trace", "", "write a merged Chrome trace JSON here (with -tcp: per-rank files <path>.rank<N> are merged; without: one traced in-process solve)")

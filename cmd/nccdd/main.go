@@ -12,9 +12,11 @@
 // only inter-node traffic crosses TCP.  The collectives do not change:
 // the node layout is the transport's concern.
 //
-// A seeded fault plan (-drop/-corrupt/-dup/-delaymean/-seed) is injected
-// below the TCP framing layer, exercising the transport's CRC trailer and
-// ack/retransmission protocol against real sockets; -crashat schedules a
+// A seeded fault plan (-drop/-corrupt/-dup/-delaymean/-seed) drives the
+// runtime's loss/ack/dedup protocol over the real links — TCP and the
+// shared-memory rings alike: every drop, duplicate and corruption is
+// decided at the sender, and the receiver's checksum and sequence defenses
+// reject the damaged and duplicated copies.  -crashat schedules a
 // local-rank crash in virtual time for fault-tolerance experiments.
 //
 // With -ckpt DIR (a directory all ranks share) the daemon checkpoints the
@@ -54,7 +56,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"nccd/internal/bench"
 	"nccd/internal/ckptio"
@@ -84,13 +85,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	levels := fs.Int("levels", 3, "multigrid levels")
 	rtol := fs.Float64("rtol", 1e-6, "relative tolerance")
 	maxCycles := fs.Int("maxcycles", 30, "V-cycle cap")
-	drop := fs.Float64("drop", 0, "frame drop probability (injected below TCP framing)")
-	corrupt := fs.Float64("corrupt", 0, "frame corruption probability")
-	dup := fs.Float64("dup", 0, "frame duplication probability")
-	delayMean := fs.Float64("delaymean", 0, "mean injected frame delay in seconds")
+	drop := fs.Float64("drop", 0, "message drop probability per transmission attempt")
+	corrupt := fs.Float64("corrupt", 0, "message corruption probability per attempt")
+	dup := fs.Float64("dup", 0, "message duplication probability per attempt")
+	delayMean := fs.Float64("delaymean", 0, "mean injected message delay in seconds")
 	seed := fs.Uint64("seed", 1, "fault plan seed")
 	crashAt := fs.Float64("crashat", 0, "virtual time at which this rank crashes (0 = never)")
-	ackTimeout := fs.Duration("acktimeout", 20*time.Millisecond, "wall-clock wait before the first retransmission")
 	trace := fs.String("trace", "", "write this rank's Chrome trace JSON to the given path")
 	spans := fs.String("spans", "", "write this rank's raw spans (matching identities included) to the given path for cross-rank analysis")
 	metrics := fs.String("metrics", "", "serve the metrics registry over HTTP at this address (e.g. 127.0.0.1:0); the bound address is printed as a METRICS line")
@@ -142,7 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	tcfg := transport.TCPConfig{Rank: *rank, Size: *n, WorldID: *worldID, Addrs: addrs,
-		Faults: fp, AckTimeout: *ackTimeout,
 		Heartbeat: transport.HeartbeatConfig{Interval: *hb, Miss: *hbMiss},
 		Epoch:     *epoch, Rejoin: *rejoin}
 	p := bench.MultigridParams{Extent: *extent, Levels: *levels, Rtol: *rtol, MaxCycles: *maxCycles}
@@ -168,7 +167,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var rep bench.RankReport
 	if *selfheal || *ckptDir != "" || *rejoin {
-		rep, err = bench.RunMultigridSelfHealDaemon(tcfg, pl, cfg, p, mode, ob, bench.SelfHealDaemon{
+		rep, err = bench.RunMultigridSelfHealDaemon(tcfg, pl, fp, cfg, p, mode, ob, bench.SelfHealDaemon{
 			CkptDir:         *ckptDir,
 			CheckpointEvery: *ckptEvery,
 			RejoinEpoch:     *epoch,
@@ -183,7 +182,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			OnRecovered:  func(e uint64, at int) { fmt.Fprintf(stdout, "RESUMED epoch=%d from=%d\n", e, at) },
 		})
 	} else {
-		rep, err = bench.RunMultigridDaemon(tcfg, pl, cfg, p, mode, ob)
+		rep, err = bench.RunMultigridDaemon(tcfg, pl, fp, cfg, p, mode, ob)
 	}
 	if err != nil {
 		return fail(1, fmt.Errorf("rank %d: %w", *rank, err))

@@ -23,6 +23,9 @@ type RankReport struct {
 	RelRes  float64            `json:"relres"`
 	History []float64          `json:"history"`
 	Stats   transport.TCPStats `json:"stats"`
+	// Reliability is this rank's share of the runtime's loss/ack/dedup
+	// protocol; all zero on clean links.
+	Reliability Reliability `json:"reliability"`
 	// ShmStats carries the shared-memory endpoint's counters on
 	// hierarchical (pernode > 1) runs; nil on flat TCP runs.
 	ShmStats *shm.Stats `json:"shm_stats,omitempty"`
@@ -38,6 +41,34 @@ type RankReport struct {
 	Recoveries int    `json:"recoveries,omitempty"`
 	FinalSize  int    `json:"final_size,omitempty"`
 	Healed     bool   `json:"healed,omitempty"`
+}
+
+// Reliability counts one rank's work in the runtime's loss/ack/dedup
+// protocol: what its sends cost (retransmissions, corrupted and duplicated
+// copies put on the wire) and what its receives rejected.
+type Reliability struct {
+	Retransmits int64 `json:"retransmits"`
+	CorruptSent int64 `json:"corrupt_sent"`
+	DupsSent    int64 `json:"dups_sent"`
+	CRCRejects  int64 `json:"crc_rejects"`
+	DupRejects  int64 `json:"dup_rejects"`
+}
+
+// reliabilityOf reads w's reliability counters.  A wall-clock world counts
+// only the ranks it hosts.
+func reliabilityOf(w *mpi.World) Reliability {
+	st := w.TotalStats()
+	return Reliability{Retransmits: st.Retransmits, CorruptSent: st.CorruptSent, DupsSent: st.DupsSent,
+		CRCRejects: w.ChecksumRejects(), DupRejects: w.DuplicateRejects()}
+}
+
+// Add accumulates o into r.
+func (r *Reliability) Add(o Reliability) {
+	r.Retransmits += o.Retransmits
+	r.CorruptSent += o.CorruptSent
+	r.DupsSent += o.DupsSent
+	r.CRCRejects += o.CRCRejects
+	r.DupRejects += o.DupRejects
 }
 
 // DaemonObs configures a rank daemon's observability surfaces.
@@ -167,15 +198,17 @@ func (rw *rankWire) shmStats() *shm.Stats {
 // buildWire constructs one rank's transport per the placement: plain TCP
 // for the flat layout, or a Hierarchical router of a shared-memory
 // segment (intra-node) and TCP (inter-node).  The returned cluster
-// mirrors the layout so virtual-time tooling agrees with the wires.
-func buildWire(tcfg transport.TCPConfig, pl Placement) (*rankWire, error) {
+// mirrors the layout so virtual-time tooling agrees with the wires, and
+// carries the fault plan fp: the runtime injects its link faults above
+// every transport and fires its scheduled crashes off the local clock.
+func buildWire(tcfg transport.TCPConfig, pl Placement, fp *simnet.FaultPlan) (*rankWire, error) {
 	tcp, err := transport.NewTCP(tcfg)
 	if err != nil {
 		return nil, err
 	}
 	if !pl.Hierarchical() {
 		cl := simnet.Uniform(tcfg.Size, simnet.IBDDR())
-		cl.Faults = tcfg.Faults
+		cl.Faults = fp
 		return &rankWire{tr: tcp, tcp: tcp, cl: cl}, nil
 	}
 	if tcfg.Size%pl.PerNode != 0 {
@@ -215,7 +248,7 @@ func buildWire(tcfg transport.TCPConfig, pl Placement) (*rankWire, error) {
 		return nil, err
 	}
 	cl := simnet.TwoLevel(tcfg.Size/pl.PerNode, pl.PerNode, simnet.IBDDR(), simnet.ShmIntra())
-	cl.Faults = tcfg.Faults
+	cl.Faults = fp
 	return &rankWire{tr: hier, tcp: tcp, shm: st, cl: cl}, nil
 }
 
@@ -245,13 +278,12 @@ func registerWireMetrics(rw *rankWire, rank int) func() {
 // or, with a hierarchical placement, over shared memory within the node
 // and TCP across nodes: it builds the transport from tcfg and pl, joins
 // the world, solves, and reports the local result plus the endpoints'
-// wire statistics.  tcfg's fault plan is injected below the TCP framing
-// layer AND installed as the cluster's plan, so scheduled crashes
-// (CrashAt) fire off the local virtual clock; link-fault simulation in
-// virtual time is skipped in wall mode, so the plan is never applied
-// twice.
-func RunMultigridDaemon(tcfg transport.TCPConfig, pl Placement, cfg mpi.Config, p MultigridParams, mode petsc.ScatterMode, ob DaemonObs) (RankReport, error) {
-	rw, err := buildWire(tcfg, pl)
+// wire statistics and the runtime's reliability counters.  fp (nil for
+// none) is the cluster's fault plan: link faults for the runtime's
+// loss/ack/dedup loop, and scheduled crashes (CrashAt) that fire off the
+// local virtual clock.
+func RunMultigridDaemon(tcfg transport.TCPConfig, pl Placement, fp *simnet.FaultPlan, cfg mpi.Config, p MultigridParams, mode petsc.ScatterMode, ob DaemonObs) (RankReport, error) {
+	rw, err := buildWire(tcfg, pl, fp)
 	if err != nil {
 		return RankReport{}, err
 	}
@@ -268,13 +300,14 @@ func RunMultigridDaemon(tcfg transport.TCPConfig, pl Placement, cfg mpi.Config, 
 	defer obsDown()
 	res := RunMultigridWorld(w, p, mode)
 	rep := RankReport{
-		Rank:     tcfg.Rank,
-		Seconds:  res.Seconds,
-		Cycles:   res.Cycles,
-		RelRes:   res.RelRes,
-		History:  res.History,
-		Stats:    rw.tcp.Stats(),
-		ShmStats: rw.shmStats(),
+		Rank:        tcfg.Rank,
+		Seconds:     res.Seconds,
+		Cycles:      res.Cycles,
+		RelRes:      res.RelRes,
+		History:     res.History,
+		Stats:       rw.tcp.Stats(),
+		Reliability: reliabilityOf(w),
+		ShmStats:    rw.shmStats(),
 	}
 	if err := obsFinish(w, tcfg.Rank, ob, &rep); err != nil {
 		return RankReport{}, err
@@ -315,11 +348,11 @@ type SelfHealDaemon struct {
 // out peer failures through the epoch/rejoin recovery loop, and — when
 // launched with RejoinEpoch — comes up as a replacement that restores the
 // agreed checkpoint into the regrown world instead of starting over.
-func RunMultigridSelfHealDaemon(tcfg transport.TCPConfig, pl Placement, cfg mpi.Config, p MultigridParams, mode petsc.ScatterMode, ob DaemonObs, hd SelfHealDaemon) (RankReport, error) {
+func RunMultigridSelfHealDaemon(tcfg transport.TCPConfig, pl Placement, fp *simnet.FaultPlan, cfg mpi.Config, p MultigridParams, mode petsc.ScatterMode, ob DaemonObs, hd SelfHealDaemon) (RankReport, error) {
 	if hd.CkptDir == "" {
 		return RankReport{}, fmt.Errorf("self-healing needs a checkpoint directory")
 	}
-	rw, err := buildWire(tcfg, pl)
+	rw, err := buildWire(tcfg, pl, fp)
 	if err != nil {
 		return RankReport{}, err
 	}
@@ -372,18 +405,19 @@ func RunMultigridSelfHealDaemon(tcfg transport.TCPConfig, pl Placement, cfg mpi.
 		return RankReport{}, err
 	}
 	rep := RankReport{
-		Rank:       tcfg.Rank,
-		Seconds:    time.Since(wall0).Seconds(),
-		Cycles:     res.Cycles,
-		RelRes:     res.RelRes,
-		History:    res.History,
-		Stats:      rw.tcp.Stats(),
-		ShmStats:   rw.shmStats(),
-		Epoch:      res.Epoch,
-		RestoredAt: res.RestoredAt,
-		Recoveries: res.Recoveries,
-		FinalSize:  res.FinalSize,
-		Healed:     res.Healed,
+		Rank:        tcfg.Rank,
+		Seconds:     time.Since(wall0).Seconds(),
+		Cycles:      res.Cycles,
+		RelRes:      res.RelRes,
+		History:     res.History,
+		Stats:       rw.tcp.Stats(),
+		Reliability: reliabilityOf(w),
+		ShmStats:    rw.shmStats(),
+		Epoch:       res.Epoch,
+		RestoredAt:  res.RestoredAt,
+		Recoveries:  res.Recoveries,
+		FinalSize:   res.FinalSize,
+		Healed:      res.Healed,
 	}
 	if err := obsFinish(w, tcfg.Rank, ob, &rep); err != nil {
 		return RankReport{}, err

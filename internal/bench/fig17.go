@@ -264,9 +264,10 @@ func MultigridRank(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, opts 
 // agreeRestoreBase agrees on the newest checkpoint cycle every rank of c
 // can restore from st, or 0 (start fresh) when there is none: one
 // Allreduce(max) over a "lack" vector — entry i is 1 when this rank cannot
-// produce cycle i — whose highest all-zero entry wins.  The same
-// complement-and-intersect rule lackBitmap carries on Comm.Restore's
-// agreement; cycles never exceed maxCycles, so the vector covers them all.
+// produce cycle i — whose highest all-zero entry wins.  Cycles never
+// exceed maxCycles, so the vector covers them all.  The service's resume,
+// the shrink recovery and the self-healing loop all pick their restore
+// point here.
 func agreeRestoreBase(c *mpi.Comm, st *ckptio.Store, maxCycles int) int {
 	lack := make([]float64, maxCycles+1)
 	for i := 1; i < len(lack); i++ {

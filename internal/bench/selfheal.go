@@ -18,44 +18,7 @@ import (
 // (World.Respawn) and the multi-process daemons (supervisor relaunch over
 // TCP).  The MPI layer provides the mechanism — Revoke, Restore, membership
 // epochs — and this file provides the policy: which checkpoint to resume
-// from, how the availability consensus is encoded, and when to give up.
-
-// availWords sizes the checkpoint-availability bitmap carried on Restore's
-// commit agreement: bit i of the bitmap set means "some rank LACKS a
-// checkpoint for iteration i", so 8 words cover solves up to 512
-// checkpointed cycles.  The complement encoding makes the OR-combining
-// agreement compute the intersection of what everyone holds.
-const availWords = 8
-
-// lackBitmap encodes which checkpoint iterations this rank CANNOT produce,
-// given the iterations it can.  Bit 0 (iteration 0 = restart from the zero
-// guess) is always clear: every rank can start over, so the recovery never
-// fails to agree.
-func lackBitmap(have []int) []uint64 {
-	words := make([]uint64, availWords)
-	for i := range words {
-		words[i] = ^uint64(0)
-	}
-	words[0] &^= 1
-	for _, it := range have {
-		if it > 0 && it < availWords*64 {
-			words[it/64] &^= 1 << uint(it%64)
-		}
-	}
-	return words
-}
-
-// bestCommon picks the restore point from the OR of everyone's lack bitmaps:
-// the highest iteration no rank lacks.  Worst case it returns 0 — restart
-// from scratch — which is always commonly available by construction.
-func bestCommon(words []uint64) int {
-	for i := len(words)*64 - 1; i >= 0; i-- {
-		if words[i/64]&(1<<uint(i%64)) == 0 {
-			return i
-		}
-	}
-	return 0
-}
+// from and when to give up.
 
 // HealParams configures a self-healing solve.
 type HealParams struct {
@@ -95,11 +58,12 @@ type SelfHealResult struct {
 // inside a World.Run body.  Survivors solve until a failure surfaces as a
 // typed error, revoke the broken communicators, and enter Restore with the
 // next epoch; a replacement rank (RejoinEpoch > 0) enters Restore
-// immediately.  The Restore agreement carries the checkpoint-availability
-// bitmap, so every party leaves it holding both the full-size communicator
-// and the same restore iteration; the solve then resumes from that
-// checkpoint with the original r0, making the resumed residual history
-// bitwise-comparable to a fault-free run.
+// immediately.  Every party leaves Restore holding the full-size
+// communicator, on which it agrees on the newest checkpoint every rank can
+// restore (agreeRestoreBase, inside the attempt's Guard, so a failure
+// during the agreement is one more recovery); the solve then resumes from
+// that checkpoint with the original r0, making the resumed residual
+// history bitwise-comparable to a fault-free run.
 //
 // Each attempt binds store to its own communicator and finest-level file
 // view; each recovery stamps the committed epoch into it and protects the
@@ -122,7 +86,6 @@ func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, s
 	cc := c
 	epoch := hp.RejoinEpoch
 	rejoining := hp.RejoinEpoch > 0
-	base := 0 // agreed restore iteration; 0 = from scratch
 	var s *mg.Solver
 	for {
 		if !rejoining {
@@ -130,6 +93,22 @@ func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, s
 				var b, x *petsc.Vec
 				s, b, x = mgSetup(cc, p, mode)
 				bindStore(s, store, every)
+				base := 0 // restore iteration; 0 = from scratch
+				if res.Recoveries > 0 {
+					base = agreeRestoreBase(cc, store, p.MaxCycles)
+					// Stamp the committed epoch into the store (so a resumed
+					// run's lower iteration numbers sort after the stale
+					// incarnation's) and pin the agreed restore point against
+					// retention.
+					store.SetEpoch(epoch)
+					if base > 0 {
+						store.Protect(base)
+					}
+					res.RestoredAt = base
+					if hp.OnRecovered != nil {
+						hp.OnRecovered(epoch, base)
+					}
+				}
 				var cycles int
 				var relres float64
 				if base > 0 {
@@ -168,24 +147,12 @@ func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, s
 		if res.Recoveries >= maxRec {
 			return res, fmt.Errorf("bench: giving up after %d recoveries", res.Recoveries)
 		}
-		nc, lacked, rerr := cc.Restore(epoch, lackBitmap(store.Iterations()), timeout)
+		nc, rerr := cc.Restore(epoch, timeout)
 		if rerr != nil {
 			return res, rerr
 		}
 		cc = nc
-		base = bestCommon(lacked)
-		// Stamp the committed epoch into the store (so a resumed run's
-		// lower iteration numbers sort after the stale incarnation's) and
-		// pin the agreed restore point against retention.
-		store.SetEpoch(epoch)
-		if base > 0 {
-			store.Protect(base)
-		}
-		res.RestoredAt = base
 		res.Recoveries++
-		if hp.OnRecovered != nil {
-			hp.OnRecovered(epoch, base)
-		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"nccd/internal/ckptio"
 	"nccd/internal/mpi"
@@ -79,25 +80,77 @@ func TestSelfHealRankZero(t *testing.T) {
 	}
 }
 
-// TestLackBitmap covers the availability-consensus encoding: the OR of lack
-// bitmaps picks the newest commonly held checkpoint, falling back to 0.
-func TestLackBitmap(t *testing.T) {
-	mk := func(its ...int) []uint64 { return lackBitmap(its) }
-	or := func(a, b []uint64) []uint64 {
-		out := make([]uint64, len(a))
-		for i := range a {
-			out[i] = a[i] | b[i]
+// TestSelfHealResumesPastCycle511: the restore point is agreed over the
+// restored communicator with one entry per possible cycle, so a long solve
+// whose retained checkpoints all lie past cycle 511 resumes from the newest
+// of them, not from scratch, and still reproduces the fault-free history
+// bitwise.
+func TestSelfHealResumesPastCycle511(t *testing.T) {
+	const n, every = 2, 50
+	p := MultigridParams{Extent: 8, Levels: 1, Rtol: 1e-300, MaxCycles: 800}
+	clean := NewFaultyWorld(n, mpi.Optimized(), nil)
+	var ref []float64
+	if err := clean.Run(func(c *mpi.Comm) error {
+		s, b, x := mgSetup(c, p, petsc.ScatterDatatype)
+		s.Solve(b, x, p.Rtol, p.MaxCycles)
+		if c.Rank() == 0 {
+			ref = append([]float64(nil), s.History...)
 		}
-		return out
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if got := bestCommon(or(mk(2, 4, 6), mk(2, 4))); got != 4 {
-		t.Fatalf("common(246,24) = %d, want 4", got)
+
+	// Rank 1 dies 90% of the way through, when the four checkpoints the
+	// store keeps are all past cycle 511; the supervisor respawns it once.
+	fw := NewFaultyWorld(n, mpi.Optimized(), &simnet.FaultPlan{CrashAt: map[int]float64{1: 0.9 * clean.MaxClock()}})
+	dir := t.TempDir()
+	results := make([]SelfHealResult, n)
+	body := func(rejoin uint64) func(c *mpi.Comm) error {
+		return func(c *mpi.Comm) error {
+			store, err := ckptio.NewStore(dir, nil, ckptio.Options{})
+			if err != nil {
+				return err
+			}
+			results[c.Rank()], err = SelfHealMultigrid(c, p, petsc.ScatterDatatype, store,
+				HealParams{CheckpointEvery: every, RejoinEpoch: rejoin})
+			return err
+		}
 	}
-	if got := bestCommon(or(mk(2), mk(4))); got != 0 {
-		t.Fatalf("disjoint stores must fall back to 0, got %d", got)
+	done := make(chan struct{})
+	respawned := make(chan error, 1)
+	go func() {
+		for len(fw.CrashedRanks()) == 0 {
+			select {
+			case <-done:
+				respawned <- nil
+				return
+			case <-time.After(200 * time.Microsecond):
+			}
+		}
+		respawned <- fw.Respawn(1, body(1))
+	}()
+	err := fw.Run(body(0))
+	close(done)
+	if rerr := <-respawned; rerr != nil {
+		t.Fatal(rerr)
 	}
-	if got := bestCommon(or(mk(), mk(100))); got != 0 {
-		t.Fatalf("empty store must force 0, got %d", got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, res := range results {
+		base := res.RestoredAt
+		if base < 512 || base%every != 0 {
+			t.Fatalf("rank %d resumed from cycle %d, want the newest checkpoint past 511", r, base)
+		}
+		if base+len(res.History) != len(ref) {
+			t.Fatalf("rank %d: resumed from %d for %d cycles, fault-free run took %d", r, base, len(res.History), len(ref))
+		}
+		for i, v := range res.History {
+			if v != ref[base+i] {
+				t.Fatalf("rank %d cycle %d residual %v, fault-free %v", r, base+i+1, v, ref[base+i])
+			}
+		}
 	}
 }
 

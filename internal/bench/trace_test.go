@@ -60,8 +60,8 @@ func TestTracedMultigridChromeExport(t *testing.T) {
 
 // runTracedMultigridTCP is runMultigridTCP with span recording enabled on
 // every rank's world; it writes per-rank Chrome traces, merges them, and
-// returns the merged path plus aggregated transport stats.
-func runTracedMultigridTCP(t *testing.T, n int, p MultigridParams, fp *simnet.FaultPlan) (string, transport.TCPStats) {
+// returns the merged path plus the aggregated reliability counters.
+func runTracedMultigridTCP(t *testing.T, n int, p MultigridParams, fp *simnet.FaultPlan) (string, Reliability) {
 	t.Helper()
 	cfg := mpi.Compiled()
 	addrs := make([]string, n)
@@ -84,7 +84,7 @@ func runTracedMultigridTCP(t *testing.T, n int, p MultigridParams, fp *simnet.Fa
 			defer wg.Done()
 			tr, err := transport.NewTCP(transport.TCPConfig{
 				Rank: r, Size: n, WorldID: 0x0b5, Addrs: addrs, Listener: lns[r],
-				Faults: fp, AckTimeout: 20 * time.Millisecond, DialTimeout: 10 * time.Second,
+				DialTimeout: 10 * time.Second,
 			})
 			if err != nil {
 				errs[r] = err
@@ -103,18 +103,13 @@ func runTracedMultigridTCP(t *testing.T, n int, p MultigridParams, fp *simnet.Fa
 		}(r)
 	}
 	wg.Wait()
-	var agg transport.TCPStats
+	var agg Reliability
 	paths := make([]string, n)
 	for r := 0; r < n; r++ {
 		if errs[r] != nil {
 			t.Fatalf("rank %d: %v", r, errs[r])
 		}
-		s := worlds[r].Transport().(*transport.TCP).Stats()
-		agg.FramesSent += s.FramesSent
-		agg.Retransmits += s.Retransmits
-		agg.CRCRejects += s.CRCRejects
-		agg.Dropped += s.Dropped
-		agg.Corrupted += s.Corrupted
+		agg.Add(reliabilityOf(worlds[r]))
 		paths[r] = filepath.Join(dir, "trace.json.rank"+string(rune('0'+r)))
 		if err := obs.WriteChromeTraceFile(paths[r], worlds[r].Tracer().Spans(), r); err != nil {
 			t.Fatalf("rank %d trace: %v", r, err)
@@ -130,9 +125,9 @@ func runTracedMultigridTCP(t *testing.T, n int, p MultigridParams, fp *simnet.Fa
 
 // TestTracedMultigridTCPRetransmits is the tracing acceptance test for the
 // wall-clock path: under a seeded 1% drop plan the merged multi-process
-// trace must validate and show the reliability protocol at work
-// (tcp_retransmit instants, nonzero retransmission counters); without
-// faults the same trace must show none.
+// trace must validate and show the runtime's reliability protocol at work
+// over real sockets (retransmit spans, nonzero retransmission counters);
+// without faults the same trace must show none.
 func TestTracedMultigridTCPRetransmits(t *testing.T) {
 	const n = 4
 	p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 20}
@@ -153,8 +148,8 @@ func TestTracedMultigridTCPRetransmits(t *testing.T) {
 	if lossyStats.Retransmits == 0 {
 		t.Fatalf("fault plan produced no retransmissions: %+v", lossyStats)
 	}
-	if counts["tcp_retransmit"] == 0 {
-		t.Errorf("retransmissions occurred (%d) but no tcp_retransmit spans traced", lossyStats.Retransmits)
+	if counts["retransmit"] == 0 {
+		t.Errorf("retransmissions occurred (%d) but no retransmit spans traced", lossyStats.Retransmits)
 	}
 
 	clean, cleanStats := runTracedMultigridTCP(t, n, p, nil)
@@ -166,7 +161,7 @@ func TestTracedMultigridTCPRetransmits(t *testing.T) {
 		t.Fatalf("reading clean trace: %v", err)
 	}
 	counts = obs.CountEvents(evs)
-	if cleanStats.Retransmits != 0 || counts["tcp_retransmit"] != 0 {
-		t.Errorf("clean run shows retransmissions: stats=%+v spans=%d", cleanStats, counts["tcp_retransmit"])
+	if cleanStats.Retransmits != 0 || counts["retransmit"] != 0 {
+		t.Errorf("clean run shows retransmissions: stats=%+v spans=%d", cleanStats, counts["retransmit"])
 	}
 }

@@ -12,18 +12,19 @@ import (
 	"nccd/internal/transport"
 )
 
-// The reliability layer.  When the cluster carries a FaultPlan with link
-// faults, every non-local message travels with a sequence number and a
-// CRC-32 checksum, and the sender runs an ack/retransmission protocol:
-// each failed attempt (dropped on the wire, or delivered but rejected by
-// the receiver's checksum) costs the sender one ack timeout of virtual
-// time — exponentially backed off — before the retransmission.  The
-// protocol outcome is simulated at the sender from the deterministic fault
-// plan (the ack messages themselves are modeled, not delivered), but the
-// receiver-side defenses are real: corrupted copies are genuinely
-// delivered and rejected by checksum, duplicated copies are genuinely
-// delivered and rejected by sequence-number dedup.  A clean run with
-// faults disabled takes the short path and behaves exactly as before.
+// The reliability layer, the one loss/ack/dedup protocol of the runtime on
+// every transport.  When the cluster carries a FaultPlan with link faults,
+// every non-local message travels with a sequence number and a CRC-32
+// checksum, and the sender runs an ack/retransmission protocol: each failed
+// attempt (dropped on the wire, or delivered but rejected by the receiver's
+// checksum) costs the sender one ack timeout of virtual time — exponentially
+// backed off — before the retransmission.  The protocol outcome is decided
+// at the sender from the deterministic fault plan (the ack messages
+// themselves are modeled, not delivered), but the receiver-side defenses
+// are real on any transport that keeps one sender's messages in order:
+// corrupted copies are genuinely delivered and rejected by checksum,
+// duplicated copies are genuinely delivered and rejected by sequence-number
+// dedup.  A clean run with faults disabled takes the short path.
 
 // maybeCrash kills the rank if its scheduled FaultPlan crash time has
 // arrived.  Called at operation boundaries, where the virtual clock moves.
@@ -78,14 +79,9 @@ func (c *Comm) dispatch(dst, tag int, m outMsg, arrival, wireSec float64) uint64
 	hdr := transport.Header{Ctx: c.ctx, Src: int32(c.rank), Tag: int32(tag), Arrival: arrival,
 		WSrc: int32(p.rank), MSeq: mseq}
 	fp := w.cluster.Faults
-	if w.wall || dst == c.rank || !fp.Lossy() {
-		// Nothing to model: a self-send or a clean link loses nothing, and a
-		// wall-clock transport runs the real ack/retransmission protocol
-		// below its framing layer when its fault plan is lossy — the same
-		// plan must not be injected twice.
-		if err := w.tr.Send(worldDst, hdr, wire); err != nil {
-			throwErr(mapTransportErr(err, worldDst, c.callOr("Send")))
-		}
+	if dst == c.rank || !fp.Lossy() {
+		// Nothing to model: a self-send or a clean link loses nothing.
+		c.transmit(worldDst, hdr, wire)
 		return mseq
 	}
 
@@ -101,17 +97,25 @@ func (c *Comm) dispatch(dst, tag int, m outMsg, arrival, wireSec float64) uint64
 			drop, corrupt = true, false
 		}
 		hdr.Arrival = arrival + delay
+		if w.wall && delay > 0 {
+			// On real links the drawn delay is real time.
+			time.Sleep(time.Duration(delay * float64(time.Second)))
+		}
 		if corrupt && !drop {
-			bad := append([]byte(nil), wire...)
+			bad := copyImage(wire)
 			bad[fp.CorruptByte(p.rank, worldDst, hdr.Seq, attempt, len(bad))] ^= 0xFF
-			w.transmit(worldDst, hdr, bad)
+			c.transmit(worldDst, hdr, bad)
 			p.stats.CorruptSent++
 		}
 		if !drop && !corrupt {
-			w.transmit(worldDst, hdr, wire)
+			var again []byte
+			if dup {
+				again = copyImage(wire) // before Send takes wire
+			}
+			c.transmit(worldDst, hdr, wire)
 			if dup {
 				hdr.Arrival += lat
-				w.transmit(worldDst, hdr, wire)
+				c.transmit(worldDst, hdr, again)
 				p.stats.DupsSent++
 			}
 			return mseq
@@ -136,6 +140,25 @@ func (c *Comm) dispatch(dst, tag int, m outMsg, arrival, wireSec float64) uint64
 		timeout *= rel.Backoff
 		arrival = p.clock + wireSec + lat
 	}
+}
+
+// transmit hands one copy of a message to the transport for world rank
+// dst; ownership of data passes with it.  A transport that cannot reach dst
+// fails the send with ErrRankFailed.
+func (c *Comm) transmit(dst int, hdr transport.Header, data []byte) {
+	if err := c.w.tr.Send(dst, hdr, data); err != nil {
+		throwErr(&RankFailedError{Rank: dst, Call: c.callOr("Send")})
+	}
+}
+
+// copyImage returns wire's bytes in a pooled buffer of their own: every
+// copy handed to Send is owned by whoever receives it, and a rejected copy
+// is recycled at delivery, so a duplicate or a damaged copy can never share
+// the accepted message's buffer.
+func copyImage(wire []byte) []byte {
+	b := datatype.GetBuffer(len(wire))
+	copy(b, wire)
+	return b
 }
 
 // matchE blocks until a message for this communicator matching src/tag

@@ -132,10 +132,11 @@ var repMeshes = []repMesh{
 	}},
 }
 
-// repWorlds puts a world on every transport of the mesh.  Wall-clock
-// transports block in Start until their peers are starting too, so the
-// worlds are built concurrently.
-func repWorlds(t *testing.T, trs []transport.Transport, cfg Config) []*World {
+// repWorlds puts a world on every transport of the mesh, its cluster
+// carrying the fault plan fp (nil for clean links).  Wall-clock transports
+// block in Start until their peers are starting too, so the worlds are
+// built concurrently.
+func repWorlds(t *testing.T, trs []transport.Transport, cfg Config, fp *simnet.FaultPlan) []*World {
 	t.Helper()
 	ws := make([]*World, len(trs))
 	errs := make([]error, len(trs))
@@ -144,7 +145,9 @@ func repWorlds(t *testing.T, trs []transport.Transport, cfg Config) []*World {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws[i], errs[i] = NewWorldTransport(tr, simnet.Uniform(repRanks, simnet.IBDDR()), cfg)
+			cl := simnet.Uniform(repRanks, simnet.IBDDR())
+			cl.Faults = fp
+			ws[i], errs[i] = NewWorldTransport(tr, cl, cfg)
 		}()
 	}
 	wg.Wait()
@@ -219,7 +222,7 @@ func repA2AShape(a, b int) int { return (a + b) % repRanks }
 func repCollectives(t *testing.T, mesh repMesh, cfg Config, user []byte, shapes []repShape, refs [][]byte) [repRanks]repCollOut {
 	t.Helper()
 	trs, _ := mesh.build(t)
-	ws := repWorlds(t, trs, cfg)
+	ws := repWorlds(t, trs, cfg, nil)
 	gated := mesh.wall && cfg.Alltoallw == ATBinned
 	started := make(chan int, repRanks) // one send per rank that is not held back
 	counts := make([]int, repRanks)
@@ -344,7 +347,7 @@ func TestRepresentationDifferential(t *testing.T) {
 		for _, cfg := range repArms[1:] {
 			t.Run(mesh.name+"/"+cfg.name, func(t *testing.T) {
 				trs, _ := mesh.build(t)
-				ws := repWorlds(t, trs, cfg.cfg)
+				ws := repWorlds(t, trs, cfg.cfg, nil)
 				var contig, typed Stats // rank 0's counters per phase
 				errs := runAll(ws, func(c *Comm) error {
 					me := c.Rank()
@@ -481,7 +484,7 @@ func TestRepresentationDifferential(t *testing.T) {
 			})
 			t.Run("runtime", func(t *testing.T) {
 				trs, _ := mesh.build(t)
-				ws := repWorlds(t, trs, Compiled())
+				ws := repWorlds(t, trs, Compiled(), nil)
 				boom := errors.New("rank 1 fails on purpose")
 				both := func(c *Comm, dst int, want error) {
 					for _, send := range []func(){

@@ -29,11 +29,9 @@ import (
 //     (epoch bump, stamped into the transport handshake), waits for every
 //     failed rank's replacement to be ready, flips them back to running,
 //     and commits the new epoch with an Agree on the epoch's own context.
-//     The agreement doubles as the checkpoint-availability consensus: each
-//     rank contributes a bitmap and receives the OR.
-//  4. The caller restores the latest commonly-available checkpoint into the
-//     regrown world and resumes at full size (see internal/bench's
-//     self-healing driver).
+//  4. The caller agrees on the latest commonly-available checkpoint over
+//     the regrown communicator, restores it and resumes at full size (see
+//     internal/bench's self-healing driver).
 
 // Process-global self-healing metrics.
 var (
@@ -65,8 +63,18 @@ func (w *World) onSuspect(rank int, suspect bool, silent time.Duration) {
 
 // onPeerUp is the transport reconnection callback: a previously failed
 // rank's replacement has re-established its connection.  The rank is only
-// marked ready — re-admission happens collectively in Restore.
+// marked ready — re-admission happens collectively in Restore.  The
+// replacement numbers its reliable sends from zero again, so every local
+// rank's duplicate watermark for it restarts too; left high, it would
+// reject everything the replacement sends as a duplicate.
 func (w *World) onPeerUp(rank int) {
+	for r, p := range w.procs {
+		if w.tr.Local(r) {
+			p.mu.Lock()
+			p.recvSeq[rank] = 0
+			p.mu.Unlock()
+		}
+	}
 	w.rejoinReady[rank].Store(true)
 	if w.tracer.Enabled() {
 		now := w.tracer.Now()
@@ -153,12 +161,10 @@ func epochCtx(e uint64) uint64 {
 // Restore fences the old incarnation by raising the world's and the
 // transport's membership epoch, waits up to timeout for every non-running
 // rank to have a rejoin-ready replacement, re-admits the replacements, and
-// runs an agreement on the new epoch's context as the commit barrier.  The
-// agreement carries words (OR-combined across ranks, like Agree) so the
-// caller can piggyback the checkpoint-availability consensus on the
-// barrier.  On success every rank holds an identical full-size
-// communicator whose context is derived from e, plus the combined words.
-func (c *Comm) Restore(e uint64, words []uint64, timeout time.Duration) (*Comm, []uint64, error) {
+// runs an agreement on the new epoch's context as the commit barrier.  On
+// success every rank holds an identical full-size communicator whose
+// context is derived from e.
+func (c *Comm) Restore(e uint64, timeout time.Duration) (*Comm, error) {
 	w := c.w
 	start := time.Now()
 	// Raise (never lower) the committed epoch, and fence the transport's
@@ -178,10 +184,9 @@ func (c *Comm) Restore(e uint64, words []uint64, timeout time.Duration) (*Comm, 
 			Start: now, End: now, Clock: obs.ClockWall})
 	}
 	if err := w.awaitRejoin(c.me.rank, timeout); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	nc := &Comm{w: w, me: c.me, rank: c.me.rank, ctx: epochCtx(e)}
-	var val []uint64
 	var err error
 	if w.wall {
 		// Multi-process recovery commits under full-membership semantics:
@@ -191,12 +196,12 @@ func (c *Comm) Restore(e uint64, words []uint64, timeout time.Duration) (*Comm, 
 		if timeout <= 0 {
 			deadline = start.Add(24 * time.Hour)
 		}
-		val, err = nc.agreeFullWall(words, deadline)
+		err = nc.agreeFullWall(deadline)
 	} else {
-		val, err = nc.agree(words)
+		_, err = nc.agree(nil)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	dur := time.Since(start)
 	mRejoinDuration.Observe(dur.Nanoseconds())
@@ -205,7 +210,7 @@ func (c *Comm) Restore(e uint64, words []uint64, timeout time.Duration) (*Comm, 
 		w.tracer.Emit(obs.Span{Rank: w.firstLocal(), Kind: "rejoin", Tag: int(e),
 			Start: now - dur.Seconds(), End: now, Clock: obs.ClockWall})
 	}
-	return nc, val, nil
+	return nc, nil
 }
 
 // awaitRejoin blocks until every rank is running, re-admitting rejoin-ready

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 	"time"
 
@@ -14,20 +15,14 @@ import (
 // supervisor goroutine respawns it, and survivors plus replacement meet in
 // Restore — which re-admits the replacement, commits epoch 1, and returns
 // a full-size communicator that immediately carries collectives again.
-// The piggybacked agreement words double as the checkpoint-availability
-// consensus in the real driver; here each rank contributes its own bit and
-// must see everyone's.
 func TestRespawnRestoreFullSize(t *testing.T) {
 	const n = 4
 	fp := &simnet.FaultPlan{CrashAt: map[int]float64{2: 1e-6}}
 	w := faultWorld(n, Baseline(), fp)
 
-	verify := func(c *Comm, val []uint64) error {
+	verify := func(c *Comm) error {
 		if c.Size() != n {
 			return fmt.Errorf("restored comm spans %d ranks, want %d", c.Size(), n)
-		}
-		if len(val) != 1 || val[0] != (1<<n)-1 {
-			return fmt.Errorf("agreement words = %v, want [%d]", val, (1<<n)-1)
 		}
 		if got := c.AllreduceScalar(1, OpSum); got != n {
 			return fmt.Errorf("allreduce on restored comm = %v, want %d", got, n)
@@ -49,11 +44,11 @@ func TestRespawnRestoreFullSize(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 		}
 		supDone <- w.Respawn(2, func(c *Comm) error {
-			nc, val, err := c.Restore(1, []uint64{1 << uint(c.Rank())}, 5*time.Second)
+			nc, err := c.Restore(1, 5*time.Second)
 			if err != nil {
 				return err
 			}
-			return verify(nc, val)
+			return verify(nc)
 		})
 	}()
 
@@ -75,11 +70,11 @@ func TestRespawnRestoreFullSize(t *testing.T) {
 			return fmt.Errorf("unexpected failure kind: %w", werr)
 		}
 		c.Revoke()
-		nc, val, rerr := c.Restore(1, []uint64{1 << uint(c.Rank())}, 5*time.Second)
+		nc, rerr := c.Restore(1, 5*time.Second)
 		if rerr != nil {
 			return rerr
 		}
-		return verify(nc, val)
+		return verify(nc)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +134,7 @@ func TestRestoreTimeout(t *testing.T) {
 			return errors.New("crash went unnoticed")
 		}
 		c.Revoke()
-		_, _, rerr := c.Restore(1, []uint64{0}, 50*time.Millisecond)
+		_, rerr := c.Restore(1, 50*time.Millisecond)
 		var te *TimeoutError
 		if !errors.As(rerr, &te) || te.Rank != 1 {
 			return fmt.Errorf("Restore without a respawn: %v, want timeout naming rank 1", rerr)
@@ -148,5 +143,25 @@ func TestRestoreTimeout(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPeerUpRestartsDuplicateWatermark: a replacement of rank 1 numbers its
+// reliable sends from zero again.  Once its reconnection is reported, rank 0
+// must accept its sequence 0, although it accepted sequence 5 from the
+// previous incarnation; left at 6, the watermark would reject everything the
+// replacement sends as a duplicate.
+func TestPeerUpRestartsDuplicateWatermark(t *testing.T) {
+	w := faultWorld(2, Baseline(), nil)
+	msg := func(seq uint64) *envelope {
+		data := []byte("replaced")
+		return &envelope{ctx: 1, src: 1, data: data, reliable: true, wsrc: 1, seq: seq,
+			sum: crc32.ChecksumIEEE(data)}
+	}
+	w.deliver(0, msg(5))
+	w.onPeerUp(1)
+	w.deliver(0, msg(0))
+	if got, dups := len(w.procs[0].queue), w.DuplicateRejects(); got != 2 || dups != 0 {
+		t.Fatalf("%d messages queued and %d rejected as duplicates, want 2 and 0", got, dups)
 	}
 }

@@ -108,16 +108,6 @@ func (w *World) sayGoodbye() {
 	}
 }
 
-// mapTransportErr translates a transport send failure into the runtime's
-// error taxonomy.
-func mapTransportErr(err error, dst int, call string) error {
-	var re *transport.RetriesError
-	if errors.As(err, &re) {
-		return &TimeoutError{Rank: dst, Call: call, Attempts: re.Attempts}
-	}
-	return &RankFailedError{Rank: dst, Call: call}
-}
-
 // trySendOK is a best-effort internal send: a peer that died mid-recovery
 // must not abort the caller.  It reports whether the send went out: false
 // means the peer was down (or its connection broke under the write) and the
@@ -197,8 +187,10 @@ func (c *Comm) agreeWall(words []uint64) ([]uint64, error) {
 	return val, nil
 }
 
-// agreeFullWall is agreeWall under full-membership semantics — Restore's
-// commit barrier.  Skipping a dead member, correct for Agree and Shrink,
+// agreeFullWall is agreeWall under full-membership semantics and with an
+// empty contribution — Restore's commit barrier, which carries nothing but
+// the fact that every member reached it.  Skipping a dead member, correct
+// for Agree and Shrink,
 // is wrong here: a survivor that entered recovery on the revoke broadcast
 // may pass awaitRejoin before locally observing the failure, and its first
 // contribution send then dies against the old incarnation's broken
@@ -209,22 +201,17 @@ func (c *Comm) agreeWall(words []uint64) ([]uint64, error) {
 // instead: its replacement is readmitted the moment it is rejoin-ready,
 // our contribution is resent (the first copy died with the old
 // incarnation), and the wait resumes on the same side-channel context.
-func (c *Comm) agreeFullWall(words []uint64, deadline time.Time) ([]uint64, error) {
+func (c *Comm) agreeFullWall(deadline time.Time) error {
 	c.maybeCrash()
 	seq := c.agreeSeq
 	c.agreeSeq++
 	ac := &Comm{w: c.w, me: c.me, group: c.group, rank: c.rank,
 		ctx: splitmixCtx(c.ctx ^ 0x5bf03635aca2ee2d ^ (seq+1)*0x94d049bb133111eb)}
 
-	buf := make([]byte, 8*len(words))
-	for i, v := range words {
-		binary.LittleEndian.PutUint64(buf[8*i:], v)
-	}
-	val := append([]uint64(nil), words...)
 	n := c.Size()
 	for r := 0; r < n; r++ {
 		if r != c.rank {
-			ac.trySendOK(r, tagCollBase, buf)
+			ac.trySendOK(r, tagCollBase, nil)
 		}
 	}
 	c.me.call = "Agree"
@@ -236,35 +223,30 @@ func (c *Comm) agreeFullWall(words []uint64, deadline time.Time) ([]uint64, erro
 			env, err := ac.matchE(r, tagCollBase, 50*time.Millisecond)
 			if err == nil {
 				ac.noteControlRecv(env)
-				for i := range val {
-					if 8*i+8 <= len(env.data) {
-						val[i] |= binary.LittleEndian.Uint64(env.data[8*i:])
-					}
-				}
 				datatype.PutBuffer(env.data)
 				break
 			}
 			if time.Now().After(deadline) {
-				return nil, &TimeoutError{Rank: c.worldRank(r), Call: "Restore"}
+				return &TimeoutError{Rank: c.worldRank(r), Call: "Restore"}
 			}
 			switch {
 			case errors.Is(err, ErrRankFailed):
 				if werr := c.w.awaitReadmit(c.worldRank(r), deadline); werr != nil {
-					return nil, werr
+					return werr
 				}
 				// The incarnation now running postdates the death we just
 				// observed; whatever we sent before it died with that
 				// incarnation's connection.
-				ac.trySendOK(r, tagCollBase, buf)
+				ac.trySendOK(r, tagCollBase, nil)
 			case errors.Is(err, ErrTimeout):
 				// Member alive but slow, still establishing its mesh — or our
 				// contribution silently died: a send can land in a doomed
 				// incarnation's socket buffer and still report success.  Offer
 				// a fresh copy each round; the match is the implicit ack, and
 				// duplicates land on a context that is never reused.
-				ac.trySendOK(r, tagCollBase, buf)
+				ac.trySendOK(r, tagCollBase, nil)
 			default:
-				return nil, err
+				return err
 			}
 		}
 	}
@@ -286,10 +268,10 @@ func (c *Comm) agreeFullWall(words []uint64, deadline time.Time) ([]uint64, erro
 		wr := c.worldRank(r)
 		c.w.tryReadmit(wr)
 		if c.w.states[wr].Load() == stateRunning {
-			ac.trySendOK(r, tagCollBase, buf)
+			ac.trySendOK(r, tagCollBase, nil)
 		}
 	}
 	c.w.recheckDown()
 	c.w.wakeAll()
-	return val, nil
+	return nil
 }

@@ -9,14 +9,14 @@ import (
 	"testing"
 	"time"
 
+	"nccd/internal/datatype"
 	"nccd/internal/simnet"
 	"nccd/internal/transport"
 )
 
 // tcpWorlds builds an n-rank world as n TCP-connected Worlds in this one
 // process — the same topology as n OS processes, minus the fork — using
-// pre-bound listeners to avoid port races.  fp is injected both below the
-// TCP framing layer (link faults) and into the cluster (scheduled crashes).
+// pre-bound listeners to avoid port races.  fp is the cluster's fault plan.
 func tcpWorlds(t *testing.T, n int, cfg Config, fp *simnet.FaultPlan) []*World {
 	t.Helper()
 	addrs := make([]string, n)
@@ -38,7 +38,7 @@ func tcpWorlds(t *testing.T, n int, cfg Config, fp *simnet.FaultPlan) []*World {
 			defer wg.Done()
 			tr, err := transport.NewTCP(transport.TCPConfig{
 				Rank: r, Size: n, WorldID: 0x4ccd, Addrs: addrs, Listener: lns[r],
-				Faults: fp, AckTimeout: 20 * time.Millisecond, DialTimeout: 10 * time.Second,
+				DialTimeout: 10 * time.Second,
 			})
 			if err != nil {
 				errs[r] = err
@@ -141,50 +141,71 @@ func TestWallCollectives(t *testing.T) {
 	}
 }
 
-// TestWallLossyLink runs traffic over TCP with a seeded drop/corrupt/dup
-// plan injected below the framing layer: everything must still arrive
-// exactly once and intact via the transport's retransmission protocol,
-// with the mpi layer's own checksum defenses never involved.
+// TestWallLossyLink runs traffic over every wall-clock mesh — TCP, shm
+// rings, the job multiplexer and the two-level router — with a seeded
+// drop/corrupt/dup plan on the cluster.  The runtime's one loss/ack/dedup
+// loop decides every fault at the sender and the receivers' checksum and
+// sequence defenses reject the damaged and duplicated copies, so everything
+// arrives exactly once and intact, and every pooled buffer comes back.
 func TestWallLossyLink(t *testing.T) {
-	const n, rounds = 3, 30
+	const rounds = 30
 	fp := &simnet.FaultPlan{Seed: 7, Drop: 0.05, Corrupt: 0.05, Duplicate: 0.03}
-	ws := tcpWorlds(t, n, Optimized(), fp)
-	errs := runAll(ws, func(c *Comm) error {
-		me := c.Rank()
-		for k := 0; k < rounds; k++ {
-			if got := c.AllreduceScalar(float64(me+k), OpSum); got != float64(3*k+3) {
-				return fmt.Errorf("round %d: allreduce = %v, want %d", k, got, 3*k+3)
+	for _, mesh := range repMeshes {
+		if !mesh.wall {
+			continue
+		}
+		t.Run(mesh.name, func(t *testing.T) {
+			poolBase := datatype.PoolOutstandingBytes()
+			t.Cleanup(func() { // registered first, so it runs after every endpoint closed
+				deadline := time.Now().Add(5 * time.Second)
+				for datatype.PoolOutstandingBytes() != poolBase && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if got := datatype.PoolOutstandingBytes(); got != poolBase {
+					t.Errorf("pool outstanding %d bytes, started at %d", got, poolBase)
+				}
+			})
+			trs, _ := mesh.build(t)
+			ws := repWorlds(t, trs, Optimized(), fp)
+			errs := runAll(ws, func(c *Comm) error {
+				me, n := c.Rank(), c.Size()
+				for k := 0; k < rounds; k++ {
+					for j := 0; j < n; j++ {
+						if j != me {
+							c.Send(j, 3, []byte{byte(k), byte(me), byte(j)})
+						}
+					}
+					for j := 0; j < n; j++ {
+						if j == me {
+							continue
+						}
+						got, _ := c.Recv(j, 3)
+						if !bytes.Equal(got, []byte{byte(k), byte(j), byte(me)}) {
+							return fmt.Errorf("round %d: payload %v from rank %d", k, got, j)
+						}
+						datatype.PutBuffer(got)
+					}
+				}
+				return nil
+			})
+			for r, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d: %v", r, err)
+				}
 			}
-			next, prev := (me+1)%n, (me+n-1)%n
-			c.Send(next, 3, []byte{byte(k), byte(me)})
-			got, _ := c.Recv(prev, 3)
-			if !bytes.Equal(got, []byte{byte(k), byte(prev)}) {
-				return fmt.Errorf("round %d: ring payload %v", k, got)
+			var st Stats
+			var crc, dups int64
+			for _, w := range ws {
+				st.Add(w.TotalStats())
+				crc += w.ChecksumRejects()
+				dups += w.DuplicateRejects()
+				w.Close()
 			}
-		}
-		return nil
-	})
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	var agg transport.TCPStats
-	for _, w := range ws {
-		s := w.Transport().(*transport.TCP).Stats()
-		agg.Retransmits += s.Retransmits
-		agg.CRCRejects += s.CRCRejects
-		agg.Dropped += s.Dropped
-		agg.Corrupted += s.Corrupted
-		if w.ChecksumRejects() != 0 {
-			t.Fatalf("mpi-level checksum fired %d times; transport should have absorbed all corruption", w.ChecksumRejects())
-		}
-	}
-	if agg.Dropped == 0 || agg.Corrupted == 0 {
-		t.Fatalf("fault plan injected nothing: %+v", agg)
-	}
-	if agg.Retransmits == 0 || agg.CRCRejects == 0 {
-		t.Fatalf("reliability protocol never engaged: %+v", agg)
+			if st.Retransmits == 0 || crc == 0 || dups == 0 {
+				t.Fatalf("a defense never fired: %d retransmits, %d CRC rejects, %d duplicate rejects",
+					st.Retransmits, crc, dups)
+			}
+		})
 	}
 }
 

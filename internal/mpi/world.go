@@ -121,9 +121,11 @@ type proc struct {
 	wait blockedWait
 	// recvSeq[src] is the next reliable sequence number expected from world
 	// rank src; anything below it is a duplicate.  A watermark suffices
-	// because the sender is stop-and-wait and deposits synchronously: every
-	// copy of sequence s arrives before any copy of s+1.  Guarded by mu;
-	// written on the sender's goroutine.
+	// because the sender decides every attempt before sending the next
+	// message and the transports keep one sender's messages in order: every
+	// copy of sequence s arrives before any copy of s+1.  A replacement of
+	// src starts its sequences at zero again, so the watermark restarts with
+	// it (onPeerUp).  Guarded by mu; written on the delivering goroutine.
 	recvSeq []uint64
 
 	// call names the blocking operation in progress, for diagnostics.
@@ -552,19 +554,10 @@ func (w *World) ResetClocks() {
 	}
 }
 
-// transmit deposits one copy of a reliable virtual-time message into world
-// rank dst's mailbox through the in-process transport, payload by
-// reference: ownership of data passes to the receiver.
-func (w *World) transmit(dst int, hdr transport.Header, data []byte) {
-	if err := w.tr.Send(dst, hdr, data); err != nil {
-		throwErr(mapTransportErr(err, dst, "Send"))
-	}
-}
-
 // deliver appends env to dst's mailbox, enforcing the reliability layer's
 // receiver side: copies with checksum mismatches and duplicates of already
-// accepted sequence numbers are discarded (the sender's modeled ack
-// timeout covers retransmission).
+// accepted sequence numbers are discarded and their buffers recycled (the
+// sender's modeled ack timeout covers retransmission).
 func (w *World) deliver(dst int, env *envelope) {
 	p := w.procs[dst]
 	p.mu.Lock()
@@ -574,6 +567,7 @@ func (w *World) deliver(dst int, env *envelope) {
 			w.checksumRejects.Add(1)
 			mCrcRejects.Inc()
 			w.rejectSpan(dst, env, "crc_reject")
+			datatype.PutBuffer(env.data)
 			return
 		}
 		if env.seq < p.recvSeq[env.wsrc] {
@@ -581,6 +575,7 @@ func (w *World) deliver(dst int, env *envelope) {
 			w.duplicateRejects.Add(1)
 			mDupRejects.Inc()
 			w.rejectSpan(dst, env, "dup_reject")
+			datatype.PutBuffer(env.data)
 			return
 		}
 		p.recvSeq[env.wsrc] = env.seq + 1

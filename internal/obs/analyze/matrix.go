@@ -177,12 +177,9 @@ func buildMatrix(g *graph, spans []obs.Span) (*Matrix, map[string]*CollProfile, 
 	for i := range spans {
 		s := &spans[i]
 		switch s.Kind {
-		case "retransmit", "tcp_retransmit":
+		case "retransmit":
 			ts.Retransmits++
-			if s.Kind == "retransmit" && m.in(s.Rank, s.Peer) {
-				m.Retrans[s.Rank][s.Peer]++
-			}
-			if s.Kind == "tcp_retransmit" && m.in(s.Rank, s.Peer) {
+			if m.in(s.Rank, s.Peer) {
 				m.Retrans[s.Rank][s.Peer]++
 			}
 		case "tcp_send":

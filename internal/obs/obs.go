@@ -52,7 +52,7 @@ type Attr struct {
 // plan compiler, the buffer pool).
 type Span struct {
 	Rank  int
-	Kind  string // operation class: "send", "smooth", "tcp_retransmit", ...
+	Kind  string // operation class: "send", "smooth", "retransmit", ...
 	Peer  int    // peer rank for point-to-point traffic, -1 otherwise
 	Tag   int
 	Bytes int64

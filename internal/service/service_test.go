@@ -46,7 +46,7 @@ func startServices(t *testing.T, n int, mutate func(rank int, c *Config)) []*Ser
 	for r := 0; r < n; r++ {
 		tcp, terr := transport.NewTCP(transport.TCPConfig{
 			Rank: r, Size: n, WorldID: 0x51c, Addrs: addrs, Listener: lns[r],
-			AckTimeout: 50 * time.Millisecond, DialTimeout: 5 * time.Second,
+			DialTimeout: 5 * time.Second,
 		})
 		if terr != nil {
 			t.Fatalf("rank %d: %v", r, terr)

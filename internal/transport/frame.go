@@ -16,10 +16,10 @@ import (
 //
 // The length prefix is the only field not covered by the checksum: a
 // corrupted prefix desynchronizes the stream and is caught by the length
-// sanity bounds instead.  Data-frame bodies carry the transport's own
-// reliability fields (sequence number, reliable flag) ahead of the runtime
-// Header, so the ack/retransmission protocol stays below the layer that
-// interprets headers.
+// sanity bounds instead.  A data-frame body is the runtime Header and the
+// payload; loss, duplication and damage between ranks are the runtime's
+// business (its sequence/CRC/dedup loop rides in the Header), so the frame
+// carries no reliability fields of its own.
 
 // Frame kinds.
 const (
@@ -29,9 +29,6 @@ const (
 	KindHello byte = 1
 	// KindData carries one runtime message (Header + payload).
 	KindData byte = 2
-	// KindAck acknowledges the reliable data frame with the same sequence
-	// number on this link.
-	KindAck byte = 3
 	// KindBeat is a heartbeat beacon carrying the sender's membership
 	// epoch.  Beats prove liveness of a peer that has nothing to send; a
 	// peer that stops producing frames of any kind for longer than the
@@ -39,17 +36,11 @@ const (
 	KindBeat byte = 4
 )
 
-// FlagReliable marks a data frame the sender will retransmit until
-// acknowledged; the receiver must ack it and deduplicate by sequence.
-const FlagReliable byte = 1
-
 // Frame is the decoded form of one wire frame.
 type Frame struct {
 	Kind byte
 
 	// Data frames.
-	TSeq    uint64 // transport sequence number on this directed link
-	Flags   byte
 	Hdr     Header
 	Payload []byte // subslice of the decode input; copy to retain
 
@@ -64,12 +55,11 @@ type Frame struct {
 
 // Frame geometry.
 const (
-	framePrefixLen  = 4                  // length prefix
-	frameTrailerLen = 4                  // CRC-32 trailer
-	dataHeadLen     = 1 + 8 + 1 + hdrLen // kind + tseq + flags + header
-	helloBodyLen    = 1 + 8 + 4 + 4 + 8  // kind + world id + rank + size + epoch
-	ackBodyLen      = 1 + 8              // kind + tseq
-	beatBodyLen     = 1 + 8              // kind + epoch
+	framePrefixLen  = 4                 // length prefix
+	frameTrailerLen = 4                 // CRC-32 trailer
+	dataHeadLen     = 1 + hdrLen        // kind + header
+	helloBodyLen    = 1 + 8 + 4 + 4 + 8 // kind + world id + rank + size + epoch
+	beatBodyLen     = 1 + 8             // kind + epoch
 	hdrLen          = 8 + 4 + 4 + 8 + 1 + 4 + 8 + 4 + 8 + 8
 
 	// DefaultMaxFrame bounds a frame's wire size; a length prefix above the
@@ -150,16 +140,8 @@ func EncodeFrame(dst []byte, f *Frame) []byte {
 		binary.LittleEndian.PutUint64(b[16:], f.Epoch)
 		dst = append(dst, b[:]...)
 	case KindData:
-		var b [9]byte
-		binary.LittleEndian.PutUint64(b[0:], f.TSeq)
-		b[8] = f.Flags
-		dst = append(dst, b[:]...)
 		dst = appendHeader(dst, &f.Hdr)
 		dst = append(dst, f.Payload...)
-	case KindAck:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[0:], f.TSeq)
-		dst = append(dst, b[:]...)
 	case KindBeat:
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[0:], f.Epoch)
@@ -218,15 +200,8 @@ func decodeBody(body []byte) (Frame, error) {
 		if len(body) < dataHeadLen {
 			return Frame{}, ErrBadFrame
 		}
-		f.TSeq = binary.LittleEndian.Uint64(body[1:])
-		f.Flags = body[9]
-		f.Hdr = decodeHeader(body[10:])
+		f.Hdr = decodeHeader(body[1:])
 		f.Payload = body[dataHeadLen:]
-	case KindAck:
-		if len(body) != ackBodyLen {
-			return Frame{}, ErrBadFrame
-		}
-		f.TSeq = binary.LittleEndian.Uint64(body[1:])
 	case KindBeat:
 		if len(body) != beatBodyLen {
 			return Frame{}, ErrBadFrame

@@ -11,9 +11,7 @@ func randomDataFrame(rng *rand.Rand) Frame {
 	payload := make([]byte, rng.Intn(1<<12))
 	rng.Read(payload)
 	return Frame{
-		Kind:  KindData,
-		TSeq:  rng.Uint64(),
-		Flags: byte(rng.Intn(2)),
+		Kind: KindData,
 		Hdr: Header{
 			Ctx:      rng.Uint64(),
 			Src:      int32(rng.Intn(1 << 20)),
@@ -30,8 +28,7 @@ func randomDataFrame(rng *rand.Rand) Frame {
 }
 
 func framesEqual(a, b *Frame) bool {
-	return a.Kind == b.Kind && a.TSeq == b.TSeq && a.Flags == b.Flags &&
-		a.Hdr == b.Hdr && bytes.Equal(a.Payload, b.Payload) &&
+	return a.Kind == b.Kind && a.Hdr == b.Hdr && bytes.Equal(a.Payload, b.Payload) &&
 		a.WorldID == b.WorldID && a.Rank == b.Rank && a.WSize == b.WSize &&
 		a.Epoch == b.Epoch
 }
@@ -60,9 +57,8 @@ func TestFrameRoundTripControl(t *testing.T) {
 	for _, f := range []Frame{
 		{Kind: KindHello, WorldID: 0xdeadbeef, Rank: 3, WSize: 8},
 		{Kind: KindHello, WorldID: 1, Rank: 0, WSize: 4, Epoch: 1<<40 + 9},
-		{Kind: KindAck, TSeq: 1<<63 + 17},
 		{Kind: KindBeat, Epoch: 42},
-		{Kind: KindData, TSeq: 0, Hdr: Header{}, Payload: nil},
+		{Kind: KindData, Hdr: Header{}, Payload: nil},
 	} {
 		wire := EncodeFrame(nil, &f)
 		got, n, err := DecodeFrame(wire, 0)
@@ -99,7 +95,7 @@ func TestFrameTruncation(t *testing.T) {
 // TestFrameCorruptLengthPrefix: damaged length prefixes are rejected by the
 // sanity bounds — zero, too small for any body, or beyond the frame cap.
 func TestFrameCorruptLengthPrefix(t *testing.T) {
-	f := Frame{Kind: KindAck, TSeq: 9}
+	f := Frame{Kind: KindBeat, Epoch: 9}
 	wire := EncodeFrame(nil, &f)
 	for _, n := range []uint32{0, 1, 4, 1<<31 - 1, 1 << 30} {
 		bad := append([]byte(nil), wire...)
@@ -151,7 +147,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(EncodeFrame(nil, &fr))
 	}
 	f.Add(EncodeFrame(nil, &Frame{Kind: KindHello, WorldID: 5, Rank: 1, WSize: 4, Epoch: 2}))
-	f.Add(EncodeFrame(nil, &Frame{Kind: KindAck, TSeq: 3}))
+	f.Add(EncodeFrame(nil, &Frame{Kind: KindData, Hdr: Header{Ctx: 3, Job: 9, MSeq: 1}}))
 	f.Add(EncodeFrame(nil, &Frame{Kind: KindBeat, Epoch: 7}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})

@@ -26,7 +26,7 @@ func startMeshWith(t *testing.T, n int, down DownFunc, mutate func(r int, cfg *T
 	for r := 0; r < n; r++ {
 		cfg := TCPConfig{
 			Rank: r, Size: n, WorldID: 0xfeed, Addrs: addrs, Listener: lns[r],
-			AckTimeout: 50 * time.Millisecond, DialTimeout: 5 * time.Second,
+			DialTimeout: 5 * time.Second,
 		}
 		if mutate != nil {
 			mutate(r, &cfg)
@@ -281,7 +281,6 @@ func TestTCPRejoinAfterRestart(t *testing.T) {
 	fresh, err := NewTCP(TCPConfig{
 		Rank: 2, Size: n, WorldID: 0xfeed, Addrs: addrs, Listener: ln2,
 		DialTimeout: 5 * time.Second, Rejoin: true, Epoch: 1,
-		AckTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("fresh endpoint: %v", err)

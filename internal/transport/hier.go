@@ -12,8 +12,8 @@ import (
 // Hierarchical is a mixed-transport world: every peer is routed by the
 // node map — co-located ranks over the intra transport (shared memory),
 // remote ranks over the inter transport (TCP).  The wrapper is a pure
-// router; framing, reliability, heartbeats and epochs all live in the
-// wrapped endpoints.  Health callbacks are filtered per peer so each
+// router; framing, heartbeats and epochs all live in the wrapped
+// endpoints, and reliability above them in the runtime.  Health callbacks are filtered per peer so each
 // rank's liveness is judged only by the transport that actually carries
 // its traffic: the TCP mesh still connects co-located ranks (it ignores
 // the node map), and its failure detector racing the shared-memory one

@@ -168,8 +168,8 @@ func (m *Mux) Sub(job uint64, ranks []int) (*Sub, error) {
 }
 
 // release detaches a Sub: its job id is tombstoned so stragglers (late
-// retransmissions, goodbye frames of an already-finished peer) are
-// dropped instead of parked forever.
+// data frames, goodbye frames of an already-finished peer) are dropped
+// instead of parked forever.
 func (m *Mux) release(job uint64) {
 	m.mu.Lock()
 	delete(m.subs, job)

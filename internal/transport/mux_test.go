@@ -27,7 +27,7 @@ func startMuxMesh(t *testing.T, n int) []*Mux {
 	for r := 0; r < n; r++ {
 		tcp, err := NewTCP(TCPConfig{
 			Rank: r, Size: n, WorldID: 0xddc, Addrs: addrs, Listener: lns[r],
-			AckTimeout: 50 * time.Millisecond, DialTimeout: 5 * time.Second,
+			DialTimeout: 5 * time.Second,
 		})
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)

@@ -8,38 +8,30 @@ import (
 	"io"
 	"net"
 	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"nccd/internal/datatype"
 	"nccd/internal/obs"
-	"nccd/internal/simnet"
 )
+
+// debugTCP enables connection-lifecycle diagnostics on stderr.
+var debugTCP = os.Getenv("NCCD_DEBUG_TCP") != ""
 
 // TCP hosts one rank of a world as an OS process and reaches the other
 // ranks over localhost (or any) TCP.  One multiplexed connection carries
-// each peer pair's traffic in both directions — data frames, their acks,
+// each peer pair's traffic in both directions — data frames, heartbeats
 // and runtime control messages interleave on the same stream — and the
 // connection pool establishes the full mesh during Start with a
 // deterministic dial direction (each rank dials its lower-ranked peers and
 // accepts from higher ones), so exactly one connection exists per pair.
 //
-// Reliability: a clean TCP stream does not lose or corrupt bytes, so by
-// default data frames are fire-and-forget (still CRC-framed).  When a
-// simnet.FaultPlan is configured, it is injected *below* the framing layer
-// on the sender: a transmission attempt may be dropped before the write,
-// duplicated, delayed, or have a byte of its encoded frame flipped so the
-// receiver's CRC trailer rejects it.  Such frames travel with FlagReliable
-// and a per-link sequence number; the receiver acknowledges accepted
-// frames and deduplicates by sequence, and the sender retransmits on ack
-// timeout with exponential backoff — the same protocol the mpi layer
-// simulates in virtual time for the inproc transport, now executed against
-// real sockets.
-// debugTCP enables connection-lifecycle diagnostics on stderr.
-var debugTCP = os.Getenv("NCCD_DEBUG_TCP") != ""
-
+// Reliability: a TCP stream does not lose, duplicate or reorder bytes, so
+// data frames are fire-and-forget.  Their CRC-32 trailer guards the stream
+// itself: a frame that fails it means the connection is damaged, and the
+// peer is treated as gone.  Injected link faults are the runtime's: the
+// mpi layer's sequence/CRC/dedup loop runs above every transport.
 type TCP struct {
 	cfg TCPConfig
 	ln  net.Listener
@@ -69,9 +61,8 @@ type TCP struct {
 
 	stats tcpCounters
 
-	// inflight gauges payload bytes inside Send calls that have not yet been
-	// released — written to the socket for plain sends, acknowledged for
-	// reliable ones.  It backs Occupancy, the admission watermark signal of
+	// inflight gauges payload bytes inside Send calls still being written
+	// to the socket.  It backs Occupancy, the admission watermark signal of
 	// the multi-tenant service.
 	inflight atomic.Int64
 
@@ -112,18 +103,6 @@ type TCPConfig struct {
 	// Listener, when non-nil, is a pre-bound listener for Addrs[Rank]
 	// (launchers and tests bind first to avoid port races).
 	Listener net.Listener
-	// Faults, when non-nil and lossy, is injected below the framing layer
-	// on every outbound data frame (see the type comment).
-	Faults *simnet.FaultPlan
-	// AckTimeout is the wall-clock wait before the first retransmission of
-	// an unacknowledged reliable frame.  Default 200 ms.
-	AckTimeout time.Duration
-	// Backoff multiplies the ack timeout after every failed attempt.
-	// Default 2.
-	Backoff float64
-	// MaxRetries bounds transmission attempts per reliable frame.
-	// Default 16.
-	MaxRetries int
 	// DialTimeout bounds Start's mesh establishment.  Default 15 s.
 	DialTimeout time.Duration
 	// MaxFrame bounds a single frame's wire size.  Default 256 MiB.
@@ -142,15 +121,6 @@ type TCPConfig struct {
 }
 
 func (c TCPConfig) withDefaults() TCPConfig {
-	if c.AckTimeout == 0 {
-		c.AckTimeout = 200 * time.Millisecond
-	}
-	if c.Backoff == 0 {
-		c.Backoff = 2
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 16
-	}
 	if c.DialTimeout == 0 {
 		c.DialTimeout = 15 * time.Second
 	}
@@ -168,15 +138,13 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	return c
 }
 
-// TCPStats counts wire traffic and the reliability protocol's work.
+// TCPStats counts wire traffic.
 type TCPStats struct {
 	FramesSent, FramesRecv int64
 	BytesSent, BytesRecv   int64
-	// Receiver-side defenses.
-	CRCRejects, DupRejects int64
-	// Sender-side protocol and injected-fault accounting.
-	Retransmits, Dropped, Corrupted, Duplicated int64
-	AcksSent, AcksRecv                          int64
+	// CRCRejects counts frames that failed their checksum, each of which
+	// took its connection down as damaged.
+	CRCRejects int64
 	// Failure-detector traffic.
 	BeatsSent, BeatsRecv int64
 	// VectoredSends is always zero: there is no gather-list send.  The field
@@ -188,22 +156,18 @@ type TCPStats struct {
 type tcpCounters struct {
 	framesSent, framesRecv atomic.Int64
 	bytesSent, bytesRecv   atomic.Int64
-	crcRejects, dupRejects atomic.Int64
-	retransmits, dropped   atomic.Int64
-	corrupted, duplicated  atomic.Int64
-	acksSent, acksRecv     atomic.Int64
+	crcRejects             atomic.Int64
 	beatsSent, beatsRecv   atomic.Int64
 }
 
-// tcpPeer is one pooled peer connection and its reliability state.  The
+// tcpPeer is one pooled peer connection and its liveness state.  The
 // connection is generational: a respawned peer replaces a torn-down
-// connection in place, resetting the per-link reliability state, and the
-// generation counter keeps a stale reader or writer of the old connection
-// from tearing down the new one.
+// connection in place, and the generation counter keeps a stale reader or
+// writer of the old connection from tearing down the new one.
 type tcpPeer struct {
 	rank int
 
-	wmu     sync.Mutex // serializes frame writes (data from the rank, acks and beats)
+	wmu     sync.Mutex // serializes frame writes (data from the rank and beats)
 	conn    net.Conn   // guarded by wmu
 	gen     uint64     // connection generation, guarded by wmu
 	scratch []byte     // frame-head assembly buffer, under wmu
@@ -216,11 +180,6 @@ type tcpPeer struct {
 	// is suppressed rather than delivered after the replacement's up, which
 	// would re-mark a healthy rejoined rank as dead with no recovery left.
 	liveMu sync.Mutex
-
-	seq atomic.Uint64 // next outbound reliable sequence on this link
-
-	ackMu sync.Mutex
-	acks  map[uint64]chan struct{}
 
 	// lastHeard is when any frame last arrived from this peer (unix nanos);
 	// the failure detector scores silence against it.
@@ -245,7 +204,7 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	t.connCond = sync.NewCond(&t.mu)
 	t.peers = make([]*tcpPeer, cfg.Size)
 	for r := range t.peers {
-		t.peers[r] = &tcpPeer{rank: r, acks: make(map[uint64]chan struct{})}
+		t.peers[r] = &tcpPeer{rank: r}
 	}
 	if t.ln == nil && cfg.Size > 1 {
 		ln, err := net.Listen("tcp", cfg.Addrs[cfg.Rank])
@@ -266,8 +225,7 @@ func (t *TCP) Local(r int) bool { return r == t.cfg.Rank }
 // Wallclock reports true: this transport has no virtual-time coupling.
 func (t *TCP) Wallclock() bool { return true }
 
-// Occupancy reports payload bytes currently committed to the wire but not
-// yet released (written, or acknowledged when the link is reliable).
+// Occupancy reports payload bytes currently being written to a socket.
 func (t *TCP) Occupancy() Occupancy {
 	return Occupancy{InflightBytes: t.inflight.Load()}
 }
@@ -349,17 +307,14 @@ func (t *TCP) traceNow() (float64, bool) {
 	return tr.Now(), true
 }
 
-// Stats returns a snapshot of the wire and reliability counters.
+// Stats returns a snapshot of the wire counters.
 func (t *TCP) Stats() TCPStats {
 	c := &t.stats
 	return TCPStats{
 		FramesSent: c.framesSent.Load(), FramesRecv: c.framesRecv.Load(),
 		BytesSent: c.bytesSent.Load(), BytesRecv: c.bytesRecv.Load(),
-		CRCRejects: c.crcRejects.Load(), DupRejects: c.dupRejects.Load(),
-		Retransmits: c.retransmits.Load(), Dropped: c.dropped.Load(),
-		Corrupted: c.corrupted.Load(), Duplicated: c.duplicated.Load(),
-		AcksSent: c.acksSent.Load(), AcksRecv: c.acksRecv.Load(),
-		BeatsSent: c.beatsSent.Load(), BeatsRecv: c.beatsRecv.Load(),
+		CRCRejects: c.crcRejects.Load(),
+		BeatsSent:  c.beatsSent.Load(), BeatsRecv: c.beatsRecv.Load(),
 	}
 }
 
@@ -528,9 +483,8 @@ func (t *TCP) writeHello(conn net.Conn) error {
 // whose EOF simply has not been read yet — eviction tears it down through
 // peerGone (firing the down callback, which IS the failure detection on
 // this path) and then installs the replacement.  A connection filling a
-// torn-down slot is a peer rejoining — the per-link reliability state
-// restarts from zero with the new connection generation, and the Up
-// callback reports the reconnection.
+// torn-down slot is a peer rejoining, and the Up callback reports the
+// reconnection.
 func (t *TCP) register(rank int, conn net.Conn, br *bufio.Reader) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
@@ -557,7 +511,6 @@ func (t *TCP) register(rank int, conn net.Conn, br *bufio.Reader) {
 	p.gen++
 	gen := p.gen
 	p.conn = conn
-	p.seq.Store(0) // fresh link: reliable sequences and the dedup line restart
 	p.alive.Store(true)
 	p.suspect.Store(false)
 	p.wmu.Unlock()
@@ -617,25 +570,16 @@ func (t *TCP) readFrame(br *bufio.Reader) (Frame, error) {
 	return f, nil
 }
 
-// readLoop drains one peer connection: data frames are deduplicated,
-// acknowledged (when reliable) and delivered; acks complete pending
-// reliable sends; beats refresh the failure detector; CRC-rejected frames
-// are dropped where the retransmission protocol will recover them.  The
-// inbound dedup line is per connection — a rejoined peer restarts at
-// sequence zero on its fresh connection.
+// readLoop drains one peer connection: data frames are delivered, beats
+// refresh the failure detector.  Nothing below the runtime retransmits, so
+// a frame that fails its checksum is stream damage: the connection goes
+// down like any other read failure, which the runtime surfaces as a
+// recoverable ErrRankFailed instead of waiting for ever on the lost frame.
 func (t *TCP) readLoop(p *tcpPeer, br *bufio.Reader, gen uint64) {
-	var next uint64 // next inbound reliable sequence expected
 	for {
 		f, err := t.readFrame(br)
 		if err == ErrChecksum {
-			// Even a damaged frame proves the peer's process is producing
-			// bytes; count it as liveness.
-			p.lastHeard.Store(time.Now().UnixNano())
 			t.stats.crcRejects.Add(1)
-			if now, ok := t.traceNow(); ok {
-				t.trace("tcp_crc_reject", p.rank, 0, now, now)
-			}
-			continue
 		}
 		if err != nil {
 			t.peerGone(p, gen, fmt.Sprintf("read: %v", err))
@@ -645,34 +589,10 @@ func (t *TCP) readLoop(p *tcpPeer, br *bufio.Reader, gen uint64) {
 		switch f.Kind {
 		case KindData:
 			t.stats.framesRecv.Add(1)
-			if f.Flags&FlagReliable != 0 {
-				if f.TSeq < next {
-					// Duplicate of an accepted frame (injected dup or a
-					// retransmission whose ack was in flight): re-ack so the
-					// sender stops, discard the copy.
-					t.stats.dupRejects.Add(1)
-					if now, ok := t.traceNow(); ok {
-						t.trace("tcp_dup_reject", p.rank, int64(len(f.Payload)), now, now)
-					}
-					t.sendAck(p, f.TSeq)
-					datatype.PutBuffer(f.Payload)
-					continue
-				}
-				next = f.TSeq + 1
-				t.sendAck(p, f.TSeq)
-			}
 			if now, ok := t.traceNow(); ok {
 				t.trace("tcp_recv", p.rank, int64(len(f.Payload)), now, now, IdentAttrs(f.Hdr)...)
 			}
 			t.deliver(t.cfg.Rank, f.Hdr, f.Payload)
-		case KindAck:
-			t.stats.acksRecv.Add(1)
-			p.ackMu.Lock()
-			if ch, ok := p.acks[f.TSeq]; ok {
-				delete(p.acks, f.TSeq)
-				close(ch)
-			}
-			p.ackMu.Unlock()
 		case KindBeat:
 			t.stats.beatsRecv.Add(1)
 			if now, ok := t.traceNow(); ok {
@@ -708,13 +628,6 @@ func (t *TCP) peerGone(p *tcpPeer, gen uint64, reason string) {
 	p.conn.Close()
 	p.conn = nil
 	p.wmu.Unlock()
-	// Fail any sends still waiting for acks from this peer.
-	p.ackMu.Lock()
-	for seq, ch := range p.acks {
-		delete(p.acks, seq)
-		close(ch)
-	}
-	p.ackMu.Unlock()
 	// Deliver the failure callback only if this generation is still the
 	// peer's newest: once a replacement connection registers, this death
 	// belongs to a previous incarnation and reporting it would clobber the
@@ -733,24 +646,10 @@ func (t *TCP) peerGone(p *tcpPeer, gen uint64, reason string) {
 	}
 }
 
-func (t *TCP) sendAck(p *tcpPeer, seq uint64) {
-	f := Frame{Kind: KindAck, TSeq: seq}
-	p.wmu.Lock()
-	if p.conn != nil {
-		buf := EncodeFrame(p.scratch[:0], &f)
-		p.scratch = buf[:0]
-		if _, err := p.conn.Write(buf); err == nil {
-			t.stats.acksSent.Add(1)
-			t.stats.bytesSent.Add(int64(len(buf)))
-		}
-	}
-	p.wmu.Unlock()
-}
-
 // Send delivers hdr+payload to rank to.  Ownership of payload passes to the
 // transport at the call: a self-send hands it to the receiving handler by
 // reference, every other path — error returns included — recycles it once
-// the frame is written (or, on a lossy link, acknowledged).
+// the frame is written.
 func (t *TCP) Send(to int, hdr Header, payload []byte) error {
 	if to == t.cfg.Rank && !t.closed.Load() {
 		t.deliver(to, hdr, payload)
@@ -761,10 +660,8 @@ func (t *TCP) Send(to int, hdr Header, payload []byte) error {
 	return err
 }
 
-// send writes one data frame to a remote rank.  The clean path is a single
-// writev of frame head, payload and CRC-32 trailer, so the payload is never
-// copied; with a lossy fault plan the frame runs the ack/retransmission
-// protocol described on the type.
+// send writes one data frame to a remote rank: a single writev of frame
+// head, payload and CRC-32 trailer, so the payload is never copied.
 func (t *TCP) send(to int, hdr Header, payload []byte) error {
 	if to < 0 || to >= t.cfg.Size {
 		return fmt.Errorf("transport: rank %d out of range [0,%d)", to, t.cfg.Size)
@@ -780,123 +677,25 @@ func (t *TCP) send(to int, hdr Header, payload []byte) error {
 	t.inflight.Add(nbytes)
 	defer t.inflight.Add(-nbytes)
 	start, traced := t.traceNow()
-	lossy := t.cfg.Faults.Lossy()
-	if lossy {
-		if err := t.sendReliable(p, hdr, payload); err != nil {
-			return err
-		}
-	} else {
-		gen, err := t.writeData(p, &Frame{Kind: KindData, Hdr: hdr}, payload)
-		if err != nil {
-			t.peerGone(p, gen, fmt.Sprintf("write: %v", err))
-			return &PeerDownError{Rank: to}
-		}
-		t.stats.framesSent.Add(1)
+	gen, err := t.writeData(p, &hdr, payload)
+	if err != nil {
+		t.peerGone(p, gen, fmt.Sprintf("write: %v", err))
+		return &PeerDownError{Rank: to}
 	}
+	t.stats.framesSent.Add(1)
 	if traced {
 		if end, ok := t.traceNow(); ok {
-			var attrs []obs.Attr
-			if lossy {
-				attrs = append(attrs, obs.Attr{Key: "reliable", Val: "true"})
-			}
-			t.trace("tcp_send", to, nbytes, start, end, IdentAttrs(hdr, attrs...)...)
+			t.trace("tcp_send", to, nbytes, start, end, IdentAttrs(hdr)...)
 		}
 	}
 	return nil
 }
 
-// sendReliable runs the ack/retransmission protocol for one frame, with
-// the fault plan injected below framing on every attempt.  Send owns the
-// payload until it returns, so first attempts, retransmissions and
-// duplicates all go out of it zero-copy; only an injected corruption
-// encodes a private copy, to have a byte to damage.
-func (t *TCP) sendReliable(p *tcpPeer, hdr Header, payload []byte) error {
-	fp := t.cfg.Faults
-	seq := p.seq.Add(1) - 1
-	f := Frame{Kind: KindData, TSeq: seq, Flags: FlagReliable, Hdr: hdr}
-
-	timeout := t.cfg.AckTimeout
-	for attempt := 0; ; attempt++ {
-		if t.closed.Load() {
-			return ErrClosed
-		}
-		ack := make(chan struct{})
-		p.ackMu.Lock()
-		p.acks[seq] = ack
-		p.ackMu.Unlock()
-
-		drop, dup, corrupt, delay := fp.Attempt(t.cfg.Rank, p.rank, seq, attempt)
-		if delay > 0 {
-			time.Sleep(time.Duration(delay * float64(time.Second)))
-		}
-		var werr error
-		var wgen uint64
-		switch {
-		case drop:
-			t.stats.dropped.Add(1)
-		case corrupt:
-			// A private encoding sized so EncodeFrame cannot reallocate.
-			bf := f
-			bf.Payload = payload
-			wbuf := datatype.GetBuffer(framePrefixLen + dataHeadLen + len(payload) + frameTrailerLen)
-			bad := EncodeFrame(wbuf[:0], &bf)
-			// Flip a body or trailer byte — never the length prefix, which
-			// framing does not protect and which would desynchronize the
-			// stream rather than exercise the CRC path.
-			off := framePrefixLen + fp.CorruptByte(t.cfg.Rank, p.rank, seq, attempt, len(bad)-framePrefixLen)
-			bad[off] ^= 0xFF
-			t.stats.corrupted.Add(1)
-			wgen, werr = t.writeWire(p, bad)
-			datatype.PutBuffer(bad)
-		default:
-			wgen, werr = t.writeData(p, &f, payload)
-			if werr == nil && dup {
-				t.stats.duplicated.Add(1)
-				wgen, werr = t.writeData(p, &f, payload)
-			}
-		}
-		if werr != nil {
-			t.peerGone(p, wgen, fmt.Sprintf("reliable write: %v", werr))
-			return &PeerDownError{Rank: p.rank}
-		}
-		if !drop {
-			t.stats.framesSent.Add(1)
-		}
-
-		select {
-		case <-ack:
-			// Closed by the reader on ack — or by peerGone on failure.
-		case <-time.After(timeout):
-		}
-		p.ackMu.Lock()
-		_, pending := p.acks[seq]
-		delete(p.acks, seq)
-		p.ackMu.Unlock()
-		if !pending {
-			// Acked (possibly racing the timeout), or failed by peerGone.
-			if !p.alive.Load() {
-				return &PeerDownError{Rank: p.rank}
-			}
-			return nil
-		}
-		if attempt+1 >= t.cfg.MaxRetries {
-			return &RetriesError{Rank: p.rank, Attempts: attempt + 1}
-		}
-		t.stats.retransmits.Add(1)
-		if now, ok := t.traceNow(); ok {
-			t.trace("tcp_retransmit", p.rank, int64(len(payload)), now, now,
-				obs.Attr{Key: "attempt", Val: strconv.Itoa(attempt + 1)})
-		}
-		timeout = time.Duration(float64(timeout) * t.cfg.Backoff)
-	}
-}
-
 // writeData writes a data frame without copying the payload: the frame head
 // is assembled in the peer's scratch buffer and head, payload and CRC-32
-// trailer go to the socket in a single writev.  f.Payload is ignored.  It
-// returns the connection generation written to, for a failure-path
-// peerGone.
-func (t *TCP) writeData(p *tcpPeer, f *Frame, payload []byte) (uint64, error) {
+// trailer go to the socket in a single writev.  It returns the connection
+// generation written to, for a failure-path peerGone.
+func (t *TCP) writeData(p *tcpPeer, hdr *Header, payload []byte) (uint64, error) {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	if p.conn == nil {
@@ -905,11 +704,7 @@ func (t *TCP) writeData(p *tcpPeer, f *Frame, payload []byte) (uint64, error) {
 	head := p.scratch[:0]
 	head = append(head, 0, 0, 0, 0)
 	head = append(head, KindData)
-	var b [9]byte
-	binary.LittleEndian.PutUint64(b[0:], f.TSeq)
-	b[8] = f.Flags
-	head = append(head, b[:]...)
-	head = appendHeader(head, &f.Hdr)
+	head = appendHeader(head, hdr)
 	binary.LittleEndian.PutUint32(head[0:], uint32(len(head)-framePrefixLen+len(payload)+frameTrailerLen))
 	sum := crc32.Update(crc32.ChecksumIEEE(head[framePrefixLen:]), crc32.IEEETable, payload)
 	p.scratch = head[:0]
@@ -928,17 +723,6 @@ func (t *TCP) writeData(p *tcpPeer, f *Frame, payload []byte) (uint64, error) {
 	clear(bufs)
 	p.vecbuf = bufs[:0]
 	t.stats.bytesSent.Add(n)
-	return p.gen, err
-}
-
-func (t *TCP) writeWire(p *tcpPeer, wire []byte) (uint64, error) {
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-	if p.conn == nil {
-		return p.gen, ErrPeerDown
-	}
-	n, err := p.conn.Write(wire)
-	t.stats.bytesSent.Add(int64(n))
 	return p.gen, err
 }
 

@@ -5,9 +5,10 @@
 // transport below decides what a frame crosses: a function call inside one
 // process (Inproc, virtual-time semantics preserved exactly), a TCP socket
 // between OS processes (TCP: length-prefixed framing, a CRC-32 trailer, one
-// pooled connection per peer pair, and an ack/retransmission protocol when
-// a simnet.FaultPlan is injected below the framing layer), or a
-// shared-memory ring between co-located processes (transport/shm).
+// pooled connection per peer pair), or a shared-memory ring between
+// co-located processes (transport/shm).  None of them retransmits: loss,
+// duplication and damage are the runtime's, whose sequence/CRC/dedup loop
+// rides in the Header on every transport.
 // Hierarchical routes per peer between two of those, and Mux runs many
 // independent rank worlds over one started mesh.
 package transport
@@ -24,7 +25,7 @@ import (
 // hdr — the communicator context (hex) and the per-(src,dst) message
 // sequence (decimal) — so a transport-level span can be correlated with the
 // mpi-level send/recv spans it carried.  Frames without an identity (MSeq
-// 0: control traffic such as goodbyes and acks) pass attrs through
+// 0: control traffic such as goodbyes and revocations) pass attrs through
 // unchanged.
 func IdentAttrs(hdr Header, attrs ...obs.Attr) []obs.Attr {
 	if hdr.MSeq == 0 {
@@ -38,10 +39,9 @@ func IdentAttrs(hdr Header, attrs ...obs.Attr) []obs.Attr {
 // Header is the runtime metadata that travels with every message.  The
 // fields mirror internal/mpi's envelope: routing (communicator context,
 // sender comm rank, tag), the virtual-time arrival stamp used by the inproc
-// transport, and the inproc reliability-simulation fields (Reliable..Sum)
-// that the mpi layer sets when it models faults itself.  Wall-clock
-// transports carry the header verbatim and run their own reliability
-// protocol underneath it.
+// transport, and the fields of the mpi layer's loss/ack/dedup protocol
+// (Reliable..Sum), set when the cluster's fault plan is lossy.  Every
+// transport carries the header verbatim.
 type Header struct {
 	// Ctx is the communicator context id; a few values at the top of the
 	// space are reserved by internal/mpi for control messages (goodbye,
@@ -54,8 +54,8 @@ type Header struct {
 	// Arrival is the virtual time at which the payload is fully available
 	// (inproc semantics; wall-clock receivers ignore it).
 	Arrival float64
-	// Reliable marks an envelope of the mpi layer's own fault simulation;
-	// WSrc/Seq/Sum are its world-rank, sequence and CRC-32 fields.
+	// Reliable marks an envelope of the mpi layer's loss/ack/dedup
+	// protocol; WSrc/Seq/Sum are its world-rank, sequence and CRC-32 fields.
 	Reliable bool
 	WSrc     int32
 	Seq      uint64
@@ -120,8 +120,7 @@ type Transport interface {
 	// Send delivers hdr+payload to rank to.  Ownership of payload passes to
 	// the transport: it is either delivered by reference to the receiving
 	// handler or written to the wire and returned to the shared buffer
-	// pool.  Send blocks until the payload is no longer needed by the
-	// caller's buffer (for reliable wall-clock sends, until acknowledged).
+	// pool.
 	Send(to int, hdr Header, payload []byte) error
 	// Wallclock reports whether the transport runs in wall-clock mode
 	// (real sockets, no cross-rank virtual-time coupling) rather than the
@@ -136,9 +135,8 @@ type Transport interface {
 // the wire but not yet known delivered.  All fields are best-effort
 // gauges read from atomics — momentary, not monotonic.
 type Occupancy struct {
-	// InflightBytes counts payload bytes of reliable frames sent but not
-	// yet acknowledged (zero on transports, or fault plans, without an
-	// ack protocol).
+	// InflightBytes counts payload bytes inside Send calls still being
+	// written to a socket.
 	InflightBytes int64 `json:"inflight_bytes"`
 	// BacklogBytes counts bytes sitting in local send-side buffers: bytes
 	// of frames mid-write on a socket, or occupying shared-memory send
@@ -162,14 +160,11 @@ type OccupancyReporter interface {
 	Occupancy() Occupancy
 }
 
-// Typed transport errors.  The mpi layer maps these onto its own error
-// taxonomy (ErrRankFailed, ErrTimeout).
+// Typed transport errors.  The mpi layer reports a failed send as
+// ErrRankFailed.
 var (
 	// ErrPeerDown reports that the destination rank's connection is gone.
 	ErrPeerDown = errors.New("transport: peer down")
-	// ErrRetriesExhausted reports that a reliable send ran out of
-	// retransmission attempts without an acknowledgment.
-	ErrRetriesExhausted = errors.New("transport: retries exhausted")
 	// ErrClosed reports use of a transport after Close.
 	ErrClosed = errors.New("transport: closed")
 )
@@ -179,13 +174,3 @@ type PeerDownError struct{ Rank int }
 
 func (e *PeerDownError) Error() string { return "transport: peer rank down" }
 func (e *PeerDownError) Unwrap() error { return ErrPeerDown }
-
-// RetriesError carries the peer and attempt count of an exhausted reliable
-// send.  It wraps ErrRetriesExhausted.
-type RetriesError struct {
-	Rank     int
-	Attempts int
-}
-
-func (e *RetriesError) Error() string { return "transport: reliable send exhausted retries" }
-func (e *RetriesError) Unwrap() error { return ErrRetriesExhausted }
