@@ -9,7 +9,8 @@
 //     default) with a rank crash injected mid-solve, recovered via
 //     Comm.Revoke + Comm.Shrink, re-decomposition over the survivors, and
 //     restart from the newest checkpoint, sieve-read through the shrunk
-//     decomposition's file view.
+//     decomposition's file view (or from scratch when the crash comes
+//     before the first checkpoint).
 //
 // With -iomatrix it instead sweeps injected checkpoint-I/O faults (short
 // writes, EIO, fsync failure, ENOSPC, filesystem crash) over the collective
@@ -128,14 +129,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "FAULTSIM: %d^3 multigrid on %d ranks, rank %d crashes at %.0f%% of the clean solve\n",
 		p.Extent, *procs, rank, 100**crashFrac)
-	res := bench.RunMultigridFaulted(*procs, p, rank, *crashFrac)
+	res, err := bench.RunMultigridFaulted(*procs, p, rank, *crashFrac)
+	if err != nil {
+		fmt.Fprintf(stderr, "faultsim: %v\n", err)
+		return 1
+	}
+	crashed := res.Survivors < *procs
 	fmt.Fprintf(stdout, "  clean solve:    %d cycles, %.4f s virtual\n", res.CleanCycles, res.CleanSeconds)
 	fmt.Fprintf(stdout, "  crash injected: t=%.4f s\n", res.CrashAt)
-	if res.CheckpointAt == 0 {
-		// A checkpoint is always stamped with cycle >= 1, so zero means the
-		// first attempt converged before the scheduled crash time.
+	switch {
+	case !crashed:
 		fmt.Fprintf(stdout, "  recovery:       none needed — crash fell after convergence\n")
-	} else {
+	case res.CheckpointAt == 0:
+		fmt.Fprintf(stdout, "  recovery:       shrink to %d survivors, restart from scratch (crash before the first checkpoint)\n",
+			res.Survivors)
+	default:
 		fmt.Fprintf(stdout, "  recovery:       shrink to %d survivors, restart from checkpoint of cycle %d\n",
 			res.Survivors, res.CheckpointAt)
 	}
@@ -146,10 +154,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "  RESULT: solve did NOT converge after the crash")
 		return 1
 	}
-	if res.CheckpointAt == 0 {
-		fmt.Fprintln(stdout, "  RESULT: solve converged before the scheduled crash; no recovery exercised")
-	} else {
+	if crashed {
 		fmt.Fprintln(stdout, "  RESULT: solve converged after mid-solve rank crash via Comm.Shrink()")
+	} else {
+		fmt.Fprintln(stdout, "  RESULT: solve converged before the scheduled crash; no recovery exercised")
 	}
 	return 0
 }

@@ -59,3 +59,19 @@ func TestRecoveryDemoRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashBeforeFirstCheckpointRestarts: a crash before the first
+// checkpoint leaves nothing to restore; the survivors solve again from
+// cycle 0 on the shrunk communicator instead of panicking.
+func TestCrashBeforeFirstCheckpointRestarts(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-procs", "4", "-extent", "16", "-levels", "2", "-crash-frac", "0.01", "-iters", "1"}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("%v: exit %d, stderr %q, stdout\n%s", args, code, stderr.String(), stdout.String())
+	}
+	for _, want := range []string{"shrink to 3 survivors, restart from scratch", "RESULT: solve converged after mid-solve rank crash"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("%v: no %q in\n%s", args, want, stdout.String())
+		}
+	}
+}

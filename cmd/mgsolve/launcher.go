@@ -92,44 +92,97 @@ type launchConfig struct {
 	ioFault string // ckptio fault spec forwarded to every daemon
 }
 
-// procTable tracks the live rank daemons so the launcher can take every
-// child down with it — on a rank failure, a chaos kill gone wrong, or a
-// signal — instead of leaving orphaned nccdd processes holding ports.
-type procTable struct {
+// fleet is one world of nccdd rank daemons on localhost: the binary, the
+// ranks' listen addresses, the world id, the arm, and the live processes,
+// so the launcher can take every child down with it — on a rank failure, a
+// chaos kill gone wrong, or a signal — instead of leaving orphaned nccdd
+// processes holding ports.
+type fleet struct {
+	daemon  string
+	addrs   []string
+	worldID uint64
+	arm     string
+
 	mu   sync.Mutex
 	cmds map[int]*exec.Cmd
 }
 
-func newProcTable() *procTable { return &procTable{cmds: make(map[int]*exec.Cmd)} }
-
-func (pt *procTable) set(rank int, cmd *exec.Cmd) {
-	pt.mu.Lock()
-	pt.cmds[rank] = cmd
-	pt.mu.Unlock()
+// newFleet locates the daemon binary (explicit, or found by locateDaemon)
+// and picks n free ports.
+func newFleet(explicit, arm string, n int) (*fleet, error) {
+	daemon, err := locateDaemon(explicit)
+	if err != nil {
+		return nil, err
+	}
+	addrs, err := freeAddrs(n)
+	if err != nil {
+		return nil, fmt.Errorf("allocating ports: %w", err)
+	}
+	return &fleet{daemon: daemon, addrs: addrs, worldID: uint64(os.Getpid()), arm: arm, cmds: make(map[int]*exec.Cmd)}, nil
 }
 
-func (pt *procTable) remove(rank int) {
-	pt.mu.Lock()
-	delete(pt.cmds, rank)
-	pt.mu.Unlock()
+// get returns rank's live daemon, or nil.
+func (f *fleet) get(rank int) *exec.Cmd {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.cmds[rank]
 }
 
-func (pt *procTable) get(rank int) *exec.Cmd {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	return pt.cmds[rank]
-}
-
-// killAll SIGKILLs every live daemon.  Reaping stays with the runDaemon
-// goroutines' cmd.Wait, so no zombie outlives the launcher.
-func (pt *procTable) killAll() {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	for _, cmd := range pt.cmds {
+// signal sends sig to every live daemon.  Reaping stays with spawn's
+// cmd.Wait, so no zombie outlives the launcher.
+func (f *fleet) signal(sig os.Signal) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, cmd := range f.cmds {
 		if cmd.Process != nil {
-			_ = cmd.Process.Kill()
+			_ = cmd.Process.Signal(sig)
 		}
 	}
+}
+
+// daemonProc is one spawned nccdd rank.  done yields cmd.Wait's result
+// once its stdout has been drained.
+type daemonProc struct {
+	rank int
+	done chan error
+}
+
+// spawn starts rank's daemon with the flags every mode shares plus extra,
+// streams each stdout line through onLine, and reaps it: the process is
+// live in f from start until cmd.Wait returns.
+func (f *fleet) spawn(rank int, extra []string, onLine func(line string)) (*daemonProc, error) {
+	args := append([]string{
+		"-rank", fmt.Sprint(rank),
+		"-n", fmt.Sprint(len(f.addrs)),
+		"-addrs", strings.Join(f.addrs, ","),
+		"-world", fmt.Sprint(f.worldID),
+		"-arm", f.arm,
+	}, extra...)
+	cmd := exec.Command(f.daemon, args...)
+	cmd.Stderr = os.Stderr
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, err
+	}
+	if err := cmd.Start(); err != nil {
+		return nil, err
+	}
+	f.mu.Lock()
+	f.cmds[rank] = cmd
+	f.mu.Unlock()
+	p := &daemonProc{rank: rank, done: make(chan error, 1)}
+	go func() {
+		sc := bufio.NewScanner(out)
+		sc.Buffer(make([]byte, 1<<20), 1<<24)
+		for sc.Scan() {
+			onLine(sc.Text())
+		}
+		p.done <- cmd.Wait()
+		f.mu.Lock()
+		delete(f.cmds, rank)
+		f.mu.Unlock()
+	}()
+	return p, nil
 }
 
 // runLauncher spawns lc.n nccdd rank daemons on localhost, collects their
@@ -140,12 +193,7 @@ func (pt *procTable) killAll() {
 // requires the healed full-size run to reproduce the reference history from
 // the restored cycle on.  Returns the process exit code.
 func runLauncher(lc launchConfig) int {
-	addrs, err := freeAddrs(lc.n)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mgsolve: allocating ports: %v\n", err)
-		return 1
-	}
-	daemon, err := locateDaemon(lc.daemon)
+	fl, err := newFleet(lc.daemon, lc.arm, lc.n)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mgsolve: %v\n", err)
 		return 1
@@ -180,11 +228,8 @@ func runLauncher(lc launchConfig) int {
 		defer os.RemoveAll(dir)
 		lc.spansDir = dir
 	}
-	worldID := uint64(os.Getpid())
-	pt := newProcTable()
-
 	// Take the children down with us: on SIGINT/SIGTERM every daemon is
-	// killed, the runDaemon goroutines reap them, and the launcher exits
+	// killed, spawn reaps them, and the launcher exits
 	// nonzero.  Same on any single rank failing — survivors would
 	// otherwise block forever on the dead peer's port.
 	aborted := false
@@ -198,14 +243,14 @@ func runLauncher(lc launchConfig) int {
 		}
 		fmt.Fprintf(os.Stderr, "mgsolve: %v: killing rank daemons\n", s)
 		aborted = true
-		pt.killAll()
+		fl.signal(os.Kill)
 	}()
 
 	if lc.perNode > 1 {
 		fmt.Printf("spawning %d rank daemons (%s) on %d nodes x %d ranks: shared memory within a node, TCP between\n",
-			lc.n, daemon, lc.n/lc.perNode, lc.perNode)
+			lc.n, fl.daemon, lc.n/lc.perNode, lc.perNode)
 	} else {
-		fmt.Printf("spawning %d rank daemons (%s) over TCP localhost\n", lc.n, daemon)
+		fmt.Printf("spawning %d rank daemons (%s) over TCP localhost\n", lc.n, fl.daemon)
 	}
 	var chaosMu sync.Mutex
 	var killTime, resumeTime time.Time
@@ -225,7 +270,7 @@ func runLauncher(lc launchConfig) int {
 				chaosMu.Lock()
 				defer chaosMu.Unlock()
 				if r == lc.killRank && !chaosKilled && strings.HasPrefix(line, "CKPT ") {
-					if cmd := pt.get(r); cmd != nil && cmd.Process != nil {
+					if cmd := fl.get(r); cmd != nil && cmd.Process != nil {
 						chaosKilled = true
 						killTime = time.Now()
 						fmt.Printf("chaos: SIGKILL rank %d after %s\n", r, line)
@@ -236,7 +281,7 @@ func runLauncher(lc launchConfig) int {
 					resumeTime = time.Now()
 				}
 			}
-			rep, derr := runDaemon(daemon, r, addrs, worldID, lc, nil, pt, onLine)
+			rep, derr := runDaemon(fl, r, lc, nil, onLine)
 			if derr != nil && lc.chaos && r == lc.killRank {
 				chaosMu.Lock()
 				wasKilled := chaosKilled
@@ -245,15 +290,14 @@ func runLauncher(lc launchConfig) int {
 					// Expected death: relaunch the rank as a replacement
 					// on the same address, joining the bumped epoch.
 					fmt.Printf("chaos: respawning rank %d as a rejoin replacement\n", r)
-					rep, derr = runDaemon(daemon, r, addrs, worldID, lc,
-						[]string{"-rejoin", "-epoch", "1"}, pt, onLine)
+					rep, derr = runDaemon(fl, r, lc, []string{"-rejoin", "-epoch", "1"}, onLine)
 				}
 			}
 			reports[r], procErrs[r] = rep, derr
 			if derr != nil {
 				// One dead rank means the run cannot complete: take the
 				// rest down instead of leaving them orphaned.
-				pt.killAll()
+				fl.signal(os.Kill)
 			}
 		}(r)
 	}
@@ -398,15 +442,10 @@ func verifyChaos(lc launchConfig, reports []*bench.RankReport, killTime, resumeT
 	return verifyAgainstReference(lc, reports[0].History, base)
 }
 
-// runDaemon spawns one rank daemon, registers it for cleanup, streams its
-// progress lines through onLine, and parses its RESULT line.
-func runDaemon(daemon string, rank int, addrs []string, worldID uint64, lc launchConfig, extra []string, pt *procTable, onLine func(line string)) (*bench.RankReport, error) {
+// runDaemon runs one rank daemon of the one-shot solve to completion,
+// streams its progress lines through onLine, and parses its RESULT line.
+func runDaemon(fl *fleet, rank int, lc launchConfig, extra []string, onLine func(line string)) (*bench.RankReport, error) {
 	args := []string{
-		"-rank", fmt.Sprint(rank),
-		"-n", fmt.Sprint(lc.n),
-		"-addrs", strings.Join(addrs, ","),
-		"-world", fmt.Sprint(worldID),
-		"-arm", lc.arm,
 		"-extent", fmt.Sprint(lc.p.Extent),
 		"-levels", fmt.Sprint(lc.p.Levels),
 		"-rtol", fmt.Sprint(lc.p.Rtol),
@@ -421,7 +460,7 @@ func runDaemon(daemon string, rank int, addrs []string, worldID uint64, lc launc
 		args = append(args, "-pernode", fmt.Sprint(lc.perNode), "-shmdir", lc.shmDir)
 	}
 	if lc.selfheal {
-		args = append(args, "-selfheal", "-ckpt", lc.ckptDir, "-ckptevery", fmt.Sprint(lc.ckptEvery),
+		args = append(args, "-ckpt", lc.ckptDir, "-ckptevery", fmt.Sprint(lc.ckptEvery),
 			"-aggr", fmt.Sprint(lc.aggr), "-stripe", fmt.Sprint(lc.stripe))
 		if lc.hb > 0 {
 			args = append(args, "-hb", lc.hb.String(), "-hbmiss", fmt.Sprint(lc.hbMiss))
@@ -436,37 +475,27 @@ func runDaemon(daemon string, rank int, addrs []string, worldID uint64, lc launc
 	if lc.spansDir != "" {
 		args = append(args, "-spans", rankSpansPath(lc.spansDir, rank))
 	}
-	args = append(args, extra...)
-	cmd := exec.Command(daemon, args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	pt.set(rank, cmd)
-	defer pt.remove(rank)
 	var rep *bench.RankReport
-	sc := bufio.NewScanner(out)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := sc.Text()
+	var perr error
+	p, err := fl.spawn(rank, append(args, extra...), func(line string) {
 		if rest, ok := strings.CutPrefix(line, "RESULT "); ok {
 			rep = &bench.RankReport{}
 			if err := json.Unmarshal([]byte(rest), rep); err != nil {
-				return nil, fmt.Errorf("parsing result: %w", err)
+				perr = fmt.Errorf("parsing result: %w", err)
 			}
-			continue
+			return
 		}
-		if onLine != nil {
-			onLine(line)
-		}
+		onLine(line)
 		fmt.Printf("[rank %d] %s\n", rank, line)
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err := cmd.Wait(); err != nil {
+	if err := <-p.done; err != nil {
 		return nil, fmt.Errorf("daemon exited: %w", err)
+	}
+	if perr != nil {
+		return nil, perr
 	}
 	if rep == nil {
 		return nil, fmt.Errorf("daemon printed no RESULT line")

@@ -1,14 +1,12 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"regexp"
 	"strconv"
 	"strings"
@@ -160,51 +158,6 @@ type serveStressConfig struct {
 	arm       string
 }
 
-type svcProc struct {
-	rank int
-	cmd  *exec.Cmd
-	done chan error
-}
-
-// startServeDaemon spawns one nccdd -serve rank and streams its stdout
-// lines through onLine.  The returned proc's done channel yields cmd.Wait.
-func startServeDaemon(daemon string, rank, n int, addrs []string, worldID uint64,
-	arm, ckptDir string, extra []string, pt *procTable, onLine func(rank int, line string)) (*svcProc, error) {
-	args := []string{
-		"-serve", "127.0.0.1:0",
-		"-rank", fmt.Sprint(rank),
-		"-n", fmt.Sprint(n),
-		"-addrs", strings.Join(addrs, ","),
-		"-world", fmt.Sprint(worldID),
-		"-arm", arm,
-		"-ckpt", ckptDir,
-		"-ckptevery", "2",
-		"-hb", "25ms", "-hbmiss", "3",
-	}
-	args = append(args, extra...)
-	cmd := exec.Command(daemon, args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	pt.set(rank, cmd)
-	p := &svcProc{rank: rank, cmd: cmd, done: make(chan error, 1)}
-	go func() {
-		sc := bufio.NewScanner(out)
-		sc.Buffer(make([]byte, 1<<20), 1<<24)
-		for sc.Scan() {
-			onLine(rank, sc.Text())
-		}
-		p.done <- cmd.Wait()
-		pt.remove(rank)
-	}()
-	return p, nil
-}
-
 var reJobCycle = regexp.MustCompile(`^EVENT JOB (\d+) cycle (\d+)$`)
 
 // runServeStress drives the multi-tenant smoke end to end: spawn an n-rank
@@ -231,14 +184,9 @@ func runServeStress(sc serveStressConfig) int {
 		fmt.Fprintf(os.Stderr, "mgsolve: -servekill %d invalid (rank 0 hosts the controller; mesh has %d ranks)\n", sc.killRank, sc.n)
 		return 1
 	}
-	daemon, err := locateDaemon(sc.daemon)
+	fl, err := newFleet(sc.daemon, sc.arm, sc.n)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mgsolve: %v\n", err)
-		return 1
-	}
-	addrs, err := freeAddrs(sc.n)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mgsolve: allocating ports: %v\n", err)
 		return 1
 	}
 	ckptDir, err := os.MkdirTemp("", "nccd-svc-ckpt-*")
@@ -247,9 +195,7 @@ func runServeStress(sc serveStressConfig) int {
 		return 1
 	}
 	defer os.RemoveAll(ckptDir)
-	worldID := uint64(os.Getpid())
-	pt := newProcTable()
-	defer pt.killAll()
+	defer fl.signal(os.Kill)
 
 	// The kill trigger: once the huge job's rank 0 reports enough cycles
 	// for two durable checkpoints (-ckptevery 2), the victim dies.
@@ -274,10 +220,14 @@ func runServeStress(sc serveStressConfig) int {
 		}
 	}
 
+	spawn := func(r int, extra ...string) (*daemonProc, error) {
+		args := append([]string{"-serve", "127.0.0.1:0", "-ckpt", ckptDir, "-ckptevery", "2", "-hb", "25ms", "-hbmiss", "3"}, extra...)
+		return fl.spawn(r, args, func(line string) { onLine(r, line) })
+	}
 	fmt.Printf("spawning %d nccdd -serve daemons over TCP localhost\n", sc.n)
-	procs := make([]*svcProc, sc.n)
+	procs := make([]*daemonProc, sc.n)
 	for r := 0; r < sc.n; r++ {
-		procs[r], err = startServeDaemon(daemon, r, sc.n, addrs, worldID, sc.arm, ckptDir, nil, pt, onLine)
+		procs[r], err = spawn(r)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mgsolve: spawning rank %d: %v\n", r, err)
 			return 1
@@ -345,7 +295,7 @@ func runServeStress(sc serveStressConfig) int {
 		fmt.Fprintln(os.Stderr, "mgsolve: huge job never reached cycle 6 within 2m")
 		return 1
 	}
-	victim := pt.get(sc.killRank)
+	victim := fl.get(sc.killRank)
 	if victim == nil || victim.Process == nil {
 		fmt.Fprintf(os.Stderr, "mgsolve: victim rank %d already gone\n", sc.killRank)
 		return 1
@@ -354,8 +304,7 @@ func runServeStress(sc serveStressConfig) int {
 	_ = victim.Process.Kill()
 	<-procs[sc.killRank].done // reaped; expected to be the kill
 	fmt.Printf("chaos: respawning rank %d as a -rejoin replacement\n", sc.killRank)
-	procs[sc.killRank], err = startServeDaemon(daemon, sc.killRank, sc.n, addrs, worldID, sc.arm, ckptDir,
-		[]string{"-rejoin", "-epoch", "1"}, pt, onLine)
+	procs[sc.killRank], err = spawn(sc.killRank, "-rejoin", "-epoch", "1")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mgsolve: respawning rank %d: %v\n", sc.killRank, err)
 		return 1
@@ -401,13 +350,7 @@ func runServeStress(sc serveStressConfig) int {
 		final[id] = st
 	}
 	fmt.Println("draining fleet with SIGTERM")
-	pt.mu.Lock()
-	for _, cmd := range pt.cmds {
-		if cmd.Process != nil {
-			_ = cmd.Process.Signal(syscall.SIGTERM)
-		}
-	}
-	pt.mu.Unlock()
+	fl.signal(syscall.SIGTERM)
 	for _, p := range procs {
 		select {
 		case werr := <-p.done:

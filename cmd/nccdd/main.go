@@ -95,10 +95,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	spans := fs.String("spans", "", "write this rank's raw spans (matching identities included) to the given path for cross-rank analysis")
 	metrics := fs.String("metrics", "", "serve the metrics registry over HTTP at this address (e.g. 127.0.0.1:0); the bound address is printed as a METRICS line")
 	dash := fs.Bool("dash", false, "serve the live communication-matrix dashboard at /dash on the -metrics listener (implies -metrics 127.0.0.1:0 when unset)")
-	selfheal := fs.Bool("selfheal", false, "ride out peer failures: checkpoint, and recover via epoch bump + rejoin instead of aborting (needs -ckpt)")
-	ckptDir := fs.String("ckpt", "", "durable checkpoint directory (shared across ranks; implies -selfheal)")
-	ckptEvery := fs.Int("ckptevery", 1, "checkpoint period in V-cycles for -selfheal runs")
-	rejoin := fs.Bool("rejoin", false, "this process replaces a failed rank: dial the whole surviving mesh and restore from checkpoint")
+	ckptDir := fs.String("ckpt", "", "durable checkpoint directory shared across ranks: checkpoint the solve and ride out peer failures via epoch bump + rejoin instead of aborting")
+	ckptEvery := fs.Int("ckptevery", 1, "checkpoint period in V-cycles with -ckpt")
+	rejoin := fs.Bool("rejoin", false, "this process replaces a failed rank: dial the whole surviving mesh and restore from checkpoint (needs -ckpt outside -serve)")
 	epoch := fs.Uint64("epoch", 0, "membership epoch a -rejoin replacement joins at (the launcher's respawn count)")
 	hb := fs.Duration("hb", 0, "heartbeat interval for the failure detector (0 = disabled; hung-peer detection then relies on connection loss)")
 	hbMiss := fs.Int("hbmiss", 3, "missed heartbeat intervals before a peer is suspected")
@@ -133,6 +132,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if _, err := ckptio.ParseFaultPlan(*ioFault); err != nil {
 		return fail(2, err)
 	}
+	if *rejoin && *ckptDir == "" && *serve == "" {
+		// A replacement restores the agreed checkpoint; with nowhere to read
+		// one it could only fail once the mesh is up.
+		return fail(2, fmt.Errorf("-rejoin needs -ckpt: a replacement resumes from the shared checkpoint directory"))
+	}
 	var fp *simnet.FaultPlan
 	if plan.Lossy() || *crashAt > 0 {
 		fp = &plan
@@ -165,25 +169,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := p.Validate(*n); err != nil {
 		return fail(2, err)
 	}
-	var rep bench.RankReport
-	if *selfheal || *ckptDir != "" || *rejoin {
-		rep, err = bench.RunMultigridSelfHealDaemon(tcfg, pl, fp, cfg, p, mode, ob, bench.SelfHealDaemon{
-			CkptDir:         *ckptDir,
-			CheckpointEvery: *ckptEvery,
-			RejoinEpoch:     *epoch,
-			Aggregators:     *aggr,
-			StripeBytes:     *stripe,
-			IOFaults:        *ioFault,
-			// Progress lines the launcher's chaos controller keys off:
-			// CKPT marks a durable checkpoint, RESUMED a committed
-			// recovery.  Stdout is line-buffered through the launcher's
-			// scanner, so these arrive promptly.
-			OnCheckpoint: func(it int) { fmt.Fprintf(stdout, "CKPT %d\n", it) },
-			OnRecovered:  func(e uint64, at int) { fmt.Fprintf(stdout, "RESUMED epoch=%d from=%d\n", e, at) },
-		})
-	} else {
-		rep, err = bench.RunMultigridDaemon(tcfg, pl, fp, cfg, p, mode, ob)
-	}
+	rep, err := bench.RunMultigridDaemon(tcfg, pl, fp, cfg, p, mode, ob, bench.HealParams{
+		CkptDir:         *ckptDir,
+		CheckpointEvery: *ckptEvery,
+		RejoinEpoch:     *epoch,
+		Aggregators:     *aggr,
+		StripeBytes:     *stripe,
+		IOFaults:        *ioFault,
+		// Progress lines the launcher's chaos controller keys off: CKPT
+		// marks a durable checkpoint, RESUMED a committed recovery.  Stdout
+		// is line-buffered through the launcher's scanner, so these arrive
+		// promptly.
+		OnCheckpoint: func(it int) { fmt.Fprintf(stdout, "CKPT %d\n", it) },
+		OnRecovered:  func(e uint64, at int) { fmt.Fprintf(stdout, "RESUMED epoch=%d from=%d\n", e, at) },
+	})
 	if err != nil {
 		return fail(1, fmt.Errorf("rank %d: %w", *rank, err))
 	}

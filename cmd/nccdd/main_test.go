@@ -8,7 +8,8 @@ import (
 
 // TestBadInputExitsTwoWithOneLine: a rank outside its world, an address list
 // of the wrong length, an arm nobody knows, a shape that does not fit or a
-// fault flag out of range is one stderr line and exit 2, before a listener is
+// fault flag out of range, or a replacement with no checkpoint directory to
+// resume from, is one stderr line and exit 2, before a listener is
 // opened: nothing is printed on stdout, where the launcher reads the daemon's
 // protocol lines.
 func TestBadInputExitsTwoWithOneLine(t *testing.T) {
@@ -31,6 +32,8 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{append([]string{"-rank", "0", "-iofault", "bogus=1"}, two...), `unknown key "bogus"`},
 		{append([]string{"-rank", "0", "-iofault", "fsync=1"}, two...), "probability 1 not in [0, 1)"},
 		{append([]string{"-rank", "0", "-iofault", "crash=-3"}, two...), `"crash=-3"`},
+		{append([]string{"-rank", "1", "-rejoin"}, two...), "-rejoin needs -ckpt"},
+		{append([]string{"-rank", "1", "-rejoin", "-epoch", "1"}, two...), "-rejoin needs -ckpt"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {
@@ -43,5 +46,14 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("%v: ran anyway: stdout %q", tc.args, stdout.String())
 		}
+	}
+}
+
+// TestNoSelfHealFlag: healing is -ckpt's alone; -selfheal is not a flag.
+func TestNoSelfHealFlag(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-rank", "0", "-n", "1", "-addrs", "127.0.0.1:1", "-selfheal"}
+	if code := run(args, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), "flag provided but not defined: -selfheal") {
+		t.Errorf("%v: exit %d, stderr %q; want exit 2 refusing -selfheal", args, code, stderr.String())
 	}
 }

@@ -17,12 +17,12 @@ import (
 // RankReport is one multi-process rank's result, serialized as JSON on the
 // daemon's stdout (prefixed "RESULT ") and parsed by the launcher.
 type RankReport struct {
-	Rank    int                `json:"rank"`
-	Seconds float64            `json:"seconds"`
-	Cycles  int                `json:"cycles"`
-	RelRes  float64            `json:"relres"`
-	History []float64          `json:"history"`
-	Stats   transport.TCPStats `json:"stats"`
+	Rank    int     `json:"rank"`
+	Seconds float64 `json:"seconds"`
+	// SelfHealResult is the solve's outcome; its self-healing fields are
+	// zero unless the daemon heals.
+	SelfHealResult
+	Stats transport.TCPStats `json:"stats"`
 	// Reliability is this rank's share of the runtime's loss/ack/dedup
 	// protocol; all zero on clean links.
 	Reliability Reliability `json:"reliability"`
@@ -32,15 +32,6 @@ type RankReport struct {
 	// Trace is the path of this rank's Chrome trace file, when tracing
 	// was requested.
 	Trace string `json:"trace,omitempty"`
-	// Self-healing outcome (zero values outside -selfheal runs): the
-	// committed membership epoch, the checkpoint iteration the final
-	// attempt resumed from (-1 = never interrupted), how many failures
-	// were ridden out, and the final communicator size.
-	Epoch      uint64 `json:"epoch,omitempty"`
-	RestoredAt int    `json:"restored_at,omitempty"`
-	Recoveries int    `json:"recoveries,omitempty"`
-	FinalSize  int    `json:"final_size,omitempty"`
-	Healed     bool   `json:"healed,omitempty"`
 }
 
 // Reliability counts one rank's work in the runtime's loss/ack/dedup
@@ -90,8 +81,8 @@ type DaemonObs struct {
 	SpansPath string
 }
 
-// obsSetup applies the pre-run daemon observability surfaces shared by the
-// daemon variants; the returned func tears them down.
+// obsSetup applies the daemon's pre-run observability surfaces; the
+// returned func tears them down.
 func obsSetup(w *mpi.World, rw *rankWire, rank int, ob DaemonObs) (func(), error) {
 	if ob.TracePath != "" || ob.SpansPath != "" {
 		w.Tracer().Enable()
@@ -114,22 +105,6 @@ func obsSetup(w *mpi.World, rw *rankWire, rank int, ob DaemonObs) (func(), error
 		obs.Metrics.Unregister(matName)
 		unreg()
 	}, nil
-}
-
-// obsFinish writes the post-run observability artifacts.
-func obsFinish(w *mpi.World, rank int, ob DaemonObs, rep *RankReport) error {
-	if ob.TracePath != "" {
-		if err := obs.WriteChromeTraceFile(ob.TracePath, w.Tracer().Spans(), rank); err != nil {
-			return fmt.Errorf("writing trace: %w", err)
-		}
-		rep.Trace = ob.TracePath
-	}
-	if ob.SpansPath != "" {
-		if err := obs.WriteSpansFile(ob.SpansPath, w.Tracer()); err != nil {
-			return fmt.Errorf("writing spans: %w", err)
-		}
-	}
-	return nil
 }
 
 // ArmByName maps a command-line arm name to an MPI build and scatter
@@ -282,145 +257,74 @@ func registerWireMetrics(rw *rankWire, rank int) func() {
 // none) is the cluster's fault plan: link faults for the runtime's
 // loss/ack/dedup loop, and scheduled crashes (CrashAt) that fire off the
 // local virtual clock.
-func RunMultigridDaemon(tcfg transport.TCPConfig, pl Placement, fp *simnet.FaultPlan, cfg mpi.Config, p MultigridParams, mode petsc.ScatterMode, ob DaemonObs) (RankReport, error) {
-	rw, err := buildWire(tcfg, pl, fp)
-	if err != nil {
-		return RankReport{}, err
-	}
-	w, err := mpi.NewWorldTransport(rw.tr, rw.cl, cfg)
-	if err != nil {
-		rw.tr.Close()
-		return RankReport{}, err
-	}
-	defer w.Close()
-	obsDown, err := obsSetup(w, rw, tcfg.Rank, ob)
-	if err != nil {
-		return RankReport{}, err
-	}
-	defer obsDown()
-	res := RunMultigridWorld(w, p, mode)
-	rep := RankReport{
-		Rank:        tcfg.Rank,
-		Seconds:     res.Seconds,
-		Cycles:      res.Cycles,
-		RelRes:      res.RelRes,
-		History:     res.History,
-		Stats:       rw.tcp.Stats(),
-		Reliability: reliabilityOf(w),
-		ShmStats:    rw.shmStats(),
-	}
-	if err := obsFinish(w, tcfg.Rank, ob, &rep); err != nil {
-		return RankReport{}, err
-	}
-	return rep, nil
-}
-
-// SelfHealDaemon configures a rank daemon's self-healing additions.
-type SelfHealDaemon struct {
-	// CkptDir is the checkpoint directory every rank of the world shares
-	// (required): each checkpoint is one file there, written collectively
-	// by the aggregator ranks and restored by a data-sieving read of just
-	// the owned range, so it survives the death of any process.
-	CkptDir string
-	// CheckpointEvery is the V-cycle checkpoint period.  Default 1.
-	CheckpointEvery int
-	// RejoinEpoch marks this process as a replacement joining recovery
-	// number RejoinEpoch (the launcher's respawn count).
-	RejoinEpoch uint64
-	// AwaitTimeout bounds how long survivors wait for a replacement.
-	AwaitTimeout time.Duration
-	// OnCheckpoint and OnRecovered announce progress (the launcher's
-	// chaos controller keys its kill and MTTR clock off these).
-	OnCheckpoint func(iteration int)
-	OnRecovered  func(epoch uint64, restoredAt int)
-	// Aggregators and StripeBytes configure the checkpoint file layout
-	// (defaults: 2 aggregators, 256 KiB stripes).
-	Aggregators int
-	StripeBytes int64
-	// IOFaults, when non-empty, wraps this rank's filesystem in the
-	// fault-injecting ckptio.FaultFS — syntax as ckptio.ParseFaultPlan
-	// ("short=0.2,eio=0.1,fsync=0.1,enospc=65536,crash=12,seed=7").
-	IOFaults string
-}
-
-// RunMultigridSelfHealDaemon hosts one rank of the self-healing multigrid
-// solve over TCP: like RunMultigridDaemon, but checkpoints durably, rides
-// out peer failures through the epoch/rejoin recovery loop, and — when
-// launched with RejoinEpoch — comes up as a replacement that restores the
-// agreed checkpoint into the regrown world instead of starting over.
-func RunMultigridSelfHealDaemon(tcfg transport.TCPConfig, pl Placement, fp *simnet.FaultPlan, cfg mpi.Config, p MultigridParams, mode petsc.ScatterMode, ob DaemonObs, hd SelfHealDaemon) (RankReport, error) {
-	if hd.CkptDir == "" {
-		return RankReport{}, fmt.Errorf("self-healing needs a checkpoint directory")
-	}
-	rw, err := buildWire(tcfg, pl, fp)
-	if err != nil {
-		return RankReport{}, err
-	}
-	w, err := mpi.NewWorldTransport(rw.tr, rw.cl, cfg)
-	if err != nil {
-		rw.tr.Close()
-		return RankReport{}, err
-	}
-	defer w.Close()
-	obsDown, err := obsSetup(w, rw, tcfg.Rank, ob)
-	if err != nil {
-		return RankReport{}, err
-	}
-	defer obsDown()
-
-	var plan *ckptio.FaultPlan
-	if hd.IOFaults != "" {
-		plan, err = ckptio.ParseFaultPlan(hd.IOFaults)
+//
+// With hp.CkptDir set it heals: it checkpoints durably there, rides out
+// peer failures through SelfHealMultigrid's epoch/rejoin recovery loop,
+// and — launched with hp.RejoinEpoch — comes up as a replacement that
+// restores the agreed checkpoint into the regrown world instead of
+// starting over.
+func RunMultigridDaemon(tcfg transport.TCPConfig, pl Placement, fp *simnet.FaultPlan, cfg mpi.Config, p MultigridParams, mode petsc.ScatterMode, ob DaemonObs, hp HealParams) (RankReport, error) {
+	var store *ckptio.Store
+	if hp.CkptDir != "" {
+		plan, err := ckptio.ParseFaultPlan(hp.IOFaults)
+		if err != nil {
+			return RankReport{}, err
+		}
+		store, err = ckptio.NewStore(hp.CkptDir, nil, ckptio.Options{
+			StripeBytes: hp.StripeBytes,
+			Aggregators: hp.Aggregators,
+			Faults:      plan,
+			OnCommit:    hp.OnCheckpoint,
+		})
 		if err != nil {
 			return RankReport{}, err
 		}
 	}
-
-	store, err := ckptio.NewStore(hd.CkptDir, nil, ckptio.Options{
-		StripeBytes: hd.StripeBytes,
-		Aggregators: hd.Aggregators,
-		Faults:      plan,
-		OnCommit:    hd.OnCheckpoint,
-	})
+	rw, err := buildWire(tcfg, pl, fp)
 	if err != nil {
 		return RankReport{}, err
 	}
+	w, err := mpi.NewWorldTransport(rw.tr, rw.cl, cfg)
+	if err != nil {
+		rw.tr.Close()
+		return RankReport{}, err
+	}
+	defer w.Close()
+	obsDown, err := obsSetup(w, rw, tcfg.Rank, ob)
+	if err != nil {
+		return RankReport{}, err
+	}
+	defer obsDown()
 
-	var res SelfHealResult
-	wall0 := time.Now()
-	err = w.Run(func(c *mpi.Comm) error {
-		r, herr := SelfHealMultigrid(c, p, mode, store, HealParams{
-			CheckpointEvery: hd.CheckpointEvery,
-			RejoinEpoch:     hd.RejoinEpoch,
-			AwaitTimeout:    hd.AwaitTimeout,
-			OnRecovered:     hd.OnRecovered,
+	rep := RankReport{Rank: tcfg.Rank}
+	if store == nil {
+		res := RunMultigridWorld(w, p, mode)
+		rep.Seconds = res.Seconds
+		rep.SelfHealResult = SelfHealResult{Cycles: res.Cycles, RelRes: res.RelRes, History: res.History}
+	} else {
+		wall0 := time.Now()
+		err = w.Run(func(c *mpi.Comm) (err error) {
+			rep.SelfHealResult, err = SelfHealMultigrid(c, p, mode, store, hp)
+			return err
 		})
-		if herr != nil {
-			return herr
+		if err != nil {
+			return RankReport{}, err
 		}
-		res = r
-		return nil
-	})
-	if err != nil {
-		return RankReport{}, err
+		rep.Seconds = time.Since(wall0).Seconds()
 	}
-	rep := RankReport{
-		Rank:        tcfg.Rank,
-		Seconds:     time.Since(wall0).Seconds(),
-		Cycles:      res.Cycles,
-		RelRes:      res.RelRes,
-		History:     res.History,
-		Stats:       rw.tcp.Stats(),
-		Reliability: reliabilityOf(w),
-		ShmStats:    rw.shmStats(),
-		Epoch:       res.Epoch,
-		RestoredAt:  res.RestoredAt,
-		Recoveries:  res.Recoveries,
-		FinalSize:   res.FinalSize,
-		Healed:      res.Healed,
+	rep.Stats = rw.tcp.Stats()
+	rep.Reliability = reliabilityOf(w)
+	rep.ShmStats = rw.shmStats()
+	if ob.TracePath != "" {
+		if err := obs.WriteChromeTraceFile(ob.TracePath, w.Tracer().Spans(), tcfg.Rank); err != nil {
+			return RankReport{}, fmt.Errorf("writing trace: %w", err)
+		}
+		rep.Trace = ob.TracePath
 	}
-	if err := obsFinish(w, tcfg.Rank, ob, &rep); err != nil {
-		return RankReport{}, err
+	if ob.SpansPath != "" {
+		if err := obs.WriteSpansFile(ob.SpansPath, w.Tracer()); err != nil {
+			return RankReport{}, fmt.Errorf("writing spans: %w", err)
+		}
 	}
 	return rep, nil
 }

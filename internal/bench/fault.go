@@ -84,8 +84,8 @@ type FaultedMultigridResult struct {
 	CleanCycles  int     // V-cycles of the reference (fault-free) solve
 	CleanSeconds float64 // virtual time of the reference solve
 	CrashAt      float64 // virtual time the crash was scheduled at
-	CheckpointAt int     // V-cycle the restored checkpoint was taken at
-	Survivors    int     // communicator size after Shrink
+	CheckpointAt int     // V-cycle the restored checkpoint was taken at; 0 = restarted from scratch
+	Survivors    int     // communicator size after Shrink; the world size when the crash fell after convergence
 	CyclesAfter  int     // V-cycles the restarted solve needed
 	RelRes       float64 // final residual relative to the original r0
 	Seconds      float64 // virtual time of the faulted run, recovery included
@@ -101,34 +101,26 @@ func recoverable(err error) bool {
 
 // RunMultigridFaulted runs the Section 5.5 multigrid solve (Figure 17's
 // workload) with a rank crash injected at crashFrac of the clean solve's
-// virtual duration, and drives the full recovery loop: survivors catch the
-// typed failure, revoke the communicator so no rank stays blocked, agree on
-// the survivor set via Shrink, rebuild the solver hierarchy on the shrunk
-// communicator's re-decomposition, rebind the checkpoint store to that
-// decomposition's file view, restore the newest checkpoint every survivor
-// can read, and iterate to the original tolerance.
-func RunMultigridFaulted(n int, p MultigridParams, crashRank int, crashFrac float64) FaultedMultigridResult {
+// virtual duration, and drives the shrink recovery loop: the failure
+// unwinds through MultigridRank, which revokes the solver's communicators
+// so no rank stays blocked; the survivors agree on their set via Shrink and
+// resume on the shrunk communicator (MultigridRank's Resume: a fresh
+// hierarchy on the re-decomposition, the store rebound to its file view,
+// the newest checkpoint every survivor can read restored, or cycle 0 when
+// the crash came before the first one) and iterate to the original
+// tolerance.
+func RunMultigridFaulted(n int, p MultigridParams, crashRank int, crashFrac float64) (FaultedMultigridResult, error) {
 	var res FaultedMultigridResult
 
 	// Clean reference: calibrates the crash time and the expected result.
 	w := NewFaultyWorld(n, mpi.Optimized(), nil)
-	err := w.Run(func(c *mpi.Comm) error {
-		s, b, x := mgSetup(c, p, petsc.ScatterDatatype)
-		cycles, _ := s.Solve(b, x, p.Rtol, p.MaxCycles)
-		if c.Rank() == 0 {
-			res.CleanCycles = cycles
-		}
-		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
+	res.CleanCycles = RunMultigridWorld(w, p, petsc.ScatterDatatype).Cycles
 	res.CleanSeconds = w.MaxClock()
 	res.CrashAt = crashFrac * res.CleanSeconds
 
 	dir, err := os.MkdirTemp("", "nccd-faulted-ckpt-*")
 	if err != nil {
-		panic(err)
+		return res, err
 	}
 	defer os.RemoveAll(dir)
 	fw := NewFaultyWorld(n, mpi.Optimized(), &simnet.FaultPlan{
@@ -139,62 +131,43 @@ func RunMultigridFaulted(n int, p MultigridParams, crashRank int, crashFrac floa
 		if err != nil {
 			return err
 		}
+		record := func(cc *mpi.Comm, r MultigridResult) {
+			if cc.Rank() == 0 {
+				res.CheckpointAt = r.Restored
+				res.Survivors = cc.Size()
+				res.CyclesAfter = r.Cycles
+				res.RelRes = r.RelRes
+				res.Recovered = r.RelRes <= p.Rtol
+			}
+		}
 		// First attempt, checkpointing every cycle.  The crashed rank never
 		// returns from this (its goroutine dies); survivors get a typed
 		// error out of Guard.
-		werr := mpi.Guard(func() error {
-			s, b, x := mgSetup(c, p, petsc.ScatterDatatype)
-			bindStore(s, store, 1)
-			cycles, relres := s.Solve(b, x, p.Rtol, p.MaxCycles)
-			if c.Rank() == 0 {
-				res.CyclesAfter, res.RelRes = cycles, relres
-				res.Survivors, res.Recovered = n, true
-			}
-			return nil
+		var r MultigridResult
+		werr := mpi.Guard(func() (err error) {
+			r, err = MultigridRank(c, p, petsc.ScatterDatatype, MultigridRankOptions{Store: store, CheckpointEvery: 1})
+			return err
 		})
 		if werr == nil {
-			return nil // crash fell after convergence; nothing to recover
+			record(c, r) // crash fell after convergence; nothing to recover
+			return nil
 		}
 		if !recoverable(werr) {
 			return werr
 		}
-
-		// Recovery: revoke (so survivors blocked on us fail over promptly),
-		// shrink, re-decompose, restore, resume.
-		c.Revoke()
-		nc, serr := c.Shrink()
-		if serr != nil {
-			return serr
+		nc, err := c.Shrink()
+		if err != nil {
+			return err
 		}
-		return mpi.Guard(func() error {
-			s, b, x := mgSetup(nc, p, petsc.ScatterDatatype)
-			bindStore(s, store, 0)
-			// A survivor may have entered recovery before rank 0 published
-			// the last commit record, so the survivors agree on the cycle.
-			base := agreeRestoreBase(nc, store, p.MaxCycles)
-			if base == 0 {
-				return fmt.Errorf("no usable checkpoint at crash time")
-			}
-			_, r0, rerr := s.RestoreAt(base, x)
-			if rerr != nil {
-				return rerr
-			}
-			// Resuming against the original r0 keeps rtol meaning what it
-			// meant before the crash.
-			cycles, relres := s.SolveFrom(b, x, p.Rtol, p.MaxCycles, base, r0)
-			if nc.Rank() == 0 {
-				res.CheckpointAt = base
-				res.Survivors = nc.Size()
-				res.CyclesAfter = cycles
-				res.RelRes = relres
-				res.Recovered = relres <= p.Rtol
-			}
-			return nil
-		})
+		// Resuming against the original r0 keeps rtol meaning what it meant
+		// before the crash.
+		r, err = MultigridRank(nc, p, petsc.ScatterDatatype, MultigridRankOptions{Store: store, Resume: true})
+		record(nc, r)
+		return err
 	})
 	if err != nil {
-		panic(err)
+		return res, err
 	}
 	res.Seconds = fw.MaxClock()
-	return res
+	return res, nil
 }

@@ -152,7 +152,8 @@ func TraceMultigrid(n int, p MultigridParams, arm core.Arm, outPath string) (Mul
 // The zero value runs the plain Fig17 body.
 type MultigridRankOptions struct {
 	// OnCycle, when non-nil, is mg.Solver.OnCycle: called before every
-	// V-cycle; a non-nil error stops the solve (and is returned).
+	// V-cycle with the absolute cycle number (a resumed solve's first is
+	// Restored+1); a non-nil error stops the solve (and is returned).
 	OnCycle func(cycle int) error
 	// Store, with CheckpointEvery > 0, takes a collective checkpoint every
 	// CheckpointEvery cycles.  MultigridRank binds it to the solver's
@@ -161,16 +162,16 @@ type MultigridRankOptions struct {
 	CheckpointEvery int
 	// Resume agrees on the newest checkpoint every rank can restore from
 	// Store (a damaged stripe drops a checkpoint out on just the ranks
-	// whose view touches it) and resumes the solve from it.  With no
-	// common checkpoint the solve starts fresh.
+	// whose view touches it), protects it from retention and resumes the
+	// solve from it.  With no common checkpoint the solve starts fresh.
 	Resume bool
 }
 
 // mgSetup builds the solver and the paper's separable forcing on comm cc:
 // the paper's data grid varies the coordinates uniformly across the grid
-// in each dimension.  Every multigrid run in this package starts here, so
-// a service job's residual history is bitwise comparable to a standalone
-// in-process reference run of the same problem at the same size.
+// in each dimension.  Only MultigridRank calls it, so a service job's,
+// a recovered solve's and a figure's residual histories are bitwise
+// comparable at the same problem and size.
 func mgSetup(cc *mpi.Comm, p MultigridParams, mode petsc.ScatterMode) (*mg.Solver, *petsc.Vec, *petsc.Vec) {
 	s := mg.NewAgglomerated(cc, []int{p.Extent, p.Extent, p.Extent}, p.Levels, mode, p.AgglomerateCells)
 	if p.Chebyshev {
@@ -206,9 +207,27 @@ func bindStore(s *mg.Solver, st *ckptio.Store, every int) {
 
 // MultigridRank is the per-rank body of the Fig17 application: the 3-D
 // Laplacian on an Extent^3 grid with separable forcing, solved by
-// multigrid.  Collective over c; comm failures surface as the mpi layer's
-// panics (wrap the caller in mpi.Guard).
+// multigrid.  It is the one place a multigrid solve is built, restored and
+// run: the figures, the service, the shrink and regrow recovery loops and
+// the daemons all call it.  Collective over c; comm failures surface as the
+// mpi layer's panics (wrap the caller in mpi.Guard), and on the way out
+// they revoke every communicator the solver holds, so peers still parked
+// in a collective on them fail over too.
 func MultigridRank(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, opts MultigridRankOptions) (MultigridResult, error) {
+	var s *mg.Solver
+	defer func() {
+		if e := recover(); e != nil {
+			// Guard re-raises what is not a comm failure: an injected
+			// crash's rank is dead and revokes nothing.
+			_ = mpi.Guard(func() error { panic(e) })
+			if s != nil {
+				s.RevokeComms()
+			} else {
+				c.Revoke()
+			}
+			panic(e)
+		}
+	}()
 	s, b, x := mgSetup(c, p, mode)
 	var hookErr error
 	if opts.OnCycle != nil {
@@ -226,6 +245,7 @@ func MultigridRank(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, opts 
 		bindStore(s, opts.Store, opts.CheckpointEvery)
 		if opts.Resume {
 			if base = agreeRestoreBase(c, opts.Store, p.MaxCycles); base > 0 {
+				opts.Store.Protect(base)
 				var err error
 				if _, r0, err = s.RestoreAt(base, x); err != nil {
 					return MultigridResult{}, fmt.Errorf("bench: agreed restore iteration %d: %w", base, err)
@@ -265,9 +285,8 @@ func MultigridRank(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, opts 
 // can restore from st, or 0 (start fresh) when there is none: one
 // Allreduce(max) over a "lack" vector — entry i is 1 when this rank cannot
 // produce cycle i — whose highest all-zero entry wins.  Cycles never
-// exceed maxCycles, so the vector covers them all.  The service's resume,
-// the shrink recovery and the self-healing loop all pick their restore
-// point here.
+// exceed maxCycles, so the vector covers them all.  MultigridRank's
+// resume, and so every recovery path, picks its restore point here.
 func agreeRestoreBase(c *mpi.Comm, st *ckptio.Store, maxCycles int) int {
 	lack := make([]float64, maxCycles+1)
 	for i := 1; i < len(lack); i++ {

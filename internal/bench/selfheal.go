@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"nccd/internal/ckptio"
-	"nccd/internal/mg"
 	"nccd/internal/mpi"
 	"nccd/internal/petsc"
 	"nccd/internal/simnet"
@@ -20,8 +19,15 @@ import (
 // epochs — and this file provides the policy: which checkpoint to resume
 // from and when to give up.
 
-// HealParams configures a self-healing solve.
+// HealParams configures a self-healing solve: SelfHealMultigrid's loop and,
+// for RunMultigridDaemon, the checkpoint store it opens.
 type HealParams struct {
+	// CkptDir is the checkpoint directory every rank of the world shares.
+	// RunMultigridDaemon heals only when it is set: each checkpoint is one
+	// file there, written collectively by the aggregator ranks and
+	// restored by a data-sieving read of just the owned range, so it
+	// survives the death of any process.
+	CkptDir string
 	// CheckpointEvery is the V-cycle checkpoint period.  Default 1.
 	CheckpointEvery int
 	// MaxRecoveries bounds how many failures the loop rides out before
@@ -32,42 +38,55 @@ type HealParams struct {
 	AwaitTimeout time.Duration
 	// RejoinEpoch, when nonzero, marks this rank as a replacement: it
 	// skips the initial solve attempt and joins recovery number
-	// RejoinEpoch directly.  Survivors derive the same epoch by counting
-	// their own failures, so no epoch negotiation is needed.
+	// RejoinEpoch directly (the launcher's respawn count).  Survivors
+	// derive the same epoch by counting their own failures, so no epoch
+	// negotiation is needed.
 	RejoinEpoch uint64
-	// OnRecovered, when non-nil, is called after each committed recovery
-	// with the new epoch and the agreed restore iteration (MTTR probes).
-	OnRecovered func(epoch uint64, restoredAt int)
+	// OnCheckpoint and OnRecovered announce progress (the launcher's chaos
+	// controller keys its kill and MTTR clock off these): OnCheckpoint
+	// after each durable checkpoint, OnRecovered before the first cycle a
+	// recovered attempt runs, with the new epoch and the agreed restore
+	// iteration.
+	OnCheckpoint func(iteration int)
+	OnRecovered  func(epoch uint64, restoredAt int)
+	// Aggregators and StripeBytes configure the checkpoint file layout
+	// (defaults: 2 aggregators, 256 KiB stripes).
+	Aggregators int
+	StripeBytes int64
+	// IOFaults, when non-empty, wraps this rank's filesystem in the
+	// fault-injecting ckptio.FaultFS — syntax as ckptio.ParseFaultPlan
+	// ("short=0.2,eio=0.1,fsync=0.1,enospc=65536,crash=12,seed=7").
+	IOFaults string
 }
 
-// SelfHealResult is one rank's outcome of a self-healing solve.
+// SelfHealResult is one rank's outcome of a self-healing solve.  A
+// RankReport embeds it, so the tags are the daemon's RESULT line keys.
 type SelfHealResult struct {
-	Cycles  int       // total V-cycles, pre-crash checkpoint included
-	RelRes  float64   // final relative residual (original r0)
-	History []float64 // residual history of the final (resumed) attempt
+	Cycles  int       `json:"cycles"`  // total V-cycles, pre-crash checkpoint included
+	RelRes  float64   `json:"relres"`  // final relative residual (original r0)
+	History []float64 `json:"history"` // residual history of the final (resumed) attempt
 	// RestoredAt is the checkpoint iteration the final attempt resumed
 	// from: -1 = never interrupted, 0 = restarted from scratch.
-	RestoredAt int
-	Epoch      uint64 // committed membership epoch at completion
-	Recoveries int    // failures ridden out
-	FinalSize  int    // communicator size at completion (== world size)
-	Healed     bool
+	RestoredAt int    `json:"restored_at,omitempty"`
+	Epoch      uint64 `json:"epoch,omitempty"`      // committed membership epoch at completion
+	Recoveries int    `json:"recoveries,omitempty"` // failures ridden out
+	FinalSize  int    `json:"final_size,omitempty"` // communicator size at completion (== world size)
+	Healed     bool   `json:"healed,omitempty"`
 }
 
 // SelfHealMultigrid runs the multigrid solve with full self-healing, from
-// inside a World.Run body.  Survivors solve until a failure surfaces as a
-// typed error, revoke the broken communicators, and enter Restore with the
-// next epoch; a replacement rank (RejoinEpoch > 0) enters Restore
-// immediately.  Every party leaves Restore holding the full-size
-// communicator, on which it agrees on the newest checkpoint every rank can
-// restore (agreeRestoreBase, inside the attempt's Guard, so a failure
-// during the agreement is one more recovery); the solve then resumes from
-// that checkpoint with the original r0, making the resumed residual
-// history bitwise-comparable to a fault-free run.
+// inside a World.Run body.  Each attempt is one MultigridRank call; a
+// failure unwinds through it, revoking the broken communicators, and the
+// survivors enter Restore with the next epoch.  A replacement rank
+// (RejoinEpoch > 0) enters Restore immediately.  Every party leaves Restore
+// holding the full-size communicator, on which the next attempt resumes
+// (MultigridRank's Resume: agree on the newest checkpoint every rank can
+// restore, protect it, restore it, continue with the original r0), making
+// the resumed residual history bitwise-comparable to a fault-free run.  A
+// failure during the agreement is one more recovery.
 //
-// Each attempt binds store to its own communicator and finest-level file
-// view; each recovery stamps the committed epoch into it and protects the
-// agreed restore point from retention.
+// Each recovery stamps the committed epoch into store, so a resumed run's
+// lower iteration numbers sort after the stale incarnation's.
 func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, store *ckptio.Store, hp HealParams) (SelfHealResult, error) {
 	res := SelfHealResult{RestoredAt: -1}
 	maxRec := hp.MaxRecoveries
@@ -86,43 +105,29 @@ func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, s
 	cc := c
 	epoch := hp.RejoinEpoch
 	rejoining := hp.RejoinEpoch > 0
-	var s *mg.Solver
 	for {
 		if !rejoining {
+			recovered := res.Recoveries > 0
 			werr := mpi.Guard(func() error {
-				var b, x *petsc.Vec
-				s, b, x = mgSetup(cc, p, mode)
-				bindStore(s, store, every)
-				base := 0 // restore iteration; 0 = from scratch
+				store.SetEpoch(epoch)
+				r, err := MultigridRank(cc, p, mode, MultigridRankOptions{
+					Store: store, CheckpointEvery: every, Resume: recovered,
+					OnCycle: func(cycle int) error {
+						if recovered && hp.OnRecovered != nil {
+							hp.OnRecovered(epoch, cycle-1)
+						}
+						recovered = false
+						return nil
+					}})
+				if err != nil {
+					return err
+				}
 				if res.Recoveries > 0 {
-					base = agreeRestoreBase(cc, store, p.MaxCycles)
-					// Stamp the committed epoch into the store (so a resumed
-					// run's lower iteration numbers sort after the stale
-					// incarnation's) and pin the agreed restore point against
-					// retention.
-					store.SetEpoch(epoch)
-					if base > 0 {
-						store.Protect(base)
-					}
-					res.RestoredAt = base
-					if hp.OnRecovered != nil {
-						hp.OnRecovered(epoch, base)
-					}
+					res.RestoredAt = r.Restored
 				}
-				var cycles int
-				var relres float64
-				if base > 0 {
-					_, r0, err := s.RestoreAt(base, x)
-					if err != nil {
-						return fmt.Errorf("bench: checkpoint %d agreed available: %w", base, err)
-					}
-					cycles, relres = s.SolveFrom(b, x, p.Rtol, p.MaxCycles-base, base, r0)
-				} else {
-					cycles, relres = s.Solve(b, x, p.Rtol, p.MaxCycles)
-				}
-				res.Cycles = base + cycles
-				res.RelRes = relres
-				res.History = append([]float64(nil), s.History...)
+				res.Cycles = r.Restored + r.Cycles
+				res.RelRes = r.RelRes
+				res.History = r.History
 				return nil
 			})
 			if werr == nil {
@@ -136,11 +141,6 @@ func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, s
 			}
 			fmt.Fprintf(os.Stderr, "selfheal: rank %d entering recovery %d: %v\n",
 				cc.Rank(), epoch+1, werr)
-			// Survivor: wake every rank still parked in the broken
-			// pattern, then meet the replacement in Restore.
-			if s != nil {
-				s.RevokeComms()
-			}
 			epoch++
 		}
 		rejoining = false
@@ -189,18 +189,8 @@ func RunMultigridSelfHeal(n int, p MultigridParams, crashRank int, crashFrac flo
 	defer os.RemoveAll(dir)
 
 	w := NewFaultyWorld(n, mpi.Optimized(), nil)
-	err = w.Run(func(c *mpi.Comm) error {
-		s, b, x := mgSetup(c, p, petsc.ScatterDatatype)
-		cycles, _ := s.Solve(b, x, p.Rtol, p.MaxCycles)
-		if c.Rank() == 0 {
-			out.CleanCycles = cycles
-			out.CleanHistory = append([]float64(nil), s.History...)
-		}
-		return nil
-	})
-	if err != nil {
-		return out, err
-	}
+	clean := RunMultigridWorld(w, p, petsc.ScatterDatatype)
+	out.CleanCycles, out.CleanHistory = clean.Cycles, clean.History
 
 	plan := &simnet.FaultPlan{CrashAt: map[int]float64{crashRank: crashFrac * w.MaxClock()}}
 	if fp != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"nccd/internal/ckptio"
+	"nccd/internal/mg"
 	"nccd/internal/mpi"
 	"nccd/internal/petsc"
 	"nccd/internal/simnet"
@@ -16,32 +17,38 @@ import (
 // of a 4-rank multigrid solve is killed mid-solve; the supervisor respawns
 // it, the world regrows to full size through an epoch-bumped Restore, and
 // the resumed solve reproduces the fault-free run's residual history bitwise
-// from the restored cycle on.
+// from the restored cycle on.  The second row keeps the coarsest level on a
+// two-rank sub-communicator, which the unwinding solve revokes too.
 func TestSelfHealMultigrid(t *testing.T) {
-	p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 20}
-	run, err := RunMultigridSelfHeal(4, p, 2, 0.5, nil, ckptio.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Respawns != 1 {
-		t.Fatalf("respawns = %d, want 1", run.Respawns)
-	}
-	res := run.Result
-	if !res.Healed || res.Recoveries != 1 || res.Epoch != 1 {
-		t.Fatalf("healed=%v recoveries=%d epoch=%d", res.Healed, res.Recoveries, res.Epoch)
-	}
-	if res.FinalSize != 4 {
-		t.Fatalf("final size %d, want full 4", res.FinalSize)
-	}
-	if res.RestoredAt <= 0 {
-		t.Fatalf("restored at %d, want a mid-solve checkpoint", res.RestoredAt)
-	}
-	if !run.HistoryMatches {
-		t.Fatalf("resumed history diverged from the fault-free run\nclean: %v\nresumed from %d: %v",
-			run.CleanHistory, res.RestoredAt, res.History)
-	}
-	if run.MTTRSeconds <= 0 {
-		t.Fatalf("MTTR not measured: %v", run.MTTRSeconds)
+	for _, agg := range []int{0, 256} {
+		p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 20, AgglomerateCells: agg}
+		if agg > 0 && mg.LevelRanks(4, 8*8*8, true, agg) != 2 {
+			t.Fatalf("agglomerate %d: coarsest level not on two ranks", agg)
+		}
+		run, err := RunMultigridSelfHeal(4, p, 2, 0.5, nil, ckptio.Options{})
+		if err != nil {
+			t.Fatalf("agglomerate %d: %v", agg, err)
+		}
+		if run.Respawns != 1 {
+			t.Fatalf("agglomerate %d: respawns = %d, want 1", agg, run.Respawns)
+		}
+		res := run.Result
+		if !res.Healed || res.Recoveries != 1 || res.Epoch != 1 {
+			t.Fatalf("agglomerate %d: healed=%v recoveries=%d epoch=%d", agg, res.Healed, res.Recoveries, res.Epoch)
+		}
+		if res.FinalSize != 4 {
+			t.Fatalf("agglomerate %d: final size %d, want full 4", agg, res.FinalSize)
+		}
+		if res.RestoredAt <= 0 {
+			t.Fatalf("agglomerate %d: restored at %d, want a mid-solve checkpoint", agg, res.RestoredAt)
+		}
+		if !run.HistoryMatches {
+			t.Fatalf("agglomerate %d: resumed history diverged from the fault-free run\nclean: %v\nresumed from %d: %v",
+				agg, run.CleanHistory, res.RestoredAt, res.History)
+		}
+		if run.MTTRSeconds <= 0 {
+			t.Fatalf("agglomerate %d: MTTR not measured: %v", agg, run.MTTRSeconds)
+		}
 	}
 }
 
