@@ -34,22 +34,15 @@ func coarseCells(s *Solver) int { return s.DA(1).OwnedCount() }
 // BenchmarkStencil times the stencil pass alone (one rank has no ghost cell
 // to receive, so every source row is x's own): apply is the form behind
 // Solver.Apply, jacobi one smoother sweep, and update the first sweep of a
-// smoothing pass whose residual is known, which evaluates no stencil.
+// smoothing pass whose residual is known, which evaluates no stencil.  apply
+// and jacobi run the inner cells as the build dispatches them (the lane
+// kernel where the CPU has it); apply/go and jacobi/go run them through the
+// Go loop alone, so one run prints both kernels' ns/cell.
 func BenchmarkStencil(b *testing.B) {
-	b.Run("apply", func(b *testing.B) {
-		benchKernel(b, fineCells,
-			func(s *Solver) int { return 8 * 2 * fineCells(s) },
-			func(s *Solver, x, _, out, _ *petsc.Vec) {
-				s.stencil(s.levels[0], formApply, x.Array(), out.Array(), nil, 0)
-			})
-	})
-	b.Run("jacobi", func(b *testing.B) {
-		benchKernel(b, fineCells,
-			func(s *Solver) int { return 8 * 3 * fineCells(s) },
-			func(s *Solver, x, rhs, out, _ *petsc.Vec) {
-				s.stencil(s.levels[0], formJacobi, x.Array(), out.Array(), rhs.Array(), omega)
-			})
-	})
+	b.Run("apply", func(b *testing.B) { benchStencil(b, formApply, 2, false) })
+	b.Run("apply/go", func(b *testing.B) { benchStencil(b, formApply, 2, true) })
+	b.Run("jacobi", func(b *testing.B) { benchStencil(b, formJacobi, 3, false) })
+	b.Run("jacobi/go", func(b *testing.B) { benchStencil(b, formJacobi, 3, true) })
 	b.Run("update", func(b *testing.B) {
 		benchKernel(b, fineCells,
 			func(s *Solver) int { return 8 * 3 * fineCells(s) },
@@ -57,6 +50,21 @@ func BenchmarkStencil(b *testing.B) {
 				s.update(s.levels[0], x.Array(), rhs.Array(), out.Array(), omega)
 			})
 	})
+}
+
+// benchStencil times one stencil pass of form over the finest level, which
+// reads or writes the given number of whole vectors, with the inner cells
+// run through the Go loop alone where goOnly is set.
+func benchStencil(b *testing.B, form stencilForm, vectors int, goOnly bool) {
+	if goOnly {
+		defer func(was bool) { useLanes = was }(useLanes)
+		useLanes = false
+	}
+	benchKernel(b, fineCells,
+		func(s *Solver) int { return 8 * vectors * fineCells(s) },
+		func(s *Solver, x, rhs, out, _ *petsc.Vec) {
+			s.stencil(s.levels[0], form, x.Array(), out.Array(), rhs.Array(), omega)
+		})
 }
 
 // BenchmarkApply times Solver.Apply as the coarse solve's conjugate gradients

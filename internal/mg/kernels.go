@@ -284,8 +284,26 @@ func (g *stencilGeom) side(d, coord int, acc, diag, u, lo, hi float64) (float64,
 // have both x-neighbours inside the domain.  cr is the cells' own row from the
 // first cell's west neighbour on; ym, yp, zm and zp are the four neighbouring
 // rows from the first cell on, each wherever it lies (see rowSrc).  cu and w
-// are the row's faceCoef coefficients and ω/diag.
+// are the row's faceCoef coefficients and ω/diag.  Where the CPU runs the lane
+// kernel (useLanes), it takes the first m − m mod 4 cells, four a step, and
+// interiorCellsGo the rest; the two write the same bits (DESIGN §18
+// "Cross-cell lanes").
 func interiorCells(form stencilForm, y, b []float64, o, m int, cr, ym, yp, zm, zp []float64, inv, cu *[3]float64, w float64) {
+	if n := m &^ 3; useLanes && n > 0 {
+		var bn []float64
+		if form != formApply {
+			bn = b[o:][:n]
+		}
+		interiorLanes(form, y[o:][:n], bn, cr[:n+2], ym[:n], yp[:n], zm[:n], zp[:n], inv, cu, w)
+		o, m = o+n, m-n
+		cr, ym, yp, zm, zp = cr[n:], ym[n:], yp[n:], zm[n:], zp[n:]
+	}
+	interiorCellsGo(form, y, b, o, m, cr, ym, yp, zm, zp, inv, cu, w)
+}
+
+// interiorCellsGo is interiorCells one cell at a time, in Go: the whole row
+// where there is no lane kernel, and the last m mod 4 cells where there is.
+func interiorCellsGo(form stencilForm, y, b []float64, o, m int, cr, ym, yp, zm, zp []float64, inv, cu *[3]float64, w float64) {
 	xm, u, xp := cr[:m], cr[1:m+1], cr[2:m+2]
 	ym, yp, zm, zp = ym[:m], yp[:m], zm[:m], zp[:m]
 	y = y[o:][:m]
