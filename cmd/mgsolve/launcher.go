@@ -84,7 +84,6 @@ type launchConfig struct {
 	ckptDir   string
 	ckptEvery int
 	hb        time.Duration
-	hbMiss    int
 
 	// Checkpoint file layout and injected I/O faults.
 	aggr    int
@@ -463,7 +462,7 @@ func runDaemon(fl *fleet, rank int, lc launchConfig, extra []string, onLine func
 		args = append(args, "-ckpt", lc.ckptDir, "-ckptevery", fmt.Sprint(lc.ckptEvery),
 			"-aggr", fmt.Sprint(lc.aggr), "-stripe", fmt.Sprint(lc.stripe))
 		if lc.hb > 0 {
-			args = append(args, "-hb", lc.hb.String(), "-hbmiss", fmt.Sprint(lc.hbMiss))
+			args = append(args, "-hb", lc.hb.String())
 		}
 		if lc.ioFault != "" {
 			args = append(args, "-iofault", lc.ioFault)

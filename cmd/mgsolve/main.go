@@ -66,12 +66,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	killRank := fs.Int("killrank", 2, "the rank -chaos kills")
 	ckptDir := fs.String("ckpt", "", "shared durable checkpoint directory for -selfheal runs (default: a fresh temp dir)")
 	ckptEvery := fs.Int("ckptevery", 1, "checkpoint period in V-cycles for -selfheal runs")
-	// 25 ms × 3 misses × the detector's 3× hard-fail factor gives a 225 ms
-	// failure window: wide enough that a scheduler stall on a loaded host
-	// (observed at ~100-150 ms with four local daemons) does not read as a
-	// mass failure, yet still a small fraction of any solve's runtime.
+	// 25 ms × the detectors' 9-interval hard-failure threshold gives a
+	// 225 ms failure window: wide enough that a scheduler stall on a loaded
+	// host (observed at ~100-150 ms with four local daemons) does not read
+	// as a mass failure, yet still a small fraction of any solve's runtime.
 	hb := fs.Duration("hb", 25*time.Millisecond, "heartbeat interval for -selfheal failure detection (0 = rely on connection loss only)")
-	hbMiss := fs.Int("hbmiss", 3, "missed heartbeat intervals before a peer is suspected")
 	aggr := fs.Int("aggr", 2, "checkpoint aggregator rank count for -selfheal runs")
 	stripe := fs.Int64("stripe", 256<<10, "checkpoint file stripe size in bytes for -selfheal runs")
 	ioFault := fs.String("iofault", "", "checkpoint I/O fault spec forwarded to every daemon, e.g. short=0.2,eio=0.1,fsync=0.1,enospc=65536,seed=7")
@@ -123,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			drop: *drop, corrupt: *corrupt, dup: *dup, delayMean: *delayMean,
 			seed: *seed, skipVerify: *noVerify, trace: *trace, analyze: *analyzeFlag,
 			selfheal: *selfheal || *chaos, chaos: *chaos, killRank: *killRank,
-			ckptDir: *ckptDir, ckptEvery: *ckptEvery, hb: *hb, hbMiss: *hbMiss,
+			ckptDir: *ckptDir, ckptEvery: *ckptEvery, hb: *hb,
 			aggr: *aggr, stripe: *stripe, ioFault: *ioFault,
 		})
 	case *trace != "" || *analyzeFlag:

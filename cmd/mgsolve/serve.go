@@ -221,7 +221,7 @@ func runServeStress(sc serveStressConfig) int {
 	}
 
 	spawn := func(r int, extra ...string) (*daemonProc, error) {
-		args := append([]string{"-serve", "127.0.0.1:0", "-ckpt", ckptDir, "-ckptevery", "2", "-hb", "25ms", "-hbmiss", "3"}, extra...)
+		args := append([]string{"-serve", "127.0.0.1:0", "-ckpt", ckptDir, "-ckptevery", "2", "-hb", "25ms"}, extra...)
 		return fl.spawn(r, args, func(line string) { onLine(r, line) })
 	}
 	fmt.Printf("spawning %d nccdd -serve daemons over TCP localhost\n", sc.n)

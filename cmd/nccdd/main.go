@@ -99,8 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ckptEvery := fs.Int("ckptevery", 1, "checkpoint period in V-cycles with -ckpt")
 	rejoin := fs.Bool("rejoin", false, "this process replaces a failed rank: dial the whole surviving mesh and restore from checkpoint (needs -ckpt outside -serve)")
 	epoch := fs.Uint64("epoch", 0, "membership epoch a -rejoin replacement joins at (the launcher's respawn count)")
-	hb := fs.Duration("hb", 0, "heartbeat interval for the failure detector (0 = disabled; hung-peer detection then relies on connection loss)")
-	hbMiss := fs.Int("hbmiss", 3, "missed heartbeat intervals before a peer is suspected")
+	hb := fs.Duration("hb", 0, "heartbeat interval for the failure detector: a peer silent 3 intervals is suspected, 9 declared down (0 = disabled; hung-peer detection then relies on connection loss)")
 	aggr := fs.Int("aggr", 2, "checkpoint aggregator rank count")
 	stripe := fs.Int64("stripe", 256<<10, "checkpoint file stripe size in bytes")
 	ioFault := fs.String("iofault", "", "inject checkpoint I/O faults, e.g. short=0.2,eio=0.1,fsync=0.1,enospc=65536,crash=12,seed=7")
@@ -146,8 +145,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	tcfg := transport.TCPConfig{Rank: *rank, Size: *n, WorldID: *worldID, Addrs: addrs,
-		Heartbeat: transport.HeartbeatConfig{Interval: *hb, Miss: *hbMiss},
-		Epoch:     *epoch, Rejoin: *rejoin}
+		Heartbeat: *hb, Epoch: *epoch, Rejoin: *rejoin}
 	p := bench.MultigridParams{Extent: *extent, Levels: *levels, Rtol: *rtol, MaxCycles: *maxCycles}
 	if *dash && *metrics == "" {
 		*metrics = "127.0.0.1:0"

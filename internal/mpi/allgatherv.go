@@ -142,7 +142,7 @@ func (c *Comm) allgathervAlgo(counts []int, total int) (AllgathervAlgo, bool) {
 	case AGDissemination:
 		return AGDissemination, false
 	case AGAuto:
-		if total >= cfg.RingThresholdBytes {
+		if total >= ringThresholdBytes {
 			return AGRing, false
 		}
 		return short(), false
@@ -154,7 +154,7 @@ func (c *Comm) allgathervAlgo(counts []int, total int) (AllgathervAlgo, bool) {
 		if kselect.IsNonuniform(vols, cfg.Outlier) {
 			return short(), true
 		}
-		if total >= cfg.RingThresholdBytes {
+		if total >= ringThresholdBytes {
 			return AGRing, false
 		}
 		return short(), false

@@ -90,16 +90,9 @@ type Config struct {
 	Alltoallw AlltoallwAlgo
 	// Outlier parameterizes nonuniformity detection for AGAdaptive.
 	Outlier kselect.OutlierParams
-	// RingThresholdBytes is the total size at or above which the baseline
-	// Allgatherv rule switches from recursive doubling/dissemination to
-	// the ring algorithm.  Default 32 KiB.
-	RingThresholdBytes int
 	// BinThresholdBytes is the Alltoallw boundary between the small and
 	// large bins.  Default 1 KiB.
 	BinThresholdBytes int
-	// Reliability tunes the retransmission layer used when the cluster has
-	// a FaultPlan.
-	Reliability ReliabilityConfig
 	// Watchdog tunes the deadlock detector.
 	Watchdog WatchdogConfig
 	// Job labels this world as one tenant of a multi-job service.  Zero
@@ -108,21 +101,6 @@ type Config struct {
 	// tenant; frame-level isolation itself lives in the transport mux,
 	// which stamps its own job id on the wire.
 	Job uint64
-}
-
-// ReliabilityConfig parameterizes the ack/retransmission protocol that
-// masks message loss when fault injection is active.  Zero fields take
-// defaults; see Config.Validate for the accepted ranges.
-type ReliabilityConfig struct {
-	// AckTimeout is the virtual-time wait (seconds) before the first
-	// retransmission of an unacknowledged message.  Default 50 µs.
-	AckTimeout float64
-	// Backoff multiplies the timeout after every failed attempt.
-	// Default 2.
-	Backoff float64
-	// MaxRetries bounds total transmission attempts per message; when
-	// exhausted the sender raises ErrTimeout.  Default 16.
-	MaxRetries int
 }
 
 // WatchdogConfig parameterizes the deadlock detector that watches a running
@@ -142,34 +120,29 @@ type WatchdogConfig struct {
 
 // Defaults used when Config fields are zero.
 const (
-	DefaultRingThreshold = 32 * 1024
-	DefaultBinThreshold  = 1024
-
-	DefaultAckTimeout       = 50e-6
-	DefaultBackoff          = 2.0
-	DefaultMaxRetries       = 16
+	DefaultBinThreshold     = 1024
 	DefaultWatchdogInterval = 250 * time.Millisecond
 	DefaultWatchdogPatience = 2
 )
 
+// Fixed protocol and algorithm thresholds.  The ack/retransmission
+// protocol that masks message loss under fault injection waits ackTimeout
+// seconds of virtual time before the first retransmission, multiplies the
+// wait by ackBackoff after every failed attempt, and raises ErrTimeout
+// after maxAttempts transmissions.  The baseline Allgatherv rule switches
+// from recursive doubling/dissemination to the ring algorithm at a total
+// of ringThresholdBytes.
+const (
+	ackTimeout         = 50e-6
+	ackBackoff         = 2.0
+	maxAttempts        = 16
+	ringThresholdBytes = 32 * 1024
+)
+
 // Validate rejects configurations the runtime cannot honor: negative
-// timeouts, zero or negative retry budgets when retransmission is tuned,
-// sub-unit backoff factors, and negative watchdog knobs.  NewWorld calls it
-// (after applying defaults to untouched fields) and panics on error.
+// watchdog knobs.  NewWorld calls it (after applying defaults to untouched
+// fields) and panics on error.
 func (c Config) Validate() error {
-	r := c.Reliability
-	if r.AckTimeout < 0 {
-		return fmt.Errorf("mpi: negative ack timeout %v", r.AckTimeout)
-	}
-	if r.MaxRetries < 0 {
-		return fmt.Errorf("mpi: negative max retries %d", r.MaxRetries)
-	}
-	if r.MaxRetries == 0 && (r.AckTimeout > 0 || r.Backoff > 0) {
-		return fmt.Errorf("mpi: retransmission tuned (timeout %v, backoff %v) but max retries is zero", r.AckTimeout, r.Backoff)
-	}
-	if r.Backoff != 0 && r.Backoff < 1 {
-		return fmt.Errorf("mpi: backoff factor %v < 1 would shrink timeouts", r.Backoff)
-	}
 	if c.Watchdog.Interval < 0 {
 		return fmt.Errorf("mpi: negative watchdog interval %v", c.Watchdog.Interval)
 	}
@@ -180,20 +153,8 @@ func (c Config) Validate() error {
 }
 
 func (c Config) withDefaults() Config {
-	if c.RingThresholdBytes <= 0 {
-		c.RingThresholdBytes = DefaultRingThreshold
-	}
 	if c.BinThresholdBytes <= 0 {
 		c.BinThresholdBytes = DefaultBinThreshold
-	}
-	if c.Reliability.AckTimeout == 0 {
-		c.Reliability.AckTimeout = DefaultAckTimeout
-	}
-	if c.Reliability.Backoff == 0 {
-		c.Reliability.Backoff = DefaultBackoff
-	}
-	if c.Reliability.MaxRetries == 0 {
-		c.Reliability.MaxRetries = DefaultMaxRetries
 	}
 	if c.Watchdog.Interval == 0 {
 		c.Watchdog.Interval = DefaultWatchdogInterval

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -293,12 +294,10 @@ func TestDedupStateStaysBounded(t *testing.T) {
 }
 
 // TestSendTimeoutExhaustsRetries: a fully dead link raises ErrTimeout at
-// the sender after MaxRetries attempts.
+// the sender after maxAttempts (16) transmissions.
 func TestSendTimeoutExhaustsRetries(t *testing.T) {
 	fp := &simnet.FaultPlan{Seed: 1, Drop: 1.0, Links: []simnet.Link{{Src: 0, Dst: 1}}}
-	cfg := Baseline()
-	cfg.Reliability.MaxRetries = 3
-	w := faultWorld(2, cfg, fp)
+	w := faultWorld(2, Baseline(), fp)
 	err := w.Run(func(c *Comm) error {
 		return Guard(func() error {
 			if c.Rank() == 0 {
@@ -313,15 +312,20 @@ func TestSendTimeoutExhaustsRetries(t *testing.T) {
 		t.Fatalf("sender did not time out: %v", err)
 	}
 	var te *TimeoutError
-	if !errors.As(err, &te) || te.Attempts != 3 {
-		t.Fatalf("timeout does not report 3 attempts: %v", err)
+	if !errors.As(err, &te) || te.Attempts != 16 {
+		t.Fatalf("timeout does not report 16 attempts: %v", err)
 	}
 	// The receiver observed the sender's failure rather than hanging.
 	if !errors.Is(err, ErrRankFailed) {
 		t.Fatalf("receiver did not observe rank failure: %v", err)
 	}
-	if got := w.TotalStats().Retransmits; got != 2 {
-		t.Fatalf("expected 2 retransmissions before giving up, got %d", got)
+	if got := w.TotalStats().Retransmits; got != 15 {
+		t.Fatalf("expected 15 retransmissions before giving up, got %d", got)
+	}
+	// Every retransmission waited out the backed-off ack timeout:
+	// 50 µs × (2^15 − 1) of virtual time.
+	if got, want := w.TotalStats().RetransSec, 50e-6*(1<<15-1); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("retransmission wait %v s, want %v s", got, want)
 	}
 }
 
@@ -380,10 +384,10 @@ func TestWatchdogSilentOnLiveRun(t *testing.T) {
 }
 
 // TestRecvDeadline covers the three outcomes: success, timeout (virtual
-// clock charged), and peer failure.
+// clock charged, wall clock bounded by the timeout itself), and peer
+// failure.
 func TestRecvDeadline(t *testing.T) {
 	cfg := Baseline()
-	cfg.Watchdog.Interval = 10 * time.Millisecond
 	t.Run("success", func(t *testing.T) {
 		w := testWorld(2, cfg)
 		if err := w.Run(func(c *Comm) error {
@@ -391,7 +395,7 @@ func TestRecvDeadline(t *testing.T) {
 				c.Send(1, 4, []byte("on time"))
 				return nil
 			}
-			d, src, err := c.RecvDeadline(0, 4, 1e-3)
+			d, src, err := c.RecvDeadline(0, 4, 0.5)
 			if err != nil || string(d) != "on time" || src != 0 {
 				return fmt.Errorf("got %q/%d/%v", d, src, err)
 			}
@@ -423,13 +427,33 @@ func TestRecvDeadline(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	t.Run("wall-bound", func(t *testing.T) {
+		// A default-config world (250 ms watchdog interval) and no sender:
+		// the wait ends when the 20 ms timeout says, not an interval later.
+		w := testWorld(2, cfg)
+		if err := w.Run(func(c *Comm) error {
+			if c.Rank() == 0 {
+				c.Recv(1, 9)
+				return nil
+			}
+			start := time.Now()
+			_, _, err := c.RecvDeadline(0, 4, 0.02)
+			if waited := time.Since(start); !errors.Is(err, ErrTimeout) || waited >= 150*time.Millisecond {
+				return fmt.Errorf("RecvDeadline(0.02) returned %v after %v, want ErrTimeout within 150ms", err, waited)
+			}
+			c.Send(0, 9, nil)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
 	t.Run("peer-failure", func(t *testing.T) {
 		w := testWorld(2, cfg)
 		if err := w.Run(func(c *Comm) error {
 			if c.Rank() == 0 {
 				return nil // exits without sending: the wait is hopeless
 			}
-			_, _, err := c.RecvDeadline(0, 4, 1e-3)
+			_, _, err := c.RecvDeadline(0, 4, 0.5)
 			if !errors.Is(err, ErrRankFailed) {
 				return fmt.Errorf("expected rank failure, got %v", err)
 			}
@@ -585,13 +609,9 @@ func TestDegradedCollectivesSkipDeadPeers(t *testing.T) {
 	}
 }
 
-// TestConfigValidate rejects unusable retry/timeout/watchdog knobs.
+// TestConfigValidate rejects unusable watchdog knobs.
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
-		{Reliability: ReliabilityConfig{AckTimeout: -1}},
-		{Reliability: ReliabilityConfig{MaxRetries: -2}},
-		{Reliability: ReliabilityConfig{AckTimeout: 1e-3, MaxRetries: 0}},
-		{Reliability: ReliabilityConfig{Backoff: 0.5, MaxRetries: 4}},
 		{Watchdog: WatchdogConfig{Interval: -time.Second}},
 		{Watchdog: WatchdogConfig{Patience: -1}},
 	}
@@ -604,7 +624,7 @@ func TestConfigValidate(t *testing.T) {
 		{},
 		Baseline(),
 		Optimized(),
-		{Reliability: ReliabilityConfig{AckTimeout: 1e-4, Backoff: 1.5, MaxRetries: 8}},
+		{Watchdog: WatchdogConfig{Interval: time.Millisecond, Patience: 5}},
 	}
 	for i, cfg := range good {
 		if err := cfg.Validate(); err != nil {
@@ -616,5 +636,5 @@ func TestConfigValidate(t *testing.T) {
 			t.Fatal("NewWorld accepted an invalid config")
 		}
 	}()
-	NewWorld(simnet.Uniform(2, simnet.IBDDR()), Config{Reliability: ReliabilityConfig{AckTimeout: -1}})
+	NewWorld(simnet.Uniform(2, simnet.IBDDR()), Config{Watchdog: WatchdogConfig{Interval: -time.Second}})
 }

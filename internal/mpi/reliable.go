@@ -85,10 +85,9 @@ func (c *Comm) dispatch(dst, tag int, m outMsg, arrival, wireSec float64) uint64
 		return mseq
 	}
 
-	rel := w.cfg.Reliability
 	hdr.Reliable, hdr.Seq, hdr.Sum = true, p.sendSeq[worldDst], crc32.ChecksumIEEE(wire)
 	p.sendSeq[worldDst]++
-	timeout := rel.AckTimeout
+	timeout := ackTimeout
 	lat := w.cluster.Latency
 	for attempt := 0; ; attempt++ {
 		drop, dup, corrupt, delay := fp.Attempt(p.rank, worldDst, hdr.Seq, attempt)
@@ -120,7 +119,7 @@ func (c *Comm) dispatch(dst, tag int, m outMsg, arrival, wireSec float64) uint64
 			}
 			return mseq
 		}
-		if attempt+1 >= rel.MaxRetries {
+		if attempt+1 >= maxAttempts {
 			datatype.PutBuffer(wire) // never delivered: only damaged copies went out
 			throwErr(&TimeoutError{Rank: worldDst, Call: c.callOr("Send"), Attempts: attempt + 1})
 		}
@@ -137,7 +136,7 @@ func (c *Comm) dispatch(dst, tag int, m outMsg, arrival, wireSec float64) uint64
 				Clock: obs.ClockVirtual,
 				Attrs: []obs.Attr{{Key: "attempt", Val: strconv.Itoa(attempt + 1)}}})
 		}
-		timeout *= rel.Backoff
+		timeout *= ackBackoff
 		arrival = p.clock + wireSec + lat
 	}
 }
@@ -262,11 +261,10 @@ func (c *Comm) downPeer(worldSrc int) int {
 
 // RecvDeadline is Recv with a failure bound: it returns ErrRankFailed as
 // soon as the awaited peer is known to be down, and ErrTimeout if no
-// matching message arrives within one watchdog interval of wall-clock time
-// (messages in this runtime are deposited synchronously, so a message that
-// has not arrived by then is not coming without external recovery).  On
-// timeout the virtual clock is charged `timeout` seconds of wait time.  On
-// success it behaves exactly like Recv.
+// matching message arrives within timeout seconds of wall-clock time (a
+// non-positive timeout only checks the mailbox).  On timeout the virtual
+// clock is charged the same timeout seconds of wait time.  On success it
+// behaves exactly like Recv.
 func (c *Comm) RecvDeadline(src, tag int, timeout float64) ([]byte, int, error) {
 	if src != AnySource {
 		c.checkPeer(src)
@@ -275,7 +273,7 @@ func (c *Comm) RecvDeadline(src, tag int, timeout float64) ([]byte, int, error) 
 		c.checkUserTag(tag)
 	}
 	c.me.call = "RecvDeadline"
-	env, err := c.matchE(src, tag, c.w.cfg.Watchdog.Interval)
+	env, err := c.matchE(src, tag, max(time.Duration(timeout*float64(time.Second)), 1))
 	if err != nil {
 		if errors.Is(err, ErrTimeout) {
 			c.me.clock += timeout

@@ -26,7 +26,9 @@ type repMesh struct {
 
 const repRanks = 4
 
-var repHeartbeat = transport.HeartbeatConfig{Interval: 5 * time.Millisecond, Miss: 2, FailAfter: 4}
+// repHeartbeat is the detector interval of every wall-clock mesh here: a
+// killed shm member is declared down after 9 silent intervals, 180 ms.
+const repHeartbeat = 20 * time.Millisecond
 
 func repTCP(t *testing.T) []*transport.TCP {
 	t.Helper()

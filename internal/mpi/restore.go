@@ -33,35 +33,23 @@ import (
 //     the regrown communicator, restores it and resumes at full size (see
 //     internal/bench's self-healing driver).
 
-// Process-global self-healing metrics.
+// Process-global self-healing metrics.  Rejoin duration is Restore entry
+// to committed epoch, in nanoseconds.
 var (
-	mHeartbeats = obs.Metrics.Counter("mpi.heartbeats")
-	mSuspects   = obs.Metrics.Counter("mpi.suspects")
-	mRespawns   = obs.Metrics.Counter("mpi.rank_respawns")
-	// Detection latency: how long a peer had been silent when the failure
-	// detector first suspected it.  Rejoin duration: Restore entry to
-	// committed epoch.  Both in nanoseconds.
-	mDetectLatency  = obs.Metrics.Histogram("mpi.detect_latency_ns")
+	mRespawns       = obs.Metrics.Counter("mpi.rank_respawns")
 	mRejoinDuration = obs.Metrics.Histogram("mpi.rejoin_duration_ns")
 )
 
-// onSuspect is the transport failure detector's suspicion callback: rank
-// has produced no frame for silent (suspect=true), or resumed before the
-// hard-failure threshold (suspect=false).
-func (w *World) onSuspect(rank int, suspect bool, silent time.Duration) {
-	if !suspect {
-		return
-	}
-	mSuspects.Inc()
-	mDetectLatency.Observe(int64(silent))
-	if w.tracer.Enabled() {
-		now := w.tracer.Now()
-		w.tracer.Emit(obs.Span{Rank: w.firstLocal(), Kind: "suspect", Peer: rank,
-			Start: now, End: now, Clock: obs.ClockWall})
+// onPeer is the transport's liveness callback.
+func (w *World) onPeer(rank int, up bool) {
+	if up {
+		w.onPeerUp(rank)
+	} else {
+		w.onPeerDown(rank)
 	}
 }
 
-// onPeerUp is the transport reconnection callback: a previously failed
+// onPeerUp handles a transport reconnection: a previously failed
 // rank's replacement has re-established its connection.  The rank is only
 // marked ready — re-admission happens collectively in Restore.  The
 // replacement numbers its reliable sends from zero again, so every local

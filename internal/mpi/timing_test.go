@@ -53,7 +53,7 @@ func TestRingSerializesLargeMessage(t *testing.T) {
 	}
 }
 
-func TestDisseminationBeatsRingOnOutlier(t *testing.T) {
+func TestDisseminationOutpacesRingOnOutlier(t *testing.T) {
 	const big = 32 * 1024
 	for _, n := range []int{5, 12, 24} { // non-powers-of-two
 		ring := agvLatency(t, n, AGRing, big)

@@ -72,7 +72,7 @@ func (w *World) onFrame(to int, hdr transport.Header, payload []byte) {
 		mseq: hdr.MSeq})
 }
 
-// onPeerDown is the transport failure callback: an abrupt connection loss
+// onPeerDown handles a transport failure report: an abrupt connection loss
 // (no goodbye first) means the peer's process failed.
 func (w *World) onPeerDown(r int) {
 	// A death invalidates any standing rejoin-readiness: it referred to the

@@ -10,14 +10,16 @@ import (
 	"time"
 
 	"nccd/internal/datatype"
+	"nccd/internal/obs"
 	"nccd/internal/simnet"
 	"nccd/internal/transport"
 )
 
 // tcpWorlds builds an n-rank world as n TCP-connected Worlds in this one
 // process — the same topology as n OS processes, minus the fork — using
-// pre-bound listeners to avoid port races.  fp is the cluster's fault plan.
-func tcpWorlds(t *testing.T, n int, cfg Config, fp *simnet.FaultPlan) []*World {
+// pre-bound listeners to avoid port races.  fp is the cluster's fault plan,
+// hb the endpoints' heartbeat interval (0 for none).
+func tcpWorlds(t *testing.T, n int, cfg Config, fp *simnet.FaultPlan, hb time.Duration) []*World {
 	t.Helper()
 	addrs := make([]string, n)
 	lns := make([]net.Listener, n)
@@ -38,7 +40,7 @@ func tcpWorlds(t *testing.T, n int, cfg Config, fp *simnet.FaultPlan) []*World {
 			defer wg.Done()
 			tr, err := transport.NewTCP(transport.TCPConfig{
 				Rank: r, Size: n, WorldID: 0x4ccd, Addrs: addrs, Listener: lns[r],
-				DialTimeout: 10 * time.Second,
+				DialTimeout: 10 * time.Second, Heartbeat: hb,
 			})
 			if err != nil {
 				errs[r] = err
@@ -85,7 +87,7 @@ func runAll(ws []*World, f func(c *Comm) error) []error {
 // across 4 single-rank worlds connected over localhost TCP.
 func TestWallCollectives(t *testing.T) {
 	const n = 4
-	ws := tcpWorlds(t, n, Optimized(), nil)
+	ws := tcpWorlds(t, n, Optimized(), nil, 0)
 	errs := runAll(ws, func(c *Comm) error {
 		me := c.Rank()
 		c.Barrier()
@@ -218,7 +220,7 @@ func TestWallLossyLink(t *testing.T) {
 func TestWallShrinkAfterCrash(t *testing.T) {
 	const n = 3
 	fp := &simnet.FaultPlan{CrashAt: map[int]float64{2: 0.5}}
-	ws := tcpWorlds(t, n, Optimized(), fp)
+	ws := tcpWorlds(t, n, Optimized(), fp, 0)
 	errs := runAll(ws, func(c *Comm) error {
 		me := c.Rank()
 		err := Guard(func() error {
@@ -262,5 +264,49 @@ func TestWallShrinkAfterCrash(t *testing.T) {
 	}
 	if got := ws[2].CrashedRanks(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("world 2 crashed ranks = %v", got)
+	}
+}
+
+// TestSuspicionTracedOnce: on a traced flat-TCP world with heartbeats, a
+// peer silent long enough to be suspected, but resumed before it would be
+// declared down, shows as exactly one non-hard "suspect" span — the
+// endpoint's — and one count in the endpoint's Stats.  The world neither
+// traces nor counts suspicion of its own.
+func TestSuspicionTracedOnce(t *testing.T) {
+	// Suspicion after 150 ms of silence, hard failure after 450 ms: resuming
+	// at the first suspicion leaves more than 200 ms to spare.
+	const beat = 50 * time.Millisecond
+	ws := tcpWorlds(t, 2, Baseline(), nil, beat)
+	eps := make([]*transport.TCP, 2)
+	for r, w := range ws {
+		eps[r] = w.Transport().(*transport.TCP)
+		w.EnableTrace()
+	}
+
+	eps[1].PauseHeartbeats(true)
+	deadline := time.Now().Add(5 * time.Second)
+	for eps[0].Stats().Suspects == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the silent peer was never suspected")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	eps[1].PauseHeartbeats(false)
+	time.Sleep(4 * beat) // beats resume; the suspicion clears, nothing is declared
+
+	var suspects []obs.Span
+	for _, s := range ws[0].Tracer().Spans() {
+		if s.Kind == "suspect" {
+			suspects = append(suspects, s)
+		}
+	}
+	if len(suspects) != 1 || suspects[0].Peer != 1 || len(suspects[0].Attrs) != 1 || suspects[0].Attrs[0].Key != "silent" {
+		t.Fatalf("suspect spans %+v, want one non-hard span for rank 1", suspects)
+	}
+	if got := eps[0].Stats().Suspects; got != 1 {
+		t.Fatalf("Suspects = %d, want 1", got)
+	}
+	if !ws[0].Alive(1) {
+		t.Fatal("a suspected peer was declared down")
 	}
 }

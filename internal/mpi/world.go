@@ -213,11 +213,11 @@ func NewWorld(cluster *simnet.Cluster, cfg Config) *World {
 
 // NewWorldTransport creates a world whose messages travel over tr, which
 // must span the same ranks as the cluster.  The transport is started here:
-// its delivery handler feeds the rank mailboxes, its failure callback the
-// rank lifecycle.  On a wall-clock transport the world hosts only the
-// local ranks, the watchdog is force-disabled (there is no global
-// quiescence to observe across processes), and only a single Run is
-// supported; see wall.go.
+// its delivery handler feeds the rank mailboxes, its liveness callback the
+// rank lifecycle (a death fails waits over, a rejoin arms Restore).  On a
+// wall-clock transport the world hosts only the local ranks, the watchdog
+// is force-disabled (there is no global quiescence to observe across
+// processes), and only a single Run is supported; see wall.go.
 func NewWorldTransport(tr transport.Transport, cluster *simnet.Cluster, cfg Config) (*World, error) {
 	n := cluster.Size()
 	if n < 1 {
@@ -255,18 +255,7 @@ func NewWorldTransport(tr transport.Transport, cluster *simnet.Cluster, cfg Conf
 	if tt, ok := tr.(interface{ SetTracer(*obs.Tracer) }); ok {
 		tt.SetTracer(w.tracer)
 	}
-	// A transport with a failure detector (the TCP endpoint's heartbeat
-	// protocol) reports liveness through the world: beat/suspect events
-	// feed the suspicion state and metrics, reconnections of failed ranks
-	// arm the rejoin path (see restore.go).
-	if ht, ok := tr.(interface{ SetHealth(transport.HealthFuncs) }); ok {
-		ht.SetHealth(transport.HealthFuncs{
-			Beat:    func(int) { mHeartbeats.Inc() },
-			Suspect: w.onSuspect,
-			Up:      w.onPeerUp,
-		})
-	}
-	if err := tr.Start(w.onFrame, w.onPeerDown); err != nil {
+	if err := tr.Start(w.onFrame, w.onPeer); err != nil {
 		return nil, err
 	}
 	return w, nil

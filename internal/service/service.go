@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"nccd/internal/bench"
 	"nccd/internal/mpi"
@@ -261,28 +260,17 @@ func New(mux *transport.Mux, cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The control world idles in short receive deadlines for the daemon's
-	// lifetime; a fast watchdog interval keeps the control loop snappy
-	// (matchE's wall-clock bound is one interval), and the deadlock
-	// detector itself is pointless on an always-idle world.
 	ctlCfg := cfg.MPI
 	ctlCfg.Job = 0
-	ctlCfg.Watchdog = mpi.WatchdogConfig{Disable: true, Interval: 50 * time.Millisecond}
 	ctl, err := mpi.NewWorldTransport(sub, simnet.Uniform(n, simnet.IBDDR()), ctlCfg)
 	if err != nil {
 		sub.Close()
 		return nil, err
 	}
 	s.ctl = ctl
-	mux.OnPeerDown(func(r int) {
+	mux.OnPeer(func(r int, up bool) {
 		select {
-		case s.peerEvents <- peerEvent{rank: r}:
-		default:
-		}
-	})
-	mux.OnPeerUp(func(r int) {
-		select {
-		case s.peerEvents <- peerEvent{rank: r, up: true}:
+		case s.peerEvents <- peerEvent{rank: r, up: up}:
 		default:
 		}
 	})

@@ -31,8 +31,8 @@ const (
 	KindData byte = 2
 	// KindBeat is a heartbeat beacon carrying the sender's membership
 	// epoch.  Beats prove liveness of a peer that has nothing to send; a
-	// peer that stops producing frames of any kind for longer than the
-	// configured miss window becomes suspect and eventually failed.
+	// peer that stops producing frames of any kind for SuspectAfter
+	// intervals becomes suspect, and after FailAfter it is failed.
 	KindBeat byte = 4
 )
 

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 // startMeshWith is startMesh with per-endpoint config shaping: mutate is
 // called on each rank's config before NewTCP.
-func startMeshWith(t *testing.T, n int, down DownFunc, mutate func(r int, cfg *TCPConfig)) ([]*TCP, *meshRecorder, []string) {
+func startMeshWith(t *testing.T, n int, peer PeerFunc, mutate func(r int, cfg *TCPConfig)) ([]*TCP, *meshRecorder, []string) {
 	t.Helper()
 	addrs := make([]string, n)
 	lns := make([]net.Listener, n)
@@ -44,7 +45,7 @@ func startMeshWith(t *testing.T, n int, down DownFunc, mutate func(r int, cfg *T
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			errs[r] = eps[r].Start(rec.handler(r), down)
+			errs[r] = eps[r].Start(rec.handler(r), peer)
 		}(r)
 	}
 	wg.Wait()
@@ -61,120 +62,127 @@ func startMeshWith(t *testing.T, n int, down DownFunc, mutate func(r int, cfg *T
 	return eps, rec, addrs
 }
 
+// testBeat is the detector interval of the heartbeat tests.  Suspicion
+// comes after 150 ms of silence and hard failure after 450 ms, so a
+// healthy peer beating every 50 ms has 100 ms of slack before it is
+// suspected, and a test that resumes a paused peer as soon as it is
+// suspected has more than 200 ms before it would be declared down.
+const testBeat = 50 * time.Millisecond
+
+// peerLog records liveness reports.
+type peerLog struct {
+	mu     sync.Mutex
+	events []peerEvent
+}
+
+type peerEvent struct {
+	rank int
+	up   bool
+	at   time.Time
+}
+
+func (l *peerLog) record(rank int, up bool) {
+	l.mu.Lock()
+	l.events = append(l.events, peerEvent{rank, up, time.Now()})
+	l.mu.Unlock()
+}
+
+func (l *peerLog) get() []peerEvent {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]peerEvent(nil), l.events...)
+}
+
+// seen lists the reports as "<rank> down" / "<rank> up".
+func (l *peerLog) seen() []string {
+	var out []string
+	for _, e := range l.get() {
+		out = append(out, fmt.Sprintf("%d %s", e.rank, map[bool]string{false: "down", true: "up"}[e.up]))
+	}
+	return out
+}
+
+// about returns the reports concerning rank.
+func (l *peerLog) about(rank int) []peerEvent {
+	var out []peerEvent
+	for _, e := range l.get() {
+		if e.rank == rank {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // TestHeartbeatQuietLinkStaysHealthy: a mesh with heartbeats exchanges no
-// data at all for many miss windows; the beats alone keep every peer alive
-// and unsuspected.
+// data at all for many suspicion windows; the beats alone keep every peer
+// alive and unsuspected.
 func TestHeartbeatQuietLinkStaysHealthy(t *testing.T) {
 	const n = 3
-	hb := HeartbeatConfig{Interval: 10 * time.Millisecond, Miss: 3, FailAfter: 9}
-	var mu sync.Mutex
-	suspects := 0
-	eps, _, _ := startMeshWith(t, n, nil, func(r int, cfg *TCPConfig) { cfg.Heartbeat = hb })
-	for _, ep := range eps {
-		ep.SetHealth(HealthFuncs{Suspect: func(rank int, suspect bool, silent time.Duration) {
-			mu.Lock()
-			suspects++
-			mu.Unlock()
-		}})
+	var log peerLog
+	eps, rec, _ := startMeshWith(t, n, log.record, func(r int, cfg *TCPConfig) { cfg.Heartbeat = testBeat })
+	time.Sleep(20 * testBeat)
+	if ev := log.get(); len(ev) != 0 {
+		t.Fatalf("liveness reports on an idle but beating mesh: %v", ev)
 	}
-	time.Sleep(20 * hb.Interval)
-	mu.Lock()
-	got := suspects
-	mu.Unlock()
-	if got != 0 {
-		t.Fatalf("%d suspicion events on an idle but beating mesh", got)
-	}
-	for r := 0; r < n; r++ {
+	for r, ep := range eps {
+		if st := ep.Stats(); st.Suspects != 0 || st.BeatsSent == 0 || st.BeatsRecv == 0 {
+			t.Fatalf("rank %d: %+v, want beats both ways and no suspicion", r, st)
+		}
 		for p := 0; p < n; p++ {
-			if p == r {
-				continue
-			}
-			if !eps[r].Health(p).Alive {
-				t.Fatalf("rank %d sees %d dead on a healthy mesh", r, p)
-			}
-			if lh := eps[r].LastHeard(p); time.Since(lh) > 5*hb.Interval {
-				t.Fatalf("rank %d last heard %d %v ago despite heartbeats", r, p, time.Since(lh))
+			if err := ep.Send(p, Header{Tag: int32(p)}, payloadFor(r, p)); err != nil {
+				t.Fatalf("rank %d -> %d on a healthy mesh: %v", r, p, err)
 			}
 		}
 	}
-	if eps[0].Stats().BeatsSent == 0 || eps[0].Stats().BeatsRecv == 0 {
-		t.Fatalf("no beats flowed: %+v", eps[0].Stats())
-	}
+	waitFor(t, "every send delivered", func() bool {
+		for r := 0; r < n; r++ {
+			if len(rec.get(r)) != n {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // TestHeartbeatDetectsHungPeer is the deterministic SIGSTOP stand-in: rank
 // 1 pauses its heartbeats (connection open, nothing sent).  Rank 0 must
-// suspect it within the miss window and then declare it down — without any
-// connection close event — within the hard-failure window.
+// suspect it once within the suspicion window and then declare it down —
+// without any connection close event — within the hard-failure window.
 func TestHeartbeatDetectsHungPeer(t *testing.T) {
-	const n = 2
-	hb := HeartbeatConfig{Interval: 20 * time.Millisecond, Miss: 3, FailAfter: 9}
-	type event struct {
-		suspect bool
-		silent  time.Duration
-		at      time.Time
-	}
-	var mu sync.Mutex
-	var events []event
-	var downAt time.Time
-	eps, _, _ := startMeshWith(t, n,
-		func(rank int) {
-			mu.Lock()
-			if rank == 1 && downAt.IsZero() {
-				downAt = time.Now()
-			}
-			mu.Unlock()
-		},
-		func(r int, cfg *TCPConfig) { cfg.Heartbeat = hb })
-	eps[0].SetHealth(HealthFuncs{Suspect: func(rank int, suspect bool, silent time.Duration) {
-		mu.Lock()
-		events = append(events, event{suspect: suspect, silent: silent, at: time.Now()})
-		mu.Unlock()
-	}})
+	var log peerLog
+	eps, _, _ := startMeshWith(t, 2, log.record, func(r int, cfg *TCPConfig) { cfg.Heartbeat = testBeat })
 
 	// Let the detector see a healthy peer first, then "SIGSTOP" rank 1.
-	time.Sleep(5 * hb.Interval)
+	time.Sleep(5 * testBeat)
 	hung := time.Now()
 	eps[1].PauseHeartbeats(true)
 
-	waitFor(t, "suspicion of the hung peer", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(events) > 0
-	})
-	mu.Lock()
-	first := events[0]
-	mu.Unlock()
-	if !first.suspect {
-		t.Fatalf("first event cleared suspicion instead of raising it")
+	waitFor(t, "suspicion of the hung peer", func() bool { return eps[0].Stats().Suspects > 0 })
+	suspected := time.Since(hung)
+	// The silence clock starts at the last received beat, which may precede
+	// the pause by up to one interval.
+	if suspected < (SuspectAfter-1)*testBeat {
+		t.Fatalf("suspected %v after the pause, suspicion window is %v", suspected, SuspectAfter*testBeat)
 	}
-	if first.silent < time.Duration(hb.Miss)*hb.Interval {
-		t.Fatalf("suspected after only %v of silence, miss window is %v",
-			first.silent, time.Duration(hb.Miss)*hb.Interval)
+	if suspected > 20*SuspectAfter*testBeat {
+		t.Fatalf("suspicion took %v, far beyond the %v window", suspected, SuspectAfter*testBeat)
 	}
-	// Detection latency must stay within the configured window (generous
-	// upper slack for CI scheduling, but the same order of magnitude).
-	if lat := first.at.Sub(hung); lat > 20*time.Duration(hb.Miss)*hb.Interval {
-		t.Fatalf("suspicion took %v, far beyond the %v miss window", lat, time.Duration(hb.Miss)*hb.Interval)
+	if ev := log.get(); len(ev) != 0 {
+		t.Fatalf("suspicion reported through the liveness callback: %v", ev)
 	}
 
-	waitFor(t, "hard failure of the hung peer", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return !downAt.IsZero()
-	})
-	mu.Lock()
-	hard := downAt
-	mu.Unlock()
-	// The silence clock starts at the last received beat, which may precede
-	// the pause by up to one interval — allow that much slack below the
-	// configured window.
-	if hard.Sub(hung) < time.Duration(hb.FailAfter-2)*hb.Interval {
-		t.Fatalf("hard failure after %v, fail window is %v", hard.Sub(hung),
-			time.Duration(hb.FailAfter)*hb.Interval)
+	// Only rank 0 can report rank 1 (rank 1 then sees rank 0 close the
+	// connection and reports it in turn).
+	waitFor(t, "hard failure of the hung peer", func() bool { return len(log.about(1)) > 0 })
+	ev := log.about(1)
+	if len(ev) != 1 || ev[0].up {
+		t.Fatalf("liveness reports %v, want rank 1 down once", ev)
 	}
-	if eps[0].Health(1).Alive {
-		t.Fatalf("hung peer still marked alive after hard failure")
+	if d := ev[0].at.Sub(hung); d < (FailAfter-2)*testBeat {
+		t.Fatalf("hard failure after %v, fail window is %v", d, FailAfter*testBeat)
+	}
+	if got := eps[0].Stats().Suspects; got != 1 {
+		t.Fatalf("Suspects = %d, want 1: one silence is one suspicion", got)
 	}
 	var pd *PeerDownError
 	if err := eps[0].Send(1, Header{}, payloadFor(0, 1)); !errors.As(err, &pd) {
@@ -183,39 +191,35 @@ func TestHeartbeatDetectsHungPeer(t *testing.T) {
 }
 
 // TestHeartbeatRecoversSlowPeer: a peer that resumes beating inside the
-// hard-failure window is un-suspected, not killed.
+// hard-failure window is un-suspected, not killed.  The clearing shows as
+// a second pause counting a second suspicion.
 func TestHeartbeatRecoversSlowPeer(t *testing.T) {
-	const n = 2
-	hb := HeartbeatConfig{Interval: 20 * time.Millisecond, Miss: 2, FailAfter: 50}
-	var mu sync.Mutex
-	var events []bool
-	eps, _, _ := startMeshWith(t, n, nil, func(r int, cfg *TCPConfig) { cfg.Heartbeat = hb })
-	eps[0].SetHealth(HealthFuncs{Suspect: func(rank int, suspect bool, silent time.Duration) {
-		mu.Lock()
-		events = append(events, suspect)
-		mu.Unlock()
-	}})
-	time.Sleep(3 * hb.Interval)
-	eps[1].PauseHeartbeats(true)
-	waitFor(t, "suspicion", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(events) == 1 && events[0]
-	})
-	eps[1].PauseHeartbeats(false)
-	waitFor(t, "suspicion cleared", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(events) == 2 && !events[1]
-	})
-	if !eps[0].Health(1).Alive || eps[0].Health(1).Suspect {
-		t.Fatalf("recovered peer still unhealthy: %+v", eps[0].Health(1))
+	var log peerLog
+	eps, rec, _ := startMeshWith(t, 2, log.record, func(r int, cfg *TCPConfig) { cfg.Heartbeat = testBeat })
+	time.Sleep(3 * testBeat)
+	for want := int64(1); want <= 2; want++ {
+		eps[1].PauseHeartbeats(true)
+		waitFor(t, "suspicion", func() bool { return eps[0].Stats().Suspects == want })
+		eps[1].PauseHeartbeats(false)
+		// Beats reach rank 0 within an interval of the resume, and its next
+		// tick clears the suspicion.
+		time.Sleep(4 * testBeat)
 	}
+	if ev := log.get(); len(ev) != 0 {
+		t.Fatalf("a peer that resumed in time was reported: %v", ev)
+	}
+	if got := eps[0].Stats().Suspects; got != 2 {
+		t.Fatalf("Suspects = %d, want 2", got)
+	}
+	if err := eps[0].Send(1, Header{Tag: 3}, payloadFor(0, 1)); err != nil {
+		t.Fatalf("send to the recovered peer: %v", err)
+	}
+	waitFor(t, "delivery to the recovered peer", func() bool { return len(rec.get(1)) == 1 })
 }
 
 // TestTCPRejoinAfterRestart: rank 2 of a 3-mesh dies abruptly; a fresh
 // endpoint for the same rank (new epoch, Rejoin mode) dials back in.  The
-// survivors fire the Up callback, traffic flows both ways on the replaced
+// survivors report it up, traffic flows both ways on the replaced
 // link — including reliable traffic, whose per-link sequences restart —
 // and the survivors' epoch bump fences a stale-epoch dialer out.
 func TestTCPRejoinAfterRestart(t *testing.T) {
@@ -223,18 +227,15 @@ func TestTCPRejoinAfterRestart(t *testing.T) {
 	var mu sync.Mutex
 	downs, ups := map[int]int{}, map[int]int{}
 	eps, rec, addrs := startMeshWith(t, n,
-		func(rank int) {
+		func(rank int, up bool) {
 			mu.Lock()
-			downs[rank]++
+			if up {
+				ups[rank]++
+			} else {
+				downs[rank]++
+			}
 			mu.Unlock()
 		}, nil)
-	for _, ep := range eps[:2] {
-		ep.SetHealth(HealthFuncs{Up: func(rank int) {
-			mu.Lock()
-			ups[rank]++
-			mu.Unlock()
-		}})
-	}
 
 	// Seed some reliable-looking traffic so sequence state is nonzero.
 	if err := eps[2].Send(0, Header{Ctx: 1, Src: 2, Tag: 7}, payloadFor(2, 0)); err != nil {
@@ -243,7 +244,7 @@ func TestTCPRejoinAfterRestart(t *testing.T) {
 	waitFor(t, "pre-crash delivery", func() bool { return len(rec.get(0)) == 1 })
 
 	eps[2].Close() // SIGKILL stand-in: abrupt close, no goodbye
-	waitFor(t, "down callbacks at survivors", func() bool {
+	waitFor(t, "down reports at survivors", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return downs[2] >= 2
@@ -290,7 +291,7 @@ func TestTCPRejoinAfterRestart(t *testing.T) {
 	if err := fresh.Start(rec2.handler(2), nil); err != nil {
 		t.Fatalf("rejoin start: %v", err)
 	}
-	waitFor(t, "up callbacks at survivors", func() bool {
+	waitFor(t, "up reports at survivors", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return ups[2] == 2

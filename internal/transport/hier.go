@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"nccd/internal/datatype"
 	"nccd/internal/obs"
@@ -13,19 +12,18 @@ import (
 // node map — co-located ranks over the intra transport (shared memory),
 // remote ranks over the inter transport (TCP).  The wrapper is a pure
 // router; framing, heartbeats and epochs all live in the wrapped
-// endpoints, and reliability above them in the runtime.  Health callbacks are filtered per peer so each
-// rank's liveness is judged only by the transport that actually carries
-// its traffic: the TCP mesh still connects co-located ranks (it ignores
-// the node map), and its failure detector racing the shared-memory one
-// for the same peer would otherwise report a rank Up before the route
-// that matters is ready.
+// endpoints, and reliability above them in the runtime.  Liveness reports
+// are filtered per peer so each rank's liveness is judged only by the
+// transport that actually carries its traffic: the TCP mesh still connects
+// co-located ranks (it ignores the node map), and its failure detector
+// racing the shared-memory one for the same peer would otherwise report a
+// rank up before the route that matters is ready.
 type Hierarchical struct {
 	self   int
 	nodeOf []int
 	intra  Transport // nil when this rank's node has no co-located peers
 	inter  Transport
 
-	health atomic.Pointer[HealthFuncs]
 	closed atomic.Bool
 }
 
@@ -82,25 +80,22 @@ func (h *Hierarchical) route(r int) Transport {
 }
 
 // Start starts both wrapped transports, fanning inbound frames from
-// either into the one handler and filtering failure reports so only the
-// routing transport may declare a peer dead.
-func (h *Hierarchical) Start(deliver Handler, down DownFunc) error {
-	intraDown := func(r int) {
-		if down != nil && r != h.self && h.sameNode(r) {
-			down(r)
-		}
-	}
-	interDown := func(r int) {
-		if down != nil && r != h.self && !h.sameNode(r) {
-			down(r)
+// either into the one handler and filtering liveness reports so only the
+// routing transport may declare a peer down or back up.
+func (h *Hierarchical) Start(deliver Handler, peer PeerFunc) error {
+	filter := func(routes func(r int) bool) PeerFunc {
+		return func(r int, up bool) {
+			if peer != nil && routes(r) {
+				peer(r, up)
+			}
 		}
 	}
 	if h.intra != nil {
-		if err := h.intra.Start(deliver, intraDown); err != nil {
+		if err := h.intra.Start(deliver, filter(func(r int) bool { return r != h.self && h.sameNode(r) })); err != nil {
 			return err
 		}
 	}
-	if err := h.inter.Start(deliver, interDown); err != nil {
+	if err := h.inter.Start(deliver, filter(func(r int) bool { return !h.sameNode(r) })); err != nil {
 		if h.intra != nil {
 			h.intra.Close()
 		}
@@ -129,40 +124,6 @@ func (h *Hierarchical) SetTracer(tr *obs.Tracer) {
 	}
 }
 
-// SetHealth installs per-peer-filtered liveness callbacks on both
-// endpoints: beats, suspicion and recovery for a rank are reported only
-// by the transport that routes to it.
-func (h *Hierarchical) SetHealth(hf HealthFuncs) {
-	h.health.Store(&hf)
-	type healther interface{ SetHealth(HealthFuncs) }
-	if t, ok := h.inter.(healther); ok {
-		t.SetHealth(h.filterHealth(func(r int) bool { return !h.sameNode(r) }))
-	}
-	if t, ok := h.intra.(healther); ok {
-		t.SetHealth(h.filterHealth(func(r int) bool { return h.sameNode(r) && r != h.self }))
-	}
-}
-
-func (h *Hierarchical) filterHealth(want func(int) bool) HealthFuncs {
-	return HealthFuncs{
-		Beat: func(r int) {
-			if f := h.health.Load(); f != nil && f.Beat != nil && want(r) {
-				f.Beat(r)
-			}
-		},
-		Suspect: func(r int, suspect bool, silent time.Duration) {
-			if f := h.health.Load(); f != nil && f.Suspect != nil && want(r) {
-				f.Suspect(r, suspect, silent)
-			}
-		},
-		Up: func(r int) {
-			if f := h.health.Load(); f != nil && f.Up != nil && want(r) {
-				f.Up(r)
-			}
-		},
-	}
-}
-
 // SetEpoch raises the membership epoch on both endpoints.
 func (h *Hierarchical) SetEpoch(e uint64) {
 	type epocher interface{ SetEpoch(uint64) }
@@ -171,17 +132,6 @@ func (h *Hierarchical) SetEpoch(e uint64) {
 	}
 	if t, ok := h.intra.(epocher); ok {
 		t.SetEpoch(e)
-	}
-}
-
-// PauseHeartbeats forwards the detector pause to both endpoints.
-func (h *Hierarchical) PauseHeartbeats(pause bool) {
-	type pauser interface{ PauseHeartbeats(bool) }
-	if t, ok := h.inter.(pauser); ok {
-		t.PauseHeartbeats(pause)
-	}
-	if t, ok := h.intra.(pauser); ok {
-		t.PauseHeartbeats(pause)
 	}
 }
 

@@ -1,7 +1,9 @@
 package transport_test
 
 import (
+	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,9 +16,10 @@ import (
 
 // startHierWorld brings up a 2-node × 2-rank mixed-transport world in
 // this process: each node's pair shares an in-process shm segment, the
-// TCP mesh spans all four ranks.  It returns the routers and, by rank, the
-// two endpoints each routes over.
-func startHierWorld(t *testing.T, recv []func(hdr transport.Header, payload []byte)) ([]*transport.Hierarchical, []*shm.Transport, []*transport.TCP) {
+// TCP mesh spans all four ranks.  peers[r], when peers is non-nil, is rank
+// r's liveness callback.  It returns the routers and, by rank, the two
+// endpoints each routes over.
+func startHierWorld(t *testing.T, recv []func(hdr transport.Header, payload []byte), peers []transport.PeerFunc) ([]*transport.Hierarchical, []*shm.Transport, []*transport.TCP) {
 	t.Helper()
 	const n = 4
 	nodeOf := []int{0, 0, 1, 1}
@@ -44,7 +47,7 @@ func startHierWorld(t *testing.T, recv []func(hdr transport.Header, payload []by
 		node := nodeOf[r]
 		intra, err := shm.New(shm.Config{Rank: r, Size: n, Ranks: []int{node * 2, node*2 + 1},
 			WorldID: 0x417, Seg: segs[node], RingBytes: 1 << 16,
-			Heartbeat: transport.HeartbeatConfig{Interval: 20 * time.Millisecond}})
+			Heartbeat: 50 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,9 +68,13 @@ func startHierWorld(t *testing.T, recv []func(hdr transport.Header, payload []by
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			var peer transport.PeerFunc
+			if peers != nil {
+				peer = peers[r]
+			}
 			errs[r] = hs[r].Start(func(to int, hdr transport.Header, payload []byte) {
 				recv[r](hdr, payload)
-			}, nil)
+			}, peer)
 		}(r)
 	}
 	wg.Wait()
@@ -97,7 +104,7 @@ func TestHierarchicalRouting(t *testing.T) {
 			datatype.PutBuffer(payload)
 		}
 	}
-	hs, intras, inters := startHierWorld(t, recv)
+	hs, intras, inters := startHierWorld(t, recv, nil)
 
 	send := func(src, dst, tag int) {
 		t.Helper()
@@ -127,37 +134,73 @@ func TestHierarchicalRouting(t *testing.T) {
 	}
 }
 
-// TestHierarchicalHealthFilter kills a co-located peer's shm presence
-// while its TCP connection stays open, and conversely checks that only
-// the route-owning transport reports the failure upward.
+// TestHierarchicalHealthFilter checks that only the route-owning transport
+// reports a peer's liveness upward.  Rank 1 is co-located with rank 0 and
+// reached over shm; ranks 2 and 3 are remote and reach it over TCP.
+// Closing rank 1's TCP endpoint is reported by the remote ranks but not by
+// rank 0; rank 1's shm presence going silent then is, at rank 0 only.
 func TestHierarchicalHealthFilter(t *testing.T) {
 	recv := make([]func(hdr transport.Header, payload []byte), 4)
 	for r := 0; r < 4; r++ {
 		recv[r] = func(hdr transport.Header, payload []byte) { datatype.PutBuffer(payload) }
 	}
-	hs, intras, _ := startHierWorld(t, recv)
-
-	var suspects [4]atomic.Int64
-	hs[0].SetHealth(transport.HealthFuncs{
-		Suspect: func(r int, s bool, silent time.Duration) {
-			if s {
-				suspects[r].Add(1)
-			}
-		},
-	})
-	// Rank 1 (co-located with 0) stops stamping its presence slot; its TCP
-	// endpoint keeps beating nothing (no TCP heartbeats configured), so any
-	// suspicion of rank 1 must come from the shm detector — and suspicion
-	// of the remote ranks must not appear at all.
-	intras[1].PauseHeartbeats(true)
-	deadline := time.Now().Add(5 * time.Second)
-	for suspects[1].Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("co-located failure never suspected via shm")
+	var mu sync.Mutex
+	var seen [4][]string // per observing rank: "<rank> down|up"
+	peers := make([]transport.PeerFunc, 4)
+	for r := range peers {
+		peers[r] = func(rank int, up bool) {
+			mu.Lock()
+			seen[r] = append(seen[r], fmt.Sprintf("%d %s", rank, map[bool]string{false: "down", true: "up"}[up]))
+			mu.Unlock()
 		}
-		time.Sleep(time.Millisecond)
 	}
-	if suspects[2].Load() != 0 || suspects[3].Load() != 0 {
-		t.Fatal("remote ranks suspected without cause")
+	events := func(r int) []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), seen[r]...)
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timeout waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	hs, intras, inters := startHierWorld(t, recv, peers)
+
+	inters[1].Close()
+	waitFor("remote ranks report rank 1 down over TCP", func() bool {
+		return slices.Equal(events(2), []string{"1 down"}) && slices.Equal(events(3), []string{"1 down"})
+	})
+	// Rank 0's own TCP endpoint has seen the close too; give its report
+	// time to arrive and be dropped.
+	waitFor("rank 0's TCP endpoint sees rank 1 gone", func() bool {
+		return inters[0].Send(1, transport.Header{}, datatype.GetBuffer(8)) != nil
+	})
+	time.Sleep(100 * time.Millisecond)
+	if got := events(0); len(got) != 0 {
+		t.Fatalf("rank 0 took TCP's word for its co-located peer: %v", got)
+	}
+	if err := hs[0].Send(1, transport.Header{}, datatype.GetBuffer(8)); err != nil {
+		t.Fatalf("co-located route to rank 1 broken by a TCP close: %v", err)
+	}
+
+	// Rank 1 stops stamping its presence slot: the shm detector, which owns
+	// the route, declares it down at rank 0 only.
+	intras[1].PauseHeartbeats(true)
+	waitFor("rank 0 reports rank 1 down over shm", func() bool { return len(events(0)) > 0 })
+	if got := events(0); !slices.Equal(got, []string{"1 down"}) {
+		t.Fatalf("rank 0 reported %v, want [1 down]", got)
+	}
+	if got := intras[0].Stats().Suspects; got != 1 {
+		t.Fatalf("shm Suspects = %d, want 1", got)
+	}
+	for _, r := range []int{2, 3} {
+		if got := events(r); !slices.Equal(got, []string{"1 down"}) {
+			t.Fatalf("rank %d reported %v, want [1 down] only", r, got)
+		}
 	}
 }

@@ -36,9 +36,9 @@ func (t *Inproc) Local(r int) bool { return true }
 // Wallclock reports false: this transport preserves virtual-time semantics.
 func (t *Inproc) Wallclock() bool { return false }
 
-// Start registers the delivery handler.  The failure callback is unused:
+// Start registers the delivery handler.  The liveness callback is unused:
 // rank lifecycle is tracked above the transport in this mode.
-func (t *Inproc) Start(deliver Handler, down DownFunc) error {
+func (t *Inproc) Start(deliver Handler, _ PeerFunc) error {
 	if t.deliver != nil {
 		return fmt.Errorf("transport: inproc already started")
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nccd/internal/datatype"
 )
@@ -20,10 +19,10 @@ import (
 // is the (job, ctx) pair, which layers cleanly on the epoch-fenced
 // contexts of the recovery protocol.
 //
-// Failure events fan out with the same isolation: a mesh rank going down
-// is reported only to the Subs whose job is mapped onto it (translated to
-// the job-relative rank), so a crash aborts exactly the jobs that
-// depended on the crashed process and no others.
+// Liveness events fan out with the same isolation: a mesh rank going down
+// or coming back is reported only to the Subs whose job is mapped onto it
+// (translated to the job-relative rank), so a crash aborts exactly the
+// jobs that depended on the crashed process and no others.
 //
 // A frame can arrive for a job whose Sub is not registered yet — the
 // submitting side may start solving before a slower peer has processed
@@ -40,10 +39,9 @@ type Mux struct {
 	downed  []bool
 	started bool
 
-	// Service-level observers of mesh rank lifecycle, independent of any
+	// Service-level observers of mesh rank liveness, independent of any
 	// job mapping.
-	peerDown []DownFunc
-	peerUp   []func(rank int)
+	observers []PeerFunc
 
 	heldDropped atomic.Int64
 	jobDropped  atomic.Int64
@@ -84,10 +82,7 @@ func (m *Mux) Start() error {
 	}
 	m.started = true
 	m.mu.Unlock()
-	if ht, ok := m.real.(interface{ SetHealth(HealthFuncs) }); ok {
-		ht.SetHealth(HealthFuncs{Beat: m.onBeat, Suspect: m.onSuspect, Up: m.onUp})
-	}
-	return m.real.Start(m.route, m.onPeerDown)
+	return m.real.Start(m.route, m.onPeer)
 }
 
 // Size is the mesh size in real ranks.
@@ -102,28 +97,13 @@ func (m *Mux) Occupancy() Occupancy {
 	return Occupancy{}
 }
 
-// OnPeerDown registers a service-level observer of mesh rank failures,
-// called (on the transport's callback goroutine) with the real rank.
-func (m *Mux) OnPeerDown(f DownFunc) {
+// OnPeer registers a service-level observer of mesh rank liveness, called
+// (on the transport's callback goroutine) with the real rank: down for a
+// failure, up for a respawned process re-entering the mesh.
+func (m *Mux) OnPeer(f PeerFunc) {
 	m.mu.Lock()
-	m.peerDown = append(m.peerDown, f)
+	m.observers = append(m.observers, f)
 	m.mu.Unlock()
-}
-
-// OnPeerUp registers an observer of mesh rank reconnections (a respawned
-// process re-entering the mesh), called with the real rank.
-func (m *Mux) OnPeerUp(f func(rank int)) {
-	m.mu.Lock()
-	m.peerUp = append(m.peerUp, f)
-	m.mu.Unlock()
-}
-
-// PeerAlive reports whether real rank r is currently connected, as far as
-// the mux has observed (self counts as alive).
-func (m *Mux) PeerAlive(r int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return r >= 0 && r < len(m.downed) && !m.downed[r]
 }
 
 // HeldDropped counts frames dropped because the held-frame budget was
@@ -210,67 +190,25 @@ func (m *Mux) route(to int, hdr Header, payload []byte) {
 	s.deliver(to, hdr, payload)
 }
 
-// onPeerDown fans a mesh rank failure out to the jobs mapped onto it and
-// to the service-level observers.
-func (m *Mux) onPeerDown(r int) {
+// onPeer fans a mesh rank's liveness change out to the jobs mapped onto it
+// and to the service-level observers.  downed remembers the deaths so a
+// Sub started later replays them.
+func (m *Mux) onPeer(r int, up bool) {
 	m.mu.Lock()
 	if r >= 0 && r < len(m.downed) {
-		m.downed[r] = true
+		m.downed[r] = !up
 	}
 	subs := make([]*Sub, 0, len(m.subs))
 	for _, s := range m.subs {
 		subs = append(subs, s)
 	}
-	observers := append([]DownFunc(nil), m.peerDown...)
+	observers := append([]PeerFunc(nil), m.observers...)
 	m.mu.Unlock()
 	for _, s := range subs {
-		s.peerDown(r)
+		s.peer(r, up)
 	}
 	for _, f := range observers {
-		f(r)
-	}
-}
-
-func (m *Mux) onUp(r int) {
-	m.mu.Lock()
-	if r >= 0 && r < len(m.downed) {
-		m.downed[r] = false
-	}
-	subs := make([]*Sub, 0, len(m.subs))
-	for _, s := range m.subs {
-		subs = append(subs, s)
-	}
-	observers := append([]func(rank int){}, m.peerUp...)
-	m.mu.Unlock()
-	for _, s := range subs {
-		s.peerUp(r)
-	}
-	for _, f := range observers {
-		f(r)
-	}
-}
-
-func (m *Mux) onBeat(r int) {
-	m.mu.Lock()
-	subs := make([]*Sub, 0, len(m.subs))
-	for _, s := range m.subs {
-		subs = append(subs, s)
-	}
-	m.mu.Unlock()
-	for _, s := range subs {
-		s.beat(r)
-	}
-}
-
-func (m *Mux) onSuspect(r int, suspect bool, silent time.Duration) {
-	m.mu.Lock()
-	subs := make([]*Sub, 0, len(m.subs))
-	for _, s := range m.subs {
-		subs = append(subs, s)
-	}
-	m.mu.Unlock()
-	for _, s := range subs {
-		s.suspect(r, suspect, silent)
+		f(r, up)
 	}
 }
 
@@ -293,8 +231,7 @@ type Sub struct {
 
 	cbMu    sync.Mutex
 	handler Handler
-	down    DownFunc
-	health  HealthFuncs
+	onPeer  PeerFunc
 }
 
 // Size is the job's world size.
@@ -313,17 +250,17 @@ func (s *Sub) Wallclock() bool { return s.m.real.Wallclock() }
 
 func (s *Sub) startedLoad() bool { return s.started.Load() }
 
-// Start registers the job world's delivery handler and failure callback
+// Start registers the job world's delivery handler and liveness callback
 // with the mux, flushes any frames that arrived early, and replays
 // already-observed failures of mesh ranks this job is mapped onto.  The
 // underlying transport must already be started (Mux.Start).
-func (s *Sub) Start(deliver Handler, down DownFunc) error {
+func (s *Sub) Start(deliver Handler, peer PeerFunc) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
 	s.cbMu.Lock()
 	s.handler = deliver
-	s.down = down
+	s.onPeer = peer
 	s.cbMu.Unlock()
 	if s.started.Swap(true) {
 		return fmt.Errorf("transport: job %d sub already started", s.job)
@@ -345,8 +282,10 @@ func (s *Sub) Start(deliver Handler, down DownFunc) error {
 	for _, hf := range held {
 		s.deliver(hf.to, hf.hdr, hf.payload)
 	}
-	for _, jr := range dead {
-		down(jr)
+	if peer != nil {
+		for _, jr := range dead {
+			peer(jr, false)
+		}
 	}
 	return nil
 }
@@ -365,14 +304,6 @@ func (s *Sub) Send(to int, hdr Header, payload []byte) error {
 	}
 	hdr.Job = s.job
 	return s.m.real.Send(s.ranks[to], hdr, payload)
-}
-
-// SetHealth wires the job world's liveness callbacks; the mux translates
-// mesh ranks to job ranks and filters events to the job's membership.
-func (s *Sub) SetHealth(h HealthFuncs) {
-	s.cbMu.Lock()
-	s.health = h
-	s.cbMu.Unlock()
 }
 
 // SetEpoch forwards an epoch raise to the mesh (raise-only there, so
@@ -412,54 +343,18 @@ func (s *Sub) deliver(to int, hdr Header, payload []byte) {
 	h(jobTo, hdr, payload)
 }
 
-func (s *Sub) peerDown(realRank int) {
+// peer translates a mesh rank's liveness change to the job's numbering.
+// A death reaches only a started Sub: one still starting replays it from
+// the mux's downed view instead.
+func (s *Sub) peer(realRank int, up bool) {
 	jr, ok := s.ofReal[realRank]
-	if !ok || !s.started.Load() {
+	if !ok || (!up && !s.started.Load()) {
 		return
 	}
 	s.cbMu.Lock()
-	d := s.down
-	s.cbMu.Unlock()
-	if d != nil {
-		d(jr)
-	}
-}
-
-func (s *Sub) peerUp(realRank int) {
-	jr, ok := s.ofReal[realRank]
-	if !ok {
-		return
-	}
-	s.cbMu.Lock()
-	up := s.health.Up
-	s.cbMu.Unlock()
-	if up != nil {
-		up(jr)
-	}
-}
-
-func (s *Sub) beat(realRank int) {
-	jr, ok := s.ofReal[realRank]
-	if !ok {
-		return
-	}
-	s.cbMu.Lock()
-	b := s.health.Beat
-	s.cbMu.Unlock()
-	if b != nil {
-		b(jr)
-	}
-}
-
-func (s *Sub) suspect(realRank int, suspect bool, silent time.Duration) {
-	jr, ok := s.ofReal[realRank]
-	if !ok {
-		return
-	}
-	s.cbMu.Lock()
-	f := s.health.Suspect
+	f := s.onPeer
 	s.cbMu.Unlock()
 	if f != nil {
-		f(jr, suspect, silent)
+		f(jr, up)
 	}
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -10,8 +11,9 @@ import (
 )
 
 // startMuxMesh brings up an n-rank localhost TCP mesh with a Mux owning
-// each endpoint — the service-daemon topology, in one process.
-func startMuxMesh(t *testing.T, n int) []*Mux {
+// each endpoint — the service-daemon topology, in one process.  hb is the
+// endpoints' heartbeat interval (0 for none).
+func startMuxMesh(t *testing.T, n int, hb time.Duration) []*Mux {
 	t.Helper()
 	addrs := make([]string, n)
 	lns := make([]net.Listener, n)
@@ -27,7 +29,7 @@ func startMuxMesh(t *testing.T, n int) []*Mux {
 	for r := 0; r < n; r++ {
 		tcp, err := NewTCP(TCPConfig{
 			Rank: r, Size: n, WorldID: 0xddc, Addrs: addrs, Listener: lns[r],
-			DialTimeout: 5 * time.Second,
+			DialTimeout: 5 * time.Second, Heartbeat: hb,
 		})
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
@@ -57,11 +59,11 @@ func startMuxMesh(t *testing.T, n int) []*Mux {
 	return muxes
 }
 
-// subRec records one Sub's deliveries and failure events.
+// subRec records one Sub's deliveries and liveness events.
 type subRec struct {
 	mu   sync.Mutex
 	msgs []meshMsg
-	down []int
+	peerLog
 }
 
 func (r *subRec) handler(to int, hdr Header, payload []byte) {
@@ -74,22 +76,10 @@ func (r *subRec) handler(to int, hdr Header, payload []byte) {
 	r.mu.Unlock()
 }
 
-func (r *subRec) onDown(rank int) {
-	r.mu.Lock()
-	r.down = append(r.down, rank)
-	r.mu.Unlock()
-}
-
 func (r *subRec) get() []meshMsg {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]meshMsg(nil), r.msgs...)
-}
-
-func (r *subRec) downs() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]int(nil), r.down...)
 }
 
 func startSub(t *testing.T, m *Mux, job uint64, ranks []int) (*Sub, *subRec) {
@@ -99,7 +89,7 @@ func startSub(t *testing.T, m *Mux, job uint64, ranks []int) (*Sub, *subRec) {
 		t.Fatalf("sub job %d: %v", job, err)
 	}
 	rec := &subRec{}
-	if err := s.Start(rec.handler, rec.onDown); err != nil {
+	if err := s.Start(rec.handler, rec.record); err != nil {
 		t.Fatalf("start sub job %d: %v", job, err)
 	}
 	return s, rec
@@ -109,7 +99,7 @@ func startSub(t *testing.T, m *Mux, job uint64, ranks []int) (*Sub, *subRec) {
 // each sub sees only its own frames, in job-relative numbering, with the
 // job id stamped on the wire.
 func TestMuxJobIsolation(t *testing.T) {
-	muxes := startMuxMesh(t, 2)
+	muxes := startMuxMesh(t, 2, 0)
 
 	subA0, _ := startSub(t, muxes[0], 7, []int{0, 1})
 	_, recA1 := startSub(t, muxes[1], 7, []int{0, 1})
@@ -140,7 +130,7 @@ func TestMuxJobIsolation(t *testing.T) {
 // TestMuxHeldFrames: a frame for a job whose Sub is not yet registered on
 // the receiver is parked and flushed, intact, when the Sub starts.
 func TestMuxHeldFrames(t *testing.T) {
-	muxes := startMuxMesh(t, 2)
+	muxes := startMuxMesh(t, 2, 0)
 	subA0, _ := startSub(t, muxes[0], 3, []int{0, 1})
 
 	want := payloadFor(0, 1)
@@ -170,7 +160,7 @@ func TestMuxHeldFrames(t *testing.T) {
 // TestMuxTombstone: a released job id drops stragglers and can never be
 // reused.
 func TestMuxTombstone(t *testing.T) {
-	muxes := startMuxMesh(t, 2)
+	muxes := startMuxMesh(t, 2, 0)
 	subA0, _ := startSub(t, muxes[0], 3, []int{0, 1})
 	subA1, _ := startSub(t, muxes[1], 3, []int{0, 1})
 
@@ -190,43 +180,87 @@ func TestMuxTombstone(t *testing.T) {
 	}
 }
 
-// TestMuxDownFanoutFiltered: a mesh rank death reaches exactly the jobs
-// mapped onto it — translated to the job-relative rank — plus the
-// service-level observers with the real rank.
+// TestMuxDownFanoutFiltered: a mesh rank's death and its replacement's
+// return reach exactly the jobs mapped onto it — translated to the
+// job-relative rank — plus the service-level observers with the real rank,
+// and a Sub started after the death replays it.
 func TestMuxDownFanoutFiltered(t *testing.T) {
-	muxes := startMuxMesh(t, 3)
+	muxes := startMuxMesh(t, 3, 0)
 
-	var obsMu sync.Mutex
-	var observed []int
-	muxes[0].OnPeerDown(func(r int) {
-		obsMu.Lock()
-		observed = append(observed, r)
-		obsMu.Unlock()
-	})
+	var observed peerLog
+	muxes[0].OnPeer(observed.record)
 
 	_, recX := startSub(t, muxes[0], 4, []int{0, 1}) // avoids rank 2
 	_, recY := startSub(t, muxes[0], 6, []int{0, 2}) // spans rank 2
 
+	addr := muxes[2].real.(*TCP).cfg.Addrs[2]
 	muxes[2].Close() // rank 2 dies
 
 	waitFor(t, "service observer saw the death", func() bool {
-		obsMu.Lock()
-		defer obsMu.Unlock()
-		for _, r := range observed {
-			if r == 2 {
-				return true
-			}
-		}
-		return false
+		return slices.Equal(observed.seen(), []string{"2 down"})
 	})
 	waitFor(t, "mapped job notified", func() bool {
-		d := recY.downs()
-		return len(d) == 1 && d[0] == 1 // real rank 2 = job 6's rank 1
+		return slices.Equal(recY.seen(), []string{"1 down"}) // real rank 2 = job 6's rank 1
 	})
-	if d := recX.downs(); len(d) != 0 {
-		t.Fatalf("job 4 (not mapped onto rank 2) got down events %v", d)
+	if got := recX.seen(); len(got) != 0 {
+		t.Fatalf("job 4 (not mapped onto rank 2) got liveness events %v", got)
 	}
-	if !muxes[0].PeerAlive(1) || muxes[0].PeerAlive(2) {
-		t.Fatalf("PeerAlive view wrong: alive(1)=%v alive(2)=%v", muxes[0].PeerAlive(1), muxes[0].PeerAlive(2))
+	_, recZ := startSub(t, muxes[0], 8, []int{2, 1, 0})
+	if got := recZ.seen(); !slices.Equal(got, []string{"0 down"}) {
+		t.Fatalf("a job started after the death replayed %v, want [0 down]", got)
+	}
+
+	// A replacement for rank 2 dials back in: the same jobs hear it up.
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
+	}
+	addrs := muxes[0].real.(*TCP).cfg.Addrs
+	fresh, err := NewTCP(TCPConfig{Rank: 2, Size: 3, WorldID: 0xddc, Addrs: addrs, Listener: ln,
+		DialTimeout: 5 * time.Second, Rejoin: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fresh.Close() })
+	if err := fresh.Start(func(_ int, _ Header, p []byte) { datatype.PutBuffer(p) }, nil); err != nil {
+		t.Fatalf("rejoin start: %v", err)
+	}
+	waitFor(t, "mapped jobs hear the replacement up", func() bool {
+		return slices.Equal(recY.seen(), []string{"1 down", "1 up"}) &&
+			slices.Equal(recZ.seen(), []string{"0 down", "0 up"})
+	})
+	if got := observed.seen(); !slices.Equal(got, []string{"2 down", "2 up"}) {
+		t.Fatalf("service observer saw %v, want [2 down 2 up]", got)
+	}
+	if got := recX.seen(); len(got) != 0 {
+		t.Fatalf("job 4 (not mapped onto rank 2) got liveness events %v", got)
+	}
+}
+
+// TestMuxCountsSuspicionOnce: suspicion lives in the endpoint, not in the
+// worlds above it.  A mux carrying a control Sub and two job Subs over one
+// TCP pair counts one silence of its peer as one suspicion, and no Sub
+// hears of it.
+func TestMuxCountsSuspicionOnce(t *testing.T) {
+	muxes := startMuxMesh(t, 2, testBeat)
+	var recs []*subRec
+	for _, job := range []uint64{1, 2, 3} { // the control world and two jobs
+		for _, m := range muxes {
+			_, rec := startSub(t, m, job, []int{0, 1})
+			recs = append(recs, rec)
+		}
+	}
+	ep0, ep1 := muxes[0].real.(*TCP), muxes[1].real.(*TCP)
+	ep1.PauseHeartbeats(true)
+	waitFor(t, "suspicion", func() bool { return ep0.Stats().Suspects > 0 })
+	ep1.PauseHeartbeats(false)
+	time.Sleep(4 * testBeat)
+	if got := ep0.Stats().Suspects; got != 1 {
+		t.Fatalf("Suspects = %d with three worlds on the endpoint, want 1", got)
+	}
+	for i, rec := range recs {
+		if got := rec.seen(); len(got) != 0 {
+			t.Fatalf("sub %d heard %v from a suspicion", i, got)
+		}
 	}
 }

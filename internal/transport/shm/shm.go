@@ -22,7 +22,7 @@ import (
 // suspect-then-fail ladder as the TCP detector.  Failure recovery reuses
 // the membership-epoch fencing of the socket transport: a replacement
 // attaches with a bumped attach generation and the recovery epoch, peers
-// report it Up only if that epoch is current, and the replacement drains
+// report it up only if that epoch is current, and the replacement drains
 // its inbound rings on attach for fresh-connection semantics.
 type Transport struct {
 	cfg    Config
@@ -32,8 +32,7 @@ type Transport struct {
 	gi     []int // world rank → group index, -1 if not co-located
 
 	deliver transport.Handler
-	down    transport.DownFunc
-	health  atomic.Pointer[transport.HealthFuncs]
+	peer    transport.PeerFunc
 	tracer  atomic.Pointer[obs.Tracer]
 
 	peers  []*shmPeer     // one per group index; nil at idx
@@ -63,10 +62,11 @@ type Config struct {
 	RingBytes int // per-directed-ring data capacity (power of two, default 1 MiB)
 	MaxFrame  int // largest accepted payload (default fits the ring)
 
-	// Heartbeat drives the presence-table failure detector.  A zero
-	// interval disables silence scoring; attach detection and the pid
-	// probe still run on a slow tick.
-	Heartbeat transport.HeartbeatConfig
+	// Heartbeat is the presence-table failure detector's interval; silence
+	// is scored against transport.SuspectAfter and FailAfter.  Zero
+	// disables silence scoring; attach detection and the pid probe still
+	// run on a slow tick.
+	Heartbeat time.Duration
 
 	AttachTimeout time.Duration // wait for the group to attach (default 15s)
 	Epoch         uint64        // membership epoch published at attach
@@ -84,14 +84,6 @@ func (c Config) withDefaults() Config {
 	if c.AttachTimeout == 0 {
 		c.AttachTimeout = 15 * time.Second
 	}
-	if c.Heartbeat.Interval > 0 {
-		if c.Heartbeat.Miss == 0 {
-			c.Heartbeat.Miss = 3
-		}
-		if c.Heartbeat.FailAfter == 0 {
-			c.Heartbeat.FailAfter = 3 * c.Heartbeat.Miss
-		}
-	}
 	return c
 }
 
@@ -107,6 +99,7 @@ type Stats struct {
 	StallNanos     int64 `json:"stall_nanos"`
 	BeatsSent      int64 `json:"beats_sent"`
 	BeatsRecv      int64 `json:"beats_recv"`
+	Suspects       int64 `json:"suspects"` // times a peer was suspected
 	DrainedBytes   int64 `json:"drained_bytes"`
 }
 
@@ -116,6 +109,7 @@ type shmCounters struct {
 	ringFullStalls         atomic.Int64
 	stallNanos             atomic.Int64
 	beatsSent, beatsRecv   atomic.Int64
+	suspects               atomic.Int64
 	drainedBytes           atomic.Int64
 }
 
@@ -133,7 +127,7 @@ type shmPeer struct {
 	alive     atomic.Bool
 	suspect   atomic.Bool
 	lastHeard atomic.Int64 // UnixNano of last frame or beat observation
-	liveMu    sync.Mutex   // orders Up against down, as in the TCP endpoint
+	liveMu    sync.Mutex   // orders up against down, as in the TCP endpoint
 
 	// Monitor-goroutine-private observations.
 	seenAgen uint64
@@ -144,7 +138,7 @@ type shmPeer struct {
 // mapping the backing file when Path is set, adopting the shared
 // in-process segment otherwise.  The presence slot is published here, so
 // peers already running see the attach (and, on a rejoin, report the
-// rank Up) before Start is called.
+// rank up) before Start is called.
 func New(cfg Config) (*Transport, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Size < 1 || cfg.Rank < 0 || cfg.Rank >= cfg.Size {
@@ -273,12 +267,9 @@ func (t *Transport) Reaches(r int) bool {
 // shm_send/shm_recv wall-clock spans.
 func (t *Transport) SetTracer(tr *obs.Tracer) { t.tracer.Store(tr) }
 
-// SetHealth wires the liveness callbacks.
-func (t *Transport) SetHealth(h transport.HealthFuncs) { t.health.Store(&h) }
-
 // SetEpoch raises the membership epoch and republishes it in the
 // presence slot; a stale incarnation re-attaching with an older epoch is
-// then ignored by the detector instead of reported Up.
+// then ignored by the detector instead of reported up.
 func (t *Transport) SetEpoch(e uint64) {
 	for {
 		old := t.epoch.Load()
@@ -296,30 +287,6 @@ func (t *Transport) SetEpoch(e uint64) {
 // presence stamping while it keeps consuming — the deterministic
 // equivalent of a SIGSTOP for failure-detection tests.
 func (t *Transport) PauseHeartbeats(pause bool) { t.paused.Store(pause) }
-
-// LastHeard returns when rank r last proved liveness (zero time if never
-// or not co-located).
-func (t *Transport) LastHeard(r int) time.Time {
-	if !t.Reaches(r) || r == t.cfg.Rank {
-		return time.Time{}
-	}
-	ns := t.peers[t.gi[r]].lastHeard.Load()
-	if ns == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, ns)
-}
-
-// Health returns the failure detector's view of rank r.
-func (t *Transport) Health(r int) transport.PeerHealth {
-	h := transport.PeerHealth{Rank: r, LastHeard: t.LastHeard(r)}
-	if t.Reaches(r) && r != t.cfg.Rank {
-		p := t.peers[t.gi[r]]
-		h.Alive = p.alive.Load()
-		h.Suspect = p.suspect.Load()
-	}
-	return h
-}
 
 // Occupancy reports the bytes currently sitting in this endpoint's
 // outbound rings — records pushed but not yet popped by their consumers.
@@ -345,7 +312,7 @@ func (t *Transport) Stats() Stats {
 		BytesSent: c.bytesSent.Load(), BytesRecv: c.bytesRecv.Load(),
 		RingFullStalls: c.ringFullStalls.Load(), StallNanos: c.stallNanos.Load(),
 		BeatsSent: c.beatsSent.Load(), BeatsRecv: c.beatsRecv.Load(),
-		DrainedBytes: c.drainedBytes.Load(),
+		Suspects: c.suspects.Load(), DrainedBytes: c.drainedBytes.Load(),
 	}
 }
 
@@ -368,12 +335,12 @@ func (t *Transport) traceNow() (float64, bool) {
 
 // Start waits for the whole group to attach, marks every peer alive, and
 // begins consuming inbound rings and monitoring presence.
-func (t *Transport) Start(deliver transport.Handler, down transport.DownFunc) error {
+func (t *Transport) Start(deliver transport.Handler, peer transport.PeerFunc) error {
 	if t.deliver != nil {
 		return fmt.Errorf("shm: already started")
 	}
 	t.deliver = deliver
-	t.down = down
+	t.peer = peer
 	deadline := time.Now().Add(t.cfg.AttachTimeout)
 	for _, p := range t.peers {
 		if p == nil {
@@ -592,11 +559,11 @@ func (t *Transport) drainRing(p *shmPeer) bool {
 // into its presence slot and scores every peer from theirs.  A changed
 // attach generation with a current epoch is a replacement coming up; a
 // dead pid (co-located processes) is an immediate hard failure; silence
-// past the miss window raises suspicion and past the fail window declares
+// for SuspectAfter intervals raises suspicion and for FailAfter declares
 // the peer down, exactly the ladder the TCP detector climbs.
 func (t *Transport) monitorLoop() {
 	defer t.wg.Done()
-	interval := t.cfg.Heartbeat.Interval
+	interval := t.cfg.Heartbeat
 	score := interval > 0
 	if !score {
 		interval = 50 * time.Millisecond
@@ -633,9 +600,6 @@ func (t *Transport) monitorLoop() {
 				if now2, ok := t.traceNow(); ok {
 					t.trace("heartbeat", p.rank, 0, now2, now2)
 				}
-				if h := t.health.Load(); h != nil && h.Beat != nil {
-					h.Beat(p.rank)
-				}
 			}
 			if !p.alive.Load() {
 				continue
@@ -647,33 +611,26 @@ func (t *Transport) monitorLoop() {
 			if !score {
 				continue
 			}
-			hb := t.cfg.Heartbeat
 			silent := now.Sub(time.Unix(0, p.lastHeard.Load()))
-			missed := int(silent / hb.Interval)
+			missed := int(silent / interval)
 			switch {
-			case missed >= hb.FailAfter:
+			case missed >= transport.FailAfter:
 				if wnow, ok := t.traceNow(); ok {
 					t.trace("suspect", p.rank, 0, wnow, wnow,
 						obs.Attr{Key: "hard", Val: "true"},
 						obs.Attr{Key: "silent", Val: silent.String()})
 				}
 				t.peerDown(p, fmt.Sprintf("silent for %v", silent))
-			case missed >= hb.Miss:
+			case missed >= transport.SuspectAfter:
 				if p.suspect.CompareAndSwap(false, true) {
+					t.stats.suspects.Add(1)
 					if wnow, ok := t.traceNow(); ok {
 						t.trace("suspect", p.rank, 0, wnow, wnow,
 							obs.Attr{Key: "silent", Val: silent.String()})
 					}
-					if h := t.health.Load(); h != nil && h.Suspect != nil {
-						h.Suspect(p.rank, true, silent)
-					}
 				}
 			default:
-				if p.suspect.CompareAndSwap(true, false) {
-					if h := t.health.Load(); h != nil && h.Suspect != nil {
-						h.Suspect(p.rank, false, silent)
-					}
-				}
+				p.suspect.Store(false)
 			}
 		}
 	}
@@ -682,7 +639,7 @@ func (t *Transport) monitorLoop() {
 // peerAttached handles an attach-generation change: a new incarnation of
 // the peer published its slot.  An incarnation carrying an older epoch
 // than ours is a fenced-out zombie and is ignored; a current one is
-// adopted and reported Up — the shared-memory equivalent of a rejoining
+// adopted and reported up — the shared-memory equivalent of a rejoining
 // peer's fresh connection registering.
 func (t *Transport) peerAttached(p *shmPeer, agen uint64, beat int64, off int, now time.Time) {
 	epoch := u64at(t.seg.b, off+offEpoch).Load()
@@ -716,8 +673,8 @@ func (t *Transport) peerAttached(p *shmPeer, agen uint64, beat int64, off int, n
 		t.trace("shm_attach", p.rank, 0, wnow, wnow)
 	}
 	p.liveMu.Lock()
-	if h := t.health.Load(); h != nil && h.Up != nil {
-		h.Up(p.rank)
+	if t.peer != nil {
+		t.peer(p.rank, true)
 	}
 	p.liveMu.Unlock()
 }
@@ -734,8 +691,8 @@ func (t *Transport) peerDown(p *shmPeer, reason string) {
 	}
 	p.liveMu.Lock()
 	defer p.liveMu.Unlock()
-	if !t.closed.Load() && t.down != nil {
-		t.down(p.rank)
+	if !t.closed.Load() && t.peer != nil {
+		t.peer(p.rank, false)
 	}
 }
 

@@ -2,6 +2,7 @@ package shm
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -39,9 +40,39 @@ func (s *recvSink) wait(t *testing.T, target int64) {
 	}
 }
 
+// testBeat is the detector interval of the heartbeat tests.  Suspicion
+// comes after 150 ms of silence and hard failure after 450 ms, so a
+// healthy member stamping every 50 ms has 100 ms of slack before it is
+// suspected, and a test that resumes a paused member as soon as it is
+// suspected has more than 200 ms before it would be declared down.
+const testBeat = 50 * time.Millisecond
+
+// liveness counts the reports of a transport's liveness callback.
+type liveness struct{ downs, ups atomic.Int64 }
+
+func (l *liveness) record(_ int, up bool) {
+	if up {
+		l.ups.Add(1)
+	} else {
+		l.downs.Add(1)
+	}
+}
+
+// waitUntil polls cond until it holds or the test's 5 s budget runs out.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timeout waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // startGroup brings up one Transport per rank of an m-rank group over a
 // shared in-process segment.
-func startGroup(t *testing.T, m int, hb transport.HeartbeatConfig) ([]*Transport, []*recvSink) {
+func startGroup(t *testing.T, m int, hb time.Duration) ([]*Transport, []*recvSink) {
 	t.Helper()
 	seg, err := NewMemSegment(m, 1<<16, 0x5117)
 	if err != nil {
@@ -78,7 +109,7 @@ func startGroup(t *testing.T, m int, hb transport.HeartbeatConfig) ([]*Transport
 // TestSendRecvPair exercises the basic framed contract: payloads and
 // headers cross the ring intact, in order, in both directions.
 func TestSendRecvPair(t *testing.T) {
-	trs, sinks := startGroup(t, 2, transport.HeartbeatConfig{})
+	trs, sinks := startGroup(t, 2, 0)
 	const rounds = 100
 	for i := 0; i < rounds; i++ {
 		payload := datatype.GetBuffer(i * 13 % 700)
@@ -141,10 +172,10 @@ func TestBackpressureCounted(t *testing.T) {
 }
 
 // TestHeartbeatFailureDetection pauses one member's presence stamping and
-// expects the peer to walk the suspect → down ladder; resuming before the
-// hard deadline must clear the suspicion instead.
+// expects the peer to suspect it once per silence without reporting it;
+// resuming before the hard deadline clears the suspicion, so a second
+// pause counts a second one, and a silence left to ripen is reported down.
 func TestHeartbeatFailureDetection(t *testing.T) {
-	hb := transport.HeartbeatConfig{Interval: 10 * time.Millisecond, Miss: 3, FailAfter: 30}
 	seg, err := NewMemSegment(2, 1<<16, 0x4eab)
 	if err != nil {
 		t.Fatal(err)
@@ -152,81 +183,60 @@ func TestHeartbeatFailureDetection(t *testing.T) {
 	var trs [2]*Transport
 	for r := 0; r < 2; r++ {
 		tr, err := New(Config{Rank: r, Size: 2, Ranks: []int{0, 1}, WorldID: 0x4eab,
-			Seg: seg, RingBytes: 1 << 16, Heartbeat: hb})
+			Seg: seg, RingBytes: 1 << 16, Heartbeat: testBeat})
 		if err != nil {
 			t.Fatal(err)
 		}
 		trs[r] = tr
 		defer tr.Close()
 	}
-	var suspected, unsuspected, downed atomic.Int64
-	trs[0].SetHealth(transport.HealthFuncs{
-		Suspect: func(r int, s bool, silent time.Duration) {
-			if s {
-				suspected.Add(1)
-			} else {
-				unsuspected.Add(1)
-			}
-		},
-	})
+	var live liveness
 	drop := func(to int, hdr transport.Header, p []byte) { datatype.PutBuffer(p) }
-	if err := trs[0].Start(drop, func(r int) { downed.Add(1) }); err != nil {
+	if err := trs[0].Start(drop, live.record); err != nil {
 		t.Fatal(err)
 	}
 	if err := trs[1].Start(drop, nil); err != nil {
 		t.Fatal(err)
 	}
 
-	trs[1].PauseHeartbeats(true)
-	deadline := time.Now().Add(5 * time.Second)
-	for suspected.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("peer never suspected")
-		}
-		time.Sleep(time.Millisecond)
+	for want := int64(1); want <= 2; want++ {
+		trs[1].PauseHeartbeats(true)
+		waitUntil(t, "suspicion", func() bool { return trs[0].Stats().Suspects == want })
+		trs[1].PauseHeartbeats(false)
+		// The member stamps within an interval of the resume and the
+		// peer's next tick clears the suspicion.
+		time.Sleep(4 * testBeat)
 	}
-	trs[1].PauseHeartbeats(false)
-	for unsuspected.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("suspicion never cleared after resume")
-		}
-		time.Sleep(time.Millisecond)
+	if live.downs.Load()+live.ups.Load() != 0 {
+		t.Fatal("a member that resumed in time was reported")
 	}
-	if downed.Load() != 0 {
-		t.Fatal("recovered peer was declared down")
-	}
-	if !trs[0].Health(1).Alive {
-		t.Fatal("peer not alive after recovery")
+	if err := trs[0].Send(1, transport.Header{}, datatype.GetBuffer(8)); err != nil {
+		t.Fatalf("send to the recovered member: %v", err)
 	}
 
 	// Now let the silence ripen into a hard failure.
 	trs[1].PauseHeartbeats(true)
-	for downed.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("peer never declared down")
-		}
-		time.Sleep(time.Millisecond)
+	waitUntil(t, "hard failure", func() bool { return live.downs.Load() > 0 })
+	if got := trs[0].Stats().Suspects; got != 3 || live.downs.Load() != 1 {
+		t.Fatalf("Suspects = %d, %d down reports; want 3 and 1", got, live.downs.Load())
 	}
-	if trs[0].Health(1).Alive {
-		t.Fatal("failed peer still alive")
-	}
-	if err := trs[0].Send(1, transport.Header{}, datatype.GetBuffer(8)); err == nil {
-		t.Fatal("send to failed peer succeeded")
+	var pd *transport.PeerDownError
+	if err := trs[0].Send(1, transport.Header{}, datatype.GetBuffer(8)); !errors.As(err, &pd) || pd.Rank != 1 {
+		t.Fatalf("send to failed member: %v, want PeerDownError for rank 1", err)
 	}
 }
 
 // TestRejoinDrainAndEpochFence replaces a member: the replacement drains
-// the backlog its predecessor never consumed, peers report it Up only
+// the backlog its predecessor never consumed, peers report it up only
 // with a current epoch, and traffic flows again.
 func TestRejoinDrainAndEpochFence(t *testing.T) {
-	hb := transport.HeartbeatConfig{Interval: 10 * time.Millisecond, Miss: 2, FailAfter: 6}
 	seg, err := NewMemSegment(2, 1<<16, 0x99)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mk := func(rank int, epoch uint64, rejoin bool) *Transport {
 		tr, err := New(Config{Rank: rank, Size: 2, Ranks: []int{0, 1}, WorldID: 0x99,
-			Seg: seg, RingBytes: 1 << 16, Heartbeat: hb, Epoch: epoch, Rejoin: rejoin})
+			Seg: seg, RingBytes: 1 << 16, Heartbeat: testBeat, Epoch: epoch, Rejoin: rejoin})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,31 +245,26 @@ func TestRejoinDrainAndEpochFence(t *testing.T) {
 	t0, t1 := mk(0, 0, false), mk(1, 0, false)
 	defer t0.Close()
 	sink0 := &recvSink{}
-	if err := t0.Start(sink0.handler, nil); err != nil {
+	var live liveness
+	if err := t0.Start(sink0.handler, live.record); err != nil {
 		t.Fatal(err)
 	}
 	if err := t1.Start(func(int, transport.Header, []byte) {}, nil); err != nil {
 		t.Fatal(err)
 	}
-	var up atomic.Int64
-	t0.SetHealth(transport.HealthFuncs{Up: func(r int) { up.Add(1) }})
 
-	// Stuff rank 1's inbound ring with traffic it will never consume,
-	// then kill it (Close stops the consumer; survivors see silence).
+	// Kill rank 1 (Close stops the consumer; survivors see silence), then
+	// stuff its inbound ring with traffic it will never consume: rank 0
+	// still scores it alive for the whole failure window.  Sending first
+	// would race rank 1's consumer for the frame.
+	t1.Close()
 	if err := t0.Send(1, transport.Header{Tag: 1}, datatype.GetBuffer(64)); err != nil {
 		t.Fatal(err)
 	}
-	t1.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for t0.Health(1).Alive {
-		if time.Now().After(deadline) {
-			t.Fatal("dead member never detected")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the dead member reported down", func() bool { return live.downs.Load() == 1 })
 
 	// Survivor commits the recovery epoch; the replacement attaches with
-	// it, drains the stale backlog, and is reported Up.
+	// it, drains the stale backlog, and is reported up.
 	t0.SetEpoch(1)
 	r1 := mk(1, 1, true)
 	defer r1.Close()
@@ -270,24 +275,16 @@ func TestRejoinDrainAndEpochFence(t *testing.T) {
 	if err := r1.Start(sink1.handler, nil); err != nil {
 		t.Fatal(err)
 	}
-	for up.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("replacement never reported Up")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for !t0.Health(1).Alive {
-		if time.Now().After(deadline) {
-			t.Fatal("replacement never alive at survivor")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the replacement reported up", func() bool { return live.ups.Load() == 1 })
 	if err := t0.Send(1, transport.Header{Tag: 9}, datatype.GetBuffer(32)); err != nil {
 		t.Fatalf("send to replacement: %v", err)
 	}
 	sink1.wait(t, 1)
 	if int(sink1.hdrs[0].Tag) != 9 {
 		t.Fatalf("replacement saw stale traffic first: tag %d", sink1.hdrs[0].Tag)
+	}
+	if got := live.downs.Load(); got != 1 {
+		t.Fatalf("%d down reports, want 1", got)
 	}
 }
 
@@ -297,10 +294,9 @@ func TestRejoinDrainAndEpochFence(t *testing.T) {
 // be blocked on the dead incarnation.  A survivor that has already raised
 // its epoch to the replacement's has been through the recovery that admits
 // it, so a death report then would declare the live replacement dead; it
-// must only see the replacement Up.  The silence window is far longer than
-// the test, so only the attach generation can tell the survivor anything.
+// must only see the replacement up.  Silence scoring is off (no heartbeat
+// interval), so only the attach generation can tell the survivor anything.
 func TestReplacementSeenLateIsNotDeclaredDead(t *testing.T) {
-	hb := transport.HeartbeatConfig{Interval: 10 * time.Millisecond, Miss: 1000, FailAfter: 2000}
 	for _, tc := range []struct {
 		name          string
 		survivorEpoch uint64
@@ -316,7 +312,7 @@ func TestReplacementSeenLateIsNotDeclaredDead(t *testing.T) {
 			}
 			mk := func(rank int, epoch uint64, rejoin bool) *Transport {
 				tr, err := New(Config{Rank: rank, Size: 2, Ranks: []int{0, 1}, WorldID: 0x1a7e,
-					Seg: seg, RingBytes: 1 << 16, Heartbeat: hb, Epoch: epoch, Rejoin: rejoin})
+					Seg: seg, RingBytes: 1 << 16, Epoch: epoch, Rejoin: rejoin})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -325,9 +321,8 @@ func TestReplacementSeenLateIsNotDeclaredDead(t *testing.T) {
 			drop := func(to int, hdr transport.Header, p []byte) { datatype.PutBuffer(p) }
 			t0, t1 := mk(0, 0, false), mk(1, 0, false)
 			defer t0.Close()
-			var down, up atomic.Int64
-			t0.SetHealth(transport.HealthFuncs{Up: func(int) { up.Add(1) }})
-			if err := t0.Start(drop, func(int) { down.Add(1) }); err != nil {
+			var live liveness
+			if err := t0.Start(drop, live.record); err != nil {
 				t.Fatal(err)
 			}
 			if err := t1.Start(drop, nil); err != nil {
@@ -341,18 +336,9 @@ func TestReplacementSeenLateIsNotDeclaredDead(t *testing.T) {
 			if err := r1.Start(drop, nil); err != nil {
 				t.Fatal(err)
 			}
-			deadline := time.Now().Add(5 * time.Second)
-			for up.Load() == 0 {
-				if time.Now().After(deadline) {
-					t.Fatal("replacement never reported Up")
-				}
-				time.Sleep(time.Millisecond)
-			}
-			if got := down.Load(); got != tc.wantDown {
+			waitUntil(t, "the replacement reported up", func() bool { return live.ups.Load() > 0 })
+			if got := live.downs.Load(); got != tc.wantDown {
 				t.Fatalf("%d death reports, want %d", got, tc.wantDown)
-			}
-			if !t0.Health(1).Alive {
-				t.Fatal("replacement not alive at the survivor")
 			}
 			if err := t0.Send(1, transport.Header{}, datatype.GetBuffer(8)); err != nil {
 				t.Fatalf("send to the replacement: %v", err)
@@ -403,7 +389,7 @@ func TestFileSegmentRoundTrip(t *testing.T) {
 func TestGroupAllPairs(t *testing.T) {
 	const m = 4
 	const per = 50
-	trs, sinks := startGroup(t, m, transport.HeartbeatConfig{})
+	trs, sinks := startGroup(t, m, 0)
 	var wg sync.WaitGroup
 	for src := 0; src < m; src++ {
 		wg.Add(1)

@@ -37,8 +37,7 @@ type TCP struct {
 	ln  net.Listener
 
 	deliver Handler
-	down    DownFunc
-	health  atomic.Pointer[HealthFuncs]
+	peer    PeerFunc
 
 	mu        sync.Mutex
 	connected int
@@ -72,22 +71,6 @@ type TCP struct {
 	tracer atomic.Pointer[obs.Tracer]
 }
 
-// HeartbeatConfig parameterizes the failure detector.  Every interval the
-// endpoint sends a beat to each connected peer and scores how long each
-// peer has been silent (no frame of any kind).  A peer silent for Miss
-// intervals becomes suspect (HealthFuncs.Suspect, recoverable); one silent
-// for FailAfter intervals is declared down exactly as if its connection had
-// closed — which is how a hung process, unlike a crashed one, is caught.
-type HeartbeatConfig struct {
-	// Interval between beats; 0 disables the detector entirely.
-	Interval time.Duration
-	// Miss is the suspicion threshold in missed intervals.  Default 3.
-	Miss int
-	// FailAfter is the hard-failure threshold in missed intervals.
-	// Default 3*Miss.
-	FailAfter int
-}
-
 // TCPConfig parameterizes a TCP endpoint.
 type TCPConfig struct {
 	// Rank is the world rank this process hosts.
@@ -107,9 +90,11 @@ type TCPConfig struct {
 	DialTimeout time.Duration
 	// MaxFrame bounds a single frame's wire size.  Default 256 MiB.
 	MaxFrame int
-	// Heartbeat configures the failure detector; a zero Interval disables
-	// it (clean-close detection still works via connection loss).
-	Heartbeat HeartbeatConfig
+	// Heartbeat is the failure detector's interval: every interval the
+	// endpoint beats each connected peer and scores its silence against
+	// SuspectAfter and FailAfter.  Zero disables the detector (clean-close
+	// detection still works via connection loss).
+	Heartbeat time.Duration
 	// Epoch is the membership epoch this endpoint starts in.  A respawned
 	// rank is launched with the bumped epoch so survivors can tell it from
 	// a stale connection of its previous incarnation.
@@ -127,14 +112,6 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	if c.MaxFrame == 0 {
 		c.MaxFrame = DefaultMaxFrame
 	}
-	if c.Heartbeat.Interval > 0 {
-		if c.Heartbeat.Miss == 0 {
-			c.Heartbeat.Miss = 3
-		}
-		if c.Heartbeat.FailAfter == 0 {
-			c.Heartbeat.FailAfter = 3 * c.Heartbeat.Miss
-		}
-	}
 	return c
 }
 
@@ -145,8 +122,10 @@ type TCPStats struct {
 	// CRCRejects counts frames that failed their checksum, each of which
 	// took its connection down as damaged.
 	CRCRejects int64
-	// Failure-detector traffic.
+	// Failure-detector traffic, and the times a peer was suspected (each
+	// suspicion counts once, however many worlds share the endpoint).
 	BeatsSent, BeatsRecv int64
+	Suspects             int64
 	// VectoredSends is always zero: there is no gather-list send.  The field
 	// stays declared only because the frozen benchmark harness reads it; it
 	// goes with the harness's transport.tcp_vectored_per_op.
@@ -158,6 +137,7 @@ type tcpCounters struct {
 	bytesSent, bytesRecv   atomic.Int64
 	crcRejects             atomic.Int64
 	beatsSent, beatsRecv   atomic.Int64
+	suspects               atomic.Int64
 }
 
 // tcpPeer is one pooled peer connection and its liveness state.  The
@@ -184,8 +164,8 @@ type tcpPeer struct {
 	// lastHeard is when any frame last arrived from this peer (unix nanos);
 	// the failure detector scores silence against it.
 	lastHeard atomic.Int64
-	// suspect marks a peer past the miss threshold but not yet declared
-	// down; cleared if it resumes.
+	// suspect marks a peer past SuspectAfter but not yet declared down;
+	// cleared if it resumes, so a later silence counts again.
 	suspect atomic.Bool
 }
 
@@ -234,10 +214,6 @@ func (t *TCP) Occupancy() Occupancy {
 // trace as ClockWall spans on the hosted rank's wall lane.
 func (t *TCP) SetTracer(tr *obs.Tracer) { t.tracer.Store(tr) }
 
-// SetHealth wires the liveness callbacks.  Safe to call at any time,
-// including after Start.
-func (t *TCP) SetHealth(h HealthFuncs) { t.health.Store(&h) }
-
 // SetEpoch raises the membership epoch.  Future hellos and beats carry it,
 // and inbound hellos below it are rejected; survivors bump it when they
 // commit a recovery so a stale incarnation of a replaced rank cannot
@@ -255,37 +231,6 @@ func (t *TCP) SetEpoch(e uint64) {
 // the endpoint keeps reading — the deterministic equivalent of SIGSTOPping
 // the process, for failure-detection tests.
 func (t *TCP) PauseHeartbeats(pause bool) { t.beatsPaused.Store(pause) }
-
-// LastHeard returns when any frame last arrived from rank r (zero time if
-// never), letting callers distinguish a hung peer from a merely slow one.
-func (t *TCP) LastHeard(r int) time.Time {
-	if r < 0 || r >= t.cfg.Size || r == t.cfg.Rank {
-		return time.Time{}
-	}
-	ns := t.peers[r].lastHeard.Load()
-	if ns == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, ns)
-}
-
-// PeerHealth is the failure detector's view of one peer.
-type PeerHealth struct {
-	Rank      int
-	Alive     bool // connection up
-	Suspect   bool // past the miss threshold, not yet declared down
-	LastHeard time.Time
-}
-
-// Health returns the failure detector's view of rank r.
-func (t *TCP) Health(r int) PeerHealth {
-	h := PeerHealth{Rank: r, LastHeard: t.LastHeard(r)}
-	if r >= 0 && r < t.cfg.Size && r != t.cfg.Rank {
-		h.Alive = t.peers[r].alive.Load()
-		h.Suspect = t.peers[r].suspect.Load()
-	}
-	return h
-}
 
 // trace emits a wall-clock span if a tracer is attached and enabled.
 func (t *TCP) trace(kind string, peer int, bytes int64, start, end float64, attrs ...obs.Attr) {
@@ -315,25 +260,26 @@ func (t *TCP) Stats() TCPStats {
 		BytesSent: c.bytesSent.Load(), BytesRecv: c.bytesRecv.Load(),
 		CRCRejects: c.crcRejects.Load(),
 		BeatsSent:  c.beatsSent.Load(), BeatsRecv: c.beatsRecv.Load(),
+		Suspects: c.suspects.Load(),
 	}
 }
 
 // Start establishes the full connection mesh — dialing every lower rank,
 // accepting every higher one (or dialing everyone when rejoining an
 // established mesh) — and begins delivering inbound frames.
-func (t *TCP) Start(deliver Handler, down DownFunc) error {
+func (t *TCP) Start(deliver Handler, peer PeerFunc) error {
 	if t.deliver != nil {
 		return fmt.Errorf("transport: tcp already started")
 	}
 	t.deliver = deliver
-	t.down = down
+	t.peer = peer
 	if t.cfg.Size == 1 {
 		return nil
 	}
 
 	t.wg.Add(1)
 	go t.acceptLoop()
-	if t.cfg.Heartbeat.Interval > 0 {
+	if t.cfg.Heartbeat > 0 {
 		// Beat from the first registered connection on: a rejoining
 		// endpoint may spend a while establishing the rest of its mesh, and
 		// peers already connected must not hard-fail it for that silence.
@@ -481,10 +427,10 @@ func (t *TCP) writeHello(conn net.Conn) error {
 // the old one: a peer only ever redials after its previous incarnation
 // died, so the newcomer's valid hello proves the occupant is a zombie
 // whose EOF simply has not been read yet — eviction tears it down through
-// peerGone (firing the down callback, which IS the failure detection on
+// peerGone (reporting the peer down, which IS the failure detection on
 // this path) and then installs the replacement.  A connection filling a
-// torn-down slot is a peer rejoining, and the Up callback reports the
-// reconnection.
+// torn-down slot is a peer rejoining, and the liveness callback reports it
+// up.
 func (t *TCP) register(rank int, conn net.Conn, br *bufio.Reader) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
@@ -519,12 +465,12 @@ func (t *TCP) register(rank int, conn net.Conn, br *bufio.Reader) {
 	t.connected++
 	t.connCond.Broadcast()
 	t.mu.Unlock()
-	if h := t.health.Load(); rejoined && !t.closed.Load() && h != nil && h.Up != nil {
+	if rejoined && !t.closed.Load() && t.peer != nil {
 		p.liveMu.Lock()
 		if debugTCP {
 			fmt.Fprintf(os.Stderr, "tcpdbg: %d rank %d: peer %d up\n", time.Now().UnixMilli()%1000000, t.cfg.Rank, rank)
 		}
-		h.Up(rank)
+		t.peer(rank, true)
 		p.liveMu.Unlock()
 	}
 	t.wg.Add(1)
@@ -598,9 +544,6 @@ func (t *TCP) readLoop(p *tcpPeer, br *bufio.Reader, gen uint64) {
 			if now, ok := t.traceNow(); ok {
 				t.trace("heartbeat", p.rank, 0, now, now)
 			}
-			if h := t.health.Load(); h != nil && h.Beat != nil {
-				h.Beat(p.rank)
-			}
 		default:
 			// Hello after establishment: protocol violation; ignore.
 			if f.Payload != nil {
@@ -610,8 +553,8 @@ func (t *TCP) readLoop(p *tcpPeer, br *bufio.Reader, gen uint64) {
 	}
 }
 
-// peerGone tears down connection generation gen to p and fires the failure
-// callback.  A stale caller — the reader or a writer of an already-replaced
+// peerGone tears down connection generation gen to p and reports the peer
+// down.  A stale caller — the reader or a writer of an already-replaced
 // connection — is a no-op, so a rejoined peer's fresh connection survives
 // its predecessor's death throes.
 func (t *TCP) peerGone(p *tcpPeer, gen uint64, reason string) {
@@ -628,11 +571,11 @@ func (t *TCP) peerGone(p *tcpPeer, gen uint64, reason string) {
 	p.conn.Close()
 	p.conn = nil
 	p.wmu.Unlock()
-	// Deliver the failure callback only if this generation is still the
-	// peer's newest: once a replacement connection registers, this death
-	// belongs to a previous incarnation and reporting it would clobber the
-	// rejoined peer's liveness.  liveMu makes the check-and-call atomic
-	// against register's up callback.
+	// Report the death only if this generation is still the peer's newest:
+	// once a replacement connection registers, this death belongs to a
+	// previous incarnation and reporting it would clobber the rejoined
+	// peer's liveness.  liveMu makes the check-and-call atomic against
+	// register's up report.
 	p.liveMu.Lock()
 	defer p.liveMu.Unlock()
 	p.wmu.Lock()
@@ -641,8 +584,8 @@ func (t *TCP) peerGone(p *tcpPeer, gen uint64, reason string) {
 	if debugTCP {
 		fmt.Fprintf(os.Stderr, "tcpdbg: %d rank %d: peer %d gen %d down (stale=%v)\n", time.Now().UnixMilli()%1000000, t.cfg.Rank, p.rank, gen, stale)
 	}
-	if !stale && !t.closed.Load() && t.down != nil {
-		t.down(p.rank)
+	if !stale && !t.closed.Load() && t.peer != nil {
+		t.peer(p.rank, false)
 	}
 }
 
@@ -727,15 +670,15 @@ func (t *TCP) writeData(p *tcpPeer, hdr *Header, payload []byte) (uint64, error)
 }
 
 // heartbeatLoop is the failure detector: every interval it beats each
-// connected peer and scores how long each has been silent.  Suspicion
-// (recoverable) comes before hard failure, so the layer above can surface a
-// typed "rank suspect" condition while the peer might still be merely slow;
-// a peer silent past FailAfter intervals is declared down even though its
-// connection is open — the hung-process case no close event ever covers.
+// connected peer and scores how long each has been silent.  A peer silent
+// for SuspectAfter intervals is suspected — counted and traced once, since
+// it may still be merely slow — and one silent for FailAfter intervals is
+// declared down even though its connection is open: the hung-process case
+// no close event ever covers.
 func (t *TCP) heartbeatLoop() {
 	defer t.wg.Done()
-	hb := t.cfg.Heartbeat
-	tick := time.NewTicker(hb.Interval)
+	interval := t.cfg.Heartbeat
+	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
 		select {
@@ -753,9 +696,9 @@ func (t *TCP) heartbeatLoop() {
 				t.sendBeat(p)
 			}
 			silent := now.Sub(time.Unix(0, p.lastHeard.Load()))
-			missed := int(silent / hb.Interval)
+			missed := int(silent / interval)
 			switch {
-			case missed >= hb.FailAfter:
+			case missed >= FailAfter:
 				if wnow, ok := t.traceNow(); ok {
 					t.trace("suspect", p.rank, 0, wnow, wnow,
 						obs.Attr{Key: "hard", Val: "true"},
@@ -765,22 +708,16 @@ func (t *TCP) heartbeatLoop() {
 				gen := p.gen
 				p.wmu.Unlock()
 				t.peerGone(p, gen, fmt.Sprintf("heartbeat hard-failure after %v silence", silent))
-			case missed >= hb.Miss:
+			case missed >= SuspectAfter:
 				if p.suspect.CompareAndSwap(false, true) {
+					t.stats.suspects.Add(1)
 					if wnow, ok := t.traceNow(); ok {
 						t.trace("suspect", p.rank, 0, wnow, wnow,
 							obs.Attr{Key: "silent", Val: silent.String()})
 					}
-					if h := t.health.Load(); h != nil && h.Suspect != nil {
-						h.Suspect(p.rank, true, silent)
-					}
 				}
 			default:
-				if p.suspect.CompareAndSwap(true, false) {
-					if h := t.health.Load(); h != nil && h.Suspect != nil {
-						h.Suspect(p.rank, false, silent)
-					}
-				}
+				p.suspect.Store(false)
 			}
 		}
 	}
@@ -800,7 +737,7 @@ func (t *TCP) sendBeat(p *tcpPeer) {
 	f := Frame{Kind: KindBeat, Epoch: t.epoch.Load()}
 	buf := EncodeFrame(p.scratch[:0], &f)
 	p.scratch = buf[:0]
-	p.conn.SetWriteDeadline(time.Now().Add(t.cfg.Heartbeat.Interval))
+	p.conn.SetWriteDeadline(time.Now().Add(t.cfg.Heartbeat))
 	if _, err := p.conn.Write(buf); err == nil {
 		t.stats.beatsSent.Add(1)
 		t.stats.bytesSent.Add(int64(len(buf)))

@@ -43,7 +43,7 @@ func (rec *meshRecorder) get(rank int) []meshMsg {
 	return append([]meshMsg(nil), rec.msgs[rank]...)
 }
 
-func startMesh(t *testing.T, n int, down DownFunc) ([]*TCP, *meshRecorder) {
+func startMesh(t *testing.T, n int, peer PeerFunc) ([]*TCP, *meshRecorder) {
 	t.Helper()
 	addrs := make([]string, n)
 	lns := make([]net.Listener, n)
@@ -73,7 +73,7 @@ func startMesh(t *testing.T, n int, down DownFunc) ([]*TCP, *meshRecorder) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			errs[r] = eps[r].Start(rec.handler(r), down)
+			errs[r] = eps[r].Start(rec.handler(r), peer)
 		}(r)
 	}
 	wg.Wait()
@@ -146,15 +146,17 @@ func TestTCPMeshExchange(t *testing.T) {
 	}
 }
 
-// TestTCPPeerDown: abruptly closing one endpoint fires the down callback at
-// its peers, and subsequent sends to it fail with PeerDownError.
+// TestTCPPeerDown: abruptly closing one endpoint reports it down at its
+// peers, and subsequent sends to it fail with PeerDownError.
 func TestTCPPeerDown(t *testing.T) {
 	const n = 3
 	var mu sync.Mutex
 	downs := map[int]int{}
-	eps, _ := startMesh(t, n, func(rank int) {
+	eps, _ := startMesh(t, n, func(rank int, up bool) {
 		mu.Lock()
-		downs[rank]++
+		if !up {
+			downs[rank]++
+		}
 		mu.Unlock()
 	})
 	eps[2].Close()
@@ -195,7 +197,7 @@ func TestTCPDamagedFrameDropsPeer(t *testing.T) {
 	started := make(chan error, 1)
 	go func() {
 		started <- ep.Start(func(_ int, _ Header, p []byte) { datatype.PutBuffer(p) },
-			func(r int) {
+			func(r int, up bool) {
 				select {
 				case downs <- r:
 				default: // only the first report is awaited
@@ -225,7 +227,7 @@ func TestTCPDamagedFrameDropsPeer(t *testing.T) {
 	select {
 	case r := <-downs:
 		if r != 1 {
-			t.Fatalf("down callback for rank %d, want 1", r)
+			t.Fatalf("liveness report for rank %d, want 1", r)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("a damaged frame did not take its peer down")

@@ -16,7 +16,6 @@ package transport
 import (
 	"errors"
 	"strconv"
-	"time"
 
 	"nccd/internal/obs"
 )
@@ -83,29 +82,25 @@ type Header struct {
 // datatype buffer pool once consumed.
 type Handler func(to int, hdr Header, payload []byte)
 
-// DownFunc is the failure-notification callback: the transport observed
-// that rank can no longer communicate (connection loss, abrupt close).
-// Clean departures are announced by the runtime itself above the transport;
-// DownFunc only reports failures detected below it.
-type DownFunc func(rank int)
+// PeerFunc is the liveness callback a transport is started with.  up=false:
+// the transport observed that rank can no longer communicate (connection
+// loss, a damaged stream, a heartbeat hard failure).  up=true: a previously
+// failed rank came back (a respawned process rejoining the mesh); the
+// runtime above decides when to re-admit it.  Clean departures are
+// announced by the runtime itself, so PeerFunc only reports what is
+// detected below it.
+type PeerFunc func(rank int, up bool)
 
-// HealthFuncs are optional liveness callbacks a transport with a failure
-// detector (the TCP endpoint's heartbeat protocol) fires alongside the
-// mandatory Start callbacks.  Wire them before Start with SetHealth; any
-// field may be nil.
-type HealthFuncs struct {
-	// Beat fires on every heartbeat beacon received from rank.
-	Beat func(rank int)
-	// Suspect fires when rank crosses the miss threshold without producing
-	// any frame (suspect=true, with how long it has been silent), and again
-	// with suspect=false if it resumes before being declared down.  A
-	// suspicion that ripens into a hard failure fires DownFunc as usual.
-	Suspect func(rank int, suspect bool, silentFor time.Duration)
-	// Up fires when a previously failed rank establishes a fresh connection
-	// (a respawned process rejoining the mesh).  The runtime above decides
-	// when to re-admit it; the transport only reports the reconnection.
-	Up func(rank int)
-}
+// The failure detectors' thresholds, in heartbeat intervals of silence (no
+// frame or beat of any kind from the peer).  Suspicion is recoverable and
+// interrupts nothing: the detector counts it in its Stats and traces it as
+// a "suspect" span.  Hard failure reports the peer down exactly as if its
+// connection had closed, which is how a hung process, unlike a crashed
+// one, is caught.
+const (
+	SuspectAfter = 3
+	FailAfter    = 9
+)
 
 // Transport moves framed messages between the ranks of one world.
 type Transport interface {
@@ -115,8 +110,9 @@ type Transport interface {
 	Local(r int) bool
 	// Start connects the transport (dialing/accepting peers for networked
 	// implementations) and registers the inbound delivery handler and the
-	// failure callback.  It must be called exactly once, before Send.
-	Start(deliver Handler, down DownFunc) error
+	// liveness callback (nil to ignore liveness).  It must be called
+	// exactly once, before Send.
+	Start(deliver Handler, peer PeerFunc) error
 	// Send delivers hdr+payload to rank to.  Ownership of payload passes to
 	// the transport: it is either delivered by reference to the receiving
 	// handler or written to the wire and returned to the shared buffer
