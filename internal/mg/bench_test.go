@@ -56,10 +56,7 @@ func BenchmarkStencil(b *testing.B) {
 // reads or writes the given number of whole vectors, with the inner cells
 // run through the Go loop alone where goOnly is set.
 func benchStencil(b *testing.B, form stencilForm, vectors int, goOnly bool) {
-	if goOnly {
-		defer func(was bool) { useLanes = was }(useLanes)
-		useLanes = false
-	}
+	defer goLoopsOnly(goOnly)()
 	benchKernel(b, fineCells,
 		func(s *Solver) int { return 8 * vectors * fineCells(s) },
 		func(s *Solver, x, rhs, out, _ *petsc.Vec) {
@@ -77,17 +74,42 @@ func BenchmarkApply(b *testing.B) {
 }
 
 // BenchmarkRestrict and BenchmarkInterpolate time a whole level transfer
-// as a V-cycle pays for it, patch scatter included.
+// as a V-cycle pays for it, patch scatter included.  level0 runs the x runs
+// as the build dispatches them (the lane kernels where the CPU has them);
+// level0/go runs them through the Go loops alone, so one run prints both
+// kernels' ns/cell.
 func BenchmarkRestrict(b *testing.B) {
+	b.Run("level0", func(b *testing.B) { benchRestrict(b, false) })
+	b.Run("level0/go", func(b *testing.B) { benchRestrict(b, true) })
+}
+
+func benchRestrict(b *testing.B, goOnly bool) {
+	defer goLoopsOnly(goOnly)()
 	benchKernel(b, coarseCells,
 		func(s *Solver) int { return 8 * (s.levels[0].restrictBox.Cells() + coarseCells(s)) },
 		func(s *Solver, x, _, _, coarse *petsc.Vec) { s.restrictTo(0, x, coarse) })
 }
 
 func BenchmarkInterpolate(b *testing.B) {
+	b.Run("level0", func(b *testing.B) { benchInterpolate(b, false) })
+	b.Run("level0/go", func(b *testing.B) { benchInterpolate(b, true) })
+}
+
+func benchInterpolate(b *testing.B, goOnly bool) {
+	defer goLoopsOnly(goOnly)()
 	benchKernel(b, fineCells,
 		func(s *Solver) int { return 8 * (len(s.levels[0].coarsePatch) + 2*fineCells(s)) },
 		func(s *Solver, _, _, out, coarse *petsc.Vec) { s.interpolateAdd(0, coarse, out) })
+}
+
+// goLoopsOnly clears useLanes where goOnly is set and returns what restores
+// it.
+func goLoopsOnly(goOnly bool) (restore func()) {
+	was := useLanes
+	if goOnly {
+		useLanes = false
+	}
+	return func() { useLanes = was }
 }
 
 // BenchmarkSolve96 is one whole four-level 96³ solve on one rank from a zero
@@ -106,7 +128,7 @@ func BenchmarkSolve96(b *testing.B) {
 			x.Set(0)
 			cycles, _ = s.Solve(rhs, x, 1e-6, 30)
 		}
-		b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N)/float64(cycles), "ms/cycle")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N)/float64(cycles), "ms/cycle")
 		return nil
 	})
 }

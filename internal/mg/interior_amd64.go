@@ -2,8 +2,10 @@
 
 package mg
 
-// useLanes is whether interiorCells hands its 4-aligned body to
-// interiorLanes: the CPU has AVX2 and the OS saves the YMM registers.
+// useLanes is whether the three lane kernels run: interiorCells hands its
+// 4-aligned body to interiorLanes, interpRun its interpLane cells to
+// interpLanes and gatherRun a run of sixteen cells or more to restrictLanes.
+// It is set where the CPU has AVX2 and the OS saves the YMM registers.
 var useLanes = cpuHasAVX2()
 
 // cpuHasAVX2 reports whether CPUID's AVX, AVX2 and OSXSAVE bits and XCR0's
@@ -18,3 +20,22 @@ func cpuHasAVX2() bool
 //
 //go:noescape
 func interiorLanes(form stencilForm, y, b, cr, ym, yp, zm, zp []float64, inv, cu *[3]float64, w float64)
+
+// interpLanes is interpCells8 on len(xa) &^ 3 cells of interpLane, four a
+// step in the lanes of one YMM register (transfer_amd64.s): cell i reads
+// coarse cells i/2 and i/2+1 of each row p0 … p3, weighted by its row's wzy
+// times its lane's wx, lower cell's first.  It reads no length but xa's: the
+// caller slices every row to at least len(xa)/2+2 values.
+//
+//go:noescape
+func interpLanes(xa, p0, p1, p2, p3 []float64, wzy *[4]float64, wx *[2][4]float64)
+
+// restrictLanes is restrictRun on a run of at least sixteen cells, sixteen a
+// step in four YMM accumulators (transfer_amd64.s); the last step starts
+// sixteen cells before the end and may store again what the step before it
+// stored.  It reads no length but out's and src's: the caller passes at least
+// one row, slices every row of src to at least 2·len(out)+2 values and wx to
+// len(src) entries.
+//
+//go:noescape
+func restrictLanes(out []float64, src [][]float64, wx [][4]float64, scale float64)

@@ -3,12 +3,22 @@
 package mg
 
 // useLanes is false where no lane kernel is built: interiorCells runs
-// interiorCellsGo throughout.  It is a variable in every build so that
-// BenchmarkStencil can run the Go loop on a build that has the kernel.
+// interiorCellsGo throughout, interpRun interpCells8 and gatherRun
+// restrictRun.  It is a variable in every build so that the kernel
+// benchmarks can run the Go loops on a build that has the kernels.
 var useLanes = false
 
 // interiorLanes is interiorCellsGo on len(y) &^ 3 cells; interiorCells does
 // not call it while useLanes is false.
 func interiorLanes(form stencilForm, y, b, cr, ym, yp, zm, zp []float64, inv, cu *[3]float64, w float64) {
 	interiorCellsGo(form, y, b, 0, len(y)&^3, cr, ym, yp, zm, zp, inv, cu, w)
+}
+
+// interpLanes and restrictLanes are not called while useLanes is false.
+func interpLanes(xa, p0, p1, p2, p3 []float64, wzy *[4]float64, wx *[2][4]float64) {
+	panic("mg: interpLanes without a lane kernel")
+}
+
+func restrictLanes(out []float64, src [][]float64, wx [][4]float64, scale float64) {
+	panic("mg: restrictLanes without a lane kernel")
 }

@@ -401,11 +401,22 @@ type restrictTerm struct {
 // further to what restrictRun takes for granted: all four columns owned by
 // this rank, one set of weights throughout, each entry's first column two
 // beyond the entry's before, and at least four entries (else it is empty).
+// restrictEnds is whether the first and the last entry are what restrictEnds
+// takes for granted: two different cells, each on an x domain face, with
+// three adjacent columns all owned by this rank.  interpLane is the part of
+// the interpolation's run that interpLanes takes for granted: it starts on a
+// pair of fine cells that share their lower coarse cell, each pair's one
+// beyond the pair's before, every pair weighted as the first, and it is a
+// multiple of four long (else empty).  interpLaneW holds those weights as a
+// step's four lanes see them: the lower coarse cell's, then the upper's.
 type transferTables struct {
 	restrict     [3][]restrictTerm
 	restrictXRun [2]int
+	restrictEnds bool
 	interp       [3][]interpTerm
 	interpXRun   [2]int
+	interpLane   [2]int
+	interpLaneW  [2][4]float64
 }
 
 // newTransferTables builds the tables of the transfers between fine and
@@ -471,11 +482,35 @@ func (s *Solver) newTransferTables(fine, coarse *level) *transferTables {
 	if run[1]-run[0] < 4 {
 		run[1] = run[0]
 	}
+	end := func(e *restrictTerm) bool {
+		return e.n == 3 && e.own[0] >= 0 && e.own[1] == e.own[0]+1 && e.own[2] == e.own[0]+2
+	}
+	t.restrictEnds = len(rx) >= 2 && end(&rx[0]) && end(&rx[len(rx)-1])
 	t.interpXRun = firstRun(len(t.interp[0]), func(i int) bool {
 		e := &t.interp[0][i]
 		return e.w[0] != 0 && e.w[1] != 0 && e.off[1] == e.off[0]+1
 	})
+	t.setInterpLane()
 	return t
+}
+
+// setInterpLane finds interpLane and its weights in the interpolation's x
+// run.
+func (t *transferTables) setInterpLane() {
+	ix := t.interp[0]
+	lo, hi := t.interpXRun[0], t.interpXRun[1]
+	if lo+1 < hi && ix[lo+1].off[0] != ix[lo].off[0] {
+		lo++
+	}
+	n := 0
+	for lo+n < hi && ix[lo+n].off[0] == ix[lo].off[0]+n/2 && ix[lo+n].w == ix[lo+n%2].w {
+		n++
+	}
+	n &^= 3
+	t.interpLane = [2]int{lo, lo + n}
+	for j := 0; j < 4 && n > 0; j++ {
+		t.interpLaneW[0][j], t.interpLaneW[1][j] = ix[lo+j%2].w[0], ix[lo+j%2].w[1]
+	}
 }
 
 // firstRun returns the first maximal range [lo, hi) of indices below n
@@ -514,15 +549,26 @@ func (s *Solver) restrictTo(l int, rf, out *petsc.Vec) {
 	t := fine.transfer
 	tx, oa := t.restrict[0], out.Array()
 	runLo, runHi := t.restrictXRun[0], t.restrictXRun[1]
+	lo, hi, from := 0, len(tx), runLo // restrictCell takes the cells of [lo, runLo) and [runHi, hi)
+	if t.restrictEnds {
+		lo, hi, from = 1, len(tx)-1, 0
+	}
+	if runLo == runHi {
+		runLo, runHi = hi, hi
+	}
 
 	// Per coarse row: the fine rows it gathers from, z-major as the sum
 	// runs, and the product of their z and y weights.  pat is a fine row in
-	// the patch, own the same row in rf where this rank owns it, and src the
-	// one of the two that holds the row's owned columns, from the run's first
-	// column on; wx is the row's weight times the run's four x weights.
-	var pat, own, src [16][]float64
+	// the patch and own the same row in rf where this rank owns it.  row is
+	// the one of the two that holds the row's owned columns, resolved once from
+	// column entry from's first on: the first cell's where restrictEnds holds,
+	// the run's otherwise.  src is row from the run's first column on, wx the
+	// row's weight times the run's four x weights and we times the end cells'
+	// three.
+	var pat, own, row, src [16][]float64
 	var wzy [16]float64
 	var wx [16][4]float64
+	var we [16][2][3]float64
 	idx := 0
 	for kz := range t.restrict[2] {
 		ez := &t.restrict[2][kz]
@@ -539,23 +585,39 @@ func (s *Solver) restrictTo(l int, rf, out *petsc.Vec) {
 					nr++
 				}
 			}
-			for i := 0; i < runLo; i++ {
+			if t.restrictEnds || runLo < runHi {
+				e := &tx[from]
+				for r := 0; r < nr; r++ {
+					row[r] = pat[r][e.off[0]:]
+					if own[r] != nil {
+						row[r] = own[r][e.own[0]:]
+					}
+				}
+			}
+			if t.restrictEnds {
+				a, b := &tx[0], &tx[len(tx)-1]
+				for r := 0; r < nr; r++ {
+					for c := range we[r][0] {
+						we[r][0][c], we[r][1][c] = float64(wzy[r]*a.w[c]), float64(wzy[r]*b.w[c])
+					}
+				}
+				s0, s1 := restrictEnds(row[:nr], we[:nr], b.own[0]-a.own[0])
+				oa[idx], oa[idx+len(tx)-1] = s0*scale, s1*scale
+			}
+			for i := lo; i < runLo; i++ {
 				oa[idx+i] = restrictCell(pat[:nr], own[:nr], wzy[:nr], &tx[i]) * scale
 			}
 			if runLo < runHi {
 				e := &tx[runLo]
 				for r := 0; r < nr; r++ {
-					src[r] = pat[r][e.off[0]:]
-					if own[r] != nil {
-						src[r] = own[r][e.own[0]:]
-					}
+					src[r] = row[r][e.own[0]-tx[from].own[0]:]
 					for c, w := range e.w {
 						wx[r][c] = float64(wzy[r] * w)
 					}
 				}
-				restrictRun(oa[idx+runLo:idx+runHi], src[:nr], wx[:nr], scale)
+				gatherRun(oa[idx+runLo:idx+runHi], src[:nr], wx[:nr], scale)
 			}
-			for i := runHi; i < len(tx); i++ {
+			for i := runHi; i < hi; i++ {
 				oa[idx+i] = restrictCell(pat[:nr], own[:nr], wzy[:nr], &tx[i]) * scale
 			}
 			idx += len(tx)
@@ -583,6 +645,43 @@ func restrictCell(pat, own [][]float64, wzy []float64, ex *restrictTerm) float64
 	return sum
 }
 
+// restrictEnds gathers a coarse row's first and last cell, each on an x domain
+// face and each from three adjacent columns this rank owns, which restrictCell
+// would gather one candidate at a time: columns 0 to 2 and last to last+2 of
+// every fine row, rows resolved as the run's are.  w holds the products of the
+// row weights and the two cells' x weights.  One loop over the rows carries
+// both sums, each receiving its terms in restrictCell's order, so that two
+// chains of dependent adds are in flight and not one.
+func restrictEnds(rows [][]float64, w [][2][3]float64, last int) (first, end float64) {
+	w = w[:len(rows)]
+	for r, row := range rows {
+		p, q := row[:3], row[last:][:3]
+		a, b := &w[r][0], &w[r][1]
+		first += float64(a[0] * p[0])
+		end += float64(b[0] * q[0])
+		first += float64(a[1] * p[1])
+		end += float64(b[1] * q[1])
+		first += float64(a[2] * p[2])
+		end += float64(b[2] * q[2])
+	}
+	return first, end
+}
+
+// gatherRun gathers the coarse cells out of an x run, as restrictRun does.
+// Where the CPU runs the lane kernel (useLanes) and the run has at least
+// sixteen cells, restrictLanes takes it whole, sixteen cells a step; the two
+// write the same bits (DESIGN §18 "Cross-cell lanes").
+func gatherRun(out []float64, src [][]float64, wx [][4]float64, scale float64) {
+	if n := len(out); useLanes && n >= 16 {
+		for r, row := range src {
+			src[r] = row[:2*n+2] // every column the run reads: the kernel checks no bound
+		}
+		restrictLanes(out, src, wx[:len(src)], scale)
+		return
+	}
+	restrictRun(out, src, wx, scale)
+}
+
 // restrictRun gathers the coarse cells out of an x run, at least four, whose
 // fine rows are src from the first cell's first column on: cell i reads
 // columns 2i to 2i+3 of every row.  It takes four cells at a time and carries
@@ -590,7 +689,8 @@ func restrictCell(pat, own [][]float64, wzy []float64, ex *restrictTerm) float64
 // dependent adds are in flight and not one; each sum receives its own cell's
 // terms in restrictCell's order, rows then columns, and none is re-associated.
 // The last group starts four cells before the end and may store again what the
-// group before it stored.
+// group before it stored.  It is the whole run where there is no lane kernel
+// and a run of fewer than sixteen cells where there is (gatherRun).
 func restrictRun(out []float64, src [][]float64, wx [][4]float64, scale float64) {
 	n := len(out)
 	wx = wx[:len(src)]
@@ -664,7 +764,9 @@ func (s *Solver) interpolateAdd(l int, xc, x *petsc.Vec) {
 			for i := 0; i < runLo; i++ {
 				xa[idx+i] += interpCell(patch, rows, wzy, &tx[i])
 			}
-			interpCells8(xa[idx+runLo:idx+runHi], tx[runLo:runHi], patch, &rowBuf, &wzyBuf)
+			if nr == 4 {
+				interpRun(xa[idx:idx+len(tx)], t, patch, &rowBuf, &wzyBuf)
+			}
 			for i := runHi; i < len(tx); i++ {
 				xa[idx+i] += interpCell(patch, rows, wzy, &tx[i])
 			}
@@ -688,8 +790,34 @@ func interpCell(patch []float64, rows []int, wzy []float64, ex *interpTerm) floa
 	return v
 }
 
+// interpRun adds to xa, one fine x-row with four coarse rows, the interpolant
+// of the cells of the row's x run.  Where the CPU runs the lane kernel
+// (useLanes), it hands the cells of t.interpLane to interpLanes, four a step,
+// and the rest to interpCells8; the two write the same bits (DESIGN §18
+// "Cross-cell lanes").  A step loads four coarse cells and uses three, so on
+// the patch's last row the last step may lack the fourth, and then it is left
+// to interpCells8 too.
+func interpRun(xa []float64, t *transferTables, patch []float64, rows *[4]int, wzy *[4]float64) {
+	tx, lo, hi := t.interp[0], t.interpXRun[0], t.interpXRun[1]
+	if a, b := t.interpLane[0], t.interpLane[1]; useLanes && a < b {
+		c := tx[a].off[0]
+		if rows[3]+c+(b-a)/2+2 > len(patch) {
+			b -= 4
+		}
+		if a < b {
+			n := (b-a)/2 + 2 // the coarse cells the steps load from each row
+			interpCells8(xa[lo:a], tx[lo:a], patch, rows, wzy)
+			interpLanes(xa[a:b], patch[rows[0]+c:][:n], patch[rows[1]+c:][:n], patch[rows[2]+c:][:n], patch[rows[3]+c:][:n], wzy, &t.interpLaneW)
+			lo = b
+		}
+	}
+	interpCells8(xa[lo:hi], tx[lo:hi], patch, rows, wzy)
+}
+
 // interpCells8 adds to xa the interpolant of consecutive fine cells that
-// have all eight weights: four coarse rows, two adjacent cells in each.
+// have all eight weights: four coarse rows, two adjacent cells in each.  It is
+// the whole run where there is no lane kernel, and the cells of the run
+// outside interpLane where there is.
 func interpCells8(xa []float64, tx []interpTerm, patch []float64, rows *[4]int, wzy *[4]float64) {
 	p0, p1, p2, p3 := patch[rows[0]:], patch[rows[1]:], patch[rows[2]:], patch[rows[3]:]
 	w0, w1, w2, w3 := wzy[0], wzy[1], wzy[2], wzy[3]

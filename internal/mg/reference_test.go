@@ -781,33 +781,41 @@ func TestFirstSweepFromKnownState(t *testing.T) {
 
 // TestStencilPassesAllocateNothing: on one rank with tracing off the operator,
 // one smoother sweep from each start, the residual, both level transfers and
-// one whole V-cycle allocate nothing in either arm.
+// one whole V-cycle allocate nothing in either arm, at 16³ and at 40³, whose
+// level-0 restriction run of 18 cells is the first wide enough for
+// restrictLanes.
 func TestStencilPassesAllocateNothing(t *testing.T) {
-	for _, mode := range []petsc.ScatterMode{petsc.ScatterHandTuned, petsc.ScatterDatatype} {
-		runWorld(t, 1, mpi.Compiled(), func(c *mpi.Comm) error {
-			s := New(c, []int{16, 16, 16}, 2, mode)
-			b, x, y := s.CreateVec(), s.CreateVec(), s.CreateVec()
-			coarse := s.DA(1).CreateGlobalVec()
-			fillSeeded(b, 1)
-			fillSeeded(x, 2)
-			s.VCycle(b, y) // the coarse solve's scratch is allocated by the first
-			for name, pass := range map[string]func(){
-				"applyLevel":           func() { s.applyLevel(0, x, y) },
-				"smooth":               func() { s.smooth(0, 1, fromNothing, b, x) },
-				"smooth from residual": func() { s.smooth(0, 1, fromResidual, b, x) },
-				"smooth from zero":     func() { s.smooth(0, 1, fromZero, b, x) },
-				"residual":             func() { s.residual(0, b, x, y) },
-				"restrictTo":           func() { s.restrictTo(0, x, coarse) },
-				"interpolateAdd":       func() { s.interpolateAdd(0, coarse, y) },
-				"VCycle":               func() { s.VCycle(b, y) },
-			} {
-				if n := testing.AllocsPerRun(10, pass); n != 0 {
-					return fmt.Errorf("%v: %s allocates %v times a call", mode, name, n)
-				}
-			}
-			return nil
-		})
+	for _, n := range []int{16, 40} {
+		for _, mode := range []petsc.ScatterMode{petsc.ScatterHandTuned, petsc.ScatterDatatype} {
+			checkPassesAllocateNothing(t, n, mode)
+		}
 	}
+}
+
+func checkPassesAllocateNothing(t *testing.T, n int, mode petsc.ScatterMode) {
+	runWorld(t, 1, mpi.Compiled(), func(c *mpi.Comm) error {
+		s := New(c, []int{n, n, n}, 2, mode)
+		b, x, y := s.CreateVec(), s.CreateVec(), s.CreateVec()
+		coarse := s.DA(1).CreateGlobalVec()
+		fillSeeded(b, 1)
+		fillSeeded(x, 2)
+		s.VCycle(b, y) // the coarse solve's scratch is allocated by the first
+		for name, pass := range map[string]func(){
+			"applyLevel":           func() { s.applyLevel(0, x, y) },
+			"smooth":               func() { s.smooth(0, 1, fromNothing, b, x) },
+			"smooth from residual": func() { s.smooth(0, 1, fromResidual, b, x) },
+			"smooth from zero":     func() { s.smooth(0, 1, fromZero, b, x) },
+			"residual":             func() { s.residual(0, b, x, y) },
+			"restrictTo":           func() { s.restrictTo(0, x, coarse) },
+			"interpolateAdd":       func() { s.interpolateAdd(0, coarse, y) },
+			"VCycle":               func() { s.VCycle(b, y) },
+		} {
+			if a := testing.AllocsPerRun(10, pass); a != 0 {
+				return fmt.Errorf("%d³, %v: %s allocates %v times a call", n, mode, name, a)
+			}
+		}
+		return nil
+	})
 }
 
 // TestApplyRefusesItsSourceAsResult: Apply reads x in place while it writes
