@@ -47,7 +47,7 @@ func BenchmarkStencil(b *testing.B) {
 		benchKernel(b, fineCells,
 			func(s *Solver) int { return 8 * 3 * fineCells(s) },
 			func(s *Solver, x, rhs, out, _ *petsc.Vec) {
-				s.update(s.levels[0], x.Array(), rhs.Array(), out.Array(), omega)
+				s.update(s.levels[0], x.Array(), rhs.Array(), out.Array(), omega, ownedRows(s.DA(0).OwnedBox()))
 			})
 	})
 }
@@ -60,7 +60,7 @@ func benchStencil(b *testing.B, form stencilForm, vectors int, goOnly bool) {
 	benchKernel(b, fineCells,
 		func(s *Solver) int { return 8 * vectors * fineCells(s) },
 		func(s *Solver, x, rhs, out, _ *petsc.Vec) {
-			s.stencil(s.levels[0], form, x.Array(), out.Array(), rhs.Array(), omega)
+			s.stencil(s.levels[0], form, x.Array(), out.Array(), rhs.Array(), omega, ownedRows(s.DA(0).OwnedBox()))
 		})
 }
 
@@ -87,7 +87,7 @@ func benchRestrict(b *testing.B, goOnly bool) {
 	defer goLoopsOnly(goOnly)()
 	benchKernel(b, coarseCells,
 		func(s *Solver) int { return 8 * (s.levels[0].restrictBox.Cells() + coarseCells(s)) },
-		func(s *Solver, x, _, _, coarse *petsc.Vec) { s.restrictTo(0, x, coarse) })
+		func(s *Solver, x, _, _, coarse *petsc.Vec) { restrictPass(s, 0, x, coarse) })
 }
 
 func BenchmarkInterpolate(b *testing.B) {
@@ -99,7 +99,7 @@ func benchInterpolate(b *testing.B, goOnly bool) {
 	defer goLoopsOnly(goOnly)()
 	benchKernel(b, fineCells,
 		func(s *Solver) int { return 8 * (len(s.levels[0].coarsePatch) + 2*fineCells(s)) },
-		func(s *Solver, _, _, out, coarse *petsc.Vec) { s.interpolateAdd(0, coarse, out) })
+		func(s *Solver, _, _, out, coarse *petsc.Vec) { interpolatePass(s, 0, coarse, out) })
 }
 
 // goLoopsOnly clears useLanes where goOnly is set and returns what restores

@@ -2,8 +2,8 @@
 
 package mg
 
-// useLanes is whether the three lane kernels run: interiorCells hands its
-// 4-aligned body to interiorLanes, interpRun its interpLane cells to
+// useLanes is whether the three lane kernels run: interiorCells hands a row
+// of four cells or more to interiorLanes, interpRun its interpLane cells to
 // interpLanes and gatherRun a run of sixteen cells or more to restrictLanes.
 // It is set where the CPU has AVX2 and the OS saves the YMM registers.
 var useLanes = cpuHasAVX2()
@@ -12,11 +12,13 @@ var useLanes = cpuHasAVX2()
 // XMM and YMM state bits are all set.
 func cpuHasAVX2() bool
 
-// interiorLanes is interiorCells on len(y) &^ 3 cells, four a step in the
-// lanes of one YMM register: y[i] for i below that, from cr[i], cr[i+1] and
-// cr[i+2] along x and ym[i] … zp[i], and b[i] but in formApply (b may then be
-// nil).  It reads no length but y's: the caller slices cr to at least
-// len(y)+2 values and every other source to at least len(y).
+// interiorLanes is interiorCells on all len(y) cells, at least four, four a
+// step in the lanes of one YMM register: y[i] from cr[i], cr[i+1] and cr[i+2]
+// along x and ym[i] … zp[i], and b[i] but in formApply (b may then be nil).
+// Where len(y) is not a multiple of four the last step starts four cells
+// before the end and stores again up to three cells with the bits the step
+// before it stored.  It reads no length but y's: the caller slices cr to at
+// least len(y)+2 values and every other source to at least len(y).
 //
 //go:noescape
 func interiorLanes(form stencilForm, y, b, cr, ym, yp, zm, zp []float64, inv, cu *[3]float64, w float64)

@@ -36,10 +36,14 @@
 	VADDPD Y0, Y4, Y0
 
 // func interiorLanes(form stencilForm, y, b, cr, ym, yp, zm, zp []float64, inv, cu *[3]float64, w float64)
+//
+// Every form runs one step at AX = 0, 4, … while a whole step fits, then, if
+// cells are left, one more at BX = len(y) − 4, which stores again up to three
+// cells with the bits they have; after it AX is len(y).
 TEXT ·interiorLanes(SB), NOSPLIT, $0-200
 	MOVQ y_base+8(FP), DI
 	MOVQ y_len+16(FP), CX
-	ANDQ $~3, CX
+	LEAQ -4(CX), BX
 	MOVQ b_base+32(FP), SI
 	MOVQ cr_base+56(FP), R8
 	MOVQ ym_base+80(FP), R9
@@ -62,29 +66,33 @@ TEXT ·interiorLanes(SB), NOSPLIT, $0-200
 	JGT jacobi
 
 apply:
-	CMPQ AX, CX
-	JGE done
 	LAP7
 	VMOVUPD Y0, (DI)(AX*8)
 	ADDQ $4, AX
+	CMPQ AX, BX
+	JLE apply
+	CMPQ AX, CX
+	JGE done
+	MOVQ BX, AX
 	JMP apply
 
 	// b − acc, b the first source.
 residual:
-	CMPQ AX, CX
-	JGE done
 	LAP7
 	VMOVUPD (SI)(AX*8), Y2
 	VSUBPD Y0, Y2, Y0
 	VMOVUPD Y0, (DI)(AX*8)
 	ADDQ $4, AX
+	CMPQ AX, BX
+	JLE residual
+	CMPQ AX, CX
+	JGE done
+	MOVQ BX, AX
 	JMP residual
 
 	// u + w·(b − acc): b − acc as above, times w with the difference the
 	// first source, then the product first and u second.
 jacobi:
-	CMPQ AX, CX
-	JGE done
 	LAP7
 	VMOVUPD (SI)(AX*8), Y2
 	VSUBPD Y0, Y2, Y0
@@ -92,6 +100,11 @@ jacobi:
 	VADDPD Y1, Y0, Y0
 	VMOVUPD Y0, (DI)(AX*8)
 	ADDQ $4, AX
+	CMPQ AX, BX
+	JLE jacobi
+	CMPQ AX, CX
+	JGE done
+	MOVQ BX, AX
 	JMP jacobi
 
 done:

@@ -8,10 +8,10 @@ package mg
 // benchmarks can run the Go loops on a build that has the kernels.
 var useLanes = false
 
-// interiorLanes is interiorCellsGo on len(y) &^ 3 cells; interiorCells does
-// not call it while useLanes is false.
+// interiorLanes is interiorCellsGo on len(y) cells; interiorCells does not
+// call it while useLanes is false.
 func interiorLanes(form stencilForm, y, b, cr, ym, yp, zm, zp []float64, inv, cu *[3]float64, w float64) {
-	interiorCellsGo(form, y, b, 0, len(y)&^3, cr, ym, yp, zm, zp, inv, cu, w)
+	interiorCellsGo(form, y, b, 0, len(y), cr, ym, yp, zm, zp, inv, cu, w)
 }
 
 // interpLanes and restrictLanes are not called while useLanes is false.

@@ -42,9 +42,10 @@ func alignedRun(lead, n, trail, off int) []float64 {
 	return buf[at : at+total : at+total]
 }
 
-// checkLanes runs interiorCells, which hands the m − m mod 4 cells of its
-// 4-aligned body to the lane kernel and the rest to the Go loop, and
-// interiorCellsGo alone on the same m cells in every form, and compares every
+// checkLanes runs interiorCells, which hands m cells to the lane kernel where m
+// is at least four (its last step overlapping the one before where m is not a
+// multiple of four) and to the Go loop otherwise, and interiorCellsGo alone on
+// the same m cells in every form, and compares every
 // bit of y, two guard cells either side included.  Source s of y, b, cr, ym,
 // yp, zm and zp starts off[s] elements past a 32-byte boundary (y and b at
 // their first cell, cr at the first cell's west neighbour) and holds val(s, i)

@@ -1,6 +1,9 @@
 package mg
 
-import "nccd/internal/petsc"
+import (
+	"nccd/internal/dmda"
+	"nccd/internal/petsc"
+)
 
 // The three solver kernels.  Each runs exactly the floating-point
 // operations, in exactly the order, of the per-cell loops kept as the
@@ -42,8 +45,8 @@ type rowSrc struct {
 // one for every domain face the cell lies on along d (see side), and the
 // diagonal, their sum in side's order over the grid's dimensions.  A level
 // holds one per count of faces along each axis (faceCoefs).  The stencil's
-// unrolled loop takes the coefficients and ω/diag of a 3-D row's inner cells
-// from it and update takes ω/diag of every cell, so outside the general form
+// row form takes the coefficients and ω/diag of a 3-D row's cells, inner and
+// end, from it and update takes ω/diag of every cell, so outside the general form
 // the diagonal is summed in one place, and the oracle holds the two to each
 // other bit for bit.
 //
@@ -96,32 +99,46 @@ func faces(c, n int) int {
 	return f
 }
 
-// stencil evaluates one of the three forms for every owned cell of x, whose
-// ghost cells the level's ghost update has already left in lv.lwork (b is
-// unused by formApply, omega by all but formJacobi).  Owned cells are read
-// from x itself and only ghost cells from lwork, so x and y must not be one
-// array.  Every x-row is classified once, and so is where each of its sources
-// lies: the y- and z-neighbour rows a row at a time, the x-neighbours of the
-// two end cells, which alone can be ghosts, a cell at a time.  The cells of a
-// 3-D row between its ends run as one unrolled loop over five row slices with
-// the coefficients of the row's class (faceCoef), on a y or z domain face as
-// anywhere else; the two end cells and every row of a 1-D or 2-D grid take the
-// general per-cell form.
-func (s *Solver) stencil(lv *level, form stencilForm, x, y, b []float64, omega float64) {
+// rowIndex is the index of row (j, k)'s first cell in the owned layout of a
+// level whose owned box is own.
+func rowIndex(own dmda.Box, j, k int) int {
+	return ((k-own.Lo[2])*(own.Hi[1]-own.Lo[1]) + j - own.Lo[1]) * (own.Hi[0] - own.Lo[0])
+}
+
+// diagWeights is ω/diag of every face class of lv (faceCoef).
+func (lv *level) diagWeights(omega float64) (w [3][3][3]float64) {
+	for fx := range w {
+		for fy := range w[fx] {
+			for fz := range w[fx][fy] {
+				w[fx][fy][fz] = omega / lv.coef[fx][fy][fz].diag
+			}
+		}
+	}
+	return w
+}
+
+// stencil evaluates one of the three forms for every cell of the owned rows rb
+// of x, whose ghost cells the level's ghost update has already left in
+// lv.lwork (b is unused by formApply, omega by all but formJacobi).  Owned
+// cells are read from x itself and only ghost cells from lwork, so x and y
+// must not be one array.  Every x-row is classified once, and so is where each
+// of its sources lies: the y- and z-neighbour rows a row at a time, the
+// x-neighbours of the two end cells, which alone can be ghosts, a cell at a
+// time.  A 3-D row of six cells or more runs in the row form: its inner cells
+// as one unrolled loop over five row slices with the coefficients of the row's
+// class (faceCoef), on a y or z domain face as anywhere else, and its two end
+// cells one lap7 each with their own class's, +0 standing in for an
+// x-neighbour beyond a domain face (DESIGN §18 "Row classes").  Shorter rows
+// and every row of a 1-D or 2-D grid take the general per-cell form.  The
+// caller charges the clock.
+func (s *Solver) stencil(lv *level, form stencilForm, x, y, b []float64, omega float64, rb rows) {
 	da := lv.da
 	own, ghost := da.OwnedBox(), da.GhostBox()
 	g := stencilGeom{dim: s.dim, inv: lv.inv}
 	for d := 0; d < 3; d++ {
 		g.n[d] = da.GlobalSize(d)
 	}
-
-	// ω/diag of a 3-D row's inner cells, by y faces and z faces.
-	var w [3][3]float64
-	for fy := range w {
-		for fz := range w[fy] {
-			w[fy][fz] = omega / lv.coef[0][fy][fz].diag
-		}
-	}
+	w := lv.diagWeights(omega)
 
 	lw, zero := lv.lwork, lv.zeroRow
 	nx := own.Hi[0] - own.Lo[0]
@@ -129,10 +146,12 @@ func (s *Solver) stencil(lv *level, form stencilForm, x, y, b []float64, omega f
 	sy := ghost.Hi[0] - ghost.Lo[0]        // and of the ghosted one
 	sz := sy * (ghost.Hi[1] - ghost.Lo[1])
 	west, east := own.Lo[0] > 0, own.Hi[0] < g.n[0] // the end cells' outer x-neighbours are ghosts
+	fw, fe := faces(own.Lo[0], g.n[0]), faces(own.Hi[0]-1, g.n[0])
+	rowForm := s.dim == 3 && nx >= 6
 	r := rowSrc{i: own.Lo[0]}
-	out := 0
-	for k := own.Lo[2]; k < own.Hi[2]; k++ {
-		for j := own.Lo[1]; j < own.Hi[1]; j, out = j+1, out+nx {
+	for k := rb.k0; k < rb.k1; k++ {
+		out := rowIndex(own, rb.j0, k)
+		for j := rb.j0; j < rb.j1; j, out = j+1, out+nx {
 			row := da.LocalIndex(own.Lo[0], j, k, 0)
 			cr := x[out:]
 			r.out, r.j, r.k = out, j, k
@@ -142,6 +161,21 @@ func (s *Solver) stencil(lv *level, form stencilForm, x, y, b []float64, omega f
 			r.zm = neighbourRow(k > own.Lo[2], k > 0, x, out-oz, lw, row-sz, zero)
 			r.zp = neighbourRow(k+1 < own.Hi[2], k+1 < g.n[2], x, out+oz, lw, row+sz, zero)
 
+			if rowForm {
+				var xw, xe float64 // +0 beyond a domain face
+				if west {
+					xw = lw[row-1]
+				}
+				if east {
+					xe = lw[row+nx]
+				}
+				fy, fz := faces(j, g.n[1]), faces(k, g.n[2])
+				e := nx - 1
+				endCell(form, y, b, out, cr[0], xw, cr[1], r.ym[0], r.yp[0], r.zm[0], r.zp[0], &g.inv, &lv.coef[fw][fy][fz], w[fw][fy][fz])
+				interiorCells(form, y, b, out+1, nx-2, cr, r.ym[1:], r.yp[1:], r.zm[1:], r.zp[1:], &g.inv, &lv.coef[0][fy][fz].cu, w[0][fy][fz])
+				endCell(form, y, b, out+e, cr[e], cr[e-1], xe, r.ym[e], r.yp[e], r.zm[e], r.zp[e], &g.inv, &lv.coef[fe][fy][fz], w[fe][fy][fz])
+				continue
+			}
 			xw, xe := cr, cr // the end cells' outer x-neighbours
 			if west {
 				xw = lw[row-1:]
@@ -154,47 +188,49 @@ func (s *Solver) stencil(lv *level, form stencilForm, x, y, b []float64, omega f
 				continue
 			}
 			g.cells(form, y, b, omega, &r, xw, cr[1:], 0, 1)
-			if s.dim < 3 {
-				g.cells(form, y, b, omega, &r, cr, cr[2:], 1, nx-2)
-			} else if nx > 2 {
-				fy, fz := faces(j, g.n[1]), faces(k, g.n[2])
-				interiorCells(form, y, b, out+1, nx-2, cr, r.ym[1:], r.yp[1:], r.zm[1:], r.zp[1:], &g.inv, &lv.coef[0][fy][fz].cu, w[fy][fz])
-			}
+			g.cells(form, y, b, omega, &r, cr, cr[2:], 1, nx-2)
 			g.cells(form, y, b, omega, &r, cr[nx-2:], xe, nx-1, 1)
 		}
 	}
-	s.chargeStencil(lv)
+}
+
+// endCell writes the form of one end cell of a 3-D row, at index o, from its
+// value u and its six sources through lap7, with its face class's coefficients
+// c and ω/diag w.
+func endCell(form stencilForm, y, b []float64, o int, u, xm, xp, ym, yp, zm, zp float64, inv *[3]float64, c *faceCoef, w float64) {
+	acc := lap7(inv[0], inv[1], inv[2], c.cu[0], c.cu[1], c.cu[2], u, xm, xp, ym, yp, zm, zp)
+	switch form {
+	case formApply:
+		y[o] = acc
+	case formResidual:
+		y[o] = b[o] - acc
+	case formJacobi:
+		y[o] = u + float64(w*(b[o]-acc))
+	}
 }
 
 // update is a Jacobi sweep of x whose residual b − A x is already known: r is
 // the level's stored residual for this x, or b itself where x is zero (every
 // stencil term of a zero x is +0, and b − (+0) is b on every bit pattern).  It
-// writes y = x + ω/diag·r for every owned cell, which is what the stencil's
-// formJacobi writes bit for bit, since that form computes b − A x as the
-// residual does and then exactly this.  It evaluates no stencil and reads no
-// ghost cell, and y may be r.  The clock is charged the stencil pass it stands
-// in for.
-func (s *Solver) update(lv *level, x, r, y []float64, omega float64) {
+// writes y = x + ω/diag·r for every cell of the owned rows rb, which is what
+// the stencil's formJacobi writes bit for bit, since that form computes b − A x
+// as the residual does and then exactly this.  It evaluates no stencil and
+// reads no ghost cell, and y may be r.  The caller charges the clock the
+// stencil pass it stands in for.
+func (s *Solver) update(lv *level, x, r, y []float64, omega float64, rb rows) {
 	own := lv.da.OwnedBox()
 	var n [3]int
 	for d := range n {
 		n[d] = lv.da.GlobalSize(d)
 	}
-	var w [3][3][3]float64
-	for fx := range w {
-		for fy := range w[fx] {
-			for fz := range w[fx][fy] {
-				w[fx][fy][fz] = omega / lv.coef[fx][fy][fz].diag
-			}
-		}
-	}
+	w := lv.diagWeights(omega)
 	// Only a row's first and last cell can lie on an x domain face.
 	nx := own.Hi[0] - own.Lo[0]
 	fw, fe := faces(own.Lo[0], n[0]), faces(own.Hi[0]-1, n[0])
-	out := 0
-	for k := own.Lo[2]; k < own.Hi[2]; k++ {
+	for k := rb.k0; k < rb.k1; k++ {
 		fz := faces(k, n[2])
-		for j := own.Lo[1]; j < own.Hi[1]; j, out = j+1, out+nx {
+		out := rowIndex(own, rb.j0, k)
+		for j := rb.j0; j < rb.j1; j, out = j+1, out+nx {
 			fy := faces(j, n[1])
 			last := out + nx - 1
 			updateRun(y[out:out+1], x[out:], r[out:], w[fw][fy][fz])
@@ -204,7 +240,6 @@ func (s *Solver) update(lv *level, x, r, y []float64, omega float64) {
 			}
 		}
 	}
-	s.chargeStencil(lv)
 }
 
 // updateRun writes y[i] = x[i] + w·r[i], the update of cells that share ω/diag.
@@ -285,24 +320,24 @@ func (g *stencilGeom) side(d, coord int, acc, diag, u, lo, hi float64) (float64,
 // first cell's west neighbour on; ym, yp, zm and zp are the four neighbouring
 // rows from the first cell on, each wherever it lies (see rowSrc).  cu and w
 // are the row's faceCoef coefficients and ω/diag.  Where the CPU runs the lane
-// kernel (useLanes), it takes the first m − m mod 4 cells, four a step, and
-// interiorCellsGo the rest; the two write the same bits (DESIGN §18
-// "Cross-cell lanes").
+// kernel (useLanes) and m is at least four, the lane kernel takes the row,
+// four cells a step, its last step four cells before the end; it writes the
+// bits interiorCellsGo writes (DESIGN §18 "Cross-cell lanes").  Fewer than
+// four cells, or no lane kernel, run interiorCellsGo.
 func interiorCells(form stencilForm, y, b []float64, o, m int, cr, ym, yp, zm, zp []float64, inv, cu *[3]float64, w float64) {
-	if n := m &^ 3; useLanes && n > 0 {
-		var bn []float64
-		if form != formApply {
-			bn = b[o:][:n]
-		}
-		interiorLanes(form, y[o:][:n], bn, cr[:n+2], ym[:n], yp[:n], zm[:n], zp[:n], inv, cu, w)
-		o, m = o+n, m-n
-		cr, ym, yp, zm, zp = cr[n:], ym[n:], yp[n:], zm[n:], zp[n:]
+	if !useLanes || m < 4 {
+		interiorCellsGo(form, y, b, o, m, cr, ym, yp, zm, zp, inv, cu, w)
+		return
 	}
-	interiorCellsGo(form, y, b, o, m, cr, ym, yp, zm, zp, inv, cu, w)
+	var bm []float64
+	if form != formApply {
+		bm = b[o:][:m]
+	}
+	interiorLanes(form, y[o:][:m], bm, cr[:m+2], ym[:m], yp[:m], zm[:m], zp[:m], inv, cu, w)
 }
 
-// interiorCellsGo is interiorCells one cell at a time, in Go: the whole row
-// where there is no lane kernel, and the last m mod 4 cells where there is.
+// interiorCellsGo is interiorCells one cell at a time, in Go: every row where
+// there is no lane kernel, and a row of fewer than four cells where there is.
 func interiorCellsGo(form stencilForm, y, b []float64, o, m int, cr, ym, yp, zm, zp []float64, inv, cu *[3]float64, w float64) {
 	xm, u, xp := cr[:m], cr[1:m+1], cr[2:m+2]
 	ym, yp, zm, zp = ym[:m], yp[:m], zm[:m], zp[:m]
@@ -409,6 +444,9 @@ type restrictTerm struct {
 // beyond the pair's before, every pair weighted as the first, and it is a
 // multiple of four long (else empty).  interpLaneW holds those weights as a
 // step's four lanes see them: the lower coarse cell's, then the upper's.
+// interpEnds is whether the first and the last entry are what interpEnds takes
+// for granted: two different cells, each on an x domain face and so with one
+// weight.
 type transferTables struct {
 	restrict     [3][]restrictTerm
 	restrictXRun [2]int
@@ -417,6 +455,7 @@ type transferTables struct {
 	interpXRun   [2]int
 	interpLane   [2]int
 	interpLaneW  [2][4]float64
+	interpEnds   bool
 }
 
 // newTransferTables builds the tables of the transfers between fine and
@@ -491,6 +530,9 @@ func (s *Solver) newTransferTables(fine, coarse *level) *transferTables {
 		return e.w[0] != 0 && e.w[1] != 0 && e.off[1] == e.off[0]+1
 	})
 	t.setInterpLane()
+	ix := t.interp[0]
+	one := func(e *interpTerm) bool { return (e.w[0] == 0) != (e.w[1] == 0) }
+	t.interpEnds = len(ix) >= 2 && one(&ix[0]) && one(&ix[len(ix)-1])
 	return t
 }
 
@@ -527,13 +569,10 @@ func firstRun(n int, ok func(int) bool) [2]int {
 	return [2]int{lo, hi}
 }
 
-// restrictTo restricts fine-level values r_f (level l) into the next
-// coarser level's vector out using the scaled adjoint of the linear
-// interpolation, R = Pᵀ/2^dim — full weighting with Dirichlet-consistent
-// boundary treatment.  The fine cells this rank owns are read from rf itself
-// and only the other ranks' from finePatch.
-func (s *Solver) restrictTo(l int, rf, out *petsc.Vec) {
-	defer s.span("restrict", s.c.Clock(), intAttr("level", l))
+// restrictScatter receives into finePatch the cells of the restriction's patch
+// box that other ranks own, from their rf: the restriction's exchange,
+// charged as the whole patch scatter (Scatter.BeginRemoteArrays).
+func (s *Solver) restrictScatter(l int, rf *petsc.Vec) {
 	fine := s.levels[l]
 	fa, patch := rf.Array(), fine.finePatch
 	if patch == nil {
@@ -541,12 +580,32 @@ func (s *Solver) restrictTo(l int, rf, out *petsc.Vec) {
 	}
 	fine.restrictSc.BeginRemoteArrays(fa, patch)
 	fine.restrictSc.End()
+}
 
+// chargeRestrict charges the virtual clock the restriction's arithmetic.
+func (s *Solver) chargeRestrict(l int) {
+	cOwn := s.levels[l+1].da.OwnedBox()
+	s.c.Compute(float64(cOwn.Cells()) * float64(int(4)<<uint(s.dim)) * flopSec)
+}
+
+// restrictTo restricts fine-level values r_f (level l) into the owned coarse
+// rows rb of the next coarser level's vector out using the scaled adjoint of
+// the linear interpolation, R = Pᵀ/2^dim — full weighting with
+// Dirichlet-consistent boundary treatment.  The fine cells this rank owns are
+// read from rf itself and only the other ranks' from finePatch, which
+// restrictScatter filled wherever rb reads one.  The caller charges the clock.
+func (s *Solver) restrictTo(l int, rf, out *petsc.Vec, rb rows) {
+	fine := s.levels[l]
+	fa, patch := rf.Array(), fine.finePatch
+	if patch == nil {
+		patch = fa
+	}
 	scale := 1.0
 	for d := 0; d < s.dim; d++ {
 		scale /= 2
 	}
 	t := fine.transfer
+	cOwn := s.levels[l+1].da.OwnedBox()
 	tx, oa := t.restrict[0], out.Array()
 	runLo, runHi := t.restrictXRun[0], t.restrictXRun[1]
 	lo, hi, from := 0, len(tx), runLo // restrictCell takes the cells of [lo, runLo) and [runHi, hi)
@@ -564,16 +623,20 @@ func (s *Solver) restrictTo(l int, rf, out *petsc.Vec) {
 	// column entry from's first on: the first cell's where restrictEnds holds,
 	// the run's otherwise.  src is row from the run's first column on, wx the
 	// row's weight times the run's four x weights and we times the end cells'
-	// three.
+	// three.  The weights change only with the z and y weights of the row's
+	// class, so they are formed again only when those change: zw and yw are
+	// the ones they were formed for.
 	var pat, own, row, src [16][]float64
 	var wzy [16]float64
 	var wx [16][4]float64
 	var we [16][2][3]float64
-	idx := 0
-	for kz := range t.restrict[2] {
-		ez := &t.restrict[2][kz]
-		for jy := range t.restrict[1] {
-			ey := &t.restrict[1][jy]
+	var zw, yw [4]float64
+	formed := false
+	for k := rb.k0; k < rb.k1; k++ {
+		ez := &t.restrict[2][k-cOwn.Lo[2]]
+		idx := rowIndex(cOwn, rb.j0, k)
+		for j := rb.j0; j < rb.j1; j, idx = j+1, idx+len(tx) {
+			ey := &t.restrict[1][j-cOwn.Lo[1]]
 			nr := 0
 			for a := 0; a < ez.n; a++ {
 				for b := 0; b < ey.n; b++ {
@@ -581,9 +644,12 @@ func (s *Solver) restrictTo(l int, rf, out *petsc.Vec) {
 					if ez.own[a] >= 0 && ey.own[b] >= 0 {
 						own[nr] = fa[ez.own[a]+ey.own[b]:]
 					}
-					wzy[nr] = float64(ez.w[a] * ey.w[b])
 					nr++
 				}
+			}
+			if !formed || ez.w != zw || ey.w != yw {
+				formed, zw, yw = true, ez.w, ey.w
+				t.restrictWeights(ez, ey, &wzy, &wx, &we)
 			}
 			if t.restrictEnds || runLo < runHi {
 				e := &tx[from]
@@ -596,11 +662,6 @@ func (s *Solver) restrictTo(l int, rf, out *petsc.Vec) {
 			}
 			if t.restrictEnds {
 				a, b := &tx[0], &tx[len(tx)-1]
-				for r := 0; r < nr; r++ {
-					for c := range we[r][0] {
-						we[r][0][c], we[r][1][c] = float64(wzy[r]*a.w[c]), float64(wzy[r]*b.w[c])
-					}
-				}
 				s0, s1 := restrictEnds(row[:nr], we[:nr], b.own[0]-a.own[0])
 				oa[idx], oa[idx+len(tx)-1] = s0*scale, s1*scale
 			}
@@ -611,20 +672,46 @@ func (s *Solver) restrictTo(l int, rf, out *petsc.Vec) {
 				e := &tx[runLo]
 				for r := 0; r < nr; r++ {
 					src[r] = row[r][e.own[0]-tx[from].own[0]:]
-					for c, w := range e.w {
-						wx[r][c] = float64(wzy[r] * w)
-					}
 				}
 				gatherRun(oa[idx+runLo:idx+runHi], src[:nr], wx[:nr], scale)
 			}
 			for i := runHi; i < hi; i++ {
 				oa[idx+i] = restrictCell(pat[:nr], own[:nr], wzy[:nr], &tx[i]) * scale
 			}
-			idx += len(tx)
 		}
 	}
-	cOwn := s.levels[l+1].da.OwnedBox()
-	s.c.Compute(float64(cOwn.Cells()) * float64(int(4)<<uint(s.dim)) * flopSec)
+}
+
+// restrictWeights forms the weights of a coarse row whose z and y entries are
+// ez and ey: wzy, the products of their weights, z-major as restrictTo lists
+// the fine rows, and from those wx, the run's four x weights times each, and
+// we, the end cells' three times each, where the tables have a run and end
+// cells.
+func (t *transferTables) restrictWeights(ez, ey *restrictTerm, wzy *[16]float64, wx *[16][4]float64, we *[16][2][3]float64) {
+	tx := t.restrict[0]
+	nr := 0
+	for a := 0; a < ez.n; a++ {
+		for b := 0; b < ey.n; b++ {
+			wzy[nr] = float64(ez.w[a] * ey.w[b])
+			nr++
+		}
+	}
+	if t.restrictEnds {
+		a, b := &tx[0], &tx[len(tx)-1]
+		for r := 0; r < nr; r++ {
+			for c := range we[r][0] {
+				we[r][0][c], we[r][1][c] = float64(wzy[r]*a.w[c]), float64(wzy[r]*b.w[c])
+			}
+		}
+	}
+	if run := t.restrictXRun; run[0] < run[1] {
+		e := &tx[run[0]]
+		for r := 0; r < nr; r++ {
+			for c, w := range e.w {
+				wx[r][c] = float64(wzy[r] * w)
+			}
+		}
+	}
 }
 
 // restrictCell gathers one coarse cell with any number of x candidates, each
@@ -725,25 +812,40 @@ func restrictRun(out []float64, src [][]float64, wx [][4]float64, scale float64)
 	}
 }
 
-// interpolateAdd interpolates the coarse correction xc (level l+1) linearly
-// and adds it into the fine-level vector x (level l).
-func (s *Solver) interpolateAdd(l int, xc, x *petsc.Vec) {
-	defer s.span("prolong", s.c.Clock(), intAttr("level", l))
-	fine := s.levels[l]
-	fine.interpSc.DoArrays(xc.Array(), fine.coarsePatch)
+// chargeInterp charges the virtual clock the interpolation's arithmetic.
+func (s *Solver) chargeInterp(l int) {
+	fOwn := s.levels[l].da.OwnedBox()
+	s.c.Compute(float64(fOwn.Cells()) * float64(int(3)<<uint(s.dim)) * flopSec)
+}
 
+// interpolateAdd interpolates the coarse correction linearly and adds it into
+// the owned rows rb of the fine-level vector x (level l).  It reads the
+// correction from coarsePatch, which the interpolation's patch scatter has
+// filled.  The caller charges the clock.
+func (s *Solver) interpolateAdd(l int, x *petsc.Vec, rb rows) {
+	fine := s.levels[l]
 	t := fine.transfer
+	fOwn := fine.da.OwnedBox()
 	tx, patch, xa := t.interp[0], fine.coarsePatch, x.Array()
+
+	runLo, runHi := t.interpXRun[0], t.interpXRun[1]
+	lo, hi := 0, len(tx) // interpCell takes the cells of [lo, runLo) and [runHi, hi)
+	if t.interpEnds {
+		lo, hi = 1, len(tx)-1
+	}
+	if runLo > hi { // no run
+		runLo, runHi = hi, hi
+	}
 
 	// Per fine row: the coarse rows with a weight, z-major as the sum
 	// runs, and the product of their z and y weights.
 	var rowBuf [4]int
 	var wzyBuf [4]float64
-	idx := 0
-	for kz := range t.interp[2] {
-		ez := &t.interp[2][kz]
-		for jy := range t.interp[1] {
-			ey := &t.interp[1][jy]
+	for k := rb.k0; k < rb.k1; k++ {
+		ez := &t.interp[2][k-fOwn.Lo[2]]
+		idx := rowIndex(fOwn, rb.j0, k)
+		for j := rb.j0; j < rb.j1; j, idx = j+1, idx+len(tx) {
+			ey := &t.interp[1][j-fOwn.Lo[1]]
 			nr := 0
 			for a := 0; a < 2; a++ {
 				for b := 0; b < 2; b++ {
@@ -754,27 +856,28 @@ func (s *Solver) interpolateAdd(l int, xc, x *petsc.Vec) {
 				}
 			}
 			// All four rows present means a 3-D row off the y and z domain
-			// faces, whose x run has all eight weights; any other row takes
-			// the general form throughout.
-			runLo, runHi := len(tx), len(tx)
-			if nr == 4 {
-				runLo, runHi = t.interpXRun[0], t.interpXRun[1]
+			// faces, whose x run interpRun takes; a face row's, or any row's of
+			// a 1-D or 2-D grid, takes interpCells.  interpEnds takes the end
+			// cells where they are on x domain faces, interpCell the rest.
+			bases, wzy := rowBuf[:nr], wzyBuf[:nr]
+			if t.interpEnds {
+				first, last := interpEnds(patch, bases, wzy, &tx[0], &tx[len(tx)-1])
+				xa[idx] += first
+				xa[idx+len(tx)-1] += last
 			}
-			rows, wzy := rowBuf[:nr], wzyBuf[:nr]
-			for i := 0; i < runLo; i++ {
-				xa[idx+i] += interpCell(patch, rows, wzy, &tx[i])
+			for i := lo; i < runLo; i++ {
+				xa[idx+i] += interpCell(patch, bases, wzy, &tx[i])
 			}
 			if nr == 4 {
 				interpRun(xa[idx:idx+len(tx)], t, patch, &rowBuf, &wzyBuf)
+			} else {
+				interpCells(xa[idx+runLo:idx+runHi], tx[runLo:runHi], patch, bases, wzy)
 			}
-			for i := runHi; i < len(tx); i++ {
-				xa[idx+i] += interpCell(patch, rows, wzy, &tx[i])
+			for i := runHi; i < hi; i++ {
+				xa[idx+i] += interpCell(patch, bases, wzy, &tx[i])
 			}
-			idx += len(tx)
 		}
 	}
-	fOwn := fine.da.OwnedBox()
-	s.c.Compute(float64(fOwn.Cells()) * float64(int(3)<<uint(s.dim)) * flopSec)
 }
 
 // interpCell interpolates one fine cell from whichever weights it has.
@@ -788,6 +891,47 @@ func interpCell(patch []float64, rows []int, wzy []float64, ex *interpTerm) floa
 		}
 	}
 	return v
+}
+
+// interpEnds interpolates a fine row's first and last cell, each on an x
+// domain face and so weighted to one coarse cell of each coarse row, which
+// interpCell would take one term at a time.  One loop over the rows carries
+// both sums, each in interpCell's order, so that two chains of dependent adds
+// are in flight and not one.
+func interpEnds(patch []float64, bases []int, wzy []float64, a, b *interpTerm) (first, last float64) {
+	ca, cb := 0, 0
+	if a.w[0] == 0 {
+		ca = 1
+	}
+	if b.w[0] == 0 {
+		cb = 1
+	}
+	oa, wa, ob, wb := a.off[ca], a.w[ca], b.off[cb], b.w[cb]
+	wzy = wzy[:len(bases)]
+	for r, base := range bases {
+		first += float64(wzy[r] * wa * patch[base+oa])
+		last += float64(wzy[r] * wb * patch[base+ob])
+	}
+	return first, last
+}
+
+// interpCells adds to xa the interpolant of consecutive fine cells that have
+// both x weights, from the coarse rows at bases with weights wzy, in
+// interpCell's order: the face rows' x run, and every row's of a 1-D or 2-D
+// grid.
+func interpCells(xa []float64, tx []interpTerm, patch []float64, bases []int, wzy []float64) {
+	tx, wzy = tx[:len(xa)], wzy[:len(bases)]
+	for i := range xa {
+		e := &tx[i]
+		c, lo, hi := e.off[0], e.w[0], e.w[1]
+		v := 0.0
+		for r, base := range bases {
+			p := patch[base+c:][:2]
+			v += float64(wzy[r] * lo * p[0])
+			v += float64(wzy[r] * hi * p[1])
+		}
+		xa[i] += v
+	}
 }
 
 // interpRun adds to xa, one fine x-row with four coarse rows, the interpolant

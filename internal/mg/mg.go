@@ -41,6 +41,8 @@ type level struct {
 	interpBox   dmda.Box
 	coarsePatch []float64
 	transfer    *transferTables // what both kernels read of the two boxes and interpWeights
+
+	wave wave // the half V-cycle that runs next on this level, or last ran
 }
 
 // Checkpointer is the checkpoint store a Solver writes to and restores
@@ -181,7 +183,7 @@ func NewAgglomerated(c *mpi.Comm, n []int, nlevels int, mode petsc.ScatterMode, 
 		}
 		limit := LevelRanks(c.Size(), cells, l == nlevels-1, minCellsPerRank)
 		da := dmda.NewLimited(c, ext, 1, dmda.StencilStar, 1, mode, limit)
-		lv := &level{da: da}
+		lv := &level{da: da, wave: wave{stages: make([]stage, 0, 8)}}
 		if da.GhostBox() != da.OwnedBox() {
 			lv.lwork = da.CreateLocalArray()
 		}
@@ -275,7 +277,8 @@ func (s *Solver) CreateVec() *petsc.Vec { return s.levels[0].da.CreateGlobalVec(
 func (s *Solver) applyLevel(l int, x, y *petsc.Vec) {
 	lv := s.levels[l]
 	lv.da.GhostUpdate(x, lv.lwork)
-	s.stencil(lv, formApply, x.Array(), y.Array(), nil, 0)
+	s.stencil(lv, formApply, x.Array(), y.Array(), nil, 0, ownedRows(lv.da.OwnedBox()))
+	s.chargeStencil(lv)
 }
 
 // Apply computes y = A x on the finest grid.  The stencil reads x's owned
@@ -335,68 +338,68 @@ const (
 	fromZero                       // x is zero, so b − A x is b
 )
 
-// sweep writes the Jacobi update x + ω/diag·(b − A x) of level lv to y, the
-// ghost cells of x already received: from nothing through the stencil, from a
-// known residual through update (which runs in place when y is lv.r).
-func (s *Solver) sweep(lv *level, from sweepStart, b, x, y *petsc.Vec, omega float64) {
+// sweep is the stage of a Jacobi update x + ω/diag·(b − A x) of level lv into
+// y, made after a ghost update of x: from nothing through the stencil, from a
+// known residual through update (which runs in place when y is lv.r).  It
+// charges the stencil pass and then the whole-vector passes of then.
+func sweep(lv *level, from sweepStart, b, x, y *petsc.Vec, omega float64, then [4]uint8) stage {
+	st := stage{op: opUpdate, src: x, dst: y, aux: lv.r, omega: omega, gated: true, then: then}
 	switch from {
-	case fromResidual:
-		s.update(lv, x.Array(), lv.r.Array(), y.Array(), omega)
 	case fromZero:
-		s.update(lv, x.Array(), b.Array(), y.Array(), omega)
-	default:
-		s.stencil(lv, formJacobi, x.Array(), y.Array(), b.Array(), omega)
+		st.aux = b
+	case fromNothing:
+		st.op, st.form, st.aux = opStencil, formJacobi, b
 	}
+	return st
 }
 
-// smooth runs sweeps of the configured smoother on level l for A x = b, the
-// first of them from what from says of x.  The ghost update before a sweep
-// from a known residual is made and charged all the same, as the paper's
-// smoother makes it.
-func (s *Solver) smooth(l, sweeps int, from sweepStart, b, x *petsc.Vec) {
-	defer s.span("smooth", s.c.Clock(), func() []obs.Attr {
-		return []obs.Attr{{Key: "level", Val: strconv.Itoa(l)},
-			{Key: "sweeps", Val: strconv.Itoa(sweeps)},
-			{Key: "smoother", Val: s.Smoother.String()}}
-	})
+// addSmooth appends to lv's wave the stages of sweeps sweeps of the configured
+// smoother on level lv for A x = b, the first of them from what from says of x,
+// inside one "smooth" span.  The ghost update before a sweep from a known
+// residual is made and charged all the same, as the paper's smoother makes it.
+func (s *Solver) addSmooth(lv *level, sweeps int, from sweepStart, b, x *petsc.Vec) {
+	w := &lv.wave
+	first := len(w.stages)
+	w.sweeps = sweeps
 	if s.Smoother == SmootherChebyshev {
-		s.smoothChebyshev(l, sweeps, from, b, x)
-		return
-	}
-	// Sweeps ping-pong between x and the residual storage, so only an odd
-	// count ends with a copy back into x.  The virtual clock's cost model
-	// has one vector copy per sweep, and is charged one whether or not a
-	// copy happens.
-	lv := s.levels[l]
-	src, dst := x, lv.r
-	for it := 0; it < sweeps; it++ {
-		lv.da.GhostUpdate(src, lv.lwork)
-		s.sweep(lv, from, b, src, dst, omega)
-		from = fromNothing
-		src, dst = dst, src
-		if it == sweeps-1 && src != x {
-			x.Copy(src)
-		} else {
-			s.c.Compute(float64(x.LocalSize()) * flopSec)
+		s.addChebyshev(lv, sweeps, from, b, x)
+	} else {
+		// Sweeps ping-pong between x and the residual storage, so only an odd
+		// count ends with a copy back into x.  The virtual clock's cost model
+		// has one vector copy per sweep, and is charged one whether or not a
+		// copy happens.
+		src, dst := x, lv.r
+		for it := 0; it < sweeps; it++ {
+			w.add(sweep(lv, from, b, src, dst, omega, [4]uint8{1}))
+			from = fromNothing
+			src, dst = dst, src
+		}
+		if src != x {
+			w.add(stage{op: opCopy, src: src, dst: x})
 		}
 	}
+	if len(w.stages) > first {
+		w.stages[first].open |= spanSmooth
+		w.stages[len(w.stages)-1].close |= spanSmooth
+	}
 }
 
-// smoothChebyshev runs a degree-`sweeps` Chebyshev polynomial smoother.
-// The Jacobi-preconditioned operator D⁻¹A of the face-Dirichlet Laplacian
-// has spectrum in (0, 2] by Gershgorin (rows are weakly diagonally
+// addChebyshev appends the stages of a degree-`degree` Chebyshev polynomial
+// smoother.  The Jacobi-preconditioned operator D⁻¹A of the face-Dirichlet
+// Laplacian has spectrum in (0, 2] by Gershgorin (rows are weakly diagonally
 // dominant), so the smoothing window is fixed to [2/10, 2] — the usual
-// [0.1, 1.1]·λmax style target without needing eigenvalue estimation.
-func (s *Solver) smoothChebyshev(l, degree int, from sweepStart, b, x *petsc.Vec) {
+// [0.1, 1.1]·λmax style target without needing eigenvalue estimation.  Each
+// step is a Jacobi evaluation z = D⁻¹(b − A x), the ω = 1 sweep less x, into
+// the level's r, and then one elementwise stage: z.AXPY(-1, x), the direction
+// update, and x.AXPY(1, d).
+func (s *Solver) addChebyshev(lv *level, degree int, from sweepStart, b, x *petsc.Vec) {
 	if degree < 1 {
 		return
 	}
-	lv := s.levels[l]
 	if lv.d == nil {
 		lv.d = b.Duplicate()
 	}
-	d := lv.d
-	z := lv.r // z = D⁻¹(b - A x), computed via one damped-Jacobi evaluation
+	w, z := &lv.wave, lv.r
 
 	// Smoothers only need to damp the oscillatory upper half of the
 	// spectrum; targeting [λmax/4, 1.05·λmax] concentrates the polynomial
@@ -406,57 +409,86 @@ func (s *Solver) smoothChebyshev(l, degree int, from sweepStart, b, x *petsc.Vec
 	delta := (lmax - lmin) / 2
 	sigma := theta / delta
 
-	// z = D⁻¹(b - A x) is the omega=1 Jacobi update minus x.
-	jacz := func(from sweepStart) {
-		lv.da.GhostUpdate(x, lv.lwork)
-		s.sweep(lv, from, b, x, z, 1)
-		z.AXPY(-1, x)
-	}
-
-	jacz(from)
-	d.Copy(z)
-	d.Scale(1 / theta)
-	x.AXPY(1, d)
+	// Each elementwise stage charges its four vector passes in order: here
+	// z.AXPY, d.Copy, d.Scale and x.AXPY for d = z/theta.
+	w.add(sweep(lv, from, b, x, z, 1, [4]uint8{}))
+	w.add(stage{op: opCheb, first: true, src: x, dst: z, aux: lv.d, scale: 1 / theta, then: [4]uint8{2, 1, 1, 2}})
 	rhoOld := 1 / sigma
 	for k := 2; k <= degree; k++ {
 		rho := 1 / (2*sigma - rhoOld)
-		jacz(fromNothing)
-		// d = rho*rhoOld*d + (2*rho/delta) z
-		d.Scale(rho * rhoOld)
-		d.AXPY(2*rho/delta, z)
-		x.AXPY(1, d)
+		// d = rho*rhoOld*d + (2*rho/delta) z: z.AXPY, d.Scale, d.AXPY, x.AXPY.
+		w.add(sweep(lv, fromNothing, b, x, z, 1, [4]uint8{}))
+		w.add(stage{op: opCheb, src: x, dst: z, aux: lv.d, scale: rho * rhoOld, dz: 2 * rho / delta, then: [4]uint8{2, 1, 2, 2}})
 		rhoOld = rho
 	}
 }
 
-// residual computes r = b - A x on level l in one stencil pass.  The
-// virtual clock's cost model prices the subtraction as an AYPX pass of its
-// own, which is charged after the stencil's.
+// residualStage is the stage of r = b − A x on level lv in one stencil pass
+// after a ghost update of x.  The virtual clock's cost model prices the
+// subtraction as an AYPX pass of its own, which is charged after the
+// stencil's.
+func residualStage(b, x, r *petsc.Vec) stage {
+	return stage{op: opStencil, form: formResidual, src: x, dst: r, aux: b, gated: true, then: [4]uint8{2}}
+}
+
+// residual computes r = b - A x on level l, a wavefront of the one stage.
 func (s *Solver) residual(l int, b, x, r *petsc.Vec) {
-	lv := s.levels[l]
-	lv.da.GhostUpdate(x, lv.lwork)
-	s.stencil(lv, formResidual, x.Array(), r.Array(), b.Array(), 0)
-	s.c.Compute(float64(2*r.LocalSize()) * flopSec)
+	w := &s.levels[l].wave
+	w.stages = append(w.stages[:0], residualStage(b, x, r))
+	s.run(l)
 }
 
 // vcycle runs one V-cycle on level l for A_l x = b (x holds the initial
 // guess and result); from is what the pre-smoothing may take for granted of
-// it.  Every coarser level starts from zero.
-func (s *Solver) vcycle(l int, from sweepStart, b, x *petsc.Vec) {
-	defer s.span("mg_level", s.c.Clock(), intAttr("level", l))
+// it.  Every coarser level starts from zero.  Where closing is set, the cycle
+// ends with the residual b − A x of its result in the level's r, which the
+// cycle's "mg_level" span does not cover.
+func (s *Solver) vcycle(l int, from sweepStart, b, x *petsc.Vec, closing bool) {
+	lv := s.levels[l]
+	lv.wave.open(spanLevel, s.c.Clock())
 	if l == len(s.levels)-1 {
 		s.coarseSolve(l, b, x)
+		s.closeSpans(l, spanLevel)
+		if closing {
+			s.residual(l, b, x, lv.r)
+		}
 		return
 	}
-	s.smooth(l, nu1, from, b, x)
-	lv := s.levels[l]
-	s.residual(l, b, x, lv.r)
 	next := s.levels[l+1]
-	s.restrictTo(l, lv.r, next.b)
+	s.pre(l, from, b, x)
 	next.x.Set(0)
-	s.vcycle(l+1, fromZero, next.b, next.x)
-	s.interpolateAdd(l, next.x, x)
-	s.smooth(l, nu2, fromNothing, b, x)
+	s.vcycle(l+1, fromZero, next.b, next.x, false)
+	s.post(l, b, x, closing)
+}
+
+// pre runs the first half of a V-cycle on level l as one wavefront: the
+// pre-smoothing, the residual into the level's r and its restriction into the
+// next level's b.
+func (s *Solver) pre(l int, from sweepStart, b, x *petsc.Vec) {
+	lv, next := s.levels[l], s.levels[l+1]
+	w := &lv.wave
+	w.stages = w.stages[:0]
+	s.addSmooth(lv, nu1, from, b, x)
+	w.add(residualStage(b, x, lv.r))
+	w.add(stage{op: opRestrict, src: lv.r, dst: next.b, gated: true, open: spanRestrict, close: spanRestrict})
+	s.run(l)
+}
+
+// post runs the second half of a V-cycle on level l as one wavefront: the
+// interpolation of the next level's x into x, the post-smoothing, which closes
+// the level's "mg_level" span, and where closing is set the residual into the
+// level's r.
+func (s *Solver) post(l int, b, x *petsc.Vec, closing bool) {
+	lv, next := s.levels[l], s.levels[l+1]
+	w := &lv.wave
+	w.stages = w.stages[:0]
+	w.add(stage{op: opInterp, src: next.x, dst: x, gated: true, open: spanProlong, close: spanProlong})
+	s.addSmooth(lv, nu2, fromNothing, b, x)
+	w.stages[len(w.stages)-1].close |= spanLevel
+	if closing {
+		w.add(residualStage(b, x, lv.r))
+	}
+	s.run(l)
 }
 
 // coarseSolve solves A_l x = b on the coarsest level with unpreconditioned
@@ -521,7 +553,7 @@ func (s *Solver) coarseSolve(l int, b, x *petsc.Vec) {
 }
 
 // VCycle runs one V-cycle on the finest level for A x = b.  Collective.
-func (s *Solver) VCycle(b, x *petsc.Vec) { s.vcycle(0, fromNothing, b, x) }
+func (s *Solver) VCycle(b, x *petsc.Vec) { s.vcycle(0, fromNothing, b, x, false) }
 
 // Solve iterates V-cycles until the residual 2-norm falls below rtol times
 // the initial residual norm, or maxCycles is reached.  It returns the cycle
@@ -578,8 +610,7 @@ func (s *Solver) solve(b, x *petsc.Vec, rtol float64, maxCycles int, r0 float64,
 			}
 		}
 		cycleStart := s.c.Clock()
-		s.vcycle(0, from, b, x)
-		s.residual(0, b, x, lv.r)
+		s.vcycle(0, from, b, x, true)
 		from = fromResidual
 		relres = lv.r.Norm2() / r0
 		s.History = append(s.History, relres)

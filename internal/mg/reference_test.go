@@ -235,6 +235,31 @@ func refInterpolate(s *Solver, l int, xc, x *petsc.Vec) {
 	s.c.Compute(float64(fOwn.Cells()) * float64(int(3)<<uint(s.dim)) * flopSec)
 }
 
+// smooth runs sweeps of the configured smoother on level l for A x = b, the
+// first of them from what from says of x, as the one wavefront of its stages.
+func (s *Solver) smooth(l, sweeps int, from sweepStart, b, x *petsc.Vec) {
+	lv := s.levels[l]
+	lv.wave.stages = lv.wave.stages[:0]
+	s.addSmooth(lv, sweeps, from, b, x)
+	s.run(l)
+}
+
+// restrictPass and interpolatePass are the solver's two level transfers as
+// whole passes, as the pass-by-pass V-cycle ran them: the patch scatter, every
+// owned row, the charge.
+func restrictPass(s *Solver, l int, rf, out *petsc.Vec) {
+	s.restrictScatter(l, rf)
+	s.restrictTo(l, rf, out, ownedRows(s.levels[l+1].da.OwnedBox()))
+	s.chargeRestrict(l)
+}
+
+func interpolatePass(s *Solver, l int, xc, x *petsc.Vec) {
+	fine := s.levels[l]
+	fine.interpSc.DoArrays(xc.Array(), fine.coarsePatch)
+	s.interpolateAdd(l, x, ownedRows(fine.da.OwnedBox()))
+	s.chargeInterp(l)
+}
+
 func refApplyLevel(s *Solver, l int, x, y *petsc.Vec) {
 	lv := s.levels[l]
 	refStencil(s, lv, refGhosted(lv, x), y.Array(), nil, 0)
@@ -483,7 +508,7 @@ func checkKernels(s *Solver, seed uint64) error {
 		}
 		for _, w := range []float64{omega, 1} {
 			lv.da.GhostUpdate(x, lv.lwork)
-			s.stencil(lv, formJacobi, x.Array(), got.Array(), b.Array(), w)
+			s.stencil(lv, formJacobi, x.Array(), got.Array(), b.Array(), w, ownedRows(lv.da.OwnedBox()))
 			refStencil(s, lv, refGhosted(lv, x), want.Array(), b.Array(), w)
 			if err := bitsDiffer(fmt.Sprintf("level %d jacobi omega %v", l, w), got.Array(), want.Array()); err != nil {
 				return err
@@ -494,7 +519,7 @@ func checkKernels(s *Solver, seed uint64) error {
 		}
 		coarse := s.levels[l+1].da
 		gotC, wantC := coarse.CreateGlobalVec(), coarse.CreateGlobalVec()
-		s.restrictTo(l, x, gotC)
+		restrictPass(s, l, x, gotC)
 		restore := refPatches(s)
 		refRestrict(s, l, x, wantC)
 		restore()
@@ -505,7 +530,7 @@ func checkKernels(s *Solver, seed uint64) error {
 		fillSeeded(xc, seed+uint64(3*l+2))
 		got.Copy(b)
 		want.Copy(b)
-		s.interpolateAdd(l, xc, got)
+		interpolatePass(s, l, xc, got)
 		refInterpolate(s, l, xc, want)
 		if err := bitsDiffer(fmt.Sprintf("level %d interpolation", l), got.Array(), want.Array()); err != nil {
 			return err
@@ -616,6 +641,15 @@ var kernelShapes = []kernelShape{
 	// smoother at np 2 and 3 (the Jacobi entries at np 2, 3 and 4 are above).
 	{n: []int{16, 16, 16}, np: 2, levels: 2, mode: petsc.ScatterDatatype, smoother: SmootherChebyshev, cfg: mpi.Compiled()},
 	{n: []int{24, 24, 24}, np: 3, levels: 3, mode: petsc.ScatterHandTuned, smoother: SmootherChebyshev, cfg: mpi.Baseline()},
+	// Skirts as deep as the owned box: a z cut that leaves the ranks five or
+	// six planes of level 0 and two or three of level 1, so that the later
+	// stages of both wavefronts run nothing inside the middle rank's level 1;
+	// a y and z cut, whose skirts are rows beside the planes as well as planes,
+	// down to two rows by three planes on level 1; Chebyshev, whose wavefronts
+	// are the deepest, on a z cut.
+	{n: []int{12, 12, 16}, np: 3, levels: 3, mode: petsc.ScatterHandTuned, cfg: mpi.Compiled()},
+	{n: []int{8, 8, 12}, np: 4, levels: 3, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
+	{n: []int{16, 16, 32}, np: 2, levels: 3, mode: petsc.ScatterDatatype, smoother: SmootherChebyshev, cfg: mpi.Optimized()},
 	// Every level on every rank: the paper's hierarchy, down to one coarse
 	// cell per rank.
 	{n: []int{16, 16, 16}, np: 2, levels: 3, minCells: 1, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
@@ -780,10 +814,10 @@ func TestFirstSweepFromKnownState(t *testing.T) {
 }
 
 // TestStencilPassesAllocateNothing: on one rank with tracing off the operator,
-// one smoother sweep from each start, the residual, both level transfers and
-// one whole V-cycle allocate nothing in either arm, at 16³ and at 40³, whose
-// level-0 restriction run of 18 cells is the first wide enough for
-// restrictLanes.
+// one smoother sweep from each start, the residual, both level transfers, both
+// halves of a V-cycle as the wavefronts that run them and one whole V-cycle
+// allocate nothing in either arm, at 16³ and at 40³, whose level-0
+// restriction run of 18 cells is the first wide enough for restrictLanes.
 func TestStencilPassesAllocateNothing(t *testing.T) {
 	for _, n := range []int{16, 40} {
 		for _, mode := range []petsc.ScatterMode{petsc.ScatterHandTuned, petsc.ScatterDatatype} {
@@ -806,8 +840,10 @@ func checkPassesAllocateNothing(t *testing.T, n int, mode petsc.ScatterMode) {
 			"smooth from residual": func() { s.smooth(0, 1, fromResidual, b, x) },
 			"smooth from zero":     func() { s.smooth(0, 1, fromZero, b, x) },
 			"residual":             func() { s.residual(0, b, x, y) },
-			"restrictTo":           func() { s.restrictTo(0, x, coarse) },
-			"interpolateAdd":       func() { s.interpolateAdd(0, coarse, y) },
+			"restrictTo":           func() { restrictPass(s, 0, x, coarse) },
+			"interpolateAdd":       func() { interpolatePass(s, 0, coarse, y) },
+			"pre group":            func() { s.pre(0, fromResidual, b, x) },
+			"post group":           func() { s.post(0, b, x, true) },
 			"VCycle":               func() { s.VCycle(b, y) },
 		} {
 			if a := testing.AllocsPerRun(10, pass); a != 0 {
