@@ -19,6 +19,13 @@ import (
 // epochs — and this file provides the policy: which checkpoint to resume
 // from and when to give up.
 
+// A self-healing solve rides out at most maxRecoveries failures, and each
+// Restore waits at most awaitTimeout for the replacements to join.
+const (
+	maxRecoveries = 4
+	awaitTimeout  = 30 * time.Second
+)
+
 // HealParams configures a self-healing solve: SelfHealMultigrid's loop and,
 // for RunMultigridDaemon, the checkpoint store it opens.
 type HealParams struct {
@@ -30,12 +37,6 @@ type HealParams struct {
 	CkptDir string
 	// CheckpointEvery is the V-cycle checkpoint period.  Default 1.
 	CheckpointEvery int
-	// MaxRecoveries bounds how many failures the loop rides out before
-	// giving up.  Default 4.
-	MaxRecoveries int
-	// AwaitTimeout bounds how long Restore waits for replacements.
-	// Default 30 s.
-	AwaitTimeout time.Duration
 	// RejoinEpoch, when nonzero, marks this rank as a replacement: it
 	// skips the initial solve attempt and joins recovery number
 	// RejoinEpoch directly (the launcher's respawn count).  Survivors
@@ -89,17 +90,9 @@ type SelfHealResult struct {
 // lower iteration numbers sort after the stale incarnation's.
 func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, store *ckptio.Store, hp HealParams) (SelfHealResult, error) {
 	res := SelfHealResult{RestoredAt: -1}
-	maxRec := hp.MaxRecoveries
-	if maxRec <= 0 {
-		maxRec = 4
-	}
 	every := hp.CheckpointEvery
 	if every <= 0 {
 		every = 1
-	}
-	timeout := hp.AwaitTimeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
 	}
 
 	cc := c
@@ -144,10 +137,10 @@ func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, s
 			epoch++
 		}
 		rejoining = false
-		if res.Recoveries >= maxRec {
+		if res.Recoveries >= maxRecoveries {
 			return res, fmt.Errorf("bench: giving up after %d recoveries", res.Recoveries)
 		}
-		nc, rerr := cc.Restore(epoch, timeout)
+		nc, rerr := cc.Restore(epoch, awaitTimeout)
 		if rerr != nil {
 			return res, rerr
 		}

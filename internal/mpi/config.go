@@ -11,9 +11,6 @@
 package mpi
 
 import (
-	"fmt"
-	"time"
-
 	"nccd/internal/datatype"
 	"nccd/internal/kselect"
 )
@@ -93,8 +90,6 @@ type Config struct {
 	// BinThresholdBytes is the Alltoallw boundary between the small and
 	// large bins.  Default 1 KiB.
 	BinThresholdBytes int
-	// Watchdog tunes the deadlock detector.
-	Watchdog WatchdogConfig
 	// Job labels this world as one tenant of a multi-job service.  Zero
 	// (the default) is a standalone world.  The label flows into the
 	// world's spans (obs.Span.Job) so one process's traces separate by
@@ -103,27 +98,8 @@ type Config struct {
 	Job uint64
 }
 
-// WatchdogConfig parameterizes the deadlock detector that watches a running
-// world.  The watchdog only ever acts when every live rank has been blocked
-// with zero progress for Patience consecutive intervals and no queued
-// message can satisfy any of them — a state the closed system can never
-// leave — so it has no effect on live runs.
-type WatchdogConfig struct {
-	// Disable turns the watchdog off.
-	Disable bool
-	// Interval is the wall-clock check period.  Default 250 ms.
-	Interval time.Duration
-	// Patience is how many consecutive zero-progress intervals must pass
-	// before the watchdog declares a deadlock.  Default 2.
-	Patience int
-}
-
-// Defaults used when Config fields are zero.
-const (
-	DefaultBinThreshold     = 1024
-	DefaultWatchdogInterval = 250 * time.Millisecond
-	DefaultWatchdogPatience = 2
-)
+// DefaultBinThreshold is BinThresholdBytes when the field is zero.
+const DefaultBinThreshold = 1024
 
 // Fixed protocol and algorithm thresholds.  The ack/retransmission
 // protocol that masks message loss under fault injection waits ackTimeout
@@ -139,28 +115,9 @@ const (
 	ringThresholdBytes = 32 * 1024
 )
 
-// Validate rejects configurations the runtime cannot honor: negative
-// watchdog knobs.  NewWorld calls it (after applying defaults to untouched
-// fields) and panics on error.
-func (c Config) Validate() error {
-	if c.Watchdog.Interval < 0 {
-		return fmt.Errorf("mpi: negative watchdog interval %v", c.Watchdog.Interval)
-	}
-	if c.Watchdog.Patience < 0 {
-		return fmt.Errorf("mpi: negative watchdog patience %d", c.Watchdog.Patience)
-	}
-	return nil
-}
-
 func (c Config) withDefaults() Config {
 	if c.BinThresholdBytes <= 0 {
 		c.BinThresholdBytes = DefaultBinThreshold
-	}
-	if c.Watchdog.Interval == 0 {
-		c.Watchdog.Interval = DefaultWatchdogInterval
-	}
-	if c.Watchdog.Patience == 0 {
-		c.Watchdog.Patience = DefaultWatchdogPatience
 	}
 	if c.Outlier.Fract == 0 {
 		c.Outlier.Fract = kselect.DefaultOutlierParams.Fract

@@ -329,14 +329,20 @@ func TestSendTimeoutExhaustsRetries(t *testing.T) {
 	}
 }
 
+// shortWatchdog sets the watchdog's period and patience for one test, so a
+// deadlock is found in milliseconds.
+func shortWatchdog(t *testing.T, interval time.Duration, patience int) {
+	oldInterval, oldPatience := watchdogInterval, watchdogPatience
+	watchdogInterval, watchdogPatience = interval, patience
+	t.Cleanup(func() { watchdogInterval, watchdogPatience = oldInterval, oldPatience })
+}
+
 // TestWatchdogDetectsTagMismatchDeadlock: two ranks receive on mismatched
 // tags; instead of hanging forever the watchdog names the blocked ranks
 // and the wait-for cycle.
 func TestWatchdogDetectsTagMismatchDeadlock(t *testing.T) {
-	cfg := Baseline()
-	cfg.Watchdog.Interval = 5 * time.Millisecond
-	cfg.Watchdog.Patience = 2
-	w := testWorld(2, cfg)
+	shortWatchdog(t, 5*time.Millisecond, 2)
+	w := testWorld(2, Baseline())
 	err := w.Run(func(c *Comm) error {
 		// Rank 0 waits on tag 5, rank 1 on tag 6; nobody ever sends.
 		c.Recv(1-c.Rank(), 5+c.Rank())
@@ -365,10 +371,8 @@ func TestWatchdogDetectsTagMismatchDeadlock(t *testing.T) {
 // TestWatchdogSilentOnLiveRun: a run that keeps making progress (with
 // deliberate slow wall-clock pauses) must never trip the detector.
 func TestWatchdogSilentOnLiveRun(t *testing.T) {
-	cfg := Baseline()
-	cfg.Watchdog.Interval = 2 * time.Millisecond
-	cfg.Watchdog.Patience = 1
-	w := testWorld(4, cfg)
+	shortWatchdog(t, 2*time.Millisecond, 1)
+	w := testWorld(4, Baseline())
 	err := w.Run(func(c *Comm) error {
 		for i := 0; i < 8; i++ {
 			if c.Rank() == 0 {
@@ -607,34 +611,4 @@ func TestDegradedCollectivesSkipDeadPeers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestConfigValidate rejects unusable watchdog knobs.
-func TestConfigValidate(t *testing.T) {
-	bad := []Config{
-		{Watchdog: WatchdogConfig{Interval: -time.Second}},
-		{Watchdog: WatchdogConfig{Patience: -1}},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Fatalf("case %d: invalid config accepted: %+v", i, cfg)
-		}
-	}
-	good := []Config{
-		{},
-		Baseline(),
-		Optimized(),
-		{Watchdog: WatchdogConfig{Interval: time.Millisecond, Patience: 5}},
-	}
-	for i, cfg := range good {
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("case %d: valid config rejected: %v", i, err)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewWorld accepted an invalid config")
-		}
-	}()
-	NewWorld(simnet.Uniform(2, simnet.IBDDR()), Config{Watchdog: WatchdogConfig{Interval: -time.Second}})
 }

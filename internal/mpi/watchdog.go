@@ -2,16 +2,25 @@ package mpi
 
 import "time"
 
+// The watchdog wakes every watchdogInterval of wall-clock time and declares
+// a deadlock after watchdogPatience consecutive intervals without progress.
+// Variables, not constants, so the package's tests can shorten them.
+var (
+	watchdogInterval = 250 * time.Millisecond
+	watchdogPatience = 2
+)
+
 // watchdog is the deadlock detector: a per-Run goroutine that wakes every
-// Interval of wall-clock time and checks whether the world can still make
-// progress.  Because this runtime is a closed system — messages only come
-// from the world's own ranks — a state where every running rank is parked
-// in a non-deadline blocking wait, no queued envelope matches any of those
-// waits, and the progress counter has been frozen for Patience consecutive
-// intervals is provably permanent.  Only then does the watchdog act: it
-// builds a report naming each blocked rank, its call, and the (src, tag)
-// it awaits, finds a wait-for cycle if one exists, and aborts every
-// blocked wait with the resulting DeadlockError.
+// watchdogInterval and checks whether the world can still make progress.
+// Because this runtime is a closed system — messages only come from the
+// world's own ranks — a state where every running rank is parked in a
+// non-deadline blocking wait, no queued envelope matches any of those
+// waits, and the progress counter has been frozen for watchdogPatience
+// consecutive intervals is provably permanent.  Only then does the watchdog
+// act: it builds a report naming each blocked rank, its call, and the
+// (src, tag) it awaits, finds a wait-for cycle if one exists, and aborts
+// every blocked wait with the resulting DeadlockError.  Wall-clock worlds
+// run none.
 type watchdog struct {
 	w    *World
 	stop chan struct{}
@@ -32,8 +41,7 @@ func (wd *watchdog) halt() {
 
 func (wd *watchdog) loop() {
 	defer close(wd.done)
-	cfg := wd.w.cfg.Watchdog
-	t := time.NewTicker(cfg.Interval)
+	t := time.NewTicker(watchdogInterval)
 	defer t.Stop()
 	var last uint64
 	stale := 0
@@ -49,7 +57,7 @@ func (wd *watchdog) loop() {
 			last, stale, first = cur, 0, false
 			continue
 		}
-		if stale++; stale >= cfg.Patience && wd.check(cur) {
+		if stale++; stale >= watchdogPatience && wd.check(cur) {
 			return
 		}
 	}

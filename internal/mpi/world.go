@@ -202,7 +202,7 @@ const (
 const tagCollBase = 1 << 20
 
 // NewWorld creates a world with one rank per cluster slot, on the
-// in-process transport.  It panics if cfg fails Validate.
+// in-process transport.
 func NewWorld(cluster *simnet.Cluster, cfg Config) *World {
 	w, err := NewWorldTransport(transport.NewInproc(cluster.Size()), cluster, cfg)
 	if err != nil {
@@ -215,9 +215,9 @@ func NewWorld(cluster *simnet.Cluster, cfg Config) *World {
 // must span the same ranks as the cluster.  The transport is started here:
 // its delivery handler feeds the rank mailboxes, its liveness callback the
 // rank lifecycle (a death fails waits over, a rejoin arms Restore).  On a
-// wall-clock transport the world hosts only the local ranks, the watchdog
-// is force-disabled (there is no global quiescence to observe across
-// processes), and only a single Run is supported; see wall.go.
+// wall-clock transport the world hosts only the local ranks, runs no
+// watchdog (there is no global quiescence to observe across processes), and
+// supports only a single Run; see wall.go.
 func NewWorldTransport(tr transport.Transport, cluster *simnet.Cluster, cfg Config) (*World, error) {
 	n := cluster.Size()
 	if n < 1 {
@@ -226,15 +226,8 @@ func NewWorldTransport(tr transport.Transport, cluster *simnet.Cluster, cfg Conf
 	if tr.Size() != n {
 		return nil, fmt.Errorf("mpi: transport spans %d ranks but cluster has %d", tr.Size(), n)
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	cfg = cfg.withDefaults()
-	wall := tr.Wallclock()
-	if wall {
-		cfg.Watchdog.Disable = true
-	}
-	w := &World{cluster: cluster, cfg: cfg, tr: tr, wall: wall, tracer: obs.NewTracer(0)}
+	w := &World{cluster: cluster, cfg: cfg, tr: tr, wall: tr.Wallclock(), tracer: obs.NewTracer(0)}
 	w.tracer.SetJob(cfg.Job)
 	w.agreeCond = sync.NewCond(&w.agreeMu)
 	w.agreeSlots = make(map[agreeID]*agreeSlot)
@@ -375,7 +368,7 @@ func (w *World) startRun() {
 	w.crashed = nil
 	w.mu.Unlock()
 	w.progress.Add(1)
-	if !w.cfg.Watchdog.Disable {
+	if !w.wall {
 		w.wd = newWatchdog(w)
 	}
 }
