@@ -59,40 +59,22 @@ func analyzeRankSpans(lc launchConfig) int {
 	return 0
 }
 
-// launchConfig parameterizes the multi-process run.
+// launchConfig parameterizes the multi-process run: the spec every daemon
+// is given, plus the launcher's own settings.
 type launchConfig struct {
-	n          int    // total rank count (nodes × perNode)
-	perNode    int    // co-located ranks per node; >1 = hierarchical run
-	shmDir     string // per-node segment directory for hierarchical runs
-	daemon     string // nccdd path; empty = auto-locate
-	arm        string
-	p          bench.MultigridParams
-	drop       float64
-	corrupt    float64
-	dup        float64
-	delayMean  float64
-	seed       uint64
-	skipVerify bool
-	trace      string // merged Chrome trace output path; "" = no tracing
-	analyze    bool   // collect per-rank spans and run the cross-rank analyzer
-	spansDir   string // per-rank raw-span directory (set internally for -analyze)
-
-	// Self-healing / chaos.
-	selfheal  bool
-	chaos     bool // SIGKILL killRank after its first checkpoint, expect full recovery
-	killRank  int
-	ckptDir   string
-	ckptEvery int
-	hb        time.Duration
-
-	// Checkpoint file layout and injected I/O faults.
-	aggr    int
-	stripe  int64
-	ioFault string // ckptio fault spec forwarded to every daemon
+	n        int              // total rank count (nodes × spec.PerNode)
+	daemon   string           // nccdd path; empty = auto-locate
+	spec     bench.DaemonSpec // forwarded to every daemon by name
+	trace    string           // merged Chrome trace output path; "" = no tracing
+	analyze  bool             // collect per-rank spans and run the cross-rank analyzer
+	spansDir string           // per-rank raw-span directory (set internally for -analyze)
+	selfheal bool             // daemons heal from a shared checkpoint directory
+	chaos    bool             // SIGKILL killRank after its first checkpoint, expect full recovery
+	killRank int
 }
 
 // fleet is one world of nccdd rank daemons on localhost: the binary, the
-// ranks' listen addresses, the world id, the arm, and the live processes,
+// ranks' listen addresses, the world id, and the live processes,
 // so the launcher can take every child down with it — on a rank failure, a
 // chaos kill gone wrong, or a signal — instead of leaving orphaned nccdd
 // processes holding ports.
@@ -100,7 +82,6 @@ type fleet struct {
 	daemon  string
 	addrs   []string
 	worldID uint64
-	arm     string
 
 	mu   sync.Mutex
 	cmds map[int]*exec.Cmd
@@ -108,7 +89,7 @@ type fleet struct {
 
 // newFleet locates the daemon binary (explicit, or found by locateDaemon)
 // and picks n free ports.
-func newFleet(explicit, arm string, n int) (*fleet, error) {
+func newFleet(explicit string, n int) (*fleet, error) {
 	daemon, err := locateDaemon(explicit)
 	if err != nil {
 		return nil, err
@@ -117,7 +98,7 @@ func newFleet(explicit, arm string, n int) (*fleet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("allocating ports: %w", err)
 	}
-	return &fleet{daemon: daemon, addrs: addrs, worldID: uint64(os.Getpid()), arm: arm, cmds: make(map[int]*exec.Cmd)}, nil
+	return &fleet{daemon: daemon, addrs: addrs, worldID: uint64(os.Getpid()), cmds: make(map[int]*exec.Cmd)}, nil
 }
 
 // get returns rank's live daemon, or nil.
@@ -155,7 +136,6 @@ func (f *fleet) spawn(rank int, extra []string, onLine func(line string)) (*daem
 		"-n", fmt.Sprint(len(f.addrs)),
 		"-addrs", strings.Join(f.addrs, ","),
 		"-world", fmt.Sprint(f.worldID),
-		"-arm", f.arm,
 	}, extra...)
 	cmd := exec.Command(f.daemon, args...)
 	cmd.Stderr = os.Stderr
@@ -192,21 +172,21 @@ func (f *fleet) spawn(rank int, extra []string, onLine func(line string)) (*daem
 // requires the healed full-size run to reproduce the reference history from
 // the restored cycle on.  Returns the process exit code.
 func runLauncher(lc launchConfig) int {
-	fl, err := newFleet(lc.daemon, lc.arm, lc.n)
+	fl, err := newFleet(lc.daemon, lc.n)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mgsolve: %v\n", err)
 		return 1
 	}
-	if lc.selfheal && lc.ckptDir == "" {
+	if lc.selfheal && lc.spec.CkptDir == "" {
 		dir, err := os.MkdirTemp("", "nccd-ckpt-*")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mgsolve: checkpoint dir: %v\n", err)
 			return 1
 		}
 		defer os.RemoveAll(dir)
-		lc.ckptDir = dir
+		lc.spec.CkptDir = dir
 	}
-	if lc.perNode > 1 {
+	if lc.spec.PerNode > 1 {
 		// The co-located daemons of each node attach the same segment
 		// file; the directory outlives respawned replacements and is
 		// reaped with the launcher.
@@ -216,7 +196,7 @@ func runLauncher(lc launchConfig) int {
 			return 1
 		}
 		defer os.RemoveAll(dir)
-		lc.shmDir = dir
+		lc.spec.ShmDir = dir
 	}
 	if lc.analyze {
 		dir, err := os.MkdirTemp("", "nccd-spans-*")
@@ -245,9 +225,9 @@ func runLauncher(lc launchConfig) int {
 		fl.signal(os.Kill)
 	}()
 
-	if lc.perNode > 1 {
+	if lc.spec.PerNode > 1 {
 		fmt.Printf("spawning %d rank daemons (%s) on %d nodes x %d ranks: shared memory within a node, TCP between\n",
-			lc.n, fl.daemon, lc.n/lc.perNode, lc.perNode)
+			lc.n, fl.daemon, lc.n/lc.spec.PerNode, lc.spec.PerNode)
 	} else {
 		fmt.Printf("spawning %d rank daemons (%s) over TCP localhost\n", lc.n, fl.daemon)
 	}
@@ -331,7 +311,7 @@ func runLauncher(lc launchConfig) int {
 	}
 	fmt.Printf("wire: %d frames sent, %d corrupted, %d duplicated, %d retransmits, %d CRC rejects\n",
 		frames, rel.CorruptSent, rel.DupsSent, rel.Retransmits, rel.CRCRejects)
-	if lc.perNode > 1 {
+	if lc.spec.PerNode > 1 {
 		var shm struct{ frames, bytes, stalls, stallNs int64 }
 		for _, rep := range reports {
 			if s := rep.ShmStats; s != nil {
@@ -378,33 +358,46 @@ func runLauncher(lc launchConfig) int {
 	if lc.chaos {
 		return verifyChaos(lc, reports, killTime, resumeTime)
 	}
-	if lc.skipVerify {
-		return 0
-	}
 	return verifyAgainstReference(lc, r0.History, 0)
 }
 
-// verifyAgainstReference replays the problem on the in-process virtual-time
-// transport and requires history to equal the reference's from cycle `from`
-// on, bitwise.
+// verifyAgainstReference requires history to equal the in-process
+// reference run's from cycle `from` on, bitwise.
 func verifyAgainstReference(lc launchConfig, history []float64, from int) int {
-	cfg, mode, err := bench.ArmByName(lc.arm)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mgsolve: %v\n", err)
-		return 1
-	}
 	fmt.Printf("verifying against in-process reference run...\n")
-	ref := bench.RunMultigridWorld(core.NewUniformWorld(lc.n, cfg), lc.p, mode)
-	if from > len(ref.History) {
-		fmt.Fprintf(os.Stderr, "mgsolve: restored cycle %d beyond the reference's %d cycles\n", from, len(ref.History))
+	if err := referenceCheck(lc.spec.CoreArm())(lc.n, lc.spec.MultigridParams, history, from); err != nil {
+		fmt.Fprintf(os.Stderr, "mgsolve: tcp run: %v\n", err)
 		return 1
 	}
-	if err := historiesEqual(history, ref.History[from:]); err != nil {
-		fmt.Fprintf(os.Stderr, "mgsolve: tcp run diverged from in-process reference (from cycle %d): %v\n", from, err)
-		return 1
-	}
-	fmt.Printf("OK: tcp and in-process runs converged through identical residual histories (%d cycles, compared from cycle %d)\n", ref.Cycles, from)
+	fmt.Printf("OK: tcp and in-process runs converged through identical residual histories (%d cycles, compared from cycle %d)\n", from+len(history), from)
 	return 0
+}
+
+// referenceCheck returns the one check of a history against the in-process
+// virtual-time run of p on n ranks under arm: equal, bit for bit, to the
+// reference's cycles from `from` on (a healed run's history starts after
+// its restore point).  Each distinct problem and rank count is replayed
+// once.
+func referenceCheck(arm core.Arm) func(n int, p bench.MultigridParams, history []float64, from int) error {
+	type problem struct {
+		n int
+		p bench.MultigridParams
+	}
+	refs := make(map[problem][]float64)
+	return func(n int, p bench.MultigridParams, history []float64, from int) error {
+		ref, ok := refs[problem{n, p}]
+		if !ok {
+			ref = bench.RunMultigridWorld(core.NewUniformWorld(n, arm.Config), p, arm.Mode).History
+			refs[problem{n, p}] = ref
+		}
+		if from > len(ref) {
+			return fmt.Errorf("restored cycle %d beyond the reference's %d cycles", from, len(ref))
+		}
+		if err := historiesEqual(history, ref[from:]); err != nil {
+			return fmt.Errorf("diverged from the in-process reference (from cycle %d): %w", from, err)
+		}
+		return nil
+	}
 }
 
 // verifyChaos checks the healed run end to end: full size, committed
@@ -444,29 +437,9 @@ func verifyChaos(lc launchConfig, reports []*bench.RankReport, killTime, resumeT
 // runDaemon runs one rank daemon of the one-shot solve to completion,
 // streams its progress lines through onLine, and parses its RESULT line.
 func runDaemon(fl *fleet, rank int, lc launchConfig, extra []string, onLine func(line string)) (*bench.RankReport, error) {
-	args := []string{
-		"-extent", fmt.Sprint(lc.p.Extent),
-		"-levels", fmt.Sprint(lc.p.Levels),
-		"-rtol", fmt.Sprint(lc.p.Rtol),
-		"-maxcycles", fmt.Sprint(lc.p.MaxCycles),
-		"-drop", fmt.Sprint(lc.drop),
-		"-corrupt", fmt.Sprint(lc.corrupt),
-		"-dup", fmt.Sprint(lc.dup),
-		"-delaymean", fmt.Sprint(lc.delayMean),
-		"-seed", fmt.Sprint(lc.seed),
-	}
-	if lc.perNode > 1 {
-		args = append(args, "-pernode", fmt.Sprint(lc.perNode), "-shmdir", lc.shmDir)
-	}
-	if lc.selfheal {
-		args = append(args, "-ckpt", lc.ckptDir, "-ckptevery", fmt.Sprint(lc.ckptEvery),
-			"-aggr", fmt.Sprint(lc.aggr), "-stripe", fmt.Sprint(lc.stripe))
-		if lc.hb > 0 {
-			args = append(args, "-hb", lc.hb.String())
-		}
-		if lc.ioFault != "" {
-			args = append(args, "-iofault", lc.ioFault)
-		}
+	args := lc.spec.Args()
+	if lc.spec.ShmDir != "" {
+		args = append(args, "-shmdir", lc.spec.ShmDir)
 	}
 	if lc.trace != "" {
 		args = append(args, "-trace", rankTracePath(lc.trace, rank))

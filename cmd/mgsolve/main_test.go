@@ -10,36 +10,37 @@ import (
 // with no ranks, a chaos victim outside the world, an arm nobody knows, no
 // mode, a shape that does not fit, a fault probability outside [0, 1) (at 1
 // the daemons retransmit for ever), a checkpoint fault spec nobody can
-// parse — is one stderr line and exit 2.  The daemon path does not exist,
-// so reaching the launcher would be exit 1: exit 2 proves nothing was
-// spawned.
+// parse, a service fleet too small to lose a rank — is one stderr line and
+// exit 2.  The daemon path does not exist, so reaching the launcher would be
+// exit 1: exit 2 proves nothing was spawned.
 func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string // what the line must name
 	}{
-		{[]string{"-tcp", "2", "-pernode", "0"}, "-pernode 0"},
-		{[]string{"-tcp", "2", "-pernode", "-1"}, "-pernode -1"},
+		{[]string{"-tcp", "2", "-pernode=0"}, "-pernode 0"},
+		{[]string{"-tcp", "2", "-pernode=-1"}, "-pernode -1"},
 		{[]string{"-tcp", "2", "-chaos"}, "-killrank 2 out of range [0,2)"},
-		{[]string{"-tcp", "2", "-pernode", "2", "-chaos", "-killrank", "4"}, "-killrank 4 out of range [0,4)"},
+		{[]string{"-tcp", "2", "-pernode=2", "-chaos", "-killrank", "4"}, "-killrank 4 out of range [0,4)"},
 		{[]string{"-tcp", "2", "-chaos", "-killrank", "-1"}, "-killrank -1"},
-		{[]string{"-tcp", "2", "-arm", "nosuch"}, `unknown arm "nosuch"`},
-		{[]string{"-servestress", "2", "-arm", "nosuch"}, `unknown arm "nosuch"`},
-		{[]string{"-np", "2", "-analyze", "-arm", "nosuch"}, `unknown arm "nosuch"`},
+		{[]string{"-tcp", "2", "-arm=nosuch"}, `unknown arm "nosuch"`},
+		{[]string{"-servestress", "2", "-arm=nosuch"}, `unknown arm "nosuch"`},
+		{[]string{"-servestress", "2"}, "-servestress 2 too small"},
+		{[]string{"-np", "2", "-analyze", "-arm=nosuch"}, `unknown arm "nosuch"`},
 		{nil, "no mode selected"},
-		{[]string{"-tcp", "2", "-extent", "100", "-levels", "4"}, "extent 100 not divisible"},
+		{[]string{"-tcp", "2", "-extent=100", "-levels=4"}, "extent 100 not divisible"},
 		{[]string{"-np", "0", "-analyze"}, "ranks 0 too small"},
-		{[]string{"-np", "1", "-extent", "8", "-levels", "2", "-maxcycles", "0", "-trace", "t.json"}, "max_cycles 0 too small"},
-		{[]string{"-tcp", "2", "-rtol", "-1"}, "rtol -1 not positive"},
-		{[]string{"-tcp", "2", "-drop", "1"}, "drop probability 1 not in [0, 1)"},
-		{[]string{"-tcp", "2", "-drop", "-0.5"}, "drop probability -0.5"},
-		{[]string{"-tcp", "2", "-corrupt", "1.5"}, "corrupt probability 1.5"},
-		{[]string{"-tcp", "2", "-dup", "nan"}, "duplicate probability NaN"},
-		{[]string{"-tcp", "2", "-delaymean", "-1"}, "mean delay -1"},
-		{[]string{"-tcp", "2", "-selfheal", "-iofault", "bogus=1"}, `unknown key "bogus"`},
-		{[]string{"-tcp", "2", "-selfheal", "-iofault", "short=2"}, "probability 2 not in [0, 1)"},
-		{[]string{"-tcp", "2", "-selfheal", "-iofault", "short=-1"}, "probability -1 not in [0, 1)"},
-		{[]string{"-tcp", "2", "-selfheal", "-iofault", "enospc=-1"}, `"enospc=-1"`},
+		{[]string{"-np", "1", "-extent=8", "-levels=2", "-maxcycles=0", "-trace", "t.json"}, "max_cycles 0 too small"},
+		{[]string{"-tcp", "2", "-rtol=-1"}, "rtol -1 not positive"},
+		{[]string{"-tcp", "2", "-drop=1"}, "drop probability 1 not in [0, 1)"},
+		{[]string{"-tcp", "2", "-drop=-0.5"}, "drop probability -0.5"},
+		{[]string{"-tcp", "2", "-corrupt=1.5"}, "corrupt probability 1.5"},
+		{[]string{"-tcp", "2", "-dup=nan"}, "duplicate probability NaN"},
+		{[]string{"-tcp", "2", "-delaymean=-1"}, "mean delay -1"},
+		{[]string{"-tcp", "2", "-selfheal", "-iofault=bogus=1"}, `unknown key "bogus"`},
+		{[]string{"-tcp", "2", "-selfheal", "-iofault=short=2"}, "probability 2 not in [0, 1)"},
+		{[]string{"-tcp", "2", "-selfheal", "-iofault=short=-1"}, "probability -1 not in [0, 1)"},
+		{[]string{"-tcp", "2", "-selfheal", "-iofault=enospc=-1"}, `"enospc=-1"`},
 	} {
 		var stdout, stderr bytes.Buffer
 		args := append([]string{"-daemon", "/nonexistent"}, tc.args...)
@@ -52,6 +53,17 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%v: ran anyway: stdout %q", tc.args, stdout.String())
+		}
+	}
+}
+
+// TestDeletedFlagsRefused: every reference check runs, the -servestress
+// victim is the last rank and its small-job count is a constant.
+func TestDeletedFlagsRefused(t *testing.T) {
+	for _, flag := range []string{"-noverify", "-servekill", "-servejobs"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{flag}, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), "flag provided but not defined: "+flag) {
+			t.Errorf("%s: exit %d, stderr %q; want exit 2 refusing it", flag, code, stderr.String())
 		}
 	}
 }

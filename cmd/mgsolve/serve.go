@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -150,20 +151,17 @@ func runServeSubmit(base string, p bench.MultigridParams) int {
 
 // --- stress supervisor ---------------------------------------------------
 
-type serveStressConfig struct {
-	n         int // mesh size
-	smallJobs int
-	killRank  int // -1 = last rank; 0 refused (controller)
-	daemon    string
-	arm       string
-}
+// serveSmallJobs is the number of small concurrent jobs a -servestress run
+// submits beside the huge one.
+const serveSmallJobs = 8
 
 var reJobCycle = regexp.MustCompile(`^EVENT JOB (\d+) cycle (\d+)$`)
 
 // runServeStress drives the multi-tenant smoke end to end: spawn an n-rank
-// nccdd -serve fleet, submit one huge and smallJobs small concurrent jobs,
-// SIGKILL one worker rank once the huge job has durable checkpoints,
-// respawn it as a -rejoin replacement, and require
+// (n >= 3) nccdd -serve fleet given spec, submit one huge and
+// serveSmallJobs small concurrent jobs, SIGKILL the last rank once the huge
+// job has durable checkpoints, respawn it as a -rejoin replacement, and
+// require
 //
 //   - every job mapped onto the dead rank to heal and complete, the huge
 //     one resuming from its own checkpoint (restored_from > 0),
@@ -172,19 +170,9 @@ var reJobCycle = regexp.MustCompile(`^EVENT JOB (\d+) cycle (\d+)$`)
 //   - a deliberately oversized submission to bounce with 429 + Retry-After,
 //   - a cancel request to land as state "canceled",
 //   - SIGTERM to drain the whole fleet to clean zero exits.
-func runServeStress(sc serveStressConfig) int {
-	if sc.n < 3 {
-		fmt.Fprintln(os.Stderr, "mgsolve: -servestress needs at least 3 ranks")
-		return 1
-	}
-	if sc.killRank < 0 {
-		sc.killRank = sc.n - 1
-	}
-	if sc.killRank == 0 || sc.killRank >= sc.n {
-		fmt.Fprintf(os.Stderr, "mgsolve: -servekill %d invalid (rank 0 hosts the controller; mesh has %d ranks)\n", sc.killRank, sc.n)
-		return 1
-	}
-	fl, err := newFleet(sc.daemon, sc.arm, sc.n)
+func runServeStress(n int, daemon string, spec bench.DaemonSpec) int {
+	victim := n - 1 // rank 0 hosts the controller
+	fl, err := newFleet(daemon, n)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mgsolve: %v\n", err)
 		return 1
@@ -196,9 +184,11 @@ func runServeStress(sc serveStressConfig) int {
 	}
 	defer os.RemoveAll(ckptDir)
 	defer fl.signal(os.Kill)
-
 	// The kill trigger: once the huge job's rank 0 reports enough cycles
-	// for two durable checkpoints (-ckptevery 2), the victim dies.
+	// for two durable checkpoints (a period of 2), the victim dies.
+	spec.CkptDir, spec.CkptEvery = ckptDir, 2
+	args := append(spec.Args(), "-serve", "127.0.0.1:0")
+
 	var hugeID atomic.Uint64
 	killReady := make(chan struct{})
 	var killOnce sync.Once
@@ -221,12 +211,11 @@ func runServeStress(sc serveStressConfig) int {
 	}
 
 	spawn := func(r int, extra ...string) (*daemonProc, error) {
-		args := append([]string{"-serve", "127.0.0.1:0", "-ckpt", ckptDir, "-ckptevery", "2", "-hb", "25ms"}, extra...)
-		return fl.spawn(r, args, func(line string) { onLine(r, line) })
+		return fl.spawn(r, append(slices.Clip(args), extra...), func(line string) { onLine(r, line) })
 	}
-	fmt.Printf("spawning %d nccdd -serve daemons over TCP localhost\n", sc.n)
-	procs := make([]*daemonProc, sc.n)
-	for r := 0; r < sc.n; r++ {
+	fmt.Printf("spawning %d nccdd -serve daemons over TCP localhost\n", n)
+	procs := make([]*daemonProc, n)
+	for r := 0; r < n; r++ {
 		procs[r], err = spawn(r)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mgsolve: spawning rank %d: %v\n", r, err)
@@ -245,8 +234,8 @@ func runServeStress(sc serveStressConfig) int {
 
 	// One huge job spanning the whole mesh (low rtol so it runs its full
 	// cycle budget — long enough to be mid-flight when the rank dies) and
-	// smallJobs quick two-rank jobs, some of which land on the victim.
-	hugeSpec := service.JobSpec{Extent: 48, Levels: 3, Rtol: 1e-30, MaxCycles: 40, Ranks: sc.n, Weight: 3}
+	// serveSmallJobs quick two-rank jobs, some of which land on the victim.
+	hugeSpec := service.JobSpec{Extent: 48, Levels: 3, Rtol: 1e-30, MaxCycles: 40, Ranks: n, Weight: 3}
 	smallSpec := service.JobSpec{Extent: 16, Levels: 3, Rtol: 1e-10, MaxCycles: 20, Ranks: 2}
 	hid, code, _, err := postJob(api, hugeSpec)
 	if err != nil {
@@ -254,8 +243,8 @@ func runServeStress(sc serveStressConfig) int {
 		return 1
 	}
 	hugeID.Store(hid)
-	smallIDs := make([]uint64, 0, sc.smallJobs)
-	for i := 0; i < sc.smallJobs; i++ {
+	smallIDs := make([]uint64, 0, serveSmallJobs)
+	for i := 0; i < serveSmallJobs; i++ {
 		id, code, _, err := postJob(api, smallSpec)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mgsolve: submitting small job %d (HTTP %d): %v\n", i, code, err)
@@ -267,7 +256,7 @@ func runServeStress(sc serveStressConfig) int {
 
 	// Overload probe: a job whose estimated footprint alone crosses the
 	// active-bytes watermark must bounce with the typed 429 + Retry-After.
-	_, code, retryAfter, err := postJob(api, service.JobSpec{Extent: 360, Ranks: sc.n})
+	_, code, retryAfter, err := postJob(api, service.JobSpec{Extent: 360, Ranks: n})
 	if code != http.StatusTooManyRequests || retryAfter == "" {
 		fmt.Fprintf(os.Stderr, "mgsolve: overload probe: want 429 with Retry-After, got HTTP %d (Retry-After %q, err %v)\n",
 			code, retryAfter, err)
@@ -295,18 +284,18 @@ func runServeStress(sc serveStressConfig) int {
 		fmt.Fprintln(os.Stderr, "mgsolve: huge job never reached cycle 6 within 2m")
 		return 1
 	}
-	victim := fl.get(sc.killRank)
-	if victim == nil || victim.Process == nil {
-		fmt.Fprintf(os.Stderr, "mgsolve: victim rank %d already gone\n", sc.killRank)
+	cmd := fl.get(victim)
+	if cmd == nil || cmd.Process == nil {
+		fmt.Fprintf(os.Stderr, "mgsolve: victim rank %d already gone\n", victim)
 		return 1
 	}
-	fmt.Printf("chaos: SIGKILL rank %d mid-run\n", sc.killRank)
-	_ = victim.Process.Kill()
-	<-procs[sc.killRank].done // reaped; expected to be the kill
-	fmt.Printf("chaos: respawning rank %d as a -rejoin replacement\n", sc.killRank)
-	procs[sc.killRank], err = spawn(sc.killRank, "-rejoin", "-epoch", "1")
+	fmt.Printf("chaos: SIGKILL rank %d mid-run\n", victim)
+	_ = cmd.Process.Kill()
+	<-procs[victim].done // reaped; expected to be the kill
+	fmt.Printf("chaos: respawning rank %d as a -rejoin replacement\n", victim)
+	procs[victim], err = spawn(victim, "-rejoin", "-epoch", "1")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mgsolve: respawning rank %d: %v\n", sc.killRank, err)
+		fmt.Fprintf(os.Stderr, "mgsolve: respawning rank %d: %v\n", victim, err)
 		return 1
 	}
 
@@ -365,21 +354,16 @@ func runServeStress(sc serveStressConfig) int {
 	}
 	fmt.Println("fleet drained: every daemon exited 0")
 
-	return verifyServeOutcomes(sc, final, hid, smallIDs, cancelID)
+	return verifyServeOutcomes(spec.CoreArm(), victim, final, hid, smallIDs, cancelID)
 }
 
 // verifyServeOutcomes checks the collected terminal statuses against the
 // fault-isolation and bitwise-reproducibility contracts.
-func verifyServeOutcomes(sc serveStressConfig, final map[uint64]service.JobStatus,
+func verifyServeOutcomes(arm core.Arm, victim int, final map[uint64]service.JobStatus,
 	hid uint64, smallIDs []uint64, cancelID uint64) int {
-	cfg, mode, err := bench.ArmByName(sc.arm)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mgsolve: %v\n", err)
-		return 1
-	}
 	onVictim := func(st service.JobStatus) bool {
 		for _, r := range st.Ranks {
-			if r == sc.killRank {
+			if r == victim {
 				return true
 			}
 		}
@@ -417,7 +401,7 @@ func verifyServeOutcomes(sc serveStressConfig, final map[uint64]service.JobStatu
 	huge := final[hid]
 	if !onVictim(huge) {
 		fmt.Fprintf(os.Stderr, "mgsolve: huge job %d not mapped onto killed rank %d (ranks %v) — kill missed its target\n",
-			hid, sc.killRank, huge.Ranks)
+			hid, victim, huge.Ranks)
 		return 1
 	}
 	if huge.Attempts < 2 || huge.RestoredFrom <= 0 {
@@ -427,7 +411,7 @@ func verifyServeOutcomes(sc serveStressConfig, final map[uint64]service.JobStatu
 	}
 	fmt.Printf("huge job %d healed: attempt %d resumed from checkpoint cycle %d\n", hid, huge.Attempts, huge.RestoredFrom)
 	if untouched == 0 {
-		fmt.Fprintln(os.Stderr, "mgsolve: every small job landed on the killed rank; nothing exercised the isolation path (rerun, or raise -servejobs)")
+		fmt.Fprintln(os.Stderr, "mgsolve: every small job landed on the killed rank; nothing exercised the isolation path (rerun)")
 		return 1
 	}
 	fmt.Printf("%d job(s) never touched the killed rank and completed in one attempt\n", untouched)
@@ -437,28 +421,13 @@ func verifyServeOutcomes(sc serveStressConfig, final map[uint64]service.JobStatu
 	// the service runs must reproduce them exactly; a healed job's history
 	// covers the cycles after its restore point.
 	fmt.Println("verifying residual histories against in-process references...")
-	refs := make(map[uint64][]float64)
-	refFor := func(st service.JobStatus) []float64 {
-		key := uint64(st.Spec.Extent)<<32 | uint64(st.Spec.MaxCycles)<<8 | uint64(len(st.Ranks))
-		if h, ok := refs[key]; ok {
-			return h
-		}
-		p := bench.MultigridParams{Extent: st.Spec.Extent, Levels: st.Spec.Levels,
-			Rtol: st.Spec.Rtol, MaxCycles: st.Spec.MaxCycles}
-		h := bench.RunMultigridWorld(core.NewUniformWorld(len(st.Ranks), cfg), p, mode).History
-		refs[key] = h
-		return h
-	}
+	check := referenceCheck(arm)
 	for _, id := range solved {
 		st := final[id]
-		ref := refFor(st)
-		from := st.RestoredFrom
-		if from > len(ref) {
-			fmt.Fprintf(os.Stderr, "mgsolve: job %d restored from cycle %d beyond the reference's %d cycles\n", id, from, len(ref))
-			return exitFailed
-		}
-		if err := historiesEqual(st.History, ref[from:]); err != nil {
-			fmt.Fprintf(os.Stderr, "mgsolve: job %d diverged from the in-process reference (from cycle %d): %v\n", id, from, err)
+		p := bench.MultigridParams{Extent: st.Spec.Extent, Levels: st.Spec.Levels,
+			Rtol: st.Spec.Rtol, MaxCycles: st.Spec.MaxCycles}
+		if err := check(len(st.Ranks), p, st.History, st.RestoredFrom); err != nil {
+			fmt.Fprintf(os.Stderr, "mgsolve: job %d: %v\n", id, err)
 			return exitFailed
 		}
 	}

@@ -16,15 +16,20 @@
 // runtime's loss/ack/dedup protocol over the real links — TCP and the
 // shared-memory rings alike: every drop, duplicate and corruption is
 // decided at the sender, and the receiver's checksum and sequence defenses
-// reject the damaged and duplicated copies.  -crashat schedules a
-// local-rank crash in virtual time for fault-tolerance experiments.
+// reject the damaged and duplicated copies.  Without -ckpt a peer's death
+// ends the solve: one "nccdd: rank R: ..." line on stderr and exit 1.
 //
 // With -ckpt DIR (a directory all ranks share) the daemon checkpoints the
 // solve and rides out peer failures through the epoch/rejoin recovery
 // protocol instead of aborting; a supervisor relaunches a killed rank with
 // -rejoin -epoch N and the same rank/address, and the replacement restores
-// the agreed checkpoint into the regrown full-size world.  -hb enables the
-// heartbeat failure detector so hung (not just dead) peers are caught.
+// the agreed checkpoint into the regrown full-size world.  A healing or
+// serving daemon runs a heartbeat failure detector every -hb (25 ms by
+// default), so hung (not just dead) peers are caught.
+//
+// The run's flags (the problem, -arm, the fault plan, -pernode and the
+// checkpoint store) are bench.DaemonSpec's, declared, defaulted and
+// validated there for nccdd and mgsolve alike.
 //
 // Checkpoints are collective I/O: each is ONE shared file written by -aggr
 // aggregator ranks in -stripe byte stripes (two-phase aggregation), and a
@@ -58,12 +63,8 @@ import (
 	"syscall"
 
 	"nccd/internal/bench"
-	"nccd/internal/ckptio"
-	"nccd/internal/mpi"
 	"nccd/internal/obs"
-	"nccd/internal/petsc"
 	"nccd/internal/service"
-	"nccd/internal/simnet"
 	"nccd/internal/transport"
 )
 
@@ -76,35 +77,19 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("nccdd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var spec bench.DaemonSpec
+	spec.Flags(fs)
 	rank := fs.Int("rank", -1, "world rank of this process")
 	n := fs.Int("n", 0, "world size")
 	addrList := fs.String("addrs", "", "comma-separated listen addresses, one per rank")
 	worldID := fs.Uint64("world", 1, "world id (must match across ranks)")
-	arm := fs.String("arm", "compiled", "experimental arm: baseline, optimized, compiled or hand")
-	extent := fs.Int("extent", 64, "cubic grid extent")
-	levels := fs.Int("levels", 3, "multigrid levels")
-	rtol := fs.Float64("rtol", 1e-6, "relative tolerance")
-	maxCycles := fs.Int("maxcycles", 30, "V-cycle cap")
-	drop := fs.Float64("drop", 0, "message drop probability per transmission attempt")
-	corrupt := fs.Float64("corrupt", 0, "message corruption probability per attempt")
-	dup := fs.Float64("dup", 0, "message duplication probability per attempt")
-	delayMean := fs.Float64("delaymean", 0, "mean injected message delay in seconds")
-	seed := fs.Uint64("seed", 1, "fault plan seed")
-	crashAt := fs.Float64("crashat", 0, "virtual time at which this rank crashes (0 = never)")
 	trace := fs.String("trace", "", "write this rank's Chrome trace JSON to the given path")
 	spans := fs.String("spans", "", "write this rank's raw spans (matching identities included) to the given path for cross-rank analysis")
 	metrics := fs.String("metrics", "", "serve the metrics registry over HTTP at this address (e.g. 127.0.0.1:0); the bound address is printed as a METRICS line")
 	dash := fs.Bool("dash", false, "serve the live communication-matrix dashboard at /dash on the -metrics listener (implies -metrics 127.0.0.1:0 when unset)")
-	ckptDir := fs.String("ckpt", "", "durable checkpoint directory shared across ranks: checkpoint the solve and ride out peer failures via epoch bump + rejoin instead of aborting")
-	ckptEvery := fs.Int("ckptevery", 1, "checkpoint period in V-cycles with -ckpt")
 	rejoin := fs.Bool("rejoin", false, "this process replaces a failed rank: dial the whole surviving mesh and restore from checkpoint (needs -ckpt outside -serve)")
 	epoch := fs.Uint64("epoch", 0, "membership epoch a -rejoin replacement joins at (the launcher's respawn count)")
-	hb := fs.Duration("hb", 0, "heartbeat interval for the failure detector: a peer silent 3 intervals is suspected, 9 declared down (0 = disabled; hung-peer detection then relies on connection loss)")
-	aggr := fs.Int("aggr", 2, "checkpoint aggregator rank count")
-	stripe := fs.Int64("stripe", 256<<10, "checkpoint file stripe size in bytes")
-	ioFault := fs.String("iofault", "", "inject checkpoint I/O faults, e.g. short=0.2,eio=0.1,fsync=0.1,enospc=65536,crash=12,seed=7")
-	perNode := fs.Int("pernode", 1, "co-located ranks per node: >1 groups ranks onto nodes (node = rank/pernode), intra-node traffic over a shared-memory segment, inter-node over TCP")
-	shmDir := fs.String("shmdir", "", "directory for the per-node shared-memory segment files (required with -pernode > 1; must be shared by co-located ranks)")
+	fs.StringVar(&spec.ShmDir, "shmdir", "", "directory for the per-node shared-memory segment files (required with -pernode > 1; must be shared by co-located ranks)")
 	serve := fs.String("serve", "", "run as a multi-tenant solver service instead of one fixed solve: rank 0 serves the job API, /debug/metrics and /dash at this address (e.g. 127.0.0.1:0)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -118,35 +103,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *rank < 0 || *n < 1 || *rank >= *n || len(addrs) != *n {
 		return fail(2, fmt.Errorf("need -rank in [0,%d) and %d comma-separated -addrs", *n, *n))
 	}
-	cfg, mode, err := bench.ArmByName(*arm)
-	if err != nil {
+	if err := spec.Validate(*n); err != nil {
 		return fail(2, err)
 	}
-
-	plan := simnet.FaultPlan{Seed: *seed, Drop: *drop, Corrupt: *corrupt,
-		Duplicate: *dup, DelayMean: *delayMean}
-	if err := plan.Validate(); err != nil {
-		return fail(2, err)
+	if spec.PerNode > 1 && spec.ShmDir == "" {
+		return fail(2, fmt.Errorf("-pernode %d needs -shmdir: co-located ranks attach one segment file there", spec.PerNode))
 	}
-	if _, err := ckptio.ParseFaultPlan(*ioFault); err != nil {
-		return fail(2, err)
-	}
-	if *rejoin && *ckptDir == "" && *serve == "" {
+	if *rejoin && spec.CkptDir == "" && *serve == "" {
 		// A replacement restores the agreed checkpoint; with nowhere to read
 		// one it could only fail once the mesh is up.
 		return fail(2, fmt.Errorf("-rejoin needs -ckpt: a replacement resumes from the shared checkpoint directory"))
 	}
-	var fp *simnet.FaultPlan
-	if plan.Lossy() || *crashAt > 0 {
-		fp = &plan
-		if *crashAt > 0 {
-			fp.CrashAt = map[int]float64{*rank: *crashAt}
-		}
-	}
 
 	tcfg := transport.TCPConfig{Rank: *rank, Size: *n, WorldID: *worldID, Addrs: addrs,
-		Heartbeat: *hb, Epoch: *epoch, Rejoin: *rejoin}
-	p := bench.MultigridParams{Extent: *extent, Levels: *levels, Rtol: *rtol, MaxCycles: *maxCycles}
+		Epoch: *epoch, Rejoin: *rejoin}
+	// The failure detector runs where failures are ridden out; a plain
+	// solve ends at the first lost connection.
+	if spec.CkptDir != "" || *serve != "" {
+		tcfg.Heartbeat = spec.Heartbeat
+	}
 	if *dash && *metrics == "" {
 		*metrics = "127.0.0.1:0"
 	}
@@ -154,26 +129,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *dash {
 		fmt.Fprintln(stdout, "dashboard: open http://<METRICS addr>/dash")
 	}
-	pl := bench.Placement{PerNode: *perNode, ShmDir: *shmDir}
 
 	if *serve != "" {
-		if err := runService(tcfg, cfg, mode, *serve, *ckptDir, *ckptEvery); err != nil {
+		if err := runService(tcfg, spec, *serve); err != nil {
 			return fail(1, fmt.Errorf("rank %d: %w", *rank, err))
 		}
 		fmt.Fprintln(stdout, "SERVED")
 		return 0
 	}
 
-	if err := p.Validate(*n); err != nil {
-		return fail(2, err)
-	}
-	rep, err := bench.RunMultigridDaemon(tcfg, pl, fp, cfg, p, mode, ob, bench.HealParams{
-		CkptDir:         *ckptDir,
-		CheckpointEvery: *ckptEvery,
-		RejoinEpoch:     *epoch,
-		Aggregators:     *aggr,
-		StripeBytes:     *stripe,
-		IOFaults:        *ioFault,
+	rep, err := bench.RunMultigridDaemon(tcfg, spec, ob, bench.HealHooks{
 		// Progress lines the launcher's chaos controller keys off: CKPT
 		// marks a durable checkpoint, RESUMED a committed recovery.  Stdout
 		// is line-buffered through the launcher's scanner, so these arrive
@@ -182,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		OnRecovered:  func(e uint64, at int) { fmt.Fprintf(stdout, "RESUMED epoch=%d from=%d\n", e, at) },
 	})
 	if err != nil {
-		return fail(1, fmt.Errorf("rank %d: %w", *rank, err))
+		return fail(1, err)
 	}
 	out, err := json.Marshal(rep)
 	if err != nil {
@@ -196,8 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // one shared TCP mesh under a transport.Mux, the service control plane on
 // top, and (rank 0 only) the HTTP job API.  Blocks until the service
 // drains (SIGTERM, or the controller's drain broadcast on worker ranks).
-func runService(tcfg transport.TCPConfig, armCfg mpi.Config, mode petsc.ScatterMode,
-	apiAddr, ckptDir string, ckptEvery int) error {
+func runService(tcfg transport.TCPConfig, spec bench.DaemonSpec, apiAddr string) error {
 	tcp, err := transport.NewTCP(tcfg)
 	if err != nil {
 		return err
@@ -207,12 +171,13 @@ func runService(tcfg transport.TCPConfig, armCfg mpi.Config, mode petsc.ScatterM
 	obs.Metrics.RegisterFunc(statName, func() any { return tcp.Stats() })
 	defer obs.Metrics.Unregister(statName)
 
+	arm := spec.CoreArm()
 	svc, err := service.New(mux, service.Config{
 		Rank:            tcfg.Rank,
-		MPI:             armCfg,
-		Mode:            mode,
-		CkptDir:         ckptDir,
-		CheckpointEvery: ckptEvery,
+		MPI:             arm.Config,
+		Mode:            arm.Mode,
+		CkptDir:         spec.CkptDir,
+		CheckpointEvery: spec.CkptEvery,
 		OnEvent:         func(line string) { fmt.Printf("EVENT %s\n", line) },
 	})
 	if err != nil {

@@ -8,8 +8,9 @@ import (
 
 // TestBadInputExitsTwoWithOneLine: a rank outside its world, an address list
 // of the wrong length, an arm nobody knows, a shape that does not fit or a
-// fault flag out of range, or a replacement with no checkpoint directory to
-// resume from, is one stderr line and exit 2, before a listener is
+// fault flag out of range, a node layout the world does not divide into or
+// with no segment directory, or a replacement with no checkpoint directory
+// to resume from, is one stderr line and exit 2, before a listener is
 // opened: nothing is printed on stdout, where the launcher reads the daemon's
 // protocol lines.
 func TestBadInputExitsTwoWithOneLine(t *testing.T) {
@@ -22,18 +23,20 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{append([]string{"-rank", "2"}, two...), "-rank in [0,2)"},
 		{append([]string{"-rank", "-1"}, two...), "-rank in [0,2)"},
 		{[]string{"-rank", "0", "-n", "2", "-addrs", "127.0.0.1:1"}, "2 comma-separated -addrs"},
-		{append([]string{"-rank", "0", "-arm", "nosuch"}, two...), `unknown arm "nosuch"`},
-		{append([]string{"-rank", "1", "-extent", "100", "-levels", "4"}, two...), "extent 100 not divisible"},
-		{append([]string{"-rank", "1", "-levels", "0"}, two...), "levels 0 too small"},
-		{append([]string{"-rank", "0", "-drop", "1"}, two...), "drop probability 1 not in [0, 1)"},
-		{append([]string{"-rank", "0", "-corrupt", "-0.5"}, two...), "corrupt probability -0.5"},
-		{append([]string{"-rank", "0", "-dup", "nan"}, two...), "duplicate probability NaN"},
-		{append([]string{"-rank", "0", "-delaymean", "-1"}, two...), "mean delay -1"},
-		{append([]string{"-rank", "0", "-iofault", "bogus=1"}, two...), `unknown key "bogus"`},
-		{append([]string{"-rank", "0", "-iofault", "fsync=1"}, two...), "probability 1 not in [0, 1)"},
-		{append([]string{"-rank", "0", "-iofault", "crash=-3"}, two...), `"crash=-3"`},
+		{append([]string{"-rank", "0", "-arm=nosuch"}, two...), `unknown arm "nosuch"`},
+		{append([]string{"-rank", "1", "-extent=100", "-levels=4"}, two...), "extent 100 not divisible"},
+		{append([]string{"-rank", "1", "-levels=0"}, two...), "levels 0 too small"},
+		{append([]string{"-rank", "0", "-drop=1"}, two...), "drop probability 1 not in [0, 1)"},
+		{append([]string{"-rank", "0", "-corrupt=-0.5"}, two...), "corrupt probability -0.5"},
+		{append([]string{"-rank", "0", "-dup=nan"}, two...), "duplicate probability NaN"},
+		{append([]string{"-rank", "0", "-delaymean=-1"}, two...), "mean delay -1"},
+		{append([]string{"-rank", "0", "-iofault=bogus=1"}, two...), `unknown key "bogus"`},
+		{append([]string{"-rank", "0", "-iofault=fsync=1"}, two...), "probability 1 not in [0, 1)"},
+		{append([]string{"-rank", "0", "-iofault=crash=-3"}, two...), `"crash=-3"`},
 		{append([]string{"-rank", "1", "-rejoin"}, two...), "-rejoin needs -ckpt"},
 		{append([]string{"-rank", "1", "-rejoin", "-epoch", "1"}, two...), "-rejoin needs -ckpt"},
+		{[]string{"-rank", "0", "-n", "3", "-addrs", "127.0.0.1:1,127.0.0.1:2,127.0.0.1:3", "-pernode=2"}, "-pernode 2 does not divide the world's 3 ranks"},
+		{append([]string{"-rank", "0", "-pernode=2"}, two...), "-pernode 2 needs -shmdir"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {
@@ -49,11 +52,14 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 	}
 }
 
-// TestNoSelfHealFlag: healing is -ckpt's alone; -selfheal is not a flag.
+// TestNoSelfHealFlag: healing is -ckpt's alone; -selfheal is not a flag,
+// and neither is -crashat (a scheduled crash is the in-process figures').
 func TestNoSelfHealFlag(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	args := []string{"-rank", "0", "-n", "1", "-addrs", "127.0.0.1:1", "-selfheal"}
-	if code := run(args, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), "flag provided but not defined: -selfheal") {
-		t.Errorf("%v: exit %d, stderr %q; want exit 2 refusing -selfheal", args, code, stderr.String())
+	for _, flag := range []string{"-selfheal", "-crashat"} {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-rank", "0", "-n", "1", "-addrs", "127.0.0.1:1", flag}
+		if code := run(args, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), "flag provided but not defined: "+flag) {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 refusing %s", args, code, stderr.String(), flag)
+		}
 	}
 }

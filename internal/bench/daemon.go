@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
 	"path/filepath"
 	"time"
 
 	"nccd/internal/ckptio"
+	"nccd/internal/core"
 	"nccd/internal/mpi"
 	"nccd/internal/obs"
 	"nccd/internal/petsc"
@@ -126,31 +128,108 @@ func ArmByName(name string) (mpi.Config, petsc.ScatterMode, error) {
 	}
 }
 
-// Placement describes how a rank daemon's world is laid out across
-// nodes.  The zero value is the flat layout: every rank on its own node,
-// all traffic over TCP.  With PerNode > 1 ranks are grouped PerNode to a
-// node (node id = rank / PerNode), co-located ranks exchange over a
-// shared-memory segment under ShmDir, and only traffic between nodes
-// crosses TCP.
-type Placement struct {
-	PerNode int    // co-located ranks per node (0 or 1 = flat TCP)
-	ShmDir  string // directory for the per-node segment files (PerNode > 1)
+// DaemonSpec is the multigrid run every rank daemon of a world is given:
+// the problem, the arm, the wire fault plan, the node layout and the
+// healing checkpoint store.  Flags declares it, once for nccdd and mgsolve
+// alike; Args renders it back as a command line, so a launcher forwards
+// its spec to each daemon by name; Validate is its one check.
+type DaemonSpec struct {
+	MultigridParams
+	// Arm is the ArmByName name of the MPI build and scatter backend.
+	Arm string
+	// Wire is the link fault plan (Seed, Drop, Corrupt, Duplicate,
+	// DelayMean) the runtime's loss/ack/dedup loop rides out on every link.
+	Wire simnet.FaultPlan
+	// PerNode groups ranks PerNode to a node (node = rank / PerNode):
+	// co-located ranks exchange over a shared-memory segment file under
+	// ShmDir and only traffic between nodes crosses TCP.  1 is flat TCP.
+	PerNode int
+	// ShmDir is the host's directory for the per-node segment files.  The
+	// launcher picks it, so it is not one of the spec's flags.
+	ShmDir string
+	// CkptDir, shared by every rank, makes the daemon heal: it checkpoints
+	// every CkptEvery V-cycles, each checkpoint one file written by
+	// Aggregators ranks in StripeBytes stripes, through the I/O fault plan
+	// IOFaults (ckptio.ParseFaultPlan syntax), and rides out peer failures
+	// through SelfHealMultigrid instead of aborting.
+	CkptDir     string
+	CkptEvery   int
+	Aggregators int
+	StripeBytes int64
+	IOFaults    string
+	// Heartbeat is the failure detector's interval on a daemon that heals
+	// or serves; 0 leaves detection to connection loss.
+	Heartbeat time.Duration
 }
 
-// Hierarchical reports whether the placement groups ranks onto nodes.
-func (pl Placement) Hierarchical() bool { return pl.PerNode > 1 }
+// Flags declares the spec's flags on fs, bound to s, each with its one
+// default.
+func (s *DaemonSpec) Flags(fs *flag.FlagSet) {
+	d := DefaultMultigridParams
+	fs.IntVar(&s.Extent, "extent", d.Extent, "cubic grid extent")
+	fs.IntVar(&s.Levels, "levels", d.Levels, "multigrid levels")
+	fs.Float64Var(&s.Rtol, "rtol", d.Rtol, "relative tolerance")
+	fs.IntVar(&s.MaxCycles, "maxcycles", d.MaxCycles, "V-cycle cap")
+	fs.StringVar(&s.Arm, "arm", "compiled", "experimental arm: baseline, optimized, compiled or hand")
+	fs.Float64Var(&s.Wire.Drop, "drop", 0, "message drop probability per transmission attempt, on every link (the runtime retransmits)")
+	fs.Float64Var(&s.Wire.Corrupt, "corrupt", 0, "message corruption probability per attempt")
+	fs.Float64Var(&s.Wire.Duplicate, "dup", 0, "message duplication probability per attempt")
+	fs.Float64Var(&s.Wire.DelayMean, "delaymean", 0, "mean injected message delay in seconds")
+	fs.Uint64Var(&s.Wire.Seed, "seed", 1, "fault plan seed")
+	fs.IntVar(&s.PerNode, "pernode", 1, "co-located ranks per node: >1 groups ranks onto nodes (node = rank/pernode), shared memory within a node, TCP between")
+	fs.StringVar(&s.CkptDir, "ckpt", "", "durable checkpoint directory every rank shares: checkpoint the solve and ride out peer failures via epoch bump + rejoin instead of aborting (mgsolve -selfheal picks a fresh temp dir)")
+	fs.IntVar(&s.CkptEvery, "ckptevery", 1, "checkpoint period in V-cycles")
+	fs.IntVar(&s.Aggregators, "aggr", 2, "checkpoint aggregator rank count")
+	fs.Int64Var(&s.StripeBytes, "stripe", 256<<10, "checkpoint file stripe size in bytes")
+	fs.StringVar(&s.IOFaults, "iofault", "", "inject checkpoint I/O faults, e.g. short=0.2,eio=0.1,fsync=0.1,enospc=65536,crash=12,seed=7")
+	// 25 ms × the detectors' 9-interval hard-failure threshold gives a
+	// 225 ms failure window: wide enough that a scheduler stall on a loaded
+	// host (observed at ~100-150 ms with four local daemons) does not read
+	// as a mass failure, yet still a small fraction of any solve's runtime.
+	fs.DurationVar(&s.Heartbeat, "hb", 25*time.Millisecond, "heartbeat interval of a healing or serving daemon's failure detector: a peer silent 3 intervals is suspected, 9 declared down (0 = rely on connection loss only)")
+}
 
-// NodeOf returns the node map for an n-rank world, nil for the flat
-// layout.
-func (pl Placement) NodeOf(n int) []int {
-	if !pl.Hierarchical() {
-		return nil
+// Args renders s as the arguments Flags parses back into it, every flag
+// by name.  flag.Value.String round-trips floats and durations exactly, so
+// a daemon solves bit for bit the launcher's problem.
+func (s DaemonSpec) Args() []string {
+	var bound DaemonSpec
+	fs := flag.NewFlagSet("", flag.ContinueOnError)
+	bound.Flags(fs)
+	bound = s // the flags point into bound, so they now read s
+	var args []string
+	fs.VisitAll(func(f *flag.Flag) { args = append(args, "-"+f.Name+"="+f.Value.String()) })
+	return args
+}
+
+// Validate reports why s cannot run on a world of ranks ranks, or nil.
+func (s DaemonSpec) Validate(ranks int) error {
+	if s.PerNode < 1 {
+		return fmt.Errorf("-pernode %d too small (need >= 1)", s.PerNode)
 	}
-	m := make([]int, n)
-	for r := range m {
-		m[r] = r / pl.PerNode
+	if ranks%s.PerNode != 0 {
+		return fmt.Errorf("-pernode %d does not divide the world's %d ranks", s.PerNode, ranks)
 	}
-	return m
+	if err := s.MultigridParams.Validate(ranks); err != nil {
+		return err
+	}
+	if _, _, err := ArmByName(s.Arm); err != nil {
+		return err
+	}
+	if err := s.Wire.Validate(); err != nil {
+		return err
+	}
+	_, err := ckptio.ParseFaultPlan(s.IOFaults)
+	return err
+}
+
+// CoreArm resolves the arm of a validated spec.
+func (s DaemonSpec) CoreArm() core.Arm {
+	cfg, mode, err := ArmByName(s.Arm)
+	if err != nil {
+		panic(err) // Validate refuses the name first
+	}
+	return core.Arm{Name: s.Arm, Config: cfg, Mode: mode}
 }
 
 // rankWire bundles one rank's transport stack: the endpoint the world
@@ -170,35 +249,31 @@ func (rw *rankWire) shmStats() *shm.Stats {
 	return &s
 }
 
-// buildWire constructs one rank's transport per the placement: plain TCP
-// for the flat layout, or a Hierarchical router of a shared-memory
-// segment (intra-node) and TCP (inter-node).  The returned cluster
-// mirrors the layout so virtual-time tooling agrees with the wires, and
-// carries the fault plan fp: the runtime injects its link faults above
-// every transport and fires its scheduled crashes off the local clock.
-func buildWire(tcfg transport.TCPConfig, pl Placement, fp *simnet.FaultPlan) (*rankWire, error) {
+// buildWire constructs one rank's transport per the spec's layout: plain
+// TCP for the flat layout, or a Hierarchical router of a shared-memory
+// segment (intra-node) and TCP (inter-node).  The returned cluster mirrors
+// the layout so virtual-time tooling agrees with the wires, and carries the
+// spec's wire fault plan: the runtime injects its link faults above every
+// transport.
+func buildWire(tcfg transport.TCPConfig, spec DaemonSpec) (*rankWire, error) {
+	var fp *simnet.FaultPlan
+	if spec.Wire.Lossy() {
+		fp = &spec.Wire
+	}
 	tcp, err := transport.NewTCP(tcfg)
 	if err != nil {
 		return nil, err
 	}
-	if !pl.Hierarchical() {
+	if spec.PerNode <= 1 {
 		cl := simnet.Uniform(tcfg.Size, simnet.IBDDR())
 		cl.Faults = fp
 		return &rankWire{tr: tcp, tcp: tcp, cl: cl}, nil
 	}
-	if tcfg.Size%pl.PerNode != 0 {
-		tcp.Close()
-		return nil, fmt.Errorf("world size %d not divisible by pernode %d", tcfg.Size, pl.PerNode)
-	}
-	if pl.ShmDir == "" {
-		tcp.Close()
-		return nil, fmt.Errorf("hierarchical placement needs a segment directory")
-	}
-	nodeOf := pl.NodeOf(tcfg.Size)
-	node := nodeOf[tcfg.Rank]
-	ranks := make([]int, 0, pl.PerNode)
-	for r, nd := range nodeOf {
-		if nd == node {
+	node := tcfg.Rank / spec.PerNode
+	nodeOf := make([]int, tcfg.Size)
+	ranks := make([]int, 0, spec.PerNode)
+	for r := range nodeOf {
+		if nodeOf[r] = r / spec.PerNode; nodeOf[r] == node {
 			ranks = append(ranks, r)
 		}
 	}
@@ -207,7 +282,7 @@ func buildWire(tcfg transport.TCPConfig, pl Placement, fp *simnet.FaultPlan) (*r
 		Size:      tcfg.Size,
 		Ranks:     ranks,
 		WorldID:   tcfg.WorldID,
-		Path:      filepath.Join(pl.ShmDir, fmt.Sprintf("world%d-node%d.shm", tcfg.WorldID, node)),
+		Path:      filepath.Join(spec.ShmDir, fmt.Sprintf("world%d-node%d.shm", tcfg.WorldID, node)),
 		Heartbeat: tcfg.Heartbeat,
 		Epoch:     tcfg.Epoch,
 		Rejoin:    tcfg.Rejoin,
@@ -222,7 +297,7 @@ func buildWire(tcfg transport.TCPConfig, pl Placement, fp *simnet.FaultPlan) (*r
 		tcp.Close()
 		return nil, err
 	}
-	cl := simnet.TwoLevel(tcfg.Size/pl.PerNode, pl.PerNode, simnet.IBDDR(), simnet.ShmIntra())
+	cl := simnet.TwoLevel(tcfg.Size/spec.PerNode, spec.PerNode, simnet.IBDDR(), simnet.ShmIntra())
 	cl.Faults = fp
 	return &rankWire{tr: hier, tcp: tcp, shm: st, cl: cl}, nil
 }
@@ -249,81 +324,85 @@ func registerWireMetrics(rw *rankWire, rank int) func() {
 	}
 }
 
-// RunMultigridDaemon hosts one rank of the multigrid solve over TCP —
-// or, with a hierarchical placement, over shared memory within the node
-// and TCP across nodes: it builds the transport from tcfg and pl, joins
-// the world, solves, and reports the local result plus the endpoints'
-// wire statistics and the runtime's reliability counters.  fp (nil for
-// none) is the cluster's fault plan: link faults for the runtime's
-// loss/ack/dedup loop, and scheduled crashes (CrashAt) that fire off the
-// local virtual clock.
+// RunMultigridDaemon hosts one rank of the multigrid solve spec describes
+// (validated for tcfg.Size ranks) over TCP — or, with spec.PerNode > 1,
+// over shared memory within the node and TCP across nodes: it builds the
+// transport, joins the world, solves, and reports the local result plus
+// the endpoints' wire statistics and the runtime's reliability counters.
+// A peer's failure ends the solve with an error naming it.
 //
-// With hp.CkptDir set it heals: it checkpoints durably there, rides out
-// peer failures through SelfHealMultigrid's epoch/rejoin recovery loop,
-// and — launched with hp.RejoinEpoch — comes up as a replacement that
-// restores the agreed checkpoint into the regrown world instead of
-// starting over.
-func RunMultigridDaemon(tcfg transport.TCPConfig, pl Placement, fp *simnet.FaultPlan, cfg mpi.Config, p MultigridParams, mode petsc.ScatterMode, ob DaemonObs, hp HealParams) (RankReport, error) {
+// With spec.CkptDir set it heals instead: it checkpoints durably there,
+// rides out peer failures through SelfHealMultigrid's epoch/rejoin
+// recovery loop, and — launched with tcfg.Epoch > 0 — comes up as a
+// replacement that restores the agreed checkpoint into the regrown world
+// instead of starting over.  hooks announce its progress.  Every error
+// names the rank.
+func RunMultigridDaemon(tcfg transport.TCPConfig, spec DaemonSpec, ob DaemonObs, hooks HealHooks) (RankReport, error) {
+	fail := func(err error) (RankReport, error) {
+		return RankReport{}, fmt.Errorf("rank %d: %w", tcfg.Rank, err)
+	}
+	arm := spec.CoreArm()
 	var store *ckptio.Store
-	if hp.CkptDir != "" {
-		plan, err := ckptio.ParseFaultPlan(hp.IOFaults)
+	if spec.CkptDir != "" {
+		plan, err := ckptio.ParseFaultPlan(spec.IOFaults)
 		if err != nil {
-			return RankReport{}, err
+			return fail(err)
 		}
-		store, err = ckptio.NewStore(hp.CkptDir, nil, ckptio.Options{
-			StripeBytes: hp.StripeBytes,
-			Aggregators: hp.Aggregators,
+		store, err = ckptio.NewStore(spec.CkptDir, nil, ckptio.Options{
+			StripeBytes: spec.StripeBytes,
+			Aggregators: spec.Aggregators,
 			Faults:      plan,
-			OnCommit:    hp.OnCheckpoint,
+			OnCommit:    hooks.OnCheckpoint,
 		})
 		if err != nil {
-			return RankReport{}, err
+			return fail(err)
 		}
 	}
-	rw, err := buildWire(tcfg, pl, fp)
+	rw, err := buildWire(tcfg, spec)
 	if err != nil {
-		return RankReport{}, err
+		return fail(err)
 	}
-	w, err := mpi.NewWorldTransport(rw.tr, rw.cl, cfg)
+	w, err := mpi.NewWorldTransport(rw.tr, rw.cl, arm.Config)
 	if err != nil {
 		rw.tr.Close()
-		return RankReport{}, err
+		return fail(err)
 	}
 	defer w.Close()
 	obsDown, err := obsSetup(w, rw, tcfg.Rank, ob)
 	if err != nil {
-		return RankReport{}, err
+		return fail(err)
 	}
 	defer obsDown()
 
 	rep := RankReport{Rank: tcfg.Rank}
-	if store == nil {
-		res := RunMultigridWorld(w, p, mode)
-		rep.Seconds = res.Seconds
-		rep.SelfHealResult = SelfHealResult{Cycles: res.Cycles, RelRes: res.RelRes, History: res.History}
-	} else {
-		wall0 := time.Now()
-		err = w.Run(func(c *mpi.Comm) (err error) {
-			rep.SelfHealResult, err = SelfHealMultigrid(c, p, mode, store, hp)
+	wall0 := time.Now()
+	err = w.Run(func(c *mpi.Comm) error {
+		if store != nil {
+			hp := HealParams{CheckpointEvery: spec.CkptEvery, RejoinEpoch: tcfg.Epoch, HealHooks: hooks}
+			res, err := SelfHealMultigrid(c, spec.MultigridParams, arm.Mode, store, hp)
+			rep.SelfHealResult, rep.Seconds = res, time.Since(wall0).Seconds()
 			return err
-		})
-		if err != nil {
-			return RankReport{}, err
 		}
-		rep.Seconds = time.Since(wall0).Seconds()
+		res, err := MultigridRank(c, spec.MultigridParams, arm.Mode, MultigridRankOptions{})
+		rep.SelfHealResult = SelfHealResult{Cycles: res.Cycles, RelRes: res.RelRes, History: res.History}
+		rep.Seconds = res.Seconds
+		return err
+	})
+	if err != nil {
+		return RankReport{}, err // w.Run names the rank
 	}
 	rep.Stats = rw.tcp.Stats()
 	rep.Reliability = reliabilityOf(w)
 	rep.ShmStats = rw.shmStats()
 	if ob.TracePath != "" {
 		if err := obs.WriteChromeTraceFile(ob.TracePath, w.Tracer().Spans(), tcfg.Rank); err != nil {
-			return RankReport{}, fmt.Errorf("writing trace: %w", err)
+			return fail(fmt.Errorf("writing trace: %w", err))
 		}
 		rep.Trace = ob.TracePath
 	}
 	if ob.SpansPath != "" {
 		if err := obs.WriteSpansFile(ob.SpansPath, w.Tracer()); err != nil {
-			return RankReport{}, fmt.Errorf("writing spans: %w", err)
+			return fail(fmt.Errorf("writing spans: %w", err))
 		}
 	}
 	return rep, nil

@@ -26,15 +26,8 @@ const (
 	awaitTimeout  = 30 * time.Second
 )
 
-// HealParams configures a self-healing solve: SelfHealMultigrid's loop and,
-// for RunMultigridDaemon, the checkpoint store it opens.
+// HealParams configures SelfHealMultigrid's loop.
 type HealParams struct {
-	// CkptDir is the checkpoint directory every rank of the world shares.
-	// RunMultigridDaemon heals only when it is set: each checkpoint is one
-	// file there, written collectively by the aggregator ranks and
-	// restored by a data-sieving read of just the owned range, so it
-	// survives the death of any process.
-	CkptDir string
 	// CheckpointEvery is the V-cycle checkpoint period.  Default 1.
 	CheckpointEvery int
 	// RejoinEpoch, when nonzero, marks this rank as a replacement: it
@@ -43,21 +36,17 @@ type HealParams struct {
 	// derive the same epoch by counting their own failures, so no epoch
 	// negotiation is needed.
 	RejoinEpoch uint64
-	// OnCheckpoint and OnRecovered announce progress (the launcher's chaos
-	// controller keys its kill and MTTR clock off these): OnCheckpoint
-	// after each durable checkpoint, OnRecovered before the first cycle a
-	// recovered attempt runs, with the new epoch and the agreed restore
-	// iteration.
+	HealHooks
+}
+
+// HealHooks announce a self-healing solve's progress (the launcher's chaos
+// controller keys its kill and MTTR clock off them): OnCheckpoint after
+// each durable checkpoint of a daemon's store, OnRecovered before the
+// first cycle a recovered attempt runs, with the new epoch and the agreed
+// restore iteration.  Either may be nil.
+type HealHooks struct {
 	OnCheckpoint func(iteration int)
 	OnRecovered  func(epoch uint64, restoredAt int)
-	// Aggregators and StripeBytes configure the checkpoint file layout
-	// (defaults: 2 aggregators, 256 KiB stripes).
-	Aggregators int
-	StripeBytes int64
-	// IOFaults, when non-empty, wraps this rank's filesystem in the
-	// fault-injecting ckptio.FaultFS — syntax as ckptio.ParseFaultPlan
-	// ("short=0.2,eio=0.1,fsync=0.1,enospc=65536,crash=12,seed=7").
-	IOFaults string
 }
 
 // SelfHealResult is one rank's outcome of a self-healing solve.  A
@@ -197,13 +186,13 @@ func RunMultigridSelfHeal(n int, p MultigridParams, crashRank int, crashFrac flo
 	body := func(rejoinEpoch uint64) func(c *mpi.Comm) error {
 		return func(c *mpi.Comm) error {
 			hp := HealParams{CheckpointEvery: 1, RejoinEpoch: rejoinEpoch,
-				OnRecovered: func(uint64, int) {
+				HealHooks: HealHooks{OnRecovered: func(uint64, int) {
 					mu.Lock()
 					if recoveredAt.IsZero() {
 						recoveredAt = time.Now()
 					}
 					mu.Unlock()
-				}}
+				}}}
 			store, err := ckptio.NewStore(dir, nil, ckpt)
 			if err != nil {
 				return err

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"time"
 
 	"nccd/internal/obs"
@@ -228,9 +227,6 @@ func (w *World) awaitRejoin(me int, timeout time.Duration) error {
 			if survivor && w.rejoinReady[r].Load() {
 				if w.states[r].CompareAndSwap(stateDead, stateRunning) ||
 					w.states[r].CompareAndSwap(stateExited, stateRunning) {
-					if debugMPI {
-						fmt.Fprintf(os.Stderr, "mpidbg: %d rank %d: readmit %d\n", time.Now().UnixMilli()%1000000, me, r)
-					}
 					w.rejoinReady[r].Store(false)
 					mRespawns.Inc()
 					w.progress.Add(1)
@@ -283,9 +279,6 @@ func (w *World) tryReadmit(r int) bool {
 	}
 	if w.states[r].CompareAndSwap(stateDead, stateRunning) ||
 		w.states[r].CompareAndSwap(stateExited, stateRunning) {
-		if debugMPI {
-			fmt.Fprintf(os.Stderr, "mpidbg: %d rank %d: readmit %d (in commit)\n", time.Now().UnixMilli()%1000000, w.firstLocal(), r)
-		}
 		w.rejoinReady[r].Store(false)
 		mRespawns.Inc()
 		w.progress.Add(1)

@@ -3,8 +3,6 @@ package mpi
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"os"
 	"time"
 
 	"nccd/internal/datatype"
@@ -56,9 +54,6 @@ func (w *World) onFrame(to int, hdr transport.Header, payload []byte) {
 			target = stateExited
 		}
 		if w.states[hdr.Src].CompareAndSwap(stateRunning, target) {
-			if debugMPI {
-				fmt.Fprintf(os.Stderr, "mpidbg: %d rank %d: goodbye from %d target %d\n", time.Now().UnixMilli()%1000000, w.firstLocal(), hdr.Src, target)
-			}
 			w.noteDown()
 		}
 		return
@@ -79,9 +74,6 @@ func (w *World) onPeerDown(r int) {
 	// connection that just died, and Restore must wait for the next one.
 	w.rejoinReady[r].Store(false)
 	if w.states[r].CompareAndSwap(stateRunning, stateDead) {
-		if debugMPI {
-			fmt.Fprintf(os.Stderr, "mpidbg: %d rank %d: onPeerDown(%d)\n", time.Now().UnixMilli()%1000000, w.firstLocal(), r)
-		}
 		w.noteDown()
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nccd/internal/datatype"
 	"nccd/internal/obs"
@@ -383,9 +381,6 @@ func (w *World) stopRun() {
 // setState transitions rank r and wakes every blocked rank so waits on r
 // can fail over.
 func (w *World) setState(r int, s int32) {
-	if debugMPI {
-		fmt.Fprintf(os.Stderr, "mpidbg: %d rank %d: setState(%d, %d)\n", time.Now().UnixMilli()%1000000, w.firstLocal(), r, s)
-	}
 	w.states[r].Store(s)
 	if s != stateRunning {
 		w.anyDown.Store(true)
@@ -637,6 +632,3 @@ func (s *Stats) Add(other Stats) {
 	s.CorruptSent += other.CorruptSent
 	s.Datatype.Add(other.Datatype)
 }
-
-// debugMPI enables rank-liveness diagnostics on stderr.
-var debugMPI = os.Getenv("NCCD_DEBUG_TCP") != ""

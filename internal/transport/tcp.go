@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,9 +14,6 @@ import (
 	"nccd/internal/datatype"
 	"nccd/internal/obs"
 )
-
-// debugTCP enables connection-lifecycle diagnostics on stderr.
-var debugTCP = os.Getenv("NCCD_DEBUG_TCP") != ""
 
 // TCP hosts one rank of a world as an OS process and reaches the other
 // ranks over localhost (or any) TCP.  One multiplexed connection carries
@@ -400,9 +396,6 @@ func (t *TCP) dialPeer(r int) error {
 			if !t.cfg.Rejoin {
 				return herr
 			}
-			if debugTCP {
-				fmt.Fprintf(os.Stderr, "tcpdbg: %d rank %d: redialing %d: %v\n", time.Now().UnixMilli()%1000000, t.cfg.Rank, r, herr)
-			}
 			err = herr
 		}
 		if time.Now().After(deadline) {
@@ -451,9 +444,6 @@ func (t *TCP) register(rank int, conn net.Conn, br *bufio.Reader) {
 		return
 	}
 	rejoined := p.gen > 0
-	if debugTCP {
-		fmt.Fprintf(os.Stderr, "tcpdbg: %d rank %d: peer %d registered gen %d (rejoined=%v)\n", time.Now().UnixMilli()%1000000, t.cfg.Rank, rank, p.gen+1, rejoined)
-	}
 	p.gen++
 	gen := p.gen
 	p.conn = conn
@@ -467,9 +457,6 @@ func (t *TCP) register(rank int, conn net.Conn, br *bufio.Reader) {
 	t.mu.Unlock()
 	if rejoined && !t.closed.Load() && t.peer != nil {
 		p.liveMu.Lock()
-		if debugTCP {
-			fmt.Fprintf(os.Stderr, "tcpdbg: %d rank %d: peer %d up\n", time.Now().UnixMilli()%1000000, t.cfg.Rank, rank)
-		}
 		t.peer(rank, true)
 		p.liveMu.Unlock()
 	}
@@ -563,9 +550,6 @@ func (t *TCP) peerGone(p *tcpPeer, gen uint64, reason string) {
 		p.wmu.Unlock()
 		return
 	}
-	if debugTCP {
-		fmt.Fprintf(os.Stderr, "tcpdbg: %d rank %d: peer %d gen %d gone: %s\n", time.Now().UnixMilli()%1000000, t.cfg.Rank, p.rank, gen, reason)
-	}
 	p.alive.Store(false)
 	p.suspect.Store(false)
 	p.conn.Close()
@@ -581,9 +565,6 @@ func (t *TCP) peerGone(p *tcpPeer, gen uint64, reason string) {
 	p.wmu.Lock()
 	stale := p.gen != gen
 	p.wmu.Unlock()
-	if debugTCP {
-		fmt.Fprintf(os.Stderr, "tcpdbg: %d rank %d: peer %d gen %d down (stale=%v)\n", time.Now().UnixMilli()%1000000, t.cfg.Rank, p.rank, gen, stale)
-	}
 	if !stale && !t.closed.Load() && t.peer != nil {
 		t.peer(p.rank, false)
 	}
