@@ -365,7 +365,7 @@ func runLauncher(lc launchConfig) int {
 // reference run's from cycle `from` on, bitwise.
 func verifyAgainstReference(lc launchConfig, history []float64, from int) int {
 	fmt.Printf("verifying against in-process reference run...\n")
-	if err := referenceCheck(lc.spec.CoreArm())(lc.n, lc.spec.MultigridParams, history, from); err != nil {
+	if err := referenceCheck(lc.spec.CoreArm())(lc.spec.MultigridParams, history, from); err != nil {
 		fmt.Fprintf(os.Stderr, "mgsolve: tcp run: %v\n", err)
 		return 1
 	}
@@ -373,22 +373,19 @@ func verifyAgainstReference(lc launchConfig, history []float64, from int) int {
 	return 0
 }
 
-// referenceCheck returns the one check of a history against the in-process
-// virtual-time run of p on n ranks under arm: equal, bit for bit, to the
-// reference's cycles from `from` on (a healed run's history starts after
-// its restore point).  Each distinct problem and rank count is replayed
-// once.
-func referenceCheck(arm core.Arm) func(n int, p bench.MultigridParams, history []float64, from int) error {
-	type problem struct {
-		n int
-		p bench.MultigridParams
-	}
-	refs := make(map[problem][]float64)
-	return func(n int, p bench.MultigridParams, history []float64, from int) error {
-		ref, ok := refs[problem{n, p}]
+// referenceCheck returns the one check of a history of p, solved on any
+// number of ranks, against the in-process virtual-time run of p under arm:
+// equal, bit for bit, to the reference's iterations from `from` on (a healed
+// run's history starts after its restore point).  The solve's History does
+// not depend on the rank count, so each distinct problem is replayed once,
+// on one rank, and every rank count is checked against that.
+func referenceCheck(arm core.Arm) func(p bench.MultigridParams, history []float64, from int) error {
+	refs := make(map[bench.MultigridParams][]float64)
+	return func(p bench.MultigridParams, history []float64, from int) error {
+		ref, ok := refs[p]
 		if !ok {
-			ref = bench.RunMultigridWorld(core.NewUniformWorld(n, arm.Config), p, arm.Mode).History
-			refs[problem{n, p}] = ref
+			ref = bench.RunMultigridWorld(core.NewUniformWorld(1, arm.Config), p, arm.Mode).History
+			refs[p] = ref
 		}
 		if from > len(ref) {
 			return fmt.Errorf("restored cycle %d beyond the reference's %d cycles", from, len(ref))

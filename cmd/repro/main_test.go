@@ -102,7 +102,7 @@ func TestFigTimelineQuick(t *testing.T) {
 // every crash row converges.
 func TestFigFaultsRecoveryDemoRuns(t *testing.T) {
 	out := runFig(t, "-fig", "faults", "-quick")
-	for _, want := range []string{"rank 3 crashes at 50%", "rank 0 crashes at 50%", "restart from checkpoint of cycle 5"} {
+	for _, want := range []string{"rank 3 crashes at 50%", "rank 0 crashes at 50%", "restart from checkpoint of cycle 3"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
 		}

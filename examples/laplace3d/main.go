@@ -34,7 +34,7 @@ func main() {
 	for _, arm := range core.Arms() {
 		seconds, cycles, relres, errnorm := solve(*ranks, *extent, *levels, *rtol,
 			*agglomerate, *chebyshev, arm)
-		fmt.Printf("%-16s %8.3f s  (%d V-cycles, relres %.1e, error vs exact %.2e)\n",
+		fmt.Printf("%-16s %8.3f s  (%d CG iterations, relres %.1e, error vs exact %.2e)\n",
 			arm.Name, seconds, cycles, relres, errnorm)
 	}
 }

@@ -45,7 +45,7 @@ func AblateSmoother(procs []int, p MultigridParams) *Experiment {
 // Figure 17 curve at high rank counts, where the 25³ coarsest grid leaves
 // ~10² cells per rank.
 func AblateAgglomeration(procs []int, p MultigridParams, minCells int) *Experiment {
-	p.AgglomerateCells = 1
+	p.AgglomerateCells, p.Richardson = 1, true
 	e := &Experiment{
 		ID:     "ablate-agglomeration",
 		Title:  fmt.Sprintf("MG coarse-level agglomeration (%d^3 grid, >=%d cells/rank)", p.Extent, minCells),

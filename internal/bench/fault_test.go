@@ -112,7 +112,7 @@ func eWorkloadSet(n int) []eWorkload {
 			return out
 		}},
 		{"E7-multigrid", func(c *mpi.Comm) []byte {
-			p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 30, AgglomerateCells: 1}
+			p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 30, AgglomerateCells: 1, Richardson: true}
 			s, b, x := mgSetup(c, p, petsc.ScatterDatatype)
 			cycles, _ := s.Solve(b, x, p.Rtol, p.MaxCycles)
 			nat := s.DA(0).GatherNatural(x)

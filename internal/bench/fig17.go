@@ -34,6 +34,11 @@ type MultigridParams struct {
 	// (an extension; the paper's solver configuration is unspecified, and
 	// damped Jacobi is the default here).
 	Chebyshev bool
+	// Richardson solves by bare V-cycles (mg.Solver.Richardson) instead of
+	// conjugate gradients preconditioned by one.  The paper's rows set it,
+	// as they set AgglomerateCells: Fig17, AblateAgglomeration and the E7
+	// fixture of the virtual-clock golden.
+	Richardson bool
 }
 
 // DefaultMultigridParams is the paper's configuration: 100^3, one degree of
@@ -177,6 +182,7 @@ func mgSetup(cc *mpi.Comm, p MultigridParams, mode petsc.ScatterMode) (*mg.Solve
 	if p.Chebyshev {
 		s.Smoother = mg.SmootherChebyshev
 	}
+	s.Richardson = p.Richardson
 	b := s.CreateVec()
 	da := s.DA(0)
 	own := da.OwnedBox()
@@ -308,10 +314,10 @@ func agreeRestoreBase(c *mpi.Comm, st *ckptio.Store, maxCycles int) int {
 
 // Fig17 regenerates Figure 17: 3-D Laplacian multigrid execution time (and
 // percentage improvement over the baseline) vs. process count, on the
-// paper's hierarchy: every level on every rank, whatever p.AgglomerateCells
-// says.
+// paper's hierarchy and iteration: every level on every rank and bare
+// V-cycles, whatever p.AgglomerateCells and p.Richardson say.
 func Fig17(procs []int, p MultigridParams) *Experiment {
-	p.AgglomerateCells = 1
+	p.AgglomerateCells, p.Richardson = 1, true
 	e := &Experiment{
 		ID:     "fig17",
 		Title:  fmt.Sprintf("3-D Laplacian multigrid solver (%d^3 grid, %d levels)", p.Extent, p.Levels),

@@ -215,7 +215,7 @@ func TestCollectiveRoundTrip(t *testing.T) {
 		}
 		st.Bind(c, testTotal, testSegs(c.Rank(), n))
 		for cy := 1; cy <= 5; cy++ {
-			if err := st.PutOwned(cy, 1.0/float64(cy), 42.5, testData(cy, c.Rank(), n)); err != nil {
+			if err := st.PutOwned(cy, 1.0/float64(cy), 42.5, 0, testData(cy, c.Rank(), n)); err != nil {
 				return err
 			}
 		}
@@ -225,7 +225,7 @@ func TestCollectiveRoundTrip(t *testing.T) {
 			t.Errorf("rank %d retained %v, want [3 4 5]", c.Rank(), its)
 		}
 		dst := make([]float64, len(testData(4, c.Rank(), n)))
-		res, r0, err := st.ReadOwned(4, dst)
+		res, r0, _, err := st.ReadOwned(4, dst)
 		if err != nil {
 			return err
 		}
@@ -241,7 +241,7 @@ func TestCollectiveRoundTrip(t *testing.T) {
 			return err
 		}
 		re.Bind(c, testTotal, testSegs(c.Rank(), n))
-		if _, _, err := re.ReadOwned(5, dst); err != nil {
+		if _, _, _, err := re.ReadOwned(5, dst); err != nil {
 			return err
 		}
 		bitwiseEqual(t, dst, testData(5, c.Rank(), n), "reopened restore")
@@ -259,7 +259,7 @@ func TestPruneRetention(t *testing.T) {
 	const n = 2
 	put := func(st *Store, c *mpi.Comm, cycles ...int) error {
 		for _, cy := range cycles {
-			if err := st.PutOwned(cy, 0.5, 1, testData(cy, c.Rank(), n)); err != nil {
+			if err := st.PutOwned(cy, 0.5, 1, 0, testData(cy, c.Rank(), n)); err != nil {
 				return err
 			}
 		}
@@ -344,7 +344,7 @@ func TestCollectiveFaultMatrix(t *testing.T) {
 				st.Bind(c, testTotal, testSegs(c.Rank(), n))
 				aborts := 0
 				for cy := 1; cy <= 6; cy++ {
-					err := st.PutOwned(cy, 0.5, 1, testData(cy, c.Rank(), n))
+					err := st.PutOwned(cy, 0.5, 1, 0, testData(cy, c.Rank(), n))
 					failed := 0.0
 					if err != nil {
 						failed = 1
@@ -368,7 +368,7 @@ func TestCollectiveFaultMatrix(t *testing.T) {
 				rd.Bind(c, testTotal, testSegs(c.Rank(), n))
 				dst := make([]float64, len(testData(1, c.Rank(), n)))
 				for _, cy := range rd.Iterations() {
-					if _, _, err := rd.ReadOwned(cy, dst); err != nil {
+					if _, _, _, err := rd.ReadOwned(cy, dst); err != nil {
 						return err
 					}
 					bitwiseEqual(t, dst, testData(cy, c.Rank(), n), name+" survivor")
@@ -396,14 +396,14 @@ func TestCollectiveCrashSweep(t *testing.T) {
 				return err
 			}
 			pre.Bind(c, testTotal, testSegs(c.Rank(), n))
-			if err := pre.PutOwned(1, 0.5, 1, testData(1, c.Rank(), n)); err != nil {
+			if err := pre.PutOwned(1, 0.5, 1, 0, testData(1, c.Rank(), n)); err != nil {
 				return err
 			}
 
 			st, err := NewStore(dir, ffs, Options{StripeBytes: testStripe, Aggregators: 2})
 			if err == nil {
 				st.Bind(c, testTotal, testSegs(c.Rank(), n))
-				_ = st.PutOwned(2, 0.25, 1, testData(2, c.Rank(), n)) // best-effort
+				_ = st.PutOwned(2, 0.25, 1, 0, testData(2, c.Rank(), n)) // best-effort
 			}
 			c.Barrier()
 			if c.Rank() == 0 {
@@ -422,7 +422,7 @@ func TestCollectiveCrashSweep(t *testing.T) {
 			switch {
 			case len(its) == 1 && its[0] == 1:
 			case len(its) == 2 && its[0] == 1 && its[1] == 2:
-				if _, _, err := post.ReadOwned(2, dst); err != nil {
+				if _, _, _, err := post.ReadOwned(2, dst); err != nil {
 					t.Errorf("crashAt=%d: advertised checkpoint 2 failed to restore: %v", crashAt, err)
 				} else {
 					bitwiseEqual(t, dst, testData(2, c.Rank(), n), "post-crash checkpoint 2")
@@ -430,7 +430,7 @@ func TestCollectiveCrashSweep(t *testing.T) {
 			default:
 				t.Errorf("crashAt=%d: iterations %v, want [1] or [1 2]", crashAt, its)
 			}
-			if _, _, err := post.ReadOwned(1, dst); err != nil {
+			if _, _, _, err := post.ReadOwned(1, dst); err != nil {
 				t.Errorf("crashAt=%d: previous checkpoint damaged: %v", crashAt, err)
 			} else {
 				bitwiseEqual(t, dst, testData(1, c.Rank(), n), "post-crash checkpoint 1")
@@ -504,7 +504,7 @@ func TestDamageTaxonomy(t *testing.T) {
 				}
 				st.Bind(c, testTotal, testSegs(c.Rank(), n))
 				for cy := 1; cy <= 2; cy++ {
-					if err := st.PutOwned(cy, 0.5, 1, testData(cy, c.Rank(), n)); err != nil {
+					if err := st.PutOwned(cy, 0.5, 1, 0, testData(cy, c.Rank(), n)); err != nil {
 						return err
 					}
 				}
@@ -524,10 +524,10 @@ func TestDamageTaxonomy(t *testing.T) {
 					t.Errorf("rank %d: damaged checkpoint still advertised: %v", c.Rank(), its)
 				}
 				dst := make([]float64, len(testData(1, c.Rank(), n)))
-				if _, _, err := rd.ReadOwned(2, dst); err == nil {
+				if _, _, _, err := rd.ReadOwned(2, dst); err == nil {
 					t.Errorf("rank %d: damaged checkpoint 2 restored without error", c.Rank())
 				}
-				if _, _, err := rd.ReadOwned(1, dst); err != nil {
+				if _, _, _, err := rd.ReadOwned(1, dst); err != nil {
 					return err
 				}
 				bitwiseEqual(t, dst, testData(1, c.Rank(), n), tc.name+" intact sibling")

@@ -19,8 +19,8 @@ import (
 // commitMagic identifies a collective-checkpoint commit record.
 const commitMagic = "NCCDCOL1"
 
-// commitVersion is the current record layout version.
-const commitVersion = 1
+// commitVersion is the current record layout version: 2 added Rho.
+const commitVersion = 2
 
 // ErrDamaged reports a commit record or checkpoint payload that fails
 // validation — truncated, bit-flipped, wrong magic, stale version.  Damaged
@@ -33,6 +33,7 @@ type Commit struct {
 	Cycle       int     // solver iteration number
 	Residual    float64 // residual norm at the checkpoint
 	R0          float64 // initial residual of the run
+	Rho         float64 // the conjugate gradients' ⟨r, z⟩ at the checkpoint; 0 for the Richardson iteration
 	Total       int64   // data-file payload bytes
 	StripeBytes int64   // stripe size used by the writing layout
 	// CRCs holds one CRC-32 (IEEE) per stripe, in stripe order; readers
@@ -41,8 +42,8 @@ type Commit struct {
 }
 
 // commitHdrLen is the fixed prefix: magic, version, epoch, cycle, residual,
-// r0, total, stripe, nstripes.
-const commitHdrLen = 8 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 4
+// r0, rho, total, stripe, nstripes.
+const commitHdrLen = 8 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 8 + 4
 
 // encodeCommit serializes a commit record with a CRC-32 trailer over
 // everything before it.
@@ -55,9 +56,10 @@ func encodeCommit(c Commit) []byte {
 	le.PutUint64(buf[20:], uint64(c.Cycle))
 	le.PutUint64(buf[28:], math.Float64bits(c.Residual))
 	le.PutUint64(buf[36:], math.Float64bits(c.R0))
-	le.PutUint64(buf[44:], uint64(c.Total))
-	le.PutUint64(buf[52:], uint64(c.StripeBytes))
-	le.PutUint32(buf[60:], uint32(len(c.CRCs)))
+	le.PutUint64(buf[44:], math.Float64bits(c.Rho))
+	le.PutUint64(buf[52:], uint64(c.Total))
+	le.PutUint64(buf[60:], uint64(c.StripeBytes))
+	le.PutUint32(buf[68:], uint32(len(c.CRCs)))
 	for i, crc := range c.CRCs {
 		le.PutUint32(buf[commitHdrLen+4*i:], crc)
 	}
@@ -83,9 +85,10 @@ func decodeCommit(buf []byte) (Commit, error) {
 	c.Cycle = int(le.Uint64(buf[20:]))
 	c.Residual = math.Float64frombits(le.Uint64(buf[28:]))
 	c.R0 = math.Float64frombits(le.Uint64(buf[36:]))
-	c.Total = int64(le.Uint64(buf[44:]))
-	c.StripeBytes = int64(le.Uint64(buf[52:]))
-	n := int(le.Uint32(buf[60:]))
+	c.Rho = math.Float64frombits(le.Uint64(buf[44:]))
+	c.Total = int64(le.Uint64(buf[52:]))
+	c.StripeBytes = int64(le.Uint64(buf[60:]))
+	n := int(le.Uint32(buf[68:]))
 	if len(buf) != commitHdrLen+4*n+4 {
 		return c, fmt.Errorf("%w: commit record %d bytes, want %d for %d stripes",
 			ErrDamaged, len(buf), commitHdrLen+4*n+4, n)

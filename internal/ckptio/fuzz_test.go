@@ -13,12 +13,12 @@ import (
 // record it cannot account for byte by byte.  Any input is either rejected
 // with ErrDamaged or is exactly the encoding of what it decoded to.
 func FuzzDecodeCommit(f *testing.F) {
-	whole := encodeCommit(Commit{Epoch: 3, Cycle: 12, Residual: 1.5e-7, R0: 42,
+	whole := encodeCommit(Commit{Epoch: 3, Cycle: 12, Residual: 1.5e-7, R0: 42, Rho: 0.25,
 		Total: 10000, StripeBytes: 4096, CRCs: []uint32{1, 0xdeadbeef, 3}})
 	f.Add(whole)
 	f.Add(encodeCommit(Commit{StripeBytes: 1})) // empty payload, no stripes
 	f.Add(encodeCommit(Commit{Epoch: math.MaxUint64, Cycle: math.MaxInt64, Residual: math.NaN(),
-		R0: math.Inf(-1), Total: 1, StripeBytes: math.MaxInt64, CRCs: []uint32{0}}))
+		R0: math.Inf(-1), Rho: math.Copysign(0, -1), Total: 1, StripeBytes: math.MaxInt64, CRCs: []uint32{0}}))
 	f.Add(whole[:commitHdrLen])                   // truncated inside the stripe list
 	f.Add(append(bytes.Clone(whole), 0, 0, 0, 0)) // trailing garbage
 	f.Add([]byte(commitMagic))

@@ -129,29 +129,44 @@ func (s *Store) aggregators(size int) int {
 	return n
 }
 
-// PutOwned writes one collective checkpoint: data is this rank's owned
-// values in view order.  Collective — every bound rank must call it with
-// the same cycle.  A local I/O fault on any rank aborts the epoch on all
-// ranks with no checkpoint published; rank death surfaces as the
-// collectives' typed errors for the caller's recovery path.
-func (s *Store) PutOwned(cycle int, residual, r0 float64, data []float64) error {
+// PutOwned writes one collective checkpoint of one or more vectors: each of
+// vecs is this rank's owned values of one vector in view order, and the file
+// holds the vectors back to back, each in the view's file domain (the view
+// tiled len(vecs) times).  Collective — every bound rank must call it with
+// the same cycle and vector count.  A local I/O fault on any rank aborts the
+// epoch on all ranks with no checkpoint published; rank death surfaces as
+// the collectives' typed errors for the caller's recovery path.
+func (s *Store) PutOwned(cycle int, residual, r0, rho float64, vecs ...[]float64) error {
 	if s.c == nil {
 		return fmt.Errorf("checkpoint: store not bound")
 	}
-	local := floatbytes.Bytes(data)
-	if len(local) != s.view.LocalBytes() {
-		return fmt.Errorf("checkpoint: local data %d bytes, view holds %d", len(local), s.view.LocalBytes())
+	if len(vecs) == 0 {
+		return fmt.Errorf("checkpoint: no vector to write")
 	}
-	l := NewLayout(s.view.Total, s.opt.StripeBytes, s.aggregators(s.c.Size()), s.c.Size())
+	var local []byte
+	for _, v := range vecs {
+		b := floatbytes.Bytes(v)
+		if len(b) != s.view.LocalBytes() {
+			return fmt.Errorf("checkpoint: local data %d bytes, view holds %d", len(b), s.view.LocalBytes())
+		}
+		if len(vecs) == 1 {
+			local = b // the vector is already the contribution buffer
+		} else {
+			local = append(local, b...)
+		}
+	}
+	view := s.view.tile(len(vecs))
+	l := NewLayout(view.Total, s.opt.StripeBytes, s.aggregators(s.c.Size()), s.c.Size())
 	cm := Commit{
 		Epoch:       s.epoch,
 		Cycle:       cycle,
 		Residual:    residual,
 		R0:          r0,
-		Total:       s.view.Total,
+		Rho:         rho,
+		Total:       view.Total,
 		StripeBytes: l.StripeBytes,
 	}
-	err := collectiveWrite(s.c, s.fs, s.dir, l, s.view, local, cm)
+	err := collectiveWrite(s.c, s.fs, s.dir, l, view, local, cm)
 	if err != nil {
 		s.fails++
 		obs.Metrics.Counter("ckpt.aborts").Inc()
@@ -251,13 +266,30 @@ func (s *Store) validateUncached(r commitRef) bool {
 		_, err = f.ReadAt(b[:], cm.Total-1)
 		return err == nil
 	}
-	if cm.Total != s.view.Total {
+	k := s.vectors(cm)
+	if k == 0 {
 		return false // a checkpoint of some other problem size
 	}
 	// Sieve through the view without keeping the result: this reads and
 	// CRC-verifies exactly the stripes a restore would trust.
-	scratch := make([]byte, s.view.LocalBytes())
-	return sieveRead(s.fs, filepath.Join(s.dir, dataName(r.epoch, r.cycle)), cm, s.view, scratch) == nil
+	view := s.view.tile(k)
+	scratch := make([]byte, view.LocalBytes())
+	return sieveRead(s.fs, filepath.Join(s.dir, dataName(r.epoch, r.cycle)), cm, view, scratch) == nil
+}
+
+// vectors is how many vectors of the bound view checkpoint cm holds, 0 where
+// its size is no whole number of them.
+func (s *Store) vectors(cm Commit) int {
+	switch {
+	case s.view.Total == 0:
+		if cm.Total == 0 {
+			return 1
+		}
+		return 0
+	case cm.Total <= 0 || cm.Total%s.view.Total != 0:
+		return 0
+	}
+	return int(cm.Total / s.view.Total)
 }
 
 // bestFor returns the newest-epoch valid commit for a cycle.
@@ -277,34 +309,51 @@ func (s *Store) bestFor(cycle int) (commitRef, Commit, bool) {
 	return commitRef{}, Commit{}, false
 }
 
-// ReadOwned restores this rank's owned values for a cycle via data
-// sieving: purely local, no collective, no replicated gather.  dst must
-// hold exactly the view's element count.
-func (s *Store) ReadOwned(cycle int, dst []float64) (residual, r0 float64, err error) {
+// ReadOwned restores this rank's owned values of every vector of a cycle's
+// checkpoint via data sieving: purely local, no collective, no replicated
+// gather.  The checkpoint must hold exactly len(dst) vectors, and each dst
+// exactly the view's element count.
+func (s *Store) ReadOwned(cycle int, dst ...[]float64) (residual, r0, rho float64, err error) {
 	if s.c == nil {
-		return 0, 0, fmt.Errorf("checkpoint: store not bound")
+		return 0, 0, 0, fmt.Errorf("checkpoint: store not bound")
 	}
-	buf := floatbytes.Bytes(dst)
-	if len(buf) != s.view.LocalBytes() {
-		return 0, 0, fmt.Errorf("checkpoint: dst %d bytes, view holds %d", len(buf), s.view.LocalBytes())
+	if len(dst) == 0 {
+		return 0, 0, 0, fmt.Errorf("checkpoint: no vector to read")
+	}
+	for _, d := range dst {
+		if n := len(floatbytes.Bytes(d)); n != s.view.LocalBytes() {
+			return 0, 0, 0, fmt.Errorf("checkpoint: dst %d bytes, view holds %d", n, s.view.LocalBytes())
+		}
 	}
 	start := s.c.Clock()
 	r, cm, ok := s.bestFor(cycle)
 	if !ok {
-		return 0, 0, fmt.Errorf("%w: no valid commit for cycle %d", ErrDamaged, cycle)
+		return 0, 0, 0, fmt.Errorf("%w: no valid commit for cycle %d", ErrDamaged, cycle)
 	}
-	if err := sieveRead(s.fs, filepath.Join(s.dir, dataName(r.epoch, r.cycle)), cm, s.view, buf); err != nil {
+	if k := s.vectors(cm); k != len(dst) {
+		return 0, 0, 0, fmt.Errorf("checkpoint: cycle %d holds %d vectors, %d asked for", cycle, k, len(dst))
+	}
+	buf := floatbytes.Bytes(dst[0])
+	if len(dst) > 1 {
+		buf = make([]byte, len(dst)*s.view.LocalBytes())
+	}
+	if err := sieveRead(s.fs, filepath.Join(s.dir, dataName(r.epoch, r.cycle)), cm, s.view.tile(len(dst)), buf); err != nil {
 		// The cached validation must have gone stale (file changed
 		// underneath us); invalidate and fail.
 		s.valid[commitName(r.epoch, r.cycle)] = false
-		return 0, 0, err
+		return 0, 0, 0, err
+	}
+	if len(dst) > 1 {
+		for i, d := range dst {
+			copy(floatbytes.Bytes(d), buf[i*s.view.LocalBytes():])
+		}
 	}
 	s.c.Span("ckpt_sieve_read", start,
 		obs.Attr{Key: "cycle", Val: fmt.Sprint(cycle)},
 		obs.Attr{Key: "epoch", Val: fmt.Sprint(r.epoch)},
 		obs.Attr{Key: "local_bytes", Val: fmt.Sprint(len(buf))})
 	obs.Metrics.Counter("ckpt.sieve_reads").Inc()
-	return cm.Residual, cm.R0, nil
+	return cm.Residual, cm.R0, cm.Rho, nil
 }
 
 // Iterations returns the ascending cycles this rank can restore from: a

@@ -85,26 +85,27 @@ var benchArms = []struct {
 	{mpi.Baseline(), petsc.ScatterHandTuned},
 }
 
-// TestSolutionIndependentOfRankCount: with the coarsest level on one rank, no
-// sum in a V-cycle spans ranks, so x in natural order after each of four
-// V-cycles is the one-rank solve's bit for bit, at every feasible rank count,
-// in both arms and under both smoothers.  b = A x* is itself the same bits
-// under every decomposition.  History is not compared: Solve's residual norm
-// is an allreduce of per-rank partial sums.
-func TestSolutionIndependentOfRankCount(t *testing.T) {
-	const cycles = 4
-	for _, sh := range []struct {
-		n      []int
-		levels int
-	}{
-		{[]int{16, 16, 16}, 2},
-		{[]int{16, 16, 16}, 3},
-		{[]int{24, 24, 24}, 3},
-		{[]int{32, 32}, 3},
-		{[]int{64}, 3},
-	} {
+// rankCountShapes are the problems the rank-count tests solve at every
+// feasible rank count.
+var rankCountShapes = []struct {
+	n      []int
+	levels int
+}{
+	{[]int{16, 16, 16}, 2},
+	{[]int{16, 16, 16}, 3},
+	{[]int{24, 24, 24}, 3},
+	{[]int{32, 32}, 3},
+	{[]int{64}, 3},
+}
+
+// forEachRankCount runs solve on every rankCountShapes entry, both smoothers,
+// rank counts 1, 2, 3, 4, 6 and 8 where feasible and both arms, each on a
+// fresh world, and holds what rank 0 returns to the one-rank solve's, bit for
+// bit.  b = A x* is itself the same bits under every decomposition.
+func forEachRankCount(t *testing.T, solve func(s *Solver, b, x *petsc.Vec) [][]float64) {
+	for _, sh := range rankCountShapes {
 		for _, sm := range []Smoother{SmootherJacobi, SmootherChebyshev} {
-			var want [][]float64 // x after each cycle on one rank
+			var want [][]float64
 			for _, np := range []int{1, 2, 3, 4, 6, 8} {
 				for _, a := range benchArms {
 					k := kernelShape{n: sh.n, np: np, levels: sh.levels, mode: a.mode, smoother: sm, cfg: a.cfg}
@@ -116,11 +117,8 @@ func TestSolutionIndependentOfRankCount(t *testing.T) {
 						s := k.solver(c)
 						b, x := s.CreateVec(), s.CreateVec()
 						setManufactured(s, b)
-						for range cycles {
-							s.VCycle(b, x)
-							if nat := s.DA(0).GatherNatural(x); c.Rank() == 0 {
-								got = append(got, nat)
-							}
+						if out := solve(s, b, x); c.Rank() == 0 {
+							got = out
 						}
 						return nil
 					})
@@ -128,8 +126,11 @@ func TestSolutionIndependentOfRankCount(t *testing.T) {
 						want = got
 						continue
 					}
-					for cyc := range want {
-						if err := bitsDiffer(fmt.Sprintf("x after cycle %d", cyc+1), got[cyc], want[cyc]); err != nil {
+					if len(got) != len(want) {
+						t.Fatalf("%v: %d results, one rank has %d", k, len(got), len(want))
+					}
+					for i := range want {
+						if err := bitsDiffer(fmt.Sprintf("result %d", i), got[i], want[i]); err != nil {
 							t.Fatalf("%v: %v", k, err)
 						}
 					}
@@ -137,6 +138,31 @@ func TestSolutionIndependentOfRankCount(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSolutionIndependentOfRankCount: with the coarsest level on one rank, no
+// sum in a V-cycle spans ranks, so x in natural order after each of four
+// V-cycles is the one-rank solve's bit for bit, at every feasible rank count,
+// in both arms and under both smoothers.
+func TestSolutionIndependentOfRankCount(t *testing.T) {
+	forEachRankCount(t, func(s *Solver, b, x *petsc.Vec) (out [][]float64) {
+		for range 4 {
+			s.VCycle(b, x)
+			out = append(out, s.DA(0).GatherNatural(x))
+		}
+		return out
+	})
+}
+
+// TestSolveIndependentOfRankCount: Solve takes every inner product of its
+// conjugate gradients through the order-free Sum, so its History and x in
+// natural order are the one-rank solve's bit for bit, at every feasible rank
+// count, in both arms and under both smoothers.
+func TestSolveIndependentOfRankCount(t *testing.T) {
+	forEachRankCount(t, func(s *Solver, b, x *petsc.Vec) [][]float64 {
+		s.Solve(b, x, 1e-10, 12)
+		return [][]float64{append([]float64(nil), s.History...), s.DA(0).GatherNatural(x)}
+	})
 }
 
 // TestGatheredCoarseSolveSendsNothing: on the default hierarchy the coarsest

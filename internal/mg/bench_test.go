@@ -115,20 +115,32 @@ func goLoopsOnly(goOnly bool) (restore func()) {
 // BenchmarkSolve96 is one whole four-level 96³ solve on one rank from a zero
 // guess, the benchmark spine's mg96_np1 op without its harness, so that
 // go test -bench Solve96 -cpuprofile gives the kernels' shares of a solve and
-// -benchmem what a solve allocates.
+// -benchmem what a solve allocates.  cg is Solve's conjugate gradients,
+// richardson the bare V-cycles; each reports its iterations and ms per
+// iteration.
 func BenchmarkSolve96(b *testing.B) {
-	runWorld(b, 1, mpi.Compiled(), func(c *mpi.Comm) error {
-		s := New(c, []int{96, 96, 96}, 4, petsc.ScatterDatatype)
-		rhs, x := s.CreateVec(), s.CreateVec()
-		fillSeeded(rhs, 1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		cycles := 0
-		for i := 0; i < b.N; i++ {
-			x.Set(0)
-			cycles, _ = s.Solve(rhs, x, 1e-6, 30)
+	for _, richardson := range []bool{false, true} {
+		name := "cg"
+		if richardson {
+			name = "richardson"
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N)/float64(cycles), "ms/cycle")
-		return nil
-	})
+		b.Run(name, func(b *testing.B) {
+			runWorld(b, 1, mpi.Compiled(), func(c *mpi.Comm) error {
+				s := New(c, []int{96, 96, 96}, 4, petsc.ScatterDatatype)
+				s.Richardson = richardson
+				rhs, x := s.CreateVec(), s.CreateVec()
+				fillSeeded(rhs, 1)
+				b.ReportAllocs()
+				b.ResetTimer()
+				cycles := 0
+				for i := 0; i < b.N; i++ {
+					x.Set(0)
+					cycles, _ = s.Solve(rhs, x, 1e-6, 30)
+				}
+				b.ReportMetric(float64(cycles), "iterations")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N)/float64(cycles), "ms/cycle")
+				return nil
+			})
+		})
+	}
 }

@@ -108,27 +108,37 @@ func TestCheckpointNaturalRoundTrip(t *testing.T) {
 }
 
 // TestSolveFromMatchesUninterrupted: resuming from a checkpoint with the
-// original r0 and base cycle reproduces the fault-free run's residual
-// history exactly from the restored cycle on — same world size, same
+// original r0 and base iteration reproduces the fault-free run's residual
+// history exactly from the restored iteration on — same world size, same
 // decomposition, so the arithmetic is identical and the comparison is
-// bitwise.
+// bitwise.  Conjugate gradients resume from the three vectors x, r and p and
+// ρ; the Richardson iteration from x alone.
 func TestSolveFromMatchesUninterrupted(t *testing.T) {
+	for _, richardson := range []bool{false, true} {
+		t.Run(fmt.Sprintf("richardson=%v", richardson), func(t *testing.T) {
+			checkSolveFrom(t, richardson)
+		})
+	}
+}
+
+func checkSolveFrom(t *testing.T, richardson bool) {
 	ext := []int{16, 16}
 	dir := t.TempDir()
 	w := mpi.NewWorld(simnet.Uniform(4, simnet.IBDDR()), mpi.Optimized())
 	err := w.Run(func(c *mpi.Comm) error {
-		mkb := func(s *Solver) (*petsc.Vec, *petsc.Vec) {
+		mk := func() (*Solver, *petsc.Vec, *petsc.Vec) {
+			s := New(c, ext, 2, petsc.ScatterDatatype)
+			s.Richardson = richardson
 			b, x := s.CreateVec(), s.CreateVec()
 			ba := b.Array()
 			for i := range ba {
 				ba[i] = float64(c.Rank()*37+i) / 13.0
 			}
-			return b, x
+			return s, b, x
 		}
 
-		// Reference: 8 uninterrupted cycles.
-		ref := New(c, ext, 2, petsc.ScatterDatatype)
-		rb, rx := mkb(ref)
+		// Reference: 8 uninterrupted iterations.
+		ref, rb, rx := mk()
 		ref.Solve(rb, rx, 1e-30, 8)
 		refHist := append([]float64(nil), ref.History...)
 
@@ -138,31 +148,89 @@ func TestSolveFromMatchesUninterrupted(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		s := New(c, ext, 2, petsc.ScatterDatatype)
+		s, b, x := mk()
 		bindStore(s, st, 2)
-		b, x := mkb(s)
 		s.Solve(b, x, 1e-30, 5)
 
 		const base = 4
-		rs := New(c, ext, 2, petsc.ScatterDatatype)
+		rs, b2, x2 := mk()
 		bindStore(rs, st, 0)
-		b2, x2 := mkb(rs)
 		_, r0, err := rs.RestoreAt(base, x2)
 		if err != nil {
 			return fmt.Errorf("no iteration-%d checkpoint: %w", base, err)
 		}
 		cycles, _ := rs.SolveFrom(b2, x2, 1e-30, 4, base, r0)
 		if cycles != 4 {
-			return fmt.Errorf("resumed %d cycles, want 4", cycles)
+			return fmt.Errorf("resumed %d iterations, want 4", cycles)
 		}
 		for i, v := range rs.History {
 			if refv := refHist[base+i]; v != refv {
-				return fmt.Errorf("resumed cycle %d residual %v, fault-free %v", base+i+1, v, refv)
+				return fmt.Errorf("resumed iteration %d residual %v, fault-free %v", base+i+1, v, refv)
 			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreAtOtherRankCount: a conjugate-gradient checkpoint written at
+// np = 4 and restored at np = 3 resumes the one-rank solve's History bit for
+// bit from the restored iteration on, under both smoothers: the three vectors
+// travel in natural order, ρ in the commit, and no inner product depends on
+// the decomposition.
+func TestRestoreAtOtherRankCount(t *testing.T) {
+	const base, iterations = 4, 8
+	for _, sm := range []Smoother{SmootherJacobi, SmootherChebyshev} {
+		k := kernelShape{n: []int{16, 16, 16}, levels: 2, mode: petsc.ScatterDatatype, smoother: sm, cfg: mpi.Compiled()}
+		dir := t.TempDir()
+		solve := func(np int, body func(c *mpi.Comm, s *Solver, b, x *petsc.Vec) error) {
+			k.np = np
+			if !k.feasible() {
+				t.Fatalf("%v: no process grid", k)
+			}
+			runWorld(t, np, k.cfg, func(c *mpi.Comm) error {
+				s := k.solver(c)
+				b, x := s.CreateVec(), s.CreateVec()
+				setManufactured(s, b)
+				return body(c, s, b, x)
+			})
+		}
+		var want []float64
+		solve(1, func(_ *mpi.Comm, s *Solver, b, x *petsc.Vec) error {
+			s.Solve(b, x, 1e-30, iterations)
+			want = append([]float64(nil), s.History...)
+			return nil
+		})
+		solve(4, func(_ *mpi.Comm, s *Solver, b, x *petsc.Vec) error {
+			st, err := ckptio.NewStore(dir, nil, ckptio.Options{})
+			if err != nil {
+				return err
+			}
+			bindStore(s, st, base)
+			s.Solve(b, x, 1e-30, base+1)
+			return nil
+		})
+		got := make([][]float64, 3)
+		solve(3, func(c *mpi.Comm, s *Solver, b, x *petsc.Vec) error {
+			st, err := ckptio.NewStore(dir, nil, ckptio.Options{})
+			if err != nil {
+				return err
+			}
+			bindStore(s, st, 0)
+			_, r0, err := s.RestoreAt(base, x)
+			if err != nil {
+				return err
+			}
+			s.SolveFrom(b, x, 1e-30, iterations-base, base, r0)
+			got[c.Rank()] = append([]float64(nil), s.History...)
+			return nil
+		})
+		for r, h := range got {
+			if err := bitsDiffer(fmt.Sprintf("%v: rank %d resumed history", sm, r), h, want[base:]); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -3,9 +3,10 @@
 package mg
 
 // useLanes is false where no lane kernel is built: interiorCells runs
-// interiorCellsGo throughout, interpRun interpCells8 and gatherRun
-// restrictRun.  It is a variable in every build so that the kernel
-// benchmarks can run the Go loops on a build that has the kernels.
+// interiorCellsGo throughout, interpRun interpCells8, gatherRun restrictRun
+// and Sum.chunk maxAbsProducts and foldGo.  It is a variable in every build
+// so that the kernel benchmarks can run the Go loops on a build that has the
+// kernels.
 var useLanes = false
 
 // interiorLanes is interiorCellsGo on len(y) cells; interiorCells does not
@@ -21,4 +22,13 @@ func interpLanes(xa, p0, p1, p2, p3 []float64, wzy *[4]float64, wx *[2][4]float6
 
 func restrictLanes(out []float64, src [][]float64, wx [][4]float64, scale float64) {
 	panic("mg: restrictLanes without a lane kernel")
+}
+
+// maxLanes and foldLanes are not called while useLanes is false.
+func maxLanes(a, b []float64) float64 {
+	panic("mg: maxLanes without a lane kernel")
+}
+
+func foldLanes(a, b []float64, sig *[3]float64, out *[4]float64) {
+	panic("mg: foldLanes without a lane kernel")
 }

@@ -214,9 +214,10 @@ func endCell(form stencilForm, y, b []float64, o int, u, xm, xp, ym, yp, zm, zp 
 // stencil term of a zero x is +0, and b − (+0) is b on every bit pattern).  It
 // writes y = x + ω/diag·r for every cell of the owned rows rb, which is what
 // the stencil's formJacobi writes bit for bit, since that form computes b − A x
-// as the residual does and then exactly this.  It evaluates no stencil and
-// reads no ghost cell, and y may be r.  The caller charges the clock the
-// stencil pass it stands in for.
+// as the residual does and then exactly this.  A nil x is the zero guess,
+// which update does not read: it writes ω/diag·r + 0, the bits +0 + ω/diag·r
+// has (−0 becomes +0).  It evaluates no stencil and reads no ghost cell, and
+// y may be r.  The caller charges the clock the stencil pass it stands in for.
 func (s *Solver) update(lv *level, x, r, y []float64, omega float64, rb rows) {
 	own := lv.da.OwnedBox()
 	var n [3]int
@@ -233,18 +234,34 @@ func (s *Solver) update(lv *level, x, r, y []float64, omega float64, rb rows) {
 		for j := rb.j0; j < rb.j1; j, out = j+1, out+nx {
 			fy := faces(j, n[1])
 			last := out + nx - 1
-			updateRun(y[out:out+1], x[out:], r[out:], w[fw][fy][fz])
+			updateRun(y[out:out+1], tail(x, out), r[out:], w[fw][fy][fz])
 			if nx > 1 {
-				updateRun(y[out+1:last], x[out+1:], r[out+1:], w[0][fy][fz])
-				updateRun(y[last:last+1], x[last:], r[last:], w[fe][fy][fz])
+				updateRun(y[out+1:last], tail(x, out+1), r[out+1:], w[0][fy][fz])
+				updateRun(y[last:last+1], tail(x, last), r[last:], w[fe][fy][fz])
 			}
 		}
 	}
 }
 
-// updateRun writes y[i] = x[i] + w·r[i], the update of cells that share ω/diag.
+// tail is a[i:], nil where a is.
+func tail(a []float64, i int) []float64 {
+	if a == nil {
+		return nil
+	}
+	return a[i:]
+}
+
+// updateRun writes y[i] = x[i] + w·r[i], the update of cells that share
+// ω/diag, or w·r[i] + 0 where x is nil, the zero guess.
 func updateRun(y, x, r []float64, w float64) {
-	x, r = x[:len(y)], r[:len(y)]
+	r = r[:len(y)]
+	if x == nil {
+		for i := range y {
+			y[i] = float64(w*r[i]) + 0
+		}
+		return
+	}
+	x = x[:len(y)]
 	for i := range y {
 		y[i] = x[i] + float64(w*r[i])
 	}

@@ -10,6 +10,7 @@ package mg
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"nccd/internal/dmda"
@@ -49,17 +50,21 @@ type level struct {
 // from (ckptio.Store; builtin-typed so the I/O layer need not import the
 // solver stack).  Each rank contributes only its owned values, in its
 // decomposition's canonical order, and reads back exactly those — no rank
-// ever holds the replicated O(global) array.
+// ever holds the replicated O(global) array.  One checkpoint holds one
+// finest-level vector or several, back to back: x alone for the Richardson
+// iteration, x, r and p for conjugate gradients, whose ρ = ⟨r, z⟩ rides in
+// the commit beside the residual and r0.
 //
 // PutOwned is collective and returns an error when the checkpoint aborted
 // (an I/O fault on any rank, a failed commit); rank death inside it
 // surfaces as the mpi layer's typed errors for the caller's recovery path.
-// ReadOwned is purely local.  Iterations lists only checkpoints that fully
-// validate from this rank's perspective, so a damaged file drops out of
-// the restore-point agreement.
+// ReadOwned is purely local and fails unless the checkpoint holds exactly
+// len(dst) vectors.  Iterations lists only checkpoints that fully validate
+// from this rank's perspective, so a damaged file drops out of the
+// restore-point agreement.
 type Checkpointer interface {
-	PutOwned(iteration int, residual, r0 float64, data []float64) error
-	ReadOwned(iteration int, dst []float64) (residual, r0 float64, err error)
+	PutOwned(iteration int, residual, r0, rho float64, vecs ...[]float64) error
+	ReadOwned(iteration int, dst ...[]float64) (residual, r0, rho float64, err error)
 	Iterations() []int
 }
 
@@ -94,32 +99,53 @@ type Solver struct {
 	// Smoother selects the relaxation scheme; default damped Jacobi.
 	Smoother Smoother
 
-	// History records the relative residual after each V-cycle of the most
-	// recent Solve.  For a given problem and rank count the sequence is
-	// transport- and arm-independent, which makes it the equivalence witness
-	// between in-process and multi-process runs.  It is not rank-count
-	// independent: the residual norm sums per-rank partial sums.  (x is,
-	// where the coarsest level lives on one rank.)
+	// Richardson makes Solve and SolveFrom iterate bare V-cycles, each from
+	// the residual the one before it left, as the paper's rows do.  Unset,
+	// they run conjugate gradients preconditioned by one V-cycle from a zero
+	// guess (DESIGN §19 "Krylov outer iteration").
+	Richardson bool
+
+	// History records the relative residual ‖r_k‖₂/‖r_0‖₂ after each
+	// iteration of the most recent Solve (PETSc's unpreconditioned norm).
+	// For a given problem it is transport- and arm-independent, which makes
+	// it the equivalence witness between in-process and multi-process runs.
+	// Under conjugate gradients it is rank-count independent too, where the
+	// coarsest level lives on one rank (New's hierarchy): every inner product
+	// is an order-free Sum, and x is the same bits at every rank count.  The
+	// Richardson iteration's norm adds per-rank partial sums, so its History
+	// is not.
 	History []float64
 
 	// Checkpoints, when non-nil, receives this rank's finest-level owned
-	// values every CheckpointEvery V-cycles of Solve and serves them back
-	// to RestoreAt, enabling restart on a different (e.g. shrunk or
-	// regrown) communicator.  The store must already be bound to this
-	// solver's finest DA (communicator + file view); the bench layer does
-	// that.
+	// state every CheckpointEvery iterations of Solve and serves it back to
+	// RestoreAt, enabling restart on a different (e.g. shrunk or regrown)
+	// communicator: x for the Richardson iteration, x, r and p and ρ for
+	// conjugate gradients.  The store must already be bound to this solver's
+	// finest DA (communicator + file view); the bench layer does that.
 	Checkpoints     Checkpointer
 	CheckpointEvery int
 
-	// OnCycle, when non-nil, runs before each V-cycle with the cycle number
-	// about to execute (1-based, continuing from SolveFrom's base).  A
-	// non-nil error stops the solve immediately with the cycles completed so
-	// far.  The hook is where a scheduler paces a tenant job — blocking here
-	// shifts timing only, never the arithmetic, so residual histories stay
-	// bitwise identical under any pacing — and where cooperative
-	// cancellation lands between cycles.  It must not write x or b: the
-	// cycle's first sweep reads the residual computed before the hook ran.
+	// OnCycle, when non-nil, runs before each iteration with the iteration
+	// number about to execute (1-based, continuing from SolveFrom's base).
+	// A non-nil error stops the solve immediately with the iterations
+	// completed so far.  The hook is where a scheduler paces a tenant job —
+	// blocking here shifts timing only, never the arithmetic, so residual
+	// histories stay bitwise identical under any pacing — and where
+	// cooperative cancellation lands between iterations.  It must not write
+	// b, x, or the iteration's r and p: the next iteration starts from what
+	// the last one left in them.
 	OnCycle func(cycle int) error
+
+	// The conjugate gradients' state beyond x: r is res, z and p live in
+	// level 0's x and b, which the V-cycle never uses, and A·p in z's
+	// storage.  sum takes every inner product, sumBuf is its Allreduce
+	// vector, and restored is the iteration RestoreAt last read r, p and rho
+	// back for (0 for none), which SolveFrom resumes.
+	res      *petsc.Vec
+	sum      Sum
+	sumBuf   []float64
+	rho      float64
+	restored int
 
 	// coarseComm, when non-nil on active ranks, confines the coarsest
 	// solve's inner products to the ranks that actually hold coarse cells
@@ -261,6 +287,8 @@ func NewAgglomerated(c *mpi.Comm, n []int, nlevels int, mode petsc.ScatterMode, 
 			s.skipInactive = true
 		}
 	}
+	s.res = s.CreateVec()
+	s.sumBuf = make([]float64, sumReduceLen)
 	return s
 }
 
@@ -340,13 +368,14 @@ const (
 
 // sweep is the stage of a Jacobi update x + ω/diag·(b − A x) of level lv into
 // y, made after a ghost update of x: from nothing through the stencil, from a
-// known residual through update (which runs in place when y is lv.r).  It
-// charges the stencil pass and then the whole-vector passes of then.
-func sweep(lv *level, from sweepStart, b, x, y *petsc.Vec, omega float64, then [4]uint8) stage {
+// known residual through update (which runs in place when y is lv.r), and
+// from zero through update without reading x, which then need not be zero.
+// It charges the stencil pass and then the whole-vector passes of then.
+func sweep(lv *level, from sweepStart, b, x, y *petsc.Vec, omega float64, then [5]uint8) stage {
 	st := stage{op: opUpdate, src: x, dst: y, aux: lv.r, omega: omega, gated: true, then: then}
 	switch from {
 	case fromZero:
-		st.aux = b
+		st.aux, st.zero = b, true
 	case fromNothing:
 		st.op, st.form, st.aux = opStencil, formJacobi, b
 	}
@@ -370,7 +399,7 @@ func (s *Solver) addSmooth(lv *level, sweeps int, from sweepStart, b, x *petsc.V
 		// copy happens.
 		src, dst := x, lv.r
 		for it := 0; it < sweeps; it++ {
-			w.add(sweep(lv, from, b, src, dst, omega, [4]uint8{1}))
+			w.add(sweep(lv, from, b, src, dst, omega, [5]uint8{1}))
 			from = fromNothing
 			src, dst = dst, src
 		}
@@ -411,14 +440,14 @@ func (s *Solver) addChebyshev(lv *level, degree int, from sweepStart, b, x *pets
 
 	// Each elementwise stage charges its four vector passes in order: here
 	// z.AXPY, d.Copy, d.Scale and x.AXPY for d = z/theta.
-	w.add(sweep(lv, from, b, x, z, 1, [4]uint8{}))
-	w.add(stage{op: opCheb, first: true, src: x, dst: z, aux: lv.d, scale: 1 / theta, then: [4]uint8{2, 1, 1, 2}})
+	w.add(sweep(lv, from, b, x, z, 1, [5]uint8{}))
+	w.add(stage{op: opCheb, first: true, src: x, dst: z, aux: lv.d, scale: 1 / theta, then: [5]uint8{2, 1, 1, 2}})
 	rhoOld := 1 / sigma
 	for k := 2; k <= degree; k++ {
 		rho := 1 / (2*sigma - rhoOld)
 		// d = rho*rhoOld*d + (2*rho/delta) z: z.AXPY, d.Scale, d.AXPY, x.AXPY.
-		w.add(sweep(lv, fromNothing, b, x, z, 1, [4]uint8{}))
-		w.add(stage{op: opCheb, src: x, dst: z, aux: lv.d, scale: rho * rhoOld, dz: 2 * rho / delta, then: [4]uint8{2, 1, 2, 2}})
+		w.add(sweep(lv, fromNothing, b, x, z, 1, [5]uint8{}))
+		w.add(stage{op: opCheb, src: x, dst: z, aux: lv.d, scale: rho * rhoOld, dz: 2 * rho / delta, then: [5]uint8{2, 1, 2, 2}})
 		rhoOld = rho
 	}
 }
@@ -428,7 +457,7 @@ func (s *Solver) addChebyshev(lv *level, degree int, from sweepStart, b, x *pets
 // subtraction as an AYPX pass of its own, which is charged after the
 // stencil's.
 func residualStage(b, x, r *petsc.Vec) stage {
-	return stage{op: opStencil, form: formResidual, src: x, dst: r, aux: b, gated: true, then: [4]uint8{2}}
+	return stage{op: opStencil, form: formResidual, src: x, dst: r, aux: b, gated: true, then: [5]uint8{2}}
 }
 
 // residual computes r = b - A x on level l, a wavefront of the one stage.
@@ -438,27 +467,52 @@ func (s *Solver) residual(l int, b, x, r *petsc.Vec) {
 	s.run(l)
 }
 
+// cycleEnd is what a V-cycle does once its post-smoothing is done.
+type cycleEnd uint8
+
+const (
+	endNone     cycleEnd = iota
+	endResidual          // the residual b − A x of its result into the level's r
+	endDot               // ⟨b, x⟩ of its result added to s.sum, inside the last smoothing stage
+)
+
 // vcycle runs one V-cycle on level l for A_l x = b (x holds the initial
 // guess and result); from is what the pre-smoothing may take for granted of
-// it.  Every coarser level starts from zero.  Where closing is set, the cycle
-// ends with the residual b − A x of its result in the level's r, which the
-// cycle's "mg_level" span does not cover.
-func (s *Solver) vcycle(l int, from sweepStart, b, x *petsc.Vec, closing bool) {
+// it.  Every coarser level starts from zero.  end is what the cycle ends
+// with, outside its "mg_level" span where it is a pass of its own.
+func (s *Solver) vcycle(l int, from sweepStart, b, x *petsc.Vec, end cycleEnd) {
 	lv := s.levels[l]
 	lv.wave.open(spanLevel, s.c.Clock())
 	if l == len(s.levels)-1 {
 		s.coarseSolve(l, b, x)
 		s.closeSpans(l, spanLevel)
-		if closing {
+		switch end {
+		case endResidual:
 			s.residual(l, b, x, lv.r)
+		case endDot:
+			s.sum.AddProducts(b.Array(), x.Array())
+			s.c.Compute(float64(2*lv.da.OwnedCount()) * flopSec)
 		}
 		return
 	}
 	next := s.levels[l+1]
 	s.pre(l, from, b, x)
-	next.x.Set(0)
-	s.vcycle(l+1, fromZero, next.b, next.x, false)
-	s.post(l, b, x, closing)
+	s.zeroGuess(l+1, next.x)
+	s.vcycle(l+1, fromZero, next.b, next.x, endNone)
+	s.post(l, b, x, end)
+}
+
+// zeroGuess makes x, a V-cycle's guess on level l, zero where the cycle reads
+// it: under the Chebyshev smoother, whose steps read x, and on the coarsest
+// level, whose conjugate gradients do.  A Jacobi V-cycle's first sweep from
+// zero reads no x (sweep), so there x stays as it is, and the virtual clock
+// is charged the Set all the same.
+func (s *Solver) zeroGuess(l int, x *petsc.Vec) {
+	if s.Smoother == SmootherChebyshev || l == len(s.levels)-1 {
+		x.Set(0)
+		return
+	}
+	s.c.Compute(float64(x.LocalSize()) * flopSec)
 }
 
 // pre runs the first half of a V-cycle on level l as one wavefront: the
@@ -476,17 +530,23 @@ func (s *Solver) pre(l int, from sweepStart, b, x *petsc.Vec) {
 
 // post runs the second half of a V-cycle on level l as one wavefront: the
 // interpolation of the next level's x into x, the post-smoothing, which closes
-// the level's "mg_level" span, and where closing is set the residual into the
-// level's r.
-func (s *Solver) post(l int, b, x *petsc.Vec, closing bool) {
+// the level's "mg_level" span, and what end says: the residual into the
+// level's r as a stage of its own, or ⟨b, x⟩ accumulated row by row in the
+// last smoothing stage once it has written x's final rows.
+func (s *Solver) post(l int, b, x *petsc.Vec, end cycleEnd) {
 	lv, next := s.levels[l], s.levels[l+1]
 	w := &lv.wave
 	w.stages = w.stages[:0]
 	w.add(stage{op: opInterp, src: next.x, dst: x, gated: true, open: spanProlong, close: spanProlong})
 	s.addSmooth(lv, nu2, fromNothing, b, x)
-	w.stages[len(w.stages)-1].close |= spanLevel
-	if closing {
+	last := &w.stages[len(w.stages)-1]
+	last.close |= spanLevel
+	switch end {
+	case endResidual:
 		w.add(residualStage(b, x, lv.r))
+	case endDot:
+		last.dot = [2]*petsc.Vec{b, x}
+		last.charge(2)
 	}
 	s.run(l)
 }
@@ -553,14 +613,24 @@ func (s *Solver) coarseSolve(l int, b, x *petsc.Vec) {
 }
 
 // VCycle runs one V-cycle on the finest level for A x = b.  Collective.
-func (s *Solver) VCycle(b, x *petsc.Vec) { s.vcycle(0, fromNothing, b, x, false) }
+func (s *Solver) VCycle(b, x *petsc.Vec) { s.vcycle(0, fromNothing, b, x, endNone) }
 
-// Solve iterates V-cycles until the residual 2-norm falls below rtol times
-// the initial residual norm, or maxCycles is reached.  It returns the cycle
-// count and the final relative residual.  Collective.
+// Solve solves A x = b from the guess in x until the residual 2-norm falls
+// below rtol times the initial residual norm, or maxCycles iterations have
+// run: conjugate gradients preconditioned by one V-cycle, or bare V-cycles
+// where Richardson is set.  It returns the iteration count and the final
+// relative residual.  Collective.
 func (s *Solver) Solve(b, x *petsc.Vec, rtol float64, maxCycles int) (cycles int, relres float64) {
-	lv := s.levels[0]
 	s.History = s.History[:0]
+	s.restored = 0
+	if !s.Richardson {
+		r0 := s.startKrylov(b, x)
+		if r0 == 0 {
+			return 0, 0
+		}
+		return s.pcg(x, rtol, maxCycles, r0, 0, 0)
+	}
+	lv := s.levels[0]
 	s.residual(0, b, x, lv.r)
 	r0 := lv.r.Norm2()
 	if r0 == 0 {
@@ -570,16 +640,36 @@ func (s *Solver) Solve(b, x *petsc.Vec, rtol float64, maxCycles int) (cycles int
 }
 
 // SolveFrom resumes an interrupted solve from a restored checkpoint: base
-// cycles have already run (cycle numbering, and hence checkpoint
+// iterations have already run (iteration numbering, and hence checkpoint
 // iterations, continue from there) and r0 is the original solve's initial
 // residual norm, so relative residuals — and rtol — mean exactly what they
-// meant before the interruption.  On the same problem at the same world
-// size, the resumed History is therefore the fault-free run's history from
-// cycle base+1 on.  maxCycles is the remaining cycle budget; the returned
-// cycle count excludes base.  r0 travels inside each checkpoint, so
-// RestoreAt hands it straight back here.  Collective.
+// meant before the interruption.  maxCycles is the remaining budget; the
+// returned count excludes base.  r0 travels inside each checkpoint, so
+// RestoreAt hands it straight back here.
+//
+// Under conjugate gradients SolveFrom resumes from the x, r, p and ρ that
+// RestoreAt read for iteration base; each is in the checkpoint in natural
+// order and every inner product is order-free, so with New's hierarchy (the
+// coarsest level on rank 0 alone) the resumed History is the fault-free
+// run's from iteration base+1 on, bit for bit, at any world size.  Without
+// that state (no RestoreAt of base) it restarts the iteration from x.  The
+// Richardson iteration resumes from x alone, and its History matches the
+// fault-free run's only at the same world size.  r0 ≤ 0 starts afresh from x
+// against its own residual.  Collective.
 func (s *Solver) SolveFrom(b, x *petsc.Vec, rtol float64, maxCycles, base int, r0 float64) (cycles int, relres float64) {
 	s.History = s.History[:0]
+	if !s.Richardson {
+		rho := 0.0
+		if base > 0 && base == s.restored && r0 > 0 {
+			rho = s.rho
+		} else if rr := s.startKrylov(b, x); r0 <= 0 {
+			if r0 = rr; r0 == 0 {
+				return 0, 0
+			}
+		}
+		s.restored = 0
+		return s.pcg(x, rtol, maxCycles, r0, base, rho)
+	}
 	from := fromNothing
 	if r0 <= 0 {
 		s.residual(0, b, x, s.levels[0].r)
@@ -610,7 +700,7 @@ func (s *Solver) solve(b, x *petsc.Vec, rtol float64, maxCycles int, r0 float64,
 			}
 		}
 		cycleStart := s.c.Clock()
-		s.vcycle(0, from, b, x, true)
+		s.vcycle(0, from, b, x, endResidual)
 		from = fromResidual
 		relres = lv.r.Norm2() / r0
 		s.History = append(s.History, relres)
@@ -629,21 +719,143 @@ func (s *Solver) solve(b, x *petsc.Vec, rtol float64, maxCycles int, r0 float64,
 			// checkpointing stays best-effort, and a rank failure mid-write
 			// resurfaces in the next V-cycle's collectives for the
 			// caller's recovery path.
-			_ = s.Checkpoints.PutOwned(base+cycles+1, relres, r0, x.Array())
+			_ = s.Checkpoints.PutOwned(base+cycles+1, relres, r0, 0, x.Array())
 			s.span("checkpoint", cpStart, intAttr("iteration", base+cycles+1))
 		}
 	}
 	return cycles, relres
 }
 
+// startKrylov sets the conjugate gradients' r to b − A x and returns its
+// norm.
+func (s *Solver) startKrylov(b, x *petsc.Vec) float64 {
+	s.residual(0, b, x, s.res)
+	return math.Sqrt(s.dot(s.res, s.res))
+}
+
+// dot is ⟨a, b⟩ on the finest level through the order-free sum, charged as
+// Vec.Dot.  Collective.
+func (s *Solver) dot(a, b *petsc.Vec) float64 {
+	s.sum.Reset()
+	s.sum.AddProducts(a.Array(), b.Array())
+	s.c.Compute(float64(2*a.LocalSize()) * flopSec)
+	return s.sum.Allreduce(s.c, s.sumBuf)
+}
+
+// pcg is the conjugate-gradient iteration of Solve and SolveFrom, in three
+// trips through level 0 besides the V-cycle's own (DESIGN §19 "Krylov outer
+// iteration"): z = M⁻¹r by one V-cycle from zero, with ⟨r, z⟩ in its last
+// stage; p = z + βp, A·p and ⟨p, A·p⟩ in one wavefront (direction); and
+// x += αp, r −= αA·p and ‖r‖² in one pass (step).  r starts as b − A x, so b
+// is not read again.  Residuals are measured against r0, iterations are
+// numbered from base+1 and History holds one entry per iteration.  rho is
+// ⟨r, z⟩ of the iteration before, 0 where there is no p yet and p starts as
+// z.
+func (s *Solver) pcg(x *petsc.Vec, rtol float64, maxCycles int, r0 float64, base int, rho float64) (cycles int, relres float64) {
+	defer s.span("mg_solve", s.c.Clock(), func() []obs.Attr {
+		return []obs.Attr{{Key: "cycles", Val: strconv.Itoa(cycles)}, relresAttr(relres)}
+	})
+	lv := s.levels[0]
+	r, z, p := s.res, lv.x, lv.b
+	for cycles = 0; cycles < maxCycles; cycles++ {
+		it := base + cycles + 1
+		if s.OnCycle != nil {
+			if err := s.OnCycle(it); err != nil {
+				return cycles, relres
+			}
+		}
+		cycleStart := s.c.Clock()
+		s.zeroGuess(0, z)
+		s.sum.Reset()
+		s.vcycle(0, fromZero, r, z, endDot)
+		rz := s.sum.Allreduce(s.c, s.sumBuf)
+		s.sum.Reset()
+		s.direction(rz, rho)
+		pap := s.sum.Allreduce(s.c, s.sumBuf)
+		if !(pap > 0) {
+			break // p is zero: r and z were, and nothing is left to reduce
+		}
+		s.sum.Reset()
+		s.step(x, rz/pap)
+		relres = math.Sqrt(s.sum.Allreduce(s.c, s.sumBuf)) / r0
+		rho = rz
+		s.History = append(s.History, relres)
+		s.span("mg_cycle", cycleStart, func() []obs.Attr {
+			return []obs.Attr{{Key: "cycle", Val: strconv.Itoa(it)}, relresAttr(relres)}
+		})
+		if relres <= rtol {
+			cycles++
+			break
+		}
+		if s.Checkpoints != nil && s.CheckpointEvery > 0 && it%s.CheckpointEvery == 0 {
+			cpStart := s.c.Clock()
+			// Best-effort, as in solve.
+			_ = s.Checkpoints.PutOwned(it, relres, r0, rho, x.Array(), r.Array(), p.Array())
+			s.span("checkpoint", cpStart, intAttr("iteration", it))
+		}
+	}
+	return cycles, relres
+}
+
+// direction runs p = z + (rz/rho)·p, or p = z where rho is 0, and A·p into
+// z's storage with ⟨p, A·p⟩ added to s.sum, as one wavefront on level 0: the
+// operator's stage, gated by p's exchange, a plane behind the update, whose
+// plane it reads the z of before the operator overwrites it.
+func (s *Solver) direction(rz, rho float64) {
+	lv := s.levels[0]
+	p, z := lv.b, lv.x
+	w := &lv.wave
+	w.stages = w.stages[:0]
+	if rho == 0 {
+		w.add(stage{op: opCopy, src: z, dst: p, then: [5]uint8{1}})
+	} else {
+		w.add(stage{op: opAYPX, src: z, dst: p, scale: rz / rho, then: [5]uint8{2}})
+	}
+	w.add(stage{op: opStencil, form: formApply, src: p, dst: z, gated: true, dot: [2]*petsc.Vec{p, z}, then: [5]uint8{2}})
+	s.run(0)
+}
+
+// step runs x += α·p and r −= α·A·p, A·p in z's storage, and adds ‖r‖² to
+// s.sum in one pass over level 0, a chunk of the sum at a time.  The virtual
+// clock is charged the two AXPYs and the norm, as Vec charges them.
+func (s *Solver) step(x *petsc.Vec, alpha float64) {
+	lv := s.levels[0]
+	xa, ra, pa, apa := x.Array(), s.res.Array(), lv.b.Array(), lv.x.Array()
+	n := len(xa)
+	for lo := 0; lo < n; lo += sumChunk {
+		hi := min(lo+sumChunk, n)
+		axpyCells(xa[lo:hi], pa[lo:hi], alpha)
+		axpyCells(ra[lo:hi], apa[lo:hi], -alpha)
+		s.sum.AddProducts(ra[lo:hi], ra[lo:hi])
+	}
+	for range 3 {
+		s.c.Compute(float64(2*n) * flopSec)
+	}
+}
+
+// axpyCells runs y += a·x as Vec.AXPY writes it.
+func axpyCells(y, x []float64, a float64) {
+	x = x[:len(y)]
+	for i := range y {
+		y[i] += float64(a * x[i])
+	}
+}
+
 // RestoreAt loads this rank's owned values of the checkpoint taken at
 // exactly the given iteration into x (the finest-level layout of this
 // solver's — possibly re-decomposed — DA) and returns its residual and r0
-// for SolveFrom.  Purely local.  The recovery path calls it after the ranks
-// agree on an iteration everyone can produce.
+// for SolveFrom.  Under conjugate gradients it reads the iteration's r, p
+// and ρ back too, for SolveFrom to resume.  Purely local.  The recovery path
+// calls it after the ranks agree on an iteration everyone can produce.
 func (s *Solver) RestoreAt(iteration int, x *petsc.Vec) (residual, r0 float64, err error) {
-	residual, r0, err = s.Checkpoints.ReadOwned(iteration, x.Array())
+	if s.Richardson {
+		residual, r0, _, err = s.Checkpoints.ReadOwned(iteration, x.Array())
+	} else {
+		residual, r0, s.rho, err = s.Checkpoints.ReadOwned(iteration, x.Array(), s.res.Array(), s.levels[0].b.Array())
+		s.restored = iteration
+	}
 	if err != nil {
+		s.restored = 0
 		return 0, 0, err
 	}
 	s.span("restore", s.c.Clock(), intAttr("iteration", iteration))

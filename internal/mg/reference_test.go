@@ -409,6 +409,70 @@ func refSolve(s *Solver, b, x *petsc.Vec, rtol float64, maxCycles int) []float64
 	return hist
 }
 
+// refPCG is Solve's conjugate gradients pass by pass over the reference
+// kernels: the V-cycle from a zeroed z, and every inner product, AYPX, AXPY
+// and the operator as a whole-vector pass of its own, each product deposited
+// term by term.  It returns the residual history.
+func refPCG(s *Solver, b, x *petsc.Vec, rtol float64, maxCycles int) []float64 {
+	r, z, p, ap := b.Duplicate(), b.Duplicate(), b.Duplicate(), b.Duplicate()
+	refResidual(s, 0, b, x, r)
+	r0 := math.Sqrt(refDot(s, r, r))
+	if r0 == 0 {
+		return nil
+	}
+	charge := func(v *petsc.Vec) { s.c.Compute(float64(2*v.LocalSize()) * flopSec) }
+	var hist []float64
+	rho := 0.0
+	for it := 0; it < maxCycles; it++ {
+		z.Set(0)
+		refVCycle(s, 0, r, z)
+		rz := refDot(s, r, z)
+		if rho == 0 {
+			p.Copy(z)
+		} else {
+			pa, za := p.Array(), z.Array()
+			for i := range pa {
+				pa[i] = float64(rz/rho*pa[i]) + za[i]
+			}
+			charge(p)
+		}
+		refApplyLevel(s, 0, p, ap)
+		pap := refDot(s, p, ap)
+		if !(pap > 0) {
+			break
+		}
+		alpha := rz / pap
+		for _, u := range []struct {
+			y, x *petsc.Vec
+			a    float64
+		}{{x, p, alpha}, {r, ap, -alpha}} {
+			ya, xa := u.y.Array(), u.x.Array()
+			for i := range ya {
+				ya[i] += float64(u.a * xa[i])
+			}
+			charge(u.y)
+		}
+		relres := math.Sqrt(refDot(s, r, r)) / r0
+		rho = rz
+		hist = append(hist, relres)
+		if relres <= rtol {
+			break
+		}
+	}
+	return hist
+}
+
+// refDot is ⟨a, b⟩ with every product deposited into a Sum one at a time.
+func refDot(s *Solver, a, b *petsc.Vec) float64 {
+	var sum Sum
+	ba := b.Array()
+	for i, v := range a.Array() {
+		sum.Add(float64(v * ba[i]))
+	}
+	s.c.Compute(float64(2*a.LocalSize()) * flopSec)
+	return sum.Allreduce(s.c, make([]float64, sumReduceLen))
+}
+
 // splitmix64 gives the fills below a value per (seed, index) that does not
 // depend on the decomposition.
 func splitmix64(x uint64) uint64 {
@@ -546,18 +610,24 @@ type solveOutcome struct {
 }
 
 // runSolve solves the seeded problem of shape k on a fresh world, through
-// Solve or through the reference V-cycle, and then (kernels only) runs
-// checkKernels on the same hierarchy.
-func runSolve(t testing.TB, k kernelShape, seed uint64, cycles int, reference bool) solveOutcome {
+// Solve or through the reference passes, by conjugate gradients or by the
+// Richardson iteration, and then (kernels only) runs checkKernels on the same
+// hierarchy.
+func runSolve(t testing.TB, k kernelShape, seed uint64, cycles int, richardson, reference bool) solveOutcome {
 	out := solveOutcome{hist: make([][]float64, k.np), clock: make([]float64, k.np)}
 	runWorld(t, k.np, k.cfg, func(c *mpi.Comm) error {
 		s := k.solver(c)
+		s.Richardson = richardson
 		b, x := s.CreateVec(), s.CreateVec()
 		fillSeeded(b, seed)
-		if reference {
+		switch {
+		case reference && richardson:
 			refPatches(s)
 			out.hist[c.Rank()] = refSolve(s, b, x, 1e-9, cycles)
-		} else {
+		case reference:
+			refPatches(s)
+			out.hist[c.Rank()] = refPCG(s, b, x, 1e-9, cycles)
+		default:
 			s.Solve(b, x, 1e-9, cycles)
 			out.hist[c.Rank()] = append([]float64(nil), s.History...)
 		}
@@ -570,23 +640,26 @@ func runSolve(t testing.TB, k kernelShape, seed uint64, cycles int, reference bo
 	return out
 }
 
-// checkShape is the whole comparison for one shape: per-cell kernels, the
-// per-cycle residual history on every rank, and every rank's virtual clock
-// at the end of the solve (the kernels must charge what the reference
+// checkShape is the whole comparison for one shape, under conjugate gradients
+// and the Richardson iteration: per-cell kernels, the per-iteration residual
+// history on every rank, and every rank's virtual clock at the end of the
+// solve (the kernels and the fused passes must charge what the reference
 // charges, in the same order, around the same messages).
 func checkShape(t testing.TB, k kernelShape, seed uint64, cycles int) {
 	t.Helper()
-	got := runSolve(t, k, seed, cycles, false)
-	want := runSolve(t, k, seed, cycles, true)
-	for r := 0; r < k.np; r++ {
-		if len(want.hist[r]) == 0 {
-			t.Fatalf("%v: rank %d: reference ran no cycle", k, r)
-		}
-		if err := bitsDiffer(fmt.Sprintf("rank %d history", r), got.hist[r], want.hist[r]); err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		if math.Float64bits(got.clock[r]) != math.Float64bits(want.clock[r]) {
-			t.Fatalf("%v: rank %d virtual clock %v, reference %v", k, r, got.clock[r], want.clock[r])
+	for _, richardson := range []bool{false, true} {
+		got := runSolve(t, k, seed, cycles, richardson, false)
+		want := runSolve(t, k, seed, cycles, richardson, true)
+		for r := 0; r < k.np; r++ {
+			if len(want.hist[r]) == 0 {
+				t.Fatalf("%v: richardson %v: rank %d: reference ran no iteration", k, richardson, r)
+			}
+			if err := bitsDiffer(fmt.Sprintf("richardson %v: rank %d history", richardson, r), got.hist[r], want.hist[r]); err != nil {
+				t.Fatalf("%v: %v", k, err)
+			}
+			if math.Float64bits(got.clock[r]) != math.Float64bits(want.clock[r]) {
+				t.Fatalf("%v: richardson %v: rank %d virtual clock %v, reference %v", k, richardson, r, got.clock[r], want.clock[r])
+			}
 		}
 	}
 }
@@ -720,7 +793,7 @@ func checkReadInPlace(t *testing.T, name string, received func(lv *level) (a []f
 			}
 			return nil
 		})
-		want := runSolve(t, k, seed, 4, true)
+		want := runSolve(t, k, seed, 4, false, true)
 		for r := range got {
 			if err := bitsDiffer(fmt.Sprintf("rank %d history", r), got[r], want.hist[r]); err != nil {
 				t.Errorf("%v: %v", k, err)
@@ -750,7 +823,9 @@ func TestTransfersReadOwnedInPlace(t *testing.T) {
 // clock as the same sweep from nothing leaves them, bit for bit.  Both worlds
 // run the same steps and differ only in what the sweeps are told, so a clock
 // that drifts shows at the first step it drifts in.  b has a −0 cell and a NaN
-// cell on every rank that owns two, for which b − (+0) must be b.
+// cell on every rank that owns two, for which b − (+0) must be b.  A Jacobi
+// sweep told x is zero is handed NaN in every cell of x instead, since it
+// reads none of them.
 func TestFirstSweepFromKnownState(t *testing.T) {
 	type step struct {
 		what  string
@@ -778,6 +853,12 @@ func TestFirstSweepFromKnownState(t *testing.T) {
 							what = fmt.Sprintf("level %d %v from the residual", l, sm)
 						} else {
 							x.Set(0)
+							if known && sm == SmootherJacobi {
+								// A Jacobi sweep from zero reads no x.
+								for i := range x.Array() {
+									x.Array()[i] = math.NaN()
+								}
+							}
 						}
 						if !known {
 							from = fromNothing
@@ -843,7 +924,11 @@ func checkPassesAllocateNothing(t *testing.T, n int, mode petsc.ScatterMode) {
 			"restrictTo":           func() { restrictPass(s, 0, x, coarse) },
 			"interpolateAdd":       func() { interpolatePass(s, 0, coarse, y) },
 			"pre group":            func() { s.pre(0, fromResidual, b, x) },
-			"post group":           func() { s.post(0, b, x, true) },
+			"post group":           func() { s.post(0, b, x, endResidual) },
+			"post group, dot":      func() { s.post(0, b, x, endDot) },
+			"direction":            func() { s.direction(1, 2) },
+			"step":                 func() { s.step(x, 0.5) },
+			"dot":                  func() { s.dot(b, x) },
 			"VCycle":               func() { s.VCycle(b, y) },
 		} {
 			if a := testing.AllocsPerRun(10, pass); a != 0 {

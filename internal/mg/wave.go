@@ -48,6 +48,7 @@ const (
 	opStencil  stageOp = iota // dst = form of src, aux the right-hand side: a sweep from nothing, or the residual
 	opUpdate                  // dst = src + ω/diag·aux, aux the known residual: a sweep from a known state
 	opCopy                    // dst = src: the copy that ends an odd count of Jacobi sweeps
+	opAYPX                    // dst = scale·dst + src: the conjugate gradients' new direction
 	opCheb                    // one Chebyshev step's elementwise passes over z = dst, the direction aux and x = src
 	opInterp                  // dst += the interpolant of the coarse correction src
 	opRestrict                // dst (level l+1) = the restriction of src
@@ -72,14 +73,18 @@ type stage struct {
 	form          stencilForm // opStencil's
 	src, dst, aux *petsc.Vec
 	omega         float64 // opStencil's and opUpdate's
-	scale, dz     float64 // opCheb's scale of d and, on a step after the first, weight of z in d
+	scale, dz     float64 // opAYPX's and opCheb's scale of dst or d and, on a Chebyshev step after the first, weight of z in d
 	first         bool    // opCheb: the first step, whose d is a copy of z
+	zero          bool    // opUpdate: src is the zero guess, which is not read
 	// gated is whether an exchange of src precedes the stage: a ghost update
 	// before a sweep or residual, the patch scatter before a transfer.
 	gated bool
+	// dot, where set, is a pair whose products the stage adds to the solver's
+	// Sum on every row it has written.
+	dot [2]*petsc.Vec
 	// then lists the whole-vector passes the virtual clock charges after the
 	// stage's own work, each as flops per owned cell; 0 ends the list.
-	then        [4]uint8
+	then        [5]uint8
 	open, close spanSet
 	in          rows // the rows the stage runs inside the wavefront (run)
 }
@@ -93,6 +98,15 @@ type wave struct {
 }
 
 func (w *wave) add(st stage) { w.stages = append(w.stages, st) }
+
+// charge appends to st.then a whole-vector pass of m flops per owned cell.
+func (st *stage) charge(m uint8) {
+	i := 0
+	for st.then[i] != 0 {
+		i++
+	}
+	st.then[i] = m
+}
 
 // open starts the spans of set at clock.
 func (w *wave) open(set spanSet, clock float64) {
@@ -269,9 +283,12 @@ func (s *Solver) exchange(l int, e *stage) {
 }
 
 // apply runs stage e on the rows r of its level (the coarse level's for the
-// restriction).
+// restriction), and then adds the products of its dot pair on those rows to
+// the solver's Sum.
 func (s *Solver) apply(l int, e *stage, r rows) {
 	lv := s.levels[l]
+	own := lv.da.OwnedBox()
+	n := (r.j1 - r.j0) * (own.Hi[0] - own.Lo[0]) // the cells of r on one plane, contiguous in the owned layout
 	switch e.op {
 	case opStencil:
 		var b []float64
@@ -280,23 +297,42 @@ func (s *Solver) apply(l int, e *stage, r rows) {
 		}
 		s.stencil(lv, e.form, e.src.Array(), e.dst.Array(), b, e.omega, r)
 	case opUpdate:
-		s.update(lv, e.src.Array(), e.aux.Array(), e.dst.Array(), e.omega, r)
+		var x []float64 // nil: the zero guess
+		if !e.zero {
+			x = e.src.Array()
+		}
+		s.update(lv, x, e.aux.Array(), e.dst.Array(), e.omega, r)
 	case opInterp:
 		s.interpolateAdd(l, e.dst, r)
 	case opRestrict:
 		s.restrictTo(l, e.src, e.dst, r)
 	default:
-		own := lv.da.OwnedBox()
-		n := (r.j1 - r.j0) * (own.Hi[0] - own.Lo[0])
 		for k := r.k0; k < r.k1; k++ {
 			lo := rowIndex(own, r.j0, k)
 			src, dst := e.src.Array()[lo:lo+n], e.dst.Array()[lo:lo+n]
-			if e.op == opCopy {
+			switch e.op {
+			case opCopy:
 				copy(dst, src)
-			} else {
+			case opAYPX:
+				aypxCells(dst, src, e.scale)
+			default:
 				chebCells(e.first, dst, e.aux.Array()[lo:lo+n], src, e.scale, e.dz)
 			}
 		}
+	}
+	if a, b := e.dot[0], e.dot[1]; a != nil {
+		for k := r.k0; k < r.k1; k++ {
+			lo := rowIndex(own, r.j0, k)
+			s.sum.AddProducts(a.Array()[lo:lo+n], b.Array()[lo:lo+n])
+		}
+	}
+}
+
+// aypxCells runs y = a·y + x as Vec.AYPX writes it.
+func aypxCells(y, x []float64, a float64) {
+	x = x[:len(y)]
+	for i := range y {
+		y[i] = float64(a*y[i]) + x[i]
 	}
 }
 

@@ -77,6 +77,21 @@ func startServices(t *testing.T, n int, mutate func(rank int, c *Config)) []*Ser
 	return svcs
 }
 
+// slowFirstJob wraps rank 0's event hook next (nil for none) so that job 1
+// pauses pause at every iteration.  Conjugate gradients reach any rtol these
+// tests give within a few dozen iterations, so a job that must outlast a
+// test's other steps is made slow rather than long.
+func slowFirstJob(pause time.Duration, next func(string)) func(string) {
+	return func(line string) {
+		if strings.HasPrefix(line, "JOB 1 cycle ") {
+			time.Sleep(pause)
+		}
+		if next != nil {
+			next(line)
+		}
+	}
+}
+
 // waitState polls until job id reaches want, failing fast when it lands in
 // a different terminal state.
 func waitState(t *testing.T, s *Service, id uint64, want string, timeout time.Duration) JobStatus {
@@ -299,6 +314,9 @@ func TestServiceQueueWatermark(t *testing.T) {
 		c.Admission.MaxQueue = 1
 		c.Admission.MaxRunning = 1
 		c.Admission.RetryAfter = 3 * time.Second
+		if rank == 0 {
+			c.OnEvent = slowFirstJob(100*time.Millisecond, c.OnEvent)
+		}
 	})
 	s0 := svcs[0]
 	long := JobSpec{Extent: 16, Levels: 3, Rtol: 1e-30, MaxCycles: 300}
@@ -342,6 +360,9 @@ func TestServiceReapsCheckpoints(t *testing.T) {
 	svcs := startServices(t, 2, func(rank int, c *Config) {
 		c.CkptDir = root
 		c.CheckpointEvery = 1
+		if rank == 0 {
+			c.OnEvent = slowFirstJob(200*time.Millisecond, c.OnEvent)
+		}
 	})
 	s0 := svcs[0]
 	waitDir := func(id uint64, wantExists bool) {
@@ -397,6 +418,9 @@ func TestServiceEvictsOldTerminalJobs(t *testing.T) {
 		c.Admission.MaxQueue = maxTerminalJobs + extra
 		c.Admission.MaxRunning = 2 // the long job, and a slot so the queue keeps moving
 		c.OnEvent = nil
+		if rank == 0 {
+			c.OnEvent = slowFirstJob(200*time.Millisecond, nil)
+		}
 	})
 	s0 := svcs[0]
 	long, err := s0.Submit(JobSpec{Extent: 16, Levels: 3, Rtol: 1e-30, MaxCycles: 100000})
