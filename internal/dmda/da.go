@@ -110,6 +110,15 @@ func New(c *mpi.Comm, n []int, dof int, stencil StencilType, width int, mode pet
 // small to be worth the communication.
 func NewLimited(c *mpi.Comm, n []int, dof int, stencil StencilType, width int,
 	mode petsc.ScatterMode, maxRanks int) *DA {
+	da := newLayout(n, dof, stencil, width, c.Size(), c.Rank(), maxRanks)
+	da.c, da.mode = c, mode
+	da.g2l = petsc.NewScatterFromRuns(c, da.OwnedCount(), da.GhostCount(), da.ghostPlan(c.Size()), mode)
+	return da
+}
+
+// newLayout validates a DA's shape and computes what one rank of size ranks
+// owns and sees; it communicates nothing.
+func newLayout(n []int, dof int, stencil StencilType, width, size, rank, maxRanks int) *DA {
 	dim := len(n)
 	if dim < 1 || dim > 3 {
 		panic(fmt.Sprintf("dmda: dimension %d out of range", dim))
@@ -120,7 +129,7 @@ func NewLimited(c *mpi.Comm, n []int, dof int, stencil StencilType, width int,
 	if width < 0 {
 		panic("dmda: negative stencil width")
 	}
-	da := &DA{c: c, dim: dim, dof: dof, stencil: stencil, width: width, mode: mode}
+	da := &DA{dim: dim, dof: dof, stencil: stencil, width: width}
 	for d := 0; d < 3; d++ {
 		da.n[d] = 1
 		da.p[d] = 1
@@ -131,15 +140,14 @@ func NewLimited(c *mpi.Comm, n []int, dof int, stencil StencilType, width int,
 		}
 		da.n[d] = n[d]
 	}
-	da.active = c.Size()
+	da.active = size
 	if maxRanks > 0 && maxRanks < da.active {
 		da.active = maxRanks
 	}
 	da.p = FactorGrid(da.active, dim, da.n)
 
-	da.own = da.ownedBoxOfRank(c.Rank())
+	da.own = da.ownedBoxOfRank(rank)
 	da.ghost = da.ghostBoxOf(da.own)
-	da.g2l = da.buildGhostScatter()
 	return da
 }
 
@@ -254,18 +262,15 @@ func (da *DA) OwnedIndex(i, j, k, f int) int {
 	return boxIndex(da.own, da.dof, i, j, k, f)
 }
 
-// appendBoxIndices appends the flat within-frame indices of every value of
-// region (canonical cell order, dof inner) to dst, where frame is the box
-// the flat indexing is relative to.
-func appendBoxIndices(dst []int, frame, region Box, dof int) []int {
+// appendBoxRuns appends the values of region to dst as runs of flat
+// within-frame indices (canonical cell order, dof inner), one per x-row,
+// merged with the run before where they are contiguous; frame is the box the
+// flat indexing is relative to.  It costs O(rows), not O(cells).
+func appendBoxRuns(dst []petsc.Run, frame, region Box, dof int) []petsc.Run {
+	n := (region.Hi[0] - region.Lo[0]) * dof
 	for k := region.Lo[2]; k < region.Hi[2]; k++ {
 		for j := region.Lo[1]; j < region.Hi[1]; j++ {
-			for i := region.Lo[0]; i < region.Hi[0]; i++ {
-				base := boxIndex(frame, dof, i, j, k, 0)
-				for f := 0; f < dof; f++ {
-					dst = append(dst, base+f)
-				}
-			}
+			dst = petsc.AppendRun(dst, petsc.Run{Start: boxIndex(frame, dof, region.Lo[0], j, k, 0), Len: n})
 		}
 	}
 	return dst
@@ -315,52 +320,41 @@ func (da *DA) ghostRegionsOf(own, ghost Box) []Box {
 	return regions
 }
 
-// buildGhostScatter constructs the GlobalToLocal communication plan.  Both
-// sides of every pairwise transfer enumerate regions and cells in the same
-// canonical order, so the plan needs no setup communication.
-func (da *DA) buildGhostScatter() *petsc.Scatter {
-	size := da.c.Size()
-
-	recvFrom := map[int][]int{}
+// ghostPlan constructs the GlobalToLocal communication plan over a world of
+// size ranks.  Both sides of every pairwise transfer enumerate regions and
+// rows in the same canonical order, so the plan needs no setup
+// communication.
+func (da *DA) ghostPlan(size int) petsc.RunPlan {
+	recvFrom := make([][]petsc.Run, size)
 	for _, region := range da.ghostRegionsOf(da.own, da.ghost) {
-		for q := 0; q < size; q++ {
-			ov := region.Intersect(da.ownedBoxOfRank(q))
-			if ov.Empty() {
-				continue
+		for q := range recvFrom {
+			if ov := region.Intersect(da.ownedBoxOfRank(q)); !ov.Empty() {
+				recvFrom[q] = appendBoxRuns(recvFrom[q], da.ghost, ov, da.dof)
 			}
-			recvFrom[q] = appendBoxIndices(recvFrom[q], da.ghost, ov, da.dof)
 		}
 	}
 
-	sendTo := map[int][]int{}
-	for r := 0; r < size; r++ {
+	sendTo := make([][]petsc.Run, size)
+	for r := range sendTo {
 		rOwn := da.ownedBoxOfRank(r)
-		rGhost := da.ghostBoxOf(rOwn)
-		for _, region := range da.ghostRegionsOf(rOwn, rGhost) {
+		for _, region := range da.ghostRegionsOf(rOwn, da.ghostBoxOf(rOwn)) {
 			// Within r's region enumeration my contribution must appear
 			// exactly where r expects it; intersection preserves the
 			// canonical cell order.
-			ov := region.Intersect(da.own)
-			if ov.Empty() {
-				continue
+			if ov := region.Intersect(da.own); !ov.Empty() {
+				sendTo[r] = appendBoxRuns(sendTo[r], da.own, ov, da.dof)
 			}
-			sendTo[r] = appendBoxIndices(sendTo[r], da.own, ov, da.dof)
 		}
 	}
-
-	plan := petsc.Plan{Sends: peersOf(sendTo), Recvs: peersOf(recvFrom)}
-	return petsc.NewScatterFromPlan(da.c, da.OwnedCount(), da.GhostCount(), plan, da.mode)
+	return petsc.RunPlan{Sends: peersOf(sendTo), Recvs: peersOf(recvFrom)}
 }
 
-func peersOf(m map[int][]int) []petsc.PeerIndices {
-	peers := make([]petsc.PeerIndices, 0, len(m))
-	for p := range m {
-		peers = append(peers, petsc.PeerIndices{Peer: p, Local: m[p]})
-	}
-	// Sort by peer for determinism.
-	for i := 1; i < len(peers); i++ {
-		for j := i; j > 0 && peers[j-1].Peer > peers[j].Peer; j-- {
-			peers[j-1], peers[j] = peers[j], peers[j-1]
+// peersOf lists the peers with runs, in rank order.
+func peersOf(byPeer [][]petsc.Run) []petsc.PeerRuns {
+	var peers []petsc.PeerRuns
+	for p, runs := range byPeer {
+		if len(runs) > 0 {
+			peers = append(peers, petsc.PeerRuns{Peer: p, Runs: runs})
 		}
 	}
 	return peers

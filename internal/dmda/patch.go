@@ -19,6 +19,23 @@ import (
 // are not deducible from the decomposition, so creation performs one small
 // Allgather of box coordinates.  Collective.
 func (da *DA) NewPatchScatter(want Box) (*petsc.Scatter, Box) {
+	want = da.clamp(want)
+	size := da.c.Size()
+
+	// Exchange all ranks' requested boxes.
+	all := make([]byte, boxBytes*size)
+	da.c.Allgather(encodeBox(want), all)
+	wants := make([]Box, size)
+	for r := range wants {
+		wants[r] = decodeBox(all[r*boxBytes : (r+1)*boxBytes])
+	}
+
+	plan := da.patchPlan(want, wants)
+	return petsc.NewScatterFromRuns(da.c, da.OwnedCount(), want.Cells()*da.dof, plan, da.mode), want
+}
+
+// clamp clamps a box to the domain; a dimension it misses is left empty.
+func (da *DA) clamp(want Box) Box {
 	for d := 0; d < 3; d++ {
 		want.Lo[d] = max(0, want.Lo[d])
 		want.Hi[d] = min(da.n[d], want.Hi[d])
@@ -26,41 +43,35 @@ func (da *DA) NewPatchScatter(want Box) (*petsc.Scatter, Box) {
 			want.Hi[d] = want.Lo[d]
 		}
 	}
-	size := da.c.Size()
+	return want
+}
 
-	// Exchange all ranks' requested boxes.
-	mine := encodeBox(want)
-	all := make([]byte, len(mine)*size)
-	da.c.Allgather(mine, all)
-
+// patchPlan constructs the plan that fills this rank's patch want from its
+// owners and sends its owned cells inside every rank r's wants[r].
+func (da *DA) patchPlan(want Box, wants []Box) petsc.RunPlan {
 	// Receives: my patch cells from each owner.
-	recvFrom := map[int][]int{}
-	for q := 0; q < size; q++ {
-		ov := want.Intersect(da.ownedBoxOfRank(q))
-		if ov.Empty() {
-			continue
+	recvFrom := make([][]petsc.Run, len(wants))
+	for q := range recvFrom {
+		if ov := want.Intersect(da.ownedBoxOfRank(q)); !ov.Empty() {
+			recvFrom[q] = appendBoxRuns(nil, want, ov, da.dof)
 		}
-		recvFrom[q] = appendBoxIndices(recvFrom[q], want, ov, da.dof)
 	}
 
 	// Sends: my owned cells inside each rank's requested box.
-	sendTo := map[int][]int{}
-	for r := 0; r < size; r++ {
-		rwant := decodeBox(all[r*48 : (r+1)*48])
-		ov := rwant.Intersect(da.own)
-		if ov.Empty() {
-			continue
+	sendTo := make([][]petsc.Run, len(wants))
+	for r, rwant := range wants {
+		if ov := rwant.Intersect(da.own); !ov.Empty() {
+			sendTo[r] = appendBoxRuns(nil, da.own, ov, da.dof)
 		}
-		sendTo[r] = appendBoxIndices(sendTo[r], da.own, ov, da.dof)
 	}
-
-	plan := petsc.Plan{Sends: peersOf(sendTo), Recvs: peersOf(recvFrom)}
-	sc := petsc.NewScatterFromPlan(da.c, da.OwnedCount(), want.Cells()*da.dof, plan, da.mode)
-	return sc, want
+	return petsc.RunPlan{Sends: peersOf(sendTo), Recvs: peersOf(recvFrom)}
 }
 
+// boxBytes is the size of an encoded Box: six little-endian int64s.
+const boxBytes = 48
+
 func encodeBox(b Box) []byte {
-	out := make([]byte, 48)
+	out := make([]byte, boxBytes)
 	for d := 0; d < 3; d++ {
 		binary.LittleEndian.PutUint64(out[d*8:], uint64(int64(b.Lo[d])))
 		binary.LittleEndian.PutUint64(out[24+d*8:], uint64(int64(b.Hi[d])))

@@ -1,6 +1,7 @@
 package mg
 
 import (
+	"fmt"
 	"testing"
 
 	"nccd/internal/mpi"
@@ -142,5 +143,32 @@ func BenchmarkSolve96(b *testing.B) {
 				return nil
 			})
 		})
+	}
+}
+
+// BenchmarkNew96 times New on the benchmark spine's hierarchy, four levels
+// of 96³, at one and two ranks under both arms; -benchmem gives what building
+// it allocates (at two ranks, both ranks' share).
+func BenchmarkNew96(b *testing.B) {
+	for _, np := range []int{1, 2} {
+		for _, arm := range []struct {
+			name string
+			mode petsc.ScatterMode
+		}{{"datatype", petsc.ScatterDatatype}, {"hand", petsc.ScatterHandTuned}} {
+			b.Run(fmt.Sprintf("np%d/%s", np, arm.name), func(b *testing.B) {
+				b.ReportAllocs()
+				runWorld(b, np, mpi.Compiled(), func(c *mpi.Comm) error {
+					c.Barrier()
+					if c.Rank() == 0 {
+						b.ResetTimer()
+					}
+					c.Barrier()
+					for i := 0; i < b.N; i++ {
+						New(c, []int{96, 96, 96}, 4, arm.mode)
+					}
+					return nil
+				})
+			})
+		}
 	}
 }

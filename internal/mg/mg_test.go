@@ -3,6 +3,7 @@ package mg
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"nccd/internal/mpi"
@@ -292,4 +293,31 @@ func TestPaperConfiguration100Cubed(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestNewAllocatesWhatItKeeps: on one rank New allocates the vectors and
+// arrays the solver keeps plus a fixed allowance for everything else (the
+// DAs, scatters, datatypes and transfer tables, all O(rows) or less), so a
+// throwaway list of one entry per cell — 256 KiB on this grid's finest
+// level — cannot come back unnoticed.
+func TestNewAllocatesWhatItKeeps(t *testing.T) {
+	const allowance = 128 << 10
+	for _, mode := range []petsc.ScatterMode{petsc.ScatterDatatype, petsc.ScatterHandTuned} {
+		runWorld(t, 1, mpi.Compiled(), func(c *mpi.Comm) error {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s := New(c, []int{32, 32, 32}, 4, mode)
+			runtime.ReadMemStats(&after)
+			kept := 8 * (s.res.LocalSize() + len(s.sumBuf))
+			for _, lv := range s.levels {
+				kept += 8 * (3*lv.da.OwnedCount() + len(lv.lwork) + len(lv.zeroRow) + len(lv.finePatch) + len(lv.coarsePatch))
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > uint64(kept+allowance) {
+				return fmt.Errorf("%v: New allocated %d B, keeps %d B of vectors and arrays: %d B over them, allowance %d B",
+					mode, got, kept, int(got)-kept, allowance)
+			}
+			t.Logf("%v: New allocated %d B, keeps %d B", mode, after.TotalAlloc-before.TotalAlloc, kept)
+			return nil
+		})
+	}
 }

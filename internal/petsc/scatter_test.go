@@ -293,7 +293,7 @@ func TestScatterMalformedLocalPartRefused(t *testing.T) {
 }
 
 func TestIndexedTypeCoalesces(t *testing.T) {
-	ty := indexedType([]int{3, 4, 5, 9, 10, 20})
+	ty := RunsType(runsOf([]int{3, 4, 5, 9, 10, 20}))
 	// Runs {3,4,5}, {9,10}, {20}: 3 blocks of doubles.
 	if ty.Size() != 6*8 {
 		t.Fatalf("size = %d", ty.Size())
