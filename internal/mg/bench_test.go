@@ -118,7 +118,9 @@ func goLoopsOnly(goOnly bool) (restore func()) {
 // go test -bench Solve96 -cpuprofile gives the kernels' shares of a solve and
 // -benchmem what a solve allocates.  cg is Solve's conjugate gradients,
 // richardson the bare V-cycles; each reports its iterations and ms per
-// iteration.
+// iteration.  A one-rank solve runs its level-0 stages in row bands across
+// the cores GOMAXPROCS leaves free, so -cpu 1,2 gives the serial solve and
+// the banded one side by side.
 func BenchmarkSolve96(b *testing.B) {
 	for _, richardson := range []bool{false, true} {
 		name := "cg"

@@ -154,6 +154,11 @@ type Solver struct {
 	// and the communication configuration permits non-participation.
 	coarseComm   *mpi.Comm
 	skipInactive bool
+
+	// crew is the row bands' workers, made at the first wave that borrows a
+	// helper, and inSolve whether the solver is inside Solve or SolveFrom.
+	crew    *crew
+	inSolve bool
 }
 
 // New builds a multigrid hierarchy over the grid of extents n (1-3 dims)
@@ -621,6 +626,8 @@ func (s *Solver) VCycle(b, x *petsc.Vec) { s.vcycle(0, fromNothing, b, x, endNon
 // where Richardson is set.  It returns the iteration count and the final
 // relative residual.  Collective.
 func (s *Solver) Solve(b, x *petsc.Vec, rtol float64, maxCycles int) (cycles int, relres float64) {
+	s.enter()
+	defer s.leave()
 	s.History = s.History[:0]
 	s.restored = 0
 	if !s.Richardson {
@@ -657,6 +664,8 @@ func (s *Solver) Solve(b, x *petsc.Vec, rtol float64, maxCycles int) (cycles int
 // fault-free run's only at the same world size.  r0 ≤ 0 starts afresh from x
 // against its own residual.  Collective.
 func (s *Solver) SolveFrom(b, x *petsc.Vec, rtol float64, maxCycles, base int, r0 float64) (cycles int, relres float64) {
+	s.enter()
+	defer s.leave()
 	s.History = s.History[:0]
 	if !s.Richardson {
 		rho := 0.0
@@ -816,20 +825,32 @@ func (s *Solver) direction(rz, rho float64) {
 }
 
 // step runs x += α·p and r −= α·A·p, A·p in z's storage, and adds ‖r‖² to
-// s.sum in one pass over level 0, a chunk of the sum at a time.  The virtual
+// s.sum in one pass over level 0, a chunk of the sum at a time, in bands of
+// whole chunks where the solver borrows helpers (bands.go).  The virtual
 // clock is charged the two AXPYs and the norm, as Vec charges them.
 func (s *Solver) step(x *petsc.Vec, alpha float64) {
-	lv := s.levels[0]
-	xa, ra, pa, apa := x.Array(), s.res.Array(), lv.b.Array(), lv.x.Array()
-	n := len(xa)
-	for lo := 0; lo < n; lo += sumChunk {
-		hi := min(lo+sumChunk, n)
-		axpyCells(xa[lo:hi], pa[lo:hi], alpha)
-		axpyCells(ra[lo:hi], apa[lo:hi], -alpha)
-		s.sum.AddProducts(ra[lo:hi], ra[lo:hi])
+	n := x.LocalSize()
+	if c := s.borrow(s.workers(0)); c != nil {
+		c.run(task{kind: taskStep, x: x, alpha: alpha})
+		c.release()
+	} else {
+		s.stepCells(x, alpha, 0, n, &s.sum)
 	}
 	for range 3 {
 		s.c.Compute(float64(2*n) * flopSec)
+	}
+}
+
+// stepCells runs the step on the cells [lo, hi), a whole number of sum chunks
+// from the first cell, and adds ‖r‖² there to sum.
+func (s *Solver) stepCells(x *petsc.Vec, alpha float64, lo, hi int, sum *Sum) {
+	lv := s.levels[0]
+	xa, ra, pa, apa := x.Array()[:hi], s.res.Array()[:hi], lv.b.Array()[:hi], lv.x.Array()[:hi]
+	for ; lo < hi; lo += sumChunk {
+		end := min(lo+sumChunk, hi)
+		axpyCells(xa[lo:end], pa[lo:end], alpha)
+		axpyCells(ra[lo:end], apa[lo:end], -alpha)
+		sum.AddProducts(ra[lo:end], ra[lo:end])
 	}
 }
 

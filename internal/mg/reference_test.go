@@ -898,12 +898,17 @@ func TestFirstSweepFromKnownState(t *testing.T) {
 // one smoother sweep from each start, the residual, both level transfers, both
 // halves of a V-cycle as the wavefronts that run them and one whole V-cycle
 // allocate nothing in either arm, at 16³ and at 40³, whose level-0
-// restriction run of 18 cells is the first wide enough for restrictLanes.
+// restriction run of 18 cells is the first wide enough for restrictLanes, on
+// the solver's goroutine alone and in bands of two workers.
 func TestStencilPassesAllocateNothing(t *testing.T) {
-	for _, n := range []int{16, 40} {
-		for _, mode := range []petsc.ScatterMode{petsc.ScatterHandTuned, petsc.ScatterDatatype} {
-			checkPassesAllocateNothing(t, n, mode)
-		}
+	for _, workers := range []int{1, 2} {
+		withWorkers(workers, func() {
+			for _, n := range []int{16, 40} {
+				for _, mode := range []petsc.ScatterMode{petsc.ScatterHandTuned, petsc.ScatterDatatype} {
+					checkPassesAllocateNothing(t, n, mode)
+				}
+			}
+		})
 	}
 }
 

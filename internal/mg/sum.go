@@ -123,6 +123,21 @@ func (s *Sum) carry() {
 	s.deposits = 0
 }
 
+// Merge adds every term of o to s, exactly, as Allreduce adds the ranks'
+// digits: both are normalised first, so the digits' sum stays far from the
+// int64 range whatever the deposits either side had deferred.  o keeps its
+// sum.
+func (s *Sum) Merge(o *Sum) {
+	s.carry()
+	o.carry()
+	for i := range s.d {
+		s.d[i] += o.d[i]
+	}
+	s.nan += o.nan
+	s.pinf += o.pinf
+	s.ninf += o.ninf
+}
+
 // AddProducts adds the terms float64(a[i]·b[i]) for every i < len(a); b must
 // be at least as long.  AddProducts(a, a) adds the squares.
 func (s *Sum) AddProducts(a, b []float64) {

@@ -15,8 +15,12 @@ import (
 // exactSum is the oracle: the products float64(a[i]·b[i]) summed in
 // math/big without rounding, then rounded once to the nearest float64, ties
 // to even; NaN for a NaN term or infinities of both signs, ±Inf for one.
-func exactSum(a, b []float64) float64 {
+func exactSum(a, b []float64) float64 { return exactSumWith(a, b, 0, 0) }
+
+// exactSumWith is exactSum with m more terms, each the finite v.
+func exactSumWith(a, b []float64, v float64, m int64) float64 {
 	acc := new(big.Float).SetPrec(4096)
+	acc.Mul(new(big.Float).SetFloat64(v), new(big.Float).SetInt64(m))
 	var nan, pinf, ninf bool
 	for i := range a {
 		t := float64(a[i] * b[i])
@@ -39,8 +43,8 @@ func exactSum(a, b []float64) float64 {
 	case ninf:
 		return math.Inf(-1)
 	}
-	v, _ := acc.Float64()
-	return v + 0 // an exact zero is +0
+	sum, _ := acc.Float64()
+	return sum + 0 // an exact zero is +0
 }
 
 func sameBits(got, want float64) bool {
@@ -50,47 +54,67 @@ func sameBits(got, want float64) bool {
 	return math.Float64bits(got) == math.Float64bits(want)
 }
 
-// merge adds the terms of o to s, as Allreduce adds the ranks' digits.
-func merge(s, o *Sum) {
-	s.carry()
-	c := *o
-	c.carry()
+// nearCopies is one deposit short of the count at which Add propagates its
+// deferred carries.
+const nearCopies = 1<<30 - 1
+
+// nearCarry returns a Sum holding nearCopies deposits of v: each of its
+// digits is up to 2^62, so that two added before either is normalised
+// overflow.
+func nearCarry(v float64) Sum {
+	var s Sum
+	s.Add(v)
 	for i := range s.d {
-		s.d[i] += c.d[i]
+		s.d[i] *= nearCopies
 	}
-	s.nan += c.nan
-	s.pinf += c.pinf
-	s.ninf += c.ninf
+	s.deposits = nearCopies
+	return s
 }
 
 // splitSums adds the products of a and b through Sums of k parts, each a
 // random subset of the terms in a random order handed over in runs of random
-// length, and merges the parts in a random order.
-func splitSums(a, b []float64, k int, rng *rand.Rand) float64 {
+// length, and merges the parts in a random order.  Where near is set, four
+// more parts start one deposit short of their carry, each holding
+// nearCopies copies of v, and take terms like the others.
+func splitSums(a, b []float64, k int, rng *rand.Rand, near bool, v float64) float64 {
 	perm := rng.Perm(len(a))
 	pa, pb := make([]float64, len(a)), make([]float64, len(a))
 	for i, p := range perm {
 		pa[i], pb[i] = a[p], b[p]
 	}
 	parts := make([]Sum, k)
+	if near {
+		parts = append(parts, nearCarry(v), nearCarry(v), nearCarry(v), nearCarry(v))
+	}
 	for lo := 0; lo < len(pa); {
 		n := 1 + rng.IntN(min(len(pa)-lo, 3*sumChunk))
-		parts[rng.IntN(k)].AddProducts(pa[lo:lo+n], pb[lo:lo+n])
+		parts[rng.IntN(len(parts))].AddProducts(pa[lo:lo+n], pb[lo:lo+n])
 		lo += n
 	}
 	var total Sum
-	for _, i := range rng.Perm(k) {
-		merge(&total, &parts[i])
+	for _, i := range rng.Perm(len(parts)) {
+		total.Merge(&parts[i])
 	}
 	return total.Round()
 }
 
+// nearCarryTerms are the terms splitSums loads its four parts near their
+// carry with: a negative one near the top of the range, one whose 53 bits
+// fill three digits, and the least subnormal, which fills the lowest.
+var nearCarryTerms = []float64{-0x1.fffffffffffffp+900, 0x1.fffffffffffffp-3, 0x1p-1074}
+
 // checkOrderFree holds every way of summing the products of a and b to the
 // oracle, bit for bit: in order in one call, term by term, split into parts
-// and merged, and each of those through the Go loop alone.
+// and merged (Merge), also beside four parts that start one deposit short of
+// their carry and cancel, and each of those through the Go loop alone.
 func checkOrderFree(t *testing.T, a, b []float64, seed uint64) {
 	t.Helper()
-	want := exactSum(a, b)
+	exact := exactSum(a, b)
+	want := map[string]float64{}
+	wantNear := make([]float64, len(nearCarryTerms))
+	for i, v := range nearCarryTerms {
+		wantNear[i] = exactSumWith(a, b, v, 4*nearCopies)
+	}
 	rng := rand.New(rand.NewPCG(seed, uint64(len(a))))
 	for _, goOnly := range []bool{false, true} {
 		restore := goLoopsOnly(goOnly)
@@ -100,14 +124,20 @@ func checkOrderFree(t *testing.T, a, b []float64, seed uint64) {
 			single.Add(float64(a[i] * b[i]))
 		}
 		got := map[string]float64{"one call": whole.Round(), "term by term": single.Round()}
+		want["one call"], want["term by term"] = exact, exact
 		for k := 1; k <= 4; k++ {
-			got[fmt.Sprintf("%d parts", k)] = splitSums(a, b, k, rng)
+			how := fmt.Sprintf("%d parts", k)
+			got[how], want[how] = splitSums(a, b, k, rng, false, 0), exact
+			for i, v := range nearCarryTerms {
+				how := fmt.Sprintf("%d parts and four of %v near their carry", k, v)
+				got[how], want[how] = splitSums(a, b, k, rng, true, v), wantNear[i]
+			}
 		}
 		restore()
 		for how, v := range got {
-			if !sameBits(v, want) {
+			if w := want[how]; !sameBits(v, w) {
 				t.Fatalf("go loop only %v, %s: %v (%#x), exact %v (%#x)", goOnly, how,
-					v, math.Float64bits(v), want, math.Float64bits(want))
+					v, math.Float64bits(v), w, math.Float64bits(w))
 			}
 		}
 	}
@@ -230,9 +260,10 @@ func TestOrderFreeSumAcrossRanks(t *testing.T) {
 // FuzzOrderFreeSum draws float64 terms from raw bit patterns, so subnormals,
 // ±0, NaN, ±Inf and the largest magnitudes all occur, multiplies every other
 // one by its neighbour, and sums them in one call, term by term, and split
-// into one to four parts merged in a random order, each through the lane
-// kernel and the Go loop: every result must be the math/big sum rounded
-// once, bit for bit.
+// into one to four parts merged by Sum.Merge in a random order, with and
+// without four more parts that start one deposit short of their carry, each
+// through the lane kernel and the Go loop: every result must be the math/big
+// sum rounded once, bit for bit, NaN and infinities included.
 func FuzzOrderFreeSum(f *testing.F) {
 	f.Add(bytesOf(1, 2, 3), uint64(1))
 	f.Add(bytesOf(1e308, 1e308, -1e308, -1e308, 1), uint64(2))

@@ -199,7 +199,8 @@ func (s *Solver) fineSpan(l, d, c int) (int, int) {
 // reads outside it, or that an exchange after it still sends.  The
 // restriction runs the coarse rows whose fine rows the residual before it ran
 // inside the wavefront, each coarse plane once its last fine plane has its
-// residual.
+// residual.  Where the solver borrows helpers, each stage-plane of the
+// wavefront runs in row bands across them (bands.go).
 func (s *Solver) run(l int) {
 	lv := s.levels[l]
 	st := lv.wave.stages
@@ -220,20 +221,24 @@ func (s *Solver) run(l int) {
 	if last := &st[len(st)-1]; last.op == opRestrict {
 		next = last.in.k0
 	}
+	c := s.borrow(s.workers(l))
 	for t := 0; t < own.k1-own.k0+len(st); t++ {
 		for i := range st {
 			e := &st[i]
 			p := own.k0 + t - i
 			if e.op == opRestrict {
 				for ; next < e.in.k1 && s.fineTop(l, next) <= p+1; next++ {
-					s.apply(l, e, rows{e.in.j0, e.in.j1, next, next + 1})
+					s.runRows(c, l, e, rows{e.in.j0, e.in.j1, next, next + 1})
 				}
 				continue
 			}
 			if p >= e.in.k0 && p < e.in.k1 {
-				s.apply(l, e, rows{e.in.j0, e.in.j1, p, p + 1})
+				s.runRows(c, l, e, rows{e.in.j0, e.in.j1, p, p + 1})
 			}
 		}
+	}
+	if c != nil {
+		c.release()
 	}
 
 	for i := range st {
@@ -247,7 +252,7 @@ func (s *Solver) run(l int) {
 		}
 		for _, r := range all.outside(e.in) {
 			if !r.empty() {
-				s.apply(l, e, r)
+				s.apply(l, e, r, &s.sum)
 			}
 		}
 		s.charge(l, e)
@@ -284,8 +289,8 @@ func (s *Solver) exchange(l int, e *stage) {
 
 // apply runs stage e on the rows r of its level (the coarse level's for the
 // restriction), and then adds the products of its dot pair on those rows to
-// the solver's Sum.
-func (s *Solver) apply(l int, e *stage, r rows) {
+// sum.
+func (s *Solver) apply(l int, e *stage, r rows, sum *Sum) {
 	lv := s.levels[l]
 	own := lv.da.OwnedBox()
 	n := (r.j1 - r.j0) * (own.Hi[0] - own.Lo[0]) // the cells of r on one plane, contiguous in the owned layout
@@ -323,7 +328,7 @@ func (s *Solver) apply(l int, e *stage, r rows) {
 	if a, b := e.dot[0], e.dot[1]; a != nil {
 		for k := r.k0; k < r.k1; k++ {
 			lo := rowIndex(own, r.j0, k)
-			s.sum.AddProducts(a.Array()[lo:lo+n], b.Array()[lo:lo+n])
+			sum.AddProducts(a.Array()[lo:lo+n], b.Array()[lo:lo+n])
 		}
 	}
 }
