@@ -16,6 +16,7 @@ import (
 
 	"nccd/internal/bench"
 	"nccd/internal/core"
+	"nccd/internal/mg"
 	"nccd/internal/obs"
 	"nccd/internal/obs/analyze"
 )
@@ -365,7 +366,7 @@ func runLauncher(lc launchConfig) int {
 // reference run's from cycle `from` on, bitwise.
 func verifyAgainstReference(lc launchConfig, history []float64, from int) int {
 	fmt.Printf("verifying against in-process reference run...\n")
-	if err := referenceCheck(lc.spec.CoreArm())(lc.spec.MultigridParams, history, from); err != nil {
+	if err := referenceCheck(lc.spec.CoreArm())(lc.spec.MultigridParams, lc.n, history, from); err != nil {
 		fmt.Fprintf(os.Stderr, "mgsolve: tcp run: %v\n", err)
 		return 1
 	}
@@ -373,19 +374,29 @@ func verifyAgainstReference(lc launchConfig, history []float64, from int) int {
 	return 0
 }
 
-// referenceCheck returns the one check of a history of p, solved on any
-// number of ranks, against the in-process virtual-time run of p under arm:
-// equal, bit for bit, to the reference's iterations from `from` on (a healed
-// run's history starts after its restore point).  The solve's History does
-// not depend on the rank count, so each distinct problem is replayed once,
-// on one rank, and every rank count is checked against that.
-func referenceCheck(arm core.Arm) func(p bench.MultigridParams, history []float64, from int) error {
-	refs := make(map[bench.MultigridParams][]float64)
-	return func(p bench.MultigridParams, history []float64, from int) error {
-		ref, ok := refs[p]
+// referenceCheck returns the one check of a history of p, solved on ranks
+// ranks, against the in-process virtual-time run of p under arm: equal, bit
+// for bit, to the reference's iterations from `from` on (a healed run's
+// history starts after its restore point).  The solve's History does not
+// depend on the rank count where the coarsest level lives on one rank
+// (mg.LevelRanks), so each such problem is replayed once, on one rank, and
+// every rank count is checked against that; a problem whose coarsest level
+// spans ranks is replayed at the run's rank count.
+func referenceCheck(arm core.Arm) func(p bench.MultigridParams, ranks int, history []float64, from int) error {
+	type replay struct {
+		p     bench.MultigridParams
+		ranks int
+	}
+	refs := make(map[replay][]float64)
+	return func(p bench.MultigridParams, ranks int, history []float64, from int) error {
+		coarsest := p.Extent >> (p.Levels - 1)
+		if mg.LevelRanks(ranks, coarsest*coarsest*coarsest, true, p.AgglomerateCells) == 1 {
+			ranks = 1
+		}
+		ref, ok := refs[replay{p, ranks}]
 		if !ok {
-			ref = bench.RunMultigridWorld(core.NewUniformWorld(1, arm.Config), p, arm.Mode).History
-			refs[p] = ref
+			ref = bench.RunMultigridWorld(core.NewUniformWorld(ranks, arm.Config), p, arm.Mode).History
+			refs[replay{p, ranks}] = ref
 		}
 		if from > len(ref) {
 			return fmt.Errorf("restored cycle %d beyond the reference's %d cycles", from, len(ref))

@@ -161,8 +161,7 @@ type MultigridRankOptions struct {
 	// Restored+1); a non-nil error stops the solve (and is returned).
 	OnCycle func(cycle int) error
 	// Store, with CheckpointEvery > 0, takes a collective checkpoint every
-	// CheckpointEvery cycles.  MultigridRank binds it to the solver's
-	// finest DA.
+	// CheckpointEvery cycles (mg.Solver.CheckpointTo).
 	Store           *ckptio.Store
 	CheckpointEvery int
 	// Resume agrees on the newest checkpoint every rank can restore from
@@ -202,15 +201,6 @@ func mgSetup(cc *mpi.Comm, p MultigridParams, mode petsc.ScatterMode) (*mg.Solve
 	return s, b, s.CreateVec()
 }
 
-// bindStore attaches st to the solver's communicator and finest-level file
-// view and arms a checkpoint every `every` cycles.  Called once per solver:
-// after a recovery the membership and the decomposition have both changed.
-func bindStore(s *mg.Solver, st *ckptio.Store, every int) {
-	da := s.DA(0)
-	st.Bind(da.Comm(), da.NaturalBytes(), da.NaturalSegments())
-	s.Checkpoints, s.CheckpointEvery = st, every
-}
-
 // MultigridRank is the per-rank body of the Fig17 application: the 3-D
 // Laplacian on an Extent^3 grid with separable forcing, solved by
 // multigrid.  It is the one place a multigrid solve is built, restored and
@@ -246,17 +236,11 @@ func MultigridRank(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, opts 
 		}
 	}
 
-	base, r0 := 0, 0.0
+	base := 0
 	if opts.Store != nil {
-		bindStore(s, opts.Store, opts.CheckpointEvery)
+		s.CheckpointTo(opts.Store, opts.CheckpointEvery)
 		if opts.Resume {
-			if base = agreeRestoreBase(c, opts.Store, p.MaxCycles); base > 0 {
-				opts.Store.Protect(base)
-				var err error
-				if _, r0, err = s.RestoreAt(base, x); err != nil {
-					return MultigridResult{}, fmt.Errorf("bench: agreed restore iteration %d: %w", base, err)
-				}
-			}
+			base = agreeRestoreBase(c, opts.Store, p.MaxCycles)
 		}
 	}
 
@@ -266,7 +250,10 @@ func MultigridRank(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, opts 
 	var cycles int
 	var relres float64
 	if base > 0 {
-		cycles, relres = s.SolveFrom(b, x, p.Rtol, p.MaxCycles-base, base, r0)
+		var err error
+		if cycles, relres, err = s.SolveFrom(b, x, p.Rtol, p.MaxCycles-base, base); err != nil {
+			return MultigridResult{}, fmt.Errorf("bench: agreed restore iteration %d: %w", base, err)
+		}
 	} else {
 		cycles, relres = s.Solve(b, x, p.Rtol, p.MaxCycles)
 	}

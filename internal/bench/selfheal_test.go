@@ -167,7 +167,8 @@ func TestSelfHealResumesPastCycle511(t *testing.T) {
 // after a checkpointed run, damage to the newest checkpoint that only ONE
 // rank's file view touches makes just that rank lack it, and every rank of
 // the resumed run must still agree on the previous checkpoint and
-// reproduce the uninterrupted history bitwise from there.
+// reproduce the uninterrupted history bitwise from there.  So must they
+// where the newest checkpoint is of the other iteration.
 func TestMultigridRankResume(t *testing.T) {
 	const n = 4
 	p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-30, MaxCycles: 10}
@@ -192,10 +193,10 @@ func TestMultigridRankResume(t *testing.T) {
 		}
 		return out
 	}
-	withStore := func(resume bool) func() (MultigridRankOptions, error) {
+	withStore := func(dir string, every int, resume bool) func() (MultigridRankOptions, error) {
 		return func() (MultigridRankOptions, error) {
 			st, err := ckptio.NewStore(dir, nil, opt)
-			return MultigridRankOptions{Store: st, CheckpointEvery: 2, Resume: resume}, err
+			return MultigridRankOptions{Store: st, CheckpointEvery: every, Resume: resume}, err
 		}
 	}
 	ref := run(p, func() (MultigridRankOptions, error) { return MultigridRankOptions{}, nil })[0]
@@ -203,7 +204,7 @@ func TestMultigridRankResume(t *testing.T) {
 	// The interrupted run stops after cycle 6, leaving checkpoints 2, 4, 6.
 	short := p
 	short.MaxCycles = 6
-	run(short, withStore(false))
+	run(short, withStore(dir, 2, false))
 
 	// Flip the last byte of the cycle-6 payload.
 	data, err := filepath.Glob(filepath.Join(dir, "*c000000006.data"))
@@ -225,7 +226,7 @@ func TestMultigridRankResume(t *testing.T) {
 			return err
 		}
 		s, _, _ := mgSetup(c, p, petsc.ScatterDatatype)
-		bindStore(s, st, 0)
+		s.CheckpointTo(st, 0)
 		for _, it := range st.Iterations() {
 			has6[c.Rank()] = has6[c.Rank()] || it == 6
 		}
@@ -238,17 +239,32 @@ func TestMultigridRankResume(t *testing.T) {
 		t.Fatalf("ranks holding cycle 6 after the damage: %v, want all but rank 3", has6)
 	}
 
-	for r, res := range run(p, withStore(true)) {
-		if res.Restored != 4 {
-			t.Fatalf("rank %d resumed from cycle %d, want 4", r, res.Restored)
-		}
-		if len(res.History) != len(ref.History)-4 {
-			t.Fatalf("rank %d resumed %d cycles, want %d", r, len(res.History), len(ref.History)-4)
-		}
-		for i, v := range res.History {
-			if v != ref.History[4+i] {
-				t.Fatalf("rank %d cycle %d residual %v, uninterrupted %v", r, 5+i, v, ref.History[4+i])
+	resumesAt4 := func(what string, dir string) {
+		t.Helper()
+		for r, res := range run(p, withStore(dir, 2, true)) {
+			if res.Restored != 4 {
+				t.Fatalf("%s: rank %d resumed from cycle %d, want 4", what, r, res.Restored)
+			}
+			if len(res.History) != len(ref.History)-4 {
+				t.Fatalf("%s: rank %d resumed %d cycles, want %d", what, r, len(res.History), len(ref.History)-4)
+			}
+			for i, v := range res.History {
+				if v != ref.History[4+i] {
+					t.Fatalf("%s: rank %d cycle %d residual %v, uninterrupted %v", what, r, 5+i, v, ref.History[4+i])
+				}
 			}
 		}
 	}
+	resumesAt4("damaged cycle 6", dir)
+
+	// A Richardson checkpoint at cycle 6, newer than the conjugate
+	// gradients' at 2 and 4, holds one vector where they hold three: the
+	// resumed conjugate-gradient run restores none of it and agrees on 4.
+	mixed := t.TempDir()
+	short.MaxCycles = 4
+	run(short, withStore(mixed, 2, false))
+	richardson := p
+	richardson.MaxCycles, richardson.Richardson = 6, true
+	run(richardson, withStore(mixed, 6, false))
+	resumesAt4("newer Richardson checkpoint", mixed)
 }

@@ -213,7 +213,7 @@ func TestCollectiveRoundTrip(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		st.Bind(c, testTotal, testSegs(c.Rank(), n))
+		st.Bind(c, testTotal, testSegs(c.Rank(), n), 1)
 		for cy := 1; cy <= 5; cy++ {
 			if err := st.PutOwned(cy, 1.0/float64(cy), 42.5, 0, testData(cy, c.Rank(), n)); err != nil {
 				return err
@@ -240,7 +240,7 @@ func TestCollectiveRoundTrip(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		re.Bind(c, testTotal, testSegs(c.Rank(), n))
+		re.Bind(c, testTotal, testSegs(c.Rank(), n), 1)
 		if _, _, _, err := re.ReadOwned(5, dst); err != nil {
 			return err
 		}
@@ -278,7 +278,7 @@ func TestPruneRetention(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		st.Bind(c, testTotal, testSegs(c.Rank(), n))
+		st.Bind(c, testTotal, testSegs(c.Rank(), n), 1)
 		if err := put(st, c, 2, 4, 6, 8, 10); err != nil { // epoch 0, pre-crash
 			return err
 		}
@@ -309,7 +309,7 @@ func TestPruneRetention(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		st.Bind(c, testTotal, testSegs(c.Rank(), n))
+		st.Bind(c, testTotal, testSegs(c.Rank(), n), 1)
 		st.Protect(2)
 		if err := put(st, c, 2, 4); err != nil {
 			return err
@@ -341,7 +341,7 @@ func TestCollectiveFaultMatrix(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				st.Bind(c, testTotal, testSegs(c.Rank(), n))
+				st.Bind(c, testTotal, testSegs(c.Rank(), n), 1)
 				aborts := 0
 				for cy := 1; cy <= 6; cy++ {
 					err := st.PutOwned(cy, 0.5, 1, 0, testData(cy, c.Rank(), n))
@@ -365,7 +365,7 @@ func TestCollectiveFaultMatrix(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				rd.Bind(c, testTotal, testSegs(c.Rank(), n))
+				rd.Bind(c, testTotal, testSegs(c.Rank(), n), 1)
 				dst := make([]float64, len(testData(1, c.Rank(), n)))
 				for _, cy := range rd.Iterations() {
 					if _, _, _, err := rd.ReadOwned(cy, dst); err != nil {
@@ -395,14 +395,14 @@ func TestCollectiveCrashSweep(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			pre.Bind(c, testTotal, testSegs(c.Rank(), n))
+			pre.Bind(c, testTotal, testSegs(c.Rank(), n), 1)
 			if err := pre.PutOwned(1, 0.5, 1, 0, testData(1, c.Rank(), n)); err != nil {
 				return err
 			}
 
 			st, err := NewStore(dir, ffs, Options{StripeBytes: testStripe, Aggregators: 2})
 			if err == nil {
-				st.Bind(c, testTotal, testSegs(c.Rank(), n))
+				st.Bind(c, testTotal, testSegs(c.Rank(), n), 1)
 				_ = st.PutOwned(2, 0.25, 1, 0, testData(2, c.Rank(), n)) // best-effort
 			}
 			c.Barrier()
@@ -416,7 +416,7 @@ func TestCollectiveCrashSweep(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			post.Bind(c, testTotal, testSegs(c.Rank(), n))
+			post.Bind(c, testTotal, testSegs(c.Rank(), n), 1)
 			its := post.Iterations()
 			dst := make([]float64, len(testData(1, c.Rank(), n)))
 			switch {
@@ -502,7 +502,7 @@ func TestDamageTaxonomy(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				st.Bind(c, testTotal, testSegs(c.Rank(), n))
+				st.Bind(c, testTotal, testSegs(c.Rank(), n), 1)
 				for cy := 1; cy <= 2; cy++ {
 					if err := st.PutOwned(cy, 0.5, 1, 0, testData(cy, c.Rank(), n)); err != nil {
 						return err
@@ -518,7 +518,7 @@ func TestDamageTaxonomy(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				rd.Bind(c, testTotal, testSegs(c.Rank(), n))
+				rd.Bind(c, testTotal, testSegs(c.Rank(), n), 1)
 				its := rd.Iterations()
 				if len(its) != 1 || its[0] != 1 {
 					t.Errorf("rank %d: damaged checkpoint still advertised: %v", c.Rank(), its)

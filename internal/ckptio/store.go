@@ -36,16 +36,16 @@ type Options struct {
 // Store is one rank's handle on a shared collective checkpoint directory.
 // Every rank of the communicator holds its own Store over the same dir
 // (and, in-process, the same FS); writes are collective, reads and listing
-// are purely local.  It implements the builtin-typed owned-checkpoint
-// surface the solver stack consumes (PutOwned / ReadOwned / Iterations),
-// deliberately without importing the solver packages.
+// are purely local.  Its surface is builtin-typed (PutOwned / ReadOwned /
+// Iterations), so the I/O layer imports nothing of the solver that uses it.
 type Store struct {
 	dir string
 	fs  FS
 	opt Options
 
 	c     *mpi.Comm
-	view  FileView
+	view  FileView // the bound vectors' view, tiled (FileView.tile)
+	vecs  int      // vectors in every checkpoint
 	epoch uint64
 
 	fails     int          // consecutive aborted epochs, drives degradation
@@ -81,15 +81,18 @@ func NewStore(dir string, fs FS, opt Options) (*Store, error) {
 	}, nil
 }
 
-// Bind attaches the store to a communicator and this rank's file view:
-// total file-domain bytes and the rank's ascending byte segments of it.
-// Bind is called before each solve attempt — after a recovery the
-// communicator, the decomposition and hence the view have all changed.
-func (s *Store) Bind(c *mpi.Comm, total int64, segs []datatype.Segment) {
+// Bind attaches the store to a communicator and this rank's file view of
+// one vector: total file-domain bytes and the rank's ascending byte segments
+// of it.  Every checkpoint written or read through the store holds exactly
+// vectors such vectors back to back, and one of any other size is none the
+// store can restore.  Bind is called before each solve attempt — after a
+// recovery the communicator, the decomposition and hence the view have all
+// changed.
+func (s *Store) Bind(c *mpi.Comm, total int64, segs []datatype.Segment, vectors int) {
 	v := FileView{Total: total, Segs: segs}
 	v.validate()
 	s.c = c
-	s.view = v
+	s.view, s.vecs = v.tile(vectors), vectors
 	// Validation results depend on the view; re-derive them under the new
 	// decomposition.
 	s.valid = make(map[string]bool)
@@ -106,9 +109,9 @@ func (s *Store) Bind(c *mpi.Comm, total int64, segs []datatype.Segment) {
 // files can never collide with — or evict — its previous incarnation's.
 func (s *Store) SetEpoch(e uint64) { s.epoch = e }
 
-// Protect pins a cycle: retention will never remove its files.  The
-// selfheal loop protects the consensus restore point so pruning by a
-// healthy majority cannot evict the very checkpoint a rejoining rank needs.
+// Protect pins a cycle: retention will never remove its files.  A resumed
+// solve protects its agreed restore point so pruning by a healthy majority
+// cannot evict the very checkpoint a rejoining rank needs.
 func (s *Store) Protect(cycle int) { s.protected[cycle] = true }
 
 // aggregators returns the effective aggregator target after degradation.
@@ -129,44 +132,35 @@ func (s *Store) aggregators(size int) int {
 	return n
 }
 
-// PutOwned writes one collective checkpoint of one or more vectors: each of
+// PutOwned writes one collective checkpoint of the bound vectors: each of
 // vecs is this rank's owned values of one vector in view order, and the file
-// holds the vectors back to back, each in the view's file domain (the view
-// tiled len(vecs) times).  Collective — every bound rank must call it with
-// the same cycle and vector count.  A local I/O fault on any rank aborts the
-// epoch on all ranks with no checkpoint published; rank death surfaces as
-// the collectives' typed errors for the caller's recovery path.
+// holds the vectors back to back, each in the view's file domain.
+// Collective — every bound rank must call it with the same cycle.  A local
+// I/O fault on any rank aborts the epoch on all ranks with no checkpoint
+// published; rank death surfaces as the collectives' typed errors for the
+// caller's recovery path.
 func (s *Store) PutOwned(cycle int, residual, r0, rho float64, vecs ...[]float64) error {
-	if s.c == nil {
-		return fmt.Errorf("checkpoint: store not bound")
+	if err := s.check(vecs); err != nil {
+		return err
 	}
-	if len(vecs) == 0 {
-		return fmt.Errorf("checkpoint: no vector to write")
-	}
-	var local []byte
-	for _, v := range vecs {
-		b := floatbytes.Bytes(v)
-		if len(b) != s.view.LocalBytes() {
-			return fmt.Errorf("checkpoint: local data %d bytes, view holds %d", len(b), s.view.LocalBytes())
-		}
-		if len(vecs) == 1 {
-			local = b // the vector is already the contribution buffer
-		} else {
-			local = append(local, b...)
+	local := floatbytes.Bytes(vecs[0]) // one vector is already the contribution buffer
+	if len(vecs) > 1 {
+		local = nil
+		for _, v := range vecs {
+			local = append(local, floatbytes.Bytes(v)...)
 		}
 	}
-	view := s.view.tile(len(vecs))
-	l := NewLayout(view.Total, s.opt.StripeBytes, s.aggregators(s.c.Size()), s.c.Size())
+	l := NewLayout(s.view.Total, s.opt.StripeBytes, s.aggregators(s.c.Size()), s.c.Size())
 	cm := Commit{
 		Epoch:       s.epoch,
 		Cycle:       cycle,
 		Residual:    residual,
 		R0:          r0,
 		Rho:         rho,
-		Total:       view.Total,
+		Total:       s.view.Total,
 		StripeBytes: l.StripeBytes,
 	}
-	err := collectiveWrite(s.c, s.fs, s.dir, l, view, local, cm)
+	err := collectiveWrite(s.c, s.fs, s.dir, l, s.view, local, cm)
 	if err != nil {
 		s.fails++
 		obs.Metrics.Counter("ckpt.aborts").Inc()
@@ -266,30 +260,30 @@ func (s *Store) validateUncached(r commitRef) bool {
 		_, err = f.ReadAt(b[:], cm.Total-1)
 		return err == nil
 	}
-	k := s.vectors(cm)
-	if k == 0 {
-		return false // a checkpoint of some other problem size
+	if cm.Total != s.view.Total {
+		return false // a checkpoint of some other problem size or vector count
 	}
 	// Sieve through the view without keeping the result: this reads and
 	// CRC-verifies exactly the stripes a restore would trust.
-	view := s.view.tile(k)
-	scratch := make([]byte, view.LocalBytes())
-	return sieveRead(s.fs, filepath.Join(s.dir, dataName(r.epoch, r.cycle)), cm, view, scratch) == nil
+	scratch := make([]byte, s.view.LocalBytes())
+	return sieveRead(s.fs, filepath.Join(s.dir, dataName(r.epoch, r.cycle)), cm, s.view, scratch) == nil
 }
 
-// vectors is how many vectors of the bound view checkpoint cm holds, 0 where
-// its size is no whole number of them.
-func (s *Store) vectors(cm Commit) int {
-	switch {
-	case s.view.Total == 0:
-		if cm.Total == 0 {
-			return 1
-		}
-		return 0
-	case cm.Total <= 0 || cm.Total%s.view.Total != 0:
-		return 0
+// check reports why vecs are not the bound vectors of this rank: one for
+// each vector a checkpoint holds, each of the view's size.
+func (s *Store) check(vecs [][]float64) error {
+	if s.c == nil {
+		return fmt.Errorf("checkpoint: store not bound")
 	}
-	return int(cm.Total / s.view.Total)
+	if len(vecs) != s.vecs {
+		return fmt.Errorf("checkpoint: %d vectors, the store is bound for %d", len(vecs), s.vecs)
+	}
+	for _, v := range vecs {
+		if n, want := len(floatbytes.Bytes(v)), s.view.LocalBytes()/s.vecs; n != want {
+			return fmt.Errorf("checkpoint: vector of %d bytes, view holds %d", n, want)
+		}
+	}
+	return nil
 }
 
 // bestFor returns the newest-epoch valid commit for a cycle.
@@ -309,44 +303,30 @@ func (s *Store) bestFor(cycle int) (commitRef, Commit, bool) {
 	return commitRef{}, Commit{}, false
 }
 
-// ReadOwned restores this rank's owned values of every vector of a cycle's
-// checkpoint via data sieving: purely local, no collective, no replicated
-// gather.  The checkpoint must hold exactly len(dst) vectors, and each dst
-// exactly the view's element count.
+// ReadOwned restores this rank's owned values of the bound vectors of a
+// cycle's checkpoint into dst via data sieving: purely local, no collective,
+// no replicated gather.
 func (s *Store) ReadOwned(cycle int, dst ...[]float64) (residual, r0, rho float64, err error) {
-	if s.c == nil {
-		return 0, 0, 0, fmt.Errorf("checkpoint: store not bound")
-	}
-	if len(dst) == 0 {
-		return 0, 0, 0, fmt.Errorf("checkpoint: no vector to read")
-	}
-	for _, d := range dst {
-		if n := len(floatbytes.Bytes(d)); n != s.view.LocalBytes() {
-			return 0, 0, 0, fmt.Errorf("checkpoint: dst %d bytes, view holds %d", n, s.view.LocalBytes())
-		}
+	if err := s.check(dst); err != nil {
+		return 0, 0, 0, err
 	}
 	start := s.c.Clock()
 	r, cm, ok := s.bestFor(cycle)
 	if !ok {
 		return 0, 0, 0, fmt.Errorf("%w: no valid commit for cycle %d", ErrDamaged, cycle)
 	}
-	if k := s.vectors(cm); k != len(dst) {
-		return 0, 0, 0, fmt.Errorf("checkpoint: cycle %d holds %d vectors, %d asked for", cycle, k, len(dst))
-	}
 	buf := floatbytes.Bytes(dst[0])
 	if len(dst) > 1 {
-		buf = make([]byte, len(dst)*s.view.LocalBytes())
+		buf = make([]byte, s.view.LocalBytes())
 	}
-	if err := sieveRead(s.fs, filepath.Join(s.dir, dataName(r.epoch, r.cycle)), cm, s.view.tile(len(dst)), buf); err != nil {
+	if err := sieveRead(s.fs, filepath.Join(s.dir, dataName(r.epoch, r.cycle)), cm, s.view, buf); err != nil {
 		// The cached validation must have gone stale (file changed
 		// underneath us); invalidate and fail.
 		s.valid[commitName(r.epoch, r.cycle)] = false
 		return 0, 0, 0, err
 	}
-	if len(dst) > 1 {
-		for i, d := range dst {
-			copy(floatbytes.Bytes(d), buf[i*s.view.LocalBytes():])
-		}
+	for i, d := range dst {
+		copy(floatbytes.Bytes(d), buf[i*len(buf)/len(dst):])
 	}
 	s.c.Span("ckpt_sieve_read", start,
 		obs.Attr{Key: "cycle", Val: fmt.Sprint(cycle)},

@@ -42,9 +42,6 @@ func (v FileView) validate() {
 // tile is the view of k vectors back to back in one file, each in v's file
 // domain: v's segments once for every vector, each time one domain further.
 func (v FileView) tile(k int) FileView {
-	if k == 1 {
-		return v
-	}
 	t := FileView{Total: int64(k) * v.Total, Segs: make([]datatype.Segment, 0, k*len(v.Segs))}
 	for i := 0; i < k; i++ {
 		for _, sg := range v.Segs {

@@ -63,7 +63,7 @@ func TestAgglomerationReducesCoarseMessages(t *testing.T) {
 			b := s.CreateVec()
 			setManufactured(s, b)
 			x := s.CreateVec()
-			s.VCycle(b, x)
+			s.vcycle(0, fromNothing, b, x, endNone)
 			return nil
 		})
 		return w.TotalStats().MsgsSent
@@ -147,7 +147,7 @@ func forEachRankCount(t *testing.T, solve func(s *Solver, b, x *petsc.Vec) [][]f
 func TestSolutionIndependentOfRankCount(t *testing.T) {
 	forEachRankCount(t, func(s *Solver, b, x *petsc.Vec) (out [][]float64) {
 		for range 4 {
-			s.VCycle(b, x)
+			s.vcycle(0, fromNothing, b, x, endNone)
 			out = append(out, s.DA(0).GatherNatural(x))
 		}
 		return out

@@ -33,8 +33,8 @@ type bandOutcome struct {
 
 // bandSolve solves shape k's seeded problem on one rank with tracing on: by
 // conjugate gradients or the Richardson iteration, and, where resume is set,
-// as SolveFrom after RestoreAt of the iteration-2 checkpoint of a first solve
-// of three iterations.
+// as SolveFrom of the iteration-2 checkpoint of a first solve of three
+// iterations.
 func bandSolve(t *testing.T, k kernelShape, richardson, resume bool) bandOutcome {
 	t.Helper()
 	var out bandOutcome
@@ -56,15 +56,13 @@ func bandSolve(t *testing.T, k kernelShape, richardson, resume bool) bandOutcome
 			if err != nil {
 				return err
 			}
-			bindStore(s, st, 2)
+			s.CheckpointTo(st, 2)
 			s.Solve(b, x, 1e-30, 3)
 			s, b, x = mk()
-			bindStore(s, st, 0)
-			_, r0, err := s.RestoreAt(2, x)
-			if err != nil {
+			s.CheckpointTo(st, 0)
+			if _, _, err := s.SolveFrom(b, x, 1e-30, 3, 2); err != nil {
 				return err
 			}
-			s.SolveFrom(b, x, 1e-30, 3, 2, r0)
 		}
 		out.x = slices.Clone(x.Array())
 		out.hist = slices.Clone(s.History)
@@ -92,7 +90,7 @@ var bandShapes = []kernelShape{
 // TestRowBandsBitwise: a one-rank solve in bands of 2 and 3 workers leaves x,
 // History, the virtual clock and the span list as the serial solve does, bit
 // for bit, under both smoothers and both arms, by conjugate gradients and by
-// the Richardson iteration, and resumed by SolveFrom after RestoreAt.
+// the Richardson iteration, and resumed by SolveFrom.
 func TestRowBandsBitwise(t *testing.T) {
 	helped := cores.helped.Load()
 	for i, k := range bandShapes {

@@ -10,14 +10,6 @@ import (
 	"nccd/internal/simnet"
 )
 
-// bindStore attaches st to s's finest-level file view and arms a
-// checkpoint every `every` cycles (0 = restore only).
-func bindStore(s *Solver, st *ckptio.Store, every int) {
-	da := s.DA(0)
-	st.Bind(da.Comm(), da.NaturalBytes(), da.NaturalSegments())
-	s.Checkpoints, s.CheckpointEvery = st, every
-}
-
 // TestCheckpointNaturalRoundTrip is the recovery-path data property: a
 // checkpoint written collectively at full world size restores BITWISE
 // under other decompositions — onto a shrunken sub-communicator (as after
@@ -43,7 +35,7 @@ func TestCheckpointNaturalRoundTrip(t *testing.T) {
 		// A partial solve at full size produces genuine checkpoints; the
 		// last one is taken after the final cycle, so x is its content.
 		s := New(c, ext, 2, petsc.ScatterDatatype)
-		bindStore(s, st, 2)
+		s.CheckpointTo(st, 2)
 		b, x := s.CreateVec(), s.CreateVec()
 		ba := b.Array()
 		for i := range ba {
@@ -70,10 +62,10 @@ func TestCheckpointNaturalRoundTrip(t *testing.T) {
 		}
 		if sub := c.Split(color, 0); sub != nil {
 			ss := New(sub, ext, 2, petsc.ScatterDatatype)
-			bindStore(ss, st, 0)
+			ss.CheckpointTo(st, 0)
 			x2 := ss.CreateVec()
-			if _, _, err := ss.RestoreAt(4, x2); err != nil {
-				return fmt.Errorf("RestoreAt on shrunken world: %w", err)
+			if _, _, err := ss.SolveFrom(ss.CreateVec(), x2, 0, 0, 4); err != nil {
+				return fmt.Errorf("restore on shrunken world: %w", err)
 			}
 			if err := same("shrink", ss.DA(0).GatherNatural(x2)); err != nil {
 				return err
@@ -88,17 +80,17 @@ func TestCheckpointNaturalRoundTrip(t *testing.T) {
 			return err
 		}
 		rs := New(c, ext, 2, petsc.ScatterDatatype)
-		bindStore(rs, st2, 0)
-		x3 := rs.CreateVec()
-		residual, r0, err := rs.RestoreAt(4, x3)
+		rs.CheckpointTo(st2, 0)
+		b3, x3 := rs.CreateVec(), rs.CreateVec()
+		cycles, residual, err := rs.SolveFrom(b3, x3, 0, 0, 4)
 		if err != nil {
-			return fmt.Errorf("RestoreAt after respawn-style reopen: %w", err)
+			return fmt.Errorf("restore after respawn-style reopen: %w", err)
 		}
-		if residual != s.History[3] || r0 <= 0 {
-			return fmt.Errorf("checkpoint metadata drifted: residual %v (history %v), r0 %v", residual, s.History[3], r0)
+		if cycles != 0 || residual != s.History[3] {
+			return fmt.Errorf("restore ran %d iterations to residual %v, want none from the checkpoint's %v", cycles, residual, s.History[3])
 		}
-		if _, _, err := rs.RestoreAt(3, x3); err == nil {
-			return fmt.Errorf("RestoreAt(3) invented a checkpoint")
+		if _, _, err := rs.SolveFrom(b3, x3, 0, 0, 3); err == nil {
+			return fmt.Errorf("restore of iteration 3 invented a checkpoint")
 		}
 		return same("regrow", rs.DA(0).GatherNatural(x3))
 	})
@@ -142,24 +134,23 @@ func checkSolveFrom(t *testing.T, richardson bool) {
 		ref.Solve(rb, rx, 1e-30, 8)
 		refHist := append([]float64(nil), ref.History...)
 
-		// Interrupted: run with checkpoints, restore the iteration-4
-		// snapshot into a new solver, resume with SolveFrom.
+		// Interrupted: run with checkpoints, resume a new solver from the
+		// iteration-4 snapshot with SolveFrom.
 		st, err := ckptio.NewStore(dir, nil, ckptio.Options{})
 		if err != nil {
 			return err
 		}
 		s, b, x := mk()
-		bindStore(s, st, 2)
+		s.CheckpointTo(st, 2)
 		s.Solve(b, x, 1e-30, 5)
 
 		const base = 4
 		rs, b2, x2 := mk()
-		bindStore(rs, st, 0)
-		_, r0, err := rs.RestoreAt(base, x2)
+		rs.CheckpointTo(st, 0)
+		cycles, _, err := rs.SolveFrom(b2, x2, 1e-30, 4, base)
 		if err != nil {
 			return fmt.Errorf("no iteration-%d checkpoint: %w", base, err)
 		}
-		cycles, _ := rs.SolveFrom(b2, x2, 1e-30, 4, base, r0)
 		if cycles != 4 {
 			return fmt.Errorf("resumed %d iterations, want 4", cycles)
 		}
@@ -208,7 +199,7 @@ func TestRestoreAtOtherRankCount(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			bindStore(s, st, base)
+			s.CheckpointTo(st, base)
 			s.Solve(b, x, 1e-30, base+1)
 			return nil
 		})
@@ -218,12 +209,10 @@ func TestRestoreAtOtherRankCount(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			bindStore(s, st, 0)
-			_, r0, err := s.RestoreAt(base, x)
-			if err != nil {
+			s.CheckpointTo(st, 0)
+			if _, _, err := s.SolveFrom(b, x, 1e-30, iterations-base, base); err != nil {
 				return err
 			}
-			s.SolveFrom(b, x, 1e-30, iterations-base, base, r0)
 			got[c.Rank()] = append([]float64(nil), s.History...)
 			return nil
 		})

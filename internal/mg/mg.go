@@ -13,6 +13,7 @@ import (
 	"math"
 	"strconv"
 
+	"nccd/internal/ckptio"
 	"nccd/internal/dmda"
 	"nccd/internal/mpi"
 	"nccd/internal/obs"
@@ -44,28 +45,6 @@ type level struct {
 	transfer    *transferTables // what both kernels read of the two boxes and interpWeights
 
 	wave wave // the half V-cycle that runs next on this level, or last ran
-}
-
-// Checkpointer is the checkpoint store a Solver writes to and restores
-// from (ckptio.Store; builtin-typed so the I/O layer need not import the
-// solver stack).  Each rank contributes only its owned values, in its
-// decomposition's canonical order, and reads back exactly those — no rank
-// ever holds the replicated O(global) array.  One checkpoint holds one
-// finest-level vector or several, back to back: x alone for the Richardson
-// iteration, x, r and p for conjugate gradients, whose ρ = ⟨r, z⟩ rides in
-// the commit beside the residual and r0.
-//
-// PutOwned is collective and returns an error when the checkpoint aborted
-// (an I/O fault on any rank, a failed commit); rank death inside it
-// surfaces as the mpi layer's typed errors for the caller's recovery path.
-// ReadOwned is purely local and fails unless the checkpoint holds exactly
-// len(dst) vectors.  Iterations lists only checkpoints that fully validate
-// from this rank's perspective, so a damaged file drops out of the
-// restore-point agreement.
-type Checkpointer interface {
-	PutOwned(iteration int, residual, r0, rho float64, vecs ...[]float64) error
-	ReadOwned(iteration int, dst ...[]float64) (residual, r0, rho float64, err error)
-	Iterations() []int
 }
 
 // The cycle's shape.  The constants are typed so that coarseRtol*coarseRtol
@@ -110,20 +89,11 @@ type Solver struct {
 	// For a given problem it is transport- and arm-independent, which makes
 	// it the equivalence witness between in-process and multi-process runs.
 	// Under conjugate gradients it is rank-count independent too, where the
-	// coarsest level lives on one rank (New's hierarchy): every inner product
-	// is an order-free Sum, and x is the same bits at every rank count.  The
-	// Richardson iteration's norm adds per-rank partial sums, so its History
-	// is not.
+	// coarsest level of at most 16³ cells lives on one rank (New's
+	// hierarchy): every inner product is an order-free Sum, and x is the same
+	// bits at every rank count.  The Richardson iteration's norm adds
+	// per-rank partial sums, so its History is not.
 	History []float64
-
-	// Checkpoints, when non-nil, receives this rank's finest-level owned
-	// state every CheckpointEvery iterations of Solve and serves it back to
-	// RestoreAt, enabling restart on a different (e.g. shrunk or regrown)
-	// communicator: x for the Richardson iteration, x, r and p and ρ for
-	// conjugate gradients.  The store must already be bound to this solver's
-	// finest DA (communicator + file view); the bench layer does that.
-	Checkpoints     Checkpointer
-	CheckpointEvery int
 
 	// OnCycle, when non-nil, runs before each iteration with the iteration
 	// number about to execute (1-based, continuing from SolveFrom's base).
@@ -136,16 +106,18 @@ type Solver struct {
 	// the last one left in them.
 	OnCycle func(cycle int) error
 
+	// store is the checkpoint store CheckpointTo bound, nil for none, and
+	// every its period in iterations.
+	store *ckptio.Store
+	every int
+
 	// The conjugate gradients' state beyond x: r is res, z and p live in
 	// level 0's x and b, which the V-cycle never uses, and A·p in z's
-	// storage.  sum takes every inner product, sumBuf is its Allreduce
-	// vector, and restored is the iteration RestoreAt last read r, p and rho
-	// back for (0 for none), which SolveFrom resumes.
-	res      *petsc.Vec
-	sum      Sum
-	sumBuf   []float64
-	rho      float64
-	restored int
+	// storage.  sum takes every inner product and sumBuf is its Allreduce
+	// vector.
+	res    *petsc.Vec
+	sum    Sum
+	sumBuf []float64
 
 	// coarseComm, when non-nil on active ranks, confines the coarsest
 	// solve's inner products to the ranks that actually hold coarse cells
@@ -567,13 +539,13 @@ func (s *Solver) coarseSolve(l int, b, x *petsc.Vec) {
 		return // inactive rank: owns no coarse cells, rejoins at the transfer
 	}
 	defer s.span("coarse_solve", s.c.Clock(), intAttr("level", l))
-	dotComm := s.coarseComm // nil means reduce over the whole world
+	dotComm := s.coarseComm
+	if dotComm == nil {
+		dotComm = s.c
+	}
 
 	lv := s.levels[l]
 	dot := func(a, b *petsc.Vec) float64 {
-		if dotComm == nil {
-			return a.Dot(b)
-		}
 		sum := 0.0
 		ba := b.Array()
 		for i, v := range a.Array() {
@@ -617,129 +589,148 @@ func (s *Solver) coarseSolve(l int, b, x *petsc.Vec) {
 	}
 }
 
-// VCycle runs one V-cycle on the finest level for A x = b.  Collective.
-func (s *Solver) VCycle(b, x *petsc.Vec) { s.vcycle(0, fromNothing, b, x, endNone) }
+// CheckpointTo binds st to level 0's communicator and natural file view and
+// has Solve and SolveFrom write a checkpoint to it every `every` iterations
+// (0: none; st then only serves SolveFrom).  Each rank writes and reads
+// only its owned values, in natural order, so a checkpoint restores onto any
+// decomposition.  It holds x for the Richardson iteration, and x, r and p
+// for conjugate gradients, whose ρ rides in the commit beside the residual
+// and r0.  Set Richardson first; checkpoints of the other iteration drop out
+// of st's Iterations.
+func (s *Solver) CheckpointTo(st *ckptio.Store, every int) {
+	da := s.levels[0].da
+	vectors := 3 // state's x, r and p
+	if s.Richardson {
+		vectors = 1
+	}
+	st.Bind(da.Comm(), da.NaturalBytes(), da.NaturalSegments(), vectors)
+	s.store, s.every = st, every
+}
+
+// state is this rank's owned values of the vectors a checkpoint holds, x
+// first.
+func (s *Solver) state(x *petsc.Vec) [][]float64 {
+	if s.Richardson {
+		return [][]float64{x.Array()}
+	}
+	return [][]float64{x.Array(), s.res.Array(), s.levels[0].b.Array()}
+}
 
 // Solve solves A x = b from the guess in x until the residual 2-norm falls
 // below rtol times the initial residual norm, or maxCycles iterations have
 // run: conjugate gradients preconditioned by one V-cycle, or bare V-cycles
 // where Richardson is set.  It returns the iteration count and the final
-// relative residual.  Collective.
+// relative residual, NaN where b or x is not finite.  Collective.
 func (s *Solver) Solve(b, x *petsc.Vec, rtol float64, maxCycles int) (cycles int, relres float64) {
 	s.enter()
 	defer s.leave()
 	s.History = s.History[:0]
-	s.restored = 0
-	if !s.Richardson {
-		r0 := s.startKrylov(b, x)
-		if r0 == 0 {
-			return 0, 0
-		}
-		return s.pcg(x, rtol, maxCycles, r0, 0, 0)
+	var r0 float64
+	if s.Richardson {
+		s.residual(0, b, x, s.levels[0].r)
+		r0 = s.levels[0].r.Norm2()
+	} else {
+		s.residual(0, b, x, s.res)
+		r0 = math.Sqrt(s.dot(s.res, s.res))
 	}
-	lv := s.levels[0]
-	s.residual(0, b, x, lv.r)
-	r0 := lv.r.Norm2()
 	if r0 == 0 {
 		return 0, 0
 	}
-	return s.solve(b, x, rtol, maxCycles, r0, 0, fromResidual)
+	// relres starts at 1, or NaN where r0 is not finite.
+	return s.iterate(b, x, rtol, maxCycles, start{r0: r0, relres: r0 / r0, from: fromResidual})
 }
 
-// SolveFrom resumes an interrupted solve from a restored checkpoint: base
-// iterations have already run (iteration numbering, and hence checkpoint
-// iterations, continue from there) and r0 is the original solve's initial
-// residual norm, so relative residuals — and rtol — mean exactly what they
-// meant before the interruption.  maxCycles is the remaining budget; the
-// returned count excludes base.  r0 travels inside each checkpoint, so
-// RestoreAt hands it straight back here.
+// SolveFrom resumes an interrupted solve from its checkpoint at iteration
+// base in the store CheckpointTo bound, which it pins against the store's
+// retention.  Iteration numbering continues from base, and the checkpoint's
+// r0, the original solve's initial residual norm, keeps relative residuals —
+// and rtol — meaning what they meant before.  maxCycles is the remaining
+// budget; the returned count excludes base, and maxCycles 0 only reads the
+// checkpoint into x and returns its relative residual.  The read is purely
+// local and charges no virtual time; the ranks agree on base beforehand.
 //
-// Under conjugate gradients SolveFrom resumes from the x, r, p and ρ that
-// RestoreAt read for iteration base; each is in the checkpoint in natural
-// order and every inner product is order-free, so with New's hierarchy (the
-// coarsest level on rank 0 alone) the resumed History is the fault-free
-// run's from iteration base+1 on, bit for bit, at any world size.  Without
-// that state (no RestoreAt of base) it restarts the iteration from x.  The
-// Richardson iteration resumes from x alone, and its History matches the
-// fault-free run's only at the same world size.  r0 ≤ 0 starts afresh from x
-// against its own residual.  Collective.
-func (s *Solver) SolveFrom(b, x *petsc.Vec, rtol float64, maxCycles, base int, r0 float64) (cycles int, relres float64) {
+// Under conjugate gradients SolveFrom resumes from the x, r, p and ρ of the
+// checkpoint; each is in natural order and every inner product is
+// order-free, so with New's hierarchy (a coarsest level of at most 16³ cells
+// on rank 0 alone) the resumed History is the fault-free run's from
+// iteration base+1 on, bit for bit, at any world size.  The Richardson
+// iteration resumes from x alone, and its History matches the fault-free
+// run's only at the same world size.  Collective.
+func (s *Solver) SolveFrom(b, x *petsc.Vec, rtol float64, maxCycles, base int) (cycles int, relres float64, err error) {
 	s.enter()
 	defer s.leave()
 	s.History = s.History[:0]
-	if !s.Richardson {
-		rho := 0.0
-		if base > 0 && base == s.restored && r0 > 0 {
-			rho = s.rho
-		} else if rr := s.startKrylov(b, x); r0 <= 0 {
-			if r0 = rr; r0 == 0 {
-				return 0, 0
-			}
-		}
-		s.restored = 0
-		return s.pcg(x, rtol, maxCycles, r0, base, rho)
+	at := start{base: base, from: fromNothing}
+	if at.relres, at.r0, at.rho, err = s.store.ReadOwned(base, s.state(x)...); err != nil {
+		return 0, 0, err
 	}
-	from := fromNothing
-	if r0 <= 0 {
-		s.residual(0, b, x, s.levels[0].r)
-		r0 = s.levels[0].r.Norm2()
-		if r0 == 0 {
-			return 0, 0
-		}
-		from = fromResidual
-	}
-	return s.solve(b, x, rtol, maxCycles, r0, base, from)
+	s.store.Protect(base)
+	s.span("restore", s.c.Clock(), intAttr("iteration", base))
+	cycles, relres = s.iterate(b, x, rtol, maxCycles, at)
+	return cycles, relres, nil
 }
 
-// solve is the shared V-cycle iteration of Solve and SolveFrom: residuals
-// are measured against r0, cycles are numbered from base+1, and History
-// holds one entry per executed cycle.  from is what the first cycle's
-// pre-smoothing may take for granted; every later one starts from the
-// residual the cycle before it ends with, which nothing between the two
-// changes (OnCycle and the checkpoint only read x).
-func (s *Solver) solve(b, x *petsc.Vec, rtol float64, maxCycles int, r0 float64, base int, from sweepStart) (cycles int, relres float64) {
+// start is where iterate begins: base iterations done, at relative residual
+// relres of the initial residual norm r0.  rho is ⟨r, z⟩ of the conjugate
+// gradients' iteration before, 0 where there is no p yet and p starts as z,
+// and from what the Richardson iteration's first pre-smoothing may take for
+// granted of x.
+type start struct {
+	base            int
+	r0, relres, rho float64
+	from            sweepStart
+}
+
+// iterate is the outer iteration of Solve and SolveFrom from at: residuals
+// are measured against at.r0, iterations are numbered from at.base+1, and
+// History holds one entry per executed iteration.  An iteration is one
+// V-cycle from the residual the one before it ended with, which nothing
+// between the two changes (OnCycle and the checkpoint only read x), or one
+// step of conjugate gradients (pcgStep).  A step that cannot run (pcgStep)
+// stops the iteration at the relative residual before it.
+func (s *Solver) iterate(b, x *petsc.Vec, rtol float64, maxCycles int, at start) (cycles int, relres float64) {
+	relres = at.relres
 	defer s.span("mg_solve", s.c.Clock(), func() []obs.Attr {
 		return []obs.Attr{{Key: "cycles", Val: strconv.Itoa(cycles)}, relresAttr(relres)}
 	})
-	lv := s.levels[0]
 	for cycles = 0; cycles < maxCycles; cycles++ {
+		it := at.base + cycles + 1
 		if s.OnCycle != nil {
-			if err := s.OnCycle(base + cycles + 1); err != nil {
+			if err := s.OnCycle(it); err != nil {
 				return cycles, relres
 			}
 		}
 		cycleStart := s.c.Clock()
-		s.vcycle(0, from, b, x, endResidual)
-		from = fromResidual
-		relres = lv.r.Norm2() / r0
+		var rnorm float64
+		if s.Richardson {
+			s.vcycle(0, at.from, b, x, endResidual)
+			at.from = fromResidual
+			rnorm = s.levels[0].r.Norm2()
+		} else {
+			var ok bool
+			if rnorm, at.rho, ok = s.pcgStep(x, at.rho); !ok {
+				break
+			}
+		}
+		relres = rnorm / at.r0
 		s.History = append(s.History, relres)
 		s.span("mg_cycle", cycleStart, func() []obs.Attr {
-			return []obs.Attr{{Key: "cycle", Val: strconv.Itoa(base + cycles + 1)}, relresAttr(relres)}
+			return []obs.Attr{{Key: "cycle", Val: strconv.Itoa(it)}, relresAttr(relres)}
 		})
 		if relres <= rtol {
 			cycles++
 			break
 		}
-		if s.Checkpoints != nil && s.CheckpointEvery > 0 && (base+cycles+1)%s.CheckpointEvery == 0 {
+		if s.store != nil && s.every > 0 && it%s.every == 0 {
 			cpStart := s.c.Clock()
-			// The global vector's local array is already the file view's
-			// contribution buffer (canonical box order).  A returned error
-			// means the checkpoint aborted (an I/O fault somewhere) —
-			// checkpointing stays best-effort, and a rank failure mid-write
-			// resurfaces in the next V-cycle's collectives for the
-			// caller's recovery path.
-			_ = s.Checkpoints.PutOwned(base+cycles+1, relres, r0, 0, x.Array())
-			s.span("checkpoint", cpStart, intAttr("iteration", base+cycles+1))
+			// Best-effort: an error means an I/O fault somewhere aborted the
+			// checkpoint, and a rank failure mid-write resurfaces in the
+			// next iteration's collectives for the caller's recovery path.
+			_ = s.store.PutOwned(it, relres, at.r0, at.rho, s.state(x)...)
+			s.span("checkpoint", cpStart, intAttr("iteration", it))
 		}
 	}
 	return cycles, relres
-}
-
-// startKrylov sets the conjugate gradients' r to b − A x and returns its
-// norm.
-func (s *Solver) startKrylov(b, x *petsc.Vec) float64 {
-	s.residual(0, b, x, s.res)
-	return math.Sqrt(s.dot(s.res, s.res))
 }
 
 // dot is ⟨a, b⟩ on the finest level through the order-free sum, charged as
@@ -751,59 +742,30 @@ func (s *Solver) dot(a, b *petsc.Vec) float64 {
 	return s.sum.Allreduce(s.c, s.sumBuf)
 }
 
-// pcg is the conjugate-gradient iteration of Solve and SolveFrom, in three
-// trips through level 0 besides the V-cycle's own (DESIGN §19 "Krylov outer
-// iteration"): z = M⁻¹r by one V-cycle from zero, with ⟨r, z⟩ in its last
-// stage; p = z + βp, A·p and ⟨p, A·p⟩ in one wavefront (direction); and
-// x += αp, r −= αA·p and ‖r‖² in one pass (step).  r starts as b − A x, so b
-// is not read again.  Residuals are measured against r0, iterations are
-// numbered from base+1 and History holds one entry per iteration.  rho is
-// ⟨r, z⟩ of the iteration before, 0 where there is no p yet and p starts as
-// z.
-func (s *Solver) pcg(x *petsc.Vec, rtol float64, maxCycles int, r0 float64, base int, rho float64) (cycles int, relres float64) {
-	defer s.span("mg_solve", s.c.Clock(), func() []obs.Attr {
-		return []obs.Attr{{Key: "cycles", Val: strconv.Itoa(cycles)}, relresAttr(relres)}
-	})
-	lv := s.levels[0]
-	r, z, p := s.res, lv.x, lv.b
-	for cycles = 0; cycles < maxCycles; cycles++ {
-		it := base + cycles + 1
-		if s.OnCycle != nil {
-			if err := s.OnCycle(it); err != nil {
-				return cycles, relres
-			}
-		}
-		cycleStart := s.c.Clock()
-		s.zeroGuess(0, z)
-		s.sum.Reset()
-		s.vcycle(0, fromZero, r, z, endDot)
-		rz := s.sum.Allreduce(s.c, s.sumBuf)
-		s.sum.Reset()
-		s.direction(rz, rho)
-		pap := s.sum.Allreduce(s.c, s.sumBuf)
-		if !(pap > 0) {
-			break // p is zero: r and z were, and nothing is left to reduce
-		}
-		s.sum.Reset()
-		s.step(x, rz/pap)
-		relres = math.Sqrt(s.sum.Allreduce(s.c, s.sumBuf)) / r0
-		rho = rz
-		s.History = append(s.History, relres)
-		s.span("mg_cycle", cycleStart, func() []obs.Attr {
-			return []obs.Attr{{Key: "cycle", Val: strconv.Itoa(it)}, relresAttr(relres)}
-		})
-		if relres <= rtol {
-			cycles++
-			break
-		}
-		if s.Checkpoints != nil && s.CheckpointEvery > 0 && it%s.CheckpointEvery == 0 {
-			cpStart := s.c.Clock()
-			// Best-effort, as in solve.
-			_ = s.Checkpoints.PutOwned(it, relres, r0, rho, x.Array(), r.Array(), p.Array())
-			s.span("checkpoint", cpStart, intAttr("iteration", it))
-		}
+// pcgStep is one iteration of conjugate gradients preconditioned by one
+// V-cycle, in three trips through level 0 besides the V-cycle's own (DESIGN
+// §19 "Krylov outer iteration"): z = M⁻¹r by one V-cycle from zero, with
+// ⟨r, z⟩ in its last stage; p = z + βp, A·p and ⟨p, A·p⟩ in one wavefront
+// (direction); and x += αp, r −= αA·p and ‖r‖² in one pass (step).  r starts
+// as b − A x, so b is not read again.  rho is ⟨r, z⟩ of the iteration
+// before, 0 where there is no p yet.  It returns ‖r‖ after the step and
+// ⟨r, z⟩; ok is false, and x and r are as they were, where ⟨p, A·p⟩ is not
+// positive: p is zero, as r and z were, or not finite.
+func (s *Solver) pcgStep(x *petsc.Vec, rho float64) (rnorm, rz float64, ok bool) {
+	z := s.levels[0].x
+	s.zeroGuess(0, z)
+	s.sum.Reset()
+	s.vcycle(0, fromZero, s.res, z, endDot)
+	rz = s.sum.Allreduce(s.c, s.sumBuf)
+	s.sum.Reset()
+	s.direction(rz, rho)
+	pap := s.sum.Allreduce(s.c, s.sumBuf)
+	if !(pap > 0) {
+		return 0, 0, false
 	}
-	return cycles, relres
+	s.sum.Reset()
+	s.step(x, rz/pap)
+	return math.Sqrt(s.sum.Allreduce(s.c, s.sumBuf)), rz, true
 }
 
 // direction runs p = z + (rz/rho)·p, or p = z where rho is 0, and A·p into
@@ -860,27 +822,6 @@ func axpyCells(y, x []float64, a float64) {
 	for i := range y {
 		y[i] += float64(a * x[i])
 	}
-}
-
-// RestoreAt loads this rank's owned values of the checkpoint taken at
-// exactly the given iteration into x (the finest-level layout of this
-// solver's — possibly re-decomposed — DA) and returns its residual and r0
-// for SolveFrom.  Under conjugate gradients it reads the iteration's r, p
-// and ρ back too, for SolveFrom to resume.  Purely local.  The recovery path
-// calls it after the ranks agree on an iteration everyone can produce.
-func (s *Solver) RestoreAt(iteration int, x *petsc.Vec) (residual, r0 float64, err error) {
-	if s.Richardson {
-		residual, r0, _, err = s.Checkpoints.ReadOwned(iteration, x.Array())
-	} else {
-		residual, r0, s.rho, err = s.Checkpoints.ReadOwned(iteration, x.Array(), s.res.Array(), s.levels[0].b.Array())
-		s.restored = iteration
-	}
-	if err != nil {
-		s.restored = 0
-		return 0, 0, err
-	}
-	s.span("restore", s.c.Clock(), intAttr("iteration", iteration))
-	return residual, r0, nil
 }
 
 // RevokeComms revokes the solver's communicators — the one it was built on

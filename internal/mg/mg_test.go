@@ -96,7 +96,7 @@ func TestVCycleContracts(t *testing.T) {
 				r.AYPX(-1, b)
 				prev := r.Norm2()
 				for cyc := 0; cyc < 3; cyc++ {
-					s.VCycle(b, x)
+					s.vcycle(0, fromNothing, b, x, endNone)
 					s.Apply(x, r)
 					r.AYPX(-1, b)
 					cur := r.Norm2()
@@ -242,6 +242,24 @@ func TestZeroRHS(t *testing.T) {
 	})
 }
 
+// TestNaNRHSIsNotConverged: a NaN in b makes every residual NaN, and both
+// iterations report a NaN relative residual, never one at or below rtol.
+func TestNaNRHSIsNotConverged(t *testing.T) {
+	for _, richardson := range []bool{false, true} {
+		runWorld(t, 2, mpi.Optimized(), func(c *mpi.Comm) error {
+			s := New(c, []int{16}, 2, petsc.ScatterHandTuned)
+			s.Richardson = richardson
+			b, x := s.CreateVec(), s.CreateVec()
+			b.Set(1)
+			b.Array()[0] = math.NaN()
+			if _, relres := s.Solve(b, x, 1e-8, 10); !math.IsNaN(relres) {
+				return fmt.Errorf("richardson=%v: NaN rhs solved to relres %v", richardson, relres)
+			}
+			return nil
+		})
+	}
+}
+
 func TestValidation(t *testing.T) {
 	runWorld(t, 1, mpi.Optimized(), func(c *mpi.Comm) error {
 		mustPanic := func(name string, f func()) error {
@@ -283,8 +301,8 @@ func TestPaperConfiguration100Cubed(t *testing.T) {
 		s.Apply(x, r)
 		r.AYPX(-1, b)
 		before := r.Norm2()
-		s.VCycle(b, x)
-		s.VCycle(b, x)
+		s.vcycle(0, fromNothing, b, x, endNone)
+		s.vcycle(0, fromNothing, b, x, endNone)
 		s.Apply(x, r)
 		r.AYPX(-1, b)
 		after := r.Norm2()

@@ -919,7 +919,7 @@ func checkPassesAllocateNothing(t *testing.T, n int, mode petsc.ScatterMode) {
 		coarse := s.DA(1).CreateGlobalVec()
 		fillSeeded(b, 1)
 		fillSeeded(x, 2)
-		s.VCycle(b, y) // the coarse solve's scratch is allocated by the first
+		s.vcycle(0, fromNothing, b, y, endNone) // the coarse solve's scratch is allocated by the first
 		for name, pass := range map[string]func(){
 			"applyLevel":           func() { s.applyLevel(0, x, y) },
 			"smooth":               func() { s.smooth(0, 1, fromNothing, b, x) },
@@ -934,7 +934,7 @@ func checkPassesAllocateNothing(t *testing.T, n int, mode petsc.ScatterMode) {
 			"direction":            func() { s.direction(1, 2) },
 			"step":                 func() { s.step(x, 0.5) },
 			"dot":                  func() { s.dot(b, x) },
-			"VCycle":               func() { s.VCycle(b, y) },
+			"vcycle":               func() { s.vcycle(0, fromNothing, b, y, endNone) },
 		} {
 			if a := testing.AllocsPerRun(10, pass); a != 0 {
 				return fmt.Errorf("%d³, %v: %s allocates %v times a call", n, mode, name, a)
