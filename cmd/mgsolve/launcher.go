@@ -70,7 +70,7 @@ type launchConfig struct {
 	analyze  bool             // collect per-rank spans and run the cross-rank analyzer
 	spansDir string           // per-rank raw-span directory (set internally for -analyze)
 	selfheal bool             // daemons heal from a shared checkpoint directory
-	chaos    bool             // SIGKILL killRank after its first checkpoint, expect full recovery
+	chaos    bool             // SIGKILL killRank after its first checkpoint write (chaosTrigger), expect full recovery
 	killRank int
 }
 
@@ -102,11 +102,15 @@ func newFleet(explicit string, n int) (*fleet, error) {
 	return &fleet{daemon: daemon, addrs: addrs, worldID: uint64(os.Getpid()), cmds: make(map[int]*exec.Cmd)}, nil
 }
 
-// get returns rank's live daemon, or nil.
-func (f *fleet) get(rank int) *exec.Cmd {
+// kill SIGKILLs rank's live daemon, if it has one, for a chaos trigger,
+// and says so.  spawn reaps it.
+func (f *fleet) kill(rank int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.cmds[rank]
+	fmt.Printf("chaos: SIGKILL rank %d\n", rank)
+	if cmd := f.cmds[rank]; cmd != nil && cmd.Process != nil {
+		_ = cmd.Process.Kill()
+	}
 }
 
 // signal sends sig to every live daemon.  Reaping stays with spawn's
@@ -165,13 +169,60 @@ func (f *fleet) spawn(rank int, extra []string, onLine func(line string)) (*daem
 	return p, nil
 }
 
+// killTrigger is a supervisor's fault injection, fed every daemon's stdout
+// lines as (rank, line).  At the first line cue accepts it kills victim,
+// once; after the kill, the first CYCLE line of a later epoch stops the
+// MTTR clock.
+type killTrigger struct {
+	victim int
+	cue    func(rank int, line string) bool
+	kill   func(rank int)
+
+	mu                  sync.Mutex
+	killedAt, resumedAt time.Time
+}
+
+// chaosTrigger is -chaos's: victim dies at its "CYCLE 0 <every+1>" line,
+// when its first checkpoint write has run, committed or aborted.
+func chaosTrigger(victim, every int, kill func(int)) *killTrigger {
+	cue := fmt.Sprintf("CYCLE 0 %d", every+1)
+	return &killTrigger{victim: victim, kill: kill, cue: func(rank int, line string) bool {
+		return rank == victim && line == cue
+	}}
+}
+
+// feed takes one line rank printed, from any daemon's scanner goroutine.
+func (t *killTrigger) feed(rank int, line string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	switch {
+	case t.killedAt.IsZero() && t.cue(rank, line):
+		t.killedAt = time.Now()
+		t.kill(t.victim)
+	case !t.killedAt.IsZero() && t.resumedAt.IsZero() && strings.HasPrefix(line, "CYCLE ") && !strings.HasPrefix(line, "CYCLE 0 "):
+		t.resumedAt = time.Now()
+	}
+}
+
+// fired reports whether the kill ran, and the time from it to the first
+// line of a later epoch (0 before one).
+func (t *killTrigger) fired() (bool, time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.resumedAt.IsZero() {
+		return !t.killedAt.IsZero(), 0
+	}
+	return true, t.resumedAt.Sub(t.killedAt)
+}
+
 // runLauncher spawns lc.n nccdd rank daemons on localhost, collects their
 // results, replays the identical problem on the in-process virtual-time
 // transport, and verifies that both converge through the same residual
 // history.  With lc.chaos it additionally SIGKILLs lc.killRank after its
-// first durable checkpoint, relaunches it as a -rejoin replacement, and
-// requires the healed full-size run to reproduce the reference history from
-// the restored cycle on.  Returns the process exit code.
+// first checkpoint write (chaosTrigger), relaunches it as a -rejoin
+// replacement, and requires the healed full-size run to reproduce the
+// reference history from the restored cycle on.  Returns the process exit
+// code.
 func runLauncher(lc launchConfig) int {
 	fl, err := newFleet(lc.daemon, lc.n)
 	if err != nil {
@@ -232,9 +283,8 @@ func runLauncher(lc launchConfig) int {
 	} else {
 		fmt.Printf("spawning %d rank daemons (%s) over TCP localhost\n", lc.n, fl.daemon)
 	}
-	var chaosMu sync.Mutex
-	var killTime, resumeTime time.Time
-	chaosKilled := false
+	every := max(lc.spec.CkptEvery, 1)
+	trig := chaosTrigger(lc.killRank, every, fl.kill)
 
 	reports := make([]*bench.RankReport, lc.n)
 	procErrs := make([]error, lc.n)
@@ -244,34 +294,16 @@ func runLauncher(lc launchConfig) int {
 		go func(r int) {
 			defer wg.Done()
 			onLine := func(line string) {
-				if !lc.chaos {
-					return
-				}
-				chaosMu.Lock()
-				defer chaosMu.Unlock()
-				if r == lc.killRank && !chaosKilled && strings.HasPrefix(line, "CKPT ") {
-					if cmd := fl.get(r); cmd != nil && cmd.Process != nil {
-						chaosKilled = true
-						killTime = time.Now()
-						fmt.Printf("chaos: SIGKILL rank %d after %s\n", r, line)
-						_ = cmd.Process.Kill()
-					}
-				}
-				if chaosKilled && resumeTime.IsZero() && strings.HasPrefix(line, "RESUMED ") {
-					resumeTime = time.Now()
+				if lc.chaos {
+					trig.feed(r, line)
 				}
 			}
 			rep, derr := runDaemon(fl, r, lc, nil, onLine)
-			if derr != nil && lc.chaos && r == lc.killRank {
-				chaosMu.Lock()
-				wasKilled := chaosKilled
-				chaosMu.Unlock()
-				if wasKilled {
-					// Expected death: relaunch the rank as a replacement
-					// on the same address, joining the bumped epoch.
-					fmt.Printf("chaos: respawning rank %d as a rejoin replacement\n", r)
-					rep, derr = runDaemon(fl, r, lc, []string{"-rejoin", "-epoch", "1"}, onLine)
-				}
+			if killed, _ := trig.fired(); derr != nil && r == lc.killRank && killed {
+				// Expected death: relaunch the rank as a replacement on the
+				// same address, joining the bumped epoch.
+				fmt.Printf("chaos: respawning rank %d as a rejoin replacement\n", r)
+				rep, derr = runDaemon(fl, r, lc, []string{"-rejoin", "-epoch", "1"}, onLine)
 			}
 			reports[r], procErrs[r] = rep, derr
 			if derr != nil {
@@ -297,8 +329,9 @@ func runLauncher(lc launchConfig) int {
 	if failed {
 		return 1
 	}
-	if lc.chaos && !chaosKilled {
-		fmt.Fprintln(os.Stderr, "mgsolve: chaos kill never fired (no checkpoint observed before completion)")
+	killed, mttr := trig.fired()
+	if lc.chaos && !killed {
+		fmt.Fprintf(os.Stderr, "mgsolve: chaos kill never fired (rank %d finished before iteration %d)\n", lc.killRank, every+1)
 		return 1
 	}
 
@@ -357,7 +390,7 @@ func runLauncher(lc launchConfig) int {
 		}
 	}
 	if lc.chaos {
-		return verifyChaos(lc, reports, killTime, resumeTime)
+		return verifyChaos(lc, reports, mttr)
 	}
 	return verifyAgainstReference(lc, r0.History, 0)
 }
@@ -410,7 +443,7 @@ func referenceCheck(arm core.Arm) func(p bench.MultigridParams, ranks int, histo
 
 // verifyChaos checks the healed run end to end: full size, committed
 // epoch, agreed restore point, reference-identical resumed history.
-func verifyChaos(lc launchConfig, reports []*bench.RankReport, killTime, resumeTime time.Time) int {
+func verifyChaos(lc launchConfig, reports []*bench.RankReport, mttr time.Duration) int {
 	base := reports[0].RestoredAt
 	for r, rep := range reports {
 		if !rep.Healed || rep.Recoveries < 1 {
@@ -430,15 +463,8 @@ func verifyChaos(lc launchConfig, reports []*bench.RankReport, killTime, resumeT
 			return 1
 		}
 	}
-	mttr := 0.0
-	if !killTime.IsZero() && !resumeTime.IsZero() {
-		mttr = resumeTime.Sub(killTime).Seconds()
-	}
 	fmt.Printf("chaos: healed at full size %d, epoch %d, restored from cycle %d, MTTR %.3fs\n",
-		lc.n, reports[0].Epoch, base, mttr)
-	if base < 0 {
-		base = 0
-	}
+		lc.n, reports[0].Epoch, base, mttr.Seconds())
 	return verifyAgainstReference(lc, reports[0].History, base)
 }
 

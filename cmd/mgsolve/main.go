@@ -15,8 +15,8 @@
 // With -tcp N -selfheal it also supervises the daemons — durable
 // checkpoints, heartbeat failure detection, respawn of dead ranks into a
 // regrown full-size world — and -chaos smoke-tests that path by killing
-// -killrank after its first checkpoint and demanding a bitwise-identical
-// resumed history.
+// -killrank once its first checkpoint write has run, committed or aborted,
+// and demanding a bitwise-identical resumed history.
 //
 // With -trace or -analyze (and no -tcp) it runs one traced in-process solve
 // on -np ranks; -servestress and -submit drive the multi-tenant service.
@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	metrics := fs.String("metrics", "", "write a JSON snapshot of the process metrics registry here after the run")
 	analyzeFlag := fs.Bool("analyze", false, "run the cross-rank analyzer after the solve: message matching, wait states, critical path, communication matrix; with -tcp it collects per-rank span files and exits nonzero on any unmatched message edge")
 	selfheal := fs.Bool("selfheal", false, "run the -tcp daemons with durable checkpoints and the epoch/rejoin recovery protocol (implied by -ckpt)")
-	chaos := fs.Bool("chaos", false, "self-healing smoke test: SIGKILL -killrank after its first checkpoint, respawn it, and require full-size recovery (implies -selfheal)")
+	chaos := fs.Bool("chaos", false, "self-healing smoke test: SIGKILL -killrank once its first checkpoint write has run (committed or not), respawn it, and require full-size recovery (implies -selfheal)")
 	killRank := fs.Int("killrank", 2, "the rank -chaos kills")
 	serveStress := fs.Int("servestress", 0, "spawn an N-rank (N >= 3) nccdd -serve fleet and stress the multi-tenant service: 1 huge + 8 small concurrent jobs, SIGKILL the last rank mid-run, bitwise verification of every completed job, healed-resume / overload / cancel / drain checks; exit 3 = unexpected overload, 4 = job failed, 5 = unexpected cancel")
 	submit := fs.String("submit", "", "submit one job (the -extent/-levels/-rtol/-maxcycles problem) to a running service at this base URL, wait, and exit 0 completed / 3 overloaded / 4 failed / 5 canceled")

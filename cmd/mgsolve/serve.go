@@ -7,11 +7,8 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"regexp"
 	"slices"
-	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -155,7 +152,16 @@ func runServeSubmit(base string, p bench.MultigridParams) int {
 // submits beside the huge one.
 const serveSmallJobs = 8
 
-var reJobCycle = regexp.MustCompile(`^EVENT JOB (\d+) cycle (\d+)$`)
+// serveTrigger is -servestress's kill: the last of n ranks (rank 0 hosts
+// the controller) dies once rank 0, the huge job's first rank, reports the
+// job's cycle 6, by when the job has checkpoints behind it (a period of 2).
+// huge holds the job's id, 0 until it is known.
+func serveTrigger(n int, huge *atomic.Uint64, kill func(int)) *killTrigger {
+	return &killTrigger{victim: n - 1, kill: kill, cue: func(rank int, line string) bool {
+		id := huge.Load()
+		return rank == 0 && id != 0 && line == fmt.Sprintf("EVENT JOB %d cycle 6", id)
+	}}
+}
 
 // runServeStress drives the multi-tenant smoke end to end: spawn an n-rank
 // (n >= 3) nccdd -serve fleet given spec, submit one huge and
@@ -171,7 +177,6 @@ var reJobCycle = regexp.MustCompile(`^EVENT JOB (\d+) cycle (\d+)$`)
 //   - a cancel request to land as state "canceled",
 //   - SIGTERM to drain the whole fleet to clean zero exits.
 func runServeStress(n int, daemon string, spec bench.DaemonSpec) int {
-	victim := n - 1 // rank 0 hosts the controller
 	fl, err := newFleet(daemon, n)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mgsolve: %v\n", err)
@@ -184,14 +189,12 @@ func runServeStress(n int, daemon string, spec bench.DaemonSpec) int {
 	}
 	defer os.RemoveAll(ckptDir)
 	defer fl.signal(os.Kill)
-	// The kill trigger: once the huge job's rank 0 reports enough cycles
-	// for two durable checkpoints (a period of 2), the victim dies.
 	spec.CkptDir, spec.CkptEvery = ckptDir, 2
 	args := append(spec.Args(), "-serve", "127.0.0.1:0")
 
 	var hugeID atomic.Uint64
-	killReady := make(chan struct{})
-	var killOnce sync.Once
+	trig := serveTrigger(n, &hugeID, fl.kill)
+	victim := trig.victim
 	apiCh := make(chan string, 1)
 	onLine := func(rank int, line string) {
 		fmt.Printf("[svc %d] %s\n", rank, line)
@@ -201,13 +204,7 @@ func runServeStress(n int, daemon string, spec bench.DaemonSpec) int {
 			default:
 			}
 		}
-		if m := reJobCycle.FindStringSubmatch(line); m != nil {
-			id, _ := strconv.ParseUint(m[1], 10, 64)
-			cyc, _ := strconv.Atoi(m[2])
-			if id == hugeID.Load() && id != 0 && cyc >= 6 {
-				killOnce.Do(func() { close(killReady) })
-			}
-		}
+		trig.feed(rank, line)
 	}
 
 	spawn := func(r int, extra ...string) (*daemonProc, error) {
@@ -276,22 +273,18 @@ func runServeStress(n int, daemon string, spec bench.DaemonSpec) int {
 		return 1
 	}
 
-	// Mid-run fault injection: SIGKILL the victim once the huge job has
-	// checkpoints behind it, then respawn it as a rejoin replacement.
+	// Mid-run fault injection: the trigger SIGKILLs the victim; once it is
+	// reaped, respawn it as a rejoin replacement.
 	select {
-	case <-killReady:
+	case <-procs[victim].done:
 	case <-time.After(2 * time.Minute):
 		fmt.Fprintln(os.Stderr, "mgsolve: huge job never reached cycle 6 within 2m")
 		return 1
 	}
-	cmd := fl.get(victim)
-	if cmd == nil || cmd.Process == nil {
-		fmt.Fprintf(os.Stderr, "mgsolve: victim rank %d already gone\n", victim)
+	if killed, _ := trig.fired(); !killed {
+		fmt.Fprintf(os.Stderr, "mgsolve: victim rank %d exited before the kill\n", victim)
 		return 1
 	}
-	fmt.Printf("chaos: SIGKILL rank %d mid-run\n", victim)
-	_ = cmd.Process.Kill()
-	<-procs[victim].done // reaped; expected to be the kill
 	fmt.Printf("chaos: respawning rank %d as a -rejoin replacement\n", victim)
 	procs[victim], err = spawn(victim, "-rejoin", "-epoch", "1")
 	if err != nil {

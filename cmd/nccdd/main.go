@@ -23,8 +23,10 @@
 // solve and rides out peer failures through the epoch/rejoin recovery
 // protocol instead of aborting; a supervisor relaunches a killed rank with
 // -rejoin -epoch N and the same rank/address, and the replacement restores
-// the agreed checkpoint into the regrown full-size world.  A healing or
-// serving daemon runs a heartbeat failure detector every -hb (25 ms by
+// the agreed checkpoint into the regrown full-size world.  It prints a
+// "CYCLE <epoch> <iteration>" line before each iteration, which the
+// launcher's chaos controller keys its kill and MTTR clock off.  A healing
+// or serving daemon runs a heartbeat failure detector every -hb (25 ms by
 // default), so hung (not just dead) peers are caught.
 //
 // The run's flags (the problem, -arm, the fault plan, -pernode and the
@@ -72,7 +74,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run parses args, refuses a bad invocation with one stderr line and exit 2
 // before any listener is opened or world built, and hosts the rank.  stdout
-// receives the daemon's protocol lines (RESULT, CKPT, RESUMED); the service
+// receives the daemon's protocol lines (RESULT, CYCLE); the service
 // mode prints its own to the process's descriptors.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("nccdd", flag.ContinueOnError)
@@ -109,10 +111,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if spec.PerNode > 1 && spec.ShmDir == "" {
 		return fail(2, fmt.Errorf("-pernode %d needs -shmdir: co-located ranks attach one segment file there", spec.PerNode))
 	}
-	if *rejoin && spec.CkptDir == "" && *serve == "" {
-		// A replacement restores the agreed checkpoint; with nowhere to read
-		// one it could only fail once the mesh is up.
-		return fail(2, fmt.Errorf("-rejoin needs -ckpt: a replacement resumes from the shared checkpoint directory"))
+	if *rejoin && *serve == "" && (spec.CkptDir == "" || *epoch == 0) {
+		// A replacement restores the agreed checkpoint in the survivors'
+		// recovery epoch (≥ 1); without either it could only fail once the
+		// mesh is up.
+		return fail(2, fmt.Errorf("-rejoin needs -ckpt and -epoch 1 or later: a replacement resumes from the shared checkpoint directory in the survivors' recovery epoch"))
 	}
 
 	tcfg := transport.TCPConfig{Rank: *rank, Size: *n, WorldID: *worldID, Addrs: addrs,
@@ -138,13 +141,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	rep, err := bench.RunMultigridDaemon(tcfg, spec, ob, bench.HealHooks{
-		// Progress lines the launcher's chaos controller keys off: CKPT
-		// marks a durable checkpoint, RESUMED a committed recovery.  Stdout
-		// is line-buffered through the launcher's scanner, so these arrive
-		// promptly.
-		OnCheckpoint: func(it int) { fmt.Fprintf(stdout, "CKPT %d\n", it) },
-		OnRecovered:  func(e uint64, at int) { fmt.Fprintf(stdout, "RESUMED epoch=%d from=%d\n", e, at) },
+	// The progress line the launcher's chaos controller keys off.  Stdout
+	// is unbuffered, so each line is in the launcher's pipe before the
+	// iteration it announces runs.
+	rep, err := bench.RunMultigridDaemon(tcfg, spec, ob, func(e uint64, it int) {
+		fmt.Fprintf(stdout, "CYCLE %d %d\n", e, it)
 	})
 	if err != nil {
 		return fail(1, err)

@@ -10,9 +10,9 @@ import (
 // of the wrong length, an arm nobody knows, a shape that does not fit or a
 // fault flag out of range, a node layout the world does not divide into or
 // with no segment directory, or a replacement with no checkpoint directory
-// to resume from, is one stderr line and exit 2, before a listener is
-// opened: nothing is printed on stdout, where the launcher reads the daemon's
-// protocol lines.
+// to resume from or at the first attempt's epoch 0, is one stderr line and
+// exit 2, before a listener is opened: nothing is printed on stdout, where
+// the launcher reads the daemon's protocol lines.
 func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 	two := []string{"-n", "2", "-addrs", "127.0.0.1:1,127.0.0.1:2"}
 	for _, tc := range []struct {
@@ -35,6 +35,7 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{append([]string{"-rank", "0", "-iofault=crash=-3"}, two...), `"crash=-3"`},
 		{append([]string{"-rank", "1", "-rejoin"}, two...), "-rejoin needs -ckpt"},
 		{append([]string{"-rank", "1", "-rejoin", "-epoch", "1"}, two...), "-rejoin needs -ckpt"},
+		{append([]string{"-rank", "1", "-rejoin", "-ckpt", "/nonexistent"}, two...), "-epoch 1 or later"},
 		{[]string{"-rank", "0", "-n", "3", "-addrs", "127.0.0.1:1,127.0.0.1:2,127.0.0.1:3", "-pernode=2"}, "-pernode 2 does not divide the world's 3 ranks"},
 		{append([]string{"-rank", "0", "-pernode=2"}, two...), "-pernode 2 needs -shmdir"},
 	} {

@@ -335,9 +335,9 @@ func registerWireMetrics(rw *rankWire, rank int) func() {
 // rides out peer failures through SelfHealMultigrid's epoch/rejoin
 // recovery loop, and — launched with tcfg.Epoch > 0 — comes up as a
 // replacement that restores the agreed checkpoint into the regrown world
-// instead of starting over.  hooks announce its progress.  Every error
-// names the rank.
-func RunMultigridDaemon(tcfg transport.TCPConfig, spec DaemonSpec, ob DaemonObs, hooks HealHooks) (RankReport, error) {
+// instead of starting over; onCycle, when non-nil, is HealParams.OnCycle.
+// Every error names the rank.
+func RunMultigridDaemon(tcfg transport.TCPConfig, spec DaemonSpec, ob DaemonObs, onCycle func(epoch uint64, cycle int)) (RankReport, error) {
 	fail := func(err error) (RankReport, error) {
 		return RankReport{}, fmt.Errorf("rank %d: %w", tcfg.Rank, err)
 	}
@@ -352,7 +352,6 @@ func RunMultigridDaemon(tcfg transport.TCPConfig, spec DaemonSpec, ob DaemonObs,
 			StripeBytes: spec.StripeBytes,
 			Aggregators: spec.Aggregators,
 			Faults:      plan,
-			OnCommit:    hooks.OnCheckpoint,
 		})
 		if err != nil {
 			return fail(err)
@@ -378,7 +377,7 @@ func RunMultigridDaemon(tcfg transport.TCPConfig, spec DaemonSpec, ob DaemonObs,
 	wall0 := time.Now()
 	err = w.Run(func(c *mpi.Comm) error {
 		if store != nil {
-			hp := HealParams{CheckpointEvery: spec.CkptEvery, RejoinEpoch: tcfg.Epoch, HealHooks: hooks}
+			hp := HealParams{CheckpointEvery: spec.CkptEvery, RejoinEpoch: tcfg.Epoch, OnCycle: onCycle}
 			res, err := SelfHealMultigrid(c, spec.MultigridParams, arm.Mode, store, hp)
 			rep.SelfHealResult, rep.Seconds = res, time.Since(wall0).Seconds()
 			return err

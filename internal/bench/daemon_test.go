@@ -67,7 +67,7 @@ func TestRunMultigridDaemonMatchesWorld(t *testing.T) {
 			defer wg.Done()
 			tcfg := transport.TCPConfig{Rank: r, Size: n, WorldID: 0x1718, Addrs: addrs,
 				Listener: lns[r], DialTimeout: 10 * time.Second}
-			reps[r], errs[r] = RunMultigridDaemon(tcfg, spec, DaemonObs{}, HealHooks{})
+			reps[r], errs[r] = RunMultigridDaemon(tcfg, spec, DaemonObs{}, nil)
 		}()
 	}
 	wg.Wait()

@@ -36,17 +36,11 @@ type HealParams struct {
 	// derive the same epoch by counting their own failures, so no epoch
 	// negotiation is needed.
 	RejoinEpoch uint64
-	HealHooks
-}
-
-// HealHooks announce a self-healing solve's progress (the launcher's chaos
-// controller keys its kill and MTTR clock off them): OnCheckpoint after
-// each durable checkpoint of a daemon's store, OnRecovered before the
-// first cycle a recovered attempt runs, with the new epoch and the agreed
-// restore iteration.  Either may be nil.
-type HealHooks struct {
-	OnCheckpoint func(iteration int)
-	OnRecovered  func(epoch uint64, restoredAt int)
+	// OnCycle, when non-nil, runs before each iteration of every attempt
+	// with the attempt's membership epoch (0 before any recovery) and the
+	// iteration number (MultigridRankOptions.OnCycle).  The launcher's
+	// chaos controller keys its kill and MTTR clock off it.
+	OnCycle func(epoch uint64, cycle int)
 }
 
 // SelfHealResult is one rank's outcome of a self-healing solve.  A
@@ -79,28 +73,19 @@ type SelfHealResult struct {
 // lower iteration numbers sort after the stale incarnation's.
 func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, store *ckptio.Store, hp HealParams) (SelfHealResult, error) {
 	res := SelfHealResult{RestoredAt: -1}
-	every := hp.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
-
 	cc := c
 	epoch := hp.RejoinEpoch
 	rejoining := hp.RejoinEpoch > 0
+	opts := MultigridRankOptions{Store: store, CheckpointEvery: max(hp.CheckpointEvery, 1)}
+	if hp.OnCycle != nil {
+		opts.OnCycle = func(cycle int) error { hp.OnCycle(epoch, cycle); return nil }
+	}
 	for {
 		if !rejoining {
-			recovered := res.Recoveries > 0
+			opts.Resume = res.Recoveries > 0
 			werr := mpi.Guard(func() error {
 				store.SetEpoch(epoch)
-				r, err := MultigridRank(cc, p, mode, MultigridRankOptions{
-					Store: store, CheckpointEvery: every, Resume: recovered,
-					OnCycle: func(cycle int) error {
-						if recovered && hp.OnRecovered != nil {
-							hp.OnRecovered(epoch, cycle-1)
-						}
-						recovered = false
-						return nil
-					}})
+				r, err := MultigridRank(cc, p, mode, opts)
 				if err != nil {
 					return err
 				}
@@ -186,13 +171,13 @@ func RunMultigridSelfHeal(n int, p MultigridParams, crashRank int, crashFrac flo
 	body := func(rejoinEpoch uint64) func(c *mpi.Comm) error {
 		return func(c *mpi.Comm) error {
 			hp := HealParams{CheckpointEvery: 1, RejoinEpoch: rejoinEpoch,
-				HealHooks: HealHooks{OnRecovered: func(uint64, int) {
+				OnCycle: func(epoch uint64, _ int) {
 					mu.Lock()
-					if recoveredAt.IsZero() {
+					if epoch > 0 && recoveredAt.IsZero() {
 						recoveredAt = time.Now()
 					}
 					mu.Unlock()
-				}}}
+				}}
 			store, err := ckptio.NewStore(dir, nil, ckpt)
 			if err != nil {
 				return err

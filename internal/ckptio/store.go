@@ -28,9 +28,6 @@ type Options struct {
 	// Faults, when non-nil, wraps the filesystem in seeded fault
 	// injection (tests and the chaos harness).
 	Faults *FaultPlan
-	// OnCommit, when set, fires on every rank after a checkpoint commits
-	// (the daemon's "CKPT n" announcement hook).
-	OnCommit func(cycle int)
 }
 
 // Store is one rank's handle on a shared collective checkpoint directory.
@@ -170,9 +167,6 @@ func (s *Store) PutOwned(cycle int, residual, r0, rho float64, vecs ...[]float64
 	s.valid[commitName(cm.Epoch, cycle)] = true
 	if s.c.Rank() == 0 {
 		s.prune()
-	}
-	if s.opt.OnCommit != nil {
-		s.opt.OnCommit(cycle)
 	}
 	return nil
 }
