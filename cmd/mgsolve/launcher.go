@@ -16,7 +16,6 @@ import (
 
 	"nccd/internal/bench"
 	"nccd/internal/core"
-	"nccd/internal/mg"
 	"nccd/internal/obs"
 	"nccd/internal/obs/analyze"
 )
@@ -384,7 +383,7 @@ func runLauncher(lc launchConfig) int {
 	// Every rank solved the same system; their histories must agree with
 	// each other before being compared against the reference.
 	for r := 1; r < lc.n; r++ {
-		if err := historiesEqual(reports[r].History, r0.History); err != nil {
+		if err := bench.CheckHistory(reports[r].History, r0.History, 0); err != nil {
 			fmt.Fprintf(os.Stderr, "mgsolve: rank %d diverged from rank 0: %v\n", r, err)
 			return 1
 		}
@@ -399,7 +398,7 @@ func runLauncher(lc launchConfig) int {
 // reference run's from cycle `from` on, bitwise.
 func verifyAgainstReference(lc launchConfig, history []float64, from int) int {
 	fmt.Printf("verifying against in-process reference run...\n")
-	if err := referenceCheck(lc.spec.CoreArm())(lc.spec.MultigridParams, lc.n, history, from); err != nil {
+	if err := referenceCheck(lc.spec.CoreArm())(lc.spec.MultigridParams, history, from); err != nil {
 		fmt.Fprintf(os.Stderr, "mgsolve: tcp run: %v\n", err)
 		return 1
 	}
@@ -407,34 +406,21 @@ func verifyAgainstReference(lc launchConfig, history []float64, from int) int {
 	return 0
 }
 
-// referenceCheck returns the one check of a history of p, solved on ranks
-// ranks, against the in-process virtual-time run of p under arm: equal, bit
-// for bit, to the reference's iterations from `from` on (a healed run's
-// history starts after its restore point).  The solve's History does not
-// depend on the rank count where the coarsest level lives on one rank
-// (mg.LevelRanks), so each such problem is replayed once, on one rank, and
-// every rank count is checked against that; a problem whose coarsest level
-// spans ranks is replayed at the run's rank count.
-func referenceCheck(arm core.Arm) func(p bench.MultigridParams, ranks int, history []float64, from int) error {
-	type replay struct {
-		p     bench.MultigridParams
-		ranks int
-	}
-	refs := make(map[replay][]float64)
-	return func(p bench.MultigridParams, ranks int, history []float64, from int) error {
-		coarsest := p.Extent >> (p.Levels - 1)
-		if mg.LevelRanks(ranks, coarsest*coarsest*coarsest, true, p.AgglomerateCells) == 1 {
-			ranks = 1
-		}
-		ref, ok := refs[replay{p, ranks}]
+// referenceCheck returns the one check of a history of p against the
+// in-process virtual-time run of p under arm on one rank: equal, bit for
+// bit, to the reference's iterations from `from` on (a healed run's history
+// starts after its restore point).  The solve's History does not depend on
+// the rank count, so each problem is replayed once and every run of it, at
+// any rank count, is checked against that.
+func referenceCheck(arm core.Arm) func(p bench.MultigridParams, history []float64, from int) error {
+	refs := make(map[bench.MultigridParams][]float64)
+	return func(p bench.MultigridParams, history []float64, from int) error {
+		ref, ok := refs[p]
 		if !ok {
-			ref = bench.RunMultigridWorld(core.NewUniformWorld(ranks, arm.Config), p, arm.Mode).History
-			refs[replay{p, ranks}] = ref
+			ref = bench.RunMultigridWorld(core.NewUniformWorld(1, arm.Config), p, arm.Mode).History
+			refs[p] = ref
 		}
-		if from > len(ref) {
-			return fmt.Errorf("restored cycle %d beyond the reference's %d cycles", from, len(ref))
-		}
-		if err := historiesEqual(history, ref[from:]); err != nil {
+		if err := bench.CheckHistory(history, ref, from); err != nil {
 			return fmt.Errorf("diverged from the in-process reference (from cycle %d): %w", from, err)
 		}
 		return nil
@@ -545,16 +531,4 @@ func locateDaemon(explicit string) (string, error) {
 		return p, nil
 	}
 	return "", fmt.Errorf("cannot find the nccdd daemon: build it with `go build ./cmd/nccdd` and pass -daemon, place it next to mgsolve, or add it to PATH")
-}
-
-func historiesEqual(got, want []float64) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("%d cycles vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("cycle %d: residual %v vs %v", i, got[i], want[i])
-		}
-	}
-	return nil
 }

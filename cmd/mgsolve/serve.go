@@ -419,7 +419,7 @@ func verifyServeOutcomes(arm core.Arm, victim int, final map[uint64]service.JobS
 		st := final[id]
 		p := bench.MultigridParams{Extent: st.Spec.Extent, Levels: st.Spec.Levels,
 			Rtol: st.Spec.Rtol, MaxCycles: st.Spec.MaxCycles}
-		if err := check(p, st.Spec.Ranks, st.History, st.RestoredFrom); err != nil {
+		if err := check(p, st.History, st.RestoredFrom); err != nil {
 			fmt.Fprintf(os.Stderr, "mgsolve: job %d: %v\n", id, err)
 			return exitFailed
 		}

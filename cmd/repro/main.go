@@ -272,7 +272,8 @@ const faultSeed = 20250806
 // the multigrid solve recovering from a rank crash by Comm.Shrink three
 // ways: from a checkpoint, with the root rank gone, and from scratch (the
 // crash comes before the first checkpoint).  A solve that misses its
-// tolerance after the crash, or never sees the crash, is an error.
+// tolerance or the clean history after the crash, or never sees the crash,
+// is an error.
 func faults(s *sweep, w io.Writer) error {
 	n, p := s.faultProcs, s.fault
 	bench.FaultOverhead(n, []float64{0.001, 0.01, 0.05}, s.faultIters, faultSeed).Print(w)
@@ -303,6 +304,9 @@ func faults(s *sweep, w io.Writer) error {
 		fmt.Fprintf(w, "  faulted total:  %.4f s virtual (clean %.4f s)\n", res.Seconds, res.CleanSeconds)
 		if !res.Recovered {
 			return fmt.Errorf("rank %d crash at %.0f%%: the restarted solve missed its tolerance", c.rank, 100*c.frac)
+		}
+		if !res.HistoryMatches {
+			return fmt.Errorf("rank %d crash at %.0f%%: the restarted solve's history is not the clean solve's", c.rank, 100*c.frac)
 		}
 		fmt.Fprintln(w, "  RESULT: solve converged after mid-solve rank crash via Comm.Shrink()")
 	}

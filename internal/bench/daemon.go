@@ -335,8 +335,8 @@ func registerWireMetrics(rw *rankWire, rank int) func() {
 // rides out peer failures through SelfHealMultigrid's epoch/rejoin
 // recovery loop, and — launched with tcfg.Epoch > 0 — comes up as a
 // replacement that restores the agreed checkpoint into the regrown world
-// instead of starting over; onCycle, when non-nil, is HealParams.OnCycle.
-// Every error names the rank.
+// instead of starting over.  onCycle, when non-nil, is HealParams.OnCycle,
+// epoch 0 where there is no healing.  Every error names the rank.
 func RunMultigridDaemon(tcfg transport.TCPConfig, spec DaemonSpec, ob DaemonObs, onCycle func(epoch uint64, cycle int)) (RankReport, error) {
 	fail := func(err error) (RankReport, error) {
 		return RankReport{}, fmt.Errorf("rank %d: %w", tcfg.Rank, err)
@@ -382,7 +382,11 @@ func RunMultigridDaemon(tcfg transport.TCPConfig, spec DaemonSpec, ob DaemonObs,
 			rep.SelfHealResult, rep.Seconds = res, time.Since(wall0).Seconds()
 			return err
 		}
-		res, err := MultigridRank(c, spec.MultigridParams, arm.Mode, MultigridRankOptions{})
+		var opts MultigridRankOptions
+		if onCycle != nil {
+			opts.OnCycle = func(cycle int) error { onCycle(0, cycle); return nil }
+		}
+		res, err := MultigridRank(c, spec.MultigridParams, arm.Mode, opts)
 		rep.SelfHealResult = SelfHealResult{Cycles: res.Cycles, RelRes: res.RelRes, History: res.History}
 		rep.Seconds = res.Seconds
 		return err

@@ -40,7 +40,9 @@ func TestDaemonSpecArgsRoundTrip(t *testing.T) {
 
 // TestRunMultigridDaemonMatchesWorld: two daemon ranks over loopback TCP in
 // one process, each given the default spec on a small grid, converge
-// through RunMultigridWorld's residual history bit for bit.
+// through RunMultigridWorld's residual history bit for bit, and the hook
+// sees each rank's iterations 1…Cycles at epoch 0, no checkpoint store
+// given.
 func TestRunMultigridDaemonMatchesWorld(t *testing.T) {
 	const n = 2
 	var spec DaemonSpec
@@ -60,6 +62,7 @@ func TestRunMultigridDaemonMatchesWorld(t *testing.T) {
 	}
 	reps := make([]RankReport, n)
 	errs := make([]error, n)
+	cycles := make([][]int, n)
 	var wg sync.WaitGroup
 	for r := range reps {
 		wg.Add(1)
@@ -67,7 +70,12 @@ func TestRunMultigridDaemonMatchesWorld(t *testing.T) {
 			defer wg.Done()
 			tcfg := transport.TCPConfig{Rank: r, Size: n, WorldID: 0x1718, Addrs: addrs,
 				Listener: lns[r], DialTimeout: 10 * time.Second}
-			reps[r], errs[r] = RunMultigridDaemon(tcfg, spec, DaemonObs{}, nil)
+			reps[r], errs[r] = RunMultigridDaemon(tcfg, spec, DaemonObs{}, func(epoch uint64, cycle int) {
+				if epoch != 0 {
+					t.Errorf("rank %d: iteration %d reported at epoch %d without a checkpoint store", r, cycle, epoch)
+				}
+				cycles[r] = append(cycles[r], cycle)
+			})
 		}()
 	}
 	wg.Wait()
@@ -79,5 +87,13 @@ func TestRunMultigridDaemonMatchesWorld(t *testing.T) {
 		}
 		multigridHistoriesEqual(t, fmt.Sprintf("daemon rank %d", r),
 			MultigridResult{Cycles: rep.Cycles, History: rep.History}, ref)
+		if len(cycles[r]) != rep.Cycles {
+			t.Fatalf("rank %d: the hook saw iterations %v of %d", r, cycles[r], rep.Cycles)
+		}
+		for i, it := range cycles[r] {
+			if it != i+1 {
+				t.Fatalf("rank %d: the hook saw iterations %v, want 1…%d", r, cycles[r], rep.Cycles)
+			}
+		}
 	}
 }

@@ -90,6 +90,9 @@ type FaultedMultigridResult struct {
 	RelRes       float64 // final residual relative to the original r0
 	Seconds      float64 // virtual time of the faulted run, recovery included
 	Recovered    bool
+	// HistoryMatches: the restarted History is the clean solve's from
+	// CheckpointAt on, bit for bit (CheckHistory).
+	HistoryMatches bool
 }
 
 // recoverable reports whether an error is one the ULFM-style recovery loop
@@ -114,7 +117,8 @@ func RunMultigridFaulted(n int, p MultigridParams, crashRank int, crashFrac floa
 
 	// Clean reference: calibrates the crash time and the expected result.
 	w := NewFaultyWorld(n, mpi.Optimized(), nil)
-	res.CleanCycles = RunMultigridWorld(w, p, petsc.ScatterDatatype).Cycles
+	clean := RunMultigridWorld(w, p, petsc.ScatterDatatype)
+	res.CleanCycles = clean.Cycles
 	res.CleanSeconds = w.MaxClock()
 	res.CrashAt = crashFrac * res.CleanSeconds
 
@@ -138,6 +142,7 @@ func RunMultigridFaulted(n int, p MultigridParams, crashRank int, crashFrac floa
 				res.CyclesAfter = r.Cycles
 				res.RelRes = r.RelRes
 				res.Recovered = r.RelRes <= p.Rtol
+				res.HistoryMatches = CheckHistory(r.History, clean.History, r.Restored) == nil
 			}
 		}
 		// First attempt, checkpointing every cycle.  The crashed rank never

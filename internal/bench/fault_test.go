@@ -175,14 +175,15 @@ func TestFaultOverheadExperiment(t *testing.T) {
 }
 
 // TestMultigridRecoversFromCrash drives the full recovery loop on a small
-// grid: crash mid-solve, shrink, re-decompose, restore, converge.  The
-// second row keeps the coarsest level on a two-rank sub-communicator (of
-// the four ranks and of the three survivors), which the unwinding solve
-// must revoke along with the whole communicator.
+// grid: crash mid-solve, shrink, re-decompose, restore, converge, through
+// the clean solve's history bit for bit.  The second row keeps the coarsest
+// level on a two-rank sub-communicator (of the four ranks and of the three
+// survivors), which the unwinding solve must revoke along with the whole
+// communicator; the third spreads it over four ranks and then three.
 func TestMultigridRecoversFromCrash(t *testing.T) {
-	for _, agg := range []int{0, 256} {
+	for _, agg := range []int{0, 256, 1} {
 		p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 40, AgglomerateCells: agg}
-		if agg > 0 && (mg.LevelRanks(4, 8*8*8, true, agg) != 2 || mg.LevelRanks(3, 8*8*8, true, agg) != 2) {
+		if agg > 1 && (mg.LevelRanks(4, 8*8*8, true, agg) != 2 || mg.LevelRanks(3, 8*8*8, true, agg) != 2) {
 			t.Fatalf("agglomerate %d: coarsest level not on two ranks", agg)
 		}
 		res, err := RunMultigridFaulted(4, p, 2, 0.5)
@@ -191,6 +192,9 @@ func TestMultigridRecoversFromCrash(t *testing.T) {
 		}
 		if !res.Recovered {
 			t.Fatalf("agglomerate %d: solve did not recover: %+v", agg, res)
+		}
+		if !res.HistoryMatches {
+			t.Fatalf("agglomerate %d: the restarted history is not the clean solve's: %+v", agg, res)
 		}
 		if res.Survivors != 3 {
 			t.Fatalf("agglomerate %d: expected 3 survivors, got %d", agg, res.Survivors)

@@ -103,6 +103,23 @@ type MultigridResult struct {
 	Restored int
 }
 
+// CheckHistory returns nil where got, the History of a solve resumed after
+// iteration from (≤ 0 for a fresh one), is ref's from iteration from+1 on,
+// bit for bit (math.Float64bits), or else an error naming the first
+// difference.
+func CheckHistory(got, ref []float64, from int) error {
+	from = max(from, 0)
+	if len(got) != len(ref)-from {
+		return fmt.Errorf("%d iterations after iteration %d, the reference %d in all", len(got), from, len(ref))
+	}
+	for i, v := range got {
+		if math.Float64bits(v) != math.Float64bits(ref[from+i]) {
+			return fmt.Errorf("iteration %d: residual %v, the reference %v", from+i+1, v, ref[from+i])
+		}
+	}
+	return nil
+}
+
 // RunMultigrid measures the Section 5.5 application: solving the 3-D
 // Laplacian (equation 2 with homogeneous boundaries) on an Extent^3 grid
 // with a Levels-level multigrid, for one experimental arm.

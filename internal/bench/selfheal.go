@@ -237,17 +237,6 @@ func RunMultigridSelfHeal(n int, p MultigridParams, crashRank int, crashFrac flo
 		out.MTTRSeconds = recoveredAt.Sub(detectedAt).Seconds()
 	}
 
-	res := out.Result
-	base := res.RestoredAt
-	if base < 0 {
-		base = 0
-	}
-	out.HistoryMatches = base+len(res.History) == out.CleanCycles
-	for i, v := range res.History {
-		if !out.HistoryMatches || v != out.CleanHistory[base+i] {
-			out.HistoryMatches = false
-			break
-		}
-	}
+	out.HistoryMatches = CheckHistory(out.Result.History, out.CleanHistory, out.Result.RestoredAt) == nil
 	return out, nil
 }

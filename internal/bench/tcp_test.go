@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -88,12 +89,35 @@ func multigridHistoriesEqual(t *testing.T, label string, got, want MultigridResu
 	if got.Cycles != want.Cycles {
 		t.Fatalf("%s: %d cycles, want %d", label, got.Cycles, want.Cycles)
 	}
-	if len(got.History) != len(want.History) {
-		t.Fatalf("%s: history length %d, want %d", label, len(got.History), len(want.History))
+	if err := CheckHistory(got.History, want.History, 0); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-	for i := range want.History {
-		if got.History[i] != want.History[i] {
-			t.Fatalf("%s: cycle %d residual %v, want %v", label, i, got.History[i], want.History[i])
+}
+
+// TestCheckHistory: a history matches only the reference's tail from the
+// restored iteration on, of the same length and the same bits, so −0 is not
+// +0 and a NaN matches the same NaN; a restore point beyond the reference
+// matches nothing, and a negative one is a fresh solve.
+func TestCheckHistory(t *testing.T) {
+	nan := math.NaN()
+	ref := []float64{1, 0.5, 0, nan}
+	for _, tc := range []struct {
+		got  []float64
+		from int
+		ok   bool
+	}{
+		{ref, 0, true},
+		{ref, -1, true},
+		{ref[2:], 2, true},
+		{nil, 4, true},
+		{nil, 5, false},
+		{ref[1:], 2, false},
+		{ref[:3], 0, false},
+		{[]float64{0.5, math.Copysign(0, -1), nan}, 1, false},
+		{[]float64{math.Nextafter(0.5, 1), 0, nan}, 1, false},
+	} {
+		if err := CheckHistory(tc.got, ref, tc.from); (err == nil) != tc.ok {
+			t.Errorf("CheckHistory(%v, ref, %d) = %v, want ok %v", tc.got, tc.from, err, tc.ok)
 		}
 	}
 }

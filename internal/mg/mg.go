@@ -81,18 +81,19 @@ type Solver struct {
 	// Richardson makes Solve and SolveFrom iterate bare V-cycles, each from
 	// the residual the one before it left, as the paper's rows do.  Unset,
 	// they run conjugate gradients preconditioned by one V-cycle from a zero
-	// guess (DESIGN §19 "Krylov outer iteration").
+	// guess (DESIGN §19 "Krylov outer iteration").  The Richardson iteration
+	// keeps PETSc's one-double reductions (dot), because the paper's rows
+	// model them, so its History depends on the rank count wherever the
+	// coarsest level spans ranks.
 	Richardson bool
 
 	// History records the relative residual ‖r_k‖₂/‖r_0‖₂ after each
 	// iteration of the most recent Solve (PETSc's unpreconditioned norm).
 	// For a given problem it is transport- and arm-independent, which makes
 	// it the equivalence witness between in-process and multi-process runs.
-	// Under conjugate gradients it is rank-count independent too, where the
-	// coarsest level of at most 16³ cells lives on one rank (New's
-	// hierarchy): every inner product is an order-free Sum, and x is the same
-	// bits at every rank count.  The Richardson iteration's norm adds
-	// per-rank partial sums, so its History is not.
+	// Under conjugate gradients it is rank-count independent too, for every
+	// hierarchy: every inner product, the coarsest level's included, is an
+	// order-free Sum (dot), and x is the same bits at every rank count.
 	History []float64
 
 	// OnCycle, when non-nil, runs before each iteration with the iteration
@@ -113,19 +114,19 @@ type Solver struct {
 
 	// The conjugate gradients' state beyond x: r is res, z and p live in
 	// level 0's x and b, which the V-cycle never uses, and A·p in z's
-	// storage.  sum takes every inner product and sumBuf is its Allreduce
-	// vector.
+	// storage.  sum takes the inner products fused into level-0 passes,
+	// dotSum dot's, and sumBuf is the Allreduce vector of both.
 	res    *petsc.Vec
 	sum    Sum
+	dotSum Sum
 	sumBuf []float64
 
-	// coarseComm, when non-nil on active ranks, confines the coarsest
-	// solve's inner products to the ranks that actually hold coarse cells
-	// (inactive ranks skip the solve and wait at the next transfer).  Set
-	// up by NewAgglomerated when agglomeration shrinks the coarsest level
-	// and the communication configuration permits non-participation.
-	coarseComm   *mpi.Comm
-	skipInactive bool
+	// coarseComm is the communicator of the coarsest solve's inner
+	// products: c, or the ranks that hold coarse cells where NewAgglomerated
+	// shrinks the coarsest level and the communication configuration lets
+	// the others sit the solve out.  It is nil on those, which skip the
+	// solve and wait at the next transfer.
+	coarseComm *mpi.Comm
 
 	// crew is the row bands' workers, made at the first wave that borrows a
 	// helper, and inSolve whether the solver is inside Solve or SolveFrom.
@@ -176,7 +177,7 @@ func NewAgglomerated(c *mpi.Comm, n []int, nlevels int, mode petsc.ScatterMode, 
 			panic(fmt.Sprintf("mg: grid extent %d not divisible by 2^(levels-1)=%d", e, factor))
 		}
 	}
-	s := &Solver{c: c, dim: dim}
+	s := &Solver{c: c, dim: dim, coarseComm: c}
 
 	ext := append([]int(nil), n...)
 	for l := 0; l < nlevels; l++ {
@@ -261,7 +262,6 @@ func NewAgglomerated(c *mpi.Comm, n []int, nlevels int, mode petsc.ScatterMode, 
 				color = -1
 			}
 			s.coarseComm = c.Split(color, 0)
-			s.skipInactive = true
 		}
 	}
 	s.res = s.CreateVec()
@@ -535,30 +535,16 @@ func (s *Solver) post(l int, b, x *petsc.Vec, end cycleEnd) {
 // ranks skip the solve and the inner products run on the active-rank
 // sub-communicator only.
 func (s *Solver) coarseSolve(l int, b, x *petsc.Vec) {
-	if s.skipInactive && s.coarseComm == nil {
+	c := s.coarseComm
+	if c == nil {
 		return // inactive rank: owns no coarse cells, rejoins at the transfer
 	}
 	defer s.span("coarse_solve", s.c.Clock(), intAttr("level", l))
-	dotComm := s.coarseComm
-	if dotComm == nil {
-		dotComm = s.c
-	}
-
 	lv := s.levels[l]
-	dot := func(a, b *petsc.Vec) float64 {
-		sum := 0.0
-		ba := b.Array()
-		for i, v := range a.Array() {
-			sum += v * ba[i]
-		}
-		s.c.Compute(float64(2*len(ba)) * flopSec)
-		return dotComm.AllreduceScalar(sum, mpi.OpSum)
-	}
-
 	r := lv.r
 	s.residual(l, b, x, r)
-	rr := dot(r, r)
-	bnorm := dot(b, b)
+	rr := s.dot(c, r, r)
+	bnorm := s.dot(c, b, b)
 	if bnorm == 0 {
 		bnorm = 1
 	}
@@ -573,14 +559,14 @@ func (s *Solver) coarseSolve(l int, b, x *petsc.Vec) {
 	p.Copy(r)
 	for it := 0; it < coarseIts; it++ {
 		s.applyLevel(l, p, ap)
-		pap := dot(p, ap)
+		pap := s.dot(c, p, ap)
 		if pap <= 0 {
 			return
 		}
 		alpha := rr / pap
 		x.AXPY(alpha, p)
 		r.AXPY(-alpha, ap)
-		rrNew := dot(r, r)
+		rrNew := s.dot(c, r, r)
 		if rrNew <= tol2 {
 			return
 		}
@@ -625,14 +611,12 @@ func (s *Solver) Solve(b, x *petsc.Vec, rtol float64, maxCycles int) (cycles int
 	s.enter()
 	defer s.leave()
 	s.History = s.History[:0]
-	var r0 float64
+	r := s.res
 	if s.Richardson {
-		s.residual(0, b, x, s.levels[0].r)
-		r0 = s.levels[0].r.Norm2()
-	} else {
-		s.residual(0, b, x, s.res)
-		r0 = math.Sqrt(s.dot(s.res, s.res))
+		r = s.levels[0].r
 	}
+	s.residual(0, b, x, r)
+	r0 := math.Sqrt(s.dot(s.c, r, r))
 	if r0 == 0 {
 		return 0, 0
 	}
@@ -651,11 +635,10 @@ func (s *Solver) Solve(b, x *petsc.Vec, rtol float64, maxCycles int) (cycles int
 //
 // Under conjugate gradients SolveFrom resumes from the x, r, p and ρ of the
 // checkpoint; each is in natural order and every inner product is
-// order-free, so with New's hierarchy (a coarsest level of at most 16³ cells
-// on rank 0 alone) the resumed History is the fault-free run's from
-// iteration base+1 on, bit for bit, at any world size.  The Richardson
-// iteration resumes from x alone, and its History matches the fault-free
-// run's only at the same world size.  Collective.
+// order-free, so the resumed History is the fault-free run's from iteration
+// base+1 on, bit for bit, at any world size.  The Richardson iteration
+// resumes from x alone, and its History matches the fault-free run's only at
+// the same world size.  Collective.
 func (s *Solver) SolveFrom(b, x *petsc.Vec, rtol float64, maxCycles, base int) (cycles int, relres float64, err error) {
 	s.enter()
 	defer s.leave()
@@ -705,7 +688,7 @@ func (s *Solver) iterate(b, x *petsc.Vec, rtol float64, maxCycles int, at start)
 		if s.Richardson {
 			s.vcycle(0, at.from, b, x, endResidual)
 			at.from = fromResidual
-			rnorm = s.levels[0].r.Norm2()
+			rnorm = math.Sqrt(s.dot(s.c, s.levels[0].r, s.levels[0].r))
 		} else {
 			var ok bool
 			if rnorm, at.rho, ok = s.pcgStep(x, at.rho); !ok {
@@ -733,13 +716,24 @@ func (s *Solver) iterate(b, x *petsc.Vec, rtol float64, maxCycles int, at start)
 	return cycles, relres
 }
 
-// dot is ⟨a, b⟩ on the finest level through the order-free sum, charged as
-// Vec.Dot.  Collective.
-func (s *Solver) dot(a, b *petsc.Vec) float64 {
-	s.sum.Reset()
-	s.sum.AddProducts(a.Array(), b.Array())
+// dot is the solver's one inner product ⟨a, b⟩ over c, charged as Vec.Dot.
+// Under Richardson it is PETSc's VecDot, one double a reduction, which the
+// paper's rows model; otherwise the order-free dotSum, the same bits at
+// every rank count.  dotSum is not sum, into which a V-cycle's last level-0
+// stage deposits around its coarse solve's dots.  Collective over c.
+func (s *Solver) dot(c *mpi.Comm, a, b *petsc.Vec) float64 {
 	s.c.Compute(float64(2*a.LocalSize()) * flopSec)
-	return s.sum.Allreduce(s.c, s.sumBuf)
+	if s.Richardson {
+		sum := 0.0
+		ba := b.Array()
+		for i, v := range a.Array() {
+			sum += v * ba[i]
+		}
+		return c.AllreduceScalar(sum, mpi.OpSum)
+	}
+	s.dotSum.Reset()
+	s.dotSum.AddProducts(a.Array(), b.Array())
+	return s.dotSum.Allreduce(c, s.sumBuf)
 }
 
 // pcgStep is one iteration of conjugate gradients preconditioned by one
@@ -831,7 +825,7 @@ func axpyCells(y, x []float64, a float64) {
 // mpi.Comm.Restore or Shrink.
 func (s *Solver) RevokeComms() {
 	s.c.Revoke()
-	if s.coarseComm != nil {
+	if s.coarseComm != nil && s.coarseComm != s.c {
 		s.coarseComm.Revoke()
 	}
 }

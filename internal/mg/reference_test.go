@@ -320,14 +320,16 @@ func refSmoothChebyshev(s *Solver, l, degree int, b, x *petsc.Vec) {
 }
 
 func refCoarseSolve(s *Solver, l int, b, x *petsc.Vec) {
-	if s.skipInactive && s.coarseComm == nil {
+	dotComm := s.coarseComm
+	if dotComm == nil {
 		return
 	}
-	dotComm := s.coarseComm
 	lv := s.levels[l]
+	// Under conjugate gradients every product goes into an order-free Sum,
+	// under Richardson into one chain a rank, as PETSc's VecDot adds them.
 	dot := func(a, b *petsc.Vec) float64 {
-		if dotComm == nil {
-			return a.Dot(b)
+		if !s.Richardson {
+			return refDot(s, dotComm, a, b)
 		}
 		sum := 0.0
 		ba := b.Array()
@@ -416,7 +418,7 @@ func refSolve(s *Solver, b, x *petsc.Vec, rtol float64, maxCycles int) []float64
 func refPCG(s *Solver, b, x *petsc.Vec, rtol float64, maxCycles int) []float64 {
 	r, z, p, ap := b.Duplicate(), b.Duplicate(), b.Duplicate(), b.Duplicate()
 	refResidual(s, 0, b, x, r)
-	r0 := math.Sqrt(refDot(s, r, r))
+	r0 := math.Sqrt(refDot(s, s.c, r, r))
 	if r0 == 0 {
 		return nil
 	}
@@ -426,7 +428,7 @@ func refPCG(s *Solver, b, x *petsc.Vec, rtol float64, maxCycles int) []float64 {
 	for it := 0; it < maxCycles; it++ {
 		z.Set(0)
 		refVCycle(s, 0, r, z)
-		rz := refDot(s, r, z)
+		rz := refDot(s, s.c, r, z)
 		if rho == 0 {
 			p.Copy(z)
 		} else {
@@ -437,7 +439,7 @@ func refPCG(s *Solver, b, x *petsc.Vec, rtol float64, maxCycles int) []float64 {
 			charge(p)
 		}
 		refApplyLevel(s, 0, p, ap)
-		pap := refDot(s, p, ap)
+		pap := refDot(s, s.c, p, ap)
 		if !(pap > 0) {
 			break
 		}
@@ -452,7 +454,7 @@ func refPCG(s *Solver, b, x *petsc.Vec, rtol float64, maxCycles int) []float64 {
 			}
 			charge(u.y)
 		}
-		relres := math.Sqrt(refDot(s, r, r)) / r0
+		relres := math.Sqrt(refDot(s, s.c, r, r)) / r0
 		rho = rz
 		hist = append(hist, relres)
 		if relres <= rtol {
@@ -462,15 +464,16 @@ func refPCG(s *Solver, b, x *petsc.Vec, rtol float64, maxCycles int) []float64 {
 	return hist
 }
 
-// refDot is ⟨a, b⟩ with every product deposited into a Sum one at a time.
-func refDot(s *Solver, a, b *petsc.Vec) float64 {
+// refDot is ⟨a, b⟩ over c with every product deposited into a Sum one at a
+// time.
+func refDot(s *Solver, c *mpi.Comm, a, b *petsc.Vec) float64 {
 	var sum Sum
 	ba := b.Array()
 	for i, v := range a.Array() {
 		sum.Add(float64(v * ba[i]))
 	}
 	s.c.Compute(float64(2*a.LocalSize()) * flopSec)
-	return sum.Allreduce(s.c, make([]float64, sumReduceLen))
+	return sum.Allreduce(c, make([]float64, sumReduceLen))
 }
 
 // splitmix64 gives the fills below a value per (seed, index) that does not
@@ -933,7 +936,7 @@ func checkPassesAllocateNothing(t *testing.T, n int, mode petsc.ScatterMode) {
 			"post group, dot":      func() { s.post(0, b, x, endDot) },
 			"direction":            func() { s.direction(1, 2) },
 			"step":                 func() { s.step(x, 0.5) },
-			"dot":                  func() { s.dot(b, x) },
+			"dot":                  func() { s.dot(s.c, b, x) },
 			"vcycle":               func() { s.vcycle(0, fromNothing, b, y, endNone) },
 		} {
 			if a := testing.AllocsPerRun(10, pass); a != 0 {

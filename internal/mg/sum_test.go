@@ -316,7 +316,7 @@ func benchInner(b *testing.B, norm bool) {
 		}
 		return x.Dot(y)
 	})
-	sum := func(s *Solver, x, y *petsc.Vec) float64 { return s.dot(x, y) }
+	sum := func(s *Solver, x, y *petsc.Vec) float64 { return s.dot(s.c, x, y) }
 	run("sum", false, sum)
 	run("sum/go", true, sum)
 }
