@@ -12,8 +12,13 @@ import (
 // hierarchy (the benchmark spine's grid) and reports ns per cell written;
 // bytes is what one call reads and writes.
 func benchKernel(b *testing.B, cells func(s *Solver) int, bytes func(s *Solver) int, fn func(s *Solver, x, rhs, out, coarse *petsc.Vec)) {
+	benchKernelAt(b, 96, cells, bytes, fn)
+}
+
+// benchKernelAt is benchKernel on an n³ grid.
+func benchKernelAt(b *testing.B, n int, cells func(s *Solver) int, bytes func(s *Solver) int, fn func(s *Solver, x, rhs, out, coarse *petsc.Vec)) {
 	runWorld(b, 1, mpi.Optimized(), func(c *mpi.Comm) error {
-		s := New(c, []int{96, 96, 96}, 2, petsc.ScatterDatatype)
+		s := New(c, []int{n, n, n}, 2, petsc.ScatterDatatype)
 		x, rhs, out := s.CreateVec(), s.CreateVec(), s.CreateVec()
 		coarse := s.DA(1).CreateGlobalVec()
 		fillSeeded(x, 1)
@@ -38,12 +43,18 @@ func coarseCells(s *Solver) int { return s.DA(1).OwnedCount() }
 // smoothing pass whose residual is known, which evaluates no stencil.  apply
 // and jacobi run the inner cells as the build dispatches them (the lane
 // kernel where the CPU has it); apply/go and jacobi/go run them through the
-// Go loop alone, so one run prints both kernels' ns/cell.
+// Go loop alone, so one run prints both kernels' ns/cell.  jacobi/48,
+// jacobi/24 and jacobi/12 are the sweep on the coarser levels' extents of the
+// same hierarchy, whose shorter rows leave more of a pass to the work done
+// once a row or once a plane.
 func BenchmarkStencil(b *testing.B) {
-	b.Run("apply", func(b *testing.B) { benchStencil(b, formApply, 2, false) })
-	b.Run("apply/go", func(b *testing.B) { benchStencil(b, formApply, 2, true) })
-	b.Run("jacobi", func(b *testing.B) { benchStencil(b, formJacobi, 3, false) })
-	b.Run("jacobi/go", func(b *testing.B) { benchStencil(b, formJacobi, 3, true) })
+	b.Run("apply", func(b *testing.B) { benchStencil(b, 96, formApply, 2, false) })
+	b.Run("apply/go", func(b *testing.B) { benchStencil(b, 96, formApply, 2, true) })
+	b.Run("jacobi", func(b *testing.B) { benchStencil(b, 96, formJacobi, 3, false) })
+	b.Run("jacobi/go", func(b *testing.B) { benchStencil(b, 96, formJacobi, 3, true) })
+	for _, n := range []int{48, 24, 12} {
+		b.Run(fmt.Sprintf("jacobi/%d", n), func(b *testing.B) { benchStencil(b, n, formJacobi, 3, false) })
+	}
 	b.Run("update", func(b *testing.B) {
 		benchKernel(b, fineCells,
 			func(s *Solver) int { return 8 * 3 * fineCells(s) },
@@ -53,12 +64,12 @@ func BenchmarkStencil(b *testing.B) {
 	})
 }
 
-// benchStencil times one stencil pass of form over the finest level, which
-// reads or writes the given number of whole vectors, with the inner cells
-// run through the Go loop alone where goOnly is set.
-func benchStencil(b *testing.B, form stencilForm, vectors int, goOnly bool) {
+// benchStencil times one stencil pass of form over the finest level of an n³
+// grid, which reads or writes the given number of whole vectors, with the
+// inner cells run through the Go loop alone where goOnly is set.
+func benchStencil(b *testing.B, n int, form stencilForm, vectors int, goOnly bool) {
 	defer goLoopsOnly(goOnly)()
-	benchKernel(b, fineCells,
+	benchKernelAt(b, n, fineCells,
 		func(s *Solver) int { return 8 * vectors * fineCells(s) },
 		func(s *Solver, x, rhs, out, _ *petsc.Vec) {
 			s.stencil(s.levels[0], form, x.Array(), out.Array(), rhs.Array(), omega, ownedRows(s.DA(0).OwnedBox()))

@@ -177,11 +177,15 @@ func (c *Comm) matchE(src, tag int, wall time.Duration) (*envelope, error) {
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	timedOut := false
+	// The flag the timer sets exists only where there is a timer: a local
+	// the escaping closure shared would be on the heap on every receive.
+	var timedOut *bool
 	if wall > 0 {
+		fired := new(bool)
+		timedOut = fired
 		timer := time.AfterFunc(wall, func() {
 			p.mu.Lock()
-			timedOut = true
+			*fired = true
 			p.cond.Broadcast()
 			p.mu.Unlock()
 		})
@@ -213,7 +217,7 @@ func (c *Comm) matchE(src, tag int, wall time.Duration) (*envelope, error) {
 			p.wait = blockedWait{}
 			return nil, err
 		}
-		if timedOut {
+		if timedOut != nil && *timedOut {
 			p.wait = blockedWait{}
 			return nil, &TimeoutError{Rank: worldSrc, Call: call}
 		}

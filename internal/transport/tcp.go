@@ -143,11 +143,12 @@ type tcpCounters struct {
 type tcpPeer struct {
 	rank int
 
-	wmu     sync.Mutex // serializes frame writes (data from the rank and beats)
-	conn    net.Conn   // guarded by wmu
-	gen     uint64     // connection generation, guarded by wmu
-	scratch []byte     // frame-head assembly buffer, under wmu
-	vecbuf  [][]byte   // reusable net.Buffers backing array, under wmu
+	wmu     sync.Mutex            // serializes frame writes (data from the rank and beats)
+	conn    net.Conn              // guarded by wmu
+	gen     uint64                // connection generation, guarded by wmu
+	scratch []byte                // frame-head assembly buffer, under wmu
+	vecbuf  net.Buffers           // the writev's buffers, under wmu; a field, since WriteTo's pointer receiver would move a local to the heap
+	trailer [frameTrailerLen]byte // a data frame's CRC-32 trailer, under wmu, in the peer for the same reason
 	alive   atomic.Bool
 
 	// liveMu serializes the down/up liveness callbacks for this peer so
@@ -472,17 +473,21 @@ func (t *TCP) register(rank int, conn net.Conn, br *bufio.Reader) {
 // copies what it keeps and the buffer is recycled here... except Payload,
 // which readLoop copies before release.
 func (t *TCP) readFrame(br *bufio.Reader) (Frame, error) {
-	var prefix [framePrefixLen]byte
-	if _, err := io.ReadFull(br, prefix[:]); err != nil {
+	// The length prefix is peeked, not read into a local array: br is read
+	// through the io.Reader interface, so an array would escape every frame.
+	prefix, err := br.Peek(framePrefixLen)
+	if err != nil {
+		if err == io.EOF && len(prefix) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return Frame{}, err
 	}
-	n := int(binary.LittleEndian.Uint32(prefix[:]))
+	n := int(binary.LittleEndian.Uint32(prefix))
 	if n < 1+frameTrailerLen || n > t.cfg.MaxFrame {
 		return Frame{}, ErrFrameLength
 	}
 	buf := datatype.GetBuffer(framePrefixLen + n)
-	copy(buf, prefix[:])
-	if _, err := io.ReadFull(br, buf[framePrefixLen:]); err != nil {
+	if _, err := io.ReadFull(br, buf); err != nil {
 		datatype.PutBuffer(buf)
 		return Frame{}, err
 	}
@@ -632,16 +637,15 @@ func (t *TCP) writeData(p *tcpPeer, hdr *Header, payload []byte) (uint64, error)
 	binary.LittleEndian.PutUint32(head[0:], uint32(len(head)-framePrefixLen+len(payload)+frameTrailerLen))
 	sum := crc32.Update(crc32.ChecksumIEEE(head[framePrefixLen:]), crc32.IEEETable, payload)
 	p.scratch = head[:0]
-	var trailer [frameTrailerLen]byte
-	binary.LittleEndian.PutUint32(trailer[:], sum)
+	binary.LittleEndian.PutUint32(p.trailer[:], sum)
 
 	bufs := append(p.vecbuf[:0], head)
 	if len(payload) > 0 {
 		bufs = append(bufs, payload)
 	}
-	bufs = append(bufs, trailer[:])
-	nb := net.Buffers(bufs)
-	n, err := nb.WriteTo(p.conn)
+	bufs = append(bufs, p.trailer[:])
+	p.vecbuf = bufs
+	n, err := p.vecbuf.WriteTo(p.conn) // consumes p.vecbuf, not bufs
 	// Keep the backing array for the next write, but drop the references so
 	// the payload is not retained between sends.
 	clear(bufs)
