@@ -764,7 +764,7 @@ func (s *Solver) pcgStep(x *petsc.Vec, rho float64) (rnorm, rz float64, ok bool)
 
 // direction runs p = z + (rz/rho)·p, or p = z where rho is 0, and A·p into
 // z's storage with ⟨p, A·p⟩ added to s.sum, as one wavefront on level 0: the
-// operator's stage, gated by p's exchange, a plane behind the update, whose
+// operator's stage, gated by p's exchange, two planes behind the update, whose
 // plane it reads the z of before the operator overwrites it.
 func (s *Solver) direction(rz, rho float64) {
 	lv := s.levels[0]
