@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/exec"
@@ -20,43 +21,44 @@ import (
 	"nccd/internal/obs/analyze"
 )
 
-// rankTracePath names rank r's intermediate trace file; the per-rank files
-// are kept next to the merged output.
-func rankTracePath(base string, r int) string {
-	return fmt.Sprintf("%s.rank%d", base, r)
-}
-
-// rankSpansPath names rank r's raw span file under the analysis directory.
+// rankSpansPath names rank r's raw span file under the span directory.
 func rankSpansPath(dir string, r int) string {
 	return filepath.Join(dir, fmt.Sprintf("spans.rank%d.json", r))
 }
 
-// analyzeRankSpans merges the per-rank raw span files and runs the
-// cross-rank analyzer: message matching, wait states, critical path, the
-// communication matrix.  Returns nonzero when any message edge is
-// unmatched on a complete trace — a send span with no receive span (or
-// vice versa) on a clean run means the identity plumbing broke, not the
-// application.
-func analyzeRankSpans(lc launchConfig) int {
+// mergeSpans concatenates the processes' span files onto one time axis and
+// sums their drop counts.  Virtual spans already share an axis and stay
+// put.  Each process's tracer counts wall seconds from its own epoch, so
+// each file's wall spans shift to line its first wall span up with the
+// earliest file's; the deltas within a file are kept.
+func mergeSpans(files []obs.SpanFile) ([]obs.Span, int64) {
+	firstWall := func(f obs.SpanFile) float64 {
+		first := math.Inf(1)
+		for _, s := range f.Spans {
+			if s.Clock == obs.ClockWall {
+				first = min(first, s.Start)
+			}
+		}
+		return first
+	}
+	earliest := math.Inf(1)
+	for _, f := range files {
+		earliest = min(earliest, firstWall(f))
+	}
 	var spans []obs.Span
 	var dropped int64
-	for r := 0; r < lc.n; r++ {
-		sf, err := obs.ReadSpansFile(rankSpansPath(lc.spansDir, r))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mgsolve: rank %d spans: %v\n", r, err)
-			return 1
+	for _, f := range files {
+		shift := firstWall(f) - earliest
+		for _, s := range f.Spans {
+			if s.Clock == obs.ClockWall {
+				s.Start -= shift
+				s.End -= shift
+			}
+			spans = append(spans, s)
 		}
-		spans = append(spans, sf.Spans...)
-		dropped += sf.Dropped
+		dropped += f.Dropped
 	}
-	rep := analyze.Analyze(spans, analyze.Options{Wall: true, Ranks: lc.n, Dropped: dropped})
-	rep.Render(os.Stdout)
-	if dropped == 0 && (rep.UnmatchedSends > 0 || rep.UnmatchedRecvs > 0) {
-		fmt.Fprintf(os.Stderr, "mgsolve: %d unmatched sends, %d unmatched recvs on a complete trace\n",
-			rep.UnmatchedSends, rep.UnmatchedRecvs)
-		return 1
-	}
-	return 0
+	return spans, dropped
 }
 
 // launchConfig parameterizes the multi-process run: the spec every daemon
@@ -65,9 +67,9 @@ type launchConfig struct {
 	n        int              // total rank count (nodes × spec.PerNode)
 	daemon   string           // nccdd path; empty = auto-locate
 	spec     bench.DaemonSpec // forwarded to every daemon by name
-	trace    string           // merged Chrome trace output path; "" = no tracing
-	analyze  bool             // collect per-rank spans and run the cross-rank analyzer
-	spansDir string           // per-rank raw-span directory (set internally for -analyze)
+	trace    string           // Chrome trace output path; "" = none
+	analyze  bool             // run the cross-rank analyzer over the ranks' spans
+	spansDir string           // per-rank raw-span directory (set internally for -trace and -analyze)
 	selfheal bool             // daemons heal from a shared checkpoint directory
 	chaos    bool             // SIGKILL killRank after its first checkpoint write (chaosTrigger), expect full recovery
 	killRank int
@@ -249,7 +251,7 @@ func runLauncher(lc launchConfig) int {
 		defer os.RemoveAll(dir)
 		lc.spec.ShmDir = dir
 	}
-	if lc.analyze {
+	if lc.trace != "" || lc.analyze {
 		dir, err := os.MkdirTemp("", "nccd-spans-*")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mgsolve: span dir: %v\n", err)
@@ -358,24 +360,16 @@ func runLauncher(lc launchConfig) int {
 			shm.frames, shm.bytes, shm.stalls, float64(shm.stallNs)/1e9)
 	}
 
-	if lc.trace != "" {
-		paths := make([]string, lc.n)
-		for r := range paths {
-			paths[r] = rankTracePath(lc.trace, r)
+	if lc.spansDir != "" {
+		files := make([]obs.SpanFile, lc.n)
+		for r := range files {
+			if files[r], err = obs.ReadSpansFile(rankSpansPath(lc.spansDir, r)); err != nil {
+				fmt.Fprintf(os.Stderr, "mgsolve: rank %d spans: %v\n", r, err)
+				return 1
+			}
 		}
-		if err := obs.MergeChromeTraceFiles(lc.trace, paths); err != nil {
-			fmt.Fprintf(os.Stderr, "mgsolve: merging traces: %v\n", err)
-			return 1
-		}
-		if err := obs.ValidateChromeTraceFile(lc.trace); err != nil {
-			fmt.Fprintf(os.Stderr, "mgsolve: merged trace failed validation: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s, merged from %d per-rank traces (load it at https://ui.perfetto.dev)\n", lc.trace, lc.n)
-	}
-
-	if lc.analyze {
-		if code := analyzeRankSpans(lc); code != 0 {
+		opts := analyze.Options{Wall: true, Ranks: lc.n}
+		if code := finishTrace(files, opts, lc.trace, lc.analyze, os.Stdout, os.Stderr); code != 0 {
 			return code
 		}
 	}
@@ -460,9 +454,6 @@ func runDaemon(fl *fleet, rank int, lc launchConfig, extra []string, onLine func
 	args := lc.spec.Args()
 	if lc.spec.ShmDir != "" {
 		args = append(args, "-shmdir", lc.spec.ShmDir)
-	}
-	if lc.trace != "" {
-		args = append(args, "-trace", rankTracePath(lc.trace, rank))
 	}
 	if lc.spansDir != "" {
 		args = append(args, "-spans", rankSpansPath(lc.spansDir, rank))

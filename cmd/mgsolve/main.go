@@ -20,6 +20,10 @@
 //
 // With -trace or -analyze (and no -tcp) it runs one traced in-process solve
 // on -np ranks; -servestress and -submit drive the multi-tenant service.
+// Every traced run ends the same way: the ranks' spans (the world tracer's
+// in process, each daemon's -spans file under -tcp) go onto one time axis,
+// -trace FILE renders them as one Chrome trace and -analyze runs the
+// cross-rank analyzer over them.
 package main
 
 import (
@@ -29,7 +33,6 @@ import (
 	"os"
 
 	"nccd/internal/bench"
-	"nccd/internal/core"
 	"nccd/internal/obs"
 	"nccd/internal/obs/analyze"
 )
@@ -47,10 +50,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	spec.Flags(fs)
 	tcp := fs.Int("tcp", 0, "spawn N rank daemons as OS processes over TCP localhost; with -pernode K this is the NODE count and N*K daemons are spawned")
 	daemon := fs.String("daemon", "", "path to the nccdd binary (default: next to mgsolve, then PATH)")
-	trace := fs.String("trace", "", "write a merged Chrome trace JSON here (with -tcp: per-rank files <path>.rank<N> are merged; without: one traced in-process solve)")
+	trace := fs.String("trace", "", "write the run's Chrome trace JSON here, every rank in one file (with -tcp: rendered from the daemons' span files; without: one traced in-process solve)")
 	np := fs.Int("np", 4, "rank count for a traced in-process solve (-trace without -tcp)")
 	metrics := fs.String("metrics", "", "write a JSON snapshot of the process metrics registry here after the run")
-	analyzeFlag := fs.Bool("analyze", false, "run the cross-rank analyzer after the solve: message matching, wait states, critical path, communication matrix; with -tcp it collects per-rank span files and exits nonzero on any unmatched message edge")
+	analyzeFlag := fs.Bool("analyze", false, "run the cross-rank analyzer after the solve: message matching, wait states, critical path, communication matrix; exits nonzero on any unmatched message edge of a trace that dropped no span")
 	selfheal := fs.Bool("selfheal", false, "run the -tcp daemons with durable checkpoints and the epoch/rejoin recovery protocol (implied by -ckpt)")
 	chaos := fs.Bool("chaos", false, "self-healing smoke test: SIGKILL -killrank once its first checkpoint write has run (committed or not), respawn it, and require full-size recovery (implies -selfheal)")
 	killRank := fs.Int("killrank", 2, "the rank -chaos kills")
@@ -91,7 +94,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := spec.Validate(*np); err != nil {
 			return usage(err)
 		}
-		code = runTracedSolve(*np, spec.CoreArm(), spec.MultigridParams, *trace, *analyzeFlag, stdout, stderr)
+		res, sf := bench.TraceMultigrid(*np, spec.MultigridParams, spec.CoreArm())
+		fmt.Fprintf(stdout, "traced solve: %d ranks, %d cycles, relres %.3e, %d spans\n",
+			*np, res.Cycles, res.RelRes, len(sf.Spans))
+		code = finishTrace([]obs.SpanFile{sf}, analyze.Options{Ranks: *np}, *trace, *analyzeFlag, stdout, stderr)
 	default:
 		return usage(fmt.Errorf("no mode selected: pass -tcp N, -trace FILE, -analyze, -servestress N or -submit URL (the Fig. 17 sweep is repro -fig 17; -h lists every flag)"))
 	}
@@ -106,34 +112,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-// runTracedSolve runs one in-process multigrid solve with tracing enabled,
-// writes the Chrome trace (if a path was given), and optionally feeds the
-// spans through the cross-rank analyzer.
-func runTracedSolve(n int, arm core.Arm, p bench.MultigridParams, path string, doAnalyze bool, stdout, stderr io.Writer) int {
-	res, spans, err := bench.TraceMultigrid(n, p, arm, path)
-	if err != nil {
-		fmt.Fprintf(stderr, "mgsolve: %v\n", err)
-		return 1
-	}
+// finishTrace is how every traced run ends.  files holds each process's
+// spans: the world tracer's in process, one -spans file per rank under
+// -tcp.  It merges them onto one axis (mergeSpans), renders and validates
+// the Chrome trace when path is set, and runs the cross-rank analyzer when
+// doAnalyze is, with opts.Dropped summed from the files.  An unmatched
+// message edge fails the run only on a complete trace: a send span with no
+// receive span (or vice versa) then means the identity plumbing broke,
+// while after a ring drop it may be a casualty, which the report names.
+func finishTrace(files []obs.SpanFile, opts analyze.Options, path string, doAnalyze bool, stdout, stderr io.Writer) int {
+	spans, dropped := mergeSpans(files)
 	if path != "" {
+		if err := obs.WriteChromeTraceFile(path, spans, 0); err != nil {
+			fmt.Fprintf(stderr, "mgsolve: writing trace: %v\n", err)
+			return 1
+		}
 		if err := obs.ValidateChromeTraceFile(path); err != nil {
 			fmt.Fprintf(stderr, "mgsolve: trace failed validation: %v\n", err)
 			return 1
 		}
-	}
-	fmt.Fprintf(stdout, "traced solve: %d ranks, %d cycles, relres %.3e, %d spans\n",
-		n, res.Cycles, res.RelRes, len(spans))
-	if path != "" {
 		fmt.Fprintf(stdout, "wrote %s (load it at https://ui.perfetto.dev)\n", path)
 	}
-	if doAnalyze {
-		rep := analyze.Analyze(spans, analyze.Options{Ranks: n})
-		rep.Render(stdout)
-		if rep.UnmatchedSends > 0 || rep.UnmatchedRecvs > 0 {
-			fmt.Fprintf(stderr, "mgsolve: %d unmatched sends, %d unmatched recvs\n",
-				rep.UnmatchedSends, rep.UnmatchedRecvs)
-			return 1
-		}
+	if !doAnalyze {
+		return 0
+	}
+	opts.Dropped = dropped
+	rep := analyze.Analyze(spans, opts)
+	rep.Render(stdout)
+	if dropped == 0 && (rep.UnmatchedSends > 0 || rep.UnmatchedRecvs > 0) {
+		fmt.Fprintf(stderr, "mgsolve: %d unmatched sends, %d unmatched recvs on a complete trace\n",
+			rep.UnmatchedSends, rep.UnmatchedRecvs)
+		return 1
 	}
 	return 0
 }

@@ -67,3 +67,18 @@ func TestDeletedFlagsRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeExcusesDroppedSpans: a long in-process solve fills rank 0's
+// span ring, so the tracer drops spans and some message edges lose a half.
+// -analyze must pass the drop count to the analyzer, name the drop in the
+// report and exit 0, as a -tcp run does.
+func TestAnalyzeExcusesDroppedSpans(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-np", "2", "-extent", "16", "-levels", "2", "-maxcycles", "159", "-rtol", "1e-300", "-analyze"}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "spans dropped by ring buffers") {
+		t.Fatalf("report does not name the drop:\n%s", stdout.String())
+	}
+}

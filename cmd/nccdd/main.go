@@ -29,6 +29,13 @@
 // or serving daemon runs a heartbeat failure detector every -hb (25 ms by
 // default), so hung (not just dead) peers are caught.
 //
+// With -spans PATH the daemon records its rank's spans and writes them
+// there when the solve ends; `mgsolve -tcp N -trace FILE` (or -analyze)
+// passes it to every rank and renders one Chrome trace and one cross-rank
+// report from the ranks' files.  -metrics ADDR serves the metrics registry
+// at /debug/metrics and the live communication-matrix dashboard at /dash
+// for the length of the run.
+//
 // The run's flags (the problem, -arm, the fault plan, -pernode and the
 // checkpoint store) are bench.DaemonSpec's, declared, defaulted and
 // validated there for nccdd and mgsolve alike.
@@ -85,10 +92,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	n := fs.Int("n", 0, "world size")
 	addrList := fs.String("addrs", "", "comma-separated listen addresses, one per rank")
 	worldID := fs.Uint64("world", 1, "world id (must match across ranks)")
-	trace := fs.String("trace", "", "write this rank's Chrome trace JSON to the given path")
-	spans := fs.String("spans", "", "write this rank's raw spans (matching identities included) to the given path for cross-rank analysis")
-	metrics := fs.String("metrics", "", "serve the metrics registry over HTTP at this address (e.g. 127.0.0.1:0); the bound address is printed as a METRICS line")
-	dash := fs.Bool("dash", false, "serve the live communication-matrix dashboard at /dash on the -metrics listener (implies -metrics 127.0.0.1:0 when unset)")
+	spans := fs.String("spans", "", "write this rank's raw spans (matching identities included) to the given path, for the launcher's Chrome trace and cross-rank analysis")
+	metrics := fs.String("metrics", "", "serve the metrics registry and the live communication-matrix dashboard (/debug/metrics, /dash) over HTTP at this address (e.g. 127.0.0.1:0); the bound address is printed as a METRICS line")
 	rejoin := fs.Bool("rejoin", false, "this process replaces a failed rank: dial the whole surviving mesh and restore from checkpoint (needs -ckpt outside -serve)")
 	epoch := fs.Uint64("epoch", 0, "membership epoch a -rejoin replacement joins at (the launcher's respawn count)")
 	fs.StringVar(&spec.ShmDir, "shmdir", "", "directory for the per-node shared-memory segment files (required with -pernode > 1; must be shared by co-located ranks)")
@@ -125,13 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if spec.CkptDir != "" || *serve != "" {
 		tcfg.Heartbeat = spec.Heartbeat
 	}
-	if *dash && *metrics == "" {
-		*metrics = "127.0.0.1:0"
-	}
-	ob := bench.DaemonObs{TracePath: *trace, SpansPath: *spans, MetricsAddr: *metrics}
-	if *dash {
-		fmt.Fprintln(stdout, "dashboard: open http://<METRICS addr>/dash")
-	}
+	ob := bench.DaemonObs{SpansPath: *spans, MetricsAddr: *metrics}
 
 	if *serve != "" {
 		if err := runService(tcfg, spec, *serve); err != nil {

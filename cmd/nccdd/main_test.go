@@ -54,9 +54,11 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 }
 
 // TestNoSelfHealFlag: healing is -ckpt's alone; -selfheal is not a flag,
-// and neither is -crashat (a scheduled crash is the in-process figures').
+// and neither is -crashat (a scheduled crash is the in-process figures'),
+// -trace (the launcher renders the trace from -spans files) or -dash
+// (every -metrics listener serves /dash).
 func TestNoSelfHealFlag(t *testing.T) {
-	for _, flag := range []string{"-selfheal", "-crashat"} {
+	for _, flag := range []string{"-selfheal", "-crashat", "-trace", "-dash"} {
 		var stdout, stderr bytes.Buffer
 		args := []string{"-rank", "0", "-n", "1", "-addrs", "127.0.0.1:1", flag}
 		if code := run(args, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), "flag provided but not defined: "+flag) {

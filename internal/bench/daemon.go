@@ -31,9 +31,6 @@ type RankReport struct {
 	// ShmStats carries the shared-memory endpoint's counters on
 	// hierarchical (pernode > 1) runs; nil on flat TCP runs.
 	ShmStats *shm.Stats `json:"shm_stats,omitempty"`
-	// Trace is the path of this rank's Chrome trace file, when tracing
-	// was requested.
-	Trace string `json:"trace,omitempty"`
 }
 
 // Reliability counts one rank's work in the runtime's loss/ack/dedup
@@ -66,10 +63,6 @@ func (r *Reliability) Add(o Reliability) {
 
 // DaemonObs configures a rank daemon's observability surfaces.
 type DaemonObs struct {
-	// TracePath, when non-empty, enables span recording for the run and
-	// writes this rank's Chrome trace file there afterwards.  The
-	// launcher merges the per-rank files with obs.MergeChromeTraceFiles.
-	TracePath string
 	// MetricsAddr, when non-empty, serves the process metrics registry
 	// (plan cache, pool, reliability counters, live TCP endpoint stats)
 	// over HTTP for the duration of the run.  The caller learns the
@@ -79,14 +72,15 @@ type DaemonObs struct {
 	MetricsAddr string
 	// SpansPath, when non-empty, enables span recording and writes this
 	// rank's raw spans (obs.WriteSpansFile format, attributes included)
-	// there afterwards, for the launcher's cross-rank analysis pass.
+	// there afterwards; the launcher renders its Chrome trace and runs its
+	// cross-rank analysis from the ranks' files.
 	SpansPath string
 }
 
 // obsSetup applies the daemon's pre-run observability surfaces; the
 // returned func tears them down.
 func obsSetup(w *mpi.World, rw *rankWire, rank int, ob DaemonObs) (func(), error) {
-	if ob.TracePath != "" || ob.SpansPath != "" {
+	if ob.SpansPath != "" {
 		w.Tracer().Enable()
 	}
 	if ob.MetricsAddr == "" {
@@ -397,12 +391,6 @@ func RunMultigridDaemon(tcfg transport.TCPConfig, spec DaemonSpec, ob DaemonObs,
 	rep.Stats = rw.tcp.Stats()
 	rep.Reliability = reliabilityOf(w)
 	rep.ShmStats = rw.shmStats()
-	if ob.TracePath != "" {
-		if err := obs.WriteChromeTraceFile(ob.TracePath, w.Tracer().Spans(), tcfg.Rank); err != nil {
-			return fail(fmt.Errorf("writing trace: %w", err))
-		}
-		rep.Trace = ob.TracePath
-	}
 	if ob.SpansPath != "" {
 		if err := obs.WriteSpansFile(ob.SpansPath, w.Tracer()); err != nil {
 			return fail(fmt.Errorf("writing spans: %w", err))

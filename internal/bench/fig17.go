@@ -152,20 +152,13 @@ func RunMultigridWorld(w *mpi.World, p MultigridParams, mode petsc.ScatterMode) 
 }
 
 // TraceMultigrid runs the in-process multigrid solve with tracing enabled
-// and writes the resulting Chrome trace (all ranks share the process-local
-// world tracer) to outPath.  Pass outPath "" to skip the file and only
-// return the spans.
-func TraceMultigrid(n int, p MultigridParams, arm core.Arm, outPath string) (MultigridResult, []obs.Span, error) {
+// and returns every rank's spans (all ranks share the world tracer) with
+// the tracer's drop count.
+func TraceMultigrid(n int, p MultigridParams, arm core.Arm) (MultigridResult, obs.SpanFile) {
 	w := core.NewPaperWorld(n, arm.Config)
 	w.Tracer().Enable()
 	res := RunMultigridWorld(w, p, arm.Mode)
-	spans := w.Tracer().Spans()
-	if outPath != "" {
-		if err := obs.WriteChromeTraceFile(outPath, spans, 0); err != nil {
-			return res, spans, err
-		}
-	}
-	return res, spans, nil
+	return res, obs.SpanFile{Dropped: w.Tracer().Dropped(), Spans: w.Tracer().Spans()}
 }
 
 // MultigridRankOptions extends the per-rank application body for service

@@ -25,15 +25,15 @@ func TestTracedMultigridChromeExport(t *testing.T) {
 	p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 20}
 	arm := core.Arm{Name: "compiled", Config: mpi.Compiled(), Mode: petsc.ScatterDatatype}
 	path := filepath.Join(t.TempDir(), "trace.json")
-	res, spans, err := TraceMultigrid(4, p, arm, path)
-	if err != nil {
-		t.Fatalf("TraceMultigrid: %v", err)
-	}
+	res, sf := TraceMultigrid(4, p, arm)
 	if res.Cycles == 0 {
 		t.Fatalf("traced solve did not converge: %+v", res)
 	}
-	if len(spans) == 0 {
+	if len(sf.Spans) == 0 {
 		t.Fatal("traced solve recorded no spans")
+	}
+	if err := obs.WriteChromeTraceFile(path, sf.Spans, 0); err != nil {
+		t.Fatal(err)
 	}
 	if err := obs.ValidateChromeTraceFile(path); err != nil {
 		t.Fatalf("exported trace is malformed: %v", err)
@@ -59,8 +59,8 @@ func TestTracedMultigridChromeExport(t *testing.T) {
 }
 
 // runTracedMultigridTCP is runMultigridTCP with span recording enabled on
-// every rank's world; it writes per-rank Chrome traces, merges them, and
-// returns the merged path plus the aggregated reliability counters.
+// every rank's world; it writes one Chrome trace from every world's spans
+// and returns its path plus the aggregated reliability counters.
 func runTracedMultigridTCP(t *testing.T, n int, p MultigridParams, fp *simnet.FaultPlan) (string, Reliability) {
 	t.Helper()
 	cfg := mpi.Compiled()
@@ -74,7 +74,6 @@ func runTracedMultigridTCP(t *testing.T, n int, p MultigridParams, fp *simnet.Fa
 		lns[r] = ln
 		addrs[r] = ln.Addr().String()
 	}
-	dir := t.TempDir()
 	worlds := make([]*mpi.World, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -104,28 +103,25 @@ func runTracedMultigridTCP(t *testing.T, n int, p MultigridParams, fp *simnet.Fa
 	}
 	wg.Wait()
 	var agg Reliability
-	paths := make([]string, n)
+	var spans []obs.Span
 	for r := 0; r < n; r++ {
 		if errs[r] != nil {
 			t.Fatalf("rank %d: %v", r, errs[r])
 		}
 		agg.Add(reliabilityOf(worlds[r]))
-		paths[r] = filepath.Join(dir, "trace.json.rank"+string(rune('0'+r)))
-		if err := obs.WriteChromeTraceFile(paths[r], worlds[r].Tracer().Spans(), r); err != nil {
-			t.Fatalf("rank %d trace: %v", r, err)
-		}
+		spans = append(spans, worlds[r].Tracer().Spans()...)
 		worlds[r].Close()
 	}
-	merged := filepath.Join(dir, "trace.json")
-	if err := obs.MergeChromeTraceFiles(merged, paths); err != nil {
-		t.Fatalf("merge: %v", err)
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := obs.WriteChromeTraceFile(path, spans, 0); err != nil {
+		t.Fatalf("trace: %v", err)
 	}
-	return merged, agg
+	return path, agg
 }
 
 // TestTracedMultigridTCPRetransmits is the tracing acceptance test for the
-// wall-clock path: under a seeded 1% drop plan the merged multi-process
-// trace must validate and show the runtime's reliability protocol at work
+// wall-clock path: under a seeded 1% drop plan the four ranks' one trace
+// must validate and show the runtime's reliability protocol at work
 // over real sockets (retransmit spans, nonzero retransmission counters);
 // without faults the same trace must show none.
 func TestTracedMultigridTCPRetransmits(t *testing.T) {
@@ -135,7 +131,7 @@ func TestTracedMultigridTCPRetransmits(t *testing.T) {
 	fp := &simnet.FaultPlan{Seed: 42, Drop: 0.01}
 	lossy, lossyStats := runTracedMultigridTCP(t, n, p, fp)
 	if err := obs.ValidateChromeTraceFile(lossy); err != nil {
-		t.Fatalf("lossy merged trace is malformed: %v", err)
+		t.Fatalf("lossy trace is malformed: %v", err)
 	}
 	evs, err := obs.ReadChromeTraceFile(lossy)
 	if err != nil {
@@ -143,7 +139,7 @@ func TestTracedMultigridTCPRetransmits(t *testing.T) {
 	}
 	counts := obs.CountEvents(evs)
 	if counts["tcp_send"] == 0 || counts["tcp_recv"] == 0 {
-		t.Errorf("merged trace missing transport spans: %v", counts)
+		t.Errorf("trace missing transport spans: %v", counts)
 	}
 	if lossyStats.Retransmits == 0 {
 		t.Fatalf("fault plan produced no retransmissions: %+v", lossyStats)
@@ -154,7 +150,7 @@ func TestTracedMultigridTCPRetransmits(t *testing.T) {
 
 	clean, cleanStats := runTracedMultigridTCP(t, n, p, nil)
 	if err := obs.ValidateChromeTraceFile(clean); err != nil {
-		t.Fatalf("clean merged trace is malformed: %v", err)
+		t.Fatalf("clean trace is malformed: %v", err)
 	}
 	evs, err = obs.ReadChromeTraceFile(clean)
 	if err != nil {

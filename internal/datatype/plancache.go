@@ -97,16 +97,7 @@ func (c *PlanCache) Get(t *Type, count int) *Plan {
 	// Compile outside the lock: flattening a huge subarray must not block
 	// every other rank's cache hits.  A racing compile of the same key is
 	// harmless — both produce identical plans and the second insert wins.
-	var start float64
-	traced := obs.Enabled()
-	if traced {
-		start = obs.Default.Now()
-	}
 	p := CompilePlan(ct, count)
-	if traced {
-		obs.Emit(obs.Span{Rank: -1, Kind: "plan_compile", Peer: -1,
-			Bytes: int64(p.Bytes()), Start: start, End: obs.Default.Now(), Clock: obs.ClockWall})
-	}
 
 	c.mu.Lock()
 	if el, ok := c.index[key]; ok {

@@ -25,8 +25,7 @@ type Options struct {
 	// wall-clock world's virtual clock cannot see a real blocked receive.
 	Wall bool
 	// Ranks is the world size; 0 infers it from the spans.  When it is set,
-	// a span of any other rank (the process-global lane -1 aside) is skipped
-	// and counted in Report.OutOfRange: a trace read from disk can name any
+	// a span of any other rank is skipped and counted in Report.OutOfRange: a trace read from disk can name any
 	// rank, and the lanes and matrices are sized by the world.
 	Ranks int
 	// Dropped is the total ring-buffer drop count across all ranks.  A
@@ -121,11 +120,10 @@ func (g *graph) durEff(n *node) float64 {
 	return d
 }
 
-// inRanks is spans without those whose rank lies outside [0, ranks) and is
-// not the process-global lane, and how many it left out; with ranks 0 it is
-// spans.  It copies only when it leaves something out.
+// inRanks is spans without those whose rank lies outside [0, ranks), and
+// how many it left out; with ranks 0 it is spans.  It copies only when it leaves something out.
 func inRanks(spans []obs.Span, ranks int) ([]obs.Span, int) {
-	outside := func(r int) bool { return ranks > 0 && (r < -1 || r >= ranks) }
+	outside := func(r int) bool { return ranks > 0 && (r < 0 || r >= ranks) }
 	n := 0
 	for i := range spans {
 		if outside(spans[i].Rank) {

@@ -216,23 +216,23 @@ func TestNonuniformStats(t *testing.T) {
 // TestRankOutsideWorldSkipped: a span file read from disk can name any rank,
 // and the lanes and matrices are sized by the world.  One span of rank 1<<40
 // in a two-rank analysis ran the process out of memory; it is skipped and
-// counted, and the process-global lane (-1) is not out of range.
+// counted, as is every negative rank.
 func TestRankOutsideWorldSkipped(t *testing.T) {
 	spans := []obs.Span{
 		span(0, "compute", -1, 0, 0, 0, 1),
 		span(1<<40, "send", 1, 7, 64, 0, 0.1,
 			obs.Attr{Key: "to", Val: "1"}, obs.Attr{Key: "ctx", Val: "ab"}, obs.Attr{Key: "mseq", Val: "1"}),
 		span(-2, "compute", -1, 0, 0, 0, 1),
-		{Rank: -1, Kind: "plan_compile", Peer: -1, Start: 0, End: 0.1, Clock: obs.ClockWall},
+		span(-1, "compute", -1, 0, 0, 0, 1),
 	}
 	rep := analyze.Analyze(spans, analyze.Options{Ranks: 2})
-	if rep.Ranks != 2 || rep.OutOfRange != 2 || rep.Sends != 0 || rep.Matrix.N != 2 {
-		t.Fatalf("ranks %d, out of range %d, sends %d, matrix %d×%d; want 2, 2, 0, 2×2",
+	if rep.Ranks != 2 || rep.OutOfRange != 3 || rep.Sends != 0 || rep.Matrix.N != 2 {
+		t.Fatalf("ranks %d, out of range %d, sends %d, matrix %d×%d; want 2, 3, 0, 2×2",
 			rep.Ranks, rep.OutOfRange, rep.Sends, rep.Matrix.N, rep.Matrix.N)
 	}
 	var buf bytes.Buffer
 	rep.Render(&buf)
-	if !strings.Contains(buf.String(), "2 spans name a rank outside the 2-rank world") {
+	if !strings.Contains(buf.String(), "3 spans name a rank outside the 2-rank world") {
 		t.Fatalf("report does not say what it skipped:\n%s", buf.String())
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -16,18 +15,13 @@ import (
 // by construction even after ring overwrites; instants become "i" events.
 //
 // Lane mapping: a rank's virtual-clock spans land on tid = rank, its
-// wall-clock spans on tid = wallTidBase + rank, and rank -1 (the global
-// lane: plan compiles, pool traffic) on tid = globalTid.  Virtual and wall
+// wall-clock spans on tid = wallTidBase + rank.  Virtual and wall
 // timestamps share a file but never share a lane, so within-lane ordering
-// is always meaningful.  The multi-process merge assigns one pid per rank
-// file and re-zeroes each file's wall lanes to its own earliest wall
-// timestamp, which lines ranks up well enough to read (clock skew between
-// processes on one host is far below span durations).
+// is always meaningful.  A multi-process run's spans arrive with their wall
+// clocks already lined up across ranks (mgsolve does that before it
+// renders), so one pid holds every rank.
 
-const (
-	wallTidBase = 1000
-	globalTid   = 1999
-)
+const wallTidBase = 1000
 
 // chromeEvent is one trace-event record.
 type chromeEvent struct {
@@ -46,9 +40,6 @@ type chromeFile struct {
 }
 
 func spanTid(s *Span) int {
-	if s.Rank < 0 {
-		return globalTid
-	}
 	if s.Clock == ClockWall {
 		return wallTidBase + s.Rank
 	}
@@ -161,14 +152,9 @@ func laneMeta(evs []chromeEvent) []chromeEvent {
 			continue
 		}
 		seen[k] = true
-		var name string
-		switch {
-		case k.tid == globalTid:
-			name = "global (wall)"
-		case k.tid >= wallTidBase:
+		name := fmt.Sprintf("rank %d (virtual)", k.tid)
+		if k.tid >= wallTidBase {
 			name = fmt.Sprintf("rank %d (wall)", k.tid-wallTidBase)
-		default:
-			name = fmt.Sprintf("rank %d (virtual)", k.tid)
 		}
 		meta = append(meta, chromeEvent{
 			Name: "thread_name", Ph: "M", Pid: k.pid, Tid: k.tid,
@@ -223,63 +209,4 @@ func ReadChromeTraceFile(path string) ([]chromeEvent, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return cf.TraceEvents, nil
-}
-
-// MergeChromeTraceFiles combines per-rank trace files (paths[i] is rank
-// i's file) into one multi-process timeline at outPath.  Each input keeps
-// its events but moves to pid = its rank, and its wall lanes are re-zeroed
-// to the earliest wall timestamp across all inputs so the processes line
-// up on a shared axis; virtual lanes are already a shared axis and pass
-// through untouched.
-func MergeChromeTraceFiles(outPath string, paths []string) error {
-	type fileEvents struct {
-		evs []chromeEvent
-	}
-	files := make([]fileEvents, len(paths))
-	minWall := math.Inf(1)
-	for i, p := range paths {
-		evs, err := ReadChromeTraceFile(p)
-		if err != nil {
-			return err
-		}
-		files[i].evs = evs
-		for j := range evs {
-			if evs[j].Ph != "M" && evs[j].Tid >= wallTidBase && evs[j].Ts < minWall {
-				minWall = evs[j].Ts
-			}
-		}
-	}
-	if math.IsInf(minWall, 1) {
-		minWall = 0
-	}
-	var merged []chromeEvent
-	for rank, f := range files {
-		// Each file normalizes its own wall epoch: its earliest wall event
-		// aligns with the global earliest, preserving within-file deltas.
-		fileMin := math.Inf(1)
-		for j := range f.evs {
-			e := &f.evs[j]
-			if e.Ph != "M" && e.Tid >= wallTidBase && e.Ts < fileMin {
-				fileMin = e.Ts
-			}
-		}
-		for j := range f.evs {
-			e := f.evs[j]
-			e.Pid = rank
-			if e.Ph != "M" && e.Tid >= wallTidBase && !math.IsInf(fileMin, 1) {
-				e.Ts -= fileMin - minWall
-			}
-			merged = append(merged, e)
-		}
-	}
-	f, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	if err := enc.Encode(chromeFile{TraceEvents: merged}); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

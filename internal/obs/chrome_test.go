@@ -18,8 +18,6 @@ func nestedSpans() []Span {
 		{Rank: 0, Kind: "pack", Start: 5, End: 9, Clock: ClockVirtual},
 		// rank 1 wall lane.
 		{Rank: 1, Kind: "tcp_send", Start: 0.5, End: 0.7, Clock: ClockWall, Peer: 0, Tag: 3, Bytes: 128},
-		// global lane.
-		{Rank: -1, Kind: "plan_compile", Start: 0.1, End: 0.2, Clock: ClockWall},
 	}
 }
 
@@ -36,7 +34,7 @@ func TestWriteValidateRoundTrip(t *testing.T) {
 		t.Fatalf("exported trace fails validation: %v", err)
 	}
 	counts := CountEvents(evs)
-	for _, kind := range []string{"solve", "smooth", "restrict", "pack", "retransmit", "tcp_send", "plan_compile"} {
+	for _, kind := range []string{"solve", "smooth", "restrict", "pack", "retransmit", "tcp_send"} {
 		if counts[kind] == 0 {
 			t.Fatalf("kind %q missing from trace (counts %v)", kind, counts)
 		}
@@ -48,8 +46,8 @@ func TestWriteValidateRoundTrip(t *testing.T) {
 			lanes++
 		}
 	}
-	if lanes != 3 { // rank 0 virtual, rank 1 wall, global
-		t.Fatalf("got %d lane metadata events, want 3", lanes)
+	if lanes != 2 { // rank 0 virtual, rank 1 wall
+		t.Fatalf("got %d lane metadata events, want 2", lanes)
 	}
 }
 
@@ -74,68 +72,6 @@ func TestValidateRejectsCorruptTraces(t *testing.T) {
 	for _, tc := range cases {
 		if err := ValidateChromeTrace(tc.evs); err == nil {
 			t.Errorf("%s: validator accepted a corrupt trace", tc.name)
-		}
-	}
-}
-
-func TestMergeChromeTraceFiles(t *testing.T) {
-	dir := t.TempDir()
-	// Two rank files with different wall epochs: rank 0's wall span starts
-	// at t=100s, rank 1's at t=200s.  After merge both must share one axis.
-	r0 := []Span{
-		{Rank: 0, Kind: "tcp_send", Start: 100.0, End: 100.5, Clock: ClockWall},
-		{Rank: 0, Kind: "compute", Start: 1, End: 2, Clock: ClockVirtual},
-	}
-	r1 := []Span{
-		{Rank: 1, Kind: "tcp_recv", Start: 200.25, End: 200.75, Clock: ClockWall},
-	}
-	p0 := filepath.Join(dir, "trace-rank0.json")
-	p1 := filepath.Join(dir, "trace-rank1.json")
-	if err := WriteChromeTraceFile(p0, r0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteChromeTraceFile(p1, r1, 0); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "merged.json")
-	if err := MergeChromeTraceFiles(out, []string{p0, p1}); err != nil {
-		t.Fatal(err)
-	}
-	evs, err := ReadChromeTraceFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateChromeTrace(evs); err != nil {
-		t.Fatalf("merged trace fails validation: %v", err)
-	}
-	for i := range evs {
-		e := &evs[i]
-		switch {
-		case e.Ph == "M":
-		case e.Name == "tcp_send":
-			if e.Pid != 0 || e.Ts < 100e6-1 || e.Ts > 100e6+1e6 {
-				t.Fatalf("tcp_send not normalized: %+v", e)
-			}
-		case e.Name == "tcp_recv":
-			if e.Pid != 1 {
-				t.Fatalf("tcp_recv pid = %d, want 1", e.Pid)
-			}
-			// rank 1's earliest wall event aligns with the global earliest
-			// (100s); its 0.5 s duration is preserved.
-			if e.Ph == "B" && (e.Ts < 100e6-1 || e.Ts > 100e6+1) {
-				t.Fatalf("tcp_recv begin ts %.0f not re-zeroed to shared wall axis", e.Ts)
-			}
-			if e.Ph == "E" && (e.Ts < 100.5e6-1 || e.Ts > 100.5e6+1) {
-				t.Fatalf("tcp_recv end ts %.0f lost its within-file delta", e.Ts)
-			}
-		case e.Name == "compute":
-			if e.Pid != 0 || e.Tid != 0 {
-				t.Fatalf("virtual span moved lanes: %+v", e)
-			}
-			// Virtual lanes pass through untouched.
-			if e.Ph == "B" && e.Ts != 1e6 {
-				t.Fatalf("virtual ts rewritten: %v", e.Ts)
-			}
 		}
 	}
 }

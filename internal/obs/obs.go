@@ -15,8 +15,8 @@
 // everything above it timestamps in virtual seconds (deterministic,
 // cross-rank coupled), while the TCP transport timestamps in wall seconds
 // since the tracer's epoch (real, per-process).  The Chrome exporter keeps
-// the domains on separate lanes and the multi-process merge step reconciles
-// wall epochs per rank file; see chrome.go and DESIGN.md §11.
+// the domains on separate lanes; a multi-process run lines up its ranks'
+// wall epochs before rendering (DESIGN.md §11).
 package obs
 
 import (
@@ -35,7 +35,7 @@ const (
 	// any transport).
 	ClockVirtual Clock = iota
 	// ClockWall timestamps are real seconds since the tracer's epoch (the
-	// TCP transport and the datatype compile path).
+	// TCP and shared-memory transports, the recovery protocol).
 	ClockWall
 )
 
@@ -47,9 +47,7 @@ type Attr struct {
 }
 
 // Span is one traced operation.  End == Start marks an instant event (a
-// retransmission, a cache miss); End > Start a duration.  Rank -1 is the
-// process-global lane used by layers with no rank context (the datatype
-// plan compiler, the buffer pool).
+// retransmission, a CRC reject); End > Start a duration.
 type Span struct {
 	Rank  int
 	Kind  string // operation class: "send", "smooth", "retransmit", ...
@@ -230,16 +228,3 @@ func (t *Tracer) Clear() {
 	}
 	t.dropped.Store(0)
 }
-
-// Default is the process-global tracer, used by layers with no world handle
-// (the datatype plan compiler, the buffer pool) and merged into command
-// exports next to the per-world tracer.  It is a fixed object — Enable it,
-// never replace it.
-var Default = NewTracer(0)
-
-// Enabled reports whether the process-global tracer records: one atomic
-// load, the fast path for global instrumentation sites.
-func Enabled() bool { return Default.enabled.Load() }
-
-// Emit records a span on the process-global tracer.
-func Emit(s Span) { Default.Emit(s) }

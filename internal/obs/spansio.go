@@ -6,11 +6,11 @@ import (
 	"os"
 )
 
-// Raw span persistence.  The Chrome export (chrome.go) is a lossy
-// projection for a human viewer; the cross-rank analyzer needs the spans
-// themselves — attributes included — so each process dumps its tracer
-// verbatim and the analyzing process stitches the per-rank files back
-// together.  The format is one JSON document, spans in ring order
+// Raw span persistence.  Each process of a multi-process run dumps its
+// tracer verbatim, attributes included, and the launcher stitches the
+// per-rank files back together; both the Chrome export (chrome.go, a lossy
+// projection for a human viewer) and the cross-rank analyzer read the
+// stitched spans.  The format is one JSON document, spans in ring order
 // (per-lane oldest-first), with the drop count preserved so the analyzer
 // can refuse to claim completeness over a truncated trace.
 
@@ -22,17 +22,12 @@ type SpanFile struct {
 
 // WriteSpansFile writes the tracer's recorded spans and drop count to path.
 func WriteSpansFile(path string, t *Tracer) error {
-	return WriteSpans(path, t.Spans(), t.Dropped())
-}
-
-// WriteSpans writes an explicit span set to path.
-func WriteSpans(path string, spans []Span, dropped int64) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	enc := json.NewEncoder(f)
-	if err := enc.Encode(SpanFile{Dropped: dropped, Spans: spans}); err != nil {
+	if err := enc.Encode(SpanFile{Dropped: t.Dropped(), Spans: t.Spans()}); err != nil {
 		f.Close()
 		return err
 	}
