@@ -10,18 +10,19 @@ import (
 	"nccd/internal/petsc"
 )
 
-// Row bands (DESIGN §18 "Row bands").  A one-rank solve runs every
-// stage-plane of a level-0 wavefront, and the conjugate gradients' step, in
-// bands of rows, as many bands as it has workers: the solve's own goroutine
-// and the helpers it borrowed for the wave.  A wave runs its stages two
-// planes apart (wave.go), so that the stage-planes of one wavefront step
-// neither read nor write a plane another of them writes; the owner hands the
-// crew the step as one task, each band of which is that band of every one of
-// the step's stage-planes.  Each worker claims bands until none is left, and
-// a handoff after every step keeps the wavefront's plane order: a banded
-// wave of s stages on p planes takes at most p + 2s handoffs, not one per
-// stage-plane.  Each cell is written by the same code from the same sources
-// as on one worker, and each worker adds its products into a Sum of its own,
+// Row bands (DESIGN §18 "Row bands").  A one-rank solve runs every level-0
+// wave, those of level 1 where its planes are wide enough, and the conjugate
+// gradients' step across its workers: the solve's own goroutine and the
+// helpers it borrowed for the wave.  The owner hands the crew a wave as one
+// task, a band of which is a slab of the level's planes (wave.go: cut,
+// wavefront).  Each worker runs the wavefront over its slab alone, with no
+// handoff inside the wave; the two slabs of a region sweep it from either
+// end and meet wherever both have got to, so a worker on a slower core, or
+// a helper that wakes late, takes fewer planes instead of making the other
+// wait.  After the one join the owner runs, stage by stage, the rows beside
+// the faces between slabs that the wavefront left.  A banded wave so takes
+// one task.  Each cell is written by the same code from the same sources as
+// on one worker, and each worker adds its products into a Sum of its own,
 // merged exactly when the wave ends, so x, History, the virtual clock and
 // every span are the serial run's bit for bit.  Only the solve's own
 // goroutine charges the clock or records a span.
@@ -41,9 +42,10 @@ import (
 // runs the serial code.
 
 // bandLevelCells is the fewest cells a plane of a level coarser than level 0
-// must have for its waves to run in bands.  Measured on 96³ (2-vCPU Xeon):
-// level 1's 48² planes gain from two bands, level 2's 24² ones do not, with
-// one handoff a stage-plane and again with one a wavefront step.
+// must have for its waves to run in slabs.  Measured on 96³ (2-vCPU Xeon):
+// level 1's 48² planes gain from two workers, level 2's 24² ones do not, in
+// bands with one handoff a stage-plane, with one a wavefront step, and in
+// slabs.
 const bandLevelCells = 2048
 
 // bandSpins is how many times a worker looks for what it waits on between
@@ -62,6 +64,8 @@ var cores struct {
 	running atomic.Int32 // solves inside Solve or SolveFrom
 	loans   atomic.Int64 // helpers ever lent
 	helped  atomic.Int64 // bands the helpers ran
+	tasks   atomic.Int64 // tasks handed to crews
+	waited  atomic.Int64 // nanoseconds owners spent waiting for helpers' bands
 	slots   [maxHelpers]struct {
 		taken atomic.Bool
 		h     *helper
@@ -118,18 +122,17 @@ func (h *helper) loop() {
 type taskKind uint8
 
 const (
-	taskWave taskKind = iota // the stage-planes of one wavefront step of level l, each in bands of rows
+	taskWave taskKind = iota // level l's wave, a slab a band
 	taskStep                 // the conjugate gradients' step on x, in bands of whole sum chunks
 )
 
-// task is one wavefront step, or the conjugate gradients' step, as the owner
-// hands it to the crew.
+// task is a wave, or the conjugate gradients' step, as the owner hands it to
+// the crew.
 type task struct {
-	kind   taskKind
-	l      int
-	planes []stagePlane
-	x      *petsc.Vec
-	alpha  float64
+	kind  taskKind
+	l     int
+	x     *petsc.Vec
+	alpha float64
 }
 
 // The crew's state word: the task's generation in the high 32 bits, the park
@@ -144,10 +147,10 @@ const (
 // and then publishes it in state with band 0 claimed; a helper claims a band
 // by setting its bit with a compare-and-swap, and only then reads the task,
 // which the owner does not rewrite before done, the bands the helpers have
-// run in the wave, reaches want.  Worker w claims band w first, so that in
-// the wavefront each worker's band of a plane reads mostly the rows its own
-// core wrote, and then whatever band no other worker has claimed.  out counts
-// the helpers lent and neither called off nor gone.
+// run in the wave, reaches want.  Worker w claims band w first, so that each
+// worker's slab lies about where its core's last one did, and then whatever
+// band no other worker has claimed.  out counts the helpers lent and neither
+// called off nor gone.
 type crew struct {
 	s     *Solver
 	lent  []int  // the pool slots of the helpers lent
@@ -155,7 +158,6 @@ type crew struct {
 	all   uint64 // the state bits of every band
 	want  int64
 	task  task
-	plan  []stagePlane // the owner's list of a step's stage-planes, kept between waves
 	state atomic.Uint64
 	_     [64]byte // done on a cache line of its own
 	done  atomic.Int64
@@ -282,9 +284,15 @@ func (c *crew) run(t task) {
 	c.state.Store(v)
 	c.work(&c.s.sum, 0)
 	c.want += int64(c.n-1) - c.claim(0, &c.s.sum, v>>stateGen)
+	cores.tasks.Add(1)
+	if c.done.Load() == c.want {
+		return
+	}
+	start := time.Now()
 	for i := 0; c.done.Load() != c.want; i++ {
 		yield(i)
 	}
+	cores.waited.Add(int64(time.Since(start)))
 }
 
 // nextGen is the state word of the next task, no band of it claimed.
@@ -341,13 +349,7 @@ func (c *crew) work(sum *Sum, b int) {
 	s, t := c.s, &c.task
 	switch t.kind {
 	case taskWave:
-		for _, sp := range t.planes {
-			r := sp.r
-			r.j0, r.j1 = band(r.j0, r.j1, b, c.n)
-			if r.j0 < r.j1 {
-				s.apply(t.l, sp.e, r, sum)
-			}
-		}
+		s.wavefront(t.l, &s.levels[t.l].wave.slabs[b], sum)
 	case taskStep:
 		n := t.x.LocalSize()
 		lo, hi := band(0, (n+sumChunk-1)/sumChunk, b, c.n)

@@ -77,23 +77,29 @@ func bandSolve(t *testing.T, k kernelShape, richardson, resume bool) bandOutcome
 }
 
 // bandShapes are the grids TestRowBandsBitwise solves on one rank: 1-D, whose
-// planes are one row, 2-D, 3-D with planes of two rows, fewer than the
-// workers, and a level 1 wide enough to run in bands too (bandLevelCells).
+// one plane of one row is cut into slabs of one row or none, 2-D, whose one
+// plane is cut along y, 3-D with planes of two rows, with fewer planes than
+// the workers, with slabs of one and two planes, thinner than the deepest
+// stage's depth from a slab face, and a level 1 wide enough to run in slabs
+// too (bandLevelCells).
 var bandShapes = []kernelShape{
 	{n: []int{64}, levels: 3},
 	{n: []int{32, 24}, levels: 3},
 	{n: []int{16, 2, 8}, levels: 2},
+	{n: []int{24, 16, 6}, levels: 2},
 	{n: []int{24, 16, 40}, levels: 4},
 	{n: []int{128, 64, 4}, levels: 2},
 }
 
-// TestRowBandsBitwise: a one-rank solve in bands of 2 and 3 workers leaves x,
-// History, the virtual clock and the span list as the serial solve does, bit
-// for bit, under both smoothers and both arms, by conjugate gradients and by
-// the Richardson iteration, and resumed by SolveFrom.
+// TestRowBandsBitwise: a one-rank solve in slabs of 2, 3 and 4 workers leaves
+// x, History, the virtual clock and the span list as the serial solve does,
+// bit for bit, under both smoothers and both arms, by conjugate gradients and
+// by the Richardson iteration, and resumed by SolveFrom.  Where the process
+// has a core to spare, a helper runs a slab of the 2-D grid.
 func TestRowBandsBitwise(t *testing.T) {
 	helped := cores.helped.Load()
 	for i, k := range bandShapes {
+		shapeHelped := cores.helped.Load()
 		k.np, k.cfg = 1, mpi.Compiled()
 		for _, sm := range []Smoother{SmootherJacobi, SmootherChebyshev} {
 			for _, mode := range []petsc.ScatterMode{petsc.ScatterHandTuned, petsc.ScatterDatatype} {
@@ -107,7 +113,7 @@ func TestRowBandsBitwise(t *testing.T) {
 					}
 					var want bandOutcome
 					withWorkers(1, func() { want = bandSolve(t, k, how.richardson, how.resume) })
-					for _, n := range []int{2, 3} {
+					for _, n := range []int{2, 3, 4} {
 						var got bandOutcome
 						withWorkers(n, func() { got = bandSolve(t, k, how.richardson, how.resume) })
 						what := fmt.Sprintf("%v, %s, %d workers", k, how.name, n)
@@ -126,6 +132,9 @@ func TestRowBandsBitwise(t *testing.T) {
 					}
 				}
 			}
+		}
+		if runtime.GOMAXPROCS(0) > 1 && len(k.n) == 2 && cores.helped.Load() == shapeHelped {
+			t.Fatalf("%v: no helper ran a slab", k)
 		}
 	}
 	if runtime.GOMAXPROCS(0) > 1 && cores.helped.Load() == helped {
@@ -286,13 +295,12 @@ func TestConcurrentSolvesShareCores(t *testing.T) {
 	}
 }
 
-// TestRowBandsHandoffs: a banded wave hands its crew one task per wavefront
-// step, all of the step's stage-planes at once, so no more than planes +
-// 2·stages of them: both halves of the V-cycle on every banded level, under
-// both smoothers, and the conjugate gradients' direction.  Handing out every
-// stage-plane on its own would take about stages times planes.  The tasks
-// are counted in the crew's state word, whose generation borrow sets to 0
-// and every task and the release move on by one.
+// TestRowBandsHandoffs: a banded wave hands its crew at most 1 + stages
+// tasks: both halves of the V-cycle on every banded level, under both
+// smoothers, and the conjugate gradients' direction.  A wave is one task,
+// the slabs of every worker; a task per wavefront step would be planes +
+// 2·stages.  The tasks are counted in the crew's state word, whose
+// generation borrow sets to 0 and every task and the release move on by one.
 func TestRowBandsHandoffs(t *testing.T) {
 	withWorkers(2, func() {
 		for _, sm := range []Smoother{SmootherJacobi, SmootherChebyshev} {
@@ -306,9 +314,7 @@ func TestRowBandsHandoffs(t *testing.T) {
 						s.crew.state.Store(0)
 					}
 					wave()
-					lv := s.levels[l]
-					own := lv.da.OwnedBox()
-					planes, stages := own.Hi[2]-own.Lo[2], len(lv.wave.stages)
+					stages := len(s.levels[l].wave.stages)
 					n := 0
 					if s.crew != nil {
 						n = int(s.crew.state.Load()>>stateGen) - 1
@@ -316,8 +322,8 @@ func TestRowBandsHandoffs(t *testing.T) {
 					if n <= 0 {
 						return fmt.Errorf("%v, %s of level %d: no task handed to a crew", sm, what, l)
 					}
-					if n > planes+2*stages {
-						return fmt.Errorf("%v, %s of level %d: %d tasks for %d planes and %d stages", sm, what, l, n, planes, stages)
+					if n > 1+stages {
+						return fmt.Errorf("%v, %s of level %d: %d tasks for %d stages", sm, what, l, n, stages)
 					}
 					return nil
 				}

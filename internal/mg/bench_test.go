@@ -129,9 +129,10 @@ func goLoopsOnly(goOnly bool) (restore func()) {
 // go test -bench Solve96 -cpuprofile gives the kernels' shares of a solve and
 // -benchmem what a solve allocates.  cg is Solve's conjugate gradients,
 // richardson the bare V-cycles; each reports its iterations and ms per
-// iteration.  A one-rank solve runs its level-0 stages in row bands across
-// the cores GOMAXPROCS leaves free, so -cpu 1,2 gives the serial solve and
-// the banded one side by side.
+// iteration.  A one-rank solve runs its waves in slabs across the cores
+// GOMAXPROCS leaves free, so -cpu 1,2 gives the serial solve and the slabbed
+// one side by side; each reports the tasks a solve hands its crew and the
+// milliseconds a solve's own goroutine waits for its helpers.
 func BenchmarkSolve96(b *testing.B) {
 	for _, richardson := range []bool{false, true} {
 		name := "cg"
@@ -146,6 +147,7 @@ func BenchmarkSolve96(b *testing.B) {
 				fillSeeded(rhs, 1)
 				b.ReportAllocs()
 				b.ResetTimer()
+				tasks, waited := cores.tasks.Load(), cores.waited.Load()
 				cycles := 0
 				for i := 0; i < b.N; i++ {
 					x.Set(0)
@@ -153,6 +155,8 @@ func BenchmarkSolve96(b *testing.B) {
 				}
 				b.ReportMetric(float64(cycles), "iterations")
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N)/float64(cycles), "ms/cycle")
+				b.ReportMetric(float64(cores.tasks.Load()-tasks)/float64(b.N), "tasks/op")
+				b.ReportMetric(float64(cores.waited.Load()-waited)/1e6/float64(b.N), "wait-ms/op")
 				return nil
 			})
 		})

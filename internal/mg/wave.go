@@ -2,6 +2,7 @@ package mg
 
 import (
 	"strconv"
+	"sync/atomic"
 
 	"nccd/internal/dmda"
 	"nccd/internal/obs"
@@ -14,12 +15,13 @@ import (
 // its own finds the stage before it two planes ahead, every plane a step
 // reads was finished in an earlier step and none is written in the same
 // step, and a plane is overwritten only once every stage that reads it has
-// moved past.  One worker runs a step's stage-planes in stage order; a crew
-// (bands.go) takes the whole step as one task.  Every exchange, clock
-// charge and span stays where the pass-by-pass cycle had it: the first
-// stage's exchange before the wavefront, every later one after it, each
-// followed by the rows its stage could not run inside the wavefront because
-// they lie too close to a received ghost face, and then by the stage's
+// moved past.  Where the solve borrows helpers (bands.go), the owned box is
+// cut into slabs, one per worker, and each worker runs the wavefront over
+// its slab alone.  Every exchange, clock charge and span stays where the
+// pass-by-pass cycle had it: the first stage's exchange before the
+// wavefront, every later one after it, each followed by the rows its stage
+// could not run inside the wavefront because they lie too close to a
+// received ghost face or to another worker's slab, and then by the stage's
 // charges.
 
 // rows is a box of x-rows of a level: rows j0 to j1−1 of planes k0 to k1−1.
@@ -27,6 +29,14 @@ type rows struct{ j0, j1, k0, k1 int }
 
 // ownedRows is every row of the owned box b.
 func ownedRows(b dmda.Box) rows { return rows{b.Lo[1], b.Hi[1], b.Lo[2], b.Hi[2]} }
+
+// along is r's bounds along d, 1 (y) or 2 (z).
+func (r *rows) along(d int) (lo, hi *int) {
+	if d == 1 {
+		return &r.j0, &r.j1
+	}
+	return &r.k0, &r.k1
+}
 
 func (r rows) empty() bool { return r.j0 >= r.j1 || r.k0 >= r.k1 }
 
@@ -70,11 +80,48 @@ const (
 
 var spanKinds = [...]string{"smooth", "restrict", "prolong", "mg_level"}
 
-// stagePlane is one stage's rows of one step of a wavefront: a plane of its
-// level, or for the restriction the coarse planes the step completes.
-type stagePlane struct {
-	e *stage
-	r rows
+// slab is one worker's share of a wave.  A pair of slabs shares a region of
+// the level's planes (of its rows, where the level has one plane): the
+// lower slab sweeps it upwards and the upper one downwards, each claiming
+// the next plane from the region's meet word as it goes, and they meet
+// wherever the two have got to.  own is the region until then and the
+// slab's own rows after; in is the rows of own each stage runs inside the
+// wavefront; coarse is the coarse rows the slab stands for once the wave
+// is over, where the wave ends with the restriction.
+type slab struct {
+	own, coarse rows
+	in          []rows
+	down        bool
+	meet        *meet
+}
+
+// meet is a region's planes that neither of its slabs has claimed yet: the
+// lowest in the low 32 bits, and one past the highest in the high ones.  It
+// has a cache line of its own.
+type meet struct {
+	atomic.Uint64
+	_ [56]byte
+}
+
+// claim takes the next plane for the slab that sweeps down, or up: the
+// region's highest unclaimed plane, or its lowest.  It fails once the two
+// slabs have met.
+func (m *meet) claim(down bool) bool {
+	for {
+		v := m.Load()
+		lo, hi := int(uint32(v)), int(v>>32)
+		if lo >= hi {
+			return false
+		}
+		if down {
+			hi--
+		} else {
+			lo++
+		}
+		if m.CompareAndSwap(v, uint64(hi)<<32|uint64(uint32(lo))) {
+			return true
+		}
+	}
 }
 
 // stage is one pass of a wavefront.
@@ -96,15 +143,19 @@ type stage struct {
 	// stage's own work, each as flops per owned cell; 0 ends the list.
 	then        [5]uint8
 	open, close spanSet
-	in          rows // the rows the stage runs inside the wavefront (run)
 }
 
-// wave is a level's half V-cycle: its stages, the clocks its spans opened at
-// and the sweep count its smoothing span reports.
+// wave is a level's half V-cycle: its stages, the clocks its spans opened at,
+// the sweep count its smoothing span reports, and the axis its slabs cut,
+// the slabs and their regions' meet words, kept so that a wave allocates
+// none.
 type wave struct {
 	stages []stage
 	start  [len(spanKinds)]float64
 	sweeps int
+	axis   int
+	slabs  []slab
+	meets  []meet
 }
 
 func (w *wave) add(st stage) { w.stages = append(w.stages, st) }
@@ -127,29 +178,42 @@ func (w *wave) open(set spanSet, clock float64) {
 	}
 }
 
-// inner is the rows of lv at least depth rows away from every face across
-// which it receives ghost cells: all of them at depth 0, and none at any
-// other depth where a ghost face lies along x, which every row reaches.
-func (lv *level) inner(depth int) rows {
+// inner is the rows of slab sl of lv's owned box that stage i of a wave runs
+// inside the wavefront: those at least depth rows away from every face
+// across which lv receives ghost cells (none at a nonzero depth where a
+// ghost face lies along x, which every row reaches), and at least i rows
+// away from every face sl shares with another slab.
+func (lv *level) inner(sl rows, depth, i int) rows {
 	own, ghost := lv.da.OwnedBox(), lv.da.GhostBox()
-	in := ownedRows(own)
-	if depth == 0 {
-		return in
+	in := sl
+	if depth > 0 {
+		if ghost.Lo[0] < own.Lo[0] || ghost.Hi[0] > own.Hi[0] {
+			return rows{}
+		}
+		if ghost.Lo[1] < own.Lo[1] {
+			in.j0 = max(in.j0, own.Lo[1]+depth)
+		}
+		if ghost.Hi[1] > own.Hi[1] {
+			in.j1 = min(in.j1, own.Hi[1]-depth)
+		}
+		if ghost.Lo[2] < own.Lo[2] {
+			in.k0 = max(in.k0, own.Lo[2]+depth)
+		}
+		if ghost.Hi[2] > own.Hi[2] {
+			in.k1 = min(in.k1, own.Hi[2]-depth)
+		}
 	}
-	if ghost.Lo[0] < own.Lo[0] || ghost.Hi[0] > own.Hi[0] {
-		return rows{}
+	if sl.j0 > own.Lo[1] {
+		in.j0 = max(in.j0, sl.j0+i)
 	}
-	if ghost.Lo[1] < own.Lo[1] {
-		in.j0 += depth
+	if sl.j1 < own.Hi[1] {
+		in.j1 = min(in.j1, sl.j1-i)
 	}
-	if ghost.Hi[1] > own.Hi[1] {
-		in.j1 -= depth
+	if sl.k0 > own.Lo[2] {
+		in.k0 = max(in.k0, sl.k0+i)
 	}
-	if ghost.Lo[2] < own.Lo[2] {
-		in.k0 += depth
-	}
-	if ghost.Hi[2] > own.Hi[2] {
-		in.k1 -= depth
+	if sl.k1 < own.Hi[2] {
+		in.k1 = min(in.k1, sl.k1-i)
 	}
 	if in.empty() {
 		return rows{}
@@ -206,66 +270,32 @@ func (s *Solver) fineSpan(l, d, c int) (int, int) {
 // wavefront, and one more for every stage from there on.  One more is what a
 // stencil that reads what the stage before it wrote needs, and also keeps a
 // stage from overwriting, inside the wavefront, rows that a stage before it
-// reads outside it, or that an exchange after it still sends.  The
-// restriction runs the coarse rows whose fine rows the residual before it ran
-// inside the wavefront, each coarse plane once its last fine plane has its
-// residual.  The stages run two planes apart: a stage-plane reads its own
-// plane and the two beside it and writes its own, so no stage-plane of a
-// step reads or writes a plane another one writes, and those of one step
-// may run at once.  Where the solver borrows helpers each step goes to the
-// crew as one task, each worker running its band of every one of the step's
-// stage-planes (bands.go).  The restriction's coarse plane c waits for fine
-// plane p+1 ≥ fineTop(c), which the residual two planes ahead finished in an
-// earlier step.
+// reads outside it, or that an exchange after it still sends.  Where the
+// solver borrows helpers, the level is cut into slabs (cut), one per worker,
+// and the workers run the wavefront each over its own slab at once, as one
+// task of the crew (bands.go); a face between two slabs takes the place of a
+// ghost face whose depth grows at every stage.  After the wavefront every
+// stage runs, in stage order, the rows of every slab it could not run inside
+// it.
 func (s *Solver) run(l int) {
 	lv := s.levels[l]
 	st := lv.wave.stages
-	own := ownedRows(lv.da.OwnedBox())
-	depth := 0
-	for i := range st {
-		if i > 0 && (depth > 0 || st[i].gated) {
-			depth++
-		}
-		st[i].in = lv.inner(depth)
-		if st[i].op == opRestrict {
-			st[i].in = s.restrictInner(l, st[i-1].in)
-		}
+	c := s.borrow(s.workers(l))
+	n := 1
+	if c != nil {
+		n = c.n
 	}
+	slabs := s.cut(l, n)
 
 	s.exchange(l, &st[0])
-	next := 0 // the restriction's next coarse plane
-	if last := &st[len(st)-1]; last.op == opRestrict {
-		next = last.in.k0
-	}
-	c := s.borrow(s.workers(l))
-	for t := 0; t < own.k1-own.k0+2*len(st); t++ {
-		for i := range st {
-			e := &st[i]
-			p := own.k0 + t - 2*i
-			r := rows{e.in.j0, e.in.j1, p, p + 1}
-			if e.op == opRestrict {
-				r.k0 = next
-				for next < e.in.k1 && s.fineTop(l, next) <= p+1 {
-					next++
-				}
-				r.k1 = next
-			}
-			if r.k0 >= r.k1 || r.k0 < e.in.k0 || r.k1 > e.in.k1 {
-				continue
-			}
-			if c == nil {
-				s.apply(l, e, r, &s.sum)
-			} else {
-				c.plan = append(c.plan, stagePlane{e, r})
-			}
-		}
-		if c != nil && len(c.plan) > 0 {
-			c.run(task{kind: taskWave, l: l, planes: c.plan})
-			c.plan = c.plan[:0]
-		}
-	}
-	if c != nil {
+	if c == nil {
+		s.wavefront(l, &slabs[0], &s.sum)
+	} else {
+		c.run(task{kind: taskWave, l: l})
 		c.release()
+	}
+	if st[len(st)-1].op == opRestrict {
+		s.cutCoarse(l, slabs)
 	}
 
 	for i := range st {
@@ -273,13 +303,16 @@ func (s *Solver) run(l int) {
 		if i > 0 {
 			s.exchange(l, e)
 		}
-		all := own
-		if e.op == opRestrict {
-			all = ownedRows(s.levels[l+1].da.OwnedBox())
-		}
-		for _, r := range all.outside(e.in) {
-			if !r.empty() {
-				s.apply(l, e, r, &s.sum)
+		for b := range slabs {
+			sl := &slabs[b]
+			all := sl.own
+			if e.op == opRestrict {
+				all = sl.coarse
+			}
+			for _, r := range all.outside(sl.in[i]) {
+				if !r.empty() {
+					s.apply(l, e, r, &s.sum)
+				}
 			}
 		}
 		s.charge(l, e)
@@ -287,11 +320,160 @@ func (s *Solver) run(l int) {
 	}
 }
 
-// fineTop is the highest fine plane of level l that coarse plane c gathers
-// from.
-func (s *Solver) fineTop(l, c int) int {
-	_, top := s.fineSpan(l, 2, c)
-	return top
+// cut readies level l's wave for n slabs.  It cuts the level's planes, or its
+// rows where it has one plane and n is more than 1, into n equal ranges; a
+// pair of ranges is the region of a pair of slabs, and a last range left
+// over is one slab's alone.
+func (s *Solver) cut(l, n int) []slab {
+	lv := s.levels[l]
+	w := &lv.wave
+	own := ownedRows(lv.da.OwnedBox())
+	w.axis = 2
+	if n > 1 && own.k1-own.k0 == 1 {
+		w.axis = 1
+	}
+	for len(w.slabs) < n {
+		w.slabs = append(w.slabs, slab{})
+	}
+	if len(w.meets) < (n+1)/2 {
+		w.meets = make([]meet, (n+1)/2)
+	}
+	slabs := w.slabs[:n]
+	olo, ohi := own.along(w.axis)
+	for b := range slabs {
+		sl := &slabs[b]
+		sl.own = own
+		lo, hi := sl.own.along(w.axis)
+		*lo, _ = band(*olo, *ohi, b&^1, n)
+		_, *hi = band(*olo, *ohi, min(b|1, n-1), n)
+		sl.down = b%2 == 1
+		sl.meet = &w.meets[b/2]
+		if !sl.down {
+			sl.meet.Store(uint64(*hi)<<32 | uint64(uint32(*lo)))
+		}
+		s.inside(l, sl)
+	}
+	return slabs
+}
+
+// inside sets the rows of slab sl each stage of level l's wave runs inside
+// the wavefront.  The restriction runs the coarse rows whose fine rows all
+// lie in the rows its residual runs there.
+func (s *Solver) inside(l int, sl *slab) {
+	lv := s.levels[l]
+	st := lv.wave.stages
+	sl.in = sl.in[:0]
+	depth := 0
+	for i := range st {
+		if i > 0 && (depth > 0 || st[i].gated) {
+			depth++
+		}
+		in := lv.inner(sl.own, depth, i)
+		if st[i].op == opRestrict {
+			in = s.restrictInner(l, sl.in[i-1])
+		}
+		sl.in = append(sl.in, in)
+	}
+}
+
+// cutCoarse gives every slab, in order, the coarse rows of level l+1 from
+// where the slab before it ends to the first whose highest fine row lies at
+// or past the slab's end.  So every coarse row is some slab's, and each
+// slab's are those it restricted to inside the wavefront and some of the
+// rest.
+func (s *Solver) cutCoarse(l int, slabs []slab) {
+	d := s.levels[l].wave.axis
+	rest := ownedRows(s.levels[l+1].da.OwnedBox()) // the coarse rows no slab has taken yet
+	for b := range slabs {
+		sl := &slabs[b]
+		sl.coarse = rest
+		if b == len(slabs)-1 {
+			break
+		}
+		_, end := sl.own.along(d)
+		c0, c1 := sl.coarse.along(d)
+		r0, r1 := rest.along(d)
+		for *c1 = *c0; *c1 < *r1; *c1++ {
+			if _, top := s.fineSpan(l, d, *c1); top >= *end {
+				break
+			}
+		}
+		*r0 = *c1
+	}
+}
+
+// wavefront runs slab sl's part of level l's wave, its products into sum.  At
+// step t stage i works on the plane t − 2i planes on from the slab's start,
+// the bottom of its region or, sweeping down, the top, on the rows of
+// sl.in[i].  Stage 0 claims its plane first; once the claim fails the slab
+// has met the other slab of its region, and its own rows and the rows its
+// stages run end there.  The restriction runs the coarse rows whose fine
+// rows the residual before it ran inside the wavefront, each coarse plane
+// once the last of its fine planes has its residual: its highest sweeping
+// up, its lowest sweeping down, which the residual two planes ahead
+// finished in an earlier step.  A stage-plane reads its own plane and the
+// two beside it and writes its own, so no stage-plane of a step reads or
+// writes a plane another one writes.
+func (s *Solver) wavefront(l int, sl *slab, sum *Sum) {
+	w := &s.levels[l].wave
+	st, d := w.stages, w.axis
+	lo, hi := sl.own.along(d)
+	first, dir := *lo, 1
+	if sl.down {
+		first, dir = *hi-1, -1
+	}
+	last := len(st) - 1
+	next := 0 // the restriction's next coarse plane, sweeping up, or one past it
+	if st[last].op == opRestrict {
+		c0, c1 := sl.in[last].along(d)
+		next = *c0
+		if sl.down {
+			next = *c1
+		}
+	}
+	met := false
+	for t := 0; !met || t < *hi-*lo+2*len(st); t++ {
+		if u := first + dir*t; !met && !sl.meet.claim(sl.down) {
+			met = true
+			if sl.down {
+				*lo = u + 1
+			} else {
+				*hi = u
+			}
+			s.inside(l, sl)
+		}
+		for i := range st {
+			e, in := &st[i], sl.in[i]
+			p := first + dir*(t-2*i)
+			r := in
+			ilo, ihi := in.along(d)
+			rlo, rhi := r.along(d)
+			switch {
+			case e.op != opRestrict:
+				*rlo, *rhi = p, p+1
+			case !sl.down:
+				*rlo = next
+				for ; next < *ihi; next++ {
+					if _, top := s.fineSpan(l, d, next); top > p+1 {
+						break
+					}
+				}
+				*rhi = next
+			default:
+				*rhi = next
+				for ; next > *ilo; next-- {
+					if bottom, _ := s.fineSpan(l, d, next-1); bottom < p-1 {
+						break
+					}
+				}
+				*rlo = next
+			}
+			if *rlo >= *rhi || *rlo < *ilo || *rhi > *ihi {
+				continue
+			}
+			s.apply(l, e, r, sum)
+		}
+	}
 }
 
 // exchange opens the stage's spans and, where it is gated, makes its
