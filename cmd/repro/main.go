@@ -114,7 +114,6 @@ var figures = []struct {
 		bench.AblateOutlierThreshold([]float64{1.5, 2, 4, 8, 16, 64}, iters).Print(w)
 		mgp := bench.MultigridParams{Extent: 48, Levels: 3, Rtol: 1e-6, MaxCycles: 30}
 		bench.AblateAgglomeration([]int{16, 32, 64, 128}, mgp, 2048).Print(w)
-		bench.AblateSmoother([]int{8, 32}, mgp).Print(w)
 	})},
 	{"amr", false, table(func(_ *sweep, w io.Writer) {
 		bench.AMRByProcs([]int{4, 8, 16, 32, 64, 128}, bench.DefaultAMRParams).Print(w)

@@ -25,15 +25,13 @@ func main() {
 	agglomerate := flag.Int("agglomerate", 0,
 		"min cells per rank before a level agglomerates: 0 = default (a coarsest level of <= 4096 cells on one rank), "+
 			"1 = every level on every rank, k = at least k cells per rank (try 2048)")
-	chebyshev := flag.Bool("chebyshev", false, "use the Chebyshev smoother instead of damped Jacobi")
 	flag.Parse()
 
 	fmt.Printf("solving the 3-D Laplacian on a %d^3 grid, %d-level multigrid, %d ranks\n\n",
 		*extent, *levels, *ranks)
 
 	for _, arm := range core.Arms() {
-		seconds, cycles, relres, errnorm := solve(*ranks, *extent, *levels, *rtol,
-			*agglomerate, *chebyshev, arm)
+		seconds, cycles, relres, errnorm := solve(*ranks, *extent, *levels, *rtol, *agglomerate, arm)
 		fmt.Printf("%-16s %8.3f s  (%d CG iterations, relres %.1e, error vs exact %.2e)\n",
 			arm.Name, seconds, cycles, relres, errnorm)
 	}
@@ -41,16 +39,12 @@ func main() {
 
 // solve runs one arm and returns (virtual seconds, cycles, relative
 // residual, inf-norm error against the manufactured solution).
-func solve(ranks, extent, levels int, rtol float64, agglomerate int, chebyshev bool,
-	arm core.Arm) (float64, int, float64, float64) {
+func solve(ranks, extent, levels int, rtol float64, agglomerate int, arm core.Arm) (float64, int, float64, float64) {
 	w := core.NewPaperWorld(ranks, arm.Config)
 	var seconds, relres, errnorm float64
 	var cycles int
 	err := w.Run(func(c *mpi.Comm) error {
 		s := mg.NewAgglomerated(c, []int{extent, extent, extent}, levels, arm.Mode, agglomerate)
-		if chebyshev {
-			s.Smoother = mg.SmootherChebyshev
-		}
 
 		// Manufactured solution u* = prod sin(pi x_d); b = A u*.
 		xstar := s.CreateVec()

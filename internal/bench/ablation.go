@@ -11,34 +11,6 @@ import (
 // mpiByteType returns a contiguous byte datatype of the given length.
 func mpiByteType(n int) *datatype.Type { return datatype.Contiguous(n, datatype.Byte) }
 
-// AblateSmoother compares the multigrid smoothers (damped Jacobi vs.
-// Chebyshev-accelerated Jacobi) by V-cycle count and wall time on the
-// optimized arm.
-func AblateSmoother(procs []int, p MultigridParams) *Experiment {
-	e := &Experiment{
-		ID:     "ablate-smoother",
-		Title:  fmt.Sprintf("MG smoother: damped Jacobi vs Chebyshev (%d^3 grid)", p.Extent),
-		XLabel: "procs",
-		Unit:   "s",
-		Series: []string{"jacobi", "chebyshev", "jacobi-cycles", "chebyshev-cycles"},
-		Expect: "extension: Chebyshev needs no more cycles than Jacobi at equal sweep counts",
-	}
-	arm := core.Arms()[1]
-	for _, n := range procs {
-		q := p
-		full := RunMultigrid(n, q, arm)
-		q.Chebyshev = true
-		cheb := RunMultigrid(n, q, arm)
-		e.Add(fmt.Sprintf("%d", n), map[string]float64{
-			"jacobi":           full.Seconds,
-			"chebyshev":        cheb.Seconds,
-			"jacobi-cycles":    float64(full.Cycles),
-			"chebyshev-cycles": float64(cheb.Cycles),
-		})
-	}
-	return e
-}
-
 // AblateAgglomeration measures the multigrid application (optimized arm)
 // on the fully distributed hierarchy and with coarse-level agglomeration —
 // the extension motivated by the measured flattening of the optimized

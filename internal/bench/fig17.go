@@ -30,10 +30,6 @@ type MultigridParams struct {
 	// configuration; k > 1 concentrates levels with fewer than k cells per
 	// rank onto fewer ranks (an extension).
 	AgglomerateCells int
-	// Chebyshev selects the Chebyshev smoother instead of damped Jacobi
-	// (an extension; the paper's solver configuration is unspecified, and
-	// damped Jacobi is the default here).
-	Chebyshev bool
 	// Richardson solves by bare V-cycles (mg.Solver.Richardson) instead of
 	// conjugate gradients preconditioned by one.  The paper's rows set it,
 	// as they set AgglomerateCells: Fig17, AblateAgglomeration and the E7
@@ -188,9 +184,6 @@ type MultigridRankOptions struct {
 // comparable at the same problem and size.
 func mgSetup(cc *mpi.Comm, p MultigridParams, mode petsc.ScatterMode) (*mg.Solver, *petsc.Vec, *petsc.Vec) {
 	s := mg.NewAgglomerated(cc, []int{p.Extent, p.Extent, p.Extent}, p.Levels, mode, p.AgglomerateCells)
-	if p.Chebyshev {
-		s.Smoother = mg.SmootherChebyshev
-	}
 	s.Richardson = p.Richardson
 	b := s.CreateVec()
 	da := s.DA(0)

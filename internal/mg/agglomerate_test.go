@@ -98,44 +98,42 @@ var rankCountShapes = []struct {
 	{[]int{64}, 3},
 }
 
-// forEachRankCount runs solve on every rankCountShapes entry, both smoothers,
-// two hierarchies, rank counts 1, 2, 3, 4, 6 and 8 where feasible and both
+// forEachRankCount runs solve on every rankCountShapes entry, two
+// hierarchies, rank counts 1, 2, 3, 4, 6 and 8 where feasible and both
 // arms, each on a fresh world, and holds what rank 0 returns to the one-rank
 // solve's, bit for bit.  The hierarchies are New's, whose coarsest level here
 // lives on one rank, and every level on every rank (minCellsPerRank 1).
 // b = A x* is itself the same bits under every decomposition.
 func forEachRankCount(t *testing.T, solve func(s *Solver, b, x *petsc.Vec) [][]float64) {
 	for _, sh := range rankCountShapes {
-		for _, sm := range []Smoother{SmootherJacobi, SmootherChebyshev} {
-			var want [][]float64
-			for _, minCells := range []int{0, 1} {
-				for _, np := range []int{1, 2, 3, 4, 6, 8} {
-					for _, a := range benchArms {
-						k := kernelShape{n: sh.n, np: np, levels: sh.levels, minCells: minCells, mode: a.mode, smoother: sm, cfg: a.cfg}
-						if !k.feasible() || np == 1 && minCells == 1 {
-							continue
+		var want [][]float64
+		for _, minCells := range []int{0, 1} {
+			for _, np := range []int{1, 2, 3, 4, 6, 8} {
+				for _, a := range benchArms {
+					k := kernelShape{n: sh.n, np: np, levels: sh.levels, minCells: minCells, mode: a.mode, cfg: a.cfg}
+					if !k.feasible() || np == 1 && minCells == 1 {
+						continue
+					}
+					var got [][]float64
+					runWorld(t, np, a.cfg, func(c *mpi.Comm) error {
+						s := k.solver(c)
+						b, x := s.CreateVec(), s.CreateVec()
+						setManufactured(s, b)
+						if out := solve(s, b, x); c.Rank() == 0 {
+							got = out
 						}
-						var got [][]float64
-						runWorld(t, np, a.cfg, func(c *mpi.Comm) error {
-							s := k.solver(c)
-							b, x := s.CreateVec(), s.CreateVec()
-							setManufactured(s, b)
-							if out := solve(s, b, x); c.Rank() == 0 {
-								got = out
-							}
-							return nil
-						})
-						if want == nil {
-							want = got
-							continue
-						}
-						if len(got) != len(want) {
-							t.Fatalf("%v: %d results, one rank has %d", k, len(got), len(want))
-						}
-						for i := range want {
-							if err := bitsDiffer(fmt.Sprintf("result %d", i), got[i], want[i]); err != nil {
-								t.Fatalf("%v: %v", k, err)
-							}
+						return nil
+					})
+					if want == nil {
+						want = got
+						continue
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%v: %d results, one rank has %d", k, len(got), len(want))
+					}
+					for i := range want {
+						if err := bitsDiffer(fmt.Sprintf("result %d", i), got[i], want[i]); err != nil {
+							t.Fatalf("%v: %v", k, err)
 						}
 					}
 				}
@@ -147,8 +145,7 @@ func forEachRankCount(t *testing.T, solve func(s *Solver, b, x *petsc.Vec) [][]f
 // TestSolutionIndependentOfRankCount: a V-cycle's only sums are the coarse
 // conjugate gradients' inner products, which are order-free, so x in natural
 // order after each of four V-cycles is the one-rank solve's bit for bit, at
-// every feasible rank count, on both hierarchies, in both arms and under both
-// smoothers.
+// every feasible rank count, on both hierarchies and in both arms.
 func TestSolutionIndependentOfRankCount(t *testing.T) {
 	forEachRankCount(t, func(s *Solver, b, x *petsc.Vec) (out [][]float64) {
 		for range 4 {
@@ -162,8 +159,7 @@ func TestSolutionIndependentOfRankCount(t *testing.T) {
 // TestSolveIndependentOfRankCount: Solve takes every inner product of its
 // conjugate gradients, the coarse solve's included, through the order-free
 // Sum, so its History and x in natural order are the one-rank solve's bit for
-// bit, at every feasible rank count, on both hierarchies, in both arms and
-// under both smoothers.
+// bit, at every feasible rank count, on both hierarchies and in both arms.
 func TestSolveIndependentOfRankCount(t *testing.T) {
 	forEachRankCount(t, func(s *Solver, b, x *petsc.Vec) [][]float64 {
 		s.Solve(b, x, 1e-10, 12)

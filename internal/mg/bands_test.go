@@ -93,42 +93,40 @@ var bandShapes = []kernelShape{
 
 // TestRowBandsBitwise: a one-rank solve in slabs of 2, 3 and 4 workers leaves
 // x, History, the virtual clock and the span list as the serial solve does,
-// bit for bit, under both smoothers and both arms, by conjugate gradients and
-// by the Richardson iteration, and resumed by SolveFrom.  Where the process
-// has a core to spare, a helper runs a slab of the 2-D grid.
+// bit for bit, under both arms, by conjugate gradients and by the Richardson
+// iteration, and resumed by SolveFrom.  Where the process has a core to
+// spare, a helper runs a slab of the 2-D grid.
 func TestRowBandsBitwise(t *testing.T) {
 	helped := cores.helped.Load()
 	for i, k := range bandShapes {
 		shapeHelped := cores.helped.Load()
 		k.np, k.cfg = 1, mpi.Compiled()
-		for _, sm := range []Smoother{SmootherJacobi, SmootherChebyshev} {
-			for _, mode := range []petsc.ScatterMode{petsc.ScatterHandTuned, petsc.ScatterDatatype} {
-				k.smoother, k.mode = sm, mode
-				for _, how := range []struct {
-					name               string
-					richardson, resume bool
-				}{{"cg", false, false}, {"richardson", true, false}, {"cg resumed", false, true}, {"richardson resumed", true, true}} {
-					if how.resume && (i%2 == 0) != (mode == petsc.ScatterDatatype) {
-						continue // resume every shape under one arm
+		for _, mode := range []petsc.ScatterMode{petsc.ScatterHandTuned, petsc.ScatterDatatype} {
+			k.mode = mode
+			for _, how := range []struct {
+				name               string
+				richardson, resume bool
+			}{{"cg", false, false}, {"richardson", true, false}, {"cg resumed", false, true}, {"richardson resumed", true, true}} {
+				if how.resume && (i%2 == 0) != (mode == petsc.ScatterDatatype) {
+					continue // resume every shape under one arm
+				}
+				var want bandOutcome
+				withWorkers(1, func() { want = bandSolve(t, k, how.richardson, how.resume) })
+				for _, n := range []int{2, 3, 4} {
+					var got bandOutcome
+					withWorkers(n, func() { got = bandSolve(t, k, how.richardson, how.resume) })
+					what := fmt.Sprintf("%v, %s, %d workers", k, how.name, n)
+					if err := bitsDiffer(what+": x", got.x, want.x); err != nil {
+						t.Fatal(err)
 					}
-					var want bandOutcome
-					withWorkers(1, func() { want = bandSolve(t, k, how.richardson, how.resume) })
-					for _, n := range []int{2, 3, 4} {
-						var got bandOutcome
-						withWorkers(n, func() { got = bandSolve(t, k, how.richardson, how.resume) })
-						what := fmt.Sprintf("%v, %s, %d workers", k, how.name, n)
-						if err := bitsDiffer(what+": x", got.x, want.x); err != nil {
-							t.Fatal(err)
-						}
-						if err := bitsDiffer(what+": History", got.hist, want.hist); err != nil {
-							t.Fatal(err)
-						}
-						if math.Float64bits(got.clock) != math.Float64bits(want.clock) {
-							t.Fatalf("%s: virtual clock %v, serial %v", what, got.clock, want.clock)
-						}
-						if got.spans != want.spans {
-							t.Fatalf("%s: spans differ from the serial solve's", what)
-						}
+					if err := bitsDiffer(what+": History", got.hist, want.hist); err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got.clock) != math.Float64bits(want.clock) {
+						t.Fatalf("%s: virtual clock %v, serial %v", what, got.clock, want.clock)
+					}
+					if got.spans != want.spans {
+						t.Fatalf("%s: spans differ from the serial solve's", what)
 					}
 				}
 			}
@@ -296,56 +294,53 @@ func TestConcurrentSolvesShareCores(t *testing.T) {
 }
 
 // TestRowBandsHandoffs: a banded wave hands its crew at most 1 + stages
-// tasks: both halves of the V-cycle on every banded level, under both
-// smoothers, and the conjugate gradients' direction.  A wave is one task,
+// tasks: both halves of the V-cycle on every banded level and the conjugate
+// gradients' direction.  A wave is one task,
 // the slabs of every worker; a task per wavefront step would be planes +
 // 2·stages.  The tasks are counted in the crew's state word, whose
 // generation borrow sets to 0 and every task and the release move on by one.
 func TestRowBandsHandoffs(t *testing.T) {
 	withWorkers(2, func() {
-		for _, sm := range []Smoother{SmootherJacobi, SmootherChebyshev} {
-			runWorld(t, 1, mpi.Compiled(), func(c *mpi.Comm) error {
-				s := New(c, []int{128, 64, 16}, 3, petsc.ScatterDatatype)
-				s.Smoother = sm
-				b, x := s.CreateVec(), s.CreateVec()
-				fillSeeded(b, 5)
-				check := func(what string, l int, wave func()) error {
-					if s.crew != nil {
-						s.crew.state.Store(0)
-					}
-					wave()
-					stages := len(s.levels[l].wave.stages)
-					n := 0
-					if s.crew != nil {
-						n = int(s.crew.state.Load()>>stateGen) - 1
-					}
-					if n <= 0 {
-						return fmt.Errorf("%v, %s of level %d: no task handed to a crew", sm, what, l)
-					}
-					if n > 1+stages {
-						return fmt.Errorf("%v, %s of level %d: %d tasks for %d stages", sm, what, l, n, stages)
-					}
-					return nil
+		runWorld(t, 1, mpi.Compiled(), func(c *mpi.Comm) error {
+			s := New(c, []int{128, 64, 16}, 3, petsc.ScatterDatatype)
+			b, x := s.CreateVec(), s.CreateVec()
+			fillSeeded(b, 5)
+			check := func(what string, l int, wave func()) error {
+				if s.crew != nil {
+					s.crew.state.Store(0)
 				}
-				for l := 0; l < 2; l++ {
-					lb, lx := b, x
-					if l > 0 {
-						lb, lx = s.levels[l].b, s.levels[l].x
-					}
-					if err := check("pre-smoothing", l, func() { s.pre(l, fromNothing, lb, lx) }); err != nil {
-						return err
-					}
-					if err := check("post-smoothing", l, func() { s.post(l, lb, lx, endResidual) }); err != nil {
-						return err
-					}
+				wave()
+				stages := len(s.levels[l].wave.stages)
+				n := 0
+				if s.crew != nil {
+					n = int(s.crew.state.Load()>>stateGen) - 1
 				}
-				for _, rho := range []float64{0, 2} {
-					if err := check("direction", 0, func() { s.direction(1, rho) }); err != nil {
-						return err
-					}
+				if n <= 0 {
+					return fmt.Errorf("%s of level %d: no task handed to a crew", what, l)
+				}
+				if n > 1+stages {
+					return fmt.Errorf("%s of level %d: %d tasks for %d stages", what, l, n, stages)
 				}
 				return nil
-			})
-		}
+			}
+			for l := 0; l < 2; l++ {
+				lb, lx := b, x
+				if l > 0 {
+					lb, lx = s.levels[l].b, s.levels[l].x
+				}
+				if err := check("pre-smoothing", l, func() { s.pre(l, fromNothing, lb, lx) }); err != nil {
+					return err
+				}
+				if err := check("post-smoothing", l, func() { s.post(l, lb, lx, endResidual) }); err != nil {
+					return err
+				}
+			}
+			for _, rho := range []float64{0, 2} {
+				if err := check("direction", 0, func() { s.direction(1, rho) }); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	})
 }

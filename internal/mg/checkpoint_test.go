@@ -168,58 +168,55 @@ func checkSolveFrom(t *testing.T, richardson bool) {
 
 // TestRestoreAtOtherRankCount: a conjugate-gradient checkpoint written at
 // np = 4 and restored at np = 3 resumes the one-rank solve's History bit for
-// bit from the restored iteration on, under both smoothers: the three vectors
-// travel in natural order, ρ in the commit, and no inner product depends on
-// the decomposition.
+// bit from the restored iteration on: the three vectors travel in natural
+// order, ρ in the commit, and no inner product depends on the decomposition.
 func TestRestoreAtOtherRankCount(t *testing.T) {
 	const base, iterations = 4, 8
-	for _, sm := range []Smoother{SmootherJacobi, SmootherChebyshev} {
-		k := kernelShape{n: []int{16, 16, 16}, levels: 2, mode: petsc.ScatterDatatype, smoother: sm, cfg: mpi.Compiled()}
-		dir := t.TempDir()
-		solve := func(np int, body func(c *mpi.Comm, s *Solver, b, x *petsc.Vec) error) {
-			k.np = np
-			if !k.feasible() {
-				t.Fatalf("%v: no process grid", k)
-			}
-			runWorld(t, np, k.cfg, func(c *mpi.Comm) error {
-				s := k.solver(c)
-				b, x := s.CreateVec(), s.CreateVec()
-				setManufactured(s, b)
-				return body(c, s, b, x)
-			})
+	k := kernelShape{n: []int{16, 16, 16}, levels: 2, mode: petsc.ScatterDatatype, cfg: mpi.Compiled()}
+	dir := t.TempDir()
+	solve := func(np int, body func(c *mpi.Comm, s *Solver, b, x *petsc.Vec) error) {
+		k.np = np
+		if !k.feasible() {
+			t.Fatalf("%v: no process grid", k)
 		}
-		var want []float64
-		solve(1, func(_ *mpi.Comm, s *Solver, b, x *petsc.Vec) error {
-			s.Solve(b, x, 1e-30, iterations)
-			want = append([]float64(nil), s.History...)
-			return nil
+		runWorld(t, np, k.cfg, func(c *mpi.Comm) error {
+			s := k.solver(c)
+			b, x := s.CreateVec(), s.CreateVec()
+			setManufactured(s, b)
+			return body(c, s, b, x)
 		})
-		solve(4, func(_ *mpi.Comm, s *Solver, b, x *petsc.Vec) error {
-			st, err := ckptio.NewStore(dir, nil, ckptio.Options{})
-			if err != nil {
-				return err
-			}
-			s.CheckpointTo(st, base)
-			s.Solve(b, x, 1e-30, base+1)
-			return nil
-		})
-		got := make([][]float64, 3)
-		solve(3, func(c *mpi.Comm, s *Solver, b, x *petsc.Vec) error {
-			st, err := ckptio.NewStore(dir, nil, ckptio.Options{})
-			if err != nil {
-				return err
-			}
-			s.CheckpointTo(st, 0)
-			if _, _, err := s.SolveFrom(b, x, 1e-30, iterations-base, base); err != nil {
-				return err
-			}
-			got[c.Rank()] = append([]float64(nil), s.History...)
-			return nil
-		})
-		for r, h := range got {
-			if err := bitsDiffer(fmt.Sprintf("%v: rank %d resumed history", sm, r), h, want[base:]); err != nil {
-				t.Fatal(err)
-			}
+	}
+	var want []float64
+	solve(1, func(_ *mpi.Comm, s *Solver, b, x *petsc.Vec) error {
+		s.Solve(b, x, 1e-30, iterations)
+		want = append([]float64(nil), s.History...)
+		return nil
+	})
+	solve(4, func(_ *mpi.Comm, s *Solver, b, x *petsc.Vec) error {
+		st, err := ckptio.NewStore(dir, nil, ckptio.Options{})
+		if err != nil {
+			return err
+		}
+		s.CheckpointTo(st, base)
+		s.Solve(b, x, 1e-30, base+1)
+		return nil
+	})
+	got := make([][]float64, 3)
+	solve(3, func(c *mpi.Comm, s *Solver, b, x *petsc.Vec) error {
+		st, err := ckptio.NewStore(dir, nil, ckptio.Options{})
+		if err != nil {
+			return err
+		}
+		s.CheckpointTo(st, 0)
+		if _, _, err := s.SolveFrom(b, x, 1e-30, iterations-base, base); err != nil {
+			return err
+		}
+		got[c.Rank()] = append([]float64(nil), s.History...)
+		return nil
+	})
+	for r, h := range got {
+		if err := bitsDiffer(fmt.Sprintf("rank %d resumed history", r), h, want[base:]); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

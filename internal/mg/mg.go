@@ -30,7 +30,6 @@ type level struct {
 	coef [3][3][3]faceCoef // by domain faces along x, y and z (faceCoefs)
 
 	b, x, r *petsc.Vec
-	d       *petsc.Vec // Chebyshev direction (lazily allocated)
 	p, ap   *petsc.Vec // coarsest level's conjugate-gradient scratch (lazily allocated)
 	lwork   []float64  // ghosted local array the ghost cells are received into; nil where the ghost box is the owned box
 	zeroRow []float64  // one owned x-row of zeros: the neighbour row beyond a domain face
@@ -74,9 +73,6 @@ type Solver struct {
 	c      *mpi.Comm
 	dim    int
 	levels []*level
-
-	// Smoother selects the relaxation scheme; default damped Jacobi.
-	Smoother Smoother
 
 	// Richardson makes Solve and SolveFrom iterate bare V-cycles, each from
 	// the residual the one before it left, as the paper's rows do.  Unset,
@@ -295,25 +291,6 @@ func (s *Solver) Apply(x, y *petsc.Vec) {
 	s.applyLevel(0, x, y)
 }
 
-// Smoother selects the multigrid relaxation scheme.
-type Smoother uint8
-
-const (
-	// SmootherJacobi is damped (weighted) point Jacobi.
-	SmootherJacobi Smoother = iota
-	// SmootherChebyshev is Chebyshev-accelerated Jacobi, PETSc's default
-	// multigrid smoother: a degree-k Chebyshev polynomial in D⁻¹A tuned to
-	// damp the upper part of the spectrum.
-	SmootherChebyshev
-)
-
-func (s Smoother) String() string {
-	if s == SmootherJacobi {
-		return "jacobi"
-	}
-	return "chebyshev"
-}
-
 // span records a phase of the solve that began at start.  attrs builds the
 // span's annotations and is called only with tracing on: the list and its
 // formatted numbers are allocated, and with tracing off a V-cycle allocates
@@ -343,13 +320,13 @@ const (
 	fromZero                       // x is zero, so b − A x is b
 )
 
-// sweep is the stage of a Jacobi update x + ω/diag·(b − A x) of level lv into
-// y, made after a ghost update of x: from nothing through the stencil, from a
-// known residual through update (which runs in place when y is lv.r), and
-// from zero through update without reading x, which then need not be zero.
-// It charges the stencil pass and then the whole-vector passes of then.
-func sweep(lv *level, from sweepStart, b, x, y *petsc.Vec, omega float64, then [5]uint8) stage {
-	st := stage{op: opUpdate, src: x, dst: y, aux: lv.r, omega: omega, gated: true, then: then}
+// sweep is the stage of a damped Jacobi update x + ω/diag·(b − A x) of level
+// lv into y, made after a ghost update of x: from nothing through the stencil,
+// from a known residual through update (which runs in place when y is lv.r),
+// and from zero through update without reading x, which then need not be
+// zero.  It charges the stencil pass and then one vector copy.
+func sweep(lv *level, from sweepStart, b, x, y *petsc.Vec) stage {
+	st := stage{op: opUpdate, src: x, dst: y, aux: lv.r, gated: true, then: [5]uint8{1}}
 	switch from {
 	case fromZero:
 		st.aux, st.zero = b, true
@@ -359,73 +336,30 @@ func sweep(lv *level, from sweepStart, b, x, y *petsc.Vec, omega float64, then [
 	return st
 }
 
-// addSmooth appends to lv's wave the stages of sweeps sweeps of the configured
-// smoother on level lv for A x = b, the first of them from what from says of x,
-// inside one "smooth" span.  The ghost update before a sweep from a known
-// residual is made and charged all the same, as the paper's smoother makes it.
+// addSmooth appends to lv's wave the stages of sweeps sweeps of damped Jacobi
+// on level lv for A x = b, the first of them from what from says of x, inside
+// one "smooth" span.  The ghost update before a sweep from a known residual is
+// made and charged all the same, as the paper's smoother makes it.
 func (s *Solver) addSmooth(lv *level, sweeps int, from sweepStart, b, x *petsc.Vec) {
 	w := &lv.wave
 	first := len(w.stages)
 	w.sweeps = sweeps
-	if s.Smoother == SmootherChebyshev {
-		s.addChebyshev(lv, sweeps, from, b, x)
-	} else {
-		// Sweeps ping-pong between x and the residual storage, so only an odd
-		// count ends with a copy back into x.  The virtual clock's cost model
-		// has one vector copy per sweep, and is charged one whether or not a
-		// copy happens.
-		src, dst := x, lv.r
-		for it := 0; it < sweeps; it++ {
-			w.add(sweep(lv, from, b, src, dst, omega, [5]uint8{1}))
-			from = fromNothing
-			src, dst = dst, src
-		}
-		if src != x {
-			w.add(stage{op: opCopy, src: src, dst: x})
-		}
+	// Sweeps ping-pong between x and the residual storage, so only an odd
+	// count ends with a copy back into x.  The virtual clock's cost model has
+	// one vector copy per sweep, and is charged one whether or not a copy
+	// happens.
+	src, dst := x, lv.r
+	for it := 0; it < sweeps; it++ {
+		w.add(sweep(lv, from, b, src, dst))
+		from = fromNothing
+		src, dst = dst, src
+	}
+	if src != x {
+		w.add(stage{op: opCopy, src: src, dst: x})
 	}
 	if len(w.stages) > first {
 		w.stages[first].open |= spanSmooth
 		w.stages[len(w.stages)-1].close |= spanSmooth
-	}
-}
-
-// addChebyshev appends the stages of a degree-`degree` Chebyshev polynomial
-// smoother.  The Jacobi-preconditioned operator D⁻¹A of the face-Dirichlet
-// Laplacian has spectrum in (0, 2] by Gershgorin (rows are weakly diagonally
-// dominant), so the smoothing window is fixed to [2/10, 2] — the usual
-// [0.1, 1.1]·λmax style target without needing eigenvalue estimation.  Each
-// step is a Jacobi evaluation z = D⁻¹(b − A x), the ω = 1 sweep less x, into
-// the level's r, and then one elementwise stage: z.AXPY(-1, x), the direction
-// update, and x.AXPY(1, d).
-func (s *Solver) addChebyshev(lv *level, degree int, from sweepStart, b, x *petsc.Vec) {
-	if degree < 1 {
-		return
-	}
-	if lv.d == nil {
-		lv.d = b.Duplicate()
-	}
-	w, z := &lv.wave, lv.r
-
-	// Smoothers only need to damp the oscillatory upper half of the
-	// spectrum; targeting [λmax/4, 1.05·λmax] concentrates the polynomial
-	// there (the coarse-grid correction handles the smooth rest).
-	const lmax, lmin = 2.1, 0.5
-	theta := (lmax + lmin) / 2
-	delta := (lmax - lmin) / 2
-	sigma := theta / delta
-
-	// Each elementwise stage charges its four vector passes in order: here
-	// z.AXPY, d.Copy, d.Scale and x.AXPY for d = z/theta.
-	w.add(sweep(lv, from, b, x, z, 1, [5]uint8{}))
-	w.add(stage{op: opCheb, first: true, src: x, dst: z, aux: lv.d, scale: 1 / theta, then: [5]uint8{2, 1, 1, 2}})
-	rhoOld := 1 / sigma
-	for k := 2; k <= degree; k++ {
-		rho := 1 / (2*sigma - rhoOld)
-		// d = rho*rhoOld*d + (2*rho/delta) z: z.AXPY, d.Scale, d.AXPY, x.AXPY.
-		w.add(sweep(lv, fromNothing, b, x, z, 1, [5]uint8{}))
-		w.add(stage{op: opCheb, src: x, dst: z, aux: lv.d, scale: rho * rhoOld, dz: 2 * rho / delta, then: [5]uint8{2, 1, 2, 2}})
-		rhoOld = rho
 	}
 }
 
@@ -480,12 +414,11 @@ func (s *Solver) vcycle(l int, from sweepStart, b, x *petsc.Vec, end cycleEnd) {
 }
 
 // zeroGuess makes x, a V-cycle's guess on level l, zero where the cycle reads
-// it: under the Chebyshev smoother, whose steps read x, and on the coarsest
-// level, whose conjugate gradients do.  A Jacobi V-cycle's first sweep from
-// zero reads no x (sweep), so there x stays as it is, and the virtual clock
-// is charged the Set all the same.
+// it: on the coarsest level only, whose conjugate gradients do.  A V-cycle's
+// first sweep from zero reads no x (sweep), so on every finer level x stays
+// as it is, and the virtual clock is charged the Set all the same.
 func (s *Solver) zeroGuess(l int, x *petsc.Vec) {
-	if s.Smoother == SmootherChebyshev || l == len(s.levels)-1 {
+	if l == len(s.levels)-1 {
 		x.Set(0)
 		return
 	}

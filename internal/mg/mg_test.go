@@ -172,63 +172,6 @@ func TestSolveMatchesAcrossBackendsAndConfigs(t *testing.T) {
 	}
 }
 
-func TestChebyshevSmootherConverges(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		n    []int
-	}{{"2d", []int{32, 32}}, {"3d", []int{16, 16, 16}}} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			runWorld(t, 4, mpi.Optimized(), func(c *mpi.Comm) error {
-				s := New(c, tc.n, 2, petsc.ScatterHandTuned)
-				s.Smoother = SmootherChebyshev
-				b := s.CreateVec()
-				xstar := setManufactured(s, b)
-				x := s.CreateVec()
-				cycles, relres := s.Solve(b, x, 1e-8, 40)
-				if relres > 1e-8 {
-					return fmt.Errorf("chebyshev MG: relres %v after %d cycles", relres, cycles)
-				}
-				x.AXPY(-1, xstar)
-				if e := x.NormInf(); e > 1e-6 {
-					return fmt.Errorf("solution error %v", e)
-				}
-				return nil
-			})
-		})
-	}
-}
-
-func TestChebyshevAtLeastAsFastAsJacobi(t *testing.T) {
-	cyclesFor := func(sm Smoother) int {
-		var cycles int
-		runWorld(t, 4, mpi.Optimized(), func(c *mpi.Comm) error {
-			s := New(c, []int{32, 32}, 3, petsc.ScatterHandTuned)
-			s.Smoother = sm
-			b := s.CreateVec()
-			setManufactured(s, b)
-			x := s.CreateVec()
-			cyc, _ := s.Solve(b, x, 1e-8, 60)
-			if c.Rank() == 0 {
-				cycles = cyc
-			}
-			return nil
-		})
-		return cycles
-	}
-	j := cyclesFor(SmootherJacobi)
-	ch := cyclesFor(SmootherChebyshev)
-	if ch > j {
-		t.Fatalf("chebyshev (%d cycles) slower than jacobi (%d cycles)", ch, j)
-	}
-}
-
-func TestSmootherString(t *testing.T) {
-	if SmootherJacobi.String() != "jacobi" || SmootherChebyshev.String() != "chebyshev" {
-		t.Fatal("bad smoother strings")
-	}
-}
-
 func TestZeroRHS(t *testing.T) {
 	runWorld(t, 2, mpi.Optimized(), func(c *mpi.Comm) error {
 		s := New(c, []int{16}, 2, petsc.ScatterHandTuned)

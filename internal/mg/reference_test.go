@@ -235,7 +235,7 @@ func refInterpolate(s *Solver, l int, xc, x *petsc.Vec) {
 	s.c.Compute(float64(fOwn.Cells()) * float64(int(3)<<uint(s.dim)) * flopSec)
 }
 
-// smooth runs sweeps of the configured smoother on level l for A x = b, the
+// smooth runs sweeps sweeps of damped Jacobi on level l for A x = b, the
 // first of them from what from says of x, as the one wavefront of its stages.
 func (s *Solver) smooth(l, sweeps int, from sweepStart, b, x *petsc.Vec) {
 	lv := s.levels[l]
@@ -271,51 +271,11 @@ func refResidual(s *Solver, l int, b, x, r *petsc.Vec) {
 }
 
 func refSmooth(s *Solver, l, sweeps int, b, x *petsc.Vec) {
-	if s.Smoother == SmootherChebyshev {
-		refSmoothChebyshev(s, l, sweeps, b, x)
-		return
-	}
 	lv := s.levels[l]
 	xnew := lv.r
 	for it := 0; it < sweeps; it++ {
 		refStencil(s, lv, refGhosted(lv, x), xnew.Array(), b.Array(), omega)
 		x.Copy(xnew)
-	}
-}
-
-func refSmoothChebyshev(s *Solver, l, degree int, b, x *petsc.Vec) {
-	if degree < 1 {
-		return
-	}
-	lv := s.levels[l]
-	if lv.d == nil {
-		lv.d = b.Duplicate()
-	}
-	d := lv.d
-	z := lv.r
-
-	const lmax, lmin = 2.1, 0.5
-	theta := (lmax + lmin) / 2
-	delta := (lmax - lmin) / 2
-	sigma := theta / delta
-
-	jacz := func() {
-		refStencil(s, lv, refGhosted(lv, x), z.Array(), b.Array(), 1)
-		z.AXPY(-1, x)
-	}
-
-	jacz()
-	d.Copy(z)
-	d.Scale(1 / theta)
-	x.AXPY(1, d)
-	rhoOld := 1 / sigma
-	for k := 2; k <= degree; k++ {
-		rho := 1 / (2*sigma - rhoOld)
-		jacz()
-		d.Scale(rho * rhoOld)
-		d.AXPY(2*rho/delta, z)
-		x.AXPY(1, d)
-		rhoOld = rho
 	}
 }
 
@@ -514,12 +474,13 @@ type kernelShape struct {
 	levels   int
 	minCells int // NewAgglomerated's minCellsPerRank: 0 for New's hierarchy, 1 for every level on every rank
 	mode     petsc.ScatterMode
-	smoother Smoother
 	cfg      mpi.Config
 }
 
+// String names the shape's subtests; the name ends with the smoother every
+// shape runs, damped Jacobi.
 func (k kernelShape) String() string {
-	return fmt.Sprintf("%v/np%d/lv%d/agg%d/%v/%v", k.n, k.np, k.levels, k.minCells, k.mode, k.smoother)
+	return fmt.Sprintf("%v/np%d/lv%d/agg%d/%v/jacobi", k.n, k.np, k.levels, k.minCells, k.mode)
 }
 
 // feasible reports whether every level of the hierarchy has a process
@@ -548,9 +509,7 @@ func (k kernelShape) feasible() bool {
 }
 
 func (k kernelShape) solver(c *mpi.Comm) *Solver {
-	s := NewAgglomerated(c, k.n, k.levels, k.mode, k.minCells)
-	s.Smoother = k.smoother
-	return s
+	return NewAgglomerated(c, k.n, k.levels, k.mode, k.minCells)
 }
 
 // checkKernels compares, on every level of s and every owned cell, the
@@ -580,6 +539,15 @@ func checkKernels(s *Solver, seed uint64) error {
 			if err := bitsDiffer(fmt.Sprintf("level %d jacobi omega %v", l, w), got.Array(), want.Array()); err != nil {
 				return err
 			}
+		}
+		// An odd sweep count ends with a copy stage, the one stage no
+		// exchange gates, which must still lie deeper than the sweep before it.
+		got.Copy(x)
+		want.Copy(x)
+		s.smooth(l, 3, fromNothing, b, got)
+		refSmooth(s, l, 3, b, want)
+		if err := bitsDiffer(fmt.Sprintf("level %d three sweeps", l), got.Array(), want.Array()); err != nil {
+			return err
 		}
 		if l+1 == len(s.levels) {
 			break
@@ -671,26 +639,27 @@ func checkShape(t testing.TB, k kernelShape, seed uint64, cycles int) {
 // seed corpus of FuzzKernelsMatchReference: 1-D to 3-D, cubic and not,
 // rank counts that put an owned box on every combination of domain faces
 // (np 3 and 6 leave ranks wholly interior along an axis), 2 to 4 levels,
-// agglomerated coarse levels, both scatter backends and both smoothers, ghosts
-// along x, y and z down to an owned box one cell wide.  Every coarsest level
-// here is small enough that New puts it on one rank (minCells 0), so the
-// entries with minCells 1 keep a coarsest level spread over every rank.
+// agglomerated coarse levels, both scatter backends and all three MPI
+// configurations, ghosts along x, y and z down to an owned box one cell wide.
+// Every coarsest level here is small enough that New puts it on one rank
+// (minCells 0), so the entries with minCells 1 keep a coarsest level spread
+// over every rank.
 var kernelShapes = []kernelShape{
 	{n: []int{64}, np: 1, levels: 3, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
 	{n: []int{64}, np: 3, levels: 4, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
 	{n: []int{32, 24}, np: 1, levels: 3, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
 	{n: []int{32, 24}, np: 6, levels: 3, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
-	{n: []int{32, 32}, np: 4, levels: 3, mode: petsc.ScatterHandTuned, smoother: SmootherChebyshev, cfg: mpi.Optimized()},
+	{n: []int{32, 32}, np: 4, levels: 3, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
 	{n: []int{16, 16, 16}, np: 1, levels: 2, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
 	{n: []int{16, 16, 16}, np: 2, levels: 3, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
 	{n: []int{24, 16, 40}, np: 1, levels: 4, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
 	{n: []int{24, 16, 40}, np: 3, levels: 3, mode: petsc.ScatterDatatype, cfg: mpi.Baseline()},
 	{n: []int{24, 16, 40}, np: 4, levels: 4, mode: petsc.ScatterDatatype, cfg: mpi.Compiled()},
-	{n: []int{24, 16, 40}, np: 6, levels: 3, mode: petsc.ScatterHandTuned, smoother: SmootherChebyshev, cfg: mpi.Optimized()},
+	{n: []int{24, 16, 40}, np: 6, levels: 3, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
 	{n: []int{24, 16, 40}, np: 8, levels: 4, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
 	{n: []int{40, 24, 16}, np: 8, levels: 2, mode: petsc.ScatterHandTuned, cfg: mpi.Baseline()},
 	{n: []int{16, 16, 16}, np: 8, levels: 3, minCells: 512, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
-	{n: []int{24, 24, 24}, np: 6, levels: 3, minCells: 256, mode: petsc.ScatterHandTuned, smoother: SmootherChebyshev, cfg: mpi.Optimized()},
+	{n: []int{24, 24, 24}, np: 6, levels: 3, minCells: 256, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
 	{n: []int{100, 4, 4}, np: 3, levels: 2, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
 	// Where owned cells read in place meet ghosts read from lwork: an x cut
 	// makes the ghost each row's end cell; owned extents 4, 2, 1 end with a
@@ -713,25 +682,27 @@ var kernelShapes = []kernelShape{
 	// three quarters of its patch and owns the columns of half its coarse row,
 	// so the run stops there and the cell astride the edge mixes columns.
 	{n: []int{32, 16, 16}, np: 8, levels: 2, minCells: 512, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
-	// The coarsest level on one rank by New's rule, under the Chebyshev
-	// smoother at np 2 and 3 (the Jacobi entries at np 2, 3 and 4 are above).
-	{n: []int{16, 16, 16}, np: 2, levels: 2, mode: petsc.ScatterDatatype, smoother: SmootherChebyshev, cfg: mpi.Compiled()},
-	{n: []int{24, 24, 24}, np: 3, levels: 3, mode: petsc.ScatterHandTuned, smoother: SmootherChebyshev, cfg: mpi.Baseline()},
+	// The coarsest level on one rank by New's rule at np 2 and 3: a two-level
+	// hierarchy on the compiled configuration and a three-level one on the
+	// baseline (more such entries, at np 2, 3 and 4, are above).
+	{n: []int{16, 16, 16}, np: 2, levels: 2, mode: petsc.ScatterDatatype, cfg: mpi.Compiled()},
+	{n: []int{24, 24, 24}, np: 3, levels: 3, mode: petsc.ScatterHandTuned, cfg: mpi.Baseline()},
 	// Skirts as deep as the owned box: a z cut that leaves the ranks five or
 	// six planes of level 0 and two or three of level 1, so that the later
 	// stages of both wavefronts run nothing inside the middle rank's level 1;
 	// a y and z cut, whose skirts are rows beside the planes as well as planes,
-	// down to two rows by three planes on level 1; Chebyshev, whose wavefronts
-	// are the deepest, on a z cut.
+	// down to two rows by three planes on level 1; and, beside them, a z cut
+	// that leaves each rank eight planes of level 1, more than any stage's
+	// skirt, so that every stage runs planes inside the wavefront too.
 	{n: []int{12, 12, 16}, np: 3, levels: 3, mode: petsc.ScatterHandTuned, cfg: mpi.Compiled()},
 	{n: []int{8, 8, 12}, np: 4, levels: 3, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
-	{n: []int{16, 16, 32}, np: 2, levels: 3, mode: petsc.ScatterDatatype, smoother: SmootherChebyshev, cfg: mpi.Optimized()},
+	{n: []int{16, 16, 32}, np: 2, levels: 3, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
 	// Every level on every rank: the paper's hierarchy, down to one coarse
 	// cell per rank.
 	{n: []int{16, 16, 16}, np: 2, levels: 3, minCells: 1, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
 	{n: []int{64}, np: 3, levels: 4, minCells: 1, mode: petsc.ScatterDatatype, cfg: mpi.Optimized()},
-	{n: []int{32, 32}, np: 4, levels: 3, minCells: 1, mode: petsc.ScatterHandTuned, smoother: SmootherChebyshev, cfg: mpi.Optimized()},
-	{n: []int{24, 16, 40}, np: 6, levels: 3, minCells: 1, mode: petsc.ScatterHandTuned, smoother: SmootherChebyshev, cfg: mpi.Optimized()},
+	{n: []int{32, 32}, np: 4, levels: 3, minCells: 1, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
+	{n: []int{24, 16, 40}, np: 6, levels: 3, minCells: 1, mode: petsc.ScatterHandTuned, cfg: mpi.Optimized()},
 	{n: []int{8, 8, 8}, np: 8, levels: 3, minCells: 1, mode: petsc.ScatterDatatype, cfg: mpi.Compiled()},
 }
 
@@ -820,15 +791,14 @@ func TestTransfersReadOwnedInPlace(t *testing.T) {
 	})
 }
 
-// TestFirstSweepFromKnownState: on every kernelShapes entry, every level and
-// both smoothers, one sweep from the stored residual (after residual) and one
-// from zero (after x.Set(0)) leave x, the level's r and the rank's virtual
-// clock as the same sweep from nothing leaves them, bit for bit.  Both worlds
-// run the same steps and differ only in what the sweeps are told, so a clock
-// that drifts shows at the first step it drifts in.  b has a −0 cell and a NaN
-// cell on every rank that owns two, for which b − (+0) must be b.  A Jacobi
-// sweep told x is zero is handed NaN in every cell of x instead, since it
-// reads none of them.
+// TestFirstSweepFromKnownState: on every kernelShapes entry and every level,
+// one sweep from the stored residual (after residual) and one from zero
+// (after x.Set(0)) leave x, the level's r and the rank's virtual clock as the
+// same sweep from nothing leaves them, bit for bit.  Both worlds run the same
+// steps and differ only in what the sweeps are told, so a clock that drifts
+// shows at the first step it drifts in.  b has a −0 cell and a NaN cell on
+// every rank that owns two, for which b − (+0) must be b.  A sweep told x is
+// zero is handed NaN in every cell of x instead, since it reads none of them.
 func TestFirstSweepFromKnownState(t *testing.T) {
 	type step struct {
 		what  string
@@ -846,30 +816,27 @@ func TestFirstSweepFromKnownState(t *testing.T) {
 				if ba := b.Array(); len(ba) >= 2 {
 					ba[0], ba[len(ba)-1] = math.Copysign(0, -1), math.NaN()
 				}
-				for _, sm := range []Smoother{SmootherJacobi, SmootherChebyshev} {
-					s.Smoother = sm
-					for _, from := range []sweepStart{fromResidual, fromZero} {
-						x.Copy(x0)
-						what := fmt.Sprintf("level %d %v from zero", l, sm)
-						if from == fromResidual {
-							s.residual(l, b, x, lv.r)
-							what = fmt.Sprintf("level %d %v from the residual", l, sm)
-						} else {
-							x.Set(0)
-							if known && sm == SmootherJacobi {
-								// A Jacobi sweep from zero reads no x.
-								for i := range x.Array() {
-									x.Array()[i] = math.NaN()
-								}
+				for _, from := range []sweepStart{fromResidual, fromZero} {
+					x.Copy(x0)
+					what := fmt.Sprintf("level %d from zero", l)
+					if from == fromResidual {
+						s.residual(l, b, x, lv.r)
+						what = fmt.Sprintf("level %d from the residual", l)
+					} else {
+						x.Set(0)
+						if known {
+							// A sweep from zero reads no x.
+							for i := range x.Array() {
+								x.Array()[i] = math.NaN()
 							}
 						}
-						if !known {
-							from = fromNothing
-						}
-						s.smooth(l, 1, from, b, x)
-						out[c.Rank()] = append(out[c.Rank()], step{what,
-							append([]float64(nil), x.Array()...), append([]float64(nil), lv.r.Array()...), c.Clock()})
 					}
+					if !known {
+						from = fromNothing
+					}
+					s.smooth(l, 1, from, b, x)
+					out[c.Rank()] = append(out[c.Rank()], step{what,
+						append([]float64(nil), x.Array()...), append([]float64(nil), lv.r.Array()...), c.Clock()})
 				}
 			}
 			return nil
@@ -971,8 +938,10 @@ var fuzzMinCells = [4]int{0, 1, 256, 512}
 // FuzzKernelsMatchReference draws a problem shape from its arguments: one
 // extent byte per dimension (each becomes a multiple of 2^(levels-1)), a
 // rank count, a level count and a fill seed whose low four bits also pick
-// the backend, the smoother and the agglomeration threshold.  Shapes
-// with no process grid on some level are skipped.
+// the backend, the MPI configuration (mpi.Compiled or mpi.Optimized) and the
+// agglomeration threshold.  Shapes with no process grid on some level are
+// skipped; the seed corpus is kernelShapes, whose mpi.Baseline entries the
+// fuzzer runs under mpi.Optimized.
 func FuzzKernelsMatchReference(f *testing.F) {
 	for i, k := range kernelShapes {
 		ext := make([]byte, len(k.n))
@@ -983,7 +952,7 @@ func FuzzKernelsMatchReference(f *testing.F) {
 		if k.mode == petsc.ScatterDatatype {
 			seed |= 1
 		}
-		if k.smoother == SmootherChebyshev {
+		if k.cfg == mpi.Compiled() {
 			seed |= 2
 		}
 		a := slices.Index(fuzzMinCells[:], k.minCells)
@@ -1011,7 +980,7 @@ func FuzzKernelsMatchReference(f *testing.F) {
 			k.mode = petsc.ScatterDatatype
 		}
 		if seed&2 != 0 {
-			k.smoother = SmootherChebyshev
+			k.cfg = mpi.Compiled()
 		}
 		k.minCells = fuzzMinCells[seed>>2&3]
 		if !k.feasible() {

@@ -62,7 +62,6 @@ const (
 	opUpdate                  // dst = src + ω/diag·aux, aux the known residual: a sweep from a known state
 	opCopy                    // dst = src: the copy that ends an odd count of Jacobi sweeps
 	opAYPX                    // dst = scale·dst + src: the conjugate gradients' new direction
-	opCheb                    // one Chebyshev step's elementwise passes over z = dst, the direction aux and x = src
 	opInterp                  // dst += the interpolant of the coarse correction src
 	opRestrict                // dst (level l+1) = the restriction of src
 )
@@ -129,9 +128,7 @@ type stage struct {
 	op            stageOp
 	form          stencilForm // opStencil's
 	src, dst, aux *petsc.Vec
-	omega         float64 // opStencil's and opUpdate's
-	scale, dz     float64 // opAYPX's and opCheb's scale of dst or d and, on a Chebyshev step after the first, weight of z in d
-	first         bool    // opCheb: the first step, whose d is a copy of z
+	scale         float64 // opAYPX's scale of dst
 	zero          bool    // opUpdate: src is the zero guess, which is not read
 	// gated is whether an exchange of src precedes the stage: a ghost update
 	// before a sweep or residual, the patch scatter before a transfer.
@@ -509,13 +506,13 @@ func (s *Solver) apply(l int, e *stage, r rows, sum *Sum) {
 		if e.aux != nil {
 			b = e.aux.Array()
 		}
-		s.stencil(lv, e.form, e.src.Array(), e.dst.Array(), b, e.omega, r)
+		s.stencil(lv, e.form, e.src.Array(), e.dst.Array(), b, omega, r)
 	case opUpdate:
 		var x []float64 // nil: the zero guess
 		if !e.zero {
 			x = e.src.Array()
 		}
-		s.update(lv, x, e.aux.Array(), e.dst.Array(), e.omega, r)
+		s.update(lv, x, e.aux.Array(), e.dst.Array(), omega, r)
 	case opInterp:
 		s.interpolateAdd(l, e.dst, r)
 	case opRestrict:
@@ -524,13 +521,10 @@ func (s *Solver) apply(l int, e *stage, r rows, sum *Sum) {
 		for k := r.k0; k < r.k1; k++ {
 			lo := rowIndex(own, r.j0, k)
 			src, dst := e.src.Array()[lo:lo+n], e.dst.Array()[lo:lo+n]
-			switch e.op {
-			case opCopy:
+			if e.op == opCopy {
 				copy(dst, src)
-			case opAYPX:
+			} else {
 				aypxCells(dst, src, e.scale)
-			default:
-				chebCells(e.first, dst, e.aux.Array()[lo:lo+n], src, e.scale, e.dz)
 			}
 		}
 	}
@@ -547,30 +541,6 @@ func aypxCells(y, x []float64, a float64) {
 	x = x[:len(y)]
 	for i := range y {
 		y[i] = float64(a*y[i]) + x[i]
-	}
-}
-
-// chebCells runs one Chebyshev step's elementwise passes on the cells of z,
-// d and x: z.AXPY(-1, x), then d.Copy(z) and d.Scale(scale) on the first step
-// or d.Scale(scale) and d.AXPY(dz, z) on a later one, and x.AXPY(1, d).  Each
-// is written as the petsc.Vec method writes it, so that a compiler that fuses
-// multiply-add fuses the same adds.
-func chebCells(first bool, z, d, x []float64, scale, dz float64) {
-	d, x = d[:len(z)], x[:len(z)]
-	if first {
-		for i := range z {
-			z[i] += -1 * x[i]
-			d[i] = z[i]
-			d[i] *= scale
-			x[i] += 1 * d[i]
-		}
-		return
-	}
-	for i := range z {
-		z[i] += -1 * x[i]
-		d[i] *= scale
-		d[i] += dz * z[i]
-		x[i] += 1 * d[i]
 	}
 }
 
@@ -605,8 +575,7 @@ func (s *Solver) closeSpans(l int, set spanSet) {
 		case spanSet(1<<b) == spanSmooth:
 			s.span(kind, w.start[b], func() []obs.Attr {
 				return []obs.Attr{{Key: "level", Val: strconv.Itoa(l)},
-					{Key: "sweeps", Val: strconv.Itoa(w.sweeps)},
-					{Key: "smoother", Val: s.Smoother.String()}}
+					{Key: "sweeps", Val: strconv.Itoa(w.sweeps)}}
 			})
 		default:
 			s.span(kind, w.start[b], intAttr("level", l))

@@ -13,7 +13,7 @@ import (
 // Handler returns the job API, mounted by the controller daemon on its
 // HTTP listener next to /debug/metrics and /dash:
 //
-//	POST /jobs            submit (JSON JobSpec) -> 202 {"id": N} | 429 + Retry-After | 413 over maxSpecBytes
+//	POST /jobs            submit (JSON JobSpec) -> 202 {"id": N} | 429 + Retry-After | 413 over maxSpecBytes | 400 unknown field
 //	GET  /jobs            list every job's status
 //	GET  /jobs/<id>       one job's status and residual history
 //	POST /jobs/<id>/cancel  request cancellation -> 202
@@ -43,8 +43,12 @@ const maxSpecBytes = 1 << 20
 func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
+		// A field JobSpec does not have is refused, not ignored: a typo or a
+		// retired option would otherwise run a job the client did not ask for.
 		var spec JobSpec
-		err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+		dec.DisallowUnknownFields()
+		err := dec.Decode(&spec)
 		var tooBig *http.MaxBytesError
 		switch {
 		case errors.As(err, &tooBig):

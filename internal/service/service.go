@@ -72,8 +72,6 @@ type JobSpec struct {
 	Ranks int `json:"ranks,omitempty"`
 	// Weight is the job's share in the cycle scheduler (default 1).
 	Weight int `json:"weight,omitempty"`
-	// Chebyshev selects the Chebyshev smoother instead of damped Jacobi.
-	Chebyshev bool `json:"chebyshev,omitempty"`
 }
 
 func (sp JobSpec) withDefaults(meshSize int) JobSpec {
@@ -102,7 +100,6 @@ func (sp JobSpec) params() bench.MultigridParams {
 		Levels:    sp.Levels,
 		Rtol:      sp.Rtol,
 		MaxCycles: sp.MaxCycles,
-		Chebyshev: sp.Chebyshev,
 	}
 }
 

@@ -240,6 +240,22 @@ func TestServiceEndToEnd(t *testing.T) {
 	if want := "extent 100 not divisible by 2^(levels-1) = 8"; resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), want) {
 		t.Fatalf("bad-shape POST: status %d body %q, want 400 containing %q", resp.StatusCode, body, want)
 	}
+	// A field JobSpec does not have, a retired option or a typo, is a 400
+	// naming it, not a job run without it.
+	for _, tc := range []struct{ body, field string }{
+		{`{"extent":16,"chebyshev":true}`, "chebyshev"},
+		{`{"extent":16,"maxcycles":10}`, "maxcycles"},
+	} {
+		resp, err = http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if want := `unknown field \"` + tc.field + `\"`; resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), want) {
+			t.Fatalf("POST %s: status %d body %q, want 400 containing %q", tc.body, resp.StatusCode, body, want)
+		}
+	}
 	// A body over the 1 MiB limit is a 413 with a one-line error, however
 	// much more the client meant to send.
 	resp, err = http.Post(srv.URL+"/jobs", "application/json",
