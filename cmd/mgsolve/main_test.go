@@ -69,12 +69,14 @@ func TestDeletedFlagsRefused(t *testing.T) {
 }
 
 // TestAnalyzeExcusesDroppedSpans: a long in-process solve fills rank 0's
-// span ring, so the tracer drops spans and some message edges lose a half.
+// span ring, so the tracer drops spans and some message edges lose a half:
+// eight ranks of the baseline arm, whose round-robin exchanges contact every
+// rank, on four levels.
 // -analyze must pass the drop count to the analyzer, name the drop in the
 // report and exit 0, as a -tcp run does.
 func TestAnalyzeExcusesDroppedSpans(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	args := []string{"-np", "2", "-extent", "16", "-levels", "2", "-maxcycles", "159", "-rtol", "1e-300", "-analyze"}
+	args := []string{"-np", "8", "-extent", "16", "-levels", "4", "-arm", "baseline", "-maxcycles", "159", "-rtol", "1e-300", "-analyze"}
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr.String())
 	}

@@ -118,8 +118,10 @@ func unpackPieces(msg []byte, l Layout, me int, bufs stripeBufs) {
 // collectiveWrite runs the full two-phase protocol for one checkpoint
 // epoch.  It returns nil only when every rank's stripes are durable AND
 // rank 0's commit record is durable; a local I/O fault on any rank aborts
-// the epoch on all ranks (via Agree) with no commit record published.
-// Rank death mid-protocol surfaces as the collectives' own typed errors.
+// the epoch on all ranks (via Agree) with no commit record published.  So
+// does a rank death in the exchanges, which returns its typed error on every
+// rank that saw it, the communicator revoked; one in the closing broadcast
+// surfaces as the collective's own typed error.
 func collectiveWrite(c *mpi.Comm, fs FS, dir string, l Layout, v FileView, local []byte, cm Commit) error {
 	size, me := c.Size(), c.Rank()
 	start := c.Clock()
@@ -140,55 +142,69 @@ func collectiveWrite(c *mpi.Comm, fs FS, dir string, l Layout, v FileView, local
 			sendbuf = append(sendbuf, m...)
 		}
 	}
-	countWire := make([]byte, 8*size)
-	for r, n := range sendCounts {
-		binary.LittleEndian.PutUint64(countWire[8*r:], uint64(n))
-	}
-	recvCountWire := make([]byte, 8*size)
-	c.Alltoall(countWire, 8, recvCountWire)
-	recvCounts := make([]int, size)
-	recvTotal := 0
-	for r := range recvCounts {
-		recvCounts[r] = int(binary.LittleEndian.Uint64(recvCountWire[8*r:]))
-		recvTotal += recvCounts[r]
-	}
-	recvbuf := make([]byte, recvTotal)
-	c.Alltoallv(sendbuf, sendCounts, recvbuf, recvCounts)
-
-	// Phase two: assemble stripes and write them sequentially.  Local I/O
-	// faults are recorded, not raised — the rank must stay in the
-	// protocol so the epoch aborts collectively.
-	myStripes := l.stripesOf(me)
+	// The exchanges and the CRC gather run under Guard: a rank that sees a
+	// peer die in them, or the communicator revoked, revokes it, so that no
+	// survivor stays parked in a pattern the others have left, and joins the
+	// failure agreement all the same.  A rank that raised instead would leave
+	// the survivors that got through the gather waiting in Agree, which only
+	// a death ends, while it waits for them in its recovery.
+	var myStripes []int
 	var localErr error
-	myCRCs := make([]uint32, len(myStripes))
-	if len(myStripes) > 0 {
-		bufs := make(stripeBufs, len(myStripes))
-		off := 0
-		for r := 0; r < size; r++ {
-			if recvCounts[r] > 0 {
-				unpackPieces(recvbuf[off:off+recvCounts[r]], l, me, bufs)
-				off += recvCounts[r]
-			}
+	var gathered []byte
+	commErr := mpi.Guard(func() error {
+		countWire := make([]byte, 8*size)
+		for r, n := range sendCounts {
+			binary.LittleEndian.PutUint64(countWire[8*r:], uint64(n))
 		}
-		localErr = writeStripes(fs, filepath.Join(dir, dataName(cm.Epoch, cm.Cycle)), l, myStripes, bufs, myCRCs)
+		recvCountWire := make([]byte, 8*size)
+		c.Alltoall(countWire, 8, recvCountWire)
+		recvCounts := make([]int, size)
+		recvTotal := 0
+		for r := range recvCounts {
+			recvCounts[r] = int(binary.LittleEndian.Uint64(recvCountWire[8*r:]))
+			recvTotal += recvCounts[r]
+		}
+		recvbuf := make([]byte, recvTotal)
+		c.Alltoallv(sendbuf, sendCounts, recvbuf, recvCounts)
+
+		// Phase two: assemble stripes and write them sequentially.  Local I/O
+		// faults are recorded, not raised — the rank must stay in the
+		// protocol so the epoch aborts collectively.
+		myStripes = l.stripesOf(me)
+		myCRCs := make([]uint32, len(myStripes))
+		if len(myStripes) > 0 {
+			bufs := make(stripeBufs, len(myStripes))
+			off := 0
+			for r := 0; r < size; r++ {
+				if recvCounts[r] > 0 {
+					unpackPieces(recvbuf[off:off+recvCounts[r]], l, me, bufs)
+					off += recvCounts[r]
+				}
+			}
+			localErr = writeStripes(fs, filepath.Join(dir, dataName(cm.Epoch, cm.Cycle)), l, myStripes, bufs, myCRCs)
+		}
+
+		// CRC collection on rank 0, counts derived from the layout by everyone.
+		crcWire := make([]byte, 4*len(myCRCs))
+		for i, crc := range myCRCs {
+			binary.LittleEndian.PutUint32(crcWire[4*i:], crc)
+		}
+		crcCounts := make([]int, size)
+		for r := 0; r < size; r++ {
+			crcCounts[r] = 4 * len(l.stripesOf(r))
+		}
+		gathered = c.Gatherv(0, crcWire, crcCounts)
+		return nil
+	})
+	if commErr != nil {
+		c.Revoke()
 	}
 
-	// CRC collection on rank 0, counts derived from the layout by everyone.
-	crcWire := make([]byte, 4*len(myCRCs))
-	for i, crc := range myCRCs {
-		binary.LittleEndian.PutUint32(crcWire[4*i:], crc)
-	}
-	crcCounts := make([]int, size)
-	for r := 0; r < size; r++ {
-		crcCounts[r] = 4 * len(l.stripesOf(r))
-	}
-	gathered := c.Gatherv(0, crcWire, crcCounts)
-
-	// Failure agreement: any rank's local I/O fault aborts the epoch for
-	// everyone.  Agree is the fault-tolerant path — members that already
+	// Failure agreement: any rank's local I/O fault or failed exchange
+	// aborts the epoch for everyone.  Agree is the fault-tolerant path — members that already
 	// died are excluded rather than hanging the survivors.
 	failBit := uint64(0)
-	if localErr != nil {
+	if localErr != nil || commErr != nil {
 		failBit = 1
 	}
 	agreed, err := c.Agree(failBit)
@@ -200,10 +216,13 @@ func collectiveWrite(c *mpi.Comm, fs FS, dir string, l Layout, v FileView, local
 			// Best effort: the uncommitted data file is garbage.
 			_ = fs.Remove(filepath.Join(dir, dataName(cm.Epoch, cm.Cycle)))
 		}
-		if localErr != nil {
+		switch {
+		case commErr != nil:
+			return fmt.Errorf("checkpoint: epoch (%d,%d) aborted: %w", cm.Epoch, cm.Cycle, commErr)
+		case localErr != nil:
 			return fmt.Errorf("checkpoint: epoch (%d,%d) aborted: %w", cm.Epoch, cm.Cycle, localErr)
 		}
-		return fmt.Errorf("checkpoint: epoch (%d,%d) aborted by peer I/O fault", cm.Epoch, cm.Cycle)
+		return fmt.Errorf("checkpoint: epoch (%d,%d) aborted by a peer's fault", cm.Epoch, cm.Cycle)
 	}
 
 	// Commit: rank 0 assembles the stripe CRC list in stripe order and

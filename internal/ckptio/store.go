@@ -134,8 +134,8 @@ func (s *Store) aggregators(size int) int {
 // holds the vectors back to back, each in the view's file domain.
 // Collective — every bound rank must call it with the same cycle.  A local
 // I/O fault on any rank aborts the epoch on all ranks with no checkpoint
-// published; rank death surfaces as the collectives' typed errors for the
-// caller's recovery path.
+// published; so does rank death in the exchanges, which returns its typed
+// error for the caller's recovery path.
 func (s *Store) PutOwned(cycle int, residual, r0, rho float64, vecs ...[]float64) error {
 	if err := s.check(vecs); err != nil {
 		return err

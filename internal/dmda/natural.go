@@ -3,6 +3,7 @@ package dmda
 import (
 	"nccd/internal/datatype"
 	"nccd/internal/floatbytes"
+	"nccd/internal/mpi"
 	"nccd/internal/petsc"
 )
 
@@ -59,28 +60,55 @@ func (da *DA) NaturalBytes() int64 { return int64(da.NaturalCount()) * 8 }
 // distributed state against (checkpoints go through NaturalSegments and
 // never replicate).  Collective.
 func (da *DA) GatherNatural(g *petsc.Vec) []float64 {
+	out := make([]float64, da.NaturalCount())
+	da.NewNaturalGather(da.c).Gather(g, out)
+	return out
+}
+
+// NaturalGather is GatherNatural over a communicator of its own, with the
+// counts and the receive buffer kept, so that a repeated gather allocates
+// nothing beyond what its Allgatherv does.
+type NaturalGather struct {
+	da     *DA
+	c      *mpi.Comm
+	counts []int     // the bytes each rank of c contributes
+	packed []float64 // every contribution, in rank order
+}
+
+// NewNaturalGather returns the gather of da's vectors over c, whose rank r
+// owns what rank r of da's communicator owns: that communicator itself, or
+// one of its first ranks that holds every active one (the coarse solve's
+// sub-communicator).  It communicates nothing.
+func (da *DA) NewNaturalGather(c *mpi.Comm) *NaturalGather {
+	if c.Size() < da.active {
+		panic("dmda: natural gather over fewer ranks than own cells")
+	}
+	ng := &NaturalGather{da: da, c: c, counts: make([]int, c.Size()), packed: make([]float64, da.NaturalCount())}
+	for r := range ng.counts {
+		ng.counts[r] = da.ownedBoxOfRank(r).Cells() * da.dof * 8
+	}
+	return ng
+}
+
+// Gather writes the distributed vector g in natural order into out, at least
+// NaturalCount long, on every rank of the gather's communicator.  Collective
+// over it.
+func (ng *NaturalGather) Gather(g *petsc.Vec, out []float64) {
+	da := ng.da
 	if g.LocalSize() != da.OwnedCount() {
 		panic("dmda: global vector does not match DA layout")
 	}
-	size := da.c.Size()
-	byteCounts := make([]int, size)
-	for r := range byteCounts {
-		byteCounts[r] = da.ownedBoxOfRank(r).Cells() * da.dof * 8
-	}
-	packed := make([]float64, da.NaturalCount())
-	da.c.Allgatherv(floatbytes.Bytes(g.Array()), byteCounts, floatbytes.Bytes(packed))
+	ng.c.Allgatherv(floatbytes.Bytes(g.Array()), ng.counts, floatbytes.Bytes(ng.packed))
 
 	// Place every rank's rows (canonical box order) into natural order.
-	out := make([]float64, da.NaturalCount())
 	off := 0
-	for r := 0; r < size; r++ {
+	for r := range ng.counts {
 		b := da.ownedBoxOfRank(r)
 		rowN := (b.Hi[0] - b.Lo[0]) * da.dof
 		for k := b.Lo[2]; k < b.Hi[2]; k++ {
 			for j := b.Lo[1]; j < b.Hi[1]; j++ {
-				off += copy(out[da.naturalIndex(b.Lo[0], j, k):], packed[off:off+rowN])
+				off += copy(out[da.naturalIndex(b.Lo[0], j, k):], ng.packed[off:off+rowN])
 			}
 		}
 	}
-	return out
 }

@@ -59,7 +59,7 @@ func BenchmarkStencil(b *testing.B) {
 		benchKernel(b, fineCells,
 			func(s *Solver) int { return 8 * 3 * fineCells(s) },
 			func(s *Solver, x, rhs, out, _ *petsc.Vec) {
-				s.update(s.levels[0], x.Array(), rhs.Array(), out.Array(), omega, ownedRows(s.DA(0).OwnedBox()))
+				s.update(s.levels[0], x.Array(), rhs.Array(), out.Array(), ownedRows(s.DA(0).OwnedBox()))
 			})
 	})
 }
@@ -72,13 +72,12 @@ func benchStencil(b *testing.B, n int, form stencilForm, vectors int, goOnly boo
 	benchKernelAt(b, n, fineCells,
 		func(s *Solver) int { return 8 * vectors * fineCells(s) },
 		func(s *Solver, x, rhs, out, _ *petsc.Vec) {
-			s.stencil(s.levels[0], form, x.Array(), out.Array(), rhs.Array(), omega, ownedRows(s.DA(0).OwnedBox()))
+			s.stencil(s.levels[0], form, x.Array(), out.Array(), rhs.Array(), ownedRows(s.DA(0).OwnedBox()))
 		})
 }
 
-// BenchmarkApply times Solver.Apply as the coarse solve's conjugate gradients
-// pay for it: the ghost update, which on one rank has nothing to move, and
-// the stencil.
+// BenchmarkApply times Solver.Apply: the ghost update, which on one rank has
+// nothing to move, and the stencil.
 func BenchmarkApply(b *testing.B) {
 	benchKernel(b, fineCells,
 		func(s *Solver) int { return 8 * 2 * fineCells(s) },

@@ -105,12 +105,12 @@ func rowIndex(own dmda.Box, j, k int) int {
 	return ((k-own.Lo[2])*(own.Hi[1]-own.Lo[1]) + j - own.Lo[1]) * (own.Hi[0] - own.Lo[0])
 }
 
-// diagWeights is ω/diag of every face class of lv (faceCoef).
-func (lv *level) diagWeights(omega float64) (w [3][3][3]float64) {
+// diagWeights is ω/diag of every face class of the table coef (faceCoef).
+func diagWeights(coef *[3][3][3]faceCoef) (w [3][3][3]float64) {
 	for fx := range w {
 		for fy := range w[fx] {
 			for fz := range w[fx][fy] {
-				w[fx][fy][fz] = omega / lv.coef[fx][fy][fz].diag
+				w[fx][fy][fz] = omega / coef[fx][fy][fz].diag
 			}
 		}
 	}
@@ -119,7 +119,7 @@ func (lv *level) diagWeights(omega float64) (w [3][3][3]float64) {
 
 // stencil evaluates one of the three forms for every cell of the owned rows rb
 // of x, whose ghost cells the level's ghost update has already left in
-// lv.lwork (b is unused by formApply, omega by all but formJacobi).  Owned
+// lv.lwork (b is unused by formApply), with the level's ω/diag (lv.w).  Owned
 // cells are read from x itself and only ghost cells from lwork, so x and y
 // must not be one array.  A 3-D level of rows of six cells or more runs in the
 // row form: each row's inner cells as one unrolled loop over five row slices
@@ -133,16 +133,15 @@ func (lv *level) diagWeights(omega float64) (w [3][3][3]float64) {
 // and where each of its sources lies resolved, a row at a time (byRow).
 // Shorter rows and every row of a 1-D or 2-D grid take the general per-cell
 // form.  The caller charges the clock.
-func (s *Solver) stencil(lv *level, form stencilForm, x, y, b []float64, omega float64, rb rows) {
+func (s *Solver) stencil(lv *level, form stencilForm, x, y, b []float64, rb rows) {
 	da := lv.da
 	own, ghost := da.OwnedBox(), da.GhostBox()
-	p := stencilPass{lv: lv, form: form, x: x, y: y, b: b, omega: omega, own: own}
+	p := stencilPass{lv: lv, form: form, x: x, y: y, b: b, own: own, w: &lv.w}
 	g := &p.g
 	g.dim, g.inv = s.dim, lv.inv
 	for d := 0; d < 3; d++ {
 		g.n[d] = da.GlobalSize(d)
 	}
-	p.w = lv.diagWeights(omega)
 	p.nx = own.Hi[0] - own.Lo[0]
 	p.oz = p.nx * (own.Hi[1] - own.Lo[1])
 	p.sy = ghost.Hi[0] - ghost.Lo[0]
@@ -174,10 +173,9 @@ type stencilPass struct {
 	lv             *level
 	form           stencilForm
 	x, y, b        []float64
-	omega          float64
 	own            dmda.Box
 	g              stencilGeom
-	w              [3][3][3]float64 // ω/diag per face class
+	w              *[3][3][3]float64 // ω/diag per face class
 	nx, oz, sy, sz int
 	west, east     bool
 	fw, fe         int
@@ -241,7 +239,7 @@ func (p *stencilPass) byRow(k, j0, j1 int) {
 			}
 			fy, fz := faces(j, g.n[1]), faces(k, g.n[2])
 			e := nx - 1
-			w := &p.w
+			w := p.w
 			endCell(p.form, y, b, out, cr[0], xw, cr[1], r.ym[0], r.yp[0], r.zm[0], r.zp[0], &g.inv, &lv.coef[p.fw][fy][fz], w[p.fw][fy][fz])
 			interiorCells(p.form, y, b, out+1, nx-2, cr, r.ym[1:], r.yp[1:], r.zm[1:], r.zp[1:], &g.inv, &lv.coef[0][fy][fz].cu, w[0][fy][fz])
 			endCell(p.form, y, b, out+e, cr[e], cr[e-1], xe, r.ym[e], r.yp[e], r.zm[e], r.zp[e], &g.inv, &lv.coef[p.fe][fy][fz], w[p.fe][fy][fz])
@@ -255,12 +253,12 @@ func (p *stencilPass) byRow(k, j0, j1 int) {
 			xe = lw[row+nx:]
 		}
 		if nx == 1 {
-			g.cells(p.form, y, b, p.omega, &r, xw, xe, 0, 1)
+			g.cells(p.form, y, b, &r, xw, xe, 0, 1)
 			continue
 		}
-		g.cells(p.form, y, b, p.omega, &r, xw, cr[1:], 0, 1)
-		g.cells(p.form, y, b, p.omega, &r, cr, cr[2:], 1, nx-2)
-		g.cells(p.form, y, b, p.omega, &r, cr[nx-2:], xe, nx-1, 1)
+		g.cells(p.form, y, b, &r, xw, cr[1:], 0, 1)
+		g.cells(p.form, y, b, &r, cr, cr[2:], 1, nx-2)
+		g.cells(p.form, y, b, &r, cr[nx-2:], xe, nx-1, 1)
 	}
 }
 
@@ -288,13 +286,13 @@ func endCell(form stencilForm, y, b []float64, o int, u, xm, xp, ym, yp, zm, zp 
 // which update does not read: it writes ω/diag·r + 0, the bits +0 + ω/diag·r
 // has (−0 becomes +0).  It evaluates no stencil and reads no ghost cell, and
 // y may be r.  The caller charges the clock the stencil pass it stands in for.
-func (s *Solver) update(lv *level, x, r, y []float64, omega float64, rb rows) {
+func (s *Solver) update(lv *level, x, r, y []float64, rb rows) {
 	own := lv.da.OwnedBox()
 	var n [3]int
 	for d := range n {
 		n[d] = lv.da.GlobalSize(d)
 	}
-	w := lv.diagWeights(omega)
+	w := &lv.w
 	// Only a row's first and last cell can lie on an x domain face.
 	nx := own.Hi[0] - own.Lo[0]
 	fw, fe := faces(own.Lo[0], n[0]), faces(own.Hi[0]-1, n[0])
@@ -358,7 +356,7 @@ func neighbourRow(owned, inDomain bool, x []float64, xo, xs int, lw []float64, l
 // physical domain faces a cell touches (see side).  xm and xp are the cells'
 // x-neighbours, from cell c0's on: the row itself one cell to either side,
 // but for an end cell's received ghost.
-func (g *stencilGeom) cells(form stencilForm, y, b []float64, omega float64, r *rowSrc, xm, xp []float64, c0, count int) {
+func (g *stencilGeom) cells(form stencilForm, y, b []float64, r *rowSrc, xm, xp []float64, c0, count int) {
 	for c := 0; c < count; c++ {
 		at := c0 + c
 		u := r.cr[at]

@@ -28,11 +28,13 @@ type level struct {
 	h    [3]float64        // grid spacing per dimension
 	inv  [3]float64        // 1/h² per dimension of the grid, 0 beyond it
 	coef [3][3][3]faceCoef // by domain faces along x, y and z (faceCoefs)
+	w    [3][3][3]float64  // ω/diag of every face class (diagWeights)
 
 	b, x, r *petsc.Vec
-	p, ap   *petsc.Vec // coarsest level's conjugate-gradient scratch (lazily allocated)
-	lwork   []float64  // ghosted local array the ghost cells are received into; nil where the ghost box is the owned box
-	zeroRow []float64  // one owned x-row of zeros: the neighbour row beyond a domain face
+	p, ap   *petsc.Vec  // the coarsest level's conjugate-gradient scratch under Richardson (made at its first solve)
+	exact   *exactSolve // the coarsest level's exact solve under conjugate gradients (made at its first solve)
+	lwork   []float64   // ghosted local array the ghost cells are received into; nil where the ghost box is the owned box
+	zeroRow []float64   // one owned x-row of zeros: the neighbour row beyond a domain face
 
 	// Transfers to/from the next coarser level (nil on the coarsest).
 	restrictSc  *petsc.Scatter // fine global -> fine patch (children of my coarse cells)
@@ -49,21 +51,25 @@ type level struct {
 // The cycle's shape.  The constants are typed so that coarseRtol*coarseRtol
 // is the float64 product of the rounded tolerance: an untyped product would
 // be evaluated exactly and rounded once, which can move tol2 by an ulp, and
-// with it the coarse solve's stopping iteration and every residual history.
+// with it the Richardson coarse solve's stopping iteration and every residual
+// history.
 const (
 	// nu1 and nu2 are the pre- and post-smoothing sweep counts.
 	nu1, nu2 int = 2, 2
 	// coarseIts caps the conjugate-gradient iterations of the coarsest-
-	// level solve (the stand-in for PETSc's direct coarse solver).
+	// level solve under Richardson, which the paper's rows model; under
+	// conjugate gradients the coarsest level is solved exactly (coarseExact).
 	coarseIts int = 400
-	// coarseRtol is the coarsest-level relative tolerance.
+	// coarseRtol is the Richardson coarse solve's relative tolerance.
 	coarseRtol float64 = 1e-10
 	// omega is the Jacobi damping factor.
 	omega float64 = 2.0 / 3.0
 	// coarseOneRankCells is the largest coarsest level the default hierarchy
-	// solves on rank 0 alone (16³): its conjugate gradients then send no
-	// message, and the level costs one gather and one scatter a cycle
-	// instead of a halo exchange and two allreduces per CG step.
+	// solves on rank 0 alone (16³): its solve then sends no message, and the
+	// level costs one restriction's gather and one interpolation's scatter a
+	// cycle, where a level that spans ranks adds a gather of its right-hand
+	// side to the exact solve and a halo exchange and an allreduce to every
+	// step of the Richardson coarse conjugate gradients.
 	coarseOneRankCells int = 4096
 )
 
@@ -77,10 +83,11 @@ type Solver struct {
 	// Richardson makes Solve and SolveFrom iterate bare V-cycles, each from
 	// the residual the one before it left, as the paper's rows do.  Unset,
 	// they run conjugate gradients preconditioned by one V-cycle from a zero
-	// guess (DESIGN §19 "Krylov outer iteration").  The Richardson iteration
-	// keeps PETSc's one-double reductions (dot), because the paper's rows
-	// model them, so its History depends on the rank count wherever the
-	// coarsest level spans ranks.
+	// guess (DESIGN §19 "Krylov outer iteration"), whose V-cycle solves the
+	// coarsest level exactly (coarseExact).  The Richardson iteration keeps
+	// the coarse conjugate gradients and PETSc's one-double reductions
+	// (dot), because the paper's rows model them, so its History depends on
+	// the rank count wherever the coarsest level spans ranks.
 	Richardson bool
 
 	// History records the relative residual ‖r_k‖₂/‖r_0‖₂ after each
@@ -88,8 +95,9 @@ type Solver struct {
 	// For a given problem it is transport- and arm-independent, which makes
 	// it the equivalence witness between in-process and multi-process runs.
 	// Under conjugate gradients it is rank-count independent too, for every
-	// hierarchy: every inner product, the coarsest level's included, is an
-	// order-free Sum (dot), and x is the same bits at every rank count.
+	// hierarchy: every inner product is an order-free Sum (dot), the coarsest
+	// level is solved on the same gathered bits by every rank that holds it,
+	// and x is the same bits at every rank count.
 	History []float64
 
 	// OnCycle, when non-nil, runs before each iteration with the iteration
@@ -110,15 +118,14 @@ type Solver struct {
 
 	// The conjugate gradients' state beyond x: r is res, z and p live in
 	// level 0's x and b, which the V-cycle never uses, and A·p in z's
-	// storage.  sum takes the inner products fused into level-0 passes,
-	// dotSum dot's, and sumBuf is the Allreduce vector of both.
+	// storage.  sum takes the inner products, those fused into level-0
+	// passes and dot's, and sumBuf is its Allreduce vector.
 	res    *petsc.Vec
 	sum    Sum
-	dotSum Sum
 	sumBuf []float64
 
-	// coarseComm is the communicator of the coarsest solve's inner
-	// products: c, or the ranks that hold coarse cells where NewAgglomerated
+	// coarseComm is the communicator of the coarsest solve, its gather or its
+	// inner products: c, or the ranks that hold coarse cells where NewAgglomerated
 	// shrinks the coarsest level and the communication configuration lets
 	// the others sit the solve out.  It is nil on those, which skip the
 	// solve and wait at the next transfer.
@@ -196,6 +203,7 @@ func NewAgglomerated(c *mpi.Comm, n []int, nlevels int, mode petsc.ScatterMode, 
 			lv.inv[d] = 1 / (lv.h[d] * lv.h[d])
 		}
 		lv.coef = faceCoefs(dim, lv.inv)
+		lv.w = diagWeights(&lv.coef)
 		lv.b = da.CreateGlobalVec()
 		lv.x = da.CreateGlobalVec()
 		lv.r = da.CreateGlobalVec()
@@ -278,7 +286,7 @@ func (s *Solver) CreateVec() *petsc.Vec { return s.levels[0].da.CreateGlobalVec(
 func (s *Solver) applyLevel(l int, x, y *petsc.Vec) {
 	lv := s.levels[l]
 	lv.da.GhostUpdate(x, lv.lwork)
-	s.stencil(lv, formApply, x.Array(), y.Array(), nil, 0, ownedRows(lv.da.OwnedBox()))
+	s.stencil(lv, formApply, x.Array(), y.Array(), nil, ownedRows(lv.da.OwnedBox()))
 	s.chargeStencil(lv)
 }
 
@@ -414,11 +422,12 @@ func (s *Solver) vcycle(l int, from sweepStart, b, x *petsc.Vec, end cycleEnd) {
 }
 
 // zeroGuess makes x, a V-cycle's guess on level l, zero where the cycle reads
-// it: on the coarsest level only, whose conjugate gradients do.  A V-cycle's
-// first sweep from zero reads no x (sweep), so on every finer level x stays
-// as it is, and the virtual clock is charged the Set all the same.
+// it: on the coarsest level under Richardson only, whose conjugate gradients
+// start from it.  A V-cycle's first sweep from zero reads no x (sweep), and
+// the exact coarse solve overwrites x, so everywhere else x stays as it is,
+// and the virtual clock is charged the Set all the same.
 func (s *Solver) zeroGuess(l int, x *petsc.Vec) {
-	if l == len(s.levels)-1 {
+	if s.Richardson && l == len(s.levels)-1 {
 		x.Set(0)
 		return
 	}
@@ -461,18 +470,23 @@ func (s *Solver) post(l int, b, x *petsc.Vec, end cycleEnd) {
 	s.run(l)
 }
 
-// coarseSolve solves A_l x = b on the coarsest level with unpreconditioned
-// conjugate gradients, the stand-in for PETSc's (exact) coarse-grid solver.
-// A V-cycle's overall contraction depends on the coarsest problem being
-// solved accurately, not merely smoothed.  With agglomeration, inactive
-// ranks skip the solve and the inner products run on the active-rank
-// sub-communicator only.
+// coarseSolve solves A_l x = b on the coarsest level, as PETSc's coarse-grid
+// solver does, since a V-cycle's contraction depends on the coarsest problem
+// being solved, not merely smoothed.  Under conjugate gradients the solve is
+// exact (coarseExact) and overwrites x; under Richardson it is unpreconditioned
+// conjugate gradients from the guess in x, whose inner products are PETSc's
+// one-double reductions, as the paper's rows model them.  With agglomeration,
+// ranks outside the coarse communicator skip the solve.
 func (s *Solver) coarseSolve(l int, b, x *petsc.Vec) {
 	c := s.coarseComm
 	if c == nil {
 		return // inactive rank: owns no coarse cells, rejoins at the transfer
 	}
 	defer s.span("coarse_solve", s.c.Clock(), intAttr("level", l))
+	if !s.Richardson {
+		s.coarseExact(l, b, x)
+		return
+	}
 	lv := s.levels[l]
 	r := lv.r
 	s.residual(l, b, x, r)
@@ -651,9 +665,9 @@ func (s *Solver) iterate(b, x *petsc.Vec, rtol float64, maxCycles int, at start)
 
 // dot is the solver's one inner product ⟨a, b⟩ over c, charged as Vec.Dot.
 // Under Richardson it is PETSc's VecDot, one double a reduction, which the
-// paper's rows model; otherwise the order-free dotSum, the same bits at
-// every rank count.  dotSum is not sum, into which a V-cycle's last level-0
-// stage deposits around its coarse solve's dots.  Collective over c.
+// paper's rows model; otherwise the order-free sum, the same bits at every
+// rank count, which no V-cycle is using then: under conjugate gradients dot
+// takes only ‖r₀‖, before the first.  Collective over c.
 func (s *Solver) dot(c *mpi.Comm, a, b *petsc.Vec) float64 {
 	s.c.Compute(float64(2*a.LocalSize()) * flopSec)
 	if s.Richardson {
@@ -664,9 +678,9 @@ func (s *Solver) dot(c *mpi.Comm, a, b *petsc.Vec) float64 {
 		}
 		return c.AllreduceScalar(sum, mpi.OpSum)
 	}
-	s.dotSum.Reset()
-	s.dotSum.AddProducts(a.Array(), b.Array())
-	return s.dotSum.Allreduce(c, s.sumBuf)
+	s.sum.Reset()
+	s.sum.AddProducts(a.Array(), b.Array())
+	return s.sum.Allreduce(c, s.sumBuf)
 }
 
 // pcgStep is one iteration of conjugate gradients preconditioned by one

@@ -506,13 +506,13 @@ func (s *Solver) apply(l int, e *stage, r rows, sum *Sum) {
 		if e.aux != nil {
 			b = e.aux.Array()
 		}
-		s.stencil(lv, e.form, e.src.Array(), e.dst.Array(), b, omega, r)
+		s.stencil(lv, e.form, e.src.Array(), e.dst.Array(), b, r)
 	case opUpdate:
 		var x []float64 // nil: the zero guess
 		if !e.zero {
 			x = e.src.Array()
 		}
-		s.update(lv, x, e.aux.Array(), e.dst.Array(), omega, r)
+		s.update(lv, x, e.aux.Array(), e.dst.Array(), r)
 	case opInterp:
 		s.interpolateAdd(l, e.dst, r)
 	case opRestrict:

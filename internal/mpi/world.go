@@ -321,7 +321,11 @@ func (w *World) spawnRank(rank int, f func(c *Comm) error, wg *sync.WaitGroup, e
 				state = stateDead
 				switch v := p.(type) {
 				case crashPanic:
+					// maybeCrash marked the rank dead before it raised, and a
+					// replacement may have been respawned and readmitted since:
+					// the state is no longer this incarnation's to set.
 					w.recordCrash(rank)
+					return
 				case commPanic:
 					errs[rank] = v.err
 				default:
