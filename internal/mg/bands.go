@@ -21,7 +21,9 @@ import (
 // a helper that wakes late, takes fewer planes instead of making the other
 // wait.  After the one join the owner runs, stage by stage, the rows beside
 // the faces between slabs that the wavefront left.  A banded wave so takes
-// one task.  Each cell is written by the same code from the same sources as
+// one task.  The step's workers claim blocks of sixteen sum chunks alike,
+// the even ones from the bottom of one meet word and the odd ones from its
+// top.  Each cell is written by the same code from the same sources as
 // on one worker, and each worker adds its products into a Sum of its own,
 // merged exactly when the wave ends, so x, History, the virtual clock and
 // every span are the serial run's bit for bit.  Only the solve's own
@@ -52,6 +54,10 @@ const bandLevelCells = 2048
 // yields of its core: a worker that shares its core with the one it waits on
 // (GOMAXPROCS=1, or more workers than cores) must let it run.
 const bandSpins = 1 << 14
+
+// stepBlock is the cells a worker of the conjugate gradients' step claims at
+// a time: sixteen sum chunks.
+const stepBlock = 16 * sumChunk
 
 // maxHelpers bounds the pool whatever GOMAXPROCS is: a crew's bands are bits
 // of its state word.
@@ -123,7 +129,7 @@ type taskKind uint8
 
 const (
 	taskWave taskKind = iota // level l's wave, a slab a band
-	taskStep                 // the conjugate gradients' step on x, in bands of whole sum chunks
+	taskStep                 // the conjugate gradients' step on x, in blocks of whole sum chunks
 )
 
 // task is a wave, or the conjugate gradients' step, as the owner hands it to
@@ -159,7 +165,8 @@ type crew struct {
 	want  int64
 	task  task
 	state atomic.Uint64
-	_     [64]byte // done on a cache line of its own
+	_     [64]byte // step and done on cache lines of their own
+	step  meet     // the step's blocks that no worker has claimed yet
 	done  atomic.Int64
 	out   atomic.Int32
 }
@@ -352,8 +359,13 @@ func (c *crew) work(sum *Sum, b int) {
 		s.wavefront(t.l, &s.levels[t.l].wave.slabs[b], sum)
 	case taskStep:
 		n := t.x.LocalSize()
-		lo, hi := band(0, (n+sumChunk-1)/sumChunk, b, c.n)
-		s.stepCells(t.x, t.alpha, lo*sumChunk, min(hi*sumChunk, n), sum)
+		for {
+			k, ok := c.step.next(b%2 == 1)
+			if !ok {
+				return
+			}
+			s.stepCells(t.x, t.alpha, k*stepBlock, min((k+1)*stepBlock, n), sum)
+		}
 	}
 }
 

@@ -46,7 +46,11 @@ func coarseCells(s *Solver) int { return s.DA(1).OwnedCount() }
 // Go loop alone, so one run prints both kernels' ns/cell.  jacobi/48,
 // jacobi/24 and jacobi/12 are the sweep on the coarser levels' extents of the
 // same hierarchy, whose shorter rows leave more of a pass to the work done
-// once a row or once a plane.
+// once a row or once a plane.  Beside them are level 0's other vector passes:
+// step is the conjugate gradients' step (its two AXPYs and ‖r‖², a sum chunk
+// at a time) and aypx the direction's AYPX; update, step and aypx run as the
+// build dispatches them, update/go, step/go and aypx/go through the Go loops
+// alone (step/go's sum too).
 func BenchmarkStencil(b *testing.B) {
 	b.Run("apply", func(b *testing.B) { benchStencil(b, 96, formApply, 2, false) })
 	b.Run("apply/go", func(b *testing.B) { benchStencil(b, 96, formApply, 2, true) })
@@ -55,13 +59,31 @@ func BenchmarkStencil(b *testing.B) {
 	for _, n := range []int{48, 24, 12} {
 		b.Run(fmt.Sprintf("jacobi/%d", n), func(b *testing.B) { benchStencil(b, n, formJacobi, 3, false) })
 	}
-	b.Run("update", func(b *testing.B) {
-		benchKernel(b, fineCells,
-			func(s *Solver) int { return 8 * 3 * fineCells(s) },
-			func(s *Solver, x, rhs, out, _ *petsc.Vec) {
-				s.update(s.levels[0], x.Array(), rhs.Array(), out.Array(), ownedRows(s.DA(0).OwnedBox()))
-			})
-	})
+	update := func(s *Solver, x, rhs, out *petsc.Vec) {
+		s.update(s.levels[0], x.Array(), rhs.Array(), out.Array(), ownedRows(s.DA(0).OwnedBox()))
+	}
+	var sum Sum
+	step := func(s *Solver, x, _, _ *petsc.Vec) { s.stepCells(x, 1e-9, 0, x.LocalSize(), &sum) }
+	aypx := func(_ *Solver, x, _, out *petsc.Vec) { aypxCells(out.Array(), x.Array(), 0.5) }
+	for _, goOnly := range []bool{false, true} {
+		suffix := ""
+		if goOnly {
+			suffix = "/go"
+		}
+		b.Run("update"+suffix, func(b *testing.B) { benchVector(b, 3, goOnly, update) })
+		b.Run("step"+suffix, func(b *testing.B) { benchVector(b, 6, goOnly, step) })
+		b.Run("aypx"+suffix, func(b *testing.B) { benchVector(b, 3, goOnly, aypx) })
+	}
+}
+
+// benchVector times one pass fn over level 0 of the 96³ grid, which reads or
+// writes the given number of whole vectors, through the Go loops alone where
+// goOnly is set.
+func benchVector(b *testing.B, vectors int, goOnly bool, fn func(s *Solver, x, rhs, out *petsc.Vec)) {
+	defer goLoopsOnly(goOnly)()
+	benchKernel(b, fineCells,
+		func(s *Solver) int { return 8 * vectors * fineCells(s) },
+		func(s *Solver, x, rhs, out, _ *petsc.Vec) { fn(s, x, rhs, out) })
 }
 
 // benchStencil times one stencil pass of form over the finest level of an n³

@@ -5,9 +5,11 @@ package mg
 // useLanes is whether the lane kernels run: interiorCells hands a row of four
 // cells or more to interiorLanes, planeCells a plane's band of such rows to
 // planeLanes, interpRun its interpLane cells to interpLanes, gatherRun a
-// run of sixteen cells or more to restrictLanes and Sum.chunk the first
-// len &^ 7 terms of a chunk to maxLanes and foldLanes.  It is set where the
-// CPU has AVX2 and the OS saves the YMM registers.
+// run of sixteen cells or more to restrictLanes, Sum.chunk the first
+// len &^ 7 terms of a chunk to maxLanes and foldLanes, axpyCells and
+// aypxCells every run to axpyLanes and aypxLanes, and updateRun a run of
+// eight cells or more to updateLanes.  It is set where the CPU has AVX2 and
+// the OS saves the YMM registers.
 var useLanes = cpuHasAVX2()
 
 // cpuHasAVX2 reports whether CPUID's AVX, AVX2 and OSXSAVE bits and XCR0's
@@ -71,3 +73,20 @@ func maxLanes(a, b []float64) float64
 //
 //go:noescape
 func foldLanes(a, b []float64, sig *[3]float64, out *[4]float64)
+
+// axpyLanes, aypxLanes and updateLanes are axpyCellsGo, aypxCellsGo and
+// updateRunGo on len(y) cells, eight a step in two YMM registers and then one
+// a step (vector_amd64.s): each cell one multiply, of the vector's value by
+// the scale, and one add with the product first, as the compiled loops have
+// them.  They read no length but y's: the caller slices every source to at
+// least len(y) values.  updateLanes takes a nil x as updateRun does, the zero
+// guess, and then adds +0.
+//
+//go:noescape
+func axpyLanes(y, x []float64, a float64)
+
+//go:noescape
+func aypxLanes(y, x []float64, a float64)
+
+//go:noescape
+func updateLanes(y, x, r []float64, w float64)

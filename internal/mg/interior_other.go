@@ -3,8 +3,9 @@
 package mg
 
 // useLanes is false where no lane kernel is built: interiorCells runs
-// interiorCellsGo throughout, interpRun interpCells8, gatherRun restrictRun
-// and Sum.chunk maxAbsProducts and foldGo.  It is a variable in every build
+// interiorCellsGo throughout, interpRun interpCells8, gatherRun restrictRun,
+// Sum.chunk maxAbsProducts and foldGo, and axpyCells, aypxCells and updateRun
+// axpyCellsGo, aypxCellsGo and updateRunGo.  It is a variable in every build
 // so that the kernel benchmarks can run the Go loops on a build that has the
 // kernels.
 var useLanes = false
@@ -36,4 +37,18 @@ func maxLanes(a, b []float64) float64 {
 
 func foldLanes(a, b []float64, sig *[3]float64, out *[4]float64) {
 	panic("mg: foldLanes without a lane kernel")
+}
+
+// axpyLanes, aypxLanes and updateLanes are not called while useLanes is
+// false.
+func axpyLanes(y, x []float64, a float64) {
+	panic("mg: axpyLanes without a lane kernel")
+}
+
+func aypxLanes(y, x []float64, a float64) {
+	panic("mg: aypxLanes without a lane kernel")
+}
+
+func updateLanes(y, x, r []float64, w float64) {
+	panic("mg: updateLanes without a lane kernel")
 }

@@ -320,8 +320,22 @@ func tail(a []float64, i int) []float64 {
 }
 
 // updateRun writes y[i] = x[i] + w·r[i], the update of cells that share
-// ω/diag, or w·r[i] + 0 where x is nil, the zero guess.
+// ω/diag, or w·r[i] + 0 where x is nil, the zero guess: a run of eight cells
+// or more in lanes where useLanes is set.
 func updateRun(y, x, r []float64, w float64) {
+	r = r[:len(y)]
+	if x != nil {
+		x = x[:len(y)]
+	}
+	if useLanes && len(y) >= 8 {
+		updateLanes(y, x, r, w)
+		return
+	}
+	updateRunGo(y, x, r, w)
+}
+
+// updateRunGo is updateRun's Go loop.
+func updateRunGo(y, x, r []float64, w float64) {
 	r = r[:len(y)]
 	if x == nil {
 		for i := range y {

@@ -728,12 +728,14 @@ func (s *Solver) direction(rz, rho float64) {
 }
 
 // step runs x += α·p and r −= α·A·p, A·p in z's storage, and adds ‖r‖² to
-// s.sum in one pass over level 0, a chunk of the sum at a time, in bands of
-// whole chunks where the solver borrows helpers (bands.go).  The virtual
-// clock is charged the two AXPYs and the norm, as Vec charges them.
+// s.sum in one pass over level 0, a chunk of the sum at a time, in blocks of
+// whole chunks that the workers claim from either end where the solver
+// borrows helpers (bands.go).  The virtual clock is charged the two AXPYs and
+// the norm, as Vec charges them.
 func (s *Solver) step(x *petsc.Vec, alpha float64) {
 	n := x.LocalSize()
 	if c := s.borrow(s.workers(0)); c != nil {
+		c.step.set(0, (n+stepBlock-1)/stepBlock)
 		c.run(task{kind: taskStep, x: x, alpha: alpha})
 		c.release()
 	} else {
@@ -757,8 +759,19 @@ func (s *Solver) stepCells(x *petsc.Vec, alpha float64, lo, hi int, sum *Sum) {
 	}
 }
 
-// axpyCells runs y += a·x as Vec.AXPY writes it.
+// axpyCells runs y += a·x as Vec.AXPY writes it, in lanes where useLanes is
+// set.
 func axpyCells(y, x []float64, a float64) {
+	x = x[:len(y)]
+	if useLanes {
+		axpyLanes(y, x, a)
+		return
+	}
+	axpyCellsGo(y, x, a)
+}
+
+// axpyCellsGo is axpyCells's Go loop.
+func axpyCellsGo(y, x []float64, a float64) {
 	x = x[:len(y)]
 	for i := range y {
 		y[i] += float64(a * x[i])

@@ -106,22 +106,33 @@ type meet struct {
 // region's highest unclaimed plane, or its lowest.  It fails once the two
 // slabs have met.
 func (m *meet) claim(down bool) bool {
+	_, ok := m.next(down)
+	return ok
+}
+
+// next is claim, and returns the plane it took.
+func (m *meet) next(down bool) (int, bool) {
 	for {
 		v := m.Load()
 		lo, hi := int(uint32(v)), int(v>>32)
 		if lo >= hi {
-			return false
+			return 0, false
 		}
+		p := lo
 		if down {
 			hi--
+			p = hi
 		} else {
 			lo++
 		}
 		if m.CompareAndSwap(v, uint64(hi)<<32|uint64(uint32(lo))) {
-			return true
+			return p, true
 		}
 	}
 }
+
+// set makes [lo, hi) the unclaimed planes.
+func (m *meet) set(lo, hi int) { m.Store(uint64(hi)<<32 | uint64(uint32(lo))) }
 
 // stage is one pass of a wavefront.
 type stage struct {
@@ -346,7 +357,7 @@ func (s *Solver) cut(l, n int) []slab {
 		sl.down = b%2 == 1
 		sl.meet = &w.meets[b/2]
 		if !sl.down {
-			sl.meet.Store(uint64(*hi)<<32 | uint64(uint32(*lo)))
+			sl.meet.set(*lo, *hi)
 		}
 		s.inside(l, sl)
 	}
@@ -536,8 +547,19 @@ func (s *Solver) apply(l int, e *stage, r rows, sum *Sum) {
 	}
 }
 
-// aypxCells runs y = a·y + x as Vec.AYPX writes it.
+// aypxCells runs y = a·y + x as Vec.AYPX writes it, in lanes where useLanes
+// is set.
 func aypxCells(y, x []float64, a float64) {
+	x = x[:len(y)]
+	if useLanes {
+		aypxLanes(y, x, a)
+		return
+	}
+	aypxCellsGo(y, x, a)
+}
+
+// aypxCellsGo is aypxCells's Go loop.
+func aypxCellsGo(y, x []float64, a float64) {
 	x = x[:len(y)]
 	for i := range y {
 		y[i] = float64(a*y[i]) + x[i]

@@ -34,7 +34,9 @@ func (c *Comm) Allgatherv(data []byte, counts []int, recv []byte) {
 	if len(data) != counts[me] {
 		panic(fmt.Sprintf("mpi: allgatherv rank %d contributes %d bytes, counts says %d", me, len(data), counts[me]))
 	}
-	displs, total := prefix(counts)
+	var total int
+	c.displs, total = prefix(c.displs, counts)
+	displs := c.displs
 	if len(recv) < total {
 		panic(fmt.Sprintf("mpi: allgatherv recv buffer %d < total %d", len(recv), total))
 	}
@@ -147,11 +149,11 @@ func (c *Comm) allgathervAlgo(counts []int, total int) (AllgathervAlgo, bool) {
 		}
 		return short(), false
 	case AGAdaptive:
-		vols := make([]int64, len(counts))
-		for i, v := range counts {
-			vols[i] = int64(v)
+		c.vols = c.vols[:0]
+		for _, v := range counts {
+			c.vols = append(c.vols, int64(v))
 		}
-		if kselect.IsNonuniform(vols, cfg.Outlier) {
+		if kselect.IsNonuniform(c.vols, cfg.Outlier) {
 			return short(), true
 		}
 		if total >= ringThresholdBytes {

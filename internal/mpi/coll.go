@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"nccd/internal/floatbytes"
 )
@@ -161,7 +162,7 @@ func (c *Comm) Gatherv(root int, data []byte, counts []int) []byte {
 		return nil
 	}
 	tag := c.collTag()
-	displs, total := prefix(counts)
+	displs, total := prefix(nil, counts)
 	out := make([]byte, total)
 	copy(out[displs[me]:], data)
 	for r := 0; r < n; r++ {
@@ -199,9 +200,11 @@ func (c *Comm) checkCounts(counts []int) {
 	}
 }
 
-// prefix returns byte displacements and the total for a count vector.
-func prefix(counts []int) (displs []int, total int) {
-	displs = make([]int, len(counts))
+// prefix returns byte displacements and the total for a count vector, the
+// displacements in displs's storage where it has room for them.
+func prefix(displs, counts []int) ([]int, int) {
+	total := 0
+	displs = slices.Grow(displs[:0], len(counts))[:len(counts)]
 	for i, n := range counts {
 		displs[i] = total
 		total += n

@@ -27,8 +27,8 @@ func TestAlltoallvMatchesOracle(t *testing.T) {
 				for j := 0; j < n; j++ {
 					recvCounts[j] = vol[j][me]
 				}
-				_, sTotal := prefix(sendCounts)
-				_, rTotal := prefix(recvCounts)
+				_, sTotal := prefix(nil, sendCounts)
+				_, rTotal := prefix(nil, recvCounts)
 				sendbuf := make([]byte, sTotal)
 				for i := range sendbuf {
 					sendbuf[i] = byte(me*37 + i)

@@ -28,6 +28,11 @@ type Comm struct {
 	// agreeSeq counts Agree/Shrink calls on this communicator; members
 	// execute them collectively, so equal seq identifies the same call.
 	agreeSeq uint64
+	// displs and vols are Allgatherv's scratch, kept so that a call
+	// allocates neither: its counts' displacements and, under the adaptive
+	// policy, the counts as the outlier detector's volumes.
+	displs []int
+	vols   []int64
 }
 
 // Rank returns the calling rank within this communicator.

@@ -77,7 +77,7 @@ func faultCases(n int) []struct {
 
 	agv := func(cfg Config) func(*Comm) []byte {
 		return func(c *Comm) []byte {
-			_, total := prefix(counts)
+			_, total := prefix(nil, counts)
 			recv := make([]byte, total)
 			c.Allgatherv(rankData(c, counts[c.Rank()]), counts, recv)
 			return recv

@@ -661,3 +661,31 @@ func TestConfigStrings(t *testing.T) {
 		t.Error("bad alltoallw strings")
 	}
 }
+
+// TestAllgathervAllocations: a two-rank in-process Allgatherv allocates once
+// a rank a call, for the message it receives, and under the adaptive policy
+// once more, for the outlier detector's working copy of the counts.  The
+// displacements and the detector's volumes are scratch kept on the Comm.
+// Both ranks' calls run side by side and AllocsPerRun counts the whole
+// process, so each rank's figure is twice a rank's own.  Under the race
+// detector sync.Pool drops puts at random, and the messages' pooled buffers
+// with them.
+func TestAllgathervAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	for _, k := range []struct {
+		name string
+		cfg  Config
+		want float64 // a rank a call
+	}{{"baseline", Baseline(), 1}, {"compiled", Compiled(), 2}} {
+		run(t, 2, k.cfg, func(c *Comm) error {
+			counts := []int{64, 200}
+			data, recv := make([]byte, counts[c.Rank()]), make([]byte, 264)
+			if a := testing.AllocsPerRun(50, func() { c.Allgatherv(data, counts, recv) }) / 2; a > k.want {
+				return fmt.Errorf("%s: a rank's Allgatherv allocates %v times a call, want %v", k.name, a, k.want)
+			}
+			return nil
+		})
+	}
+}

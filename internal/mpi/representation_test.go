@@ -231,7 +231,7 @@ func repCollectives(t *testing.T, mesh repMesh, cfg Config, user []byte, shapes 
 	for r := range counts {
 		counts[r] = len(refs[r])
 	}
-	_, total := prefix(counts)
+	_, total := prefix(nil, counts)
 	var out [repRanks]repCollOut
 	errs := runAll(ws, func(c *Comm) error {
 		me := c.Rank()

@@ -22,7 +22,7 @@ func agvLatency(t *testing.T, n int, algo AllgathervAlgo, bigBytes int) float64 
 		counts[i] = 8
 	}
 	counts[0] = bigBytes
-	_, total := prefix(counts)
+	_, total := prefix(nil, counts)
 	err := w.Run(func(c *Comm) error {
 		mine := make([]byte, counts[c.Rank()])
 		recv := make([]byte, total)
@@ -93,7 +93,7 @@ func TestAutoPolicyUsesRingForUniformLarge(t *testing.T) {
 		for i := range counts {
 			counts[i] = 16 * 1024
 		}
-		_, total := prefix(counts)
+		_, total := prefix(nil, counts)
 		if err := w.Run(func(c *Comm) error {
 			recv := make([]byte, total)
 			c.Allgatherv(make([]byte, counts[c.Rank()]), counts, recv)
@@ -121,7 +121,7 @@ func TestAllgathervNotSlowerThanPaddedAllgather(t *testing.T) {
 	for r := range counts {
 		counts[r] = (r + 1) * base
 	}
-	_, total := prefix(counts)
+	_, total := prefix(nil, counts)
 	maxc := counts[n-1]
 	clock := func(f func(c *Comm)) float64 {
 		w := NewWorld(simnet.Paper(n), Compiled())

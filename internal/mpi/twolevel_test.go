@@ -35,7 +35,7 @@ func runAGV(t *testing.T, cl *simnet.Cluster, cfg Config, counts []int) ([][]byt
 	if len(counts) != n {
 		t.Fatalf("counts for %d ranks, cluster has %d", len(counts), n)
 	}
-	_, total := prefix(counts)
+	_, total := prefix(nil, counts)
 	w := NewWorld(cl, cfg)
 	outs := make([][]byte, n)
 	err := w.Run(func(c *Comm) error {
