@@ -284,8 +284,7 @@ func runLauncher(lc launchConfig) int {
 	} else {
 		fmt.Printf("spawning %d rank daemons (%s) over TCP localhost\n", lc.n, fl.daemon)
 	}
-	every := max(lc.spec.CkptEvery, 1)
-	trig := chaosTrigger(lc.killRank, every, fl.kill)
+	trig := chaosTrigger(lc.killRank, lc.spec.CkptEvery, fl.kill)
 
 	reports := make([]*bench.RankReport, lc.n)
 	procErrs := make([]error, lc.n)
@@ -332,7 +331,7 @@ func runLauncher(lc launchConfig) int {
 	}
 	killed, mttr := trig.fired()
 	if lc.chaos && !killed {
-		fmt.Fprintf(os.Stderr, "mgsolve: chaos kill never fired (rank %d finished before iteration %d)\n", lc.killRank, every+1)
+		fmt.Fprintf(os.Stderr, "mgsolve: chaos kill never fired (rank %d finished before iteration %d)\n", lc.killRank, lc.spec.CkptEvery+1)
 		return 1
 	}
 

@@ -10,9 +10,10 @@ import (
 // with no ranks, a chaos victim outside the world, an arm nobody knows, no
 // mode, a shape that does not fit, a fault probability outside [0, 1) (at 1
 // the daemons retransmit for ever), a checkpoint fault spec nobody can
-// parse, a service fleet too small to lose a rank — is one stderr line and
-// exit 2.  The daemon path does not exist, so reaching the launcher would be
-// exit 1: exit 2 proves nothing was spawned.
+// parse, a checkpoint period, aggregator count or stripe below 1, a
+// negative heartbeat, a service fleet too small to lose a rank — is one
+// stderr line and exit 2.  The daemon path does not exist, so reaching the
+// launcher would be exit 1: exit 2 proves nothing was spawned.
 func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -41,6 +42,10 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{[]string{"-tcp", "2", "-selfheal", "-iofault=short=2"}, "probability 2 not in [0, 1)"},
 		{[]string{"-tcp", "2", "-selfheal", "-iofault=short=-1"}, "probability -1 not in [0, 1)"},
 		{[]string{"-tcp", "2", "-selfheal", "-iofault=enospc=-1"}, `"enospc=-1"`},
+		{[]string{"-tcp", "2", "-selfheal", "-ckptevery=0"}, "-ckptevery 0 too small"},
+		{[]string{"-tcp", "2", "-selfheal", "-aggr=-1"}, "-aggr -1 too small"},
+		{[]string{"-tcp", "2", "-selfheal", "-stripe=0"}, "-stripe 0 too small"},
+		{[]string{"-tcp", "2", "-hb=-1ms"}, "-hb -1ms negative"},
 	} {
 		var stdout, stderr bytes.Buffer
 		args := append([]string{"-daemon", "/nonexistent"}, tc.args...)

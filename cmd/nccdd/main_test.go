@@ -8,11 +8,12 @@ import (
 
 // TestBadInputExitsTwoWithOneLine: a rank outside its world, an address list
 // of the wrong length, an arm nobody knows, a shape that does not fit or a
-// fault flag out of range, a node layout the world does not divide into or
-// with no segment directory, or a replacement with no checkpoint directory
-// to resume from or at the first attempt's epoch 0, is one stderr line and
-// exit 2, before a listener is opened: nothing is printed on stdout, where
-// the launcher reads the daemon's protocol lines.
+// fault flag out of range, a checkpoint period, aggregator count or stripe
+// below 1, a negative heartbeat, a node layout the world does not divide
+// into or with no segment directory, or a replacement with no checkpoint
+// directory to resume from or at the first attempt's epoch 0, is one stderr
+// line and exit 2, before a listener is opened: nothing is printed on
+// stdout, where the launcher reads the daemon's protocol lines.
 func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 	two := []string{"-n", "2", "-addrs", "127.0.0.1:1,127.0.0.1:2"}
 	for _, tc := range []struct {
@@ -33,6 +34,10 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{append([]string{"-rank", "0", "-iofault=bogus=1"}, two...), `unknown key "bogus"`},
 		{append([]string{"-rank", "0", "-iofault=fsync=1"}, two...), "probability 1 not in [0, 1)"},
 		{append([]string{"-rank", "0", "-iofault=crash=-3"}, two...), `"crash=-3"`},
+		{append([]string{"-rank", "0", "-ckptevery=0"}, two...), "-ckptevery 0 too small"},
+		{append([]string{"-rank", "0", "-aggr=0"}, two...), "-aggr 0 too small"},
+		{append([]string{"-rank", "0", "-stripe=-4096"}, two...), "-stripe -4096 too small"},
+		{append([]string{"-rank", "0", "-hb=-25ms"}, two...), "-hb -25ms negative"},
 		{append([]string{"-rank", "1", "-rejoin"}, two...), "-rejoin needs -ckpt"},
 		{append([]string{"-rank", "1", "-rejoin", "-epoch", "1"}, two...), "-rejoin needs -ckpt"},
 		{append([]string{"-rank", "1", "-rejoin", "-ckpt", "/nonexistent"}, two...), "-epoch 1 or later"},

@@ -26,13 +26,29 @@ type pkgNames struct {
 	members map[string]bool // methods, struct fields and interface methods of any of its types
 }
 
-// loadPackages parses every Go file under internal/ and cmd/ and indexes
-// the packages by directory name, the name the documents qualify with.
+// loadPackages indexes the packages under internal/ and cmd/ by directory
+// name, the name the documents qualify with.
 func loadPackages(t *testing.T) map[string]*pkgNames {
 	t.Helper()
 	pkgs := make(map[string]*pkgNames)
+	walkGo(t, []string{"internal", "cmd"}, func(path string, f *ast.File) {
+		name := filepath.Base(filepath.Dir(path))
+		p := pkgs[name]
+		if p == nil {
+			p = &pkgNames{top: make(map[string]bool), members: make(map[string]bool)}
+			pkgs[name] = p
+		}
+		p.add(f)
+	})
+	return pkgs
+}
+
+// walkGo parses every Go file under roots, test files included, and hands
+// each to visit with its path.
+func walkGo(t *testing.T, roots []string, visit func(path string, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
-	for _, root := range []string{"internal", "cmd"} {
+	for _, root := range roots {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 				return err
@@ -41,20 +57,13 @@ func loadPackages(t *testing.T) map[string]*pkgNames {
 			if err != nil {
 				return err
 			}
-			name := filepath.Base(filepath.Dir(path))
-			p := pkgs[name]
-			if p == nil {
-				p = &pkgNames{top: make(map[string]bool), members: make(map[string]bool)}
-				pkgs[name] = p
-			}
-			p.add(f)
+			visit(path, f)
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	return pkgs
 }
 
 func (p *pkgNames) add(f *ast.File) {

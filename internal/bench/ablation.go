@@ -203,7 +203,7 @@ func AblateOutlierThreshold(thresholds []float64, iters int) *Experiment {
 	const n = 32
 	for _, th := range thresholds {
 		cfg := mpi.Optimized()
-		cfg.Outlier.Threshold = th
+		cfg.OutlierThreshold = th
 		w := core.NewUniformWorld(n, cfg)
 		var lat float64
 		err := w.Run(func(c *mpi.Comm) error {

@@ -204,6 +204,18 @@ func (s DaemonSpec) Validate(ranks int) error {
 	if ranks%s.PerNode != 0 {
 		return fmt.Errorf("-pernode %d does not divide the world's %d ranks", s.PerNode, ranks)
 	}
+	if s.CkptEvery < 1 {
+		return fmt.Errorf("-ckptevery %d too small (need >= 1)", s.CkptEvery)
+	}
+	if s.Aggregators < 1 {
+		return fmt.Errorf("-aggr %d too small (need >= 1)", s.Aggregators)
+	}
+	if s.StripeBytes < 1 {
+		return fmt.Errorf("-stripe %d too small (need >= 1)", s.StripeBytes)
+	}
+	if s.Heartbeat < 0 {
+		return fmt.Errorf("-hb %v negative (0 leaves detection to connection loss)", s.Heartbeat)
+	}
 	if err := s.MultigridParams.Validate(ranks); err != nil {
 		return err
 	}
@@ -299,9 +311,10 @@ func buildWire(tcfg transport.TCPConfig, spec DaemonSpec) (*rankWire, error) {
 // registerWireMetrics publishes the endpoints' counters in the process
 // metrics registry.  The stats are per-endpoint, so each rank registers
 // under its own name — "transport.tcp.rank<N>", "transport.shm.rank<N>"
-// — and a scraper that wants totals sums the labeled entries itself;
-// registering them under one shared name would silently clobber (not
-// aggregate) when ranks share a process.  The returned func unregisters.
+// — which keeps ranks that share a process from clobbering each other's
+// entry; obs.Registry.Snapshot adds the "transport.tcp.total" and
+// "transport.shm.total" sums beside them (the totals /dash reads).  The
+// returned func unregisters.
 func registerWireMetrics(rw *rankWire, rank int) func() {
 	tcpName := fmt.Sprintf("transport.tcp.rank%d", rank)
 	obs.Metrics.RegisterFunc(tcpName, func() any { return rw.tcp.Stats() })

@@ -39,11 +39,12 @@ var (
 )
 
 // poolOutstanding tracks bytes handed out by GetBuffer and not yet returned
-// through PutBuffer — the occupancy signal the service admission controller
-// watches.  Counted in size-class capacities (what the pool actually
-// holds); oversized buffers that bypass pooling are excluded, as are
-// returns of buffers that never came from the pool, so the gauge is an
-// approximation of pool-attributable memory pressure, not an exact ledger.
+// through PutBuffer — the balance the pool tests check and the
+// datatype.pool metric reports.  Counted in size-class capacities (what
+// the pool actually holds); oversized buffers that bypass pooling are
+// excluded, as are returns of buffers that never came from the pool, so the
+// gauge is an approximation of pool-attributable memory pressure, not an
+// exact ledger.
 var poolOutstanding atomic.Int64
 
 // PoolOutstandingBytes reports bytes currently checked out of the buffer

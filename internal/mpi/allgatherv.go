@@ -153,7 +153,8 @@ func (c *Comm) allgathervAlgo(counts []int, total int) (AllgathervAlgo, bool) {
 		for _, v := range counts {
 			c.vols = append(c.vols, int64(v))
 		}
-		if kselect.IsNonuniform(c.vols, cfg.Outlier) {
+		p := kselect.OutlierParams{Fract: kselect.DefaultOutlierParams.Fract, Threshold: cfg.OutlierThreshold}
+		if kselect.IsNonuniform(c.vols, p) {
 			return short(), true
 		}
 		if total >= ringThresholdBytes {

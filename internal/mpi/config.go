@@ -85,8 +85,11 @@ type Config struct {
 	Allgatherv AllgathervAlgo
 	// Alltoallw selects the MPI_Alltoallw algorithm.
 	Alltoallw AlltoallwAlgo
-	// Outlier parameterizes nonuniformity detection for AGAdaptive.
-	Outlier kselect.OutlierParams
+	// OutlierThreshold is the outlier ratio at which AGAdaptive declares a
+	// volume set nonuniform.  Zero takes the paper's 16; the outlier
+	// fraction is always the paper's OUTLIER_FRACT (both in
+	// kselect.DefaultOutlierParams).
+	OutlierThreshold float64
 	// BinThresholdBytes is the Alltoallw boundary between the small and
 	// large bins.  Default 1 KiB.
 	BinThresholdBytes int
@@ -119,11 +122,8 @@ func (c Config) withDefaults() Config {
 	if c.BinThresholdBytes <= 0 {
 		c.BinThresholdBytes = DefaultBinThreshold
 	}
-	if c.Outlier.Fract == 0 {
-		c.Outlier.Fract = kselect.DefaultOutlierParams.Fract
-	}
-	if c.Outlier.Threshold == 0 {
-		c.Outlier.Threshold = kselect.DefaultOutlierParams.Threshold
+	if c.OutlierThreshold == 0 {
+		c.OutlierThreshold = kselect.DefaultOutlierParams.Threshold
 	}
 	// c.Datatype zero fields are filled by the pack engine itself.
 	return c

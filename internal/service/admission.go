@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"nccd/internal/datatype"
 )
 
 // ErrOverloaded is the sentinel every admission rejection wraps: the
@@ -26,8 +24,9 @@ func (e *OverloadedError) Error() string {
 
 func (e *OverloadedError) Unwrap() error { return ErrOverloaded }
 
-// AdmissionConfig holds the watermarks the admission controller checks at
-// submission time.  Zero fields take the defaults below.  All checks are
+// AdmissionConfig holds the job-count limits the admission controller
+// checks at submission time, beside the footprint watermark
+// maxActiveBytes.  Zero fields take the defaults below.  All checks are
 // process-local reads on the controller rank — cheap enough to run on
 // every POST.
 type AdmissionConfig struct {
@@ -36,16 +35,6 @@ type AdmissionConfig struct {
 	// MaxRunning bounds concurrently running jobs (further admitted jobs
 	// queue; the scheduler then time-slices the running set).
 	MaxRunning int
-	// MaxPoolBytes rejects when the datatype packed-buffer pool has more
-	// than this many bytes checked out (pack scratch, wire assembly — the
-	// memory signature of in-flight communication).
-	MaxPoolBytes int64
-	// MaxTransportBytes rejects when the mesh transport's occupancy gauge
-	// (in-flight + ring-backlog bytes) exceeds this.
-	MaxTransportBytes int64
-	// MaxActiveBytes rejects when the estimated resident bytes of running
-	// plus queued jobs, including the candidate, would exceed this.
-	MaxActiveBytes int64
 	// RetryAfter is the advisory backoff returned with rejections.
 	RetryAfter time.Duration
 }
@@ -53,13 +42,14 @@ type AdmissionConfig struct {
 // Admission defaults: sized for a small test fleet, overridable per
 // deployment.
 const (
-	DefaultMaxQueue          = 16
-	DefaultMaxRunning        = 4
-	DefaultMaxPoolBytes      = 1 << 30
-	DefaultMaxTransportBytes = 256 << 20
-	DefaultMaxActiveBytes    = 2 << 30
-	DefaultRetryAfter        = time.Second
+	DefaultMaxQueue   = 16
+	DefaultMaxRunning = 4
+	DefaultRetryAfter = time.Second
 )
+
+// maxActiveBytes rejects a job when the estimated resident bytes of the
+// running and queued jobs, the candidate included, would exceed it.
+const maxActiveBytes = 2 << 30
 
 func (a AdmissionConfig) withDefaults() AdmissionConfig {
 	if a.MaxQueue <= 0 {
@@ -67,15 +57,6 @@ func (a AdmissionConfig) withDefaults() AdmissionConfig {
 	}
 	if a.MaxRunning <= 0 {
 		a.MaxRunning = DefaultMaxRunning
-	}
-	if a.MaxPoolBytes <= 0 {
-		a.MaxPoolBytes = DefaultMaxPoolBytes
-	}
-	if a.MaxTransportBytes <= 0 {
-		a.MaxTransportBytes = DefaultMaxTransportBytes
-	}
-	if a.MaxActiveBytes <= 0 {
-		a.MaxActiveBytes = DefaultMaxActiveBytes
 	}
 	if a.RetryAfter <= 0 {
 		a.RetryAfter = DefaultRetryAfter
@@ -115,21 +96,9 @@ func (s *Service) admit(sp JobSpec) error {
 			RetryAfter: a.RetryAfter,
 		}
 	}
-	if pb := datatype.PoolOutstandingBytes(); pb > a.MaxPoolBytes {
+	if want := activeBytes + estBytes(sp); want > maxActiveBytes {
 		return &OverloadedError{
-			Reason:     fmt.Sprintf("packed-buffer pool occupancy %d B over watermark %d B", pb, a.MaxPoolBytes),
-			RetryAfter: a.RetryAfter,
-		}
-	}
-	if oc := s.mux.Occupancy().Total(); oc > a.MaxTransportBytes {
-		return &OverloadedError{
-			Reason:     fmt.Sprintf("transport occupancy %d B over watermark %d B", oc, a.MaxTransportBytes),
-			RetryAfter: a.RetryAfter,
-		}
-	}
-	if want := activeBytes + estBytes(sp); want > a.MaxActiveBytes {
-		return &OverloadedError{
-			Reason:     fmt.Sprintf("active job footprint %d B would exceed watermark %d B", want, a.MaxActiveBytes),
+			Reason:     fmt.Sprintf("active job footprint %d B would exceed watermark %d B", want, maxActiveBytes),
 			RetryAfter: a.RetryAfter,
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -13,7 +14,7 @@ import (
 // Handler returns the job API, mounted by the controller daemon on its
 // HTTP listener next to /debug/metrics and /dash:
 //
-//	POST /jobs            submit (JSON JobSpec) -> 202 {"id": N} | 429 + Retry-After | 413 over maxSpecBytes | 400 unknown field
+//	POST /jobs            submit (JSON JobSpec) -> 202 {"id": N} | 429 + Retry-After | 413 over maxSpecBytes | 400 unknown field or trailing data
 //	GET  /jobs            list every job's status
 //	GET  /jobs/<id>       one job's status and residual history
 //	POST /jobs/<id>/cancel  request cancellation -> 202
@@ -45,11 +46,20 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		// A field JobSpec does not have is refused, not ignored: a typo or a
 		// retired option would otherwise run a job the client did not ask for.
+		// So is anything but whitespace after the spec, which Decode leaves
+		// unread.
 		var spec JobSpec
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 		dec.DisallowUnknownFields()
-		err := dec.Decode(&spec)
 		var tooBig *http.MaxBytesError
+		err := dec.Decode(&spec)
+		if err == nil {
+			if _, err = dec.Token(); err == io.EOF {
+				err = nil
+			} else if !errors.As(err, &tooBig) {
+				err = errors.New("trailing data after the object")
+			}
+		}
 		switch {
 		case errors.As(err, &tooBig):
 			writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("job spec larger than %d bytes", tooBig.Limit))

@@ -256,6 +256,28 @@ func TestServiceEndToEnd(t *testing.T) {
 			t.Fatalf("POST %s: status %d body %q, want 400 containing %q", tc.body, resp.StatusCode, body, want)
 		}
 	}
+	// A spec followed by a second value or by junk is a 400 and queues no
+	// job: the decoder would otherwise read the first value and drop the rest.
+	s0.mu.Lock()
+	jobsBefore := len(s0.jobs)
+	s0.mu.Unlock()
+	for _, trailing := range []string{`{"extent":16}{"extent":999}`, `{"extent":16} junk`} {
+		resp, err = http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(trailing))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if want := "trailing data"; resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), want) {
+			t.Fatalf("POST %s: status %d body %q, want 400 containing %q", trailing, resp.StatusCode, body, want)
+		}
+	}
+	s0.mu.Lock()
+	jobsAfter := len(s0.jobs)
+	s0.mu.Unlock()
+	if jobsAfter != jobsBefore {
+		t.Fatalf("POSTs with trailing data queued %d jobs", jobsAfter-jobsBefore)
+	}
 	// A body over the 1 MiB limit is a 413 with a one-line error, however
 	// much more the client meant to send.
 	resp, err = http.Post(srv.URL+"/jobs", "application/json",

@@ -56,18 +56,6 @@ func (h *Hierarchical) Local(r int) bool { return r == h.self }
 // Wallclock reports true: both constituent transports run in real time.
 func (h *Hierarchical) Wallclock() bool { return true }
 
-// Occupancy sums the resource gauges of both sides of the router.
-func (h *Hierarchical) Occupancy() Occupancy {
-	var o Occupancy
-	if or, ok := h.intra.(OccupancyReporter); ok {
-		o.Add(or.Occupancy())
-	}
-	if or, ok := h.inter.(OccupancyReporter); ok {
-		o.Add(or.Occupancy())
-	}
-	return o
-}
-
 // sameNode reports whether rank r is co-located with self.
 func (h *Hierarchical) sameNode(r int) bool { return h.nodeOf[r] == h.nodeOf[h.self] }
 

@@ -88,15 +88,6 @@ func (m *Mux) Start() error {
 // Size is the mesh size in real ranks.
 func (m *Mux) Size() int { return m.real.Size() }
 
-// Occupancy forwards the underlying transport's resource gauges, zero if
-// it cannot report them.
-func (m *Mux) Occupancy() Occupancy {
-	if or, ok := m.real.(OccupancyReporter); ok {
-		return or.Occupancy()
-	}
-	return Occupancy{}
-}
-
 // OnPeer registers a service-level observer of mesh rank liveness, called
 // (on the transport's callback goroutine) with the real rank: down for a
 // failure, up for a respawned process re-entering the mesh.

@@ -118,7 +118,7 @@ func NewMemSegment(m, ringCap int, worldID uint64) (*Segment, error) {
 // O_CREATE and extends the file to the same size; the zero-filled pages a
 // fresh file maps to are the valid empty state, and the header handshake
 // below picks one initializer among racing attachers.
-func OpenFileSegment(path string, m, ringCap int, worldID uint64, timeout time.Duration) (*Segment, error) {
+func OpenFileSegment(path string, m, ringCap int, worldID uint64) (*Segment, error) {
 	if err := checkGeometry(m, ringCap); err != nil {
 		return nil, err
 	}
@@ -137,7 +137,7 @@ func OpenFileSegment(path string, m, ringCap int, worldID uint64, timeout time.D
 		return nil, err
 	}
 	s := &Segment{b: b, m: m, ringCap: ringCap, f: f, mapped: true}
-	if err := s.handshake(worldID, timeout); err != nil {
+	if err := s.handshake(worldID); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -155,13 +155,13 @@ func (s *Segment) initHeader(worldID uint64) {
 
 // handshake elects an initializer among concurrently attaching members
 // and validates the published geometry against the caller's expectation.
-func (s *Segment) handshake(worldID uint64, timeout time.Duration) error {
+func (s *Segment) handshake(worldID uint64) error {
 	magic := u64at(s.b, 0)
 	if magic.CompareAndSwap(0, segMagicInit) {
 		s.initHeader(worldID)
 		return nil
 	}
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(attachTimeout)
 	for magic.Load() != segMagic {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("shm: segment header never initialized")

@@ -60,7 +60,6 @@ type Config struct {
 	Seg  *Segment
 
 	RingBytes int // per-directed-ring data capacity (power of two, default 1 MiB)
-	MaxFrame  int // largest accepted payload (default fits the ring)
 
 	// Heartbeat is the presence-table failure detector's interval; silence
 	// is scored against transport.SuspectAfter and FailAfter.  Zero
@@ -68,24 +67,23 @@ type Config struct {
 	// run on a slow tick.
 	Heartbeat time.Duration
 
-	AttachTimeout time.Duration // wait for the group to attach (default 15s)
-	Epoch         uint64        // membership epoch published at attach
-	Rejoin        bool          // replacement endpoint: drain inbound rings at attach
+	Epoch  uint64 // membership epoch published at attach
+	Rejoin bool   // replacement endpoint: drain inbound rings at attach
 }
+
+// attachTimeout bounds the wait for the whole group to attach.
+const attachTimeout = 15 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.RingBytes == 0 {
 		c.RingBytes = 1 << 20
 	}
-	maxPayload := c.RingBytes - recordBytes(0)
-	if c.MaxFrame == 0 || c.MaxFrame > maxPayload {
-		c.MaxFrame = maxPayload
-	}
-	if c.AttachTimeout == 0 {
-		c.AttachTimeout = 15 * time.Second
-	}
 	return c
 }
+
+// maxFrame is the largest payload a ring holds: its capacity less one
+// record's prefix and header.
+func (t *Transport) maxFrame() int { return t.cfg.RingBytes - recordBytes(0) }
 
 // Stats is a snapshot of the ring and presence counters.  Like
 // transport.TCPStats these are per-endpoint numbers; register them under
@@ -181,7 +179,7 @@ func New(cfg Config) (*Transport, error) {
 		}
 		t.seg = cfg.Seg
 	case cfg.Path != "":
-		seg, err := OpenFileSegment(cfg.Path, m, cfg.RingBytes, cfg.WorldID, cfg.AttachTimeout)
+		seg, err := OpenFileSegment(cfg.Path, m, cfg.RingBytes, cfg.WorldID)
 		if err != nil {
 			return nil, err
 		}
@@ -288,22 +286,6 @@ func (t *Transport) SetEpoch(e uint64) {
 // equivalent of a SIGSTOP for failure-detection tests.
 func (t *Transport) PauseHeartbeats(pause bool) { t.paused.Store(pause) }
 
-// Occupancy reports the bytes currently sitting in this endpoint's
-// outbound rings — records pushed but not yet popped by their consumers.
-// The ring backlog is the shared-memory transport's natural backpressure
-// signal: a slow or stalled consumer shows up here long before a push
-// would block.
-func (t *Transport) Occupancy() transport.Occupancy {
-	var o transport.Occupancy
-	for _, p := range t.peers {
-		if p == nil || p.out == nil {
-			continue
-		}
-		o.BacklogBytes += int64(p.out.used())
-	}
-	return o
-}
-
 // Stats returns a snapshot of the endpoint's counters.
 func (t *Transport) Stats() Stats {
 	c := &t.stats
@@ -341,7 +323,7 @@ func (t *Transport) Start(deliver transport.Handler, peer transport.PeerFunc) er
 	}
 	t.deliver = deliver
 	t.peer = peer
-	deadline := time.Now().Add(t.cfg.AttachTimeout)
+	deadline := time.Now().Add(attachTimeout)
 	for _, p := range t.peers {
 		if p == nil {
 			continue
@@ -352,7 +334,7 @@ func (t *Transport) Start(deliver transport.Handler, peer transport.PeerFunc) er
 				return transport.ErrClosed
 			}
 			if time.Now().After(deadline) {
-				return fmt.Errorf("shm: rank %d never attached within %v", p.rank, t.cfg.AttachTimeout)
+				return fmt.Errorf("shm: rank %d never attached within %v", p.rank, attachTimeout)
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
@@ -431,8 +413,8 @@ func spinBudget(want int) int {
 // push publishes one record to p's outbound ring, waiting out
 // backpressure.  Caller holds p.wmu (the single-producer guarantee).
 func (t *Transport) push(p *shmPeer, hdr *transport.Header, payload []byte) error {
-	if len(payload) > t.cfg.MaxFrame {
-		return fmt.Errorf("shm: %d-byte payload exceeds frame limit %d", len(payload), t.cfg.MaxFrame)
+	if len(payload) > t.maxFrame() {
+		return fmt.Errorf("shm: %d-byte payload exceeds frame limit %d", len(payload), t.maxFrame())
 	}
 	budget := spinBudget(128)
 	spins := 0
@@ -534,7 +516,7 @@ func (t *Transport) pollLoop() {
 func (t *Transport) drainRing(p *shmPeer) bool {
 	any := false
 	for n := 0; n < 32; n++ {
-		hdr, payload, ok, err := p.in.tryPop(t.cfg.MaxFrame)
+		hdr, payload, ok, err := p.in.tryPop(t.maxFrame())
 		if err != nil {
 			p.in.drain()
 			t.peerDown(p, err.Error())

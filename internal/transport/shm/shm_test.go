@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -132,6 +133,44 @@ func TestSendRecvPair(t *testing.T) {
 			t.Fatalf("message %d: %d bytes", i, len(sinks[1].got[i]))
 		}
 	}
+}
+
+// TestFrameLimitIsRingCapacity: the largest payload is what one record
+// leaves of a ring, RingBytes − recordBytes(0).  A payload of exactly that
+// size fills the empty ring and arrives intact; one byte more is refused at
+// once, before any wait for space, and its buffer goes back to the pool.
+func TestFrameLimitIsRingCapacity(t *testing.T) {
+	trs, sinks := startGroup(t, 2, 0)
+	poolBase := datatype.PoolOutstandingBytes()
+	limit := 1<<16 - recordBytes(0)
+	payload := datatype.GetBuffer(limit)
+	for i := range payload {
+		payload[i] = byte(i*7 + 3)
+	}
+	want := append([]byte(nil), payload...)
+	if err := trs[0].Send(1, transport.Header{Tag: 1}, payload); err != nil {
+		t.Fatalf("send of %d bytes: %v", limit, err)
+	}
+	sinks[1].wait(t, 1)
+	sinks[1].mu.Lock()
+	got := sinks[1].got[0]
+	sinks[1].mu.Unlock()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%d-byte payload arrived as %d bytes, or changed", limit, len(got))
+	}
+
+	start := time.Now()
+	err := trs[0].Send(1, transport.Header{Tag: 2}, datatype.GetBuffer(limit+1))
+	if err == nil || !strings.Contains(err.Error(), "exceeds frame limit") {
+		t.Fatalf("send of %d bytes returned %v, want the frame-limit error", limit+1, err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("refusal took %v", d)
+	}
+	if st := trs[0].Stats(); st.RingFullStalls != 0 || st.FramesSent != 1 {
+		t.Fatalf("stats %+v: want 1 frame sent and no stall", st)
+	}
+	waitUntil(t, "pool balance", func() bool { return datatype.PoolOutstandingBytes() == poolBase })
 }
 
 // TestBackpressureCounted overruns a ring much smaller than the traffic

@@ -56,11 +56,6 @@ type TCP struct {
 
 	stats tcpCounters
 
-	// inflight gauges payload bytes inside Send calls still being written
-	// to the socket.  It backs Occupancy, the admission watermark signal of
-	// the multi-tenant service.
-	inflight atomic.Int64
-
 	// tracer, when set, records wall-clock spans for wire operations.  An
 	// atomic pointer so reader goroutines may race SetTracer safely; the
 	// world wires it before Start in practice.
@@ -84,8 +79,6 @@ type TCPConfig struct {
 	Listener net.Listener
 	// DialTimeout bounds Start's mesh establishment.  Default 15 s.
 	DialTimeout time.Duration
-	// MaxFrame bounds a single frame's wire size.  Default 256 MiB.
-	MaxFrame int
 	// Heartbeat is the failure detector's interval: every interval the
 	// endpoint beats each connected peer and scores its silence against
 	// SuspectAfter and FailAfter.  Zero disables the detector (clean-close
@@ -104,9 +97,6 @@ type TCPConfig struct {
 func (c TCPConfig) withDefaults() TCPConfig {
 	if c.DialTimeout == 0 {
 		c.DialTimeout = 15 * time.Second
-	}
-	if c.MaxFrame == 0 {
-		c.MaxFrame = DefaultMaxFrame
 	}
 	return c
 }
@@ -201,11 +191,6 @@ func (t *TCP) Local(r int) bool { return r == t.cfg.Rank }
 
 // Wallclock reports true: this transport has no virtual-time coupling.
 func (t *TCP) Wallclock() bool { return true }
-
-// Occupancy reports payload bytes currently being written to a socket.
-func (t *TCP) Occupancy() Occupancy {
-	return Occupancy{InflightBytes: t.inflight.Load()}
-}
 
 // SetTracer attaches a span recorder to the endpoint.  Wire operations
 // trace as ClockWall spans on the hosted rank's wall lane.
@@ -483,7 +468,7 @@ func (t *TCP) readFrame(br *bufio.Reader) (Frame, error) {
 		return Frame{}, err
 	}
 	n := int(binary.LittleEndian.Uint32(prefix))
-	if n < 1+frameTrailerLen || n > t.cfg.MaxFrame {
+	if n < 1+frameTrailerLen || n > DefaultMaxFrame {
 		return Frame{}, ErrFrameLength
 	}
 	buf := datatype.GetBuffer(framePrefixLen + n)
@@ -491,7 +476,7 @@ func (t *TCP) readFrame(br *bufio.Reader) (Frame, error) {
 		datatype.PutBuffer(buf)
 		return Frame{}, err
 	}
-	f, _, err := DecodeFrame(buf, t.cfg.MaxFrame)
+	f, _, err := DecodeFrame(buf, DefaultMaxFrame)
 	if err != nil {
 		datatype.PutBuffer(buf)
 		return Frame{}, err
@@ -602,9 +587,6 @@ func (t *TCP) send(to int, hdr Header, payload []byte) error {
 	if !p.alive.Load() {
 		return &PeerDownError{Rank: to}
 	}
-	nbytes := int64(len(payload))
-	t.inflight.Add(nbytes)
-	defer t.inflight.Add(-nbytes)
 	start, traced := t.traceNow()
 	gen, err := t.writeData(p, &hdr, payload)
 	if err != nil {
@@ -614,7 +596,7 @@ func (t *TCP) send(to int, hdr Header, payload []byte) error {
 	t.stats.framesSent.Add(1)
 	if traced {
 		if end, ok := t.traceNow(); ok {
-			t.trace("tcp_send", to, nbytes, start, end, IdentAttrs(hdr)...)
+			t.trace("tcp_send", to, int64(len(payload)), start, end, IdentAttrs(hdr)...)
 		}
 	}
 	return nil

@@ -126,36 +126,6 @@ type Transport interface {
 	Close() error
 }
 
-// Occupancy is a transport's instantaneous resource usage, the raw signal
-// behind service-level admission control: how many bytes are committed to
-// the wire but not yet known delivered.  All fields are best-effort
-// gauges read from atomics — momentary, not monotonic.
-type Occupancy struct {
-	// InflightBytes counts payload bytes inside Send calls still being
-	// written to a socket.
-	InflightBytes int64 `json:"inflight_bytes"`
-	// BacklogBytes counts bytes sitting in local send-side buffers: bytes
-	// of frames mid-write on a socket, or occupying shared-memory send
-	// rings awaiting the consumer.
-	BacklogBytes int64 `json:"backlog_bytes"`
-}
-
-// Add accumulates other into o (for transports composed of layers).
-func (o *Occupancy) Add(other Occupancy) {
-	o.InflightBytes += other.InflightBytes
-	o.BacklogBytes += other.BacklogBytes
-}
-
-// Total is the sum of every occupancy component.
-func (o Occupancy) Total() int64 { return o.InflightBytes + o.BacklogBytes }
-
-// OccupancyReporter is implemented by transports that can report their
-// send-side resource usage.  Admission control polls it to decide whether
-// the mesh has headroom for another job.
-type OccupancyReporter interface {
-	Occupancy() Occupancy
-}
-
 // Typed transport errors.  The mpi layer reports a failed send as
 // ErrRankFailed.
 var (
