@@ -77,6 +77,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *serveStress < 3 {
 			return usage(fmt.Errorf("-servestress %d too small (need >= 3: rank 0 hosts the controller, the last rank is killed)", *serveStress))
 		}
+		if err := spec.ValidateServe(); err != nil {
+			return usage(err)
+		}
 		code = runServeStress(*serveStress, *daemon, spec)
 	case *tcp > 0:
 		n := *tcp * spec.PerNode

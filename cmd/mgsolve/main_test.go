@@ -27,6 +27,14 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{[]string{"-tcp", "2", "-arm=nosuch"}, `unknown arm "nosuch"`},
 		{[]string{"-servestress", "2", "-arm=nosuch"}, `unknown arm "nosuch"`},
 		{[]string{"-servestress", "2"}, "-servestress 2 too small"},
+		{[]string{"-servestress", "4", "-pernode=2"}, "-pernode 2"},
+		{[]string{"-servestress", "4", "-drop=0.5"}, "-drop 0.5"},
+		{[]string{"-servestress", "4", "-corrupt=0.1"}, "-corrupt 0.1"},
+		{[]string{"-servestress", "4", "-dup=0.1"}, "-dup 0.1"},
+		{[]string{"-servestress", "4", "-delaymean=1e-05"}, "-delaymean 1e-05"},
+		{[]string{"-servestress", "4", "-aggr=7"}, "-aggr 7"},
+		{[]string{"-servestress", "4", "-stripe=4096"}, "-stripe 4096"},
+		{[]string{"-servestress", "4", "-iofault=eio=0.5"}, "-iofault eio=0.5"},
 		{[]string{"-np", "2", "-analyze", "-arm=nosuch"}, `unknown arm "nosuch"`},
 		{nil, "no mode selected"},
 		{[]string{"-tcp", "2", "-extent=100", "-levels=4"}, "extent 100 not divisible"},

@@ -56,7 +56,10 @@
 // is respawned by its supervisor with -rejoin -epoch N and the same
 // rank/address; only the jobs mapped onto that rank abort — they heal
 // from their own checkpoints (-ckpt) while untouched jobs run on
-// undisturbed.
+// undisturbed.  Jobs run on flat TCP with no fault plan and default
+// checkpoint options, so a serving daemon refuses a non-default -pernode,
+// -drop, -corrupt, -dup, -delaymean, -aggr, -stripe or -iofault, and any
+// -spans or -metrics, with one line and exit 2.
 package main
 
 import (
@@ -133,6 +136,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ob := bench.DaemonObs{SpansPath: *spans, MetricsAddr: *metrics}
 
 	if *serve != "" {
+		// The service builds its own mesh and jobs and records no run of
+		// its own: a flag it would silently ignore is refused instead.
+		if err := spec.ValidateServe(); err != nil {
+			return fail(2, err)
+		}
+		switch {
+		case *spans != "":
+			return fail(2, fmt.Errorf("-spans %s: a serving daemon cannot honour it (it records no spans)", *spans))
+		case *metrics != "":
+			return fail(2, fmt.Errorf("-metrics %s: a serving daemon cannot honour it (rank 0 serves /debug/metrics and /dash on the -serve address)", *metrics))
+		}
 		if err := runService(tcfg, spec, *serve); err != nil {
 			return fail(1, fmt.Errorf("rank %d: %w", *rank, err))
 		}

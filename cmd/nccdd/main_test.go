@@ -16,6 +16,7 @@ import (
 // stdout, where the launcher reads the daemon's protocol lines.
 func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 	two := []string{"-n", "2", "-addrs", "127.0.0.1:1,127.0.0.1:2"}
+	serve := append([]string{"-rank", "0", "-serve", "127.0.0.1:0"}, two...)
 	for _, tc := range []struct {
 		args []string
 		want string // what the line must name
@@ -43,6 +44,16 @@ func TestBadInputExitsTwoWithOneLine(t *testing.T) {
 		{append([]string{"-rank", "1", "-rejoin", "-ckpt", "/nonexistent"}, two...), "-epoch 1 or later"},
 		{[]string{"-rank", "0", "-n", "3", "-addrs", "127.0.0.1:1,127.0.0.1:2,127.0.0.1:3", "-pernode=2"}, "-pernode 2 does not divide the world's 3 ranks"},
 		{append([]string{"-rank", "0", "-pernode=2"}, two...), "-pernode 2 needs -shmdir"},
+		{append([]string{"-pernode=2", "-shmdir", "/nonexistent"}, serve...), "-pernode 2"},
+		{append([]string{"-drop=0.5"}, serve...), "-drop 0.5"},
+		{append([]string{"-corrupt=0.1"}, serve...), "-corrupt 0.1"},
+		{append([]string{"-dup=0.1"}, serve...), "-dup 0.1"},
+		{append([]string{"-delaymean=1e-05"}, serve...), "-delaymean 1e-05"},
+		{append([]string{"-aggr=7"}, serve...), "-aggr 7"},
+		{append([]string{"-stripe=4096"}, serve...), "-stripe 4096"},
+		{append([]string{"-iofault=eio=0.5"}, serve...), "-iofault eio=0.5"},
+		{append([]string{"-spans=/tmp/x.spans"}, serve...), "-spans /tmp/x.spans"},
+		{append([]string{"-metrics=127.0.0.1:0"}, serve...), "-metrics 127.0.0.1:0"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {

@@ -1,9 +1,8 @@
 // Command repro regenerates the tables and figures of the paper's
 // evaluation section, printing paper-vs-measured tables suitable for
 // EXPERIMENTS.md.  -fig picks one figure (12, 13, 14a, 14b, 15, 16, 17), the
-// ablation studies (ablate), the AMR extension experiment (amr), the
-// Alltoallw timeline chart behind Figure 15 (timeline), the crash-recovery
-// demo (faults) or the checkpoint I/O fault matrix (iomatrix); the default,
+// ablation studies (ablate), the Alltoallw timeline chart behind Figure 15
+// (timeline), the crash-recovery demo (faults) or the checkpoint I/O fault matrix (iomatrix); the default,
 // all, runs Figures 12 through 17 in order.  Use -quick for a reduced sweep
 // during development.  A figure that fails (a crash row that does not
 // recover, a fault cell that does not heal) makes repro exit 1.
@@ -85,7 +84,7 @@ var quickSweep = sweep{
 }
 
 // figures lists what -fig accepts, in the order "all" runs them.  The
-// ablation, AMR, timeline and fault studies are extensions, not paper
+// ablation, timeline and fault studies are extensions, not paper
 // tables: they are not part of "all".
 var figures = []struct {
 	name  string
@@ -114,10 +113,6 @@ var figures = []struct {
 		bench.AblateOutlierThreshold([]float64{1.5, 2, 4, 8, 16, 64}, iters).Print(w)
 		mgp := bench.MultigridParams{Extent: 48, Levels: 3, Rtol: 1e-6, MaxCycles: 30}
 		bench.AblateAgglomeration([]int{16, 32, 64, 128}, mgp, 2048).Print(w)
-	})},
-	{"amr", false, table(func(_ *sweep, w io.Writer) {
-		bench.AMRByProcs([]int{4, 8, 16, 32, 64, 128}, bench.DefaultAMRParams).Print(w)
-		bench.AMRByImbalance([]float64{0, 0.5, 1, 2, 4, 8}, 64, bench.DefaultAMRParams).Print(w)
 	})},
 	{"timeline", false, timeline},
 	{"faults", false, faults},
@@ -268,46 +263,55 @@ func chart(out io.Writer, n int, algo mpi.AlltoallwAlgo) error {
 const faultSeed = 20250806
 
 // faults prints the reliability layer's overhead under lossy links, then
-// the multigrid solve recovering from a rank crash by Comm.Shrink three
-// ways: from a checkpoint, with the root rank gone, and from scratch (the
-// crash comes before the first checkpoint).  A solve that misses its
-// tolerance or the clean history after the crash, or never sees the crash,
-// is an error.
+// the multigrid solve healing from a rank crash three ways: from a
+// checkpoint, with the root rank gone, and from scratch (the crash comes
+// before the first checkpoint).  Each heals the one way there is: the dead
+// rank is respawned, the full-size communicator regrown by Comm.Restore and
+// the solve resumed.  A solve that misses its tolerance or the clean
+// history after the crash, restores from the wrong place, or never sees the
+// crash, is an error.
 func faults(s *sweep, w io.Writer) error {
 	n, p := s.faultProcs, s.fault
 	bench.FaultOverhead(n, []float64{0.001, 0.01, 0.05}, s.faultIters, faultSeed).Print(w)
 	for _, c := range []struct {
-		rank int
-		frac float64
-	}{{n - 1, 0.5}, {0, 0.5}, {n - 1, 0.01}} {
+		rank    int
+		frac    float64
+		scratch bool // the crash comes before the first checkpoint
+	}{{n - 1, 0.5, false}, {0, 0.5, false}, {n - 1, 0.01, true}} {
 		fmt.Fprintf(w, "FAULTSIM: %d^3 multigrid on %d ranks, rank %d crashes at %.0f%% of the clean solve\n",
 			p.Extent, n, c.rank, 100*c.frac)
-		res, err := bench.RunMultigridFaulted(n, p, c.rank, c.frac)
+		fail := func(format string, a ...any) error {
+			return fmt.Errorf("rank %d crash at %.0f%%: %s", c.rank, 100*c.frac, fmt.Sprintf(format, a...))
+		}
+		run, err := bench.RunMultigridSelfHeal(n, p, c.rank, c.frac, nil, ckptio.Options{})
 		if err != nil {
-			return fmt.Errorf("rank %d crash at %.0f%%: %w", c.rank, 100*c.frac, err)
+			return fail("%v", err)
 		}
-		fmt.Fprintf(w, "  clean solve:    %d cycles, %.4f s virtual\n", res.CleanCycles, res.CleanSeconds)
-		fmt.Fprintf(w, "  crash injected: t=%.4f s\n", res.CrashAt)
+		res := run.Result
+		fmt.Fprintf(w, "  clean solve:    %d cycles, %.4f s virtual\n", run.CleanCycles, run.CleanSeconds)
+		fmt.Fprintf(w, "  crash injected: t=%.4f s\n", c.frac*run.CleanSeconds)
 		switch {
-		case res.Survivors == n:
-			return fmt.Errorf("rank %d crash at %.0f%%: the solve converged first; no recovery exercised", c.rank, 100*c.frac)
-		case res.CheckpointAt == 0:
-			fmt.Fprintf(w, "  recovery:       shrink to %d survivors, restart from scratch (crash before the first checkpoint)\n",
-				res.Survivors)
+		case run.Respawns == 0:
+			return fail("the solve converged first; no recovery exercised")
+		case res.RestoredAt == 0:
+			fmt.Fprintf(w, "  recovery:       respawn rank %d, regrow to %d ranks, restart from scratch (crash before the first checkpoint)\n",
+				c.rank, res.FinalSize)
 		default:
-			fmt.Fprintf(w, "  recovery:       shrink to %d survivors, restart from checkpoint of cycle %d\n",
-				res.Survivors, res.CheckpointAt)
+			fmt.Fprintf(w, "  recovery:       respawn rank %d, regrow to %d ranks, restart from checkpoint of cycle %d\n",
+				c.rank, res.FinalSize, res.RestoredAt)
 		}
-		fmt.Fprintf(w, "  restarted run:  %d cycles to relative residual %.3e (target %.0e)\n",
-			res.CyclesAfter, res.RelRes, p.Rtol)
-		fmt.Fprintf(w, "  faulted total:  %.4f s virtual (clean %.4f s)\n", res.Seconds, res.CleanSeconds)
-		if !res.Recovered {
-			return fmt.Errorf("rank %d crash at %.0f%%: the restarted solve missed its tolerance", c.rank, 100*c.frac)
+		fmt.Fprintf(w, "  resumed run:    %d cycles to relative residual %.3e (target %.0e)\n",
+			res.Cycles-max(res.RestoredAt, 0), res.RelRes, p.Rtol)
+		fmt.Fprintf(w, "  healed total:   %.4f s virtual (clean %.4f s)\n", run.Seconds, run.CleanSeconds)
+		switch {
+		case !res.Healed || res.RelRes > p.Rtol:
+			return fail("the resumed solve missed its tolerance")
+		case !run.HistoryMatches:
+			return fail("the resumed solve's history is not the clean solve's")
+		case c.scratch != (res.RestoredAt == 0):
+			return fail("restored from cycle %d", res.RestoredAt)
 		}
-		if !res.HistoryMatches {
-			return fmt.Errorf("rank %d crash at %.0f%%: the restarted solve's history is not the clean solve's", c.rank, 100*c.frac)
-		}
-		fmt.Fprintln(w, "  RESULT: solve converged after mid-solve rank crash via Comm.Shrink()")
+		fmt.Fprintln(w, "  RESULT: solve converged after mid-solve rank crash via respawn and Comm.Restore()")
 	}
 	return nil
 }

@@ -48,7 +48,7 @@ func TestFigAllQuickPrintsEveryFigureInOrder(t *testing.T) {
 		}
 		rest = rest[i+len(header):]
 	}
-	for _, extension := range []string{"ABLATE-", "-AMR:", "=== Alltoallw", "FAULT-OVERHEAD:", "FAULTSIM:"} {
+	for _, extension := range []string{"ABLATE-", "=== Alltoallw", "FAULT-OVERHEAD:", "FAULTSIM:"} {
 		if strings.Contains(stdout.String(), extension) {
 			t.Errorf("-fig all printed the %s extension tables", extension)
 		}
@@ -56,7 +56,8 @@ func TestFigAllQuickPrintsEveryFigureInOrder(t *testing.T) {
 }
 
 // TestSweepsFitTheirWorlds: both sweeps' multigrid problems decompose over
-// every rank count they run on, the crash rows' survivors included.
+// every rank count they run on.  A crash row heals back to full size, so it
+// runs on faultProcs ranks only.
 func TestSweepsFitTheirWorlds(t *testing.T) {
 	for _, s := range []*sweep{&fullSweep, &quickSweep} {
 		for _, n := range s.mgProcs {
@@ -64,10 +65,8 @@ func TestSweepsFitTheirWorlds(t *testing.T) {
 				t.Errorf("Figure 17 on %d ranks: %v", n, err)
 			}
 		}
-		for _, n := range []int{s.faultProcs, s.faultProcs - 1} {
-			if err := s.fault.Validate(n); err != nil {
-				t.Errorf("faults on %d ranks: %v", n, err)
-			}
+		if err := s.fault.Validate(s.faultProcs); err != nil {
+			t.Errorf("faults on %d ranks: %v", s.faultProcs, err)
 		}
 	}
 }
@@ -98,8 +97,8 @@ func TestFigTimelineQuick(t *testing.T) {
 }
 
 // TestFigFaultsRecoveryDemoRuns: at both ends of the crash-rank range the
-// survivors recover from a checkpoint, the root rank's crash included, and
-// every crash row converges.
+// respawned world resumes from a checkpoint, the root rank's crash included,
+// and every crash row converges.
 func TestFigFaultsRecoveryDemoRuns(t *testing.T) {
 	out := runFig(t, "-fig", "faults", "-quick")
 	for _, want := range []string{"rank 3 crashes at 50%", "rank 0 crashes at 50%", "restart from checkpoint of cycle 3"} {
@@ -107,21 +106,21 @@ func TestFigFaultsRecoveryDemoRuns(t *testing.T) {
 			t.Errorf("output lacks %q:\n%s", want, out)
 		}
 	}
-	if got := strings.Count(out, "RESULT: solve converged after mid-solve rank crash via Comm.Shrink()"); got != 3 {
+	if got := strings.Count(out, "RESULT: solve converged after mid-solve rank crash via respawn and Comm.Restore()"); got != 3 {
 		t.Errorf("%d of 3 crash rows converged:\n%s", got, out)
 	}
 }
 
 // TestFigFaultsCrashBeforeFirstCheckpointRestarts: a crash before the first
-// checkpoint leaves nothing to restore; the survivors solve again from
-// cycle 0 on the shrunk communicator instead of panicking.
+// checkpoint leaves nothing to restore; the regrown world solves again from
+// cycle 0 instead of panicking.
 func TestFigFaultsCrashBeforeFirstCheckpointRestarts(t *testing.T) {
 	out := runFig(t, "-fig", "faults", "-quick")
 	_, row, ok := strings.Cut(out, "rank 3 crashes at 1%")
 	if !ok {
 		t.Fatalf("output lacks the 1%% crash row:\n%s", out)
 	}
-	for _, want := range []string{"shrink to 3 survivors, restart from scratch", "RESULT: solve converged after mid-solve rank crash"} {
+	for _, want := range []string{"regrow to 4 ranks, restart from scratch", "RESULT: solve converged after mid-solve rank crash"} {
 		if !strings.Contains(row, want) {
 			t.Errorf("1%% crash row lacks %q:\n%s", want, out)
 		}

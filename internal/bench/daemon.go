@@ -229,6 +229,23 @@ func (s DaemonSpec) Validate(ranks int) error {
 	return err
 }
 
+// ValidateServe reports the first of s's flags a serving daemon cannot
+// honour, or nil: the service runs every job on one flat TCP mesh, with no
+// link fault plan and default checkpoint options.  It compares values, not
+// whether a flag was set, since a launcher forwards every flag by name.
+func (s DaemonSpec) ValidateServe() error {
+	var bound DaemonSpec
+	fs := flag.NewFlagSet("", flag.ContinueOnError)
+	bound.Flags(fs)
+	bound = s // the flags point into bound, so they now read s
+	for _, name := range []string{"pernode", "drop", "corrupt", "dup", "delaymean", "aggr", "stripe", "iofault"} {
+		if f := fs.Lookup(name); f.Value.String() != f.DefValue {
+			return fmt.Errorf("-%s %s: a serving daemon cannot honour it (jobs run on flat TCP, without a fault plan, with default checkpoint options)", name, f.Value)
+		}
+	}
+	return nil
+}
+
 // CoreArm resolves the arm of a validated spec.
 func (s DaemonSpec) CoreArm() core.Arm {
 	cfg, mode, err := ArmByName(s.Arm)

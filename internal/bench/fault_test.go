@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"nccd/internal/datatype"
-	"nccd/internal/mg"
 	"nccd/internal/mpi"
 	"nccd/internal/petsc"
 	"nccd/internal/simnet"
@@ -171,57 +170,5 @@ func TestFaultOverheadExperiment(t *testing.T) {
 	ov, _ := e.Value("0.02", "overhead %")
 	if ov <= 0 {
 		t.Fatalf("lossy run has non-positive overhead %v", ov)
-	}
-}
-
-// TestMultigridRecoversFromCrash drives the full recovery loop on a small
-// grid: crash mid-solve, shrink, re-decompose, restore, converge, through
-// the clean solve's history bit for bit.  The second row keeps the coarsest
-// level on a two-rank sub-communicator (of the four ranks and of the three
-// survivors), which the unwinding solve must revoke along with the whole
-// communicator; the third spreads it over four ranks and then three.
-func TestMultigridRecoversFromCrash(t *testing.T) {
-	for _, agg := range []int{0, 256, 1} {
-		p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 40, AgglomerateCells: agg}
-		if agg > 1 && (mg.LevelRanks(4, 8*8*8, true, agg) != 2 || mg.LevelRanks(3, 8*8*8, true, agg) != 2) {
-			t.Fatalf("agglomerate %d: coarsest level not on two ranks", agg)
-		}
-		res, err := RunMultigridFaulted(4, p, 2, 0.5)
-		if err != nil {
-			t.Fatalf("agglomerate %d: %v", agg, err)
-		}
-		if !res.Recovered {
-			t.Fatalf("agglomerate %d: solve did not recover: %+v", agg, res)
-		}
-		if !res.HistoryMatches {
-			t.Fatalf("agglomerate %d: the restarted history is not the clean solve's: %+v", agg, res)
-		}
-		if res.Survivors != 3 {
-			t.Fatalf("agglomerate %d: expected 3 survivors, got %d", agg, res.Survivors)
-		}
-		if res.CheckpointAt < 1 {
-			t.Fatalf("agglomerate %d: restart did not use a checkpoint: %+v", agg, res)
-		}
-		if res.RelRes > p.Rtol*1.01 {
-			t.Fatalf("agglomerate %d: recovered solve missed the original tolerance: %+v", agg, res)
-		}
-		// Restarting from the checkpoint must beat solving from scratch.
-		if res.CyclesAfter >= res.CleanCycles {
-			t.Fatalf("agglomerate %d: restart gained nothing over a cold start: %+v", agg, res)
-		}
-	}
-}
-
-// TestMultigridRestartsBeforeFirstCheckpoint: a crash before the first
-// checkpoint leaves the survivors nothing to restore, so they solve again
-// from cycle 0 on the shrunk communicator.
-func TestMultigridRestartsBeforeFirstCheckpoint(t *testing.T) {
-	p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 40}
-	res, err := RunMultigridFaulted(4, p, 3, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Survivors != 3 || res.CheckpointAt != 0 || !res.Recovered || res.CyclesAfter != res.CleanCycles {
-		t.Fatalf("want a from-scratch restart on 3 survivors in %d cycles: %+v", res.CleanCycles, res)
 	}
 }

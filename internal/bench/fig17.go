@@ -207,7 +207,7 @@ func mgSetup(cc *mpi.Comm, p MultigridParams, mode petsc.ScatterMode) (*mg.Solve
 // MultigridRank is the per-rank body of the Fig17 application: the 3-D
 // Laplacian on an Extent^3 grid with separable forcing, solved by
 // multigrid.  It is the one place a multigrid solve is built, restored and
-// run: the figures, the service, the shrink and regrow recovery loops and
+// run: the figures, the service, the self-healing recovery loop and
 // the daemons all call it.  Collective over c; comm failures surface as the
 // mpi layer's panics (wrap the caller in mpi.Guard), and on the way out
 // they revoke every communicator the solver holds, so peers still parked

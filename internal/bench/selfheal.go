@@ -127,6 +127,7 @@ func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, s
 // plus the healed run, with the bitwise history comparison already made.
 type SelfHealRun struct {
 	CleanCycles  int
+	CleanSeconds float64 // virtual time of the fault-free reference
 	CleanHistory []float64
 	Result       SelfHealResult // rank 0's outcome
 	Respawns     int
@@ -157,9 +158,9 @@ func RunMultigridSelfHeal(n int, p MultigridParams, crashRank int, crashFrac flo
 
 	w := NewFaultyWorld(n, mpi.Optimized(), nil)
 	clean := RunMultigridWorld(w, p, petsc.ScatterDatatype)
-	out.CleanCycles, out.CleanHistory = clean.Cycles, clean.History
+	out.CleanCycles, out.CleanSeconds, out.CleanHistory = clean.Cycles, w.MaxClock(), clean.History
 
-	plan := &simnet.FaultPlan{CrashAt: map[int]float64{crashRank: crashFrac * w.MaxClock()}}
+	plan := &simnet.FaultPlan{CrashAt: map[int]float64{crashRank: crashFrac * out.CleanSeconds}}
 	if fp != nil {
 		plan.Seed = fp.Seed
 		plan.Drop, plan.Duplicate, plan.Corrupt = fp.Drop, fp.Duplicate, fp.Corrupt

@@ -52,6 +52,93 @@ func TestSelfHealMultigrid(t *testing.T) {
 	}
 }
 
+// TestMultigridRecoversFromCrash checks what the recovered solve delivers:
+// rank 2 dies mid-solve, the world regrows, and the solve resumes from a
+// mid-solve checkpoint, meets the original tolerance through the clean
+// solve's history bit for bit, and needs fewer cycles than a cold start.
+// The rows keep the coarsest level on every rank, on a two-rank
+// sub-communicator, and spread over all four ranks.
+func TestMultigridRecoversFromCrash(t *testing.T) {
+	for _, agg := range []int{0, 256, 1} {
+		p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 40, AgglomerateCells: agg}
+		if want := map[int]int{256: 2, 1: 4}[agg]; want > 0 && mg.LevelRanks(4, 8*8*8, true, agg) != want {
+			t.Fatalf("agglomerate %d: coarsest level not on %d ranks", agg, want)
+		}
+		run, err := RunMultigridSelfHeal(4, p, 2, 0.5, nil, ckptio.Options{})
+		if err != nil {
+			t.Fatalf("agglomerate %d: %v", agg, err)
+		}
+		res := run.Result
+		if !res.Healed || res.FinalSize != 4 {
+			t.Fatalf("agglomerate %d: solve did not recover: %+v", agg, res)
+		}
+		if !run.HistoryMatches {
+			t.Fatalf("agglomerate %d: the restarted history is not the clean solve's: %+v", agg, res)
+		}
+		if res.RestoredAt < 1 {
+			t.Fatalf("agglomerate %d: restart did not use a checkpoint: %+v", agg, res)
+		}
+		if res.RelRes > p.Rtol*1.01 {
+			t.Fatalf("agglomerate %d: recovered solve missed the original tolerance: %+v", agg, res)
+		}
+		// Restarting from the checkpoint must beat solving from scratch.
+		if res.Cycles-res.RestoredAt >= run.CleanCycles {
+			t.Fatalf("agglomerate %d: restart gained nothing over a cold start: %+v", agg, res)
+		}
+	}
+}
+
+// TestMultigridRestartsBeforeFirstCheckpoint: a crash before the first
+// checkpoint leaves nothing to restore, so the regrown world solves again
+// from cycle 0, through the clean solve's history bit for bit.
+func TestMultigridRestartsBeforeFirstCheckpoint(t *testing.T) {
+	p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 40}
+	run, err := RunMultigridSelfHeal(4, p, 3, 0.01, nil, ckptio.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := run.Result
+	if run.Respawns != 1 || !res.Healed || res.RestoredAt != 0 || res.Cycles != run.CleanCycles || !run.HistoryMatches {
+		t.Fatalf("want a from-scratch restart at full size in %d cycles: respawns=%d %+v", run.CleanCycles, run.Respawns, res)
+	}
+}
+
+// TestSelfHealEveryKillPoint kills each of ranks 0-3 at every 1% of the
+// clean solve's virtual clock.  Every run either finishes before the crash
+// fires or heals through the clean history bit for bit; none may return an
+// error.  It pins the checkpoint commit: a survivor that has entered the
+// collective write must never wait there for one that has unwound into
+// Restore.  Under the race detector a strided subset of the points runs.
+func TestSelfHealEveryKillPoint(t *testing.T) {
+	p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 40}
+	stride := 1
+	if raceEnabled {
+		stride = 7
+	}
+	failed, healed, points := 0, 0, 0
+	for rank := range 4 {
+		for k := 1; k < 100; k += stride {
+			run, err := RunMultigridSelfHeal(4, p, rank, float64(k)/100, nil, ckptio.Options{})
+			points++
+			if err == nil && run.Respawns > 0 {
+				healed++
+			}
+			switch {
+			case err != nil:
+				t.Errorf("rank %d at %d%%: %v", rank, k, err)
+			case run.Respawns > 0 && !run.HistoryMatches:
+				t.Errorf("rank %d at %d%%: healed history diverged (restored at %d)", rank, k, run.Result.RestoredAt)
+			default:
+				continue
+			}
+			if failed++; failed == 3 {
+				t.Fatal("giving up after 3 failed kill points")
+			}
+		}
+	}
+	t.Logf("%d kill points: %d healed, %d finished before the crash fired", points, healed, points-healed-failed)
+}
+
 // TestSelfHealMultigridLossy repeats the kill under a seeded 1% drop + 1%
 // duplication plan: the reliability protocol must absorb the link faults and
 // the recovery must still reproduce the reference history exactly.

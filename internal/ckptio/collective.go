@@ -117,11 +117,14 @@ func unpackPieces(msg []byte, l Layout, me int, bufs stripeBufs) {
 
 // collectiveWrite runs the full two-phase protocol for one checkpoint
 // epoch.  It returns nil only when every rank's stripes are durable AND
-// rank 0's commit record is durable; a local I/O fault on any rank aborts
-// the epoch on all ranks (via Agree) with no commit record published.  So
-// does a rank death in the exchanges, which returns its typed error on every
-// rank that saw it, the communicator revoked; one in the closing broadcast
-// surfaces as the collective's own typed error.
+// rank 0's commit record is durable.  The CRC gather carries the commit
+// decision: each rank's local I/O status rides as one byte ahead of its
+// CRCs, rank 0 writes the commit record only when every byte is clean, and
+// the closing one-byte broadcast tells the others, so a local I/O fault on
+// any rank aborts the epoch on all of them with no commit record published.
+// A rank death in the exchanges or the gather returns its typed error on
+// every rank that saw it, the communicator revoked; one in the closing
+// broadcast surfaces as the collective's own typed error.
 func collectiveWrite(c *mpi.Comm, fs FS, dir string, l Layout, v FileView, local []byte, cm Commit) error {
 	size, me := c.Size(), c.Rank()
 	start := c.Clock()
@@ -143,11 +146,9 @@ func collectiveWrite(c *mpi.Comm, fs FS, dir string, l Layout, v FileView, local
 		}
 	}
 	// The exchanges and the CRC gather run under Guard: a rank that sees a
-	// peer die in them, or the communicator revoked, revokes it, so that no
-	// survivor stays parked in a pattern the others have left, and joins the
-	// failure agreement all the same.  A rank that raised instead would leave
-	// the survivors that got through the gather waiting in Agree, which only
-	// a death ends, while it waits for them in its recovery.
+	// peer die in them, or the communicator revoked, revokes it before it
+	// returns, so that no survivor stays parked in a pattern it has left —
+	// the gather's root, or a rank waiting in the closing broadcast.
 	var myStripes []int
 	var localErr error
 	var gathered []byte
@@ -169,7 +170,7 @@ func collectiveWrite(c *mpi.Comm, fs FS, dir string, l Layout, v FileView, local
 
 		// Phase two: assemble stripes and write them sequentially.  Local I/O
 		// faults are recorded, not raised — the rank must stay in the
-		// protocol so the epoch aborts collectively.
+		// protocol so its status byte aborts the epoch collectively.
 		myStripes = l.stripesOf(me)
 		myCRCs := make([]uint32, len(myStripes))
 		if len(myStripes) > 0 {
@@ -184,73 +185,67 @@ func collectiveWrite(c *mpi.Comm, fs FS, dir string, l Layout, v FileView, local
 			localErr = writeStripes(fs, filepath.Join(dir, dataName(cm.Epoch, cm.Cycle)), l, myStripes, bufs, myCRCs)
 		}
 
-		// CRC collection on rank 0, counts derived from the layout by everyone.
-		crcWire := make([]byte, 4*len(myCRCs))
+		// Status and CRC collection on rank 0, counts derived from the layout
+		// by everyone: one status byte, nonzero on a local I/O fault, then
+		// the rank's stripe CRCs.
+		crcWire := make([]byte, 1+4*len(myCRCs))
+		if localErr != nil {
+			crcWire[0] = 1
+		}
 		for i, crc := range myCRCs {
-			binary.LittleEndian.PutUint32(crcWire[4*i:], crc)
+			binary.LittleEndian.PutUint32(crcWire[1+4*i:], crc)
 		}
 		crcCounts := make([]int, size)
 		for r := 0; r < size; r++ {
-			crcCounts[r] = 4 * len(l.stripesOf(r))
+			crcCounts[r] = 1 + 4*len(l.stripesOf(r))
 		}
 		gathered = c.Gatherv(0, crcWire, crcCounts)
 		return nil
 	})
 	if commErr != nil {
 		c.Revoke()
-	}
-
-	// Failure agreement: any rank's local I/O fault or failed exchange
-	// aborts the epoch for everyone.  Agree is the fault-tolerant path — members that already
-	// died are excluded rather than hanging the survivors.
-	failBit := uint64(0)
-	if localErr != nil || commErr != nil {
-		failBit = 1
-	}
-	agreed, err := c.Agree(failBit)
-	if err != nil {
-		return err
-	}
-	if agreed != 0 {
 		if me == 0 {
 			// Best effort: the uncommitted data file is garbage.
 			_ = fs.Remove(filepath.Join(dir, dataName(cm.Epoch, cm.Cycle)))
 		}
-		switch {
-		case commErr != nil:
-			return fmt.Errorf("checkpoint: epoch (%d,%d) aborted: %w", cm.Epoch, cm.Cycle, commErr)
-		case localErr != nil:
-			return fmt.Errorf("checkpoint: epoch (%d,%d) aborted: %w", cm.Epoch, cm.Cycle, localErr)
-		}
-		return fmt.Errorf("checkpoint: epoch (%d,%d) aborted by a peer's fault", cm.Epoch, cm.Cycle)
+		return fmt.Errorf("checkpoint: epoch (%d,%d) aborted: %w", cm.Epoch, cm.Cycle, commErr)
 	}
 
-	// Commit: rank 0 assembles the stripe CRC list in stripe order and
-	// publishes the record fsync-then-rename; a one-byte broadcast tells
-	// everyone whether the checkpoint now exists.
+	// Commit: rank 0 checks every status byte, assembles the stripe CRC
+	// list in stripe order and publishes the record fsync-then-rename; a
+	// one-byte broadcast tells everyone whether the checkpoint now exists.
 	ok := byte(1)
 	if me == 0 {
 		cm.CRCs = make([]uint32, l.NStripes())
 		goff := 0
 		for r := 0; r < size; r++ {
+			if gathered[goff] != 0 {
+				ok = 0
+			}
+			goff++
 			for _, s := range l.stripesOf(r) {
 				cm.CRCs[s] = binary.LittleEndian.Uint32(gathered[goff:])
 				goff += 4
 			}
 		}
-		if cerr := WriteFileDurable(fs, filepath.Join(dir, commitName(cm.Epoch, cm.Cycle)), encodeCommit(cm)); cerr != nil {
-			ok = 0
-			localErr = cerr
+		if ok == 1 {
+			if cerr := WriteFileDurable(fs, filepath.Join(dir, commitName(cm.Epoch, cm.Cycle)), encodeCommit(cm)); cerr != nil {
+				ok = 0
+				localErr = fmt.Errorf("commit record: %w", cerr) // rank 0's own status byte was clean
+			}
+			obs.Metrics.Counter("ckpt.commits").Inc()
+		}
+		if ok == 0 {
+			// Best effort: the uncommitted data file is garbage.
 			_ = fs.Remove(filepath.Join(dir, dataName(cm.Epoch, cm.Cycle)))
 		}
-		obs.Metrics.Counter("ckpt.commits").Inc()
 	}
 	out := c.Bcast(0, []byte{ok})
 	if out[0] == 0 {
 		if localErr != nil {
-			return fmt.Errorf("checkpoint: epoch (%d,%d) commit failed: %w", cm.Epoch, cm.Cycle, localErr)
+			return fmt.Errorf("checkpoint: epoch (%d,%d) aborted: %w", cm.Epoch, cm.Cycle, localErr)
 		}
-		return fmt.Errorf("checkpoint: epoch (%d,%d) commit failed on rank 0", cm.Epoch, cm.Cycle)
+		return fmt.Errorf("checkpoint: epoch (%d,%d) aborted by a peer's fault", cm.Epoch, cm.Cycle)
 	}
 	c.Span("ckpt_write", start,
 		obs.Attr{Key: "cycle", Val: fmt.Sprint(cm.Cycle)},

@@ -1,6 +1,7 @@
 package ckptio
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -10,10 +11,10 @@ import (
 
 // TestRankDeathMidWriteAbortsEverySurvivor kills rank 2 of 4 at 48 points of
 // its virtual clock across one collective write.  Wherever the death lands,
-// every survivor leaves PutOwned, and all three then agree on the shrunk
-// communicator: a survivor that saw the death in the exchanges or the CRC
-// gather joins the failure agreement before it returns, so none is left
-// waiting there for a rank that has gone on to recover.
+// every survivor leaves PutOwned with nil or a typed error, and none is left
+// waiting: a survivor that saw the death in the exchanges or the CRC gather
+// revokes the communicator before it returns, which releases the gather's
+// root and any rank parked in the closing broadcast.
 func TestRankDeathMidWriteAbortsEverySurvivor(t *testing.T) {
 	const n, victim, points = 4, 2, 48
 	write := func(c *mpi.Comm, dir string) error {
@@ -48,21 +49,17 @@ func TestRankDeathMidWriteAbortsEverySurvivor(t *testing.T) {
 	for i := range points {
 		at := from + (to-from)*float64(i)/points
 		err := world(&simnet.FaultPlan{CrashAt: map[int]float64{victim: at}}).Run(func(c *mpi.Comm) error {
-			c.Barrier()
-			_ = mpi.Guard(func() error { return write(c, t.TempDir()) })
+			// The opening barrier is guarded too: a survivor that sees the
+			// death first revokes c while another may still be in it.
+			err := mpi.Guard(func() error {
+				c.Barrier()
+				return write(c, t.TempDir())
+			})
 			c.Compute(1) // the victim dies here at the latest: its clock passes any point of the write
-			c.Revoke()
-			nc, err := c.Shrink()
-			for err == nil && nc.Size() == n { // the victim died after the agreement sealed
-				nc, err = nc.Shrink()
+			if err != nil && !errors.Is(err, mpi.ErrRankFailed) && !errors.Is(err, mpi.ErrRevoked) {
+				return fmt.Errorf("rank %d left the write with %w", c.Rank(), err)
 			}
-			if err != nil {
-				return err
-			}
-			if nc.Size() != n-1 {
-				return fmt.Errorf("shrunk to %d ranks", nc.Size())
-			}
-			return mpi.Guard(func() error { nc.Barrier(); return nil })
+			return nil
 		})
 		if err != nil {
 			t.Fatalf("rank %d dead at %.3g of the write: %v", victim, float64(i)/points, err)

@@ -16,10 +16,8 @@ import (
 type Options struct {
 	// StripeBytes is the file-domain stripe size; 0 means 256 KiB.
 	StripeBytes int64
-	// Aggregators is the target aggregator count; 0 means min(size, 2).
-	// Consecutive epoch failures degrade the effective count by halving
-	// (never below 1), so a flaky aggregator host concentrates the I/O on
-	// fewer, hopefully healthier, ranks.
+	// Aggregators is the aggregator count, capped at the communicator
+	// size; 0 means 2.
 	Aggregators int
 	// Keep is how many committed checkpoints to retain; 0 means 4.
 	// Retention is keyed by (epoch, cycle) and never removes a protected
@@ -45,7 +43,6 @@ type Store struct {
 	vecs  int      // vectors in every checkpoint
 	epoch uint64
 
-	fails     int          // consecutive aborted epochs, drives degradation
 	protected map[int]bool // cycles retention must never remove
 	valid     map[string]bool
 }
@@ -62,6 +59,9 @@ func NewStore(dir string, fs FS, opt Options) (*Store, error) {
 	}
 	if opt.StripeBytes <= 0 {
 		opt.StripeBytes = 256 << 10
+	}
+	if opt.Aggregators <= 0 {
+		opt.Aggregators = 2
 	}
 	if opt.Keep <= 0 {
 		opt.Keep = 4
@@ -93,12 +93,6 @@ func (s *Store) Bind(c *mpi.Comm, total int64, segs []datatype.Segment, vectors 
 	// Validation results depend on the view; re-derive them under the new
 	// decomposition.
 	s.valid = make(map[string]bool)
-	// Aggregator degradation is collective state: every rank must derive
-	// the identical layout or the CRC-gather counts diverge.  Within one
-	// bound attempt the epoch abort agreement keeps the counters in lock-
-	// step, but across a recovery a respawned rank starts from zero — so
-	// everyone restarts degradation at the shared rebind point.
-	s.fails = 0
 }
 
 // SetEpoch sets the membership epoch stamped into subsequent checkpoints.
@@ -110,24 +104,6 @@ func (s *Store) SetEpoch(e uint64) { s.epoch = e }
 // solve protects its agreed restore point so pruning by a healthy majority
 // cannot evict the very checkpoint a rejoining rank needs.
 func (s *Store) Protect(cycle int) { s.protected[cycle] = true }
-
-// aggregators returns the effective aggregator target after degradation.
-func (s *Store) aggregators(size int) int {
-	n := s.opt.Aggregators
-	if n <= 0 {
-		n = 2
-	}
-	for i := 0; i < s.fails; i++ {
-		n /= 2
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > size {
-		n = size
-	}
-	return n
-}
 
 // PutOwned writes one collective checkpoint of the bound vectors: each of
 // vecs is this rank's owned values of one vector in view order, and the file
@@ -147,7 +123,7 @@ func (s *Store) PutOwned(cycle int, residual, r0, rho float64, vecs ...[]float64
 			local = append(local, floatbytes.Bytes(v)...)
 		}
 	}
-	l := NewLayout(s.view.Total, s.opt.StripeBytes, s.aggregators(s.c.Size()), s.c.Size())
+	l := NewLayout(s.view.Total, s.opt.StripeBytes, s.opt.Aggregators, s.c.Size())
 	cm := Commit{
 		Epoch:       s.epoch,
 		Cycle:       cycle,
@@ -159,11 +135,9 @@ func (s *Store) PutOwned(cycle int, residual, r0, rho float64, vecs ...[]float64
 	}
 	err := collectiveWrite(s.c, s.fs, s.dir, l, s.view, local, cm)
 	if err != nil {
-		s.fails++
 		obs.Metrics.Counter("ckpt.aborts").Inc()
 		return err
 	}
-	s.fails = 0
 	s.valid[commitName(cm.Epoch, cycle)] = true
 	if s.c.Rank() == 0 {
 		s.prune()

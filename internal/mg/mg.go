@@ -782,7 +782,7 @@ func axpyCellsGo(y, x []float64, a float64) {
 // and the agglomerated coarse sub-communicator, if any — so members still
 // blocked in a broken collective abandon it with ErrRevoked and join the
 // recovery.  The first rank to observe a failure calls this before
-// mpi.Comm.Restore or Shrink.
+// mpi.Comm.Restore.
 func (s *Solver) RevokeComms() {
 	s.c.Revoke()
 	if s.coarseComm != nil && s.coarseComm != s.c {

@@ -41,6 +41,7 @@ func (c *Comm) Allgatherv(data []byte, counts []int, recv []byte) {
 		panic(fmt.Sprintf("mpi: allgatherv recv buffer %d < total %d", len(recv), total))
 	}
 	c.collStart("Allgatherv")
+	c.requireLive()
 	tag := c.collTag()
 
 	n := c.Size()
@@ -49,60 +50,15 @@ func (c *Comm) Allgatherv(data []byte, counts []int, recv []byte) {
 		return
 	}
 
-	// Graceful degradation: when members have failed but each contributes
-	// zero volume, the collective projects onto the surviving sub-group —
-	// the output layout is unchanged (dead blocks are empty) and the dead
-	// members drop out of outlier detection and the message pattern.  The
-	// projected traffic runs under a context derived from the survivor
-	// set, so residue a dead rank left mid-collective can never alias it.
-	// A dead member owing real data makes the gather impossible: fail
-	// fast.  Cleanly exited members are NOT projected out — a fast rank
-	// may have completed this collective (its messages already queued)
-	// before a slow one entered it.  The survivors must share the same
-	// view of the failure set, which recovery code gets from Agree/Shrink.
-	eff, effCounts, effDispls := c, counts, displs
-	if c.w.anyDown.Load() {
-		var liveIdx []int
-		h := c.ctx ^ 0xa90ddcf7c4b6e59b
-		for r := 0; r < n; r++ {
-			if c.w.deadRank(c.worldRank(r)) {
-				if counts[r] != 0 {
-					throwErr(&RankFailedError{Rank: c.worldRank(r), Call: "Allgatherv"})
-				}
-				h = splitmixCtx(h ^ uint64(r)*0xbf58476d1ce4e5b9)
-				continue
-			}
-			liveIdx = append(liveIdx, r)
-		}
-		if len(liveIdx) < n {
-			if len(liveIdx) <= 1 {
-				return
-			}
-			group := make([]int, len(liveIdx))
-			effCounts = make([]int, len(liveIdx))
-			effDispls = make([]int, len(liveIdx))
-			myIdx := -1
-			for i, r := range liveIdx {
-				group[i] = c.worldRank(r)
-				effCounts[i] = counts[r]
-				effDispls[i] = displs[r]
-				if r == me {
-					myIdx = i
-				}
-			}
-			eff = &Comm{w: c.w, me: c.me, group: group, rank: myIdx, ctx: splitmixCtx(h)}
-		}
-	}
-
 	opStart := c.me.clock
-	algo, nonuniform := eff.allgathervAlgo(effCounts, total)
+	algo, nonuniform := c.allgathervAlgo(counts, total)
 	switch algo {
 	case AGRing:
-		eff.agvRing(tag, effCounts, effDispls, recv)
+		c.agvRing(tag, counts, displs, recv)
 	case AGRecursiveDoubling:
-		eff.agvRecDbl(tag, effCounts, effDispls, recv)
+		c.agvRecDbl(tag, counts, displs, recv)
 	case AGDissemination:
-		eff.agvDissem(tag, effCounts, effDispls, recv)
+		c.agvDissem(tag, counts, displs, recv)
 	default:
 		panic("mpi: unresolved allgatherv algorithm")
 	}
@@ -113,7 +69,6 @@ func (c *Comm) Allgatherv(data []byte, counts []int, recv []byte) {
 				{Key: "algo", Val: algo.String()},
 				{Key: "policy", Val: c.w.cfg.Allgatherv.String()},
 				{Key: "nonuniform", Val: strconv.FormatBool(nonuniform)},
-				{Key: "members", Val: strconv.Itoa(eff.Size())},
 			}})
 	}
 }

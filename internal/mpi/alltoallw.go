@@ -70,9 +70,8 @@ type Exchange struct {
 	vol             int64 // bytes the send specs describe, for the trace span
 
 	// The exchange in flight.
-	started            bool
-	opStart            float64
-	zero, small, large int // the bins as this exchange saw them, for the trace span
+	started bool
+	opStart float64
 }
 
 type exchRecv struct {
@@ -175,13 +174,11 @@ func (e *Exchange) start(sendbuf, recvbuf []byte, moveLocal bool) {
 	}
 	c := e.c
 	c.collStart("Alltoallw")
+	c.requireLive()
 	tag := c.collTag()
 	e.opStart = c.me.clock
 	switch c.w.cfg.Alltoallw {
 	case ATRoundRobin:
-		// The baseline couples every pair; it cannot route around a dead
-		// peer, so it fails fast instead.  It has nothing left to wait for.
-		c.requireLive()
 		c.a2awRoundRobin(tag, sendbuf, e.sends, recvbuf, e.recvs, e.local, moveLocal)
 		for i := range e.in {
 			e.in[i].req = Request{done: true}
@@ -195,29 +192,21 @@ func (e *Exchange) start(sendbuf, recvbuf []byte, moveLocal bool) {
 }
 
 // startBinned is the paper's design: zero-volume peers are skipped, the
-// rest are processed small-bin first.  Dead peers degrade gracefully: they
-// are treated as zero-volume — nothing is sent to them, their receive
-// regions are left untouched, and they never enter a bin — so the exchange
-// completes among the survivors.
+// rest are processed small-bin first.
 func (e *Exchange) startBinned(tag int, sendbuf, recvbuf []byte, moveLocal bool) {
 	c := e.c
 	me := c.rank
-	anyDown := c.w.anyDown.Load()
-	dead := func(r int) bool { return anyDown && c.w.deadRank(c.worldRank(r)) }
 
 	// The local part needs no wire and no message.
 	if e.sends[me].Bytes() > 0 || e.recvs[me].Bytes() > 0 {
 		c.localPart(sendbuf, e.sends[me], recvbuf, e.recvs[me], e.local, moveLocal)
 	}
 
-	// Post all nonzero receives up front.  A dead peer contributes nothing —
-	// unless its message already arrived before it died, in which case it is
-	// received normally.
+	// Post all nonzero receives up front.
 	for i := range e.in {
 		r := &e.in[i]
 		s := e.recvs[r.peer]
-		r.req = Request{c: c, isRecv: true, src: r.peer, tag: tag, plan: r.plan,
-			done: dead(r.peer) && !c.queued(r.peer, tag)}
+		r.req = Request{c: c, isRecv: true, src: r.peer, tag: tag, plan: r.plan}
 		if s.contig() {
 			r.req.buf = recvbuf[s.Displ : s.Displ+s.Bytes()]
 		} else {
@@ -227,23 +216,7 @@ func (e *Exchange) startBinned(tag int, sendbuf, recvbuf []byte, moveLocal bool)
 
 	// Send bins: small ascending-by-rank first, then large.
 	for _, o := range e.out {
-		if !dead(o.peer) {
-			c.sendSpec(o.peer, tag, sendbuf, e.sends[o.peer], o.plan)
-		}
-	}
-	e.zero, e.small, e.large = e.zeroBin, e.nSmall, len(e.out)-e.nSmall
-	for r := 0; anyDown && r < len(e.sends); r++ { // a dead peer is in no bin
-		if r == me || !dead(r) {
-			continue
-		}
-		switch b := e.sends[r].Bytes(); {
-		case b == 0:
-			e.zero--
-		case b <= c.w.cfg.BinThresholdBytes:
-			e.small--
-		default:
-			e.large--
-		}
+		c.sendSpec(o.peer, tag, sendbuf, e.sends[o.peer], o.plan)
 	}
 }
 
@@ -262,9 +235,9 @@ func (e *Exchange) Wait() {
 		attrs := []obs.Attr{{Key: "algo", Val: c.w.cfg.Alltoallw.String()}}
 		if c.w.cfg.Alltoallw == ATBinned {
 			attrs = append(attrs,
-				obs.Attr{Key: "zero_bin", Val: strconv.Itoa(e.zero)},
-				obs.Attr{Key: "small_bin", Val: strconv.Itoa(e.small)},
-				obs.Attr{Key: "large_bin", Val: strconv.Itoa(e.large)})
+				obs.Attr{Key: "zero_bin", Val: strconv.Itoa(e.zeroBin)},
+				obs.Attr{Key: "small_bin", Val: strconv.Itoa(e.nSmall)},
+				obs.Attr{Key: "large_bin", Val: strconv.Itoa(len(e.out) - e.nSmall)})
 		}
 		c.me.tracer.Emit(obs.Span{Rank: c.me.rank, Kind: "alltoallw", Peer: -1,
 			Bytes: e.vol, Start: e.opStart, End: c.me.clock, Clock: obs.ClockVirtual, Attrs: attrs})

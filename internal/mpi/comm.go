@@ -25,9 +25,6 @@ type Comm struct {
 	// ctx is the communicator's context id; messages match only within
 	// their communicator.
 	ctx uint64
-	// agreeSeq counts Agree/Shrink calls on this communicator; members
-	// execute them collectively, so equal seq identifies the same call.
-	agreeSeq uint64
 	// displs and vols are Allgatherv's scratch, kept so that a call
 	// allocates neither: its counts' displacements and, under the adaptive
 	// policy, the counts as the outlier detector's volumes.

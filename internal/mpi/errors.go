@@ -9,7 +9,7 @@ import (
 // Typed communication errors.  Blocking operations raise them when their
 // peer can no longer respond; World.Run converts an uncaught one into that
 // rank's returned error, and Guard lets fault-tolerant code intercept them
-// mid-run (e.g. to Shrink the communicator and retry).
+// mid-run (e.g. to Restore the communicator and resume).
 var (
 	// ErrRankFailed reports that a peer rank died (crashed, panicked or
 	// aborted with an error) while this rank depended on it.
@@ -129,7 +129,7 @@ type crashPanic struct{ rank int }
 // Guard runs fn and converts a typed communication error raised by a
 // blocking MPI call inside it (ErrRankFailed, ErrTimeout, ErrDeadlock) into
 // a returned error, leaving the rank alive.  Fault-tolerant code wraps its
-// work in Guard, then recovers — typically via Comm.Shrink — and retries.
+// work in Guard, then recovers through Comm.Restore and resumes.
 // Other panics, including injected crashes, propagate.
 func Guard(fn func() error) (err error) {
 	defer func() {

@@ -468,147 +468,69 @@ func TestRecvDeadline(t *testing.T) {
 	})
 }
 
-// TestAgree: the OR of every live member's contribution reaches all of
-// them.
-func TestAgree(t *testing.T) {
-	run(t, 4, Baseline(), func(c *Comm) error {
-		got, err := c.Agree(1 << uint(c.Rank()))
-		if err != nil {
-			return err
-		}
-		if got != 0xF {
-			return fmt.Errorf("rank %d agreed on %#x, want 0xF", c.Rank(), got)
-		}
-		// A second agreement must not collide with the first.
-		got, err = c.Agree(uint64(c.Rank()) << 8)
-		if err != nil {
-			return err
-		}
-		if got != 0x300 {
-			return fmt.Errorf("rank %d second agreement %#x, want 0x300", c.Rank(), got)
-		}
-		return nil
-	})
-}
-
-// TestShrinkAfterCrash is the ULFM recovery loop in miniature: a rank
-// crashes mid-run, survivors catch the typed error with Guard, revoke the
-// communicator so laggards stop waiting, shrink, and continue on the
-// smaller world.
-func TestShrinkAfterCrash(t *testing.T) {
-	fp := &simnet.FaultPlan{CrashAt: map[int]float64{2: 1e-6}}
-	w := faultWorld(4, Baseline(), fp)
-	err := w.Run(func(c *Comm) error {
-		werr := Guard(func() error {
-			for i := 0; i < 50; i++ {
-				c.Barrier()
-				c.Compute(1e-6)
-			}
-			return nil
-		})
-		if werr == nil {
-			return errors.New("crash went unnoticed")
-		}
-		if !errors.Is(werr, ErrRankFailed) && !errors.Is(werr, ErrRevoked) {
-			return fmt.Errorf("unexpected failure kind: %w", werr)
-		}
-		c.Revoke()
-		nc, serr := c.Shrink()
-		if serr != nil {
-			return serr
-		}
-		if nc.Size() != 3 {
-			return fmt.Errorf("shrunk to %d ranks, want 3", nc.Size())
-		}
-		for _, wr := range nc.Group() {
-			if wr == 2 {
-				return errors.New("dead rank survived the shrink")
-			}
-		}
-		if got := nc.AllreduceScalar(1, OpSum); got != 3 {
-			return fmt.Errorf("allreduce on shrunk comm = %v", got)
-		}
-		nc.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestCollectivesFailFastOnDeadPeer: on a communicator with a dead member,
+// Allgatherv under every policy, Alltoallw under both algorithms and a
+// persistent Exchange built before the death raise ErrRankFailed or
+// ErrRevoked on every survivor, even where the dead member owes no bytes,
+// and no survivor hangs.  Recovery is Restore's job, not the collectives'.
+func TestCollectivesFailFastOnDeadPeer(t *testing.T) {
+	type op struct {
+		name string
+		cfg  Config
+		run  func(c *Comm, e *Exchange)
 	}
-	if crashed := w.CrashedRanks(); len(crashed) != 1 || crashed[0] != 2 {
-		t.Fatalf("CrashedRanks = %v, want [2]", w.CrashedRanks())
+	counts := []int{8, 0, 16, 24} // the dead rank 1 owes nothing
+	allgatherv := func(c *Comm, _ *Exchange) {
+		c.Allgatherv(make([]byte, counts[c.Rank()]), counts, make([]byte, 48))
 	}
-	if w.Alive(2) {
-		t.Fatal("crashed rank reported alive")
-	}
-}
-
-// TestDegradedCollectivesSkipDeadPeers: after consensus on a failure, the
-// adaptive Allgatherv and binned Alltoallw complete among the survivors
-// when the dead peer contributes zero volume.
-func TestDegradedCollectivesSkipDeadPeers(t *testing.T) {
-	fp := &simnet.FaultPlan{CrashAt: map[int]float64{1: 0}}
-	w := faultWorld(4, Optimized(), fp)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 1 {
-			c.Barrier() // crashes at entry
-			return errors.New("scheduled crash did not fire")
-		}
-		// Each survivor observes the failure directly (a wait on the dead
-		// rank itself, so no survivor depends on another mid-abort), then
-		// the agreement doubles as a failure-knowledge barrier: after it,
-		// every survivor's view includes the dead rank.
-		if err := Guard(func() error { c.Recv(1, 7); return nil }); !errors.Is(err, ErrRankFailed) {
-			return fmt.Errorf("crash went unnoticed: %v", err)
-		}
-		if _, err := c.Agree(0); err != nil {
-			return err
-		}
+	alltoallv := func(c *Comm, _ *Exchange) {
 		n := c.Size()
-		counts := []int{8, 0, 16, 24} // dead rank 1 owes nothing
-		recv := make([]byte, 48)
-		data := make([]byte, counts[c.Rank()])
-		for i := range data {
-			data[i] = byte(c.Rank()*10 + i)
-		}
-		c.Allgatherv(data, counts, recv)
-		for r := 0; r < n; r++ {
-			if r == 1 {
-				continue
-			}
-			displ := []int{0, 8, 8, 24}[r]
-			for i := 0; i < counts[r]; i++ {
-				if recv[displ+i] != byte(r*10+i) {
-					return fmt.Errorf("rank %d: block %d corrupt at %d", c.Rank(), r, i)
+		cnt := []int{8, 8, 8, 8}
+		c.Alltoallv(make([]byte, 8*n), cnt, make([]byte, 8*n), cnt)
+	}
+	exchange := func(_ *Comm, e *Exchange) {
+		e.Start(make([]byte, 32), make([]byte, 32))
+		e.Wait()
+	}
+	var ops []op
+	for _, algo := range []AllgathervAlgo{AGAuto, AGAdaptive, AGRing, AGRecursiveDoubling, AGDissemination} {
+		cfg := Optimized()
+		cfg.Allgatherv = algo
+		ops = append(ops, op{"allgatherv/" + algo.String(), cfg, allgatherv})
+	}
+	for _, algo := range []AlltoallwAlgo{ATRoundRobin, ATBinned} {
+		cfg := Optimized()
+		cfg.Alltoallw = algo
+		ops = append(ops, op{"alltoallw/" + algo.String(), cfg, alltoallv},
+			op{"exchange/" + algo.String(), cfg, exchange})
+	}
+	for _, o := range ops {
+		t.Run(o.name, func(t *testing.T) {
+			w := faultWorld(4, o.cfg, &simnet.FaultPlan{CrashAt: map[int]float64{1: 0}})
+			err := w.Run(func(c *Comm) error {
+				spec := make([]TypeSpec, c.Size())
+				for r := range spec {
+					spec[r] = TypeSpec{Type: Bytes(8), Count: 1, Displ: 8 * r}
 				}
-			}
-		}
-
-		// Binned Alltoallw: nonzero volume scheduled with the dead peer is
-		// silently skipped, the rest exchanges normally.
-		sendCounts := make([]int, n)
-		recvCounts := make([]int, n)
-		for j := 0; j < n; j++ {
-			sendCounts[j], recvCounts[j] = 8, 8
-		}
-		sendbuf := make([]byte, 8*n)
-		for i := range sendbuf {
-			sendbuf[i] = byte(c.Rank()*50 + i)
-		}
-		recvbuf := make([]byte, 8*n)
-		c.Alltoallv(sendbuf, sendCounts, recvbuf, recvCounts)
-		for j := 0; j < n; j++ {
-			if j == 1 {
-				continue // region for the dead peer: untouched, ignored
-			}
-			for i := 0; i < 8; i++ {
-				if recvbuf[8*j+i] != byte(j*50+8*c.Rank()+i) {
-					return fmt.Errorf("rank %d: alltoallv block from %d corrupt", c.Rank(), j)
+				e := c.AlltoallwInit(spec, spec)
+				if c.Rank() == 1 {
+					c.Barrier() // crashes at entry
+					return errors.New("scheduled crash did not fire")
 				}
+				// Each survivor observes the failure directly, on a wait
+				// on the dead rank itself.
+				if err := Guard(func() error { c.Recv(1, 7); return nil }); !errors.Is(err, ErrRankFailed) {
+					return fmt.Errorf("crash went unnoticed: %v", err)
+				}
+				err := Guard(func() error { o.run(c, e); return nil })
+				if !errors.Is(err, ErrRankFailed) && !errors.Is(err, ErrRevoked) {
+					return fmt.Errorf("rank %d: %s with a dead member returned %v", c.Rank(), o.name, err)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		})
 	}
 }

@@ -316,18 +316,3 @@ func (c *Comm) requireLive() {
 		}
 	}
 }
-
-// queued reports whether a message matching (src, tag) on this
-// communicator is already in the mailbox.  Used to distinguish a down peer
-// whose contribution arrived before it went down from one that never sent.
-func (c *Comm) queued(src, tag int) bool {
-	p := c.me
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, env := range p.queue {
-		if env.ctx == c.ctx && (src == AnySource || env.src == src) && (tag == AnyTag || env.tag == tag) {
-			return true
-		}
-	}
-	return false
-}

@@ -10,8 +10,8 @@ import (
 )
 
 // Self-healing: re-admitting a replacement for a failed rank and rebuilding
-// the full-size communicator.  The recovery protocol layers on the ULFM
-// primitives in shrink.go:
+// the full-size communicator, the one way to survive a rank death.  The
+// recovery protocol layers on Revoke (revoke.go):
 //
 //  1. A rank failure is detected (connection loss, heartbeat hard-failure,
 //     or an in-process death) and survivors revoke the broken communicators
@@ -27,7 +27,7 @@ import (
 //     the next membership epoch.  Restore fences the old incarnation
 //     (epoch bump, stamped into the transport handshake), waits for every
 //     failed rank's replacement to be ready, flips them back to running,
-//     and commits the new epoch with an Agree on the epoch's own context.
+//     and commits the new epoch with a barrier on the epoch's own context.
 //  4. The caller agrees on the latest commonly-available checkpoint over
 //     the regrown communicator, restores it and resumes at full size (see
 //     internal/bench's self-healing driver).
@@ -138,17 +138,16 @@ func epochCtx(e uint64) uint64 {
 	return splitmixCtx(e*0xd1342543de82ef95 ^ 0x9e6c63d0876a9a47)
 }
 
-// Restore is the inverse of Shrink: it rebuilds the full-size communicator
-// after every failed rank has been respawned, and commits membership epoch
-// e.  It is collective over all ranks — the survivors and the replacements
-// — and like Shrink it works while the old communicators are revoked;
-// revoking them first (so no survivor is still blocked in the broken
-// pattern) is the caller's responsibility.
+// Restore rebuilds the full-size communicator after every failed rank has
+// been respawned, and commits membership epoch e.  It is collective over
+// all ranks — the survivors and the replacements — and works while the old
+// communicators are revoked; revoking them first (so no survivor is still
+// blocked in the broken pattern) is the caller's responsibility.
 //
 // Restore fences the old incarnation by raising the world's and the
 // transport's membership epoch, waits up to timeout for every non-running
 // rank to have a rejoin-ready replacement, re-admits the replacements, and
-// runs an agreement on the new epoch's context as the commit barrier.  On
+// runs a barrier on the new epoch's context as the commit.  On
 // success every rank holds an identical full-size communicator whose
 // context is derived from e.
 func (c *Comm) Restore(e uint64, timeout time.Duration) (*Comm, error) {
@@ -185,7 +184,7 @@ func (c *Comm) Restore(e uint64, timeout time.Duration) (*Comm, error) {
 		}
 		err = nc.agreeFullWall(deadline)
 	} else {
-		_, err = nc.agree(nil)
+		err = nc.agree()
 	}
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"errors"
 	"time"
 
@@ -14,7 +13,7 @@ import (
 // OS process for TCP — and everything that the in-process runtime resolved
 // through shared memory travels as control frames instead: rank lifecycle
 // (goodbye frames and connection-loss callbacks), revocation broadcasts,
-// and message-based agreement.  The virtual clock still runs locally (so
+// and Restore's message-based commit barrier.  The virtual clock still runs locally (so
 // injected crashes and cost accounting work), but it no longer couples
 // ranks: arrival stamps from remote clocks are ignored and the watchdog is
 // force-disabled, real sockets having no global quiescence to observe.
@@ -119,11 +118,11 @@ func (c *Comm) trySendOK(dst, tag int, data []byte) (ok bool) {
 	return true
 }
 
-// noteControlRecv traces the consumption of a side-channel agreement
-// message as an instant recv with matching identity, so the corresponding
-// send span does not read as a lost message in the cross-rank analyzer.
-// The agreement paths bypass completeRecv deliberately (no clock coupling),
-// hence the dedicated hook.
+// noteControlRecv traces the consumption of a commit-barrier message as an
+// instant recv with matching identity, so the corresponding send span does
+// not read as a lost message in the cross-rank analyzer.  The barrier
+// bypasses completeRecv deliberately (no clock coupling), hence the
+// dedicated hook.
 func (c *Comm) noteControlRecv(env *envelope) {
 	p := c.me
 	if !p.tracer.Enabled() {
@@ -132,61 +131,14 @@ func (c *Comm) noteControlRecv(env *envelope) {
 	p.recordRecv(env.src, env.tag, len(env.data), p.clock, c.ctx, c.worldRank(env.src), env.mseq, 0)
 }
 
-// agreeWall is the distributed form of agree: an all-to-all exchange of
-// contribution words on a side-channel context derived from (ctx, call
-// seq).  The derived context is unique per call site and never revoked, so
-// agreement works on a revoked communicator — which is its whole purpose
-// during recovery.  A member that died before contributing is skipped, the
-// same membership rule the shared-slot path applies.
-func (c *Comm) agreeWall(words []uint64) ([]uint64, error) {
-	c.maybeCrash()
-	seq := c.agreeSeq
-	c.agreeSeq++
-	ac := &Comm{w: c.w, me: c.me, group: c.group, rank: c.rank,
-		ctx: splitmixCtx(c.ctx ^ 0x5bf03635aca2ee2d ^ (seq+1)*0x94d049bb133111eb)}
-
-	buf := make([]byte, 8*len(words))
-	for i, v := range words {
-		binary.LittleEndian.PutUint64(buf[8*i:], v)
-	}
-	val := append([]uint64(nil), words...)
-	n := c.Size()
-	for r := 0; r < n; r++ {
-		if r != c.rank {
-			ac.trySendOK(r, tagCollBase, buf)
-		}
-	}
-	c.me.call = "Agree"
-	for r := 0; r < n; r++ {
-		if r == c.rank {
-			continue
-		}
-		env, err := ac.matchE(r, tagCollBase, 0)
-		if err != nil {
-			if errors.Is(err, ErrRankFailed) {
-				continue // died or exited without contributing
-			}
-			return nil, err
-		}
-		ac.noteControlRecv(env)
-		for i := range val {
-			if 8*i+8 <= len(env.data) {
-				val[i] |= binary.LittleEndian.Uint64(env.data[8*i:])
-			}
-		}
-		datatype.PutBuffer(env.data)
-	}
-	return val, nil
-}
-
-// agreeFullWall is agreeWall under full-membership semantics and with an
-// empty contribution — Restore's commit barrier, which carries nothing but
-// the fact that every member reached it.  Skipping a dead member, correct
-// for Agree and Shrink,
-// is wrong here: a survivor that entered recovery on the revoke broadcast
-// may pass awaitRejoin before locally observing the failure, and its first
-// contribution send then dies against the old incarnation's broken
-// connection.  Were the member skipped, this rank would commit the epoch
+// agreeFullWall is Restore's commit barrier across processes: an
+// all-to-all exchange of empty messages on a side-channel context derived
+// from the epoch's, which carries nothing but the fact that every member
+// reached it.  It runs under full-membership semantics.  Skipping a dead
+// member is wrong here: a survivor that entered recovery on the revoke
+// broadcast may pass awaitRejoin before locally observing the failure, and
+// its first contribution send then dies against the old incarnation's
+// broken connection.  Were the member skipped, this rank would commit the epoch
 // with the failed rank still marked dead — poisoning its resumed solve —
 // while the replacement hangs in its own agreement forever, one
 // contribution short.  So a member that appears dead is waited out
@@ -195,10 +147,8 @@ func (c *Comm) agreeWall(words []uint64) ([]uint64, error) {
 // incarnation), and the wait resumes on the same side-channel context.
 func (c *Comm) agreeFullWall(deadline time.Time) error {
 	c.maybeCrash()
-	seq := c.agreeSeq
-	c.agreeSeq++
 	ac := &Comm{w: c.w, me: c.me, group: c.group, rank: c.rank,
-		ctx: splitmixCtx(c.ctx ^ 0x5bf03635aca2ee2d ^ (seq+1)*0x94d049bb133111eb)}
+		ctx: splitmixCtx(c.ctx ^ 0x5bf03635aca2ee2d ^ 0x94d049bb133111eb)}
 
 	n := c.Size()
 	for r := 0; r < n; r++ {
@@ -206,7 +156,7 @@ func (c *Comm) agreeFullWall(deadline time.Time) error {
 			ac.trySendOK(r, tagCollBase, nil)
 		}
 	}
-	c.me.call = "Agree"
+	c.me.call = "Restore"
 	for r := 0; r < n; r++ {
 		if r == c.rank {
 			continue

@@ -211,55 +211,42 @@ func TestWallLossyLink(t *testing.T) {
 	}
 }
 
-// TestWallShrinkAfterCrash exercises the ULFM path over real sockets: a
-// scheduled crash kills one rank's process-world mid-exchange, the
-// survivors observe the failure, Revoke the communicator (the revocation
-// travelling as a control frame), agree on the dead set with the
-// message-based distributed agreement, Shrink, and continue on the smaller
-// communicator.
-func TestWallShrinkAfterCrash(t *testing.T) {
+// TestWallRevokeWakesBlockedSurvivor exercises revocation over real
+// sockets: a scheduled crash kills rank 2's process-world, rank 1 observes
+// the death and revokes the communicator, and rank 0 — blocked on rank 1,
+// which is alive and never sends — is woken with ErrRevoked by the revoke
+// frame alone.  A sub-communicator split off beforehand, which the revoke
+// does not reach, keeps rank 1 up until rank 0 has been woken.
+func TestWallRevokeWakesBlockedSurvivor(t *testing.T) {
 	const n = 3
 	fp := &simnet.FaultPlan{CrashAt: map[int]float64{2: 0.5}}
 	ws := tcpWorlds(t, n, Optimized(), fp, 0)
 	errs := runAll(ws, func(c *Comm) error {
 		me := c.Rank()
-		err := Guard(func() error {
-			for i := 0; i < 10000; i++ {
-				c.Compute(0.01) // rank 2's virtual clock crosses CrashAt ~iteration 50
-				next, prev := (me+1)%n, (me+n-1)%n
-				c.Send(next, 1, []byte{byte(i)})
-				c.Recv(prev, 1)
+		sub := c.Split(min(me, 2)/2, me) // ranks 0 and 1, and rank 2 alone
+		switch me {
+		case 2:
+			c.Compute(1)      // the clock crosses CrashAt
+			c.Send(0, 1, nil) // the crash fires here
+			return errors.New("scheduled crash did not fire")
+		case 1:
+			if err := Guard(func() error { c.Recv(2, 1); return nil }); !errors.Is(err, ErrRankFailed) {
+				return fmt.Errorf("crash went unnoticed: %v", err)
 			}
+			c.Revoke()
+			sub.Recv(0, 2) // rank 0 was woken
 			return nil
-		})
-		if err == nil {
-			return errors.New("exchange survived a crashed peer")
 		}
-		if !errors.Is(err, ErrRankFailed) && !errors.Is(err, ErrRevoked) {
-			return fmt.Errorf("unexpected failure kind: %w", err)
+		_, _, err := c.RecvDeadline(1, 1, 20)
+		if !errors.Is(err, ErrRevoked) {
+			return fmt.Errorf("wait on a live peer ended with %v, want ErrRevoked", err)
 		}
-		c.Revoke()
-		sc, serr := c.Shrink()
-		if serr != nil {
-			return fmt.Errorf("shrink: %w", serr)
-		}
-		if sc.Size() != 2 {
-			return fmt.Errorf("shrunk size = %d, want 2", sc.Size())
-		}
-		if got := sc.AllreduceScalar(float64(c.Rank()), OpSum); got != 1 {
-			return fmt.Errorf("post-shrink allreduce = %v, want 1", got)
-		}
+		sub.Send(1, 2, nil)
 		return nil
 	})
 	for r, err := range errs {
-		if r == 2 {
-			if err != nil {
-				t.Fatalf("crashed rank should report no error (crash is the experiment): %v", err)
-			}
-			continue
-		}
 		if err != nil {
-			t.Fatalf("survivor rank %d: %v", r, err)
+			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
 	if got := ws[2].CrashedRanks(); len(got) != 1 || got[0] != 2 {

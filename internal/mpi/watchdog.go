@@ -79,9 +79,9 @@ func (wd *watchdog) check(frozen uint64) bool {
 		p.mu.Lock()
 		wt := p.wait
 		satisfiable := false
-		// Agreement waits are satisfied by joins and deaths, not messages;
-		// queued envelopes are irrelevant to them.
-		if wt.active && wt.call != "Agree" {
+		// Restore's commit barrier is satisfied by joins and deaths, not
+		// messages; queued envelopes are irrelevant to it.
+		if wt.active && wt.call != "Restore" {
 			for _, env := range p.queue {
 				if env.ctx == wt.ctx && (wt.src == AnySource || env.src == wt.src) && (wt.tag == AnyTag || env.tag == wt.tag) {
 					satisfiable = true
@@ -123,7 +123,7 @@ func (wd *watchdog) check(frozen uint64) bool {
 		wr.p.cond.Broadcast()
 		wr.p.mu.Unlock()
 	}
-	// Wake ranks parked in agreement waits too.
+	// Wake ranks parked in Restore's commit barrier too.
 	w.agreeMu.Lock()
 	w.agreeCond.Broadcast()
 	w.agreeMu.Unlock()

@@ -67,11 +67,12 @@ type World struct {
 	mu      sync.Mutex
 	crashed []int // ranks whose scheduled FaultPlan crash fired, death order
 
-	// Agreement slots (see Comm.Agree).  agreeCond is broadcast on every
-	// event that can seal a slot: a join, a rank death, a watchdog abort.
+	// Restore's commit barriers, keyed by context (see Comm.agree).
+	// agreeCond is broadcast on every event that can seal a slot: a join, a
+	// rank death, a watchdog abort.
 	agreeMu    sync.Mutex
 	agreeCond  *sync.Cond
-	agreeSlots map[agreeID]*agreeSlot
+	agreeSlots map[uint64]*agreeSlot
 
 	// revoked holds context ids killed by Comm.Revoke (ctx → struct{}).
 	// A sync.Map so matchE can check it while holding a proc mutex.
@@ -228,7 +229,7 @@ func NewWorldTransport(tr transport.Transport, cluster *simnet.Cluster, cfg Conf
 	w := &World{cluster: cluster, cfg: cfg, tr: tr, wall: tr.Wallclock(), tracer: obs.NewTracer(0)}
 	w.tracer.SetJob(cfg.Job)
 	w.agreeCond = sync.NewCond(&w.agreeMu)
-	w.agreeSlots = make(map[agreeID]*agreeSlot)
+	w.agreeSlots = make(map[uint64]*agreeSlot)
 	w.procs = make([]*proc, n)
 	w.states = make([]atomic.Int32, n)
 	w.rejoinReady = make([]atomic.Bool, n)
@@ -364,7 +365,7 @@ func (w *World) startRun() {
 	w.revoked.Range(func(k, _ any) bool { w.revoked.Delete(k); return true })
 	w.anyRevoked.Store(false)
 	w.agreeMu.Lock()
-	w.agreeSlots = make(map[agreeID]*agreeSlot)
+	w.agreeSlots = make(map[uint64]*agreeSlot)
 	w.agreeMu.Unlock()
 	w.mu.Lock()
 	w.crashed = nil
